@@ -9,7 +9,8 @@
 #   ./ci.sh         # full pipeline: fmt, clippy, docs, tier-1, tables,
 #                   # golden checks, parallel-determinism diff, telemetry
 #                   # trace export + cross-thread diff, every example,
-#                   # bench smoke, bench artifacts, bench gate
+#                   # bench smoke, repo-benchmark smoke + digest check,
+#                   # bench artifacts, bench gate
 #   ./ci.sh quick   # tier-1 (build + test) plus the table6, table9,
 #                   # table10 and table11 golden checks, so even the
 #                   # fast path catches torn-frame, conservation,
@@ -123,6 +124,22 @@ telemetry() {
     echo "telemetry: traces reconciled and byte-identical across thread counts."
 }
 
+# The repo benchmark (bench/, see BENCHMARK.json) as a correctness gate
+# on all six workloads — the dense closed loop, the streaming service
+# and the batch rounds at once, where `cargo test` pins the loop's event
+# order on one config. `--smoke` (counts / 10, ~14 s) fails on any
+# operation that fails or any repetition that disagrees with its own
+# reference, but skips expected.json (its pins are for full sizes); the
+# second run is full size with 0.5 s per run (~1 min) and fails unless
+# every workload reproduces its seed-42 digest pinned there. The timings
+# either prints are not gated here.
+bench_digests() {
+    echo "==> bench/run.sh --smoke (six workloads: runs, conserves, repeats)"
+    bash bench/run.sh --smoke >/dev/null
+    echo "==> bench/run.sh --seconds 0.5 (six workloads vs bench/expected.json digests)"
+    bash bench/run.sh --seconds 0.5 >/dev/null
+}
+
 # Machine-readable bench/table results, uploaded as a CI artifact by the
 # hosted pipeline so the perf trajectory accumulates per commit. These
 # include the wall-clock measurements the determinism reports exclude.
@@ -204,6 +221,8 @@ for src in crates/npqm-bench/benches/*.rs; do
     echo "==> bench-smoke ${bench}"
     cargo bench -q -p npqm-bench --bench "${bench}" -- --test >/dev/null
 done
+
+bench_digests
 
 bench_artifacts
 

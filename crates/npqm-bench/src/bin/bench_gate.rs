@@ -22,6 +22,7 @@
 //! Usage: `bench_gate --baseline-dir <dir> --current-dir <dir>
 //! [--tolerance 0.15] [--tables table6,table7,...]`
 
+use npqm_bench::cli::Cli;
 use npqm_bench::json::Json;
 
 /// Relative regression budget for both directions (wall clock up, rate
@@ -143,13 +144,8 @@ fn read_doc(path: &std::path::Path) -> Result<Json, String> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let flag_value = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
+    let cli = Cli::parse("bench-gate");
+    let flag_value = |name: &str| cli.flag_value(name);
     let baseline_dir = flag_value("--baseline-dir").unwrap_or_else(|| {
         eprintln!("bench-gate: --baseline-dir is required");
         std::process::exit(2);

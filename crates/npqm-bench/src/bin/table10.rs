@@ -35,6 +35,7 @@
 //! `--check`) writes the full results including wall-clock measurements,
 //! the per-commit perf artifact.
 
+use npqm_bench::cli::{check, cores, write_file, Cli};
 use npqm_bench::json::{service_report_deterministic_json, telemetry_trace_json, Json, ToJson};
 use npqm_core::policy::DynamicThreshold;
 use npqm_core::sched::from_spec;
@@ -56,15 +57,6 @@ const REORDER_BOUND_RINGS: u64 = 4;
 /// least this multiple of the table7 single-engine composite rate.
 const RATE_VS_TABLE7: f64 = 1.0;
 
-fn check(ok: bool, what: &str) {
-    if ok {
-        println!("table10 check: {what}: ok");
-    } else {
-        eprintln!("table10 check FAILED: {what}");
-        std::process::exit(1);
-    }
-}
-
 fn run(cfg: &ServiceConfig, threads: usize) -> ServiceReport {
     let flows = cfg.mix.flows();
     run_service(
@@ -73,10 +65,6 @@ fn run(cfg: &ServiceConfig, threads: usize) -> ServiceReport {
         |_| DynamicThreshold::new(2.0),
         move |_| from_spec("drr:1518", flows).expect("static spec"),
     )
-}
-
-fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// The deterministic gates: conservation, reconciliation, torn frames,
@@ -267,14 +255,6 @@ fn rate_gate_with_retry(cfg: &ServiceConfig, r: &ServiceReport, threads: usize) 
             }
         }
     }
-}
-
-fn write_file(path: &str, contents: &str) {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(path, contents).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("table10: wrote {path}");
 }
 
 /// `--trace <path>`: runs the table10 workload with telemetry enabled,
@@ -505,24 +485,15 @@ fn print_pretty(cfg: &ServiceConfig, r: &ServiceReport) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let flag_value = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    if args.iter().any(|a| a == "--check") {
-        if flag_value("--json").is_some() {
-            eprintln!(
-                "table10: --json is ignored in --check mode (run without --check for the \
-                 bench artifact; --report writes the determinism document)"
-            );
-        }
-        run_check(flag_value("--report").as_deref());
+    let cli = Cli::parse("table10");
+    if let Some(report) = cli.check_mode() {
+        run_check(report.as_deref());
         return;
     }
-    if let Some(path) = flag_value("--trace").or_else(|| std::env::var("NPQM_TRACE").ok()) {
+    if let Some(path) = cli
+        .flag_value("--trace")
+        .or_else(|| std::env::var("NPQM_TRACE").ok())
+    {
         run_trace(&path);
         return;
     }
@@ -532,7 +503,7 @@ fn main() {
     let r = run(&cfg, threads);
     print_pretty(&cfg, &r);
 
-    if let Some(path) = flag_value("--json") {
+    if let Some(path) = cli.flag_value("--json") {
         let baseline = run_shard_scale(&ShardScaleConfig::table7(), 1, 1);
         let doc = Json::obj([
             ("table", "table10".to_json()),

@@ -29,6 +29,7 @@
 //! writes the full results including wall-clock measurements, the
 //! per-commit perf artifact.
 
+use npqm_bench::cli::{check, cores, write_file, Cli};
 use npqm_bench::json::{telemetry_trace_json, Json, ToJson};
 use npqm_bench::qos::{
     guarantee_gbps, run_trunk, run_trunk_observed, run_work_conservation, tenant_bytes, trunk_cfg,
@@ -59,15 +60,6 @@ const FLAT_MARGIN: f64 = 1.05;
 /// And the aggregate must not sag either: the trunk stays saturated, so
 /// total goodput under overload stays within this fraction of fair.
 const AGGREGATE_TOL: f64 = 0.95;
-
-fn check(ok: bool, what: &str) {
-    if ok {
-        println!("table11 check: {what}: ok");
-    } else {
-        eprintln!("table11 check FAILED: {what}");
-        std::process::exit(1);
-    }
-}
 
 fn check_isolation(seed: u64) {
     let over = run_trunk(seed, &LOAD_OVERLOAD, true);
@@ -251,18 +243,6 @@ fn deterministic_json(wc: &WorkConservation) -> Json {
     ])
 }
 
-fn write_file(path: &str, contents: &str) {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(path, contents).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("table11: wrote {path}");
-}
-
-fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
 /// `--trace <path>`: re-runs the seed-42 overload trunk with telemetry
 /// enabled, proves the observed run is byte-identical to the plain one,
 /// reconciles the drop ledger with the report, and writes the
@@ -383,31 +363,19 @@ fn print_pretty() {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let flag_value = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    if args.iter().any(|a| a == "--check") {
-        if flag_value("--json").is_some() {
-            eprintln!(
-                "table11: --json is ignored in --check mode (run without --check for the \
-                 bench artifact; --report writes the determinism document)"
-            );
-        }
-        run_check(flag_value("--report").as_deref());
+    let cli = Cli::parse("table11");
+    if let Some(report) = cli.check_mode() {
+        run_check(report.as_deref());
         return;
     }
-    if let Some(path) = flag_value("--trace") {
+    if let Some(path) = cli.flag_value("--trace") {
         run_trace(&path);
         return;
     }
 
     print_pretty();
 
-    if let Some(path) = flag_value("--json") {
+    if let Some(path) = cli.flag_value("--json") {
         let start = std::time::Instant::now();
         let wc = run_work_conservation();
         let runs: Vec<Json> = SEEDS

@@ -16,17 +16,9 @@
 //! machine-readable per-policy results (the `BENCH_table6.json` CI
 //! artifact, one data point of the per-commit perf trajectory).
 
+use npqm_bench::cli::{check, write_file, Cli};
 use npqm_bench::json::{Json, ToJson};
 use npqm_traffic::pipeline::{compare_policies, PipelineConfig};
-
-fn check(ok: bool, what: &str) {
-    if ok {
-        println!("table6 check: {what}: ok");
-    } else {
-        eprintln!("table6 check FAILED: {what}");
-        std::process::exit(1);
-    }
-}
 
 fn run_check() {
     let outcomes = compare_policies(&PipelineConfig::bursty_overload(42));
@@ -56,9 +48,9 @@ fn run_check() {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--check") {
-        if args.iter().any(|a| a == "--json") {
+    let cli = Cli::parse("table6");
+    if cli.has("--check") {
+        if cli.has("--json") {
             eprintln!("table6: --json is ignored in --check mode (run without --check)");
         }
         run_check();
@@ -66,20 +58,12 @@ fn main() {
     }
     let cfg = PipelineConfig::bursty_overload(42);
     let outcomes = compare_policies(&cfg);
-    if let Some(path) = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-    {
+    if let Some(path) = cli.flag_value("--json") {
         let doc = Json::obj([
             ("table", "table6".to_json()),
             ("outcomes", outcomes.to_json()),
         ]);
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        std::fs::write(path, doc.pretty()).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        println!("table6: wrote {path}");
+        write_file(&path, &doc.pretty());
         println!();
     }
 

@@ -33,6 +33,7 @@
 //! `--check`) writes the full results including wall-clock measurements,
 //! the per-commit perf artifact.
 
+use npqm_bench::cli::{check, cores, write_file, Cli};
 use npqm_bench::json::{Json, ToJson};
 use npqm_core::policy::DynamicThreshold;
 use npqm_traffic::pipeline::{PipelineConfig, ShardedPipelineReport};
@@ -60,15 +61,6 @@ const SPEEDUP_AT_4: f64 = 2.0;
 /// wall clock must beat the serial run by at least this factor. Only
 /// enforced when the host actually has ≥ 4 cores.
 const WALL_SPEEDUP_AT_4: f64 = 1.5;
-
-fn check(ok: bool, what: &str) {
-    if ok {
-        println!("table7 check: {what}: ok");
-    } else {
-        eprintln!("table7 check FAILED: {what}");
-        std::process::exit(1);
-    }
-}
 
 fn run_rows(threads: usize) -> Vec<ShardScaleRow> {
     run_shard_sweep(&ShardScaleConfig::table7(), &SHARD_COUNTS, threads)
@@ -102,10 +94,6 @@ fn closed_loop_global() -> ShardedPipelineReport {
         .admission_global_lqd(0)
         .egress_spec("drr:1518")
         .run()
-}
-
-fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Checks the deterministic gates — hard failures, never retried (they
@@ -301,14 +289,6 @@ fn determinism_report(
     ])
 }
 
-fn write_file(path: &str, contents: &str) {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(path, contents).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("table7: wrote {path}");
-}
-
 fn run_check(report_path: Option<&str>) {
     let threads = threads_from_env();
     println!(
@@ -423,21 +403,9 @@ fn print_closed_loop(report: &ShardedPipelineReport) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let flag_value = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    if args.iter().any(|a| a == "--check") {
-        if flag_value("--json").is_some() {
-            eprintln!(
-                "table7: --json is ignored in --check mode (run without --check for the \
-                 bench artifact; --report writes the determinism document)"
-            );
-        }
-        run_check(flag_value("--report").as_deref());
+    let cli = Cli::parse("table7");
+    if let Some(report) = cli.check_mode() {
+        run_check(report.as_deref());
         return;
     }
 
@@ -520,7 +488,7 @@ fn main() {
         loop_local.aggregate.delivered_pkts,
     );
 
-    if let Some(path) = flag_value("--json") {
+    if let Some(path) = cli.flag_value("--json") {
         let doc = Json::obj([
             ("table", "table7".to_json()),
             ("scale_rows", rows.to_json()),

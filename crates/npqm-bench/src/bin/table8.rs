@@ -25,6 +25,7 @@
 //! byte-identical or the build fails. `--json <path>` (without
 //! `--check`) writes the full rows, the per-commit bench artifact.
 
+use npqm_bench::cli::{check, write_file, Cli};
 use npqm_bench::json::{memory_row_deterministic_json, Json, ToJson};
 use npqm_core::timing::TimingConfig;
 use npqm_traffic::scale::{
@@ -40,15 +41,6 @@ const SHARDS: usize = 2;
 /// bank count re-stripes every segment, so a hair of non-monotonicity
 /// from a re-shuffled conflict pattern is physical, not a regression.
 const MONOTONE_TOLERANCE: f64 = 0.99;
-
-fn check(ok: bool, what: &str) {
-    if ok {
-        println!("table8 check: {what}: ok");
-    } else {
-        eprintln!("table8 check FAILED: {what}");
-        std::process::exit(1);
-    }
-}
 
 fn run_rows(threads: usize) -> Vec<MemoryScaleRow> {
     run_memory_sweep(&ShardScaleConfig::table8(), SHARDS, &TABLE8_BANKS, threads)
@@ -165,14 +157,6 @@ fn run_check(threads: usize, report_path: Option<&str>) {
     println!("table8 check: PASS");
 }
 
-fn write_file(path: &str, contents: &str) {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(path, contents).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("table8: wrote {path}");
-}
-
 fn print_table(rows: &[MemoryScaleRow]) {
     let cfg = ShardScaleConfig::table8();
     println!(
@@ -196,22 +180,10 @@ fn print_table(rows: &[MemoryScaleRow]) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let flag_value = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
+    let cli = Cli::parse("table8");
     let threads = threads_from_env();
-    if args.iter().any(|a| a == "--check") {
-        if flag_value("--json").is_some() {
-            eprintln!(
-                "table8: --json is ignored in --check mode (run without --check for the \
-                 bench artifact; --report writes the determinism document)"
-            );
-        }
-        run_check(threads, flag_value("--report").as_deref());
+    if let Some(report) = cli.check_mode() {
+        run_check(threads, report.as_deref());
         return;
     }
 
@@ -243,7 +215,7 @@ fn main() {
         opt.last().unwrap().ops_per_sec() / opt[0].ops_per_sec(),
     );
 
-    if let Some(path) = flag_value("--json") {
+    if let Some(path) = cli.flag_value("--json") {
         let doc = Json::obj([
             ("table", "table8".to_json()),
             ("memory_rows", rows.to_json()),

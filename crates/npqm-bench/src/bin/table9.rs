@@ -25,20 +25,12 @@
 //! across `NPQM_THREADS` values. `--json <path>` (without `--check`)
 //! writes the same rows as the per-commit bench artifact.
 
+use npqm_bench::cli::{check, write_file, Cli};
 use npqm_bench::competitive::{
     cell, run_table9, Table9Row, ADVERSARY_GAP, LQD_RATIO_CAP, SHARED_BUFFER, SHARED_PORTS,
     WORK_BUFFER, WORK_PORTS,
 };
 use npqm_bench::json::{Json, ToJson};
-
-fn check(ok: bool, what: &str) {
-    if ok {
-        println!("table9 check: {what}: ok");
-    } else {
-        eprintln!("table9 check FAILED: {what}");
-        std::process::exit(1);
-    }
-}
 
 /// The (target policy, adversary trace, scenario) triples the gap gates
 /// compare against their scenario's friendly baseline.
@@ -116,14 +108,6 @@ fn run_check(report_path: Option<&str>) {
     println!("table9 check: PASS");
 }
 
-fn write_file(path: &str, contents: &str) {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(path, contents).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("table9: wrote {path}");
-}
-
 fn print_table(rows: &[Table9Row]) {
     println!(
         "{:>14} {:>13} {:>14} {:>8} {:>8} {:>8} {:>9} {:>9} {:>6} {:>7}",
@@ -157,21 +141,9 @@ fn print_table(rows: &[Table9Row]) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let flag_value = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    if args.iter().any(|a| a == "--check") {
-        if flag_value("--json").is_some() {
-            eprintln!(
-                "table9: --json is ignored in --check mode (run without --check for the \
-                 bench artifact; --report writes the determinism document)"
-            );
-        }
-        run_check(flag_value("--report").as_deref());
+    let cli = Cli::parse("table9");
+    if let Some(report) = cli.check_mode() {
+        run_check(report.as_deref());
         return;
     }
 
@@ -204,7 +176,7 @@ fn main() {
         cell(&rows, "shared-memory", "lqd", "anti-lqd").ratio,
     );
 
-    if let Some(path) = flag_value("--json") {
+    if let Some(path) = cli.flag_value("--json") {
         let doc = Json::obj([
             ("table", "table9".to_json()),
             ("competitive_rows", rows.to_json()),

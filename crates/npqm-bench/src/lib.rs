@@ -16,10 +16,14 @@
 //!   certified offline bound, under Zipf and adversarial traffic;
 //! * `all-tables` — everything above, plus a JSON dump for EXPERIMENTS.md.
 //!
+//! The golden-gated binaries (`table6` … `table11`) share one command
+//! line — `--check`, `--report`, `--json`, `--trace` — in [`cli`].
+//!
 //! The `benches/` directory contains criterion micro-benchmarks of the
 //! host-speed library (queue operations, schedulers, codecs) and ablations
 //! (free-list discipline, scheduler run limit, DMC lookahead).
 
+pub mod cli;
 pub mod competitive;
 pub mod json;
 pub mod qos;

@@ -1,27 +1,31 @@
 //! One entry point for every closed-loop pipeline shape.
 //!
-//! The pipeline grew four run functions — dense, memory-timed, sharded,
-//! globally-admitted — with overlapping parameter lists. This module
-//! collapses the zoo into a single [`PipelineBuilder`]: pick the shard
-//! count, threading, admission flavour, timing model and egress
-//! discipline independently, then [`run`](PipelineBuilder::run). Every
-//! combination returns the same
-//! `ShardedPipelineReport`
-//! (a dense run is simply one shard), so downstream reporting code is
-//! shape-agnostic.
+//! [`PipelineBuilder`] picks the shard count, threading, admission
+//! flavour, timing model and egress discipline independently, then
+//! [`run`](PipelineBuilder::run) hands them to the one event loop
+//! (`pipeline::run_closed_loop`) as its three parameters: an arrival
+//! source, an admission scope and an egress pricing. Every combination
+//! returns the same `ShardedPipelineReport` (a dense run is simply one
+//! shard), so downstream reporting code is shape-agnostic.
 //!
-//! Determinism contracts are inherited, not re-implemented: one shard is
-//! byte-identical to the dense loop, and `parallel(true)` is
-//! byte-identical to serial at any thread count.
+//! Determinism contracts follow from there being one loop: one shard is
+//! the dense pipeline whether its arrivals are drawn lazily or replayed
+//! from a trace, and `parallel(true)` is byte-identical to serial at any
+//! thread count.
 
 use crate::pipeline::{
-    assemble_sharded_report, dense_impl, global_lqd_impl, sharded_impl, timed_impl, PipelineConfig,
-    ShardedPipelineReport,
+    assemble_sharded_report, run_closed_loop, Egress, PipelineConfig, PipelineReport, ShardLocal,
+    ShardedPipelineReport, SharedBuffer,
 };
+use crate::service::{partition_indices, ArrivalEvent};
 use npqm_core::policy::{DropPolicy, DynamicThreshold};
 use npqm_core::sched::{from_spec, FlowScheduler, HtbScheduler};
-use npqm_core::telemetry::TelemetryConfig;
-use npqm_core::timing::TimingConfig;
+use npqm_core::shard::parallel::GlobalLqd;
+use npqm_core::shard::ShardedQueueManager;
+use npqm_core::telemetry::{TelemetryConfig, TelemetryReport};
+use npqm_core::timing::{PaperTiming, TimingConfig};
+use npqm_core::{FlowId, QueueManager};
+use std::thread;
 
 type PolicyFactory = Box<dyn FnMut(usize) -> Box<dyn DropPolicy + Send>>;
 type SchedFactory = Box<dyn FnMut(usize) -> Box<dyn FlowScheduler + Send>>;
@@ -29,17 +33,6 @@ type SchedFactory = Box<dyn FnMut(usize) -> Box<dyn FlowScheduler + Send>>;
 enum AdmissionSel {
     Local(PolicyFactory),
     GlobalLqd { reserve_segments: u32 },
-}
-
-enum TimingSel {
-    Uncosted,
-    Paper(TimingConfig),
-}
-
-enum EgressSel {
-    Spec(String),
-    Factory(SchedFactory),
-    Htb(Box<HtbScheduler>),
 }
 
 /// Builds and runs one closed-loop pipeline; see the [module docs](self).
@@ -86,25 +79,36 @@ pub struct PipelineBuilder {
     shards: usize,
     parallel: bool,
     admission: AdmissionSel,
-    timing: TimingSel,
-    egress: EgressSel,
+    /// `Some`: memory-derived egress timing; `None`: the fixed line rate.
+    timing: Option<TimingConfig>,
+    egress: SchedFactory,
 }
 
 impl PipelineBuilder {
     /// Starts a builder over `cfg` with the default shape (see the type
     /// docs).
     pub fn new(cfg: &PipelineConfig) -> Self {
+        let flows = cfg.mix.flows();
         PipelineBuilder {
             cfg: cfg.clone(),
             shards: 1,
             parallel: false,
             admission: AdmissionSel::Local(Box::new(|_| Box::new(DynamicThreshold::new(2.0)))),
-            timing: TimingSel::Uncosted,
-            egress: EgressSel::Spec("drr:1518".to_string()),
+            timing: None,
+            egress: Box::new(move |_| from_spec("drr:1518", flows).expect("static spec")),
         }
     }
 
-    /// Number of engine shards (1 = the dense pipeline).
+    /// Number of engine shards (1 = the dense pipeline). Arrivals are
+    /// routed to their home shard and each shard drains through its own
+    /// scheduler and egress server at `cfg.egress_gbps / n`. The
+    /// *aggregate* line capacity equals the dense pipeline's, but it is
+    /// statically partitioned, exactly like per-engine line cards: a
+    /// shard whose egress idles (e.g. the hash homed no flow of a small
+    /// mix on it) cannot lend its capacity to a loaded shard, so sharded
+    /// goodput can trail the dense pipeline's under skew — that
+    /// partitioning penalty is part of what the per-shard reports make
+    /// visible.
     ///
     /// # Panics
     ///
@@ -116,9 +120,14 @@ impl PipelineBuilder {
         self
     }
 
-    /// Runs each shard's loop on its own worker thread. Byte-identical
-    /// to serial; ignored at one shard or under global admission (the
-    /// coupled loop is inherently serial).
+    /// Runs each shard's loop on its own `std::thread::scope` worker.
+    /// Shard-local admission couples nothing across shards, so the run
+    /// factorizes into one self-contained loop per shard over a shared
+    /// pregenerated trace, and **serial and parallel produce
+    /// byte-identical reports** — same loops, same inputs, merged in
+    /// shard order — which the `sharded_pipeline_parallel_*` property
+    /// tests assert and the CI `parallel-determinism` stage diffs end to
+    /// end. Ignored at one shard or under global admission.
     #[must_use]
     pub fn parallel(mut self, parallel: bool) -> Self {
         self.parallel = parallel;
@@ -126,7 +135,8 @@ impl PipelineBuilder {
     }
 
     /// Shard-local admission: `mk_policy(shard)` builds each shard's
-    /// [`DropPolicy`].
+    /// [`DropPolicy`] (shard-local thresholds over an equal partition of
+    /// the buffer).
     #[must_use]
     pub fn admission<P, F>(mut self, mut mk_policy: F) -> Self
     where
@@ -148,10 +158,18 @@ impl PipelineBuilder {
         self
     }
 
-    /// Global shared-buffer admission: one
-    /// [`GlobalLqd`](npqm_core::GlobalLqd) budget over all shards (an
-    /// arrival may push out the globally longest queue on any shard).
-    /// The run is serial regardless of [`parallel`](Self::parallel).
+    /// Global shared-buffer admission: one [`GlobalLqd`] budget over all
+    /// shards (an arrival may push out the globally longest queue on any
+    /// shard), emulating the paper's shared data memory across
+    /// partitioned engines. Every shard is configured with the full
+    /// buffer and the budget equals `cfg.qm.num_segments()` — the *same*
+    /// aggregate buffer the dense and the shard-local sharded pipelines
+    /// manage, so the three are directly comparable. Egress stays statically
+    /// partitioned as under [`shards`](Self::shards): only the buffer is
+    /// shared. Push-out victims are charged to their own home shard's
+    /// report. The shards are coupled, so the run is one interleaved
+    /// simulation on the calling thread whatever
+    /// [`parallel`](Self::parallel) says (still a pure function of `cfg`).
     #[must_use]
     pub fn admission_global_lqd(mut self, reserve_segments: u32) -> Self {
         self.admission = AdmissionSel::GlobalLqd { reserve_segments };
@@ -160,11 +178,17 @@ impl PipelineBuilder {
 
     /// Memory-derived egress timing: each packet's service time is the
     /// modeled ZBT/DDR cost of its dequeue access stream under `timing`
-    /// (see [`npqm_core::timing`]); `cfg.egress_gbps` is ignored.
-    /// Requires one shard and shard-local admission.
+    /// — every pointer access priced by the ZBT SRAM model, every segment
+    /// read by the DDR bank model (see [`npqm_core::timing`]);
+    /// `cfg.egress_gbps` is ignored. Admission-side enqueue traffic is
+    /// charged to the same channel just before each service starts, so
+    /// the bank pressure the ingress path creates is visible to egress
+    /// costing. What is *not* costed: the admission policy's computation,
+    /// and any queueing inside the memory controller beyond the slot
+    /// protocol. Requires one shard and shard-local admission.
     #[must_use]
     pub fn timing_paper(mut self, timing: TimingConfig) -> Self {
-        self.timing = TimingSel::Paper(timing);
+        self.timing = Some(timing);
         self
     }
 
@@ -181,7 +205,8 @@ impl PipelineBuilder {
         if let Err(e) = from_spec(spec, flows) {
             panic!("egress_spec: {e}");
         }
-        self.egress = EgressSel::Spec(spec.to_string());
+        let spec = spec.to_string();
+        self.egress = Box::new(move |_| from_spec(&spec, flows).expect("validated above"));
         self
     }
 
@@ -193,7 +218,7 @@ impl PipelineBuilder {
         S: FlowScheduler + Send + 'static,
         F: FnMut(usize) -> S + 'static,
     {
-        self.egress = EgressSel::Factory(Box::new(move |shard| Box::new(mk_sched(shard))));
+        self.egress = Box::new(move |shard| Box::new(mk_sched(shard)));
         self
     }
 
@@ -203,60 +228,169 @@ impl PipelineBuilder {
     /// flows would never be scheduled.
     #[must_use]
     pub fn egress_htb(mut self, tree: HtbScheduler) -> Self {
-        self.egress = EgressSel::Htb(Box::new(tree));
+        self.egress = Box::new(move |_| Box::new(tree.clone()));
         self
     }
 
-    /// Runs the configured pipeline.
+    /// Runs the configured pipeline: arrivals stop at `cfg.duration`,
+    /// then every shard drains its backlog, so per shard and in aggregate
+    /// `offered == delivered + dropped + evicted` at return.
     ///
     /// # Panics
     ///
     /// Panics on invalid combinations (paper timing with more than one
-    /// shard or with global admission) and on the underlying loops'
-    /// invalid-config conditions (non-positive egress rate, flow mix
-    /// outside the engine's flow table, empty per-shard buffer).
+    /// shard or with global admission) and on invalid configs
+    /// (non-positive egress rate, flow mix outside the engine's flow
+    /// table, empty per-shard buffer).
     pub fn run(self) -> ShardedPipelineReport {
-        let flows = self.cfg.mix.flows();
-        let mut mk_sched: SchedFactory = match self.egress {
-            EgressSel::Spec(spec) => Box::new(move |_| {
-                from_spec(&spec, flows).expect("spec was validated in egress_spec")
-            }),
-            EgressSel::Factory(f) => f,
-            EgressSel::Htb(tree) => Box::new(move |_| Box::new((*tree).clone())),
-        };
-        match self.timing {
-            TimingSel::Paper(timing) => {
+        let cfg = &self.cfg;
+        let shards = self.shards;
+        let flows = cfg.mix.flows();
+        assert!(
+            flows <= cfg.qm.num_flows(),
+            "flow mix draws flows outside the engine's flow table"
+        );
+        let mut scheds: Vec<_> = (0..shards).map(self.egress).collect();
+
+        let global = matches!(self.admission, AdmissionSel::GlobalLqd { .. });
+        let per_shard_gbps = cfg.egress_gbps / shards as f64;
+        let mut model;
+        let mut egress = match self.timing {
+            Some(timing) => {
                 assert_eq!(
-                    self.shards, 1,
+                    shards, 1,
                     "memory-derived timing models one engine's channel; use shards(1)"
                 );
-                let AdmissionSel::Local(mut mk_policy) = self.admission else {
-                    panic!("memory-derived timing supports shard-local admission only");
-                };
-                let mut policy = mk_policy(0);
-                let mut sched = mk_sched(0);
-                let report = timed_impl(&self.cfg, &mut policy, &mut sched, &timing);
-                assemble_sharded_report(vec![report], vec![0; flows as usize], flows)
+                assert!(
+                    !global,
+                    "memory-derived timing supports shard-local admission only"
+                );
+                model = PaperTiming::new(timing);
+                Egress::Memory(&mut model)
             }
-            TimingSel::Uncosted => match self.admission {
-                AdmissionSel::Local(mk_policy) if self.shards == 1 && !self.parallel => {
-                    // One shard runs the dense loop directly (pinned
-                    // byte-identical to the 1-shard trace replay).
-                    let mut mk_policy = mk_policy;
-                    let mut policy = mk_policy(0);
-                    let mut sched = mk_sched(0);
-                    let report = dense_impl(&self.cfg, &mut policy, &mut sched);
-                    assemble_sharded_report(vec![report], vec![0; flows as usize], flows)
-                }
-                AdmissionSel::Local(mk_policy) => {
-                    sharded_impl(&self.cfg, self.shards, self.parallel, mk_policy, mk_sched)
-                }
-                AdmissionSel::GlobalLqd { reserve_segments } => {
-                    global_lqd_impl(&self.cfg, self.shards, reserve_segments, mk_sched)
-                }
-            },
+            None => {
+                assert!(cfg.egress_gbps > 0.0, "egress rate must be positive");
+                Egress::Line(per_shard_gbps)
+            }
+        };
+        // Shard-local admission manages an equal partition of the buffer
+        // per shard; in the shared-buffer pairing every shard can
+        // physically hold the whole budget, so the global LQD budget is
+        // the only binding constraint.
+        let mut engine = if global {
+            ShardedQueueManager::new(cfg.qm, shards)
+        } else {
+            ShardedQueueManager::partitioned(cfg.qm, shards)
+                .expect("per-shard buffer must be non-empty")
+        };
+        if matches!(egress, Egress::Memory(_)) {
+            engine.set_tracing(true);
         }
+        let shard_of_flow: Vec<usize> = (0..flows)
+            .map(|f| engine.shard_of(FlowId::new(f)))
+            .collect();
+
+        let (reports, shared_tel) = match self.admission {
+            AdmissionSel::GlobalLqd { reserve_segments } => {
+                let mut scope = SharedBuffer {
+                    engine: &mut engine,
+                    policy: GlobalLqd::new(cfg.qm.num_segments(), reserve_segments),
+                    shard_of_flow: &shard_of_flow,
+                };
+                run_closed_loop(
+                    cfg,
+                    cfg.arrival_stream(),
+                    &mut scope,
+                    &mut scheds,
+                    &mut egress,
+                )
+            }
+            AdmissionSel::Local(mk_policy) => {
+                let mut policies: Vec<_> = (0..shards).map(mk_policy).collect();
+                let reports = if shards == 1 {
+                    // Drawn lazily: a long dense run never holds its trace.
+                    vec![run_shard_local(
+                        cfg,
+                        cfg.arrival_stream(),
+                        engine.shard_mut(0),
+                        &mut policies[0],
+                        &mut scheds[0],
+                        &mut egress,
+                    )]
+                } else {
+                    // One shared trace, partitioned by *index*: every
+                    // shard borrows the same arrival storage and walks
+                    // its own index list, so peak memory is O(trace),
+                    // not O(shards × trace).
+                    let trace: Vec<ArrivalEvent> = cfg.arrival_stream().collect();
+                    let idx = partition_indices(&trace, &shard_of_flow, shards);
+                    let trace = &trace[..];
+                    let loops = engine
+                        .shards_mut()
+                        .iter_mut()
+                        .zip(&mut policies)
+                        .zip(&mut scheds)
+                        .zip(&idx)
+                        .map(|(((qm, policy), sched), ix)| {
+                            move || {
+                                let replay = ix.iter().map(|&i| trace[i as usize]);
+                                let egress = &mut Egress::Line(per_shard_gbps);
+                                run_shard_local(cfg, replay, qm, policy, sched, egress)
+                            }
+                        });
+                    if self.parallel {
+                        thread::scope(|sc| {
+                            let handles: Vec<_> = loops.map(|lp| sc.spawn(lp)).collect();
+                            handles
+                                .into_iter()
+                                .map(|h| h.join().expect("a shard loop panicked"))
+                                .collect()
+                        })
+                    } else {
+                        loops.map(|mut lp| lp()).collect()
+                    }
+                };
+                (reports, None)
+            }
+        };
+
+        debug_assert!(
+            engine.verify().is_ok(),
+            "cross-shard invariants violated after drain"
+        );
+        let mut rep = assemble_sharded_report(reports, shard_of_flow, flows);
+        if let Some(t) = shared_tel {
+            // The coupled loop is inherently serial, so one recorder
+            // observed the whole engine; it merges under shard tag 0.
+            rep.telemetry = Some(TelemetryReport::merge([(0u32, &t)]));
+        }
+        rep
     }
+}
+
+/// One shard-local instance of the closed loop: `arrivals` through
+/// `policy` on `qm`, drained by `sched`. Entirely self-contained — own
+/// event queue, ledger and telemetry recorder (returned in the report) —
+/// which is what makes a sharded run's parallel mode byte-identical to
+/// serial: the instance runs the same either way, only on another thread.
+fn run_shard_local(
+    cfg: &PipelineConfig,
+    arrivals: impl Iterator<Item = ArrivalEvent>,
+    qm: &mut QueueManager,
+    policy: &mut (dyn DropPolicy + Send),
+    sched: &mut Box<dyn FlowScheduler + Send>,
+    egress: &mut Egress<'_>,
+) -> PipelineReport {
+    let (mut reports, tel) = run_closed_loop(
+        cfg,
+        arrivals,
+        &mut ShardLocal { qm, policy },
+        std::slice::from_mut(sched),
+        egress,
+    );
+    let mut report = reports.pop().expect("one shard in scope");
+    report.telemetry = tel;
+    report
 }
 
 #[cfg(test)]
@@ -269,16 +403,26 @@ mod tests {
     fn defaults_match_the_dense_pipeline() {
         let cfg = PipelineConfig::bursty_overload(11);
         let built = PipelineBuilder::new(&cfg).run();
-        let mut policy = DynamicThreshold::new(2.0);
-        let mut sched = DeficitRoundRobin::new(vec![1518; 16]);
-        let dense = dense_impl(&cfg, &mut policy, &mut sched);
-        assert_eq!(format!("{:?}", built.aggregate), format!("{dense:?}"));
+        let spelled_out = PipelineBuilder::new(&cfg)
+            .shards(1)
+            .parallel(false)
+            .admission(|_| DynamicThreshold::new(2.0))
+            .egress(|_| DeficitRoundRobin::new(vec![1518; 16]))
+            .run();
+        assert_eq!(format!("{built:?}"), format!("{spelled_out:?}"));
+        // One shard: the aggregate *is* the dense report.
+        assert_eq!(
+            format!("{:?}", built.aggregate),
+            format!("{:?}", built.shards[0])
+        );
         assert_eq!(built.shards.len(), 1);
         assert_eq!(built.shard_of_flow, vec![0; 16]);
     }
 
     #[test]
     fn sharded_builder_matches_the_sharded_runner() {
+        // Spec-built egress on worker threads vs factory-built egress on
+        // the calling thread: same loops, same inputs.
         let cfg = PipelineConfig::bursty_overload(12);
         let built = PipelineBuilder::new(&cfg)
             .shards(4)
@@ -286,25 +430,31 @@ mod tests {
             .admission(|_| DynamicThreshold::new(2.0))
             .egress_spec("drr:1518")
             .run();
-        let direct = sharded_impl(
-            &cfg,
-            4,
-            false,
-            |_| DynamicThreshold::new(2.0),
-            |_| DeficitRoundRobin::new(vec![1518; 16]),
-        );
+        let direct = PipelineBuilder::new(&cfg)
+            .shards(4)
+            .egress(|_| DeficitRoundRobin::new(vec![1518; 16]))
+            .run();
         assert_eq!(format!("{built:?}"), format!("{direct:?}"));
     }
 
     #[test]
     fn global_admission_matches_the_global_runner() {
+        // Global admission replaces the shard-local policy, ignores
+        // `parallel`, and drains through the default egress.
         let cfg = PipelineConfig::bursty_overload(13);
         let built = PipelineBuilder::new(&cfg)
             .shards(4)
             .admission_global_lqd(0)
             .run();
-        let direct = global_lqd_impl(&cfg, 4, 0, |_| DeficitRoundRobin::new(vec![1518; 16]));
+        let direct = PipelineBuilder::new(&cfg)
+            .shards(4)
+            .parallel(true)
+            .admission(|_| LongestQueueDrop::new(0))
+            .admission_global_lqd(0)
+            .egress(|_| DeficitRoundRobin::new(vec![1518; 16]))
+            .run();
         assert_eq!(format!("{built:?}"), format!("{direct:?}"));
+        assert!(built.aggregate.evicted_pkts > 0, "global push-out ran");
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //!   (flat or hierarchical HTB class trees) chosen independently, one
 //!   report type out;
 //! * [`service`] — the **always-on streaming service mode**: bounded
-//!   per-shard ingress rings fed by generator threads (backpressure is
+//!   per-shard ingress lanes fed by generators (backpressure is
 //!   counted, never silently dropped), per-shard `process_once` service
 //!   loops with no global barrier, epoch-windowed statistics
 //!   (p50/p99/p999 delivery latency, goodput, drops, ring-full events

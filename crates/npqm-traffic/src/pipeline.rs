@@ -13,11 +13,12 @@
 //! configurable line rate — so buffer-management policies can finally be
 //! *exercised and measured* instead of only unit-tested.
 //!
-//! [`run_timed_pipeline`] swaps the fixed line rate for a
-//! **memory-derived** egress: each packet's service time is the modeled
-//! ZBT/DDR cost of its dequeue access stream (see
-//! [`npqm_core::timing`]), so the delivered goodput is bounded by the
-//! memory organisation instead of an assumed wire speed.
+//! [`PipelineBuilder::timing_paper`]
+//! swaps the fixed line rate for a **memory-derived** egress: each
+//! packet's service time is the modeled ZBT/DDR cost of its dequeue
+//! access stream (see [`npqm_core::timing`]), so the delivered goodput
+//! is bounded by the memory organisation instead of an assumed wire
+//! speed.
 //!
 //! The loop keeps a per-flow ledger with one slot — enqueue time, length
 //! and a marker byte stamped into the frame — for every packet in the
@@ -27,9 +28,10 @@
 //! corruption class the open-tail fixes in `npqm-core` close) and is
 //! counted, never ignored.
 //!
-//! All pipeline shapes are built through
-//! [`PipelineBuilder`](crate::PipelineBuilder); the historical
-//! `run_*` entry points survive as deprecated thin wrappers.
+//! Every pipeline shape — dense, memory-timed, shard-local sharded,
+//! globally admitted — is built through [`PipelineBuilder`] and runs the
+//! one event loop in this module; the shapes differ only in arrival
+//! source, admission scope and egress pricing.
 //!
 //! # Example
 //!
@@ -47,26 +49,22 @@
 //! assert_eq!(report.integrity_violations, 0);
 //! ```
 
-use crate::arrival::{ArrivalGen, ArrivalProcess};
+use crate::arrival::ArrivalProcess;
+use crate::builder::PipelineBuilder;
 use crate::flows::FlowMix;
-use crate::service::{
-    generate_trace, partition_indices, run_trace_shard, ArrivalEvent, LoopState, PacketStream,
-    DRAW_SEED_MIX,
-};
+use crate::service::{arrival_stream, ArrivalEvent, LoopState};
 use crate::size::SizeDistribution;
 use npqm_core::limits::{BufferManager, FlowLimits};
-use npqm_core::policy::{DropPolicy, DynamicThreshold, LongestQueueDrop};
-use npqm_core::sched::{DeficitRoundRobin, FlowScheduler};
+use npqm_core::policy::{Admission, DropPolicy, DynamicThreshold, LongestQueueDrop, Refusal};
+use npqm_core::sched::FlowScheduler;
 use npqm_core::shard::parallel::{GlobalDropPolicy, GlobalLqd};
 use npqm_core::shard::ShardedQueueManager;
-use npqm_core::telemetry::{Telemetry, TelemetryConfig, TelemetryReport};
-use npqm_core::timing::{MemoryModel, PaperTiming, TimingConfig};
-use npqm_core::{FlowId, QmConfig, QueueManager};
+use npqm_core::telemetry::{MetricsRegistry, Telemetry, TelemetryConfig, TelemetryReport};
+use npqm_core::timing::{MemoryModel, PaperTiming};
+use npqm_core::{FlowId, QmConfig, QmStats, QueueManager};
 use npqm_sim::stats::MeanVar;
 use npqm_sim::time::Picos;
 use npqm_sim::EventQueue;
-use std::collections::VecDeque;
-use std::thread;
 
 /// Configuration of one closed-loop run.
 #[derive(Debug, Clone)]
@@ -150,6 +148,17 @@ impl PipelineConfig {
     pub fn offered_gbps(&self) -> f64 {
         self.arrivals.mean_rate_pps() * self.sizes.mean() * 8.0 / 1e9
     }
+
+    /// The offered workload, drawn lazily (see [`arrival_stream`]).
+    pub(crate) fn arrival_stream(&self) -> impl Iterator<Item = ArrivalEvent> + '_ {
+        arrival_stream(
+            self.arrivals,
+            &self.mix,
+            &self.sizes,
+            self.seed,
+            self.duration,
+        )
+    }
 }
 
 /// Per-flow outcome of a pipeline run.
@@ -226,18 +235,21 @@ impl PipelineReport {
     }
 }
 
+/// An egress completion: the packet a server finished transmitting,
+/// with its ledger enqueue instant (for the delivery latency).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TxDone {
+    pub(crate) flow: FlowId,
+    pub(crate) bytes: u32,
+    pub(crate) enqueued_at: Picos,
+}
+
 /// Events of the closed loop: a packet arrives, or one of the egress
-/// servers (one per shard; the dense pipeline uses shard 0 only)
-/// finishes transmitting a packet.
+/// servers (one per shard in scope) finishes transmitting a packet.
 #[derive(Debug, Clone)]
 enum Ev {
-    Arrival,
-    TxDone {
-        shard: usize,
-        flow: FlowId,
-        bytes: u32,
-        enqueued_at: Picos,
-    },
+    Arrival(ArrivalEvent),
+    TxDone(TxDone),
 }
 
 /// One buffered packet's ledger slot: when it was admitted, how long it
@@ -285,203 +297,200 @@ impl Egress<'_> {
     }
 }
 
-/// Runs the closed loop: `cfg.arrivals` feeds `policy`-guarded admission
-/// into a fresh [`QueueManager`], and one egress server drains it through
-/// `sched` at `cfg.egress_gbps`.
-///
-/// Arrivals stop at `cfg.duration`; the loop then runs until the backlog
-/// has fully drained, so admitted ≡ delivered + evicted at return.
-///
-/// This loop and `sharded_impl`'s are deliberate twins (the
-/// sharded one threads a shard index through admission, scheduling and
-/// egress); a fix to arrival/eviction/ledger handling here almost
-/// certainly belongs there too, and the test
-/// `one_shard_pipeline_matches_the_dense_pipeline` pins the two loops
-/// together.
-#[deprecated(note = "use npqm_traffic::PipelineBuilder (shards(1) runs this dense loop)")]
-pub fn run_pipeline<P, S>(cfg: &PipelineConfig, policy: &mut P, sched: &mut S) -> PipelineReport
-where
-    P: DropPolicy + ?Sized,
-    S: FlowScheduler + ?Sized,
-{
-    dense_impl(cfg, policy, sched)
+/// The scope admission decisions are taken over — one of the three
+/// things (arrival source, admission scope, egress pricing) the pipeline
+/// shapes differ in. It owns one closed-loop instance's engine access:
+/// which shard a flow is homed on, that shard's engine, and the policy
+/// deciding each offer. Monomorphised, never `dyn`: at one shard every
+/// shard lookup is the constant 0 and folds away.
+pub(crate) trait AdmissionScope {
+    /// Home shard of `flow` among the shards in scope.
+    fn shard_of(&self, flow: FlowId) -> usize;
+
+    /// The engine of `shard`.
+    fn qm(&mut self, shard: usize) -> &mut QueueManager;
+
+    /// The deciding policy's report name.
+    fn policy_name(&self) -> &str;
+
+    /// Offers one packet; victims may live on any shard in scope.
+    fn offer(&mut self, flow: FlowId, packet: &[u8]) -> Result<Admission, Refusal>;
+
+    /// `flow`'s queue depth and the occupancy of the whole scope, in
+    /// segments — what telemetry attributes a drop or push-out to.
+    fn depth_and_occupancy(&self, flow: FlowId) -> (u32, u32);
 }
 
-/// The dense closed loop behind [`PipelineBuilder`](crate::PipelineBuilder)
-/// at one shard (and the deprecated `run_pipeline` wrapper).
-pub(crate) fn dense_impl<P, S>(
-    cfg: &PipelineConfig,
-    policy: &mut P,
-    sched: &mut S,
-) -> PipelineReport
-where
-    P: DropPolicy + ?Sized,
-    S: FlowScheduler + ?Sized,
-{
-    assert!(cfg.egress_gbps > 0.0, "egress rate must be positive");
-    run_dense_loop(cfg, policy, sched, &mut Egress::Line(cfg.egress_gbps))
+/// Shard-local admission: one shard's own [`DropPolicy`] on its own
+/// [`QueueManager`]. The dense pipeline is this scope over the whole
+/// buffer; a shard-local sharded run is one instance per shard.
+pub(crate) struct ShardLocal<'a, P: ?Sized> {
+    pub(crate) qm: &'a mut QueueManager,
+    pub(crate) policy: &'a mut P,
 }
 
-/// Runs the closed loop with a **memory-derived** egress: instead of a
-/// fixed line rate, each packet's service time is the modeled cost of
-/// its dequeue access stream — every pointer access priced by the ZBT
-/// SRAM model, every segment read by the DDR bank model under `timing`'s
-/// scheduler and bank count (see [`npqm_core::timing`]).
-///
-/// The engine runs with tracing enabled; admission-side enqueue traffic
-/// is charged to the same channel just before each service starts, so
-/// the bank pressure the ingress path creates is visible to egress
-/// costing. What is *not* costed: the admission policy's computation,
-/// and any queueing inside the memory controller beyond the slot
-/// protocol. `cfg.egress_gbps` is ignored in this mode.
-///
-/// Deterministic: the run is a pure function of `cfg` and `timing`.
-#[deprecated(note = "use npqm_traffic::PipelineBuilder::timing_paper")]
-pub fn run_timed_pipeline<P, S>(
-    cfg: &PipelineConfig,
-    policy: &mut P,
-    sched: &mut S,
-    timing: &TimingConfig,
-) -> PipelineReport
-where
-    P: DropPolicy + ?Sized,
-    S: FlowScheduler + ?Sized,
-{
-    timed_impl(cfg, policy, sched, timing)
-}
-
-/// The memory-costed dense loop behind
-/// [`PipelineBuilder::timing_paper`](crate::PipelineBuilder::timing_paper).
-pub(crate) fn timed_impl<P, S>(
-    cfg: &PipelineConfig,
-    policy: &mut P,
-    sched: &mut S,
-    timing: &TimingConfig,
-) -> PipelineReport
-where
-    P: DropPolicy + ?Sized,
-    S: FlowScheduler + ?Sized,
-{
-    let mut model = PaperTiming::new(*timing);
-    run_dense_loop(cfg, policy, sched, &mut Egress::Memory(&mut model))
-}
-
-/// The dense closed loop shared by [`run_pipeline`] and
-/// [`run_timed_pipeline`]; `egress` prices each packet's service time.
-fn run_dense_loop<P, S>(
-    cfg: &PipelineConfig,
-    policy: &mut P,
-    sched: &mut S,
-    egress: &mut Egress<'_>,
-) -> PipelineReport
-where
-    P: DropPolicy + ?Sized,
-    S: FlowScheduler + ?Sized,
-{
-    let flows = cfg.mix.flows();
-    assert!(
-        flows <= cfg.qm.num_flows(),
-        "flow mix draws flows outside the engine's flow table"
-    );
-
-    let mut qm = QueueManager::new(cfg.qm);
-    if matches!(egress, Egress::Memory(_)) {
-        qm.set_tracing(true);
+impl<P: DropPolicy + ?Sized> AdmissionScope for ShardLocal<'_, P> {
+    fn shard_of(&self, _flow: FlowId) -> usize {
+        0
     }
-    let mut arrivals = ArrivalGen::new(cfg.arrivals, cfg.seed);
-    let mut stream = PacketStream::new(&cfg.mix, &cfg.sizes, cfg.seed ^ DRAW_SEED_MIX);
-    let mut ev: EventQueue<Ev> = EventQueue::new();
-    // Per-flow report, per-flow ledger (one Slot per buffered packet;
-    // per-flow queues are FIFO, so admissions push at the back,
-    // evictions pop at the front, service pops at the front) and the
-    // scratch payload buffer, shared with the streaming service loops.
-    let mut st = LoopState::new(flows, cfg.sizes.max_bytes()).with_telemetry(cfg.telemetry);
-    let mut server_busy = false;
 
-    let first = arrivals.next_arrival();
-    if first <= cfg.duration {
-        ev.schedule(first, Ev::Arrival);
+    fn qm(&mut self, _shard: usize) -> &mut QueueManager {
+        self.qm
+    }
+
+    fn policy_name(&self) -> &str {
+        self.policy.name()
+    }
+
+    fn offer(&mut self, flow: FlowId, packet: &[u8]) -> Result<Admission, Refusal> {
+        self.policy.offer(self.qm, flow, packet)
+    }
+
+    fn depth_and_occupancy(&self, flow: FlowId) -> (u32, u32) {
+        (
+            self.qm.queue_len_segments(flow),
+            self.qm.occupied_segments(),
+        )
+    }
+}
+
+/// Global admission: one [`GlobalLqd`] budget over every shard of a
+/// shared-buffer engine, so an arrival on one shard can push out the
+/// longest queue of another (Matsakis' LQD at switch scope).
+pub(crate) struct SharedBuffer<'a> {
+    pub(crate) engine: &'a mut ShardedQueueManager,
+    pub(crate) policy: GlobalLqd,
+    pub(crate) shard_of_flow: &'a [usize],
+}
+
+impl AdmissionScope for SharedBuffer<'_> {
+    fn shard_of(&self, flow: FlowId) -> usize {
+        self.shard_of_flow[flow.as_usize()]
+    }
+
+    fn qm(&mut self, shard: usize) -> &mut QueueManager {
+        self.engine.shard_mut(shard)
+    }
+
+    fn policy_name(&self) -> &str {
+        self.policy.name()
+    }
+
+    fn offer(&mut self, flow: FlowId, packet: &[u8]) -> Result<Admission, Refusal> {
+        self.policy.offer_global(self.engine, flow, packet)
+    }
+
+    fn depth_and_occupancy(&self, flow: FlowId) -> (u32, u32) {
+        (
+            self.engine
+                .shard(self.shard_of(flow))
+                .queue_len_segments(flow),
+            self.engine.used_segments(),
+        )
+    }
+}
+
+/// The finite-trace closed loop — the only one; every [`PipelineBuilder`]
+/// shape is an instance. Time-ordered `arrivals` feed `scope`-guarded
+/// admission, and each shard in scope drains through `scheds[shard]` and
+/// its own egress server, priced by `egress`. The dense run is the
+/// 1-shard instance, shard-local sharding is N independent 1-shard
+/// instances and global admission is one N-shard instance.
+///
+/// Runs until the arrivals are exhausted and every backlog has drained,
+/// so per shard `offered == delivered + dropped + evicted` at return.
+/// Event order is part of the contract (`bench/expected.json`'s digests
+/// and the tier-1 tie test pin it): time ties break in scheduling (FIFO)
+/// order, and an arrival schedules its successor *before* it starts a
+/// service.
+///
+/// Returns one report per shard (`makespan` is the instance's own last
+/// event) and the instance's telemetry recorder, final `qm.*` /
+/// `trace.*` metrics attached.
+pub(crate) fn run_closed_loop<A, S>(
+    cfg: &PipelineConfig,
+    mut arrivals: impl Iterator<Item = ArrivalEvent>,
+    scope: &mut A,
+    scheds: &mut [S],
+    egress: &mut Egress<'_>,
+) -> (Vec<PipelineReport>, Option<Telemetry>)
+where
+    A: AdmissionScope,
+    S: FlowScheduler,
+{
+    let shards = scheds.len();
+    let mut ev: EventQueue<Ev> = EventQueue::new();
+    let mut st = LoopState::new(
+        shards,
+        cfg.mix.flows(),
+        cfg.sizes.max_bytes(),
+        cfg.telemetry,
+    );
+    let mut server_busy = vec![false; shards];
+
+    if let Some(first) = arrivals.next() {
+        ev.schedule(first.at, Ev::Arrival(first));
     }
 
     while let Some((now, event)) = ev.pop() {
-        match event {
-            Ev::Arrival => {
-                let (flow, size, marker) = stream.next_packet();
-                st.arrival(&mut qm, policy, now, flow, size as usize, marker);
-                let next = arrivals.next_arrival();
-                if next <= cfg.duration {
-                    ev.schedule(next, Ev::Arrival);
+        let shard = match event {
+            Ev::Arrival(a) => {
+                st.arrival(scope, a);
+                if let Some(next) = arrivals.next() {
+                    ev.schedule(next.at, Ev::Arrival(next));
                 }
-                if !server_busy {
-                    server_busy = start_service(
-                        &mut qm,
-                        sched,
-                        &mut st.ledger,
-                        &mut ev,
-                        egress,
-                        &mut st.report.integrity_violations,
-                        &mut st.tel,
-                        |flow, bytes, enqueued_at| Ev::TxDone {
-                            shard: 0,
-                            flow,
-                            bytes,
-                            enqueued_at,
-                        },
-                    );
+                let shard = scope.shard_of(a.flow);
+                if server_busy[shard] {
+                    continue;
                 }
+                shard
             }
-            Ev::TxDone {
-                flow,
-                bytes,
-                enqueued_at,
-                ..
-            } => {
-                st.delivery(now, flow, bytes, enqueued_at);
-                server_busy = start_service(
-                    &mut qm,
-                    sched,
-                    &mut st.ledger,
-                    &mut ev,
-                    egress,
-                    &mut st.report.integrity_violations,
-                    &mut st.tel,
-                    |flow, bytes, enqueued_at| Ev::TxDone {
-                        shard: 0,
-                        flow,
-                        bytes,
-                        enqueued_at,
-                    },
-                );
+            Ev::TxDone(tx) => {
+                let shard = scope.shard_of(tx.flow);
+                st.delivery(now, shard, tx);
+                shard
             }
-        }
+        };
+        server_busy[shard] = start_service(
+            scope.qm(shard),
+            &mut scheds[shard],
+            &mut st,
+            shard,
+            &mut ev,
+            egress,
+            Ev::TxDone,
+        );
     }
 
+    if let Some(t) = &mut st.tel {
+        // End-of-run snapshot: the reconciliation basis the bins and
+        // property tests check trace counts against.
+        let mut stats = QmStats::default();
+        (0..shards).for_each(|s| stats.absorb(scope.qm(s).stats()));
+        let mut reg = MetricsRegistry::new();
+        reg.record_qm("qm.", &stats);
+        reg.record_event_counts("trace.", t.counts());
+        t.set_final_metrics(reg);
+    }
     st.finish(ev.now());
-    debug_assert!(
-        qm.verify().is_ok(),
-        "engine invariants violated after drain"
-    );
-    st.report
+    (st.reports, st.tel)
 }
 
 /// Asks the scheduler for the next flow and, if one is ready, dequeues
 /// its head packet, verifies it against the ledger (length and marker
-/// byte) and schedules a transmit-done event (built by `mk_txdone` from
-/// `(flow, bytes, enqueued_at)`) after the service time `egress` prices
-/// for it. Returns whether the server is now busy. Generic over the
-/// event type so the dense loop, the per-shard loops, the coupled
-/// global-admission loop and the streaming service loops share one
-/// service path.
-#[allow(clippy::too_many_arguments)]
+/// byte, a mismatch charged to `shard`'s report) and schedules a
+/// transmit-done event (built by `mk_txdone`) after the service time
+/// `egress` prices for it. Returns whether the server is now busy.
+/// Generic over the event type so the finite-trace loop and the streaming
+/// service loop share one service path.
 pub(crate) fn start_service<S: FlowScheduler + ?Sized, E>(
     qm: &mut QueueManager,
     sched: &mut S,
-    ledger: &mut [VecDeque<Slot>],
+    st: &mut LoopState,
+    shard: usize,
     ev: &mut EventQueue<E>,
     egress: &mut Egress<'_>,
-    integrity_violations: &mut u64,
-    tel: &mut Option<Telemetry>,
-    mk_txdone: impl FnOnce(FlowId, u32, Picos) -> E,
+    mk_txdone: impl FnOnce(TxDone) -> E,
 ) -> bool {
     let Some(flow) = sched.next_flow(qm) else {
         return false;
@@ -491,14 +500,14 @@ pub(crate) fn start_service<S: FlowScheduler + ?Sized, E>(
         .dequeue_packet(flow)
         .expect("scheduler picked a ready flow");
     sched.served(flow, pkt.len());
-    let slot = ledger[flow.as_usize()]
+    let slot = st.ledger[flow.as_usize()]
         .pop_front()
         .expect("served packet must be in the ledger");
     if pkt.len() as u32 != slot.len || pkt[0] != slot.marker {
-        *integrity_violations += 1;
+        st.reports[shard].integrity_violations += 1;
     }
     let tx = egress.tx_time(qm, pkt.len());
-    if let Some(t) = tel {
+    if let Some(t) = &mut st.tel {
         // The scheduler decision and (in memory-timed mode) the modeled
         // service cost, stamped at the service start instant.
         t.record_sched_select(ev.now(), flow);
@@ -506,11 +515,18 @@ pub(crate) fn start_service<S: FlowScheduler + ?Sized, E>(
             t.record_mem_tx(ev.now(), pkt.len() as u32, tx);
         }
     }
-    ev.schedule_in(tx, mk_txdone(flow, pkt.len() as u32, slot.enqueued_at));
+    ev.schedule_in(
+        tx,
+        mk_txdone(TxDone {
+            flow,
+            bytes: pkt.len() as u32,
+            enqueued_at: slot.enqueued_at,
+        }),
+    );
     true
 }
 
-/// Outcome of a [`run_sharded_pipeline`] run: the per-shard closed-loop
+/// Outcome of a [`PipelineBuilder`] run: the per-shard closed-loop
 /// reports plus their aggregate.
 #[derive(Debug, Clone, Default)]
 pub struct ShardedPipelineReport {
@@ -586,368 +602,6 @@ pub(crate) fn assemble_sharded_report(
     }
 }
 
-/// Runs the closed loop against a **sharded** engine: arrivals are routed
-/// to their home shard, admitted by that shard's own [`DropPolicy`]
-/// (shard-local thresholds), and each shard drains through its own
-/// [`FlowScheduler`] and egress server at `cfg.egress_gbps / num_shards`.
-/// The *aggregate* line capacity equals the dense pipeline's, but it is
-/// statically partitioned, exactly like per-engine line cards: a shard
-/// whose egress idles (e.g. the hash homed no flow of a small mix on it)
-/// cannot lend its capacity to a loaded shard, so sharded goodput can
-/// trail the dense pipeline's under skew — that partitioning penalty is
-/// part of what the per-shard reports make visible.
-///
-/// Because shard-local admission couples nothing across shards, the run
-/// factorizes into one self-contained closed loop per shard over a
-/// pregenerated offered trace. With `parallel == false` the loops run
-/// sequentially on the calling thread; with `parallel == true` each
-/// shard's loop runs on its own `std::thread::scope` worker. **The two
-/// modes produce byte-identical reports** — same loops, same inputs,
-/// merged in shard order — which the `sharded_pipeline_parallel_*`
-/// property tests assert and the CI `parallel-determinism` stage diffs
-/// end to end. For the shared-buffer admission mode that *does* couple
-/// shards, see [`run_sharded_pipeline_global_lqd`].
-///
-/// `mk_policy(shard)` and `mk_sched(shard)` build each shard's policy and
-/// scheduler. Each shard keeps a per-packet marker/length ledger over its
-/// own flows (a flow lives in exactly one shard), so torn or
-/// cross-linked frames are detected exactly as in the dense loop.
-///
-/// Arrivals stop at `cfg.duration`; every shard then drains its backlog,
-/// so per shard and in aggregate
-/// `offered == delivered + dropped + evicted` at return.
-///
-/// # Panics
-///
-/// Panics if the flow mix draws flows outside the engine's flow table,
-/// the egress rate is not positive, or the per-shard buffer would be
-/// empty.
-#[deprecated(note = "use npqm_traffic::PipelineBuilder::shards + parallel")]
-pub fn run_sharded_pipeline<P, S>(
-    cfg: &PipelineConfig,
-    num_shards: usize,
-    parallel: bool,
-    mk_policy: impl FnMut(usize) -> P,
-    mk_sched: impl FnMut(usize) -> S,
-) -> ShardedPipelineReport
-where
-    P: DropPolicy + Send,
-    S: FlowScheduler + Send,
-{
-    sharded_impl(cfg, num_shards, parallel, mk_policy, mk_sched)
-}
-
-/// The shard-local sharded loop behind
-/// [`PipelineBuilder`](crate::PipelineBuilder) (and the deprecated
-/// `run_sharded_pipeline` wrapper); see the wrapper's doc above for the
-/// full determinism contract.
-pub(crate) fn sharded_impl<P, S>(
-    cfg: &PipelineConfig,
-    num_shards: usize,
-    parallel: bool,
-    mk_policy: impl FnMut(usize) -> P,
-    mk_sched: impl FnMut(usize) -> S,
-) -> ShardedPipelineReport
-where
-    P: DropPolicy + Send,
-    S: FlowScheduler + Send,
-{
-    let flows = cfg.mix.flows();
-    assert!(
-        flows <= cfg.qm.num_flows(),
-        "flow mix draws flows outside the engine's flow table"
-    );
-    assert!(cfg.egress_gbps > 0.0, "egress rate must be positive");
-
-    let mut engine = ShardedQueueManager::partitioned(cfg.qm, num_shards)
-        .expect("per-shard buffer must be non-empty");
-    let mut policies: Vec<P> = (0..num_shards).map(mk_policy).collect();
-    let mut scheds: Vec<S> = (0..num_shards).map(mk_sched).collect();
-    let per_shard_gbps = cfg.egress_gbps / num_shards as f64;
-
-    let shard_of_flow: Vec<usize> = (0..flows)
-        .map(|f| engine.shard_of(FlowId::new(f)))
-        .collect();
-    // One shared trace, partitioned by *index*: every shard borrows the
-    // same arrival storage and walks its own index list, so peak memory
-    // is O(trace), not O(shards × trace).
-    let trace = generate_trace(cfg);
-    let idx = partition_indices(&trace, &shard_of_flow, num_shards);
-    let trace = &trace[..];
-
-    let shard_reports: Vec<PipelineReport> = if parallel && num_shards > 1 {
-        thread::scope(|sc| {
-            let handles: Vec<_> = engine
-                .shards_mut()
-                .iter_mut()
-                .zip(policies.iter_mut())
-                .zip(scheds.iter_mut())
-                .zip(idx.iter())
-                .map(|(((qm, policy), sched), ix)| {
-                    sc.spawn(move || {
-                        run_trace_shard(cfg, trace, ix, qm, policy, sched, per_shard_gbps)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("a shard loop panicked"))
-                .collect()
-        })
-    } else {
-        engine
-            .shards_mut()
-            .iter_mut()
-            .zip(policies.iter_mut())
-            .zip(scheds.iter_mut())
-            .zip(idx.iter())
-            .map(|(((qm, policy), sched), ix)| {
-                run_trace_shard(cfg, trace, ix, qm, policy, sched, per_shard_gbps)
-            })
-            .collect()
-    };
-
-    debug_assert!(
-        engine.verify().is_ok(),
-        "cross-shard invariants violated after drain"
-    );
-    assemble_sharded_report(shard_reports, shard_of_flow, flows)
-}
-
-/// Runs the sharded closed loop under **global** admission: one
-/// [`GlobalLqd`] policy over the whole engine, emulating the paper's
-/// shared data memory across partitioned engines. The engine is built in
-/// the shared-buffer pairing ([`ShardedQueueManager::new`], each shard
-/// configured with the full buffer) and the policy's budget equals
-/// `cfg.qm.num_segments()` — the *same* aggregate buffer the dense
-/// pipeline and the shard-local sharded pipeline manage, so the three
-/// are directly comparable. Egress stays statically partitioned at
-/// `cfg.egress_gbps / num_shards` per shard, exactly as in
-/// [`run_sharded_pipeline`]: only the buffer is shared.
-///
-/// Because an arrival on one shard can evict the longest queue of
-/// *another* shard, the shards are coupled and the loop runs as one
-/// interleaved discrete-event simulation on the calling thread (there is
-/// deliberately no parallel mode; the run is still a pure function of
-/// `cfg`). Push-out victims are charged to their own home shard's
-/// report.
-///
-/// # Panics
-///
-/// Panics if the flow mix draws flows outside the engine's flow table or
-/// the egress rate is not positive.
-#[deprecated(note = "use npqm_traffic::PipelineBuilder::admission_global_lqd")]
-pub fn run_sharded_pipeline_global_lqd<S>(
-    cfg: &PipelineConfig,
-    num_shards: usize,
-    reserve_segments: u32,
-    mk_sched: impl FnMut(usize) -> S,
-) -> ShardedPipelineReport
-where
-    S: FlowScheduler,
-{
-    global_lqd_impl(cfg, num_shards, reserve_segments, mk_sched)
-}
-
-/// The coupled shared-buffer loop behind
-/// [`PipelineBuilder::admission_global_lqd`](crate::PipelineBuilder::admission_global_lqd).
-pub(crate) fn global_lqd_impl<S>(
-    cfg: &PipelineConfig,
-    num_shards: usize,
-    reserve_segments: u32,
-    mk_sched: impl FnMut(usize) -> S,
-) -> ShardedPipelineReport
-where
-    S: FlowScheduler,
-{
-    let flows = cfg.mix.flows();
-    assert!(
-        flows <= cfg.qm.num_flows(),
-        "flow mix draws flows outside the engine's flow table"
-    );
-    assert!(cfg.egress_gbps > 0.0, "egress rate must be positive");
-
-    // Shared-buffer pairing: every shard can physically hold the whole
-    // budget, so the global LQD budget is the only binding constraint.
-    let mut engine = ShardedQueueManager::new(cfg.qm, num_shards);
-    let mut policy = GlobalLqd::new(cfg.qm.num_segments(), reserve_segments);
-    let mut scheds: Vec<S> = (0..num_shards).map(mk_sched).collect();
-    let per_shard_gbps = cfg.egress_gbps / num_shards as f64;
-
-    let shard_of_flow: Vec<usize> = (0..flows)
-        .map(|f| engine.shard_of(FlowId::new(f)))
-        .collect();
-    let trace = generate_trace(cfg);
-
-    let mut ev: EventQueue<Ev> = EventQueue::new();
-    let mut shards: Vec<PipelineReport> = (0..num_shards)
-        .map(|_| PipelineReport {
-            flows: (0..flows).map(|_| FlowReport::default()).collect(),
-            ..PipelineReport::default()
-        })
-        .collect();
-    let mut ledger: Vec<VecDeque<Slot>> = (0..flows).map(|_| VecDeque::new()).collect();
-    let mut payload = vec![0xA5u8; cfg.sizes.max_bytes() as usize];
-    let mut next_arrival = 0usize;
-    let mut server_busy = vec![false; num_shards];
-    let mut egress = Egress::Line(per_shard_gbps);
-    // The coupled loop is inherently serial, so one recorder observes
-    // the whole engine (merged below under shard tag 0).
-    let mut tel: Option<Telemetry> = cfg.telemetry.map(Telemetry::new);
-
-    if let Some(first) = trace.first() {
-        ev.schedule(first.at, Ev::Arrival);
-    }
-
-    while let Some((now, event)) = ev.pop() {
-        match event {
-            Ev::Arrival => {
-                let ArrivalEvent {
-                    flow, size, marker, ..
-                } = trace[next_arrival];
-                next_arrival += 1;
-                let size = size as usize;
-                let shard = shard_of_flow[flow.as_usize()];
-                payload[0] = marker;
-                shards[shard].flows[flow.as_usize()].offered_pkts += 1;
-                shards[shard].flows[flow.as_usize()].offered_bytes += size as u64;
-                let (evicted, admitted, refused) =
-                    match policy.offer_global(&mut engine, flow, &payload[..size]) {
-                        Ok(admission) => (admission.evicted, true, None),
-                        Err(refusal) => (refusal.evicted, false, Some(refusal.reason)),
-                    };
-                for (victim, bytes) in evicted {
-                    // Global push-out: the victim may live on any shard;
-                    // charge its own home shard's report.
-                    let vshard = shard_of_flow[victim.as_usize()];
-                    let slot = ledger[victim.as_usize()]
-                        .pop_front()
-                        .expect("evicted packet must be in the ledger");
-                    if slot.len != bytes {
-                        shards[vshard].integrity_violations += 1;
-                    }
-                    shards[vshard].flows[victim.as_usize()].evicted_pkts += 1;
-                    if let Some(t) = &mut tel {
-                        let depth = engine.shard_mut(vshard).queue_len_segments(victim);
-                        let occ: u32 = engine
-                            .shards_mut()
-                            .iter()
-                            .map(|q| q.occupied_segments())
-                            .sum();
-                        t.record_evict(now, policy.name(), victim, bytes, depth, occ);
-                    }
-                }
-                if admitted {
-                    ledger[flow.as_usize()].push_back(Slot {
-                        enqueued_at: now,
-                        len: size as u32,
-                        marker,
-                    });
-                    shards[shard].flows[flow.as_usize()].admitted_pkts += 1;
-                    if let Some(t) = &mut tel {
-                        t.record_admit(now, flow, size as u32);
-                    }
-                } else {
-                    shards[shard].flows[flow.as_usize()].dropped_pkts += 1;
-                    if let Some(t) = &mut tel {
-                        let reason = refused.expect("refusal carries its reason");
-                        let depth = engine.shard_mut(shard).queue_len_segments(flow);
-                        let occ: u32 = engine
-                            .shards_mut()
-                            .iter()
-                            .map(|q| q.occupied_segments())
-                            .sum();
-                        t.record_drop(now, policy.name(), reason, flow, size as u32, depth, occ);
-                    }
-                }
-                if let Some(next) = trace.get(next_arrival) {
-                    ev.schedule(next.at, Ev::Arrival);
-                }
-                if !server_busy[shard] {
-                    server_busy[shard] = start_service(
-                        engine.shard_mut(shard),
-                        &mut scheds[shard],
-                        &mut ledger,
-                        &mut ev,
-                        &mut egress,
-                        &mut shards[shard].integrity_violations,
-                        &mut tel,
-                        |flow, bytes, enqueued_at| Ev::TxDone {
-                            shard,
-                            flow,
-                            bytes,
-                            enqueued_at,
-                        },
-                    );
-                }
-            }
-            Ev::TxDone {
-                shard,
-                flow,
-                bytes,
-                enqueued_at,
-            } => {
-                let fr = &mut shards[shard].flows[flow.as_usize()];
-                fr.delivered_pkts += 1;
-                fr.delivered_bytes += bytes as u64;
-                fr.latency_ns.push((now - enqueued_at).as_nanos_f64());
-                if let Some(t) = &mut tel {
-                    t.record_deliver(now, flow, bytes, (now - enqueued_at).as_u64() / 1000);
-                }
-                server_busy[shard] = start_service(
-                    engine.shard_mut(shard),
-                    &mut scheds[shard],
-                    &mut ledger,
-                    &mut ev,
-                    &mut egress,
-                    &mut shards[shard].integrity_violations,
-                    &mut tel,
-                    |flow, bytes, enqueued_at| Ev::TxDone {
-                        shard,
-                        flow,
-                        bytes,
-                        enqueued_at,
-                    },
-                );
-            }
-        }
-    }
-
-    let makespan = ev.now();
-    for sr in &mut shards {
-        sr.makespan = makespan;
-        let flows = std::mem::take(&mut sr.flows);
-        for fr in &flows {
-            sr.offered_pkts += fr.offered_pkts;
-            sr.offered_bytes += fr.offered_bytes;
-            sr.dropped_pkts += fr.dropped_pkts;
-            sr.evicted_pkts += fr.evicted_pkts;
-            sr.delivered_pkts += fr.delivered_pkts;
-            sr.delivered_bytes += fr.delivered_bytes;
-            sr.latency_ns.merge(&fr.latency_ns);
-        }
-        sr.flows = flows;
-    }
-    debug_assert!(
-        engine.verify().is_ok(),
-        "cross-shard invariants violated after drain"
-    );
-    let mut rep = assemble_sharded_report(shards, shard_of_flow, flows);
-    rep.telemetry = tel.map(|mut t| {
-        let mut reg = npqm_core::telemetry::MetricsRegistry::new();
-        let mut qm_total = npqm_core::QmStats::default();
-        for qm in engine.shards_mut().iter() {
-            qm_total.absorb(qm.stats());
-        }
-        reg.record_qm("qm.", &qm_total);
-        let counts = *t.counts();
-        reg.record_event_counts("trace.", &counts);
-        t.set_final_metrics(reg);
-        TelemetryReport::merge([(0u32, &t)])
-    });
-    rep
-}
-
 /// One named policy's outcome in a comparison run.
 #[derive(Debug, Clone)]
 pub struct PolicyOutcome {
@@ -966,43 +620,58 @@ pub struct PolicyOutcome {
 /// `1/flows` of the data memory), which is exactly the configuration the
 /// shared-buffer policies are meant to beat under bursty skewed load.
 pub fn compare_policies(cfg: &PipelineConfig) -> Vec<PolicyOutcome> {
-    let flows = cfg.mix.flows() as usize;
-    let per_flow_cap = cfg.qm.data_bytes() / flows as u64;
-    let mut tail_drop = BufferManager::new(
+    let per_flow_cap = cfg.qm.data_bytes() / u64::from(cfg.mix.flows());
+    let tail_drop = BufferManager::new(
         FlowLimits {
             max_bytes: per_flow_cap,
             max_packets: u32::MAX,
         },
         0,
     );
-    let mut lqd = LongestQueueDrop::new(0);
-    let mut dt = DynamicThreshold::new(2.0);
-    let policies: [&mut dyn DropPolicy; 3] = [&mut tail_drop, &mut lqd, &mut dt];
-    policies
-        .into_iter()
-        .map(|policy| {
-            let mut sched = DeficitRoundRobin::new(vec![1518; flows]);
-            let name = policy.name().to_string();
-            let report = dense_impl(cfg, policy, &mut sched);
-            PolicyOutcome {
-                policy: name,
-                report,
-            }
-        })
-        .collect()
+    vec![
+        dense_outcome(cfg, tail_drop),
+        dense_outcome(cfg, LongestQueueDrop::new(0)),
+        dense_outcome(cfg, DynamicThreshold::new(2.0)),
+    ]
+}
+
+/// The dense pipeline under `policy`: one shard, default egress (flat
+/// DRR, 1518-byte quantum), so the single shard's report is the run's.
+fn dense_outcome<P>(cfg: &PipelineConfig, policy: P) -> PolicyOutcome
+where
+    P: DropPolicy + Clone + Send + 'static,
+{
+    PolicyOutcome {
+        policy: policy.name().to_string(),
+        report: PipelineBuilder::new(cfg)
+            .admission(move |_| policy.clone())
+            .run()
+            .shards
+            .remove(0),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use npqm_core::sched::StrictPriority;
+    use crate::arrival::ArrivalProcess;
+    use crate::service::partition_indices;
+    use npqm_core::check::{fnv1a_fold, FNV_OFFSET_BASIS};
+    use npqm_core::sched::{DeficitRoundRobin, StrictPriority};
+    use npqm_core::timing::TimingConfig;
+
+    /// A shard-local builder over `policy` (default egress: flat DRR).
+    fn local<P>(cfg: &PipelineConfig, policy: P) -> PipelineBuilder
+    where
+        P: DropPolicy + Clone + Send + 'static,
+    {
+        PipelineBuilder::new(cfg).admission(move |_| policy.clone())
+    }
 
     #[test]
     fn conservation_and_integrity_under_light_load() {
         let cfg = PipelineConfig::small_demo(11);
-        let mut policy = LongestQueueDrop::new(0);
-        let mut sched = DeficitRoundRobin::new(vec![1518; 4]);
-        let r = dense_impl(&cfg, &mut policy, &mut sched);
+        let r = dense_outcome(&cfg, LongestQueueDrop::new(0)).report;
         assert!(r.offered_pkts > 0);
         assert_eq!(
             r.offered_pkts,
@@ -1021,9 +690,7 @@ mod tests {
             mean_interval: Picos::from_nanos(20),
         };
         cfg.duration = Picos::from_micros(5);
-        let mut policy = LongestQueueDrop::new(0);
-        let mut sched = DeficitRoundRobin::new(vec![1518; 4]);
-        let r = dense_impl(&cfg, &mut policy, &mut sched);
+        let r = dense_outcome(&cfg, LongestQueueDrop::new(0)).report;
         assert!(r.dropped_pkts + r.evicted_pkts > 0, "overload must drop");
         assert_eq!(r.integrity_violations, 0);
         assert_eq!(
@@ -1036,13 +703,8 @@ mod tests {
     #[test]
     fn pipeline_is_deterministic() {
         let cfg = PipelineConfig::bursty_overload(3);
-        let run = |seed_cfg: &PipelineConfig| {
-            let mut policy = DynamicThreshold::new(2.0);
-            let mut sched = DeficitRoundRobin::new(vec![1518; 16]);
-            dense_impl(seed_cfg, &mut policy, &mut sched)
-        };
-        let a = run(&cfg);
-        let b = run(&cfg);
+        let a = dense_outcome(&cfg, DynamicThreshold::new(2.0)).report;
+        let b = dense_outcome(&cfg, DynamicThreshold::new(2.0)).report;
         assert_eq!(a.delivered_pkts, b.delivered_pkts);
         assert_eq!(a.delivered_bytes, b.delivered_bytes);
         assert_eq!(a.makespan, b.makespan);
@@ -1051,9 +713,11 @@ mod tests {
     #[test]
     fn works_with_any_scheduler() {
         let cfg = PipelineConfig::small_demo(9);
-        let mut policy = DynamicThreshold::new(1.0);
-        let mut sched = StrictPriority::new(4);
-        let r = dense_impl(&cfg, &mut policy, &mut sched);
+        let r = PipelineBuilder::new(&cfg)
+            .admission(|_| DynamicThreshold::new(1.0))
+            .egress(|_| StrictPriority::new(4))
+            .run()
+            .aggregate;
         assert_eq!(r.integrity_violations, 0);
         assert_eq!(
             r.offered_pkts,
@@ -1089,22 +753,11 @@ mod tests {
         );
     }
 
-    #[test]
-    fn sharded_pipeline_conserves_per_shard_and_aggregate() {
-        let cfg = PipelineConfig::bursty_overload(21);
-        let r = sharded_impl(
-            &cfg,
-            4,
-            false,
-            |_| DynamicThreshold::new(2.0),
-            |_| DeficitRoundRobin::new(vec![1518; 16]),
-        );
+    /// Four shards, each conserving packets and tearing no frame, and so
+    /// the aggregate.
+    fn assert_conserves_per_shard_and_aggregate(r: &ShardedPipelineReport) {
         assert_eq!(r.shards.len(), 4);
         assert!(r.aggregate.offered_pkts > 0);
-        assert!(
-            r.aggregate.dropped_pkts > 0,
-            "bursty overload must drop somewhere"
-        );
         for (s, sr) in r.shards.iter().enumerate() {
             assert_eq!(sr.integrity_violations, 0, "shard {s} tore a frame");
             assert_eq!(
@@ -1121,15 +774,20 @@ mod tests {
     }
 
     #[test]
+    fn sharded_pipeline_conserves_per_shard_and_aggregate() {
+        let cfg = PipelineConfig::bursty_overload(21);
+        let r = local(&cfg, DynamicThreshold::new(2.0)).shards(4).run();
+        assert_conserves_per_shard_and_aggregate(&r);
+        assert!(
+            r.aggregate.dropped_pkts > 0,
+            "bursty overload must drop somewhere"
+        );
+    }
+
+    #[test]
     fn sharded_pipeline_routes_flows_to_their_home_shard_only() {
         let cfg = PipelineConfig::bursty_overload(8);
-        let r = sharded_impl(
-            &cfg,
-            4,
-            false,
-            |_| LongestQueueDrop::new(0),
-            |_| DeficitRoundRobin::new(vec![1518; 16]),
-        );
+        let r = local(&cfg, LongestQueueDrop::new(0)).shards(4).run();
         for (f, &home) in r.shard_of_flow.iter().enumerate() {
             for (s, sr) in r.shards.iter().enumerate() {
                 if s != home {
@@ -1142,25 +800,81 @@ mod tests {
         }
     }
 
+    /// CBR 50 ns arrivals of fixed 64 B packets into a 5 Gbit/s egress:
+    /// a service takes 102 400 ps, so under the sustained 2x overload an
+    /// arrival and a `TxDone` collide on the same picosecond every 125th
+    /// service — the event-order contract of the closed loop decides
+    /// every one of them, and LQD push-out makes the outcome depend on it.
+    fn tie_heavy() -> PipelineConfig {
+        PipelineConfig {
+            qm: QmConfig::builder()
+                .num_flows(256)
+                .num_segments(512)
+                .segment_bytes(64)
+                .build()
+                .unwrap(),
+            arrivals: ArrivalProcess::Cbr {
+                interval: Picos::from_nanos(50),
+            },
+            sizes: SizeDistribution::Fixed(64),
+            mix: FlowMix::uniform(256),
+            egress_gbps: 5.0,
+            duration: Picos::from_micros(200),
+            ..PipelineConfig::small_demo(42)
+        }
+    }
+
+    fn debug_hash(value: &impl std::fmt::Debug) -> u64 {
+        format!("{value:?}")
+            .bytes()
+            .fold(FNV_OFFSET_BASIS, |h, b| fnv1a_fold(h, u64::from(b)))
+    }
+
+    #[test]
+    fn tie_order_is_pinned_on_every_shape() {
+        // Hashes computed at the commit *before* the loops were unified
+        // (dense loop, per-shard trace replay, coupled global-LQD loop):
+        // next arrival scheduled before the service start, FIFO
+        // tie-break. A change to either moves every one of them.
+        let cfg = tie_heavy();
+        let dense = local(&cfg, LongestQueueDrop::new(0)).run();
+        assert_eq!(dense.aggregate.offered_pkts, 4000);
+        assert_eq!(dense.aggregate.evicted_pkts, 1535);
+        assert_eq!(debug_hash(&dense.aggregate), 0x71be_c448_379d_49e1);
+        assert_eq!(debug_hash(&dense), 0xb21d_4893_ddf1_a54e);
+        let local4 = local(&cfg, LongestQueueDrop::new(0)).shards(4).run();
+        assert_eq!(debug_hash(&local4), 0xa023_4e07_69d1_b1e8);
+        let global4 = local(&cfg, LongestQueueDrop::new(0))
+            .shards(4)
+            .admission_global_lqd(0)
+            .run();
+        assert_eq!(debug_hash(&global4), 0xdf9a_aca2_06af_805e);
+    }
+
     #[test]
     fn one_shard_pipeline_matches_the_dense_pipeline() {
-        let cfg = PipelineConfig::bursty_overload(5);
-        let sharded = sharded_impl(
+        // Three ways to run one shard — arrivals drawn lazily, the
+        // `parallel` flag set, and the pregenerated trace replayed through
+        // its (identity) index list — must agree on every field.
+        let cfg = tie_heavy();
+        let dense = local(&cfg, LongestQueueDrop::new(0)).run();
+        let parallel = local(&cfg, LongestQueueDrop::new(0)).parallel(true).run();
+        assert_eq!(format!("{dense:?}"), format!("{parallel:?}"));
+
+        let trace: Vec<ArrivalEvent> = cfg.arrival_stream().collect();
+        let idx = partition_indices(&trace, &[0; 256], 1);
+        let mut qm = QueueManager::new(cfg.qm);
+        let (replay, _) = run_closed_loop(
             &cfg,
-            1,
-            false,
-            |_| DynamicThreshold::new(2.0),
-            |_| DeficitRoundRobin::new(vec![1518; 16]),
+            idx[0].iter().map(|&i| trace[i as usize]),
+            &mut ShardLocal {
+                qm: &mut qm,
+                policy: &mut LongestQueueDrop::new(0),
+            },
+            &mut [DeficitRoundRobin::new(vec![1518; 256])],
+            &mut Egress::Line(cfg.egress_gbps),
         );
-        let mut policy = DynamicThreshold::new(2.0);
-        let mut sched = DeficitRoundRobin::new(vec![1518; 16]);
-        let dense = dense_impl(&cfg, &mut policy, &mut sched);
-        let a = &sharded.aggregate;
-        assert_eq!(a.offered_pkts, dense.offered_pkts);
-        assert_eq!(a.dropped_pkts, dense.dropped_pkts);
-        assert_eq!(a.delivered_pkts, dense.delivered_pkts);
-        assert_eq!(a.delivered_bytes, dense.delivered_bytes);
-        assert_eq!(a.makespan, dense.makespan);
+        assert_eq!(format!("{:?}", dense.shards), format!("{replay:?}"));
     }
 
     #[test]
@@ -1171,23 +885,15 @@ mod tests {
         // covers every field, including the per-flow latency moments.
         for seed in [3u64, 21, 42, 99] {
             let cfg = PipelineConfig::bursty_overload(seed);
-            let serial = sharded_impl(
-                &cfg,
-                4,
-                false,
-                |_| LongestQueueDrop::new(0),
-                |_| DeficitRoundRobin::new(vec![1518; 16]),
-            );
-            let parallel = sharded_impl(
-                &cfg,
-                4,
-                true,
-                |_| LongestQueueDrop::new(0),
-                |_| DeficitRoundRobin::new(vec![1518; 16]),
-            );
+            let run = |parallel| {
+                local(&cfg, LongestQueueDrop::new(0))
+                    .shards(4)
+                    .parallel(parallel)
+                    .run()
+            };
             assert_eq!(
-                format!("{serial:?}"),
-                format!("{parallel:?}"),
+                format!("{:?}", run(false)),
+                format!("{:?}", run(true)),
                 "seed {seed}: parallel and serial sharded runs diverged"
             );
         }
@@ -1196,25 +902,14 @@ mod tests {
     #[test]
     fn global_lqd_pipeline_conserves_and_never_tears() {
         let cfg = PipelineConfig::bursty_overload(21);
-        let r = global_lqd_impl(&cfg, 4, 0, |_| DeficitRoundRobin::new(vec![1518; 16]));
-        assert_eq!(r.shards.len(), 4);
-        assert!(r.aggregate.offered_pkts > 0);
+        let r = PipelineBuilder::new(&cfg)
+            .shards(4)
+            .admission_global_lqd(0)
+            .run();
+        assert_conserves_per_shard_and_aggregate(&r);
         assert!(
             r.aggregate.dropped_pkts + r.aggregate.evicted_pkts > 0,
             "bursty overload must drop or push out somewhere"
-        );
-        for (s, sr) in r.shards.iter().enumerate() {
-            assert_eq!(sr.integrity_violations, 0, "shard {s} tore a frame");
-            assert_eq!(
-                sr.offered_pkts,
-                sr.delivered_pkts + sr.dropped_pkts + sr.evicted_pkts,
-                "shard {s} does not conserve packets"
-            );
-        }
-        assert_eq!(r.aggregate.integrity_violations, 0);
-        assert_eq!(
-            r.aggregate.offered_pkts,
-            r.aggregate.delivered_pkts + r.aggregate.dropped_pkts + r.aggregate.evicted_pkts
         );
     }
 
@@ -1227,28 +922,31 @@ mod tests {
         // idle partitions would otherwise strand. Both runs are pure
         // functions of the seed, so this is a deterministic comparison.
         let cfg = PipelineConfig::bursty_overload(42);
-        let local = sharded_impl(
-            &cfg,
-            4,
-            false,
-            |_| DynamicThreshold::new(2.0),
-            |_| DeficitRoundRobin::new(vec![1518; 16]),
-        );
-        let global = global_lqd_impl(&cfg, 4, 0, |_| DeficitRoundRobin::new(vec![1518; 16]));
+        let shard_local = local(&cfg, DynamicThreshold::new(2.0)).shards(4).run();
+        let global = PipelineBuilder::new(&cfg)
+            .shards(4)
+            .admission_global_lqd(0)
+            .run();
         assert!(
-            global.aggregate.delivered_bytes >= local.aggregate.delivered_bytes,
+            global.aggregate.delivered_bytes >= shard_local.aggregate.delivered_bytes,
             "global LQD {} < shard-local C-H {}",
             global.aggregate.delivered_bytes,
-            local.aggregate.delivered_bytes
+            shard_local.aggregate.delivered_bytes
         );
+    }
+
+    fn timed(cfg: &PipelineConfig, timing: TimingConfig) -> PipelineReport {
+        local(cfg, DynamicThreshold::new(2.0))
+            .timing_paper(timing)
+            .run()
+            .shards
+            .remove(0)
     }
 
     #[test]
     fn timed_pipeline_conserves_and_never_tears() {
         let cfg = PipelineConfig::bursty_overload(17);
-        let mut policy = DynamicThreshold::new(2.0);
-        let mut sched = DeficitRoundRobin::new(vec![1518; 16]);
-        let r = timed_impl(&cfg, &mut policy, &mut sched, &TimingConfig::paper(8));
+        let r = timed(&cfg, TimingConfig::paper(8));
         assert!(r.offered_pkts > 0);
         assert_eq!(
             r.offered_pkts,
@@ -1262,13 +960,8 @@ mod tests {
     #[test]
     fn timed_pipeline_is_deterministic() {
         let cfg = PipelineConfig::bursty_overload(9);
-        let run = || {
-            let mut policy = DynamicThreshold::new(2.0);
-            let mut sched = DeficitRoundRobin::new(vec![1518; 16]);
-            timed_impl(&cfg, &mut policy, &mut sched, &TimingConfig::naive(4))
-        };
-        let a = run();
-        let b = run();
+        let a = timed(&cfg, TimingConfig::naive(4));
+        let b = timed(&cfg, TimingConfig::naive(4));
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
@@ -1279,13 +972,8 @@ mod tests {
         // sixteen banks stripe it — the same offered trace must finish
         // no later and deliver no less.
         let cfg = PipelineConfig::bursty_overload(42);
-        let run = |banks: u32| {
-            let mut policy = DynamicThreshold::new(2.0);
-            let mut sched = DeficitRoundRobin::new(vec![1518; 16]);
-            timed_impl(&cfg, &mut policy, &mut sched, &TimingConfig::paper(banks))
-        };
-        let one = run(1);
-        let sixteen = run(16);
+        let one = timed(&cfg, TimingConfig::paper(1));
+        let sixteen = timed(&cfg, TimingConfig::paper(16));
         assert!(
             sixteen.makespan <= one.makespan,
             "16 banks {} vs 1 bank {}",
@@ -1312,82 +1000,21 @@ mod tests {
         cfg.arrivals = ArrivalProcess::Poisson {
             mean_interval: Picos::from_nanos(8_000),
         };
-        let mut policy = LongestQueueDrop::new(0);
-        let mut sched = DeficitRoundRobin::new(vec![9000; 4]);
-        let r = dense_impl(&cfg, &mut policy, &mut sched);
+        let r = PipelineBuilder::new(&cfg)
+            .admission(|_| LongestQueueDrop::new(0))
+            .egress(|_| DeficitRoundRobin::new(vec![9000; 4]))
+            .run()
+            .aggregate;
         assert!(r.offered_pkts > 0);
         assert_eq!(r.offered_bytes, r.offered_pkts * 9000);
         assert_eq!(r.delivered_bytes, r.delivered_pkts * 9000);
         assert_eq!(r.integrity_violations, 0);
     }
 
-    // Deprecation coverage: each legacy wrapper must keep delegating to
-    // the same loop the builder runs, until the wrappers are removed.
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_run_pipeline_still_matches_the_dense_loop() {
-        let cfg = PipelineConfig::small_demo(19);
-        let mut p1 = DynamicThreshold::new(2.0);
-        let mut s1 = DeficitRoundRobin::new(vec![1518; 4]);
-        let legacy = run_pipeline(&cfg, &mut p1, &mut s1);
-        let mut p2 = DynamicThreshold::new(2.0);
-        let mut s2 = DeficitRoundRobin::new(vec![1518; 4]);
-        let direct = dense_impl(&cfg, &mut p2, &mut s2);
-        assert_eq!(format!("{legacy:?}"), format!("{direct:?}"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_run_timed_pipeline_still_matches_the_timed_loop() {
-        let cfg = PipelineConfig::small_demo(23);
-        let timing = TimingConfig::paper(4);
-        let mut p1 = DynamicThreshold::new(2.0);
-        let mut s1 = DeficitRoundRobin::new(vec![1518; 4]);
-        let legacy = run_timed_pipeline(&cfg, &mut p1, &mut s1, &timing);
-        let mut p2 = DynamicThreshold::new(2.0);
-        let mut s2 = DeficitRoundRobin::new(vec![1518; 4]);
-        let direct = timed_impl(&cfg, &mut p2, &mut s2, &timing);
-        assert_eq!(format!("{legacy:?}"), format!("{direct:?}"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_run_sharded_pipeline_still_matches_the_sharded_loop() {
-        let cfg = PipelineConfig::bursty_overload(29);
-        let legacy = run_sharded_pipeline(
-            &cfg,
-            2,
-            false,
-            |_| DynamicThreshold::new(2.0),
-            |_| DeficitRoundRobin::new(vec![1518; 16]),
-        );
-        let direct = sharded_impl(
-            &cfg,
-            2,
-            false,
-            |_| DynamicThreshold::new(2.0),
-            |_| DeficitRoundRobin::new(vec![1518; 16]),
-        );
-        assert_eq!(format!("{legacy:?}"), format!("{direct:?}"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_global_lqd_wrapper_still_matches_the_coupled_loop() {
-        let cfg = PipelineConfig::bursty_overload(31);
-        let legacy =
-            run_sharded_pipeline_global_lqd(&cfg, 2, 0, |_| DeficitRoundRobin::new(vec![1518; 16]));
-        let direct = global_lqd_impl(&cfg, 2, 0, |_| DeficitRoundRobin::new(vec![1518; 16]));
-        assert_eq!(format!("{legacy:?}"), format!("{direct:?}"));
-    }
-
     #[test]
     fn offered_load_estimate_matches_measurement() {
         let cfg = PipelineConfig::bursty_overload(1);
-        let mut policy = LongestQueueDrop::new(0);
-        let mut sched = DeficitRoundRobin::new(vec![1518; 16]);
-        let r = dense_impl(&cfg, &mut policy, &mut sched);
+        let r = dense_outcome(&cfg, LongestQueueDrop::new(0)).report;
         let measured = r.offered_bytes as f64 * 8.0 / cfg.duration.as_nanos_f64();
         assert!(
             (measured / cfg.offered_gbps() - 1.0).abs() < 0.2,

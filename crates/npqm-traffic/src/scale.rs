@@ -338,11 +338,7 @@ pub fn run_shard_scale(cfg: &ShardScaleConfig, shards: usize, threads: usize) ->
             .iter()
             .map(|(f, d)| (*f, d.as_slice()))
             .collect();
-        let admissions = if threads == 1 {
-            adm.offer_batch(&mut engine, &arrivals)
-        } else {
-            adm.offer_batch_parallel(&mut engine, &arrivals, threads)
-        };
+        let admissions = adm.offer_batch_parallel(&mut engine, &arrivals, threads);
         for (i, result) in admissions.iter().enumerate() {
             let (flow, data) = &arrivals_owned[i];
             row.offered_pkts += 1;
@@ -360,11 +356,7 @@ pub fn run_shard_scale(cfg: &ShardScaleConfig, shards: usize, threads: usize) ->
 
         // --- drain batch: serve a fraction of the backlog ---
         let drain = drain_batch(cfg, &engine);
-        let served = if threads == 1 {
-            engine.execute_batch(&drain)
-        } else {
-            engine.execute_batch_parallel(&drain, threads)
-        };
+        let served = engine.execute_batch_parallel(&drain, threads);
         for (cmd, result) in drain.iter().zip(&served) {
             let Ok(Outcome::Segment(seg)) = result else {
                 continue; // QueueEmpty on an idle flow: expected
@@ -629,11 +621,7 @@ pub fn run_memory_scale(
             .iter()
             .map(|(f, d)| (*f, d.as_slice()))
             .collect();
-        let admissions = if threads == 1 {
-            adm.offer_batch(&mut engine, &arrivals)
-        } else {
-            adm.offer_batch_parallel(&mut engine, &arrivals, threads)
-        };
+        let admissions = adm.offer_batch_parallel(&mut engine, &arrivals, threads);
         for (result, (_, data)) in admissions.iter().zip(&arrivals_owned) {
             row.offered_pkts += 1;
             match result {
@@ -649,11 +637,7 @@ pub fn run_memory_scale(
         // Drain batch: `drain_batch` guarantees the identical schedule
         // to `run_shard_scale`.
         let drain = drain_batch(cfg, &engine);
-        let served = if threads == 1 {
-            engine.execute_batch(&drain)
-        } else {
-            engine.execute_batch_parallel(&drain, threads)
-        };
+        let served = engine.execute_batch_parallel(&drain, threads);
         for result in &served {
             if let Ok(Outcome::Segment(seg)) = result {
                 row.segments_processed += 1;

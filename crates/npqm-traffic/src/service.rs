@@ -1,5 +1,5 @@
-//! Always-on **streaming service mode**: bounded per-shard ingress rings
-//! fed by generator threads, per-shard service loops that never stop the
+//! Always-on **streaming service mode**: bounded per-shard ingress lanes
+//! fed by generators, per-shard service loops that never stop the
 //! world, epoch-windowed statistics and **online verification**.
 //!
 //! [`crate::pipeline`] answers "run this finite trace to completion and
@@ -7,8 +7,10 @@
 //! long-running *service*: traffic **generators** produce timestamped
 //! packets continuously (for a caller-chosen virtual duration or packet
 //! budget) into bounded **ingress lanes** — one single-producer
-//! single-consumer ring per (shard, generator) pair, which together form
-//! each shard's multi-producer ingress stage — and each shard runs a
+//! single-consumer lane per (shard, generator) pair (a
+//! `std::sync::mpsc::sync_channel` under the threaded driver, a
+//! `VecDeque` under the serial one), which together form each shard's
+//! multi-producer ingress stage — and each shard runs a
 //! `process_once`-shaped service loop with **no global barrier**: it
 //! consumes arrivals merged from its lanes in virtual-time order,
 //! interleaved with its own egress completions.
@@ -48,10 +50,13 @@
 //! are therefore excluded from determinism digests, exactly like steal
 //! counts in `npqm-core`'s parallel executor.
 //!
-//! This module also owns the shared draw primitives
-//! ([`PacketStream`]) and the trace-side per-shard loop the finite
-//! pipeline is re-expressed over, so "run a trace" is now literally
-//! "stream until drained".
+//! The lane-driven `ShardLoop` here and the finite-trace event loop in
+//! [`crate::pipeline`] are two loops, not one: they share the draw
+//! primitives this module owns ([`PacketStream`] and the arrival stream
+//! built on it), the admit/evict/deliver bookkeeping and the service
+//! path, but break time ties differently. Here a completion due at or
+//! before the next arrival always runs first ("completions win"); the
+//! finite loop orders a tie by when each event was scheduled.
 //!
 //! # Example
 //!
@@ -74,12 +79,11 @@
 //! assert_eq!(windowed, r.aggregate.delivered_pkts);
 //! ```
 
-use crate::arrival::ArrivalGen;
-use crate::arrival::ArrivalProcess;
+use crate::arrival::{ArrivalGen, ArrivalProcess};
 use crate::flows::FlowMix;
 use crate::pipeline::{
-    assemble_sharded_report, start_service, Egress, FlowReport, PipelineConfig, PipelineReport,
-    Slot,
+    assemble_sharded_report, start_service, AdmissionScope, Egress, FlowReport, PipelineReport,
+    ShardLocal, Slot, TxDone,
 };
 use crate::size::SizeDistribution;
 use npqm_core::check::{fnv1a_fold, state_digest, FNV_OFFSET_BASIS};
@@ -140,7 +144,7 @@ impl<'a> PacketStream<'a> {
     }
 }
 
-/// One pregenerated arrival of a finite offered trace.
+/// One timestamped packet of an offered workload.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ArrivalEvent {
     pub(crate) at: Picos,
@@ -149,28 +153,35 @@ pub(crate) struct ArrivalEvent {
     pub(crate) marker: u8,
 }
 
-/// Pregenerates the offered trace — arrival times, flows, sizes and
-/// marker bytes — as a pure function of `cfg`, drawing from the RNGs in
-/// exactly the order the dense event loop does (arrival time, then flow,
-/// then size, per packet). Sharded runs partition *indices into* this
-/// one trace by home shard, so every shard count and execution mode sees
-/// the identical offered workload without copying it.
-pub(crate) fn generate_trace(cfg: &PipelineConfig) -> Vec<ArrivalEvent> {
-    let mut arrivals = ArrivalGen::new(cfg.arrivals, cfg.seed);
-    let mut stream = PacketStream::new(&cfg.mix, &cfg.sizes, cfg.seed ^ DRAW_SEED_MIX);
-    let mut out = Vec::new();
-    let mut at = arrivals.next_arrival();
-    while at <= cfg.duration {
-        let (flow, size, marker) = stream.next_packet();
-        out.push(ArrivalEvent {
-            at,
-            flow,
-            size,
-            marker,
-        });
-        at = arrivals.next_arrival();
-    }
-    out
+/// The lazy arrival source of every closed loop: arrival times from
+/// `process` and packets from the shared [`PacketStream`] draw order
+/// (arrival time, then flow, then size, per packet), as a pure function
+/// of the arguments, ending at the first arrival past `duration`. The
+/// dense pipeline consumes it directly, so its memory stays O(buffer)
+/// however long the run; sharded runs collect it once and partition
+/// *indices into* that one trace, so every shard count and execution
+/// mode sees the identical offered workload without copying it.
+pub(crate) fn arrival_stream<'a>(
+    process: ArrivalProcess,
+    mix: &'a FlowMix,
+    sizes: &'a SizeDistribution,
+    seed: u64,
+    duration: Picos,
+) -> impl Iterator<Item = ArrivalEvent> + 'a {
+    let mut arrivals = ArrivalGen::new(process, seed);
+    let mut stream = PacketStream::new(mix, sizes, seed ^ DRAW_SEED_MIX);
+    std::iter::from_fn(move || {
+        let at = arrivals.next_arrival();
+        (at <= duration).then(|| {
+            let (flow, size, marker) = stream.next_packet();
+            ArrivalEvent {
+                at,
+                flow,
+                size,
+                marker,
+            }
+        })
+    })
 }
 
 /// Splits a trace into per-shard *index lists* (`u32` indices into the
@@ -193,32 +204,19 @@ pub(crate) fn partition_indices(
     idx
 }
 
-/// Events of one shard's private trace-replay loop.
-#[derive(Debug, Clone)]
-enum SEv {
-    /// The `usize` indexes the shard's arrival *index list*; processing
-    /// arrival `k` schedules arrival `k + 1`, mirroring the dense loop's
-    /// arrival chaining (and its event-queue tie behaviour).
-    Arrival(usize),
-    TxDone {
-        flow: FlowId,
-        bytes: u32,
-        enqueued_at: Picos,
-    },
-}
-
-/// The bookkeeping every closed loop shares: the per-flow report, the
-/// per-flow packet ledger (enqueue time, length, marker) and the scratch
-/// payload buffer. Factoring it out is what lets the dense pipeline, the
-/// per-shard trace replay and the streaming service loop stay
-/// *behaviourally identical* — they all admit, evict and deliver through
-/// these three methods.
+/// The bookkeeping both closed loops share: the per-shard, per-flow
+/// reports, the per-flow packet ledger (enqueue time, length, marker) and
+/// the scratch payload buffer. Factoring it out is what keeps the
+/// finite-trace loop and the streaming service loop *behaviourally
+/// identical* — they admit, evict and deliver through these methods.
 pub(crate) struct LoopState {
-    pub(crate) report: PipelineReport,
+    /// One report per shard in the loop's admission scope, each indexed
+    /// by *global* flow id (flows homed on other shards stay zero).
+    pub(crate) reports: Vec<PipelineReport>,
     pub(crate) ledger: Vec<VecDeque<Slot>>,
     payload: Vec<u8>,
-    /// The loop's telemetry recorder; [`finish`](Self::finish) moves it
-    /// into the report. `None` (untraced) costs one branch per event.
+    /// The loop's telemetry recorder. `None` (untraced) costs one branch
+    /// per event.
     pub(crate) tel: Option<Telemetry>,
 }
 
@@ -229,94 +227,93 @@ pub(crate) struct ArrivalOutcome {
 }
 
 impl LoopState {
-    pub(crate) fn new(flows: u32, max_bytes: u32) -> Self {
+    /// `telemetry` enables recording when `Some`.
+    pub(crate) fn new(
+        shards: usize,
+        flows: u32,
+        max_bytes: u32,
+        telemetry: Option<TelemetryConfig>,
+    ) -> Self {
         LoopState {
-            report: PipelineReport {
-                flows: (0..flows).map(|_| FlowReport::default()).collect(),
-                ..PipelineReport::default()
-            },
+            reports: (0..shards)
+                .map(|_| PipelineReport {
+                    flows: (0..flows).map(|_| FlowReport::default()).collect(),
+                    ..PipelineReport::default()
+                })
+                .collect(),
             ledger: (0..flows).map(|_| VecDeque::new()).collect(),
             // Scratch payload sized to the largest packet the
             // distribution can draw, so no sampled size is truncated.
             payload: vec![0xA5u8; max_bytes as usize],
-            tel: None,
+            tel: telemetry.map(Telemetry::new),
         }
     }
 
-    /// Enables telemetry recording when `cfg` is `Some`.
-    pub(crate) fn with_telemetry(mut self, cfg: Option<TelemetryConfig>) -> Self {
-        self.tel = cfg.map(Telemetry::new);
-        self
-    }
-
-    /// Offers one packet to `policy`, keeping the ledger in sync with
-    /// any evictions (which happen on admission *and* on refusal: a
+    /// Offers one packet to `scope`'s policy, keeping the ledger in sync
+    /// with any evictions (which happen on admission *and* on refusal: a
     /// push-out policy may clear room and still fail).
-    pub(crate) fn arrival<P: DropPolicy + ?Sized>(
+    pub(crate) fn arrival<A: AdmissionScope>(
         &mut self,
-        qm: &mut QueueManager,
-        policy: &mut P,
-        now: Picos,
-        flow: FlowId,
-        size: usize,
-        marker: u8,
+        scope: &mut A,
+        pkt: ArrivalEvent,
     ) -> ArrivalOutcome {
+        let (now, flow, size, marker) = (pkt.at, pkt.flow, pkt.size as usize, pkt.marker);
         // Stamp a per-packet marker into the frame: delivery re-checks
         // it, so a torn or cross-linked frame is caught even when its
         // length happens to survive.
         self.payload[0] = marker;
-        let fr = &mut self.report.flows[flow.as_usize()];
+        let home = scope.shard_of(flow);
+        let fr = &mut self.reports[home].flows[flow.as_usize()];
         fr.offered_pkts += 1;
         fr.offered_bytes += size as u64;
-        let (evicted, admitted, refused) = match policy.offer(qm, flow, &self.payload[..size]) {
+        let (evicted, admitted, refused) = match scope.offer(flow, &self.payload[..size]) {
             Ok(admission) => (admission.evicted, true, None),
             Err(refusal) => (refusal.evicted, false, Some(refusal.reason)),
         };
         let mut evicted_n = 0u64;
         for (victim, bytes) in evicted {
+            // Under global push-out the victim may live on any shard in
+            // scope; charge its own home shard's report.
+            let vr = &mut self.reports[scope.shard_of(victim)];
             let slot = self.ledger[victim.as_usize()]
                 .pop_front()
                 .expect("evicted packet must be in the ledger");
             if slot.len != bytes {
-                self.report.integrity_violations += 1;
+                vr.integrity_violations += 1;
             }
-            self.report.flows[victim.as_usize()].evicted_pkts += 1;
+            vr.flows[victim.as_usize()].evicted_pkts += 1;
             evicted_n += 1;
             if let Some(t) = &mut self.tel {
                 // Victim depth and occupancy observed just after the
                 // push-out — the state the policy's decision produced.
-                t.record_evict(
-                    now,
-                    policy.name(),
-                    victim,
-                    bytes,
-                    qm.queue_len_segments(victim),
-                    qm.occupied_segments(),
-                );
+                let (depth, occupancy) = scope.depth_and_occupancy(victim);
+                t.record_evict(now, scope.policy_name(), victim, bytes, depth, occupancy);
             }
         }
+        let fr = &mut self.reports[home].flows[flow.as_usize()];
         if admitted {
             self.ledger[flow.as_usize()].push_back(Slot {
                 enqueued_at: now,
                 len: size as u32,
                 marker,
             });
-            self.report.flows[flow.as_usize()].admitted_pkts += 1;
+            fr.admitted_pkts += 1;
             if let Some(t) = &mut self.tel {
                 t.record_admit(now, flow, size as u32);
             }
         } else {
-            self.report.flows[flow.as_usize()].dropped_pkts += 1;
+            fr.dropped_pkts += 1;
             if let Some(t) = &mut self.tel {
                 let reason = refused.expect("refusal carries its reason");
+                let (depth, occupancy) = scope.depth_and_occupancy(flow);
                 t.record_drop(
                     now,
-                    policy.name(),
+                    scope.policy_name(),
                     reason,
                     flow,
                     size as u32,
-                    qm.queue_len_segments(flow),
-                    qm.occupied_segments(),
+                    depth,
+                    occupancy,
                 );
             }
         }
@@ -326,136 +323,43 @@ impl LoopState {
         }
     }
 
-    /// Records a delivered packet; returns its delay in nanoseconds (for
-    /// windowed histograms).
-    pub(crate) fn delivery(
-        &mut self,
-        now: Picos,
-        flow: FlowId,
-        bytes: u32,
-        enqueued_at: Picos,
-    ) -> u64 {
-        let fr = &mut self.report.flows[flow.as_usize()];
+    /// Records a packet delivered by `shard`'s egress server; returns its
+    /// delay in nanoseconds (for windowed histograms).
+    pub(crate) fn delivery(&mut self, now: Picos, shard: usize, tx: TxDone) -> u64 {
+        let fr = &mut self.reports[shard].flows[tx.flow.as_usize()];
         fr.delivered_pkts += 1;
-        fr.delivered_bytes += bytes as u64;
-        let delta = now - enqueued_at;
+        fr.delivered_bytes += tx.bytes as u64;
+        let delta = now - tx.enqueued_at;
         fr.latency_ns.push(delta.as_nanos_f64());
         let lat_ns = delta.as_u64() / 1000;
         if let Some(t) = &mut self.tel {
-            t.record_deliver(now, flow, bytes, lat_ns);
+            t.record_deliver(now, tx.flow, tx.bytes, lat_ns);
         }
         lat_ns
     }
 
-    /// Stamps the makespan and folds the per-flow reports into the
-    /// aggregate counters.
+    /// Stamps the makespan and folds each shard's per-flow reports into
+    /// its aggregate counters.
     pub(crate) fn finish(&mut self, makespan: Picos) {
-        self.report.makespan = makespan;
-        let flows = std::mem::take(&mut self.report.flows);
-        for fr in &flows {
-            self.report.offered_pkts += fr.offered_pkts;
-            self.report.offered_bytes += fr.offered_bytes;
-            self.report.dropped_pkts += fr.dropped_pkts;
-            self.report.evicted_pkts += fr.evicted_pkts;
-            self.report.delivered_pkts += fr.delivered_pkts;
-            self.report.delivered_bytes += fr.delivered_bytes;
-            self.report.latency_ns.merge(&fr.latency_ns);
+        for report in &mut self.reports {
+            report.makespan = makespan;
+            let flows = std::mem::take(&mut report.flows);
+            for fr in &flows {
+                report.offered_pkts += fr.offered_pkts;
+                report.offered_bytes += fr.offered_bytes;
+                report.dropped_pkts += fr.dropped_pkts;
+                report.evicted_pkts += fr.evicted_pkts;
+                report.delivered_pkts += fr.delivered_pkts;
+                report.delivered_bytes += fr.delivered_bytes;
+                report.latency_ns.merge(&fr.latency_ns);
+            }
+            report.flows = flows;
         }
-        self.report.flows = flows;
-        self.report.telemetry = self.tel.take();
     }
 
     fn buffered_pkts(&self) -> u64 {
         self.ledger.iter().map(|l| l.len() as u64).sum()
     }
-}
-
-/// One shard's trace-replay loop: its slice of the offered trace (as
-/// indices into the shared trace) through its own policy, scheduler and
-/// egress server. Entirely self-contained — own event queue, own ledger
-/// — which is what makes the sharded pipeline's parallel mode
-/// byte-identical to serial execution: the loop runs the same either
-/// way, only on different threads.
-///
-/// The returned report's `flows` vector is indexed by global flow id
-/// (foreign flows stay zero) and its `makespan` is this shard's own last
-/// event time; the caller overwrites it with the global maximum.
-pub(crate) fn run_trace_shard<P, S>(
-    cfg: &PipelineConfig,
-    trace: &[ArrivalEvent],
-    idx: &[u32],
-    qm: &mut QueueManager,
-    policy: &mut P,
-    sched: &mut S,
-    gbps: f64,
-) -> PipelineReport
-where
-    P: DropPolicy + ?Sized,
-    S: FlowScheduler + ?Sized,
-{
-    let flows = cfg.mix.flows();
-    let mut ev: EventQueue<SEv> = EventQueue::new();
-    let mut st = LoopState::new(flows, cfg.sizes.max_bytes()).with_telemetry(cfg.telemetry);
-    let mut server_busy = false;
-    let mut egress = Egress::Line(gbps);
-
-    if let Some(&first) = idx.first() {
-        ev.schedule(trace[first as usize].at, SEv::Arrival(0));
-    }
-
-    while let Some((now, event)) = ev.pop() {
-        match event {
-            SEv::Arrival(k) => {
-                let ArrivalEvent {
-                    flow, size, marker, ..
-                } = trace[idx[k] as usize];
-                st.arrival(qm, policy, now, flow, size as usize, marker);
-                if let Some(&next) = idx.get(k + 1) {
-                    ev.schedule(trace[next as usize].at, SEv::Arrival(k + 1));
-                }
-                if !server_busy {
-                    server_busy = start_service(
-                        qm,
-                        sched,
-                        &mut st.ledger,
-                        &mut ev,
-                        &mut egress,
-                        &mut st.report.integrity_violations,
-                        &mut st.tel,
-                        |flow, bytes, enqueued_at| SEv::TxDone {
-                            flow,
-                            bytes,
-                            enqueued_at,
-                        },
-                    );
-                }
-            }
-            SEv::TxDone {
-                flow,
-                bytes,
-                enqueued_at,
-            } => {
-                st.delivery(now, flow, bytes, enqueued_at);
-                server_busy = start_service(
-                    qm,
-                    sched,
-                    &mut st.ledger,
-                    &mut ev,
-                    &mut egress,
-                    &mut st.report.integrity_violations,
-                    &mut st.tel,
-                    |flow, bytes, enqueued_at| SEv::TxDone {
-                        flow,
-                        bytes,
-                        enqueued_at,
-                    },
-                );
-            }
-        }
-    }
-
-    st.finish(ev.now());
-    st.report
 }
 
 /// Configuration of a streaming service run.
@@ -708,74 +612,32 @@ fn shard_state_digest(qm: &QueueManager, ledger: &[VecDeque<Slot>]) -> u64 {
     h
 }
 
-/// One timestamped packet produced by a generator.
-#[derive(Debug, Clone, Copy)]
-struct StreamPacket {
-    at: Picos,
-    flow: FlowId,
-    size: u32,
-    marker: u8,
-}
-
 /// Per-generator seed: decorrelates generators while keeping the run a
 /// pure function of the configuration seed.
 fn gen_seed(seed: u64, g: usize) -> u64 {
     seed.wrapping_add(0xA076_1D64_78BD_642F_u64.wrapping_mul(g as u64 + 1))
 }
 
-/// One generator's packet source: an arrival process plus the shared
-/// [`PacketStream`] draw order, bounded by duration and packet budget.
-struct GenStream<'a> {
-    arrivals: ArrivalGen,
-    stream: PacketStream<'a>,
-    duration: Picos,
-    budget: Option<u64>,
-    produced: u64,
-}
-
-impl<'a> GenStream<'a> {
-    fn new(cfg: &'a ServiceConfig, g: usize) -> Self {
-        let seed = gen_seed(cfg.seed, g);
-        GenStream {
-            arrivals: ArrivalGen::new(cfg.arrivals, seed),
-            stream: PacketStream::new(&cfg.mix, &cfg.sizes, seed ^ DRAW_SEED_MIX),
-            duration: cfg.duration,
-            budget: cfg.packet_budget,
-            produced: 0,
-        }
-    }
-
-    fn next(&mut self) -> Option<StreamPacket> {
-        if self.budget.is_some_and(|b| self.produced >= b) {
-            return None;
-        }
-        let at = self.arrivals.next_arrival();
-        if at > self.duration {
-            return None;
-        }
-        let (flow, size, marker) = self.stream.next_packet();
-        self.produced += 1;
-        Some(StreamPacket {
-            at,
-            flow,
-            size,
-            marker,
-        })
-    }
-}
-
-/// An egress completion in the streaming loop.
-#[derive(Debug, Clone)]
-struct TxEv {
-    flow: FlowId,
-    bytes: u32,
-    enqueued_at: Picos,
+/// Generator `g`'s packet source: the shared arrival stream under its own
+/// seed, bounded by duration and packet budget.
+fn generator(cfg: &ServiceConfig, g: usize) -> impl Iterator<Item = ArrivalEvent> + '_ {
+    let budget = cfg
+        .packet_budget
+        .map_or(usize::MAX, |b| usize::try_from(b).unwrap_or(usize::MAX));
+    arrival_stream(
+        cfg.arrivals,
+        &cfg.mix,
+        &cfg.sizes,
+        gen_seed(cfg.seed, g),
+        cfg.duration,
+    )
+    .take(budget)
 }
 
 /// What one ingress lane had for the consumer.
 enum LaneFill {
     /// The lane's next packet.
-    Got(StreamPacket),
+    Got(ArrivalEvent),
     /// The lane is empty right now but may still produce (threaded:
     /// block on it; serial: return to the driver).
     Pending,
@@ -807,15 +669,15 @@ struct ShardLoop<'a, P, S> {
     policy: P,
     sched: S,
     st: LoopState,
-    ev: EventQueue<TxEv>,
+    ev: EventQueue<TxDone>,
     clock: EpochClock,
     cur: EpochWindow,
     windows: Vec<EpochWindow>,
     snapshots: Vec<EpochSnapshot>,
-    heads: Vec<Option<StreamPacket>>,
+    heads: Vec<Option<ArrivalEvent>>,
     closed: Vec<bool>,
     server_busy: bool,
-    gbps: f64,
+    egress: Egress<'static>,
     seg_bytes: u32,
     segments: u64,
     stop_at: Option<Picos>,
@@ -841,8 +703,7 @@ where
             qm,
             policy,
             sched,
-            st: LoopState::new(cfg.mix.flows(), cfg.sizes.max_bytes())
-                .with_telemetry(cfg.telemetry),
+            st: LoopState::new(1, cfg.mix.flows(), cfg.sizes.max_bytes(), cfg.telemetry),
             ev: EventQueue::new(),
             clock: EpochClock::new(cfg.epoch),
             cur: EpochWindow::new(0, cfg.latency_buckets, cfg.latency_bucket_ns),
@@ -851,7 +712,7 @@ where
             heads: vec![None; cfg.generators],
             closed: vec![false; cfg.generators],
             server_busy: false,
-            gbps: cfg.egress_gbps / cfg.shards as f64,
+            egress: Egress::Line(cfg.egress_gbps / cfg.shards as f64),
             seg_bytes: cfg.qm.segment_bytes(),
             segments: 0,
             stop_at,
@@ -885,7 +746,7 @@ where
                 segments_used,
                 payload_bytes,
                 buffered_pkts: self.st.buffered_pkts(),
-                integrity_violations: self.st.report.integrity_violations,
+                integrity_violations: self.st.reports[0].integrity_violations,
             });
             let w = std::mem::replace(
                 &mut self.cur,
@@ -919,20 +780,14 @@ where
 
     /// Dequeues through the scheduler if the server is idle.
     fn serve(&mut self) {
-        let mut egress = Egress::Line(self.gbps);
         self.server_busy = start_service(
             self.qm,
             &mut self.sched,
-            &mut self.st.ledger,
+            &mut self.st,
+            0,
             &mut self.ev,
-            &mut egress,
-            &mut self.st.report.integrity_violations,
-            &mut self.st.tel,
-            |flow, bytes, enqueued_at| TxEv {
-                flow,
-                bytes,
-                enqueued_at,
-            },
+            &mut self.egress,
+            |tx| tx,
         );
     }
 
@@ -947,7 +802,7 @@ where
         }
         self.advance_virtual(t, obs);
         let (now, tx) = self.ev.pop().expect("peeked event present");
-        let lat_ns = self.st.delivery(now, tx.flow, tx.bytes, tx.enqueued_at);
+        let lat_ns = self.st.delivery(now, 0, tx);
         self.cur.delivered_pkts += 1;
         self.cur.delivered_bytes += u64::from(tx.bytes);
         self.cur.latency_ns.record(lat_ns);
@@ -957,15 +812,12 @@ where
     }
 
     /// Applies one arrival.
-    fn apply_arrival(&mut self, pkt: StreamPacket) {
-        let out = self.st.arrival(
-            self.qm,
-            &mut self.policy,
-            pkt.at,
-            pkt.flow,
-            pkt.size as usize,
-            pkt.marker,
-        );
+    fn apply_arrival(&mut self, pkt: ArrivalEvent) {
+        let scope = &mut ShardLocal {
+            qm: self.qm,
+            policy: &mut self.policy,
+        };
+        let out = self.st.arrival(scope, pkt);
         self.cur.offered_pkts += 1;
         self.cur.offered_bytes += u64::from(pkt.size);
         self.cur.evicted_pkts += out.evicted;
@@ -1008,8 +860,8 @@ where
     }
 
     /// One scheduling quantum: merge lane heads and scheduled
-    /// completions in virtual-time order (completions win time ties, as
-    /// everywhere else in the workspace) and process the earliest. The
+    /// completions in virtual-time order (completions win time ties; see
+    /// the module docs) and process the earliest. The
     /// shard's event sequence — hence its state, windows and snapshots —
     /// is a pure function of the lane contents, which is what makes
     /// threaded execution byte-identical to the serial driver.
@@ -1068,10 +920,13 @@ where
         }
     }
 
-    fn into_report(self, busy: Duration, reorder_peak: u64) -> ShardServiceReport {
+    fn into_report(mut self, busy: Duration, reorder_peak: u64) -> ShardServiceReport {
+        let residual_pkts = self.st.buffered_pkts();
+        let mut report = self.st.reports.pop().expect("one shard per loop");
+        report.telemetry = self.st.tel;
         ShardServiceReport {
-            residual_pkts: self.st.buffered_pkts(),
-            report: self.st.report,
+            residual_pkts,
+            report,
             windows: self.windows,
             snapshots: self.snapshots,
             final_digest: self.final_digest,
@@ -1388,14 +1243,14 @@ where
     let cap = cfg.ring_capacity;
     let epoch_ps = cfg.epoch.as_u64();
 
-    struct SerialGen<'a> {
-        stream: GenStream<'a>,
-        pending: Option<StreamPacket>,
+    struct SerialGen<I> {
+        stream: I,
+        pending: Option<ArrivalEvent>,
         exhausted: bool,
     }
-    let mut gens: Vec<SerialGen<'_>> = (0..gens_n)
+    let mut gens: Vec<SerialGen<_>> = (0..gens_n)
         .map(|g| SerialGen {
-            stream: GenStream::new(cfg, g),
+            stream: generator(cfg, g),
             pending: None,
             exhausted: false,
         })
@@ -1404,7 +1259,7 @@ where
     // `pending` packet whose lane is full — the invariant the deadlock
     // escape below relies on.
 
-    let mut lanes: Vec<Vec<VecDeque<StreamPacket>>> = (0..num_shards)
+    let mut lanes: Vec<Vec<VecDeque<ArrivalEvent>>> = (0..num_shards)
         .map(|_| vec![VecDeque::new(); gens_n])
         .collect();
     let mut backpressure: Backpressure = BTreeMap::new();
@@ -1536,9 +1391,9 @@ where
 
     // One SPSC lane per (shard, generator): rx owned by the shard,
     // tx by the generator.
-    let mut rx_grid: Vec<Vec<Receiver<StreamPacket>>> =
+    let mut rx_grid: Vec<Vec<Receiver<ArrivalEvent>>> =
         (0..num_shards).map(|_| Vec::new()).collect();
-    let mut tx_grid: Vec<Vec<SyncSender<StreamPacket>>> = (0..gens_n).map(|_| Vec::new()).collect();
+    let mut tx_grid: Vec<Vec<SyncSender<ArrivalEvent>>> = (0..gens_n).map(|_| Vec::new()).collect();
     for rx_row in rx_grid.iter_mut() {
         for tx_row in tx_grid.iter_mut() {
             let (tx, rx) = sync_channel(cfg.ring_capacity);
@@ -1557,9 +1412,8 @@ where
             .enumerate()
             .map(|(g, txs)| {
                 sc.spawn(move || {
-                    let mut stream = GenStream::new(cfg, g);
                     let mut stalls: Backpressure = BTreeMap::new();
-                    while let Some(pkt) = stream.next() {
+                    for pkt in generator(cfg, g) {
                         // Publish our position first, then wait for the
                         // slowest producer to come within the pacing
                         // window — the globally earliest producer never
@@ -1629,7 +1483,7 @@ where
 /// into overflow on each expiry (the liveness escape).
 fn run_shard_consumer<P, S>(
     mut lp: ShardLoop<'_, P, S>,
-    lanes: &[Receiver<StreamPacket>],
+    lanes: &[Receiver<ArrivalEvent>],
     observe: &(impl Fn(usize, &EpochWindow) + Sync),
 ) -> ShardServiceReport
 where
@@ -1637,7 +1491,7 @@ where
     S: FlowScheduler + Send,
 {
     let gens_n = lanes.len();
-    let mut overflow: Vec<VecDeque<StreamPacket>> = vec![VecDeque::new(); gens_n];
+    let mut overflow: Vec<VecDeque<ArrivalEvent>> = vec![VecDeque::new(); gens_n];
     let mut reorder_peak = 0u64;
     let mut busy = Duration::ZERO;
 
@@ -1696,6 +1550,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::PipelineConfig;
     use npqm_core::policy::DynamicThreshold;
     use npqm_core::sched::DeficitRoundRobin;
 
@@ -1922,7 +1777,7 @@ mod tests {
     #[test]
     fn trace_partition_covers_every_index_exactly_once() {
         let pcfg = PipelineConfig::bursty_overload(13);
-        let trace = generate_trace(&pcfg);
+        let trace: Vec<ArrivalEvent> = pcfg.arrival_stream().collect();
         let shard_of_flow: Vec<usize> = (0..pcfg.mix.flows())
             .map(|f| f.rem_euclid(4) as usize)
             .collect();

@@ -13,6 +13,7 @@ use npqm_core::sched::from_spec;
 use npqm_core::telemetry::{DropCause, TelemetryConfig};
 use npqm_sim::time::Picos;
 use npqm_traffic::service::{run_service, ServiceConfig, ServiceReport};
+use npqm_traffic::{PipelineBuilder, PipelineConfig};
 use proptest::prelude::*;
 
 /// Random small steady-state scenario: the `steady_demo` engine with
@@ -205,6 +206,63 @@ proptest! {
         // The whole merged telemetry report — events, ledger, metrics —
         // is a pure function of the configuration.
         prop_assert_eq!(tel, threaded.telemetry.as_ref().expect("telemetry enabled"));
+    }
+}
+
+proptest! {
+    /// The finite-trace pipeline keeps the same account on every shape —
+    /// dense, shard-local sharded, globally admitted: telemetry changes
+    /// no report field, and the trace counts reconcile exactly with the
+    /// report and with the `trace.*` / `qm.*` final metrics every shape
+    /// now records once, after its loop.
+    #[test]
+    fn pipeline_telemetry_reconciles_on_every_shape(
+        seed in 0u64..1_000,
+        duration_us in 50u64..400,
+    ) {
+        let mut cfg = PipelineConfig::bursty_overload(seed);
+        cfg.duration = Picos::from_micros(duration_us);
+        for shape in ["shards(1)", "shards(4)", "global-lqd"] {
+            let build = || {
+                let b = PipelineBuilder::new(&cfg).admission(|_| LongestQueueDrop::new(0));
+                match shape {
+                    "shards(1)" => b,
+                    "shards(4)" => b.shards(4),
+                    _ => b.shards(4).admission_global_lqd(0),
+                }
+            };
+            let plain = build().run();
+            let traced = build().observe(TelemetryConfig::with_ring(256)).run();
+            prop_assert_eq!(
+                format!("{:?}", plain.aggregate),
+                format!("{:?}", traced.aggregate),
+                "{}: telemetry perturbed the run", shape
+            );
+            let tel = traced.telemetry.as_ref().expect("telemetry enabled");
+            let a = &traced.aggregate;
+            prop_assert_eq!(tel.counts.drops, a.dropped_pkts, "{}", shape);
+            prop_assert_eq!(tel.counts.evictions, a.evicted_pkts, "{}", shape);
+            prop_assert_eq!(tel.counts.deliveries, a.delivered_pkts, "{}", shape);
+            prop_assert_eq!(tel.counts.delivered_bytes, a.delivered_bytes, "{}", shape);
+            prop_assert_eq!(tel.counts.admits, a.offered_pkts - a.dropped_pkts, "{}", shape);
+            prop_assert_eq!(tel.refused_pkts, a.dropped_pkts, "{}", shape);
+            prop_assert_eq!(tel.evicted_pkts, a.evicted_pkts, "{}", shape);
+
+            let fm = &tel.final_metrics;
+            let metric = |name: &str| fm.counter_value(name);
+            prop_assert_eq!(metric("trace.admits"), Some(tel.counts.admits), "{}", shape);
+            prop_assert_eq!(metric("trace.drops"), Some(a.dropped_pkts), "{}", shape);
+            prop_assert_eq!(metric("trace.evictions"), Some(a.evicted_pkts), "{}", shape);
+            prop_assert_eq!(metric("trace.deliveries"), Some(a.delivered_pkts), "{}", shape);
+            // Every admitted packet left the engine exactly once: through
+            // egress (a dequeue, its bytes counted out) or by push-out (a
+            // packet delete).
+            prop_assert_eq!(metric("qm.bytes_out"), Some(a.delivered_bytes), "{}", shape);
+            prop_assert_eq!(metric("qm.pkt_deletes"), Some(a.evicted_pkts), "{}", shape);
+            let bytes_in = metric("qm.bytes_in").expect("qm.* registered");
+            prop_assert!(bytes_in >= tel.counts.admit_bytes, "{}", shape);
+            prop_assert!(bytes_in <= tel.counts.admit_bytes + tel.counts.drop_bytes, "{}", shape);
+        }
     }
 }
 
