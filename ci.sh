@@ -6,13 +6,15 @@
 # two-job matrix: `quick` on pull requests, the full pipeline on pushes
 # to main.
 #
-#   ./ci.sh         # full pipeline: fmt, clippy, docs, tier-1, tables,
-#                   # golden checks, parallel-determinism diff, telemetry
+#   ./ci.sh         # full pipeline: structure grep, fmt, clippy, docs,
+#                   # tier-1, tables, golden checks,
+#                   # parallel-determinism diff, telemetry
 #                   # trace export + cross-thread diff, every example,
 #                   # bench smoke, repo-benchmark smoke + digest check,
 #                   # bench artifacts, bench gate
-#   ./ci.sh quick   # tier-1 (build + test) plus the table6, table9,
-#                   # table10 and table11 golden checks, so even the
+#   ./ci.sh quick   # structure grep, tier-1 (build + test) plus the
+#                   # table6, table9, table10 and table11 golden checks,
+#                   # so even the
 #                   # fast path catches torn-frame, conservation,
 #                   # competitive-ratio, streaming-service and
 #                   # QoS-isolation regressions
@@ -24,6 +26,22 @@ tier1() {
     cargo build --release
     echo "==> cargo test -q"
     cargo test -q
+}
+
+# One way to run shards in parallel: `npqm_core::shard::parallel::
+# for_each_claimed` is the only place the engine and traffic crates may
+# spawn a thread, and nothing there may bring back channels, timeouts or
+# yield-pacing. Exactly one line may match (the spawn scope itself).
+structure() {
+    echo "==> structure: one thread fan-out in npqm-core + npqm-traffic"
+    local hits
+    hits="$(grep -rnE 'thread::(scope|spawn)|sync_channel|recv_timeout|yield_now' \
+        crates/npqm-core/src crates/npqm-traffic/src || true)"
+    if [[ "$(grep -c . <<<"${hits}")" != 1 || "${hits}" != crates/npqm-core/src/shard/parallel.rs:* ]]; then
+        echo "structure FAILED: expected one hit, inside for_each_claimed; got:" >&2
+        echo "${hits}" >&2
+        exit 1
+    fi
 }
 
 # Golden-output regression gates: the table binaries assert their
@@ -177,11 +195,14 @@ bench_gate() {
 }
 
 if [[ "${1:-}" == "quick" ]]; then
+    structure
     tier1
     golden_quick
     echo "CI quick green."
     exit 0
 fi
+
+structure
 
 echo "==> cargo fmt --check"
 cargo fmt --check

@@ -18,7 +18,7 @@
 //! * zero torn frames and a passing invariant walk at *every* epoch
 //!   snapshot, on every shard;
 //! * bounded memory: every ledger drains (`residual_pkts == 0`) and
-//!   consumer-side reordering stays under the pacing-derived bound;
+//!   lane overshoot stays under a small multiple of the rings;
 //! * digest stability: the online epoch digests of this run are
 //!   byte-identical to a fresh run at the *other* thread count (1 ↔ 4),
 //!   and spot-checked epochs equal [`quiesced_digest`]'s stop-the-world
@@ -47,10 +47,10 @@ use npqm_traffic::service::{quiesced_digest, run_service, ServiceConfig, Service
 /// byte-identical", from whichever side `NPQM_THREADS` puts us on).
 const CROSS_THREADS: usize = 4;
 
-/// Consumer-side reordering bound, in multiples of the aggregate ring
-/// capacity (`generators × ring_capacity`). Producer pacing bounds the
-/// spread; 4× leaves room for Poisson burstiness without ever allowing
-/// an O(run-length) buildup.
+/// Lane-overshoot bound, in multiples of the aggregate ring capacity
+/// (`generators × ring_capacity`). The driver force-pushes at most one
+/// packet per stalled round; 4× leaves room for Poisson burstiness
+/// without ever allowing an O(run-length) buildup.
 const REORDER_BOUND_RINGS: u64 = 4;
 
 /// The steady-state rate gate: the service composite must sustain at
@@ -148,10 +148,9 @@ fn check_determinism(cfg: &ServiceConfig, r: &ServiceReport) {
         );
     }
 
-    // Bounded memory: lanes are bounded by construction
-    // (`sync_channel(ring_capacity)` / capacity-checked serial lanes);
-    // the only elastic buffer is consumer-side reordering, which
-    // producer pacing must keep within a small multiple of the rings.
+    // Bounded memory: lanes are capacity-checked; the only elastic
+    // buffer is the overshoot of the driver's stalled-round escape,
+    // which must stay within a small multiple of the rings.
     let bound = REORDER_BOUND_RINGS * (cfg.generators * cfg.ring_capacity) as u64;
     check(
         r.reorder_peak <= bound,
@@ -427,7 +426,7 @@ fn print_pretty(cfg: &ServiceConfig, r: &ServiceReport) {
         cfg.epoch.as_u64() / 1_000_000_000,
         cfg.ring_capacity,
     );
-    println!("model: per-shard ingress lanes, no global barrier; online snapshots per epoch");
+    println!("model: per-shard ingress lanes, pump/serve rounds; online snapshots per epoch");
     println!();
     println!(
         "{:>5} {:>9} {:>9} {:>8} {:>9} {:>8} {:>9} {:>9} {:>9} {:>9}",

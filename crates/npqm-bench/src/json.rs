@@ -671,9 +671,9 @@ fn digest_json(d: u64) -> Json {
 }
 
 impl ToJson for npqm_traffic::service::EpochWindow {
-    /// The full window including the scheduling-dependent backpressure
-    /// count; the determinism projection
-    /// ([`epoch_window_deterministic_json`]) leaves that field out.
+    /// The full window including the backpressure count; the
+    /// determinism projection ([`epoch_window_deterministic_json`])
+    /// leaves that field out.
     fn to_json(&self) -> Json {
         let mut fields = match epoch_window_deterministic_json(self) {
             Json::Obj(f) => f,
@@ -688,8 +688,9 @@ impl ToJson for npqm_traffic::service::EpochWindow {
 }
 
 /// The deterministic projection of an [`npqm_traffic::service::EpochWindow`]:
-/// every counter and latency quantile, minus `ring_full_events` (producer
-/// stalls depend on thread scheduling, like steal counts).
+/// every counter and latency quantile, minus `ring_full_events` (a
+/// property of the lane transport rather than the modelled system; the
+/// document's shape is pinned across commits).
 pub fn epoch_window_deterministic_json(w: &npqm_traffic::service::EpochWindow) -> Json {
     Json::obj([
         ("epoch", w.epoch.to_json()),
@@ -726,8 +727,8 @@ impl ToJson for npqm_traffic::service::EpochSnapshot {
 }
 
 impl ToJson for npqm_traffic::service::ShardServiceReport {
-    /// The full per-shard outcome including the scheduling-dependent
-    /// fields (backpressure, reorder peak) and the measured busy time.
+    /// The full per-shard outcome including the lane-transport fields
+    /// (backpressure, reorder peak) and the measured busy time.
     fn to_json(&self) -> Json {
         Json::obj([
             ("report", self.report.to_json()),
@@ -773,8 +774,9 @@ impl ToJson for npqm_traffic::service::ServiceReport {
 
 /// The deterministic projection of an
 /// [`npqm_traffic::service::ServiceReport`]: only fields that are pure
-/// functions of the configuration — no wall clock, no busy times, no
-/// thread count, no backpressure counts, no reorder peaks. This is the
+/// functions of the configuration and describe the modelled system — no
+/// wall clock, no busy times, no thread count, and none of the
+/// lane-transport counters (backpressure, reorder peaks). This is the
 /// document `table10 --check --report` writes and the CI
 /// `parallel-determinism` stage diffs across `NPQM_THREADS` values.
 pub fn service_report_deterministic_json(r: &npqm_traffic::service::ServiceReport) -> Json {

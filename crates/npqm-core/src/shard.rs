@@ -19,10 +19,12 @@
 //!   `&[Command]` batch is grouped per shard and each group runs
 //!   back-to-back on its engine, so pointer-cache locality and the lazy
 //!   [`QueueManager::longest_queue`] heap maintenance are amortized
-//!   across the batch instead of paid per interleaved command;
+//!   across the batch instead of paid per interleaved command. One
+//!   crate-private grouped executor serves commands and admission at any
+//!   worker count (see [`parallel`]);
 //! * **cross-shard moves/copies**: two-queue commands whose source and
-//!   destination hash to different shards act as barriers for the two
-//!   engines involved and transfer the payload between the two data
+//!   destination hash to different shards act as batch-phase barriers
+//!   and transfer the payload between the two data
 //!   memories (see [Cross-shard semantics](#cross-shard-semantics));
 //! * **per-shard admission** ([`ShardedAdmission`]): one
 //!   [`DropPolicy`] instance per shard, so Choudhury–Hahne dynamic
@@ -181,9 +183,8 @@ impl ShardedQueueManager {
     /// Drains the recorded engine trace: every shard's committed spans
     /// (in per-shard execution order) plus the cross-shard barrier
     /// marks. The trace is a pure function of the executed commands and
-    /// their per-shard order — byte-identical between
-    /// [`execute_batch`](ShardedQueueManager::execute_batch) and
-    /// [`execute_batch_parallel`](ShardedQueueManager::execute_batch_parallel)
+    /// their per-shard order — identical at any worker count, and equal
+    /// to the one-by-one [`execute`](ShardedQueueManager::execute) trace
     /// up to span-boundary cuts, which
     /// [`crate::timing::MemoryChannels::charge_engine`] is invariant to.
     pub fn take_trace(&mut self) -> EngineTrace {
@@ -302,8 +303,8 @@ impl ShardedQueueManager {
 
     /// The merged per-shard occupancy snapshot (see [`GlobalOccupancy`]).
     ///
-    /// Kept current by the parallel batch executor (workers publish their
-    /// shard's top after each group) and by
+    /// Kept current by the batch entry points (each group publishes its
+    /// shard's top as it finishes) and by
     /// [`refresh_occupancy`](ShardedQueueManager::refresh_occupancy);
     /// other mutation paths leave it stale, so policy decisions must
     /// refresh first.
@@ -321,9 +322,10 @@ impl ShardedQueueManager {
         }
     }
 
-    /// Accounting of the parallel batch executor: phases, groups and
-    /// work-steal events. Steal counts depend on OS scheduling and are
-    /// not deterministic; everything the executor *computes* is.
+    /// Accounting of batches that could fan out (`threads > 1` on more
+    /// than one shard): phases, groups and work-steal events. Steal
+    /// counts depend on OS scheduling and are not deterministic;
+    /// everything the executor *computes* is.
     pub fn parallel_stats(&self) -> ParallelStats {
         self.pstats
     }
@@ -483,62 +485,86 @@ impl ShardedQueueManager {
         }
     }
 
-    /// Executes a batch of commands grouped per shard.
-    ///
-    /// Results come back in input order and are identical to executing
-    /// the commands one-by-one through
-    /// [`execute`](ShardedQueueManager::execute): within a shard the
-    /// original order is preserved, commands on different shards touch
-    /// disjoint state, and a cross-shard command flushes the pending
-    /// groups of both engines it touches before running (a two-engine
-    /// barrier). Each group's wall-clock cost is added to its shard's
-    /// [busy time](ShardedQueueManager::busy_times); a cross-shard
-    /// command's cost is charged to both engines, which it serializes.
+    /// [`execute_batch_parallel`](ShardedQueueManager::execute_batch_parallel)
+    /// on one worker: every group runs inline on the calling thread, in
+    /// shard order, and nothing is spawned, locked or sorted.
     pub fn execute_batch(&mut self, cmds: &[Command]) -> Vec<Result<Outcome, QueueError>> {
-        let mut results: Vec<Option<Result<Outcome, QueueError>>> = vec![None; cmds.len()];
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, cmd) in cmds.iter().enumerate() {
-            match self.route(cmd) {
-                Route::One(s) => groups[s].push(i),
-                Route::Two(a, b) => {
-                    self.flush_group(&mut groups[a], a, cmds, &mut results);
-                    self.flush_group(&mut groups[b], b, cmds, &mut results);
-                    let t = Instant::now();
-                    let r = self.execute_cross_traced(cmd.clone());
-                    let d = t.elapsed();
-                    self.busy[a] += d;
-                    self.busy[b] += d;
-                    results[i] = Some(r);
-                }
-            }
-        }
-        for (s, group) in groups.iter_mut().enumerate() {
-            self.flush_group(group, s, cmds, &mut results);
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every command was executed"))
-            .collect()
+        self.execute_batch_parallel(cmds, 1)
     }
 
-    /// Runs one shard's pending command group back-to-back, timed.
-    fn flush_group(
+    /// Whether a batch on `threads` workers can leave the calling thread
+    /// (the only batches [`ParallelStats`] counts).
+    pub(crate) fn fans_out(&self, threads: usize) -> bool {
+        threads > 1 && self.shards.len() > 1
+    }
+
+    /// The one grouped executor behind all four batch entry points: runs
+    /// every non-empty group back-to-back on its own engine (with its
+    /// shard's `states` entry — `()` for commands, the shard's
+    /// [`DropPolicy`] for admission), times it into the shard's busy
+    /// time, commits the trace span and publishes the shard's occupancy
+    /// top. A group is a list of `(batch position, result slot)` pairs,
+    /// so results land in batch order as they are produced; groups are
+    /// left empty. On more than one worker the groups are handed out
+    /// heaviest first (by summed `weight`, ties toward the lower shard).
+    pub(crate) fn run_groups<St: Send, R: Send>(
         &mut self,
-        group: &mut Vec<usize>,
-        shard: usize,
-        cmds: &[Command],
-        results: &mut [Option<Result<Outcome, QueueError>>],
+        states: &mut [St],
+        groups: &mut [Vec<(usize, &mut Option<R>)>],
+        threads: usize,
+        weight: impl Fn(usize) -> u64,
+        work: impl Fn(&mut QueueManager, &mut St, usize) -> R + Sync,
     ) {
-        if group.is_empty() {
+        struct Group<'a, 'r, St, R> {
+            shard: usize,
+            jobs: &'a mut Vec<(usize, &'r mut Option<R>)>,
+            qm: &'a mut QueueManager,
+            state: &'a mut St,
+            busy: &'a mut Duration,
+        }
+        let counted = self.fans_out(threads);
+        let mut items: Vec<Group<'_, '_, St, R>> = self
+            .shards
+            .iter_mut()
+            .zip(&mut self.busy)
+            .zip(states)
+            .zip(groups)
+            .enumerate()
+            .filter(|(_, (_, jobs))| !jobs.is_empty())
+            .map(|(shard, (((qm, busy), state), jobs))| Group {
+                shard,
+                jobs,
+                qm,
+                state,
+                busy,
+            })
+            .collect();
+        if items.is_empty() {
             return;
         }
-        let t = Instant::now();
-        for &i in group.iter() {
-            results[i] = Some(self.shards[shard].execute(cmds[i].clone()));
+        if threads > 1 {
+            // The claim counter hands items out in slice order, so the
+            // heaviest remaining group is always the next one claimed.
+            items.sort_by_cached_key(|g| {
+                let w: u64 = g.jobs.iter().map(|&(i, _)| weight(i)).sum();
+                (std::cmp::Reverse(w), g.shard)
+            });
         }
-        self.busy[shard] += t.elapsed();
-        self.shards[shard].commit_span();
-        group.clear();
+        let occ = &self.occ;
+        let steals = parallel::for_each_claimed(&mut items, threads, |g| {
+            let t = Instant::now();
+            for (i, slot) in g.jobs.drain(..) {
+                *slot = Some(work(g.qm, g.state, i));
+            }
+            *g.busy += t.elapsed();
+            g.qm.commit_span();
+            occ.publish(g.shard, g.qm.longest_queue());
+        });
+        if counted {
+            self.pstats.phases += 1;
+            self.pstats.groups += items.len() as u64;
+            self.pstats.steals += steals;
+        }
     }
 
     /// Executes a cross-shard command, recording its two-engine barrier
@@ -867,14 +893,9 @@ impl<P: DropPolicy> ShardedAdmission<P> {
         r
     }
 
-    /// Offers a batch of arriving packets, grouped per shard.
-    ///
-    /// Results come back in input order and are identical to calling
-    /// [`offer`](ShardedAdmission::offer) one arrival at a time (within a
-    /// shard the arrival order is preserved; different shards share no
-    /// state). Each shard group's wall-clock cost is added to the
-    /// engine's [busy time](ShardedQueueManager::busy_times), so the
-    /// admission path is part of the measured per-engine load.
+    /// [`offer_batch_parallel`](ShardedAdmission::offer_batch_parallel)
+    /// on one worker: every shard group runs inline on the calling
+    /// thread, in shard order.
     ///
     /// # Panics
     ///
@@ -883,33 +904,11 @@ impl<P: DropPolicy> ShardedAdmission<P> {
         &mut self,
         engine: &mut ShardedQueueManager,
         arrivals: &[(FlowId, &[u8])],
-    ) -> Vec<Result<Admission, Refusal>> {
-        assert_eq!(
-            self.policies.len(),
-            engine.num_shards(),
-            "admission and engine shard counts differ"
-        );
-        let mut results: Vec<Option<Result<Admission, Refusal>>> = vec![None; arrivals.len()];
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); engine.num_shards()];
-        for (i, &(flow, _)) in arrivals.iter().enumerate() {
-            groups[engine.shard_of(flow)].push(i);
-        }
-        for (s, group) in groups.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let t = Instant::now();
-            for i in group {
-                let (flow, data) = arrivals[i];
-                results[i] = Some(self.policies[s].offer(&mut engine.shards[s], flow, data));
-            }
-            engine.busy[s] += t.elapsed();
-            engine.shards[s].commit_span();
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every arrival was offered"))
-            .collect()
+    ) -> Vec<Result<Admission, Refusal>>
+    where
+        P: Send,
+    {
+        self.offer_batch_parallel(engine, arrivals, 1)
     }
 }
 

@@ -1,23 +1,31 @@
-//! Thread-parallel batch execution with work stealing, and the global
+//! The claim-counter fan-out every threaded path in the workspace runs
+//! on, the batch entry points built on it, and the global
 //! Longest-Queue-Drop policy over all shards.
 //!
-//! The sharded engine's shards share no state, so a batch's per-shard
-//! command groups can genuinely run on different OS threads — this module
-//! is the executor that does it, plus the cross-shard occupancy index
-//! that lets one buffer-management policy see *all* engines at once:
+//! The sharded engine's shards share no state, so per-shard work can
+//! genuinely run on different OS threads. *How* it is spread over threads
+//! is decided in exactly one function:
 //!
+//! * [`for_each_claimed`] — runs a closure once on each of a slice of
+//!   independent items: inline at one worker, otherwise on scoped
+//!   worker threads that pull item indices off a
+//!   **lock-free claim counter**, so a worker that finishes early takes
+//!   the next unclaimed item and a pathologically loaded shard never
+//!   leaves the others idle. It is the only place `npqm-core` and
+//!   `npqm-traffic` spawn a thread (`ci.sh structure` greps for it).
 //! * [`ShardedQueueManager::execute_batch_parallel`] /
-//!   [`ShardedAdmission::offer_batch_parallel`] — each phase's per-shard
-//!   groups are sorted longest-first and handed to `std::thread::scope`
-//!   workers through a **lock-free claim counter**: a worker that drains
-//!   its group grabs the next whole group off the shared backlog (the
-//!   longest one still unclaimed), so a pathologically loaded shard never
-//!   leaves the other workers idle. Claims beyond a worker's first are
-//!   counted as steals in [`ParallelStats`](crate::stats::ParallelStats).
+//!   [`ShardedAdmission::offer_batch_parallel`] — one crate-private
+//!   grouped executor groups a batch per shard and hands the groups,
+//!   heaviest first, to [`for_each_claimed`]; claims beyond a worker's
+//!   first are counted as steals in
+//!   [`ParallelStats`](crate::stats::ParallelStats).
+//!   [`execute_batch`](ShardedQueueManager::execute_batch) and
+//!   [`offer_batch`](ShardedAdmission::offer_batch) are the same body on
+//!   one worker.
 //! * [`GlobalOccupancy`] — one atomic word per shard holding that shard's
-//!   top-of-heap `(flow, bytes)` snapshot. Workers publish their shard's
-//!   top as they finish a group; readers merge the N words into the
-//!   globally longest queue without touching any engine.
+//!   top-of-heap `(flow, bytes)` snapshot. The executor publishes a
+//!   shard's top as its group finishes; readers merge the N words into
+//!   the globally longest queue without touching any engine.
 //! * [`GlobalLqd`] — the shared-buffer Longest Queue Drop of Matsakis
 //!   applied across *all* partitions: one global segment budget, and when
 //!   an arrival does not fit, complete packets are pushed out of the
@@ -26,21 +34,24 @@
 //!   when the hog happens to share their shard; the global policy always
 //!   can.
 //!
+//! What the fan-out still costs, unpaid: workers are spawned per call
+//! (per batch phase), and every group reads the wall clock twice.
+//!
 //! # Determinism contract
 //!
 //! For any fixed batch,
 //! [`execute_batch_parallel`](ShardedQueueManager::execute_batch_parallel)
-//! returns the same
-//! results vector, leaves every shard in the same state (see
-//! [`ShardedQueueManager::state_digest`]) and accumulates the same
-//! [`QmStats`](crate::QmStats) as serial
-//! [`execute_batch`](ShardedQueueManager::execute_batch), at **any**
-//! thread count: commands of one shard always run in program order on
-//! exactly one worker at a time, shards share no state, and a cross-shard
-//! command is a barrier resolved in a sequential epilogue between phases.
-//! Only the wall-clock measurements (per-shard busy times) and the steal
-//! counter vary with scheduling. The property tests in
-//! `tests/parallel_equivalence.rs` pin this contract down, and the CI
+//! returns the same results vector, leaves every shard in the same state
+//! (see [`ShardedQueueManager::state_digest`]) and accumulates the same
+//! [`QmStats`](crate::QmStats) as replaying the commands one by one
+//! through [`execute`](ShardedQueueManager::execute), at **any** thread
+//! count: commands of one shard always run in program order on exactly
+//! one worker at a time, shards share no state, and a cross-shard command
+//! is a barrier run alone between phases. Only the wall-clock
+//! measurements (per-shard busy times) and the steal counter vary with
+//! scheduling. Since the serial entry points are the one-worker instance
+//! of the same body, the property tests in `tests/parallel_equivalence.rs`
+//! pin this contract against the one-by-one replay, and the CI
 //! `parallel-determinism` stage diffs `table7 --check` reports across
 //! thread counts.
 //!
@@ -59,12 +70,10 @@
 //!     })
 //!     .collect();
 //! let mut parallel = ShardedQueueManager::new(QmConfig::small(), 4);
-//! let mut serial = ShardedQueueManager::new(QmConfig::small(), 4);
-//! assert_eq!(
-//!     parallel.execute_batch_parallel(&batch, 4),
-//!     serial.execute_batch(&batch),
-//! );
-//! assert_eq!(parallel.state_digest(), serial.state_digest());
+//! let mut replay = ShardedQueueManager::new(QmConfig::small(), 4);
+//! let one_by_one: Vec<_> = batch.iter().map(|c| replay.execute(c.clone())).collect();
+//! assert_eq!(parallel.execute_batch_parallel(&batch, 4), one_by_one);
+//! assert_eq!(parallel.state_digest(), replay.state_digest());
 //! ```
 
 use super::{Route, ShardedAdmission, ShardedQueueManager};
@@ -77,7 +86,7 @@ use crate::policy::{self, Admission, DropPolicy, PolicyStats, Refusal};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Per-shard longest-queue snapshots, merged on read.
 ///
@@ -90,8 +99,8 @@ use std::time::{Duration, Instant};
 /// stay in the engines).
 ///
 /// The index is a *snapshot*, not a live view: it is only as fresh as the
-/// last publish. The parallel executors publish each shard's top as a
-/// worker finishes a group;
+/// last publish. The batch entry points publish each shard's top as its
+/// group finishes;
 /// [`ShardedQueueManager::refresh_occupancy`] recomputes all of them, and
 /// any policy that makes decisions from the index must refresh first.
 #[derive(Debug)]
@@ -164,67 +173,85 @@ impl Clone for GlobalOccupancy {
     }
 }
 
-/// Distributes `items` across `workers` scoped threads through a shared
-/// claim counter and runs `work` on each exactly once.
+/// Runs `work` on every item exactly once, spread over at most `workers`
+/// scoped OS threads — the one place this workspace decides how
+/// independent per-shard items meet threads (the batch executors, the
+/// sharded pipeline and both phases of the streaming service all fan out
+/// through it).
 ///
-/// Items are expected sorted longest-first: the counter hands them out in
-/// order, so a worker that finishes early always claims the longest
-/// *remaining* backlog — whole-group work stealing without a deque. Each
+/// With one worker (or at most one item) the items run inline on the
+/// calling thread, in slice order, and nothing is spawned. Otherwise
+/// `min(workers, items)` scoped threads pull indices off a shared claim
+/// counter, which hands the items out in slice order: sort them heaviest
+/// first and a worker that finishes early always claims the heaviest
+/// *remaining* item — whole-item work stealing without a deque. Each
 /// item's mutex is locked exactly once (the counter assigns unique
-/// indices), so the mutex only satisfies the borrow checker; the hand-off
-/// itself is lock-free. Returns the number of steals (claims beyond each
-/// worker's first).
-fn claim_loop<T: Send>(items: &[Mutex<T>], workers: usize, work: impl Fn(&mut T) + Sync) -> u64 {
+/// indices), so it only satisfies the borrow checker; the hand-off itself
+/// is lock-free and no worker ever waits on another. Returns the number of
+/// steals: claims beyond each worker's first.
+///
+/// # Panics
+///
+/// A panic in `work` unwinds out of this call once the remaining items
+/// have run (the scope joins every worker first); it never hangs.
+pub fn for_each_claimed<T: Send>(
+    items: &mut [T],
+    workers: usize,
+    work: impl Fn(&mut T) + Sync,
+) -> u64 {
+    if workers <= 1 || items.len() <= 1 {
+        items.iter_mut().for_each(work);
+        return items.len().saturating_sub(1) as u64;
+    }
+    let slots: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
     let claim = AtomicUsize::new(0);
     let steals = AtomicU64::new(0);
     thread::scope(|sc| {
-        for _ in 0..workers {
+        for _ in 0..workers.min(slots.len()) {
             sc.spawn(|| {
                 let mut first = true;
                 loop {
                     let k = claim.fetch_add(1, Ordering::Relaxed);
-                    if k >= items.len() {
+                    if k >= slots.len() {
                         break;
                     }
                     if !first {
                         steals.fetch_add(1, Ordering::Relaxed);
                     }
                     first = false;
-                    let mut item = items[k].lock().expect("a worker panicked");
+                    let mut item = slots[k].lock().expect("each slot is claimed once");
                     work(&mut item);
                 }
             });
         }
     });
-    steals.load(Ordering::Relaxed)
-}
-
-/// A batch phase: per-shard groups bounded by an optional cross-shard
-/// barrier command.
-struct Phase {
-    groups: Vec<Vec<usize>>,
-    cross: Option<usize>,
+    steals.into_inner()
 }
 
 impl ShardedQueueManager {
-    /// Executes a batch with each shard's command groups running on their
-    /// own worker threads, stealing whole groups across shards.
+    /// Executes a batch of commands grouped per shard, each phase's
+    /// groups spread over up to `threads` workers by
+    /// [`for_each_claimed`] (heaviest group first, so idle workers steal
+    /// whole groups off a loaded backlog).
     ///
-    /// Semantics are identical to
-    /// [`execute_batch`](ShardedQueueManager::execute_batch) — results in
-    /// input order, per-shard program order preserved, cross-shard
-    /// commands acting as barriers (resolved in a sequential epilogue
-    /// between parallel phases, timed against both engines they
-    /// serialize) — and the outcome is **deterministic across thread
-    /// counts** (see the [module docs](self)). `threads == 1` delegates
-    /// to the serial path, which is also the reference the property tests
-    /// replay against.
+    /// Results come back in input order and are identical to executing
+    /// the commands one-by-one through
+    /// [`execute`](ShardedQueueManager::execute), and the outcome is
+    /// **deterministic across thread counts** (see the
+    /// [module docs](self)): within a shard the original order is
+    /// preserved on exactly one worker at a time, commands on different
+    /// shards touch disjoint state, and a cross-shard command is a
+    /// barrier — every pending group runs before it, then it runs alone
+    /// on the calling thread.
     ///
-    /// Group wall-clock is charged to the owning shard's
-    /// [busy time](ShardedQueueManager::busy_times) exactly as in the
-    /// serial path; workers additionally publish each shard's longest
-    /// queue into the [occupancy index](ShardedQueueManager::occupancy)
-    /// as they finish its group.
+    /// Each group's wall-clock cost is added to its shard's
+    /// [busy time](ShardedQueueManager::busy_times); a cross-shard
+    /// command's cost is charged to both engines, which it serializes.
+    /// Every group also publishes its shard's longest queue into the
+    /// [occupancy index](ShardedQueueManager::occupancy) as it finishes.
+    /// [`parallel_stats`](ShardedQueueManager::parallel_stats) counts
+    /// only batches that could fan out (`threads > 1` on more than one
+    /// shard).
     ///
     /// # Panics
     ///
@@ -235,148 +262,57 @@ impl ShardedQueueManager {
         threads: usize,
     ) -> Vec<Result<Outcome, QueueError>> {
         assert!(threads > 0, "need at least one worker thread");
-        if threads == 1 || self.shards.len() == 1 {
-            return self.execute_batch(cmds);
+        if self.fans_out(threads) {
+            self.pstats.parallel_batches += 1;
         }
-        let num_shards = self.shards.len();
-        let mut phases: Vec<Phase> = Vec::new();
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); num_shards];
-        for (i, cmd) in cmds.iter().enumerate() {
+        let mut results: Vec<Option<Result<Outcome, QueueError>>> = vec![None; cmds.len()];
+        let mut groups: Vec<Vec<_>> = self.shards.iter().map(|_| Vec::new()).collect();
+        let mut unit = vec![(); self.shards.len()];
+        // One phase: every pending group, weighed by its command count.
+        let mut run = |engine: &mut Self, groups: &mut [Vec<_>]| {
+            let exec = |qm: &mut QueueManager, _: &mut (), i: usize| qm.execute(cmds[i].clone());
+            engine.run_groups(&mut unit, groups, threads, |_| 1, exec);
+        };
+        for ((i, cmd), slot) in cmds.iter().enumerate().zip(&mut results) {
             match self.route(cmd) {
-                Route::One(s) => groups[s].push(i),
-                Route::Two(..) => {
-                    let full = std::mem::replace(&mut groups, vec![Vec::new(); num_shards]);
-                    phases.push(Phase {
-                        groups: full,
-                        cross: Some(i),
-                    });
+                Route::One(s) => groups[s].push((i, slot)),
+                Route::Two(a, b) => {
+                    run(self, &mut groups);
+                    let t = Instant::now();
+                    let r = self.execute_cross_traced(cmd.clone());
+                    let d = t.elapsed();
+                    self.busy[a] += d;
+                    self.busy[b] += d;
+                    *slot = Some(r);
+                    for s in [a, b] {
+                        let top = self.shards[s].longest_queue();
+                        self.occ.publish(s, top);
+                    }
                 }
             }
         }
-        phases.push(Phase {
-            groups,
-            cross: None,
-        });
-
-        let mut results: Vec<Option<Result<Outcome, QueueError>>> = vec![None; cmds.len()];
-        self.pstats.parallel_batches += 1;
-        for phase in phases {
-            self.run_phase(cmds, phase.groups, threads, &mut results);
-            if let Some(ci) = phase.cross {
-                let cmd = cmds[ci].clone();
-                let (a, b) = match self.route(&cmd) {
-                    Route::Two(a, b) => (a, b),
-                    Route::One(_) => unreachable!("phase barriers are two-queue commands"),
-                };
-                let t = Instant::now();
-                let r = self.execute_cross_traced(cmd);
-                let d = t.elapsed();
-                self.busy[a] += d;
-                self.busy[b] += d;
-                results[ci] = Some(r);
-                let top = self.shards[a].longest_queue();
-                self.occ.publish(a, top);
-                let top = self.shards[b].longest_queue();
-                self.occ.publish(b, top);
-            }
-        }
+        run(self, &mut groups);
         results
             .into_iter()
             .map(|r| r.expect("every command was executed"))
             .collect()
     }
-
-    /// Runs one phase's non-empty groups, in parallel when there is more
-    /// than one.
-    fn run_phase(
-        &mut self,
-        cmds: &[Command],
-        groups: Vec<Vec<usize>>,
-        threads: usize,
-        results: &mut [Option<Result<Outcome, QueueError>>],
-    ) {
-        let mut work: Vec<(usize, Vec<usize>)> = groups
-            .into_iter()
-            .enumerate()
-            .filter(|(_, g)| !g.is_empty())
-            .collect();
-        if work.is_empty() {
-            return;
-        }
-        // Longest backlog first (ties toward the lower shard), so the
-        // claim counter hands out the heaviest remaining group.
-        work.sort_by(|a, b| b.1.len().cmp(&a.1.len()).then(a.0.cmp(&b.0)));
-        self.pstats.phases += 1;
-        self.pstats.groups += work.len() as u64;
-
-        if work.len() == 1 {
-            let (s, group) = &work[0];
-            let t = Instant::now();
-            for &i in group {
-                results[i] = Some(self.shards[*s].execute(cmds[i].clone()));
-            }
-            self.busy[*s] += t.elapsed();
-            self.shards[*s].commit_span();
-            let top = self.shards[*s].longest_queue();
-            self.occ.publish(*s, top);
-            return;
-        }
-
-        struct Item<'a> {
-            shard: usize,
-            idxs: Vec<usize>,
-            qm: &'a mut QueueManager,
-            out: Vec<Result<Outcome, QueueError>>,
-            busy: Duration,
-        }
-        let occ = &self.occ;
-        let workers = threads.min(work.len());
-        let mut slots: Vec<Option<&mut QueueManager>> = self.shards.iter_mut().map(Some).collect();
-        let items: Vec<Mutex<Item<'_>>> = work
-            .into_iter()
-            .map(|(shard, idxs)| {
-                Mutex::new(Item {
-                    shard,
-                    qm: slots[shard].take().expect("each shard forms one group"),
-                    out: Vec::with_capacity(idxs.len()),
-                    idxs,
-                    busy: Duration::ZERO,
-                })
-            })
-            .collect();
-        let steals = claim_loop(&items, workers, |item: &mut Item<'_>| {
-            let t = Instant::now();
-            for k in 0..item.idxs.len() {
-                let r = item.qm.execute(cmds[item.idxs[k]].clone());
-                item.out.push(r);
-            }
-            item.busy = t.elapsed();
-            item.qm.commit_span();
-            occ.publish(item.shard, item.qm.longest_queue());
-        });
-        self.pstats.steals += steals;
-        for m in items {
-            let item = m.into_inner().expect("no worker panicked");
-            self.busy[item.shard] += item.busy;
-            for (i, r) in item.idxs.into_iter().zip(item.out) {
-                results[i] = Some(r);
-            }
-        }
-    }
 }
 
 impl<P: DropPolicy + Send> ShardedAdmission<P> {
-    /// Offers a batch of arrivals with each shard's group running on its
-    /// own worker thread (same claim-counter work stealing as
-    /// [`ShardedQueueManager::execute_batch_parallel`]; groups are sorted
-    /// by *payload bytes*, the better cost proxy for admission work).
+    /// Offers a batch of arriving packets grouped per shard, the groups
+    /// spread over up to `threads` workers by [`for_each_claimed`]
+    /// (sorted by *payload bytes*, the better cost proxy for admission
+    /// work).
     ///
-    /// Results are identical to
-    /// [`offer_batch`](ShardedAdmission::offer_batch) at any thread
-    /// count: within a shard the arrival order is preserved and policy
-    /// `s` only ever touches engine `s`. Group wall-clock is charged to
-    /// the shard's busy time; steals land in the engine's
-    /// [`parallel_stats`](ShardedQueueManager::parallel_stats).
+    /// Results come back in input order and are identical to calling
+    /// [`offer`](ShardedAdmission::offer) one arrival at a time, at any
+    /// thread count: within a shard the arrival order is preserved and
+    /// policy `s` only ever touches engine `s`. Each shard group's
+    /// wall-clock cost is added to the engine's
+    /// [busy time](ShardedQueueManager::busy_times), so the admission
+    /// path is part of the measured per-engine load; steals land in the
+    /// engine's [`parallel_stats`](ShardedQueueManager::parallel_stats).
     ///
     /// # Panics
     ///
@@ -394,73 +330,21 @@ impl<P: DropPolicy + Send> ShardedAdmission<P> {
             engine.num_shards(),
             "admission and engine shard counts differ"
         );
-        if threads == 1 || engine.num_shards() == 1 {
-            return self.offer_batch(engine, arrivals);
-        }
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); engine.num_shards()];
-        for (i, &(flow, _)) in arrivals.iter().enumerate() {
-            groups[engine.shard_of(flow)].push(i);
-        }
-        let mut work: Vec<(usize, Vec<usize>)> = groups
-            .into_iter()
-            .enumerate()
-            .filter(|(_, g)| !g.is_empty())
-            .collect();
-        if work.is_empty() {
-            return Vec::new();
-        }
-        let bytes_of = |g: &[usize]| -> u64 { g.iter().map(|&i| arrivals[i].1.len() as u64).sum() };
-        work.sort_by(|a, b| bytes_of(&b.1).cmp(&bytes_of(&a.1)).then(a.0.cmp(&b.0)));
-        engine.pstats.parallel_batches += 1;
-        engine.pstats.phases += 1;
-        engine.pstats.groups += work.len() as u64;
-
-        struct Item<'a, P> {
-            shard: usize,
-            idxs: Vec<usize>,
-            qm: &'a mut QueueManager,
-            policy: &'a mut P,
-            out: Vec<Result<Admission, Refusal>>,
-            busy: Duration,
+        if engine.fans_out(threads) {
+            engine.pstats.parallel_batches += 1;
         }
         let mut results: Vec<Option<Result<Admission, Refusal>>> = vec![None; arrivals.len()];
-        let workers = threads.min(work.len());
-        let occ = &engine.occ;
-        let mut qslots: Vec<Option<&mut QueueManager>> =
-            engine.shards.iter_mut().map(Some).collect();
-        let mut pslots: Vec<Option<&mut P>> = self.policies.iter_mut().map(Some).collect();
-        let items: Vec<Mutex<Item<'_, P>>> = work
-            .into_iter()
-            .map(|(shard, idxs)| {
-                Mutex::new(Item {
-                    shard,
-                    qm: qslots[shard].take().expect("each shard forms one group"),
-                    policy: pslots[shard].take().expect("one policy per shard"),
-                    out: Vec::with_capacity(idxs.len()),
-                    idxs,
-                    busy: Duration::ZERO,
-                })
-            })
-            .collect();
-        let steals = claim_loop(&items, workers, |item: &mut Item<'_, P>| {
-            let t = Instant::now();
-            for k in 0..item.idxs.len() {
-                let (flow, data) = arrivals[item.idxs[k]];
-                let r = item.policy.offer(item.qm, flow, data);
-                item.out.push(r);
-            }
-            item.busy = t.elapsed();
-            item.qm.commit_span();
-            occ.publish(item.shard, item.qm.longest_queue());
-        });
-        engine.pstats.steals += steals;
-        for m in items {
-            let item = m.into_inner().expect("no worker panicked");
-            engine.busy[item.shard] += item.busy;
-            for (i, r) in item.idxs.into_iter().zip(item.out) {
-                results[i] = Some(r);
-            }
+        let mut groups: Vec<Vec<_>> = self.policies.iter().map(|_| Vec::new()).collect();
+        for ((i, &(flow, _)), slot) in arrivals.iter().enumerate().zip(&mut results) {
+            groups[engine.shard_of(flow)].push((i, slot));
         }
+        engine.run_groups(
+            &mut self.policies,
+            &mut groups,
+            threads,
+            |i| arrivals[i].1.len() as u64,
+            |qm, policy, i| policy.offer(qm, arrivals[i].0, arrivals[i].1),
+        );
         results
             .into_iter()
             .map(|r| r.expect("every arrival was offered"))
@@ -729,21 +613,48 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial_including_cross_shard_barriers() {
+        // The reference is the one-by-one replay: the serial batch path
+        // is the one-worker instance of the body under test.
         let cmds = mixed_batch();
-        let mut serial = ShardedQueueManager::new(cfg(64), 4);
-        let expected = serial.execute_batch(&cmds);
-        for threads in [2usize, 3, 4, 8] {
+        let mut replay = ShardedQueueManager::new(cfg(64), 4);
+        let expected: Vec<_> = cmds.iter().map(|c| replay.execute(c.clone())).collect();
+        for threads in [1usize, 2, 3, 4, 8] {
             let mut par = ShardedQueueManager::new(cfg(64), 4);
             let got = par.execute_batch_parallel(&cmds, threads);
             assert_eq!(got, expected, "threads={threads}");
-            assert_eq!(par.stats(), serial.stats(), "threads={threads}");
+            assert_eq!(par.stats(), replay.stats(), "threads={threads}");
             assert_eq!(
                 par.state_digest(),
-                serial.state_digest(),
+                replay.state_digest(),
                 "threads={threads}"
             );
             par.verify().unwrap();
         }
+    }
+
+    #[test]
+    fn for_each_claimed_runs_every_item_exactly_once() {
+        for items in [0usize, 1, 5] {
+            for workers in [1usize, 2, 8] {
+                let mut runs = vec![0u32; items];
+                let steals = for_each_claimed(&mut runs, workers, |n| *n += 1);
+                assert!(
+                    runs.iter().all(|&n| n == 1),
+                    "{items} items, {workers} workers"
+                );
+                assert!(
+                    steals >= items.saturating_sub(workers) as u64 && steals < items.max(1) as u64,
+                    "{items} items, {workers} workers: {steals} steals"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn for_each_claimed_unwinds_a_panicking_item() {
+        let mut items = [0u32, 1, 2, 3, 4];
+        for_each_claimed(&mut items, 2, |n| assert_ne!(*n, 2, "item 2 fails"));
     }
 
     #[test]
@@ -783,12 +694,16 @@ mod tests {
             payloads.iter().map(|(f, p)| (*f, p.as_slice())).collect();
         let mut e1 = ShardedQueueManager::new(cfg(16), 4);
         let mut adm1 = ShardedAdmission::from_fn(4, |_| DynamicThreshold::new(1.0));
-        let serial = adm1.offer_batch(&mut e1, &arrivals);
-        for threads in [2usize, 4] {
+        let replay: Vec<_> = arrivals
+            .iter()
+            .map(|&(f, p)| adm1.offer(&mut e1, f, p))
+            .collect();
+        for threads in [1usize, 2, 3, 4, 8] {
             let mut e2 = ShardedQueueManager::new(cfg(16), 4);
             let mut adm2 = ShardedAdmission::from_fn(4, |_| DynamicThreshold::new(1.0));
             let par = adm2.offer_batch_parallel(&mut e2, &arrivals, threads);
-            assert_eq!(par, serial, "threads={threads}");
+            assert_eq!(par, replay, "threads={threads}");
+            assert_eq!(e1.stats(), e2.stats(), "threads={threads}");
             assert_eq!(e1.state_digest(), e2.state_digest(), "threads={threads}");
             e2.verify().unwrap();
         }

@@ -185,8 +185,8 @@ pub struct BatchCost {
 /// and charges each shard's spans to its channel **merged between
 /// barrier points**: the cost depends only on the per-shard access
 /// *sequence* and where cross-shard barriers fell, not on how execution
-/// happened to cut spans (serial group flushes and parallel phase
-/// flushes cut differently; both charge identically). A cross-shard
+/// happened to cut spans (one-by-one execution cuts a span per command,
+/// a batch one per group per phase; both charge identically). A cross-shard
 /// command charges its source-side traffic to the source channel and its
 /// destination-side traffic to the destination channel, then both
 /// channels advance to the later completion — the two-engine barrier.
@@ -496,20 +496,22 @@ mod tests {
                 flow: FlowId::new((i + 5) % 16),
             }))
             .collect();
-        let run = |threads: usize| {
+        // The reference is the one-by-one replay (the serial batch path
+        // is the one-worker instance of the parallel one): it cuts a span
+        // per command, which charging must be invariant to.
+        let run = |threads: Option<usize>| {
             let mut engine = ShardedQueueManager::new(cfg(), 4);
             engine.set_tracing(true);
             let mut ch = MemoryChannels::from_fn(4, |_| PaperTiming::new(TimingConfig::paper(8)));
-            if threads == 1 {
-                engine.execute_batch(&cmds);
-            } else {
-                engine.execute_batch_parallel(&cmds, threads);
+            match threads {
+                Some(t) => drop(engine.execute_batch_parallel(&cmds, t)),
+                None => cmds.iter().for_each(|c| drop(engine.execute(c.clone()))),
             }
             ch.charge_engine(&mut engine)
         };
-        let serial = run(1);
-        for threads in [2usize, 4] {
-            assert_eq!(run(threads), serial, "threads={threads}");
+        let serial = run(None);
+        for threads in [1usize, 2, 4] {
+            assert_eq!(run(Some(threads)), serial, "threads={threads}");
         }
         assert!(serial.critical_path > Picos::ZERO);
         assert!(serial.per_shard.len() == 4);

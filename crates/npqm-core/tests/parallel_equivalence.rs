@@ -1,21 +1,24 @@
-//! Property tests: thread-parallel batch execution is behaviourally
-//! identical to serial replay — the determinism contract of
-//! `shard::parallel`.
+//! Property tests: batch execution at any worker count is behaviourally
+//! identical to replaying the batch one command (one arrival) at a time
+//! — the determinism contract of `shard::parallel`. The serial batch
+//! entry points are the one-worker instance of the body under test, so
+//! the independent oracle is the one-by-one replay, as in
+//! `batch_equivalence.rs`.
 //!
 //! Three equivalences are checked over random command vectors (including
 //! error paths and cross-shard moves/copies, which act as phase
 //! barriers):
 //!
-//! 1. [`ShardedQueueManager::execute_batch_parallel`] at 2–4 worker
-//!    threads yields byte-identical outcomes, counters and full
-//!    engine-state digests to serial
-//!    [`ShardedQueueManager::execute_batch`];
+//! 1. [`ShardedQueueManager::execute_batch_parallel`] at 1, 2, 3, 4 and
+//!    8 workers yields byte-identical outcomes, counters and full
+//!    engine-state digests to one-by-one
+//!    [`ShardedQueueManager::execute`];
 //! 2. a batch with a **pathologically long group** on one shard still
-//!    matches serial replay, *and* the work-stealing path demonstrably
+//!    matches the replay, *and* the work-stealing path demonstrably
 //!    ran (steal counter > 0) — idle workers claimed whole groups off
 //!    the loaded backlog;
-//! 3. [`ShardedAdmission::offer_batch_parallel`] matches serial
-//!    [`ShardedAdmission::offer_batch`] decision for decision, and
+//! 3. [`ShardedAdmission::offer_batch_parallel`] matches one-by-one
+//!    [`ShardedAdmission::offer`] decision for decision, and
 //!    [`GlobalLqd`] admission over the shared buffer is a pure function
 //!    of the arrival sequence (identical twice over, conserving the
 //!    global budget and never evicting an unevictable head).
@@ -24,7 +27,7 @@ use npqm_core::check::state_digest;
 use npqm_core::manager::SegmentPosition;
 use npqm_core::shard::parallel::{GlobalDropPolicy, GlobalLqd};
 use npqm_core::shard::{ShardedAdmission, ShardedQueueManager};
-use npqm_core::{Command, DynamicThreshold, FlowId, QmConfig};
+use npqm_core::{Command, DynamicThreshold, FlowId, Outcome, QmConfig, QueueError};
 use proptest::prelude::*;
 
 const FLOWS: u32 = 8;
@@ -122,10 +125,24 @@ fn small_cfg() -> QmConfig {
         .unwrap()
 }
 
-/// Full engine equality: per-shard state digests (payload bytes, queue
-/// structure, free lists, operation counters).
+/// Worker counts every equivalence is checked at.
+const THREADS: [usize; 5] = [1, 2, 3, 4, 8];
+
+/// The oracle: a fresh engine fed the batch one command at a time.
+fn replay(cmds: &[Command]) -> (ShardedQueueManager, Vec<Result<Outcome, QueueError>>) {
+    let mut engine = ShardedQueueManager::new(small_cfg(), 4);
+    let results = cmds.iter().map(|c| engine.execute(c.clone())).collect();
+    (engine, results)
+}
+
+/// Full engine equality: aggregate counters, the engine digest and
+/// per-shard state digests (payload bytes, queue structure, free lists,
+/// operation counters), on an engine that verifies.
 fn assert_same_engines(a: &ShardedQueueManager, b: &ShardedQueueManager) {
     assert_eq!(a.num_shards(), b.num_shards());
+    assert_eq!(a.stats(), b.stats(), "counters must match");
+    assert_eq!(a.state_digest(), b.state_digest());
+    a.verify().unwrap();
     for s in 0..a.num_shards() {
         assert_eq!(
             state_digest(a.shard(s)),
@@ -139,36 +156,35 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The core determinism contract, over random batches including
-    /// cross-shard barriers, at several thread counts.
+    /// cross-shard barriers, at every worker count.
     #[test]
     fn parallel_batch_equals_serial_replay(
         ops in proptest::collection::vec(op_strategy(), 1..60),
-        threads in 2usize..5,
     ) {
         let cmds = materialize(&ops);
-        let mut serial = ShardedQueueManager::new(small_cfg(), 4);
-        let expected = serial.execute_batch(&cmds);
+        let (serial, expected) = replay(&cmds);
+        for threads in THREADS {
+            let mut parallel = ShardedQueueManager::new(small_cfg(), 4);
+            let got = parallel.execute_batch_parallel(&cmds, threads);
 
-        let mut parallel = ShardedQueueManager::new(small_cfg(), 4);
-        let got = parallel.execute_batch_parallel(&cmds, threads);
-
-        prop_assert_eq!(&got, &expected, "outcomes must be byte-identical");
-        prop_assert_eq!(parallel.stats(), serial.stats(), "counters must match");
-        assert_same_engines(&parallel, &serial);
-        // Pointer-memory traffic is part of the determinism contract:
-        // the per-shard access counters (and therefore any memory-derived
-        // cost) must match serial replay exactly, shard by shard, and the
-        // verify pass must prove their aggregate is conserved.
-        for s in 0..4 {
-            prop_assert_eq!(
-                parallel.shard(s).ptr_counters(),
-                serial.shard(s).ptr_counters(),
-                "shard {} pointer traffic diverged", s
-            );
+            prop_assert_eq!(&got, &expected, "outcomes must be byte-identical");
+            assert_same_engines(&parallel, &serial);
+            // Pointer-memory traffic is part of the determinism contract:
+            // the per-shard access counters (and therefore any
+            // memory-derived cost) must match the replay exactly, shard by
+            // shard, and the verify pass must prove their aggregate is
+            // conserved.
+            for s in 0..4 {
+                prop_assert_eq!(
+                    parallel.shard(s).ptr_counters(),
+                    serial.shard(s).ptr_counters(),
+                    "shard {} pointer traffic diverged", s
+                );
+            }
+            prop_assert_eq!(parallel.ptr_counters(), serial.ptr_counters());
+            let report = parallel.verify().unwrap();
+            prop_assert_eq!(report.ptr, parallel.ptr_counters());
         }
-        prop_assert_eq!(parallel.ptr_counters(), serial.ptr_counters());
-        let report = parallel.verify().unwrap();
-        prop_assert_eq!(report.ptr, parallel.ptr_counters());
     }
 
     /// The work-stealing satellite: one shard gets a pathologically long
@@ -176,7 +192,7 @@ proptest! {
     /// round-trips prepended to the random tail), run on 2 workers.
     /// (a) stealing occurred — the claim counter handed whole groups to
     /// a worker that had already drained its first; (b) the results
-    /// still equal serial replay exactly.
+    /// still equal the one-by-one replay exactly.
     #[test]
     fn pathological_group_steals_and_stays_equal(
         ops in proptest::collection::vec(op_strategy(), 1..40),
@@ -208,8 +224,7 @@ proptest! {
                 .filter(|c| c.secondary_flow().is_none()),
         );
 
-        let mut serial = ShardedQueueManager::new(small_cfg(), 4);
-        let expected = serial.execute_batch(&cmds);
+        let (serial, expected) = replay(&cmds);
 
         let mut parallel = ShardedQueueManager::new(small_cfg(), 4);
         let got = parallel.execute_batch_parallel(&cmds, 2);
@@ -223,10 +238,9 @@ proptest! {
         );
         prop_assert_eq!(&got, &expected, "stolen groups must not reorder results");
         assert_same_engines(&parallel, &serial);
-        parallel.verify().unwrap();
     }
 
-    /// Parallel admission matches serial admission decision for
+    /// Batched admission matches one-by-one admission decision for
     /// decision, across shard-local Choudhury–Hahne policies.
     #[test]
     fn parallel_admission_equals_serial(
@@ -234,7 +248,6 @@ proptest! {
             (0..FLOWS, 1usize..180),
             1..120,
         ),
-        threads in 2usize..5,
     ) {
         let payloads: Vec<(FlowId, Vec<u8>)> = arrivals
             .iter()
@@ -246,15 +259,16 @@ proptest! {
 
         let mut e1 = ShardedQueueManager::new(small_cfg(), 4);
         let mut adm1 = ShardedAdmission::from_fn(4, |_| DynamicThreshold::new(1.5));
-        let expected = adm1.offer_batch(&mut e1, &refs);
+        let expected: Vec<_> = refs.iter().map(|&(f, p)| adm1.offer(&mut e1, f, p)).collect();
 
-        let mut e2 = ShardedQueueManager::new(small_cfg(), 4);
-        let mut adm2 = ShardedAdmission::from_fn(4, |_| DynamicThreshold::new(1.5));
-        let got = adm2.offer_batch_parallel(&mut e2, &refs, threads);
+        for threads in THREADS {
+            let mut e2 = ShardedQueueManager::new(small_cfg(), 4);
+            let mut adm2 = ShardedAdmission::from_fn(4, |_| DynamicThreshold::new(1.5));
+            let got = adm2.offer_batch_parallel(&mut e2, &refs, threads);
 
-        prop_assert_eq!(&got, &expected);
-        assert_same_engines(&e1, &e2);
-        e2.verify().unwrap();
+            prop_assert_eq!(&got, &expected);
+            assert_same_engines(&e2, &e1);
+        }
     }
 
     /// Global LQD over the shared buffer: a pure function of the arrival

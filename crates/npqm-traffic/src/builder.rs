@@ -20,12 +20,11 @@ use crate::pipeline::{
 use crate::service::{partition_indices, ArrivalEvent};
 use npqm_core::policy::{DropPolicy, DynamicThreshold};
 use npqm_core::sched::{from_spec, FlowScheduler, HtbScheduler};
-use npqm_core::shard::parallel::GlobalLqd;
+use npqm_core::shard::parallel::{for_each_claimed, GlobalLqd};
 use npqm_core::shard::ShardedQueueManager;
 use npqm_core::telemetry::{TelemetryConfig, TelemetryReport};
 use npqm_core::timing::{PaperTiming, TimingConfig};
 use npqm_core::{FlowId, QueueManager};
-use std::thread;
 
 type PolicyFactory = Box<dyn FnMut(usize) -> Box<dyn DropPolicy + Send>>;
 type SchedFactory = Box<dyn FnMut(usize) -> Box<dyn FlowScheduler + Send>>;
@@ -120,7 +119,8 @@ impl PipelineBuilder {
         self
     }
 
-    /// Runs each shard's loop on its own `std::thread::scope` worker.
+    /// Runs each shard's loop on its own worker (one per shard, through
+    /// [`for_each_claimed`]).
     /// Shard-local admission couples nothing across shards, so the run
     /// factorizes into one self-contained loop per shard over a shared
     /// pregenerated trace, and **serial and parallel produce
@@ -325,30 +325,24 @@ impl PipelineBuilder {
                     let trace: Vec<ArrivalEvent> = cfg.arrival_stream().collect();
                     let idx = partition_indices(&trace, &shard_of_flow, shards);
                     let trace = &trace[..];
-                    let loops = engine
+                    let mut loops: Vec<_> = engine
                         .shards_mut()
                         .iter_mut()
                         .zip(&mut policies)
                         .zip(&mut scheds)
                         .zip(&idx)
-                        .map(|(((qm, policy), sched), ix)| {
-                            move || {
-                                let replay = ix.iter().map(|&i| trace[i as usize]);
-                                let egress = &mut Egress::Line(per_shard_gbps);
-                                run_shard_local(cfg, replay, qm, policy, sched, egress)
-                            }
-                        });
-                    if self.parallel {
-                        thread::scope(|sc| {
-                            let handles: Vec<_> = loops.map(|lp| sc.spawn(lp)).collect();
-                            handles
-                                .into_iter()
-                                .map(|h| h.join().expect("a shard loop panicked"))
-                                .collect()
-                        })
-                    } else {
-                        loops.map(|mut lp| lp()).collect()
-                    }
+                        .map(|(((qm, policy), sched), ix)| (qm, policy, sched, ix, None))
+                        .collect();
+                    let workers = if self.parallel { shards } else { 1 };
+                    for_each_claimed(&mut loops, workers, |(qm, policy, sched, ix, report)| {
+                        let replay = ix.iter().map(|&i| trace[i as usize]);
+                        let egress = &mut Egress::Line(per_shard_gbps);
+                        *report = Some(run_shard_local(cfg, replay, qm, *policy, sched, egress));
+                    });
+                    loops
+                        .into_iter()
+                        .map(|lp| lp.4.expect("every shard's loop ran"))
+                        .collect()
                 };
                 (reports, None)
             }

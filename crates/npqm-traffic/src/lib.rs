@@ -32,7 +32,7 @@
 //! * [`service`] — the **always-on streaming service mode**: bounded
 //!   per-shard ingress lanes fed by generators (backpressure is
 //!   counted, never silently dropped), per-shard `process_once` service
-//!   loops with no global barrier, epoch-windowed statistics
+//!   loops under one wall-clock-free round driver, epoch-windowed statistics
 //!   (p50/p99/p999 delivery latency, goodput, drops, ring-full events
 //!   per window) and online verification — invariant walks plus
 //!   state-digest snapshots at epoch boundaries that equal a quiesced

@@ -33,7 +33,7 @@
 //! [`ShardedQueueManager::verify`] pass.
 
 use crate::flows::FlowMix;
-use crate::service::PacketStream;
+use crate::service::{fold_ledger, PacketStream};
 use crate::size::SizeDistribution;
 use npqm_core::policy::DynamicThreshold;
 use npqm_core::shard::{ShardedAdmission, ShardedQueueManager};
@@ -288,6 +288,23 @@ struct Reassembly {
 /// (`total_segments / shards == 0`), `threads` is zero, or the
 /// configuration is invalid.
 pub fn run_shard_scale(cfg: &ShardScaleConfig, shards: usize, threads: usize) -> ShardScaleRow {
+    run_rounds(cfg, shards, threads, false, |_| {}).0
+}
+
+/// The one offer/drain workload behind both experiments: per round, draw
+/// the arrivals, offer them through shard-local admission, drain a
+/// fraction of the backlog, keep the admission ledger and the per-flow
+/// reassembly check, then call `after_round` on the engine (the
+/// memory-timed run charges the round's recorded traffic there; `tracing`
+/// turns the recording on). Returns the finished row and the engine it
+/// describes.
+fn run_rounds(
+    cfg: &ShardScaleConfig,
+    shards: usize,
+    threads: usize,
+    tracing: bool,
+    mut after_round: impl FnMut(&mut ShardedQueueManager),
+) -> (ShardScaleRow, ShardedQueueManager) {
     let qm_cfg = QmConfig::builder()
         .num_flows(cfg.flows)
         .num_segments(cfg.total_segments)
@@ -296,6 +313,7 @@ pub fn run_shard_scale(cfg: &ShardScaleConfig, shards: usize, threads: usize) ->
         .expect("scale configuration must be valid");
     let mut engine =
         ShardedQueueManager::partitioned(qm_cfg, shards).expect("per-shard buffer is non-empty");
+    engine.set_tracing(tracing);
     let mut adm = ShardedAdmission::from_fn(shards, |_| DynamicThreshold::new(cfg.alpha));
     let mix = FlowMix::zipf(cfg.flows, cfg.zipf_exponent);
     let sizes = SizeDistribution::Imix;
@@ -387,6 +405,7 @@ pub fn run_shard_scale(cfg: &ShardScaleConfig, shards: usize, threads: usize) ->
                 }
             }
         }
+        after_round(&mut engine);
     }
 
     row.wall_clock = wall.elapsed();
@@ -414,17 +433,8 @@ pub fn run_shard_scale(cfg: &ShardScaleConfig, shards: usize, threads: usize) ->
     row.conserved = pkts_ok && bytes_ok && in_flight_ok;
     // Fold the engine state digest with the residual ledger: one value
     // that pins the run's entire deterministic outcome.
-    let fold = npqm_core::check::fnv1a_fold;
-    let mut h = engine.state_digest();
-    for (f, slots) in ledger.iter().enumerate() {
-        for &(len, marker) in slots {
-            h = fold(h, f as u64);
-            h = fold(h, len as u64);
-            h = fold(h, marker as u64);
-        }
-    }
-    row.fingerprint = h;
-    row
+    row.fingerprint = fold_ledger(engine.state_digest(), &ledger, |&slot| slot);
+    (row, engine)
 }
 
 /// Runs [`run_shard_scale`] for each shard count, all on `threads`
@@ -571,119 +581,55 @@ pub fn run_memory_scale(
     threads: usize,
     timing: &TimingConfig,
 ) -> MemoryScaleRow {
-    let qm_cfg = QmConfig::builder()
-        .num_flows(cfg.flows)
-        .num_segments(cfg.total_segments)
-        .segment_bytes(cfg.segment_bytes)
-        .build()
-        .expect("scale configuration must be valid");
-    let mut engine =
-        ShardedQueueManager::partitioned(qm_cfg, shards).expect("per-shard buffer is non-empty");
-    engine.set_tracing(true);
     let mut channels = MemoryChannels::from_fn(shards, |_| PaperTiming::new(*timing));
-    let mut adm = ShardedAdmission::from_fn(shards, |_| DynamicThreshold::new(cfg.alpha));
-    let mix = FlowMix::zipf(cfg.flows, cfg.zipf_exponent);
-    let sizes = SizeDistribution::Imix;
-    let mut stream = PacketStream::new(&mix, &sizes, cfg.seed);
-    assert!(threads > 0, "need at least one worker thread");
-
-    let mut row = MemoryScaleRow {
+    let mut totals = CommandCost::default();
+    // Charge each round's recorded traffic to the per-shard channels.
+    let (run, engine) = run_rounds(cfg, shards, threads, true, |engine| {
+        totals.absorb(&channels.charge_engine(engine).totals);
+    });
+    let per_shard_time = channels.per_channel_elapsed();
+    let fold = npqm_core::check::fnv1a_fold;
+    let mut h = engine.state_digest();
+    for &t in &per_shard_time {
+        h = fold(h, t.as_u64());
+    }
+    for v in [
+        totals.ptr_accesses,
+        totals.data_reads,
+        totals.data_writes,
+        totals.conflict_slots,
+        totals.turnaround_slots,
+    ] {
+        h = fold(h, v);
+    }
+    MemoryScaleRow {
         banks: timing.ddr.banks,
         reordering: timing.reordering,
         shards,
         threads,
-        offered_pkts: 0,
-        admitted_pkts: 0,
-        dropped_pkts: 0,
-        admitted_bytes: 0,
-        drained_bytes: 0,
-        residual_bytes: 0,
-        segments_processed: 0,
-        queue_ops: 0,
-        ptr_accesses: 0,
-        data_reads: 0,
-        data_writes: 0,
-        conflict_slots: 0,
-        turnaround_slots: 0,
-        per_shard_time: Vec::new(),
-        modeled_time: Picos::ZERO,
-        conserved: false,
-        fingerprint: 0,
-    };
-    let mut totals = CommandCost::default();
-    let seg_bytes = cfg.segment_bytes as usize;
-
-    for _ in 0..cfg.rounds {
-        // Offered batch: `round_arrivals` guarantees the identical trace
-        // (order, flows, sizes, payloads) to `run_shard_scale`.
-        let arrivals_owned = round_arrivals(cfg, &mut stream);
-        let arrivals: Vec<(FlowId, &[u8])> = arrivals_owned
-            .iter()
-            .map(|(f, d)| (*f, d.as_slice()))
-            .collect();
-        let admissions = adm.offer_batch_parallel(&mut engine, &arrivals, threads);
-        for (result, (_, data)) in admissions.iter().zip(&arrivals_owned) {
-            row.offered_pkts += 1;
-            match result {
-                Ok(_) => {
-                    row.admitted_pkts += 1;
-                    row.admitted_bytes += data.len() as u64;
-                    row.segments_processed += data.len().div_ceil(seg_bytes) as u64;
-                }
-                Err(_) => row.dropped_pkts += 1,
-            }
-        }
-
-        // Drain batch: `drain_batch` guarantees the identical schedule
-        // to `run_shard_scale`.
-        let drain = drain_batch(cfg, &engine);
-        let served = engine.execute_batch_parallel(&drain, threads);
-        for result in &served {
-            if let Ok(Outcome::Segment(seg)) = result {
-                row.segments_processed += 1;
-                row.drained_bytes += seg.data.len() as u64;
-            }
-        }
-
-        // Charge the round's recorded traffic to the per-shard channels.
-        let cost = channels.charge_engine(&mut engine);
-        totals.absorb(&cost.totals);
+        offered_pkts: run.offered_pkts,
+        admitted_pkts: run.admitted_pkts,
+        dropped_pkts: run.dropped_pkts,
+        admitted_bytes: run.admitted_bytes,
+        drained_bytes: run.drained_bytes,
+        residual_bytes: run.residual_bytes,
+        segments_processed: run.segments_processed,
+        queue_ops: engine.stats().total_ops(),
+        ptr_accesses: totals.ptr_accesses,
+        data_reads: totals.data_reads,
+        data_writes: totals.data_writes,
+        conflict_slots: totals.conflict_slots,
+        turnaround_slots: totals.turnaround_slots,
+        per_shard_time,
+        modeled_time: channels.elapsed(),
+        // Conservation closes on two ledgers at once: every admitted byte
+        // is drained or still queued, and every pointer access the engine
+        // performed was charged to a memory channel (the verify-pass
+        // counters equal the charged totals exactly).
+        conserved: run.admitted_bytes == run.drained_bytes + run.residual_bytes
+            && run.ptr_accesses == totals.ptr_accesses,
+        fingerprint: h,
     }
-
-    let report = engine
-        .verify()
-        .expect("sharded engine invariants hold after the run");
-    row.residual_bytes = report.payload_bytes;
-    row.queue_ops = engine.stats().total_ops();
-    row.ptr_accesses = totals.ptr_accesses;
-    row.data_reads = totals.data_reads;
-    row.data_writes = totals.data_writes;
-    row.conflict_slots = totals.conflict_slots;
-    row.turnaround_slots = totals.turnaround_slots;
-    row.per_shard_time = channels.per_channel_elapsed();
-    row.modeled_time = channels.elapsed();
-    // Conservation closes on two ledgers at once: every admitted byte is
-    // drained or still queued, and every pointer access the engine
-    // performed was charged to a memory channel (the verify-pass
-    // counters equal the charged totals exactly).
-    row.conserved = row.admitted_bytes == row.drained_bytes + row.residual_bytes
-        && report.ptr.total() == row.ptr_accesses;
-    let fold = npqm_core::check::fnv1a_fold;
-    let mut h = engine.state_digest();
-    for &t in &row.per_shard_time {
-        h = fold(h, t.as_u64());
-    }
-    for v in [
-        row.ptr_accesses,
-        row.data_reads,
-        row.data_writes,
-        row.conflict_slots,
-        row.turnaround_slots,
-    ] {
-        h = fold(h, v);
-    }
-    row.fingerprint = h;
-    row
 }
 
 /// Runs [`run_memory_scale`] for every bank count under both schedulers

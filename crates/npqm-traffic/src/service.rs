@@ -1,19 +1,28 @@
 //! Always-on **streaming service mode**: bounded per-shard ingress lanes
-//! fed by generators, per-shard service loops that never stop the
-//! world, epoch-windowed statistics and **online verification**.
+//! fed by generators, per-shard service loops, epoch-windowed statistics
+//! and **online verification**.
 //!
 //! [`crate::pipeline`] answers "run this finite trace to completion and
 //! report at the end". This module refactors that shape into a
 //! long-running *service*: traffic **generators** produce timestamped
 //! packets continuously (for a caller-chosen virtual duration or packet
-//! budget) into bounded **ingress lanes** — one single-producer
-//! single-consumer lane per (shard, generator) pair (a
-//! `std::sync::mpsc::sync_channel` under the threaded driver, a
-//! `VecDeque` under the serial one), which together form each shard's
-//! multi-producer ingress stage — and each shard runs a
-//! `process_once`-shaped service loop with **no global barrier**: it
+//! budget) into bounded **ingress lanes** — one capacity-checked queue
+//! per (shard, generator) pair, which together form each shard's ingress
+//! stage — and each shard runs a `process_once`-shaped service loop that
 //! consumes arrivals merged from its lanes in virtual-time order,
 //! interleaved with its own egress completions.
+//!
+//! One driver runs the service at every thread count: wall-clock-free
+//! **rounds** of a *pump* phase (every generator fills its lanes until
+//! one is full) and a *serve* phase (every shard runs until it needs
+//! input its lanes do not hold yet). Each phase hands its items to
+//! [`for_each_claimed`], the workspace's one thread fan-out, over the
+//! `threads` the caller asked for. What that gives up, plainly: a round
+//! is a barrier between the two phases, so generators never run
+//! *concurrently with* shards, and a 1-generator/1-shard run uses one
+//! thread whatever `threads` says. Within a serve phase shards never
+//! wait on each other — each owns its engine, ledger and event queue
+//! outright and snapshots in stride.
 //!
 //! Three properties define the mode:
 //!
@@ -41,14 +50,16 @@
 //! The consumer releases the globally earliest buffered arrival (ties:
 //! lowest generator index) only once every unfinished lane has a head,
 //! so each shard's event sequence is a pure function of the
-//! configuration; threads only change *when* work happens, never *what*.
-//! In threaded mode producers pace themselves on shared virtual-time
-//! positions so no lane needs unbounded consumer-side reordering, and a
-//! blocked consumer periodically drains its other lanes to dodge
-//! producer/consumer cycles; both mechanisms affect scheduling only.
-//! Backpressure counts and `reorder_peak` are scheduling-dependent and
-//! are therefore excluded from determinism digests, exactly like steal
-//! counts in `npqm-core`'s parallel executor.
+//! configuration. The rounds contain no wall clock, no timeout and no
+//! scheduling-dependent choice: generator `g` touches only lane column
+//! `g`, shard `s` only lane row `s` plus a snapshot of which generators
+//! have finished, and a round in which nothing moved (every generator
+//! parked on a full lane, every shard waiting on an empty one)
+//! force-pushes the earliest parked packet past its full lane, counted
+//! in `reorder_peak`. Threads only change *which worker* runs an item,
+//! so the whole [`ServiceReport`] — backpressure counts and
+//! `reorder_peak` included — is identical at any thread count, except
+//! its wall-clock measurements (`busy`, `critical_path`, `wall_clock`).
 //!
 //! The lane-driven `ShardLoop` here and the finite-trace event loop in
 //! [`crate::pipeline`] are two loops, not one: they share the draw
@@ -89,6 +100,7 @@ use crate::size::SizeDistribution;
 use npqm_core::check::{fnv1a_fold, state_digest, FNV_OFFSET_BASIS};
 use npqm_core::policy::DropPolicy;
 use npqm_core::sched::FlowScheduler;
+use npqm_core::shard::parallel::for_each_claimed;
 use npqm_core::shard::ShardedQueueManager;
 use npqm_core::telemetry::{MetricsRegistry, Telemetry, TelemetryConfig, TelemetryReport};
 use npqm_core::{FlowId, QmConfig, QueueManager};
@@ -98,9 +110,7 @@ use npqm_sim::stats::Histogram;
 use npqm_sim::time::Picos;
 use npqm_sim::EventQueue;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::thread;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// XOR mixed into a seed to decorrelate the packet-draw RNG from the
@@ -392,10 +402,6 @@ pub struct ServiceConfig {
     /// Optional per-generator packet budget: production stops at
     /// whichever of budget/duration is hit first.
     pub packet_budget: Option<u64>,
-    /// How far (virtual time) a producer may run ahead of the slowest
-    /// producer before yielding, in threaded mode. Bounds consumer-side
-    /// reordering memory; has no effect on results.
-    pub pacing_window: Picos,
     /// Delivery-latency histogram bucket width, in nanoseconds.
     pub latency_bucket_ns: u64,
     /// Delivery-latency histogram bucket count.
@@ -435,7 +441,6 @@ impl ServiceConfig {
             epoch: Picos::from_micros(200),
             duration: Picos::from_micros(2_000),
             packet_budget: None,
-            pacing_window: Picos::from_micros(50),
             latency_bucket_ns: 10_000,
             latency_buckets: 128,
             seed,
@@ -469,7 +474,6 @@ impl ServiceConfig {
             epoch: Picos::from_micros(250_000),
             duration: Picos::from_micros(2_500_000),
             packet_budget: None,
-            pacing_window: Picos::from_micros(2_000),
             latency_bucket_ns: 20_000,
             latency_buckets: 1024,
             seed: 42,
@@ -505,8 +509,7 @@ pub struct EpochWindow {
     /// Payload bytes delivered in this window.
     pub delivered_bytes: u64,
     /// Producer stalls on full ingress lanes attributed to this window
-    /// (by the stalled packet's timestamp). Scheduling-dependent in
-    /// threaded mode; excluded from determinism digests.
+    /// (by the stalled packet's timestamp).
     pub ring_full_events: u64,
     /// Delivery-latency histogram (nanoseconds) of this window.
     pub latency_ns: Histogram,
@@ -601,12 +604,22 @@ pub struct EpochSnapshot {
 /// [`FNV_OFFSET_BASIS`] reproduces
 /// [`ShardedQueueManager::state_digest`] on a drained engine.
 fn shard_state_digest(qm: &QueueManager, ledger: &[VecDeque<Slot>]) -> u64 {
-    let mut h = state_digest(qm);
+    fold_ledger(state_digest(qm), ledger, |slot| (slot.len, slot.marker))
+}
+
+/// Folds a residual packet ledger into `h`: flow, length and marker of
+/// every packet admitted but not yet delivered, flows in index order.
+pub(crate) fn fold_ledger<T>(
+    mut h: u64,
+    ledger: &[VecDeque<T>],
+    len_and_marker: impl Fn(&T) -> (u32, u8),
+) -> u64 {
     for (f, slots) in ledger.iter().enumerate() {
         for slot in slots {
+            let (len, marker) = len_and_marker(slot);
             h = fnv1a_fold(h, f as u64);
-            h = fnv1a_fold(h, u64::from(slot.len));
-            h = fnv1a_fold(h, u64::from(slot.marker));
+            h = fnv1a_fold(h, u64::from(len));
+            h = fnv1a_fold(h, u64::from(marker));
         }
     }
     h
@@ -632,36 +645,25 @@ fn generator(cfg: &ServiceConfig, g: usize) -> impl Iterator<Item = ArrivalEvent
         cfg.duration,
     )
     .take(budget)
+    .fuse()
 }
 
-/// What one ingress lane had for the consumer.
-enum LaneFill {
-    /// The lane's next packet.
-    Got(ArrivalEvent),
-    /// The lane is empty right now but may still produce (threaded:
-    /// block on it; serial: return to the driver).
-    Pending,
-    /// The lane will never produce again.
-    Closed,
-}
+/// One ingress lane. The mutex is uncontended by construction — lane
+/// column `g` is touched only by generator `g`'s pump item, lane row `s`
+/// only by shard `s`'s serve item, and the phases never overlap — and is
+/// locked once per item per phase, never per packet.
+type Lane = Mutex<VecDeque<ArrivalEvent>>;
 
-/// Result of one [`ShardLoop::process_once`] call.
-enum Step {
-    /// An event was processed; call again.
-    Progress,
-    /// The loop needs input from lane `g` before it can proceed
-    /// deterministically.
-    NeedInput(usize),
-    /// The shard has fully drained (or hit its stop boundary).
-    Done,
+fn lock(lane: &Lane) -> MutexGuard<'_, VecDeque<ArrivalEvent>> {
+    lane.lock().expect("a lane's owner panicked")
 }
 
 /// One shard's always-on service loop in `process_once` shape: each call
 /// merges lane heads in virtual-time order with scheduled egress
 /// completions and processes exactly one arrival (plus any completions
 /// due before it), maintaining epoch windows and boundary snapshots as
-/// time advances. There is no global barrier anywhere: the loop owns its
-/// shard's engine, ledger and event queue outright.
+/// time advances. The loop owns its shard's engine, ledger and event
+/// queue outright, so shards never wait on each other.
 struct ShardLoop<'a, P, S> {
     cfg: &'a ServiceConfig,
     shard: usize,
@@ -675,7 +677,6 @@ struct ShardLoop<'a, P, S> {
     windows: Vec<EpochWindow>,
     snapshots: Vec<EpochSnapshot>,
     heads: Vec<Option<ArrivalEvent>>,
-    closed: Vec<bool>,
     server_busy: bool,
     egress: Egress<'static>,
     seg_bytes: u32,
@@ -683,6 +684,13 @@ struct ShardLoop<'a, P, S> {
     stop_at: Option<Picos>,
     done: bool,
     final_digest: u64,
+    /// Whether the last serve phase processed an event.
+    progressed: bool,
+    /// Wall-clock spent in serve phases.
+    busy: Duration,
+    /// Peak overshoot of this shard's lane row (see
+    /// [`ShardServiceReport::reorder_peak`]).
+    reorder_peak: u64,
 }
 
 impl<'a, P, S> ShardLoop<'a, P, S>
@@ -710,7 +718,6 @@ where
             windows: Vec::new(),
             snapshots: Vec::new(),
             heads: vec![None; cfg.generators],
-            closed: vec![false; cfg.generators],
             server_busy: false,
             egress: Egress::Line(cfg.egress_gbps / cfg.shards as f64),
             seg_bytes: cfg.qm.segment_bytes(),
@@ -718,6 +725,9 @@ where
             stop_at,
             done: false,
             final_digest: 0,
+            progressed: false,
+            busy: Duration::ZERO,
+            reorder_peak: 0,
             cfg,
         }
     }
@@ -861,26 +871,28 @@ where
 
     /// One scheduling quantum: merge lane heads and scheduled
     /// completions in virtual-time order (completions win time ties; see
-    /// the module docs) and process the earliest. The
-    /// shard's event sequence — hence its state, windows and snapshots —
-    /// is a pure function of the lane contents, which is what makes
-    /// threaded execution byte-identical to the serial driver.
+    /// the module docs) and process the earliest. The shard's event
+    /// sequence — hence its state, windows and snapshots — is a pure
+    /// function of the lane contents. `closed[g]` says generator `g` will
+    /// never produce again. Returns whether an event was processed (call
+    /// again); `false` means the loop is done or needs input its lanes do
+    /// not hold yet.
     fn process_once(
         &mut self,
-        fill: &mut impl FnMut(usize) -> LaneFill,
+        row: &mut [MutexGuard<'_, VecDeque<ArrivalEvent>>],
+        closed: &[bool],
         obs: &impl Fn(usize, &EpochWindow),
-    ) -> Step {
+    ) -> bool {
         if self.done {
-            return Step::Done;
+            return false;
         }
         // The merge needs every unfinished lane's head before it can
         // pick the globally earliest arrival.
-        for g in 0..self.heads.len() {
-            if self.heads[g].is_none() && !self.closed[g] {
-                match fill(g) {
-                    LaneFill::Got(p) => self.heads[g] = Some(p),
-                    LaneFill::Closed => self.closed[g] = true,
-                    LaneFill::Pending => return Step::NeedInput(g),
+        for (g, head) in self.heads.iter_mut().enumerate() {
+            if head.is_none() {
+                *head = row[g].pop_front();
+                if head.is_none() && !closed[g] {
+                    return false;
                 }
             }
         }
@@ -894,33 +906,33 @@ where
             Some((at, g)) => {
                 while self.ev.peek_time().is_some_and(|t| t <= at) {
                     if !self.step_txdone(obs) {
-                        return Step::Done;
+                        return false;
                     }
                 }
                 if self.cut(at) {
                     self.finalize(true, obs);
-                    return Step::Done;
+                    return false;
                 }
                 let pkt = self.heads[g].take().expect("head chosen by the merge");
                 self.advance_virtual(at, obs);
                 self.ev.advance_to(at);
                 self.apply_arrival(pkt);
-                Step::Progress
+                true
             }
             None => {
                 // Every lane closed: drain the backlog.
                 while self.ev.peek_time().is_some() {
                     if !self.step_txdone(obs) {
-                        return Step::Done;
+                        return false;
                     }
                 }
                 self.finalize(false, obs);
-                Step::Done
+                false
             }
         }
     }
 
-    fn into_report(mut self, busy: Duration, reorder_peak: u64) -> ShardServiceReport {
+    fn into_report(mut self) -> ShardServiceReport {
         let residual_pkts = self.st.buffered_pkts();
         let mut report = self.st.reports.pop().expect("one shard per loop");
         report.telemetry = self.st.tel;
@@ -931,8 +943,8 @@ where
             snapshots: self.snapshots,
             final_digest: self.final_digest,
             ring_full_events: 0,
-            reorder_peak,
-            busy,
+            reorder_peak: self.reorder_peak,
+            busy: self.busy,
             segments_processed: self.segments,
         }
     }
@@ -957,14 +969,13 @@ pub struct ShardServiceReport {
     /// full drain (the "ledger drains" memory gate).
     pub residual_pkts: u64,
     /// Producer stalls on this shard's lanes (backpressure, counted
-    /// never dropped). Scheduling-dependent in threaded mode.
+    /// never dropped).
     pub ring_full_events: u64,
-    /// Peak number of packets buffered consumer-side beyond ring
-    /// capacity (threaded lane-drain escapes / serial force-pushes).
-    /// Scheduling-dependent; bounded by producer pacing.
+    /// Peak number of packets this shard's lanes held beyond their ring
+    /// capacity (force-pushed by the driver's stalled-round escape).
     pub reorder_peak: u64,
-    /// Wall-clock time this shard's loop spent processing (excluding
-    /// waits on empty lanes).
+    /// Wall-clock time this shard's loop spent processing (its serve
+    /// phases).
     pub busy: Duration,
     /// Segments enqueued plus segments dequeued, the same work unit the
     /// scale experiment counts.
@@ -993,8 +1004,9 @@ pub struct ServiceReport {
     pub shard_of_flow: Vec<usize>,
     /// The epoch width the run used.
     pub epoch_len: Picos,
-    /// The thread argument the run was invoked with (1 = cooperative
-    /// serial driver; >1 = thread-per-shard + thread-per-generator).
+    /// The thread argument the run was invoked with: how many workers
+    /// each phase of a round may fan out over. It changes nothing in this
+    /// report but the wall-clock fields.
     pub threads: usize,
     /// Total producer stalls on full lanes (backpressure events).
     pub ring_full_events: u64,
@@ -1027,10 +1039,10 @@ impl ServiceReport {
 
 /// Runs the streaming service (see the [module docs](self)).
 ///
-/// `threads == 1` runs the cooperative serial driver on the calling
-/// thread; `threads > 1` runs one OS thread per generator and one per
-/// shard. Deterministic outputs (reports, windows except backpressure
-/// counts, snapshots, digests) are byte-identical across both modes.
+/// Each round's pump and serve phase fan out over up to `threads`
+/// workers (`threads <= 1`: everything runs on the calling thread). The
+/// report is byte-identical at any thread count except its wall-clock
+/// fields (`busy`, `critical_path`, `wall_clock`).
 ///
 /// # Panics
 ///
@@ -1051,8 +1063,9 @@ where
 }
 
 /// [`run_service`] with a live per-window observer: `observe(shard,
-/// window)` is called as each shard closes a window (from that shard's
-/// thread in threaded mode — the observer must be `Sync`).
+/// window)` is called as each shard closes a window (from whichever
+/// worker is serving that shard — the observer must be `Sync`; a panic
+/// in it unwinds out of the run).
 pub fn run_service_observed<P, S>(
     cfg: &ServiceConfig,
     threads: usize,
@@ -1119,39 +1132,15 @@ where
         .map(|f| engine.shard_of(FlowId::new(f)))
         .collect();
 
-    let (mut shards, backpressure) = if threads > 1 {
-        run_streaming_threaded(
-            cfg,
-            &mut engine,
-            policies,
-            scheds,
-            &shard_of_flow,
-            observe,
-            stop_at,
-        )
-    } else {
-        run_streaming_serial(
-            cfg,
-            &mut engine,
-            policies,
-            scheds,
-            &shard_of_flow,
-            observe,
-            stop_at,
-        )
-    };
-
-    // Attribute backpressure stalls to the stalled packet's epoch
-    // window; totals stay exactly the sum of the windows.
-    for ((s, e), n) in backpressure {
-        let sh = &mut shards[s];
-        sh.ring_full_events += n;
-        if let Some(w) = sh.windows.iter_mut().find(|w| w.epoch == e) {
-            w.ring_full_events += n;
-        } else if let Some(last) = sh.windows.last_mut() {
-            last.ring_full_events += n;
-        }
-    }
+    let loops: Vec<ShardLoop<'_, P, S>> = engine
+        .shards_mut()
+        .iter_mut()
+        .zip(policies)
+        .zip(scheds)
+        .enumerate()
+        .map(|(s, ((qm, policy), sched))| ShardLoop::new(cfg, s, qm, policy, sched, stop_at))
+        .collect();
+    let mut shards = run_rounds(cfg, threads, loops, &shard_of_flow, observe);
 
     if stop_at.is_none() {
         debug_assert!(
@@ -1216,335 +1205,128 @@ where
     }
 }
 
-/// Backpressure counts keyed by (shard, epoch-of-stalled-packet).
-type Backpressure = BTreeMap<(usize, u64), u64>;
+/// A generator and its pump-phase state.
+struct Pump<I> {
+    g: usize,
+    stream: I,
+    /// The packet parked on a full lane (its stall already counted).
+    pending: Option<ArrivalEvent>,
+    /// The stream ended: lane column `g` will never be fed again.
+    exhausted: bool,
+    /// Stalls keyed by (shard, epoch of the stalled packet).
+    stalls: BTreeMap<(usize, u64), u64>,
+    /// Whether the last pump phase moved a packet.
+    progressed: bool,
+}
 
-/// The cooperative single-thread driver: rounds of "pump every
-/// generator into its lanes (stalling, with a count, on full ones)" then
-/// "run every shard's `process_once` until it needs input". A round with
-/// no progress force-pushes the earliest stalled packet past its full
-/// lane (counted as overshoot in `reorder_peak`), so producer/consumer
-/// cycles cannot deadlock the driver; the escape is itself deterministic.
-fn run_streaming_serial<P, S>(
+/// The one driver: wall-clock-free rounds of "pump every generator into
+/// its lane column (stalling, with a count, on a full lane)" then "run
+/// every shard's `process_once` until it needs input", each phase fanned
+/// out over `threads` workers by [`for_each_claimed`]. A round with no
+/// progress force-pushes the earliest stalled packet past its full lane
+/// (counted as overshoot in that lane row's `reorder_peak`), so
+/// producer/consumer cycles cannot deadlock the driver; nothing here
+/// reads a clock or depends on which worker ran what, so results stay a
+/// pure function of the configuration.
+fn run_rounds<P, S>(
     cfg: &ServiceConfig,
-    engine: &mut ShardedQueueManager,
-    policies: Vec<P>,
-    scheds: Vec<S>,
+    threads: usize,
+    mut loops: Vec<ShardLoop<'_, P, S>>,
     shard_of_flow: &[usize],
     observe: &(impl Fn(usize, &EpochWindow) + Sync),
-    stop_at: Option<Picos>,
-) -> (Vec<ShardServiceReport>, Backpressure)
+) -> Vec<ShardServiceReport>
 where
     P: DropPolicy + Send,
     S: FlowScheduler + Send,
 {
-    let num_shards = cfg.shards;
-    let gens_n = cfg.generators;
     let cap = cfg.ring_capacity;
     let epoch_ps = cfg.epoch.as_u64();
-
-    struct SerialGen<I> {
-        stream: I,
-        pending: Option<ArrivalEvent>,
-        exhausted: bool,
-    }
-    let mut gens: Vec<SerialGen<_>> = (0..gens_n)
-        .map(|g| SerialGen {
+    let mut gens: Vec<Pump<_>> = (0..cfg.generators)
+        .map(|g| Pump {
+            g,
             stream: generator(cfg, g),
             pending: None,
             exhausted: false,
+            stalls: BTreeMap::new(),
+            progressed: false,
         })
         .collect();
-    // After a pump pass every generator is exhausted or parked on a
-    // `pending` packet whose lane is full — the invariant the deadlock
-    // escape below relies on.
-
-    let mut lanes: Vec<Vec<VecDeque<ArrivalEvent>>> = (0..num_shards)
-        .map(|_| vec![VecDeque::new(); gens_n])
-        .collect();
-    let mut backpressure: Backpressure = BTreeMap::new();
-    let mut busy: Vec<Duration> = vec![Duration::ZERO; num_shards];
-    let mut reorder_peak = 0u64;
-
-    let mut loops: Vec<ShardLoop<'_, P, S>> = engine
-        .shards_mut()
-        .iter_mut()
-        .zip(policies)
-        .zip(scheds)
-        .enumerate()
-        .map(|(s, ((qm, policy), sched))| ShardLoop::new(cfg, s, qm, policy, sched, stop_at))
+    // `lanes[s][g]`: generator `g`'s lane into shard `s`.
+    let lanes: Vec<Vec<Lane>> = (0..cfg.shards)
+        .map(|_| (0..cfg.generators).map(|_| Lane::default()).collect())
         .collect();
 
     loop {
-        let mut progress = false;
-        // Pump phase: each generator fills lanes until one is full.
-        for (g, gen) in gens.iter_mut().enumerate() {
-            while let Some(pkt) = gen.pending.take().or_else(|| {
-                if gen.exhausted {
-                    None
-                } else {
-                    let p = gen.stream.next();
-                    if p.is_none() {
-                        gen.exhausted = true;
-                    }
-                    p
-                }
-            }) {
+        // Pump phase: each generator fills its lanes until one is full.
+        // Afterwards every generator is exhausted or parked on a
+        // `pending` packet whose lane is full — the invariant the
+        // deadlock escape below relies on.
+        for_each_claimed(&mut gens, threads, |gen| {
+            let mut column: Vec<_> = lanes.iter().map(|row| lock(&row[gen.g])).collect();
+            gen.progressed = false;
+            while let Some(pkt) = gen.pending.take().or_else(|| gen.stream.next()) {
                 let s = shard_of_flow[pkt.flow.as_usize()];
-                let lane = &mut lanes[s][g];
-                if lane.len() < cap {
-                    lane.push_back(pkt);
-                    progress = true;
-                } else {
-                    *backpressure
+                if column[s].len() >= cap {
+                    *gen.stalls
                         .entry((s, pkt.at.as_u64() / epoch_ps))
                         .or_insert(0) += 1;
                     gen.pending = Some(pkt);
-                    break;
+                    return;
                 }
+                column[s].push_back(pkt);
+                gen.progressed = true;
             }
-        }
+            gen.exhausted = true;
+        });
         // Serve phase: every shard runs until it needs input or is done.
-        for (s, lp) in loops.iter_mut().enumerate() {
-            if lp.done {
-                continue;
-            }
-            let lane_row = &mut lanes[s];
+        let closed: Vec<bool> = gens.iter().map(|gen| gen.exhausted).collect();
+        for_each_claimed(&mut loops, threads, |lp| {
+            let mut row: Vec<_> = lanes[lp.shard].iter().map(lock).collect();
             let t0 = Instant::now();
-            loop {
-                let mut fill = |g: usize| match lane_row[g].pop_front() {
-                    Some(p) => LaneFill::Got(p),
-                    None => {
-                        if gens[g].exhausted && gens[g].pending.is_none() {
-                            LaneFill::Closed
-                        } else {
-                            LaneFill::Pending
-                        }
-                    }
-                };
-                match lp.process_once(&mut fill, observe) {
-                    Step::Progress => progress = true,
-                    Step::NeedInput(_) | Step::Done => break,
-                }
+            lp.progressed = false;
+            while lp.process_once(&mut row, &closed, observe) {
+                lp.progressed = true;
             }
-            busy[s] += t0.elapsed();
-        }
+            lp.busy += t0.elapsed();
+        });
         if loops.iter().all(|lp| lp.done) {
             break;
         }
-        if !progress {
-            // Deadlock escape: deliver the earliest stalled packet past
-            // its full lane (the stall was already counted above). The
-            // round structure is wall-clock-free, so the escape fires
-            // deterministically and results stay a pure function of the
-            // configuration.
-            let (g, _) = gens
-                .iter()
-                .enumerate()
-                .filter_map(|(g, gen)| gen.pending.map(|p| (g, p.at)))
-                .min_by_key(|&(_, at)| at)
-                .expect("a stalled round must have a pending packet");
-            let pkt = gens[g].pending.take().expect("selected for its pending");
-            let s = shard_of_flow[pkt.flow.as_usize()];
-            lanes[s][g].push_back(pkt);
-            let over: u64 = lanes
-                .iter()
-                .flat_map(|row| row.iter())
-                .map(|l| l.len().saturating_sub(cap) as u64)
-                .sum();
-            reorder_peak = reorder_peak.max(over);
+        if gens.iter().any(|gen| gen.progressed) || loops.iter().any(|lp| lp.progressed) {
+            continue;
         }
-    }
-
-    let reports = loops
-        .into_iter()
-        .enumerate()
-        .map(|(s, lp)| lp.into_report(busy[s], reorder_peak))
-        .collect();
-    (reports, backpressure)
-}
-
-/// The threaded driver: one OS thread per generator (producing into its
-/// `sync_channel` lanes, pacing itself on shared virtual-time positions)
-/// and one per shard (running `process_once` to completion). A consumer
-/// blocked on one lane periodically drains its *other* lanes into
-/// bounded overflow queues so a producer blocked on a different shard's
-/// full lane can always make progress — liveness without touching the
-/// deterministic merge order.
-fn run_streaming_threaded<P, S>(
-    cfg: &ServiceConfig,
-    engine: &mut ShardedQueueManager,
-    policies: Vec<P>,
-    scheds: Vec<S>,
-    shard_of_flow: &[usize],
-    observe: &(impl Fn(usize, &EpochWindow) + Sync),
-    stop_at: Option<Picos>,
-) -> (Vec<ShardServiceReport>, Backpressure)
-where
-    P: DropPolicy + Send,
-    S: FlowScheduler + Send,
-{
-    let num_shards = cfg.shards;
-    let gens_n = cfg.generators;
-    let epoch_ps = cfg.epoch.as_u64();
-    let pacing_ps = cfg.pacing_window.as_u64();
-
-    // One SPSC lane per (shard, generator): rx owned by the shard,
-    // tx by the generator.
-    let mut rx_grid: Vec<Vec<Receiver<ArrivalEvent>>> =
-        (0..num_shards).map(|_| Vec::new()).collect();
-    let mut tx_grid: Vec<Vec<SyncSender<ArrivalEvent>>> = (0..gens_n).map(|_| Vec::new()).collect();
-    for rx_row in rx_grid.iter_mut() {
-        for tx_row in tx_grid.iter_mut() {
-            let (tx, rx) = sync_channel(cfg.ring_capacity);
-            rx_row.push(rx);
-            tx_row.push(tx);
-        }
-    }
-
-    // Shared per-generator virtual-time positions for producer pacing.
-    let progress: Vec<AtomicU64> = (0..gens_n).map(|_| AtomicU64::new(0)).collect();
-    let progress = &progress[..];
-
-    let (reports, stalls) = thread::scope(|sc| {
-        let producer_handles: Vec<_> = tx_grid
-            .into_iter()
-            .enumerate()
-            .map(|(g, txs)| {
-                sc.spawn(move || {
-                    let mut stalls: Backpressure = BTreeMap::new();
-                    for pkt in generator(cfg, g) {
-                        // Publish our position first, then wait for the
-                        // slowest producer to come within the pacing
-                        // window — the globally earliest producer never
-                        // waits, so pacing cannot deadlock.
-                        progress[g].store(pkt.at.as_u64(), Ordering::Release);
-                        let limit = pkt.at.as_u64().saturating_sub(pacing_ps);
-                        while progress
-                            .iter()
-                            .map(|p| p.load(Ordering::Acquire))
-                            .min()
-                            .unwrap_or(u64::MAX)
-                            < limit
-                        {
-                            thread::yield_now();
-                        }
-                        let s = shard_of_flow[pkt.flow.as_usize()];
-                        match txs[s].try_send(pkt) {
-                            Ok(()) => {}
-                            Err(TrySendError::Full(p)) => {
-                                *stalls.entry((s, p.at.as_u64() / epoch_ps)).or_insert(0) += 1;
-                                if txs[s].send(p).is_err() {
-                                    break; // consumer stopped (quiesced run)
-                                }
-                            }
-                            Err(TrySendError::Disconnected(_)) => break,
-                        }
-                    }
-                    progress[g].store(u64::MAX, Ordering::Release);
-                    stalls
-                })
-            })
-            .collect();
-
-        let shard_handles: Vec<_> = engine
-            .shards_mut()
+        // Deadlock escape: deliver the earliest stalled packet (ties:
+        // lowest generator) past its full lane; the stall was already
+        // counted above.
+        let gen = gens
             .iter_mut()
-            .zip(policies)
-            .zip(scheds)
-            .zip(rx_grid)
-            .enumerate()
-            .map(|(s, (((qm, policy), sched), lanes))| {
-                sc.spawn(move || {
-                    let lp = ShardLoop::new(cfg, s, qm, policy, sched, stop_at);
-                    run_shard_consumer(lp, &lanes, observe)
-                })
-            })
-            .collect();
-
-        let reports: Vec<ShardServiceReport> = shard_handles
-            .into_iter()
-            .map(|h| h.join().expect("a shard service loop panicked"))
-            .collect();
-        let mut stalls: Backpressure = BTreeMap::new();
-        for h in producer_handles {
-            for (k, n) in h.join().expect("a generator panicked") {
-                *stalls.entry(k).or_insert(0) += n;
-            }
-        }
-        (reports, stalls)
-    });
-    (reports, stalls)
-}
-
-/// Runs one shard's loop to completion against its receivers: fills from
-/// per-lane overflow first, then `try_recv`; when the merge blocks on an
-/// empty lane, waits with a short timeout and drains the *other* lanes
-/// into overflow on each expiry (the liveness escape).
-fn run_shard_consumer<P, S>(
-    mut lp: ShardLoop<'_, P, S>,
-    lanes: &[Receiver<ArrivalEvent>],
-    observe: &(impl Fn(usize, &EpochWindow) + Sync),
-) -> ShardServiceReport
-where
-    P: DropPolicy + Send,
-    S: FlowScheduler + Send,
-{
-    let gens_n = lanes.len();
-    let mut overflow: Vec<VecDeque<ArrivalEvent>> = vec![VecDeque::new(); gens_n];
-    let mut reorder_peak = 0u64;
-    let mut busy = Duration::ZERO;
-
-    loop {
-        let t0 = Instant::now();
-        let step = loop {
-            let mut fill = |g: usize| {
-                if let Some(p) = overflow[g].pop_front() {
-                    return LaneFill::Got(p);
-                }
-                match lanes[g].try_recv() {
-                    Ok(p) => LaneFill::Got(p),
-                    Err(std::sync::mpsc::TryRecvError::Empty) => LaneFill::Pending,
-                    Err(std::sync::mpsc::TryRecvError::Disconnected) => LaneFill::Closed,
-                }
-            };
-            match lp.process_once(&mut fill, observe) {
-                Step::Progress => {}
-                other => break other,
-            }
-        };
-        busy += t0.elapsed();
-        match step {
-            Step::Done => break,
-            Step::NeedInput(g) => loop {
-                match lanes[g].recv_timeout(Duration::from_millis(1)) {
-                    Ok(p) => {
-                        overflow[g].push_back(p);
-                        break;
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
-                        // Drain the other lanes so producers blocked on
-                        // them can progress (and ours can eventually
-                        // deliver).
-                        for (h, lane) in lanes.iter().enumerate() {
-                            if h == g {
-                                continue;
-                            }
-                            while let Ok(p) = lane.try_recv() {
-                                overflow[h].push_back(p);
-                            }
-                        }
-                        let over: u64 = overflow.iter().map(|o| o.len() as u64).sum();
-                        reorder_peak = reorder_peak.max(over);
-                    }
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-            },
-            Step::Progress => unreachable!("inner loop consumes Progress"),
-        }
+            .filter(|gen| gen.pending.is_some())
+            .min_by_key(|gen| gen.pending.map(|p| p.at))
+            .expect("a stalled round must have a pending packet");
+        let pkt = gen.pending.take().expect("selected for its pending");
+        let s = shard_of_flow[pkt.flow.as_usize()];
+        lock(&lanes[s][gen.g]).push_back(pkt);
+        let over: usize = lanes[s]
+            .iter()
+            .map(|lane| lock(lane).len().saturating_sub(cap))
+            .sum();
+        loops[s].reorder_peak = loops[s].reorder_peak.max(over as u64);
     }
 
-    lp.into_report(busy, reorder_peak)
+    let mut shards: Vec<ShardServiceReport> =
+        loops.into_iter().map(ShardLoop::into_report).collect();
+    // Attribute backpressure stalls to the stalled packet's epoch
+    // window; totals stay exactly the sum of the windows.
+    for ((s, e), n) in gens.into_iter().flat_map(|gen| gen.stalls) {
+        let sh = &mut shards[s];
+        sh.ring_full_events += n;
+        if let Some(w) = sh.windows.iter_mut().find(|w| w.epoch == e) {
+            w.ring_full_events += n;
+        } else if let Some(last) = sh.windows.last_mut() {
+            last.ring_full_events += n;
+        }
+    }
+    shards
 }
 
 #[cfg(test)]
@@ -1735,6 +1517,48 @@ mod tests {
     }
 
     #[test]
+    fn backpressure_and_overshoot_do_not_depend_on_the_thread_count() {
+        let mut cfg = ServiceConfig::steady_demo(9);
+        cfg.ring_capacity = 2;
+        let (one, four) = (demo_run(&cfg, 1), demo_run(&cfg, 4));
+        assert!(one.ring_full_events > 0 && one.reorder_peak > 0);
+        // Run-wide, per shard and per window.
+        let lane_counters = |r: &ServiceReport| {
+            let stalls = |ws: &[EpochWindow]| -> Vec<u64> {
+                ws.iter().map(|w| w.ring_full_events).collect()
+            };
+            let per_shard: Vec<_> = r
+                .shards
+                .iter()
+                .map(|sh| (sh.ring_full_events, sh.reorder_peak, stalls(&sh.windows)))
+                .collect();
+            (
+                r.ring_full_events,
+                r.reorder_peak,
+                stalls(&r.windows),
+                per_shard,
+            )
+        };
+        assert_eq!(lane_counters(&one), lane_counters(&four));
+        // Each field means what it says: the run-wide peak is the largest
+        // per-shard one, and the quieter lane row reports its own.
+        let peaks: Vec<u64> = one.shards.iter().map(|sh| sh.reorder_peak).collect();
+        assert_eq!(one.reorder_peak, *peaks.iter().max().unwrap());
+        assert!(peaks.iter().any(|&p| p < one.reorder_peak), "{peaks:?}");
+        assert_eq!(one.final_digest, four.final_digest);
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_panicking_observer_ends_the_threaded_run_in_a_panic() {
+        let cfg = ServiceConfig::steady_demo(5);
+        let (mk_p, mk_s) = demo_policies();
+        run_service_observed(&cfg, 4, mk_p, mk_s, |_, w| {
+            assert!(w.epoch < 2, "observer fails")
+        });
+    }
+
+    #[test]
     fn packet_budget_bounds_the_run() {
         let mut cfg = ServiceConfig::steady_demo(5);
         cfg.packet_budget = Some(50);
@@ -1760,18 +1584,22 @@ mod tests {
 
     #[test]
     fn final_digest_matches_the_sharded_engine_digest_after_drain() {
-        // With the ledger drained, folding per-shard final digests must
-        // reproduce the engine's own state digest: fresh engines of the
-        // same shape digest identically.
+        // With the ledger drained, each shard's final digest is its bare
+        // engine digest, so folding them in shard order is exactly how
+        // `ShardedQueueManager::state_digest` composes — and what the
+        // report publishes.
         let cfg = ServiceConfig::steady_demo(7);
         let r = demo_run(&cfg, 1);
-        let engine = ShardedQueueManager::partitioned(cfg.qm, cfg.shards).unwrap();
-        // A fully drained service engine is *not* a fresh engine (free
-        // lists are permuted), so compare through an independent run
-        // instead.
-        let again = demo_run(&cfg, 1);
-        assert_eq!(r.final_digest, again.final_digest);
-        assert_eq!(engine.num_shards(), cfg.shards);
+        assert_eq!(r.shards.len(), cfg.shards);
+        assert!(r.shards.iter().all(|sh| sh.residual_pkts == 0));
+        let folded = r
+            .shards
+            .iter()
+            .fold(FNV_OFFSET_BASIS, |h, sh| fnv1a_fold(h, sh.final_digest));
+        assert_eq!(folded, r.final_digest);
+        // A drained engine is not a fresh one (free lists are permuted),
+        // so the value is pinned by an independent run instead.
+        assert_eq!(r.final_digest, demo_run(&cfg, 1).final_digest);
     }
 
     #[test]

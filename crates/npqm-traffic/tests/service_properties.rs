@@ -299,8 +299,8 @@ fn eviction_ledger_attributes_push_outs() {
     );
 }
 
-/// The reconciliation also holds on the threaded driver (2 threads),
-/// whose deterministic outputs must match the serial run byte for byte.
+/// The reconciliation also holds on 2 threads, whose deterministic
+/// outputs must match the one-thread run byte for byte.
 #[test]
 fn threaded_windows_match_serial() {
     let cfg = ServiceConfig::steady_demo(7);

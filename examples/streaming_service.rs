@@ -1,4 +1,4 @@
-//! The always-on streaming service, live: generator threads feed
+//! The always-on streaming service, live: generators feed
 //! bounded per-shard ingress lanes while each shard's service loop
 //! reports its epoch windows *as they close* — per-window goodput,
 //! latency quantiles and backpressure — with online state snapshots
@@ -8,9 +8,9 @@
 //!
 //! The run is deliberately overloaded (~3× the egress rate), so the
 //! drop policy works continuously; backpressure stalls producers on
-//! full lanes (counted, never dropped). The same run repeated on the
-//! cooperative serial driver proves the service's determinism contract:
-//! every epoch digest and the final state digest are byte-identical.
+//! full lanes (counted, never dropped). The same run repeated on one
+//! thread proves the service's determinism contract: every epoch digest,
+//! the final state digest and the backpressure count are identical.
 
 use npqm::core::policy::DynamicThreshold;
 use npqm::core::sched::from_spec;
@@ -41,8 +41,8 @@ fn main() {
         "shard", "epoch", "offered", "dropped", "deliver", "goodput", "p50", "p99"
     );
 
-    // Threaded run with a live observer: each shard prints its window
-    // the moment it closes — no global barrier, no end-of-run wait.
+    // Four workers with a live observer: each shard prints its window
+    // the moment it closes — no end-of-run wait.
     let threaded = run_service_observed(
         &cfg,
         4,
@@ -80,8 +80,8 @@ fn main() {
         a.integrity_violations,
     );
 
-    // The determinism contract, demonstrated: the serial driver computes
-    // the same digests byte for byte.
+    // The determinism contract, demonstrated: one thread computes the
+    // same digests and the same backpressure, byte for byte.
     let serial = run_service(
         &cfg,
         1,
@@ -90,9 +90,10 @@ fn main() {
     );
     assert_eq!(threaded.epoch_digests, serial.epoch_digests);
     assert_eq!(threaded.final_digest, serial.final_digest);
+    assert_eq!(threaded.ring_full_events, serial.ring_full_events);
     println!(
-        "determinism: {} online epoch digests + final {:#018x} identical on the \
-         serial driver",
+        "determinism: {} online epoch digests + final {:#018x} identical on \
+         one thread",
         threaded.epoch_digests.len(),
         threaded.final_digest,
     );
