@@ -17,6 +17,30 @@ fn engine(discipline: FreeListDiscipline) -> QueueManager {
     QueueManager::new(cfg)
 }
 
+/// The paper's geometry: 32 K queues over 2^20 segments, with a 1518-byte
+/// frame standing on every queue. The queues are visited `STRIDE` apart,
+/// so consecutive calls touch neither neighbouring queue records nor
+/// neighbouring segments, and the 64 MB pool does not fit any cache.
+const PAPER_FLOWS: u32 = QmConfig::PAPER_NUM_FLOWS;
+const STRIDE: u32 = 12_289; // odd: the walk is a permutation of the queues
+
+fn strided(i: u32) -> FlowId {
+    FlowId::new(i.wrapping_mul(STRIDE) % PAPER_FLOWS)
+}
+
+fn loaded_paper_engine(frame: &[u8]) -> QueueManager {
+    let cfg = QmConfig::builder()
+        .num_flows(PAPER_FLOWS)
+        .num_segments(1 << 20)
+        .build()
+        .unwrap();
+    let mut qm = QueueManager::new(cfg);
+    for i in 0..PAPER_FLOWS {
+        qm.enqueue_packet(strided(i), frame).unwrap();
+    }
+    qm
+}
+
 fn bench_enqueue_dequeue(c: &mut Criterion) {
     let mut group = c.benchmark_group("enqueue_dequeue_64B");
     group.throughput(Throughput::Elements(1));
@@ -54,7 +78,28 @@ fn bench_packet_sizes(c: &mut Criterion) {
             });
         });
     }
+    // Each call takes the oldest standing frame (written a lap of 32 K
+    // calls ago) and queues a new one behind the walk.
+    group.throughput(Throughput::Bytes(1518));
+    group.bench_function("1518B_32kq_stride", |b| {
+        let pkt = vec![1u8; 1518];
+        let mut qm = loaded_paper_engine(&pkt);
+        let mut i = 0u32;
+        b.iter(|| {
+            let flow = strided(i);
+            i = i.wrapping_add(1);
+            black_box(qm.dequeue_packet(flow).unwrap());
+            qm.enqueue_packet(flow, black_box(&pkt)).unwrap();
+        });
+    });
     group.finish();
+}
+
+fn bench_verify(c: &mut Criterion) {
+    c.bench_function("verify_32kq_1Mseg_loaded", |b| {
+        let qm = loaded_paper_engine(&[1u8; 1518]);
+        b.iter(|| black_box(qm.verify().unwrap()));
+    });
 }
 
 fn bench_move_packet(c: &mut Criterion) {
@@ -154,6 +199,7 @@ criterion_group! {
     config = config();
     targets = bench_enqueue_dequeue,
     bench_packet_sizes,
+    bench_verify,
     bench_move_packet,
     bench_header_ops,
     bench_schedulers

@@ -4,12 +4,18 @@
 //! packet records, plus the linked structure itself). `verify` walks the
 //! whole pointer memory and cross-checks everything; the test suite and the
 //! property tests call it after every operation sequence.
+//!
+//! One pass costs `O(segments + flows)` and hashes nothing: which segment
+//! and packet indices are linked into queues, and which are free, is kept
+//! in dense bitmaps over the two index spaces (one bit per index, 128 KiB
+//! per map at the paper's 2^20 segments), and both free lists are walked
+//! in place. A walk ends at the first index it meets twice, so a cyclic
+//! chain or free list is an [`InvariantViolation`], not a hang.
 
 use crate::id::{FlowId, PacketId, SegmentId};
 use crate::manager::QueueManager;
 use crate::ptrmem::PtrMemCounters;
 use core::fmt;
-use std::collections::HashSet;
 
 /// A violated invariant, with a human-readable description.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,6 +63,85 @@ fn violation<T>(what: impl Into<String>) -> Result<T, InvariantViolation> {
     Err(InvariantViolation { what: what.into() })
 }
 
+/// A set of indices below a fixed bound: one bit each, plus the count.
+struct IndexSet {
+    words: Vec<u64>,
+    bound: usize,
+    len: usize,
+}
+
+impl IndexSet {
+    fn new(bound: usize) -> Self {
+        IndexSet {
+            words: vec![0; bound.div_ceil(64)],
+            bound,
+            len: 0,
+        }
+    }
+
+    /// Adds `idx`; false if it was already there.
+    fn insert(&mut self, idx: usize) -> bool {
+        let bit = 1u64 << (idx % 64);
+        let word = &mut self.words[idx / 64];
+        // Kept as a branch: the branch-free form (`len += fresh as usize`
+        // after the `|=`) left `len` at 0 in release builds of rustc 1.95.0.
+        if *word & bit != 0 {
+            return false;
+        }
+        *word |= bit;
+        self.len += 1;
+        true
+    }
+
+    fn contains(&self, idx: usize) -> bool {
+        self.words[idx / 64] & (1u64 << (idx % 64)) != 0
+    }
+}
+
+/// Checks that one free list (`walk`, head first, `counted` entries by
+/// its own counter) and the `used` indices exactly partition their index
+/// space; `kind` names the space in the messages. The walk is consumed in
+/// place and abandoned at the first index it yields twice — a cyclic list
+/// — so it never visits more entries than the space has. Returns the
+/// number of free entries.
+fn verify_free_list<I: Copy + fmt::Display>(
+    kind: &str,
+    counted: u32,
+    used: &IndexSet,
+    walk: impl Iterator<Item = I>,
+    index: impl Fn(I) -> usize,
+) -> Result<u32, InvariantViolation> {
+    let mut free = IndexSet::new(used.bound);
+    let mut in_use = None;
+    for id in walk {
+        let idx = index(id);
+        if !free.insert(idx) {
+            return violation(format!("{kind} {id} appears twice on the free list"));
+        }
+        if in_use.is_none() && used.contains(idx) {
+            in_use = Some(id);
+        }
+    }
+    // A list that runs into a queued entry goes on along that entry's
+    // chain, so its length is checked before the entry is reported.
+    if free.len != counted as usize {
+        return violation(format!(
+            "{kind} free list count {counted} != walk length {}",
+            free.len
+        ));
+    }
+    if let Some(id) = in_use {
+        return violation(format!("{kind} {id} is both free and in use"));
+    }
+    if used.len + free.len != used.bound {
+        return violation(format!(
+            "{kind} space not partitioned: {} used + {} free != {}",
+            used.len, free.len, used.bound
+        ));
+    }
+    Ok(free.len as u32)
+}
+
 /// Verifies every structural invariant of `qm`:
 ///
 /// 1. every per-packet segment chain is well-formed (`first → … → last`,
@@ -80,8 +165,9 @@ fn violation<T>(what: impl Into<String>) -> Result<T, InvariantViolation> {
 pub fn verify(qm: &QueueManager) -> Result<InvariantReport, InvariantViolation> {
     let cfg = &qm.cfg;
     let pm = &qm.ptr;
-    let mut used_segs: HashSet<SegmentId> = HashSet::new();
-    let mut used_pkts: HashSet<PacketId> = HashSet::new();
+    // One packet record per segment: both index spaces have this size.
+    let mut used_segs = IndexSet::new(cfg.num_segments() as usize);
+    let mut used_pkts = IndexSet::new(cfg.num_segments() as usize);
     let mut payload_bytes = 0u64;
 
     for f in 0..cfg.num_flows() {
@@ -93,7 +179,7 @@ pub fn verify(qm: &QueueManager) -> Result<InvariantReport, InvariantViolation> 
         let mut pid = q.head_pkt;
         let mut last_seen = PacketId::NIL;
         while !pid.is_nil() {
-            if !used_pkts.insert(pid) {
+            if !used_pkts.insert(pid.as_usize()) {
                 return violation(format!("{flow}: packet {pid} referenced twice"));
             }
             let pr = pm.pkt_silent(pid);
@@ -123,7 +209,7 @@ pub fn verify(qm: &QueueManager) -> Result<InvariantReport, InvariantViolation> 
             let mut byte_count = 0u32;
             let mut reached_last = false;
             while !seg.is_nil() {
-                if !used_segs.insert(seg) {
+                if !used_segs.insert(seg.as_usize()) {
                     return violation(format!("{flow}: segment {seg} referenced twice"));
                 }
                 let rec = pm.seg_silent(seg);
@@ -214,64 +300,27 @@ pub fn verify(qm: &QueueManager) -> Result<InvariantReport, InvariantViolation> 
     }
 
     // Free lists must exactly cover the rest of both index spaces.
-    let free_segs = qm.seg_fl.collect_free(pm);
-    if free_segs.len() as u32 != qm.seg_fl.free_count() {
-        return violation(format!(
-            "segment free list count {} != walk length {}",
-            qm.seg_fl.free_count(),
-            free_segs.len()
-        ));
-    }
-    let mut free_seg_set = HashSet::new();
-    for s in &free_segs {
-        if used_segs.contains(s) {
-            return violation(format!("segment {s} is both free and in use"));
-        }
-        if !free_seg_set.insert(*s) {
-            return violation(format!("segment {s} appears twice on the free list"));
-        }
-    }
-    if used_segs.len() + free_seg_set.len() != cfg.num_segments() as usize {
-        return violation(format!(
-            "segment space not partitioned: {} used + {} free != {}",
-            used_segs.len(),
-            free_seg_set.len(),
-            cfg.num_segments()
-        ));
-    }
-
-    let free_pkts = qm.pkt_fl.collect_free(pm);
-    if free_pkts.len() as u32 != qm.pkt_fl.free_count() {
-        return violation(format!(
-            "packet free list count {} != walk length {}",
-            qm.pkt_fl.free_count(),
-            free_pkts.len()
-        ));
-    }
-    let mut free_pkt_set = HashSet::new();
-    for p in &free_pkts {
-        if used_pkts.contains(p) {
-            return violation(format!("packet {p} is both free and in use"));
-        }
-        if !free_pkt_set.insert(*p) {
-            return violation(format!("packet {p} appears twice on the free list"));
-        }
-    }
-    if used_pkts.len() + free_pkt_set.len() != cfg.num_segments() as usize {
-        return violation(format!(
-            "packet space not partitioned: {} used + {} free != {}",
-            used_pkts.len(),
-            free_pkt_set.len(),
-            cfg.num_segments()
-        ));
-    }
+    let segments_free = verify_free_list(
+        "segment",
+        qm.seg_fl.free_count(),
+        &used_segs,
+        qm.seg_fl.iter_free(pm),
+        SegmentId::as_usize,
+    )?;
+    let packets_free = verify_free_list(
+        "packet",
+        qm.pkt_fl.free_count(),
+        &used_pkts,
+        qm.pkt_fl.iter_free(pm),
+        PacketId::as_usize,
+    )?;
 
     Ok(InvariantReport {
         queues: cfg.num_flows(),
-        segments_used: used_segs.len() as u32,
-        segments_free: free_seg_set.len() as u32,
-        packets_used: used_pkts.len() as u32,
-        packets_free: free_pkt_set.len() as u32,
+        segments_used: used_segs.len as u32,
+        segments_free,
+        packets_used: used_pkts.len as u32,
+        packets_free,
         payload_bytes,
         ptr: *pm.counters(),
     })
@@ -378,6 +427,17 @@ mod tests {
     use crate::manager::SegmentPosition;
 
     #[test]
+    fn index_set_counts_each_index_once() {
+        let mut set = IndexSet::new(130);
+        for idx in [0, 63, 64, 129] {
+            assert!(!set.contains(idx));
+            assert!(set.insert(idx));
+            assert!(set.contains(idx) && !set.insert(idx));
+        }
+        assert_eq!(set.len, 4);
+    }
+
+    #[test]
     fn fresh_engine_verifies() {
         let qm = QueueManager::new(QmConfig::small());
         let report = verify(&qm).unwrap();
@@ -450,6 +510,189 @@ mod tests {
 
         let err = verify(&qm).unwrap_err();
         assert!(err.what.contains("EOP"), "unexpected violation: {err}");
+    }
+
+    /// Flow 0 holds packets pkt:0 (150 B in seg:0..=2) and pkt:1 (100 B
+    /// in seg:3,4), flow 1 holds pkt:2 (10 B in seg:5); the free lists
+    /// run seg:6 → … → seg:511 and pkt:3 → … → pkt:511.
+    fn three_packets() -> QueueManager {
+        let mut qm = QueueManager::new(QmConfig::small());
+        qm.enqueue_packet(FlowId::new(0), &[1; 150]).unwrap();
+        qm.enqueue_packet(FlowId::new(0), &[2; 100]).unwrap();
+        qm.enqueue_packet(FlowId::new(1), &[3; 10]).unwrap();
+        verify(&qm).unwrap();
+        qm
+    }
+
+    fn edit_seg(qm: &mut QueueManager, seg: u32, edit: impl Fn(&mut crate::ptrmem::SegRecord)) {
+        let id = SegmentId::new(seg);
+        let mut rec = qm.ptr.seg_silent(id);
+        edit(&mut rec);
+        qm.ptr.set_seg(id, rec);
+    }
+
+    fn edit_pkt(qm: &mut QueueManager, pkt: u32, edit: impl Fn(&mut crate::ptrmem::PktRecord)) {
+        let id = PacketId::new(pkt);
+        let mut rec = qm.ptr.pkt_silent(id);
+        edit(&mut rec);
+        qm.ptr.set_pkt(id, rec);
+    }
+
+    fn edit_queue(
+        qm: &mut QueueManager,
+        flow: u32,
+        edit: impl Fn(&mut crate::ptrmem::QueueRecord),
+    ) {
+        let id = FlowId::new(flow);
+        let mut rec = qm.ptr.queue_silent(id);
+        edit(&mut rec);
+        qm.ptr.set_queue(id, rec);
+    }
+
+    /// One corruption per invariant class `verify` documents, each with
+    /// the message the hash-set walk gave for it.
+    #[test]
+    fn checker_names_each_class_of_corruption() {
+        type Corrupt = fn(&mut QueueManager);
+        let table: [(&str, Corrupt); 19] = [
+            ("flow:0: segment seg:0 referenced twice", |qm| {
+                edit_pkt(qm, 1, |p| p.first = SegmentId::new(0))
+            }),
+            ("flow:1: packet pkt:0 referenced twice", |qm| {
+                edit_queue(qm, 1, |q| q.head_pkt = PacketId::new(0))
+            }),
+            // The last free entry replaced by a queued one that ends its
+            // own chain: the free walk keeps its length.
+            ("segment seg:5 is both free and in use", |qm| {
+                edit_seg(qm, 510, |s| s.next = SegmentId::new(5))
+            }),
+            ("packet pkt:2 is both free and in use", |qm| {
+                edit_pkt(qm, 510, |p| p.next_pkt = PacketId::new(2))
+            }),
+            ("flow:0: segment seg:1 has bad length 0", |qm| {
+                edit_seg(qm, 1, |s| s.len = 0)
+            }),
+            ("flow:0: segment seg:1 has bad length 65", |qm| {
+                edit_seg(qm, 1, |s| s.len = 65)
+            }),
+            ("flow:0: packet pkt:0 chain longer than its count 2", |qm| {
+                edit_pkt(qm, 0, |p| p.segs = 2)
+            }),
+            (
+                "flow:0: packet pkt:0 counts 4 segments, walk found 3",
+                |qm| edit_pkt(qm, 0, |p| p.segs = 4),
+            ),
+            (
+                "flow:0: last segment seg:2 of pkt:0 has a successor",
+                |qm| edit_seg(qm, 2, |s| s.next = SegmentId::new(6)),
+            ),
+            (
+                "flow:0: packet pkt:0 counts 149 bytes, walk found 150",
+                |qm| edit_pkt(qm, 0, |p| p.bytes = 149),
+            ),
+            ("flow:0: queue counts 3 packets, walk found 2", |qm| {
+                edit_queue(qm, 0, |q| q.pkts = 3)
+            }),
+            ("flow:0: packet chain longer than count 1", |qm| {
+                edit_queue(qm, 0, |q| q.pkts = 1)
+            }),
+            ("flow:0: queue counts 251 bytes, walk found 250", |qm| {
+                edit_queue(qm, 0, |q| q.bytes = 251)
+            }),
+            ("flow:0: tail is pkt:0 but walk ended at pkt:1", |qm| {
+                edit_queue(qm, 0, |q| q.tail_pkt = PacketId::new(0))
+            }),
+            (
+                "flow:0: non-head packet pkt:1 is partially consumed",
+                |qm| edit_pkt(qm, 1, |p| p.started = true),
+            ),
+            ("segment free list count 506 != walk length 1", |qm| {
+                edit_seg(qm, 6, |s| s.next = SegmentId::NIL)
+            }),
+            ("packet free list count 509 != walk length 1", |qm| {
+                edit_pkt(qm, 3, |p| p.next_pkt = PacketId::NIL)
+            }),
+            // An entry taken off its free list and linked nowhere.
+            (
+                "segment space not partitioned: 6 used + 505 free != 512",
+                |qm| {
+                    qm.seg_fl.alloc(&mut qm.ptr).unwrap();
+                },
+            ),
+            (
+                "packet space not partitioned: 3 used + 508 free != 512",
+                |qm| {
+                    qm.pkt_fl.alloc(&mut qm.ptr).unwrap();
+                },
+            ),
+        ];
+        for (message, corrupt) in table {
+            let mut qm = three_packets();
+            corrupt(&mut qm);
+            assert_eq!(verify(&qm).unwrap_err().what, message);
+        }
+    }
+
+    /// The last free segment spliced back onto the head: the walk must
+    /// end at the first repeat, where following the links never does.
+    #[test]
+    fn cyclic_segment_free_list_is_a_violation_not_a_hang() {
+        let mut qm = three_packets();
+        edit_seg(&mut qm, 511, |s| s.next = SegmentId::new(6));
+        assert_eq!(
+            verify(&qm).unwrap_err().what,
+            "segment seg:6 appears twice on the free list"
+        );
+        assert_eq!(qm.seg_fl.collect_free(&qm.ptr).len(), 512);
+    }
+
+    #[test]
+    fn cyclic_packet_free_list_is_a_violation_not_a_hang() {
+        let mut qm = three_packets();
+        edit_pkt(&mut qm, 511, |p| p.next_pkt = PacketId::new(3));
+        assert_eq!(
+            verify(&qm).unwrap_err().what,
+            "packet pkt:3 appears twice on the free list"
+        );
+        assert_eq!(qm.pkt_fl.collect_free(&qm.ptr).len(), 512);
+    }
+
+    /// The paper's geometry — 32 K queues over 2^20 segments — with a
+    /// 1518-byte frame on every queue, visited in a stride so neighbouring
+    /// queues do not hold neighbouring segments.
+    #[test]
+    fn paper_geometry_fills_verifies_and_drains() {
+        const FLOWS: u32 = QmConfig::PAPER_NUM_FLOWS;
+        const STRIDE: u32 = 12_289; // odd, so coprime with 2^15: a permutation
+        let run = || {
+            let cfg = QmConfig::builder()
+                .num_flows(FLOWS)
+                .num_segments(1 << 20)
+                .build()
+                .unwrap();
+            let mut qm = QueueManager::new(cfg);
+            let mut frame = [0xA5u8; 1518];
+            let flows = || (0..FLOWS).map(|i| FlowId::new(i.wrapping_mul(STRIDE) % FLOWS));
+            for (seq, flow) in flows().enumerate() {
+                frame[..4].copy_from_slice(&(seq as u32).to_le_bytes());
+                qm.enqueue_packet(flow, &frame).unwrap();
+            }
+            let full = verify(&qm).unwrap();
+            assert_eq!(full.segments_used, FLOWS * 24);
+            assert_eq!(full.segments_free, (1 << 20) - FLOWS * 24);
+            assert_eq!(full.packets_used, FLOWS);
+            assert_eq!(full.payload_bytes, u64::from(FLOWS) * 1518);
+            for (seq, flow) in flows().enumerate() {
+                frame[..4].copy_from_slice(&(seq as u32).to_le_bytes());
+                assert_eq!(qm.dequeue_packet(flow).unwrap(), frame);
+            }
+            let empty = verify(&qm).unwrap();
+            assert_eq!((empty.segments_used, empty.packets_used), (0, 0));
+            assert_eq!(empty.segments_free, 1 << 20);
+            assert_eq!(empty.ptr.total(), u64::from(FLOWS) * 15 * 24);
+            state_digest(&qm)
+        };
+        assert_eq!(run(), run());
     }
 
     #[test]

@@ -138,14 +138,19 @@ impl SegFreeList {
         self.free += 1;
     }
 
-    /// Walks the free list and returns every free segment id (verification).
+    /// The free segment ids, head first, read off the links in place. A
+    /// cyclic list never ends: the caller bounds the walk.
+    pub(crate) fn iter_free<'a>(&self, pm: &'a PtrMem) -> impl Iterator<Item = SegmentId> + 'a {
+        let link = |id: SegmentId| (!id.is_nil()).then_some(id);
+        std::iter::successors(link(self.head), move |&id| link(pm.seg_silent(id).next))
+    }
+
+    /// Walks the free list and returns every free segment id
+    /// (verification). The walk stops after as many ids as there are
+    /// segments: a longer list is cyclic.
     pub fn collect_free(&self, pm: &PtrMem) -> Vec<SegmentId> {
         let mut out = Vec::with_capacity(self.free as usize);
-        let mut cur = self.head;
-        while !cur.is_nil() {
-            out.push(cur);
-            cur = pm.seg_silent(cur).next;
-        }
+        out.extend(self.iter_free(pm).take(pm.num_segments() as usize));
         out
     }
 }
@@ -214,14 +219,19 @@ impl PktFreeList {
         self.free += 1;
     }
 
-    /// Walks the free list and returns every free packet id (verification).
+    /// The free packet ids, head first, read off the links in place. A
+    /// cyclic list never ends: the caller bounds the walk.
+    pub(crate) fn iter_free<'a>(&self, pm: &'a PtrMem) -> impl Iterator<Item = PacketId> + 'a {
+        let link = |id: PacketId| (!id.is_nil()).then_some(id);
+        std::iter::successors(link(self.head), move |&id| link(pm.pkt_silent(id).next_pkt))
+    }
+
+    /// Walks the free list and returns every free packet id
+    /// (verification). The walk stops after as many ids as there are
+    /// packet records: a longer list is cyclic.
     pub fn collect_free(&self, pm: &PtrMem) -> Vec<PacketId> {
         let mut out = Vec::with_capacity(self.free as usize);
-        let mut cur = self.head;
-        while !cur.is_nil() {
-            out.push(cur);
-            cur = pm.pkt_silent(cur).next_pkt;
-        }
+        out.extend(self.iter_free(pm).take(pm.num_segments() as usize));
         out
     }
 }

@@ -22,6 +22,7 @@
 //! | [`enqueue`](QueueManager::enqueue) | `Middle`/`Last` extend the open tail; `First`/`Only` are a SAR-protocol error |
 //! | [`dequeue`](QueueManager::dequeue), [`delete_segment`](QueueManager::delete_segment) | serve only *complete* packets; the open tail is served solely under [cut-through](crate::QmConfig::cut_through), and never its final enqueued segment |
 //! | [`dequeue_packet`](QueueManager::dequeue_packet), [`delete_packet`](QueueManager::delete_packet) | operate on the head packet only when it is complete |
+//! | [`dequeue_packet`](QueueManager::dequeue_packet) on a mid-service head | a complete head packet some of whose segments were already taken by [`dequeue`](QueueManager::dequeue) yields its *remainder* — the segments still queued — in debug and release builds alike |
 //! | [`read_head`](QueueManager::read_head), [`overwrite_head`](QueueManager::overwrite_head), [`overwrite_head_len`](QueueManager::overwrite_head_len), [`append_head`](QueueManager::append_head) | touch the head packet's first segment, which exists even mid-SAR |
 //! | [`append_tail`](QueueManager::append_tail) | rejected while the tail is open: the trailer would splice into the middle of the unfinished frame |
 //! | [`move_packet`](QueueManager::move_packet) | the *destination* tail must not be open (including same-queue rotation past an open tail): the moved complete packet would be linked after the open one and the flow's next `Last` segment would extend the wrong packet. A partially-served (mid-service) head packet may only move to the head of an empty destination |
@@ -32,7 +33,7 @@ use crate::error::QueueError;
 use crate::freelist::{PktFreeList, SegFreeList};
 use crate::id::{FlowId, PacketId, SegmentId};
 use crate::pool::SegmentPool;
-use crate::ptrmem::{PtrMem, PtrMemCounters, QueueRecord, SegRecord};
+use crate::ptrmem::{PktRecord, PtrMem, PtrMemCounters, QueueRecord, SegRecord};
 use crate::stats::QmStats;
 use crate::timing::stream::OpStream;
 use std::collections::BinaryHeap;
@@ -444,6 +445,30 @@ impl QueueManager {
 
     /// Segments `packet` and enqueues all pieces on `flow`.
     ///
+    /// The packet is admitted *as a unit* when nothing can stop it
+    /// halfway: `flow` is in range, its queue is not open (no SAR in
+    /// flight), and the free lists hold the packet's `n` segments and one
+    /// packet record — all read up front without counting. The engine then
+    /// keeps the queue record and the packet record in locals, writes each
+    /// segment record once with its final link and commits the queue table
+    /// and the occupancy index once. The modelled pointer-memory traffic
+    /// is still that of the `n` segment commands
+    /// ([`enqueue`](Self::enqueue) with `First`, `Middle`…, `Last`): what
+    /// the transaction did not do through the counting accessors is
+    /// *charged* to [`PtrMemCounters`], not re-derived by replaying them.
+    /// With `t = 1` if the queue already had a tail packet (else 0), an
+    /// `n`-segment packet costs exactly
+    ///
+    /// | plane | reads | writes |
+    /// |---|---|---|
+    /// | segment records | 2n − 1 | 2n − 1 |
+    /// | packet records | n + 1 + t | n + t |
+    /// | queue table | n | n |
+    ///
+    /// and [`QmStats`] counts `n` enqueues. In every other case the packet
+    /// goes through the segment commands one by one, which is also where
+    /// the errors below come from.
+    ///
     /// # Errors
     ///
     /// As [`QueueManager::enqueue`]; on memory exhaustion midway the
@@ -453,6 +478,95 @@ impl QueueManager {
         if packet.is_empty() {
             return self.fail(QueueError::EmptyPayload);
         }
+        let seg_bytes = self.cfg.segment_bytes() as usize;
+        let n = packet.len().div_ceil(seg_bytes);
+        let as_unit = flow.index() < self.cfg.num_flows()
+            && !self.ptr.queue_silent(flow).open
+            && n <= self.seg_fl.free_count() as usize
+            && self.pkt_fl.free_count() > 0;
+        if !as_unit {
+            return self.enqueue_packet_by_segments(flow, packet);
+        }
+
+        let mut q = self.ptr.queue(flow);
+        let mut first = SegmentId::NIL;
+        let mut last = SegmentId::NIL;
+        let mut last_len = 0u16;
+        for chunk in packet.chunks(seg_bytes) {
+            let seg = self.seg_fl.alloc(&mut self.ptr).expect("reserved above");
+            self.data.write(seg, chunk);
+            if last.is_nil() {
+                first = seg;
+            } else {
+                let linked = SegRecord {
+                    next: seg,
+                    len: last_len,
+                };
+                self.ptr.set_seg(last, linked);
+            }
+            last = seg;
+            last_len = chunk.len() as u16;
+        }
+        let end = SegRecord {
+            next: SegmentId::NIL,
+            len: last_len,
+        };
+        self.ptr.set_seg(last, end);
+
+        let pid = self.pkt_fl.alloc(&mut self.ptr).expect("reserved above");
+        let pr = PktRecord {
+            first,
+            last,
+            next_pkt: PacketId::NIL,
+            segs: n as u32,
+            bytes: packet.len() as u32,
+            started: false,
+            eop: true,
+            work: 0,
+        };
+        self.ptr.set_pkt(pid, pr);
+        if q.tail_pkt.is_nil() {
+            q.head_pkt = pid;
+        } else {
+            let tail = q.tail_pkt;
+            let mut tail_pr = self.ptr.pkt(tail);
+            tail_pr.next_pkt = pid;
+            self.ptr.set_pkt(tail, tail_pr);
+        }
+        q.tail_pkt = pid;
+        q.pkts += 1;
+        q.complete_pkts += 1;
+        q.segs += n as u32;
+        q.bytes += packet.len() as u64;
+        self.commit_queue(flow, q);
+
+        // Not made above: the `First` command's read of the fresh packet
+        // record and, for each of the other n − 1 commands, its queue-table
+        // and packet-record read/write pair and the read/write that links
+        // the previous last segment.
+        let k = n as u64 - 1;
+        self.ptr.charge(&PtrMemCounters {
+            seg_reads: k,
+            seg_writes: k,
+            pkt_reads: k + 1,
+            pkt_writes: k,
+            qt_reads: k,
+            qt_writes: k,
+        });
+        self.stats.enqueues += n as u64;
+        self.stats.bytes_in += packet.len() as u64;
+        Ok(())
+    }
+
+    /// [`enqueue_packet`](Self::enqueue_packet) one segment command at a
+    /// time, for a packet that may be refused: protocol errors surface
+    /// from the command that meets them and exhaustion midway rolls the
+    /// partial packet back.
+    fn enqueue_packet_by_segments(
+        &mut self,
+        flow: FlowId,
+        packet: &[u8],
+    ) -> Result<(), QueueError> {
         let seg_bytes = self.cfg.segment_bytes() as usize;
         let n = packet.len().div_ceil(seg_bytes);
         for (i, chunk) in packet.chunks(seg_bytes).enumerate() {
@@ -657,14 +771,90 @@ impl QueueManager {
 
     /// Dequeues one whole packet, concatenating its segments.
     ///
+    /// A head packet that is *complete* (not the open tail) is taken as a
+    /// unit: the queue record and the packet record are read once, the
+    /// payload is copied from the data memory straight into one buffer of
+    /// the packet's size, the segments are released in chain order and the
+    /// queue table and the occupancy index are committed once. As for
+    /// [`enqueue_packet`](Self::enqueue_packet), the modelled traffic is
+    /// that of the `n` [`dequeue`](Self::dequeue) commands, charged rather
+    /// than replayed — with a LIFO free list exactly
+    ///
+    /// | plane | reads | writes |
+    /// |---|---|---|
+    /// | segment records | n | n |
+    /// | packet records | n + 1 | n |
+    /// | queue table | 2n | n |
+    ///
+    /// (a FIFO free list adds its own tail read/write per released
+    /// segment) — so a packet's enqueue and dequeue together cost
+    /// `15n + 2t` accesses, 7.5 per segment operation. A mid-service head
+    /// (some segments already dequeued) yields its remainder. An open
+    /// head, served only under cut-through, goes through the segment
+    /// commands one by one.
+    ///
     /// # Errors
     ///
     /// As [`QueueManager::dequeue`].
     pub fn dequeue_packet(&mut self, flow: FlowId) -> Result<Vec<u8>, QueueError> {
+        let no_complete_head = flow.index() >= self.cfg.num_flows() || {
+            let q = self.ptr.queue_silent(flow);
+            q.head_pkt.is_nil() || (q.open && q.head_pkt == q.tail_pkt)
+        };
+        if no_complete_head {
+            return self.dequeue_packet_by_segments(flow);
+        }
+
+        let mut q = self.ptr.queue(flow);
+        let pid = q.head_pkt;
+        let pr = self.ptr.pkt(pid);
+        let mut out = Vec::with_capacity(pr.bytes as usize);
+        let mut n = 0u32;
+        let mut cur = pr.first;
+        loop {
+            let rec = self.ptr.seg(cur);
+            out.extend_from_slice(self.data.read(cur, rec.len as usize));
+            self.seg_fl.release(&mut self.ptr, cur);
+            n += 1;
+            if cur == pr.last {
+                break;
+            }
+            cur = rec.next;
+        }
+        q.head_pkt = pr.next_pkt;
+        if q.head_pkt.is_nil() {
+            q.tail_pkt = PacketId::NIL;
+        }
+        q.pkts -= 1;
+        q.complete_pkts -= 1;
+        q.segs -= n;
+        q.bytes -= out.len() as u64;
+        self.pkt_fl.release(&mut self.ptr, pid);
+        self.commit_queue(flow, q);
+
+        // Not made above: each command's second queue-table read (the
+        // readiness check), and for the n − 1 commands before the last
+        // their queue-table read/write and packet-record read/write.
+        let k = u64::from(n) - 1;
+        self.ptr.charge(&PtrMemCounters {
+            pkt_reads: k,
+            pkt_writes: k,
+            qt_reads: 2 * k + 1,
+            qt_writes: k,
+            ..PtrMemCounters::default()
+        });
+        self.stats.dequeues += u64::from(n);
+        self.stats.bytes_out += out.len() as u64;
+        Ok(out)
+    }
+
+    /// [`dequeue_packet`](Self::dequeue_packet) one segment command at a
+    /// time: the path of an open head under cut-through, and of every
+    /// refusal.
+    fn dequeue_packet_by_segments(&mut self, flow: FlowId) -> Result<Vec<u8>, QueueError> {
         let mut out = Vec::new();
         loop {
             let seg = self.dequeue(flow)?;
-            debug_assert!(seg.sop == out.is_empty(), "SOP must open the packet");
             out.extend_from_slice(&seg.data);
             if seg.eop {
                 return Ok(out);
@@ -1285,6 +1475,7 @@ impl QueueManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn qm() -> QueueManager {
         QueueManager::new(QmConfig::small())
@@ -1867,6 +2058,259 @@ mod tests {
             assert_eq!(m.longest_queue(), expect, "round {round}");
         }
         m.verify().unwrap();
+    }
+
+    #[test]
+    fn dequeue_packet_of_a_mid_service_head_returns_the_remainder() {
+        let pkt: Vec<u8> = (0..150).map(|i| i as u8).collect();
+        type Take = fn(&mut QueueManager, FlowId) -> Result<Vec<u8>, QueueError>;
+        let takes: [Take; 2] = [
+            QueueManager::dequeue_packet,
+            QueueManager::dequeue_packet_by_segments,
+        ];
+        for take in takes {
+            let mut m = qm();
+            let f = FlowId::new(2);
+            m.enqueue_packet(f, &pkt).unwrap(); // 64 + 64 + 22
+            assert_eq!(m.dequeue(f).unwrap().data, pkt[..64]);
+            assert!(m.head_in_service(f));
+            assert_eq!(take(&mut m, f).unwrap(), pkt[64..]);
+            assert!(m.is_empty(f));
+            m.verify().unwrap();
+        }
+    }
+
+    #[test]
+    fn whole_packet_traffic_matches_the_documented_formulas() {
+        for n in [1u64, 3, 24] {
+            for t in [0u64, 1] {
+                let mut m = qm();
+                let f = FlowId::new(0);
+                if t == 1 {
+                    m.enqueue_packet(f, b"already queued").unwrap();
+                }
+                let before = m.ptr_counters();
+                m.enqueue_packet(f, &vec![7u8; 64 * n as usize]).unwrap();
+                let enq = m.ptr_counters().since(&before);
+                assert_eq!((enq.seg_reads, enq.seg_writes), (2 * n - 1, 2 * n - 1));
+                assert_eq!((enq.pkt_reads, enq.pkt_writes), (n + 1 + t, n + t));
+                assert_eq!((enq.qt_reads, enq.qt_writes), (n, n));
+
+                if t == 1 {
+                    m.dequeue_packet(f).unwrap();
+                }
+                let before = m.ptr_counters();
+                assert_eq!(m.dequeue_packet(f).unwrap().len() as u64, 64 * n);
+                let deq = m.ptr_counters().since(&before);
+                assert_eq!((deq.seg_reads, deq.seg_writes), (n, n));
+                assert_eq!((deq.pkt_reads, deq.pkt_writes), (n + 1, n));
+                assert_eq!((deq.qt_reads, deq.qt_writes), (2 * n, n));
+                assert_eq!(enq.total() + deq.total(), 15 * n + 2 * t);
+            }
+        }
+    }
+
+    /// One step of the differential script below. The packet calls are
+    /// what is under test; the others run identically on both engines and
+    /// put the queues into the states the packet calls must cope with.
+    #[derive(Debug, Clone)]
+    enum Step {
+        EnqueuePacket {
+            flow: u32,
+            len: usize,
+            work: u32,
+        },
+        DequeuePacket {
+            flow: u32,
+        },
+        /// A raw SAR segment: `First` leaves the queue open.
+        Segment {
+            flow: u32,
+            len: usize,
+            first: bool,
+            last: bool,
+        },
+        /// One segment command: leaves a mid-service head behind.
+        DequeueSegment {
+            flow: u32,
+        },
+        MovePacket {
+            src: u32,
+            dst: u32,
+        },
+        DeletePacket {
+            flow: u32,
+        },
+        AppendHead {
+            flow: u32,
+            len: usize,
+        },
+        AppendTail {
+            flow: u32,
+            len: usize,
+        },
+    }
+
+    const DIFF_FLOWS: u32 = 3;
+    const DIFF_SEG_BYTES: usize = 16;
+
+    fn step_strategy() -> impl Strategy<Value = Step> {
+        // One flow index past the table, so `UnknownFlow` is in the script.
+        let flow = || 0..DIFF_FLOWS + 1;
+        let seg_len = || 1..DIFF_SEG_BYTES + 1;
+        // Empty, one segment, exact multiples and ragged sizes, up to a
+        // third of the pool.
+        let pkt_len = || {
+            prop_oneof![
+                0usize..10 * DIFF_SEG_BYTES,
+                (1usize..10).prop_map(|segs| segs * DIFF_SEG_BYTES),
+                seg_len(),
+            ]
+        };
+        let work = || prop_oneof![0u32..1, 1u32..9];
+        // The two packet calls are listed twice: four steps in ten.
+        prop_oneof![
+            (flow(), pkt_len(), work()).prop_map(|(flow, len, work)| Step::EnqueuePacket {
+                flow,
+                len,
+                work
+            }),
+            (flow(), pkt_len(), work()).prop_map(|(flow, len, work)| Step::EnqueuePacket {
+                flow,
+                len,
+                work
+            }),
+            flow().prop_map(|flow| Step::DequeuePacket { flow }),
+            flow().prop_map(|flow| Step::DequeuePacket { flow }),
+            (flow(), seg_len(), any::<bool>(), any::<bool>()).prop_map(
+                |(flow, len, first, last)| Step::Segment {
+                    flow,
+                    len,
+                    first,
+                    last
+                }
+            ),
+            flow().prop_map(|flow| Step::DequeueSegment { flow }),
+            (flow(), flow()).prop_map(|(src, dst)| Step::MovePacket { src, dst }),
+            flow().prop_map(|flow| Step::DeletePacket { flow }),
+            (flow(), seg_len()).prop_map(|(flow, len)| Step::AppendHead { flow, len }),
+            (flow(), seg_len()).prop_map(|(flow, len)| Step::AppendTail { flow, len }),
+        ]
+    }
+
+    /// Runs `step` and renders its result. With `by_segments` the packet
+    /// calls go through the segment-command loops, as every packet did
+    /// before there were whole-packet transactions.
+    fn apply(m: &mut QueueManager, step: &Step, tag: u8, by_segments: bool) -> String {
+        let bytes =
+            |len: usize| -> Vec<u8> { (0..len).map(|i| tag.wrapping_add(i as u8)).collect() };
+        match *step {
+            Step::EnqueuePacket { flow, len, work } => {
+                let (flow, data) = (FlowId::new(flow), bytes(len));
+                let result = if !by_segments {
+                    if work == 0 {
+                        m.enqueue_packet(flow, &data)
+                    } else {
+                        m.enqueue_packet_with_work(flow, &data, work)
+                    }
+                } else if data.is_empty() {
+                    m.fail(QueueError::EmptyPayload)
+                } else {
+                    m.enqueue_packet_by_segments(flow, &data).map(|()| {
+                        if work != 0 {
+                            m.set_tail_work(flow, work).unwrap();
+                        }
+                    })
+                };
+                format!("{result:?}")
+            }
+            Step::DequeuePacket { flow } => {
+                let flow = FlowId::new(flow);
+                let result = if by_segments {
+                    m.dequeue_packet_by_segments(flow)
+                } else {
+                    m.dequeue_packet(flow)
+                };
+                format!("{result:?}")
+            }
+            Step::Segment {
+                flow,
+                len,
+                first,
+                last,
+            } => {
+                let pos = SegmentPosition::from_flags(first, last);
+                format!("{:?}", m.enqueue(FlowId::new(flow), &bytes(len), pos))
+            }
+            Step::DequeueSegment { flow } => format!("{:?}", m.dequeue(FlowId::new(flow))),
+            Step::MovePacket { src, dst } => {
+                format!("{:?}", m.move_packet(FlowId::new(src), FlowId::new(dst)))
+            }
+            Step::DeletePacket { flow } => format!("{:?}", m.delete_packet(FlowId::new(flow))),
+            Step::AppendHead { flow, len } => {
+                format!("{:?}", m.append_head(FlowId::new(flow), &bytes(len)))
+            }
+            Step::AppendTail { flow, len } => {
+                format!("{:?}", m.append_tail(FlowId::new(flow), &bytes(len)))
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The whole-packet transactions against the segment-command loops
+        /// they stand for: after every step of a random script both
+        /// engines agree on the call's result and on everything an
+        /// observer can read — state, modelled traffic plane by plane,
+        /// statistics, watermark, invariants and the memory trace.
+        #[test]
+        fn whole_packet_calls_match_the_segment_commands(
+            script in proptest::collection::vec(step_strategy(), 1..160),
+        ) {
+            use crate::config::FreeListDiscipline::{Fifo, Lifo};
+            for (freelist, cut_through) in [(Lifo, false), (Fifo, false), (Lifo, true), (Fifo, true)] {
+                let cfg = QmConfig::builder()
+                    .num_flows(DIFF_FLOWS)
+                    .num_segments(30)
+                    .segment_bytes(DIFF_SEG_BYTES as u32)
+                    .freelist_discipline(freelist)
+                    .cut_through(cut_through)
+                    .build()
+                    .unwrap();
+                let mut unit = QueueManager::new(cfg);
+                let mut segs = QueueManager::new(cfg);
+                unit.set_tracing(true);
+                segs.set_tracing(true);
+                for (i, step) in script.iter().enumerate() {
+                    let at = format!("step {i} {step:?} ({freelist:?}, cut_through {cut_through})");
+                    let got = apply(&mut unit, step, i as u8, false);
+                    let want = apply(&mut segs, step, i as u8, true);
+                    prop_assert_eq!(got, want, "{}", at);
+                    prop_assert_eq!(
+                        crate::check::state_digest(&unit),
+                        crate::check::state_digest(&segs),
+                        "{}", at
+                    );
+                    let (a, b) = (unit.ptr_counters(), segs.ptr_counters());
+                    prop_assert_eq!((a.seg_reads, a.seg_writes), (b.seg_reads, b.seg_writes), "{}", at);
+                    prop_assert_eq!((a.pkt_reads, a.pkt_writes), (b.pkt_reads, b.pkt_writes), "{}", at);
+                    prop_assert_eq!((a.qt_reads, a.qt_writes), (b.qt_reads, b.qt_writes), "{}", at);
+                    prop_assert_eq!(unit.data_counters(), segs.data_counters(), "{}", at);
+                    prop_assert_eq!(unit.stats(), segs.stats(), "{}", at);
+                    prop_assert_eq!(
+                        unit.free_segments_low_watermark(),
+                        segs.free_segments_low_watermark(),
+                        "{}", at
+                    );
+                    let walk = unit.verify();
+                    prop_assert!(walk.is_ok(), "{}: {:?}", at, walk);
+                    prop_assert_eq!(walk, segs.verify(), "{}", at);
+                    prop_assert_eq!(unit.longest_queue(), segs.longest_queue(), "{}", at);
+                    prop_assert_eq!(unit.cut_trace(), segs.cut_trace(), "{}", at);
+                }
+            }
+        }
     }
 
     #[test]

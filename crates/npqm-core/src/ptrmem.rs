@@ -213,6 +213,14 @@ impl PtrMem {
         self.counters = PtrMemCounters::default();
     }
 
+    /// Counts `extra` accesses that were not made through the accessors:
+    /// the whole-packet transactions of [`crate::QueueManager`] keep a
+    /// record in a local across the segments of one packet and charge here
+    /// what the per-segment command sequence reads and writes in between.
+    pub(crate) fn charge(&mut self, extra: &PtrMemCounters) {
+        self.counters.absorb(extra);
+    }
+
     // --- segment plane -----------------------------------------------------
 
     /// Reads a segment record.
