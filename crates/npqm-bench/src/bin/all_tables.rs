@@ -1,6 +1,7 @@
 //! Runs every table experiment and dumps a machine-readable JSON summary
 //! (the source of EXPERIMENTS.md's paper-vs-measured numbers).
 
+use npqm_bench::json::host;
 use npqm_bench::{to_json_string, Json, ToJson};
 
 struct Summary {
@@ -11,7 +12,7 @@ struct Summary {
     table4: Vec<(String, u64)>,
     table5: Vec<npqm_mms::perf::Table5Row>,
     table6: Vec<Table6Out>,
-    table7: Vec<Table7Out>,
+    table7: Vec<npqm_traffic::scale::ShardScaleRow>,
     table8: Vec<Table8Out>,
     table9: Vec<npqm_bench::competitive::Table9Row>,
     table10: Table10Out,
@@ -64,8 +65,8 @@ impl ToJson for Table10Out {
             ("dropped_pkts", self.dropped_pkts.to_json()),
             ("evicted_pkts", self.evicted_pkts.to_json()),
             ("ring_full_events", self.ring_full_events.to_json()),
-            ("segments_per_sec", self.segments_per_sec.to_json()),
             ("final_digest", self.final_digest.clone().to_json()),
+            host([("segments_per_sec", self.segments_per_sec.to_json())]),
         ])
     }
 }
@@ -121,34 +122,6 @@ impl ToJson for Table6Out {
             ("evicted_pkts", self.evicted_pkts.to_json()),
             ("goodput_gbps", self.goodput_gbps.to_json()),
             ("mean_latency_ns", self.mean_latency_ns.to_json()),
-        ])
-    }
-}
-
-struct Table7Out {
-    shards: usize,
-    admitted_pkts: u64,
-    dropped_pkts: u64,
-    delivered_pkts: u64,
-    segments_processed: u64,
-    segments_per_sec: f64,
-    speedup_vs_one_shard: f64,
-    torn_frames: u64,
-    conserved: bool,
-}
-
-impl ToJson for Table7Out {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("shards", (self.shards as u64).to_json()),
-            ("admitted_pkts", self.admitted_pkts.to_json()),
-            ("dropped_pkts", self.dropped_pkts.to_json()),
-            ("delivered_pkts", self.delivered_pkts.to_json()),
-            ("segments_processed", self.segments_processed.to_json()),
-            ("segments_per_sec", self.segments_per_sec.to_json()),
-            ("speedup_vs_one_shard", self.speedup_vs_one_shard.to_json()),
-            ("torn_frames", self.torn_frames.to_json()),
-            ("conserved", self.conserved.to_json()),
         ])
     }
 }
@@ -233,26 +206,11 @@ fn main() {
     .collect();
 
     eprintln!("running Table 7 (sharded engine scaling)...");
-    let sweep = npqm_traffic::scale::run_shard_sweep(
+    let table7 = npqm_traffic::scale::run_shard_sweep(
         &npqm_traffic::scale::ShardScaleConfig::table7(),
         &[1, 2, 4, 8],
         npqm_traffic::scale::threads_from_env(),
     );
-    let base = sweep[0].segments_per_sec();
-    let table7 = sweep
-        .iter()
-        .map(|r| Table7Out {
-            shards: r.shards,
-            admitted_pkts: r.admitted_pkts,
-            dropped_pkts: r.dropped_pkts,
-            delivered_pkts: r.delivered_pkts,
-            segments_processed: r.segments_processed,
-            segments_per_sec: r.segments_per_sec(),
-            speedup_vs_one_shard: r.segments_per_sec() / base,
-            torn_frames: r.torn_frames,
-            conserved: r.conserved,
-        })
-        .collect();
 
     eprintln!("running Table 8 (memory-derived throughput)...");
     let table8 = npqm_traffic::scale::run_memory_sweep(

@@ -1,216 +1,131 @@
-//! Performance-regression gate over the committed bench artifacts.
+//! Equality gate over the committed table artifacts.
 //!
-//! The table binaries write per-commit perf artifacts
-//! (`BENCH_table6.json` … `BENCH_table10.json`) containing wall-clock
-//! measurements and composite rates next to the deterministic counters.
-//! This gate compares the **freshly regenerated** artifacts against the
-//! **committed baselines** (the `HEAD` copies, extracted by `ci.sh`
-//! before regeneration) and fails on a real regression:
+//! The table binaries write `BENCH_table6.json` … `BENCH_table11.json`.
+//! Everything in them outside a `"host"` object is simulated — a pure
+//! function of the binary and the seed — so a regenerated artifact must
+//! equal the committed one there, leaf for leaf. This gate compares the
+//! tree's copies (set aside by `ci.sh` before regeneration) with the
+//! regenerated ones and fails, naming the JSON path, on any changed,
+//! missing or extra leaf. `host` subtrees (wall clock, busy times, the
+//! rates derived from them, steals, threads, cores) are not looked at:
+//! host time is `bench/run.sh`'s job.
 //!
-//! * any `wall_clock_us` leaf may not grow by more than the tolerance
-//!   (sub-millisecond baselines are skipped as pure noise);
-//! * any `segments_per_sec` / `ops_per_sec` leaf may not shrink by more
-//!   than the tolerance.
+//! A table with no baseline file (the first run of a new table) is a
+//! notice; a baseline that does not parse, or a current artifact that is
+//! missing or does not parse, is a failure.
 //!
-//! The two documents are walked structurally in lockstep; leaves that
-//! exist only on one side (format evolution) are reported and skipped,
-//! never failed — the gate guards performance, not schema. A table with
-//! no committed baseline (first run of a new table) is skipped with a
-//! notice. `ci.sh` applies the usual one-retry policy by regenerating
-//! the artifacts once if the gate trips.
-//!
-//! Usage: `bench_gate --baseline-dir <dir> --current-dir <dir>
-//! [--tolerance 0.15] [--tables table6,table7,...]`
+//! Usage: `bench_gate --baseline-dir <dir> --current-dir <dir>`
 
 use npqm_bench::cli::Cli;
 use npqm_bench::json::Json;
+use std::path::Path;
 
-/// Relative regression budget for both directions (wall clock up, rate
-/// down).
-const DEFAULT_TOLERANCE: f64 = 0.15;
+const TABLES: [&str; 6] = ["table6", "table7", "table8", "table9", "table10", "table11"];
 
-/// Wall-clock baselines below this many microseconds are not compared:
-/// scheduler jitter alone exceeds the tolerance at that scale.
-const MIN_WALL_US: f64 = 1000.0;
-
-const DEFAULT_TABLES: [&str; 6] = ["table6", "table7", "table8", "table9", "table10", "table11"];
-
-/// Metric leaves where a larger current value is a regression.
-const LOWER_BETTER: [&str; 1] = ["wall_clock_us"];
-/// Metric leaves where a smaller current value is a regression.
-/// Goodput is deterministic rather than timed, but a >15% drop is a
-/// regression all the same — and intentional workload changes update
-/// the committed baseline in the same commit.
-const HIGHER_BETTER: [&str; 3] = ["segments_per_sec", "ops_per_sec", "goodput_gbps"];
-
-struct Outcome {
-    compared: u64,
-    skipped: u64,
-    violations: Vec<String>,
-    /// Worst observed relative change, for the summary line.
-    worst: Option<(String, f64)>,
-}
-
-impl Outcome {
-    fn new() -> Self {
-        Outcome {
-            compared: 0,
-            skipped: 0,
-            violations: Vec::new(),
-            worst: None,
-        }
-    }
-
-    fn note(&mut self, path: &str, rel: f64) {
-        if self.worst.as_ref().is_none_or(|(_, w)| rel > *w) {
-            self.worst = Some((path.to_string(), rel));
-        }
-    }
-}
-
-/// Compares one metric leaf; `rel` is the regression magnitude (positive
-/// = worse), sign-normalized across both metric directions.
-fn compare_leaf(path: &str, key: &str, base: f64, cur: f64, tol: f64, out: &mut Outcome) {
-    let lower_better = LOWER_BETTER.contains(&key);
-    if lower_better && base < MIN_WALL_US {
-        out.skipped += 1;
-        return;
-    }
-    if base <= 0.0 {
-        out.skipped += 1;
-        return;
-    }
-    let rel = if lower_better {
-        cur / base - 1.0
-    } else {
-        1.0 - cur / base
-    };
-    out.compared += 1;
-    out.note(path, rel);
-    if rel > tol {
-        let dir = if lower_better { "slower" } else { "lower" };
-        out.violations.push(format!(
-            "{path}: {base:.1} -> {cur:.1} ({:+.1}% {dir}, tolerance {:.0}%)",
-            rel * 100.0,
-            tol * 100.0
-        ));
-    }
-}
-
-/// Walks baseline and current documents in lockstep, comparing metric
-/// leaves and counting (never failing on) structural divergence.
-fn walk(base: &Json, cur: &Json, path: &str, tol: f64, out: &mut Outcome) {
+/// Appends to `out` one line per place where `base` and `cur` differ,
+/// each starting with the JSON path. Callers strip `host` first.
+fn diff(base: &Json, cur: &Json, path: &str, out: &mut Vec<String>) {
     match (base, cur) {
-        (Json::Obj(bf), Json::Obj(_)) => {
+        (Json::Obj(bf), Json::Obj(cf)) => {
             for (k, bv) in bf {
-                let sub = if path.is_empty() {
-                    k.clone()
-                } else {
-                    format!("{path}.{k}")
-                };
                 match cur.get(k) {
-                    Some(cv) => {
-                        if let (Some(b), Some(c)) = (bv.as_f64(), cv.as_f64()) {
-                            if LOWER_BETTER.contains(&k.as_str())
-                                || HIGHER_BETTER.contains(&k.as_str())
-                            {
-                                compare_leaf(&sub, k, b, c, tol, out);
-                            }
-                        } else {
-                            walk(bv, cv, &sub, tol, out);
-                        }
-                    }
-                    None => out.skipped += 1,
+                    Some(cv) => diff(bv, cv, &format!("{path}.{k}"), out),
+                    None => out.push(format!("{path}.{k}: missing from the current artifact")),
+                }
+            }
+            for (k, _) in cf {
+                if base.get(k).is_none() {
+                    out.push(format!("{path}.{k}: not in the baseline"));
                 }
             }
         }
         (Json::Arr(bs), Json::Arr(cs)) => {
             if bs.len() != cs.len() {
-                out.skipped += 1;
+                out.push(format!("{path}: {} items -> {}", bs.len(), cs.len()));
             }
             for (i, (bv, cv)) in bs.iter().zip(cs).enumerate() {
-                walk(bv, cv, &format!("{path}[{i}]"), tol, out);
+                diff(bv, cv, &format!("{path}[{i}]"), out);
             }
         }
-        // Scalar leaves that are not tracked metrics, or a structural
-        // type change: nothing to compare.
-        _ => {}
+        _ if base == cur => {}
+        _ => out.push(format!("{path}: {} -> {}", leaf(base), leaf(cur))),
     }
 }
 
-fn read_doc(path: &std::path::Path) -> Result<Json, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
-    Json::parse(&text).map_err(|e| format!("cannot parse: {e}"))
+/// A differing value on one line: scalars as they print, containers by
+/// kind (a container here means the two sides disagree on the type).
+fn leaf(v: &Json) -> String {
+    match v {
+        Json::Arr(_) => "[...]".to_string(),
+        Json::Obj(_) => "{...}".to_string(),
+        scalar => scalar.pretty(),
+    }
+}
+
+/// What the gate found for one table.
+#[derive(Debug, PartialEq)]
+enum Verdict {
+    /// Equal outside `host`.
+    Equal,
+    /// No baseline file: a new table.
+    NoBaseline,
+    /// One line per difference or unreadable artifact.
+    Failed(Vec<String>),
+}
+
+/// Judges one table from the two files' contents (`None`: no such file).
+fn gate_table(base: Option<&str>, cur: Option<&str>) -> Verdict {
+    let Some(base) = base else {
+        return Verdict::NoBaseline;
+    };
+    let parse = |which: &str, text: Option<&str>| {
+        let text = text.ok_or_else(|| format!("{which} artifact: cannot read"))?;
+        Json::parse(text).map_err(|e| format!("{which} artifact: cannot parse: {e}"))
+    };
+    match (parse("baseline", Some(base)), parse("current", cur)) {
+        (Ok(base), Ok(cur)) => {
+            let mut lines = Vec::new();
+            diff(&base.without_host(), &cur.without_host(), "$", &mut lines);
+            if lines.is_empty() {
+                Verdict::Equal
+            } else {
+                Verdict::Failed(lines)
+            }
+        }
+        (base, cur) => Verdict::Failed(base.err().into_iter().chain(cur.err()).collect()),
+    }
 }
 
 fn main() {
     let cli = Cli::parse("bench-gate");
-    let flag_value = |name: &str| cli.flag_value(name);
-    let baseline_dir = flag_value("--baseline-dir").unwrap_or_else(|| {
-        eprintln!("bench-gate: --baseline-dir is required");
-        std::process::exit(2);
-    });
-    let current_dir = flag_value("--current-dir").unwrap_or_else(|| {
-        eprintln!("bench-gate: --current-dir is required");
-        std::process::exit(2);
-    });
-    let tol = flag_value("--tolerance")
-        .map(|t| t.parse::<f64>().expect("--tolerance must be a number"))
-        .unwrap_or(DEFAULT_TOLERANCE);
-    let tables: Vec<String> = flag_value("--tables")
-        .map(|t| t.split(',').map(str::to_string).collect())
-        .unwrap_or_else(|| DEFAULT_TABLES.iter().map(|s| s.to_string()).collect());
+    let dir = |name: &str| {
+        cli.flag_value(name).unwrap_or_else(|| {
+            eprintln!("bench-gate: {name} is required");
+            std::process::exit(2);
+        })
+    };
+    let (baseline_dir, current_dir) = (dir("--baseline-dir"), dir("--current-dir"));
 
     let mut failed = false;
-    for table in &tables {
-        let file = format!("BENCH_{table}.json");
-        let base_path = std::path::Path::new(&baseline_dir).join(&file);
-        let cur_path = std::path::Path::new(&current_dir).join(&file);
-        let base = match read_doc(&base_path) {
-            Ok(doc) => doc,
-            Err(e) => {
-                // No baseline (new table, or HEAD predates it) is not a
-                // regression; a broken baseline must not brick CI either.
-                println!(
-                    "bench-gate: {table}: skipped (baseline {}: {e})",
-                    base_path.display()
-                );
-                continue;
-            }
+    for table in TABLES {
+        let read = |dir: &str| {
+            std::fs::read_to_string(Path::new(dir).join(format!("BENCH_{table}.json"))).ok()
         };
-        let cur = match read_doc(&cur_path) {
-            Ok(doc) => doc,
-            Err(e) => {
-                // A missing/corrupt *current* artifact means generation
-                // failed — that is a hard failure.
-                eprintln!(
-                    "bench-gate FAILED: {table}: current {}: {e}",
-                    cur_path.display()
-                );
+        match gate_table(
+            read(&baseline_dir).as_deref(),
+            read(&current_dir).as_deref(),
+        ) {
+            Verdict::Equal => {
+                println!("bench-gate: {table}: simulated leaves equal, host leaves ignored: ok")
+            }
+            Verdict::NoBaseline => {
+                println!("bench-gate: {table}: skipped (no baseline in {baseline_dir})")
+            }
+            Verdict::Failed(lines) => {
                 failed = true;
-                continue;
-            }
-        };
-        let mut out = Outcome::new();
-        walk(&base, &cur, "", tol, &mut out);
-        for v in &out.violations {
-            eprintln!("bench-gate FAILED: {table}: {v}");
-            failed = true;
-        }
-        if out.violations.is_empty() {
-            match &out.worst {
-                Some((path, rel)) => println!(
-                    "bench-gate: {table}: {} metrics within {:.0}% (worst {:+.1}% at {path}), \
-                     {} skipped: ok",
-                    out.compared,
-                    tol * 100.0,
-                    rel * 100.0,
-                    out.skipped
-                ),
-                None => println!(
-                    "bench-gate: {table}: no tracked metrics found ({} skipped): ok",
-                    out.skipped
-                ),
+                for line in lines {
+                    eprintln!("bench-gate FAILED: {table}: {line}");
+                }
             }
         }
     }
@@ -218,4 +133,90 @@ fn main() {
         std::process::exit(1);
     }
     println!("bench-gate: PASS");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const BASE: &str = r#"{
+        "table": "t",
+        "host": {"cores": 2},
+        "rows": [
+            {"admitted_pkts": 10, "fingerprint": "0x01", "host": {"wall_clock_us": 5.0}},
+            {"admitted_pkts": 20, "fingerprint": "0x02", "host": {"wall_clock_us": 6.0}}
+        ]
+    }"#;
+
+    fn lines(base: &str, cur: &str) -> Vec<String> {
+        let doc = |text| {
+            Json::parse(text)
+                .expect("test document parses")
+                .without_host()
+        };
+        let mut out = Vec::new();
+        diff(&doc(base), &doc(cur), "$", &mut out);
+        out
+    }
+
+    #[test]
+    fn a_differing_host_subtree_passes() {
+        let cur = BASE
+            .replace("\"cores\": 2", "\"cores\": 64, \"threads\": 4")
+            .replace("5.0", "50000.0");
+        assert_ne!(cur, BASE);
+        assert_eq!(lines(BASE, &cur), Vec::<String>::new());
+    }
+
+    #[test]
+    fn a_changed_simulated_leaf_fails_naming_its_path() {
+        let digest = lines(BASE, &BASE.replace("\"0x02\"", "\"0x03\""));
+        assert_eq!(digest, ["$.rows[1].fingerprint: \"0x02\" -> \"0x03\""]);
+        let integer = lines(BASE, &BASE.replace("10", "11"));
+        assert_eq!(integer, ["$.rows[0].admitted_pkts: 10 -> 11"]);
+        // An integer that became a float is a change too, not a tolerance.
+        let float = lines(BASE, &BASE.replace("10", "10.0"));
+        assert_eq!(float, ["$.rows[0].admitted_pkts: 10 -> 10.0"]);
+    }
+
+    #[test]
+    fn a_key_on_one_side_only_fails_naming_its_path() {
+        let without = BASE.replace("\"admitted_pkts\": 20, ", "");
+        assert_eq!(
+            lines(BASE, &without),
+            ["$.rows[1].admitted_pkts: missing from the current artifact"]
+        );
+        assert_eq!(
+            lines(&without, BASE),
+            ["$.rows[1].admitted_pkts: not in the baseline"]
+        );
+    }
+
+    #[test]
+    fn arrays_of_different_length_fail_naming_their_path() {
+        assert_eq!(
+            lines(r#"{"rows": [1, 2]}"#, r#"{"rows": [1, 2, 3]}"#),
+            ["$.rows: 2 items -> 3"]
+        );
+    }
+
+    #[test]
+    fn missing_baseline_is_a_notice_and_unparsable_files_are_failures() {
+        let corrupt = "{\"table\": ";
+        assert_eq!(gate_table(Some(BASE), Some(BASE)), Verdict::Equal);
+        assert_eq!(gate_table(None, Some(BASE)), Verdict::NoBaseline);
+        for (base, cur, who) in [
+            (corrupt, Some(BASE), "baseline artifact: cannot parse"),
+            (BASE, Some(corrupt), "current artifact: cannot parse"),
+            (BASE, None, "current artifact: cannot read"),
+        ] {
+            match gate_table(Some(base), cur) {
+                Verdict::Failed(lines) => {
+                    assert_eq!(lines.len(), 1, "{lines:?}");
+                    assert!(lines[0].starts_with(who), "{lines:?}");
+                }
+                other => panic!("expected a failure, got {other:?}"),
+            }
+        }
+    }
 }

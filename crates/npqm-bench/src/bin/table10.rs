@@ -4,11 +4,11 @@
 //!
 //! The finite-trace tables answer "how fast is one run"; this table
 //! answers the service-shaped question: does the engine *sustain* — for
-//! seconds of virtual time under ~1.45× overload — a composite rate at
-//! least that of the table7 engine, with bounded memory (rings never
-//! grow unboundedly, the ledger drains), zero torn frames across every
-//! online snapshot, and online epoch digests that are byte-identical at
-//! any thread count and equal to a quiesced stop-the-world run's?
+//! seconds of virtual time under ~1.45× overload — bounded memory (rings
+//! never grow unboundedly, the ledger drains), zero torn frames across
+//! every online snapshot, and online epoch digests that are
+//! byte-identical at any thread count and equal to a quiesced
+//! stop-the-world run's?
 //!
 //! `table10 --check` runs the machine-checkable gates instead of the
 //! pretty table:
@@ -22,25 +22,25 @@
 //! * digest stability: the online epoch digests of this run are
 //!   byte-identical to a fresh run at the *other* thread count (1 ↔ 4),
 //!   and spot-checked epochs equal [`quiesced_digest`]'s stop-the-world
-//!   replay;
-//! * the steady-state rate gate (enforced on the `NPQM_THREADS=1` leg
-//!   with the usual one-retry policy): the service composite
-//!   (segments over the busiest shard's busy time) must sustain at
-//!   least the table7 single-engine composite rate.
+//!   replay.
 //!
-//! The worker-thread count comes from `NPQM_THREADS` (default 1);
-//! `--report <path>` writes the machine-readable document containing
-//! **only deterministic fields**, which the CI `parallel-determinism`
-//! stage diffs across thread counts. `--json <path>` (without
-//! `--check`) writes the full results including wall-clock measurements,
-//! the per-commit perf artifact.
+//! Every gate is a pure function of the seed. The sustained composite
+//! rate (segments over the busiest shard's busy time) is reported, not
+//! gated: host time is gated by `bench/run.sh` (`svc_steady` is this
+//! table's shape).
+//!
+//! The worker-thread count comes from `NPQM_THREADS` (default 1).
+//! `--json <path>` (without `--check`) writes the per-commit artifact,
+//! every host-dependent value under a `host` key; `--report <path>`
+//! writes the same report without `host`, which the CI
+//! `parallel-determinism` stage diffs across thread counts.
 
-use npqm_bench::cli::{check, cores, write_file, Cli};
-use npqm_bench::json::{service_report_deterministic_json, telemetry_trace_json, Json, ToJson};
+use npqm_bench::cli::{check, cores, host_cores, write_file, Cli};
+use npqm_bench::json::{telemetry_trace_json, Json, ToJson};
 use npqm_core::policy::DynamicThreshold;
 use npqm_core::sched::from_spec;
 use npqm_core::telemetry::TelemetryConfig;
-use npqm_traffic::scale::{run_shard_scale, threads_from_env, ShardScaleConfig};
+use npqm_traffic::scale::threads_from_env;
 use npqm_traffic::service::{quiesced_digest, run_service, ServiceConfig, ServiceReport};
 
 /// The thread count the cross-check leg runs at (the gate is "1 ↔ 4
@@ -53,10 +53,6 @@ const CROSS_THREADS: usize = 4;
 /// without ever allowing an O(run-length) buildup.
 const REORDER_BOUND_RINGS: u64 = 4;
 
-/// The steady-state rate gate: the service composite must sustain at
-/// least this multiple of the table7 single-engine composite rate.
-const RATE_VS_TABLE7: f64 = 1.0;
-
 fn run(cfg: &ServiceConfig, threads: usize) -> ServiceReport {
     let flows = cfg.mix.flows();
     run_service(
@@ -67,9 +63,8 @@ fn run(cfg: &ServiceConfig, threads: usize) -> ServiceReport {
     )
 }
 
-/// The deterministic gates: conservation, reconciliation, torn frames,
-/// online verification and memory bounds. Pure functions of the seed —
-/// hard failures, never retried.
+/// Conservation, reconciliation, torn frames, online verification and
+/// memory bounds.
 fn check_determinism(cfg: &ServiceConfig, r: &ServiceReport) {
     let a = &r.aggregate;
     check(
@@ -208,54 +203,6 @@ fn check_digest_stability(cfg: &ServiceConfig, r: &ServiceReport, threads: usize
     }
 }
 
-/// The steady-state rate gate, which measures wall clock (busy times):
-/// returns the first failure for the one-retry policy.
-fn rate_gate(r: &ServiceReport, baseline: f64) -> Result<(), String> {
-    let rate = r.segments_per_sec();
-    let need = baseline * RATE_VS_TABLE7;
-    if rate >= need {
-        Ok(())
-    } else {
-        Err(format!(
-            "steady-state composite {:.2} Mseg/s >= {RATE_VS_TABLE7:.1}x table7 \
-             single-engine rate ({:.2} Mseg/s)",
-            rate / 1e6,
-            need / 1e6
-        ))
-    }
-}
-
-/// Runs the rate gate with the same one-retry policy as the other
-/// timing gates: busy times on a noisy shared runner can dent one run
-/// with no code regression, so a failure earns exactly one fresh run
-/// (and a fresh baseline) on which only the timing gate is re-evaluated.
-fn rate_gate_with_retry(cfg: &ServiceConfig, r: &ServiceReport, threads: usize) {
-    let baseline = run_shard_scale(&ShardScaleConfig::table7(), 1, 1).segments_per_sec();
-    match rate_gate(r, baseline) {
-        Ok(()) => println!(
-            "table10 check: steady-state composite {:.2} Mseg/s >= {RATE_VS_TABLE7:.1}x \
-             table7 single-engine rate ({:.2} Mseg/s): ok",
-            r.segments_per_sec() / 1e6,
-            baseline * RATE_VS_TABLE7 / 1e6
-        ),
-        Err(first) => {
-            eprintln!(
-                "table10 check: timing gate failed ({first}); \
-                 retrying once on a fresh run (deterministic gates are not re-run)"
-            );
-            let retry = run(cfg, threads);
-            let baseline = run_shard_scale(&ShardScaleConfig::table7(), 1, 1).segments_per_sec();
-            match rate_gate(&retry, baseline) {
-                Ok(()) => println!(
-                    "table10 check: rate gate: ok on retry ({:.2} Mseg/s)",
-                    retry.segments_per_sec() / 1e6
-                ),
-                Err(second) => check(false, &second),
-            }
-        }
-    }
-}
-
 /// `--trace <path>`: runs the table10 workload with telemetry enabled,
 /// proves that tracing changed nothing (digest equality against a fresh
 /// untraced run at the same thread count), reconciles the trace exactly
@@ -383,6 +330,15 @@ fn run_trace(path: &str) {
     println!("table10 trace: PASS");
 }
 
+/// The `--json` artifact; `--report` writes it without its `host` part.
+fn document(r: &ServiceReport) -> Json {
+    Json::obj([
+        ("table", "table10".to_json()),
+        ("service", r.to_json()),
+        host_cores(),
+    ])
+}
+
 fn run_check(report_path: Option<&str>) {
     let threads = threads_from_env();
     println!(
@@ -393,19 +349,8 @@ fn run_check(report_path: Option<&str>) {
     let r = run(&cfg, threads);
     check_determinism(&cfg, &r);
     check_digest_stability(&cfg, &r, threads);
-    if threads == 1 {
-        rate_gate_with_retry(&cfg, &r, threads);
-    } else {
-        // Busy times measured while worker threads contend for the
-        // host's cores are not a clean composite basis; the serial leg
-        // (ci.sh runs it at NPQM_THREADS=1) enforces the rate gate.
-        println!(
-            "table10 check: rate gate is enforced on the NPQM_THREADS=1 leg; \
-             skipped at {threads} threads where contention contaminates busy times"
-        );
-    }
     if let Some(path) = report_path {
-        write_file(path, &service_report_deterministic_json(&r).pretty());
+        write_file(path, &document(&r).without_host().pretty());
     }
     println!("table10 check: PASS");
 }
@@ -503,15 +448,6 @@ fn main() {
     print_pretty(&cfg, &r);
 
     if let Some(path) = cli.flag_value("--json") {
-        let baseline = run_shard_scale(&ShardScaleConfig::table7(), 1, 1);
-        let doc = Json::obj([
-            ("table", "table10".to_json()),
-            ("service", r.to_json()),
-            (
-                "table7_one_shard_segments_per_sec",
-                baseline.segments_per_sec().to_json(),
-            ),
-        ]);
-        write_file(&path, &doc.pretty());
+        write_file(&path, &document(&r).pretty());
     }
 }

@@ -22,15 +22,15 @@
 //! byte-identical — same reports, same per-flow counters — to the flat
 //! DRR scheduler, dense and across 4 shards, serial and thread-parallel.
 //!
-//! Every gate here is a pure function of the seed: no timing, no
-//! retries. `--report <path>` writes the machine-readable document of
-//! deterministic fields which the CI `parallel-determinism` stage diffs
-//! across `NPQM_THREADS` values; `--json <path>` (without `--check`)
-//! writes the full results including wall-clock measurements, the
-//! per-commit perf artifact.
+//! Every gate here is a pure function of the seed. Every trunk run is
+//! made once ([`run_all`]) and feeds the gates, the pretty table and the
+//! document alike: `--json <path>` (without `--check`) writes the
+//! per-commit artifact with the time the runs took under `host`;
+//! `--report <path>` writes the same document without `host`, which the
+//! CI `parallel-determinism` stage diffs across `NPQM_THREADS` values.
 
 use npqm_bench::cli::{check, cores, write_file, Cli};
-use npqm_bench::json::{telemetry_trace_json, Json, ToJson};
+use npqm_bench::json::{host, telemetry_trace_json, Json, ToJson};
 use npqm_bench::qos::{
     guarantee_gbps, run_trunk, run_trunk_observed, run_work_conservation, tenant_bytes, trunk_cfg,
     WorkConservation, FLOWS, LOAD_FAIR, LOAD_OVERLOAD, SEEDS, TENANTS, TENANT_FLOWS,
@@ -41,6 +41,7 @@ use npqm_core::telemetry::TelemetryConfig;
 use npqm_traffic::pipeline::{PipelineConfig, ShardedPipelineReport};
 use npqm_traffic::scale::threads_from_env;
 use npqm_traffic::PipelineBuilder;
+use std::time::{Duration, Instant};
 
 /// Isolation is comparative: a behaved tenant's delivered bytes under
 /// tenant 0's overload must stay within this fraction of what the same
@@ -61,10 +62,48 @@ const FLAT_MARGIN: f64 = 1.05;
 /// total goodput under overload stays within this fraction of fair.
 const AGGREGATE_TOL: f64 = 0.95;
 
-fn check_isolation(seed: u64) {
-    let over = run_trunk(seed, &LOAD_OVERLOAD, true);
-    let fair = run_trunk(seed, &LOAD_FAIR, true);
-    let flat = run_trunk(seed, &LOAD_OVERLOAD, false);
+/// One seed's trunk runs: tenant 0 overloading the HTB tree, everyone
+/// behaving, and the overload again under flat per-flow DRR.
+struct SeedRuns {
+    seed: u64,
+    over: ShardedPipelineReport,
+    fair: ShardedPipelineReport,
+    flat: ShardedPipelineReport,
+}
+
+/// Every run the table reports, and how long making them took.
+struct TrunkRuns {
+    seeds: Vec<SeedRuns>,
+    wc: WorkConservation,
+    wall_clock: Duration,
+}
+
+fn run_all() -> TrunkRuns {
+    let start = Instant::now();
+    let seeds = SEEDS
+        .iter()
+        .map(|&seed| SeedRuns {
+            seed,
+            over: run_trunk(seed, &LOAD_OVERLOAD, true),
+            fair: run_trunk(seed, &LOAD_FAIR, true),
+            flat: run_trunk(seed, &LOAD_OVERLOAD, false),
+        })
+        .collect();
+    let wc = run_work_conservation();
+    TrunkRuns {
+        seeds,
+        wc,
+        wall_clock: start.elapsed(),
+    }
+}
+
+fn check_isolation(runs: &SeedRuns) {
+    let SeedRuns {
+        seed,
+        over,
+        fair,
+        flat,
+    } = runs;
     let a = &over.aggregate;
     check(
         a.integrity_violations == 0,
@@ -74,9 +113,9 @@ fn check_isolation(seed: u64) {
         a.offered_pkts == a.delivered_pkts + a.dropped_pkts + a.evicted_pkts,
         &format!("seed {seed}: packet conservation"),
     );
-    let over_b = tenant_bytes(&over);
-    let fair_b = tenant_bytes(&fair);
-    let flat_b = tenant_bytes(&flat);
+    let over_b = tenant_bytes(over);
+    let fair_b = tenant_bytes(fair);
+    let flat_b = tenant_bytes(flat);
     for t in 1..TENANTS {
         let got = over_b[t].1 as f64;
         let base = fair_b[t].1 as f64;
@@ -190,10 +229,8 @@ fn check_equivalence(threads: usize) {
     );
 }
 
-/// The deterministic document: every field is a pure function of the
-/// seeds, so the 1-thread and 4-thread CI legs must produce identical
-/// bytes.
-fn deterministic_json(wc: &WorkConservation) -> Json {
+/// The `--json` artifact; `--report` writes it without its `host` part.
+fn document(runs: &TrunkRuns) -> Json {
     let tenants_json = |r: &ShardedPipelineReport| {
         Json::Arr(
             tenant_bytes(r)
@@ -207,39 +244,56 @@ fn deterministic_json(wc: &WorkConservation) -> Json {
                 .collect(),
         )
     };
-    let seeds: Vec<Json> = SEEDS
-        .iter()
-        .map(|&seed| {
-            let over = run_trunk(seed, &LOAD_OVERLOAD, true);
-            let fair = run_trunk(seed, &LOAD_FAIR, true);
-            let flat = run_trunk(seed, &LOAD_OVERLOAD, false);
-            Json::obj([
-                ("seed", seed.to_json()),
-                ("overload_tenants", tenants_json(&over)),
-                ("fair_tenants", tenants_json(&fair)),
-                ("flat_drr_tenants", tenants_json(&flat)),
-                ("offered_pkts", over.aggregate.offered_pkts.to_json()),
-                ("dropped_pkts", over.aggregate.dropped_pkts.to_json()),
-                ("evicted_pkts", over.aggregate.evicted_pkts.to_json()),
-                ("delivered_pkts", over.aggregate.delivered_pkts.to_json()),
-                ("makespan_ps", over.aggregate.makespan.as_u64().to_json()),
-            ])
-        })
-        .collect();
+    let overloads = runs.seeds.iter().map(|s| {
+        Json::obj([
+            ("seed", s.seed.to_json()),
+            ("goodput_gbps", s.over.aggregate.goodput_gbps().to_json()),
+            ("aggregate", s.over.aggregate.to_json()),
+        ])
+    });
+    let isolation = runs.seeds.iter().map(|s| {
+        let a = &s.over.aggregate;
+        Json::obj([
+            ("seed", s.seed.to_json()),
+            ("overload_tenants", tenants_json(&s.over)),
+            ("fair_tenants", tenants_json(&s.fair)),
+            ("flat_drr_tenants", tenants_json(&s.flat)),
+            ("offered_pkts", a.offered_pkts.to_json()),
+            ("dropped_pkts", a.dropped_pkts.to_json()),
+            ("evicted_pkts", a.evicted_pkts.to_json()),
+            ("delivered_pkts", a.delivered_pkts.to_json()),
+            ("makespan_ps", a.makespan.as_u64().to_json()),
+        ])
+    });
+    let wc = &runs.wc;
     Json::obj([
         ("table", "table11".to_json()),
-        ("isolation_runs", Json::Arr(seeds)),
+        ("runs", Json::Arr(overloads.collect())),
         (
-            "work_conservation",
+            "determinism",
             Json::obj([
-                ("idle_enqueued", wc.idle_enqueued.to_json()),
-                ("idle_drained", wc.idle_drained.to_json()),
-                ("borrowed_packets", wc.borrowed.to_json()),
-                ("capped_enqueued", wc.capped_enqueued.to_json()),
-                ("capped_drained", wc.capped_drained.to_json()),
-                ("over_ceil_packets", wc.over_ceil.to_json()),
+                ("table", "table11".to_json()),
+                ("isolation_runs", Json::Arr(isolation.collect())),
+                (
+                    "work_conservation",
+                    Json::obj([
+                        ("idle_enqueued", wc.idle_enqueued.to_json()),
+                        ("idle_drained", wc.idle_drained.to_json()),
+                        ("borrowed_packets", wc.borrowed.to_json()),
+                        ("capped_enqueued", wc.capped_enqueued.to_json()),
+                        ("capped_drained", wc.capped_drained.to_json()),
+                        ("over_ceil_packets", wc.over_ceil.to_json()),
+                    ]),
+                ),
             ]),
         ),
+        host([
+            ("cores", cores().to_json()),
+            (
+                "wall_clock_us",
+                (runs.wall_clock.as_micros() as u64).to_json(),
+            ),
+        ]),
     ])
 }
 
@@ -294,19 +348,19 @@ fn run_check(report_path: Option<&str>) {
         "table11 check: NPQM_THREADS={threads} ({} cores available)",
         cores()
     );
-    for seed in SEEDS {
-        check_isolation(seed);
+    let runs = run_all();
+    for seed_runs in &runs.seeds {
+        check_isolation(seed_runs);
     }
-    let wc = run_work_conservation();
-    check_work_conservation(&wc);
+    check_work_conservation(&runs.wc);
     check_equivalence(threads);
     if let Some(path) = report_path {
-        write_file(path, &deterministic_json(&wc).pretty());
+        write_file(path, &document(&runs).without_host().pretty());
     }
     println!("table11 check: PASS");
 }
 
-fn print_pretty() {
+fn print_pretty(runs: &TrunkRuns) {
     let cfg = trunk_cfg(42, &LOAD_OVERLOAD);
     println!("Table 11 (ours): hierarchical QoS egress (HTB trunk, 4 asymmetric tenants)");
     println!("===========================================================================");
@@ -324,14 +378,16 @@ fn print_pretty() {
         "{:>6} {:>8} {:>6} {:>11} {:>13} {:>14}",
         "tenant", "role", "flows", "fair(htb)", "overload(htb)", "overload(flat)"
     );
-    let over = run_trunk(42, &LOAD_OVERLOAD, true);
-    let fair = run_trunk(42, &LOAD_FAIR, true);
-    let flat = run_trunk(42, &LOAD_OVERLOAD, false);
-    let secs = over.aggregate.makespan.as_u64() as f64 * 1e-12;
+    let shown = runs
+        .seeds
+        .iter()
+        .find(|s| s.seed == 42)
+        .expect("seed 42 is in the sweep");
+    let secs = shown.over.aggregate.makespan.as_u64() as f64 * 1e-12;
     let gbps = |bytes: u64| bytes as f64 * 8.0 / secs / 1e9;
-    let over_b = tenant_bytes(&over);
-    let fair_b = tenant_bytes(&fair);
-    let flat_b = tenant_bytes(&flat);
+    let over_b = tenant_bytes(&shown.over);
+    let fair_b = tenant_bytes(&shown.fair);
+    let flat_b = tenant_bytes(&shown.flat);
     for (t, &(lo, hi)) in TENANT_FLOWS.iter().enumerate() {
         println!(
             "{:>6} {:>8} {:>6} {:>10.2}G {:>12.2}G {:>13.2}G",
@@ -349,7 +405,7 @@ fn print_pretty() {
          every behaved tenant at its fair-run delivery."
     );
     println!();
-    let wc = run_work_conservation();
+    let wc = &runs.wc;
     println!(
         "work conservation: {}/{} drained with tenant 0 idle ({} borrowed); \
          {}/{} drained past a saturated ceiling ({} over-ceiling)",
@@ -373,31 +429,9 @@ fn main() {
         return;
     }
 
-    print_pretty();
-
+    let runs = run_all();
+    print_pretty(&runs);
     if let Some(path) = cli.flag_value("--json") {
-        let start = std::time::Instant::now();
-        let wc = run_work_conservation();
-        let runs: Vec<Json> = SEEDS
-            .iter()
-            .map(|&seed| {
-                let r = run_trunk(seed, &LOAD_OVERLOAD, true);
-                Json::obj([
-                    ("seed", seed.to_json()),
-                    ("goodput_gbps", r.aggregate.goodput_gbps().to_json()),
-                    ("aggregate", r.aggregate.to_json()),
-                ])
-            })
-            .collect();
-        let doc = Json::obj([
-            ("table", "table11".to_json()),
-            ("runs", Json::Arr(runs)),
-            ("determinism", deterministic_json(&wc)),
-            (
-                "wall_clock_us",
-                (start.elapsed().as_micros() as u64).to_json(),
-            ),
-        ]);
-        write_file(&path, &doc.pretty());
+        write_file(&path, &document(&runs).pretty());
     }
 }

@@ -16,7 +16,7 @@
 //! machine-readable per-policy results (the `BENCH_table6.json` CI
 //! artifact, one data point of the per-commit perf trajectory).
 
-use npqm_bench::cli::{check, write_file, Cli};
+use npqm_bench::cli::{check, host_cores, write_file, Cli};
 use npqm_bench::json::{Json, ToJson};
 use npqm_traffic::pipeline::{compare_policies, PipelineConfig};
 
@@ -49,10 +49,7 @@ fn run_check() {
 
 fn main() {
     let cli = Cli::parse("table6");
-    if cli.has("--check") {
-        if cli.has("--json") {
-            eprintln!("table6: --json is ignored in --check mode (run without --check)");
-        }
+    if cli.check_mode().is_some() {
         run_check();
         return;
     }
@@ -62,6 +59,7 @@ fn main() {
         let doc = Json::obj([
             ("table", "table6".to_json()),
             ("outcomes", outcomes.to_json()),
+            host_cores(),
         ]);
         write_file(&path, &doc.pretty());
         println!();

@@ -19,14 +19,14 @@
 //! reordering scheduler at least as fast as naive at every bank count,
 //! modeled ops/sec monotone in the bank count for both schedulers, and a
 //! thread-invariant fingerprint (the whole costing pipeline is
-//! deterministic). `--report <path>` writes a machine-readable document
-//! holding **only deterministic fields** (no thread count), which the CI
+//! deterministic). `--json <path>` (without `--check`) writes the rows,
+//! the per-commit bench artifact; `--report <path>` writes them without
+//! their `host` part (the thread count), which the CI
 //! `parallel-determinism` stage diffs across `NPQM_THREADS` values —
-//! byte-identical or the build fails. `--json <path>` (without
-//! `--check`) writes the full rows, the per-commit bench artifact.
+//! byte-identical or the build fails.
 
-use npqm_bench::cli::{check, write_file, Cli};
-use npqm_bench::json::{memory_row_deterministic_json, Json, ToJson};
+use npqm_bench::cli::{check, host_cores, write_file, Cli};
+use npqm_bench::json::{Json, ToJson};
 use npqm_core::timing::TimingConfig;
 use npqm_traffic::scale::{
     run_memory_scale, run_memory_sweep, threads_from_env, MemoryScaleRow, ShardScaleConfig,
@@ -148,11 +148,8 @@ fn run_check(threads: usize, report_path: Option<&str>) {
     }
 
     if let Some(path) = report_path {
-        let doc = Json::obj([(
-            "memory_rows",
-            Json::Arr(rows.iter().map(memory_row_deterministic_json).collect()),
-        )]);
-        write_file(path, &doc.pretty());
+        let doc = Json::obj([("memory_rows", rows.to_json())]);
+        write_file(path, &doc.without_host().pretty());
     }
     println!("table8 check: PASS");
 }
@@ -219,6 +216,7 @@ fn main() {
         let doc = Json::obj([
             ("table", "table8".to_json()),
             ("memory_rows", rows.to_json()),
+            host_cores(),
         ]);
         write_file(&path, &doc.pretty());
     }

@@ -25,7 +25,7 @@
 //! across `NPQM_THREADS` values. `--json <path>` (without `--check`)
 //! writes the same rows as the per-commit bench artifact.
 
-use npqm_bench::cli::{check, write_file, Cli};
+use npqm_bench::cli::{check, host_cores, write_file, Cli};
 use npqm_bench::competitive::{
     cell, run_table9, Table9Row, ADVERSARY_GAP, LQD_RATIO_CAP, SHARED_BUFFER, SHARED_PORTS,
     WORK_BUFFER, WORK_PORTS,
@@ -180,6 +180,7 @@ fn main() {
         let doc = Json::obj([
             ("table", "table9".to_json()),
             ("competitive_rows", rows.to_json()),
+            host_cores(),
         ]);
         write_file(&path, &doc.pretty());
     }

@@ -1,13 +1,15 @@
 //! The command line the golden-gated table binaries (`table6` …
 //! `table11`) share: `--check` runs the machine-checkable gates instead
-//! of the pretty table, `--report <path>` (with `--check`) writes the
-//! deterministic document CI diffs across thread counts, `--json <path>`
-//! (without `--check`) writes the per-commit bench artifact, and
-//! `--trace <path>` exports a telemetry trace.
+//! of the pretty table, `--json <path>` (without `--check`) writes the
+//! per-commit bench artifact, `--report <path>` (with `--check`) writes
+//! the same rows without their `host` part
+//! ([`Json::without_host`]) — the document CI diffs across thread
+//! counts — and `--trace <path>` exports a telemetry trace.
 //!
 //! A binary calls [`Cli::parse`] first; that also records the table's
 //! name, which [`check`] and [`write_file`] prefix their output with.
 
+use crate::json::{host, Json, ToJson};
 use std::sync::OnceLock;
 
 static TABLE: OnceLock<&'static str> = OnceLock::new();
@@ -56,7 +58,7 @@ impl Cli {
         if self.flag_value("--json").is_some() {
             eprintln!(
                 "{}: --json is ignored in --check mode (run without --check for the \
-                 bench artifact; --report writes the determinism document)",
+                 bench artifact; --report writes it without its host part)",
                 table()
             );
         }
@@ -78,6 +80,11 @@ pub fn check(ok: bool, what: &str) {
 /// Cores the host offers (1 when it cannot say).
 pub fn cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The `host` entry at the top of every table artifact: [`cores`].
+pub fn host_cores() -> (&'static str, Json) {
+    host([("cores", cores().to_json())])
 }
 
 /// Writes `contents` to `path`, creating its directory, and says so.

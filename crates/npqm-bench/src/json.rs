@@ -4,6 +4,10 @@
 //! result types instead convert into a [`Json`] tree via [`ToJson`] and are
 //! pretty-printed by [`Json::pretty`]. Conversions for the table row types
 //! of the model crates live here so the table binaries stay declarative.
+//!
+//! A report type has one conversion. Whatever in it depends on the host
+//! the run had goes under one [`HOST`] key; [`Json::without_host`] is the
+//! rest, which is simulated and therefore comparable for equality.
 
 use std::fmt::Write as _;
 
@@ -206,6 +210,34 @@ impl Json {
             _ => None,
         }
     }
+
+    /// This document without every [`HOST`] key, at any depth: what is
+    /// left is a pure function of the binary and the seed. `--report`
+    /// writes it, `bench_gate` compares it for equality.
+    pub fn without_host(&self) -> Json {
+        match self {
+            Json::Arr(items) => Json::Arr(items.iter().map(Json::without_host).collect()),
+            Json::Obj(fields) => Json::Obj(
+                fields
+                    .iter()
+                    .filter(|(k, _)| k != HOST)
+                    .map(|(k, v)| (k.clone(), v.without_host()))
+                    .collect(),
+            ),
+            leaf => leaf.clone(),
+        }
+    }
+}
+
+/// The one key that holds what two runs of the same binary and seed may
+/// disagree on: wall clock and busy times, the rates derived from them,
+/// steal counts, and the threads and cores the run had. Everything
+/// outside it is simulated, and compared exactly.
+pub const HOST: &str = "host";
+
+/// The [`HOST`] entry of a report object.
+pub fn host<const N: usize>(fields: [(&str, Json); N]) -> (&'static str, Json) {
+    (HOST, Json::obj(fields))
 }
 
 /// Recursive-descent state for [`Json::parse`].
@@ -525,14 +557,9 @@ impl ToJson for npqm_mms::perf::Table5Row {
 }
 
 impl ToJson for npqm_traffic::scale::ShardScaleRow {
-    /// The full row, *including* the timing measurements (wall clock,
-    /// busy times, steals). This is the per-commit perf-artifact shape
-    /// (`BENCH_table7.json`); the CI determinism diff uses a separate,
-    /// timing-free document built by `table7 --check --report`.
     fn to_json(&self) -> Json {
         Json::obj([
             ("shards", self.shards.to_json()),
-            ("threads", self.threads.to_json()),
             ("offered_pkts", self.offered_pkts.to_json()),
             ("offered_bytes", self.offered_bytes.to_json()),
             ("admitted_pkts", self.admitted_pkts.to_json()),
@@ -543,17 +570,17 @@ impl ToJson for npqm_traffic::scale::ShardScaleRow {
             ("residual_bytes", self.residual_bytes.to_json()),
             ("segments_processed", self.segments_processed.to_json()),
             ("ptr_accesses", self.ptr_accesses.to_json()),
-            ("segments_per_sec", self.segments_per_sec().to_json()),
-            ("critical_path_us", duration_us(self.critical_path)),
-            ("serial_time_us", duration_us(self.serial_time)),
-            ("wall_clock_us", duration_us(self.wall_clock)),
-            ("steals", self.steals.to_json()),
             ("torn_frames", self.torn_frames.to_json()),
             ("conserved", self.conserved.to_json()),
-            (
-                "fingerprint",
-                format!("{:#018x}", self.fingerprint).to_json(),
-            ),
+            ("fingerprint", digest_json(self.fingerprint)),
+            host([
+                ("threads", self.threads.to_json()),
+                ("segments_per_sec", self.segments_per_sec().to_json()),
+                ("critical_path_us", duration_us(self.critical_path)),
+                ("serial_time_us", duration_us(self.serial_time)),
+                ("wall_clock_us", duration_us(self.wall_clock)),
+                ("steals", self.steals.to_json()),
+            ]),
         ])
     }
 }
@@ -563,56 +590,41 @@ fn duration_us(d: std::time::Duration) -> Json {
 }
 
 impl ToJson for npqm_traffic::scale::MemoryScaleRow {
-    /// The full memory-timed row. Every field except `threads` is a pure
-    /// function of the configuration; `table8 --check --report` writes
-    /// the same fields minus `threads`, which is what the CI
-    /// `parallel-determinism` stage diffs across thread counts.
     fn to_json(&self) -> Json {
-        let mut fields = vec![("threads".to_string(), self.threads.to_json())];
-        if let Json::Obj(det) = memory_row_deterministic_json(self) {
-            fields.extend(det);
-        }
-        Json::Obj(fields)
-    }
-}
-
-/// The deterministic projection of a [`npqm_traffic::scale::MemoryScaleRow`]:
-/// everything except the `threads` knob. This is the row shape inside
-/// `table8 --check --report`, required byte-identical across
-/// `NPQM_THREADS` values.
-pub fn memory_row_deterministic_json(r: &npqm_traffic::scale::MemoryScaleRow) -> Json {
-    Json::obj([
-        ("banks", r.banks.to_json()),
-        ("reordering", r.reordering.to_json()),
-        ("shards", r.shards.to_json()),
-        ("offered_pkts", r.offered_pkts.to_json()),
-        ("admitted_pkts", r.admitted_pkts.to_json()),
-        ("dropped_pkts", r.dropped_pkts.to_json()),
-        ("admitted_bytes", r.admitted_bytes.to_json()),
-        ("drained_bytes", r.drained_bytes.to_json()),
-        ("residual_bytes", r.residual_bytes.to_json()),
-        ("segments_processed", r.segments_processed.to_json()),
-        ("queue_ops", r.queue_ops.to_json()),
-        ("ptr_accesses", r.ptr_accesses.to_json()),
-        ("data_reads", r.data_reads.to_json()),
-        ("data_writes", r.data_writes.to_json()),
-        ("conflict_slots", r.conflict_slots.to_json()),
-        ("turnaround_slots", r.turnaround_slots.to_json()),
-        (
-            "per_shard_time_ps",
-            Json::Arr(
-                r.per_shard_time
-                    .iter()
-                    .map(|t| t.as_u64().to_json())
-                    .collect(),
+        Json::obj([
+            ("banks", self.banks.to_json()),
+            ("reordering", self.reordering.to_json()),
+            ("shards", self.shards.to_json()),
+            ("offered_pkts", self.offered_pkts.to_json()),
+            ("admitted_pkts", self.admitted_pkts.to_json()),
+            ("dropped_pkts", self.dropped_pkts.to_json()),
+            ("admitted_bytes", self.admitted_bytes.to_json()),
+            ("drained_bytes", self.drained_bytes.to_json()),
+            ("residual_bytes", self.residual_bytes.to_json()),
+            ("segments_processed", self.segments_processed.to_json()),
+            ("queue_ops", self.queue_ops.to_json()),
+            ("ptr_accesses", self.ptr_accesses.to_json()),
+            ("data_reads", self.data_reads.to_json()),
+            ("data_writes", self.data_writes.to_json()),
+            ("conflict_slots", self.conflict_slots.to_json()),
+            ("turnaround_slots", self.turnaround_slots.to_json()),
+            (
+                "per_shard_time_ps",
+                Json::Arr(
+                    self.per_shard_time
+                        .iter()
+                        .map(|t| t.as_u64().to_json())
+                        .collect(),
+                ),
             ),
-        ),
-        ("modeled_time_ps", r.modeled_time.as_u64().to_json()),
-        ("ops_per_sec", r.ops_per_sec().to_json()),
-        ("ddr_loss", r.ddr_loss().to_json()),
-        ("conserved", r.conserved.to_json()),
-        ("fingerprint", format!("{:#018x}", r.fingerprint).to_json()),
-    ])
+            ("modeled_time_ps", self.modeled_time.as_u64().to_json()),
+            ("ops_per_sec", self.ops_per_sec().to_json()),
+            ("ddr_loss", self.ddr_loss().to_json()),
+            ("conserved", self.conserved.to_json()),
+            ("fingerprint", digest_json(self.fingerprint)),
+            host([("threads", self.threads.to_json())]),
+        ])
+    }
 }
 
 impl ToJson for npqm_traffic::pipeline::PipelineReport {
@@ -671,42 +683,24 @@ fn digest_json(d: u64) -> Json {
 }
 
 impl ToJson for npqm_traffic::service::EpochWindow {
-    /// The full window including the backpressure count; the
-    /// determinism projection ([`epoch_window_deterministic_json`])
-    /// leaves that field out.
     fn to_json(&self) -> Json {
-        let mut fields = match epoch_window_deterministic_json(self) {
-            Json::Obj(f) => f,
-            _ => unreachable!("projection is an object"),
-        };
-        fields.push((
-            "ring_full_events".to_string(),
-            self.ring_full_events.to_json(),
-        ));
-        Json::Obj(fields)
+        Json::obj([
+            ("epoch", self.epoch.to_json()),
+            ("offered_pkts", self.offered_pkts.to_json()),
+            ("offered_bytes", self.offered_bytes.to_json()),
+            ("admitted_pkts", self.admitted_pkts.to_json()),
+            ("dropped_pkts", self.dropped_pkts.to_json()),
+            ("evicted_pkts", self.evicted_pkts.to_json()),
+            ("delivered_pkts", self.delivered_pkts.to_json()),
+            ("delivered_bytes", self.delivered_bytes.to_json()),
+            ("latency_count", self.latency_ns.count().to_json()),
+            ("latency_overflow", self.latency_ns.overflow().to_json()),
+            ("p50_ns", self.p50_ns().to_json()),
+            ("p99_ns", self.p99_ns().to_json()),
+            ("p999_ns", self.p999_ns().to_json()),
+            ("ring_full_events", self.ring_full_events.to_json()),
+        ])
     }
-}
-
-/// The deterministic projection of an [`npqm_traffic::service::EpochWindow`]:
-/// every counter and latency quantile, minus `ring_full_events` (a
-/// property of the lane transport rather than the modelled system; the
-/// document's shape is pinned across commits).
-pub fn epoch_window_deterministic_json(w: &npqm_traffic::service::EpochWindow) -> Json {
-    Json::obj([
-        ("epoch", w.epoch.to_json()),
-        ("offered_pkts", w.offered_pkts.to_json()),
-        ("offered_bytes", w.offered_bytes.to_json()),
-        ("admitted_pkts", w.admitted_pkts.to_json()),
-        ("dropped_pkts", w.dropped_pkts.to_json()),
-        ("evicted_pkts", w.evicted_pkts.to_json()),
-        ("delivered_pkts", w.delivered_pkts.to_json()),
-        ("delivered_bytes", w.delivered_bytes.to_json()),
-        ("latency_count", w.latency_ns.count().to_json()),
-        ("latency_overflow", w.latency_ns.overflow().to_json()),
-        ("p50_ns", w.p50_ns().to_json()),
-        ("p99_ns", w.p99_ns().to_json()),
-        ("p999_ns", w.p999_ns().to_json()),
-    ])
 }
 
 impl ToJson for npqm_traffic::service::EpochSnapshot {
@@ -727,8 +721,6 @@ impl ToJson for npqm_traffic::service::EpochSnapshot {
 }
 
 impl ToJson for npqm_traffic::service::ShardServiceReport {
-    /// The full per-shard outcome including the lane-transport fields
-    /// (backpressure, reorder peak) and the measured busy time.
     fn to_json(&self) -> Json {
         Json::obj([
             ("report", self.report.to_json()),
@@ -738,19 +730,18 @@ impl ToJson for npqm_traffic::service::ShardServiceReport {
             ("residual_pkts", self.residual_pkts.to_json()),
             ("ring_full_events", self.ring_full_events.to_json()),
             ("reorder_peak", self.reorder_peak.to_json()),
-            ("busy_us", duration_us(self.busy)),
             ("segments_processed", self.segments_processed.to_json()),
+            host([("busy_us", duration_us(self.busy))]),
         ])
     }
 }
 
 impl ToJson for npqm_traffic::service::ServiceReport {
-    /// The full service outcome, wall clock and all — the per-commit
-    /// perf-artifact shape (`BENCH_table10.json`). The CI determinism
-    /// diff uses [`service_report_deterministic_json`] instead.
+    /// The lane-transport counters (`ring_full_events`, `reorder_peak`)
+    /// sit outside `host`: the round driver makes them the same at every
+    /// thread count.
     fn to_json(&self) -> Json {
         Json::obj([
-            ("threads", self.threads.to_json()),
             ("epoch_len_ps", self.epoch_len.as_u64().to_json()),
             ("aggregate", self.aggregate.to_json()),
             ("shards", self.shards.to_json()),
@@ -764,65 +755,15 @@ impl ToJson for npqm_traffic::service::ServiceReport {
             ("ring_full_events", self.ring_full_events.to_json()),
             ("reorder_peak", self.reorder_peak.to_json()),
             ("segments_processed", self.segments_processed.to_json()),
-            ("segments_per_sec", self.segments_per_sec().to_json()),
-            ("critical_path_us", duration_us(self.critical_path)),
-            ("wall_clock_us", duration_us(self.wall_clock)),
             ("telemetry", telemetry_field(&self.telemetry)),
+            host([
+                ("threads", self.threads.to_json()),
+                ("segments_per_sec", self.segments_per_sec().to_json()),
+                ("critical_path_us", duration_us(self.critical_path)),
+                ("wall_clock_us", duration_us(self.wall_clock)),
+            ]),
         ])
     }
-}
-
-/// The deterministic projection of an
-/// [`npqm_traffic::service::ServiceReport`]: only fields that are pure
-/// functions of the configuration and describe the modelled system — no
-/// wall clock, no busy times, no thread count, and none of the
-/// lane-transport counters (backpressure, reorder peaks). This is the
-/// document `table10 --check --report` writes and the CI
-/// `parallel-determinism` stage diffs across `NPQM_THREADS` values.
-pub fn service_report_deterministic_json(r: &npqm_traffic::service::ServiceReport) -> Json {
-    let shard_json = |sh: &npqm_traffic::service::ShardServiceReport| {
-        Json::obj([
-            ("report", sh.report.to_json()),
-            (
-                "windows",
-                Json::Arr(
-                    sh.windows
-                        .iter()
-                        .map(epoch_window_deterministic_json)
-                        .collect(),
-                ),
-            ),
-            ("snapshots", sh.snapshots.to_json()),
-            ("final_digest", digest_json(sh.final_digest)),
-            ("residual_pkts", sh.residual_pkts.to_json()),
-            ("segments_processed", sh.segments_processed.to_json()),
-        ])
-    };
-    Json::obj([
-        ("epoch_len_ps", r.epoch_len.as_u64().to_json()),
-        ("aggregate", r.aggregate.to_json()),
-        (
-            "shards",
-            Json::Arr(r.shards.iter().map(shard_json).collect()),
-        ),
-        (
-            "windows",
-            Json::Arr(
-                r.windows
-                    .iter()
-                    .map(epoch_window_deterministic_json)
-                    .collect(),
-            ),
-        ),
-        (
-            "epoch_digests",
-            Json::Arr(r.epoch_digests.iter().map(|&d| digest_json(d)).collect()),
-        ),
-        ("final_digest", digest_json(r.final_digest)),
-        ("shard_of_flow", r.shard_of_flow.to_json()),
-        ("segments_processed", r.segments_processed.to_json()),
-        ("telemetry", telemetry_field(&r.telemetry)),
-    ])
 }
 
 /// `Option<TelemetryReport>` as a report field: the deterministic
@@ -1308,35 +1249,61 @@ mod tests {
     }
 
     #[test]
-    fn service_report_json_shapes() {
+    fn without_host_drops_the_key_at_any_depth() {
+        let doc = Json::parse(
+            r#"{"a": 1, "host": {"t": 2}, "rows": [{"b": 3, "host": {"us": 4.5}}, 5]}"#,
+        )
+        .unwrap();
+        let want = Json::parse(r#"{"a": 1, "rows": [{"b": 3}, 5]}"#).unwrap();
+        assert_eq!(doc.without_host(), want);
+    }
+
+    /// The `host` split is tested by running, not by listing: the same
+    /// seed at two thread counts must serialize to the same document
+    /// outside `host`, and each document must still carry the host part.
+    #[test]
+    fn host_holds_everything_a_second_run_changes() {
         use npqm_core::policy::DynamicThreshold;
         use npqm_core::sched::from_spec;
-        let cfg = npqm_traffic::service::ServiceConfig::steady_demo(5);
-        let r = npqm_traffic::run_service(
-            &cfg,
-            1,
-            |_| DynamicThreshold::new(2.0),
-            |_| from_spec("drr:1518", 8).expect("static spec"),
-        );
-        let full = r.to_json();
-        for key in ["wall_clock_us", "ring_full_events", "threads", "windows"] {
-            assert!(full.get(key).is_some(), "full artifact carries {key}");
+        use npqm_core::timing::TimingConfig;
+        use npqm_traffic::scale::{run_memory_scale, run_shard_scale, ShardScaleConfig};
+
+        let cfg = ShardScaleConfig::smoke();
+        let service = |threads| {
+            npqm_traffic::run_service(
+                &npqm_traffic::service::ServiceConfig::steady_demo(5),
+                threads,
+                |_| DynamicThreshold::new(2.0),
+                |_| from_spec("drr:1518", 8).expect("static spec"),
+            )
+            .to_json()
+        };
+        let timing = TimingConfig::paper(8);
+        let pairs = [
+            (
+                "shard scale",
+                run_shard_scale(&cfg, 4, 1).to_json(),
+                run_shard_scale(&cfg, 4, 2).to_json(),
+                "wall_clock_us",
+            ),
+            (
+                "memory scale",
+                run_memory_scale(&cfg, 2, 1, &timing).to_json(),
+                run_memory_scale(&cfg, 2, 2, &timing).to_json(),
+                "threads",
+            ),
+            ("service", service(1), service(2), "wall_clock_us"),
+        ];
+        for (name, one, two, measured) in pairs {
+            assert_eq!(one.without_host(), two.without_host(), "{name}");
+            for (doc, threads) in [(&one, 1), (&two, 2)] {
+                let host = doc.get(HOST).expect("report carries a host object");
+                assert_eq!(host.get("threads").unwrap().as_i64(), Some(threads));
+                assert!(host.get(measured).is_some(), "{name}: host.{measured}");
+            }
+            assert_ne!(one, two, "{name}: host.threads differs");
+            // The whole document round-trips through the parser.
+            assert_eq!(Json::parse(&one.pretty()).as_ref(), Ok(&one), "{name}");
         }
-        let det = service_report_deterministic_json(&r);
-        for key in [
-            "wall_clock_us",
-            "ring_full_events",
-            "threads",
-            "reorder_peak",
-        ] {
-            assert!(det.get(key).is_none(), "determinism report excludes {key}");
-        }
-        // Windows inside the determinism report exclude backpressure too.
-        let w0 = det.get("windows").unwrap().as_arr().unwrap()[0].clone();
-        assert!(w0.get("ring_full_events").is_none());
-        assert!(w0.get("p99_ns").is_some());
-        // The whole document round-trips through the parser.
-        let parsed = Json::parse(&det.pretty()).expect("report parses");
-        assert_eq!(parsed, det);
     }
 }

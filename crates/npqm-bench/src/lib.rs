@@ -17,11 +17,11 @@
 //! * `all-tables` — everything above, plus a JSON dump for EXPERIMENTS.md.
 //!
 //! The golden-gated binaries (`table6` … `table11`) share one command
-//! line — `--check`, `--report`, `--json`, `--trace` — in [`cli`].
-//!
-//! The `benches/` directory contains criterion micro-benchmarks of the
-//! host-speed library (queue operations, schedulers, codecs) and ablations
-//! (free-list discipline, scheduler run limit, DMC lookahead).
+//! line — `--check`, `--report`, `--json`, `--trace` — in [`cli`]. Their
+//! `--json` artifacts keep every host-dependent value under one `host`
+//! key ([`json::HOST`]); `bench_gate` holds everything else to equality
+//! with the committed copies. Host time itself is measured and gated in
+//! one place, the `bench/` workspace at the repository root.
 
 pub mod cli;
 pub mod competitive;

@@ -100,7 +100,7 @@ impl ShardScaleConfig {
         }
     }
 
-    /// A small, fast scenario for smoke tests and the criterion bench.
+    /// A small, fast scenario for smoke tests.
     pub fn smoke() -> Self {
         ShardScaleConfig {
             rounds: 6,
@@ -176,9 +176,10 @@ pub struct ShardScaleRow {
     /// Number of shards (independent engines).
     pub shards: usize,
     /// Worker threads the batches ran on (1 = the serial reference
-    /// path). Every field except the timing measurements (`busy`,
-    /// `critical_path`, `serial_time`, `wall_clock`) and `steals` is
-    /// identical across thread counts for a fixed configuration.
+    /// path). Every field except this one, the timing measurements
+    /// (`busy`, `critical_path`, `serial_time`, `wall_clock`) and `steals`
+    /// — what `npqm-bench` serializes under `host` — is identical across
+    /// thread counts for a fixed configuration.
     pub threads: usize,
     /// Packets the mix offered for admission.
     pub offered_pkts: u64,
