@@ -13,11 +13,10 @@
 #                   # artifacts, bench gate (simulated leaves equal,
 #                   # host leaves ignored)
 #   ./ci.sh quick   # structure grep, tier-1 (build + test) plus the
-#                   # table6, table9, table10 and table11 golden checks,
-#                   # so even the
-#                   # fast path catches torn-frame, conservation,
-#                   # competitive-ratio, streaming-service and
-#                   # QoS-isolation regressions
+#                   # table6 .. table11 golden checks, so even the fast
+#                   # path catches torn-frame, conservation,
+#                   # shard-scaling, memory-timing, competitive-ratio,
+#                   # streaming-service and QoS-isolation regressions
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -52,6 +51,10 @@ structure() {
 golden_quick() {
     echo "==> table6 --check (drop-policy conservation gates)"
     cargo run --release -q -p npqm-bench --bin table6 -- --check
+    echo "==> table7 --check (shard-scaling gates: conservation, thread-invariant fingerprints)"
+    cargo run --release -q -p npqm-bench --bin table7 -- --check
+    echo "==> table8 --check (memory-timing gates: ledgers close, reordering never slower)"
+    cargo run --release -q -p npqm-bench --bin table8 -- --check
     echo "==> table9 --check (competitive-ratio gates: LQD <= 1.5, adversary gaps)"
     cargo run --release -q -p npqm-bench --bin table9 -- --check
     echo "==> table10 --check (streaming-service gates: reconciliation, online digests)"
@@ -64,7 +67,9 @@ golden_full() {
     golden_quick
     # These runs double as the serial legs of the parallel-determinism
     # stage below: --report writes the --json rows without their `host`
-    # part (no wall clock, no steal counts, no thread count).
+    # part (no wall clock, no steal counts, no thread count). table7 and
+    # table8 ran in golden_quick already; their second run is the cost of
+    # keeping the two stages independent (0.3 s).
     echo "==> table7 --check at NPQM_THREADS=1 (shard-scaling gates, serial leg)"
     NPQM_THREADS=1 cargo run --release -q -p npqm-bench --bin table7 -- \
         --check --report target/table7-det-threads1.json

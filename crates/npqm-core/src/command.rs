@@ -224,15 +224,25 @@ impl QueueManager {
     /// # }
     /// ```
     pub fn execute(&mut self, cmd: Command) -> Result<Outcome, QueueError> {
-        match cmd {
-            Command::Enqueue { flow, data, pos } => {
-                self.enqueue(flow, &data, pos)?;
+        self.execute_ref(&cmd)
+    }
+
+    /// [`execute`](Self::execute) on a borrowed command: the batch
+    /// executors dispatch from a `&[Command]` without cloning payloads.
+    pub(crate) fn execute_ref(&mut self, cmd: &Command) -> Result<Outcome, QueueError> {
+        match *cmd {
+            Command::Enqueue {
+                flow,
+                ref data,
+                pos,
+            } => {
+                self.enqueue(flow, data, pos)?;
                 Ok(Outcome::Done)
             }
             Command::Dequeue { flow } => Ok(Outcome::Segment(self.dequeue(flow)?)),
             Command::Read { flow } => Ok(Outcome::Segment(self.read_head(flow)?)),
-            Command::Overwrite { flow, data } => {
-                self.overwrite_head(flow, &data)?;
+            Command::Overwrite { flow, ref data } => {
+                self.overwrite_head(flow, data)?;
                 Ok(Outcome::Done)
             }
             Command::OverwriteLen { flow, new_len } => {
@@ -250,12 +260,12 @@ impl QueueManager {
                 let (segs, bytes) = self.delete_packet(flow)?;
                 Ok(Outcome::Dropped { segs, bytes })
             }
-            Command::AppendHead { flow, data } => {
-                self.append_head(flow, &data)?;
+            Command::AppendHead { flow, ref data } => {
+                self.append_head(flow, data)?;
                 Ok(Outcome::Done)
             }
-            Command::AppendTail { flow, data } => {
-                self.append_tail(flow, &data)?;
+            Command::AppendTail { flow, ref data } => {
+                self.append_tail(flow, data)?;
                 Ok(Outcome::Done)
             }
             Command::Move { src, dst } => {
@@ -266,8 +276,8 @@ impl QueueManager {
                 self.copy_packet(src, dst)?;
                 Ok(Outcome::Done)
             }
-            Command::OverwriteAndMove { src, dst, data } => {
-                self.overwrite_and_move(src, dst, &data)?;
+            Command::OverwriteAndMove { src, dst, ref data } => {
+                self.overwrite_and_move(src, dst, data)?;
                 Ok(Outcome::Done)
             }
             Command::OverwriteLenAndMove { src, dst, new_len } => {

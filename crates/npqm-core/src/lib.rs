@@ -67,7 +67,7 @@ pub use command::{Command, Outcome};
 pub use config::QmConfig;
 pub use error::QueueError;
 pub use id::{FlowId, PacketId, SegmentId};
-pub use manager::{DequeuedSegment, QueueManager, SegmentPosition};
+pub use manager::{DequeuedSegment, QueueManager, SegmentInfo, SegmentPosition};
 pub use policy::{
     Admission, DropPolicy, DynamicThreshold, LongestQueueDrop, PushOutLargestWork, Refusal,
     WorkSizeBalance,
@@ -77,7 +77,7 @@ pub use sched::{
     DeficitRoundRobin, FlowScheduler, HtbClass, HtbError, HtbScheduler, HtbStats, HtbTreeBuilder,
     StrictPriority, WeightedRoundRobin,
 };
-pub use shard::parallel::{GlobalDropPolicy, GlobalLqd, GlobalOccupancy};
+pub use shard::parallel::{BatchDrain, GlobalDropPolicy, GlobalLqd, GlobalOccupancy, LentSegment};
 pub use shard::{ShardedAdmission, ShardedInvariantReport, ShardedQueueManager};
 pub use stats::{ParallelStats, QmStats};
 pub use telemetry::{

@@ -21,7 +21,8 @@
 //! |---|---|
 //! | [`enqueue`](QueueManager::enqueue) | `Middle`/`Last` extend the open tail; `First`/`Only` are a SAR-protocol error |
 //! | [`dequeue`](QueueManager::dequeue), [`delete_segment`](QueueManager::delete_segment) | serve only *complete* packets; the open tail is served solely under [cut-through](crate::QmConfig::cut_through), and never its final enqueued segment |
-//! | [`dequeue_packet`](QueueManager::dequeue_packet), [`delete_packet`](QueueManager::delete_packet) | operate on the head packet only when it is complete |
+//! | [`dequeue_packet`](QueueManager::dequeue_packet), [`delete_packet`](QueueManager::delete_packet) | operate on the head packet only when it is complete; an open head is refused whole with [`QueueError::QueueEmpty`] and nothing is consumed — **also under cut-through**, which serves an open head segment by segment through [`dequeue`](QueueManager::dequeue) only |
+//! | [`dequeue_into`](QueueManager::dequeue_into), [`dequeue_packet_into`](QueueManager::dequeue_packet_into) | the buffer-lending forms: the same rules, pointer traffic and statistics as [`dequeue`](QueueManager::dequeue) / [`dequeue_packet`](QueueManager::dequeue_packet) (which are `Vec::new()` plus these calls); the payload is *appended* to the caller's buffer, and on `Err` the buffer is unchanged |
 //! | [`dequeue_packet`](QueueManager::dequeue_packet) on a mid-service head | a complete head packet some of whose segments were already taken by [`dequeue`](QueueManager::dequeue) yields its *remainder* — the segments still queued — in debug and release builds alike |
 //! | [`read_head`](QueueManager::read_head), [`overwrite_head`](QueueManager::overwrite_head), [`overwrite_head_len`](QueueManager::overwrite_head_len), [`append_head`](QueueManager::append_head) | touch the head packet's first segment, which exists even mid-SAR |
 //! | [`append_tail`](QueueManager::append_tail) | rejected while the tail is open: the trailer would splice into the middle of the unfinished frame |
@@ -83,6 +84,19 @@ impl SegmentPosition {
 pub struct DequeuedSegment {
     /// The segment payload (up to the configured segment size).
     pub data: Vec<u8>,
+    /// True if this was the first segment of its packet.
+    pub sop: bool,
+    /// True if this was the last segment of its packet.
+    pub eop: bool,
+}
+
+/// What [`QueueManager::dequeue_into`] appended to the caller's buffer: a
+/// [`DequeuedSegment`] without the bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+pub struct SegmentInfo {
+    /// Payload bytes appended (up to the configured segment size).
+    pub len: usize,
     /// True if this was the first segment of its packet.
     pub sop: bool,
     /// True if this was the last segment of its packet.
@@ -715,12 +729,40 @@ impl QueueManager {
 
     /// Dequeues the head segment of the head packet ("Dequeue", Table 4).
     ///
+    /// The owning form of [`dequeue_into`](Self::dequeue_into): a fresh
+    /// `Vec` per segment.
+    ///
+    /// # Errors
+    ///
+    /// As [`QueueManager::dequeue_into`].
+    pub fn dequeue(&mut self, flow: FlowId) -> Result<DequeuedSegment, QueueError> {
+        let mut data = Vec::new();
+        let SegmentInfo { sop, eop, .. } = self.dequeue_into(flow, &mut data)?;
+        Ok(DequeuedSegment { data, sop, eop })
+    }
+
+    /// Dequeues the head segment of the head packet, *appending* its
+    /// payload to `out` — the read side lends the caller its bytes
+    /// instead of allocating for them (the paper's §5.3 / Table 3: the
+    /// copy, not the pointer work, is what a software queue manager pays
+    /// for, so it should be the only per-segment byte cost).
+    ///
     /// # Errors
     ///
     /// [`QueueError::QueueEmpty`] when no complete packet is available (or,
     /// with cut-through enabled, when even the open packet has no
-    /// consumable segment), and [`QueueError::UnknownFlow`].
-    pub fn dequeue(&mut self, flow: FlowId) -> Result<DequeuedSegment, QueueError> {
+    /// consumable segment), and [`QueueError::UnknownFlow`]. On `Err`
+    /// nothing was consumed and `out` is unchanged.
+    // Inlined into its callers (the owning wrapper and the batch drain's
+    // closure): as an out-of-line call its frame cost every
+    // `Command::Dequeue` ≈10 ns — refusals included, and a drain batch
+    // over idle flows is mostly refusals.
+    #[inline]
+    pub fn dequeue_into(
+        &mut self,
+        flow: FlowId,
+        out: &mut Vec<u8>,
+    ) -> Result<SegmentInfo, QueueError> {
         if let Err(e) = self.check_flow(flow) {
             return self.fail(e);
         }
@@ -739,7 +781,7 @@ impl QueueManager {
         let rec = self.ptr.seg(seg);
         let sop = !pr.started;
         let eop = pr.first == pr.last;
-        let payload = self.data.read(seg, rec.len as usize).to_vec();
+        out.extend_from_slice(self.data.read(seg, rec.len as usize));
         self.seg_fl.release(&mut self.ptr, seg);
 
         q.segs -= 1;
@@ -762,8 +804,8 @@ impl QueueManager {
         self.commit_queue(flow, q);
         self.stats.dequeues += 1;
         self.stats.bytes_out += rec.len as u64;
-        Ok(DequeuedSegment {
-            data: payload,
+        Ok(SegmentInfo {
+            len: rec.len as usize,
             sop,
             eop,
         })
@@ -771,14 +813,31 @@ impl QueueManager {
 
     /// Dequeues one whole packet, concatenating its segments.
     ///
-    /// A head packet that is *complete* (not the open tail) is taken as a
-    /// unit: the queue record and the packet record are read once, the
-    /// payload is copied from the data memory straight into one buffer of
-    /// the packet's size, the segments are released in chain order and the
-    /// queue table and the occupancy index are committed once. As for
-    /// [`enqueue_packet`](Self::enqueue_packet), the modelled traffic is
-    /// that of the `n` [`dequeue`](Self::dequeue) commands, charged rather
-    /// than replayed — with a LIFO free list exactly
+    /// The owning form of
+    /// [`dequeue_packet_into`](Self::dequeue_packet_into): one fresh `Vec`
+    /// of the packet's size.
+    ///
+    /// # Errors
+    ///
+    /// As [`QueueManager::dequeue_packet_into`].
+    pub fn dequeue_packet(&mut self, flow: FlowId) -> Result<Vec<u8>, QueueError> {
+        let mut out = Vec::new();
+        self.dequeue_packet_into(flow, &mut out)?;
+        Ok(out)
+    }
+
+    /// Dequeues one whole packet, *appending* its segments to `out`, and
+    /// returns the number of bytes appended.
+    ///
+    /// The head packet must be *complete* (not the open tail) and is taken
+    /// as a unit: the queue record and the packet record are read once,
+    /// the payload is copied from the data memory straight into `out`
+    /// (grown once by the packet's size), the segments are released in
+    /// chain order and the queue table and the occupancy index are
+    /// committed once. As for [`enqueue_packet`](Self::enqueue_packet),
+    /// the modelled traffic is that of the `n` [`dequeue`](Self::dequeue)
+    /// commands, charged rather than replayed — with a LIFO free list
+    /// exactly
     ///
     /// | plane | reads | writes |
     /// |---|---|---|
@@ -789,26 +848,34 @@ impl QueueManager {
     /// (a FIFO free list adds its own tail read/write per released
     /// segment) — so a packet's enqueue and dequeue together cost
     /// `15n + 2t` accesses, 7.5 per segment operation. A mid-service head
-    /// (some segments already dequeued) yields its remainder. An open
-    /// head, served only under cut-through, goes through the segment
-    /// commands one by one.
+    /// (some segments already dequeued) yields its remainder.
     ///
     /// # Errors
     ///
-    /// As [`QueueManager::dequeue`].
-    pub fn dequeue_packet(&mut self, flow: FlowId) -> Result<Vec<u8>, QueueError> {
-        let no_complete_head = flow.index() >= self.cfg.num_flows() || {
-            let q = self.ptr.queue_silent(flow);
-            q.head_pkt.is_nil() || (q.open && q.head_pkt == q.tail_pkt)
-        };
-        if no_complete_head {
-            return self.dequeue_packet_by_segments(flow);
+    /// [`QueueError::QueueEmpty`] when the head packet is missing or still
+    /// open — also under cut-through, where [`dequeue`](Self::dequeue)
+    /// serves an open head segment by segment but a whole-packet call has
+    /// no whole packet to return — and [`QueueError::UnknownFlow`]. A
+    /// refusal costs what a refused [`dequeue`](Self::dequeue) command
+    /// costs (its queue-table read and one counted error); nothing was
+    /// consumed and `out` is unchanged.
+    pub fn dequeue_packet_into(
+        &mut self,
+        flow: FlowId,
+        out: &mut Vec<u8>,
+    ) -> Result<usize, QueueError> {
+        if let Err(e) = self.check_flow(flow) {
+            return self.fail(e);
+        }
+        let mut q = self.ptr.queue(flow);
+        if q.head_pkt.is_nil() || (q.open && q.head_pkt == q.tail_pkt) {
+            return self.fail(QueueError::QueueEmpty { flow });
         }
 
-        let mut q = self.ptr.queue(flow);
         let pid = q.head_pkt;
         let pr = self.ptr.pkt(pid);
-        let mut out = Vec::with_capacity(pr.bytes as usize);
+        let start = out.len();
+        out.reserve(pr.bytes as usize);
         let mut n = 0u32;
         let mut cur = pr.first;
         loop {
@@ -827,8 +894,9 @@ impl QueueManager {
         }
         q.pkts -= 1;
         q.complete_pkts -= 1;
+        let bytes = out.len() - start;
         q.segs -= n;
-        q.bytes -= out.len() as u64;
+        q.bytes -= bytes as u64;
         self.pkt_fl.release(&mut self.ptr, pid);
         self.commit_queue(flow, q);
 
@@ -844,22 +912,8 @@ impl QueueManager {
             ..PtrMemCounters::default()
         });
         self.stats.dequeues += u64::from(n);
-        self.stats.bytes_out += out.len() as u64;
-        Ok(out)
-    }
-
-    /// [`dequeue_packet`](Self::dequeue_packet) one segment command at a
-    /// time: the path of an open head under cut-through, and of every
-    /// refusal.
-    fn dequeue_packet_by_segments(&mut self, flow: FlowId) -> Result<Vec<u8>, QueueError> {
-        let mut out = Vec::new();
-        loop {
-            let seg = self.dequeue(flow)?;
-            out.extend_from_slice(&seg.data);
-            if seg.eop {
-                return Ok(out);
-            }
-        }
+        self.stats.bytes_out += bytes as u64;
+        Ok(bytes)
     }
 
     // --- in-place operations --------------------------------------------
@@ -2064,10 +2118,7 @@ mod tests {
     fn dequeue_packet_of_a_mid_service_head_returns_the_remainder() {
         let pkt: Vec<u8> = (0..150).map(|i| i as u8).collect();
         type Take = fn(&mut QueueManager, FlowId) -> Result<Vec<u8>, QueueError>;
-        let takes: [Take; 2] = [
-            QueueManager::dequeue_packet,
-            QueueManager::dequeue_packet_by_segments,
-        ];
+        let takes: [Take; 2] = [QueueManager::dequeue_packet, dequeue_packet_by_segments];
         for take in takes {
             let mut m = qm();
             let f = FlowId::new(2);
@@ -2078,6 +2129,53 @@ mod tests {
             assert!(m.is_empty(f));
             m.verify().unwrap();
         }
+    }
+
+    #[test]
+    fn dequeue_packet_refuses_an_open_head_under_cut_through_and_loses_nothing() {
+        // Through PR 16 this call went segment by segment: it took two of
+        // the three segments, met `QueueEmpty` (cut-through never serves an
+        // open packet's final segment) and dropped the 128 bytes with its
+        // local buffer — `bytes_out` 128, `dequeues` 2, one segment left.
+        let cfg = QmConfig::builder()
+            .num_flows(4)
+            .num_segments(64)
+            .segment_bytes(64)
+            .cut_through(true)
+            .build()
+            .unwrap();
+        let mut m = QueueManager::new(cfg);
+        let f = FlowId::new(1);
+        m.enqueue(f, &[1; 64], SegmentPosition::First).unwrap();
+        m.enqueue(f, &[2; 64], SegmentPosition::Middle).unwrap();
+        m.enqueue(f, &[3; 64], SegmentPosition::Middle).unwrap();
+        let digest = crate::check::state_digest(&m);
+        let stats = *m.stats();
+
+        assert_eq!(m.dequeue_packet(f), Err(QueueError::QueueEmpty { flow: f }));
+        let mut held = vec![9u8; 5];
+        assert_eq!(
+            m.dequeue_packet_into(f, &mut held),
+            Err(QueueError::QueueEmpty { flow: f })
+        );
+        assert_eq!(held, [9u8; 5], "a refused call leaves the buffer alone");
+        assert_eq!(m.queue_len_segments(f), 3);
+        assert_eq!((m.stats().bytes_out, m.stats().dequeues), (0, 0));
+        assert_eq!(m.stats().errors, stats.errors + 2, "one error per refusal");
+        // The digest covers the error count; with that put back, the two
+        // refusals left no trace.
+        m.stats.errors = stats.errors;
+        assert_eq!(*m.stats(), stats);
+        assert_eq!(crate::check::state_digest(&m), digest);
+        m.verify().unwrap();
+
+        // The packet comes out whole once its `Last` arrives.
+        m.enqueue(f, &[4; 8], SegmentPosition::Last).unwrap();
+        let pkt = m.dequeue_packet(f).unwrap();
+        assert_eq!(pkt.len(), 200);
+        assert_eq!((pkt[0], pkt[64], pkt[128], pkt[192]), (1, 2, 3, 4));
+        assert!(m.is_empty(f));
+        m.verify().unwrap();
     }
 
     #[test]
@@ -2120,8 +2218,11 @@ mod tests {
             len: usize,
             work: u32,
         },
+        /// `lend: Some(n)` takes the packet through the lending form, into
+        /// a buffer that already holds `n` bytes.
         DequeuePacket {
             flow: u32,
+            lend: Option<usize>,
         },
         /// A raw SAR segment: `First` leaves the queue open.
         Segment {
@@ -2130,9 +2231,11 @@ mod tests {
             first: bool,
             last: bool,
         },
-        /// One segment command: leaves a mid-service head behind.
+        /// One segment command: leaves a mid-service head behind. `lend`
+        /// as for `DequeuePacket`.
         DequeueSegment {
             flow: u32,
+            lend: Option<usize>,
         },
         MovePacket {
             src: u32,
@@ -2168,6 +2271,8 @@ mod tests {
             ]
         };
         let work = || prop_oneof![0u32..1, 1u32..9];
+        // Half the reads are lent a buffer, empty or already in use.
+        let lend = || (any::<bool>(), 0usize..40).prop_map(|(lend, held)| lend.then_some(held));
         // The two packet calls are listed twice: four steps in ten.
         prop_oneof![
             (flow(), pkt_len(), work()).prop_map(|(flow, len, work)| Step::EnqueuePacket {
@@ -2180,8 +2285,8 @@ mod tests {
                 len,
                 work
             }),
-            flow().prop_map(|flow| Step::DequeuePacket { flow }),
-            flow().prop_map(|flow| Step::DequeuePacket { flow }),
+            (flow(), lend()).prop_map(|(flow, lend)| Step::DequeuePacket { flow, lend }),
+            (flow(), lend()).prop_map(|(flow, lend)| Step::DequeuePacket { flow, lend }),
             (flow(), seg_len(), any::<bool>(), any::<bool>()).prop_map(
                 |(flow, len, first, last)| Step::Segment {
                     flow,
@@ -2190,12 +2295,63 @@ mod tests {
                     last
                 }
             ),
-            flow().prop_map(|flow| Step::DequeueSegment { flow }),
+            (flow(), lend()).prop_map(|(flow, lend)| Step::DequeueSegment { flow, lend }),
             (flow(), flow()).prop_map(|(src, dst)| Step::MovePacket { src, dst }),
             flow().prop_map(|flow| Step::DeletePacket { flow }),
             (flow(), seg_len()).prop_map(|(flow, len)| Step::AppendHead { flow, len }),
             (flow(), seg_len()).prop_map(|(flow, len)| Step::AppendTail { flow, len }),
         ]
+    }
+
+    /// [`QueueManager::dequeue_packet`] one segment command at a time, as
+    /// every packet left the engine before there were whole-packet
+    /// transactions: the reference the differential test holds them to.
+    fn dequeue_packet_by_segments(
+        m: &mut QueueManager,
+        flow: FlowId,
+    ) -> Result<Vec<u8>, QueueError> {
+        let mut out = Vec::new();
+        loop {
+            let seg = m.dequeue(flow)?;
+            out.extend_from_slice(&seg.data);
+            if seg.eop {
+                return Ok(out);
+            }
+        }
+    }
+
+    /// What a whole-packet dequeue must equal: the segment loop — except
+    /// on an open head under cut-through. There the loop takes the head's
+    /// spare segments, meets `QueueEmpty` before any `Last` and drops what
+    /// it took (the data-loss bug `dequeue_packet` had through PR 16); the
+    /// call must instead refuse up front, at the price of one refused
+    /// segment command: its queue-table read and one counted error.
+    fn reference_dequeue_packet(m: &mut QueueManager, flow: FlowId) -> Result<Vec<u8>, QueueError> {
+        let open_head = m.check_flow(flow).is_ok() && {
+            let q = m.ptr.queue_silent(flow);
+            !q.head_pkt.is_nil() && q.open && q.head_pkt == q.tail_pkt
+        };
+        if m.cfg.cut_through() && open_head {
+            let _ = m.ptr.queue(flow);
+            return m.fail(QueueError::QueueEmpty { flow });
+        }
+        dequeue_packet_by_segments(m, flow)
+    }
+
+    /// Runs a lending call on a buffer that already holds `held` bytes and
+    /// returns the call's value with what it appended. The held bytes must
+    /// survive, and a refused call must leave the buffer as it was.
+    fn lent<T>(
+        held: usize,
+        call: impl FnOnce(&mut Vec<u8>) -> Result<T, QueueError>,
+    ) -> Result<(T, Vec<u8>), QueueError> {
+        let mut out = vec![0xEE; held];
+        let result = call(&mut out);
+        assert!(out[..held].iter().all(|&b| b == 0xEE), "held bytes changed");
+        if result.is_err() {
+            assert_eq!(out.len(), held, "a refused call appended");
+        }
+        result.map(|value| (value, out.split_off(held)))
     }
 
     /// Runs `step` and renders its result. With `by_segments` the packet
@@ -2224,10 +2380,15 @@ mod tests {
                 };
                 format!("{result:?}")
             }
-            Step::DequeuePacket { flow } => {
+            Step::DequeuePacket { flow, lend } => {
                 let flow = FlowId::new(flow);
                 let result = if by_segments {
-                    m.dequeue_packet_by_segments(flow)
+                    reference_dequeue_packet(m, flow)
+                } else if let Some(held) = lend {
+                    lent(held, |out| m.dequeue_packet_into(flow, out)).map(|(n, bytes)| {
+                        assert_eq!(n, bytes.len());
+                        bytes
+                    })
                 } else {
                     m.dequeue_packet(flow)
                 };
@@ -2242,7 +2403,23 @@ mod tests {
                 let pos = SegmentPosition::from_flags(first, last);
                 format!("{:?}", m.enqueue(FlowId::new(flow), &bytes(len), pos))
             }
-            Step::DequeueSegment { flow } => format!("{:?}", m.dequeue(FlowId::new(flow))),
+            Step::DequeueSegment { flow, lend } => {
+                let flow = FlowId::new(flow);
+                let result = match lend {
+                    Some(held) if !by_segments => {
+                        lent(held, |out| m.dequeue_into(flow, out)).map(|(info, data)| {
+                            assert_eq!(info.len, data.len());
+                            DequeuedSegment {
+                                data,
+                                sop: info.sop,
+                                eop: info.eop,
+                            }
+                        })
+                    }
+                    _ => m.dequeue(flow),
+                };
+                format!("{result:?}")
+            }
             Step::MovePacket { src, dst } => {
                 format!("{:?}", m.move_packet(FlowId::new(src), FlowId::new(dst)))
             }

@@ -134,7 +134,7 @@ pub struct ShardedQueueManager {
     /// Merged per-shard top-of-heap snapshots (see [`GlobalOccupancy`]).
     pub(crate) occ: GlobalOccupancy,
     /// Accounting for the parallel batch executor.
-    pub(crate) pstats: ParallelStats,
+    pstats: ParallelStats,
     /// Cross-shard barrier marks recorded while tracing (consumed by
     /// [`ShardedQueueManager::take_trace`]).
     trace_barriers: Vec<CrossBarrier>,
@@ -477,11 +477,11 @@ impl ShardedQueueManager {
     pub fn execute(&mut self, cmd: Command) -> Result<Outcome, QueueError> {
         match self.route(&cmd) {
             Route::One(s) => {
-                let r = self.shards[s].execute(cmd);
+                let r = self.shards[s].execute_ref(&cmd);
                 self.shards[s].commit_span();
                 r
             }
-            Route::Two(..) => self.execute_cross_traced(cmd),
+            Route::Two(..) => self.execute_cross_traced(&cmd),
         }
     }
 
@@ -494,8 +494,17 @@ impl ShardedQueueManager {
 
     /// Whether a batch on `threads` workers can leave the calling thread
     /// (the only batches [`ParallelStats`] counts).
-    pub(crate) fn fans_out(&self, threads: usize) -> bool {
+    fn fans_out(&self, threads: usize) -> bool {
         threads > 1 && self.shards.len() > 1
+    }
+
+    /// What every batch entry point does first: reject zero workers and
+    /// count the batch if it can fan out.
+    pub(crate) fn begin_batch(&mut self, threads: usize) {
+        assert!(threads > 0, "need at least one worker thread");
+        if self.fans_out(threads) {
+            self.pstats.parallel_batches += 1;
+        }
     }
 
     /// The one grouped executor behind all four batch entry points: runs
@@ -572,8 +581,8 @@ impl ShardedQueueManager {
     /// destination-side traffic each become one span on their engine,
     /// and the [`CrossBarrier`] tells the memory channels to synchronize
     /// both clocks after charging them.
-    pub(crate) fn execute_cross_traced(&mut self, cmd: Command) -> Result<Outcome, QueueError> {
-        let (a, b) = match self.route(&cmd) {
+    pub(crate) fn execute_cross_traced(&mut self, cmd: &Command) -> Result<Outcome, QueueError> {
+        let (a, b) = match self.route(cmd) {
             Route::Two(a, b) => (a, b),
             Route::One(_) => unreachable!("cross execution requires two shards"),
         };
@@ -594,8 +603,8 @@ impl ShardedQueueManager {
     }
 
     /// Executes a two-queue command whose queues live in different shards.
-    fn execute_cross(&mut self, cmd: Command) -> Result<Outcome, QueueError> {
-        match cmd {
+    fn execute_cross(&mut self, cmd: &Command) -> Result<Outcome, QueueError> {
+        match *cmd {
             Command::Move { src, dst } => {
                 self.move_across(src, dst)?;
                 Ok(Outcome::Done)
@@ -604,9 +613,9 @@ impl ShardedQueueManager {
                 self.copy_across(src, dst)?;
                 Ok(Outcome::Done)
             }
-            Command::OverwriteAndMove { src, dst, data } => {
+            Command::OverwriteAndMove { src, dst, ref data } => {
                 let s = self.shard_of(src);
-                self.shards[s].overwrite_head(src, &data)?;
+                self.shards[s].overwrite_head(src, data)?;
                 self.move_across(src, dst)?;
                 Ok(Outcome::Done)
             }

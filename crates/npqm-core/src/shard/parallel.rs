@@ -22,6 +22,10 @@
 //!   [`execute_batch`](ShardedQueueManager::execute_batch) and
 //!   [`offer_batch`](ShardedAdmission::offer_batch) are the same body on
 //!   one worker.
+//! * [`ShardedQueueManager::dequeue_batch_into`] — the same executor
+//!   draining a `&[FlowId]` batch into a caller-owned [`BatchDrain`]: one
+//!   byte arena per shard, reused across calls, instead of a `Vec` per
+//!   served segment.
 //! * [`GlobalOccupancy`] — one atomic word per shard holding that shard's
 //!   top-of-heap `(flow, bytes)` snapshot. The executor publishes a
 //!   shard's top as its group finishes; readers merge the N words into
@@ -81,7 +85,7 @@ use crate::command::{Command, Outcome};
 use crate::error::QueueError;
 use crate::id::FlowId;
 use crate::limits::DropReason;
-use crate::manager::QueueManager;
+use crate::manager::{QueueManager, SegmentInfo};
 use crate::policy::{self, Admission, DropPolicy, PolicyStats, Refusal};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -261,16 +265,13 @@ impl ShardedQueueManager {
         cmds: &[Command],
         threads: usize,
     ) -> Vec<Result<Outcome, QueueError>> {
-        assert!(threads > 0, "need at least one worker thread");
-        if self.fans_out(threads) {
-            self.pstats.parallel_batches += 1;
-        }
+        self.begin_batch(threads);
         let mut results: Vec<Option<Result<Outcome, QueueError>>> = vec![None; cmds.len()];
         let mut groups: Vec<Vec<_>> = self.shards.iter().map(|_| Vec::new()).collect();
         let mut unit = vec![(); self.shards.len()];
         // One phase: every pending group, weighed by its command count.
         let mut run = |engine: &mut Self, groups: &mut [Vec<_>]| {
-            let exec = |qm: &mut QueueManager, _: &mut (), i: usize| qm.execute(cmds[i].clone());
+            let exec = |qm: &mut QueueManager, _: &mut (), i: usize| qm.execute_ref(&cmds[i]);
             engine.run_groups(&mut unit, groups, threads, |_| 1, exec);
         };
         for ((i, cmd), slot) in cmds.iter().enumerate().zip(&mut results) {
@@ -279,7 +280,7 @@ impl ShardedQueueManager {
                 Route::Two(a, b) => {
                     run(self, &mut groups);
                     let t = Instant::now();
-                    let r = self.execute_cross_traced(cmd.clone());
+                    let r = self.execute_cross_traced(cmd);
                     let d = t.elapsed();
                     self.busy[a] += d;
                     self.busy[b] += d;
@@ -296,6 +297,118 @@ impl ShardedQueueManager {
             .into_iter()
             .map(|r| r.expect("every command was executed"))
             .collect()
+    }
+
+    /// Dequeues one segment per entry of `flows`, grouped per shard and
+    /// run by the same executor as
+    /// [`execute_batch_parallel`](ShardedQueueManager::execute_batch_parallel),
+    /// **lending** the payloads: each served segment is appended to its
+    /// home shard's byte arena in `out` instead of becoming a `Vec` of its
+    /// own. `out` is caller-owned; its arenas and result slots are cleared
+    /// and refilled by every call, so a caller that keeps one
+    /// [`BatchDrain`] for a run pays for its high-water mark once.
+    ///
+    /// Everything else is what the same batch of
+    /// [`Command::Dequeue`]s does through `execute_batch_parallel` — and so
+    /// what replaying them one by one through
+    /// [`execute`](ShardedQueueManager::execute) does: per-position
+    /// payload, SOP/EOP flags or error, engine state, statistics, pointer
+    /// traffic, trace spans, busy times and the occupancy publish, at any
+    /// thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads` is zero.
+    pub fn dequeue_batch_into(&mut self, flows: &[FlowId], threads: usize, out: &mut BatchDrain) {
+        self.begin_batch(threads);
+        out.arenas.resize_with(self.shards.len(), Vec::new);
+        out.arenas.iter_mut().for_each(Vec::clear);
+        out.slots.clear();
+        out.slots.resize(flows.len(), None);
+        out.homes.clear();
+        let mut groups: Vec<Vec<_>> = self.shards.iter().map(|_| Vec::new()).collect();
+        for ((i, &flow), slot) in flows.iter().enumerate().zip(&mut out.slots) {
+            let home = self.shard_of(flow);
+            out.homes.push(home);
+            groups[home].push((i, slot));
+        }
+        self.run_groups(
+            &mut out.arenas,
+            &mut groups,
+            threads,
+            |_| 1,
+            |qm, arena, i| {
+                let offset = arena.len();
+                qm.dequeue_into(flows[i], arena).map(|info| (offset, info))
+            },
+        );
+    }
+}
+
+/// A segment lent by a [`BatchDrain`]: the payload stays in the drain's
+/// arena and is valid until the drain's next batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LentSegment<'a> {
+    /// The segment payload (up to the configured segment size).
+    pub data: &'a [u8],
+    /// True if this was the first segment of its packet.
+    pub sop: bool,
+    /// True if this was the last segment of its packet.
+    pub eop: bool,
+}
+
+/// Caller-owned output of
+/// [`ShardedQueueManager::dequeue_batch_into`]: one byte arena per shard
+/// and, per batch position, where in its flow's home-shard arena the
+/// served segment landed (or the error its dequeue met). Keep one for a
+/// run and hand it to every batch: the buffers are reused, so a steady
+/// run stops allocating on its read side.
+#[derive(Debug, Clone, Default)]
+pub struct BatchDrain {
+    arenas: Vec<Vec<u8>>,
+    /// Per batch position: the home shard of its flow.
+    homes: Vec<usize>,
+    /// Per batch position: `(offset into the home arena, what landed)`.
+    slots: Vec<Option<Result<(usize, SegmentInfo), QueueError>>>,
+}
+
+impl BatchDrain {
+    /// An empty drain; the first batch sizes it.
+    pub fn new() -> Self {
+        BatchDrain::default()
+    }
+
+    /// Number of positions in the last batch.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Whether the last batch was empty.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// The outcome of position `i` of the last batch.
+    ///
+    /// # Errors
+    ///
+    /// The [`QueueError`] that position's dequeue returned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not a position of the last batch.
+    pub fn get(&self, i: usize) -> Result<LentSegment<'_>, QueueError> {
+        let (offset, info) = self.slots[i].expect("every position was dequeued")?;
+        Ok(LentSegment {
+            data: &self.arenas[self.homes[i]][offset..offset + info.len],
+            sop: info.sop,
+            eop: info.eop,
+        })
+    }
+
+    /// The outcomes of the last batch, in batch order.
+    pub fn iter(&self) -> impl Iterator<Item = Result<LentSegment<'_>, QueueError>> + '_ {
+        (0..self.len()).map(|i| self.get(i))
     }
 }
 
@@ -324,15 +437,12 @@ impl<P: DropPolicy + Send> ShardedAdmission<P> {
         arrivals: &[(FlowId, &[u8])],
         threads: usize,
     ) -> Vec<Result<Admission, Refusal>> {
-        assert!(threads > 0, "need at least one worker thread");
         assert_eq!(
             self.policies.len(),
             engine.num_shards(),
             "admission and engine shard counts differ"
         );
-        if engine.fans_out(threads) {
-            engine.pstats.parallel_batches += 1;
-        }
+        engine.begin_batch(threads);
         let mut results: Vec<Option<Result<Admission, Refusal>>> = vec![None; arrivals.len()];
         let mut groups: Vec<Vec<_>> = self.policies.iter().map(|_| Vec::new()).collect();
         for ((i, &(flow, _)), slot) in arrivals.iter().enumerate().zip(&mut results) {

@@ -12,7 +12,9 @@
 //! 1. [`ShardedQueueManager::execute_batch_parallel`] at 1, 2, 3, 4 and
 //!    8 workers yields byte-identical outcomes, counters and full
 //!    engine-state digests to one-by-one
-//!    [`ShardedQueueManager::execute`];
+//!    [`ShardedQueueManager::execute`] — and so does the lending drain
+//!    [`ShardedQueueManager::dequeue_batch_into`] run on the state the
+//!    batch left, against one-by-one `Command::Dequeue`;
 //! 2. a batch with a **pathologically long group** on one shard still
 //!    matches the replay, *and* the work-stealing path demonstrably
 //!    ran (steal counter > 0) — idle workers claimed whole groups off
@@ -25,9 +27,11 @@
 
 use npqm_core::check::state_digest;
 use npqm_core::manager::SegmentPosition;
-use npqm_core::shard::parallel::{GlobalDropPolicy, GlobalLqd};
+use npqm_core::shard::parallel::{BatchDrain, GlobalDropPolicy, GlobalLqd};
 use npqm_core::shard::{ShardedAdmission, ShardedQueueManager};
-use npqm_core::{Command, DynamicThreshold, FlowId, Outcome, QmConfig, QueueError};
+use npqm_core::{
+    Command, DequeuedSegment, DynamicThreshold, FlowId, Outcome, QmConfig, QueueError,
+};
 use proptest::prelude::*;
 
 const FLOWS: u32 = 8;
@@ -152,6 +156,23 @@ fn assert_same_engines(a: &ShardedQueueManager, b: &ShardedQueueManager) {
     }
 }
 
+/// Pointer-memory traffic is part of the determinism contract: the
+/// per-shard access counters (and therefore any memory-derived cost) must
+/// match the replay exactly, shard by shard, and the verify pass must
+/// prove their aggregate is conserved.
+fn assert_same_ptr_traffic(parallel: &ShardedQueueManager, serial: &ShardedQueueManager) {
+    for s in 0..parallel.num_shards() {
+        assert_eq!(
+            parallel.shard(s).ptr_counters(),
+            serial.shard(s).ptr_counters(),
+            "shard {s} pointer traffic diverged"
+        );
+    }
+    assert_eq!(parallel.ptr_counters(), serial.ptr_counters());
+    let report = parallel.verify().unwrap();
+    assert_eq!(report.ptr, parallel.ptr_counters());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -160,30 +181,45 @@ proptest! {
     #[test]
     fn parallel_batch_equals_serial_replay(
         ops in proptest::collection::vec(op_strategy(), 1..60),
+        drain in proptest::collection::vec(0..FLOWS + 1, 0..60),
     ) {
         let cmds = materialize(&ops);
         let (serial, expected) = replay(&cmds);
+        // The lending drain that follows the batch: random flows, then
+        // every flow once and the one past the table, so idle flows
+        // (`QueueEmpty`), the mid-service heads and open tails the batch
+        // left behind, and `UnknownFlow` are in every script. Its oracle is
+        // the replay engine fed one `Dequeue` command per position.
+        let drain: Vec<FlowId> = drain.into_iter().chain(0..=FLOWS).map(FlowId::new).collect();
+        let mut drained = serial.clone();
+        let expected_drain: Vec<_> = drain
+            .iter()
+            .map(|&flow| drained.execute(Command::Dequeue { flow }))
+            .collect();
+        // One drain for every worker count: reuse is part of its contract.
+        let mut lent = BatchDrain::new();
         for threads in THREADS {
             let mut parallel = ShardedQueueManager::new(small_cfg(), 4);
             let got = parallel.execute_batch_parallel(&cmds, threads);
 
             prop_assert_eq!(&got, &expected, "outcomes must be byte-identical");
             assert_same_engines(&parallel, &serial);
-            // Pointer-memory traffic is part of the determinism contract:
-            // the per-shard access counters (and therefore any
-            // memory-derived cost) must match the replay exactly, shard by
-            // shard, and the verify pass must prove their aggregate is
-            // conserved.
-            for s in 0..4 {
-                prop_assert_eq!(
-                    parallel.shard(s).ptr_counters(),
-                    serial.shard(s).ptr_counters(),
-                    "shard {} pointer traffic diverged", s
-                );
+            assert_same_ptr_traffic(&parallel, &serial);
+
+            parallel.dequeue_batch_into(&drain, threads, &mut lent);
+            prop_assert_eq!(lent.len(), drain.len());
+            for (i, (got, want)) in lent.iter().zip(&expected_drain).enumerate() {
+                let got = got.map(|seg| {
+                    Outcome::Segment(DequeuedSegment {
+                        data: seg.data.to_vec(),
+                        sop: seg.sop,
+                        eop: seg.eop,
+                    })
+                });
+                prop_assert_eq!(&got, want, "drain position {} on {}", i, drain[i]);
             }
-            prop_assert_eq!(parallel.ptr_counters(), serial.ptr_counters());
-            let report = parallel.verify().unwrap();
-            prop_assert_eq!(report.ptr, parallel.ptr_counters());
+            assert_same_engines(&parallel, &drained);
+            assert_same_ptr_traffic(&parallel, &drained);
         }
     }
 

@@ -477,9 +477,10 @@ where
 }
 
 /// Asks the scheduler for the next flow and, if one is ready, dequeues
-/// its head packet, verifies it against the ledger (length and marker
-/// byte, a mismatch charged to `shard`'s report) and schedules a
-/// transmit-done event (built by `mk_txdone`) after the service time
+/// its head packet into the loop's frame buffer (lent to the engine, so a
+/// delivery allocates nothing), verifies it against the ledger (length
+/// and marker byte, a mismatch charged to `shard`'s report) and schedules
+/// a transmit-done event (built by `mk_txdone`) after the service time
 /// `egress` prices for it. Returns whether the server is now busy.
 /// Generic over the event type so the finite-trace loop and the streaming
 /// service loop share one service path.
@@ -496,30 +497,31 @@ pub(crate) fn start_service<S: FlowScheduler + ?Sized, E>(
         return false;
     };
     egress.absorb_ingress(qm);
-    let pkt = qm
-        .dequeue_packet(flow)
+    st.frame.clear();
+    let len = qm
+        .dequeue_packet_into(flow, &mut st.frame)
         .expect("scheduler picked a ready flow");
-    sched.served(flow, pkt.len());
+    sched.served(flow, len);
     let slot = st.ledger[flow.as_usize()]
         .pop_front()
         .expect("served packet must be in the ledger");
-    if pkt.len() as u32 != slot.len || pkt[0] != slot.marker {
+    if len as u32 != slot.len || st.frame[0] != slot.marker {
         st.reports[shard].integrity_violations += 1;
     }
-    let tx = egress.tx_time(qm, pkt.len());
+    let tx = egress.tx_time(qm, len);
     if let Some(t) = &mut st.tel {
         // The scheduler decision and (in memory-timed mode) the modeled
         // service cost, stamped at the service start instant.
         t.record_sched_select(ev.now(), flow);
         if matches!(egress, Egress::Memory(_)) {
-            t.record_mem_tx(ev.now(), pkt.len() as u32, tx);
+            t.record_mem_tx(ev.now(), len as u32, tx);
         }
     }
     ev.schedule_in(
         tx,
         mk_txdone(TxDone {
             flow,
-            bytes: pkt.len() as u32,
+            bytes: len as u32,
             enqueued_at: slot.enqueued_at,
         }),
     );

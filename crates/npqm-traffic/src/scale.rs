@@ -13,7 +13,11 @@
 //! Each round offers a batch of packets through shard-local
 //! Choudhury–Hahne admission ([`ShardedAdmission`] +
 //! [`DynamicThreshold`]) and then drains part of the backlog with a batch
-//! of `Dequeue` commands ([`ShardedQueueManager::execute_batch`]). Both
+//! of segment dequeues
+//! ([`ShardedQueueManager::dequeue_batch_into`]). The harness allocates
+//! per round, not per packet: the offered payloads sit end to end in one
+//! arena kept for the run, and the drain lends its segments from per-shard
+//! arenas instead of returning a `Vec` each. Both
 //! paths accumulate per-shard **busy time**; since shards share no state,
 //! N shards model N engines running in parallel and the sustained rate is
 //!
@@ -36,9 +40,10 @@ use crate::flows::FlowMix;
 use crate::service::{fold_ledger, PacketStream};
 use crate::size::SizeDistribution;
 use npqm_core::policy::DynamicThreshold;
+use npqm_core::shard::parallel::BatchDrain;
 use npqm_core::shard::{ShardedAdmission, ShardedQueueManager};
 use npqm_core::timing::{CommandCost, MemoryChannels, PaperTiming, TimingConfig};
-use npqm_core::{Command, FlowId, Outcome, QmConfig};
+use npqm_core::{FlowId, QmConfig};
 use npqm_sim::time::Picos;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -127,28 +132,36 @@ impl ShardScaleConfig {
 /// 12-bank row). `table8` and `all_tables` both sweep exactly this list.
 pub const TABLE8_BANKS: [u32; 5] = [1, 2, 4, 8, 16];
 
-/// One round's offered arrivals: Zipf flow, IMIX size, and a marker byte
-/// stamped into the first payload byte, drawn through the workspace-wide
-/// [`PacketStream`] (flow, then size; marker = sequence number).
-/// [`run_shard_scale`] and [`run_memory_scale`] both draw through this
-/// one function, so their offered traces are identical by construction —
-/// the comparability between `table7` and `table8` rests on it.
-fn round_arrivals(cfg: &ShardScaleConfig, stream: &mut PacketStream<'_>) -> Vec<(FlowId, Vec<u8>)> {
-    (0..cfg.packets_per_round)
-        .map(|_| {
-            let (flow, size, marker) = stream.next_packet();
-            let mut data = vec![0xC3u8; size as usize];
-            data[0] = marker;
-            (flow, data)
-        })
-        .collect()
+/// Draws one round's offered arrivals — Zipf flow, IMIX size, and a marker
+/// byte stamped into the first payload byte — through the workspace-wide
+/// [`PacketStream`] (flow, then size; marker = sequence number), laying
+/// the payloads end to end in `arena` and recording each packet's
+/// `(flow, size)` in `drawn`. Both buffers are the run's own, refilled
+/// every round. [`run_shard_scale`] and [`run_memory_scale`] share the one
+/// round loop that calls this, so their offered traces are identical by
+/// construction — the comparability between `table7` and `table8` rests
+/// on it.
+fn draw_round(
+    cfg: &ShardScaleConfig,
+    stream: &mut PacketStream<'_>,
+    arena: &mut Vec<u8>,
+    drawn: &mut Vec<(FlowId, usize)>,
+) {
+    arena.clear();
+    drawn.clear();
+    for _ in 0..cfg.packets_per_round {
+        let (flow, size, marker) = stream.next_packet();
+        let start = arena.len();
+        arena.resize(start + size as usize, 0xC3);
+        arena[start] = marker;
+        drawn.push((flow, size as usize));
+    }
 }
 
-/// One round's drain batch: round-robin `Dequeue` passes over every
-/// flow, sized to serve `drain_fraction` of the currently queued
-/// backlog. Shared by both experiments so their drain schedules stay
-/// identical by construction.
-fn drain_batch(cfg: &ShardScaleConfig, engine: &ShardedQueueManager) -> Vec<Command> {
+/// Fills `drain` with one round's drain batch: round-robin dequeue passes
+/// over every flow, sized to serve `drain_fraction` of the currently
+/// queued backlog.
+fn drain_batch(cfg: &ShardScaleConfig, engine: &ShardedQueueManager, drain: &mut Vec<FlowId>) {
     let queued_segments: u64 = (0..engine.num_shards())
         .map(|s| {
             let qm = engine.shard(s);
@@ -159,15 +172,10 @@ fn drain_batch(cfg: &ShardScaleConfig, engine: &ShardedQueueManager) -> Vec<Comm
         .sum();
     let passes =
         ((queued_segments as f64 * cfg.drain_fraction / cfg.flows as f64).ceil() as u64).max(1);
-    let mut drain = Vec::with_capacity((passes * cfg.flows as u64) as usize);
+    drain.clear();
     for _ in 0..passes {
-        for f in 0..cfg.flows {
-            drain.push(Command::Dequeue {
-                flow: FlowId::new(f),
-            });
-        }
+        drain.extend((0..cfg.flows).map(FlowId::new));
     }
-    drain
 }
 
 /// Outcome of one shard count in the scaling sweep.
@@ -274,11 +282,12 @@ struct Reassembly {
 /// and the per-shard locality effects (smaller queue tables and
 /// occupancy heaps) that sharding buys.
 ///
-/// `threads == 1` runs the serial batch paths; `threads > 1` runs
+/// Every thread count runs the same two calls,
 /// [`ShardedAdmission::offer_batch_parallel`] and
-/// [`ShardedQueueManager::execute_batch_parallel`], whose results are
-/// byte-identical to serial (only `wall_clock`, the busy-time fields and
-/// `steals` change — the row's `fingerprint` proves it). `wall_clock`
+/// [`ShardedQueueManager::dequeue_batch_into`]; at `threads == 1` their
+/// groups run inline on the calling thread. The results are byte-identical
+/// at any count (only `wall_clock`, the busy-time fields and `steals`
+/// change — the row's `fingerprint` proves it). `wall_clock`
 /// measures the real offer/drain loop, so at `threads ≥ shards` on a
 /// multi-core host it shows the *actual* speedup next to the modeled
 /// critical-path composite.
@@ -349,17 +358,31 @@ fn run_rounds(
     let mut reasm: Vec<Reassembly> = vec![Reassembly::default(); cfg.flows as usize];
     let seg_bytes = cfg.segment_bytes as usize;
 
+    // The run's buffers, one of each, refilled every round: the offered
+    // payloads end to end (reserved once for a round of the largest
+    // packets, so it never regrows), what was drawn, the drain batch, and
+    // the arenas the drain lends its segments from.
+    let mut arena: Vec<u8> =
+        Vec::with_capacity(cfg.packets_per_round as usize * sizes.max_bytes() as usize);
+    let mut drawn: Vec<(FlowId, usize)> = Vec::with_capacity(cfg.packets_per_round as usize);
+    let mut drain: Vec<FlowId> = Vec::new();
+    let mut served = BatchDrain::new();
+
     let wall = Instant::now();
     for _ in 0..cfg.rounds {
         // --- offered batch: Zipf flows, IMIX sizes, marker-stamped ---
-        let arrivals_owned = round_arrivals(cfg, &mut stream);
-        let arrivals: Vec<(FlowId, &[u8])> = arrivals_owned
+        draw_round(cfg, &mut stream, &mut arena, &mut drawn);
+        let mut rest = arena.as_slice();
+        let arrivals: Vec<(FlowId, &[u8])> = drawn
             .iter()
-            .map(|(f, d)| (*f, d.as_slice()))
+            .map(|&(flow, size)| {
+                let (data, tail) = rest.split_at(size);
+                rest = tail;
+                (flow, data)
+            })
             .collect();
         let admissions = adm.offer_batch_parallel(&mut engine, &arrivals, threads);
-        for (i, result) in admissions.iter().enumerate() {
-            let (flow, data) = &arrivals_owned[i];
+        for (&(flow, data), result) in arrivals.iter().zip(&admissions) {
             row.offered_pkts += 1;
             row.offered_bytes += data.len() as u64;
             match result {
@@ -374,15 +397,15 @@ fn run_rounds(
         }
 
         // --- drain batch: serve a fraction of the backlog ---
-        let drain = drain_batch(cfg, &engine);
-        let served = engine.execute_batch_parallel(&drain, threads);
-        for (cmd, result) in drain.iter().zip(&served) {
-            let Ok(Outcome::Segment(seg)) = result else {
+        drain_batch(cfg, &engine, &mut drain);
+        engine.dequeue_batch_into(&drain, threads, &mut served);
+        for (flow, result) in drain.iter().zip(served.iter()) {
+            let Ok(seg) = result else {
                 continue; // QueueEmpty on an idle flow: expected
             };
             row.segments_processed += 1;
             row.drained_bytes += seg.data.len() as u64;
-            let f = cmd.primary_flow().as_usize();
+            let f = flow.as_usize();
             let r = &mut reasm[f];
             if seg.sop {
                 if r.in_flight {
@@ -568,8 +591,8 @@ impl MemoryScaleRow {
 ///
 /// The offered trace, the admission decisions and the engine end state
 /// are identical to what [`run_shard_scale`] computes for the same
-/// configuration — tracing only records. `threads` selects serial or
-/// thread-parallel batch execution; because the recorded per-shard
+/// configuration — tracing only records. `threads` is the worker count
+/// of the batch calls; because the recorded per-shard
 /// streams are deterministic, the charged costs (and the row
 /// fingerprint) are byte-identical at any thread count.
 ///
@@ -675,6 +698,36 @@ mod tests {
             assert_eq!(row.busy.len(), shards);
             assert_eq!(row.steals, 0, "serial path never steals");
         }
+    }
+
+    #[test]
+    fn smoke_rows_are_pinned() {
+        // Values of the commit before the round loop lent its buffers
+        // (PR 16). They are a pure function of the configuration, so a
+        // change to the harness — arenas, batch drain, ledger — that moves
+        // one of them changed what is simulated, not how fast.
+        let cfg = ShardScaleConfig::smoke();
+        let pinned = |row: &ShardScaleRow| {
+            (
+                row.fingerprint,
+                row.admitted_pkts,
+                row.delivered_pkts,
+                row.drained_bytes,
+                row.ptr_accesses,
+            )
+        };
+        assert_eq!(
+            pinned(&run_shard_scale(&cfg, 1, 1)),
+            (0x7844_40b6_c661_8ac8, 592, 304, 106_202, 43_021)
+        );
+        assert_eq!(
+            pinned(&run_shard_scale(&cfg, 4, 1)),
+            (0xd5b3_0976_2d0f_4973, 546, 317, 106_806, 39_854)
+        );
+        let timed = run_memory_scale(&cfg, 2, 1, &TimingConfig::paper(8));
+        assert_eq!(timed.fingerprint, 0xaee8_51e5_302b_72ca);
+        assert_eq!(timed.modeled_time, Picos::new(138_640_000));
+        assert_eq!((timed.data_reads, timed.data_writes), (1_942, 3_694));
     }
 
     #[test]

@@ -216,7 +216,7 @@ pub(crate) fn partition_indices(
 
 /// The bookkeeping both closed loops share: the per-shard, per-flow
 /// reports, the per-flow packet ledger (enqueue time, length, marker) and
-/// the scratch payload buffer. Factoring it out is what keeps the
+/// the scratch payload and frame buffers. Factoring it out is what keeps the
 /// finite-trace loop and the streaming service loop *behaviourally
 /// identical* — they admit, evict and deliver through these methods.
 pub(crate) struct LoopState {
@@ -225,6 +225,8 @@ pub(crate) struct LoopState {
     pub(crate) reports: Vec<PipelineReport>,
     pub(crate) ledger: Vec<VecDeque<Slot>>,
     payload: Vec<u8>,
+    /// The frame in service: the buffer every delivery's dequeue is lent.
+    pub(crate) frame: Vec<u8>,
     /// The loop's telemetry recorder. `None` (untraced) costs one branch
     /// per event.
     pub(crate) tel: Option<Telemetry>,
@@ -255,6 +257,7 @@ impl LoopState {
             // Scratch payload sized to the largest packet the
             // distribution can draw, so no sampled size is truncated.
             payload: vec![0xA5u8; max_bytes as usize],
+            frame: Vec::with_capacity(max_bytes as usize),
             tel: telemetry.map(Telemetry::new),
         }
     }
