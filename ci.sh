@@ -5,14 +5,14 @@
 # into a two-job matrix: `quick` on pull requests, the full pipeline on
 # pushes to main. No stage gates host time: that is bench/run.sh's job.
 #
-#   ./ci.sh         # full pipeline: structure grep, fmt, clippy, docs,
+#   ./ci.sh         # full pipeline: structure greps, fmt, clippy, docs,
 #                   # tier-1, release-profile engine tests, tables,
 #                   # golden checks, parallel-determinism diff, telemetry
 #                   # trace export + cross-thread diff, every example,
 #                   # repo-benchmark smoke + digest check, bench
 #                   # artifacts, bench gate (simulated leaves equal,
 #                   # host leaves ignored)
-#   ./ci.sh quick   # structure grep, tier-1 (build + test) plus the
+#   ./ci.sh quick   # structure greps, tier-1 (build + test) plus the
 #                   # table6 .. table11 golden checks, so even the fast
 #                   # path catches torn-frame, conservation,
 #                   # shard-scaling, memory-timing, competitive-ratio,
@@ -31,6 +31,10 @@ tier1() {
 # for_each_claimed` is the only place the engine and traffic crates may
 # spawn a thread, and nothing there may bring back channels, timeouts or
 # yield-pacing. Exactly one line may match (the spawn scope itself).
+# One push-out loop: `policy::push_out` is the only place a victim joins
+# an `evicted` list (LQD, po-work, work-balance and global LQD keep just
+# their victim choice), and the occupancy snapshot and the trait that
+# only the fourth copy of that loop needed stay deleted.
 structure() {
     echo "==> structure: one thread fan-out in npqm-core + npqm-traffic"
     local hits
@@ -38,6 +42,20 @@ structure() {
         crates/npqm-core/src crates/npqm-traffic/src || true)"
     if [[ "$(grep -c . <<<"${hits}")" != 1 || "${hits}" != crates/npqm-core/src/shard/parallel.rs:* ]]; then
         echo "structure FAILED: expected one hit, inside for_each_claimed; got:" >&2
+        echo "${hits}" >&2
+        exit 1
+    fi
+    echo "==> structure: one push-out loop in npqm-core + npqm-traffic"
+    hits="$(grep -rn 'evicted\.push(' crates/npqm-core/src crates/npqm-traffic/src || true)"
+    if [[ "$(grep -c . <<<"${hits}")" != 1 || "${hits}" != crates/npqm-core/src/policy.rs:* ]]; then
+        echo "structure FAILED: expected one hit, inside policy::push_out; got:" >&2
+        echo "${hits}" >&2
+        exit 1
+    fi
+    hits="$(grep -rnE 'GlobalOccupancy|GlobalDropPolicy|offer_global|refresh_occupancy' \
+        crates examples tests src README.md || true)"
+    if [[ -n "${hits}" ]]; then
+        echo "structure FAILED: the global-LQD side abstractions are back:" >&2
         echo "${hits}" >&2
         exit 1
     fi

@@ -27,8 +27,7 @@
 
 use crate::json::{Json, ToJson};
 use npqm_core::arena::{offline_bound, run_online, run_online_global, ArenaConfig, ArenaTrace};
-use npqm_core::policy::{DropPolicy, PushOutLargestWork, WorkSizeBalance};
-use npqm_core::shard::parallel::GlobalLqd;
+use npqm_core::policy::{DropPolicy, GlobalLqd, PushOutLargestWork, WorkSizeBalance};
 use npqm_core::{DynamicThreshold, LongestQueueDrop};
 use npqm_traffic::adversary::{
     anti_ch, anti_lqd, anti_taildrop, anti_work_oblivious, greedy_taildrop, static_split,

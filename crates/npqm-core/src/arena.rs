@@ -12,13 +12,14 @@
 //!   [`ArenaPacket`]s, each with a byte size and a
 //!   required-processing-work dimension;
 //! * [`run_online`] — drives any [`DropPolicy`] over a real
-//!   [`QueueManager`] under one of two [`ServiceModel`]s
-//!   (the Matsakis shared-memory switch, or a single work-server in the
-//!   Kogan model where service time depends on `work`);
-//! * [`run_online_global`] — the same loop over a
-//!   [`ShardedQueueManager`] driven
-//!   by a [`GlobalDropPolicy`],
-//!   so the global-LQD regime competes in the same arena;
+//!   [`QueueManager`](crate::manager::QueueManager) under one of two
+//!   [`ServiceModel`]s (the Matsakis shared-memory switch, or a single
+//!   work-server in the Kogan model where service time depends on
+//!   `work`);
+//! * [`run_online_global`] — the same slot loop (there is one, over a
+//!   [`ShardedQueueManager`]; a lone engine is its 1-shard instance)
+//!   driven by [`GlobalLqd`] across several shards, so the global-LQD
+//!   regime competes in the same arena;
 //! * [`offline_bound`] — a certified upper bound on the offline optimum
 //!   for the recorded trace: an **exact** branch-and-bound optimum on
 //!   small traces, and an interval/scheduling relaxation on large ones.
@@ -34,9 +35,7 @@
 use crate::check::{fnv1a_fold, FNV_OFFSET_BASIS};
 use crate::config::QmConfig;
 use crate::id::FlowId;
-use crate::manager::QueueManager;
-use crate::policy::DropPolicy;
-use crate::shard::parallel::GlobalDropPolicy;
+use crate::policy::{Admission, DropPolicy, GlobalLqd, Refusal};
 use crate::shard::ShardedQueueManager;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -253,7 +252,7 @@ impl ArenaReport {
     }
 }
 
-/// Internal tally shared by the local and global runners.
+/// Internal tally of one online run.
 #[derive(Default)]
 struct Tally {
     admitted: u64,
@@ -320,30 +319,25 @@ struct ServerJob {
     remaining: u64,
 }
 
-/// Runs `policy` online over the trace and returns its report.
-///
-/// Each slot first offers that slot's arrivals to the policy (in trace
-/// order, via [`DropPolicy::offer_work`]), then serves according to the
-/// [`ServiceModel`]. The run continues past the last arrival until the
-/// buffer (and server) fully drain, so goodput counts every admitted
-/// packet that survived — exactly the quantity competitive analysis
-/// compares to OPT.
-///
-/// # Panics
-///
-/// Panics if a trace flow is out of range for `cfg.qm`.
-pub fn run_online(
+/// The slot loop of every online run (its contract is [`run_online`]'s):
+/// `offer` admits into an engine of `num_shards` shards, each configured
+/// with `cfg.qm`. Returns the tally and the finish slot.
+fn run_slots<F>(
     cfg: &ArenaConfig,
     trace: &ArenaTrace,
-    policy: &mut dyn DropPolicy,
-) -> ArenaReport {
+    num_shards: usize,
+    mut offer: F,
+) -> (Tally, u64)
+where
+    F: FnMut(&mut ShardedQueueManager, &ArenaPacket, &[u8]) -> Result<Admission, Refusal>,
+{
     let flows = cfg.qm.num_flows();
     assert!(
         trace.flows() <= flows,
         "trace uses flow {} but the arena has {flows}",
         trace.flows().saturating_sub(1)
     );
-    let mut qm = QueueManager::new(cfg.qm);
+    let mut engine = ShardedQueueManager::new(cfg.qm, num_shards);
     let mut tally = Tally::new();
     let mut server: Option<ServerJob> = None;
     let mut rr = 0u32; // round-robin pointer of the work-server
@@ -353,24 +347,19 @@ pub fn run_online(
     loop {
         // Admission phase: this slot's arrivals, in trace order.
         while i < n && trace.packets[i].at == slot {
-            let p = trace.packets[i];
-            match policy.offer_work(&mut qm, p.flow, &payload(i, p.bytes), p.work) {
+            let p = &trace.packets[i];
+            let evicted = match offer(&mut engine, p, &payload(i, p.bytes)) {
                 Ok(adm) => {
                     tally.admitted += 1;
-                    tally.evicted_packets += adm.evicted.len() as u64;
-                    tally.evicted_bytes +=
-                        adm.evicted.iter().map(|&(_, b)| u64::from(b)).sum::<u64>();
+                    adm.evicted
                 }
                 Err(refusal) => {
                     tally.dropped += 1;
-                    tally.evicted_packets += refusal.evicted.len() as u64;
-                    tally.evicted_bytes += refusal
-                        .evicted
-                        .iter()
-                        .map(|&(_, b)| u64::from(b))
-                        .sum::<u64>();
+                    refusal.evicted
                 }
-            }
+            };
+            tally.evicted_packets += evicted.len() as u64;
+            tally.evicted_bytes += evicted.iter().map(|&(_, b)| u64::from(b)).sum::<u64>();
             i += 1;
         }
         // Service phase.
@@ -378,6 +367,7 @@ pub fn run_online(
             ServiceModel::SharedMemorySwitch => {
                 for f in 0..flows {
                     let flow = FlowId::new(f);
+                    let qm = engine.shard_for_mut(flow);
                     if qm.complete_packets(flow) > 0 {
                         let work = u64::from(qm.head_work(flow).unwrap_or(0));
                         let pkt = qm.dequeue_packet(flow).expect("complete head packet");
@@ -390,6 +380,7 @@ pub fn run_online(
                     // Round-robin pick among flows with a complete head.
                     for off in 0..flows {
                         let flow = FlowId::new((rr + off) % flows);
+                        let qm = engine.shard_for_mut(flow);
                         if qm.complete_packets(flow) > 0 {
                             let work = u64::from(qm.head_work(flow).unwrap_or(0));
                             let pkt = qm.dequeue_packet(flow).expect("complete head packet");
@@ -416,7 +407,7 @@ pub fn run_online(
             }
         }
         // Drained and no arrivals left: done.
-        let buffered = (0..flows).any(|f| qm.queue_len_packets(FlowId::new(f)) > 0);
+        let buffered = engine.used_segments() > 0;
         if i >= n && !buffered && server.is_none() {
             break;
         }
@@ -426,17 +417,43 @@ pub fn run_online(
             slot = trace.packets[i].at;
         }
     }
-    qm.verify()
+    engine
+        .verify()
         .expect("arena run must preserve engine invariants");
-    tally.into_report(policy.name(), trace, slot)
+    (tally, slot)
 }
 
-/// Runs a [`GlobalDropPolicy`] over a sharded engine in the same
-/// arena (shared-memory switch model only — the global policies guard
-/// a shared buffer, which is that regime).
+/// Runs `policy` online over the trace and returns its report.
 ///
-/// The engine uses the shared-buffer pairing of
-/// [`GlobalLqd::shared`](crate::shard::parallel::GlobalLqd::shared):
+/// Each slot first offers that slot's arrivals to the policy (in trace
+/// order, via [`DropPolicy::offer_work`]), then serves according to the
+/// [`ServiceModel`]. The run continues past the last arrival until the
+/// buffer (and server) fully drain, so goodput counts every admitted
+/// packet that survived — exactly the quantity competitive analysis
+/// compares to OPT.
+///
+/// # Panics
+///
+/// Panics if a trace flow is out of range for `cfg.qm`.
+pub fn run_online(
+    cfg: &ArenaConfig,
+    trace: &ArenaTrace,
+    policy: &mut dyn DropPolicy,
+) -> ArenaReport {
+    // One engine: the 1-shard instance of the loop.
+    let (tally, finish_slot) = run_slots(cfg, trace, 1, |engine, p, data| {
+        policy.offer_work(engine.shard_mut(0), p.flow, data, p.work)
+    });
+    tally.into_report(policy.name(), trace, finish_slot)
+}
+
+/// Runs [`GlobalLqd`] over a sharded engine in the same arena
+/// (shared-memory switch model only — the policy guards a shared buffer,
+/// which is that regime). The trace's work stamps are not offered: the
+/// policy is work-oblivious and that model serves a packet in one slot
+/// whatever its work, so deliveries are recorded with work 0.
+///
+/// The engine uses the shared-buffer pairing of [`GlobalLqd::shared`]:
 /// every shard is configured with the full buffer, and the policy's
 /// global budget is what binds.
 ///
@@ -448,65 +465,16 @@ pub fn run_online_global(
     cfg: &ArenaConfig,
     trace: &ArenaTrace,
     num_shards: usize,
-    policy: &mut dyn GlobalDropPolicy,
+    policy: &mut GlobalLqd,
 ) -> ArenaReport {
     assert!(
         matches!(cfg.model, ServiceModel::SharedMemorySwitch),
         "global arena runs model the shared-memory switch"
     );
-    let flows = cfg.qm.num_flows();
-    assert!(trace.flows() <= flows, "trace flow out of range");
-    let mut engine = ShardedQueueManager::new(cfg.qm, num_shards);
-    let mut tally = Tally::new();
-    let mut i = 0usize;
-    let mut slot = 0u64;
-    let n = trace.len();
-    loop {
-        while i < n && trace.packets[i].at == slot {
-            let p = trace.packets[i];
-            match policy.offer_global(&mut engine, p.flow, &payload(i, p.bytes)) {
-                Ok(adm) => {
-                    tally.admitted += 1;
-                    tally.evicted_packets += adm.evicted.len() as u64;
-                    tally.evicted_bytes +=
-                        adm.evicted.iter().map(|&(_, b)| u64::from(b)).sum::<u64>();
-                }
-                Err(refusal) => {
-                    tally.dropped += 1;
-                    tally.evicted_packets += refusal.evicted.len() as u64;
-                    tally.evicted_bytes += refusal
-                        .evicted
-                        .iter()
-                        .map(|&(_, b)| u64::from(b))
-                        .sum::<u64>();
-                }
-            }
-            i += 1;
-        }
-        for f in 0..flows {
-            let flow = FlowId::new(f);
-            let shard = engine.shard_of(flow);
-            if engine.shard(shard).complete_packets(flow) > 0 {
-                let pkt = engine
-                    .shard_mut(shard)
-                    .dequeue_packet(flow)
-                    .expect("complete head packet");
-                tally.deliver(slot, flow, pkt.len() as u64, 0);
-            }
-        }
-        let buffered = engine.used_segments() > 0;
-        if i >= n && !buffered {
-            break;
-        }
-        slot += 1;
-        if i < n && !buffered && trace.packets[i].at > slot {
-            slot = trace.packets[i].at;
-        }
-    }
-    engine
-        .verify()
-        .expect("arena run must preserve engine invariants");
-    tally.into_report(policy.name(), trace, slot)
+    let (tally, finish_slot) = run_slots(cfg, trace, num_shards, |engine, p, data| {
+        policy.offer(engine, p.flow, data)
+    });
+    tally.into_report("global-lqd", trace, finish_slot)
 }
 
 /// A certified upper bound on the offline-optimal goodput for a trace.
@@ -853,7 +821,6 @@ mod tests {
     use super::*;
     use crate::limits::{BufferManager, FlowLimits};
     use crate::policy::{LongestQueueDrop, PushOutLargestWork, WorkSizeBalance};
-    use crate::shard::parallel::GlobalLqd;
 
     fn unit(at: u64, flow: u32) -> ArenaPacket {
         ArenaPacket {

@@ -69,15 +69,15 @@ pub use error::QueueError;
 pub use id::{FlowId, PacketId, SegmentId};
 pub use manager::{DequeuedSegment, QueueManager, SegmentInfo, SegmentPosition};
 pub use policy::{
-    Admission, DropPolicy, DynamicThreshold, LongestQueueDrop, PushOutLargestWork, Refusal,
-    WorkSizeBalance,
+    Admission, DropPolicy, DynamicThreshold, GlobalLqd, LongestQueueDrop, PushOutLargestWork,
+    Refusal, WorkSizeBalance,
 };
 pub use sar::{Reassembler, Segmenter};
 pub use sched::{
     DeficitRoundRobin, FlowScheduler, HtbClass, HtbError, HtbScheduler, HtbStats, HtbTreeBuilder,
     StrictPriority, WeightedRoundRobin,
 };
-pub use shard::parallel::{BatchDrain, GlobalDropPolicy, GlobalLqd, GlobalOccupancy, LentSegment};
+pub use shard::parallel::{BatchDrain, LentSegment};
 pub use shard::{ShardedAdmission, ShardedInvariantReport, ShardedQueueManager};
 pub use stats::{ParallelStats, QmStats};
 pub use telemetry::{

@@ -166,8 +166,9 @@ impl BufferManager {
         if qm.queue_len_packets(flow) + 1 > limits.max_packets {
             return Err(DropReason::FlowPackets);
         }
-        let needed = len.div_ceil(qm.config().segment_bytes() as usize) as u32;
-        if qm.free_segments() < needed + self.reserve_segments {
+        // In u64: a reserve near `u32::MAX` must refuse, not wrap.
+        let needed = len.div_ceil(qm.config().segment_bytes() as usize) as u64;
+        if u64::from(qm.free_segments()) < needed + u64::from(self.reserve_segments) {
             return Err(DropReason::GlobalReserve);
         }
         Ok(())

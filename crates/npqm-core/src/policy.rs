@@ -6,7 +6,7 @@
 //! under pressure — Matsakis proves Longest Queue Drop is 1.5-competitive
 //! for shared-memory switches, Kogan et al. study FIFO admission for
 //! heterogeneous processing. This module defines the common [`DropPolicy`]
-//! interface those policies plug into and ships three disciplines:
+//! interface those policies plug into and ships six disciplines:
 //!
 //! * **tail drop** — the static per-flow caps of
 //!   [`BufferManager`] (the PR-1 baseline),
@@ -21,7 +21,18 @@
 //!   work-aware push-out disciplines of Kogan et al., driven by the
 //!   packets' required-processing-work dimension through
 //!   [`DropPolicy::offer_work`] (the competitive-analysis arena in
-//!   [`crate::arena`] measures all of these against an offline bound).
+//!   [`crate::arena`] measures all of these against an offline bound);
+//! * **[`GlobalLqd`]** — Longest Queue Drop over *all* shards of a
+//!   [`ShardedQueueManager`]: one segment budget, the victim the longest
+//!   queue anywhere in the system.
+//!
+//! The four push-out disciplines (all but tail drop and dynamic
+//! thresholds) differ only in which queued packet pays. Everything else
+//! — refusing a hopeless arrival before anything is evicted, the budget
+//! arithmetic, the eviction, the victim list, the enqueue and the
+//! [`PolicyStats`] — is one private function, `push_out`, written over a
+//! *slice* of engines so that one [`QueueManager`] and the shared-buffer
+//! composite are the same case.
 //!
 //! Policies compose with (rather than modify) the engine, exactly like
 //! the tail-drop policer in [`crate::limits`]: they read occupancy
@@ -33,6 +44,7 @@
 use crate::id::FlowId;
 use crate::limits::{BufferManager, DropReason};
 use crate::manager::QueueManager;
+use crate::shard::ShardedQueueManager;
 
 /// Outcome of a successful [`DropPolicy::offer`].
 ///
@@ -120,10 +132,16 @@ pub trait DropPolicy {
         work: u32,
     ) -> Result<Admission, Refusal> {
         let admission = self.offer(qm, flow, packet)?;
-        if work != 0 {
-            qm.set_tail_work(flow, work).expect("packet just admitted");
-        }
+        stamp_work(qm, flow, work);
         Ok(admission)
+    }
+}
+
+/// Stamps `work` on the packet just admitted at `flow`'s tail; zero work
+/// is the record's default and costs no access.
+fn stamp_work(qm: &mut QueueManager, flow: FlowId, work: u32) {
+    if work != 0 {
+        qm.set_tail_work(flow, work).expect("packet just admitted");
     }
 }
 
@@ -184,6 +202,88 @@ pub struct PolicyStats {
     pub evicted_packets: u64,
     /// Payload bytes pushed out.
     pub evicted_bytes: u64,
+}
+
+/// Push-out admission, the one loop behind [`LongestQueueDrop`],
+/// [`PushOutLargestWork`], [`WorkSizeBalance`] and [`GlobalLqd`]: make
+/// room for `packet` within `budget` segments by evicting the head
+/// packets `victim` names, then enqueue it on `flow`'s engine,
+/// `shards[home]`.
+///
+/// `shards` are the engines that share the budget — one
+/// [`QueueManager`] with `budget` its own segment count, or every shard
+/// of a [`ShardedQueueManager`] — and `reserve` segments of the budget
+/// stay free. `victim` returns the `(shard, flow)` whose head packet
+/// pays next, or `None` when nobody may: the arrival is then refused and
+/// the refusal carries what was already pushed out.
+#[allow(clippy::too_many_arguments)]
+fn push_out(
+    shards: &mut [QueueManager],
+    home: usize,
+    budget: u32,
+    reserve: u32,
+    stats: &mut PolicyStats,
+    flow: FlowId,
+    packet: &[u8],
+    mut victim: impl FnMut(&mut [QueueManager]) -> Option<(usize, FlowId)>,
+) -> Result<Admission, Refusal> {
+    let seg_bytes = shards[home].config().segment_bytes() as usize;
+    // In u64: a reserve near `u32::MAX` must refuse, not wrap.
+    let claim = packet.len().div_ceil(seg_bytes) as u64 + u64::from(reserve);
+    // An arrival that could not fit even an empty buffer is refused
+    // outright — evicting for it would be pure loss.
+    if claim > u64::from(budget) {
+        stats.dropped += 1;
+        return Err(Refusal::from(DropReason::GlobalReserve));
+    }
+    // So would evicting for an arrival the engine refuses however much
+    // space it finds (no payload, flow out of range, the flow's tail
+    // open mid-SAR): it goes straight to the engine, which produces and
+    // counts its own error. Asked only once the buffer is short: this
+    // runs per packet, and asked up front it cost a loop of LQD offers
+    // 3 ns in 135.
+    let doomed = |qm: &QueueManager| {
+        packet.is_empty()
+            || flow.index() >= qm.config().num_flows()
+            || qm.queue_len_packets(flow) != qm.complete_packets(flow)
+    };
+    let mut evicted = Vec::new();
+    while used_segments(shards) + claim > u64::from(budget) && !doomed(&shards[home]) {
+        let Some((shard, loser)) = victim(shards) else {
+            stats.dropped += 1;
+            return Err(Refusal {
+                reason: DropReason::GlobalReserve,
+                evicted,
+            });
+        };
+        let (_segs, bytes) = shards[shard]
+            .delete_packet(loser)
+            .expect("victim has an evictable head packet");
+        stats.evicted_packets += 1;
+        stats.evicted_bytes += u64::from(bytes);
+        evicted.push((loser, bytes));
+    }
+    match shards[home].enqueue_packet(flow, packet) {
+        Ok(()) => {
+            stats.admitted += 1;
+            Ok(Admission { evicted })
+        }
+        Err(e) => {
+            stats.dropped += 1;
+            Err(Refusal {
+                reason: DropReason::Engine(e),
+                evicted,
+            })
+        }
+    }
+}
+
+/// Segments linked into queues, summed over the engines of one budget.
+fn used_segments(shards: &[QueueManager]) -> u64 {
+    shards
+        .iter()
+        .map(|qm| u64::from(qm.occupied_segments()))
+        .sum()
 }
 
 /// Longest Queue Drop: when the shared buffer cannot hold the arrival,
@@ -256,46 +356,20 @@ impl DropPolicy for LongestQueueDrop {
         flow: FlowId,
         packet: &[u8],
     ) -> Result<Admission, Refusal> {
-        let needed = packet.len().div_ceil(qm.config().segment_bytes() as usize) as u32;
-        // An arrival that could not fit even an empty buffer is refused
-        // outright — evicting for it would be pure loss.
-        if needed + self.reserve_segments > qm.config().num_segments() {
-            self.stats.dropped += 1;
-            return Err(Refusal::from(DropReason::GlobalReserve));
-        }
-        let mut admission = Admission::default();
-        while qm.free_segments() < needed + self.reserve_segments {
-            // Push out of the longest evictable queue until the arrival
-            // fits. If nothing evictable remains (the remaining occupancy
-            // is all mid-SAR open packets), the arrival is dropped — and
-            // the refusal reports what was already pushed out.
-            let Some(victim) = longest_evictable(qm) else {
-                self.stats.dropped += 1;
-                return Err(Refusal {
-                    reason: DropReason::GlobalReserve,
-                    evicted: admission.evicted,
-                });
-            };
-            let (_segs, bytes) = qm
-                .delete_packet(victim)
-                .expect("victim has a complete head packet");
-            self.stats.evicted_packets += 1;
-            self.stats.evicted_bytes += bytes as u64;
-            admission.evicted.push((victim, bytes));
-        }
-        match qm.enqueue_packet(flow, packet) {
-            Ok(()) => {
-                self.stats.admitted += 1;
-                Ok(admission)
-            }
-            Err(e) => {
-                self.stats.dropped += 1;
-                Err(Refusal {
-                    reason: DropReason::Engine(e),
-                    evicted: admission.evicted,
-                })
-            }
-        }
+        // Push out of the longest evictable queue until the arrival
+        // fits. If nothing evictable remains (the remaining occupancy is
+        // all mid-SAR open packets), the arrival is dropped.
+        let budget = qm.config().num_segments();
+        push_out(
+            std::slice::from_mut(qm),
+            0,
+            budget,
+            self.reserve_segments,
+            &mut self.stats,
+            flow,
+            packet,
+            |qm| longest_evictable(&mut qm[0]).map(|v| (0, v)),
+        )
     }
 }
 
@@ -304,9 +378,8 @@ impl DropPolicy for LongestQueueDrop {
 /// removes the *head* packet, so evicting while the head is partially
 /// dequeued would erase the tail of a frame whose first segments were
 /// already delivered — exactly the torn-frame class every other path
-/// guards against. Shared by shard-local LQD and the global LQD of
-/// [`crate::shard::parallel`].
-pub(crate) fn evictable(qm: &QueueManager, flow: FlowId) -> bool {
+/// guards against.
+fn evictable(qm: &QueueManager, flow: FlowId) -> bool {
     qm.complete_packets(flow) > 0 && !qm.head_in_service(flow)
 }
 
@@ -318,7 +391,7 @@ pub(crate) fn evictable(qm: &QueueManager, flow: FlowId) -> bool {
 /// packet, or its head is mid-service), falls back to a linear scan —
 /// rare, since such a queue can hog the maximum only while its flow
 /// out-buffers every other flow.
-pub(crate) fn longest_evictable(qm: &mut QueueManager) -> Option<FlowId> {
+fn longest_evictable(qm: &mut QueueManager) -> Option<FlowId> {
     if let Some((flow, _)) = qm.longest_queue() {
         if evictable(qm, flow) {
             return Some(flow);
@@ -330,13 +403,148 @@ pub(crate) fn longest_evictable(qm: &mut QueueManager) -> Option<FlowId> {
         .max_by_key(|&f| qm.queue_len_bytes(f))
 }
 
+/// Longest Queue Drop over **all** shards: one shared segment budget,
+/// with push-out from the globally longest queue.
+///
+/// Shard-local policies
+/// ([`ShardedAdmission`](crate::shard::ShardedAdmission)) express the
+/// partitioned-buffer regime: each engine guards its own memory, and a
+/// burst on one partition can drop traffic there while another partition
+/// sits empty. `GlobalLqd` expresses the *shared-buffer* regime of the
+/// paper's MMS (one data memory behind all engines) on top of the same
+/// sharded engine: admission is bounded by a single global budget, and
+/// when an arrival does not fit, complete packets are evicted from the
+/// longest queue **anywhere in the system** until it does. The victim is
+/// the longest of each shard's own longest evictable queue — the
+/// selector of [`LongestQueueDrop`], so queues whose head is mid-SAR or
+/// mid-service are never victims — with ties going to the lowest shard.
+///
+/// # Pairing with the engine
+///
+/// The policy is meant for an engine built with
+/// [`ShardedQueueManager::new`] where each shard is configured with the
+/// *full* shared buffer and `budget_segments` equals that size: physical
+/// space then never binds before the global budget, so this behaves
+/// exactly like Matsakis' single shared-memory switch with flows
+/// partitioned across engines. On a
+/// [`partitioned`](ShardedQueueManager::partitioned) engine it still
+/// runs, at a price: the budget is global but the space is not, so a
+/// victim on another shard frees nothing for a full home partition — the
+/// arrival is refused by its engine (`OutOfSegments`) and the push-out
+/// was pure loss.
+///
+/// # Example
+///
+/// ```
+/// use npqm_core::policy::GlobalLqd;
+/// use npqm_core::shard::ShardedQueueManager;
+/// use npqm_core::{FlowId, QmConfig};
+///
+/// let cfg = QmConfig::builder()
+///     .num_flows(16)
+///     .num_segments(4)
+///     .segment_bytes(64)
+///     .build()
+///     .unwrap();
+/// // Shared-buffer pairing: every shard can hold the whole budget.
+/// let mut engine = ShardedQueueManager::new(cfg, 2);
+/// let mut lqd = GlobalLqd::new(4, 0);
+/// // One flow fills the entire shared budget from its home shard...
+/// for _ in 0..4 {
+///     lqd.offer(&mut engine, FlowId::new(0), &[0u8; 64]).unwrap();
+/// }
+/// // ...and an arrival homed on the *other* shard still gets in: the
+/// // globally longest queue pays, across the partition boundary.
+/// let hog_shard = engine.shard_of(FlowId::new(0));
+/// let other = (1..16)
+///     .map(FlowId::new)
+///     .find(|&f| engine.shard_of(f) != hog_shard)
+///     .unwrap();
+/// let adm = lqd.offer(&mut engine, other, &[1u8; 64]).unwrap();
+/// assert_eq!(adm.evicted, vec![(FlowId::new(0), 64)]);
+/// ```
+#[derive(Debug, Clone)]
+pub struct GlobalLqd {
+    budget_segments: u32,
+    reserve_segments: u32,
+    stats: PolicyStats,
+}
+
+impl GlobalLqd {
+    /// Creates the policy with a global budget of `budget_segments`
+    /// across all shards, keeping `reserve_segments` of it free for
+    /// flows with packets mid-assembly.
+    pub fn new(budget_segments: u32, reserve_segments: u32) -> Self {
+        GlobalLqd {
+            budget_segments,
+            reserve_segments,
+            stats: PolicyStats::default(),
+        }
+    }
+
+    /// The shared-buffer pairing for `engine`: a budget of one shard's
+    /// full segment space (every shard of a
+    /// [`ShardedQueueManager::new`]-built engine is configured with the
+    /// whole shared buffer).
+    pub fn shared(engine: &ShardedQueueManager, reserve_segments: u32) -> Self {
+        GlobalLqd::new(engine.shard(0).config().num_segments(), reserve_segments)
+    }
+
+    /// Admission/eviction statistics.
+    pub const fn stats(&self) -> &PolicyStats {
+        &self.stats
+    }
+
+    /// The global segment budget.
+    pub const fn budget_segments(&self) -> u32 {
+        self.budget_segments
+    }
+
+    /// Offers one whole packet for admission on `flow`'s home shard,
+    /// with eviction decisions drawn from the entire engine.
+    ///
+    /// # Errors
+    ///
+    /// The [`Refusal`] that applied; victims in [`Refusal::evicted`] /
+    /// [`Admission::evicted`] may belong to *any* shard.
+    pub fn offer(
+        &mut self,
+        engine: &mut ShardedQueueManager,
+        flow: FlowId,
+        packet: &[u8],
+    ) -> Result<Admission, Refusal> {
+        let home = engine.shard_of(flow);
+        push_out(
+            engine.shards_mut(),
+            home,
+            self.budget_segments,
+            self.reserve_segments,
+            &mut self.stats,
+            flow,
+            packet,
+            |shards| {
+                let mut best: Option<(u64, usize, FlowId)> = None;
+                for (s, qm) in shards.iter_mut().enumerate() {
+                    if let Some(flow) = longest_evictable(qm) {
+                        let bytes = qm.queue_len_bytes(flow);
+                        if best.is_none_or(|(b, _, _)| bytes > b) {
+                            best = Some((bytes, s, flow));
+                        }
+                    }
+                }
+                best.map(|(_, s, flow)| (s, flow))
+            },
+        )
+    }
+}
+
 /// The evictable head packet with the largest required-processing-work.
 ///
 /// Deterministic tie-break: larger head bytes first, then the *lowest*
 /// flow id. Returns `None` when nothing is evictable (empty engine, or
 /// all occupancy is mid-SAR/mid-service) — callers must treat that as a
 /// refusal, never a panic.
-pub(crate) fn costliest_evictable(qm: &QueueManager) -> Option<FlowId> {
+fn costliest_evictable(qm: &QueueManager) -> Option<FlowId> {
     let mut best: Option<(u32, u64, FlowId)> = None;
     for f in 0..qm.config().num_flows() {
         let flow = FlowId::new(f);
@@ -360,7 +568,7 @@ pub(crate) fn costliest_evictable(qm: &QueueManager) -> Option<FlowId> {
 /// `work_b × bytes_a` — exact integer arithmetic, no floats.
 /// Deterministic tie-break: larger head bytes first, then the lowest
 /// flow id. `None` when nothing is evictable.
-pub(crate) fn densest_evictable(qm: &QueueManager) -> Option<FlowId> {
+fn densest_evictable(qm: &QueueManager) -> Option<FlowId> {
     let mut best: Option<(u64, u64, FlowId)> = None;
     for f in 0..qm.config().num_flows() {
         let flow = FlowId::new(f);
@@ -440,49 +648,25 @@ impl DropPolicy for PushOutLargestWork {
         packet: &[u8],
         work: u32,
     ) -> Result<Admission, Refusal> {
-        let needed = packet.len().div_ceil(qm.config().segment_bytes() as usize) as u32;
-        if needed + self.reserve_segments > qm.config().num_segments() {
-            self.stats.dropped += 1;
-            return Err(Refusal::from(DropReason::GlobalReserve));
-        }
-        let mut admission = Admission::default();
-        while qm.free_segments() < needed + self.reserve_segments {
-            let Some(victim) = costliest_evictable(qm) else {
-                self.stats.dropped += 1;
-                return Err(Refusal {
-                    reason: DropReason::GlobalReserve,
-                    evicted: admission.evicted,
-                });
-            };
-            // Only a strictly more expensive incumbent pays; otherwise
-            // the arrival is the costliest packet and is refused itself.
-            if qm.head_work(victim).unwrap_or(0) <= work {
-                self.stats.dropped += 1;
-                return Err(Refusal {
-                    reason: DropReason::GlobalReserve,
-                    evicted: admission.evicted,
-                });
-            }
-            let (_segs, bytes) = qm
-                .delete_packet(victim)
-                .expect("victim has an evictable head packet");
-            self.stats.evicted_packets += 1;
-            self.stats.evicted_bytes += bytes as u64;
-            admission.evicted.push((victim, bytes));
-        }
-        match qm.enqueue_packet_with_work(flow, packet, work) {
-            Ok(()) => {
-                self.stats.admitted += 1;
-                Ok(admission)
-            }
-            Err(e) => {
-                self.stats.dropped += 1;
-                Err(Refusal {
-                    reason: DropReason::Engine(e),
-                    evicted: admission.evicted,
-                })
-            }
-        }
+        let budget = qm.config().num_segments();
+        // Only a strictly more expensive incumbent pays; otherwise the
+        // arrival is the costliest packet and is refused itself.
+        let admitted = push_out(
+            std::slice::from_mut(qm),
+            0,
+            budget,
+            self.reserve_segments,
+            &mut self.stats,
+            flow,
+            packet,
+            |qm| {
+                costliest_evictable(&qm[0])
+                    .filter(|&v| qm[0].head_work(v).unwrap_or(0) > work)
+                    .map(|v| (0, v))
+            },
+        )?;
+        stamp_work(qm, flow, work);
+        Ok(admitted)
     }
 }
 
@@ -539,53 +723,28 @@ impl DropPolicy for WorkSizeBalance {
         packet: &[u8],
         work: u32,
     ) -> Result<Admission, Refusal> {
-        let needed = packet.len().div_ceil(qm.config().segment_bytes() as usize) as u32;
-        if needed + self.reserve_segments > qm.config().num_segments() {
-            self.stats.dropped += 1;
-            return Err(Refusal::from(DropReason::GlobalReserve));
-        }
+        let budget = qm.config().num_segments();
         let arrival_work = u64::from(work);
         let arrival_bytes = (packet.len() as u64).max(1);
-        let mut admission = Admission::default();
-        while qm.free_segments() < needed + self.reserve_segments {
-            let Some(victim) = densest_evictable(qm) else {
-                self.stats.dropped += 1;
-                return Err(Refusal {
-                    reason: DropReason::GlobalReserve,
-                    evicted: admission.evicted,
-                });
-            };
-            let v_work = u64::from(qm.head_work(victim).unwrap_or(0));
-            let v_bytes = qm.head_packet_bytes(victim).unwrap_or(1).max(1);
-            // Evict only a strictly denser incumbent (cross-multiplied,
-            // exact): ties keep the incumbent.
-            if v_work * arrival_bytes <= arrival_work * v_bytes {
-                self.stats.dropped += 1;
-                return Err(Refusal {
-                    reason: DropReason::GlobalReserve,
-                    evicted: admission.evicted,
-                });
-            }
-            let (_segs, bytes) = qm
-                .delete_packet(victim)
-                .expect("victim has an evictable head packet");
-            self.stats.evicted_packets += 1;
-            self.stats.evicted_bytes += bytes as u64;
-            admission.evicted.push((victim, bytes));
-        }
-        match qm.enqueue_packet_with_work(flow, packet, work) {
-            Ok(()) => {
-                self.stats.admitted += 1;
-                Ok(admission)
-            }
-            Err(e) => {
-                self.stats.dropped += 1;
-                Err(Refusal {
-                    reason: DropReason::Engine(e),
-                    evicted: admission.evicted,
-                })
-            }
-        }
+        // Evict only a strictly denser incumbent (cross-multiplied,
+        // exact): ties keep the incumbent.
+        let admitted = push_out(
+            std::slice::from_mut(qm),
+            0,
+            budget,
+            self.reserve_segments,
+            &mut self.stats,
+            flow,
+            packet,
+            |qm| {
+                let v = densest_evictable(&qm[0])?;
+                let v_work = u64::from(qm[0].head_work(v).unwrap_or(0));
+                let v_bytes = qm[0].head_packet_bytes(v).unwrap_or(1).max(1);
+                (v_work * arrival_bytes > arrival_work * v_bytes).then_some((0, v))
+            },
+        )?;
+        stamp_work(qm, flow, work);
+        Ok(admitted)
     }
 }
 
@@ -1015,5 +1174,100 @@ mod tests {
         dt.offer_work(&mut qm, FlowId::new(1), &[1u8; 64], 4)
             .unwrap();
         assert_eq!(qm.head_work(FlowId::new(1)), Some(4));
+    }
+
+    // --- the one push-out loop, through all four of its policies -------
+
+    type Offer =
+        Box<dyn FnMut(&mut ShardedQueueManager, FlowId, &[u8]) -> Result<Admission, Refusal>>;
+
+    /// The four push-out policies over a 1-shard, 4-segment engine (the
+    /// per-engine ones on its only shard), each with `reserve`.
+    fn push_out_policies(reserve: u32) -> Vec<(&'static str, Offer)> {
+        let mut lqd = LongestQueueDrop::new(reserve);
+        let mut po = PushOutLargestWork::new(reserve);
+        let mut wb = WorkSizeBalance::new(reserve);
+        let mut global = GlobalLqd::new(4, reserve);
+        vec![
+            (
+                "lqd",
+                Box::new(move |e, f, p| lqd.offer(e.shard_mut(0), f, p)),
+            ),
+            (
+                "po-work",
+                Box::new(move |e, f, p| po.offer(e.shard_mut(0), f, p)),
+            ),
+            (
+                "work-balance",
+                Box::new(move |e, f, p| wb.offer(e.shard_mut(0), f, p)),
+            ),
+            ("global-lqd", Box::new(move |e, f, p| global.offer(e, f, p))),
+        ]
+    }
+
+    #[test]
+    fn push_out_never_evicts_for_an_arrival_the_engine_refuses() {
+        use crate::error::QueueError;
+        use crate::manager::SegmentPosition;
+        let (hog, open, unknown) = (FlowId::new(0), FlowId::new(1), FlowId::new(99));
+        for (arrival, on_open_tail) in [(unknown, false), (open, true)] {
+            for (name, mut offer) in push_out_policies(0) {
+                // A full buffer whose every complete packet any of the
+                // four would evict for a zero-work arrival: work 9 each.
+                let mut e = ShardedQueueManager::new(*engine(4).config(), 1);
+                let qm = e.shard_mut(0);
+                qm.enqueue(open, &[7u8; 64], SegmentPosition::First)
+                    .unwrap();
+                for _ in 0..3 {
+                    qm.enqueue_packet_with_work(hog, &[0u8; 64], 9).unwrap();
+                }
+                assert_eq!(qm.free_segments(), 0);
+                let errors = qm.stats().errors;
+
+                let refusal = offer(&mut e, arrival, &[1u8; 64]).unwrap_err();
+                let case = format!("{name} on {arrival}");
+                assert!(
+                    matches!(
+                        (refusal.reason, on_open_tail),
+                        (DropReason::Engine(QueueError::UnknownFlow { .. }), false)
+                            | (DropReason::Engine(QueueError::SarProtocol { .. }), true)
+                    ),
+                    "{case}: {refusal:?}"
+                );
+                assert!(refusal.evicted.is_empty(), "{case}: {refusal:?}");
+                let qm = e.shard(0);
+                assert_eq!(qm.free_segments(), 0, "{case}: occupancy moved");
+                assert_eq!(qm.queue_len_packets(hog), 3, "{case}: victim evicted");
+                assert_eq!(qm.stats().pkt_deletes, 0, "{case}");
+                assert_eq!(
+                    qm.stats().errors,
+                    errors + 1,
+                    "{case}: the engine counts it"
+                );
+                e.verify().unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn a_reserve_near_u32_max_refuses_instead_of_wrapping() {
+        // `needed + reserve` in u32 panics in debug and wraps in release,
+        // where the arrival was then admitted with the reserve ignored.
+        for (name, mut offer) in push_out_policies(u32::MAX) {
+            let mut e = ShardedQueueManager::new(*engine(4).config(), 1);
+            assert_eq!(
+                offer(&mut e, FlowId::new(0), &[0u8; 64]),
+                Err(Refusal::from(DropReason::GlobalReserve)),
+                "{name}"
+            );
+            assert!(e.shard(0).is_empty(FlowId::new(0)), "{name}");
+        }
+        let mut qm = engine(4);
+        let mut bm = BufferManager::new(FlowLimits::UNLIMITED, u32::MAX);
+        assert_eq!(
+            bm.offer(&mut qm, FlowId::new(0), &[0u8; 64]),
+            Err(Refusal::from(DropReason::GlobalReserve))
+        );
+        assert!(qm.is_empty(FlowId::new(0)));
     }
 }

@@ -114,8 +114,6 @@ use std::time::{Duration, Instant};
 
 pub mod parallel;
 
-use parallel::GlobalOccupancy;
-
 /// Where a command executes: one shard, or two distinct shards.
 enum Route {
     One(usize),
@@ -131,8 +129,6 @@ enum Route {
 pub struct ShardedQueueManager {
     shards: Vec<QueueManager>,
     busy: Vec<Duration>,
-    /// Merged per-shard top-of-heap snapshots (see [`GlobalOccupancy`]).
-    pub(crate) occ: GlobalOccupancy,
     /// Accounting for the parallel batch executor.
     pstats: ParallelStats,
     /// Cross-shard barrier marks recorded while tracing (consumed by
@@ -157,7 +153,6 @@ impl ShardedQueueManager {
                 .map(|_| QueueManager::new(per_shard))
                 .collect(),
             busy: vec![Duration::ZERO; num_shards],
-            occ: GlobalOccupancy::new(num_shards),
             pstats: ParallelStats::default(),
             trace_barriers: Vec::new(),
         }
@@ -295,31 +290,9 @@ impl ShardedQueueManager {
     /// engines from their own threads (each element is an independent
     /// engine; the slice can be split and the pieces sent to different
     /// workers). The per-shard [busy times](ShardedQueueManager::busy_times)
-    /// and the [occupancy index](ShardedQueueManager::occupancy) are *not*
-    /// maintained through this access path.
+    /// are *not* maintained through this access path.
     pub fn shards_mut(&mut self) -> &mut [QueueManager] {
         &mut self.shards
-    }
-
-    /// The merged per-shard occupancy snapshot (see [`GlobalOccupancy`]).
-    ///
-    /// Kept current by the batch entry points (each group publishes its
-    /// shard's top as it finishes) and by
-    /// [`refresh_occupancy`](ShardedQueueManager::refresh_occupancy);
-    /// other mutation paths leave it stale, so policy decisions must
-    /// refresh first.
-    pub fn occupancy(&self) -> &GlobalOccupancy {
-        &self.occ
-    }
-
-    /// Recomputes every shard's longest-queue snapshot and publishes it
-    /// into the [occupancy index](ShardedQueueManager::occupancy).
-    /// Amortised `O(shards · log flows)` via each shard's lazy heap.
-    pub fn refresh_occupancy(&mut self) {
-        for (s, qm) in self.shards.iter_mut().enumerate() {
-            let top = qm.longest_queue();
-            self.occ.publish(s, top);
-        }
     }
 
     /// Accounting of batches that could fan out (`threads > 1` on more
@@ -328,11 +301,6 @@ impl ShardedQueueManager {
     /// everything the executor *computes* is.
     pub fn parallel_stats(&self) -> ParallelStats {
         self.pstats
-    }
-
-    /// Clears the parallel-execution accounting (e.g. after a warm-up).
-    pub fn reset_parallel_stats(&mut self) {
-        self.pstats = ParallelStats::default();
     }
 
     /// Segments currently linked into queues, summed over all shards.
@@ -355,48 +323,6 @@ impl ShardedQueueManager {
             .fold(crate::check::FNV_OFFSET_BASIS, |h, qm| {
                 crate::check::fnv1a_fold(h, crate::check::state_digest(qm))
             })
-    }
-
-    /// The [`crate::check::state_digest`] of shard `idx` alone.
-    ///
-    /// This is the *non-quiescent* snapshot hook for streaming service
-    /// loops: the walk is read-only and touches only shard `idx`, so a
-    /// per-shard service thread may call it at an epoch boundary while
-    /// other shards keep running — no global barrier, no stop-the-world.
-    /// Folding every shard's digest in shard order from
-    /// [`crate::check::FNV_OFFSET_BASIS`] reproduces
-    /// [`state_digest`](ShardedQueueManager::state_digest) exactly, which
-    /// is what lets independently-snapshotted shards be composed into an
-    /// engine-wide digest after the fact.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx >= num_shards`.
-    pub fn shard_digest(&self, idx: usize) -> u64 {
-        crate::check::state_digest(&self.shards[idx])
-    }
-
-    /// Runs the full single-engine invariant pass on shard `idx` alone.
-    ///
-    /// Like [`shard_digest`](ShardedQueueManager::shard_digest) this is
-    /// safe mid-run from the thread that owns the shard: `verify` is
-    /// side-effect-free and confined to one engine. The cross-shard
-    /// conservation invariants (flow locality, aggregate partition) need
-    /// every shard at once — use
-    /// [`verify`](ShardedQueueManager::verify) for those when the engine
-    /// is quiescent.
-    ///
-    /// # Errors
-    ///
-    /// The first violated invariant, prefixed with the shard index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx >= num_shards`.
-    pub fn verify_shard(&self, idx: usize) -> Result<InvariantReport, InvariantViolation> {
-        self.shards[idx].verify().map_err(|v| InvariantViolation {
-            what: format!("shard {idx}: {}", v.what),
-        })
     }
 
     /// Per-shard busy time accumulated by batch execution
@@ -511,11 +437,11 @@ impl ShardedQueueManager {
     /// every non-empty group back-to-back on its own engine (with its
     /// shard's `states` entry — `()` for commands, the shard's
     /// [`DropPolicy`] for admission), times it into the shard's busy
-    /// time, commits the trace span and publishes the shard's occupancy
-    /// top. A group is a list of `(batch position, result slot)` pairs,
-    /// so results land in batch order as they are produced; groups are
-    /// left empty. On more than one worker the groups are handed out
-    /// heaviest first (by summed `weight`, ties toward the lower shard).
+    /// time and commits the trace span. A group is a list of `(batch
+    /// position, result slot)` pairs, so results land in batch order as
+    /// they are produced; groups are left empty. On more than one worker
+    /// the groups are handed out heaviest first (by summed `weight`, ties
+    /// toward the lower shard).
     pub(crate) fn run_groups<St: Send, R: Send>(
         &mut self,
         states: &mut [St],
@@ -559,7 +485,6 @@ impl ShardedQueueManager {
                 (std::cmp::Reverse(w), g.shard)
             });
         }
-        let occ = &self.occ;
         let steals = parallel::for_each_claimed(&mut items, threads, |g| {
             let t = Instant::now();
             for (i, slot) in g.jobs.drain(..) {
@@ -567,7 +492,6 @@ impl ShardedQueueManager {
             }
             *g.busy += t.elapsed();
             g.qm.commit_span();
-            occ.publish(g.shard, g.qm.longest_queue());
         });
         if counted {
             self.pstats.phases += 1;
@@ -951,11 +875,13 @@ mod tests {
             let _ = e.execute(enqueue_cmd(f, f as u8, 40));
         }
         let folded = (0..e.num_shards()).fold(crate::check::FNV_OFFSET_BASIS, |h, s| {
-            crate::check::fnv1a_fold(h, e.shard_digest(s))
+            crate::check::fnv1a_fold(h, crate::check::state_digest(e.shard(s)))
         });
         assert_eq!(folded, e.state_digest());
         for s in 0..e.num_shards() {
-            e.verify_shard(s).expect("each shard verifies in isolation");
+            e.shard(s)
+                .verify()
+                .expect("each shard verifies in isolation");
         }
     }
 

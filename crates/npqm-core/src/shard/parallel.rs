@@ -1,6 +1,5 @@
 //! The claim-counter fan-out every threaded path in the workspace runs
-//! on, the batch entry points built on it, and the global
-//! Longest-Queue-Drop policy over all shards.
+//! on, and the batch entry points built on it.
 //!
 //! The sharded engine's shards share no state, so per-shard work can
 //! genuinely run on different OS threads. *How* it is spread over threads
@@ -26,17 +25,6 @@
 //!   draining a `&[FlowId]` batch into a caller-owned [`BatchDrain`]: one
 //!   byte arena per shard, reused across calls, instead of a `Vec` per
 //!   served segment.
-//! * [`GlobalOccupancy`] — one atomic word per shard holding that shard's
-//!   top-of-heap `(flow, bytes)` snapshot. The executor publishes a
-//!   shard's top as its group finishes; readers merge the N words into
-//!   the globally longest queue without touching any engine.
-//! * [`GlobalLqd`] — the shared-buffer Longest Queue Drop of Matsakis
-//!   applied across *all* partitions: one global segment budget, and when
-//!   an arrival does not fit, complete packets are pushed out of the
-//!   longest queue anywhere in the system (never a mid-SAR or mid-service
-//!   head) until it does. Shard-local policies can only make the hog pay
-//!   when the hog happens to share their shard; the global policy always
-//!   can.
 //!
 //! What the fan-out still costs, unpaid: workers are spawned per call
 //! (per batch phase), and every group reads the wall clock twice.
@@ -84,98 +72,12 @@ use super::{Route, ShardedAdmission, ShardedQueueManager};
 use crate::command::{Command, Outcome};
 use crate::error::QueueError;
 use crate::id::FlowId;
-use crate::limits::DropReason;
 use crate::manager::{QueueManager, SegmentInfo};
-use crate::policy::{self, Admission, DropPolicy, PolicyStats, Refusal};
+use crate::policy::{Admission, DropPolicy, Refusal};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 use std::time::Instant;
-
-/// Per-shard longest-queue snapshots, merged on read.
-///
-/// One atomic word per shard packs that shard's top-of-heap as
-/// `(bytes saturated to u32) << 32 | (flow index + 1)`, with `0` meaning
-/// "shard is empty". Writers ([`publish`](GlobalOccupancy::publish))
-/// never block readers; [`longest`](GlobalOccupancy::longest) merges the
-/// N words into the globally longest queue. Byte counts above `u32::MAX`
-/// are saturated in the snapshot (they only rank victims; exact counts
-/// stay in the engines).
-///
-/// The index is a *snapshot*, not a live view: it is only as fresh as the
-/// last publish. The batch entry points publish each shard's top as its
-/// group finishes;
-/// [`ShardedQueueManager::refresh_occupancy`] recomputes all of them, and
-/// any policy that makes decisions from the index must refresh first.
-#[derive(Debug)]
-pub struct GlobalOccupancy {
-    tops: Vec<AtomicU64>,
-}
-
-impl GlobalOccupancy {
-    pub(crate) fn new(num_shards: usize) -> Self {
-        GlobalOccupancy {
-            tops: (0..num_shards).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    fn pack(top: Option<(FlowId, u64)>) -> u64 {
-        match top {
-            None => 0,
-            Some((flow, bytes)) => (bytes.min(u32::MAX as u64) << 32) | (flow.index() as u64 + 1),
-        }
-    }
-
-    fn unpack(word: u64) -> Option<(FlowId, u64)> {
-        if word == 0 {
-            return None;
-        }
-        Some((FlowId::new((word as u32) - 1), word >> 32))
-    }
-
-    /// Number of per-shard slots.
-    pub fn num_shards(&self) -> usize {
-        self.tops.len()
-    }
-
-    /// Publishes `shard`'s current longest queue (or `None` when empty).
-    pub fn publish(&self, shard: usize, top: Option<(FlowId, u64)>) {
-        self.tops[shard].store(Self::pack(top), Ordering::Release);
-    }
-
-    /// The last published snapshot for `shard`.
-    pub fn top(&self, shard: usize) -> Option<(FlowId, u64)> {
-        Self::unpack(self.tops[shard].load(Ordering::Acquire))
-    }
-
-    /// The longest queue across all shards, as `(shard, flow, bytes)`.
-    ///
-    /// Ties break toward the lowest shard index, so the merge is a pure
-    /// function of the published snapshots.
-    pub fn longest(&self) -> Option<(usize, FlowId, u64)> {
-        let mut best: Option<(usize, FlowId, u64)> = None;
-        for (s, word) in self.tops.iter().enumerate() {
-            if let Some((flow, bytes)) = Self::unpack(word.load(Ordering::Acquire)) {
-                if best.is_none_or(|(_, _, b)| bytes > b) {
-                    best = Some((s, flow, bytes));
-                }
-            }
-        }
-        best
-    }
-}
-
-impl Clone for GlobalOccupancy {
-    fn clone(&self) -> Self {
-        GlobalOccupancy {
-            tops: self
-                .tops
-                .iter()
-                .map(|t| AtomicU64::new(t.load(Ordering::Acquire)))
-                .collect(),
-        }
-    }
-}
 
 /// Runs `work` on every item exactly once, spread over at most `workers`
 /// scoped OS threads — the one place this workspace decides how
@@ -251,8 +153,6 @@ impl ShardedQueueManager {
     /// Each group's wall-clock cost is added to its shard's
     /// [busy time](ShardedQueueManager::busy_times); a cross-shard
     /// command's cost is charged to both engines, which it serializes.
-    /// Every group also publishes its shard's longest queue into the
-    /// [occupancy index](ShardedQueueManager::occupancy) as it finishes.
     /// [`parallel_stats`](ShardedQueueManager::parallel_stats) counts
     /// only batches that could fan out (`threads > 1` on more than one
     /// shard).
@@ -285,10 +185,6 @@ impl ShardedQueueManager {
                     self.busy[a] += d;
                     self.busy[b] += d;
                     *slot = Some(r);
-                    for s in [a, b] {
-                        let top = self.shards[s].longest_queue();
-                        self.occ.publish(s, top);
-                    }
                 }
             }
         }
@@ -313,8 +209,7 @@ impl ShardedQueueManager {
     /// what replaying them one by one through
     /// [`execute`](ShardedQueueManager::execute) does: per-position
     /// payload, SOP/EOP flags or error, engine state, statistics, pointer
-    /// traffic, trace spans, busy times and the occupancy publish, at any
-    /// thread count.
+    /// traffic, trace spans and busy times, at any thread count.
     ///
     /// # Panics
     ///
@@ -462,228 +357,13 @@ impl<P: DropPolicy + Send> ShardedAdmission<P> {
     }
 }
 
-/// A buffer-management policy that sees the **whole sharded engine** —
-/// every partition at once — instead of a single shard.
-///
-/// This is the cross-partition analogue of
-/// [`DropPolicy`]: [`ShardedAdmission`] adapts any per-shard policy to
-/// the interface (each arrival still only consults its home shard), while
-/// [`GlobalLqd`] makes genuinely global decisions.
-pub trait GlobalDropPolicy {
-    /// A short stable name for reports ("global-lqd", ...).
-    fn name(&self) -> &str;
-
-    /// Offers one whole packet for admission on `flow`'s home shard,
-    /// with eviction decisions drawn from the entire engine.
-    ///
-    /// # Errors
-    ///
-    /// The [`Refusal`] that applied; victims in
-    /// [`Refusal::evicted`] / [`Admission::evicted`] may belong to *any*
-    /// shard.
-    fn offer_global(
-        &mut self,
-        engine: &mut ShardedQueueManager,
-        flow: FlowId,
-        packet: &[u8],
-    ) -> Result<Admission, Refusal>;
-}
-
-impl<P: DropPolicy> GlobalDropPolicy for ShardedAdmission<P> {
-    fn name(&self) -> &str {
-        self.policies[0].name()
-    }
-
-    fn offer_global(
-        &mut self,
-        engine: &mut ShardedQueueManager,
-        flow: FlowId,
-        packet: &[u8],
-    ) -> Result<Admission, Refusal> {
-        self.offer(engine, flow, packet)
-    }
-}
-
-/// Longest Queue Drop over **all** shards: one shared segment budget,
-/// with push-out from the globally longest queue.
-///
-/// Shard-local policies ([`ShardedAdmission`]) express the
-/// partitioned-buffer regime: each engine guards its own memory, and a
-/// burst on one partition can drop traffic there while another partition
-/// sits empty. `GlobalLqd` expresses the *shared-buffer* regime of the
-/// paper's MMS (one data memory behind all engines) on top of the same
-/// sharded engine: admission is bounded by a single global budget, and
-/// when an arrival does not fit, complete packets are evicted from the
-/// longest queue **anywhere in the system** — found through the
-/// [`GlobalOccupancy`] snapshot, refreshed before every decision — until
-/// it does. Queues whose head is mid-SAR or mid-service are never
-/// victims (the shard-local safety rules still hold).
-///
-/// # Pairing with the engine
-///
-/// The policy is meant for an engine built with
-/// [`ShardedQueueManager::new`] where each shard is configured with the
-/// *full* shared buffer and `budget_segments` equals that size: physical
-/// space then never binds before the global budget, so this behaves
-/// exactly like Matsakis' single shared-memory switch with flows
-/// partitioned across engines. On a
-/// [`partitioned`](ShardedQueueManager::partitioned) engine it still
-/// works, but a full home partition can refuse an arrival that the
-/// global budget would admit (reported as an engine refusal).
-///
-/// # Example
-///
-/// ```
-/// use npqm_core::shard::parallel::{GlobalDropPolicy, GlobalLqd};
-/// use npqm_core::shard::ShardedQueueManager;
-/// use npqm_core::{FlowId, QmConfig};
-///
-/// let cfg = QmConfig::builder()
-///     .num_flows(16)
-///     .num_segments(4)
-///     .segment_bytes(64)
-///     .build()
-///     .unwrap();
-/// // Shared-buffer pairing: every shard can hold the whole budget.
-/// let mut engine = ShardedQueueManager::new(cfg, 2);
-/// let mut lqd = GlobalLqd::new(4, 0);
-/// // One flow fills the entire shared budget from its home shard...
-/// for _ in 0..4 {
-///     lqd.offer_global(&mut engine, FlowId::new(0), &[0u8; 64]).unwrap();
-/// }
-/// // ...and an arrival homed on the *other* shard still gets in: the
-/// // globally longest queue pays, across the partition boundary.
-/// let hog_shard = engine.shard_of(FlowId::new(0));
-/// let other = (1..16)
-///     .map(FlowId::new)
-///     .find(|&f| engine.shard_of(f) != hog_shard)
-///     .unwrap();
-/// let adm = lqd.offer_global(&mut engine, other, &[1u8; 64]).unwrap();
-/// assert_eq!(adm.evicted, vec![(FlowId::new(0), 64)]);
-/// ```
-#[derive(Debug, Clone)]
-pub struct GlobalLqd {
-    budget_segments: u32,
-    reserve_segments: u32,
-    stats: PolicyStats,
-}
-
-impl GlobalLqd {
-    /// Creates the policy with a global budget of `budget_segments`
-    /// across all shards, keeping `reserve_segments` of it free for
-    /// flows with packets mid-assembly.
-    pub fn new(budget_segments: u32, reserve_segments: u32) -> Self {
-        GlobalLqd {
-            budget_segments,
-            reserve_segments,
-            stats: PolicyStats::default(),
-        }
-    }
-
-    /// The shared-buffer pairing for `engine`: a budget of one shard's
-    /// full segment space (every shard of a
-    /// [`ShardedQueueManager::new`]-built engine is configured with the
-    /// whole shared buffer).
-    pub fn shared(engine: &ShardedQueueManager, reserve_segments: u32) -> Self {
-        GlobalLqd::new(engine.shard(0).config().num_segments(), reserve_segments)
-    }
-
-    /// Admission/eviction statistics.
-    pub const fn stats(&self) -> &PolicyStats {
-        &self.stats
-    }
-
-    /// The global segment budget.
-    pub const fn budget_segments(&self) -> u32 {
-        self.budget_segments
-    }
-
-    /// The globally longest queue with an evictable head packet.
-    ///
-    /// Fast path: refresh the occupancy snapshot and take its merged
-    /// maximum if evictable. Fallback (the maximum is a mid-SAR or
-    /// mid-service hog): a deterministic full scan — shards in index
-    /// order, keeping the first queue of maximal byte count.
-    fn longest_evictable_global(engine: &mut ShardedQueueManager) -> Option<(usize, FlowId)> {
-        engine.refresh_occupancy();
-        if let Some((s, flow, _)) = engine.occ.longest() {
-            if policy::evictable(&engine.shards[s], flow) {
-                return Some((s, flow));
-            }
-        }
-        let mut best: Option<(u64, usize, FlowId)> = None;
-        for (s, qm) in engine.shards.iter().enumerate() {
-            for f in 0..qm.config().num_flows() {
-                let flow = FlowId::new(f);
-                if !policy::evictable(qm, flow) {
-                    continue;
-                }
-                let bytes = qm.queue_len_bytes(flow);
-                if best.is_none_or(|(b, _, _)| bytes > b) {
-                    best = Some((bytes, s, flow));
-                }
-            }
-        }
-        best.map(|(_, s, flow)| (s, flow))
-    }
-}
-
-impl GlobalDropPolicy for GlobalLqd {
-    fn name(&self) -> &str {
-        "global-lqd"
-    }
-
-    fn offer_global(
-        &mut self,
-        engine: &mut ShardedQueueManager,
-        flow: FlowId,
-        packet: &[u8],
-    ) -> Result<Admission, Refusal> {
-        let home = engine.shard_of(flow);
-        let seg_bytes = engine.shards[home].config().segment_bytes() as usize;
-        let needed = packet.len().div_ceil(seg_bytes) as u32;
-        if needed + self.reserve_segments > self.budget_segments {
-            self.stats.dropped += 1;
-            return Err(Refusal::from(DropReason::GlobalReserve));
-        }
-        let mut admission = Admission::default();
-        while engine.used_segments() + needed + self.reserve_segments > self.budget_segments {
-            let Some((vs, vf)) = Self::longest_evictable_global(engine) else {
-                self.stats.dropped += 1;
-                return Err(Refusal {
-                    reason: DropReason::GlobalReserve,
-                    evicted: admission.evicted,
-                });
-            };
-            let (_segs, bytes) = engine.shards[vs]
-                .delete_packet(vf)
-                .expect("victim has an evictable head packet");
-            self.stats.evicted_packets += 1;
-            self.stats.evicted_bytes += bytes as u64;
-            admission.evicted.push((vf, bytes));
-        }
-        match engine.shards[home].enqueue_packet(flow, packet) {
-            Ok(()) => {
-                self.stats.admitted += 1;
-                Ok(admission)
-            }
-            Err(e) => {
-                self.stats.dropped += 1;
-                Err(Refusal {
-                    reason: DropReason::Engine(e),
-                    evicted: admission.evicted,
-                })
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::QmConfig;
+    use crate::limits::DropReason;
     use crate::manager::SegmentPosition;
-    use crate::policy::DynamicThreshold;
+    use crate::policy::{DynamicThreshold, GlobalLqd};
 
     fn cfg(segments: u32) -> QmConfig {
         QmConfig::builder()
@@ -820,59 +500,21 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_snapshot_publishes_and_merges() {
-        let occ = GlobalOccupancy::new(3);
-        assert_eq!(occ.longest(), None);
-        occ.publish(0, Some((FlowId::new(4), 100)));
-        occ.publish(2, Some((FlowId::new(7), 300)));
-        assert_eq!(occ.top(1), None);
-        assert_eq!(occ.longest(), Some((2, FlowId::new(7), 300)));
-        // Ties break toward the lowest shard.
-        occ.publish(1, Some((FlowId::new(9), 300)));
-        assert_eq!(occ.longest(), Some((1, FlowId::new(9), 300)));
-        occ.publish(2, None);
-        occ.publish(1, None);
-        assert_eq!(occ.longest(), Some((0, FlowId::new(4), 100)));
-        // Saturation: byte counts above u32::MAX still rank highest.
-        occ.publish(1, Some((FlowId::new(0), u64::MAX)));
-        assert_eq!(occ.longest(), Some((1, FlowId::new(0), u32::MAX as u64)));
-    }
-
-    #[test]
-    fn workers_publish_occupancy_tops() {
-        let mut e = ShardedQueueManager::new(cfg(256), 4);
-        let cmds: Vec<Command> = (0..32u32).map(|f| enqueue_cmd(f % 16, 2, 100)).collect();
-        e.execute_batch_parallel(&cmds, 4);
-        // Every shard that holds data published a top.
-        for s in 0..4 {
-            let holds: u64 = (0..16)
-                .map(|f| e.shard(s).queue_len_bytes(FlowId::new(f)))
-                .sum();
-            if holds > 0 {
-                let (_, bytes) = e.occupancy().top(s).expect("loaded shard published");
-                assert!(bytes > 0);
-            }
-        }
-    }
-
-    #[test]
     fn global_lqd_respects_reserve_and_refuses_oversize() {
         let mut e = ShardedQueueManager::new(cfg(8), 2);
         let mut lqd = GlobalLqd::new(8, 2);
         assert!(matches!(
-            lqd.offer_global(&mut e, FlowId::new(0), &[0u8; 64 * 7]),
+            lqd.offer(&mut e, FlowId::new(0), &[0u8; 64 * 7]),
             Err(Refusal {
                 reason: DropReason::GlobalReserve,
                 ..
             })
         ));
         for _ in 0..6 {
-            lqd.offer_global(&mut e, FlowId::new(0), &[0u8; 64])
-                .unwrap();
+            lqd.offer(&mut e, FlowId::new(0), &[0u8; 64]).unwrap();
         }
         // The 7th would dip into the reserve: push-out keeps it intact.
-        lqd.offer_global(&mut e, FlowId::new(1), &[1u8; 64])
-            .unwrap();
+        lqd.offer(&mut e, FlowId::new(1), &[1u8; 64]).unwrap();
         assert_eq!(e.used_segments(), 6);
         assert_eq!(lqd.stats().evicted_packets, 1);
         e.verify().unwrap();
@@ -897,11 +539,9 @@ mod tests {
             .enqueue(hog, &[9u8; 64], SegmentPosition::Middle)
             .unwrap();
         let mut lqd = GlobalLqd::new(4, 0);
-        lqd.offer_global(&mut e, small, &[1u8; 64]).unwrap();
+        lqd.offer(&mut e, small, &[1u8; 64]).unwrap();
         assert_eq!(e.used_segments(), 3);
-        let adm = lqd
-            .offer_global(&mut e, FlowId::new(2), &[2u8; 128])
-            .unwrap();
+        let adm = lqd.offer(&mut e, FlowId::new(2), &[2u8; 128]).unwrap();
         assert_eq!(adm.evicted, vec![(small, 64)]);
         e.verify().unwrap();
     }
@@ -916,7 +556,7 @@ mod tests {
             .find(|&f| e.shard_of(f) != hog_shard)
             .unwrap();
         let mut lqd = GlobalLqd::new(4, 0);
-        lqd.offer_global(&mut e, other, &[1u8; 64]).unwrap();
+        lqd.offer(&mut e, other, &[1u8; 64]).unwrap();
         // Fill the rest of the budget with an unevictable open packet.
         e.shard_for_mut(hog)
             .enqueue(hog, &[9u8; 64], SegmentPosition::First)
@@ -929,21 +569,9 @@ mod tests {
             .unwrap();
         // A 2-segment arrival can evict `other`'s packet but then runs
         // out of victims: the refusal must carry the collateral.
-        let refusal = lqd
-            .offer_global(&mut e, FlowId::new(2), &[2u8; 128])
-            .unwrap_err();
+        let refusal = lqd.offer(&mut e, FlowId::new(2), &[2u8; 128]).unwrap_err();
         assert_eq!(refusal.reason, DropReason::GlobalReserve);
         assert_eq!(refusal.evicted, vec![(other, 64)]);
         e.verify().unwrap();
-    }
-
-    #[test]
-    fn sharded_admission_is_a_global_drop_policy() {
-        let mut e = ShardedQueueManager::new(cfg(64), 2);
-        let mut adm = ShardedAdmission::from_fn(2, |_| DynamicThreshold::new(2.0));
-        let p: &mut dyn GlobalDropPolicy = &mut adm;
-        assert_eq!(p.name(), "dyn-threshold");
-        p.offer_global(&mut e, FlowId::new(3), &[3u8; 64]).unwrap();
-        assert_eq!(e.stats().enqueues, 1);
     }
 }

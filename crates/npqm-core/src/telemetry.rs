@@ -60,7 +60,7 @@
 use crate::id::FlowId;
 use crate::limits::DropReason;
 use crate::ptrmem::PtrMemCounters;
-use crate::stats::{ParallelStats, QmStats};
+use crate::stats::QmStats;
 use npqm_sim::time::Picos;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -492,17 +492,6 @@ impl MetricsRegistry {
         );
     }
 
-    /// Sets a gauge whose value depends on wall clock or OS scheduling.
-    pub fn volatile_gauge(&mut self, name: &str, value: f64) {
-        self.metrics.insert(
-            name.to_string(),
-            Metric {
-                value: MetricValue::Gauge(value),
-                volatile: true,
-            },
-        );
-    }
-
     /// Looks a metric up by name.
     pub fn get(&self, name: &str) -> Option<&Metric> {
         self.metrics.get(name)
@@ -560,17 +549,6 @@ impl MetricsRegistry {
         self.counter(&format!("{prefix}pkt_writes"), c.pkt_writes);
         self.counter(&format!("{prefix}qt_reads"), c.qt_reads);
         self.counter(&format!("{prefix}qt_writes"), c.qt_writes);
-    }
-
-    /// Registers every [`ParallelStats`] counter under `prefix` (e.g.
-    /// `"parallel."`). `steals` depends on OS scheduling and is
-    /// registered volatile; the shape counters (batches, phases, groups)
-    /// are deterministic.
-    pub fn record_parallel(&mut self, prefix: &str, s: &ParallelStats) {
-        self.counter(&format!("{prefix}parallel_batches"), s.parallel_batches);
-        self.counter(&format!("{prefix}phases"), s.phases);
-        self.counter(&format!("{prefix}groups"), s.groups);
-        self.volatile_counter(&format!("{prefix}steals"), s.steals);
     }
 
     /// Registers every [`EventCounts`] total under `prefix` (e.g.

@@ -232,20 +232,6 @@ impl<M: MemoryModel> MemoryChannels<M> {
         }
     }
 
-    /// Number of channels.
-    pub fn num_channels(&self) -> usize {
-        self.channels.len()
-    }
-
-    /// The channel of shard `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn channel(&self, idx: usize) -> &M {
-        &self.channels[idx]
-    }
-
     /// Absolute time of each channel.
     pub fn per_channel_elapsed(&self) -> Vec<Picos> {
         self.channels.iter().map(MemoryModel::elapsed).collect()

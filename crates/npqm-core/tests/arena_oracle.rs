@@ -10,10 +10,11 @@
 //! on traces small enough to solve exactly.
 
 use npqm_core::arena::{
-    exact_shared_opt, offline_bound, run_online, ArenaConfig, ArenaPacket, ArenaTrace,
+    exact_shared_opt, offline_bound, run_online, run_online_global, ArenaConfig, ArenaPacket,
+    ArenaReport, ArenaTrace,
 };
 use npqm_core::limits::{BufferManager, FlowLimits};
-use npqm_core::policy::{DropPolicy, PushOutLargestWork, WorkSizeBalance};
+use npqm_core::policy::{DropPolicy, GlobalLqd, PushOutLargestWork, WorkSizeBalance};
 use npqm_core::{DynamicThreshold, FlowId, LongestQueueDrop};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -88,8 +89,16 @@ proptest! {
             Box::new(LongestQueueDrop::new(0)),
             Box::new(DynamicThreshold::new(2.0)),
         ];
-        for policy in &mut policies {
-            let rep = run_online(&cfg, &trace, policy.as_mut());
+        let mut reports: Vec<ArenaReport> = policies
+            .iter_mut()
+            .map(|policy| run_online(&cfg, &trace, policy.as_mut()))
+            .collect();
+        // Global LQD runs the same slot loop: on one shard it is the LQD
+        // row in everything but its name; on three it is a run of its own.
+        let one = run_online_global(&cfg, &trace, 1, &mut GlobalLqd::new(3, 0));
+        prop_assert_eq!(&one, &ArenaReport { policy: one.policy.clone(), ..reports[1].clone() });
+        reports.push(run_online_global(&cfg, &trace, 3, &mut GlobalLqd::new(3, 0)));
+        for rep in &reports {
             prop_assert!(rep.conserved(), "{} leaks packets", rep.policy);
             prop_assert!(
                 bound.bytes >= rep.goodput_bytes,

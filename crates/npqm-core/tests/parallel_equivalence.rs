@@ -23,14 +23,18 @@
 //!    [`ShardedAdmission::offer`] decision for decision, and
 //!    [`GlobalLqd`] admission over the shared buffer is a pure function
 //!    of the arrival sequence (identical twice over, conserving the
-//!    global budget and never evicting an unevictable head).
+//!    global budget and never evicting an unevictable head) — and on one
+//!    shard it *is* [`LongestQueueDrop`] on one engine, decision for
+//!    decision, open tails and mid-service heads included.
 
 use npqm_core::check::state_digest;
 use npqm_core::manager::SegmentPosition;
-use npqm_core::shard::parallel::{BatchDrain, GlobalDropPolicy, GlobalLqd};
+use npqm_core::policy::{DropPolicy, GlobalLqd};
+use npqm_core::shard::parallel::BatchDrain;
 use npqm_core::shard::{ShardedAdmission, ShardedQueueManager};
 use npqm_core::{
-    Command, DequeuedSegment, DynamicThreshold, FlowId, Outcome, QmConfig, QueueError,
+    Command, DequeuedSegment, DynamicThreshold, FlowId, LongestQueueDrop, Outcome, QmConfig,
+    QueueError, QueueManager,
 };
 use proptest::prelude::*;
 
@@ -171,6 +175,37 @@ fn assert_same_ptr_traffic(parallel: &ShardedQueueManager, serial: &ShardedQueue
     assert_eq!(parallel.ptr_counters(), serial.ptr_counters());
     let report = parallel.verify().unwrap();
     assert_eq!(report.ptr, parallel.ptr_counters());
+}
+
+/// One step of the 1-shard differential between [`GlobalLqd`] and
+/// [`LongestQueueDrop`]: a whole packet through the policy, or a raw
+/// segment command behind its back — `First`/`Middle` leave open tails, a
+/// single dequeue leaves a mid-service head — so the longest queue is
+/// regularly one that may not be evicted.
+#[derive(Debug, Clone)]
+enum Step {
+    Offer { flow: u32, len: usize },
+    Raw { flow: u32, pos: SegmentPosition },
+    Dequeue { flow: u32 },
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        (0..FLOWS, 1usize..200).prop_map(|(flow, len)| Step::Offer { flow, len }),
+        (0..FLOWS, 1usize..200).prop_map(|(flow, len)| Step::Offer { flow, len }),
+        // Whole segments: queues of equal byte length, so victims tie.
+        (0..FLOWS, 1usize..4).prop_map(|(flow, n)| Step::Offer { flow, len: 64 * n }),
+        (0..FLOWS).prop_map(|flow| Step::Raw {
+            flow,
+            pos: SegmentPosition::First
+        }),
+        (0..FLOWS).prop_map(|flow| Step::Raw {
+            flow,
+            pos: SegmentPosition::Middle
+        }),
+        (0..FLOWS).prop_map(|flow| Step::Dequeue { flow }),
+        (0..FLOWS).prop_map(|flow| Step::Dequeue { flow }),
+    ]
 }
 
 proptest! {
@@ -334,7 +369,7 @@ proptest! {
                 .enumerate()
                 .map(|(i, &(f, len))| {
                     let data = payload(i as u64, len);
-                    let r = lqd.offer_global(&mut engine, FlowId::new(f), &data);
+                    let r = lqd.offer(&mut engine, FlowId::new(f), &data);
                     assert!(
                         engine.used_segments() <= budget,
                         "global budget exceeded: {} > {budget}",
@@ -349,5 +384,59 @@ proptest! {
         let a = run();
         let b = run();
         prop_assert_eq!(a, b, "global LQD must be a pure function of the arrivals");
+    }
+
+    /// The independent oracle for global LQD: over ONE shard it must be
+    /// [`LongestQueueDrop`] on one engine — same decisions (admission or
+    /// refusal reason, and the evicted lists), same counters, same state
+    /// — also when the longest queue is an open tail or a mid-service
+    /// head and the victim comes from the fallback scan, byte ties
+    /// included.
+    #[test]
+    fn global_lqd_on_one_shard_is_lqd(
+        steps in proptest::collection::vec(step_strategy(), 1..160),
+    ) {
+        let budget = 24u32;
+        let cfg = QmConfig::builder()
+            .num_flows(FLOWS)
+            .num_segments(budget)
+            .segment_bytes(64)
+            .build()
+            .unwrap();
+        for reserve in [0u32, 2] {
+            let mut engine = ShardedQueueManager::new(cfg, 1);
+            let mut global = GlobalLqd::new(budget, reserve);
+            let mut qm = QueueManager::new(cfg);
+            let mut lqd = LongestQueueDrop::new(reserve);
+            for (i, step) in steps.iter().enumerate() {
+                match *step {
+                    Step::Offer { flow, len } => {
+                        let data = payload(i as u64, len);
+                        prop_assert_eq!(
+                            global.offer(&mut engine, FlowId::new(flow), &data),
+                            lqd.offer(&mut qm, FlowId::new(flow), &data),
+                            "step {} (reserve {}): {:?}", i, reserve, step
+                        );
+                    }
+                    Step::Raw { flow, pos } => {
+                        let data = payload(i as u64, 64);
+                        prop_assert_eq!(
+                            engine.shard_mut(0).enqueue(FlowId::new(flow), &data, pos),
+                            qm.enqueue(FlowId::new(flow), &data, pos)
+                        );
+                    }
+                    Step::Dequeue { flow } => {
+                        prop_assert_eq!(
+                            engine.shard_mut(0).dequeue(FlowId::new(flow)),
+                            qm.dequeue(FlowId::new(flow))
+                        );
+                    }
+                }
+                prop_assert_eq!(state_digest(engine.shard(0)), state_digest(&qm));
+            }
+            prop_assert_eq!(global.stats(), lqd.stats());
+            engine.verify().unwrap();
+            qm.verify().unwrap();
+        }
     }
 }

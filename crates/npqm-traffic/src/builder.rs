@@ -18,9 +18,9 @@ use crate::pipeline::{
     ShardedPipelineReport, SharedBuffer,
 };
 use crate::service::{partition_indices, ArrivalEvent};
-use npqm_core::policy::{DropPolicy, DynamicThreshold};
+use npqm_core::policy::{DropPolicy, DynamicThreshold, GlobalLqd};
 use npqm_core::sched::{from_spec, FlowScheduler, HtbScheduler};
-use npqm_core::shard::parallel::{for_each_claimed, GlobalLqd};
+use npqm_core::shard::parallel::for_each_claimed;
 use npqm_core::shard::ShardedQueueManager;
 use npqm_core::telemetry::{TelemetryConfig, TelemetryReport};
 use npqm_core::timing::{PaperTiming, TimingConfig};

@@ -55,9 +55,10 @@ use crate::flows::FlowMix;
 use crate::service::{arrival_stream, ArrivalEvent, LoopState};
 use crate::size::SizeDistribution;
 use npqm_core::limits::{BufferManager, FlowLimits};
-use npqm_core::policy::{Admission, DropPolicy, DynamicThreshold, LongestQueueDrop, Refusal};
+use npqm_core::policy::{
+    Admission, DropPolicy, DynamicThreshold, GlobalLqd, LongestQueueDrop, Refusal,
+};
 use npqm_core::sched::FlowScheduler;
-use npqm_core::shard::parallel::{GlobalDropPolicy, GlobalLqd};
 use npqm_core::shard::ShardedQueueManager;
 use npqm_core::telemetry::{MetricsRegistry, Telemetry, TelemetryConfig, TelemetryReport};
 use npqm_core::timing::{MemoryModel, PaperTiming};
@@ -373,11 +374,11 @@ impl AdmissionScope for SharedBuffer<'_> {
     }
 
     fn policy_name(&self) -> &str {
-        self.policy.name()
+        "global-lqd"
     }
 
     fn offer(&mut self, flow: FlowId, packet: &[u8]) -> Result<Admission, Refusal> {
-        self.policy.offer_global(self.engine, flow, packet)
+        self.policy.offer(self.engine, flow, packet)
     }
 
     fn depth_and_occupancy(&self, flow: FlowId) -> (u32, u32) {

@@ -15,7 +15,7 @@
 //! victim falls on another.
 
 use npqm::core::manager::SegmentPosition;
-use npqm::core::shard::parallel::{GlobalDropPolicy, GlobalLqd};
+use npqm::core::policy::GlobalLqd;
 use npqm::core::shard::ShardedQueueManager;
 use npqm::core::{Command, FlowId, QmConfig};
 
@@ -105,7 +105,7 @@ fn main() {
     // full, LQD keeps admitting by pushing out the hog's own oldest
     // packet — occupancy stays pinned at the budget).
     for _ in 0..lqd.budget_segments() {
-        lqd.offer_global(&mut engine, hog, &[0u8; 64])
+        lqd.offer(&mut engine, hog, &[0u8; 64])
             .expect("the hog always fits by evicting itself");
     }
     let other = (1..FLOWS)
@@ -115,7 +115,7 @@ fn main() {
     // ...and an arrival homed on another shard still gets in: the
     // globally longest queue pays, across the partition boundary.
     let adm = lqd
-        .offer_global(&mut engine, other, &[1u8; 64])
+        .offer(&mut engine, other, &[1u8; 64])
         .expect("global push-out makes room");
     println!(
         "\nglobal LQD over a {}-segment shared buffer:",
