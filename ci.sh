@@ -5,7 +5,9 @@
 # into a two-job matrix: `quick` on pull requests, the full pipeline on
 # pushes to main. No stage gates host time: that is bench/run.sh's job.
 #
-#   ./ci.sh         # full pipeline: structure greps, fmt, clippy, docs,
+#   ./ci.sh         # full pipeline: structure greps (one thread fan-out,
+#                   # one push-out loop, five single-segment free-list
+#                   # calls in manager.rs), fmt, clippy, docs,
 #                   # tier-1, release-profile engine tests, tables,
 #                   # golden checks, parallel-determinism diff, telemetry
 #                   # trace export + cross-thread diff, every example,
@@ -35,6 +37,11 @@ tier1() {
 # an `evicted` list (LQD, po-work, work-balance and global LQD keep just
 # their victim choice), and the occupancy snapshot and the trait that
 # only the fourth copy of that loop needed stay deleted.
+# One chain vocabulary: `manager.rs` calls the free list's single-segment
+# `alloc` / `release` only in its five single-segment commands (`enqueue`,
+# `dequeue_into`, `delete_segment`, `append_head`, `append_tail`); every
+# whole-packet call goes through `alloc_chain` / `release_chain`, so a
+# sixth line is a hand-rolled chain loop coming back.
 structure() {
     echo "==> structure: one thread fan-out in npqm-core + npqm-traffic"
     local hits
@@ -56,6 +63,13 @@ structure() {
         crates examples tests src README.md || true)"
     if [[ -n "${hits}" ]]; then
         echo "structure FAILED: the global-LQD side abstractions are back:" >&2
+        echo "${hits}" >&2
+        exit 1
+    fi
+    echo "==> structure: five single-segment free-list calls in manager.rs"
+    hits="$(grep -nE 'seg_fl\.(alloc|release)\(' crates/npqm-core/src/manager.rs || true)"
+    if [[ "$(grep -c . <<<"${hits}")" != 5 ]]; then
+        echo "structure FAILED: expected five hits, one per single-segment command; got:" >&2
         echo "${hits}" >&2
         exit 1
     fi

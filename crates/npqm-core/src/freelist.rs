@@ -8,7 +8,7 @@
 use crate::config::FreeListDiscipline;
 use crate::error::QueueError;
 use crate::id::{PacketId, SegmentId};
-use crate::ptrmem::{PtrMem, SegRecord};
+use crate::ptrmem::{PtrMem, PtrMemCounters, SegRecord};
 
 /// Segment free list (LIFO stack or FIFO ring over the `next` links).
 ///
@@ -138,6 +138,114 @@ impl SegFreeList {
         self.free += 1;
     }
 
+    /// Pops `n` free segments as one linked chain: what `n` ×
+    /// [`alloc`](Self::alloc) and a `set_seg` of each popped record would
+    /// do — its `len` from `fill`, which is also where the caller moves the
+    /// segment's payload, its `next` the segment popped after it, NIL on the
+    /// last — in one walk. The free list already links the segments in pop
+    /// order, so each record is written once and `head`, `tail`, `free` and
+    /// `low_watermark` once; the `n` reads and `n` writes are charged
+    /// once. Returns the chain's first and last segment.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= n <= free_count()`: the caller reserves.
+    #[inline]
+    pub(crate) fn alloc_chain(
+        &mut self,
+        pm: &mut PtrMem,
+        n: u32,
+        mut fill: impl FnMut(&PtrMem, SegmentId) -> u16,
+    ) -> (SegmentId, SegmentId) {
+        assert!(0 < n && n <= self.free, "chain of {n}, {} free", self.free);
+        let (first, mut last) = (self.head, self.head);
+        for left in (0..n).rev() {
+            last = self.head;
+            self.head = pm.seg_silent(last).next;
+            let next = if left == 0 { SegmentId::NIL } else { self.head };
+            let len = fill(pm, last);
+            pm.set_seg_silent(last, SegRecord { next, len });
+        }
+        if self.head.is_nil() {
+            self.tail = SegmentId::NIL;
+        }
+        self.free -= n;
+        self.low_watermark = self.low_watermark.min(self.free);
+        pm.charge(&PtrMemCounters {
+            seg_reads: u64::from(n),
+            seg_writes: u64::from(n),
+            ..PtrMemCounters::default()
+        });
+        (first, last)
+    }
+
+    /// Returns the chain `first..=last` to the free list: what a counted
+    /// read of each segment's record followed by its
+    /// [`release`](Self::release), in chain order, would do, in one walk —
+    /// `visit` sees each segment and its length on the way (the caller's
+    /// chance to copy the payload out). The chain is spliced in once, LIFO
+    /// by linking each segment onto the one before it (the last becomes
+    /// `head`), FIFO by hooking the chain, as linked, behind `tail`; every
+    /// `len` is cleared and the accesses are charged once. Returns the
+    /// segments and payload bytes released.
+    #[inline]
+    pub(crate) fn release_chain(
+        &mut self,
+        pm: &mut PtrMem,
+        first: SegmentId,
+        last: SegmentId,
+        mut visit: impl FnMut(SegmentId, u16),
+    ) -> (u32, u32) {
+        let lifo = self.discipline == FreeListDiscipline::Lifo;
+        let (mut n, mut bytes) = (0u32, 0u32);
+        let (mut cur, mut prev) = (first, self.head);
+        loop {
+            let rec = pm.seg_silent(cur);
+            visit(cur, rec.len);
+            n += 1;
+            bytes += u32::from(rec.len);
+            let next = if lifo {
+                prev
+            } else if cur == last {
+                SegmentId::NIL
+            } else {
+                rec.next
+            };
+            pm.set_seg_silent(cur, SegRecord { next, len: 0 });
+            if cur == last {
+                break;
+            }
+            (prev, cur) = (cur, rec.next);
+        }
+        let mut relinks = 0;
+        if lifo {
+            self.head = last;
+            if self.tail.is_nil() {
+                self.tail = first;
+            }
+        } else {
+            // Each single release behind a tail rewrites that tail's link;
+            // only the first into an empty list has none to rewrite.
+            relinks = u64::from(n);
+            if self.tail.is_nil() {
+                self.head = first;
+                relinks -= 1;
+            } else {
+                let mut rec = pm.seg_silent(self.tail);
+                rec.next = first;
+                pm.set_seg_silent(self.tail, rec);
+            }
+            self.tail = last;
+        }
+        self.free += n;
+        pm.charge(&PtrMemCounters {
+            seg_reads: u64::from(n) + relinks,
+            seg_writes: u64::from(n) + relinks,
+            ..PtrMemCounters::default()
+        });
+        (n, bytes)
+    }
+
     /// The free segment ids, head first, read off the links in place. A
     /// cyclic list never ends: the caller bounds the walk.
     pub(crate) fn iter_free<'a>(&self, pm: &'a PtrMem) -> impl Iterator<Item = SegmentId> + 'a {
@@ -239,6 +347,7 @@ impl PktFreeList {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn setup(n: u32, d: FreeListDiscipline) -> (PtrMem, SegFreeList) {
         let mut pm = PtrMem::new(n, 1);
@@ -350,5 +459,155 @@ mod tests {
         let mut fl = PktFreeList::init(&mut pm);
         fl.alloc(&mut pm).unwrap();
         assert_eq!(fl.alloc(&mut pm), Err(QueueError::OutOfPacketRecords));
+    }
+
+    /// One step of the twin-list scripts: the chain calls under test,
+    /// interleaved with the single calls they stand for.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        /// Take a chain: `None` is every free segment.
+        Take(Option<u32>),
+        TakeSingly,
+        /// Give back the held chain `k % held`.
+        Give(usize),
+        GiveSingly(usize),
+    }
+
+    /// `n` × `alloc` with a `set_seg` of each record: what `alloc_chain`
+    /// stands for.
+    fn take_singly(fl: &mut SegFreeList, pm: &mut PtrMem, lens: &[u16]) -> Vec<SegmentId> {
+        let ids: Vec<_> = lens.iter().map(|_| fl.alloc(pm).unwrap()).collect();
+        for (i, (&id, &len)) in ids.iter().zip(lens).enumerate() {
+            let next = ids.get(i + 1).copied().unwrap_or(SegmentId::NIL);
+            pm.set_seg(id, SegRecord { next, len });
+        }
+        ids
+    }
+
+    /// A counted read and a `release` per segment: what `release_chain`
+    /// stands for.
+    fn give_singly(fl: &mut SegFreeList, pm: &mut PtrMem, ids: &[SegmentId]) {
+        for &id in ids {
+            let _ = pm.seg(id);
+            fl.release(pm, id);
+        }
+    }
+
+    /// Runs `script` on twin lists — chain calls on one, their single-call
+    /// sequences on the other — and compares everything after every step.
+    fn run_twins(discipline: FreeListDiscipline, segments: u32, script: &[Step]) {
+        let (mut pm, mut fl) = setup(segments, discipline);
+        let (mut twin_pm, mut twin_fl) = setup(segments, discipline);
+        let mut held: Vec<Vec<SegmentId>> = Vec::new();
+        for (i, &step) in script.iter().enumerate() {
+            let at = format!("step {i} {step:?} ({discipline:?})");
+            match step {
+                Step::Take(n) => {
+                    let n = n.unwrap_or(fl.free_count()).min(fl.free_count());
+                    if n == 0 {
+                        continue;
+                    }
+                    let lens: Vec<u16> = (0..n).map(|k| 1 + (i as u16 + k as u16) % 64).collect();
+                    let mut filled = Vec::new();
+                    let (first, last) = fl.alloc_chain(&mut pm, n, |_, id| {
+                        filled.push(id);
+                        lens[filled.len() - 1]
+                    });
+                    let ids = take_singly(&mut twin_fl, &mut twin_pm, &lens);
+                    assert_eq!(filled, ids, "{at}");
+                    assert_eq!((first, last), (ids[0], ids[ids.len() - 1]), "{at}");
+                    held.push(ids);
+                }
+                Step::TakeSingly if fl.free_count() > 0 => {
+                    let ids = take_singly(&mut fl, &mut pm, &[7]);
+                    assert_eq!(take_singly(&mut twin_fl, &mut twin_pm, &[7]), ids, "{at}");
+                    held.push(ids);
+                }
+                Step::Give(k) if !held.is_empty() => {
+                    let ids = held.swap_remove(k % held.len());
+                    let want: Vec<_> = ids.iter().map(|&id| (id, pm.seg_silent(id).len)).collect();
+                    let mut seen = Vec::new();
+                    let released =
+                        fl.release_chain(&mut pm, ids[0], ids[ids.len() - 1], |id, len| {
+                            seen.push((id, len));
+                        });
+                    let bytes: u32 = want.iter().map(|&(_, len)| u32::from(len)).sum();
+                    assert_eq!(released, (ids.len() as u32, bytes), "{at}");
+                    assert_eq!(seen, want, "{at}");
+                    give_singly(&mut twin_fl, &mut twin_pm, &ids);
+                }
+                Step::GiveSingly(k) if !held.is_empty() => {
+                    let ids = held.swap_remove(k % held.len());
+                    give_singly(&mut fl, &mut pm, &ids);
+                    give_singly(&mut twin_fl, &mut twin_pm, &ids);
+                }
+                _ => continue,
+            }
+            assert_eq!(fl.collect_free(&pm), twin_fl.collect_free(&twin_pm), "{at}");
+            assert_eq!((fl.head, fl.tail), (twin_fl.head, twin_fl.tail), "{at}");
+            assert_eq!(fl.free_count(), twin_fl.free_count(), "{at}");
+            assert_eq!(fl.low_watermark(), twin_fl.low_watermark(), "{at}");
+            assert_eq!(pm.counters(), twin_pm.counters(), "{at}");
+            for id in (0..segments).map(SegmentId::new) {
+                assert_eq!(pm.seg_silent(id), twin_pm.seg_silent(id), "{at}: {id}");
+            }
+        }
+    }
+
+    #[test]
+    fn chain_calls_match_single_calls_at_the_list_edges() {
+        use Step::*;
+        for discipline in [FreeListDiscipline::Lifo, FreeListDiscipline::Fifo] {
+            for len in [Some(1), Some(2), None] {
+                // Out of a full list and back; then with the list drained to
+                // empty first, so the chain goes back into an empty list
+                // (`head` and `tail` NIL) and the rest follows behind it.
+                run_twins(discipline, 6, &[Take(len), Give(0), Take(len)]);
+                run_twins(discipline, 6, &[Take(len), Take(None), Give(0), Give(0)]);
+                run_twins(discipline, 6, &[Take(None), Give(0), Take(len), Take(None)]);
+            }
+            // The last free segment, singly and as a chain of one.
+            run_twins(discipline, 1, &[Take(None), Give(0), TakeSingly, Give(0)]);
+            run_twins(
+                discipline,
+                3,
+                &[Take(Some(2)), TakeSingly, Give(1), GiveSingly(0)],
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "chain of 3, 2 free")]
+    fn alloc_chain_beyond_the_free_count_panics() {
+        let (mut pm, mut fl) = setup(2, FreeListDiscipline::Lifo);
+        fl.alloc_chain(&mut pm, 3, |_, _| 1);
+    }
+
+    fn step_strategy() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            prop_oneof![1u32..2, 2u32..3, 1u32..9].prop_map(|n| Step::Take(Some(n))),
+            (0u32..1).prop_map(|_| Step::Take(None)),
+            (0u32..1).prop_map(|_| Step::TakeSingly),
+            (0usize..8).prop_map(Step::Give),
+            (0usize..8).prop_map(Step::Give),
+            (0usize..8).prop_map(Step::GiveSingly),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `alloc_chain` / `release_chain` against `n` × `alloc` /
+        /// `release` on a twin list, chain and single calls interleaved:
+        /// free order, `head` / `tail`, counts, watermark, every segment
+        /// record and the charged traffic agree after every step.
+        #[test]
+        fn chain_calls_match_single_calls(
+            script in proptest::collection::vec(step_strategy(), 1..60),
+        ) {
+            for discipline in [FreeListDiscipline::Lifo, FreeListDiscipline::Fifo] {
+                run_twins(discipline, 8, &script);
+            }
+        }
     }
 }

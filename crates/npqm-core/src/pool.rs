@@ -25,6 +25,7 @@ use crate::timing::stream::DataAccess;
 pub struct SegmentPool {
     bytes: Vec<u8>,
     segment_bytes: u32,
+    num_segments: u32,
     reads: u64,
     writes: u64,
     tracing: bool,
@@ -43,6 +44,7 @@ impl SegmentPool {
         SegmentPool {
             bytes: vec![0; num_segments as usize * segment_bytes as usize],
             segment_bytes,
+            num_segments,
             reads: 0,
             writes: 0,
             tracing: false,
@@ -68,8 +70,8 @@ impl SegmentPool {
     }
 
     /// Number of segments.
-    pub fn num_segments(&self) -> u32 {
-        (self.bytes.len() / self.segment_bytes as usize) as u32
+    pub const fn num_segments(&self) -> u32 {
+        self.num_segments
     }
 
     /// Segment-write count (each is one DRAM burst in the timing models).
@@ -85,10 +87,19 @@ impl SegmentPool {
     fn offset(&self, id: SegmentId) -> usize {
         let idx = id.as_usize();
         assert!(
-            idx < self.num_segments() as usize,
+            idx < self.num_segments as usize,
             "segment {idx} out of range"
         );
         idx * self.segment_bytes as usize
+    }
+
+    fn record(&mut self, id: SegmentId, write: bool) {
+        if self.tracing {
+            self.trace.push(DataAccess {
+                segment: id.as_usize() as u32,
+                write,
+            });
+        }
     }
 
     /// Writes `data` at the start of segment `id` (one DRAM write burst).
@@ -97,21 +108,8 @@ impl SegmentPool {
     ///
     /// Panics if `id` is out of range or `data` exceeds the segment size.
     pub fn write(&mut self, id: SegmentId, data: &[u8]) {
-        assert!(
-            data.len() <= self.segment_bytes as usize,
-            "payload of {} bytes exceeds segment size {}",
-            data.len(),
-            self.segment_bytes
-        );
-        let off = self.offset(id);
-        self.bytes[off..off + data.len()].copy_from_slice(data);
+        self.chain_write(id, data);
         self.writes += 1;
-        if self.tracing {
-            self.trace.push(DataAccess {
-                segment: id.as_usize() as u32,
-                write: true,
-            });
-        }
     }
 
     /// Reads the first `len` bytes of segment `id` (one DRAM read burst).
@@ -120,20 +118,60 @@ impl SegmentPool {
     ///
     /// Panics if `id` is out of range or `len` exceeds the segment size.
     pub fn read(&mut self, id: SegmentId, len: usize) -> &[u8] {
+        self.reads += 1;
+        self.chain_read(id, len)
+    }
+
+    // --- chain access -----------------------------------------------------
+    //
+    // One segment of a whole-packet transfer: checked, moved and recorded
+    // as a `DataAccess` exactly as by `write` / `read`, but not counted —
+    // the caller adds the chain's bursts once, with `count`.
+
+    pub(crate) fn chain_write(&mut self, id: SegmentId, data: &[u8]) {
+        assert!(
+            data.len() <= self.segment_bytes as usize,
+            "payload of {} bytes exceeds segment size {}",
+            data.len(),
+            self.segment_bytes
+        );
+        let off = self.offset(id);
+        self.bytes[off..off + data.len()].copy_from_slice(data);
+        self.record(id, true);
+    }
+
+    // Inlined into the chain walks: as an out-of-line call per segment it
+    // cost a whole-packet dequeue ≈1 ns/segment.
+    #[inline]
+    pub(crate) fn chain_read(&mut self, id: SegmentId, len: usize) -> &[u8] {
         assert!(
             len <= self.segment_bytes as usize,
             "read of {len} bytes exceeds segment size {}",
             self.segment_bytes
         );
         let off = self.offset(id);
-        self.reads += 1;
-        if self.tracing {
-            self.trace.push(DataAccess {
-                segment: id.as_usize() as u32,
-                write: false,
-            });
-        }
+        self.record(id, false);
         &self.bytes[off..off + len]
+    }
+
+    /// Copies the first `len` bytes of segment `src` into segment `dst`: a
+    /// read burst, then a write burst, without leaving the data memory.
+    pub(crate) fn chain_copy(&mut self, src: SegmentId, dst: SegmentId, len: usize) {
+        assert!(
+            len <= self.segment_bytes as usize,
+            "copy of {len} bytes exceeds segment size {}",
+            self.segment_bytes
+        );
+        let (from, to) = (self.offset(src), self.offset(dst));
+        self.bytes.copy_within(from..from + len, to);
+        self.record(src, false);
+        self.record(dst, true);
+    }
+
+    /// Adds the read and write bursts of one chain transfer.
+    pub(crate) fn count(&mut self, reads: u64, writes: u64) {
+        self.reads += reads;
+        self.writes += writes;
     }
 
     /// Reads without counting (verification/tests only).

@@ -215,8 +215,10 @@ impl PtrMem {
 
     /// Counts `extra` accesses that were not made through the accessors:
     /// the whole-packet transactions of [`crate::QueueManager`] keep a
-    /// record in a local across the segments of one packet and charge here
-    /// what the per-segment command sequence reads and writes in between.
+    /// record in a local across the segments of one packet, and the chain
+    /// calls of [`crate::freelist::SegFreeList`] go through
+    /// [`seg_silent`](Self::seg_silent) / `set_seg_silent`; both charge here
+    /// what the per-segment command sequence reads and writes.
     pub(crate) fn charge(&mut self, extra: &PtrMemCounters) {
         self.counters.absorb(extra);
     }
@@ -246,6 +248,29 @@ impl PtrMem {
     /// Reads a segment record without counting (test/verification use).
     pub fn seg_silent(&self, id: SegmentId) -> SegRecord {
         self.segs[id.as_usize()]
+    }
+
+    /// Writes a segment record without counting: the chain calls, which
+    /// [`charge`](Self::charge) a whole chain's accesses at once.
+    pub(crate) fn set_seg_silent(&mut self, id: SegmentId, rec: SegRecord) {
+        self.segs[id.as_usize()] = rec;
+    }
+
+    /// The segments of the chain `first..=last` with their lengths, read
+    /// off the links without counting: a whole-packet read walks this and
+    /// [`charge`](Self::charge)s its segment reads once.
+    pub(crate) fn chain(
+        &self,
+        first: SegmentId,
+        last: SegmentId,
+    ) -> impl Iterator<Item = (SegmentId, u16)> + '_ {
+        let mut at = Some(first);
+        std::iter::from_fn(move || {
+            let id = at?;
+            let rec = self.segs[id.as_usize()];
+            at = (id != last).then_some(rec.next);
+            Some((id, rec.len))
+        })
     }
 
     // --- packet plane ------------------------------------------------------

@@ -57,7 +57,7 @@
 //! semantics. Across shards each engine owns a private data memory, so:
 //!
 //! * **copy** reads the source head packet
-//!   ([`QueueManager::peek_packet`]) and enqueues the bytes in the
+//!   ([`QueueManager::peek_packet_into`]) and enqueues the bytes in the
 //!   destination shard (capacity failures roll back, never tearing);
 //! * **move** reserves destination capacity first, then dequeues from the
 //!   source and enqueues in the destination. An open destination tail is
@@ -134,6 +134,8 @@ pub struct ShardedQueueManager {
     /// Cross-shard barrier marks recorded while tracing (consumed by
     /// [`ShardedQueueManager::take_trace`]).
     trace_barriers: Vec<CrossBarrier>,
+    /// The packet a cross-shard copy carries between two data memories.
+    carry: Vec<u8>,
 }
 
 impl ShardedQueueManager {
@@ -155,6 +157,7 @@ impl ShardedQueueManager {
             busy: vec![Duration::ZERO; num_shards],
             pstats: ParallelStats::default(),
             trace_barriers: Vec::new(),
+            carry: Vec::new(),
         }
     }
 
@@ -630,11 +633,12 @@ impl ShardedQueueManager {
         let di = self.shard_of(dst);
         self.check_flow_on(si, src)?;
         self.check_flow_on(di, dst)?;
-        let pkt = self.shards[si].peek_packet(src)?;
+        self.carry.clear();
+        self.shards[si].peek_packet_into(src, &mut self.carry)?;
         // enqueue_packet rejects an open destination tail (SarProtocol on
         // the First chunk) and rolls back on mid-packet exhaustion, so a
         // failed copy never leaves a torn packet behind.
-        self.shards[di].enqueue_packet(dst, &pkt)
+        self.shards[di].enqueue_packet(dst, &self.carry)
     }
 
     /// Verifies every shard independently, then the cross-shard

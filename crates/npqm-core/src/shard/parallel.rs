@@ -6,11 +6,11 @@
 //! is decided in exactly one function:
 //!
 //! * [`for_each_claimed`] — runs a closure once on each of a slice of
-//!   independent items: inline at one worker, otherwise on scoped
-//!   worker threads that pull item indices off a
-//!   **lock-free claim counter**, so a worker that finishes early takes
-//!   the next unclaimed item and a pathologically loaded shard never
-//!   leaves the others idle. It is the only place `npqm-core` and
+//!   independent items: inline at one worker, otherwise on the calling
+//!   thread and scoped worker threads beside it, which pull item indices
+//!   off a **lock-free claim counter**, so a worker that finishes early
+//!   takes the next unclaimed item and a pathologically loaded shard
+//!   never leaves the others idle. It is the only place `npqm-core` and
 //!   `npqm-traffic` spawn a thread (`ci.sh structure` greps for it).
 //! * [`ShardedQueueManager::execute_batch_parallel`] /
 //!   [`ShardedAdmission::offer_batch_parallel`] — one crate-private
@@ -26,8 +26,13 @@
 //!   byte arena per shard, reused across calls, instead of a `Vec` per
 //!   served segment.
 //!
-//! What the fan-out still costs, unpaid: workers are spawned per call
-//! (per batch phase), and every group reads the wall clock twice.
+//! What the fan-out still costs, unpaid: `workers − 1` threads are spawned
+//! and joined per call (per batch phase, per service phase) — the calling
+//! thread is the remaining worker and claims items beside them instead of
+//! sleeping until they finish — and every group reads the wall clock
+//! twice. A worker set that outlives the call cannot take its place under
+//! `forbid(unsafe_code)`: a scoped thread can only borrow what existed
+//! before it was spawned, and every call brings a fresh batch.
 //!
 //! # Determinism contract
 //!
@@ -80,26 +85,27 @@ use std::thread;
 use std::time::Instant;
 
 /// Runs `work` on every item exactly once, spread over at most `workers`
-/// scoped OS threads — the one place this workspace decides how
-/// independent per-shard items meet threads (the batch executors, the
-/// sharded pipeline and both phases of the streaming service all fan out
-/// through it).
+/// OS threads, the caller's among them — the one place this workspace
+/// decides how independent per-shard items meet threads (the batch
+/// executors, the sharded pipeline and both phases of the streaming
+/// service all fan out through it).
 ///
 /// With one worker (or at most one item) the items run inline on the
-/// calling thread, in slice order, and nothing is spawned. Otherwise
-/// `min(workers, items)` scoped threads pull indices off a shared claim
-/// counter, which hands the items out in slice order: sort them heaviest
-/// first and a worker that finishes early always claims the heaviest
-/// *remaining* item — whole-item work stealing without a deque. Each
-/// item's mutex is locked exactly once (the counter assigns unique
-/// indices), so it only satisfies the borrow checker; the hand-off itself
-/// is lock-free and no worker ever waits on another. Returns the number of
-/// steals: claims beyond each worker's first.
+/// calling thread, in slice order, and nothing is spawned. Otherwise the
+/// calling thread and `min(workers, items) − 1` scoped threads beside it
+/// pull indices off a shared claim counter, which hands the items out in
+/// slice order: sort them heaviest first and a worker that finishes early
+/// always claims the heaviest *remaining* item — whole-item work stealing
+/// without a deque. Each item's mutex is locked exactly once (the counter
+/// assigns unique indices), so it only satisfies the borrow checker; the
+/// hand-off itself is lock-free and no worker ever waits on another.
+/// Returns the number of steals: claims beyond each worker's first.
 ///
 /// # Panics
 ///
-/// A panic in `work` unwinds out of this call once the remaining items
-/// have run (the scope joins every worker first); it never hangs.
+/// A panic in `work`, on the calling thread or a spawned one, unwinds out
+/// of this call once the remaining items have run (the scope joins every
+/// worker first); it never hangs.
 pub fn for_each_claimed<T: Send>(
     items: &mut [T],
     workers: usize,
@@ -112,24 +118,28 @@ pub fn for_each_claimed<T: Send>(
     let slots: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
     let claim = AtomicUsize::new(0);
     let steals = AtomicU64::new(0);
-    thread::scope(|sc| {
-        for _ in 0..workers.min(slots.len()) {
-            sc.spawn(|| {
-                let mut first = true;
-                loop {
-                    let k = claim.fetch_add(1, Ordering::Relaxed);
-                    if k >= slots.len() {
-                        break;
-                    }
-                    if !first {
-                        steals.fetch_add(1, Ordering::Relaxed);
-                    }
-                    first = false;
-                    let mut item = slots[k].lock().expect("each slot is claimed once");
-                    work(&mut item);
-                }
-            });
+    let claim_items = || {
+        let mut first = true;
+        loop {
+            let k = claim.fetch_add(1, Ordering::Relaxed);
+            if k >= slots.len() {
+                break;
+            }
+            if !first {
+                steals.fetch_add(1, Ordering::Relaxed);
+            }
+            first = false;
+            let mut item = slots[k].lock().expect("each slot is claimed once");
+            work(&mut item);
         }
+    };
+    // The caller is one of the workers: it would otherwise sleep in the
+    // scope while a thread spawned in its place did its share.
+    thread::scope(|sc| {
+        for _ in 1..workers.min(slots.len()) {
+            sc.spawn(claim_items);
+        }
+        claim_items();
     });
     steals.into_inner()
 }
