@@ -6,8 +6,8 @@
 # pushes to main. No stage gates host time: that is bench/run.sh's job.
 #
 #   ./ci.sh         # full pipeline: structure greps (one thread fan-out,
-#                   # one push-out loop, five single-segment free-list
-#                   # calls in manager.rs), fmt, clippy, docs,
+#                   # one push-out loop, each engine step of manager.rs
+#                   # written once, no cut_through), fmt, clippy, docs,
 #                   # tier-1, release-profile engine tests, tables,
 #                   # golden checks, parallel-determinism diff, telemetry
 #                   # trace export + cross-thread diff, every example,
@@ -37,11 +37,15 @@ tier1() {
 # an `evicted` list (LQD, po-work, work-balance and global LQD keep just
 # their victim choice), and the occupancy snapshot and the trait that
 # only the fourth copy of that loop needed stay deleted.
-# One chain vocabulary: `manager.rs` calls the free list's single-segment
-# `alloc` / `release` only in its five single-segment commands (`enqueue`,
-# `dequeue_into`, `delete_segment`, `append_head`, `append_tail`); every
-# whole-packet call goes through `alloc_chain` / `release_chain`, so a
-# sixth line is a hand-rolled chain loop coming back.
+# Each engine step once: `manager.rs` builds its commands from private
+# steps, so the free list's single-segment `alloc` is called in one place
+# (`fresh_segment`, under `enqueue`, `append_head` and `append_tail`) and
+# its `release` in one (`pop_segment`, under `dequeue_into` and
+# `delete_segment`) — every whole-packet call goes through `alloc_chain` /
+# `release_chain`, so a second line of either is a command re-spelling a
+# step or a hand-rolled chain loop coming back — and the complete-head
+# rule is spelled once (`complete_head`). The `cut_through` switch, which
+# only tests ever set, stays deleted.
 structure() {
     echo "==> structure: one thread fan-out in npqm-core + npqm-traffic"
     local hits
@@ -66,10 +70,19 @@ structure() {
         echo "${hits}" >&2
         exit 1
     fi
-    echo "==> structure: five single-segment free-list calls in manager.rs"
-    hits="$(grep -nE 'seg_fl\.(alloc|release)\(' crates/npqm-core/src/manager.rs || true)"
-    if [[ "$(grep -c . <<<"${hits}")" != 5 ]]; then
-        echo "structure FAILED: expected five hits, one per single-segment command; got:" >&2
+    echo "==> structure: each engine step of manager.rs is written once"
+    local step
+    for step in 'seg_fl\.alloc\(' 'seg_fl\.release\(' 'head_pkt == .*tail_pkt'; do
+        hits="$(sed '/^#\[cfg(test)\]/,$d' crates/npqm-core/src/manager.rs | grep -nE "${step}" || true)"
+        if [[ "$(grep -c . <<<"${hits}")" != 1 ]]; then
+            echo "structure FAILED: expected one line matching '${step}' above the tests; got:" >&2
+            echo "${hits}" >&2
+            exit 1
+        fi
+    done
+    hits="$(grep -rn 'cut_through' crates examples tests src README.md || true)"
+    if [[ -n "${hits}" ]]; then
+        echo "structure FAILED: the cut_through switch is back:" >&2
         echo "${hits}" >&2
         exit 1
     fi

@@ -133,7 +133,10 @@ impl Json {
     /// Parses a JSON document — the exact inverse of [`Json::pretty`]
     /// (plus arbitrary whitespace), used by the `bench_gate` binary to
     /// read committed benchmark artifacts back. Strict: trailing
-    /// garbage, trailing commas and bare NaN/Infinity are errors.
+    /// garbage, trailing commas, bare NaN/Infinity, a number outside
+    /// JSON's grammar (`01`, `-.5`, `1.`) or beyond `f64` (`1e999`) and
+    /// arrays or objects nested deeper than 128 levels are errors —
+    /// never a panic or a stack overflow, whatever the bytes.
     ///
     /// Number tokens without a fraction or exponent part parse as
     /// [`Json::Int`] when they fit `i64` (so counters round-trip
@@ -142,6 +145,7 @@ impl Json {
         let mut p = Parser {
             b: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -240,10 +244,16 @@ pub fn host<const N: usize>(fields: [(&str, Json); N]) -> (&'static str, Json) {
     (HOST, Json::obj(fields))
 }
 
+/// How deep [`Json::parse`] follows nested arrays and objects: the parser
+/// recurses once per level, and 15 times the depth of any artifact is
+/// still far from the end of a thread's stack.
+const MAX_DEPTH: usize = 128;
+
 /// Recursive-descent state for [`Json::parse`].
 struct Parser<'a> {
     b: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -289,8 +299,19 @@ impl Parser<'_> {
             Some(b't') => self.eat_word("true", Json::Bool(true)),
             Some(b'f') => self.eat_word("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nested deeper than 128 levels"));
+                }
+                self.depth += 1;
+                let nested = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -413,28 +434,53 @@ impl Parser<'_> {
             .b
             .get(self.pos..end)
             .ok_or_else(|| self.err("truncated \\u escape"))?;
-        let s = std::str::from_utf8(digits).map_err(|_| self.err("invalid \\u escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid \\u escape"))?;
+        // Digit by digit: `from_str_radix` would take a sign.
+        let mut v = 0;
+        for &d in digits {
+            let d = (d as char).to_digit(16);
+            v = v * 16 + d.ok_or_else(|| self.err("invalid \\u escape"))?;
+        }
         self.pos = end;
         Ok(v)
     }
 
+    /// One or more decimal digits.
+    fn digits(&mut self) -> Result<(), String> {
+        let start = self.pos;
+        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return Err(self.err("expected a digit"));
+        }
+        Ok(())
+    }
+
+    /// JSON's number grammar, which is narrower than `str::parse`'s: no
+    /// leading zero, digits on both sides of the point and in the exponent.
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
+        if self.peek() == Some(b'0') {
+            self.pos += 1;
+        } else {
+            self.digits()?;
+        }
         let mut fractional = false;
-        while let Some(c) = self.peek() {
-            match c {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' => {
-                    fractional = true;
-                    self.pos += 1;
-                }
-                b'+' | b'-' if fractional => self.pos += 1,
-                _ => break,
+        if self.peek() == Some(b'.') {
+            fractional = true;
+            self.pos += 1;
+            self.digits()?;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            fractional = true;
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
             }
+            self.digits()?;
         }
         let tok = std::str::from_utf8(&self.b[start..self.pos]).expect("ASCII number token");
         if !fractional {
@@ -442,9 +488,10 @@ impl Parser<'_> {
                 return Ok(Json::Int(i));
             }
         }
-        tok.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("invalid number '{tok}' at byte {start}"))
+        match tok.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(Json::Num(x)),
+            _ => Err(format!("invalid number '{tok}' at byte {start}")),
+        }
     }
 }
 
@@ -1145,9 +1192,22 @@ mod tests {
             "\"unterminated",
             "{\"a\":}",
             "nan",
+            "\"\\u+12f\"",
+            "01",
+            "-.5",
+            "1.",
+            "1e999",
+            &"[".repeat(200_000),
+            &format!(
+                "{}1{}",
+                "[".repeat(MAX_DEPTH + 1),
+                "]".repeat(MAX_DEPTH + 1)
+            ),
         ] {
-            assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
+            assert!(Json::parse(bad).is_err(), "{bad:.40?} must not parse");
         }
+        let deepest = format!("{}1{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&deepest).is_ok(), "MAX_DEPTH levels parse");
     }
 
     #[test]

@@ -43,7 +43,6 @@ pub struct QmConfig {
     num_segments: u32,
     segment_bytes: u32,
     freelist: FreeListDiscipline,
-    cut_through: bool,
 }
 
 impl QmConfig {
@@ -65,7 +64,6 @@ impl QmConfig {
             num_segments: 128 * 1024,
             segment_bytes: Self::PAPER_SEGMENT_BYTES,
             freelist: FreeListDiscipline::Lifo,
-            cut_through: false,
         }
     }
 
@@ -76,7 +74,6 @@ impl QmConfig {
             num_segments: 512,
             segment_bytes: Self::PAPER_SEGMENT_BYTES,
             freelist: FreeListDiscipline::Lifo,
-            cut_through: false,
         }
     }
 
@@ -100,11 +97,6 @@ impl QmConfig {
         self.freelist
     }
 
-    /// Whether dequeuing from a still-incomplete head packet is allowed.
-    pub const fn cut_through(&self) -> bool {
-        self.cut_through
-    }
-
     /// Total data-memory capacity in bytes.
     pub const fn data_bytes(&self) -> u64 {
         self.num_segments as u64 * self.segment_bytes as u64
@@ -124,7 +116,6 @@ pub struct QmConfigBuilder {
     num_segments: u32,
     segment_bytes: u32,
     freelist: FreeListDiscipline,
-    cut_through: bool,
 }
 
 impl Default for QmConfigBuilder {
@@ -135,7 +126,6 @@ impl Default for QmConfigBuilder {
             num_segments: p.num_segments,
             segment_bytes: p.segment_bytes,
             freelist: p.freelist,
-            cut_through: p.cut_through,
         }
     }
 }
@@ -162,12 +152,6 @@ impl QmConfigBuilder {
     /// Sets the free-list discipline.
     pub fn freelist_discipline(&mut self, d: FreeListDiscipline) -> &mut Self {
         self.freelist = d;
-        self
-    }
-
-    /// Allows dequeuing segments of a packet that is still being received.
-    pub fn cut_through(&mut self, enabled: bool) -> &mut Self {
-        self.cut_through = enabled;
         self
     }
 
@@ -204,7 +188,6 @@ impl QmConfigBuilder {
             num_segments: self.num_segments,
             segment_bytes: self.segment_bytes,
             freelist: self.freelist,
-            cut_through: self.cut_through,
         })
     }
 }
@@ -219,7 +202,6 @@ mod tests {
         assert_eq!(cfg.num_flows(), 32 * 1024);
         assert_eq!(cfg.segment_bytes(), 64);
         assert_eq!(cfg.freelist_discipline(), FreeListDiscipline::Lifo);
-        assert!(!cfg.cut_through());
         assert_eq!(cfg.data_bytes(), 128 * 1024 * 64);
     }
 
@@ -230,14 +212,12 @@ mod tests {
             .num_segments(100)
             .segment_bytes(128)
             .freelist_discipline(FreeListDiscipline::Fifo)
-            .cut_through(true)
             .build()
             .unwrap();
         assert_eq!(cfg.num_flows(), 10);
         assert_eq!(cfg.num_segments(), 100);
         assert_eq!(cfg.segment_bytes(), 128);
         assert_eq!(cfg.freelist_discipline(), FreeListDiscipline::Fifo);
-        assert!(cfg.cut_through());
     }
 
     #[test]

@@ -84,6 +84,4 @@ pub use telemetry::{
     DropCause, DropLedger, EventCounts, EventKind, MetricsRegistry, Telemetry, TelemetryConfig,
     TelemetryReport, TraceEvent,
 };
-pub use timing::{
-    BatchCost, CommandCost, MemoryChannels, MemoryModel, PaperTiming, TimingConfig, Uncosted,
-};
+pub use timing::{BatchCost, CommandCost, MemoryChannels, PaperTiming, TimingConfig};

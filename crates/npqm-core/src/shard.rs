@@ -232,7 +232,6 @@ impl ShardedQueueManager {
             .num_segments(per)
             .segment_bytes(total.segment_bytes())
             .freelist_discipline(total.freelist_discipline())
-            .cut_through(total.cut_through())
             .build()?;
         Ok(ShardedQueueManager::new(cfg, num_shards))
     }

@@ -7,11 +7,10 @@
 //!
 //! 1. a traced [`crate::QueueManager`] records every pointer-memory and
 //!    data-memory access it performs ([`stream::OpStream`]);
-//! 2. a [`MemoryModel`] converts recorded streams into time. The
-//!    zero-cost [`Uncosted`] default leaves every existing code path
-//!    untouched; [`PaperTiming`] replays streams through the faithful
-//!    `npqm-mem` models (pipelined ZBT bursts, DDR bank tracking under
-//!    §3's naive or reordering scheduler);
+//! 2. [`PaperTiming`] converts recorded streams into time by replaying
+//!    them through the faithful `npqm-mem` models (pipelined ZBT bursts,
+//!    DDR bank tracking under §3's naive or reordering scheduler); an
+//!    engine nobody traces pays nothing for it;
 //! 3. [`MemoryChannels`] gives a sharded engine one memory channel per
 //!    shard and charges a batch's per-shard traces, turning the
 //!    N-engine composite's critical path into **memory-derived** time —
@@ -84,55 +83,6 @@ impl CommandCost {
     }
 }
 
-/// Converts recorded access streams into time.
-///
-/// A model is a *channel*: it keeps absolute memory clocks across
-/// charges, so consecutive spans pipeline and bank state persists
-/// between them. Implementations must be deterministic — charging the
-/// same sequence of streams must always yield the same costs.
-pub trait MemoryModel {
-    /// A short stable name for reports.
-    fn name(&self) -> &'static str;
-
-    /// Charges one span's traffic and returns its cost.
-    fn charge(&mut self, stream: &OpStream) -> CommandCost;
-
-    /// Absolute channel time: when the last charged access completes.
-    fn elapsed(&self) -> Picos;
-
-    /// Advances the channel clocks to at least `t` (a barrier with
-    /// another channel; never rewinds).
-    fn sync_to(&mut self, t: Picos);
-
-    /// Returns the channel to idle (clock zero, cold banks).
-    fn reset(&mut self);
-}
-
-/// The zero-cost default: charges nothing, models nothing.
-///
-/// Engine paths that do not opt into timing behave exactly as before —
-/// this type exists so generic costed entry points have a no-op model.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Uncosted;
-
-impl MemoryModel for Uncosted {
-    fn name(&self) -> &'static str {
-        "uncosted"
-    }
-
-    fn charge(&mut self, _stream: &OpStream) -> CommandCost {
-        CommandCost::default()
-    }
-
-    fn elapsed(&self) -> Picos {
-        Picos::ZERO
-    }
-
-    fn sync_to(&mut self, _t: Picos) {}
-
-    fn reset(&mut self) {}
-}
-
 impl QueueManager {
     /// Executes one command and charges its memory traffic to `model`,
     /// returning the command's outcome and its [`CommandCost`].
@@ -147,10 +97,10 @@ impl QueueManager {
     ///
     /// The command's own [`QueueError`], alongside the (possibly
     /// partial) cost.
-    pub fn execute_costed<M: MemoryModel>(
+    pub fn execute_costed(
         &mut self,
         cmd: Command,
-        model: &mut M,
+        model: &mut PaperTiming,
     ) -> (Result<Outcome, QueueError>, CommandCost) {
         if !self.tracing() {
             self.set_tracing(true);
@@ -215,17 +165,17 @@ pub struct BatchCost {
 /// assert!(cost.critical_path > npqm_sim::time::Picos::ZERO);
 /// ```
 #[derive(Debug, Clone)]
-pub struct MemoryChannels<M> {
-    channels: Vec<M>,
+pub struct MemoryChannels {
+    channels: Vec<PaperTiming>,
 }
 
-impl<M: MemoryModel> MemoryChannels<M> {
+impl MemoryChannels {
     /// Builds one channel per shard with `make(shard_index)`.
     ///
     /// # Panics
     ///
     /// Panics if `num_shards` is zero.
-    pub fn from_fn(num_shards: usize, make: impl FnMut(usize) -> M) -> Self {
+    pub fn from_fn(num_shards: usize, make: impl FnMut(usize) -> PaperTiming) -> Self {
         assert!(num_shards > 0, "need at least one channel");
         MemoryChannels {
             channels: (0..num_shards).map(make).collect(),
@@ -234,7 +184,7 @@ impl<M: MemoryModel> MemoryChannels<M> {
 
     /// Absolute time of each channel.
     pub fn per_channel_elapsed(&self) -> Vec<Picos> {
-        self.channels.iter().map(MemoryModel::elapsed).collect()
+        self.channels.iter().map(PaperTiming::elapsed).collect()
     }
 
     /// Absolute time of the busiest channel — the composite's
@@ -242,7 +192,7 @@ impl<M: MemoryModel> MemoryChannels<M> {
     pub fn elapsed(&self) -> Picos {
         self.channels
             .iter()
-            .map(MemoryModel::elapsed)
+            .map(PaperTiming::elapsed)
             .max()
             .unwrap_or(Picos::ZERO)
     }
@@ -348,17 +298,6 @@ mod tests {
             data: vec![flow as u8; len],
             pos: SegmentPosition::Only,
         }
-    }
-
-    #[test]
-    fn uncosted_is_free() {
-        let mut m = Uncosted;
-        let mut qm = QueueManager::new(cfg());
-        let (r, cost) = qm.execute_costed(enqueue(0, 64), &mut m);
-        r.unwrap();
-        assert_eq!(cost, CommandCost::default());
-        assert_eq!(m.elapsed(), Picos::ZERO);
-        assert_eq!(m.name(), "uncosted");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! command leaves behind stalls the next command's first access.
 
 use super::stream::OpStream;
-use super::{CommandCost, MemoryModel};
+use super::CommandCost;
 use npqm_mem::addrmap::AddressMap;
 use npqm_mem::ddr::{Access, AccessKind, DdrConfig};
 use npqm_mem::replay::{DdrChannel, DrainPolicy};
@@ -97,7 +97,7 @@ impl TimingConfig {
 /// # Example
 ///
 /// ```
-/// use npqm_core::timing::{MemoryModel, PaperTiming, TimingConfig};
+/// use npqm_core::timing::{PaperTiming, TimingConfig};
 /// use npqm_core::{Command, FlowId, QmConfig, QueueManager};
 /// use npqm_core::manager::SegmentPosition;
 ///
@@ -171,10 +171,9 @@ impl PaperTiming {
         self.zbt_freq()
             .picos_of(self.zbt_next + self.cfg.zbt_latency)
     }
-}
 
-impl MemoryModel for PaperTiming {
-    fn name(&self) -> &'static str {
+    /// A short stable name for reports.
+    pub fn name(&self) -> &'static str {
         if self.cfg.reordering {
             "paper-timing/reordering"
         } else {
@@ -182,7 +181,12 @@ impl MemoryModel for PaperTiming {
         }
     }
 
-    fn charge(&mut self, stream: &OpStream) -> CommandCost {
+    /// Charges one span's traffic and returns its cost. The model is a
+    /// *channel*: it keeps absolute memory clocks across charges, so
+    /// consecutive spans pipeline and bank state persists between them,
+    /// and charging the same sequence of streams always yields the same
+    /// costs.
+    pub fn charge(&mut self, stream: &OpStream) -> CommandCost {
         let mut cost = CommandCost {
             ptr_accesses: stream.ptr_accesses(),
             data_reads: stream.data_reads(),
@@ -216,17 +220,21 @@ impl MemoryModel for PaperTiming {
         cost
     }
 
-    fn elapsed(&self) -> Picos {
+    /// Absolute channel time: when the last charged access completes.
+    pub fn elapsed(&self) -> Picos {
         self.zbt_elapsed().max(self.ddr.elapsed())
     }
 
-    fn sync_to(&mut self, t: Picos) {
+    /// Advances the channel clocks to at least `t` (a barrier with
+    /// another channel; never rewinds).
+    pub fn sync_to(&mut self, t: Picos) {
         self.zbt_next = self.zbt_next.max(self.zbt_freq().cycles_ceil(t));
         let slot_ps = self.cfg.ddr.access_cycle.as_u64();
         self.ddr.sync_to_slot(t.as_u64().div_ceil(slot_ps));
     }
 
-    fn reset(&mut self) {
+    /// Returns the channel to idle (clock zero, cold banks).
+    pub fn reset(&mut self) {
         *self = PaperTiming::new(self.cfg);
     }
 }

@@ -6,7 +6,7 @@
 //! additionally recorded as a [`DataAccess`]. Cutting the trace
 //! ([`crate::QueueManager::cut_trace`]) yields an [`OpStream`] — the
 //! memory traffic of everything executed since the previous cut — which
-//! a [`crate::timing::MemoryModel`] converts into cycles.
+//! [`crate::timing::PaperTiming`] converts into cycles.
 //!
 //! The stream is a *behavioural recording*, not a timing artifact: it is
 //! a pure function of the commands executed and their per-engine order,

@@ -61,7 +61,7 @@ use npqm_core::policy::{
 use npqm_core::sched::FlowScheduler;
 use npqm_core::shard::ShardedQueueManager;
 use npqm_core::telemetry::{MetricsRegistry, Telemetry, TelemetryConfig, TelemetryReport};
-use npqm_core::timing::{MemoryModel, PaperTiming};
+use npqm_core::timing::PaperTiming;
 use npqm_core::{FlowId, QmConfig, QmStats, QueueManager};
 use npqm_sim::stats::MeanVar;
 use npqm_sim::time::Picos;

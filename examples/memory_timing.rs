@@ -10,7 +10,7 @@
 //! Run with: `cargo run --example memory_timing`
 
 use npqm::core::manager::SegmentPosition;
-use npqm::core::timing::{MemoryModel, PaperTiming, TimingConfig};
+use npqm::core::timing::{PaperTiming, TimingConfig};
 use npqm::core::{Command, FlowId, QmConfig, QueueManager};
 use npqm::traffic::scale::{run_memory_scale, ShardScaleConfig};
 
