@@ -7,7 +7,8 @@
 #
 #   ./ci.sh         # full pipeline: structure greps (one thread fan-out,
 #                   # one push-out loop, each engine step of manager.rs
-#                   # written once, no cut_through), fmt, clippy, docs,
+#                   # written once, no cut_through, the access trace
+#                   # cut and never committed), fmt, clippy, docs,
 #                   # tier-1, release-profile engine tests, tables,
 #                   # golden checks, parallel-determinism diff, telemetry
 #                   # trace export + cross-thread diff, every example,
@@ -46,6 +47,13 @@ tier1() {
 # step or a hand-rolled chain loop coming back — and the complete-head
 # rule is spelled once (`complete_head`). The `cut_through` switch, which
 # only tests ever set, stays deleted.
+# The trace is cut, never committed: an engine keeps one access log and
+# `cut_trace` (defined in `manager.rs`) is its only reader — called by a
+# cross-shard command (`shard.rs`: both engines, before and after) and by
+# the timing model's `charge_engine` / `execute_costed`, nowhere else. Span lists and
+# their commit calls, the memory-priced closed loop that only tests ever
+# built (`timing_paper`, `Egress`, the `MemTx` event) and the Prometheus
+# exporter nothing scraped stay deleted.
 structure() {
     echo "==> structure: one thread fan-out in npqm-core + npqm-traffic"
     local hits
@@ -83,6 +91,26 @@ structure() {
     hits="$(grep -rn 'cut_through' crates examples tests src README.md || true)"
     if [[ -n "${hits}" ]]; then
         echo "structure FAILED: the cut_through switch is back:" >&2
+        echo "${hits}" >&2
+        exit 1
+    fi
+    echo "==> structure: the trace is cut, never committed"
+    hits="$(grep -rnE 'commit_span|take_spans|span_count|charge_window|timing_paper|Egress::|record_mem_tx|MemTx|prometheus_text' \
+        crates examples tests src README.md || true)"
+    if [[ -n "${hits}" ]]; then
+        echo "structure FAILED: span lists, the memory-timed loop or prometheus_text are back:" >&2
+        echo "${hits}" >&2
+        exit 1
+    fi
+    local file
+    hits=""
+    for file in $(grep -rlF 'cut_trace(' crates examples tests src | sort); do
+        if [[ -n "$(sed '/^#\[cfg(test)\]/,$d' "${file}" | grep -F 'cut_trace(')" ]]; then
+            hits+="${file} "
+        fi
+    done
+    if [[ "${hits}" != "crates/npqm-core/src/manager.rs crates/npqm-core/src/shard.rs crates/npqm-core/src/timing/mod.rs " ]]; then
+        echo "structure FAILED: cut_trace( above the tests belongs to manager.rs, shard.rs and timing/mod.rs; got:" >&2
         echo "${hits}" >&2
         exit 1
     fi

@@ -835,8 +835,6 @@ impl ToJson for npqm_core::telemetry::EventCounts {
             ("deliveries", self.deliveries.to_json()),
             ("delivered_bytes", self.delivered_bytes.to_json()),
             ("sched_selects", self.sched_selects.to_json()),
-            ("mem_txs", self.mem_txs.to_json()),
-            ("mem_tx_ps", self.mem_tx_ps.to_json()),
             ("epochs", self.epochs.to_json()),
         ])
     }
@@ -929,11 +927,9 @@ fn ps_to_us(ps: u64) -> Json {
 /// Mapping: each shard becomes a process (`pid` = shard index, named via
 /// a `process_name` metadata record); admissions, drops, evictions,
 /// scheduler selections and epoch boundaries are thread-scoped instant
-/// events (`ph: "i"`, `s: "t"`); deliveries and memory-model
-/// transactions are complete events (`ph: "X"`) spanning their modeled
-/// duration — a delivery spans from enqueue to egress completion, a
-/// memory transaction spans its priced cost; drops and evictions also
-/// emit an `occupancy` counter track (`ph: "C"`) so buffer pressure is
+/// events (`ph: "i"`, `s: "t"`); deliveries are complete events
+/// (`ph: "X"`) spanning from enqueue to egress completion; drops and
+/// evictions also emit an `occupancy` counter track (`ph: "C"`) so buffer pressure is
 /// visible as a graph. All timestamps are **virtual time** (simulation
 /// picoseconds rendered as microseconds), so the trace is byte-identical
 /// at any worker-thread count.
@@ -1045,18 +1041,6 @@ pub fn telemetry_trace_json(t: &npqm_core::telemetry::TelemetryReport, label: &s
                 fields.push((
                     "args".to_string(),
                     Json::obj([("flow", flow.index().to_json())]),
-                ));
-            }
-            EventKind::MemTx { bytes, cost } => {
-                fields.push(("ph".to_string(), "X".to_json()));
-                fields.push(("ts".to_string(), ps_to_us(ev.at.as_u64())));
-                fields.push(("dur".to_string(), ps_to_us(cost.as_u64())));
-                fields.push((
-                    "args".to_string(),
-                    Json::obj([
-                        ("bytes", (*bytes).to_json()),
-                        ("cost_ps", cost.as_u64().to_json()),
-                    ]),
                 ));
             }
             EventKind::Epoch { epoch } => {
@@ -1253,7 +1237,6 @@ mod tests {
             40,
         );
         b.record_evict(Picos::from_nanos(30), "lqd", FlowId::new(2), 64, 1, 39);
-        b.record_mem_tx(Picos::from_nanos(40), 64, Picos::from_nanos(8));
         b.record_epoch(Picos::from_nanos(50), 0);
         b.record_sched_select(Picos::from_nanos(60), FlowId::new(2));
         let rep = TelemetryReport::merge([(0u32, &a), (1u32, &b)]);
@@ -1262,14 +1245,14 @@ mod tests {
         // Loadable shape: traceEvents array + displayTimeUnit.
         assert_eq!(doc.get("displayTimeUnit").unwrap().as_str(), Some("ns"));
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
-        // 2 process_name metadata + 7 events + 2 occupancy counters.
-        assert_eq!(events.len(), 11);
+        // 2 process_name metadata + 6 events + 2 occupancy counters.
+        assert_eq!(events.len(), 10);
         let phases: Vec<&str> = events
             .iter()
             .map(|e| e.get("ph").unwrap().as_str().unwrap())
             .collect();
         assert_eq!(phases.iter().filter(|p| **p == "M").count(), 2);
-        assert_eq!(phases.iter().filter(|p| **p == "X").count(), 2);
+        assert_eq!(phases.iter().filter(|p| **p == "X").count(), 1);
         assert_eq!(phases.iter().filter(|p| **p == "C").count(), 2);
         // The delivery span starts at enqueue time: 200ns end - 190ns dur.
         let deliver = events

@@ -149,8 +149,6 @@ pub struct QueueManager {
     tracing: bool,
     /// Pointer-counter snapshot at the last trace cut.
     ptr_mark: PtrMemCounters,
-    /// Committed spans awaiting [`QueueManager::take_spans`].
-    spans: Vec<OpStream>,
 }
 
 impl QueueManager {
@@ -178,7 +176,6 @@ impl QueueManager {
             occ: OccupancyIndex::default(),
             tracing: false,
             ptr_mark: PtrMemCounters::default(),
-            spans: Vec::new(),
         }
     }
 
@@ -193,12 +190,11 @@ impl QueueManager {
     /// traffic since the previous cut as an
     /// [`OpStream`]. Tracing records — it never
     /// changes behaviour, results or counters. Toggling discards any
-    /// recorded-but-untaken traffic and committed spans.
+    /// recorded-but-uncut traffic.
     pub fn set_tracing(&mut self, on: bool) {
         self.tracing = on;
         self.data.set_tracing(on);
         self.ptr_mark = *self.ptr.counters();
-        self.spans.clear();
     }
 
     /// Whether memory-access tracing is enabled.
@@ -206,10 +202,10 @@ impl QueueManager {
         self.tracing
     }
 
-    /// Cuts the open trace span: returns all memory traffic since the
-    /// previous cut (or since tracing was enabled). With tracing off the
-    /// pointer-counter delta is still exact but the data list is empty,
-    /// so callers should enable tracing first.
+    /// Cuts the trace: returns all memory traffic since the previous cut
+    /// (or since tracing was enabled), in execution order. With tracing
+    /// off the pointer-counter delta is still exact but the data list is
+    /// empty, so callers should enable tracing first.
     pub fn cut_trace(&mut self) -> OpStream {
         let counters = *self.ptr.counters();
         let ptr = counters.since(&self.ptr_mark);
@@ -218,26 +214,6 @@ impl QueueManager {
             ptr,
             data: self.data.take_accesses(),
         }
-    }
-
-    /// Commits the open span to the span list (no-op when not tracing).
-    /// Batch executors call this at group boundaries; the spans are
-    /// collected by [`QueueManager::take_spans`].
-    pub fn commit_span(&mut self) {
-        if self.tracing {
-            let span = self.cut_trace();
-            self.spans.push(span);
-        }
-    }
-
-    /// Number of committed spans awaiting collection.
-    pub fn span_count(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// Drains the committed spans (execution order preserved).
-    pub fn take_spans(&mut self) -> Vec<OpStream> {
-        std::mem::take(&mut self.spans)
     }
 
     /// Writes a queue record back and keeps the occupancy index current.

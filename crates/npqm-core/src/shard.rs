@@ -131,8 +131,8 @@ pub struct ShardedQueueManager {
     busy: Vec<Duration>,
     /// Accounting for the parallel batch executor.
     pstats: ParallelStats,
-    /// Cross-shard barrier marks recorded while tracing (consumed by
-    /// [`ShardedQueueManager::take_trace`]).
+    /// Cross-shard barriers recorded while tracing, until the next
+    /// [`crate::timing::MemoryChannels::charge_engine`].
     trace_barriers: Vec<CrossBarrier>,
     /// The packet a cross-shard copy carries between two data memories.
     carry: Vec<u8>,
@@ -178,21 +178,19 @@ impl ShardedQueueManager {
         self.shards[0].tracing()
     }
 
-    /// Drains the recorded engine trace: every shard's committed spans
-    /// (in per-shard execution order) plus the cross-shard barrier
-    /// marks. The trace is a pure function of the executed commands and
-    /// their per-shard order — identical at any worker count, and equal
-    /// to the one-by-one [`execute`](ShardedQueueManager::execute) trace
-    /// up to span-boundary cuts, which
-    /// [`crate::timing::MemoryChannels::charge_engine`] is invariant to.
-    pub fn take_trace(&mut self) -> EngineTrace {
+    /// Drains the recorded engine trace: the cross-shard barriers, then
+    /// one cut of every shard. The trace is a pure function of the
+    /// executed commands and their per-shard order — identical at any
+    /// worker count and under one-by-one
+    /// [`execute`](ShardedQueueManager::execute).
+    pub(crate) fn take_trace(&mut self) -> EngineTrace {
         EngineTrace {
-            spans: self
+            barriers: std::mem::take(&mut self.trace_barriers),
+            rest: self
                 .shards
                 .iter_mut()
-                .map(QueueManager::take_spans)
+                .map(QueueManager::cut_trace)
                 .collect(),
-            barriers: std::mem::take(&mut self.trace_barriers),
         }
     }
 
@@ -346,11 +344,6 @@ impl ShardedQueueManager {
         self.busy.iter().sum()
     }
 
-    /// Clears the accumulated busy times (e.g. after a warm-up phase).
-    pub fn reset_busy(&mut self) {
-        self.busy.fill(Duration::ZERO);
-    }
-
     /// Aggregated operation statistics over all shards.
     pub fn stats(&self) -> QmStats {
         let mut acc = QmStats::default();
@@ -404,11 +397,7 @@ impl ShardedQueueManager {
     /// Propagates the underlying operation's [`QueueError`].
     pub fn execute(&mut self, cmd: Command) -> Result<Outcome, QueueError> {
         match self.route(&cmd) {
-            Route::One(s) => {
-                let r = self.shards[s].execute_ref(&cmd);
-                self.shards[s].commit_span();
-                r
-            }
+            Route::One(s) => self.shards[s].execute_ref(&cmd),
             Route::Two(..) => self.execute_cross_traced(&cmd),
         }
     }
@@ -438,8 +427,8 @@ impl ShardedQueueManager {
     /// The one grouped executor behind all four batch entry points: runs
     /// every non-empty group back-to-back on its own engine (with its
     /// shard's `states` entry — `()` for commands, the shard's
-    /// [`DropPolicy`] for admission), times it into the shard's busy
-    /// time and commits the trace span. A group is a list of `(batch
+    /// [`DropPolicy`] for admission) and times it into the shard's busy
+    /// time. A group is a list of `(batch
     /// position, result slot)` pairs, so results land in batch order as
     /// they are produced; groups are left empty. On more than one worker
     /// the groups are handed out heaviest first (by summed `weight`, ties
@@ -493,7 +482,6 @@ impl ShardedQueueManager {
                 *slot = Some(work(g.qm, g.state, i));
             }
             *g.busy += t.elapsed();
-            g.qm.commit_span();
         });
         if counted {
             self.pstats.phases += 1;
@@ -503,10 +491,9 @@ impl ShardedQueueManager {
     }
 
     /// Executes a cross-shard command, recording its two-engine barrier
-    /// in the trace when tracing is enabled: the source-side and
-    /// destination-side traffic each become one span on their engine,
-    /// and the [`CrossBarrier`] tells the memory channels to synchronize
-    /// both clocks after charging them.
+    /// when tracing is enabled: both engines' logs are cut before the
+    /// command and again after it, and the [`CrossBarrier`] tells the
+    /// memory channels to synchronize both clocks after charging them.
     pub(crate) fn execute_cross_traced(&mut self, cmd: &Command) -> Result<Outcome, QueueError> {
         let (a, b) = match self.route(cmd) {
             Route::Two(a, b) => (a, b),
@@ -515,16 +502,15 @@ impl ShardedQueueManager {
         if !self.tracing() {
             return self.execute_cross(cmd);
         }
-        let mark = CrossBarrier {
+        let before = [a, b].map(|s| self.shards[s].cut_trace());
+        let r = self.execute_cross(cmd);
+        let during = [a, b].map(|s| self.shards[s].cut_trace());
+        self.trace_barriers.push(CrossBarrier {
             a,
             b,
-            a_span: self.shards[a].span_count(),
-            b_span: self.shards[b].span_count(),
-        };
-        let r = self.execute_cross(cmd);
-        self.shards[a].commit_span();
-        self.shards[b].commit_span();
-        self.trace_barriers.push(mark);
+            before,
+            during,
+        });
         r
     }
 
@@ -824,9 +810,7 @@ impl<P: DropPolicy> ShardedAdmission<P> {
             "admission and engine shard counts differ"
         );
         let s = engine.shard_of(flow);
-        let r = self.policies[s].offer(&mut engine.shards[s], flow, packet);
-        engine.shards[s].commit_span();
-        r
+        self.policies[s].offer(&mut engine.shards[s], flow, packet)
     }
 
     /// [`offer_batch_parallel`](ShardedAdmission::offer_batch_parallel)
@@ -1115,8 +1099,6 @@ mod tests {
         e.execute_batch(&cmds);
         assert!(e.critical_path() > Duration::ZERO);
         assert!(e.serial_time() >= e.critical_path());
-        e.reset_busy();
-        assert_eq!(e.serial_time(), Duration::ZERO);
     }
 
     #[test]

@@ -219,7 +219,7 @@ impl ShardedQueueManager {
     /// what replaying them one by one through
     /// [`execute`](ShardedQueueManager::execute) does: per-position
     /// payload, SOP/EOP flags or error, engine state, statistics, pointer
-    /// traffic, trace spans and busy times, at any thread count.
+    /// traffic, recorded trace and busy times, at any thread count.
     ///
     /// # Panics
     ///

@@ -19,8 +19,8 @@
 //!   contract as every other deterministic output in the workspace.
 //! * **[`MetricsRegistry`]** — a snapshotable counter/gauge registry
 //!   under stable dotted names (`qm.enqueues`, `ptr.qt_reads`,
-//!   `parallel.steals`, …) with a Prometheus-text exporter. Metrics that
-//!   depend on OS scheduling (steal counts, wall clock) are flagged
+//!   `parallel.steals`, …), exported as JSON by `npqm-bench`. Metrics
+//!   that depend on OS scheduling (steal counts, wall clock) are flagged
 //!   *volatile* so deterministic exports can exclude them.
 //! * **[`DropLedger`]** — every admission-policy drop and push-out
 //!   eviction tagged with the policy name, the [`DropCause`], the victim
@@ -35,7 +35,10 @@
 //! when disabled. The "enabled telemetry changes nothing" guarantee is
 //! proven the same way [`crate::manager::QueueManager::set_tracing`]'s
 //! is: [`crate::check::state_digest`] equality between traced and
-//! untraced runs (see the `npqm-traffic` service property tests).
+//! untraced runs (see the `npqm-traffic` service property tests). The two
+//! share nothing else — no event, code path or caller: that access log is
+//! the timing model's input ([`crate::timing`]), this module records what
+//! happened to packets.
 //!
 //! Event streams from several shards merge deterministically by
 //! `(virtual time, shard, per-shard sequence number)` into a
@@ -189,14 +192,6 @@ pub enum EventKind {
         /// The chosen flow.
         flow: FlowId,
     },
-    /// The memory timing model priced a dequeue access stream (the
-    /// modeled ZBT/DDR leg costs of one packet's service).
-    MemTx {
-        /// Payload bytes serviced.
-        bytes: u32,
-        /// Modeled service cost.
-        cost: Picos,
-    },
     /// An epoch boundary was crossed (streaming service mode).
     Epoch {
         /// The completed epoch's index.
@@ -213,7 +208,6 @@ impl EventKind {
             EventKind::Evict { .. } => "evict",
             EventKind::Deliver { .. } => "deliver",
             EventKind::SchedSelect { .. } => "sched.select",
-            EventKind::MemTx { .. } => "mem.tx",
             EventKind::Epoch { .. } => "epoch",
         }
     }
@@ -254,10 +248,6 @@ pub struct EventCounts {
     pub delivered_bytes: u64,
     /// `sched.select` events.
     pub sched_selects: u64,
-    /// `mem.tx` events.
-    pub mem_txs: u64,
-    /// Total modeled cost across `mem.tx` events, in picoseconds.
-    pub mem_tx_ps: u64,
     /// `epoch` boundary events.
     pub epochs: u64,
 }
@@ -274,8 +264,6 @@ impl EventCounts {
         self.deliveries += other.deliveries;
         self.delivered_bytes += other.delivered_bytes;
         self.sched_selects += other.sched_selects;
-        self.mem_txs += other.mem_txs;
-        self.mem_tx_ps += other.mem_tx_ps;
         self.epochs += other.epochs;
     }
 
@@ -286,7 +274,6 @@ impl EventCounts {
             + self.evictions
             + self.deliveries
             + self.sched_selects
-            + self.mem_txs
             + self.epochs
     }
 }
@@ -563,8 +550,6 @@ impl MetricsRegistry {
         self.counter(&format!("{prefix}deliveries"), c.deliveries);
         self.counter(&format!("{prefix}delivered_bytes"), c.delivered_bytes);
         self.counter(&format!("{prefix}sched_selects"), c.sched_selects);
-        self.counter(&format!("{prefix}mem_txs"), c.mem_txs);
-        self.counter(&format!("{prefix}mem_tx_ps"), c.mem_tx_ps);
         self.counter(&format!("{prefix}epochs"), c.epochs);
     }
 
@@ -596,30 +581,6 @@ impl MetricsRegistry {
                 }
             }
         }
-    }
-
-    /// Renders the registry in the Prometheus text exposition format.
-    /// Dotted names are sanitized to `npqm_`-prefixed underscore names
-    /// (`qm.enqueues` → `npqm_qm_enqueues`); `include_volatile` selects
-    /// whether scheduling-dependent metrics appear.
-    pub fn prometheus_text(&self, include_volatile: bool) -> String {
-        let mut out = String::new();
-        for (name, m) in self.iter() {
-            if m.volatile && !include_volatile {
-                continue;
-            }
-            let sane: String = name
-                .chars()
-                .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-                .collect();
-            let (ty, val) = match m.value {
-                MetricValue::Counter(v) => ("counter", v.to_string()),
-                MetricValue::Gauge(v) => ("gauge", format!("{v}")),
-            };
-            out.push_str(&format!("# TYPE npqm_{sane} {ty}\n"));
-            out.push_str(&format!("npqm_{sane} {val}\n"));
-        }
-        out
     }
 }
 
@@ -750,13 +711,6 @@ impl Telemetry {
     pub fn record_sched_select(&mut self, at: Picos, flow: FlowId) {
         self.counts.sched_selects += 1;
         self.push(at, EventKind::SchedSelect { flow });
-    }
-
-    /// Records a memory-model service pricing.
-    pub fn record_mem_tx(&mut self, at: Picos, bytes: u32, cost: Picos) {
-        self.counts.mem_txs += 1;
-        self.counts.mem_tx_ps += cost.as_u64();
-        self.push(at, EventKind::MemTx { bytes, cost });
     }
 
     /// Records an epoch boundary.
@@ -1004,7 +958,7 @@ mod tests {
     }
 
     #[test]
-    fn registry_iterates_sorted_and_exports_prometheus_text() {
+    fn registry_iterates_sorted_by_name() {
         let mut reg = MetricsRegistry::new();
         reg.counter("qm.enqueues", 42);
         reg.gauge("service.goodput_gbps", 1.5);
@@ -1014,13 +968,8 @@ mod tests {
             names,
             vec!["parallel.steals", "qm.enqueues", "service.goodput_gbps"]
         );
-        let det = reg.prometheus_text(false);
-        assert!(det.contains("# TYPE npqm_qm_enqueues counter"));
-        assert!(det.contains("npqm_qm_enqueues 42"));
-        assert!(det.contains("npqm_service_goodput_gbps 1.5"));
-        assert!(!det.contains("steals"));
-        let full = reg.prometheus_text(true);
-        assert!(full.contains("npqm_parallel_steals 7"));
+        assert!(reg.get("parallel.steals").expect("registered").volatile);
+        assert!(!reg.get("qm.enqueues").expect("registered").volatile);
     }
 
     #[test]
@@ -1072,14 +1021,13 @@ mod tests {
         tel.record_evict(ps(3), "p", FlowId::new(0), 30, 0, 0);
         tel.record_deliver(ps(4), FlowId::new(0), 40, 9);
         tel.record_sched_select(ps(5), FlowId::new(0));
-        tel.record_mem_tx(ps(6), 50, ps(7));
         tel.record_epoch(ps(8), 0);
-        assert_eq!(tel.counts().total(), 7);
+        assert_eq!(tel.counts().total(), 6);
         let mut acc = EventCounts::default();
         acc.absorb(tel.counts());
         acc.absorb(tel.counts());
-        assert_eq!(acc.total(), 14);
-        assert_eq!(acc.mem_tx_ps, 14);
+        assert_eq!(acc.total(), 12);
+        assert_eq!(acc.delivered_bytes, 80);
     }
 
     #[test]

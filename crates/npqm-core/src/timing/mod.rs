@@ -5,14 +5,14 @@
 //! access patterns — not by abstract operation counts. This module makes
 //! that claim executable for the *software* engine:
 //!
-//! 1. a traced [`crate::QueueManager`] records every pointer-memory and
-//!    data-memory access it performs ([`stream::OpStream`]);
+//! 1. a traced [`crate::QueueManager`] logs every pointer-memory and
+//!    data-memory access it performs (one [`stream::OpStream`] per cut);
 //! 2. [`PaperTiming`] converts recorded streams into time by replaying
 //!    them through the faithful `npqm-mem` models (pipelined ZBT bursts,
 //!    DDR bank tracking under §3's naive or reordering scheduler); an
 //!    engine nobody traces pays nothing for it;
 //! 3. [`MemoryChannels`] gives a sharded engine one memory channel per
-//!    shard and charges a batch's per-shard traces, turning the
+//!    shard and charges each shard's log to its channel, turning the
 //!    N-engine composite's critical path into **memory-derived** time —
 //!    cross-shard barrier commands charge both channels they serialize
 //!    and synchronize their clocks.
@@ -27,7 +27,7 @@ pub mod paper;
 pub mod stream;
 
 pub use paper::{PaperTiming, TimingConfig};
-pub use stream::{CrossBarrier, DataAccess, EngineTrace, OpStream};
+pub use stream::{DataAccess, OpStream};
 
 use crate::command::{Command, Outcome};
 use crate::error::QueueError;
@@ -35,10 +35,10 @@ use crate::manager::QueueManager;
 use crate::shard::ShardedQueueManager;
 use npqm_sim::time::Picos;
 
-/// The cost of one charged span, split by memory leg.
+/// The cost of one charged stream, split by memory leg.
 ///
 /// Pointer manipulation and data transfer run in parallel in the
-/// hardware (§6), so the span's wall time is [`CommandCost::time`] — the
+/// hardware (§6), so the stream's wall time is [`CommandCost::time`] — the
 /// maximum of the two legs, not their sum.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommandCost {
@@ -59,7 +59,7 @@ pub struct CommandCost {
 }
 
 impl CommandCost {
-    /// Wall time of the span: the slower of the two parallel legs.
+    /// Wall time of the stream: the slower of the two parallel legs.
     pub fn time(&self) -> Picos {
         self.ptr_time.max(self.data_time)
     }
@@ -69,7 +69,7 @@ impl CommandCost {
         self.data_reads + self.data_writes
     }
 
-    /// Adds `other` into `self` (totals over several charged spans; the
+    /// Adds `other` into `self` (totals over several charged streams; the
     /// summed `ptr_time`/`data_time` are per-leg busy totals, not a
     /// critical path).
     pub fn absorb(&mut self, other: &CommandCost) {
@@ -81,6 +81,16 @@ impl CommandCost {
         self.ptr_time += other.ptr_time;
         self.data_time += other.data_time;
     }
+}
+
+/// Refuses a model that would misprice `qm`: [`PaperTiming`] maps banks
+/// and counts one burst per segment at its own `segment_bytes`.
+fn assert_same_segment_bytes(qm: &QueueManager, model: &PaperTiming) {
+    let (model, engine) = (model.config().segment_bytes, qm.config().segment_bytes());
+    assert_eq!(
+        model, engine,
+        "timing model has {model}-byte segments, the engine {engine}-byte segments"
+    );
 }
 
 impl QueueManager {
@@ -97,11 +107,16 @@ impl QueueManager {
     ///
     /// The command's own [`QueueError`], alongside the (possibly
     /// partial) cost.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `model`'s `segment_bytes` differs from the engine's.
     pub fn execute_costed(
         &mut self,
         cmd: Command,
         model: &mut PaperTiming,
     ) -> (Result<Outcome, QueueError>, CommandCost) {
+        assert_same_segment_bytes(self, model);
         if !self.tracing() {
             self.set_tracing(true);
         }
@@ -122,7 +137,7 @@ pub struct BatchCost {
     /// The busiest channel's advance — the N-engine composite's
     /// memory-derived critical path for this window.
     pub critical_path: Picos,
-    /// Summed counters over every charged span.
+    /// Summed counters over every charged stream.
     pub totals: CommandCost,
 }
 
@@ -131,13 +146,14 @@ pub struct BatchCost {
 ///
 /// # Charging discipline
 ///
-/// [`MemoryChannels::charge_engine`] takes the engine's recorded trace
-/// and charges each shard's spans to its channel **merged between
-/// barrier points**: the cost depends only on the per-shard access
-/// *sequence* and where cross-shard barriers fell, not on how execution
-/// happened to cut spans (one-by-one execution cuts a span per command,
-/// a batch one per group per phase; both charge identically). A cross-shard
-/// command charges its source-side traffic to the source channel and its
+/// Each engine keeps one access log, and only two things cut it: a
+/// cross-shard command (both engines, before it and after it) and
+/// [`MemoryChannels::charge_engine`] (every engine, once). So the cost
+/// depends only on the per-shard access *sequence* and where cross-shard
+/// barriers fell — one-by-one execution and a batch at any thread count
+/// charge identically, because nothing else draws a boundary. A
+/// cross-shard command charges what each of its two shards did before it,
+/// then its source-side traffic to the source channel and its
 /// destination-side traffic to the destination channel, then both
 /// channels advance to the later completion — the two-engine barrier.
 ///
@@ -204,62 +220,38 @@ impl MemoryChannels {
         }
     }
 
-    /// Merges `spans` into one window and charges it to channel `s`.
-    fn charge_window(&mut self, s: usize, spans: &[OpStream]) -> CommandCost {
-        match spans {
-            [] => CommandCost::default(),
-            [one] => self.channels[s].charge(one),
-            many => {
-                let mut window = OpStream::default();
-                for span in many {
-                    window.absorb(span);
-                }
-                self.channels[s].charge(&window)
-            }
-        }
-    }
-
-    /// Drains the engine's recorded trace and charges it, shard by
-    /// shard, barrier by barrier (see the type-level docs).
+    /// Drains the engine's recorded trace and charges it, barrier by
+    /// barrier, then each shard's rest (see the type-level docs).
     ///
     /// # Panics
     ///
     /// Panics if the engine's shard count differs from the channel
-    /// count.
+    /// count, or a channel's `segment_bytes` from its shard's.
     pub fn charge_engine(&mut self, engine: &mut ShardedQueueManager) -> BatchCost {
-        let trace = engine.take_trace();
         assert_eq!(
-            trace.spans.len(),
+            engine.num_shards(),
             self.channels.len(),
             "engine shard count and channel count differ"
         );
+        // Every shard has shard 0's configuration.
+        (self.channels.iter()).for_each(|c| assert_same_segment_bytes(engine.shard(0), c));
+        let trace = engine.take_trace();
         let before = self.per_channel_elapsed();
         let mut totals = CommandCost::default();
-        let mut cursors = vec![0usize; self.channels.len()];
         for bar in &trace.barriers {
-            // Everything each involved shard executed before the barrier.
-            for (s, upto) in [(bar.a, bar.a_span), (bar.b, bar.b_span)] {
-                let c = self.charge_window(s, &trace.spans[s][cursors[s]..upto]);
-                totals.absorb(&c);
-                cursors[s] = upto;
+            for [on_a, on_b] in [&bar.before, &bar.during] {
+                totals.absorb(&self.channels[bar.a].charge(on_a));
+                totals.absorb(&self.channels[bar.b].charge(on_b));
             }
-            // The barrier command's two halves, then the clock sync: the
-            // command serializes both engines.
-            let ca = self.channels[bar.a].charge(&trace.spans[bar.a][bar.a_span]);
-            let cb = self.channels[bar.b].charge(&trace.spans[bar.b][bar.b_span]);
-            totals.absorb(&ca);
-            totals.absorb(&cb);
-            cursors[bar.a] = bar.a_span + 1;
-            cursors[bar.b] = bar.b_span + 1;
+            // The command serializes both engines.
             let t = self.channels[bar.a]
                 .elapsed()
                 .max(self.channels[bar.b].elapsed());
             self.channels[bar.a].sync_to(t);
             self.channels[bar.b].sync_to(t);
         }
-        for (s, cursor) in cursors.into_iter().enumerate() {
-            let c = self.charge_window(s, &trace.spans[s][cursor..]);
-            totals.absorb(&c);
+        for (channel, rest) in self.channels.iter_mut().zip(&trace.rest) {
+            totals.absorb(&channel.charge(rest));
         }
         let per_shard: Vec<Picos> = self
             .channels
@@ -440,5 +432,88 @@ mod tests {
         }
         assert!(serial.critical_path > Picos::ZERO);
         assert!(serial.per_shard.len() == 4);
+    }
+
+    /// A seeded 400-command script with cross-shard `Move` / `Copy`,
+    /// charged every 100 commands: every `BatchCost` and the final channel
+    /// clocks, folded into one word.
+    fn pinned_fold(tc: TimingConfig, threads: Option<usize>) -> u64 {
+        use crate::check::{fnv1a_fold, FNV_OFFSET_BASIS};
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 11) % n
+        };
+        let cmds: Vec<Command> = (0..400)
+            .map(|_| {
+                let flow = FlowId::new(draw(16) as u32);
+                let dst = FlowId::new(draw(16) as u32);
+                match draw(10) {
+                    0..=3 => enqueue(flow.index(), 1 + draw(64) as usize),
+                    4..=5 => Command::Dequeue { flow },
+                    6 => Command::DeletePacket { flow },
+                    7..=8 => Command::Move { src: flow, dst },
+                    _ => Command::Copy { src: flow, dst },
+                }
+            })
+            .collect();
+        let mut engine = ShardedQueueManager::new(cfg(), 4);
+        engine.set_tracing(true);
+        let mut ch = MemoryChannels::from_fn(4, |_| PaperTiming::new(tc));
+        let mut h = FNV_OFFSET_BASIS;
+        for round in cmds.chunks(100) {
+            match threads {
+                Some(t) => drop(engine.execute_batch_parallel(round, t)),
+                None => round.iter().for_each(|c| drop(engine.execute(c.clone()))),
+            }
+            let cost = ch.charge_engine(&mut engine);
+            let t = cost.totals;
+            let words = [
+                t.ptr_accesses,
+                t.data_reads,
+                t.data_writes,
+                t.conflict_slots,
+                t.turnaround_slots,
+                t.ptr_time.as_u64(),
+                t.data_time.as_u64(),
+                cost.critical_path.as_u64(),
+            ];
+            h = (words.into_iter())
+                .chain(cost.per_shard.iter().map(|p| p.as_u64()))
+                .fold(h, fnv1a_fold);
+        }
+        (ch.per_channel_elapsed().iter()).fold(h, |h, p| fnv1a_fold(h, p.as_u64()))
+    }
+
+    #[test]
+    fn charge_engine_costs_are_pinned_across_barriers() {
+        // (banks, reordering, fold); recorded at the commit before barriers
+        // carried their own streams. One bank leaves nothing to reorder.
+        let pins: [(u32, bool, u64); 6] = [
+            (1, true, 0x1691_58B1_1493_03CC),
+            (1, false, 0x1691_58B1_1493_03CC),
+            (4, true, 0xA7F1_F11F_16F4_A9DC),
+            (4, false, 0x6429_CB72_9B23_C447),
+            (8, true, 0x0B79_A110_1852_E149),
+            (8, false, 0xA627_A80F_DF09_7993),
+        ];
+        for (banks, reordering, pin) in pins {
+            let tc = if reordering {
+                TimingConfig::paper(banks)
+            } else {
+                TimingConfig::naive(banks)
+            };
+            let serial = pinned_fold(tc, None);
+            for threads in [1usize, 2, 4] {
+                assert_eq!(
+                    pinned_fold(tc, Some(threads)),
+                    serial,
+                    "banks={banks} reordering={reordering} threads={threads}"
+                );
+            }
+            assert_eq!(serial, pin, "banks={banks} reordering={reordering}");
+        }
     }
 }

@@ -6,7 +6,9 @@
 //! additionally recorded as a [`DataAccess`]. Cutting the trace
 //! ([`crate::QueueManager::cut_trace`]) yields an [`OpStream`] — the
 //! memory traffic of everything executed since the previous cut — which
-//! [`crate::timing::PaperTiming`] converts into cycles.
+//! [`crate::timing::PaperTiming`] converts into cycles. An engine keeps
+//! that one log and nothing else: executing a command draws no boundary
+//! in it, so where the cuts fall is decided only by whoever charges it.
 //!
 //! The stream is a *behavioural recording*, not a timing artifact: it is
 //! a pure function of the commands executed and their per-engine order,
@@ -30,8 +32,8 @@ pub struct DataAccess {
     pub write: bool,
 }
 
-/// The memory traffic of one traced span (a command, a packet, or a
-/// whole per-shard command group — the caller decides where to cut).
+/// The memory traffic between two cuts of one engine's trace (a command,
+/// a round, or a side of a cross-shard barrier — whoever cuts decides).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OpStream {
     /// Pointer-memory accesses by plane (ZBT SRAM traffic).
@@ -41,63 +43,43 @@ pub struct OpStream {
 }
 
 impl OpStream {
-    /// Total pointer-memory accesses in the span.
+    /// Total pointer-memory accesses in the stream.
     pub fn ptr_accesses(&self) -> u64 {
         self.ptr.total()
     }
 
-    /// Data-memory read bursts in the span.
+    /// Data-memory read bursts in the stream.
     pub fn data_reads(&self) -> u64 {
         self.data.iter().filter(|a| !a.write).count() as u64
     }
 
-    /// Data-memory write bursts in the span.
+    /// Data-memory write bursts in the stream.
     pub fn data_writes(&self) -> u64 {
         self.data.iter().filter(|a| a.write).count() as u64
     }
-
-    /// Whether the span touched neither memory.
-    pub fn is_empty(&self) -> bool {
-        self.ptr.total() == 0 && self.data.is_empty()
-    }
-
-    /// Appends `other`'s traffic after this span's (window merging: the
-    /// charge of a merged window equals charging the concatenated access
-    /// sequence, which is how
-    /// [`crate::timing::MemoryChannels::charge_engine`] stays invariant
-    /// to where span boundaries fell during execution).
-    pub fn absorb(&mut self, other: &OpStream) {
-        self.ptr.absorb(&other.ptr);
-        self.data.extend_from_slice(&other.data);
-    }
 }
 
-/// Marks a cross-shard two-engine barrier inside an engine trace: the
-/// command's source-side traffic is span `a_span` of shard `a`, its
-/// destination-side traffic span `b_span` of shard `b`, and the two
-/// memory channels synchronize to the later completion after charging
-/// them (the command serializes both engines).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrossBarrier {
-    /// Shard owning the command's source flow.
+/// A cross-shard command in a sharded engine's trace: what the source
+/// shard `a` and the destination shard `b` (index 0 and 1 of each pair)
+/// did since their previous cut, and what the command itself did on
+/// each. Both sides are charged in that order, then the two memory
+/// channels synchronize to the later completion (the command serializes
+/// both engines).
+#[derive(Debug, Clone)]
+pub(crate) struct CrossBarrier {
     pub a: usize,
-    /// Shard owning the command's destination flow.
     pub b: usize,
-    /// Index of the command's span in shard `a`'s span list.
-    pub a_span: usize,
-    /// Index of the command's span in shard `b`'s span list.
-    pub b_span: usize,
+    pub before: [OpStream; 2],
+    pub during: [OpStream; 2],
 }
 
-/// A complete engine trace: per-shard span lists plus the cross-shard
-/// barriers, as returned by
-/// [`crate::shard::ShardedQueueManager::take_trace`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EngineTrace {
-    /// Per-shard spans in execution order (index = shard).
-    pub spans: Vec<Vec<OpStream>>,
-    /// Cross-shard barriers in execution order.
+/// What a sharded engine recorded since it was last charged: the
+/// cross-shard barriers in execution order, then each shard's traffic
+/// after its last barrier (index = shard).
+#[derive(Debug)]
+pub(crate) struct EngineTrace {
     pub barriers: Vec<CrossBarrier>,
+    pub rest: Vec<OpStream>,
 }
 
 #[cfg(test)]
@@ -130,35 +112,5 @@ mod tests {
         assert_eq!(s.ptr_accesses(), 3);
         assert_eq!(s.data_writes(), 2);
         assert_eq!(s.data_reads(), 1);
-        assert!(!s.is_empty());
-        assert!(OpStream::default().is_empty());
-    }
-
-    #[test]
-    fn absorb_concatenates_in_order() {
-        let mut a = OpStream {
-            ptr: PtrMemCounters {
-                pkt_reads: 1,
-                ..PtrMemCounters::default()
-            },
-            data: vec![DataAccess {
-                segment: 7,
-                write: true,
-            }],
-        };
-        let b = OpStream {
-            ptr: PtrMemCounters {
-                pkt_reads: 2,
-                ..PtrMemCounters::default()
-            },
-            data: vec![DataAccess {
-                segment: 9,
-                write: false,
-            }],
-        };
-        a.absorb(&b);
-        assert_eq!(a.ptr.pkt_reads, 3);
-        assert_eq!(a.data.len(), 2);
-        assert_eq!(a.data[1].segment, 9);
     }
 }

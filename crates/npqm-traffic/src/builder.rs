@@ -1,12 +1,13 @@
 //! One entry point for every closed-loop pipeline shape.
 //!
 //! [`PipelineBuilder`] picks the shard count, threading, admission
-//! flavour, timing model and egress discipline independently, then
+//! flavour and egress discipline independently, then
 //! [`run`](PipelineBuilder::run) hands them to the one event loop
-//! (`pipeline::run_closed_loop`) as its three parameters: an arrival
-//! source, an admission scope and an egress pricing. Every combination
-//! returns the same `ShardedPipelineReport` (a dense run is simply one
-//! shard), so downstream reporting code is shape-agnostic.
+//! (`pipeline::run_closed_loop`) as its two parameters — an arrival
+//! source and an admission scope — beside each shard's scheduler and
+//! line rate. Every combination returns the same
+//! `ShardedPipelineReport` (a dense run is simply one shard), so
+//! downstream reporting code is shape-agnostic.
 //!
 //! Determinism contracts follow from there being one loop: one shard is
 //! the dense pipeline whether its arrivals are drawn lazily or replayed
@@ -14,7 +15,7 @@
 //! thread count.
 
 use crate::pipeline::{
-    assemble_sharded_report, run_closed_loop, Egress, PipelineConfig, PipelineReport, ShardLocal,
+    assemble_sharded_report, run_closed_loop, PipelineConfig, PipelineReport, ShardLocal,
     ShardedPipelineReport, SharedBuffer,
 };
 use crate::service::{partition_indices, ArrivalEvent};
@@ -23,7 +24,6 @@ use npqm_core::sched::{from_spec, FlowScheduler, HtbScheduler};
 use npqm_core::shard::parallel::for_each_claimed;
 use npqm_core::shard::ShardedQueueManager;
 use npqm_core::telemetry::{TelemetryConfig, TelemetryReport};
-use npqm_core::timing::{PaperTiming, TimingConfig};
 use npqm_core::{FlowId, QueueManager};
 
 type PolicyFactory = Box<dyn FnMut(usize) -> Box<dyn DropPolicy + Send>>;
@@ -37,8 +37,8 @@ enum AdmissionSel {
 /// Builds and runs one closed-loop pipeline; see the [module docs](self).
 ///
 /// Defaults: one shard, serial, shard-local
-/// [`DynamicThreshold`]`(2.0)` admission, uncosted (line-rate) egress
-/// timing, flat per-flow DRR egress with a 1518-byte quantum.
+/// [`DynamicThreshold`]`(2.0)` admission, flat per-flow DRR egress with
+/// a 1518-byte quantum.
 ///
 /// # Example
 ///
@@ -78,8 +78,6 @@ pub struct PipelineBuilder {
     shards: usize,
     parallel: bool,
     admission: AdmissionSel,
-    /// `Some`: memory-derived egress timing; `None`: the fixed line rate.
-    timing: Option<TimingConfig>,
     egress: SchedFactory,
 }
 
@@ -93,7 +91,6 @@ impl PipelineBuilder {
             shards: 1,
             parallel: false,
             admission: AdmissionSel::Local(Box::new(|_| Box::new(DynamicThreshold::new(2.0)))),
-            timing: None,
             egress: Box::new(move |_| from_spec("drr:1518", flows).expect("static spec")),
         }
     }
@@ -176,22 +173,6 @@ impl PipelineBuilder {
         self
     }
 
-    /// Memory-derived egress timing: each packet's service time is the
-    /// modeled ZBT/DDR cost of its dequeue access stream under `timing`
-    /// — every pointer access priced by the ZBT SRAM model, every segment
-    /// read by the DDR bank model (see [`npqm_core::timing`]);
-    /// `cfg.egress_gbps` is ignored. Admission-side enqueue traffic is
-    /// charged to the same channel just before each service starts, so
-    /// the bank pressure the ingress path creates is visible to egress
-    /// costing. What is *not* costed: the admission policy's computation,
-    /// and any queueing inside the memory controller beyond the slot
-    /// protocol. Requires one shard and shard-local admission.
-    #[must_use]
-    pub fn timing_paper(mut self, timing: TimingConfig) -> Self {
-        self.timing = Some(timing);
-        self
-    }
-
     /// Egress discipline from a [`from_spec`] string (`"drr"`, `"sp"`,
     /// `"wrr:4,2,1"`, `"htb:..."`), validated against the flow count
     /// immediately; each shard gets an independent instance.
@@ -238,10 +219,8 @@ impl PipelineBuilder {
     ///
     /// # Panics
     ///
-    /// Panics on invalid combinations (paper timing with more than one
-    /// shard or with global admission) and on invalid configs
-    /// (non-positive egress rate, flow mix outside the engine's flow
-    /// table, empty per-shard buffer).
+    /// Panics on invalid configs (non-positive egress rate, flow mix
+    /// outside the engine's flow table, empty per-shard buffer).
     pub fn run(self) -> ShardedPipelineReport {
         let cfg = &self.cfg;
         let shards = self.shards;
@@ -253,26 +232,8 @@ impl PipelineBuilder {
         let mut scheds: Vec<_> = (0..shards).map(self.egress).collect();
 
         let global = matches!(self.admission, AdmissionSel::GlobalLqd { .. });
+        assert!(cfg.egress_gbps > 0.0, "egress rate must be positive");
         let per_shard_gbps = cfg.egress_gbps / shards as f64;
-        let mut model;
-        let mut egress = match self.timing {
-            Some(timing) => {
-                assert_eq!(
-                    shards, 1,
-                    "memory-derived timing models one engine's channel; use shards(1)"
-                );
-                assert!(
-                    !global,
-                    "memory-derived timing supports shard-local admission only"
-                );
-                model = PaperTiming::new(timing);
-                Egress::Memory(&mut model)
-            }
-            None => {
-                assert!(cfg.egress_gbps > 0.0, "egress rate must be positive");
-                Egress::Line(per_shard_gbps)
-            }
-        };
         // Shard-local admission manages an equal partition of the buffer
         // per shard; in the shared-buffer pairing every shard can
         // physically hold the whole budget, so the global LQD budget is
@@ -283,9 +244,6 @@ impl PipelineBuilder {
             ShardedQueueManager::partitioned(cfg.qm, shards)
                 .expect("per-shard buffer must be non-empty")
         };
-        if matches!(egress, Egress::Memory(_)) {
-            engine.set_tracing(true);
-        }
         let shard_of_flow: Vec<usize> = (0..flows)
             .map(|f| engine.shard_of(FlowId::new(f)))
             .collect();
@@ -302,7 +260,7 @@ impl PipelineBuilder {
                     cfg.arrival_stream(),
                     &mut scope,
                     &mut scheds,
-                    &mut egress,
+                    per_shard_gbps,
                 )
             }
             AdmissionSel::Local(mk_policy) => {
@@ -315,7 +273,7 @@ impl PipelineBuilder {
                         engine.shard_mut(0),
                         &mut policies[0],
                         &mut scheds[0],
-                        &mut egress,
+                        per_shard_gbps,
                     )]
                 } else {
                     // One shared trace, partitioned by *index*: every
@@ -336,8 +294,14 @@ impl PipelineBuilder {
                     let workers = if self.parallel { shards } else { 1 };
                     for_each_claimed(&mut loops, workers, |(qm, policy, sched, ix, report)| {
                         let replay = ix.iter().map(|&i| trace[i as usize]);
-                        let egress = &mut Egress::Line(per_shard_gbps);
-                        *report = Some(run_shard_local(cfg, replay, qm, *policy, sched, egress));
+                        *report = Some(run_shard_local(
+                            cfg,
+                            replay,
+                            qm,
+                            *policy,
+                            sched,
+                            per_shard_gbps,
+                        ));
                     });
                     loops
                         .into_iter()
@@ -373,14 +337,14 @@ fn run_shard_local(
     qm: &mut QueueManager,
     policy: &mut (dyn DropPolicy + Send),
     sched: &mut Box<dyn FlowScheduler + Send>,
-    egress: &mut Egress<'_>,
+    gbps: f64,
 ) -> PipelineReport {
     let (mut reports, tel) = run_closed_loop(
         cfg,
         arrivals,
         &mut ShardLocal { qm, policy },
         std::slice::from_mut(sched),
-        egress,
+        gbps,
     );
     let mut report = reports.pop().expect("one shard in scope");
     report.telemetry = tel;
@@ -452,34 +416,9 @@ mod tests {
     }
 
     #[test]
-    fn paper_timing_runs_and_reconciles() {
-        let cfg = PipelineConfig::small_demo(9);
-        let r = PipelineBuilder::new(&cfg)
-            .admission(|_| LongestQueueDrop::new(0))
-            .timing_paper(TimingConfig::paper(8))
-            .run();
-        let a = &r.aggregate;
-        assert_eq!(a.integrity_violations, 0);
-        assert_eq!(
-            a.offered_pkts,
-            a.delivered_pkts + a.dropped_pkts + a.evicted_pkts
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "egress_spec")]
     fn bad_spec_fails_fast_at_build_time() {
         let cfg = PipelineConfig::small_demo(1);
         let _ = PipelineBuilder::new(&cfg).egress_spec("wrr:9,9");
-    }
-
-    #[test]
-    #[should_panic(expected = "shard-local admission")]
-    fn paper_timing_rejects_global_admission() {
-        let cfg = PipelineConfig::small_demo(1);
-        let _ = PipelineBuilder::new(&cfg)
-            .admission_global_lqd(0)
-            .timing_paper(TimingConfig::paper(8))
-            .run();
     }
 }

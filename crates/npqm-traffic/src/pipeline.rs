@@ -13,13 +13,6 @@
 //! configurable line rate — so buffer-management policies can finally be
 //! *exercised and measured* instead of only unit-tested.
 //!
-//! [`PipelineBuilder::timing_paper`]
-//! swaps the fixed line rate for a **memory-derived** egress: each
-//! packet's service time is the modeled ZBT/DDR cost of its dequeue
-//! access stream (see [`npqm_core::timing`]), so the delivered goodput
-//! is bounded by the memory organisation instead of an assumed wire
-//! speed.
-//!
 //! The loop keeps a per-flow ledger with one slot — enqueue time, length
 //! and a marker byte stamped into the frame — for every packet in the
 //! buffer, which yields per-flow latency and an end-to-end integrity
@@ -28,10 +21,11 @@
 //! corruption class the open-tail fixes in `npqm-core` close) and is
 //! counted, never ignored.
 //!
-//! Every pipeline shape — dense, memory-timed, shard-local sharded,
-//! globally admitted — is built through [`PipelineBuilder`] and runs the
-//! one event loop in this module; the shapes differ only in arrival
-//! source, admission scope and egress pricing.
+//! Every pipeline shape — dense, shard-local sharded, globally admitted
+//! — is built through [`PipelineBuilder`] and runs the one event loop in
+//! this module; the shapes differ only in arrival source and admission
+//! scope. Egress is a fixed line rate; what the *memory* organisation
+//! sustains is [`crate::scale::run_memory_scale`]'s question, not a loop's.
 //!
 //! # Example
 //!
@@ -61,7 +55,6 @@ use npqm_core::policy::{
 use npqm_core::sched::FlowScheduler;
 use npqm_core::shard::ShardedQueueManager;
 use npqm_core::telemetry::{MetricsRegistry, Telemetry, TelemetryConfig, TelemetryReport};
-use npqm_core::timing::PaperTiming;
 use npqm_core::{FlowId, QmConfig, QmStats, QueueManager};
 use npqm_sim::stats::MeanVar;
 use npqm_sim::time::Picos;
@@ -262,47 +255,16 @@ pub(crate) struct Slot {
     pub(crate) marker: u8,
 }
 
-/// How the egress server prices a packet's service time.
-pub(crate) enum Egress<'a> {
-    /// Fixed line rate in Gbit/s: `len * 8 / gbps` nanoseconds.
-    Line(f64),
-    /// Memory-derived: the modeled ZBT+DDR cost of the packet's dequeue
-    /// access stream, replayed through a persistent [`PaperTiming`]
-    /// channel (the engine must have tracing enabled).
-    Memory(&'a mut PaperTiming),
+/// The transmit time of `len` bytes at `gbps` Gbit/s (1 Gbit/s ≡ 1
+/// bit/ns), never zero.
+fn tx_time(gbps: f64, len: usize) -> Picos {
+    Picos::new(((len as f64 * 8.0 * 1000.0 / gbps).round() as u64).max(1))
 }
 
-impl Egress<'_> {
-    /// Charges any traffic recorded since the last service (the
-    /// admission-side enqueues) so ingress bank pressure is visible to
-    /// the next service's cost. A no-op at a fixed line rate.
-    fn absorb_ingress(&mut self, qm: &mut QueueManager) {
-        if let Egress::Memory(model) = self {
-            let pre = qm.cut_trace();
-            if !pre.is_empty() {
-                model.charge(&pre);
-            }
-        }
-    }
-
-    /// The transmit time of the packet just dequeued from `qm`.
-    fn tx_time(&mut self, qm: &mut QueueManager, len: usize) -> Picos {
-        let ps = match self {
-            Egress::Line(gbps) => (len as f64 * 8.0 * 1000.0 / *gbps).round() as u64,
-            Egress::Memory(model) => {
-                let stream = qm.cut_trace();
-                model.charge(&stream).time().as_u64()
-            }
-        };
-        Picos::new(ps.max(1))
-    }
-}
-
-/// The scope admission decisions are taken over — one of the three
-/// things (arrival source, admission scope, egress pricing) the pipeline
-/// shapes differ in. It owns one closed-loop instance's engine access:
-/// which shard a flow is homed on, that shard's engine, and the policy
-/// deciding each offer. Monomorphised, never `dyn`: at one shard every
+/// The scope admission decisions are taken over — one of the two things
+/// (arrival source, admission scope) the pipeline shapes differ in. It
+/// owns one closed-loop instance's engine access: which shard a flow is
+/// homed on, that shard's engine, and the policy deciding each offer. Monomorphised, never `dyn`: at one shard every
 /// shard lookup is the constant 0 and folds away.
 pub(crate) trait AdmissionScope {
     /// Home shard of `flow` among the shards in scope.
@@ -394,7 +356,7 @@ impl AdmissionScope for SharedBuffer<'_> {
 /// The finite-trace closed loop — the only one; every [`PipelineBuilder`]
 /// shape is an instance. Time-ordered `arrivals` feed `scope`-guarded
 /// admission, and each shard in scope drains through `scheds[shard]` and
-/// its own egress server, priced by `egress`. The dense run is the
+/// its own egress server at `gbps` Gbit/s. The dense run is the
 /// 1-shard instance, shard-local sharding is N independent 1-shard
 /// instances and global admission is one N-shard instance.
 ///
@@ -413,7 +375,7 @@ pub(crate) fn run_closed_loop<A, S>(
     mut arrivals: impl Iterator<Item = ArrivalEvent>,
     scope: &mut A,
     scheds: &mut [S],
-    egress: &mut Egress<'_>,
+    gbps: f64,
 ) -> (Vec<PipelineReport>, Option<Telemetry>)
 where
     A: AdmissionScope,
@@ -458,7 +420,7 @@ where
             &mut st,
             shard,
             &mut ev,
-            egress,
+            gbps,
             Ev::TxDone,
         );
     }
@@ -481,8 +443,8 @@ where
 /// its head packet into the loop's frame buffer (lent to the engine, so a
 /// delivery allocates nothing), verifies it against the ledger (length
 /// and marker byte, a mismatch charged to `shard`'s report) and schedules
-/// a transmit-done event (built by `mk_txdone`) after the service time
-/// `egress` prices for it. Returns whether the server is now busy.
+/// a transmit-done event (built by `mk_txdone`) after its transmit time
+/// at `gbps` Gbit/s. Returns whether the server is now busy.
 /// Generic over the event type so the finite-trace loop and the streaming
 /// service loop share one service path.
 pub(crate) fn start_service<S: FlowScheduler + ?Sized, E>(
@@ -491,13 +453,12 @@ pub(crate) fn start_service<S: FlowScheduler + ?Sized, E>(
     st: &mut LoopState,
     shard: usize,
     ev: &mut EventQueue<E>,
-    egress: &mut Egress<'_>,
+    gbps: f64,
     mk_txdone: impl FnOnce(TxDone) -> E,
 ) -> bool {
     let Some(flow) = sched.next_flow(qm) else {
         return false;
     };
-    egress.absorb_ingress(qm);
     st.frame.clear();
     let len = qm
         .dequeue_packet_into(flow, &mut st.frame)
@@ -509,17 +470,12 @@ pub(crate) fn start_service<S: FlowScheduler + ?Sized, E>(
     if len as u32 != slot.len || st.frame[0] != slot.marker {
         st.reports[shard].integrity_violations += 1;
     }
-    let tx = egress.tx_time(qm, len);
     if let Some(t) = &mut st.tel {
-        // The scheduler decision and (in memory-timed mode) the modeled
-        // service cost, stamped at the service start instant.
+        // The scheduler decision, stamped at the service start instant.
         t.record_sched_select(ev.now(), flow);
-        if matches!(egress, Egress::Memory(_)) {
-            t.record_mem_tx(ev.now(), len as u32, tx);
-        }
     }
     ev.schedule_in(
-        tx,
+        tx_time(gbps, len),
         mk_txdone(TxDone {
             flow,
             bytes: len as u32,
@@ -661,7 +617,6 @@ mod tests {
     use crate::service::partition_indices;
     use npqm_core::check::{fnv1a_fold, FNV_OFFSET_BASIS};
     use npqm_core::sched::{DeficitRoundRobin, StrictPriority};
-    use npqm_core::timing::TimingConfig;
 
     /// A shard-local builder over `policy` (default egress: flat DRR).
     fn local<P>(cfg: &PipelineConfig, policy: P) -> PipelineBuilder
@@ -875,7 +830,7 @@ mod tests {
                 policy: &mut LongestQueueDrop::new(0),
             },
             &mut [DeficitRoundRobin::new(vec![1518; 256])],
-            &mut Egress::Line(cfg.egress_gbps),
+            cfg.egress_gbps,
         );
         assert_eq!(format!("{:?}", dense.shards), format!("{replay:?}"));
     }
@@ -935,58 +890,6 @@ mod tests {
             "global LQD {} < shard-local C-H {}",
             global.aggregate.delivered_bytes,
             shard_local.aggregate.delivered_bytes
-        );
-    }
-
-    fn timed(cfg: &PipelineConfig, timing: TimingConfig) -> PipelineReport {
-        local(cfg, DynamicThreshold::new(2.0))
-            .timing_paper(timing)
-            .run()
-            .shards
-            .remove(0)
-    }
-
-    #[test]
-    fn timed_pipeline_conserves_and_never_tears() {
-        let cfg = PipelineConfig::bursty_overload(17);
-        let r = timed(&cfg, TimingConfig::paper(8));
-        assert!(r.offered_pkts > 0);
-        assert_eq!(
-            r.offered_pkts,
-            r.delivered_pkts + r.dropped_pkts + r.evicted_pkts
-        );
-        assert_eq!(r.integrity_violations, 0);
-        assert!(r.delivered_pkts > 0);
-        assert!(r.latency_ns.mean() > 0.0);
-    }
-
-    #[test]
-    fn timed_pipeline_is_deterministic() {
-        let cfg = PipelineConfig::bursty_overload(9);
-        let a = timed(&cfg, TimingConfig::naive(4));
-        let b = timed(&cfg, TimingConfig::naive(4));
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-    }
-
-    #[test]
-    fn more_banks_serve_no_slower() {
-        // The memory-derived egress is the bottleneck: with one DDR bank
-        // every dequeue burst serializes on the 160 ns reuse gap, while
-        // sixteen banks stripe it — the same offered trace must finish
-        // no later and deliver no less.
-        let cfg = PipelineConfig::bursty_overload(42);
-        let one = timed(&cfg, TimingConfig::paper(1));
-        let sixteen = timed(&cfg, TimingConfig::paper(16));
-        assert!(
-            sixteen.makespan <= one.makespan,
-            "16 banks {} vs 1 bank {}",
-            sixteen.makespan,
-            one.makespan
-        );
-        assert!(sixteen.delivered_bytes >= one.delivered_bytes);
-        assert!(
-            sixteen.latency_ns.mean() <= one.latency_ns.mean(),
-            "striping must not slow service"
         );
     }
 

@@ -585,9 +585,10 @@ impl MemoryScaleRow {
 
 /// Runs the Zipf/IMIX offer/drain workload with **memory-derived**
 /// timing: the engine records every pointer and data access, one
-/// [`PaperTiming`] channel per shard replays them through the ZBT/DDR
-/// models, and throughput is `queue ops / busiest channel's modeled
-/// time` instead of measured busy time.
+/// [`PaperTiming`] channel per shard cuts its shard's log once a round
+/// and replays it through the ZBT/DDR models, and throughput is
+/// `queue ops / busiest channel's modeled time` instead of measured
+/// busy time.
 ///
 /// The offered trace, the admission decisions and the engine end state
 /// are identical to what [`run_shard_scale`] computes for the same
@@ -598,7 +599,9 @@ impl MemoryScaleRow {
 ///
 /// # Panics
 ///
-/// As [`run_shard_scale`].
+/// As [`run_shard_scale`], and if `timing.segment_bytes` differs from
+/// `cfg.segment_bytes`: the model maps banks and counts one burst per
+/// segment at its own size, so it would misprice the engine's.
 pub fn run_memory_scale(
     cfg: &ShardScaleConfig,
     shards: usize,
@@ -806,6 +809,16 @@ mod tests {
         assert!(row.per_shard_time.iter().all(|&t| t <= row.modeled_time));
         assert!((0.0..=1.0).contains(&row.ddr_loss()));
         assert!(row.data_gbps(cfg.segment_bytes) > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "timing model has 64-byte segments, the engine 128-byte segments")]
+    fn memory_scale_refuses_a_model_of_another_segment_size() {
+        let cfg = ShardScaleConfig {
+            segment_bytes: 128,
+            ..ShardScaleConfig::smoke()
+        };
+        run_memory_scale(&cfg, 1, 1, &TimingConfig::paper(8));
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! [`crate::pipeline`] answers "run this finite trace to completion and
 //! report at the end". This module refactors that shape into a
 //! long-running *service*: traffic **generators** produce timestamped
-//! packets continuously (for a caller-chosen virtual duration or packet
-//! budget) into bounded **ingress lanes** — one capacity-checked queue
-//! per (shard, generator) pair, which together form each shard's ingress
-//! stage — and each shard runs a `process_once`-shaped service loop that
+//! packets continuously (for a caller-chosen virtual duration) into
+//! bounded **ingress lanes** — one capacity-checked queue per (shard,
+//! generator) pair, which together form each shard's ingress stage —
+//! and each shard runs a `process_once`-shaped service loop that
 //! consumes arrivals merged from its lanes in virtual-time order,
 //! interleaved with its own egress completions.
 //!
@@ -93,8 +93,8 @@
 use crate::arrival::{ArrivalGen, ArrivalProcess};
 use crate::flows::FlowMix;
 use crate::pipeline::{
-    assemble_sharded_report, start_service, AdmissionScope, Egress, FlowReport, PipelineReport,
-    ShardLocal, Slot, TxDone,
+    assemble_sharded_report, start_service, AdmissionScope, FlowReport, PipelineReport, ShardLocal,
+    Slot, TxDone,
 };
 use crate::size::SizeDistribution;
 use npqm_core::check::{fnv1a_fold, state_digest, FNV_OFFSET_BASIS};
@@ -402,9 +402,6 @@ pub struct ServiceConfig {
     /// Each generator produces arrivals up to this instant; the service
     /// then drains every backlog.
     pub duration: Picos,
-    /// Optional per-generator packet budget: production stops at
-    /// whichever of budget/duration is hit first.
-    pub packet_budget: Option<u64>,
     /// Delivery-latency histogram bucket width, in nanoseconds.
     pub latency_bucket_ns: u64,
     /// Delivery-latency histogram bucket count.
@@ -443,7 +440,6 @@ impl ServiceConfig {
             ring_capacity: 64,
             epoch: Picos::from_micros(200),
             duration: Picos::from_micros(2_000),
-            packet_budget: None,
             latency_bucket_ns: 10_000,
             latency_buckets: 128,
             seed,
@@ -476,7 +472,6 @@ impl ServiceConfig {
             ring_capacity: 1024,
             epoch: Picos::from_micros(250_000),
             duration: Picos::from_micros(2_500_000),
-            packet_budget: None,
             latency_bucket_ns: 20_000,
             latency_buckets: 1024,
             seed: 42,
@@ -635,11 +630,8 @@ fn gen_seed(seed: u64, g: usize) -> u64 {
 }
 
 /// Generator `g`'s packet source: the shared arrival stream under its own
-/// seed, bounded by duration and packet budget.
+/// seed, up to `cfg.duration`.
 fn generator(cfg: &ServiceConfig, g: usize) -> impl Iterator<Item = ArrivalEvent> + '_ {
-    let budget = cfg
-        .packet_budget
-        .map_or(usize::MAX, |b| usize::try_from(b).unwrap_or(usize::MAX));
     arrival_stream(
         cfg.arrivals,
         &cfg.mix,
@@ -647,7 +639,6 @@ fn generator(cfg: &ServiceConfig, g: usize) -> impl Iterator<Item = ArrivalEvent
         gen_seed(cfg.seed, g),
         cfg.duration,
     )
-    .take(budget)
     .fuse()
 }
 
@@ -681,7 +672,8 @@ struct ShardLoop<'a, P, S> {
     snapshots: Vec<EpochSnapshot>,
     heads: Vec<Option<ArrivalEvent>>,
     server_busy: bool,
-    egress: Egress<'static>,
+    /// This shard's egress line rate in Gbit/s.
+    gbps: f64,
     seg_bytes: u32,
     segments: u64,
     stop_at: Option<Picos>,
@@ -722,7 +714,7 @@ where
             snapshots: Vec::new(),
             heads: vec![None; cfg.generators],
             server_busy: false,
-            egress: Egress::Line(cfg.egress_gbps / cfg.shards as f64),
+            gbps: cfg.egress_gbps / cfg.shards as f64,
             seg_bytes: cfg.qm.segment_bytes(),
             segments: 0,
             stop_at,
@@ -799,7 +791,7 @@ where
             &mut self.st,
             0,
             &mut self.ev,
-            &mut self.egress,
+            self.gbps,
             |tx| tx,
         );
     }
@@ -1559,15 +1551,6 @@ mod tests {
         run_service_observed(&cfg, 4, mk_p, mk_s, |_, w| {
             assert!(w.epoch < 2, "observer fails")
         });
-    }
-
-    #[test]
-    fn packet_budget_bounds_the_run() {
-        let mut cfg = ServiceConfig::steady_demo(5);
-        cfg.packet_budget = Some(50);
-        cfg.duration = Picos::from_micros(1_000_000); // budget binds first
-        let r = demo_run(&cfg, 1);
-        assert_eq!(r.aggregate.offered_pkts, 50 * cfg.generators as u64);
     }
 
     #[test]

@@ -17,26 +17,22 @@ use npqm_traffic::{PipelineBuilder, PipelineConfig};
 use proptest::prelude::*;
 
 /// Random small steady-state scenario: the `steady_demo` engine with
-/// randomized seed, topology, lane capacity, epoch width, duration and
-/// optional packet budget. Small enough that one run is a few
+/// randomized seed, topology, lane capacity, epoch width and duration.
+/// Small enough that one run is a few
 /// milliseconds of wall clock.
 fn small_service_config() -> impl Strategy<Value = ServiceConfig> {
     (
         (0u64..1_000, 1usize..4, 1usize..4, 4usize..65), // seed, shards, generators, ring
-        (50u64..401, 200u64..1_501, 0u64..450),          // epoch µs, duration µs, budget
+        (50u64..401, 200u64..1_501),                     // epoch µs, duration µs
     )
         .prop_map(
-            |((seed, shards, generators, ring), (epoch_us, duration_us, budget))| {
+            |((seed, shards, generators, ring), (epoch_us, duration_us))| {
                 let mut cfg = ServiceConfig::steady_demo(seed);
                 cfg.shards = shards;
                 cfg.generators = generators;
                 cfg.ring_capacity = ring;
                 cfg.epoch = Picos::from_micros(epoch_us);
                 cfg.duration = Picos::from_micros(duration_us);
-                // Values below 50 mean "no budget" — about an 11% draw —
-                // so both the duration-bound and budget-bound stop paths
-                // get exercised.
-                cfg.packet_budget = if budget < 50 { None } else { Some(budget) };
                 cfg
             },
         )

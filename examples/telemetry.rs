@@ -2,8 +2,7 @@
 //! run twice — once plain, once with telemetry enabled — proving the
 //! zero-interference contract (identical digests), then reading the
 //! artifacts telemetry produced: the virtual-time event trace, the
-//! drop-attribution taxonomy and the unified metrics registry (with its
-//! Prometheus text export).
+//! drop-attribution taxonomy and the unified metrics registry.
 //!
 //! Run with: `cargo run --release --example telemetry`
 
@@ -104,10 +103,5 @@ fn main() {
             "  {name:<18} = {}",
             tel.final_metrics.counter_value(name).expect("registered"),
         );
-    }
-    println!();
-    println!("Prometheus text exposition (deterministic subset, first lines):");
-    for line in tel.final_metrics.prometheus_text(false).lines().take(6) {
-        println!("  {line}");
     }
 }
