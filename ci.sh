@@ -8,7 +8,8 @@
 #   ./ci.sh         # full pipeline: structure greps (one thread fan-out,
 #                   # one push-out loop, each engine step of manager.rs
 #                   # written once, no cut_through, the access trace
-#                   # cut and never committed), fmt, clippy, docs,
+#                   # cut and never committed, one DDR slot loop, one
+#                   # count per event), fmt, clippy, docs,
 #                   # tier-1, release-profile engine tests, tables,
 #                   # golden checks, parallel-determinism diff, telemetry
 #                   # trace export + cross-thread diff, every example,
@@ -54,6 +55,16 @@ tier1() {
 # their commit calls, the memory-priced closed loop that only tests ever
 # built (`timing_paper`, `Egress`, the `MemTx` event) and the Prometheus
 # exporter nothing scraped stay deleted.
+# One DDR slot loop, one count per event: §3's access cycle is
+# `DdrChannel::step` (`replay.rs`), the only caller of the bank tracker's
+# `turnaround_penalty` and `issue`; `run_schedule` (Table 1) and `drain`
+# (`table8`) only drive it, and the `Scheduler` trait and the dense /
+# `select_sparse` pair that the second copy of the loop needed stay
+# deleted. A policy answers an offer with an `Admission` or a `Refusal`
+# and the loops count from those, so the counters the policies kept for
+# their own unit tests (`PolicyStats`, `DropStats`) stay deleted, as do
+# the derives for a `serde` feature no manifest declares and `table10`'s
+# `NPQM_TRACE` fallback.
 structure() {
     echo "==> structure: one thread fan-out in npqm-core + npqm-traffic"
     local hits
@@ -111,6 +122,26 @@ structure() {
     done
     if [[ "${hits}" != "crates/npqm-core/src/manager.rs crates/npqm-core/src/shard.rs crates/npqm-core/src/timing/mod.rs " ]]; then
         echo "structure FAILED: cut_trace( above the tests belongs to manager.rs, shard.rs and timing/mod.rs; got:" >&2
+        echo "${hits}" >&2
+        exit 1
+    fi
+    echo "==> structure: one DDR slot loop, one count per event"
+    local call
+    for call in 'turnaround_penalty(' 'banks.issue('; do
+        hits="$(for file in crates/npqm-mem/src/*.rs; do
+            [[ "${file}" == */ddr.rs ]] && continue
+            sed '/^#\[cfg(test)\]/,$d' "${file}" | grep -nF "${call}" | sed "s|^|${file}:|" || true
+        done)"
+        if [[ "$(grep -c . <<<"${hits}")" != 1 || "${hits}" != crates/npqm-mem/src/replay.rs:* ]]; then
+            echo "structure FAILED: expected one '${call}' outside ddr.rs, in DdrChannel::step; got:" >&2
+            echo "${hits}" >&2
+            exit 1
+        fi
+    done
+    hits="$(grep -rnE 'select_sparse|trait Scheduler|PolicyStats|DropStats|feature = "serde"|NPQM_TRACE' \
+        crates examples tests src README.md Cargo.toml || true)"
+    if [[ -n "${hits}" ]]; then
+        echo "structure FAILED: a second slot-loop form, a policy-side counter, the serde derives or NPQM_TRACE are back:" >&2
         echo "${hits}" >&2
         exit 1
     fi
@@ -284,12 +315,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 tier1
 
-# Tier-1 is a debug build; a release-only divergence in the engine or the
+# Tier-1 is a debug build; a release-only divergence in the engine, the
 # loops (PR 15 met an opt-level-3 miscompile that every debug test
-# passed) must fail a test, not surprise the benchmark.
-echo "==> cargo test --release -q -p npqm-core -p npqm-traffic"
-cargo test --release -q -p npqm-core -p npqm-traffic
+# passed) or the bit-pinned DDR slot loop must fail a test, not surprise
+# the benchmark or the tables.
+echo "==> cargo test --release -q -p npqm-core -p npqm-traffic -p npqm-mem"
+cargo test --release -q -p npqm-core -p npqm-traffic -p npqm-mem
 
+# The stage that runs the paper's tables 1-5 (6-11 are golden_full's).
 echo "==> cargo run --release -p npqm-bench --bin all_tables"
 cargo run --release -q -p npqm-bench --bin all_tables >/dev/null
 

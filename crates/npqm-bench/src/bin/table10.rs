@@ -434,10 +434,7 @@ fn main() {
         run_check(report.as_deref());
         return;
     }
-    if let Some(path) = cli
-        .flag_value("--trace")
-        .or_else(|| std::env::var("NPQM_TRACE").ok())
-    {
+    if let Some(path) = cli.flag_value("--trace") {
         run_trace(&path);
         return;
     }

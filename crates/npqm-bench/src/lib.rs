@@ -14,7 +14,8 @@
 //! * `table9` — the competitive-analysis arena (see [`competitive`]):
 //!   empirical competitive ratios of every shipped drop policy against a
 //!   certified offline bound, under Zipf and adversarial traffic;
-//! * `all-tables` — everything above, plus a JSON dump for EXPERIMENTS.md.
+//! * `all_tables` — tables 1–5 and the MMS saturation point as one JSON
+//!   document (tables 6–11 write theirs with `tableN --json`).
 //!
 //! The golden-gated binaries (`table6` … `table11`) share one command
 //! line — `--check`, `--report`, `--json`, `--trace` — in [`cli`]. Their

@@ -5,8 +5,8 @@
 //! deliberately asymmetric in *flow count*: tenant 0 spreads its load
 //! over 8 flows, so a flat per-flow scheduler would hand it half the
 //! trunk, while the HTB class tree restores per-tenant shares. The
-//! scenario (and its direct-drive work-conservation companion) is shared
-//! by the `table11` gate binary and the `all_tables` summary.
+//! scenario and its direct-drive work-conservation companion are what
+//! the `table11` gate binary runs.
 
 use npqm_core::policy::DynamicThreshold;
 use npqm_core::sched::{drain_next, HtbClass, HtbScheduler, HtbTreeBuilder};

@@ -13,7 +13,6 @@ use crate::manager::{DequeuedSegment, QueueManager, SegmentPosition};
 /// One queue-management command (the paper's §6 operation list plus the
 /// fused variants of Table 4).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum Command {
     /// Enqueue one segment on a flow.
@@ -179,7 +178,6 @@ impl Command {
 
 /// Result of executing a [`Command`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum Outcome {
     /// The command completed with no data to return.

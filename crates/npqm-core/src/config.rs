@@ -9,7 +9,6 @@ use crate::error::QueueError;
 /// spreads consecutive allocations across DRAM banks — the ablation bench
 /// `ddr_sched` quantifies the difference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FreeListDiscipline {
     /// Last-in first-out (stack). Matches the single-head-pointer hardware
     /// free list of the paper's §5.2 reference implementation.
@@ -37,7 +36,6 @@ pub enum FreeListDiscipline {
 /// assert_eq!(cfg.segment_bytes(), 64);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct QmConfig {
     num_flows: u32,
     num_segments: u32,

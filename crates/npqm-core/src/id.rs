@@ -22,7 +22,6 @@ use core::fmt;
 /// assert!(SegmentId::NIL.is_nil());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SegmentId(u32);
 
 impl SegmentId {
@@ -70,7 +69,6 @@ impl fmt::Display for SegmentId {
 /// Packet records are allocated from their own free list, mirroring the
 /// separate "packet pointer" plane the MMS keeps in ZBT SRAM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PacketId(u32);
 
 impl PacketId {
@@ -123,7 +121,6 @@ impl fmt::Display for PacketId {
 /// assert_eq!(f.index(), 1024);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FlowId(u32);
 
 impl FlowId {

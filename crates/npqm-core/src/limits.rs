@@ -2,9 +2,10 @@
 //!
 //! §1 lists "buffer and traffic management" among the wire-speed functions
 //! per-flow queuing exists for. This module polices enqueue admission:
-//! per-flow byte/packet caps plus a global shared-buffer threshold, with
-//! drop accounting — the standard tail-drop discipline of shared-memory
-//! packet buffers.
+//! per-flow byte/packet caps plus a global shared-buffer threshold — the
+//! standard tail-drop discipline of shared-memory packet buffers. A
+//! refusal is the [`DropReason`] returned; whoever drives the policer
+//! counts them.
 //!
 //! The policer composes with (rather than modifies) the engine: it reads
 //! queue occupancy through the public API and vetoes enqueues.
@@ -14,9 +15,6 @@ use crate::id::FlowId;
 use crate::manager::QueueManager;
 
 /// Why a packet was refused admission.
-///
-/// (Not serde-serializable: it embeds [`QueueError`], whose
-/// `InvalidConfig` variant borrows a static string.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DropReason {
     /// The flow reached its byte cap.
@@ -42,7 +40,6 @@ impl core::fmt::Display for DropReason {
 
 /// Admission limits for one flow (or a class of flows).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FlowLimits {
     /// Maximum queued payload bytes per flow.
     pub max_bytes: u64,
@@ -64,45 +61,21 @@ impl Default for FlowLimits {
     }
 }
 
-/// Per-flow drop statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct DropStats {
-    /// Packets admitted.
-    pub admitted: u64,
-    /// Packets dropped at the flow byte cap.
-    pub flow_bytes: u64,
-    /// Packets dropped at the flow packet cap.
-    pub flow_packets: u64,
-    /// Packets dropped at the global reserve.
-    pub global: u64,
-    /// Packets refused by the engine (memory exhausted).
-    pub engine: u64,
-}
-
-impl DropStats {
-    /// Total drops of any kind.
-    pub fn dropped(&self) -> u64 {
-        self.flow_bytes + self.flow_packets + self.global + self.engine
-    }
-}
-
 /// A tail-drop buffer manager over a [`QueueManager`].
 ///
 /// # Example
 ///
 /// ```
-/// use npqm_core::limits::{BufferManager, FlowLimits};
+/// use npqm_core::limits::{BufferManager, DropReason, FlowLimits};
 /// use npqm_core::{FlowId, QmConfig, QueueManager};
 ///
 /// # fn main() -> Result<(), npqm_core::QueueError> {
 /// let mut qm = QueueManager::new(QmConfig::small());
-/// let mut bm = BufferManager::new(FlowLimits { max_bytes: 128, max_packets: 8 }, 0);
+/// let bm = BufferManager::new(FlowLimits { max_bytes: 128, max_packets: 8 }, 0);
 /// let f = FlowId::new(1);
 /// assert!(bm.try_enqueue(&mut qm, f, &[0u8; 100]).is_ok());
-/// // Second packet would exceed the 128-byte flow cap: dropped, counted.
-/// assert!(bm.try_enqueue(&mut qm, f, &[0u8; 100]).is_err());
-/// assert_eq!(bm.stats().dropped(), 1);
+/// // Second packet would exceed the 128-byte flow cap: refused, with the reason.
+/// assert_eq!(bm.try_enqueue(&mut qm, f, &[0u8; 100]), Err(DropReason::FlowBytes));
 /// # Ok(())
 /// # }
 /// ```
@@ -112,7 +85,6 @@ pub struct BufferManager {
     overrides: Vec<(FlowId, FlowLimits)>,
     /// Segments kept free for already-open packets (global reserve).
     reserve_segments: u32,
-    stats: DropStats,
 }
 
 impl BufferManager {
@@ -124,7 +96,6 @@ impl BufferManager {
             default_limits,
             overrides: Vec::new(),
             reserve_segments,
-            stats: DropStats::default(),
         }
     }
 
@@ -145,11 +116,6 @@ impl BufferManager {
             .find(|(f, _)| *f == flow)
             .map(|(_, l)| *l)
             .unwrap_or(self.default_limits)
-    }
-
-    /// Drop/admission statistics.
-    pub const fn stats(&self) -> &DropStats {
-        &self.stats
     }
 
     /// Checks admission for a `len`-byte packet on `flow` without
@@ -180,30 +146,13 @@ impl BufferManager {
     ///
     /// The [`DropReason`]; the packet is NOT queued in that case.
     pub fn try_enqueue(
-        &mut self,
+        &self,
         qm: &mut QueueManager,
         flow: FlowId,
         packet: &[u8],
     ) -> Result<(), DropReason> {
-        if let Err(reason) = self.admit(qm, flow, packet.len()) {
-            match reason {
-                DropReason::FlowBytes => self.stats.flow_bytes += 1,
-                DropReason::FlowPackets => self.stats.flow_packets += 1,
-                DropReason::GlobalReserve => self.stats.global += 1,
-                DropReason::Engine(_) => unreachable!("admit never returns Engine"),
-            }
-            return Err(reason);
-        }
-        match qm.enqueue_packet(flow, packet) {
-            Ok(()) => {
-                self.stats.admitted += 1;
-                Ok(())
-            }
-            Err(e) => {
-                self.stats.engine += 1;
-                Err(DropReason::Engine(e))
-            }
-        }
+        self.admit(qm, flow, packet.len())?;
+        qm.enqueue_packet(flow, packet).map_err(DropReason::Engine)
     }
 }
 
@@ -219,7 +168,7 @@ mod tests {
     #[test]
     fn byte_cap_drops_and_counts() {
         let mut qm = engine();
-        let mut bm = BufferManager::new(
+        let bm = BufferManager::new(
             FlowLimits {
                 max_bytes: 200,
                 max_packets: 100,
@@ -233,15 +182,14 @@ mod tests {
             Err(DropReason::FlowBytes)
         );
         assert!(bm.try_enqueue(&mut qm, f, &[0; 50]).is_ok());
-        assert_eq!(bm.stats().admitted, 2);
-        assert_eq!(bm.stats().flow_bytes, 1);
+        assert_eq!(qm.queue_len_packets(f), 2);
         qm.verify().unwrap();
     }
 
     #[test]
     fn packet_cap_drops() {
         let mut qm = engine();
-        let mut bm = BufferManager::new(
+        let bm = BufferManager::new(
             FlowLimits {
                 max_bytes: u64::MAX,
                 max_packets: 2,
@@ -269,19 +217,20 @@ mod tests {
             .build()
             .unwrap();
         let mut qm = QueueManager::new(cfg);
-        let mut bm = BufferManager::new(FlowLimits::UNLIMITED, 4);
+        let bm = BufferManager::new(FlowLimits::UNLIMITED, 4);
         // 10 segments, 4 reserved: only 6 admit.
-        let mut admitted = 0;
+        let (mut admitted, mut global) = (0, 0);
         for i in 0..10 {
-            if bm
-                .try_enqueue(&mut qm, FlowId::new(i % 4), &[0u8; 64])
-                .is_ok()
-            {
-                admitted += 1;
+            match bm.try_enqueue(&mut qm, FlowId::new(i % 4), &[0u8; 64]) {
+                Ok(()) => admitted += 1,
+                Err(reason) => {
+                    assert_eq!(reason, DropReason::GlobalReserve);
+                    global += 1;
+                }
             }
         }
         assert_eq!(admitted, 6);
-        assert_eq!(bm.stats().global, 4);
+        assert_eq!(global, 4);
         assert_eq!(qm.free_segments(), 4, "reserve intact");
     }
 

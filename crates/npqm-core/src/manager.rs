@@ -45,7 +45,6 @@ use std::collections::BinaryHeap;
 /// Start-of-packet and end-of-packet markers drive the engine's packet
 /// delimiting, exactly like the SOP/EOP flags on a hardware segment bus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SegmentPosition {
     /// The packet's only segment (SOP and EOP).
     Only,
@@ -81,7 +80,6 @@ impl SegmentPosition {
 
 /// A segment returned by [`QueueManager::dequeue`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DequeuedSegment {
     /// The segment payload (up to the configured segment size).
     pub data: Vec<u8>,
@@ -94,7 +92,6 @@ pub struct DequeuedSegment {
 /// What [`QueueManager::dequeue_into`] appended to the caller's buffer: a
 /// [`DequeuedSegment`] without the bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SegmentInfo {
     /// Payload bytes appended (up to the configured segment size).
     pub len: usize,

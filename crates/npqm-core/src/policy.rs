@@ -29,10 +29,12 @@
 //! The four push-out disciplines (all but tail drop and dynamic
 //! thresholds) differ only in which queued packet pays. Everything else
 //! — refusing a hopeless arrival before anything is evicted, the budget
-//! arithmetic, the eviction, the victim list, the enqueue and the
-//! [`PolicyStats`] — is one private function, `push_out`, written over a
-//! *slice* of engines so that one [`QueueManager`] and the shared-buffer
-//! composite are the same case.
+//! arithmetic, the eviction, the victim list and the enqueue — is one
+//! private function, `push_out`, written over a *slice* of engines so
+//! that one [`QueueManager`] and the shared-buffer composite are the same
+//! case. A policy keeps no tally of its own: its answer to each offer is
+//! the [`Admission`] or [`Refusal`] it returns, and the loops that drive
+//! it count from those.
 //!
 //! Policies compose with (rather than modify) the engine, exactly like
 //! the tail-drop policer in [`crate::limits`]: they read occupancy
@@ -191,19 +193,6 @@ impl DropPolicy for BufferManager {
     }
 }
 
-/// Counters shared by the push-out/dynamic policies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PolicyStats {
-    /// Packets admitted (enqueued).
-    pub admitted: u64,
-    /// Arriving packets refused.
-    pub dropped: u64,
-    /// Queued packets pushed out to make room.
-    pub evicted_packets: u64,
-    /// Payload bytes pushed out.
-    pub evicted_bytes: u64,
-}
-
 /// Push-out admission, the one loop behind [`LongestQueueDrop`],
 /// [`PushOutLargestWork`], [`WorkSizeBalance`] and [`GlobalLqd`]: make
 /// room for `packet` within `budget` segments by evicting the head
@@ -216,13 +205,11 @@ pub struct PolicyStats {
 /// stay free. `victim` returns the `(shard, flow)` whose head packet
 /// pays next, or `None` when nobody may: the arrival is then refused and
 /// the refusal carries what was already pushed out.
-#[allow(clippy::too_many_arguments)]
 fn push_out(
     shards: &mut [QueueManager],
     home: usize,
     budget: u32,
     reserve: u32,
-    stats: &mut PolicyStats,
     flow: FlowId,
     packet: &[u8],
     mut victim: impl FnMut(&mut [QueueManager]) -> Option<(usize, FlowId)>,
@@ -233,7 +220,6 @@ fn push_out(
     // An arrival that could not fit even an empty buffer is refused
     // outright — evicting for it would be pure loss.
     if claim > u64::from(budget) {
-        stats.dropped += 1;
         return Err(Refusal::from(DropReason::GlobalReserve));
     }
     // So would evicting for an arrival the engine refuses however much
@@ -250,7 +236,6 @@ fn push_out(
     let mut evicted = Vec::new();
     while used_segments(shards) + claim > u64::from(budget) && !doomed(&shards[home]) {
         let Some((shard, loser)) = victim(shards) else {
-            stats.dropped += 1;
             return Err(Refusal {
                 reason: DropReason::GlobalReserve,
                 evicted,
@@ -259,22 +244,14 @@ fn push_out(
         let (_segs, bytes) = shards[shard]
             .delete_packet(loser)
             .expect("victim has an evictable head packet");
-        stats.evicted_packets += 1;
-        stats.evicted_bytes += u64::from(bytes);
         evicted.push((loser, bytes));
     }
     match shards[home].enqueue_packet(flow, packet) {
-        Ok(()) => {
-            stats.admitted += 1;
-            Ok(Admission { evicted })
-        }
-        Err(e) => {
-            stats.dropped += 1;
-            Err(Refusal {
-                reason: DropReason::Engine(e),
-                evicted,
-            })
-        }
+        Ok(()) => Ok(Admission { evicted }),
+        Err(e) => Err(Refusal {
+            reason: DropReason::Engine(e),
+            evicted,
+        }),
     }
 }
 
@@ -325,7 +302,6 @@ fn used_segments(shards: &[QueueManager]) -> u64 {
 #[derive(Debug, Clone, Default)]
 pub struct LongestQueueDrop {
     reserve_segments: u32,
-    stats: PolicyStats,
 }
 
 impl LongestQueueDrop {
@@ -333,15 +309,7 @@ impl LongestQueueDrop {
     /// flows with packets already mid-assembly (same role as the
     /// [`BufferManager`] reserve).
     pub fn new(reserve_segments: u32) -> Self {
-        LongestQueueDrop {
-            reserve_segments,
-            stats: PolicyStats::default(),
-        }
-    }
-
-    /// Admission/eviction statistics.
-    pub const fn stats(&self) -> &PolicyStats {
-        &self.stats
+        LongestQueueDrop { reserve_segments }
     }
 }
 
@@ -365,7 +333,6 @@ impl DropPolicy for LongestQueueDrop {
             0,
             budget,
             self.reserve_segments,
-            &mut self.stats,
             flow,
             packet,
             |qm| longest_evictable(&mut qm[0]).map(|v| (0, v)),
@@ -467,7 +434,6 @@ fn longest_evictable(qm: &mut QueueManager) -> Option<FlowId> {
 pub struct GlobalLqd {
     budget_segments: u32,
     reserve_segments: u32,
-    stats: PolicyStats,
 }
 
 impl GlobalLqd {
@@ -478,7 +444,6 @@ impl GlobalLqd {
         GlobalLqd {
             budget_segments,
             reserve_segments,
-            stats: PolicyStats::default(),
         }
     }
 
@@ -488,11 +453,6 @@ impl GlobalLqd {
     /// whole shared buffer).
     pub fn shared(engine: &ShardedQueueManager, reserve_segments: u32) -> Self {
         GlobalLqd::new(engine.shard(0).config().num_segments(), reserve_segments)
-    }
-
-    /// Admission/eviction statistics.
-    pub const fn stats(&self) -> &PolicyStats {
-        &self.stats
     }
 
     /// The global segment budget.
@@ -519,7 +479,6 @@ impl GlobalLqd {
             home,
             self.budget_segments,
             self.reserve_segments,
-            &mut self.stats,
             flow,
             packet,
             |shards| {
@@ -608,22 +567,13 @@ fn densest_evictable(qm: &QueueManager) -> Option<FlowId> {
 #[derive(Debug, Clone, Default)]
 pub struct PushOutLargestWork {
     reserve_segments: u32,
-    stats: PolicyStats,
 }
 
 impl PushOutLargestWork {
     /// Creates the policy, keeping `reserve_segments` segments free
     /// (same role as the [`LongestQueueDrop`] reserve).
     pub fn new(reserve_segments: u32) -> Self {
-        PushOutLargestWork {
-            reserve_segments,
-            stats: PolicyStats::default(),
-        }
-    }
-
-    /// Admission/eviction statistics.
-    pub const fn stats(&self) -> &PolicyStats {
-        &self.stats
+        PushOutLargestWork { reserve_segments }
     }
 }
 
@@ -656,7 +606,6 @@ impl DropPolicy for PushOutLargestWork {
             0,
             budget,
             self.reserve_segments,
-            &mut self.stats,
             flow,
             packet,
             |qm| {
@@ -684,21 +633,12 @@ impl DropPolicy for PushOutLargestWork {
 #[derive(Debug, Clone, Default)]
 pub struct WorkSizeBalance {
     reserve_segments: u32,
-    stats: PolicyStats,
 }
 
 impl WorkSizeBalance {
     /// Creates the policy, keeping `reserve_segments` segments free.
     pub fn new(reserve_segments: u32) -> Self {
-        WorkSizeBalance {
-            reserve_segments,
-            stats: PolicyStats::default(),
-        }
-    }
-
-    /// Admission/eviction statistics.
-    pub const fn stats(&self) -> &PolicyStats {
-        &self.stats
+        WorkSizeBalance { reserve_segments }
     }
 }
 
@@ -733,7 +673,6 @@ impl DropPolicy for WorkSizeBalance {
             0,
             budget,
             self.reserve_segments,
-            &mut self.stats,
             flow,
             packet,
             |qm| {
@@ -761,7 +700,6 @@ impl DropPolicy for WorkSizeBalance {
 #[derive(Debug, Clone)]
 pub struct DynamicThreshold {
     alpha: f64,
-    stats: PolicyStats,
 }
 
 impl DynamicThreshold {
@@ -775,15 +713,7 @@ impl DynamicThreshold {
             alpha > 0.0 && alpha.is_finite(),
             "alpha must be positive and finite"
         );
-        DynamicThreshold {
-            alpha,
-            stats: PolicyStats::default(),
-        }
-    }
-
-    /// Admission statistics.
-    pub const fn stats(&self) -> &PolicyStats {
-        &self.stats
+        DynamicThreshold { alpha }
     }
 
     /// The byte threshold currently applying to every flow.
@@ -805,18 +735,11 @@ impl DropPolicy for DynamicThreshold {
         packet: &[u8],
     ) -> Result<Admission, Refusal> {
         if (qm.queue_len_bytes(flow) + packet.len() as u64) as f64 > self.threshold_bytes(qm) {
-            self.stats.dropped += 1;
             return Err(Refusal::from(DropReason::FlowBytes));
         }
         match qm.enqueue_packet(flow, packet) {
-            Ok(()) => {
-                self.stats.admitted += 1;
-                Ok(Admission::default())
-            }
-            Err(e) => {
-                self.stats.dropped += 1;
-                Err(Refusal::from(DropReason::Engine(e)))
-            }
+            Ok(()) => Ok(Admission::default()),
+            Err(e) => Err(Refusal::from(DropReason::Engine(e))),
         }
     }
 }
@@ -874,12 +797,15 @@ mod tests {
     fn lqd_pushes_out_the_longest_queue() {
         let mut qm = engine(8);
         let mut lqd = LongestQueueDrop::new(0);
-        // Flow 0: 5 segments queued; flow 1: 3 segments. Buffer full.
+        // Flow 0: 5 segments queued; flow 1: 3 segments. Buffer full,
+        // and nobody has paid for it yet.
         for _ in 0..5 {
-            lqd.offer(&mut qm, FlowId::new(0), &[0u8; 64]).unwrap();
+            let adm = lqd.offer(&mut qm, FlowId::new(0), &[0u8; 64]);
+            assert_eq!(adm, Ok(Admission::default()));
         }
         for _ in 0..3 {
-            lqd.offer(&mut qm, FlowId::new(1), &[1u8; 64]).unwrap();
+            let adm = lqd.offer(&mut qm, FlowId::new(1), &[1u8; 64]);
+            assert_eq!(adm, Ok(Admission::default()));
         }
         assert_eq!(qm.free_segments(), 0);
         // Flow 2 arrives: the hog (flow 0) pays, not flow 1.
@@ -888,8 +814,6 @@ mod tests {
         assert_eq!(qm.queue_len_packets(FlowId::new(0)), 4);
         assert_eq!(qm.queue_len_packets(FlowId::new(1)), 3);
         assert_eq!(qm.queue_len_packets(FlowId::new(2)), 1);
-        assert_eq!(lqd.stats().evicted_packets, 1);
-        assert_eq!(lqd.stats().admitted, 9);
         qm.verify().unwrap();
     }
 
@@ -929,12 +853,11 @@ mod tests {
         // The buffer already holds a packet; a hopeless arrival must not
         // push anything out on its way to being refused.
         lqd.offer(&mut qm, FlowId::new(1), &[7u8; 64]).unwrap();
+        // `Refusal::from` carries an empty victim list.
         assert_eq!(
             lqd.offer(&mut qm, FlowId::new(0), &[0u8; 200]),
             Err(Refusal::from(DropReason::GlobalReserve))
         );
-        assert_eq!(lqd.stats().dropped, 1);
-        assert_eq!(lqd.stats().evicted_packets, 0);
         assert!(qm.is_empty(FlowId::new(0)));
         assert_eq!(qm.queue_len_packets(FlowId::new(1)), 1);
         qm.verify().unwrap();
@@ -984,13 +907,14 @@ mod tests {
         let mut qm = engine(8);
         let mut lqd = LongestQueueDrop::new(4);
         for _ in 0..4 {
-            lqd.offer(&mut qm, FlowId::new(0), &[0u8; 64]).unwrap();
+            let adm = lqd.offer(&mut qm, FlowId::new(0), &[0u8; 64]);
+            assert_eq!(adm, Ok(Admission::default()));
         }
         // Admitting a 5th would dip into the reserve: push-out keeps the
         // reserve intact instead of shrinking it.
-        lqd.offer(&mut qm, FlowId::new(1), &[1u8; 64]).unwrap();
+        let adm = lqd.offer(&mut qm, FlowId::new(1), &[1u8; 64]).unwrap();
         assert_eq!(qm.free_segments(), 4);
-        assert_eq!(lqd.stats().evicted_packets, 1);
+        assert_eq!(adm.evicted, vec![(FlowId::new(0), 64)]);
         qm.verify().unwrap();
     }
 
@@ -1001,16 +925,20 @@ mod tests {
         let f = FlowId::new(0);
         // alpha = 1: a lone flow converges to half the buffer (8 of 16
         // segments), instead of a fixed cap.
-        let mut admitted = 0;
+        let (mut admitted, mut dropped) = (0, 0);
         for _ in 0..16 {
-            if dt.offer(&mut qm, f, &[0u8; 64]).is_ok() {
-                admitted += 1;
+            match dt.offer(&mut qm, f, &[0u8; 64]) {
+                Ok(_) => admitted += 1,
+                Err(refusal) => {
+                    assert_eq!(refusal, Refusal::from(DropReason::FlowBytes));
+                    dropped += 1;
+                }
             }
         }
         assert_eq!(admitted, 8, "alpha/(1+alpha) of the buffer");
+        assert_eq!(dropped, 8);
         // A second flow still finds space below the (tightened) threshold.
         assert!(dt.offer(&mut qm, FlowId::new(1), &[1u8; 64]).is_ok());
-        assert_eq!(dt.stats().dropped, 8);
         qm.verify().unwrap();
     }
 
@@ -1094,14 +1022,10 @@ mod tests {
     fn po_work_evicts_the_costliest_head_first() {
         let mut qm = engine(4);
         let mut po = PushOutLargestWork::new(0);
-        po.offer_work(&mut qm, FlowId::new(0), &[0u8; 64], 3)
-            .unwrap();
-        po.offer_work(&mut qm, FlowId::new(1), &[1u8; 64], 9)
-            .unwrap();
-        po.offer_work(&mut qm, FlowId::new(2), &[2u8; 64], 5)
-            .unwrap();
-        po.offer_work(&mut qm, FlowId::new(3), &[3u8; 64], 1)
-            .unwrap();
+        for (flow, work) in [(0u8, 3), (1, 9), (2, 5), (3, 1)] {
+            let adm = po.offer_work(&mut qm, FlowId::new(flow.into()), &[flow; 64], work);
+            assert_eq!(adm, Ok(Admission::default()));
+        }
         // Work-2 arrival: the work-9 head pays; the rest cost less than
         // 9 so exactly one eviction happens.
         let adm = po
@@ -1114,7 +1038,6 @@ mod tests {
             .offer_work(&mut qm, FlowId::new(1), &[5u8; 64], 8)
             .unwrap_err();
         assert!(refusal.evicted.is_empty());
-        assert_eq!(po.stats().evicted_packets, 1);
         qm.verify().unwrap();
     }
 

@@ -14,7 +14,6 @@ use crate::id::{FlowId, PacketId, SegmentId};
 /// The `next` field threads segments of one packet together; a free segment
 /// reuses it as the free-list link (exactly as hardware does).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SegRecord {
     /// Next segment in the packet (or the free list); NIL terminates.
     pub next: SegmentId,
@@ -33,7 +32,6 @@ impl Default for SegRecord {
 
 /// Per-packet record: boundaries of one packet inside a flow queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PktRecord {
     /// First (oldest) segment of the packet.
     pub first: SegmentId,
@@ -80,7 +78,6 @@ impl Default for PktRecord {
 /// Per-flow queue record ("a queue-table contains the header of all the
 /// employed queues", §5.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct QueueRecord {
     /// Oldest packet in the queue; NIL when empty.
     pub head_pkt: PacketId,
@@ -117,7 +114,6 @@ impl Default for QueueRecord {
 /// One unit is one record-sized SRAM access. The hardware models consume
 /// these to translate library operations into ZBT SRAM cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PtrMemCounters {
     /// Segment-record reads.
     pub seg_reads: u64,
@@ -196,11 +192,6 @@ impl PtrMem {
     /// Number of segment records.
     pub fn num_segments(&self) -> u32 {
         self.segs.len() as u32
-    }
-
-    /// Number of queue records.
-    pub fn num_queues(&self) -> u32 {
-        self.queues.len() as u32
     }
 
     /// Access counters accumulated so far.

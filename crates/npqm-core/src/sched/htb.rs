@@ -281,7 +281,6 @@ impl HtbTreeBuilder {
         let cap = self.capacity as i128;
         let mut index: HashMap<String, usize> = HashMap::new();
         let mut nodes: Vec<Node> = Vec::with_capacity(self.entries.len());
-        let mut names: Vec<String> = Vec::with_capacity(self.entries.len());
         let mut leaves: Vec<LeafRef> = Vec::new();
         let mut slot_of_flow: HashMap<u32, usize> = HashMap::new();
         for entry in &self.entries {
@@ -330,7 +329,6 @@ impl HtbTreeBuilder {
                 served_bytes: 0,
             });
             index.insert(entry.name.clone(), node_idx);
-            names.push(entry.name.clone());
             if let Some(flow) = entry.flow {
                 if slot_of_flow.insert(flow.index(), leaves.len()).is_some() {
                     return Err(HtbError::DuplicateFlow(flow.index()));
@@ -357,7 +355,6 @@ impl HtbTreeBuilder {
         Ok(HtbScheduler {
             capacity: cap,
             nodes,
-            names,
             index,
             leaves,
             slot_of_flow,
@@ -417,7 +414,6 @@ pub struct HtbStats {
 pub struct HtbScheduler {
     capacity: i128,
     nodes: Vec<Node>,
-    names: Vec<String>,
     index: HashMap<String, usize>,
     leaves: Vec<LeafRef>,
     slot_of_flow: HashMap<u32, usize>,
@@ -454,11 +450,6 @@ impl HtbScheduler {
     /// aggregate their whole subtree), or `None` for unknown names.
     pub fn served_bytes(&self, class: &str) -> Option<u64> {
         self.index.get(class).map(|&i| self.nodes[i].served_bytes)
-    }
-
-    /// All class names, in declaration order.
-    pub fn class_names(&self) -> impl Iterator<Item = &str> {
-        self.names.iter().map(String::as_str)
     }
 
     /// Number of leaf classes (= schedulable flows).

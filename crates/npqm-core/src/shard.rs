@@ -1130,7 +1130,7 @@ mod tests {
         assert!(admitted < 8, "shard-local threshold must bite");
         // The other shard is empty, so its policy sees a fresh buffer.
         assert!(adm.offer(&mut e, other, &[1u8; 64]).is_ok());
-        assert_eq!(adm.policy(hog_shard).stats().admitted, admitted);
+        assert_eq!(e.shard(hog_shard).queue_len_packets(hog), admitted);
         e.verify().unwrap();
     }
 

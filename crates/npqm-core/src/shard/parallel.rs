@@ -521,12 +521,13 @@ mod tests {
             })
         ));
         for _ in 0..6 {
-            lqd.offer(&mut e, FlowId::new(0), &[0u8; 64]).unwrap();
+            let adm = lqd.offer(&mut e, FlowId::new(0), &[0u8; 64]);
+            assert_eq!(adm, Ok(Admission::default()));
         }
         // The 7th would dip into the reserve: push-out keeps it intact.
-        lqd.offer(&mut e, FlowId::new(1), &[1u8; 64]).unwrap();
+        let adm = lqd.offer(&mut e, FlowId::new(1), &[1u8; 64]).unwrap();
         assert_eq!(e.used_segments(), 6);
-        assert_eq!(lqd.stats().evicted_packets, 1);
+        assert_eq!(adm.evicted, vec![(FlowId::new(0), 64)]);
         e.verify().unwrap();
     }
 

@@ -16,7 +16,6 @@
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct QmStats {
     /// Segments enqueued.
     pub enqueues: u64,

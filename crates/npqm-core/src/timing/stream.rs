@@ -24,7 +24,6 @@ use crate::ptrmem::PtrMemCounters;
 /// chooses the address-to-bank map (`npqm_mem::addrmap::AddressMap`):
 /// the same recording can be replayed against any bank organisation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DataAccess {
     /// Index of the segment whose payload was touched.
     pub segment: u32,

@@ -364,7 +364,7 @@ proptest! {
                 4,
             );
             let mut lqd = GlobalLqd::new(budget, 0);
-            let outcomes: Vec<bool> = arrivals
+            let outcomes: Vec<_> = arrivals
                 .iter()
                 .enumerate()
                 .map(|(i, &(f, len))| {
@@ -375,11 +375,11 @@ proptest! {
                         "global budget exceeded: {} > {budget}",
                         engine.used_segments()
                     );
-                    r.is_ok()
+                    r
                 })
                 .collect();
             engine.verify().unwrap();
-            (outcomes, engine.state_digest(), *lqd.stats())
+            (outcomes, engine.state_digest())
         };
         let a = run();
         let b = run();
@@ -388,10 +388,9 @@ proptest! {
 
     /// The independent oracle for global LQD: over ONE shard it must be
     /// [`LongestQueueDrop`] on one engine — same decisions (admission or
-    /// refusal reason, and the evicted lists), same counters, same state
-    /// — also when the longest queue is an open tail or a mid-service
-    /// head and the victim comes from the fallback scan, byte ties
-    /// included.
+    /// refusal reason, and the evicted lists), same state — also when the
+    /// longest queue is an open tail or a mid-service head and the victim
+    /// comes from the fallback scan, byte ties included.
     #[test]
     fn global_lqd_on_one_shard_is_lqd(
         steps in proptest::collection::vec(step_strategy(), 1..160),
@@ -434,7 +433,6 @@ proptest! {
                 }
                 prop_assert_eq!(state_digest(engine.shard(0)), state_digest(&qm));
             }
-            prop_assert_eq!(global.stats(), lqd.stats());
             engine.verify().unwrap();
             qm.verify().unwrap();
         }

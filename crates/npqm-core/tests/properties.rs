@@ -547,7 +547,7 @@ mod sched_props {
             max_packets in 1u32..12,
         ) {
             let mut qm = engine();
-            let mut bm = BufferManager::new(
+            let bm = BufferManager::new(
                 FlowLimits { max_bytes, max_packets },
                 0,
             );

@@ -5,7 +5,6 @@ use npqm_sim::rate::{Kpps, Mbps, Mpps};
 
 /// One row of Table 2.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Table2Row {
     /// Number of queues managed.
     pub queues: u32,

@@ -24,7 +24,6 @@
 
 /// Per-packet cost profile for one queue-count regime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OpProfile {
     /// Pure compute cycles per packet (instruction execution).
     pub compute_cycles: u64,

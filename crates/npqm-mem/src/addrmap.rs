@@ -24,7 +24,6 @@ use crate::pattern::PortPattern;
 /// assert_eq!(map.bank_of_segment(8), 0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AddressMap {
     segment_bytes: u32,
     interleave_bytes: u32,

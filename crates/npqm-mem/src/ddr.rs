@@ -13,7 +13,6 @@ use npqm_sim::time::Picos;
 
 /// Direction of a memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AccessKind {
     /// Read a 64-byte block.
     Read,
@@ -23,7 +22,6 @@ pub enum AccessKind {
 
 /// One 64-byte block access addressed to a bank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Access {
     /// Target bank index.
     pub bank: u32,
@@ -65,7 +63,6 @@ pub struct Access {
 /// assert_eq!(cfg.reuse_slots(), 4); // 160 ns / 40 ns
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DdrConfig {
     /// Number of banks (the paper sweeps 1–16).
     pub banks: u32,

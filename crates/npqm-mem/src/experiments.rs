@@ -12,7 +12,6 @@ use crate::sched::{run_schedule, NaiveRoundRobin, Reordering};
 
 /// One row of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Table1Row {
     /// Number of DDR banks.
     pub banks: u32,
@@ -194,6 +193,67 @@ mod tests {
                 paper.opt_both
             );
         }
+    }
+
+    #[test]
+    fn table1_rows_are_pinned() {
+        // To the bit: the tolerances above would not notice a slot loop
+        // that moved one turnaround slot. Constants recorded at e204bb5,
+        // before `run_schedule` and `DdrChannel::drain` shared a loop.
+        use crate::ddr::{Access, AccessKind};
+        use crate::replay::{DdrChannel, DrainPolicy};
+        use npqm_sim::rng::Xoshiro256pp;
+
+        fn fnv(hash: u64, value: u64) -> u64 {
+            value.to_le_bytes().iter().fold(hash, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+            })
+        }
+        const BASIS: u64 = 0xCBF2_9CE4_8422_2325;
+
+        let table = run_table1(42, 20_000).iter().fold(BASIS, |h, r| {
+            [r.naive_conflicts, r.naive_both, r.opt_conflicts, r.opt_both]
+                .iter()
+                .fold(h, |h, loss| fnv(h, loss.to_bits()))
+        });
+        assert_eq!(table, 0xB7EC_CD9D_410A_F926, "Table 1 moved: {table:#018X}");
+
+        // One recorded stream per policy and bank count, drained in three
+        // consecutive calls so bank and scheduler state cross drains.
+        let mut drained = BASIS;
+        for policy in [DrainPolicy::Naive, DrainPolicy::Reordering] {
+            for banks in [1u32, 4, 8] {
+                let mut rng = Xoshiro256pp::seed_from_u64(42 + u64::from(banks));
+                let stream: Vec<Access> = (0..2_000)
+                    .map(|_| Access {
+                        bank: rng.next_below(u64::from(banks)) as u32,
+                        kind: if rng.chance(0.5) {
+                            AccessKind::Read
+                        } else {
+                            AccessKind::Write
+                        },
+                    })
+                    .collect();
+                let mut ch = DdrChannel::new(DdrConfig::paper(banks), policy);
+                for part in [&stream[..700], &stream[700..1_300], &stream[1_300..]] {
+                    let c = ch.drain(part);
+                    for field in [
+                        c.accesses,
+                        c.useful_slots,
+                        c.conflict_slots,
+                        c.turnaround_slots,
+                        c.start_slot,
+                        c.end_slot,
+                    ] {
+                        drained = fnv(drained, field);
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            drained, 0xB5B4_63E1_D557_626A,
+            "a StreamCost moved: {drained:#018X}"
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Reproduces §3 of *"Queue Management in Network Processors"*
 //! (Papaefstathiou et al., DATE 2005): a behavioral DDR-SDRAM bank-timing
-//! model driven by saturated read/write ports, under two access schedulers:
+//! model of four read/write ports, under two access schedulers:
 //!
 //! * [`sched::NaiveRoundRobin`] — serializes the 4 ports in round-robin
 //!   order, stalling on bank conflicts (the paper's "no optimization"
@@ -16,11 +16,14 @@
 //! write delay, and a one-access-cycle penalty for a write issued in the
 //! slot immediately after a read.
 //!
-//! The crate also models the ZBT SRAM pointer memory ([`zbt::ZbtSram`])
-//! used by the MMS and NPU models, and a persistent [`replay::DdrChannel`]
-//! that drains *finite recorded* access streams (a queue engine's actual
-//! per-command traffic) through the same bank protocol — the integration
-//! surface behind `npqm_core::timing`.
+//! The protocol is one access cycle, [`replay::DdrChannel::step`], with
+//! two drivers: [`sched::run_schedule`] keeps the four ports saturated
+//! for a fixed number of slots (Table 1), and [`replay::DdrChannel::drain`]
+//! steps a persistent channel until a *finite recorded* access stream (a
+//! queue engine's actual per-command traffic) has issued — the
+//! integration surface behind `npqm_core::timing`. The crate also models
+//! the ZBT SRAM pointer memory ([`zbt::ZbtSram`]) used by the MMS and NPU
+//! models.
 //!
 //! # Example: measure DDR throughput loss
 //!
@@ -47,5 +50,5 @@ pub mod zbt;
 
 pub use ddr::{Access, AccessKind, BankTracker, DdrConfig};
 pub use replay::{DdrChannel, DrainPolicy, StreamCost};
-pub use sched::{run_schedule, NaiveRoundRobin, Reordering, ScheduleResult, Scheduler};
+pub use sched::{run_schedule, NaiveRoundRobin, Reordering, Sched, ScheduleResult};
 pub use zbt::ZbtSram;

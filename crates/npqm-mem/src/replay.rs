@@ -1,14 +1,17 @@
-//! Replaying *recorded* access streams through the DDR slot protocol.
+//! The DDR access cycle, and replaying *recorded* access streams through it.
 //!
-//! [`crate::sched::run_schedule`] measures the saturated steady state of
-//! §3's experiment: four ports that always have a pending access. A queue
-//! engine does not look like that — it emits a *finite* burst of accesses
-//! per command (or per batch of commands) whose bank pattern is dictated
-//! by the free-list allocation order. [`DdrChannel`] drains such finite
-//! streams through the same [`BankTracker`] timing protocol and the same
-//! two scheduling policies, while keeping the bank state and the slot
-//! cursor **across** streams: the last write of one command can still
-//! stall the first read of the next, exactly as in the device.
+//! [`DdrChannel::step`] is §3's mechanism, written once: four port heads,
+//! one 40 ns access slot, the bank-reuse gap, the one-slot write-after-read
+//! turnaround and a naive or a reordering scheduler. It has two drivers.
+//! [`crate::sched::run_schedule`] keeps all four heads full for a fixed
+//! number of slots — the saturated steady state Table 1 is measured in. A
+//! queue engine does not look like that: it emits a *finite* burst of
+//! accesses per command (or per batch of commands) whose bank pattern is
+//! dictated by the free-list allocation order. [`DdrChannel::drain`] steps
+//! until such a stream has issued and then stops the clock, keeping the
+//! bank state and the slot cursor **across** streams: the last write of
+//! one command can still stall the first read of the next, exactly as in
+//! the device.
 //!
 //! This is the integration surface `npqm_core::timing` builds on: the
 //! engine records which segments each operation touched, the address map
@@ -17,25 +20,17 @@
 //! slots.
 
 use crate::ddr::{Access, AccessKind, BankTracker, DdrConfig};
-use crate::sched::{NaiveRoundRobin, Reordering, NUM_PORTS};
+use crate::sched::{NaiveRoundRobin, Reordering, Sched, NUM_PORTS};
 use npqm_sim::time::Picos;
 use std::collections::VecDeque;
 
 /// Which §3 scheduler a [`DdrChannel`] drains its streams with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DrainPolicy {
     /// Strict round-robin serialization ([`NaiveRoundRobin`]).
     Naive,
     /// Per-port FIFOs with bank-history reordering ([`Reordering`]).
     Reordering,
-}
-
-/// The scheduler state behind a [`DrainPolicy`], persisted across drains.
-#[derive(Debug, Clone)]
-enum Sched {
-    Naive(NaiveRoundRobin),
-    Reordering(Reordering),
 }
 
 /// Slot accounting of one [`DdrChannel::drain`] call.
@@ -44,7 +39,6 @@ enum Sched {
 /// so `useful_slots + conflict_slots + turnaround_slots ==
 /// end_slot - start_slot`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StreamCost {
     /// Accesses drained (equals the input stream length).
     pub accesses: u64,
@@ -72,13 +66,13 @@ impl StreamCost {
     }
 }
 
-/// A persistent DDR channel draining finite access streams.
+/// A persistent DDR channel: bank state, scheduler state, a slot cursor
+/// and lifetime slot counters, advanced one access cycle at a time.
 ///
-/// Unlike [`crate::sched::run_schedule`], which runs saturated ports for
-/// a fixed number of slots, the channel runs until a given stream has
-/// fully drained and then *stops the clock*, so successive streams are
-/// charged back to back. Writes feed ports 0/1 and reads ports 2/3
-/// (alternating), matching the paper's 2-write/2-read port arrangement.
+/// [`DdrChannel::drain`] runs until a given stream has fully drained and
+/// then *stops the clock*, so successive streams are charged back to
+/// back. Writes feed ports 0/1 and reads ports 2/3 (alternating),
+/// matching the paper's 2-write/2-read port arrangement.
 ///
 /// # Example
 ///
@@ -100,6 +94,8 @@ pub struct DdrChannel {
     cfg: DdrConfig,
     banks: BankTracker,
     sched: Sched,
+    /// A write selected in the slot right after a read, held over one slot.
+    held: Option<(usize, Access)>,
     slot: u64,
     useful: u64,
     conflicts: u64,
@@ -109,12 +105,17 @@ pub struct DdrChannel {
 impl DdrChannel {
     /// Creates a channel over `cfg` with the given scheduling policy.
     pub fn new(cfg: DdrConfig, policy: DrainPolicy) -> Self {
+        match policy {
+            DrainPolicy::Naive => Self::with_sched(cfg, NaiveRoundRobin::new().into()),
+            DrainPolicy::Reordering => Self::with_sched(cfg, Reordering::new().into()),
+        }
+    }
+
+    pub(crate) fn with_sched(cfg: DdrConfig, sched: Sched) -> Self {
         DdrChannel {
             banks: BankTracker::new(&cfg),
-            sched: match policy {
-                DrainPolicy::Naive => Sched::Naive(NaiveRoundRobin::new()),
-                DrainPolicy::Reordering => Sched::Reordering(Reordering::new()),
-            },
+            sched,
+            held: None,
             cfg,
             slot: 0,
             useful: 0,
@@ -168,19 +169,40 @@ impl DdrChannel {
         self.slot = self.slot.max(slot);
     }
 
-    fn select(&mut self, heads: &[Option<Access>; NUM_PORTS], slot: u64) -> Option<usize> {
-        match &mut self.sched {
-            Sched::Naive(s) => s.select_sparse(heads, &self.banks, slot),
-            Sched::Reordering(s) => s.select_sparse(heads, &self.banks, slot),
-        }
-    }
-
-    fn issued(&mut self, port: usize, access: Access, slot: u64) {
-        use crate::sched::Scheduler;
-        match &mut self.sched {
-            Sched::Naive(s) => s.issued(port, access, slot),
-            Sched::Reordering(s) => s.issued(port, access, slot),
-        }
+    /// One access cycle over the four port `heads` (`None`: that port
+    /// has nothing pending). Returns the port whose head issued — the
+    /// caller replaces that head before the next cycle — or `None` when
+    /// the slot was lost: to a bank conflict (no head eligible), or to
+    /// the turnaround of a write selected right after a read, which is
+    /// held over and issues in the next cycle whatever the heads say then
+    /// (its bank cannot have become busy meanwhile).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a head addresses a bank outside the configured count.
+    pub fn step(&mut self, heads: &[Option<Access>; NUM_PORTS]) -> Option<usize> {
+        let slot = self.slot;
+        self.slot += 1;
+        let (port, access) = match self.held.take() {
+            Some(held) => held,
+            None => {
+                let Some(port) = self.sched.select(heads, &self.banks, slot) else {
+                    self.conflicts += 1;
+                    return None;
+                };
+                let access = heads[port].expect("the scheduler selects a present head");
+                if self.cfg.model_turnaround && self.banks.turnaround_penalty(access.kind, slot) {
+                    self.turnarounds += 1;
+                    self.held = Some((port, access));
+                    return None;
+                }
+                (port, access)
+            }
+        };
+        self.banks.issue(access, slot);
+        self.sched.issued(port, access, slot);
+        self.useful += 1;
+        Some(port)
     }
 
     /// Drains `accesses` through the channel, starting at the current
@@ -192,16 +214,6 @@ impl DdrChannel {
     /// Panics if any access addresses a bank outside the configured bank
     /// count.
     pub fn drain(&mut self, accesses: &[Access]) -> StreamCost {
-        let start = self.slot;
-        let mut cost = StreamCost {
-            accesses: accesses.len() as u64,
-            start_slot: start,
-            end_slot: start,
-            ..StreamCost::default()
-        };
-        if accesses.is_empty() {
-            return cost;
-        }
         for a in accesses {
             assert!(
                 a.bank < self.cfg.banks,
@@ -215,61 +227,31 @@ impl DdrChannel {
         let mut ports: [VecDeque<Access>; NUM_PORTS] = Default::default();
         let (mut wr, mut rd) = (0usize, 0usize);
         for &a in accesses {
-            match a.kind {
-                AccessKind::Write => {
-                    ports[wr].push_back(a);
-                    wr ^= 1;
-                }
-                AccessKind::Read => {
-                    ports[2 + rd].push_back(a);
-                    rd ^= 1;
-                }
-            }
+            let (base, turn) = match a.kind {
+                AccessKind::Write => (0, &mut wr),
+                AccessKind::Read => (2, &mut rd),
+            };
+            ports[base + *turn].push_back(a);
+            *turn ^= 1;
         }
-
-        let mut slot = start;
-        let mut remaining = accesses.len() as u64;
-        // A write selected right after a read is delayed one slot; it
-        // then issues unconditionally (its bank cannot have become busy
-        // meanwhile) — the same mechanism as `run_schedule`.
-        let mut pending: Option<(usize, Access)> = None;
+        let (start, useful, conflicts, turnarounds) =
+            (self.slot, self.useful, self.conflicts, self.turnarounds);
+        let mut remaining = accesses.len();
         while remaining > 0 {
-            if let Some((port, access)) = pending.take() {
-                self.banks.issue(access, slot);
-                self.issued(port, access, slot);
-                cost.useful_slots += 1;
+            let heads = core::array::from_fn(|p| ports[p].front().copied());
+            if let Some(port) = self.step(&heads) {
+                ports[port].pop_front();
                 remaining -= 1;
-                slot += 1;
-                continue;
             }
-            let heads: [Option<Access>; NUM_PORTS] =
-                core::array::from_fn(|p| ports[p].front().copied());
-            match self.select(&heads, slot) {
-                None => cost.conflict_slots += 1,
-                Some(port) => {
-                    let access = ports[port].pop_front().expect("selected head exists");
-                    if self.cfg.model_turnaround
-                        && access.kind == AccessKind::Write
-                        && self.banks.turnaround_penalty(access.kind, slot)
-                    {
-                        cost.turnaround_slots += 1;
-                        pending = Some((port, access));
-                    } else {
-                        self.banks.issue(access, slot);
-                        self.issued(port, access, slot);
-                        cost.useful_slots += 1;
-                        remaining -= 1;
-                    }
-                }
-            }
-            slot += 1;
         }
-        self.slot = slot;
-        cost.end_slot = slot;
-        self.useful += cost.useful_slots;
-        self.conflicts += cost.conflict_slots;
-        self.turnarounds += cost.turnaround_slots;
-        cost
+        StreamCost {
+            accesses: accesses.len() as u64,
+            useful_slots: self.useful - useful,
+            conflict_slots: self.conflicts - conflicts,
+            turnaround_slots: self.turnarounds - turnarounds,
+            start_slot: start,
+            end_slot: self.slot,
+        }
     }
 }
 
@@ -377,6 +359,22 @@ mod tests {
         let cost = ch.drain(&[w(0), w(1), w(2), r(3), r(4)]);
         assert_eq!(cost.useful_slots, 5);
         assert!(cost.turnaround_slots >= 1, "cost {cost:?}");
+    }
+
+    #[test]
+    fn step_holds_a_write_over_the_turnaround_slot() {
+        let mut ch = DdrChannel::new(DdrConfig::paper(8), DrainPolicy::Naive);
+        // Only port 2 (read) then only port 0 (write) have a head.
+        assert_eq!(ch.step(&[None, None, Some(r(0)), None]), Some(2));
+        let write = [Some(w(1)), None, None, None];
+        assert_eq!(ch.step(&write), None, "the slot after a read is lost");
+        assert_eq!(ch.turnaround_slots(), 1);
+        assert_eq!(ch.step(&write), Some(0), "the held write issues");
+        assert_eq!(ch.step(&[None; NUM_PORTS]), None, "nothing pending");
+        assert_eq!(
+            (ch.slot(), ch.useful_slots(), ch.conflict_slots()),
+            (4, 2, 1)
+        );
     }
 
     #[test]

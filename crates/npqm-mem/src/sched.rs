@@ -1,4 +1,4 @@
-//! Memory-access schedulers and the slot-level simulation loop.
+//! Memory-access schedulers and the saturated-port driver of the slot loop.
 //!
 //! Two schedulers from §3:
 //!
@@ -12,27 +12,18 @@
 //!   last 3 accesses). In case that more than one accesses are eligible …
 //!   round-robin order. In case that no pending access is eligible, the
 //!   scheduler sends a no-operation to the memory, losing an access cycle."
+//!
+//! Each answers one question per access cycle: which port's head issues.
+//! The cycle itself (bank state, turnaround, slot accounting) is
+//! [`DdrChannel::step`]; [`run_schedule`] drives it with four ports that
+//! never run dry, the condition Table 1 is measured under.
 
 use crate::ddr::{Access, AccessKind, BankTracker, DdrConfig};
 use crate::pattern::PortPattern;
+use crate::replay::DdrChannel;
 
 /// Number of ports in the paper's experiment (2 write + 2 read).
 pub const NUM_PORTS: usize = 4;
-
-/// A slot-level scheduling policy over the four port heads.
-pub trait Scheduler {
-    /// Chooses which port's head access to issue at `slot`, or `None` for a
-    /// no-op. `heads[p]` is the pending head access of port `p`.
-    fn select(
-        &mut self,
-        heads: &[Access; NUM_PORTS],
-        banks: &BankTracker,
-        slot: u64,
-    ) -> Option<usize>;
-
-    /// Notifies the policy that `access` from `port` was issued at `slot`.
-    fn issued(&mut self, port: usize, access: Access, slot: u64);
-}
 
 /// Strict round-robin serialization (no optimization).
 #[derive(Debug, Clone, Default)]
@@ -46,13 +37,12 @@ impl NaiveRoundRobin {
         Self::default()
     }
 
-    /// [`Scheduler::select`] over *sparse* heads: ports whose FIFO has
-    /// drained report `None` and are skipped (the round-robin pointer
-    /// advances past them so in-order service of the remaining ports is
-    /// preserved). Used by [`crate::replay::DdrChannel`] to drain finite
-    /// recorded access streams; with every head present this is exactly
-    /// the saturated-port behaviour of [`run_schedule`].
-    pub fn select_sparse(
+    /// Chooses which port's head access to issue at `slot`, or `None` for
+    /// a no-op. `heads[p]` is the pending head access of port `p`; a port
+    /// whose FIFO has drained reports `None` and is skipped (the
+    /// round-robin pointer advances past it, so in-order service of the
+    /// remaining ports is preserved).
+    pub fn select(
         &mut self,
         heads: &[Option<Access>; NUM_PORTS],
         banks: &BankTracker,
@@ -70,19 +60,9 @@ impl NaiveRoundRobin {
         }
         None
     }
-}
 
-impl Scheduler for NaiveRoundRobin {
-    fn select(
-        &mut self,
-        heads: &[Access; NUM_PORTS],
-        banks: &BankTracker,
-        slot: u64,
-    ) -> Option<usize> {
-        self.select_sparse(&heads.map(Some), banks, slot)
-    }
-
-    fn issued(&mut self, port: usize, _access: Access, _slot: u64) {
+    /// Notifies the policy that `port`'s head was issued.
+    pub fn issued(&mut self, port: usize, _access: Access, _slot: u64) {
         debug_assert_eq!(port, self.current);
         self.current = (self.current + 1) % NUM_PORTS;
     }
@@ -177,12 +157,10 @@ impl Reordering {
         None
     }
 
-    /// [`Scheduler::select`] over *sparse* heads: ports whose FIFO has
-    /// drained report `None` and are simply never eligible. Used by
-    /// [`crate::replay::DdrChannel`] to drain finite recorded access
-    /// streams; with every head present this is exactly the
-    /// saturated-port behaviour of [`run_schedule`].
-    pub fn select_sparse(
+    /// Chooses which port's head access to issue at `slot`, or `None` for
+    /// a no-op. A port whose FIFO has drained reports `None` and is simply
+    /// never eligible.
+    pub fn select(
         &mut self,
         heads: &[Option<Access>; NUM_PORTS],
         banks: &BankTracker,
@@ -201,25 +179,9 @@ impl Reordering {
         }
         self.pick(heads, banks, slot, None)
     }
-}
 
-impl Default for Reordering {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Scheduler for Reordering {
-    fn select(
-        &mut self,
-        heads: &[Access; NUM_PORTS],
-        banks: &BankTracker,
-        slot: u64,
-    ) -> Option<usize> {
-        self.select_sparse(&heads.map(Some), banks, slot)
-    }
-
-    fn issued(&mut self, port: usize, access: Access, slot: u64) {
+    /// Notifies the policy that `access` from `port` was issued at `slot`.
+    pub fn issued(&mut self, port: usize, access: Access, slot: u64) {
         self.history.rotate_right(1);
         self.history[0] = Some((slot, access.bank));
         if self.last_kind == Some(access.kind) {
@@ -232,9 +194,56 @@ impl Scheduler for Reordering {
     }
 }
 
+impl Default for Reordering {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// Either §3 scheduler: what a [`DdrChannel`] asks once per access cycle.
+#[derive(Debug, Clone)]
+pub enum Sched {
+    /// Strict round-robin serialization.
+    Naive(NaiveRoundRobin),
+    /// Per-port FIFOs with bank-history reordering.
+    Reordering(Reordering),
+}
+
+impl From<NaiveRoundRobin> for Sched {
+    fn from(s: NaiveRoundRobin) -> Self {
+        Sched::Naive(s)
+    }
+}
+
+impl From<Reordering> for Sched {
+    fn from(s: Reordering) -> Self {
+        Sched::Reordering(s)
+    }
+}
+
+impl Sched {
+    pub(crate) fn select(
+        &mut self,
+        heads: &[Option<Access>; NUM_PORTS],
+        banks: &BankTracker,
+        slot: u64,
+    ) -> Option<usize> {
+        match self {
+            Sched::Naive(s) => s.select(heads, banks, slot),
+            Sched::Reordering(s) => s.select(heads, banks, slot),
+        }
+    }
+
+    pub(crate) fn issued(&mut self, port: usize, access: Access, slot: u64) {
+        match self {
+            Sched::Naive(s) => s.issued(port, access, slot),
+            Sched::Reordering(s) => s.issued(port, access, slot),
+        }
+    }
+}
+
 /// Result of a scheduling run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ScheduleResult {
     /// Access slots that carried a transfer.
     pub useful_slots: u64,
@@ -267,62 +276,26 @@ impl ScheduleResult {
 /// access cycles and reports the throughput loss.
 ///
 /// All four ports always have a pending access (the saturation condition
-/// under which Table 1 is measured).
-pub fn run_schedule<S, P>(
+/// under which Table 1 is measured): a head that issues is replaced from
+/// `pattern` before the next cycle.
+pub fn run_schedule(
     cfg: &DdrConfig,
-    mut scheduler: S,
-    mut pattern: P,
+    scheduler: impl Into<Sched>,
+    mut pattern: impl PortPattern,
     slots: u64,
-) -> ScheduleResult
-where
-    S: Scheduler,
-    P: PortPattern,
-{
-    let mut banks = BankTracker::new(cfg);
-    let mut heads: [Access; NUM_PORTS] = core::array::from_fn(|p| pattern.next_access(p));
-    let mut useful = 0u64;
-    let mut conflict = 0u64;
-    let mut turnaround = 0u64;
-    // A write selected right after a read is delayed one slot; it then
-    // issues unconditionally (its bank cannot have become busy meanwhile).
-    let mut pending: Option<(usize, Access)> = None;
-
-    let mut slot = 0u64;
-    while slot < slots {
-        if let Some((port, access)) = pending.take() {
-            banks.issue(access, slot);
-            scheduler.issued(port, access, slot);
-            heads[port] = pattern.next_access(port);
-            useful += 1;
-            slot += 1;
-            continue;
+) -> ScheduleResult {
+    let mut channel = DdrChannel::with_sched(*cfg, scheduler.into());
+    let mut heads: [Option<Access>; NUM_PORTS] =
+        core::array::from_fn(|p| Some(pattern.next_access(p)));
+    for _ in 0..slots {
+        if let Some(port) = channel.step(&heads) {
+            heads[port] = Some(pattern.next_access(port));
         }
-        match scheduler.select(&heads, &banks, slot) {
-            None => {
-                conflict += 1;
-            }
-            Some(port) => {
-                let access = heads[port];
-                if cfg.model_turnaround
-                    && access.kind == AccessKind::Write
-                    && banks.turnaround_penalty(access.kind, slot)
-                {
-                    turnaround += 1;
-                    pending = Some((port, access));
-                } else {
-                    banks.issue(access, slot);
-                    scheduler.issued(port, access, slot);
-                    heads[port] = pattern.next_access(port);
-                    useful += 1;
-                }
-            }
-        }
-        slot += 1;
     }
     ScheduleResult {
-        useful_slots: useful,
-        conflict_slots: conflict,
-        turnaround_slots: turnaround,
+        useful_slots: channel.useful_slots(),
+        conflict_slots: channel.conflict_slots(),
+        turnaround_slots: channel.turnaround_slots(),
         total_slots: slots,
     }
 }

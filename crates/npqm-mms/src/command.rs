@@ -4,7 +4,6 @@ use core::fmt;
 
 /// The nine "simple commands" whose latencies Table 4 reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MmsCommand {
     /// Enqueue one segment on a flow queue.
     Enqueue,

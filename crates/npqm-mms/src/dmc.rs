@@ -14,7 +14,6 @@ use std::collections::VecDeque;
 
 /// DMC timing configuration (cycles of the 125 MHz MMS clock).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DmcConfig {
     /// DDR banks backing the data memory.
     pub banks: u32,

@@ -16,7 +16,6 @@ use crate::command::MmsCommand;
 
 /// Which pointer-memory plane a micro-op touches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Plane {
     /// The per-flow queue table.
     QueueTable,
@@ -28,7 +27,6 @@ pub enum Plane {
 
 /// One cycle of DQM work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MicroOp {
     /// Command decode / port grant (2 cycles).
     Decode,

@@ -21,7 +21,6 @@ use npqm_sim::time::Cycle;
 
 /// One row of Table 5.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Table5Row {
     /// Offered load in Gbit/s of 64-byte segments.
     pub load_gbps: f64,

@@ -13,7 +13,6 @@ pub const NUM_PORTS: usize = 4;
 
 /// Identifies one of the four request ports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Port {
     /// Network ingress (enqueue traffic).
     In,

@@ -15,7 +15,6 @@
 
 /// PLB timing constants (bus cycles = CPU cycles at the paper's 100 MHz).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PlbConfig {
     /// Bus cycles for one single-beat read (arbitration + address + wait
     /// states + data).

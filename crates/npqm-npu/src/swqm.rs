@@ -11,7 +11,6 @@ use crate::plb::PlbConfig;
 
 /// How segment payloads cross the PLB (§5.3's three alternatives).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CopyStrategy {
     /// Doubleword-at-a-time software copy (the Table 3 baseline).
     SingleBeat,
@@ -23,7 +22,6 @@ pub enum CopyStrategy {
 
 /// One pointer-manipulation sub-operation: CPU instructions + bus traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SubOp {
     /// Plain CPU instructions (1 cycle each on the 405 pipeline).
     pub instructions: u64,
@@ -164,7 +162,6 @@ impl Default for SwQueueManager {
 
 /// A regenerated Table 3 (plus the §5.3 optimization variants).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Table3 {
     /// "Dequeue Free List" — enqueue path.
     pub free_list_enqueue: u64,

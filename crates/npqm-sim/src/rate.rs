@@ -21,7 +21,6 @@ use core::ops::{Add, Div, Mul};
 /// assert!((bw.get() - 6.095).abs() < 0.01);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Gbps(f64);
 
 impl Gbps {
@@ -86,7 +85,6 @@ impl Div<Gbps> for Gbps {
 
 /// Megabits per second.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Mbps(f64);
 
 impl Mbps {
@@ -114,7 +112,6 @@ impl fmt::Display for Mbps {
 
 /// Millions of packets (or operations) per second.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Mpps(f64);
 
 impl Mpps {
@@ -154,7 +151,6 @@ impl Mul<f64> for Mpps {
 
 /// Thousands of packets per second (the unit of most of Table 2).
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Kpps(f64);
 
 impl Kpps {

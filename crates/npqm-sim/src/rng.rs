@@ -4,7 +4,7 @@
 //! SplitMix64, as recommended by the algorithm's authors) instead of pulling
 //! a heavyweight dependency into every model crate. Experiments are
 //! reproducible bit-for-bit given the same seed, which matters because
-//! EXPERIMENTS.md records concrete numbers regenerated by `cargo run`.
+//! the committed table artifacts and test pins hold exact values.
 
 /// xoshiro256++ pseudo-random generator.
 ///

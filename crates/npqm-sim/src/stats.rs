@@ -17,7 +17,6 @@ use core::fmt;
 /// assert_eq!(served.get(), 4);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Counter(u64);
 
 impl Counter {
@@ -66,7 +65,6 @@ impl fmt::Display for Counter {
 /// assert!((delay.mean() - 10.5).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MeanVar {
     n: u64,
     mean: f64,
@@ -193,7 +191,6 @@ impl fmt::Display for MeanVar {
 /// assert_eq!(h.overflow(), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Histogram {
     buckets: Vec<u64>,
     width: u64,
@@ -304,7 +301,6 @@ impl Histogram {
 /// assert!((u.loss() - 0.25).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Utilization {
     busy: u64,
     idle: u64,

@@ -27,7 +27,6 @@ use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// assert!(b > a);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Cycle(u64);
 
 impl Cycle {
@@ -147,7 +146,6 @@ impl From<u64> for Cycle {
 /// assert_eq!(bank_reuse / access_cycle, 4);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Picos(u64);
 
 impl Picos {
@@ -257,7 +255,6 @@ impl Sum for Picos {
 /// assert_eq!(ppc.cycles_in(slot), Cycle::new(512));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Freq {
     megahertz: u32,
 }

@@ -5,7 +5,6 @@ use npqm_sim::time::Picos;
 
 /// A packet arrival process producing inter-arrival times.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ArrivalProcess {
     /// Constant bit rate: fixed inter-arrival time.
     Cbr {

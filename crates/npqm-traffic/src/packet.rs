@@ -8,7 +8,6 @@ use core::fmt;
 
 /// A 48-bit MAC address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MacAddr(pub [u8; 6]);
 
 impl fmt::Display for MacAddr {
@@ -24,7 +23,6 @@ impl fmt::Display for MacAddr {
 
 /// An 802.1Q VLAN tag: 3-bit priority (802.1p) + 12-bit VLAN id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VlanTag {
     /// Priority code point (0–7), the 802.1p class.
     pub pcp: u8,
@@ -58,7 +56,6 @@ impl std::error::Error for CodecError {}
 
 /// An Ethernet II frame, optionally 802.1Q-tagged.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EthernetFrame {
     /// Destination MAC.
     pub dst: MacAddr,
@@ -161,7 +158,6 @@ pub fn internet_checksum(bytes: &[u8]) -> u16 {
 
 /// A minimal IPv4 packet (no options).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Ipv4Packet {
     /// Source address.
     pub src: [u8; 4],
@@ -224,9 +220,6 @@ impl Ipv4Packet {
 }
 
 /// A 53-byte ATM cell (simplified UNI header, no HEC computation).
-///
-/// Not serde-serializable: the 48-byte payload array predates serde's
-/// const-generic support and cells are wire-format anyway (`to_bytes`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AtmCell {
     /// Virtual path identifier (8 bits at UNI).

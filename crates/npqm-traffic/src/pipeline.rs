@@ -24,8 +24,11 @@
 //! Every pipeline shape — dense, shard-local sharded, globally admitted
 //! — is built through [`PipelineBuilder`] and runs the one event loop in
 //! this module; the shapes differ only in arrival source and admission
-//! scope. Egress is a fixed line rate; what the *memory* organisation
-//! sustains is [`crate::scale::run_memory_scale`]'s question, not a loop's.
+//! scope. (The streaming service's lane merge in [`crate::service`] is
+//! the other loop, kept apart because it is the faster form; each pins
+//! its own tie rule.) Egress is a fixed line rate; what the *memory*
+//! organisation sustains is [`crate::scale::run_memory_scale`]'s
+//! question, not a loop's.
 //!
 //! # Example
 //!

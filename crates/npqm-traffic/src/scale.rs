@@ -129,7 +129,7 @@ impl ShardScaleConfig {
 }
 
 /// The canonical `table8` bank-count axis (Table 1's sweep minus the
-/// 12-bank row). `table8` and `all_tables` both sweep exactly this list.
+/// 12-bank row).
 pub const TABLE8_BANKS: [u32; 5] = [1, 2, 4, 8, 16];
 
 /// Draws one round's offered arrivals — Zipf flow, IMIX size, and a marker

@@ -62,12 +62,16 @@
 //! its wall-clock measurements (`busy`, `critical_path`, `wall_clock`).
 //!
 //! The lane-driven `ShardLoop` here and the finite-trace event loop in
-//! [`crate::pipeline`] are two loops, not one: they share the draw
-//! primitives this module owns ([`PacketStream`] and the arrival stream
-//! built on it), the admit/evict/deliver bookkeeping and the service
-//! path, but break time ties differently. Here a completion due at or
-//! before the next arrival always runs first ("completions win"); the
-//! finite loop orders a tie by when each event was scheduled.
+//! [`crate::pipeline`] share the draw primitives this module owns
+//! ([`PacketStream`] and the arrival stream built on it), the
+//! admit/evict/deliver bookkeeping and the service path, and each has
+//! its tie rule pinned on CBR traffic that ties every 125th service: here
+//! a completion due at or before the next arrival runs first
+//! (`service_tie_order_is_pinned`), the finite loop orders a tie by when
+//! each event was scheduled (`tie_order_is_pinned_on_every_shape`). They
+//! stay two loops: the lane merge needs no event heap for arrivals, and
+//! one resumable step under both measured 11 % slower here for no fewer
+//! lines (ROADMAP item 5(b)).
 //!
 //! # Example
 //!
@@ -1608,6 +1612,52 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&b| b), "every arrival must be routed");
+    }
+
+    #[test]
+    fn service_tie_order_is_pinned() {
+        // The traffic of `pipeline::tests::tie_heavy` through the service:
+        // CBR 50 ns arrivals of 64 B packets into 5 Gbit/s, so an arrival
+        // and a completion collide on the same picosecond every 125th
+        // service. Completions go first (`t <= at` in `process_once`).
+        // The engine is small (8 flows, 128 segments) so that the buffer
+        // is full at every collision and the queue being served is often
+        // the one LQD evicts from: with `<` the eviction *count* stays
+        // (the push-out moves one arrival later) but the victims, and so
+        // the hash, change; on `tie_heavy`'s 256 flows they happen not to.
+        // Poisson arrivals at picosecond resolution never tie, so no
+        // other test, gate or benchmark pin holds this rule.
+        let cfg = ServiceConfig {
+            qm: QmConfig::builder()
+                .num_flows(8)
+                .num_segments(128)
+                .segment_bytes(64)
+                .build()
+                .unwrap(),
+            arrivals: ArrivalProcess::Cbr {
+                interval: Picos::from_nanos(50),
+            },
+            sizes: SizeDistribution::Fixed(64),
+            mix: FlowMix::uniform(8),
+            egress_gbps: 5.0,
+            shards: 1,
+            generators: 1,
+            epoch: Picos::from_micros(50),
+            duration: Picos::from_micros(200),
+            ..ServiceConfig::steady_demo(42)
+        };
+        let r = run_service(
+            &cfg,
+            1,
+            |_| npqm_core::policy::LongestQueueDrop::new(0),
+            |_| DeficitRoundRobin::new(vec![1518; 8]),
+        );
+        let hash = format!("{:?}", r.aggregate)
+            .bytes()
+            .fold(FNV_OFFSET_BASIS, |h, b| fnv1a_fold(h, u64::from(b)));
+        assert_eq!(r.aggregate.offered_pkts, 4000);
+        assert_eq!(r.aggregate.evicted_pkts, 1919);
+        assert_eq!(hash, 0xf024_9ac5_6811_4b74, "aggregate moved: {hash:#018x}");
     }
 
     #[test]

@@ -4,7 +4,6 @@ use npqm_sim::rng::Xoshiro256pp;
 
 /// A packet-size model.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SizeDistribution {
     /// Every packet the same size. The paper's worst case is
     /// `Fixed(64)` — minimum-size Ethernet.

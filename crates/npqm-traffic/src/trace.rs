@@ -9,7 +9,6 @@ use npqm_sim::time::Picos;
 
 /// One packet arrival.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TraceRecord {
     /// Arrival instant.
     pub at: Picos,
@@ -21,7 +20,6 @@ pub struct TraceRecord {
 
 /// A generated workload trace.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Trace {
     records: Vec<TraceRecord>,
 }

@@ -58,7 +58,7 @@ fn drr_byte_fairness_under_imix() {
 #[test]
 fn policer_plus_scheduler_pipeline() {
     let mut qm = engine(8);
-    let mut bm = BufferManager::new(
+    let bm = BufferManager::new(
         FlowLimits {
             max_bytes: 4096,
             max_packets: 16,
@@ -66,12 +66,14 @@ fn policer_plus_scheduler_pipeline() {
         8,
     );
     let mut rng = Xoshiro256pp::seed_from_u64(21);
-    let mut offered = 0u64;
+    let (mut admitted, mut dropped) = (0u64, 0u64);
     for i in 0..2000u32 {
         let flow = FlowId::new(rng.next_below(8) as u32);
         let len = 1 + rng.next_below(1500) as usize;
-        offered += 1;
-        let _ = bm.try_enqueue(&mut qm, flow, &vec![(i % 251) as u8; len]);
+        match bm.try_enqueue(&mut qm, flow, &vec![(i % 251) as u8; len]) {
+            Ok(()) => admitted += 1,
+            Err(_) => dropped += 1,
+        }
         // Periodically drain two packets via WRR.
         if i % 4 == 0 {
             let mut wrr = WeightedRoundRobin::new(vec![1; 8]);
@@ -85,9 +87,10 @@ fn policer_plus_scheduler_pipeline() {
             assert!(qm.queue_len_packets(FlowId::new(f)) <= 16);
         }
     }
-    let stats = *bm.stats();
-    assert_eq!(stats.admitted + stats.dropped(), offered);
-    assert!(stats.admitted > 0);
+    assert!(
+        admitted > 0 && dropped > 0,
+        "{admitted} in, {dropped} refused"
+    );
     // Drain fully; no leaks.
     let mut sp = StrictPriority::new(8);
     while drain_next(&mut qm, &mut sp).is_some() {}
