@@ -9,9 +9,10 @@
 #                   # one push-out loop, each engine step of manager.rs
 #                   # written once, no cut_through, the access trace
 #                   # cut and never committed, one DDR slot loop, one
-#                   # count per event, one grouped executor), fmt,
-#                   # clippy, docs,
-#                   # tier-1, release-profile engine tests, tables,
+#                   # count per event, one grouped executor, one model
+#                   # of the engine), fmt, clippy, docs,
+#                   # tier-1, release-profile engine tests, the model
+#                   # fuzzer's release soak, tables,
 #                   # golden checks, parallel-determinism diff, telemetry
 #                   # trace export + cross-thread diff, every example,
 #                   # repo-benchmark smoke + digest check, bench
@@ -72,6 +73,11 @@ tier1() {
 # command that charges both engines (`parallel.rs`). The per-command
 # result slots' executor, the lending drain and its types stay deleted,
 # and the scale rounds reach the shards only through `for_each_shard`.
+# One model of the engine: `npqm-core`'s test-only `model` module (and the
+# corpus it replays) is the oracle every engine call is held to, so the
+# hand-written oracles it replaced — the open-tail regression file, the
+# property tests' `Oracle` and `SarOp` and the manager tests' own
+# `step_strategy` — stay deleted.
 structure() {
     echo "==> structure: one thread fan-out in npqm-core + npqm-traffic"
     local hits
@@ -176,6 +182,15 @@ structure() {
     hits+="$(grep -n 'shards_mut(' crates/npqm-traffic/src/scale.rs || true)"
     if [[ -n "${hits}" ]]; then
         echo "structure FAILED: a second per-shard executor or the lending drain is back:" >&2
+        echo "${hits}" >&2
+        exit 1
+    fi
+    echo "==> structure: one model of the engine"
+    hits="$(grep -rnE 'open_tail_regressions|struct Oracle|enum SarOp' crates || true)"
+    hits+="$(grep -n 'fn step_strategy' crates/npqm-core/src/manager.rs || true)"
+    hits+="$(find crates -name '*open_tail_regressions*')"
+    if [[ -n "${hits}" ]]; then
+        echo "structure FAILED: a hand-written engine oracle is back beside the model:" >&2
         echo "${hits}" >&2
         exit 1
     fi
@@ -355,6 +370,14 @@ tier1
 # the benchmark or the tables.
 echo "==> cargo test --release -q -p npqm-core -p npqm-traffic -p npqm-mem"
 cargo test --release -q -p npqm-core -p npqm-traffic -p npqm-mem
+
+# The model fuzzer's soak: the random scripts tier-1 draws from its
+# default stream, drawn from eight more, in the release profile (the
+# corpus ran above, so its digests hold in both profiles).
+for seed in 1 2 3 4 5 6 7 8; do
+    echo "==> model soak: NPQM_PROP_SEED=${seed}"
+    NPQM_PROP_SEED="${seed}" cargo test --release -q -p npqm-core --lib model::engine_matches_the_model
+done
 
 # The stage that runs the paper's tables 1-5 (6-11 are golden_full's).
 echo "==> cargo run --release -p npqm-bench --bin all_tables"

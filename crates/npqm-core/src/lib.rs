@@ -52,6 +52,8 @@ pub mod freelist;
 pub mod id;
 pub mod limits;
 pub mod manager;
+#[cfg(test)]
+mod model;
 pub mod policy;
 pub mod pool;
 pub mod ptrmem;

@@ -1360,6 +1360,10 @@ impl QueueManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::command::Outcome;
+    use crate::config::FreeListDiscipline;
+    use crate::model::{self, Reply, Res, Run, Scripts, Shape, Step, Step::*};
+    use crate::shard::ShardedQueueManager;
     use proptest::prelude::*;
 
     fn qm() -> QueueManager {
@@ -1967,113 +1971,16 @@ mod tests {
         }
     }
 
-    /// One step of the differential script below. The packet calls are
-    /// what is under test; the others run identically on both engines and
-    /// put the queues into the states the packet calls must cope with.
-    #[derive(Debug, Clone)]
-    enum Step {
-        EnqueuePacket {
-            flow: u32,
-            len: usize,
-            work: u32,
-        },
-        /// `lend: Some(n)` takes the packet through the lending form, into
-        /// a buffer that already holds `n` bytes.
-        DequeuePacket {
-            flow: u32,
-            lend: Option<usize>,
-        },
-        /// A raw SAR segment: `First` leaves the queue open.
-        Segment {
-            flow: u32,
-            len: usize,
-            first: bool,
-            last: bool,
-        },
-        /// One segment command: leaves a mid-service head behind. `lend`
-        /// as for `DequeuePacket`.
-        DequeueSegment {
-            flow: u32,
-            lend: Option<usize>,
-        },
-        MovePacket {
-            src: u32,
-            dst: u32,
-        },
-        DeletePacket {
-            flow: u32,
-        },
-        /// `lend` as for `DequeuePacket`.
-        PeekPacket {
-            flow: u32,
-            lend: Option<usize>,
-        },
-        CopyPacket {
-            src: u32,
-            dst: u32,
-        },
-        AppendHead {
-            flow: u32,
-            len: usize,
-        },
-        AppendTail {
-            flow: u32,
-            len: usize,
-        },
-    }
-
-    const DIFF_FLOWS: u32 = 3;
-    const DIFF_SEG_BYTES: usize = 16;
-    /// Few enough that packets of up to ten segments run the pool dry.
-    const DIFF_SEGMENTS: u32 = 14;
-
-    fn step_strategy() -> impl Strategy<Value = Step> {
-        // One flow index past the table, so `UnknownFlow` is in the script.
-        let flow = || 0..DIFF_FLOWS + 1;
-        let seg_len = || 1..DIFF_SEG_BYTES + 1;
-        // Empty, one segment, exact multiples and ragged sizes, up to two
-        // thirds of the pool.
-        let pkt_len = || {
-            prop_oneof![
-                0usize..10 * DIFF_SEG_BYTES,
-                (1usize..10).prop_map(|segs| segs * DIFF_SEG_BYTES),
-                seg_len(),
-            ]
-        };
-        let work = || prop_oneof![0u32..1, 1u32..9];
-        // Half the reads are lent a buffer, empty or already in use.
-        let lend = || (any::<bool>(), 0usize..40).prop_map(|(lend, held)| lend.then_some(held));
-        // The two packet calls are listed twice: four steps in ten.
-        prop_oneof![
-            (flow(), pkt_len(), work()).prop_map(|(flow, len, work)| Step::EnqueuePacket {
-                flow,
-                len,
-                work
-            }),
-            (flow(), pkt_len(), work()).prop_map(|(flow, len, work)| Step::EnqueuePacket {
-                flow,
-                len,
-                work
-            }),
-            (flow(), lend()).prop_map(|(flow, lend)| Step::DequeuePacket { flow, lend }),
-            (flow(), lend()).prop_map(|(flow, lend)| Step::DequeuePacket { flow, lend }),
-            (flow(), seg_len(), any::<bool>(), any::<bool>()).prop_map(
-                |(flow, len, first, last)| Step::Segment {
-                    flow,
-                    len,
-                    first,
-                    last
-                }
-            ),
-            (flow(), lend()).prop_map(|(flow, lend)| Step::DequeueSegment { flow, lend }),
-            (flow(), flow()).prop_map(|(src, dst)| Step::MovePacket { src, dst }),
-            flow().prop_map(|flow| Step::DeletePacket { flow }),
-            (flow(), lend()).prop_map(|(flow, lend)| Step::PeekPacket { flow, lend }),
-            (flow(), flow()).prop_map(|(src, dst)| Step::CopyPacket { src, dst }),
-            (flow(), seg_len()).prop_map(|(flow, len)| Step::AppendHead { flow, len }),
-            (flow(), seg_len()).prop_map(|(flow, len)| Step::AppendTail { flow, len }),
-        ]
-    }
+    /// The differential below runs its scripts on one engine of this shape,
+    /// under both free lists: few enough segments that packets of up to ten
+    /// run the pool dry.
+    const DIFF: Shape = Shape {
+        flows: 3,
+        segments: 14,
+        seg_bytes: 16,
+        freelist: FreeListDiscipline::Lifo,
+        shards: 1,
+    };
 
     /// [`QueueManager::dequeue_packet`] one segment command at a time, as
     /// every packet left the engine before there were whole-packet
@@ -2110,8 +2017,9 @@ mod tests {
         flow: FlowId,
         packet: &[u8],
     ) -> Result<(), QueueError> {
-        let n = packet.len().div_ceil(DIFF_SEG_BYTES);
-        for (i, chunk) in packet.chunks(DIFF_SEG_BYTES).enumerate() {
+        let seg_bytes = m.config().segment_bytes() as usize;
+        let n = packet.len().div_ceil(seg_bytes);
+        for (i, chunk) in packet.chunks(seg_bytes).enumerate() {
             let pos = SegmentPosition::from_flags(i == 0, i == n - 1);
             let Err(e) = m.enqueue(flow, chunk, pos) else {
                 continue;
@@ -2214,225 +2122,86 @@ mod tests {
         Ok(())
     }
 
-    /// Runs a lending call on a buffer that already holds `held` bytes and
-    /// returns the call's value with what it appended. The held bytes must
-    /// survive, and a refused call must leave the buffer as it was.
-    fn lent<T>(
-        held: usize,
-        call: impl FnOnce(&mut Vec<u8>) -> Result<T, QueueError>,
-    ) -> Result<(T, Vec<u8>), QueueError> {
-        let mut out = vec![0xEE; held];
-        let result = call(&mut out);
-        assert!(out[..held].iter().all(|&b| b == 0xEE), "held bytes changed");
-        if result.is_err() {
-            assert_eq!(out.len(), held, "a refused call appended");
-        }
-        result.map(|value| (value, out.split_off(held)))
-    }
-
-    /// Runs `step` and renders its result. With `by_segments` the packet
-    /// calls go through the segment-command loops, as every packet did
-    /// before there were whole-packet transactions.
-    fn apply(m: &mut QueueManager, step: &Step, tag: u8, by_segments: bool) -> String {
-        let bytes =
-            |len: usize| -> Vec<u8> { (0..len).map(|i| tag.wrapping_add(i as u8)).collect() };
-        match *step {
-            Step::EnqueuePacket { flow, len, work } => {
-                let (flow, data) = (FlowId::new(flow), bytes(len));
-                let result = if !by_segments {
-                    if work == 0 {
-                        m.enqueue_packet(flow, &data)
-                    } else {
-                        m.enqueue_packet_with_work(flow, &data, work)
-                    }
-                } else if data.is_empty() {
-                    m.fail(QueueError::EmptyPayload)
-                } else {
-                    reference_enqueue_packet(m, flow, &data).map(|()| {
-                        if work != 0 {
-                            m.set_tail_work(flow, work).unwrap();
-                        }
-                    })
-                };
-                format!("{result:?}")
+    /// Makes `step`'s call on `e`'s one engine as [`model::apply`] does,
+    /// but with the packet calls going through the segment-command loops
+    /// above, as every packet did before there were whole-packet
+    /// transactions.
+    fn apply_by_segments(e: &mut ShardedQueueManager, step: Step, tag: u8) -> Res<Reply> {
+        let (m, f) = (e.shard_mut(0), FlowId::new);
+        let done = |r: Res<()>| r.map(|()| Reply::Outcome(Outcome::Done));
+        match step {
+            EnqueuePacket(_, 0, _) => m.fail(QueueError::EmptyPayload),
+            EnqueuePacket(flow, len, work) => {
+                let result = reference_enqueue_packet(m, f(flow), &model::payload(tag, len));
+                done(result.and_then(|()| match work {
+                    0 => Ok(()),
+                    _ => m.set_tail_work(f(flow), work),
+                }))
             }
-            Step::DequeuePacket { flow, lend } => {
-                let flow = FlowId::new(flow);
-                let result = if by_segments {
-                    dequeue_packet_by_segments(m, flow)
-                } else if let Some(held) = lend {
-                    lent(held, |out| m.dequeue_packet_into(flow, out)).map(|(n, bytes)| {
-                        assert_eq!(n, bytes.len());
-                        bytes
-                    })
-                } else {
-                    m.dequeue_packet(flow)
-                };
-                format!("{result:?}")
-            }
-            Step::Segment {
-                flow,
-                len,
-                first,
-                last,
-            } => {
-                let pos = SegmentPosition::from_flags(first, last);
-                format!("{:?}", m.enqueue(FlowId::new(flow), &bytes(len), pos))
-            }
-            Step::DequeueSegment { flow, lend } => {
-                let flow = FlowId::new(flow);
-                let result = match lend {
-                    Some(held) if !by_segments => {
-                        lent(held, |out| m.dequeue_into(flow, out)).map(|(info, data)| {
-                            assert_eq!(info.len, data.len());
-                            DequeuedSegment {
-                                data,
-                                sop: info.sop,
-                                eop: info.eop,
-                            }
-                        })
-                    }
-                    _ => m.dequeue(flow),
-                };
-                format!("{result:?}")
-            }
-            Step::MovePacket { src, dst } => {
-                format!("{:?}", m.move_packet(FlowId::new(src), FlowId::new(dst)))
-            }
-            Step::DeletePacket { flow } => {
-                let flow = FlowId::new(flow);
-                let result = if by_segments {
-                    delete_packet_by_segments(m, flow)
-                } else {
-                    m.delete_packet(flow)
-                };
-                format!("{result:?}")
-            }
-            Step::PeekPacket { flow, lend } => {
-                let flow = FlowId::new(flow);
-                let result = if by_segments {
-                    peek_packet_by_segments(m, flow)
-                } else if let Some(held) = lend {
-                    lent(held, |out| m.peek_packet_into(flow, out)).map(|(n, bytes)| {
-                        assert_eq!(n, bytes.len());
-                        bytes
-                    })
-                } else {
-                    m.peek_packet(flow)
-                };
-                format!("{result:?}")
-            }
-            Step::CopyPacket { src, dst } => {
-                let (src, dst) = (FlowId::new(src), FlowId::new(dst));
-                let result = if by_segments {
-                    copy_packet_by_segments(m, src, dst)
-                } else {
-                    m.copy_packet(src, dst)
-                };
-                format!("{result:?}")
-            }
-            Step::AppendHead { flow, len } => {
-                format!("{:?}", m.append_head(FlowId::new(flow), &bytes(len)))
-            }
-            Step::AppendTail { flow, len } => {
-                format!("{:?}", m.append_tail(FlowId::new(flow), &bytes(len)))
-            }
+            DequeuePacket(flow, _) => dequeue_packet_by_segments(m, f(flow)).map(Reply::Packet),
+            PeekPacket(flow, _) => peek_packet_by_segments(m, f(flow)).map(Reply::Packet),
+            CopyPacket(src, dst) => done(copy_packet_by_segments(m, f(src), f(dst))),
+            DeletePacket(flow) => delete_packet_by_segments(m, f(flow))
+                .map(|(segs, bytes)| Reply::Outcome(Outcome::Dropped { segs, bytes })),
+            _ => model::apply(e, step, tag),
         }
     }
 
     /// Runs `script` on twin engines — the whole-packet calls on `unit`,
-    /// their by-segment references on `segs` — over every free-list
-    /// discipline, comparing after every step the
-    /// call's result and everything an observer can read: state, modelled
-    /// traffic plane by plane, statistics, watermark, invariants and the
-    /// memory trace. Every script starts by running the pool dry in the
-    /// middle of a packet, so exhaustion and the `abort_open_packet`
+    /// checked against the model as well, their by-segment references on
+    /// `segs` — over every free-list discipline, comparing after every step
+    /// the call's result and everything an observer can read: state,
+    /// modelled traffic plane by plane, statistics, watermark, invariants
+    /// and the memory trace. Every script starts by running the pool dry in
+    /// the middle of a packet, so exhaustion and the `abort_open_packet`
     /// rollback are in each. Tracing is on from step `trace_from`.
     fn run_differential(script: &[Step], trace_from: usize) -> Result<(), TestCaseError> {
-        use crate::config::FreeListDiscipline::{Fifo, Lifo};
-        let fill = |flow, segs| Step::EnqueuePacket {
-            flow,
-            len: segs * DIFF_SEG_BYTES,
-            work: 0,
-        };
+        let fill = |flow, segs| EnqueuePacket(flow, segs * DIFF.seg_bytes as usize, 0);
         let dry = [fill(0, 9), fill(1, 8), fill(1, 5), fill(0, 6)];
-        let script: Vec<&Step> = dry.iter().chain(script).collect();
-        for freelist in [Lifo, Fifo] {
-            let cfg = QmConfig::builder()
-                .num_flows(DIFF_FLOWS)
-                .num_segments(DIFF_SEGMENTS)
-                .segment_bytes(DIFF_SEG_BYTES as u32)
-                .freelist_discipline(freelist)
-                .build()
-                .unwrap();
-            let mut unit = QueueManager::new(cfg);
-            let mut segs = QueueManager::new(cfg);
+        // Everything an observer can read, the modelled traffic plane by
+        // plane.
+        let observe = |m: &mut QueueManager| {
+            let digest = crate::check::state_digest(m);
+            let counts = (m.ptr_counters(), m.data_counters(), *m.stats());
+            let low = m.free_segments_low_watermark();
+            (digest, counts, low, m.verify(), m.longest_queue())
+        };
+        for freelist in [FreeListDiscipline::Lifo, FreeListDiscipline::Fifo] {
+            let shape = Shape { freelist, ..DIFF };
+            let mut unit = Run::new(&shape);
+            let mut segs = ShardedQueueManager::new(shape.config(), 1);
             let mut exhausted = 0;
-            for (i, &step) in script.iter().enumerate() {
+            for (i, &step) in dry.iter().chain(script).enumerate() {
                 let at = format!("step {i} {step:?} ({freelist:?})");
                 if i == trace_from {
-                    unit.set_tracing(true);
+                    unit.engine.set_tracing(true);
                     segs.set_tracing(true);
                 }
+                let u = unit.engine.shard(0);
                 let (ptr_before, (reads_before, writes_before)) =
-                    (unit.ptr_counters(), unit.data_counters());
-                let got = apply(&mut unit, step, i as u8, false);
-                let want = apply(&mut segs, step, i as u8, true);
-                let is_enqueue = matches!(step, Step::EnqueuePacket { .. });
-                exhausted += usize::from(is_enqueue && got == "Err(OutOfSegments)");
+                    (u.ptr_counters(), u.data_counters());
+                let got = unit.step(step).map_err(TestCaseError::fail)?;
+                let want = apply_by_segments(&mut segs, step, i as u8);
+                let refused = matches!(got, Err(QueueError::OutOfSegments));
+                exhausted += usize::from(matches!(step, EnqueuePacket(..)) && refused);
                 prop_assert_eq!(got, want, "{}", at);
-                prop_assert_eq!(
-                    crate::check::state_digest(&unit),
-                    crate::check::state_digest(&segs),
-                    "{}",
-                    at
-                );
-                let (a, b) = (unit.ptr_counters(), segs.ptr_counters());
-                prop_assert_eq!(
-                    (a.seg_reads, a.seg_writes),
-                    (b.seg_reads, b.seg_writes),
-                    "{}",
-                    at
-                );
-                prop_assert_eq!(
-                    (a.pkt_reads, a.pkt_writes),
-                    (b.pkt_reads, b.pkt_writes),
-                    "{}",
-                    at
-                );
-                prop_assert_eq!(
-                    (a.qt_reads, a.qt_writes),
-                    (b.qt_reads, b.qt_writes),
-                    "{}",
-                    at
-                );
-                prop_assert_eq!(unit.data_counters(), segs.data_counters(), "{}", at);
-                prop_assert_eq!(unit.stats(), segs.stats(), "{}", at);
-                prop_assert_eq!(
-                    unit.free_segments_low_watermark(),
-                    segs.free_segments_low_watermark(),
-                    "{}",
-                    at
-                );
-                let walk = unit.verify();
-                prop_assert!(walk.is_ok(), "{}: {:?}", at, walk);
-                prop_assert_eq!(walk, segs.verify(), "{}", at);
-                prop_assert_eq!(unit.longest_queue(), segs.longest_queue(), "{}", at);
+                let (u, s) = (unit.engine.shard_mut(0), segs.shard_mut(0));
+                prop_assert_eq!(observe(u), observe(s), "{}", at);
                 // The pointer delta and the `DataAccess` list, in order; the
                 // list's per-segment records are the bursts counted per chain.
-                let trace = unit.cut_trace();
-                prop_assert_eq!(&trace, &segs.cut_trace(), "{}", at);
+                let trace = u.cut_trace();
+                prop_assert_eq!(&trace, &s.cut_trace(), "{}", at);
                 if i >= trace_from {
                     let writes = trace.data.iter().filter(|a| a.write).count() as u64;
                     let reads = trace.data.len() as u64 - writes;
-                    let (r, w) = unit.data_counters();
+                    let (r, w) = u.data_counters();
                     prop_assert_eq!(
                         (reads, writes),
                         (r - reads_before, w - writes_before),
                         "{}",
                         at
                     );
-                    prop_assert_eq!(trace.ptr, unit.ptr_counters().since(&ptr_before), "{}", at);
+                    prop_assert_eq!(trace.ptr, u.ptr_counters().since(&ptr_before), "{}", at);
                 } else {
                     prop_assert!(trace.data.is_empty(), "{}", at);
                 }
@@ -2446,15 +2215,15 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// The whole-packet transactions against the segment-command loops
-        /// they stand for: after every step of a random script both
-        /// engines agree on the call's result and on everything an
-        /// observer can read — state, modelled traffic plane by plane,
-        /// statistics, watermark, invariants and the memory trace.
+        /// they stand for, on scripts from the model's generator: after
+        /// every step both engines agree on the call's result and on
+        /// everything an observer can read — state, modelled traffic plane
+        /// by plane, statistics, watermark, invariants and the memory trace.
         #[test]
         fn whole_packet_calls_match_the_segment_commands(
-            script in proptest::collection::vec(step_strategy(), 1..160),
+            script in Scripts(Some(DIFF)),
         ) {
-            run_differential(&script, 0)?;
+            run_differential(&script.1, 0)?;
         }
 
         /// The same with tracing switched on halfway: the chain calls
@@ -2463,182 +2232,179 @@ mod tests {
         /// the bursts and pointer accesses they count per chain.
         #[test]
         fn whole_packet_calls_leave_the_trace_of_the_segment_commands(
-            script in proptest::collection::vec(step_strategy(), 2..160),
+            script in Scripts(Some(DIFF)),
         ) {
-            run_differential(&script, script.len() / 2)?;
+            run_differential(&script.1, script.1.len() / 2)?;
         }
     }
 
     /// The queues [`staged`] builds, one per state a refusal depends on:
     /// nothing queued.
-    const EMPTY: FlowId = FlowId::new(0);
+    const EMPTY: u32 = 0;
     /// A lone `First` segment: the head packet is open.
-    const OPEN: FlowId = FlowId::new(1);
+    const OPEN: u32 = 1;
     /// A complete packet with an open one behind it.
-    const OPEN_TAIL: FlowId = FlowId::new(2);
+    const OPEN_TAIL: u32 = 2;
     /// A three-segment packet whose first segment is already dequeued.
-    const SERVED: FlowId = FlowId::new(3);
+    const SERVED: u32 = 3;
     /// Complete packets only, the head one of two segments.
-    const READY: FlowId = FlowId::new(4);
+    const READY: u32 = 4;
     /// One past the queue table.
-    const BAD: FlowId = FlowId::new(5);
+    const BAD: u32 = 5;
 
     /// An engine of 16-byte segments holding the queues above, with `free`
-    /// segments left (at most 4) and, unless `records`, no packet record.
-    fn staged(free: u32, records: bool) -> QueueManager {
-        let cfg = QmConfig::builder()
-            .num_flows(5)
-            .num_segments(12)
-            .segment_bytes(16)
-            .build()
-            .unwrap();
-        let mut m = QueueManager::new(cfg);
-        m.enqueue(OPEN, &[1; 16], SegmentPosition::First).unwrap();
-        m.enqueue_packet(OPEN_TAIL, &[2; 20]).unwrap();
-        m.enqueue(OPEN_TAIL, &[3; 16], SegmentPosition::First)
-            .unwrap();
-        m.enqueue_packet(SERVED, &[4; 40]).unwrap();
-        m.dequeue(SERVED).unwrap();
-        m.enqueue_packet(READY, &[5; 20]).unwrap();
-        while m.free_segments() > free {
-            m.enqueue(READY, &[6; 16], SegmentPosition::Only).unwrap();
+    /// segments left (at most 4) and, unless `records`, no packet record;
+    /// and the model of it.
+    fn staged(free: u32, records: bool) -> Run {
+        use SegmentPosition::{First, Only};
+        let shape = Shape {
+            flows: 5,
+            segments: 12,
+            ..DIFF
+        };
+        let mut run = Run::new(&shape);
+        let staging = [
+            Enqueue(OPEN, 16, First),
+            EnqueuePacket(OPEN_TAIL, 20, 0),
+            Enqueue(OPEN_TAIL, 16, First),
+            EnqueuePacket(SERVED, 40, 0),
+            Dequeue(SERVED, None),
+            EnqueuePacket(READY, 20, 0),
+        ];
+        for step in staging {
+            run.step(step).unwrap().unwrap();
         }
-        m.verify().unwrap();
-        // No legal history gets here with a segment to spare (a record
-        // per segment), so the records are taken behind the engine's back.
-        while !records && m.pkt_fl.alloc(&mut m.ptr).is_ok() {}
-        m
+        while run.engine.shard(0).free_segments() > free {
+            run.step(Enqueue(READY, 16, Only)).unwrap().unwrap();
+        }
+        // No legal history gets here with a segment to spare (a record per
+        // segment), so the records are taken behind the engine's back.
+        let m = run.engine.shard_mut(0);
+        while !records && m.pkt_fl.alloc(&mut m.ptr).is_ok() {
+            run.model.held_records[0] += 1;
+        }
+        run
     }
 
-    /// Every refusal of every command: the error, the one `stats.errors`
-    /// it counts, the pointer-memory reads made before the refusing check
-    /// — and nothing else: no write, no data burst, no other statistic,
-    /// the state digest as it was. The constants were recorded at the
-    /// parent of the commit that built the commands from shared steps, so
-    /// a step that reorders a check or adds a read fails here (only
-    /// `set_tail_work`'s two rows differ from there: its refusals counted
-    /// no error). Two kinds of refusal do leave a trace and are held
-    /// elsewhere: a packet that runs out of segments midway (its rollback
-    /// traffic is pinned by the differential test above), and the fused
-    /// commands' second half (the overwrite stays; each half is a command
-    /// in this table).
+    /// Every refusal of every command: the error the model predicts, the
+    /// one `stats.errors` it counts, the pointer-memory reads made before
+    /// the refusing check — and nothing else: no write, no data burst, no
+    /// other statistic, the state digest as it was. The constants were
+    /// recorded at the parent of the commit that built the commands from
+    /// shared steps, so a step that reorders a check or adds a read fails
+    /// here (only `set_tail_work`'s two rows differ from there: its
+    /// refusals counted no error). Two kinds of refusal do leave a trace
+    /// and are held elsewhere: a packet that runs out of segments midway
+    /// (its rollback traffic is pinned by the differential test above), and
+    /// the fused commands' second half (the overwrite stays; each half is a
+    /// command in this table).
     #[test]
     fn every_refusal_costs_what_it_did() {
-        use QueueError::{EmptyPayload, OutOfPacketRecords, OutOfSegments};
         use SegmentPosition::{First, Middle, Only};
-        type Call = fn(&mut QueueManager) -> Result<(), QueueError>;
-        let unknown = QueueError::UnknownFlow {
-            flow: BAD,
-            num_flows: 5,
-        };
-        let big = QueueError::SegmentOverflow {
-            len: 17,
-            segment_bytes: 16,
-        };
-        let empty = |flow| QueueError::QueueEmpty { flow };
-        let busy = |flow| QueueError::PacketInService { flow };
-        let sar = |flow, expected_start| QueueError::SarProtocol {
-            flow,
-            expected_start,
-        };
-        // The call; free segments and whether packet records are left; its
-        // refusal; then the cost: errors counted, queue-table reads,
-        // packet-record reads.
+        // The call; free segments and whether packet records are left;
+        // then its cost: errors counted, queue-table reads, packet-record
+        // reads.
         #[rustfmt::skip]
-        let rows: Vec<(Call, u32, bool, QueueError, u64, u64, u64)> = vec![
-            (|m| m.enqueue(BAD, &[9; 16], Only).map(drop), 4, true, unknown, 1, 0, 0),
-            (|m| m.enqueue(EMPTY, &[], Only).map(drop), 4, true, EmptyPayload, 1, 0, 0),
-            (|m| m.enqueue(EMPTY, &[9; 17], Only).map(drop), 4, true, big, 1, 0, 0),
-            (|m| m.enqueue(OPEN, &[9; 16], First).map(drop), 4, true, sar(OPEN, false), 1, 1, 0),
-            (|m| m.enqueue(OPEN_TAIL, &[9; 16], Only).map(drop), 4, true, sar(OPEN_TAIL, false), 1, 1, 0),
-            (|m| m.enqueue(READY, &[9; 16], Middle).map(drop), 4, true, sar(READY, true), 1, 1, 0),
-            (|m| m.enqueue(EMPTY, &[9; 16], Only).map(drop), 0, true, OutOfSegments, 1, 1, 0),
-            (|m| m.enqueue(OPEN, &[9; 16], Middle).map(drop), 0, true, OutOfSegments, 1, 1, 0),
-            (|m| m.enqueue(EMPTY, &[9; 16], Only).map(drop), 4, false, OutOfPacketRecords, 1, 1, 0),
-            (|m| m.enqueue(EMPTY, &[9; 16], First).map(drop), 0, false, OutOfSegments, 1, 1, 0),
-            (|m| m.enqueue_packet(BAD, &[9; 40]), 4, true, unknown, 1, 0, 0),
-            (|m| m.enqueue_packet(EMPTY, &[]), 4, true, EmptyPayload, 1, 0, 0),
-            (|m| m.enqueue_packet(OPEN, &[9; 40]), 4, true, sar(OPEN, false), 1, 1, 0),
-            (|m| m.enqueue_packet(EMPTY, &[9; 40]), 0, true, OutOfSegments, 1, 1, 0),
-            (|m| m.enqueue_packet(EMPTY, &[9; 40]), 4, false, OutOfPacketRecords, 1, 1, 0),
-            (|m| m.enqueue_packet_with_work(BAD, &[9; 40], 3), 4, true, unknown, 1, 0, 0),
-            (|m| m.enqueue_packet_with_work(OPEN_TAIL, &[9; 40], 3), 4, true, sar(OPEN_TAIL, false), 1, 1, 0),
-            (|m| m.set_tail_work(BAD, 3), 4, true, unknown, 1, 0, 0),
-            (|m| m.set_tail_work(EMPTY, 3), 4, true, empty(EMPTY), 1, 1, 0),
-            (|m| m.dequeue(BAD).map(drop), 4, true, unknown, 1, 0, 0),
-            (|m| m.dequeue(EMPTY).map(drop), 4, true, empty(EMPTY), 1, 1, 0),
-            (|m| m.dequeue(OPEN).map(drop), 4, true, empty(OPEN), 1, 1, 0),
-            (|m| lent(3, |out| m.dequeue_into(BAD, out)).map(drop), 4, true, unknown, 1, 0, 0),
-            (|m| lent(3, |out| m.dequeue_into(EMPTY, out)).map(drop), 4, true, empty(EMPTY), 1, 1, 0),
-            (|m| lent(3, |out| m.dequeue_into(OPEN, out)).map(drop), 4, true, empty(OPEN), 1, 1, 0),
-            (|m| m.dequeue_packet(BAD).map(drop), 4, true, unknown, 1, 0, 0),
-            (|m| m.dequeue_packet(EMPTY).map(drop), 4, true, empty(EMPTY), 1, 1, 0),
-            (|m| m.dequeue_packet(OPEN).map(drop), 4, true, empty(OPEN), 1, 1, 0),
-            (|m| lent(3, |out| m.dequeue_packet_into(BAD, out)).map(drop), 4, true, unknown, 1, 0, 0),
-            (|m| lent(3, |out| m.dequeue_packet_into(EMPTY, out)).map(drop), 4, true, empty(EMPTY), 1, 1, 0),
-            (|m| lent(3, |out| m.dequeue_packet_into(OPEN, out)).map(drop), 4, true, empty(OPEN), 1, 1, 0),
-            (|m| m.read_head(BAD).map(drop), 4, true, unknown, 1, 0, 0),
-            (|m| m.read_head(EMPTY).map(drop), 4, true, empty(EMPTY), 1, 1, 0),
-            (|m| m.overwrite_head(BAD, &[9; 16]), 4, true, unknown, 1, 0, 0),
-            (|m| m.overwrite_head(READY, &[]), 4, true, EmptyPayload, 1, 0, 0),
-            (|m| m.overwrite_head(READY, &[9; 17]), 4, true, big, 1, 0, 0),
-            (|m| m.overwrite_head(EMPTY, &[9; 16]), 4, true, empty(EMPTY), 1, 1, 0),
-            (|m| m.overwrite_head_len(BAD, 8), 4, true, unknown, 1, 0, 0),
-            (|m| m.overwrite_head_len(READY, 0), 4, true, EmptyPayload, 1, 0, 0),
-            (|m| m.overwrite_head_len(READY, 17), 4, true, big, 1, 0, 0),
-            (|m| m.overwrite_head_len(EMPTY, 8), 4, true, empty(EMPTY), 1, 1, 0),
-            (|m| m.delete_segment(BAD).map(drop), 4, true, unknown, 1, 0, 0),
-            (|m| m.delete_segment(EMPTY).map(drop), 4, true, empty(EMPTY), 1, 1, 0),
-            (|m| m.delete_segment(OPEN).map(drop), 4, true, empty(OPEN), 1, 1, 0),
-            (|m| m.delete_packet(BAD).map(drop), 4, true, unknown, 1, 0, 0),
-            (|m| m.delete_packet(EMPTY).map(drop), 4, true, empty(EMPTY), 1, 1, 0),
-            (|m| m.delete_packet(OPEN).map(drop), 4, true, empty(OPEN), 1, 1, 0),
-            (|m| m.append_head(BAD, &[9; 16]).map(drop), 4, true, unknown, 1, 0, 0),
-            (|m| m.append_head(READY, &[]).map(drop), 4, true, EmptyPayload, 1, 0, 0),
-            (|m| m.append_head(READY, &[9; 17]).map(drop), 4, true, big, 1, 0, 0),
-            (|m| m.append_head(EMPTY, &[9; 16]).map(drop), 4, true, empty(EMPTY), 1, 1, 0),
-            (|m| m.append_head(READY, &[9; 16]).map(drop), 0, true, OutOfSegments, 1, 1, 0),
-            (|m| m.append_tail(BAD, &[9; 16]).map(drop), 4, true, unknown, 1, 0, 0),
-            (|m| m.append_tail(READY, &[]).map(drop), 4, true, EmptyPayload, 1, 0, 0),
-            (|m| m.append_tail(READY, &[9; 17]).map(drop), 4, true, big, 1, 0, 0),
-            (|m| m.append_tail(EMPTY, &[9; 16]).map(drop), 4, true, empty(EMPTY), 1, 1, 0),
-            (|m| m.append_tail(OPEN_TAIL, &[9; 16]).map(drop), 4, true, sar(OPEN_TAIL, false), 1, 1, 0),
-            (|m| m.append_tail(READY, &[9; 16]).map(drop), 0, true, OutOfSegments, 1, 1, 0),
-            (|m| m.move_packet(BAD, READY), 4, true, unknown, 1, 0, 0),
-            (|m| m.move_packet(READY, BAD), 4, true, unknown, 1, 0, 0),
-            (|m| m.move_packet(EMPTY, READY), 4, true, empty(EMPTY), 1, 1, 0),
-            (|m| m.move_packet(OPEN, READY), 4, true, empty(OPEN), 1, 1, 0),
-            (|m| m.move_packet(READY, OPEN), 4, true, sar(OPEN, false), 1, 2, 0),
-            (|m| m.move_packet(OPEN_TAIL, OPEN_TAIL), 4, true, sar(OPEN_TAIL, false), 1, 1, 0),
-            (|m| m.move_packet(SERVED, READY), 4, true, busy(SERVED), 1, 2, 1),
-            (|m| m.overwrite_and_move(BAD, READY, &[9; 16]), 4, true, unknown, 1, 0, 0),
-            (|m| m.overwrite_and_move(READY, EMPTY, &[9; 17]), 4, true, big, 1, 0, 0),
-            (|m| m.overwrite_and_move(EMPTY, READY, &[9; 16]), 4, true, empty(EMPTY), 1, 1, 0),
-            (|m| m.overwrite_len_and_move(BAD, READY, 8), 4, true, unknown, 1, 0, 0),
-            (|m| m.overwrite_len_and_move(READY, EMPTY, 0), 4, true, EmptyPayload, 1, 0, 0),
-            (|m| m.overwrite_len_and_move(EMPTY, READY, 8), 4, true, empty(EMPTY), 1, 1, 0),
-            (|m| m.peek_packet(BAD).map(drop), 4, true, unknown, 1, 0, 0),
-            (|m| m.peek_packet(EMPTY).map(drop), 4, true, empty(EMPTY), 1, 1, 0),
-            (|m| m.peek_packet(OPEN).map(drop), 4, true, empty(OPEN), 1, 1, 0),
-            (|m| lent(3, |out| m.peek_packet_into(BAD, out)).map(drop), 4, true, unknown, 1, 0, 0),
-            (|m| lent(3, |out| m.peek_packet_into(EMPTY, out)).map(drop), 4, true, empty(EMPTY), 1, 1, 0),
-            (|m| lent(3, |out| m.peek_packet_into(OPEN, out)).map(drop), 4, true, empty(OPEN), 1, 1, 0),
-            (|m| m.copy_packet(BAD, EMPTY), 4, true, unknown, 1, 0, 0),
-            (|m| m.copy_packet(READY, BAD), 4, true, unknown, 1, 0, 0),
-            (|m| m.copy_packet(EMPTY, READY), 4, true, empty(EMPTY), 1, 1, 0),
-            (|m| m.copy_packet(OPEN, READY), 4, true, empty(OPEN), 1, 1, 0),
-            (|m| m.copy_packet(READY, OPEN_TAIL), 4, true, sar(OPEN_TAIL, false), 1, 2, 1),
-            (|m| m.copy_packet(READY, EMPTY), 1, true, OutOfSegments, 1, 2, 1),
-            (|m| m.copy_packet(READY, EMPTY), 4, false, OutOfPacketRecords, 1, 2, 1),
+        let rows: Vec<(Step, u32, bool, u64, u64, u64)> = vec![
+            (Enqueue(BAD, 16, Only), 4, true, 1, 0, 0),
+            (Enqueue(EMPTY, 0, Only), 4, true, 1, 0, 0),
+            (Enqueue(EMPTY, 17, Only), 4, true, 1, 0, 0),
+            (Enqueue(OPEN, 16, First), 4, true, 1, 1, 0),
+            (Enqueue(OPEN_TAIL, 16, Only), 4, true, 1, 1, 0),
+            (Enqueue(READY, 16, Middle), 4, true, 1, 1, 0),
+            (Enqueue(EMPTY, 16, Only), 0, true, 1, 1, 0),
+            (Enqueue(OPEN, 16, Middle), 0, true, 1, 1, 0),
+            (Enqueue(EMPTY, 16, Only), 4, false, 1, 1, 0),
+            (Enqueue(EMPTY, 16, First), 0, false, 1, 1, 0),
+            (EnqueuePacket(BAD, 40, 0), 4, true, 1, 0, 0),
+            (EnqueuePacket(EMPTY, 0, 0), 4, true, 1, 0, 0),
+            (EnqueuePacket(OPEN, 40, 0), 4, true, 1, 1, 0),
+            (EnqueuePacket(EMPTY, 40, 0), 0, true, 1, 1, 0),
+            (EnqueuePacket(EMPTY, 40, 0), 4, false, 1, 1, 0),
+            (EnqueuePacket(BAD, 40, 3), 4, true, 1, 0, 0),
+            (EnqueuePacket(OPEN_TAIL, 40, 3), 4, true, 1, 1, 0),
+            (SetTailWork(BAD, 3), 4, true, 1, 0, 0),
+            (SetTailWork(EMPTY, 3), 4, true, 1, 1, 0),
+            (Dequeue(BAD, None), 4, true, 1, 0, 0),
+            (Dequeue(EMPTY, None), 4, true, 1, 1, 0),
+            (Dequeue(OPEN, None), 4, true, 1, 1, 0),
+            (Dequeue(BAD, Some(3)), 4, true, 1, 0, 0),
+            (Dequeue(EMPTY, Some(3)), 4, true, 1, 1, 0),
+            (Dequeue(OPEN, Some(3)), 4, true, 1, 1, 0),
+            (DequeuePacket(BAD, None), 4, true, 1, 0, 0),
+            (DequeuePacket(EMPTY, None), 4, true, 1, 1, 0),
+            (DequeuePacket(OPEN, None), 4, true, 1, 1, 0),
+            (DequeuePacket(BAD, Some(3)), 4, true, 1, 0, 0),
+            (DequeuePacket(EMPTY, Some(3)), 4, true, 1, 1, 0),
+            (DequeuePacket(OPEN, Some(3)), 4, true, 1, 1, 0),
+            (ReadHead(BAD), 4, true, 1, 0, 0),
+            (ReadHead(EMPTY), 4, true, 1, 1, 0),
+            (OverwriteHead(BAD, 16), 4, true, 1, 0, 0),
+            (OverwriteHead(READY, 0), 4, true, 1, 0, 0),
+            (OverwriteHead(READY, 17), 4, true, 1, 0, 0),
+            (OverwriteHead(EMPTY, 16), 4, true, 1, 1, 0),
+            (OverwriteHeadLen(BAD, 8), 4, true, 1, 0, 0),
+            (OverwriteHeadLen(READY, 0), 4, true, 1, 0, 0),
+            (OverwriteHeadLen(READY, 17), 4, true, 1, 0, 0),
+            (OverwriteHeadLen(EMPTY, 8), 4, true, 1, 1, 0),
+            (DeleteSegment(BAD), 4, true, 1, 0, 0),
+            (DeleteSegment(EMPTY), 4, true, 1, 1, 0),
+            (DeleteSegment(OPEN), 4, true, 1, 1, 0),
+            (DeletePacket(BAD), 4, true, 1, 0, 0),
+            (DeletePacket(EMPTY), 4, true, 1, 1, 0),
+            (DeletePacket(OPEN), 4, true, 1, 1, 0),
+            (AppendHead(BAD, 16), 4, true, 1, 0, 0),
+            (AppendHead(READY, 0), 4, true, 1, 0, 0),
+            (AppendHead(READY, 17), 4, true, 1, 0, 0),
+            (AppendHead(EMPTY, 16), 4, true, 1, 1, 0),
+            (AppendHead(READY, 16), 0, true, 1, 1, 0),
+            (AppendTail(BAD, 16), 4, true, 1, 0, 0),
+            (AppendTail(READY, 0), 4, true, 1, 0, 0),
+            (AppendTail(READY, 17), 4, true, 1, 0, 0),
+            (AppendTail(EMPTY, 16), 4, true, 1, 1, 0),
+            (AppendTail(OPEN_TAIL, 16), 4, true, 1, 1, 0),
+            (AppendTail(READY, 16), 0, true, 1, 1, 0),
+            (MovePacket(BAD, READY), 4, true, 1, 0, 0),
+            (MovePacket(READY, BAD), 4, true, 1, 0, 0),
+            (MovePacket(EMPTY, READY), 4, true, 1, 1, 0),
+            (MovePacket(OPEN, READY), 4, true, 1, 1, 0),
+            (MovePacket(READY, OPEN), 4, true, 1, 2, 0),
+            (MovePacket(OPEN_TAIL, OPEN_TAIL), 4, true, 1, 1, 0),
+            (MovePacket(SERVED, READY), 4, true, 1, 2, 1),
+            (OverwriteAndMove(BAD, READY, 16), 4, true, 1, 0, 0),
+            (OverwriteAndMove(READY, EMPTY, 17), 4, true, 1, 0, 0),
+            (OverwriteAndMove(EMPTY, READY, 16), 4, true, 1, 1, 0),
+            (OverwriteLenAndMove(BAD, READY, 8), 4, true, 1, 0, 0),
+            (OverwriteLenAndMove(READY, EMPTY, 0), 4, true, 1, 0, 0),
+            (OverwriteLenAndMove(EMPTY, READY, 8), 4, true, 1, 1, 0),
+            (PeekPacket(BAD, None), 4, true, 1, 0, 0),
+            (PeekPacket(EMPTY, None), 4, true, 1, 1, 0),
+            (PeekPacket(OPEN, None), 4, true, 1, 1, 0),
+            (PeekPacket(BAD, Some(3)), 4, true, 1, 0, 0),
+            (PeekPacket(EMPTY, Some(3)), 4, true, 1, 1, 0),
+            (PeekPacket(OPEN, Some(3)), 4, true, 1, 1, 0),
+            (CopyPacket(BAD, EMPTY), 4, true, 1, 0, 0),
+            (CopyPacket(READY, BAD), 4, true, 1, 0, 0),
+            (CopyPacket(EMPTY, READY), 4, true, 1, 1, 0),
+            (CopyPacket(OPEN, READY), 4, true, 1, 1, 0),
+            (CopyPacket(READY, OPEN_TAIL), 4, true, 1, 2, 1),
+            (CopyPacket(READY, EMPTY), 1, true, 1, 2, 1),
+            (CopyPacket(READY, EMPTY), 4, false, 1, 2, 1),
         ];
         let mut wrong = Vec::new();
-        for (i, (call, free, records, refusal, errors, qt_reads, pkt_reads)) in
-            rows.into_iter().enumerate()
+        for (i, (step, free, records, errors, qt_reads, pkt_reads)) in rows.into_iter().enumerate()
         {
-            let mut m = staged(free, records);
+            let mut run = staged(free, records);
+            let m = run.engine.shard(0);
             let (stats, ptr, data) = (*m.stats(), m.ptr_counters(), m.data_counters());
-            let digest = crate::check::state_digest(&m);
-            assert_eq!(call(&mut m), Err(refusal), "row {i}");
+            let digest = crate::check::state_digest(m);
+            let want = run.model.step(step, 0, &[]);
+            let got = model::apply(&mut run.engine, step, 0);
+            assert!(
+                got.is_err() && got == want,
+                "row {i}: {got:?}, model {want:?}"
+            );
+            let m = run.engine.shard_mut(0);
             let cost = m.ptr_counters().since(&ptr);
             let got = (
                 m.stats().errors - stats.errors,
@@ -2646,7 +2412,7 @@ mod tests {
                 cost.pkt_reads,
             );
             if got != (errors, qt_reads, pkt_reads) {
-                wrong.push(format!("row {i} ({refusal:?}): {got:?}"));
+                wrong.push(format!("row {i} ({step:?}): {got:?}"));
             }
             assert_eq!(cost.total(), cost.qt_reads + cost.pkt_reads, "row {i}");
             assert_eq!(m.data_counters(), data, "row {i}");
@@ -2654,7 +2420,7 @@ mod tests {
             // refusal left no trace.
             m.stats.errors = stats.errors;
             assert_eq!(*m.stats(), stats, "row {i}");
-            assert_eq!(crate::check::state_digest(&m), digest, "row {i}");
+            assert_eq!(crate::check::state_digest(m), digest, "row {i}");
         }
         assert!(
             wrong.is_empty(),

@@ -70,7 +70,10 @@
 //!   intact; across shards the payload is re-enqueued as a fresh packet,
 //!   which would re-frame the remainder of a partially-served packet as a
 //!   whole frame. A trace containing such a move can therefore succeed
-//!   or fail depending on how its flows hash across shards.
+//!   or fail depending on how its flows hash across shards;
+//! * either way the packet's `work` goes with it, as in-shard: the source
+//!   head's [`head_work`](QueueManager::head_work) is stamped on the new
+//!   destination tail when non-zero (one more packet-record read/write).
 //!
 //! Because the payload physically crosses data memories, cross-shard
 //! transfers are accounted as the traffic each engine really performed:
@@ -601,11 +604,12 @@ impl ShardedQueueManager {
         if self.shards[di].free_packet_records() == 0 {
             return fail(&mut self.shards, di, QueueError::OutOfPacketRecords);
         }
+        let work = self.shards[si].head_work(src).unwrap_or(0);
         let pkt = self.shards[si]
             .dequeue_packet(src)
             .expect("complete head packet checked above");
         self.shards[di]
-            .enqueue_packet(dst, &pkt)
+            .enqueue_packet_with_work(dst, &pkt, work)
             .expect("destination capacity reserved above");
         Ok(())
     }
@@ -618,10 +622,11 @@ impl ShardedQueueManager {
         self.check_flow_on(di, dst)?;
         self.carry.clear();
         self.shards[si].peek_packet_into(src, &mut self.carry)?;
+        let work = self.shards[si].head_work(src).unwrap_or(0);
         // enqueue_packet rejects an open destination tail (SarProtocol on
         // the First chunk) and rolls back on mid-packet exhaustion, so a
         // failed copy never leaves a torn packet behind.
-        self.shards[di].enqueue_packet(dst, &self.carry)
+        self.shards[di].enqueue_packet_with_work(dst, &self.carry, work)
     }
 
     /// Verifies every shard independently, then the cross-shard
