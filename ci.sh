@@ -75,9 +75,10 @@ tier1() {
 # and the scale rounds reach the shards only through `for_each_shard`.
 # One model of the engine: `npqm-core`'s test-only `model` module (and the
 # corpus it replays) is the oracle every engine call is held to, so the
-# hand-written oracles it replaced — the open-tail regression file, the
-# property tests' `Oracle` and `SarOp` and the manager tests' own
-# `step_strategy` — stay deleted.
+# hand-written oracles it replaced — the property tests' `Oracle` and
+# `SarOp` and the manager tests' own `step_strategy` — stay deleted, and
+# the open-tail regression file only replays corpus scripts (it names no
+# engine call of its own).
 structure() {
     echo "==> structure: one thread fan-out in npqm-core + npqm-traffic"
     local hits
@@ -186,9 +187,9 @@ structure() {
         exit 1
     fi
     echo "==> structure: one model of the engine"
-    hits="$(grep -rnE 'open_tail_regressions|struct Oracle|enum SarOp' crates || true)"
+    hits="$(grep -rnE 'struct Oracle|enum SarOp' crates || true)"
     hits+="$(grep -n 'fn step_strategy' crates/npqm-core/src/manager.rs || true)"
-    hits+="$(find crates -name '*open_tail_regressions*')"
+    hits+="$(grep -nE 'QueueManager|SegmentPosition' crates/npqm-core/tests/open_tail_regressions.rs || true)"
     if [[ -n "${hits}" ]]; then
         echo "structure FAILED: a hand-written engine oracle is back beside the model:" >&2
         echo "${hits}" >&2

@@ -54,6 +54,9 @@ pub mod limits;
 pub mod manager;
 #[cfg(test)]
 mod model;
+// The model's scripts name the engine as the integration tests do.
+#[cfg(test)]
+extern crate self as npqm_core;
 pub mod policy;
 pub mod pool;
 pub mod ptrmem;

@@ -2,6 +2,7 @@
 // each script must agree with the model at every step and end at `digest`,
 // the engine's `state_digest`, in debug and release builds alike. A new
 // script goes in with `digest: 0`; the failure prints the value to commit.
+// `tests/open_tail_regressions.rs` replays the open-tail ones by name.
 [
     // Flows 0, 1 and 2 live on shards 2, 3 and 0: work crosses with the packet.
     Script {

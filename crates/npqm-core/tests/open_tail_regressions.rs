@@ -1,213 +1,51 @@
-//! Regression tests for the silent-SAR-corruption bugs: structural
-//! operations that used to splice complete packets (or trailers) around a
-//! still-open tail packet, tearing frames without any error.
-//!
-//! The three probe scenarios that exposed the bugs:
-//!
-//! 1. `move_packet` into a destination whose tail packet is open;
-//! 2. same-queue rotation (`move_packet(f, f)`) past an open tail;
-//! 3. `append_tail` on a queue whose tail packet is open.
-//!
-//! Pre-fix, all three corrupted the queue structure while `verify()` kept
-//! passing; the torn packet only surfaced later as a wrong-sized frame.
-//! Post-fix, each is rejected with a SAR-protocol error, the in-flight
-//! SAR completes undisturbed, and every dequeued frame is intact.
+//! The open-tail regressions: commands that spliced packets or trailers
+//! around a tail still mid-SAR, tearing frames while `verify` passed. Each
+//! scenario is the corpus script of its name (`corpus/scripts.rs`), which
+//! the crate's `model` tests hold to the model reply by reply. Here the
+//! public API replays it, `verify` after every step, to its digest.
 
-use npqm_core::manager::SegmentPosition;
-use npqm_core::{FlowId, QmConfig, QueueError, QueueManager};
+// The generator and the minimiser's accessors serve the model alone.
+#[allow(dead_code)]
+#[path = "../src/model/script.rs"]
+mod script;
 
-fn engine() -> QueueManager {
-    QueueManager::new(QmConfig::small())
+fn replay(name: &str) {
+    let script = script::CORPUS.iter().find(|s| s.name == name).unwrap();
+    let mut engine = script.shape.engine();
+    for (tag, &step) in script.steps.iter().enumerate() {
+        let _ = script::apply(&mut engine, step, tag as u8);
+        let verified = engine.verify();
+        assert!(verified.is_ok(), "step {tag} {step:?}: {verified:?}");
+    }
+    assert_eq!(engine.state_digest(), script.digest);
 }
 
-/// Scenario 1: moving a complete packet into a mid-SAR destination.
-///
-/// Pre-fix behaviour: the complete packet was linked *after* the open
-/// tail; the destination flow's next `Last` segment then appended to the
-/// moved packet, and a 64+7-byte frame was later dequeued where a 64+10
-/// and a 7-byte frame were expected.
 #[test]
 fn move_into_open_destination_is_rejected() {
-    let mut qm = engine();
-    let src = FlowId::new(0);
-    let dst = FlowId::new(1);
-    qm.enqueue_packet(src, &[0xAA; 7]).unwrap();
-    // dst is mid-SAR: First arrived, Last still outstanding.
-    qm.enqueue(dst, &[1; 64], SegmentPosition::First).unwrap();
-
-    assert_eq!(
-        qm.move_packet(src, dst),
-        Err(QueueError::SarProtocol {
-            flow: dst,
-            expected_start: false,
-        })
-    );
-    qm.verify().unwrap();
-
-    // The rejected move left both flows untouched; finishing the SAR
-    // yields exactly the two original frames.
-    qm.enqueue(dst, &[2; 10], SegmentPosition::Last).unwrap();
-    qm.verify().unwrap();
-    let mut open_frame = vec![1u8; 64];
-    open_frame.extend_from_slice(&[2; 10]);
-    assert_eq!(qm.dequeue_packet(dst).unwrap(), open_frame);
-    assert_eq!(qm.dequeue_packet(src).unwrap(), vec![0xAA; 7]);
-    qm.verify().unwrap();
+    replay("move_into_open_destination_is_rejected");
 }
 
-/// Scenario 2: rotating a queue whose own tail is open.
-///
-/// Same corruption as scenario 1 with `src == dst`: the head (complete)
-/// packet was re-linked behind the open tail, so the flow's own next
-/// `Last` segment extended the rotated packet instead of the open one.
 #[test]
 fn rotate_past_open_tail_is_rejected() {
-    let mut qm = engine();
-    let f = FlowId::new(3);
-    qm.enqueue_packet(f, &[0xBB; 30]).unwrap();
-    qm.enqueue(f, &[1; 64], SegmentPosition::First).unwrap();
-    assert_eq!(qm.queue_len_packets(f), 2);
-
-    assert_eq!(
-        qm.move_packet(f, f),
-        Err(QueueError::SarProtocol {
-            flow: f,
-            expected_start: false,
-        })
-    );
-    qm.verify().unwrap();
-
-    qm.enqueue(f, &[2; 10], SegmentPosition::Last).unwrap();
-    assert_eq!(qm.dequeue_packet(f).unwrap(), vec![0xBB; 30]);
-    let mut second = vec![1u8; 64];
-    second.extend_from_slice(&[2; 10]);
-    assert_eq!(qm.dequeue_packet(f).unwrap(), second);
-    qm.verify().unwrap();
-
-    // Once the tail is complete, rotation works again.
-    qm.enqueue_packet(f, b"one").unwrap();
-    qm.enqueue_packet(f, b"two").unwrap();
-    qm.move_packet(f, f).unwrap();
-    assert_eq!(qm.dequeue_packet(f).unwrap(), b"two");
-    assert_eq!(qm.dequeue_packet(f).unwrap(), b"one");
+    replay("rotate_past_open_tail_is_rejected");
 }
 
-/// Scenario 3: appending a trailer while the tail packet is open.
-///
-/// Pre-fix behaviour: the trailer segment was linked after the open
-/// tail's current last segment, so when the SAR's `Last` segment arrived
-/// it was appended *after the trailer* — the observed 64+7+10-byte frame
-/// from a 74-byte SAR plus a 7-byte trailer.
 #[test]
 fn append_tail_on_open_packet_is_rejected() {
-    let mut qm = engine();
-    let f = FlowId::new(5);
-    qm.enqueue(f, &[1; 64], SegmentPosition::First).unwrap();
-
-    assert_eq!(
-        qm.append_tail(f, &[0xCC; 7]),
-        Err(QueueError::SarProtocol {
-            flow: f,
-            expected_start: false,
-        })
-    );
-    qm.verify().unwrap();
-
-    // The SAR completes with the frame intact...
-    qm.enqueue(f, &[2; 10], SegmentPosition::Last).unwrap();
-    qm.verify().unwrap();
-    // ...and the trailer append works on the now-complete packet.
-    qm.append_tail(f, &[0xCC; 7]).unwrap();
-    let mut expect = vec![1u8; 64];
-    expect.extend_from_slice(&[2; 10]);
-    expect.extend_from_slice(&[0xCC; 7]);
-    assert_eq!(qm.dequeue_packet(f).unwrap(), expect);
-    qm.verify().unwrap();
+    replay("append_tail_on_open_packet_is_rejected");
 }
 
-/// The fused move variants go through the same guarded path.
 #[test]
 fn fused_moves_reject_open_destination() {
-    let mut qm = engine();
-    let src = FlowId::new(0);
-    let dst = FlowId::new(1);
-    qm.enqueue_packet(src, &[7u8; 20]).unwrap();
-    qm.enqueue(dst, &[1; 64], SegmentPosition::First).unwrap();
-    assert!(matches!(
-        qm.overwrite_and_move(src, dst, &[8u8; 20]),
-        Err(QueueError::SarProtocol { .. })
-    ));
-    assert!(matches!(
-        qm.overwrite_len_and_move(src, dst, 10),
-        Err(QueueError::SarProtocol { .. })
-    ));
-    qm.verify().unwrap();
+    replay("fused_moves_reject_open_destination");
 }
 
-/// A partially-served (mid-service) head packet may not be re-queued
-/// behind other packets: pre-fix, the move succeeded, `verify()` flagged
-/// a non-head `started` packet, and dequeuing the moved packet later
-/// served its remainder as a whole frame.
 #[test]
 fn move_of_partially_consumed_head_is_rejected() {
-    let mut qm = engine();
-    let src = FlowId::new(0);
-    let dst = FlowId::new(1);
-    qm.enqueue_packet(src, &[0x11; 100]).unwrap(); // 2 segments
-    qm.dequeue(src).unwrap(); // head is now mid-service
-    qm.enqueue_packet(dst, &[0x22; 10]).unwrap();
-
-    // Behind another packet: rejected.
-    assert_eq!(
-        qm.move_packet(src, dst),
-        Err(QueueError::PacketInService { flow: src })
-    );
-    // Same-queue rotation behind a second packet: rejected too.
-    qm.enqueue_packet(src, &[0x33; 10]).unwrap();
-    assert_eq!(
-        qm.move_packet(src, src),
-        Err(QueueError::PacketInService { flow: src })
-    );
-    qm.verify().unwrap();
-
-    // The remainder still serves correctly in place.
-    let seg = qm.dequeue(src).unwrap();
-    assert!(!seg.sop && seg.eop);
-    assert_eq!(seg.data, vec![0x11; 36]);
-
-    // Moving a mid-service head to an *empty* queue keeps it a head
-    // packet and stays legal.
-    let empty = FlowId::new(2);
-    qm.dequeue_packet(src).unwrap(); // clear the 10-byte packet
-    qm.enqueue_packet(src, &[0x44; 100]).unwrap();
-    qm.dequeue(src).unwrap(); // head is mid-service again
-    qm.move_packet(src, empty).unwrap();
-    qm.verify().unwrap();
-    let seg = qm.dequeue(empty).unwrap();
-    assert!(
-        !seg.sop && seg.eop,
-        "continuation of the mid-service packet"
-    );
-    assert_eq!(seg.data.len(), 36);
+    replay("move_of_partially_consumed_head_is_rejected");
 }
 
-/// Moving *out of* a queue with an open tail stays legal: the head
-/// packet is complete, and the open tail keeps assembling on `src`.
 #[test]
 fn move_out_of_open_source_still_works() {
-    let mut qm = engine();
-    let src = FlowId::new(0);
-    let dst = FlowId::new(1);
-    qm.enqueue_packet(src, &[0xDD; 40]).unwrap();
-    qm.enqueue(src, &[1; 64], SegmentPosition::First).unwrap();
-
-    qm.move_packet(src, dst).unwrap();
-    qm.verify().unwrap();
-    assert_eq!(qm.dequeue_packet(dst).unwrap(), vec![0xDD; 40]);
-
-    qm.enqueue(src, &[2; 6], SegmentPosition::Last).unwrap();
-    let mut frame = vec![1u8; 64];
-    frame.extend_from_slice(&[2; 6]);
-    assert_eq!(qm.dequeue_packet(src).unwrap(), frame);
-    qm.verify().unwrap();
+    replay("move_out_of_open_source_still_works");
 }
