@@ -10,7 +10,9 @@
 #                   # written once, no cut_through, the access trace
 #                   # cut and never committed, one DDR slot loop, one
 #                   # count per event, one grouped executor, one model
-#                   # of the engine), fmt, clippy, docs,
+#                   # of the engine, no occupancy pushes before the
+#                   # first query, no scale payload arena), fmt,
+#                   # clippy, docs,
 #                   # tier-1, release-profile engine tests, the model
 #                   # fuzzer's release soak, tables,
 #                   # golden checks, parallel-determinism diff, telemetry
@@ -79,6 +81,11 @@ tier1() {
 # `SarOp` and the manager tests' own `step_strategy` — stay deleted, and
 # the open-tail regression file only replays corpus scripts (it names no
 # engine call of its own).
+# Pay only for what is read: the occupancy heap is pushed only by
+# `commit_queue`, under its `active` guard (set by the first
+# `longest_queue` call), and by `rebuild_occupancy`, so an engine no policy
+# queries keeps no heap; and the scale round offers prefixes of a per-shard
+# filler frame, so `scale.rs` keeps no payload arena above its tests.
 structure() {
     echo "==> structure: one thread fan-out in npqm-core + npqm-traffic"
     local hits
@@ -193,6 +200,26 @@ structure() {
     if [[ -n "${hits}" ]]; then
         echo "structure FAILED: a hand-written engine oracle is back beside the model:" >&2
         echo "${hits}" >&2
+        exit 1
+    fi
+    echo "==> structure: pay only for what is read"
+    hits="$(sed '/^#\[cfg(test)\]/,$d' crates/npqm-traffic/src/scale.rs | grep -ni 'arena' || true)"
+    if [[ -n "${hits}" ]]; then
+        echo "structure FAILED: the scale round's payload arena is back (scale.rs, above its tests):" >&2
+        echo "${hits}" >&2
+        exit 1
+    fi
+    local above guarded rebuild
+    above="$(sed '/^#\[cfg(test)\]/,$d' crates/npqm-core/src/manager.rs)"
+    guarded="$(sed -n '/fn commit_queue(/,/^    }$/p' <<<"${above}" \
+        | sed -n '/if self\.occ\.active {/,/^        }$/p')"
+    rebuild="$(sed -n '/fn rebuild_occupancy(/,/^    }$/p' <<<"${above}")"
+    if [[ "$(grep -c 'occ\.heap\.push(' <<<"${above}")" != 2 \
+        || "$(grep -c 'occ\.heap\.push(' <<<"${guarded}")" != 1 \
+        || "$(grep -c 'occ\.heap\.push(' <<<"${rebuild}")" != 1 ]]; then
+        echo "structure FAILED: occ.heap.push( belongs to commit_queue, under its active" \
+            "guard, and to rebuild_occupancy; got:" >&2
+        grep -n 'occ\.heap\.push(' <<<"${above}" >&2
         exit 1
     fi
 }

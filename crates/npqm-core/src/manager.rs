@@ -103,17 +103,17 @@ pub struct SegmentInfo {
 
 /// Lazily-maintained max-heap over per-flow byte occupancy.
 ///
-/// Every queue-table commit pushes the flow's fresh byte count; stale
-/// entries (whose recorded count no longer matches the queue table) are
-/// discarded when the maximum is queried. This gives
-/// [`QueueManager::longest_queue`] amortised `O(log flows)` cost instead
-/// of a linear scan per drop decision — the query buffer-management
-/// policies like Longest Queue Drop issue on every admission under
-/// pressure. The heap is rebuilt from the queue table whenever the stale
-/// backlog exceeds twice the flow count, bounding memory at `O(flows)`.
+/// Asleep (no push per commit) until the first [`QueueManager::longest_queue`]
+/// builds it from the queue table; from then on every commit pushes the
+/// flow's fresh byte count, and stale entries are discarded when the
+/// maximum is queried: amortised `O(log flows)` per query instead of a scan
+/// per drop decision, which Longest Queue Drop makes on every admission
+/// under pressure. The heap is rebuilt from the queue table whenever the
+/// stale backlog exceeds twice the flow count, bounding memory at `O(flows)`.
 #[derive(Debug, Clone, Default)]
 struct OccupancyIndex {
     heap: BinaryHeap<(u64, u32)>,
+    active: bool,
 }
 
 /// Unlinks the complete head packet, whose record is `pr`, from `q` and
@@ -213,16 +213,18 @@ impl QueueManager {
         }
     }
 
-    /// Writes a queue record back and keeps the occupancy index current.
+    /// Writes a queue record back and keeps an active occupancy index current.
     ///
     /// All queue-table writes go through here so the index never misses a
     /// byte-count change.
     fn commit_queue(&mut self, flow: FlowId, q: QueueRecord) {
-        self.occ.heap.push((q.bytes, flow.index()));
         self.ptr.set_queue(flow, q);
-        let cap = (self.cfg.num_flows() as usize).saturating_mul(2).max(64);
-        if self.occ.heap.len() > cap {
-            self.rebuild_occupancy();
+        if self.occ.active {
+            self.occ.heap.push((q.bytes, flow.index()));
+            let cap = (self.cfg.num_flows() as usize).saturating_mul(2).max(64);
+            if self.occ.heap.len() > cap {
+                self.rebuild_occupancy();
+            }
         }
     }
 
@@ -247,6 +249,10 @@ impl QueueManager {
     /// itself does not count as pointer-memory traffic (a hardware
     /// implementation would keep this register alongside the queue table).
     pub fn longest_queue(&mut self) -> Option<(FlowId, u64)> {
+        if !self.occ.active {
+            self.occ.active = true;
+            self.rebuild_occupancy();
+        }
         while let Some(&(bytes, idx)) = self.occ.heap.peek() {
             let flow = FlowId::new(idx);
             let current = self.ptr.queue_silent(flow).bytes;
@@ -589,8 +595,8 @@ impl QueueManager {
     /// flight), and the free lists hold the packet's `n` segments and one
     /// packet record — all read up front without counting. The engine then
     /// keeps the queue record and the packet record in locals, writes each
-    /// segment record once with its final link and commits the queue table
-    /// and the occupancy index once. The modelled pointer-memory traffic
+    /// segment record once with its final link and commits the queue record
+    /// once. The modelled pointer-memory traffic
     /// is still that of the `n` segment commands
     /// ([`enqueue`](Self::enqueue) with `First`, `Middle`…, `Last`): what
     /// the transaction did not do through the counting accessors is
@@ -1895,6 +1901,34 @@ mod tests {
         m.dequeue_packet(FlowId::new(3)).unwrap();
         m.dequeue_packet(FlowId::new(1)).unwrap();
         assert_eq!(m.longest_queue(), None);
+    }
+
+    #[test]
+    fn occupancy_index_sleeps_until_first_queried() {
+        use crate::policy::{DropPolicy, DynamicThreshold};
+        // A policy that never asks for the longest queue leaves the index
+        // empty however many commits it makes...
+        let mut m = qm();
+        let mut dt = DynamicThreshold::new(2.0);
+        for k in 0..400u32 {
+            let packet = vec![k as u8; 1 + k as usize % 150];
+            let _ = dt.offer(&mut m, FlowId::new(k % 7), &packet);
+            if k % 3 == 0 {
+                let _ = m.dequeue_packet(FlowId::new(k % 5));
+            }
+        }
+        assert!(m.stats().enqueues > 0 && m.stats().dequeues > 0);
+        assert!(!m.occ.active && m.occ.heap.is_empty());
+        // ...and the first query builds it from the queue table.
+        let expect = (0..7)
+            .map(|i| (m.queue_len_bytes(FlowId::new(i)), i))
+            .max()
+            .filter(|&(bytes, _)| bytes > 0)
+            .map(|(bytes, i)| (FlowId::new(i), bytes));
+        assert!(expect.is_some(), "the run left a backlog");
+        assert_eq!(m.longest_queue(), expect);
+        assert!(m.occ.active && !m.occ.heap.is_empty());
+        m.verify().unwrap();
     }
 
     #[test]

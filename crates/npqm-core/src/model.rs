@@ -170,7 +170,22 @@ impl Model {
                 let overwrite = self.overwrite(src, len, data, stale);
                 done(overwrite.and_then(|()| self.move_packet(src, dst)))
             }
+            LongestQueue(_) => Ok(Reply::Longest(self.longest_queue(flow))),
         }
+    }
+
+    /// The non-empty flow with the most bytes on `flow`'s shard, ties to
+    /// the higher index: a function of the queues alone, however long the
+    /// engine's occupancy index slept.
+    fn longest_queue(&self, flow: FlowId) -> Option<(FlowId, u64)> {
+        let shard = self.home[flow.as_usize()];
+        let bytes = |q: &Vec<Packet>| q.iter().flat_map(|p| &p.segs).map(Vec::len).sum::<usize>();
+        let queues = self.queues.iter().zip(&self.home).enumerate();
+        let on_shard = queues.filter(|&(_, (_, &s))| s == shard);
+        let (n, f) = on_shard
+            .map(|(f, (q, _))| (bytes(q) as u64, f as u32))
+            .max()?;
+        (n > 0).then(|| (FlowId::new(f), n))
     }
 
     fn enqueue(&mut self, flow: FlowId, data: &[u8], pos: SegmentPosition) -> Res<()> {

@@ -45,6 +45,8 @@ pub(crate) enum Step {
     CopyPacket(u32, u32),
     OverwriteAndMove(u32, u32, usize),
     OverwriteLenAndMove(u32, u32, usize),
+    /// `longest_queue` on the flow's home shard.
+    LongestQueue(u32),
 }
 
 impl Step {
@@ -55,7 +57,7 @@ impl Step {
             OverwriteHead(flow, len) | OverwriteHeadLen(flow, len) => (flow, flow, len),
             AppendHead(flow, len) | AppendTail(flow, len) => (flow, flow, len),
             SetTailWork(flow, _) | Dequeue(flow, _) | DequeuePacket(flow, _) => (flow, flow, 0),
-            PeekPacket(flow, _) | ReadHead(flow) => (flow, flow, 0),
+            PeekPacket(flow, _) | ReadHead(flow) | LongestQueue(flow) => (flow, flow, 0),
             DeleteSegment(flow) | DeletePacket(flow) => (flow, flow, 0),
             MovePacket(src, dst) | CopyPacket(src, dst) => (src, dst, 0),
             OverwriteAndMove(src, dst, len) | OverwriteLenAndMove(src, dst, len) => (src, dst, len),
@@ -129,11 +131,13 @@ impl Shape {
     }
 }
 
-/// What a step returns: a command's [`Outcome`], or a whole packet.
+/// What a step returns: a command's [`Outcome`], a whole packet, or the
+/// longest queue and its bytes.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum Reply {
     Outcome(Outcome),
     Packet(Vec<u8>),
+    Longest(Option<(FlowId, u64)>),
 }
 
 pub(crate) const DONE: Reply = Reply::Outcome(Outcome::Done);
@@ -176,6 +180,7 @@ pub(crate) fn apply(engine: &mut ShardedQueueManager, step: Step, tag: u8) -> Re
             let (sop, eop) = (info.sop, info.eop);
             Reply::Outcome(Outcome::Segment(DequeuedSegment { data, sop, eop }))
         }),
+        LongestQueue(_) => Ok(Reply::Longest(qm.longest_queue())),
         _ => unreachable!("{step:?} is a command"),
     }
 }
@@ -232,6 +237,11 @@ fn draw(shape: &Shape, rng: &mut Xoshiro256pp) -> Step {
     let lend = (below(2) == 0).then(|| below(40) as usize);
     let work = [0, 0, 3, 9][below(4) as usize];
     let pos = [First, First, Middle, Last, Last, Only][below(6) as usize];
+    // One step in 64 asks for the longest queue, so most scripts commit
+    // many times before their first query wakes the occupancy index.
+    if below(64) == 0 {
+        return LongestQueue(flow);
+    }
     // A third of the steps enqueue, so that tails are open and pools full.
     match below(32) {
         0..=5 => Enqueue(flow, len, pos),

@@ -52,13 +52,15 @@ fn parse_u64(what: &str, s: &str) -> Result<u64, SpecError> {
         .map_err(|_| SpecError::new(format!("{what}: not a number: {s:?}")))
 }
 
+/// A WRR weight or DRR quantum list: zero would starve its flow, so it is
+/// refused here rather than by the scheduler's constructor, which panics.
 fn parse_list(what: &str, s: &str, flows: u32) -> Result<Vec<u32>, SpecError> {
     let vals: Vec<u32> = s
         .split(',')
-        .map(|v| {
-            v.trim()
-                .parse()
-                .map_err(|_| SpecError::new(format!("{what}: not a number: {v:?}")))
+        .map(|v| match v.trim().parse() {
+            Ok(0) => Err(SpecError::new(format!("{what}: must be non-zero: {v:?}"))),
+            Ok(n) => Ok(n),
+            Err(_) => Err(SpecError::new(format!("{what}: not a number: {v:?}"))),
         })
         .collect::<Result<_, _>>()?;
     match vals.len() {
@@ -107,7 +109,8 @@ fn parse_htb(body: &str, flows: u32) -> Result<Box<dyn FlowScheduler + Send>, Sp
         let mut burst: Option<u64> = None;
         let mut prio: Option<u8> = None;
         let mut quantum: Option<u32> = None;
-        let mut leaf_flows: Option<std::ops::Range<u32>> = None;
+        // First and last flow, as written (checked against `flows` below).
+        let mut leaf_flows: Option<(u64, u64)> = None;
         for kv in parts {
             let (k, v) = kv
                 .split_once('=')
@@ -126,19 +129,19 @@ fn parse_htb(body: &str, flows: u32) -> Result<Box<dyn FlowScheduler + Send>, Sp
                     quantum = Some(q.min(u32::MAX as u64) as u32);
                 }
                 "flow" => {
-                    let f = parse_u64("htb flow", v)? as u32;
-                    leaf_flows = Some(f..f + 1);
+                    let f = parse_u64("htb flow", v)?;
+                    leaf_flows = Some((f, f));
                 }
                 "flows" => {
                     let (a, b) = v.split_once('-').ok_or_else(|| {
                         SpecError::new(format!("htb flows: expected <a>-<b>, got {v:?}"))
                     })?;
-                    let a = parse_u64("htb flows", a)? as u32;
-                    let b = parse_u64("htb flows", b)? as u32;
+                    let a = parse_u64("htb flows", a)?;
+                    let b = parse_u64("htb flows", b)?;
                     if b < a {
                         return Err(SpecError::new(format!("htb flows: empty range {v:?}")));
                     }
-                    leaf_flows = Some(a..b + 1);
+                    leaf_flows = Some((a, b));
                 }
                 other => {
                     return Err(SpecError::new(format!(
@@ -162,17 +165,15 @@ fn parse_htb(body: &str, flows: u32) -> Result<Box<dyn FlowScheduler + Send>, Sp
         }
         match leaf_flows {
             None => builder = builder.class(name, parent.as_deref(), cfg),
-            Some(range) => {
-                for f in range.clone() {
-                    match covered.get_mut(f as usize) {
-                        Some(c) => *c = true,
-                        None => {
-                            return Err(SpecError::new(format!(
-                                "htb: leaf flow {f} is outside 0..{flows}"
-                            )))
-                        }
-                    }
-                    let leaf_name = if range.len() == 1 {
+            Some((a, b)) => {
+                if b >= u64::from(flows) {
+                    return Err(SpecError::new(format!(
+                        "htb: leaf flow {b} is outside 0..{flows}"
+                    )));
+                }
+                for f in a as u32..=b as u32 {
+                    covered[f as usize] = true;
+                    let leaf_name = if a == b {
                         name.to_string()
                     } else {
                         format!("{name}.{f}")
@@ -291,6 +292,63 @@ mod tests {
             from_spec("htb:cap=100;t,rate=50,wat=1,flows=0-3", 4).is_err(),
             "unknown key"
         );
+    }
+
+    #[test]
+    fn zero_weights_and_quanta_are_errors_not_panics() {
+        // Each of these once reached a constructor that panics on zero.
+        assert!(from_spec("wrr:4,0,1", 3).is_err());
+        assert!(from_spec("wrr:0", 2).is_err());
+        assert!(from_spec("drr:0", 4).is_err());
+        assert!(from_spec("drr:64,0", 2).is_err());
+        // A leaf flow past u32 once overflowed (or wrapped onto flow 0).
+        assert!(from_spec("htb:cap=100;t,flow=4294967295", 1).is_err());
+        assert!(from_spec("htb:cap=100;t,flow=4294967296", 1).is_err());
+        assert!(from_spec("htb:cap=100;t,flows=0-4294967295", 1).is_err());
+    }
+
+    /// The module doc's specs, and an HTB tree using every key of its
+    /// grammar, mutated one to four times each by inserting, deleting or
+    /// replacing a character, at flow counts 0 to 4: every call answers
+    /// `Ok` or `Err` and none unwinds.
+    #[test]
+    fn mutated_specs_never_panic() {
+        let seeds = [
+            "sp",
+            "drr",
+            "drr:640",
+            "drr:64,640,128",
+            "wrr:4,2,1",
+            "htb:cap=1000;root,rate=1000;t0,parent=root,rate=500,ceil=1000,flows=0-7",
+            "htb:cap=100;r;a,parent=r,rate=50,ceil=100,burst=3036,prio=1,quantum=640,flow=0;\
+             b,parent=r,rate=50,flows=1-3",
+        ];
+        let alphabet: Vec<char> = "0123456789,;:=- abcdefhilnopqrstuwy\u{e9}"
+            .chars()
+            .collect();
+        let seed = proptest::seed_for(concat!(module_path!(), "::mutated_specs_never_panic"));
+        let mut rng = proptest::new_rng(seed);
+        let mut pick = |n: usize| rng.next_below(n as u64) as usize;
+        for case in 0..20_000 {
+            let mut spec: Vec<char> = seeds[pick(seeds.len())].chars().collect();
+            for _ in 0..1 + pick(4) {
+                let (at, c) = (pick(spec.len() + 1), alphabet[pick(alphabet.len())]);
+                match pick(3) {
+                    0 => spec.insert(at, c),
+                    _ if at == spec.len() => {}
+                    1 => drop(spec.remove(at)),
+                    _ => spec[at] = c,
+                }
+            }
+            let spec: String = spec.into_iter().collect();
+            for flows in 0..=4 {
+                let call = std::panic::catch_unwind(|| drop(from_spec(&spec, flows)));
+                assert!(
+                    call.is_ok(),
+                    "case {case} (seed {seed:#x}): from_spec({spec:?}, {flows}) panicked"
+                );
+            }
+        }
     }
 
     #[test]

@@ -90,6 +90,21 @@
         steps: &[Enqueue(0, 1, Last), Enqueue(0, 1, Middle)],
         digest: 0x9981c2e6_eebdfbd7,
     },
+    // The occupancy index sleeps through commits on four flows, wakes on the
+    // first query (a tie goes to flow 3) and follows the commits after it.
+    Script {
+        name: "occupancy_index_wakes_on_its_first_query",
+        shape: Shape { flows: 4, segments: 24, seg_bytes: 16, freelist: Lifo, shards: 1 },
+        steps: &[
+            EnqueuePacket(0, 40, 0), EnqueuePacket(1, 70, 0), Enqueue(2, 16, First),
+            EnqueuePacket(3, 70, 0), Dequeue(0, None), LongestQueue(0), DequeuePacket(3, None),
+            LongestQueue(4), EnqueuePacket(0, 48, 0), Enqueue(2, 16, Middle), AppendHead(1, 9),
+            LongestQueue(2), Enqueue(2, 16, Last), MovePacket(1, 2), LongestQueue(1),
+            DeletePacket(0), DeletePacket(0), OverwriteHeadLen(2, 4), LongestQueue(3),
+            DequeuePacket(2, None), DequeuePacket(2, None), LongestQueue(0), EnqueuePacket(3, 5, 0),
+        ],
+        digest: 0xad9ad88f_d62f89e4,
+    },
     // Degenerate shapes: one segment, one flow, one-byte segments.
     Script {
         name: "one_segment_pool",

@@ -17,9 +17,10 @@
 //! built once for the run: the offer, where each shard offers its arrivals
 //! in arrival order and answers with a `bool` per arrival, and the drain,
 //! where each shard serves its own flows pass by pass in flow order and
-//! records per segment its flow, length, markers and first byte. The
-//! offered payloads sit end to end in one arena kept for the run, so on
-//! one worker a steady run allocates nothing per round. Both calls
+//! records per segment its flow, length, markers and first byte. A shard
+//! offers each packet as a prefix of one filler frame it keeps for the
+//! run, with the packet's marker stamped into the first byte, so on one
+//! worker a steady run allocates nothing per round. Both calls
 //! accumulate per-shard **busy time**; since shards share no state,
 //! N shards model N engines running in parallel and the sustained rate is
 //!
@@ -139,9 +140,11 @@ struct ShardRound {
     policy: DynamicThreshold,
     /// The flows the shard owns, in flow order: its drain order.
     flows: Vec<FlowId>,
-    /// This round's arrivals in arrival order: flow, then offset and
-    /// length in the run's payload arena.
-    arrivals: Vec<(FlowId, usize, usize)>,
+    /// This round's arrivals in arrival order: flow, length and marker.
+    arrivals: Vec<(FlowId, usize, u8)>,
+    /// The largest packet's worth of `0xC3` filler; an arrival is offered
+    /// as its first `len` bytes, with its marker stamped into byte 0.
+    frame: Vec<u8>,
     /// Per arrival: whether the policy admitted it.
     admitted: Vec<bool>,
     /// Per segment this round's drain served: flow, length and markers,
@@ -154,21 +157,18 @@ struct ShardRound {
 }
 
 /// Draws one round's offered arrivals — Zipf flow, IMIX size, and a marker
-/// byte stamped into the first payload byte — through the workspace-wide
-/// [`PacketStream`] (flow, then size; marker = sequence number), laying
-/// the payloads end to end in `arena` and handing each packet to its home
-/// shard's round, whose lists it resets. [`run_shard_scale`] and
-/// [`run_memory_scale`] share the one round loop that calls this, so their
-/// offered traces are identical by construction — the comparability
-/// between `table7` and `table8` rests on it.
+/// byte for the first payload byte — through the workspace-wide
+/// [`PacketStream`] (flow, then size; marker = sequence number), handing
+/// each packet to its home shard's round, whose lists it resets.
+/// [`run_shard_scale`] and [`run_memory_scale`] share the one round loop
+/// that calls this, so their offered traces are identical by construction
+/// — the comparability between `table7` and `table8` rests on it.
 fn draw_round(
     cfg: &ShardScaleConfig,
     stream: &mut PacketStream<'_>,
     engine: &ShardedQueueManager,
-    arena: &mut Vec<u8>,
     per_shard: &mut [ShardRound],
 ) {
-    arena.clear();
     for round in per_shard.iter_mut() {
         round.arrivals.clear();
         round.admitted.clear();
@@ -176,12 +176,9 @@ fn draw_round(
     }
     for _ in 0..cfg.packets_per_round {
         let (flow, size, marker) = stream.next_packet();
-        let start = arena.len();
-        arena.resize(start + size as usize, 0xC3);
-        arena[start] = marker;
         per_shard[engine.shard_of(flow)]
             .arrivals
-            .push((flow, start, size as usize));
+            .push((flow, size as usize, marker));
     }
 }
 
@@ -368,11 +365,7 @@ fn run_rounds(
     let mut reasm: Vec<Reassembly> = vec![Reassembly::default(); cfg.flows as usize];
     let seg_bytes = cfg.segment_bytes as usize;
 
-    // The run's buffers, built once and refilled every round: the offered
-    // payloads end to end (reserved once for a round of the largest
-    // packets, so it never regrows) and one round state per shard.
-    let mut arena: Vec<u8> =
-        Vec::with_capacity(cfg.packets_per_round as usize * sizes.max_bytes() as usize);
+    // One round state per shard, built once and refilled every round.
     let mut per_shard: Vec<ShardRound> = (0..shards)
         .map(|s| ShardRound {
             policy: DynamicThreshold::new(cfg.alpha),
@@ -381,6 +374,7 @@ fn run_rounds(
                 .filter(|&f| engine.shard_of(f) == s)
                 .collect(),
             arrivals: Vec::new(),
+            frame: vec![0xC3; sizes.max_bytes() as usize],
             admitted: Vec::new(),
             served: Vec::new(),
             scratch: Vec::with_capacity(seg_bytes),
@@ -391,30 +385,30 @@ fn run_rounds(
     let wall = Instant::now();
     for _ in 0..cfg.rounds {
         // --- offered batch: Zipf flows, IMIX sizes, marker-stamped ---
-        draw_round(cfg, &mut stream, &engine, &mut arena, &mut per_shard);
-        let payloads = arena.as_slice();
+        draw_round(cfg, &mut stream, &engine, &mut per_shard);
         engine.for_each_shard(
             &mut per_shard,
             threads,
-            |r| r.arrivals.iter().map(|&(_, _, len)| len as u64).sum(),
+            |r| r.arrivals.iter().map(|&(_, len, _)| len as u64).sum(),
             |qm, r| {
-                for &(flow, offset, len) in &r.arrivals {
-                    let packet = &payloads[offset..offset + len];
-                    r.admitted.push(r.policy.offer(qm, flow, packet).is_ok());
+                for &(flow, len, marker) in &r.arrivals {
+                    r.frame[0] = marker;
+                    r.admitted
+                        .push(r.policy.offer(qm, flow, &r.frame[..len]).is_ok());
                 }
             },
         );
         // Shard by shard: each flow lives on one shard, so its ledger
         // keeps arrival order.
         for r in &per_shard {
-            for (&(flow, offset, len), &admitted) in r.arrivals.iter().zip(&r.admitted) {
+            for (&(flow, len, marker), &admitted) in r.arrivals.iter().zip(&r.admitted) {
                 row.offered_pkts += 1;
                 row.offered_bytes += len as u64;
                 if admitted {
                     row.admitted_pkts += 1;
                     row.admitted_bytes += len as u64;
                     row.segments_processed += len.div_ceil(seg_bytes) as u64;
-                    ledger[flow.as_usize()].push_back((len as u32, payloads[offset]));
+                    ledger[flow.as_usize()].push_back((len as u32, marker));
                 } else {
                     row.dropped_pkts += 1;
                 }
@@ -802,10 +796,11 @@ mod tests {
         // The determinism contract at the scale-experiment level: every
         // non-timing field of a row, including the end-state fingerprint
         // (engine digest + residual ledger), is byte-identical whether
-        // the batches ran serial or on 2/4 worker threads.
+        // the batches ran serial or on 2, 3, 4 or 8 worker threads: 3
+        // splits the 4 shards unevenly, 8 leaves workers with none.
         let cfg = ShardScaleConfig::smoke();
         let reference = run_shard_scale(&cfg, 4, 1);
-        for threads in [2usize, 4] {
+        for threads in [2usize, 3, 4, 8] {
             let row = run_shard_scale(&cfg, 4, threads);
             assert_eq!(row.threads, threads);
             assert_eq!(row.offered_pkts, reference.offered_pkts);
@@ -825,6 +820,18 @@ mod tests {
                 "threads={threads}: end-state fingerprint diverged"
             );
         }
+        // The memory-timed run goes through the same round: at 1 and 2
+        // threads it admits and drains what the untimed run did, and its
+        // whole row (clocks and fingerprint included) is the same.
+        let timing = TimingConfig::paper(8);
+        let serial = run_memory_scale(&cfg, 4, 1, &timing);
+        let mut parallel = run_memory_scale(&cfg, 4, 2, &timing);
+        assert_eq!(serial.admitted_pkts, reference.admitted_pkts);
+        assert_eq!(serial.drained_bytes, reference.drained_bytes);
+        assert_eq!(serial.residual_bytes, reference.residual_bytes);
+        assert_eq!(serial.ptr_accesses, reference.ptr_accesses);
+        parallel.threads = serial.threads;
+        assert_eq!(parallel, serial, "memory-timed row diverged at 2 threads");
     }
 
     #[test]
