@@ -11,7 +11,8 @@
 #                   # cut and never committed, one DDR slot loop, one
 #                   # count per event, one grouped executor, one model
 #                   # of the engine, no occupancy pushes before the
-#                   # first query, no scale payload arena), fmt,
+#                   # first query, no scale payload arena, no pointer
+#                   # record written before first use), fmt,
 #                   # clippy, docs,
 #                   # tier-1, release-profile engine tests, the model
 #                   # fuzzer's release soak, tables,
@@ -86,6 +87,11 @@ tier1() {
 # `longest_queue` call), and by `rebuild_occupancy`, so an engine no policy
 # queries keeps no heap; and the scale round offers prefixes of a per-shard
 # filler frame, so `scale.rs` keeps no payload arena above its tests.
+# Pointer records are written on first use: `ptrmem.rs` builds no segment
+# or packet plane of default records up front, and `SegFreeList::init` /
+# `PktFreeList::init` link nothing (no loop) — the free lists keep their
+# never-used ids as a fresh mark and materialise a record when they first
+# hand its id out.
 structure() {
     echo "==> structure: one thread fan-out in npqm-core + npqm-traffic"
     local hits
@@ -222,6 +228,24 @@ structure() {
         grep -n 'occ\.heap\.push(' <<<"${above}" >&2
         exit 1
     fi
+    echo "==> structure: pointer records are written on first use"
+    hits="$(grep -nE 'vec!\[(Seg|Pkt)Record::default\(\)' crates/npqm-core/src/ptrmem.rs || true)"
+    if [[ -n "${hits}" ]]; then
+        echo "structure FAILED: ptrmem.rs writes a whole record plane up front:" >&2
+        echo "${hits}" >&2
+        exit 1
+    fi
+    local list
+    for list in SegFreeList PktFreeList; do
+        body="$(sed -n "/^impl ${list} {/,/^}/p" crates/npqm-core/src/freelist.rs \
+            | sed -n '/pub fn init(/,/^    }$/p' | sed 's|//.*||')"
+        if [[ -z "${body}" ]] \
+            || grep -qE '\b(for|while|loop)\b|for_each\(|\.extend\(|\.collect|\.fold\(' <<<"${body}"; then
+            echo "structure FAILED: ${list}::init must link nothing (no loop), or it is gone; got:" >&2
+            echo "${body}" >&2
+            exit 1
+        fi
+    done
 }
 
 # Golden-output regression gates: the table binaries assert their

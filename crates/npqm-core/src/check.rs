@@ -5,12 +5,18 @@
 //! whole pointer memory and cross-checks everything; the test suite and the
 //! property tests call it after every operation sequence.
 //!
-//! One pass costs `O(segments + flows)` and hashes nothing: which segment
-//! and packet indices are linked into queues, and which are free, is kept
-//! in dense bitmaps over the two index spaces (one bit per index, 128 KiB
-//! per map at the paper's 2^20 segments), and both free lists are walked
-//! in place. A walk ends at the first index it meets twice, so a cyclic
-//! chain or free list is an [`InvariantViolation`], not a hang.
+//! One pass costs `O(records + flows)`, where `records` is the number of
+//! segment and packet records the free lists have materialised (ids below
+//! their fresh marks; see [`crate::freelist`]), not the 2^20 segments the
+//! memory is sized for. It hashes nothing: which indices are linked into
+//! queues, and which into the free lists, is kept in dense bitmaps over the
+//! materialised ids (one bit each), and only the linked part of each free
+//! list is walked, in place. The never-used ids above a fresh mark are
+//! counted, not walked: every queued and linked id must lie below the mark,
+//! each plane must hold exactly as many records as its mark says, and the
+//! linked ids plus the never-used ones must make the free count. A walk ends
+//! at the first index it meets twice, so a cyclic chain or free list is an
+//! [`InvariantViolation`], not a hang.
 
 use crate::id::{FlowId, PacketId, SegmentId};
 use crate::manager::QueueManager;
@@ -99,14 +105,16 @@ impl IndexSet {
 }
 
 /// Checks that one free list (`walk`, head first, `counted` entries by
-/// its own counter) and the `used` indices exactly partition their index
-/// space; `kind` names the space in the messages. The walk is consumed in
-/// place and abandoned at the first index it yields twice — a cyclic list
-/// — so it never visits more entries than the space has. Returns the
-/// number of free entries.
+/// its own counter, of which the `unused` ids above the fresh mark are not
+/// linked) and the `used` indices exactly partition their index space of
+/// `size` ids; `kind` names the space in the messages. The walk is
+/// consumed in place and abandoned at the first index it yields twice — a
+/// cyclic list — or at or above the fresh mark (`used.bound`), so it never
+/// visits more entries than there are records. Returns the number of free
+/// entries.
 fn verify_free_list<I: Copy + fmt::Display>(
     kind: &str,
-    counted: u32,
+    (counted, unused, size): (u32, u32, u32),
     used: &IndexSet,
     walk: impl Iterator<Item = I>,
     index: impl Fn(I) -> usize,
@@ -115,6 +123,12 @@ fn verify_free_list<I: Copy + fmt::Display>(
     let mut in_use = None;
     for id in walk {
         let idx = index(id);
+        if idx >= used.bound {
+            return violation(format!(
+                "{kind} {id} is free at or above the fresh mark {}",
+                used.bound
+            ));
+        }
         if !free.insert(idx) {
             return violation(format!("{kind} {id} appears twice on the free list"));
         }
@@ -124,9 +138,9 @@ fn verify_free_list<I: Copy + fmt::Display>(
     }
     // A list that runs into a queued entry goes on along that entry's
     // chain, so its length is checked before the entry is reported.
-    if free.len != counted as usize {
+    if free.len + unused as usize != counted as usize {
         return violation(format!(
-            "{kind} free list count {counted} != walk length {}",
+            "{kind} free list count {counted} != walk length {} + {unused} never used",
             free.len
         ));
     }
@@ -135,11 +149,21 @@ fn verify_free_list<I: Copy + fmt::Display>(
     }
     if used.len + free.len != used.bound {
         return violation(format!(
-            "{kind} space not partitioned: {} used + {} free != {}",
-            used.len, free.len, used.bound
+            "{kind} space not partitioned: {} used + {counted} free != {size}",
+            used.len
         ));
     }
-    Ok(free.len as u32)
+    Ok(counted)
+}
+
+/// Checks that a plane holds exactly the `records` below its fresh mark.
+fn verify_plane(kind: &str, records: u32, fresh: u32) -> Result<(), InvariantViolation> {
+    if records != fresh {
+        return violation(format!(
+            "{kind} plane holds {records} records, fresh mark is {fresh}"
+        ));
+    }
+    Ok(())
 }
 
 /// Verifies every structural invariant of `qm`:
@@ -156,7 +180,11 @@ fn verify_free_list<I: Copy + fmt::Display>(
 ///    torn-packet corruption the pre-fix `move_packet` could create.);
 /// 4. only a queue's head packet may be partially consumed (`started`);
 /// 5. no segment or packet record is referenced twice;
-/// 6. the free lists and the queues exactly partition both index spaces;
+/// 6. the free lists and the queues exactly partition both index spaces:
+///    each plane holds exactly the records below its free list's fresh
+///    mark, every queued and every linked free id lies below that mark,
+///    and the linked ids plus the never-used ones above it make the free
+///    count;
 /// 7. every linked segment has a non-zero length within the segment size.
 ///
 /// # Errors
@@ -165,9 +193,11 @@ fn verify_free_list<I: Copy + fmt::Display>(
 pub fn verify(qm: &QueueManager) -> Result<InvariantReport, InvariantViolation> {
     let cfg = &qm.cfg;
     let pm = &qm.ptr;
-    // One packet record per segment: both index spaces have this size.
-    let mut used_segs = IndexSet::new(cfg.num_segments() as usize);
-    let mut used_pkts = IndexSet::new(cfg.num_segments() as usize);
+    let (seg_fresh, pkt_fresh) = (qm.seg_fl.fresh(), qm.pkt_fl.fresh());
+    verify_plane("segment", pm.seg_records(), seg_fresh)?;
+    verify_plane("packet", pm.pkt_records(), pkt_fresh)?;
+    let mut used_segs = IndexSet::new(seg_fresh as usize);
+    let mut used_pkts = IndexSet::new(pkt_fresh as usize);
     let mut payload_bytes = 0u64;
 
     for f in 0..cfg.num_flows() {
@@ -179,6 +209,11 @@ pub fn verify(qm: &QueueManager) -> Result<InvariantReport, InvariantViolation> 
         let mut pid = q.head_pkt;
         let mut last_seen = PacketId::NIL;
         while !pid.is_nil() {
+            if pid.index() >= pkt_fresh {
+                return violation(format!(
+                    "{flow}: packet {pid} is queued at or above the fresh mark {pkt_fresh}"
+                ));
+            }
             if !used_pkts.insert(pid.as_usize()) {
                 return violation(format!("{flow}: packet {pid} referenced twice"));
             }
@@ -209,6 +244,11 @@ pub fn verify(qm: &QueueManager) -> Result<InvariantReport, InvariantViolation> 
             let mut byte_count = 0u32;
             let mut reached_last = false;
             while !seg.is_nil() {
+                if seg.index() >= seg_fresh {
+                    return violation(format!(
+                        "{flow}: segment {seg} is queued at or above the fresh mark {seg_fresh}"
+                    ));
+                }
                 if !used_segs.insert(seg.as_usize()) {
                     return violation(format!("{flow}: segment {seg} referenced twice"));
                 }
@@ -300,16 +340,17 @@ pub fn verify(qm: &QueueManager) -> Result<InvariantReport, InvariantViolation> 
     }
 
     // Free lists must exactly cover the rest of both index spaces.
+    let size = cfg.num_segments(); // one packet record per segment
     let segments_free = verify_free_list(
         "segment",
-        qm.seg_fl.free_count(),
+        (qm.seg_fl.free_count(), size - seg_fresh, size),
         &used_segs,
         qm.seg_fl.iter_free(pm),
         SegmentId::as_usize,
     )?;
     let packets_free = verify_free_list(
         "packet",
-        qm.pkt_fl.free_count(),
+        (qm.pkt_fl.free_count(), size - pkt_fresh, size),
         &used_pkts,
         qm.pkt_fl.iter_free(pm),
         PacketId::as_usize,
@@ -513,14 +554,24 @@ mod tests {
     }
 
     /// Flow 0 holds packets pkt:0 (150 B in seg:0..=2) and pkt:1 (100 B
-    /// in seg:3,4), flow 1 holds pkt:2 (10 B in seg:5); the free lists
-    /// run seg:6 → … → seg:511 and pkt:3 → … → pkt:511.
+    /// in seg:3,4), flow 1 holds pkt:2 (10 B in seg:5). Flow 2's two
+    /// packets (seg:6,7 in pkt:3, seg:8,9 in pkt:4), deleted again, left
+    /// the free lists linking seg:9 → seg:8 → seg:7 → seg:6 and pkt:4 →
+    /// pkt:3, above fresh marks at seg:10 and pkt:5.
     fn three_packets() -> QueueManager {
         let mut qm = QueueManager::new(QmConfig::small());
         qm.enqueue_packet(FlowId::new(0), &[1; 150]).unwrap();
         qm.enqueue_packet(FlowId::new(0), &[2; 100]).unwrap();
         qm.enqueue_packet(FlowId::new(1), &[3; 10]).unwrap();
-        verify(&qm).unwrap();
+        for _ in 0..2 {
+            qm.enqueue_packet(FlowId::new(2), &[4; 100]).unwrap();
+        }
+        for _ in 0..2 {
+            qm.delete_packet(FlowId::new(2)).unwrap();
+        }
+        let report = verify(&qm).unwrap();
+        assert_eq!((qm.seg_fl.fresh(), qm.pkt_fl.fresh()), (10, 5));
+        assert_eq!((report.segments_free, report.packets_free), (506, 509));
         qm
     }
 
@@ -550,11 +601,11 @@ mod tests {
     }
 
     /// One corruption per invariant class `verify` documents, each with
-    /// the message the hash-set walk gave for it.
+    /// its message.
     #[test]
     fn checker_names_each_class_of_corruption() {
         type Corrupt = fn(&mut QueueManager);
-        let table: [(&str, Corrupt); 19] = [
+        let table: [(&str, Corrupt); 25] = [
             ("flow:0: segment seg:0 referenced twice", |qm| {
                 edit_pkt(qm, 1, |p| p.first = SegmentId::new(0))
             }),
@@ -564,10 +615,10 @@ mod tests {
             // The last free entry replaced by a queued one that ends its
             // own chain: the free walk keeps its length.
             ("segment seg:5 is both free and in use", |qm| {
-                edit_seg(qm, 510, |s| s.next = SegmentId::new(5))
+                edit_seg(qm, 7, |s| s.next = SegmentId::new(5))
             }),
             ("packet pkt:2 is both free and in use", |qm| {
-                edit_pkt(qm, 510, |p| p.next_pkt = PacketId::new(2))
+                edit_pkt(qm, 4, |p| p.next_pkt = PacketId::new(2))
             }),
             ("flow:0: segment seg:1 has bad length 0", |qm| {
                 edit_seg(qm, 1, |s| s.len = 0)
@@ -606,12 +657,14 @@ mod tests {
                 "flow:0: non-head packet pkt:1 is partially consumed",
                 |qm| edit_pkt(qm, 1, |p| p.started = true),
             ),
-            ("segment free list count 506 != walk length 1", |qm| {
-                edit_seg(qm, 6, |s| s.next = SegmentId::NIL)
-            }),
-            ("packet free list count 509 != walk length 1", |qm| {
-                edit_pkt(qm, 3, |p| p.next_pkt = PacketId::NIL)
-            }),
+            (
+                "segment free list count 506 != walk length 1 + 502 never used",
+                |qm| edit_seg(qm, 9, |s| s.next = SegmentId::NIL),
+            ),
+            (
+                "packet free list count 509 != walk length 1 + 507 never used",
+                |qm| edit_pkt(qm, 4, |p| p.next_pkt = PacketId::NIL),
+            ),
             // An entry taken off its free list and linked nowhere.
             (
                 "segment space not partitioned: 6 used + 505 free != 512",
@@ -625,6 +678,29 @@ mod tests {
                     qm.pkt_fl.alloc(&mut qm.ptr).unwrap();
                 },
             ),
+            // A link, queued or free, to an id no free list handed out.
+            (
+                "segment seg:10 is free at or above the fresh mark 10",
+                |qm| edit_seg(qm, 6, |s| s.next = SegmentId::new(10)),
+            ),
+            ("packet pkt:5 is free at or above the fresh mark 5", |qm| {
+                edit_pkt(qm, 3, |p| p.next_pkt = PacketId::new(5))
+            }),
+            (
+                "flow:1: segment seg:10 is queued at or above the fresh mark 10",
+                |qm| edit_pkt(qm, 2, |p| p.first = SegmentId::new(10)),
+            ),
+            (
+                "flow:1: packet pkt:5 is queued at or above the fresh mark 5",
+                |qm| edit_queue(qm, 1, |q| q.head_pkt = PacketId::new(5)),
+            ),
+            // A record written past the mark.
+            ("segment plane holds 11 records, fresh mark is 10", |qm| {
+                qm.ptr.materialise_segs(1, SegmentId::NIL);
+            }),
+            ("packet plane holds 6 records, fresh mark is 5", |qm| {
+                qm.ptr.materialise_pkt();
+            }),
         ];
         for (message, corrupt) in table {
             let mut qm = three_packets();
@@ -638,10 +714,10 @@ mod tests {
     #[test]
     fn cyclic_segment_free_list_is_a_violation_not_a_hang() {
         let mut qm = three_packets();
-        edit_seg(&mut qm, 511, |s| s.next = SegmentId::new(6));
+        edit_seg(&mut qm, 6, |s| s.next = SegmentId::new(9));
         assert_eq!(
             verify(&qm).unwrap_err().what,
-            "segment seg:6 appears twice on the free list"
+            "segment seg:9 appears twice on the free list"
         );
         assert_eq!(qm.seg_fl.collect_free(&qm.ptr).len(), 512);
     }
@@ -649,10 +725,10 @@ mod tests {
     #[test]
     fn cyclic_packet_free_list_is_a_violation_not_a_hang() {
         let mut qm = three_packets();
-        edit_pkt(&mut qm, 511, |p| p.next_pkt = PacketId::new(3));
+        edit_pkt(&mut qm, 3, |p| p.next_pkt = PacketId::new(4));
         assert_eq!(
             verify(&qm).unwrap_err().what,
-            "packet pkt:3 appears twice on the free list"
+            "packet pkt:4 appears twice on the free list"
         );
         assert_eq!(qm.pkt_fl.collect_free(&qm.ptr).len(), 512);
     }
@@ -693,6 +769,40 @@ mod tests {
             state_digest(&qm)
         };
         assert_eq!(run(), run());
+    }
+
+    /// At the paper's geometry a new engine writes no segment or packet
+    /// record; a LIFO fill and drain leaves exactly the records of the
+    /// deepest fill, which the low watermark measures.
+    #[test]
+    fn paper_geometry_materialises_only_the_records_it_touches() {
+        const FLOWS: u32 = 1024;
+        let cfg = QmConfig::builder()
+            .num_flows(QmConfig::PAPER_NUM_FLOWS)
+            .num_segments(1 << 20)
+            .build()
+            .unwrap();
+        let mut qm = QueueManager::new(cfg);
+        assert_eq!((qm.ptr.seg_records(), qm.ptr.pkt_records()), (0, 0));
+        assert_eq!(verify(&qm).unwrap().segments_free, 1 << 20);
+        for round in 0..2 {
+            for f in 0..FLOWS {
+                qm.enqueue_packet(FlowId::new(f * 32), &[round; 1518])
+                    .unwrap();
+            }
+            for f in 0..FLOWS {
+                qm.dequeue_packet(FlowId::new(f * 32)).unwrap();
+            }
+        }
+        let low = qm.free_segments_low_watermark();
+        assert_eq!(low, (1 << 20) - FLOWS * 24);
+        assert_eq!(qm.ptr.seg_records(), (1 << 20) - low);
+        assert_eq!(qm.ptr.pkt_records(), FLOWS);
+        let empty = verify(&qm).unwrap();
+        assert_eq!(
+            (empty.segments_free, empty.packets_free),
+            (1 << 20, 1 << 20)
+        );
     }
 
     #[test]

@@ -4,13 +4,26 @@
 //! (§5.2). The segment free list threads free segments through their `next`
 //! links; hardware keeps only a head pointer (LIFO) or head+tail (FIFO).
 //! Packet records use an always-LIFO list through their `next_pkt` links.
+//!
+//! Hardware initialises the list once, every id linked in ascending order.
+//! A list here links only the ids it has handed out before and keeps the
+//! rest as a *fresh mark*: ids `fresh..num_segments` are free, never used,
+//! unlinked, and have no record in the pointer memory yet. When a pop needs
+//! more ids than the list links, the list materialises that many fresh ids
+//! and links them where the fully linked list holds them: below the linked
+//! stack (LIFO), ahead of the released queue (FIFO). Whether a call needs
+//! any is decided once per call, from the counts. So allocation order,
+//! [`SegFreeList::collect_free`], the free count, the low watermark and every
+//! charged [`PtrMemCounters`] access are those of the fully linked list,
+//! while an engine pays in memory and time only for the ids a run touches.
 
 use crate::config::FreeListDiscipline;
 use crate::error::QueueError;
 use crate::id::{PacketId, SegmentId};
 use crate::ptrmem::{PtrMem, PtrMemCounters, SegRecord};
 
-/// Segment free list (LIFO stack or FIFO ring over the `next` links).
+/// Segment free list (LIFO stack or FIFO ring over the `next` links, plus
+/// the fresh mark).
 ///
 /// # Example
 ///
@@ -31,35 +44,34 @@ use crate::ptrmem::{PtrMem, PtrMemCounters, SegRecord};
 /// ```
 #[derive(Debug, Clone)]
 pub struct SegFreeList {
+    /// First linked segment: the stack's top (LIFO) or the oldest release
+    /// (FIFO); NIL when the list links none.
     head: SegmentId,
+    /// Last linked segment: the stack's bottom (LIFO) or the newest
+    /// release (FIFO); NIL when the list links none.
     tail: SegmentId,
+    /// Free segments, linked and fresh.
     free: u32,
+    /// The fresh mark: ids `fresh..end` are free and were never used.
+    fresh: u32,
+    end: u32,
     discipline: FreeListDiscipline,
     low_watermark: u32,
 }
 
 impl SegFreeList {
     /// Builds the free list over all segments of `pm` (0..n in ascending
-    /// order) with the given discipline.
+    /// order) with the given discipline. Every id starts fresh: no record
+    /// is written, and any `pm` held is forgotten.
     pub fn init(pm: &mut PtrMem, discipline: FreeListDiscipline) -> Self {
+        pm.clear_segs();
         let n = pm.num_segments();
-        for i in 0..n {
-            let next = if i + 1 < n {
-                SegmentId::new(i + 1)
-            } else {
-                SegmentId::NIL
-            };
-            pm.set_seg(SegmentId::new(i), SegRecord { next, len: 0 });
-        }
-        let (head, tail) = if n == 0 {
-            (SegmentId::NIL, SegmentId::NIL)
-        } else {
-            (SegmentId::new(0), SegmentId::new(n - 1))
-        };
         SegFreeList {
-            head,
-            tail,
+            head: SegmentId::NIL,
+            tail: SegmentId::NIL,
             free: n,
+            fresh: 0,
+            end: n,
             discipline,
             low_watermark: n,
         }
@@ -80,12 +92,65 @@ impl SegFreeList {
         self.discipline
     }
 
+    /// The fresh mark: ids from here up are free and were never handed
+    /// out, and exactly the ids below it have a record.
+    pub(crate) const fn fresh(&self) -> u32 {
+        self.fresh
+    }
+
+    /// Makes ready the fresh ids a pop of `k` segments reaches: once the
+    /// mark has passed the last id, one comparison per call.
+    #[inline]
+    fn reach_fresh(&mut self, pm: &mut PtrMem, k: u32) {
+        if self.fresh < self.end {
+            self.materialise(pm, k);
+        }
+    }
+
+    /// Materialises the fresh ids a pop of `k` segments reaches and links
+    /// them where the fully linked list holds them: below the linked stack
+    /// (LIFO), so only those past the linked ones; ahead of the released
+    /// queue (FIFO), so the first `k`. Uncounted: the pops that follow read
+    /// the links as they would have read the fully linked list's.
+    #[inline(never)]
+    fn materialise(&mut self, pm: &mut PtrMem, k: u32) {
+        let lifo = self.discipline == FreeListDiscipline::Lifo;
+        let unused = self.end - self.fresh;
+        let m = if lifo {
+            k.saturating_sub(self.free - unused)
+        } else {
+            k.min(unused)
+        };
+        if m == 0 {
+            return;
+        }
+        let first = pm.materialise_segs(m, if lifo { SegmentId::NIL } else { self.head });
+        let last = SegmentId::new(first.index() + m - 1);
+        self.fresh += m;
+        if lifo {
+            if self.tail.is_nil() {
+                self.head = first;
+            } else {
+                let mut rec = pm.seg_silent(self.tail);
+                rec.next = first;
+                pm.set_seg_silent(self.tail, rec);
+            }
+            self.tail = last;
+        } else {
+            self.head = first;
+            if self.tail.is_nil() {
+                self.tail = last;
+            }
+        }
+    }
+
     /// Pops a free segment ("Dequeue Free List" in the paper's Table 3).
     ///
     /// # Errors
     ///
     /// Returns [`QueueError::OutOfSegments`] when the data memory is full.
     pub fn alloc(&mut self, pm: &mut PtrMem) -> Result<SegmentId, QueueError> {
+        self.reach_fresh(pm, 1);
         if self.head.is_nil() {
             return Err(QueueError::OutOfSegments);
         }
@@ -126,6 +191,15 @@ impl SegFreeList {
                 );
                 if self.tail.is_nil() {
                     self.head = id;
+                    // Behind fresh ids only: the fully linked list's tail
+                    // is the last of them, and relinking it is charged.
+                    if self.free > 0 {
+                        pm.charge(&PtrMemCounters {
+                            seg_reads: 1,
+                            seg_writes: 1,
+                            ..PtrMemCounters::default()
+                        });
+                    }
                 } else {
                     let tail = self.tail;
                     let mut rec = pm.seg(tail);
@@ -142,8 +216,9 @@ impl SegFreeList {
     /// [`alloc`](Self::alloc) and a `set_seg` of each popped record would
     /// do — its `len` from `fill`, which is also where the caller moves the
     /// segment's payload, its `next` the segment popped after it, NIL on the
-    /// last — in one walk. The free list already links the segments in pop
-    /// order, so each record is written once and `head`, `tail`, `free` and
+    /// last — in one walk. Any fresh ids the chain reaches are linked first,
+    /// all at once; then the list links the segments in pop order, so each
+    /// record is written once and `head`, `tail`, `free` and
     /// `low_watermark` once; the `n` reads and `n` writes are charged
     /// once. Returns the chain's first and last segment.
     ///
@@ -158,6 +233,7 @@ impl SegFreeList {
         mut fill: impl FnMut(&PtrMem, SegmentId) -> u16,
     ) -> (SegmentId, SegmentId) {
         assert!(0 < n && n <= self.free, "chain of {n}, {} free", self.free);
+        self.reach_fresh(pm, n);
         let (first, mut last) = (self.head, self.head);
         for left in (0..n).rev() {
             last = self.head;
@@ -225,11 +301,14 @@ impl SegFreeList {
             }
         } else {
             // Each single release behind a tail rewrites that tail's link;
-            // only the first into an empty list has none to rewrite.
+            // only the first into an empty list has none to rewrite (a
+            // list of fresh ids only has one: the last of them).
             relinks = u64::from(n);
+            if self.free == 0 {
+                relinks -= 1;
+            }
             if self.tail.is_nil() {
                 self.head = first;
-                relinks -= 1;
             } else {
                 let mut rec = pm.seg_silent(self.tail);
                 rec.next = first;
@@ -246,50 +325,61 @@ impl SegFreeList {
         (n, bytes)
     }
 
-    /// The free segment ids, head first, read off the links in place. A
-    /// cyclic list never ends: the caller bounds the walk.
+    /// The linked free segment ids, head first, read off the links in
+    /// place; the walk ends after an id at or above the fresh mark, which
+    /// has no record to read. A cyclic list never ends: the caller bounds
+    /// the walk.
     pub(crate) fn iter_free<'a>(&self, pm: &'a PtrMem) -> impl Iterator<Item = SegmentId> + 'a {
+        let fresh = self.fresh;
         let link = |id: SegmentId| (!id.is_nil()).then_some(id);
-        std::iter::successors(link(self.head), move |&id| link(pm.seg_silent(id).next))
+        std::iter::successors(link(self.head), move |&id| {
+            if id.index() < fresh {
+                link(pm.seg_silent(id).next)
+            } else {
+                None
+            }
+        })
     }
 
-    /// Walks the free list and returns every free segment id
-    /// (verification). The walk stops after as many ids as there are
-    /// segments: a longer list is cyclic.
+    /// Every free segment id in the order the list hands them out
+    /// (verification): the linked ones read off the links, and the fresh
+    /// ones below them (LIFO) or ahead of them (FIFO). The walk stops
+    /// after as many linked ids as there are records: a longer list is
+    /// cyclic.
     pub fn collect_free(&self, pm: &PtrMem) -> Vec<SegmentId> {
         let mut out = Vec::with_capacity(self.free as usize);
-        out.extend(self.iter_free(pm).take(pm.num_segments() as usize));
+        let linked = self.iter_free(pm).take(self.fresh as usize);
+        let fresh = (self.fresh..self.end).map(SegmentId::new);
+        match self.discipline {
+            FreeListDiscipline::Lifo => out.extend(linked.chain(fresh)),
+            FreeListDiscipline::Fifo => out.extend(fresh.chain(linked)),
+        }
         out
     }
 }
 
-/// Packet-record free list (always LIFO through `next_pkt`).
+/// Packet-record free list (always LIFO through `next_pkt`, plus the fresh
+/// mark).
 #[derive(Debug, Clone)]
 pub struct PktFreeList {
     head: PacketId,
     free: u32,
+    /// The fresh mark: ids `fresh..end` are free and were never used.
+    fresh: u32,
+    end: u32,
 }
 
 impl PktFreeList {
-    /// Builds the free list over all packet records of `pm`.
+    /// Builds the free list over all packet records of `pm`. Every id
+    /// starts fresh: no record is written, and any `pm` held is forgotten.
     pub fn init(pm: &mut PtrMem) -> Self {
+        pm.clear_pkts();
         let n = pm.num_segments(); // one packet record per segment
-        for i in 0..n {
-            let mut rec = pm.pkt(PacketId::new(i));
-            rec.next_pkt = if i + 1 < n {
-                PacketId::new(i + 1)
-            } else {
-                PacketId::NIL
-            };
-            pm.set_pkt(PacketId::new(i), rec);
-        }
         PktFreeList {
-            head: if n == 0 {
-                PacketId::NIL
-            } else {
-                PacketId::new(0)
-            },
+            head: PacketId::NIL,
             free: n,
+            fresh: 0,
+            end: n,
         }
     }
 
@@ -298,14 +388,25 @@ impl PktFreeList {
         self.free
     }
 
-    /// Pops a free packet record.
+    /// The fresh mark: ids from here up are free and were never handed
+    /// out, and exactly the ids below it have a record.
+    pub(crate) const fn fresh(&self) -> u32 {
+        self.fresh
+    }
+
+    /// Pops a free packet record; once the linked stack is empty, the
+    /// next fresh id, which the fully linked list holds below it.
     ///
     /// # Errors
     ///
     /// Returns [`QueueError::OutOfPacketRecords`] when exhausted.
     pub fn alloc(&mut self, pm: &mut PtrMem) -> Result<PacketId, QueueError> {
         if self.head.is_nil() {
-            return Err(QueueError::OutOfPacketRecords);
+            if self.fresh == self.end {
+                return Err(QueueError::OutOfPacketRecords);
+            }
+            self.head = pm.materialise_pkt();
+            self.fresh += 1;
         }
         let id = self.head;
         self.head = pm.pkt(id).next_pkt;
@@ -327,19 +428,29 @@ impl PktFreeList {
         self.free += 1;
     }
 
-    /// The free packet ids, head first, read off the links in place. A
+    /// The linked free packet ids, head first, read off the links in
+    /// place; the walk ends after an id at or above the fresh mark. A
     /// cyclic list never ends: the caller bounds the walk.
     pub(crate) fn iter_free<'a>(&self, pm: &'a PtrMem) -> impl Iterator<Item = PacketId> + 'a {
+        let fresh = self.fresh;
         let link = |id: PacketId| (!id.is_nil()).then_some(id);
-        std::iter::successors(link(self.head), move |&id| link(pm.pkt_silent(id).next_pkt))
+        std::iter::successors(link(self.head), move |&id| {
+            if id.index() < fresh {
+                link(pm.pkt_silent(id).next_pkt)
+            } else {
+                None
+            }
+        })
     }
 
-    /// Walks the free list and returns every free packet id
-    /// (verification). The walk stops after as many ids as there are
-    /// packet records: a longer list is cyclic.
+    /// Every free packet id in the order the list hands them out
+    /// (verification): the linked ones, then the fresh ones. The walk
+    /// stops after as many linked ids as there are records: a longer list
+    /// is cyclic.
     pub fn collect_free(&self, pm: &PtrMem) -> Vec<PacketId> {
         let mut out = Vec::with_capacity(self.free as usize);
-        out.extend(self.iter_free(pm).take(pm.num_segments() as usize));
+        out.extend(self.iter_free(pm).take(self.fresh as usize));
+        out.extend((self.fresh..self.end).map(PacketId::new));
         out
     }
 }
@@ -461,12 +572,106 @@ mod tests {
         assert_eq!(fl.alloc(&mut pm), Err(QueueError::OutOfPacketRecords));
     }
 
+    /// The fully linked segment list, every record written and linked at
+    /// `init` (0 → 1 → … → n − 1): the reference the fresh mark is held
+    /// to. Its `alloc` and `release` are the lists' without the mark.
+    struct EagerSegList {
+        head: SegmentId,
+        tail: SegmentId,
+        free: u32,
+        discipline: FreeListDiscipline,
+        low_watermark: u32,
+    }
+
+    impl EagerSegList {
+        fn init(pm: &mut PtrMem, discipline: FreeListDiscipline) -> Self {
+            let n = pm.num_segments();
+            let (head, tail) = if n == 0 {
+                (SegmentId::NIL, SegmentId::NIL)
+            } else {
+                (
+                    pm.materialise_segs(n, SegmentId::NIL),
+                    SegmentId::new(n - 1),
+                )
+            };
+            EagerSegList {
+                head,
+                tail,
+                free: n,
+                discipline,
+                low_watermark: n,
+            }
+        }
+
+        fn collect_free(&self, pm: &PtrMem) -> Vec<SegmentId> {
+            let link = |id: SegmentId| (!id.is_nil()).then_some(id);
+            std::iter::successors(link(self.head), |&id| link(pm.seg_silent(id).next))
+                .take(pm.num_segments() as usize)
+                .collect()
+        }
+    }
+
+    /// The single calls, on the list under test and on the reference.
+    trait Singles {
+        fn alloc(&mut self, pm: &mut PtrMem) -> Result<SegmentId, QueueError>;
+        fn release(&mut self, pm: &mut PtrMem, id: SegmentId);
+    }
+
+    impl Singles for SegFreeList {
+        fn alloc(&mut self, pm: &mut PtrMem) -> Result<SegmentId, QueueError> {
+            SegFreeList::alloc(self, pm)
+        }
+
+        fn release(&mut self, pm: &mut PtrMem, id: SegmentId) {
+            SegFreeList::release(self, pm, id);
+        }
+    }
+
+    impl Singles for EagerSegList {
+        fn alloc(&mut self, pm: &mut PtrMem) -> Result<SegmentId, QueueError> {
+            if self.head.is_nil() {
+                return Err(QueueError::OutOfSegments);
+            }
+            let id = self.head;
+            self.head = pm.seg(id).next;
+            if self.head.is_nil() {
+                self.tail = SegmentId::NIL;
+            }
+            self.free -= 1;
+            self.low_watermark = self.low_watermark.min(self.free);
+            Ok(id)
+        }
+
+        fn release(&mut self, pm: &mut PtrMem, id: SegmentId) {
+            let lifo = self.discipline == FreeListDiscipline::Lifo;
+            let next = if lifo { self.head } else { SegmentId::NIL };
+            pm.set_seg(id, SegRecord { next, len: 0 });
+            if lifo {
+                self.head = id;
+                if self.tail.is_nil() {
+                    self.tail = id;
+                }
+            } else {
+                if self.tail.is_nil() {
+                    self.head = id;
+                } else {
+                    let mut rec = pm.seg(self.tail);
+                    rec.next = id;
+                    pm.set_seg(self.tail, rec);
+                }
+                self.tail = id;
+            }
+            self.free += 1;
+        }
+    }
+
     /// One step of the twin-list scripts: the chain calls under test,
     /// interleaved with the single calls they stand for.
     #[derive(Debug, Clone, Copy)]
     enum Step {
         /// Take a chain: `None` is every free segment.
         Take(Option<u32>),
+        /// One `alloc`; on an empty list, the refusal.
         TakeSingly,
         /// Give back the held chain `k % held`.
         Give(usize),
@@ -475,7 +680,7 @@ mod tests {
 
     /// `n` × `alloc` with a `set_seg` of each record: what `alloc_chain`
     /// stands for.
-    fn take_singly(fl: &mut SegFreeList, pm: &mut PtrMem, lens: &[u16]) -> Vec<SegmentId> {
+    fn take_singly(fl: &mut impl Singles, pm: &mut PtrMem, lens: &[u16]) -> Vec<SegmentId> {
         let ids: Vec<_> = lens.iter().map(|_| fl.alloc(pm).unwrap()).collect();
         for (i, (&id, &len)) in ids.iter().zip(lens).enumerate() {
             let next = ids.get(i + 1).copied().unwrap_or(SegmentId::NIL);
@@ -486,18 +691,24 @@ mod tests {
 
     /// A counted read and a `release` per segment: what `release_chain`
     /// stands for.
-    fn give_singly(fl: &mut SegFreeList, pm: &mut PtrMem, ids: &[SegmentId]) {
+    fn give_singly(fl: &mut impl Singles, pm: &mut PtrMem, ids: &[SegmentId]) {
         for &id in ids {
             let _ = pm.seg(id);
             fl.release(pm, id);
         }
     }
 
-    /// Runs `script` on twin lists — chain calls on one, their single-call
-    /// sequences on the other — and compares everything after every step.
+    /// Runs `script` on three lists: the chain calls on one, their
+    /// single-call sequences on a twin, and the same single calls on the
+    /// fully linked reference. After every step the twins agree on
+    /// everything, each materialised record included, and the reference
+    /// agrees on what a caller sees: the ids handed out, the free order,
+    /// the free count, the watermark and the charged traffic.
     fn run_twins(discipline: FreeListDiscipline, segments: u32, script: &[Step]) {
         let (mut pm, mut fl) = setup(segments, discipline);
         let (mut twin_pm, mut twin_fl) = setup(segments, discipline);
+        let mut eager_pm = PtrMem::new(segments, 1);
+        let mut eager = EagerSegList::init(&mut eager_pm, discipline);
         let mut held: Vec<Vec<SegmentId>> = Vec::new();
         for (i, &step) in script.iter().enumerate() {
             let at = format!("step {i} {step:?} ({discipline:?})");
@@ -516,11 +727,19 @@ mod tests {
                     let ids = take_singly(&mut twin_fl, &mut twin_pm, &lens);
                     assert_eq!(filled, ids, "{at}");
                     assert_eq!((first, last), (ids[0], ids[ids.len() - 1]), "{at}");
+                    assert_eq!(take_singly(&mut eager, &mut eager_pm, &lens), ids, "{at}");
                     held.push(ids);
                 }
-                Step::TakeSingly if fl.free_count() > 0 => {
+                Step::TakeSingly if fl.free_count() == 0 => {
+                    let refused = Err(QueueError::OutOfSegments);
+                    assert_eq!(fl.alloc(&mut pm), refused, "{at}");
+                    assert_eq!(twin_fl.alloc(&mut twin_pm), refused, "{at}");
+                    assert_eq!(Singles::alloc(&mut eager, &mut eager_pm), refused, "{at}");
+                }
+                Step::TakeSingly => {
                     let ids = take_singly(&mut fl, &mut pm, &[7]);
                     assert_eq!(take_singly(&mut twin_fl, &mut twin_pm, &[7]), ids, "{at}");
+                    assert_eq!(take_singly(&mut eager, &mut eager_pm, &[7]), ids, "{at}");
                     held.push(ids);
                 }
                 Step::Give(k) if !held.is_empty() => {
@@ -535,20 +754,30 @@ mod tests {
                     assert_eq!(released, (ids.len() as u32, bytes), "{at}");
                     assert_eq!(seen, want, "{at}");
                     give_singly(&mut twin_fl, &mut twin_pm, &ids);
+                    give_singly(&mut eager, &mut eager_pm, &ids);
                 }
                 Step::GiveSingly(k) if !held.is_empty() => {
                     let ids = held.swap_remove(k % held.len());
                     give_singly(&mut fl, &mut pm, &ids);
                     give_singly(&mut twin_fl, &mut twin_pm, &ids);
+                    give_singly(&mut eager, &mut eager_pm, &ids);
                 }
                 _ => continue,
             }
-            assert_eq!(fl.collect_free(&pm), twin_fl.collect_free(&twin_pm), "{at}");
+            let free = fl.collect_free(&pm);
+            assert_eq!(free, twin_fl.collect_free(&twin_pm), "{at}");
             assert_eq!((fl.head, fl.tail), (twin_fl.head, twin_fl.tail), "{at}");
-            assert_eq!(fl.free_count(), twin_fl.free_count(), "{at}");
-            assert_eq!(fl.low_watermark(), twin_fl.low_watermark(), "{at}");
-            assert_eq!(pm.counters(), twin_pm.counters(), "{at}");
-            for id in (0..segments).map(SegmentId::new) {
+            assert_eq!(fl.fresh, twin_fl.fresh, "{at}");
+            for (list, list_pm) in [(&fl, &pm), (&twin_fl, &twin_pm)] {
+                assert_eq!(
+                    (list.free_count(), list.low_watermark(), list_pm.counters()),
+                    (eager.free, eager.low_watermark, eager_pm.counters()),
+                    "{at}"
+                );
+                assert_eq!(list_pm.seg_records(), list.fresh, "{at}");
+            }
+            assert_eq!(free, eager.collect_free(&eager_pm), "{at}");
+            for id in (0..pm.seg_records()).map(SegmentId::new) {
                 assert_eq!(pm.seg_silent(id), twin_pm.seg_silent(id), "{at}: {id}");
             }
         }
@@ -576,11 +805,163 @@ mod tests {
         }
     }
 
+    /// The fresh mark's edges against the fully linked list: a release,
+    /// chained and single, while fresh ids remain and none is linked (FIFO
+    /// charges the relink of the fully linked list's tail); a chain that
+    /// reaches past the linked stack into the fresh ids (LIFO links them
+    /// below it); and a drain to exhaustion, refusal included.
+    #[test]
+    fn fresh_mark_matches_the_fully_linked_list() {
+        use Step::*;
+        for discipline in [FreeListDiscipline::Lifo, FreeListDiscipline::Fifo] {
+            run_twins(discipline, 6, &[Take(Some(2)), Give(0), Take(Some(3))]);
+            run_twins(discipline, 6, &[TakeSingly, GiveSingly(0), TakeSingly]);
+            run_twins(
+                discipline,
+                6,
+                &[
+                    Take(Some(2)),
+                    Take(Some(1)),
+                    Give(0),
+                    Take(Some(4)),
+                    Give(0),
+                ],
+            );
+            run_twins(
+                discipline,
+                5,
+                &[
+                    Take(Some(3)),
+                    Take(None),
+                    TakeSingly,
+                    Give(1),
+                    Give(0),
+                    Take(None),
+                ],
+            );
+            run_twins(discipline, 0, &[Take(None), TakeSingly]);
+        }
+    }
+
     #[test]
     #[should_panic(expected = "chain of 3, 2 free")]
     fn alloc_chain_beyond_the_free_count_panics() {
         let (mut pm, mut fl) = setup(2, FreeListDiscipline::Lifo);
         fl.alloc_chain(&mut pm, 3, |_, _| 1);
+    }
+
+    /// The fully linked packet-record list, written out at `init` like
+    /// [`EagerSegList`].
+    struct EagerPktList {
+        head: PacketId,
+        free: u32,
+    }
+
+    impl EagerPktList {
+        fn init(pm: &mut PtrMem) -> Self {
+            let n = pm.num_segments();
+            for i in 0..n {
+                let id = pm.materialise_pkt();
+                let next_pkt = if i + 1 < n {
+                    PacketId::new(i + 1)
+                } else {
+                    PacketId::NIL
+                };
+                pm.set_pkt(
+                    id,
+                    crate::ptrmem::PktRecord {
+                        next_pkt,
+                        ..Default::default()
+                    },
+                );
+            }
+            pm.reset_counters();
+            EagerPktList {
+                head: if n == 0 {
+                    PacketId::NIL
+                } else {
+                    PacketId::new(0)
+                },
+                free: n,
+            }
+        }
+
+        fn alloc(&mut self, pm: &mut PtrMem) -> Result<PacketId, QueueError> {
+            if self.head.is_nil() {
+                return Err(QueueError::OutOfPacketRecords);
+            }
+            let id = self.head;
+            self.head = pm.pkt(id).next_pkt;
+            self.free -= 1;
+            Ok(id)
+        }
+
+        fn release(&mut self, pm: &mut PtrMem, id: PacketId) {
+            let mut rec = pm.pkt(id);
+            rec.next_pkt = self.head;
+            pm.set_pkt(id, rec);
+            self.head = id;
+            self.free += 1;
+        }
+
+        fn collect_free(&self, pm: &PtrMem) -> Vec<PacketId> {
+            let link = |id: PacketId| (!id.is_nil()).then_some(id);
+            std::iter::successors(link(self.head), |&id| link(pm.pkt_silent(id).next_pkt))
+                .take(pm.num_segments() as usize)
+                .collect()
+        }
+    }
+
+    /// Runs a packet-record script — `None` pops, `Some(k)` releases the
+    /// held record `k % held` — on the list and the fully linked
+    /// reference, comparing ids, free order, count and charged traffic
+    /// after every step.
+    fn run_pkt_twins(records: u32, script: &[Option<usize>]) {
+        let mut pm = PtrMem::new(records, 1);
+        let mut fl = PktFreeList::init(&mut pm);
+        let mut eager_pm = PtrMem::new(records, 1);
+        let mut eager = EagerPktList::init(&mut eager_pm);
+        let mut held = Vec::new();
+        for (i, &step) in script.iter().enumerate() {
+            let at = format!("step {i} {step:?}");
+            match step {
+                None => {
+                    let id = fl.alloc(&mut pm);
+                    assert_eq!(id, eager.alloc(&mut eager_pm), "{at}");
+                    held.extend(id.ok());
+                }
+                Some(k) if !held.is_empty() => {
+                    let id = held.swap_remove(k % held.len());
+                    fl.release(&mut pm, id);
+                    eager.release(&mut eager_pm, id);
+                }
+                Some(_) => continue,
+            }
+            assert_eq!(fl.collect_free(&pm), eager.collect_free(&eager_pm), "{at}");
+            assert_eq!(fl.free_count(), eager.free, "{at}");
+            assert_eq!(pm.counters(), eager_pm.counters(), "{at}");
+            assert_eq!(pm.pkt_records(), fl.fresh, "{at}");
+        }
+    }
+
+    #[test]
+    fn pkt_fresh_mark_matches_the_fully_linked_list() {
+        // Fresh ids behind released ones, then a drain to the refusal.
+        let drain = [
+            None,
+            None,
+            Some(0),
+            None,
+            None,
+            None,
+            None,
+            None,
+            Some(1),
+            None,
+        ];
+        run_pkt_twins(4, &drain);
+        run_pkt_twins(1, &[None, None, Some(0), None]);
+        run_pkt_twins(0, &[None]);
     }
 
     fn step_strategy() -> impl Strategy<Value = Step> {
@@ -598,16 +979,30 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// `alloc_chain` / `release_chain` against `n` × `alloc` /
-        /// `release` on a twin list, chain and single calls interleaved:
-        /// free order, `head` / `tail`, counts, watermark, every segment
-        /// record and the charged traffic agree after every step.
+        /// `release` on a twin list and on the fully linked list, chain and
+        /// single calls interleaved: free order, `head` / `tail`, counts,
+        /// watermark, every materialised record and the charged traffic
+        /// agree after every step.
         #[test]
         fn chain_calls_match_single_calls(
             script in proptest::collection::vec(step_strategy(), 1..60),
         ) {
             for discipline in [FreeListDiscipline::Lifo, FreeListDiscipline::Fifo] {
                 run_twins(discipline, 8, &script);
+                run_twins(discipline, 24, &script);
             }
+        }
+
+        /// The packet-record list against the fully linked one on random
+        /// pop / release scripts.
+        #[test]
+        fn pkt_list_matches_the_fully_linked_list(
+            script in proptest::collection::vec(
+                prop_oneof![(0u32..1).prop_map(|_| None), (0usize..8).prop_map(Some)],
+                1..60,
+            ),
+        ) {
+            run_pkt_twins(6, &script);
         }
     }
 }

@@ -159,10 +159,11 @@ impl QueueManager {
     /// assert_eq!(qm.free_segments(), 512);
     /// ```
     pub fn new(cfg: QmConfig) -> Self {
+        // No record is written here: the free lists materialise each one
+        // when they first hand its id out.
         let mut ptr = PtrMem::new(cfg.num_segments(), cfg.num_flows());
         let seg_fl = SegFreeList::init(&mut ptr, cfg.freelist_discipline());
         let pkt_fl = PktFreeList::init(&mut ptr);
-        ptr.reset_counters(); // initialisation traffic is not interesting
         QueueManager {
             data: SegmentPool::new(cfg.num_segments(), cfg.segment_bytes()),
             cfg,

@@ -6,6 +6,13 @@
 //! behind accessor methods that count every read and write, so the hardware
 //! models can derive pointer-memory traffic from the *same* code paths the
 //! software library executes.
+//!
+//! The SRAM is sized for the worst case, one packet record per segment, and
+//! so is each plane's capacity. But a record is written only when a free
+//! list first hands its id out ([`crate::freelist`] keeps the never-used ids
+//! as a *fresh mark*, not as linked records), so the segment and packet
+//! planes hold exactly the records a run has touched: at the paper's 2^20
+//! segments a fresh engine writes none of its 36 MiB of records.
 
 use crate::id::{FlowId, PacketId, SegmentId};
 
@@ -171,27 +178,79 @@ impl PtrMemCounters {
 /// directly.
 #[derive(Debug, Clone)]
 pub struct PtrMem {
+    /// Segment records `0..len`, those handed out so far.
     segs: Vec<SegRecord>,
+    /// Packet records `0..len`, those handed out so far.
     pkts: Vec<PktRecord>,
     queues: Vec<QueueRecord>,
+    num_segments: u32,
     counters: PtrMemCounters,
 }
 
 impl PtrMem {
     /// Creates a pointer memory for `num_segments` segments / packet records
-    /// and `num_flows` queues.
+    /// and `num_flows` queues. The segment and packet planes get room for
+    /// every record but hold none: a free list materialises each record
+    /// when it first hands its id out.
     pub fn new(num_segments: u32, num_flows: u32) -> Self {
         PtrMem {
-            segs: vec![SegRecord::default(); num_segments as usize],
-            pkts: vec![PktRecord::default(); num_segments as usize],
+            segs: Vec::with_capacity(num_segments as usize),
+            pkts: Vec::with_capacity(num_segments as usize),
             queues: vec![QueueRecord::default(); num_flows as usize],
+            num_segments,
             counters: PtrMemCounters::default(),
         }
     }
 
-    /// Number of segment records.
+    /// Number of segment records (and of packet records) the memory is
+    /// sized for.
     pub fn num_segments(&self) -> u32 {
+        self.num_segments
+    }
+
+    /// Segment records materialised so far: ids `0..seg_records()`.
+    pub(crate) fn seg_records(&self) -> u32 {
         self.segs.len() as u32
+    }
+
+    /// Packet records materialised so far: ids `0..pkt_records()`.
+    pub(crate) fn pkt_records(&self) -> u32 {
+        self.pkts.len() as u32
+    }
+
+    /// Materialises the next `m` segment records, unwritten until now,
+    /// each linked to the one after it and the last to `last_next`, and
+    /// returns the first one's id (`m >= 1`). Uncounted: the records stand
+    /// for links a fully written free list would already hold.
+    pub(crate) fn materialise_segs(&mut self, m: u32, last_next: SegmentId) -> SegmentId {
+        let first = self.seg_records();
+        let last = first + m - 1;
+        self.segs.extend((first..last).map(|i| SegRecord {
+            next: SegmentId::new(i + 1),
+            len: 0,
+        }));
+        self.segs.push(SegRecord {
+            next: last_next,
+            len: 0,
+        });
+        SegmentId::new(first)
+    }
+
+    /// Materialises the next packet record, unlinked, and returns its id.
+    pub(crate) fn materialise_pkt(&mut self) -> PacketId {
+        let id = PacketId::new(self.pkt_records());
+        self.pkts.push(PktRecord::default());
+        id
+    }
+
+    /// Forgets every segment record: a new free list starts from none.
+    pub(crate) fn clear_segs(&mut self) {
+        self.segs.clear();
+    }
+
+    /// Forgets every packet record: a new free list starts from none.
+    pub(crate) fn clear_pkts(&mut self) {
+        self.pkts.clear();
     }
 
     /// Access counters accumulated so far.
@@ -220,7 +279,7 @@ impl PtrMem {
     ///
     /// # Panics
     ///
-    /// Panics if `id` is NIL or out of range.
+    /// Panics if `id` is NIL or no free list has handed it out yet.
     pub fn seg(&mut self, id: SegmentId) -> SegRecord {
         self.counters.seg_reads += 1;
         self.segs[id.as_usize()]
@@ -230,7 +289,7 @@ impl PtrMem {
     ///
     /// # Panics
     ///
-    /// Panics if `id` is NIL or out of range.
+    /// Panics if `id` is NIL or no free list has handed it out yet.
     pub fn set_seg(&mut self, id: SegmentId, rec: SegRecord) {
         self.counters.seg_writes += 1;
         self.segs[id.as_usize()] = rec;
@@ -270,7 +329,7 @@ impl PtrMem {
     ///
     /// # Panics
     ///
-    /// Panics if `id` is NIL or out of range.
+    /// Panics if `id` is NIL or no free list has handed it out yet.
     pub fn pkt(&mut self, id: PacketId) -> PktRecord {
         self.counters.pkt_reads += 1;
         self.pkts[id.as_usize()]
@@ -280,7 +339,7 @@ impl PtrMem {
     ///
     /// # Panics
     ///
-    /// Panics if `id` is NIL or out of range.
+    /// Panics if `id` is NIL or no free list has handed it out yet.
     pub fn set_pkt(&mut self, id: PacketId, rec: PktRecord) {
         self.counters.pkt_writes += 1;
         self.pkts[id.as_usize()] = rec;
@@ -323,6 +382,17 @@ impl PtrMem {
 mod tests {
     use super::*;
 
+    /// A pointer memory with every segment and packet record written, as
+    /// a full free list would have them.
+    fn written(num_segments: u32, num_flows: u32) -> PtrMem {
+        let mut pm = PtrMem::new(num_segments, num_flows);
+        pm.materialise_segs(num_segments, SegmentId::NIL);
+        for _ in 0..num_segments {
+            pm.materialise_pkt();
+        }
+        pm
+    }
+
     #[test]
     fn records_default_to_nil() {
         assert!(SegRecord::default().next.is_nil());
@@ -335,9 +405,32 @@ mod tests {
         assert!(!q.open);
     }
 
+    /// `new` writes no segment or packet record; each materialising call
+    /// appends records in id order, linked ascending, uncounted.
+    #[test]
+    fn records_are_materialised_in_id_order() {
+        let mut pm = PtrMem::new(8, 2);
+        assert_eq!(
+            (pm.num_segments(), pm.seg_records(), pm.pkt_records()),
+            (8, 0, 0)
+        );
+        assert_eq!(pm.materialise_segs(3, SegmentId::NIL), SegmentId::new(0));
+        assert_eq!(pm.materialise_segs(2, SegmentId::new(1)), SegmentId::new(3));
+        let id = SegmentId::new;
+        let links: Vec<_> = (0..5).map(|i| pm.seg_silent(id(i)).next).collect();
+        assert_eq!(links, [id(1), id(2), SegmentId::NIL, id(4), id(1)]);
+        assert_eq!(pm.materialise_pkt(), PacketId::new(0));
+        assert_eq!(pm.materialise_pkt(), PacketId::new(1));
+        assert_eq!((pm.seg_records(), pm.pkt_records()), (5, 2));
+        assert_eq!(pm.counters().total(), 0);
+        pm.clear_segs();
+        pm.clear_pkts();
+        assert_eq!((pm.seg_records(), pm.pkt_records()), (0, 0));
+    }
+
     #[test]
     fn accessors_count_traffic() {
-        let mut pm = PtrMem::new(8, 2);
+        let mut pm = written(8, 2);
         let s0 = SegmentId::new(0);
         let _ = pm.seg(s0);
         pm.set_seg(
@@ -363,7 +456,7 @@ mod tests {
 
     #[test]
     fn counters_since_and_reset() {
-        let mut pm = PtrMem::new(4, 1);
+        let mut pm = written(4, 1);
         let before = *pm.counters();
         let _ = pm.seg(SegmentId::new(2));
         let _ = pm.seg(SegmentId::new(3));
@@ -376,7 +469,7 @@ mod tests {
 
     #[test]
     fn writes_persist() {
-        let mut pm = PtrMem::new(4, 1);
+        let mut pm = written(4, 1);
         let rec = SegRecord {
             next: SegmentId::new(2),
             len: 40,
@@ -388,7 +481,7 @@ mod tests {
 
     #[test]
     fn silent_reads_do_not_count() {
-        let mut pm = PtrMem::new(4, 1);
+        let mut pm = written(4, 1);
         pm.set_queue(
             FlowId::new(0),
             QueueRecord {
@@ -409,7 +502,17 @@ mod tests {
     #[test]
     #[should_panic]
     fn out_of_range_segment_panics() {
-        let mut pm = PtrMem::new(2, 1);
+        let mut pm = written(2, 1);
         let _ = pm.seg(SegmentId::new(5));
+    }
+
+    /// An id below `num_segments` that no free list has handed out has
+    /// no record to read.
+    #[test]
+    #[should_panic]
+    fn unmaterialised_segment_panics() {
+        let mut pm = PtrMem::new(4, 1);
+        pm.materialise_segs(1, SegmentId::NIL);
+        let _ = pm.seg(SegmentId::new(1));
     }
 }

@@ -87,6 +87,11 @@ pub const DEFAULT_PRIORITY: u8 = 4;
 /// Number of priority levels (`0..NUM_PRIORITIES`).
 pub const NUM_PRIORITIES: u8 = 8;
 
+/// The deepest token bucket, `burst × capacity`: half the `i128` range, so
+/// that [`FlowScheduler::served`] adding one packet's earnings (`bytes ×
+/// rate`, below 2^32 × 2^64 = 2^96) to a full bucket cannot overflow.
+const MAX_BUCKET: i128 = i128::MAX / 2;
+
 /// Per-class configuration for [`HtbTreeBuilder`].
 ///
 /// `rate` is the guaranteed share of the link `capacity` (same units);
@@ -172,6 +177,9 @@ pub enum HtbError {
     ZeroQuantum(String),
     /// A class with a zero burst.
     ZeroBurst(String),
+    /// A class whose `burst × capacity` is too deep for the token
+    /// arithmetic (2^126 or more).
+    BurstTooLarge(String),
     /// Two leaves claim the same flow.
     DuplicateFlow(u32),
     /// The tree has no leaves, so nothing could ever be scheduled.
@@ -196,6 +204,12 @@ impl fmt::Display for HtbError {
             }
             HtbError::ZeroQuantum(name) => write!(f, "class {name:?} has a zero quantum"),
             HtbError::ZeroBurst(name) => write!(f, "class {name:?} has a zero burst"),
+            HtbError::BurstTooLarge(name) => {
+                write!(
+                    f,
+                    "class {name:?} has a burst too large for the link capacity"
+                )
+            }
             HtbError::DuplicateFlow(flow) => {
                 write!(f, "flow {flow} is claimed by more than one leaf")
             }
@@ -278,7 +292,7 @@ impl HtbTreeBuilder {
         if self.capacity == 0 {
             return Err(HtbError::ZeroCapacity);
         }
-        let cap = self.capacity as i128;
+        let cap = i128::from(self.capacity);
         let mut index: HashMap<String, usize> = HashMap::new();
         let mut nodes: Vec<Node> = Vec::with_capacity(self.entries.len());
         let mut leaves: Vec<LeafRef> = Vec::new();
@@ -300,6 +314,10 @@ impl HtbTreeBuilder {
             if cfg.burst_bytes == 0 {
                 return Err(HtbError::ZeroBurst(entry.name.clone()));
             }
+            let burst_scaled = i128::from(cfg.burst_bytes)
+                .checked_mul(cap)
+                .filter(|&scaled| scaled <= MAX_BUCKET)
+                .ok_or_else(|| HtbError::BurstTooLarge(entry.name.clone()))?;
             let parent = match &entry.parent {
                 None => None,
                 Some(p) => {
@@ -316,7 +334,6 @@ impl HtbTreeBuilder {
                     Some(pi)
                 }
             };
-            let burst_scaled = cfg.burst_bytes as i128 * cap;
             let node_idx = nodes.len();
             nodes.push(Node {
                 parent,
@@ -624,6 +641,32 @@ mod tests {
             .build()
             .unwrap_err();
         assert_eq!(err, HtbError::NoLeaves);
+    }
+
+    /// `burst × capacity` at `u64` extremes is refused, in debug and
+    /// release alike; the deepest bucket accepted still serves a packet
+    /// without overflowing.
+    #[test]
+    fn burst_times_capacity_past_the_bucket_range_is_an_error() {
+        let extreme = HtbClass::rate(u64::MAX).burst(u64::MAX);
+        let err = HtbTreeBuilder::new(u64::MAX)
+            .leaf("deep", None, FlowId::new(0), extreme)
+            .build()
+            .unwrap_err();
+        assert_eq!(err, HtbError::BurstTooLarge("deep".into()));
+        assert!(err.to_string().contains("\"deep\""));
+
+        let deepest = HtbClass::rate(u64::MAX).burst(1 << 62);
+        let mut htb = HtbTreeBuilder::new(u64::MAX)
+            .leaf("deep", None, FlowId::new(0), deepest)
+            .build()
+            .unwrap();
+        let mut qm = engine();
+        qm.enqueue_packet(FlowId::new(0), &[0; 1518]).unwrap();
+        assert_eq!(drain_next(&mut qm, &mut htb).unwrap().0, FlowId::new(0));
+        // The largest packet a record can hold, on a nearly full bucket.
+        htb.served(FlowId::new(0), u32::MAX as usize);
+        assert_eq!(htb.stats().green_packets, 2);
     }
 
     #[test]
