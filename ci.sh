@@ -5,8 +5,10 @@
 # into a two-job matrix: `quick` on pull requests, the full pipeline on
 # pushes to main. No stage gates host time: that is bench/run.sh's job.
 #
-#   ./ci.sh         # full pipeline: structure greps (one thread fan-out,
-#                   # one push-out loop, each engine step of manager.rs
+#   ./ci.sh         # full pipeline: structure greps (no thread, lock or
+#                   # atomic in the engine and traffic crates, and no
+#                   # thread-count knob anywhere; one push-out loop, each
+#                   # engine step of manager.rs
 #                   # written once, no cut_through, the access trace
 #                   # cut and never committed, one DDR slot loop, one
 #                   # count per event, one grouped executor, one model
@@ -16,8 +18,8 @@
 #                   # clippy, docs,
 #                   # tier-1, release-profile engine tests, the model
 #                   # fuzzer's release soak, tables,
-#                   # golden checks, parallel-determinism diff, telemetry
-#                   # trace export + cross-thread diff, every example,
+#                   # golden checks, telemetry trace export + traced vs
+#                   # untraced reconciliation, every example,
 #                   # repo-benchmark smoke + digest check, bench
 #                   # artifacts, bench gate (simulated leaves equal,
 #                   # host leaves ignored)
@@ -36,10 +38,14 @@ tier1() {
     cargo test -q
 }
 
-# One way to run shards in parallel: `npqm_core::shard::parallel::
-# for_each_claimed` is the only place the engine and traffic crates may
-# spawn a thread, and nothing there may bring back channels, timeouts or
-# yield-pacing. Exactly one line may match (the spawn scope itself).
+# Shards run on the calling thread: worker threads were measured against
+# the modelled N-engine composite and lost on wall clock every time, so
+# above its tests no file of the engine and traffic crates may spawn or
+# scope a thread, lock, use an atomic, or bring back channels, timeouts or
+# yield-pacing (comments stripped), and the thread-count knobs — the claim
+# fan-out, the thread sweep, the environment variable and the pipeline's
+# parallel switch — stay deleted everywhere (README.md may tell the
+# history in prose).
 # One push-out loop: `policy::push_out` is the only place a victim joins
 # an `evicted` list (LQD, po-work, work-balance and global LQD keep just
 # their victim choice), and the occupancy snapshot and the trait that
@@ -71,11 +77,11 @@ tier1() {
 # the derives for a `serde` feature no manifest declares and `table10`'s
 # `NPQM_TRACE` fallback.
 # One grouped executor: `ShardedQueueManager::for_each_shard` (`shard.rs`)
-# is the only caller of `for_each_claimed` in `npqm-core` and the only
-# place a shard's busy time grows, apart from the batched cross-shard
-# command that charges both engines (`parallel.rs`). The per-command
-# result slots' executor, the lending drain and its types stay deleted,
-# and the scale rounds reach the shards only through `for_each_shard`.
+# is the only place a shard's busy time grows in `npqm-core`, apart from
+# the batched cross-shard command that charges both engines
+# (`parallel.rs`). The per-command result slots' executor, the lending
+# drain and its types stay deleted, and the scale rounds reach the shards
+# only through `for_each_shard`.
 # One model of the engine: `npqm-core`'s test-only `model` module (and the
 # corpus it replays) is the oracle every engine call is held to, so the
 # hand-written oracles it replaced — the property tests' `Oracle` and
@@ -93,12 +99,18 @@ tier1() {
 # never-used ids as a fresh mark and materialise a record when they first
 # hand its id out.
 structure() {
-    echo "==> structure: one thread fan-out in npqm-core + npqm-traffic"
-    local hits
-    hits="$(grep -rnE 'thread::(scope|spawn)|sync_channel|recv_timeout|yield_now' \
-        crates/npqm-core/src crates/npqm-traffic/src || true)"
-    if [[ "$(grep -c . <<<"${hits}")" != 1 || "${hits}" != crates/npqm-core/src/shard/parallel.rs:* ]]; then
-        echo "structure FAILED: expected one hit, inside for_each_claimed; got:" >&2
+    echo "==> structure: shards run on the calling thread"
+    local hits file
+    hits="$(for file in $(find crates/npqm-core/src crates/npqm-traffic/src -name '*.rs' | sort); do
+        sed '/^#\[cfg(test)\]/,$d' "${file}" | sed 's|//.*||' \
+            | grep -nE 'thread::(scope|spawn)|Mutex|Condvar|Atomic|sync_channel|recv_timeout|yield_now' \
+            | sed "s|^|${file}:|" || true
+    done)"
+    # Spelled in pieces so that this line does not match itself.
+    hits+="$(grep -rnE 'for_each_''claimed|run_thread_''sweep|threads_from_''env|NPQM_''THREADS|\.parallel\(' \
+        crates examples tests src ci.sh || true)"
+    if [[ -n "${hits}" ]]; then
+        echo "structure FAILED: a thread, lock, atomic or thread-count knob is back:" >&2
         echo "${hits}" >&2
         exit 1
     fi
@@ -140,7 +152,6 @@ structure() {
         echo "${hits}" >&2
         exit 1
     fi
-    local file
     hits=""
     for file in $(grep -rlF 'cut_trace(' crates examples tests src | sort); do
         if [[ -n "$(sed '/^#\[cfg(test)\]/,$d' "${file}" | grep -F 'cut_trace(')" ]]; then
@@ -176,21 +187,20 @@ structure() {
     local body
     body="$(sed -n '/pub fn for_each_shard</,/^    }$/p' crates/npqm-core/src/shard.rs)"
     local pattern
-    for pattern in 'for_each_claimed\(' 'busy(\[[^]]*\])? *\+='; do
-        hits="$(for file in $(grep -rlE "${pattern}" crates/npqm-core/src | sort); do
-            sed '/^#\[cfg(test)\]/,$d' "${file}" | grep -nE "${pattern}" \
-                | grep -vE '^[0-9]+:\s*//|fn for_each_claimed' | sed "s|^|${file}:|" || true
-        done)"
-        if [[ "$(grep -cE "${pattern}" <<<"${body}")" != 1 \
-            || "$(grep -c '^crates/npqm-core/src/shard.rs:' <<<"${hits}")" != 1 \
-            || -n "$(grep -v '^crates/npqm-core/src/shard.rs:' <<<"${hits}" \
-                | grep -vE '^crates/npqm-core/src/shard/parallel.rs:[0-9]+: *self\.busy\[(a|b)\] \+= d;$')" ]]; then
-            echo "structure FAILED: '${pattern}' above the tests belongs to for_each_shard" \
-                "(and, for busy time, the batched cross-shard command); got:" >&2
-            echo "${hits}" >&2
-            exit 1
-        fi
-    done
+    pattern='busy(\[[^]]*\])? *\+='
+    hits="$(for file in $(grep -rlE "${pattern}" crates/npqm-core/src | sort); do
+        sed '/^#\[cfg(test)\]/,$d' "${file}" | grep -nE "${pattern}" \
+            | grep -vE '^[0-9]+:\s*//' | sed "s|^|${file}:|" || true
+    done)"
+    if [[ "$(grep -cE "${pattern}" <<<"${body}")" != 1 \
+        || "$(grep -c '^crates/npqm-core/src/shard.rs:' <<<"${hits}")" != 1 \
+        || -n "$(grep -v '^crates/npqm-core/src/shard.rs:' <<<"${hits}" \
+            | grep -vE '^crates/npqm-core/src/shard/parallel.rs:[0-9]+: *self\.busy\[(a|b)\] \+= d;$')" ]]; then
+        echo "structure FAILED: busy time above the tests grows in for_each_shard" \
+            "and the batched cross-shard command only; got:" >&2
+        echo "${hits}" >&2
+        exit 1
+    fi
     hits="$(grep -rnE 'run_groups|BatchDrain|LentSegment|dequeue_batch_into' \
         crates examples tests src README.md || true)"
     hits+="$(grep -n 'shards_mut(' crates/npqm-traffic/src/scale.rs || true)"
@@ -250,13 +260,13 @@ structure() {
 
 # Golden-output regression gates: the table binaries assert their
 # machine-readable invariants (packet + byte conservation, zero torn
-# frames, LQD >= tail-drop goodput, thread-invariant fingerprints,
-# global-LQD >= shard-local goodput) instead of having their stdout
-# discarded. Every gate is a pure function of the seed.
-golden_quick() {
+# frames, LQD >= tail-drop goodput, online digests equal to quiesced
+# replays, global-LQD >= shard-local goodput) instead of having their
+# stdout discarded. Every gate is a pure function of the seed.
+golden() {
     echo "==> table6 --check (drop-policy conservation gates)"
     cargo run --release -q -p npqm-bench --bin table6 -- --check
-    echo "==> table7 --check (shard-scaling gates: conservation, thread-invariant fingerprints)"
+    echo "==> table7 --check (shard-scaling gates: conservation, zero torn frames)"
     cargo run --release -q -p npqm-bench --bin table7 -- --check
     echo "==> table8 --check (memory-timing gates: ledgers close, reordering never slower)"
     cargo run --release -q -p npqm-bench --bin table8 -- --check
@@ -268,88 +278,21 @@ golden_quick() {
     cargo run --release -q -p npqm-bench --bin table11 -- --check
 }
 
-golden_full() {
-    golden_quick
-    # These runs double as the serial legs of the parallel-determinism
-    # stage below: --report writes the --json rows without their `host`
-    # part (no wall clock, no steal counts, no thread count). table7 and
-    # table8 ran in golden_quick already; their second run is the cost of
-    # keeping the two stages independent (0.3 s).
-    echo "==> table7 --check at NPQM_THREADS=1 (shard-scaling gates, serial leg)"
-    NPQM_THREADS=1 cargo run --release -q -p npqm-bench --bin table7 -- \
-        --check --report target/table7-det-threads1.json
-    echo "==> table8 --check at NPQM_THREADS=1 (memory-timing gates, serial leg)"
-    NPQM_THREADS=1 cargo run --release -q -p npqm-bench --bin table8 -- \
-        --check --report target/table8-det-threads1.json
-    echo "==> table9 --check at NPQM_THREADS=1 (competitive-ratio gates, serial leg)"
-    NPQM_THREADS=1 cargo run --release -q -p npqm-bench --bin table9 -- \
-        --check --report target/table9-det-threads1.json
-    echo "==> table10 --check at NPQM_THREADS=1 (streaming-service gates, serial leg)"
-    NPQM_THREADS=1 cargo run --release -q -p npqm-bench --bin table10 -- \
-        --check --report target/table10-det-threads1.json
-    echo "==> table11 --check at NPQM_THREADS=1 (hierarchical-QoS gates, serial leg)"
-    NPQM_THREADS=1 cargo run --release -q -p npqm-bench --bin table11 -- \
-        --check --report target/table11-det-threads1.json
-}
-
-# The headline guarantee of the thread-parallel executor: for a fixed
-# seed, delivery reports, conservation checks and per-packet ledger
-# fingerprints are byte-identical to serial replay at any thread count.
-# Run the same gates at 4 worker threads and require the two
-# deterministic reports to be identical to the byte.
-parallel_determinism() {
-    echo "==> parallel-determinism: table7 --check at NPQM_THREADS=4"
-    NPQM_THREADS=4 cargo run --release -q -p npqm-bench --bin table7 -- \
-        --check --report target/table7-det-threads4.json
-    echo "==> parallel-determinism: table8 --check at NPQM_THREADS=4"
-    NPQM_THREADS=4 cargo run --release -q -p npqm-bench --bin table8 -- \
-        --check --report target/table8-det-threads4.json
-    echo "==> parallel-determinism: table9 --check at NPQM_THREADS=4"
-    NPQM_THREADS=4 cargo run --release -q -p npqm-bench --bin table9 -- \
-        --check --report target/table9-det-threads4.json
-    echo "==> parallel-determinism: table10 --check at NPQM_THREADS=4"
-    NPQM_THREADS=4 cargo run --release -q -p npqm-bench --bin table10 -- \
-        --check --report target/table10-det-threads4.json
-    echo "==> parallel-determinism: table11 --check at NPQM_THREADS=4"
-    NPQM_THREADS=4 cargo run --release -q -p npqm-bench --bin table11 -- \
-        --check --report target/table11-det-threads4.json
-    for t in table7 table8 table9 table10 table11; do
-        echo "==> parallel-determinism: diff ${t} threads=1 vs threads=4 reports"
-        if ! diff -u "target/${t}-det-threads1.json" "target/${t}-det-threads4.json"; then
-            echo "parallel-determinism FAILED: ${t} reports differ between 1 and 4 threads" >&2
-            exit 1
-        fi
-    done
-    echo "parallel-determinism: reports byte-identical."
-}
-
 # Deterministic-telemetry gates: `table10 --trace` runs the steady-state
-# workload twice at the same thread count — traced and untraced — and
-# asserts the zero-interference contract (final + per-epoch digests and
-# the whole report identical), exact reconciliation of the event counts,
+# workload twice — traced and untraced — and asserts the
+# zero-interference contract (final + per-epoch digests and the whole
+# report identical), exact reconciliation of the event counts,
 # drop-attribution ledger and metrics registry against the run's own
 # totals, and a strict `Json::parse` round trip of the exported
-# Chrome/Perfetto trace before writing it. The traces exported at 1 and
-# 4 worker threads must then be byte-identical — virtual-time
-# timestamps contain no wall clock. `table11 --trace` runs the same
-# contract on the HTB trunk (every delivery carries exactly one
+# Chrome/Perfetto trace before writing it. `table11 --trace` runs the
+# same contract on the HTB trunk (every delivery carries exactly one
 # leaf-selection event).
 telemetry() {
-    echo "==> telemetry: table10 --trace at NPQM_THREADS=1"
-    NPQM_THREADS=1 cargo run --release -q -p npqm-bench --bin table10 -- \
-        --trace target/table10-trace-threads1.json
-    echo "==> telemetry: table10 --trace at NPQM_THREADS=4"
-    NPQM_THREADS=4 cargo run --release -q -p npqm-bench --bin table10 -- \
-        --trace target/table10-trace-threads4.json
-    echo "==> telemetry: diff table10 traces threads=1 vs threads=4"
-    if ! diff -u target/table10-trace-threads1.json target/table10-trace-threads4.json; then
-        echo "telemetry FAILED: exported traces differ between 1 and 4 threads" >&2
-        exit 1
-    fi
+    echo "==> telemetry: table10 --trace (steady-state service)"
+    cargo run --release -q -p npqm-bench --bin table10 -- --trace target/table10-trace.json
     echo "==> telemetry: table11 --trace (HTB trunk, leaf-selection events)"
-    NPQM_THREADS=1 cargo run --release -q -p npqm-bench --bin table11 -- \
-        --trace target/table11-trace.json
-    echo "telemetry: traces reconciled and byte-identical across thread counts."
+    cargo run --release -q -p npqm-bench --bin table11 -- --trace target/table11-trace.json
+    echo "telemetry: traces reconciled with their runs."
 }
 
 # The repo benchmark (bench/, see BENCHMARK.json) as a correctness gate
@@ -370,8 +313,7 @@ bench_digests() {
 
 # Machine-readable table results, uploaded as a CI artifact by the
 # hosted pipeline. Host-dependent values (wall clock, busy times, rates,
-# steals, threads, cores) sit under `host` keys; everything else is
-# simulated.
+# cores) sit under `host` keys; everything else is simulated.
 bench_artifacts() {
     echo "==> bench artifacts (BENCH_table6/7/8/9/10/11.json)"
     for t in table6 table7 table8 table9 table10 table11; do
@@ -398,7 +340,7 @@ bench_gate() {
 if [[ "${1:-}" == "quick" ]]; then
     structure
     tier1
-    golden_quick
+    golden
     echo "CI quick green."
     exit 0
 fi
@@ -431,13 +373,11 @@ for seed in 1 2 3 4 5 6 7 8; do
     NPQM_PROP_SEED="${seed}" cargo test --release -q -p npqm-core --lib model::engine_matches_the_model
 done
 
-# The stage that runs the paper's tables 1-5 (6-11 are golden_full's).
+# The stage that runs the paper's tables 1-5 (6-11 are golden's).
 echo "==> cargo run --release -p npqm-bench --bin all_tables"
 cargo run --release -q -p npqm-bench --bin all_tables >/dev/null
 
-golden_full
-
-parallel_determinism
+golden
 
 telemetry
 

@@ -6,8 +6,7 @@
 //! answers the service-shaped question: does the engine *sustain* — for
 //! seconds of virtual time under ~1.45× overload — bounded memory (rings
 //! never grow unboundedly, the ledger drains), zero torn frames across
-//! every online snapshot, and online epoch digests that are
-//! byte-identical at any thread count and equal to a quiesced
+//! every online snapshot, and online epoch digests that equal a quiesced
 //! stop-the-world run's?
 //!
 //! `table10 --check` runs the machine-checkable gates instead of the
@@ -19,33 +18,24 @@
 //!   snapshot, on every shard;
 //! * bounded memory: every ledger drains (`residual_pkts == 0`) and
 //!   lane overshoot stays under a small multiple of the rings;
-//! * digest stability: the online epoch digests of this run are
-//!   byte-identical to a fresh run at the *other* thread count (1 ↔ 4),
-//!   and spot-checked epochs equal [`quiesced_digest`]'s stop-the-world
-//!   replay.
+//! * digest stability: spot-checked online epoch digests equal
+//!   [`quiesced_digest`]'s stop-the-world replay.
 //!
 //! Every gate is a pure function of the seed. The sustained composite
 //! rate (segments over the busiest shard's busy time) is reported, not
 //! gated: host time is gated by `bench/run.sh` (`svc_steady` is this
 //! table's shape).
 //!
-//! The worker-thread count comes from `NPQM_THREADS` (default 1).
 //! `--json <path>` (without `--check`) writes the per-commit artifact,
 //! every host-dependent value under a `host` key; `--report <path>`
-//! writes the same report without `host`, which the CI
-//! `parallel-determinism` stage diffs across thread counts.
+//! writes the same report without `host`, which two builds can `cmp`.
 
-use npqm_bench::cli::{check, cores, host_cores, write_file, Cli};
+use npqm_bench::cli::{check, host_cores, write_file, Cli};
 use npqm_bench::json::{telemetry_trace_json, Json, ToJson};
 use npqm_core::policy::DynamicThreshold;
 use npqm_core::sched::from_spec;
 use npqm_core::telemetry::TelemetryConfig;
-use npqm_traffic::scale::threads_from_env;
 use npqm_traffic::service::{quiesced_digest, run_service, ServiceConfig, ServiceReport};
-
-/// The thread count the cross-check leg runs at (the gate is "1 ↔ 4
-/// byte-identical", from whichever side `NPQM_THREADS` puts us on).
-const CROSS_THREADS: usize = 4;
 
 /// Lane-overshoot bound, in multiples of the aggregate ring capacity
 /// (`generators × ring_capacity`). The driver force-pushes at most one
@@ -53,11 +43,11 @@ const CROSS_THREADS: usize = 4;
 /// without ever allowing an O(run-length) buildup.
 const REORDER_BOUND_RINGS: u64 = 4;
 
-fn run(cfg: &ServiceConfig, threads: usize) -> ServiceReport {
+fn run(cfg: &ServiceConfig) -> ServiceReport {
     let flows = cfg.mix.flows();
     run_service(
         cfg,
-        threads,
+        1,
         |_| DynamicThreshold::new(2.0),
         move |_| from_spec("drr:1518", flows).expect("static spec"),
     )
@@ -156,31 +146,8 @@ fn check_determinism(cfg: &ServiceConfig, r: &ServiceReport) {
     );
 }
 
-/// Digest stability across thread counts and against quiesced replays.
-fn check_digest_stability(cfg: &ServiceConfig, r: &ServiceReport, threads: usize) {
-    let other = if threads == 1 { CROSS_THREADS } else { 1 };
-    let r2 = run(cfg, other);
-    check(
-        r.epoch_digests == r2.epoch_digests,
-        &format!(
-            "online epoch digests byte-identical at {threads} and {other} threads \
-             ({} epochs)",
-            r.epoch_digests.len()
-        ),
-    );
-    check(
-        r.final_digest == r2.final_digest,
-        &format!(
-            "final state digest identical at {threads} and {other} threads \
-             ({:#018x})",
-            r.final_digest
-        ),
-    );
-    check(
-        format!("{:?}", r.aggregate) == format!("{:?}", r2.aggregate),
-        "aggregate report byte-identical across thread counts",
-    );
-
+/// Digest stability against quiesced replays.
+fn check_digest_stability(cfg: &ServiceConfig, r: &ServiceReport) {
     // Quiesced spot checks: the cheapest and the most loaded boundary.
     // (The full per-epoch sweep lives in the service unit tests; each
     // quiesced digest here replays the run up to that boundary.)
@@ -205,22 +172,15 @@ fn check_digest_stability(cfg: &ServiceConfig, r: &ServiceReport, threads: usize
 
 /// `--trace <path>`: runs the table10 workload with telemetry enabled,
 /// proves that tracing changed nothing (digest equality against a fresh
-/// untraced run at the same thread count), reconciles the trace exactly
-/// with the run's own counters, and writes the Perfetto-loadable
-/// `trace_event` JSON. The written file is a pure function of the
-/// configuration, so the CI telemetry stage diffs it across
-/// `NPQM_THREADS` values.
+/// untraced run), reconciles the trace exactly with the run's own
+/// counters, and writes the Perfetto-loadable `trace_event` JSON — a
+/// pure function of the configuration.
 fn run_trace(path: &str) {
-    let threads = threads_from_env();
-    println!(
-        "table10 trace: NPQM_THREADS={threads} ({} cores available)",
-        cores()
-    );
     let untraced_cfg = ServiceConfig::table10();
     let mut traced_cfg = untraced_cfg.clone();
     traced_cfg.telemetry = Some(TelemetryConfig::default());
-    let traced = run(&traced_cfg, threads);
-    let untraced = run(&untraced_cfg, threads);
+    let traced = run(&traced_cfg);
+    let untraced = run(&untraced_cfg);
 
     // The zero-interference gate: enabled telemetry must not change a
     // single engine transition (same contract as QueueManager tracing).
@@ -340,15 +300,10 @@ fn document(r: &ServiceReport) -> Json {
 }
 
 fn run_check(report_path: Option<&str>) {
-    let threads = threads_from_env();
-    println!(
-        "table10 check: NPQM_THREADS={threads} ({} cores available)",
-        cores()
-    );
     let cfg = ServiceConfig::table10();
-    let r = run(&cfg, threads);
+    let r = run(&cfg);
     check_determinism(&cfg, &r);
-    check_digest_stability(&cfg, &r, threads);
+    check_digest_stability(&cfg, &r);
     if let Some(path) = report_path {
         write_file(path, &document(&r).without_host().pretty());
     }
@@ -440,8 +395,7 @@ fn main() {
     }
 
     let cfg = ServiceConfig::table10();
-    let threads = threads_from_env();
-    let r = run(&cfg, threads);
+    let r = run(&cfg);
     print_pretty(&cfg, &r);
 
     if let Some(path) = cli.flag_value("--json") {

@@ -20,14 +20,14 @@
 //! `table11 --check` additionally pins the degenerate-tree contract: an
 //! HTB tree with a single root class and one leaf per flow is
 //! byte-identical — same reports, same per-flow counters — to the flat
-//! DRR scheduler, dense and across 4 shards, serial and thread-parallel.
+//! DRR scheduler, dense and across 4 shards.
 //!
 //! Every gate here is a pure function of the seed. Every trunk run is
 //! made once ([`run_all`]) and feeds the gates, the pretty table and the
 //! document alike: `--json <path>` (without `--check`) writes the
 //! per-commit artifact with the time the runs took under `host`;
-//! `--report <path>` writes the same document without `host`, which the
-//! CI `parallel-determinism` stage diffs across `NPQM_THREADS` values.
+//! `--report <path>` writes the same document without `host`, which two
+//! builds can `cmp`.
 
 use npqm_bench::cli::{check, cores, write_file, Cli};
 use npqm_bench::json::{host, telemetry_trace_json, Json, ToJson};
@@ -39,7 +39,6 @@ use npqm_core::policy::DynamicThreshold;
 use npqm_core::sched::HtbScheduler;
 use npqm_core::telemetry::TelemetryConfig;
 use npqm_traffic::pipeline::{PipelineConfig, ShardedPipelineReport};
-use npqm_traffic::scale::threads_from_env;
 use npqm_traffic::PipelineBuilder;
 use std::time::{Duration, Instant};
 
@@ -195,11 +194,10 @@ fn check_work_conservation(wc: &WorkConservation) {
 }
 
 /// The degenerate-tree scenario: single root, one leaf per flow.
-fn run_equiv(shards: usize, parallel: bool, htb: bool) -> ShardedPipelineReport {
+fn run_equiv(shards: usize, htb: bool) -> ShardedPipelineReport {
     let cfg = PipelineConfig::bursty_overload(42);
     let b = PipelineBuilder::new(&cfg)
         .shards(shards)
-        .parallel(parallel)
         .admission(|_| DynamicThreshold::new(2.0));
     if htb {
         b.egress_htb(HtbScheduler::single_root(FLOWS as u32, 1518))
@@ -209,24 +207,13 @@ fn run_equiv(shards: usize, parallel: bool, htb: bool) -> ShardedPipelineReport 
     }
 }
 
-fn check_equivalence(threads: usize) {
-    let parallel = threads > 1;
-    let dense_htb = format!("{:?}", run_equiv(1, false, true));
-    let dense_drr = format!("{:?}", run_equiv(1, false, false));
-    check(
-        dense_htb == dense_drr,
-        "single-root HTB report byte-identical to flat DRR (dense)",
-    );
-    let sharded_htb = format!("{:?}", run_equiv(4, parallel, true));
-    let sharded_drr = format!("{:?}", run_equiv(4, parallel, false));
-    check(
-        sharded_htb == sharded_drr,
-        &format!("single-root HTB byte-identical to flat DRR (4 shards, {threads} threads)"),
-    );
-    check(
-        sharded_htb == format!("{:?}", run_equiv(4, !parallel, true)),
-        "sharded HTB report byte-identical serial vs thread-parallel",
-    );
+fn check_equivalence() {
+    for shards in [1, 4] {
+        check(
+            format!("{:?}", run_equiv(shards, true)) == format!("{:?}", run_equiv(shards, false)),
+            &format!("single-root HTB report byte-identical to flat DRR ({shards} shards)"),
+        );
+    }
 }
 
 /// The `--json` artifact; `--report` writes it without its `host` part.
@@ -343,17 +330,12 @@ fn run_trace(path: &str) {
 }
 
 fn run_check(report_path: Option<&str>) {
-    let threads = threads_from_env();
-    println!(
-        "table11 check: NPQM_THREADS={threads} ({} cores available)",
-        cores()
-    );
     let runs = run_all();
     for seed_runs in &runs.seeds {
         check_isolation(seed_runs);
     }
     check_work_conservation(&runs.wc);
-    check_equivalence(threads);
+    check_equivalence();
     if let Some(path) = report_path {
         write_file(path, &document(&runs).without_host().pretty());
     }

@@ -1,7 +1,6 @@
 //! Table 7 (ours): sharded batched-engine scaling — segments/sec versus
-//! shard count under the Zipf bursty-overload mix, plus the
-//! threads×shards wall-clock sweep of the thread-parallel executor and
-//! the global-LQD shared-buffer closed loop.
+//! shard count under the Zipf bursty-overload mix, plus the global-LQD
+//! shared-buffer closed loop.
 //!
 //! The paper's MMS is a single pipelined engine; the scaling axis beyond
 //! it is *more engines* with flows partitioned across them. Each row runs
@@ -10,44 +9,33 @@
 //! independent engine shards and reports the composite rate
 //! `segments / critical path`, where the critical path is the busiest
 //! shard's measured busy time — the same multi-engine modeling convention
-//! as Table 2's "six engines" column. The threads section then runs the
-//! 4-shard workload through `execute_batch_parallel` /
-//! `offer_batch_parallel` at 1, 2 and 4 worker threads and reports the
-//! *real* wall clock next to that modeled composite. A closed-loop
-//! section compares shard-local Choudhury–Hahne admission against the
-//! global LQD over a shared buffer.
+//! as Table 2's "six engines" column. The shards run one after another
+//! on one thread: the composite is modelled, not run (worker threads were
+//! measured and lost to the serial run on wall clock, so there are none).
+//! A closed-loop section compares shard-local Choudhury–Hahne admission
+//! against the global LQD over a shared buffer.
 //!
 //! `table7 --check` runs the machine-checkable golden gates instead of
 //! the pretty table: byte-level conservation and zero torn frames on
-//! every row, thread-count invariance of the end-state fingerprint, and
-//! packet conservation + frame integrity in both closed loops. Every
-//! gate is a pure function of the seed; the composite-rate and speedup
-//! columns are reported, not gated — host time is gated by
-//! `bench/run.sh` (`batch_zipf` is this table's shape). The
-//! worker-thread count comes from `NPQM_THREADS` (default 1).
+//! every row, and packet conservation + frame integrity in both closed
+//! loops. Every gate is a pure function of the seed; the composite-rate
+//! and speedup columns are reported, not gated — host time is gated by
+//! `bench/run.sh` (`batch_zipf` is this table's shape).
 //! `--json <path>` (without `--check`) writes the per-commit artifact,
 //! every host-dependent value under a `host` key; `--report <path>`
-//! writes the same rows without `host`, which the CI
-//! `parallel-determinism` stage diffs across thread counts —
-//! byte-identical or the build fails.
+//! writes the same rows without `host`, which two builds can `cmp`.
 
-use npqm_bench::cli::{check, cores, host_cores, write_file, Cli};
+use npqm_bench::cli::{check, host_cores, write_file, Cli};
 use npqm_bench::json::{Json, ToJson};
 use npqm_core::policy::DynamicThreshold;
 use npqm_traffic::pipeline::{PipelineConfig, ShardedPipelineReport};
-use npqm_traffic::scale::{
-    run_shard_scale, run_shard_sweep, run_thread_sweep, threads_from_env, ShardScaleConfig,
-    ShardScaleRow,
-};
+use npqm_traffic::scale::{run_shard_sweep, ShardScaleConfig, ShardScaleRow};
 use npqm_traffic::PipelineBuilder;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
-/// The shard count the wall-clock thread sweep runs at.
-const PARALLEL_SHARDS: usize = 4;
 
-fn run_rows(threads: usize) -> Vec<ShardScaleRow> {
-    run_shard_sweep(&ShardScaleConfig::table7(), &SHARD_COUNTS, threads)
+fn run_rows() -> Vec<ShardScaleRow> {
+    run_shard_sweep(&ShardScaleConfig::table7(), &SHARD_COUNTS)
 }
 
 fn speedup(rows: &[ShardScaleRow], shards: usize) -> f64 {
@@ -60,12 +48,9 @@ fn speedup(rows: &[ShardScaleRow], shards: usize) -> f64 {
 }
 
 /// The shard-local closed loop: Choudhury–Hahne admission per shard.
-/// `parallel` selects the per-shard-threads execution mode, which is
-/// byte-identical to serial — the determinism report relies on it.
-fn closed_loop(parallel: bool) -> ShardedPipelineReport {
+fn closed_loop() -> ShardedPipelineReport {
     PipelineBuilder::new(&PipelineConfig::bursty_overload(42))
         .shards(4)
-        .parallel(parallel)
         .admission(|_| DynamicThreshold::new(2.0))
         .egress_spec("drr:1518")
         .run()
@@ -101,29 +86,6 @@ fn check_determinism(rows: &[ShardScaleRow]) {
     }
 }
 
-/// The 4-shard row at `threads` workers must reach the end state a
-/// fresh serial run reaches.
-fn check_thread_invariance(rows: &[ShardScaleRow], threads: usize) {
-    if threads < 2 {
-        println!(
-            "table7 check: thread-invariance comparison skipped (NPQM_THREADS={threads}, \
-             nothing to compare)"
-        );
-        return;
-    }
-    let parallel = rows
-        .iter()
-        .find(|r| r.shards == PARALLEL_SHARDS)
-        .expect("sweep covers the parallel shard count");
-    let serial = run_shard_scale(&ShardScaleConfig::table7(), PARALLEL_SHARDS, 1);
-    check(
-        serial.fingerprint == parallel.fingerprint,
-        &format!(
-            "{PARALLEL_SHARDS} shards: end-state fingerprint identical at 1 and {threads} threads"
-        ),
-    );
-}
-
 fn check_closed_loop(name: &str, report: &ShardedPipelineReport) {
     for (s, sr) in report.shards.iter().enumerate() {
         check(
@@ -143,16 +105,10 @@ fn check_closed_loop(name: &str, report: &ShardedPipelineReport) {
 }
 
 fn run_check(report_path: Option<&str>) {
-    let threads = threads_from_env();
-    println!(
-        "table7 check: NPQM_THREADS={threads} ({} cores available)",
-        cores()
-    );
-    let rows = run_rows(threads);
+    let rows = run_rows();
     check_determinism(&rows);
-    check_thread_invariance(&rows, threads);
 
-    let loop_local = closed_loop(threads > 1);
+    let loop_local = closed_loop();
     check_closed_loop("closed loop (shard-local C-H)", &loop_local);
     let loop_global = closed_loop_global();
     check_closed_loop("closed loop (global LQD)", &loop_global);
@@ -251,7 +207,7 @@ fn main() {
     }
 
     let cfg = ShardScaleConfig::table7();
-    let rows = run_rows(1);
+    let rows = run_rows();
     println!("Table 7 (ours): sharded batched engine under Zipf bursty overload");
     println!("=================================================================");
     println!(
@@ -277,38 +233,7 @@ fn main() {
         speedup(&rows, 8),
     );
 
-    // --- the real thing: worker threads against the 4-shard workload ---
-    let thread_rows = run_thread_sweep(&cfg, PARALLEL_SHARDS, &THREAD_COUNTS);
-    println!();
-    println!(
-        "threads x shards ({PARALLEL_SHARDS} shards, {} cores on this host): \
-         measured wall clock vs the modeled composite",
-        cores()
-    );
-    println!(
-        "{:>7} {:>10} {:>10} {:>10} {:>8} {:>8} {:>18}",
-        "threads", "wall", "speedup", "critical", "steals", "Mseg/s", "fingerprint"
-    );
-    let base_wall = thread_rows[0].wall_clock.as_secs_f64();
-    for r in &thread_rows {
-        println!(
-            "{:>7} {:>8.2}ms {:>9.2}x {:>8.2}ms {:>8} {:>8.2} {:#018x}",
-            r.threads,
-            r.wall_clock.as_secs_f64() * 1e3,
-            base_wall / r.wall_clock.as_secs_f64(),
-            r.critical_path.as_secs_f64() * 1e3,
-            r.steals,
-            r.segments_per_sec() / 1e6,
-            r.fingerprint,
-        );
-        assert_eq!(
-            r.fingerprint, thread_rows[0].fingerprint,
-            "{} threads: deterministic outcome diverged from serial",
-            r.threads
-        );
-    }
-
-    let loop_local = closed_loop(false);
+    let loop_local = closed_loop();
     println!();
     println!("sharded closed loop (4 shards, shard-local C-H, table6's bursty-overload scenario):");
     print_closed_loop(&loop_local);
@@ -333,7 +258,6 @@ fn main() {
         let doc = Json::obj([
             ("table", "table7".to_json()),
             ("scale_rows", rows.to_json()),
-            ("thread_rows", thread_rows.to_json()),
             ("closed_loop_shard_local", loop_local.to_json()),
             ("closed_loop_global_lqd", loop_global.to_json()),
             host_cores(),

@@ -17,21 +17,15 @@
 //! `table8 --check` runs the machine-checkable golden gates instead of
 //! the pretty table: byte+pointer conservation on every cell, the
 //! reordering scheduler at least as fast as naive at every bank count,
-//! modeled ops/sec monotone in the bank count for both schedulers, and a
-//! thread-invariant fingerprint (the whole costing pipeline is
-//! deterministic). `--json <path>` (without `--check`) writes the rows,
-//! the per-commit bench artifact; `--report <path>` writes them without
-//! their `host` part (the thread count), which the CI
-//! `parallel-determinism` stage diffs across `NPQM_THREADS` values —
-//! byte-identical or the build fails.
+//! and modeled ops/sec monotone in the bank count for both schedulers
+//! (the whole costing pipeline is deterministic). `--json <path>`
+//! (without `--check`) writes the rows, the per-commit bench artifact;
+//! `--report <path>` writes them without any `host` part, which two
+//! builds can `cmp`.
 
 use npqm_bench::cli::{check, host_cores, write_file, Cli};
 use npqm_bench::json::{Json, ToJson};
-use npqm_core::timing::TimingConfig;
-use npqm_traffic::scale::{
-    run_memory_scale, run_memory_sweep, threads_from_env, MemoryScaleRow, ShardScaleConfig,
-    TABLE8_BANKS,
-};
+use npqm_traffic::scale::{run_memory_sweep, MemoryScaleRow, ShardScaleConfig, TABLE8_BANKS};
 
 /// Shards (= independent memory channels) the workload runs on.
 const SHARDS: usize = 2;
@@ -42,8 +36,8 @@ const SHARDS: usize = 2;
 /// from a re-shuffled conflict pattern is physical, not a regression.
 const MONOTONE_TOLERANCE: f64 = 0.99;
 
-fn run_rows(threads: usize) -> Vec<MemoryScaleRow> {
-    run_memory_sweep(&ShardScaleConfig::table8(), SHARDS, &TABLE8_BANKS, threads)
+fn run_rows() -> Vec<MemoryScaleRow> {
+    run_memory_sweep(&ShardScaleConfig::table8(), SHARDS, &TABLE8_BANKS)
 }
 
 /// Splits a sweep into (naive, reordering) rows, paired by bank count.
@@ -55,9 +49,8 @@ fn by_policy(rows: &[MemoryScaleRow]) -> (Vec<&MemoryScaleRow>, Vec<&MemoryScale
     (naive, opt)
 }
 
-fn run_check(threads: usize, report_path: Option<&str>) {
-    println!("table8 check: NPQM_THREADS={threads}");
-    let rows = run_rows(threads);
+fn run_check(report_path: Option<&str>) {
+    let rows = run_rows();
     for r in &rows {
         let cell = format!(
             "{} banks/{}",
@@ -122,30 +115,6 @@ fn run_check(threads: usize, report_path: Option<&str>) {
             one.ops_per_sec()
         ),
     );
-    // Thread invariance, in-process: one cell re-run serial must produce
-    // the identical fingerprint (the cross-process leg is the CI diff of
-    // two --report documents at NPQM_THREADS=1 vs 4).
-    if threads > 1 {
-        let serial = run_memory_scale(
-            &ShardScaleConfig::table8(),
-            SHARDS,
-            1,
-            &TimingConfig::paper(8),
-        );
-        let parallel = rows
-            .iter()
-            .find(|r| r.banks == 8 && r.reordering)
-            .expect("8-bank reordering cell");
-        check(
-            serial.fingerprint == parallel.fingerprint,
-            &format!("8 banks/reordering: fingerprint identical at 1 and {threads} threads"),
-        );
-    } else {
-        println!(
-            "table8 check: in-process thread-invariance comparison skipped at \
-             NPQM_THREADS=1 (the CI report diff covers it)"
-        );
-    }
 
     if let Some(path) = report_path {
         let doc = Json::obj([("memory_rows", rows.to_json())]);
@@ -178,14 +147,13 @@ fn print_table(rows: &[MemoryScaleRow]) {
 
 fn main() {
     let cli = Cli::parse("table8");
-    let threads = threads_from_env();
     if let Some(report) = cli.check_mode() {
-        run_check(threads, report.as_deref());
+        run_check(report.as_deref());
         return;
     }
 
     let cfg = ShardScaleConfig::table8();
-    let rows = run_rows(threads);
+    let rows = run_rows();
     println!("Table 8 (ours): memory-derived queue throughput vs memory organisation");
     println!("======================================================================");
     println!(

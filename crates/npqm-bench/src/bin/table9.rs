@@ -21,9 +21,8 @@
 //! baseline does, and the work-aware policies beating work-oblivious
 //! admission on the anti-work trace. `--report <path>` writes a
 //! machine-readable document of the rows — every field is
-//! deterministic, so the CI `parallel-determinism` stage diffs it
-//! across `NPQM_THREADS` values. `--json <path>` (without `--check`)
-//! writes the same rows as the per-commit bench artifact.
+//! deterministic, so two builds can `cmp` it. `--json <path>` (without
+//! `--check`) writes the same rows as the per-commit bench artifact.
 
 use npqm_bench::cli::{check, host_cores, write_file, Cli};
 use npqm_bench::competitive::{

@@ -3,8 +3,8 @@
 //! of the pretty table, `--json <path>` (without `--check`) writes the
 //! per-commit bench artifact, `--report <path>` (with `--check`) writes
 //! the same rows without their `host` part
-//! ([`Json::without_host`]) — the document CI diffs across thread
-//! counts — and `--trace <path>` exports a telemetry trace.
+//! ([`Json::without_host`]) — the document two builds can `cmp` — and
+//! `--trace <path>` exports a telemetry trace.
 //!
 //! A binary calls [`Cli::parse`] first; that also records the table's
 //! name, which [`check`] and [`write_file`] prefix their output with.

@@ -143,6 +143,7 @@ impl Json {
     /// exactly); everything else parses as [`Json::Num`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             b: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -251,6 +252,7 @@ const MAX_DEPTH: usize = 128;
 
 /// Recursive-descent state for [`Json::parse`].
 struct Parser<'a> {
+    text: &'a str,
     b: &'a [u8],
     pos: usize,
     depth: usize,
@@ -416,13 +418,17 @@ impl Parser<'_> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Multi-byte UTF-8 is passed through verbatim.
+                    // A run of plain characters, multi-byte UTF-8 included,
+                    // is copied verbatim. It starts and ends next to an
+                    // ASCII byte (or the end), so on character boundaries.
                     let start = self.pos;
-                    let s = std::str::from_utf8(&self.b[start..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = s.chars().next().expect("peeked a byte");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    while self
+                        .peek()
+                        .is_some_and(|c| c >= 0x20 && c != b'"' && c != b'\\')
+                    {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -621,7 +627,6 @@ impl ToJson for npqm_traffic::scale::ShardScaleRow {
             ("conserved", self.conserved.to_json()),
             ("fingerprint", digest_json(self.fingerprint)),
             host([
-                ("threads", self.threads.to_json()),
                 ("segments_per_sec", self.segments_per_sec().to_json()),
                 ("critical_path_us", duration_us(self.critical_path)),
                 ("serial_time_us", duration_us(self.serial_time)),
@@ -669,7 +674,6 @@ impl ToJson for npqm_traffic::scale::MemoryScaleRow {
             ("ddr_loss", self.ddr_loss().to_json()),
             ("conserved", self.conserved.to_json()),
             ("fingerprint", digest_json(self.fingerprint)),
-            host([("threads", self.threads.to_json())]),
         ])
     }
 }
@@ -785,8 +789,8 @@ impl ToJson for npqm_traffic::service::ShardServiceReport {
 
 impl ToJson for npqm_traffic::service::ServiceReport {
     /// The lane-transport counters (`ring_full_events`, `reorder_peak`)
-    /// sit outside `host`: the round driver makes them the same at every
-    /// thread count.
+    /// sit outside `host`: the round driver makes them a pure function of
+    /// the configuration.
     fn to_json(&self) -> Json {
         Json::obj([
             ("epoch_len_ps", self.epoch_len.as_u64().to_json()),
@@ -804,7 +808,6 @@ impl ToJson for npqm_traffic::service::ServiceReport {
             ("segments_processed", self.segments_processed.to_json()),
             ("telemetry", telemetry_field(&self.telemetry)),
             host([
-                ("threads", self.threads.to_json()),
                 ("segments_per_sec", self.segments_per_sec().to_json()),
                 ("critical_path_us", duration_us(self.critical_path)),
                 ("wall_clock_us", duration_us(self.wall_clock)),
@@ -1204,6 +1207,70 @@ mod tests {
     }
 
     #[test]
+    fn long_multibyte_strings_round_trip_in_linear_time() {
+        // 256 KiB of two-byte characters. A parser that re-validates the
+        // rest of the document per character takes seconds here.
+        let doc = Json::Str("é".repeat(128 * 1024));
+        assert_eq!(Json::parse(&doc.pretty()), Ok(doc));
+    }
+
+    /// Seeded char-level mutations of the committed table artifacts:
+    /// every parse answers `Ok` or `Err`, never panics.
+    #[test]
+    fn mutated_artifacts_never_panic_the_parser() {
+        const ARTIFACTS: [&str; 6] = [
+            include_str!("../../../BENCH_table6.json"),
+            include_str!("../../../BENCH_table7.json"),
+            include_str!("../../../BENCH_table8.json"),
+            include_str!("../../../BENCH_table9.json"),
+            include_str!("../../../BENCH_table10.json"),
+            include_str!("../../../BENCH_table11.json"),
+        ];
+        // What a piece inserted or put in place of a character can be,
+        // separated by spaces.
+        let pieces: Vec<&str> =
+            "{ } [ ] : , \" \\ - . e 0 7 1e999 \\u \\u00e9 \\uD800 \\uDC00 \\uZZZZ é € 😀 \u{1}"
+                .split(' ')
+                .collect();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = move |n: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 11) as usize % n
+        };
+        let (mut parsed, mut refused) = (0, 0);
+        for case in 0..20_000 {
+            let mut doc = ARTIFACTS[draw(ARTIFACTS.len())].to_string();
+            let mut at = draw(doc.len() + 1);
+            while !doc.is_char_boundary(at) {
+                at -= 1;
+            }
+            let piece = pieces[draw(pieces.len())];
+            let op = draw(4);
+            match op {
+                0 => doc.truncate(at),
+                1 => doc.insert_str(at, piece),
+                _ if at == doc.len() => doc.push_str(piece),
+                2 => drop(doc.remove(at)),
+                _ => {
+                    doc.remove(at);
+                    doc.insert_str(at, piece);
+                }
+            }
+            match std::panic::catch_unwind(|| Json::parse(&doc)) {
+                Ok(Ok(_)) => parsed += 1,
+                Ok(Err(_)) => refused += 1,
+                Err(_) => panic!("case {case}: op {op} of {piece:?} at byte {at} panicked"),
+            }
+        }
+        assert!(
+            parsed > 0 && refused > 0,
+            "{parsed} parsed, {refused} refused"
+        );
+    }
+
+    #[test]
     fn accessors_navigate() {
         let doc = Json::parse("{\"a\": {\"b\": [1, 2.5, \"s\", true]}}").unwrap();
         let arr = doc.get("a").and_then(|a| a.get("b")).unwrap();
@@ -1283,12 +1350,12 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         reg.counter("qm.enqueues", 42);
         reg.gauge("service.goodput_gbps", 1.5);
-        reg.volatile_counter("parallel.steals", 7);
+        reg.volatile_counter("host.wall_ns", 7);
         let det = metrics_registry_json(&reg, false);
         assert_eq!(det.get("qm.enqueues").unwrap().as_i64(), Some(42));
-        assert!(det.get("parallel.steals").is_none());
+        assert!(det.get("host.wall_ns").is_none());
         let full = metrics_registry_json(&reg, true);
-        assert_eq!(full.get("parallel.steals").unwrap().as_i64(), Some(7));
+        assert_eq!(full.get("host.wall_ns").unwrap().as_i64(), Some(7));
     }
 
     #[test]
@@ -1301,9 +1368,10 @@ mod tests {
         assert_eq!(doc.without_host(), want);
     }
 
-    /// The `host` split is tested by running, not by listing: the same
-    /// seed at two thread counts must serialize to the same document
-    /// outside `host`, and each document must still carry the host part.
+    /// The `host` split is tested by running, not by listing: two runs
+    /// of the same seed must serialize to the same document outside
+    /// `host`, and each document must still carry the host part when the
+    /// report measures anything.
     #[test]
     fn host_holds_everything_a_second_run_changes() {
         use npqm_core::policy::DynamicThreshold;
@@ -1312,39 +1380,35 @@ mod tests {
         use npqm_traffic::scale::{run_memory_scale, run_shard_scale, ShardScaleConfig};
 
         let cfg = ShardScaleConfig::smoke();
-        let service = |threads| {
+        let service = || {
             npqm_traffic::run_service(
                 &npqm_traffic::service::ServiceConfig::steady_demo(5),
-                threads,
+                1,
                 |_| DynamicThreshold::new(2.0),
                 |_| from_spec("drr:1518", 8).expect("static spec"),
             )
             .to_json()
         };
-        let timing = TimingConfig::paper(8);
+        let memory = || run_memory_scale(&cfg, 2, &TimingConfig::paper(8)).to_json();
         let pairs = [
             (
                 "shard scale",
                 run_shard_scale(&cfg, 4, 1).to_json(),
-                run_shard_scale(&cfg, 4, 2).to_json(),
-                "wall_clock_us",
+                run_shard_scale(&cfg, 4, 1).to_json(),
+                Some("wall_clock_us"),
             ),
-            (
-                "memory scale",
-                run_memory_scale(&cfg, 2, 1, &timing).to_json(),
-                run_memory_scale(&cfg, 2, 2, &timing).to_json(),
-                "threads",
-            ),
-            ("service", service(1), service(2), "wall_clock_us"),
+            ("memory scale", memory(), memory(), None),
+            ("service", service(), service(), Some("wall_clock_us")),
         ];
         for (name, one, two, measured) in pairs {
             assert_eq!(one.without_host(), two.without_host(), "{name}");
-            for (doc, threads) in [(&one, 1), (&two, 2)] {
-                let host = doc.get(HOST).expect("report carries a host object");
-                assert_eq!(host.get("threads").unwrap().as_i64(), Some(threads));
-                assert!(host.get(measured).is_some(), "{name}: host.{measured}");
+            for doc in [&one, &two] {
+                let host = doc.get(HOST);
+                match measured {
+                    Some(key) => assert!(host.and_then(|h| h.get(key)).is_some(), "{name}"),
+                    None => assert!(host.is_none(), "{name}: nothing measured, no host"),
+                }
             }
-            assert_ne!(one, two, "{name}: host.threads differs");
             // The whole document round-trips through the parser.
             assert_eq!(Json::parse(&one.pretty()).as_ref(), Ok(&one), "{name}");
         }

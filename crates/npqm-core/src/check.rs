@@ -376,9 +376,9 @@ pub const FNV_OFFSET_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
 /// This is the single authoritative hash core behind every determinism
 /// fingerprint in the workspace ([`state_digest`],
 /// [`crate::shard::ShardedQueueManager::state_digest`], the scale
-/// experiment's row fingerprint in `npqm-traffic`): the CI
-/// `parallel-determinism` diff compares these values across thread
-/// counts, so all producers must fold identically.
+/// experiment's row fingerprint in `npqm-traffic`): the `tableN --check
+/// --report` documents and the benchmark pins compare these values
+/// across builds, so all producers must fold identically.
 pub fn fnv1a_fold(hash: u64, value: u64) -> u64 {
     value.to_le_bytes().into_iter().fold(hash, |acc, byte| {
         (acc ^ byte as u64).wrapping_mul(0x0000_0100_0000_01B3)
@@ -396,11 +396,11 @@ use fnv1a_fold as fnv1a;
 /// access counter moves), which makes the digest safe to take mid-test.
 ///
 /// Two engines with equal digests executed behaviourally identical
-/// histories for every practical purpose; the parallel-equivalence
+/// histories for every practical purpose; the batch-equivalence
 /// property tests use this to prove that
-/// [`crate::shard::ShardedQueueManager::execute_batch_parallel`] leaves
-/// *exactly* the state serial replay does, and `table7 --check` includes
-/// it in the machine-readable determinism report.
+/// [`crate::shard::ShardedQueueManager::execute_batch`] leaves
+/// *exactly* the state one-by-one replay does, and `table7 --check`
+/// includes it in the machine-readable determinism report.
 pub fn state_digest(qm: &QueueManager) -> u64 {
     let cfg = &qm.cfg;
     let pm = &qm.ptr;

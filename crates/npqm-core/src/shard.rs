@@ -21,8 +21,9 @@
 //!   [`QueueManager::longest_queue`] heap maintenance are amortized
 //!   across the batch instead of paid per interleaved command. One timed
 //!   per-shard executor, [`ShardedQueueManager::for_each_shard`], serves
-//!   commands, admission and callers' own per-shard rounds at any worker
-//!   count (see [`parallel`]);
+//!   commands, admission and callers' own per-shard rounds, running the
+//!   shards inline on the calling thread in shard order (see
+//!   [`parallel`]);
 //! * **cross-shard moves/copies**: two-queue commands whose source and
 //!   destination hash to different shards act as batch-phase barriers
 //!   and transfer the payload between the two data
@@ -43,14 +44,17 @@
 //! Batch execution accumulates per-shard **busy time**
 //! ([`ShardedQueueManager::busy_times`]): the wall-clock spent executing
 //! each shard's command groups. Since the shards share no state, N shards
-//! model N engines running in parallel; the sustained rate of the
+//! *model* N engines running in parallel — the shards themselves run one
+//! after another on one thread; the sustained rate of the
 //! composite is `work / critical_path` where
 //! [`critical_path`](ShardedQueueManager::critical_path) is the *busiest*
 //! shard's time. This is the same modeling convention the IXP1200 model
 //! uses for its "six engines" column (Table 2): per-engine cost is
 //! measured, aggregate throughput is derived from the slowest engine.
 //! [`serial_time`](ShardedQueueManager::serial_time) (the sum) is what a
-//! single serialized engine would pay for the same work.
+//! single serialized engine would pay for the same work. (Real worker
+//! threads were measured against this model and lost on wall clock at
+//! every attempt, so none are spawned.)
 //!
 //! # Cross-shard semantics
 //!
@@ -133,8 +137,6 @@ enum Route {
 pub struct ShardedQueueManager {
     shards: Vec<QueueManager>,
     busy: Vec<Duration>,
-    /// Accounting for the parallel batch executor.
-    pstats: ParallelStats,
     /// Cross-shard barriers recorded while tracing, until the next
     /// [`crate::timing::MemoryChannels::charge_engine`].
     trace_barriers: Vec<CrossBarrier>,
@@ -159,7 +161,6 @@ impl ShardedQueueManager {
                 .map(|_| QueueManager::new(per_shard))
                 .collect(),
             busy: vec![Duration::ZERO; num_shards],
-            pstats: ParallelStats::default(),
             trace_barriers: Vec::new(),
             carry: Vec::new(),
         }
@@ -184,8 +185,8 @@ impl ShardedQueueManager {
 
     /// Drains the recorded engine trace: the cross-shard barriers, then
     /// one cut of every shard. The trace is a pure function of the
-    /// executed commands and their per-shard order — identical at any
-    /// worker count and under one-by-one
+    /// executed commands and their per-shard order — identical under a
+    /// batch and under one-by-one
     /// [`execute`](ShardedQueueManager::execute).
     pub(crate) fn take_trace(&mut self) -> EngineTrace {
         EngineTrace {
@@ -290,23 +291,21 @@ impl ShardedQueueManager {
         &mut self.shards[s]
     }
 
-    /// Mutable access to all shards at once, for callers that drive the
-    /// engines from their own threads (each element is an independent
-    /// engine; the slice can be split and the pieces sent to different
-    /// workers). The per-shard [busy times](ShardedQueueManager::busy_times)
-    /// are *not* maintained through this access path.
+    /// Mutable access to all shards at once, for callers that keep their
+    /// own per-shard state beside each engine (each element is an
+    /// independent engine, so the slice can be zipped with policies,
+    /// schedulers or loops). The per-shard
+    /// [busy times](ShardedQueueManager::busy_times) are *not* maintained
+    /// through this access path.
     pub fn shards_mut(&mut self) -> &mut [QueueManager] {
         &mut self.shards
     }
 
-    /// Accounting of batches and phases that could fan out (`threads > 1`
-    /// on more than one shard): batch entry-point calls,
-    /// [`for_each_shard`](ShardedQueueManager::for_each_shard) phases,
-    /// busy shards and work-steal events. Steal
-    /// counts depend on OS scheduling and are not deterministic;
-    /// everything the executor *computes* is.
+    /// Always [`ParallelStats::default`]: shards run on the calling
+    /// thread, so nothing fans out or steals. Kept only for callers
+    /// outside the workspace's crates that still read it.
     pub fn parallel_stats(&self) -> ParallelStats {
-        self.pstats
+        ParallelStats::default()
     }
 
     /// Segments currently linked into queues, summed over all shards.
@@ -321,8 +320,8 @@ impl ShardedQueueManager {
     /// [`crate::check::state_digest`] folded together in shard order.
     /// Equal digests mean byte-identical queue contents, free-space
     /// accounting and operation counters — the equality the
-    /// parallel-equivalence property tests and the CI determinism gate
-    /// assert between parallel and serial execution.
+    /// batch-equivalence property tests assert between a batch and its
+    /// one-by-one replay.
     pub fn state_digest(&self) -> u64 {
         self.shards
             .iter()
@@ -410,85 +409,30 @@ impl ShardedQueueManager {
         }
     }
 
-    /// [`execute_batch_parallel`](ShardedQueueManager::execute_batch_parallel)
-    /// on one worker: every group runs inline on the calling thread, in
-    /// shard order, and nothing is spawned, locked or sorted.
-    pub fn execute_batch(&mut self, cmds: &[Command]) -> Vec<Result<Outcome, QueueError>> {
-        self.execute_batch_parallel(cmds, 1)
-    }
-
-    /// Whether a batch on `threads` workers can leave the calling thread
-    /// (the only batches [`ParallelStats`] counts).
-    fn fans_out(&self, threads: usize) -> bool {
-        threads > 1 && self.shards.len() > 1
-    }
-
-    /// Counts a batch entry point's call if it can fan out.
-    pub(crate) fn begin_batch(&mut self, threads: usize) {
-        if self.fans_out(threads) {
-            self.pstats.parallel_batches += 1;
-        }
-    }
-
-    /// Runs `work(engine s, &mut states[s])` once on every shard `s` whose
-    /// `weight(&states[s])` is non-zero, and adds the call's wall time to
-    /// that shard's [busy time](ShardedQueueManager::busy_times) — the one
-    /// timed per-shard executor, behind the batch entry points and the
+    /// Runs `work(engine s, &mut states[s])` once on every shard `s` for
+    /// which `active(&states[s])` holds, in shard order on the calling
+    /// thread, and adds the call's wall time to that shard's
+    /// [busy time](ShardedQueueManager::busy_times) — the one timed
+    /// per-shard executor, behind the batch entry points and the
     /// `table7` / `table8` rounds alike. Idle shards are neither run nor
     /// timed.
     ///
-    /// On one worker (or one shard) the shards run inline, in shard order,
-    /// and nothing is collected or spawned. Otherwise they are handed to
-    /// [`parallel::for_each_claimed`] heaviest first (ties toward the lower
-    /// shard), so a worker that finishes early claims the heaviest
-    /// remaining shard, and a call with a busy shard counts as a phase in
-    /// [`parallel_stats`](ShardedQueueManager::parallel_stats), with its
-    /// busy shards and steals. Since each shard and its state go to
-    /// exactly one worker, what `work` computes is the same at any
-    /// `threads`.
-    ///
     /// # Panics
     ///
-    /// Panics if `threads` is zero or `states` does not hold one entry per
-    /// shard.
-    pub fn for_each_shard<St: Send>(
+    /// Panics if `states` does not hold one entry per shard.
+    pub fn for_each_shard<St>(
         &mut self,
         states: &mut [St],
-        threads: usize,
-        weight: impl Fn(&St) -> u64,
-        work: impl Fn(&mut QueueManager, &mut St) + Sync,
+        active: impl Fn(&St) -> bool,
+        mut work: impl FnMut(&mut QueueManager, &mut St),
     ) {
-        assert!(threads > 0, "need at least one worker thread");
         assert_eq!(states.len(), self.shards.len(), "one state per shard");
-        let timed = |qm: &mut QueueManager, state: &mut St, busy: &mut Duration| {
+        let shards = self.shards.iter_mut().zip(&mut self.busy).zip(states);
+        for ((qm, busy), state) in shards.filter(|(_, state)| active(state)) {
             let t = Instant::now();
             work(qm, state);
             *busy += t.elapsed();
-        };
-        let fans_out = self.fans_out(threads);
-        let loaded = self
-            .shards
-            .iter_mut()
-            .zip(&mut self.busy)
-            .zip(states)
-            .enumerate()
-            .map(|(shard, ((qm, busy), state))| (weight(state), shard, qm, state, busy))
-            .filter(|&(w, ..)| w > 0);
-        if !fans_out {
-            loaded.for_each(|(_, _, qm, state, busy)| timed(qm, state, busy));
-            return;
         }
-        let mut items: Vec<_> = loaded.collect();
-        if items.is_empty() {
-            return;
-        }
-        items.sort_by_key(|&(w, shard, ..)| (std::cmp::Reverse(w), shard));
-        let steals = parallel::for_each_claimed(&mut items, threads, |(_, _, qm, state, busy)| {
-            timed(qm, state, busy)
-        });
-        self.pstats.phases += 1;
-        self.pstats.groups += items.len() as u64;
-        self.pstats.steals += steals;
     }
 
     /// Executes a cross-shard command, recording its two-engine barrier
@@ -815,24 +759,6 @@ impl<P: DropPolicy> ShardedAdmission<P> {
         let s = engine.shard_of(flow);
         self.policies[s].offer(&mut engine.shards[s], flow, packet)
     }
-
-    /// [`offer_batch_parallel`](ShardedAdmission::offer_batch_parallel)
-    /// on one worker: every shard group runs inline on the calling
-    /// thread, in shard order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `engine` has a different shard count than this admission.
-    pub fn offer_batch(
-        &mut self,
-        engine: &mut ShardedQueueManager,
-        arrivals: &[(FlowId, &[u8])],
-    ) -> Vec<Result<Admission, Refusal>>
-    where
-        P: Send,
-    {
-        self.offer_batch_parallel(engine, arrivals, 1)
-    }
 }
 
 #[cfg(test)]
@@ -1106,38 +1032,32 @@ mod tests {
 
     #[test]
     fn for_each_shard_runs_and_times_each_busy_shard_once() {
-        for threads in [1usize, 2, 8] {
-            let mut e = ShardedQueueManager::new(cfg(64), 4);
-            // (weight, runs): shards 1 and 3 are idle.
-            let mut states = [(3u64, 0u32), (0, 0), (5, 0), (0, 0)];
-            let enqueue = |qm: &mut QueueManager, st: &mut (u64, u32)| {
-                st.1 += 1;
+        let mut e = ShardedQueueManager::new(cfg(64), 4);
+        // (active, call number): shards 1 and 3 are idle.
+        let mut states = [(true, 0u32), (false, 0), (true, 0), (false, 0)];
+        let mut calls = 0;
+        e.for_each_shard(
+            &mut states,
+            |st| st.0,
+            |qm, st| {
+                calls += 1;
+                st.1 = calls;
                 qm.enqueue_packet(FlowId::new(0), &[1u8; 64]).unwrap();
-            };
-            e.for_each_shard(&mut states, threads, |st| st.0, enqueue);
-            assert_eq!(states.map(|st| st.1), [1, 0, 1, 0], "threads={threads}");
-            for (s, st) in states.iter().enumerate() {
-                let busy = st.0 > 0;
-                assert_eq!(
-                    e.busy_times()[s] > Duration::ZERO,
-                    busy,
-                    "threads={threads}"
-                );
-                assert_eq!(
-                    e.shard(s).queue_len_packets(FlowId::new(0)),
-                    u32::from(busy)
-                );
-            }
-            // A call with no busy shard is not a phase.
-            e.for_each_shard(&mut states, threads, |_| 0, enqueue);
-            let ps = e.parallel_stats();
-            if threads == 1 {
-                assert_eq!(ps, ParallelStats::default());
-            } else {
-                assert_eq!((ps.parallel_batches, ps.phases, ps.groups), (0, 1, 2));
-                assert!(ps.steals <= 1, "two shards, at most one steal: {ps:?}");
-            }
+            },
+        );
+        assert_eq!(
+            states.map(|st| st.1),
+            [1, 0, 2, 0],
+            "busy shards once, in order"
+        );
+        for (s, st) in states.iter().enumerate() {
+            assert_eq!(e.busy_times()[s] > Duration::ZERO, st.0);
+            assert_eq!(
+                e.shard(s).queue_len_packets(FlowId::new(0)),
+                u32::from(st.0)
+            );
         }
+        assert_eq!(e.parallel_stats(), ParallelStats::default());
     }
 
     #[test]

@@ -100,64 +100,21 @@ impl QmStats {
     }
 }
 
-/// Accounting for the thread-parallel per-shard executor
-/// ([`crate::shard::ShardedQueueManager::for_each_shard`] and the batch
-/// entry points built on it).
-///
-/// The counters describe the *shape* of the parallel run — how many
-/// batches went through the parallel path, how many phases and per-shard
-/// groups ran, and how often an idle worker stole a whole group from the
-/// shared backlog. `steals` depends on OS scheduling and is therefore
-/// **not** deterministic across runs; everything a run *computes*
-/// (results, engine state, reports) still is.
+/// What [`crate::shard::ShardedQueueManager::parallel_stats`] returns:
+/// always zero. Shards run on the calling thread, so no batch fans out
+/// and no worker steals; the type stays only because callers outside
+/// the workspace's crates still read it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ParallelStats {
-    /// Batch entry-point calls executed through the parallel path.
+    /// Always 0: no batch leaves the calling thread.
     pub parallel_batches: u64,
-    /// `for_each_shard` calls that could fan out (in a batch, a
-    /// cross-shard command ends a phase).
-    pub phases: u64,
-    /// Busy shards those phases ran, one group each.
-    pub groups: u64,
-    /// Groups claimed by a worker that had already drained its first
-    /// assignment — whole-group work stealing from the shared backlog.
+    /// Always 0: there is no second worker to steal.
     pub steals: u64,
-}
-
-impl ParallelStats {
-    /// Adds every counter of `other` into `self`.
-    pub fn absorb(&mut self, other: &ParallelStats) {
-        self.parallel_batches += other.parallel_batches;
-        self.phases += other.phases;
-        self.groups += other.groups;
-        self.steals += other.steals;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_stats_absorb_adds_every_field() {
-        let one = ParallelStats {
-            parallel_batches: 1,
-            phases: 2,
-            groups: 3,
-            steals: 4,
-        };
-        let mut acc = one;
-        acc.absorb(&one);
-        assert_eq!(
-            acc,
-            ParallelStats {
-                parallel_batches: 2,
-                phases: 4,
-                groups: 6,
-                steals: 8,
-            }
-        );
-    }
 
     #[test]
     fn totals_sum_all_operation_kinds() {

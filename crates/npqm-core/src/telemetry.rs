@@ -5,23 +5,22 @@
 //! The paper argues entirely through measurement — per-command
 //! memory-access counts (Table 3), queue-ops/sec (Table 7), scheduler
 //! utilization — yet the counters of this reproduction historically
-//! lived scattered across [`crate::stats::QmStats`],
-//! [`crate::stats::ParallelStats`], the pointer-memory counters and the
-//! per-experiment report types, with no per-event tracing and no record
-//! of *why* a packet was dropped. This module unifies them behind three
-//! cooperating pieces:
+//! lived scattered across [`crate::stats::QmStats`], the pointer-memory
+//! counters and the per-experiment report types, with no per-event
+//! tracing and no record of *why* a packet was dropped. This module
+//! unifies them behind three cooperating pieces:
 //!
 //! * **[`Telemetry`]** — a per-engine (per-shard) bounded ring buffer of
 //!   structured [`TraceEvent`]s, timestamped in **virtual time**
 //!   ([`Picos`], never wall clock). Because every event is stamped with
 //!   simulation time and recorded by the shard that owns the engine,
-//!   traces are byte-identical at any worker-thread count — the same
-//!   contract as every other deterministic output in the workspace.
+//!   traces are byte-identical from run to run — the same contract as
+//!   every other deterministic output in the workspace.
 //! * **[`MetricsRegistry`]** — a snapshotable counter/gauge registry
-//!   under stable dotted names (`qm.enqueues`, `ptr.qt_reads`,
-//!   `parallel.steals`, …), exported as JSON by `npqm-bench`. Metrics
-//!   that depend on OS scheduling (steal counts, wall clock) are flagged
-//!   *volatile* so deterministic exports can exclude them.
+//!   under stable dotted names (`qm.enqueues`, `ptr.qt_reads`, …),
+//!   exported as JSON by `npqm-bench`. Metrics that depend on the host
+//!   (wall clock, say) are flagged *volatile* so deterministic exports
+//!   can exclude them.
 //! * **[`DropLedger`]** — every admission-policy drop and push-out
 //!   eviction tagged with the policy name, the [`DropCause`], the victim
 //!   queue's depth and the buffer occupancy at decision time, aggregated
@@ -424,9 +423,8 @@ pub enum MetricValue {
 pub struct Metric {
     /// The value.
     pub value: MetricValue,
-    /// Whether the value depends on OS scheduling or wall clock (steal
-    /// counts, busy times, backpressure stalls). Volatile metrics are
-    /// excluded from deterministic exports and cross-thread-count diffs.
+    /// Whether the value depends on the host (wall clock, busy times).
+    /// Volatile metrics are excluded from deterministic exports.
     pub volatile: bool,
 }
 
@@ -789,7 +787,7 @@ pub struct TelemetryReport {
     pub ring_capacity: usize,
     /// Retained events merged across shards, sorted by
     /// `(virtual time, shard, per-shard seq)` — a pure function of the
-    /// per-shard streams, hence byte-identical at any thread count.
+    /// per-shard streams, hence byte-identical from run to run.
     pub events: Vec<ShardTraceEvent>,
     /// Exact per-kind totals summed across shards.
     pub counts: EventCounts,
@@ -962,13 +960,13 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         reg.counter("qm.enqueues", 42);
         reg.gauge("service.goodput_gbps", 1.5);
-        reg.volatile_counter("parallel.steals", 7);
+        reg.volatile_counter("host.wall_ns", 7);
         let names: Vec<&str> = reg.iter().map(|(n, _)| n).collect();
         assert_eq!(
             names,
-            vec!["parallel.steals", "qm.enqueues", "service.goodput_gbps"]
+            vec!["host.wall_ns", "qm.enqueues", "service.goodput_gbps"]
         );
-        assert!(reg.get("parallel.steals").expect("registered").volatile);
+        assert!(reg.get("host.wall_ns").expect("registered").volatile);
         assert!(!reg.get("qm.enqueues").expect("registered").volatile);
     }
 

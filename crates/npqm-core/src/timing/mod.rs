@@ -18,10 +18,10 @@
 //!    and synchronize their clocks.
 //!
 //! Costing is fully deterministic: streams are pure functions of the
-//! commands and their per-engine order (byte-identical between serial
-//! and thread-parallel execution), and the models contain no randomness,
-//! so the same seed and configuration produce the same cycle counts at
-//! any thread count. The `table8` binary gates this in CI.
+//! commands and their per-engine order (byte-identical between a batch
+//! and its one-by-one replay), and the models contain no randomness,
+//! so the same seed and configuration produce the same cycle counts.
+//! The `table8` binary gates this in CI.
 
 pub mod paper;
 pub mod stream;
@@ -150,8 +150,8 @@ pub struct BatchCost {
 /// cross-shard command (both engines, before it and after it) and
 /// [`MemoryChannels::charge_engine`] (every engine, once). So the cost
 /// depends only on the per-shard access *sequence* and where cross-shard
-/// barriers fell — one-by-one execution and a batch at any thread count
-/// charge identically, because nothing else draws a boundary. A
+/// barriers fell — one-by-one execution and a batch charge identically,
+/// because nothing else draws a boundary. A
 /// cross-shard command charges what each of its two shards did before it,
 /// then its source-side traffic to the source channel and its
 /// destination-side traffic to the destination channel, then both
@@ -413,23 +413,21 @@ mod tests {
                 flow: FlowId::new((i + 5) % 16),
             }))
             .collect();
-        // The reference is the one-by-one replay (the serial batch path
-        // is the one-worker instance of the parallel one): it cuts a span
-        // per command, which charging must be invariant to.
-        let run = |threads: Option<usize>| {
+        // The reference is the one-by-one replay: it cuts a span per
+        // command, which charging must be invariant to.
+        let run = |batched: bool| {
             let mut engine = ShardedQueueManager::new(cfg(), 4);
             engine.set_tracing(true);
             let mut ch = MemoryChannels::from_fn(4, |_| PaperTiming::new(TimingConfig::paper(8)));
-            match threads {
-                Some(t) => drop(engine.execute_batch_parallel(&cmds, t)),
-                None => cmds.iter().for_each(|c| drop(engine.execute(c.clone()))),
+            if batched {
+                drop(engine.execute_batch_parallel(&cmds, 1));
+            } else {
+                cmds.iter().for_each(|c| drop(engine.execute(c.clone())));
             }
             ch.charge_engine(&mut engine)
         };
-        let serial = run(None);
-        for threads in [1usize, 2, 4] {
-            assert_eq!(run(Some(threads)), serial, "threads={threads}");
-        }
+        let serial = run(false);
+        assert_eq!(run(true), serial);
         assert!(serial.critical_path > Picos::ZERO);
         assert!(serial.per_shard.len() == 4);
     }
@@ -437,7 +435,7 @@ mod tests {
     /// A seeded 400-command script with cross-shard `Move` / `Copy`,
     /// charged every 100 commands: every `BatchCost` and the final channel
     /// clocks, folded into one word.
-    fn pinned_fold(tc: TimingConfig, threads: Option<usize>) -> u64 {
+    fn pinned_fold(tc: TimingConfig, batched: bool) -> u64 {
         use crate::check::{fnv1a_fold, FNV_OFFSET_BASIS};
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
         let mut draw = move |n: u64| {
@@ -464,9 +462,10 @@ mod tests {
         let mut ch = MemoryChannels::from_fn(4, |_| PaperTiming::new(tc));
         let mut h = FNV_OFFSET_BASIS;
         for round in cmds.chunks(100) {
-            match threads {
-                Some(t) => drop(engine.execute_batch_parallel(round, t)),
-                None => round.iter().for_each(|c| drop(engine.execute(c.clone()))),
+            if batched {
+                drop(engine.execute_batch(round));
+            } else {
+                round.iter().for_each(|c| drop(engine.execute(c.clone())));
             }
             let cost = ch.charge_engine(&mut engine);
             let t = cost.totals;
@@ -505,14 +504,12 @@ mod tests {
             } else {
                 TimingConfig::naive(banks)
             };
-            let serial = pinned_fold(tc, None);
-            for threads in [1usize, 2, 4] {
-                assert_eq!(
-                    pinned_fold(tc, Some(threads)),
-                    serial,
-                    "banks={banks} reordering={reordering} threads={threads}"
-                );
-            }
+            let serial = pinned_fold(tc, false);
+            assert_eq!(
+                pinned_fold(tc, true),
+                serial,
+                "banks={banks} reordering={reordering}: batch"
+            );
             assert_eq!(serial, pin, "banks={banks} reordering={reordering}");
         }
     }

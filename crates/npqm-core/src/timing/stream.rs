@@ -12,7 +12,7 @@
 //!
 //! The stream is a *behavioural recording*, not a timing artifact: it is
 //! a pure function of the commands executed and their per-engine order,
-//! so it is byte-identical between serial and thread-parallel execution
+//! so it is byte-identical between a batch and its one-by-one replay
 //! (the same determinism contract the sharded engine already proves for
 //! results and state).
 

@@ -10,11 +10,24 @@
 //!    commands one-by-one on a plain [`QueueManager`];
 //! 2. a **multi-shard** engine executing a batch (per-shard grouping,
 //!    cross-shard barriers) matches the same engine fed one command at a
-//!    time.
+//!    time: outcomes, counters, state digests and per-shard pointer
+//!    traffic.
+//!
+//! And two at the policy layer, over random arrival sequences:
+//!
+//! 3. [`ShardedAdmission::offer_batch`] matches one-by-one
+//!    [`ShardedAdmission::offer`] decision for decision;
+//! 4. [`GlobalLqd`] admission over the shared buffer is a pure function
+//!    of the arrival sequence (identical twice over, conserving the
+//!    global budget) — and on one shard it *is* [`LongestQueueDrop`] on
+//!    one engine, decision for decision, open tails and mid-service heads
+//!    included.
 
+use npqm_core::check::state_digest;
 use npqm_core::manager::SegmentPosition;
-use npqm_core::shard::ShardedQueueManager;
-use npqm_core::{Command, FlowId, QmConfig, QueueManager};
+use npqm_core::policy::{DropPolicy, GlobalLqd};
+use npqm_core::shard::{ShardedAdmission, ShardedQueueManager};
+use npqm_core::{Command, DynamicThreshold, FlowId, LongestQueueDrop, QmConfig, QueueManager};
 use proptest::prelude::*;
 
 const FLOWS: u32 = 8;
@@ -161,6 +174,54 @@ fn small_cfg() -> QmConfig {
         .unwrap()
 }
 
+/// Full engine equality: aggregate counters, the engine digest and
+/// per-shard state digests (payload bytes, queue structure, free lists,
+/// operation counters), on an engine that verifies.
+fn assert_same_engines(a: &ShardedQueueManager, b: &ShardedQueueManager) {
+    assert_eq!(a.num_shards(), b.num_shards());
+    assert_eq!(a.stats(), b.stats(), "counters must match");
+    assert_eq!(a.state_digest(), b.state_digest());
+    a.verify().unwrap();
+    for s in 0..a.num_shards() {
+        assert_eq!(
+            state_digest(a.shard(s)),
+            state_digest(b.shard(s)),
+            "shard {s} diverged"
+        );
+    }
+}
+
+/// One step of the 1-shard differential between [`GlobalLqd`] and
+/// [`LongestQueueDrop`]: a whole packet through the policy, or a raw
+/// segment command behind its back — `First`/`Middle` leave open tails, a
+/// single dequeue leaves a mid-service head — so the longest queue is
+/// regularly one that may not be evicted.
+#[derive(Debug, Clone)]
+enum Step {
+    Offer { flow: u32, len: usize },
+    Raw { flow: u32, pos: SegmentPosition },
+    Dequeue { flow: u32 },
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        (0..FLOWS, 1usize..200).prop_map(|(flow, len)| Step::Offer { flow, len }),
+        (0..FLOWS, 1usize..200).prop_map(|(flow, len)| Step::Offer { flow, len }),
+        // Whole segments: queues of equal byte length, so victims tie.
+        (0..FLOWS, 1usize..4).prop_map(|(flow, n)| Step::Offer { flow, len: 64 * n }),
+        (0..FLOWS).prop_map(|flow| Step::Raw {
+            flow,
+            pos: SegmentPosition::First
+        }),
+        (0..FLOWS).prop_map(|flow| Step::Raw {
+            flow,
+            pos: SegmentPosition::Middle
+        }),
+        (0..FLOWS).prop_map(|flow| Step::Dequeue { flow }),
+        (0..FLOWS).prop_map(|flow| Step::Dequeue { flow }),
+    ]
+}
+
 /// Compares every externally observable queue dimension of two engines.
 fn assert_same_queues(a: &QueueManager, b: &QueueManager) {
     for f in 0..FLOWS {
@@ -223,11 +284,142 @@ proptest! {
         let b: Vec<_> = cmds.iter().map(|c| serial.execute(c.clone())).collect();
 
         prop_assert_eq!(&a, &b, "outcomes must be byte-identical");
-        prop_assert_eq!(batched.stats(), serial.stats());
+        assert_same_engines(&batched, &serial);
         for s in 0..4 {
             assert_same_queues(batched.shard(s), serial.shard(s));
+            // Pointer traffic too: memory-derived cost must not depend on
+            // batching.
+            prop_assert_eq!(batched.shard(s).ptr_counters(), serial.shard(s).ptr_counters());
         }
-        batched.verify().unwrap();
         serial.verify().unwrap();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Batched admission matches one-by-one admission decision for
+    /// decision, across shard-local Choudhury–Hahne policies.
+    #[test]
+    fn parallel_admission_equals_serial(
+        arrivals in proptest::collection::vec(
+            (0..FLOWS, 1usize..180),
+            1..120,
+        ),
+    ) {
+        let payloads: Vec<(FlowId, Vec<u8>)> = arrivals
+            .iter()
+            .enumerate()
+            .map(|(i, &(f, len))| (FlowId::new(f), payload(i as u64, len)))
+            .collect();
+        let refs: Vec<(FlowId, &[u8])> =
+            payloads.iter().map(|(f, p)| (*f, p.as_slice())).collect();
+
+        let mut e1 = ShardedQueueManager::new(small_cfg(), 4);
+        let mut adm1 = ShardedAdmission::from_fn(4, |_| DynamicThreshold::new(1.5));
+        let expected: Vec<_> = refs.iter().map(|&(f, p)| adm1.offer(&mut e1, f, p)).collect();
+
+        let mut e2 = ShardedQueueManager::new(small_cfg(), 4);
+        let mut adm2 = ShardedAdmission::from_fn(4, |_| DynamicThreshold::new(1.5));
+        let got = adm2.offer_batch(&mut e2, &refs);
+
+        prop_assert_eq!(&got, &expected);
+        assert_same_engines(&e2, &e1);
+    }
+
+    /// Global LQD over the shared buffer: a pure function of the arrival
+    /// sequence (bit-identical on a second run), conserving the global
+    /// budget and passing full verification throughout.
+    #[test]
+    fn global_lqd_is_deterministic_and_budget_bounded(
+        arrivals in proptest::collection::vec(
+            (0..FLOWS, 1usize..200),
+            1..80,
+        ),
+    ) {
+        let budget = 24u32;
+        let run = || {
+            let mut engine = ShardedQueueManager::new(
+                QmConfig::builder()
+                    .num_flows(FLOWS)
+                    .num_segments(budget)
+                    .segment_bytes(64)
+                    .build()
+                    .unwrap(),
+                4,
+            );
+            let mut lqd = GlobalLqd::new(budget, 0);
+            let outcomes: Vec<_> = arrivals
+                .iter()
+                .enumerate()
+                .map(|(i, &(f, len))| {
+                    let data = payload(i as u64, len);
+                    let r = lqd.offer(&mut engine, FlowId::new(f), &data);
+                    assert!(
+                        engine.used_segments() <= budget,
+                        "global budget exceeded: {} > {budget}",
+                        engine.used_segments()
+                    );
+                    r
+                })
+                .collect();
+            engine.verify().unwrap();
+            (outcomes, engine.state_digest())
+        };
+        let a = run();
+        let b = run();
+        prop_assert_eq!(a, b, "global LQD must be a pure function of the arrivals");
+    }
+
+    /// The independent oracle for global LQD: over ONE shard it must be
+    /// [`LongestQueueDrop`] on one engine — same decisions (admission or
+    /// refusal reason, and the evicted lists), same state — also when the
+    /// longest queue is an open tail or a mid-service head and the victim
+    /// comes from the fallback scan, byte ties included.
+    #[test]
+    fn global_lqd_on_one_shard_is_lqd(
+        steps in proptest::collection::vec(step_strategy(), 1..160),
+    ) {
+        let budget = 24u32;
+        let cfg = QmConfig::builder()
+            .num_flows(FLOWS)
+            .num_segments(budget)
+            .segment_bytes(64)
+            .build()
+            .unwrap();
+        for reserve in [0u32, 2] {
+            let mut engine = ShardedQueueManager::new(cfg, 1);
+            let mut global = GlobalLqd::new(budget, reserve);
+            let mut qm = QueueManager::new(cfg);
+            let mut lqd = LongestQueueDrop::new(reserve);
+            for (i, step) in steps.iter().enumerate() {
+                match *step {
+                    Step::Offer { flow, len } => {
+                        let data = payload(i as u64, len);
+                        prop_assert_eq!(
+                            global.offer(&mut engine, FlowId::new(flow), &data),
+                            lqd.offer(&mut qm, FlowId::new(flow), &data),
+                            "step {} (reserve {}): {:?}", i, reserve, step
+                        );
+                    }
+                    Step::Raw { flow, pos } => {
+                        let data = payload(i as u64, 64);
+                        prop_assert_eq!(
+                            engine.shard_mut(0).enqueue(FlowId::new(flow), &data, pos),
+                            qm.enqueue(FlowId::new(flow), &data, pos)
+                        );
+                    }
+                    Step::Dequeue { flow } => {
+                        prop_assert_eq!(
+                            engine.shard_mut(0).dequeue(FlowId::new(flow)),
+                            qm.dequeue(FlowId::new(flow))
+                        );
+                    }
+                }
+                prop_assert_eq!(state_digest(engine.shard(0)), state_digest(&qm));
+            }
+            engine.verify().unwrap();
+            qm.verify().unwrap();
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! One entry point for every closed-loop pipeline shape.
 //!
-//! [`PipelineBuilder`] picks the shard count, threading, admission
-//! flavour and egress discipline independently, then
+//! [`PipelineBuilder`] picks the shard count, admission flavour and
+//! egress discipline independently, then
 //! [`run`](PipelineBuilder::run) hands them to the one event loop
 //! (`pipeline::run_closed_loop`) as its two parameters — an arrival
 //! source and an admission scope — beside each shard's scheduler and
@@ -11,8 +11,8 @@
 //!
 //! Determinism contracts follow from there being one loop: one shard is
 //! the dense pipeline whether its arrivals are drawn lazily or replayed
-//! from a trace, and `parallel(true)` is byte-identical to serial at any
-//! thread count.
+//! from a trace. Shard-local loops run one after another on the calling
+//! thread.
 
 use crate::pipeline::{
     assemble_sharded_report, run_closed_loop, PipelineConfig, PipelineReport, ShardLocal,
@@ -21,13 +21,12 @@ use crate::pipeline::{
 use crate::service::{partition_indices, ArrivalEvent};
 use npqm_core::policy::{DropPolicy, DynamicThreshold, GlobalLqd};
 use npqm_core::sched::{from_spec, FlowScheduler, HtbScheduler};
-use npqm_core::shard::parallel::for_each_claimed;
 use npqm_core::shard::ShardedQueueManager;
 use npqm_core::telemetry::{TelemetryConfig, TelemetryReport};
 use npqm_core::{FlowId, QueueManager};
 
-type PolicyFactory = Box<dyn FnMut(usize) -> Box<dyn DropPolicy + Send>>;
-type SchedFactory = Box<dyn FnMut(usize) -> Box<dyn FlowScheduler + Send>>;
+type PolicyFactory = Box<dyn FnMut(usize) -> Box<dyn DropPolicy>>;
+type SchedFactory = Box<dyn FnMut(usize) -> Box<dyn FlowScheduler>>;
 
 enum AdmissionSel {
     Local(PolicyFactory),
@@ -36,7 +35,7 @@ enum AdmissionSel {
 
 /// Builds and runs one closed-loop pipeline; see the [module docs](self).
 ///
-/// Defaults: one shard, serial, shard-local
+/// Defaults: one shard, shard-local
 /// [`DynamicThreshold`]`(2.0)` admission, flat per-flow DRR egress with
 /// a 1518-byte quantum.
 ///
@@ -49,7 +48,6 @@ enum AdmissionSel {
 /// let cfg = PipelineConfig::small_demo(7);
 /// let r = PipelineBuilder::new(&cfg)
 ///     .shards(2)
-///     .parallel(true) // byte-identical to serial
 ///     .admission(|_| LongestQueueDrop::new(0))
 ///     .egress_spec("wrr:4,2,1,1")
 ///     .run();
@@ -76,7 +74,6 @@ enum AdmissionSel {
 pub struct PipelineBuilder {
     cfg: PipelineConfig,
     shards: usize,
-    parallel: bool,
     admission: AdmissionSel,
     egress: SchedFactory,
 }
@@ -89,7 +86,6 @@ impl PipelineBuilder {
         PipelineBuilder {
             cfg: cfg.clone(),
             shards: 1,
-            parallel: false,
             admission: AdmissionSel::Local(Box::new(|_| Box::new(DynamicThreshold::new(2.0)))),
             egress: Box::new(move |_| from_spec("drr:1518", flows).expect("static spec")),
         }
@@ -116,28 +112,13 @@ impl PipelineBuilder {
         self
     }
 
-    /// Runs each shard's loop on its own worker (one per shard, through
-    /// [`for_each_claimed`]).
-    /// Shard-local admission couples nothing across shards, so the run
-    /// factorizes into one self-contained loop per shard over a shared
-    /// pregenerated trace, and **serial and parallel produce
-    /// byte-identical reports** — same loops, same inputs, merged in
-    /// shard order — which the `sharded_pipeline_parallel_*` property
-    /// tests assert and the CI `parallel-determinism` stage diffs end to
-    /// end. Ignored at one shard or under global admission.
-    #[must_use]
-    pub fn parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
-        self
-    }
-
     /// Shard-local admission: `mk_policy(shard)` builds each shard's
     /// [`DropPolicy`] (shard-local thresholds over an equal partition of
     /// the buffer).
     #[must_use]
     pub fn admission<P, F>(mut self, mut mk_policy: F) -> Self
     where
-        P: DropPolicy + Send + 'static,
+        P: DropPolicy + 'static,
         F: FnMut(usize) -> P + 'static,
     {
         self.admission = AdmissionSel::Local(Box::new(move |shard| Box::new(mk_policy(shard))));
@@ -165,8 +146,7 @@ impl PipelineBuilder {
     /// partitioned as under [`shards`](Self::shards): only the buffer is
     /// shared. Push-out victims are charged to their own home shard's
     /// report. The shards are coupled, so the run is one interleaved
-    /// simulation on the calling thread whatever
-    /// [`parallel`](Self::parallel) says (still a pure function of `cfg`).
+    /// simulation (still a pure function of `cfg`).
     #[must_use]
     pub fn admission_global_lqd(mut self, reserve_segments: u32) -> Self {
         self.admission = AdmissionSel::GlobalLqd { reserve_segments };
@@ -187,7 +167,9 @@ impl PipelineBuilder {
             panic!("egress_spec: {e}");
         }
         let spec = spec.to_string();
-        self.egress = Box::new(move |_| from_spec(&spec, flows).expect("validated above"));
+        self.egress = Box::new(move |_| -> Box<dyn FlowScheduler> {
+            from_spec(&spec, flows).expect("validated above")
+        });
         self
     }
 
@@ -196,7 +178,7 @@ impl PipelineBuilder {
     #[must_use]
     pub fn egress<S, F>(mut self, mut mk_sched: F) -> Self
     where
-        S: FlowScheduler + Send + 'static,
+        S: FlowScheduler + 'static,
         F: FnMut(usize) -> S + 'static,
     {
         self.egress = Box::new(move |shard| Box::new(mk_sched(shard)));
@@ -263,15 +245,14 @@ impl PipelineBuilder {
                     per_shard_gbps,
                 )
             }
-            AdmissionSel::Local(mk_policy) => {
-                let mut policies: Vec<_> = (0..shards).map(mk_policy).collect();
+            AdmissionSel::Local(mut mk_policy) => {
                 let reports = if shards == 1 {
                     // Drawn lazily: a long dense run never holds its trace.
                     vec![run_shard_local(
                         cfg,
                         cfg.arrival_stream(),
                         engine.shard_mut(0),
-                        &mut policies[0],
+                        &mut *mk_policy(0),
                         &mut scheds[0],
                         per_shard_gbps,
                     )]
@@ -282,30 +263,15 @@ impl PipelineBuilder {
                     // not O(shards × trace).
                     let trace: Vec<ArrivalEvent> = cfg.arrival_stream().collect();
                     let idx = partition_indices(&trace, &shard_of_flow, shards);
-                    let trace = &trace[..];
-                    let mut loops: Vec<_> = engine
-                        .shards_mut()
-                        .iter_mut()
-                        .zip(&mut policies)
+                    (engine.shards_mut().iter_mut())
                         .zip(&mut scheds)
                         .zip(&idx)
-                        .map(|(((qm, policy), sched), ix)| (qm, policy, sched, ix, None))
-                        .collect();
-                    let workers = if self.parallel { shards } else { 1 };
-                    for_each_claimed(&mut loops, workers, |(qm, policy, sched, ix, report)| {
-                        let replay = ix.iter().map(|&i| trace[i as usize]);
-                        *report = Some(run_shard_local(
-                            cfg,
-                            replay,
-                            qm,
-                            *policy,
-                            sched,
-                            per_shard_gbps,
-                        ));
-                    });
-                    loops
-                        .into_iter()
-                        .map(|lp| lp.4.expect("every shard's loop ran"))
+                        .enumerate()
+                        .map(|(s, ((qm, sched), ix))| {
+                            let replay = ix.iter().map(|&i| trace[i as usize]);
+                            let policy = &mut *mk_policy(s);
+                            run_shard_local(cfg, replay, qm, policy, sched, per_shard_gbps)
+                        })
                         .collect()
                 };
                 (reports, None)
@@ -328,15 +294,13 @@ impl PipelineBuilder {
 
 /// One shard-local instance of the closed loop: `arrivals` through
 /// `policy` on `qm`, drained by `sched`. Entirely self-contained — own
-/// event queue, ledger and telemetry recorder (returned in the report) —
-/// which is what makes a sharded run's parallel mode byte-identical to
-/// serial: the instance runs the same either way, only on another thread.
+/// event queue, ledger and telemetry recorder (returned in the report).
 fn run_shard_local(
     cfg: &PipelineConfig,
     arrivals: impl Iterator<Item = ArrivalEvent>,
     qm: &mut QueueManager,
-    policy: &mut (dyn DropPolicy + Send),
-    sched: &mut Box<dyn FlowScheduler + Send>,
+    policy: &mut dyn DropPolicy,
+    sched: &mut Box<dyn FlowScheduler>,
     gbps: f64,
 ) -> PipelineReport {
     let (mut reports, tel) = run_closed_loop(
@@ -363,7 +327,6 @@ mod tests {
         let built = PipelineBuilder::new(&cfg).run();
         let spelled_out = PipelineBuilder::new(&cfg)
             .shards(1)
-            .parallel(false)
             .admission(|_| DynamicThreshold::new(2.0))
             .egress(|_| DeficitRoundRobin::new(vec![1518; 16]))
             .run();
@@ -379,12 +342,11 @@ mod tests {
 
     #[test]
     fn sharded_builder_matches_the_sharded_runner() {
-        // Spec-built egress on worker threads vs factory-built egress on
-        // the calling thread: same loops, same inputs.
+        // Spec-built egress vs factory-built egress: same loops, same
+        // inputs.
         let cfg = PipelineConfig::bursty_overload(12);
         let built = PipelineBuilder::new(&cfg)
             .shards(4)
-            .parallel(true)
             .admission(|_| DynamicThreshold::new(2.0))
             .egress_spec("drr:1518")
             .run();
@@ -397,8 +359,8 @@ mod tests {
 
     #[test]
     fn global_admission_matches_the_global_runner() {
-        // Global admission replaces the shard-local policy, ignores
-        // `parallel`, and drains through the default egress.
+        // Global admission replaces the shard-local policy and drains
+        // through the default egress.
         let cfg = PipelineConfig::bursty_overload(13);
         let built = PipelineBuilder::new(&cfg)
             .shards(4)
@@ -406,7 +368,6 @@ mod tests {
             .run();
         let direct = PipelineBuilder::new(&cfg)
             .shards(4)
-            .parallel(true)
             .admission(|_| LongestQueueDrop::new(0))
             .admission_global_lqd(0)
             .egress(|_| DeficitRoundRobin::new(vec![1518; 16]))

@@ -22,11 +22,10 @@
 //!   flows partitioned across independent
 //!   [`npqm_core::shard::ShardedQueueManager`] shards, each with its own
 //!   admission policy, scheduler and egress server — with per-shard and
-//!   aggregate reports, optionally running each shard's loop on its own
-//!   thread (byte-identical to serial), and a global-LQD mode that
-//!   shares one buffer budget across all partitions;
+//!   aggregate reports, and a global-LQD mode that shares one buffer
+//!   budget across all partitions;
 //! * [`builder`] — the [`PipelineBuilder`] front door to every pipeline
-//!   shape above: shards × threading × admission × timing × egress
+//!   shape above: shards × admission × timing × egress
 //!   (flat or hierarchical HTB class trees) chosen independently, one
 //!   report type out;
 //! * [`service`] — the **always-on streaming service mode**: bounded
@@ -36,12 +35,10 @@
 //!   (p50/p99/p999 delivery latency, goodput, drops, ring-full events
 //!   per window) and online verification — invariant walks plus
 //!   state-digest snapshots at epoch boundaries that equal a quiesced
-//!   run's digests, byte-identical at any thread count (the `table10`
-//!   steady-state experiment runs on this);
+//!   run's digests (the `table10` steady-state experiment runs on this);
 //! * [`scale`] — the shard-scaling throughput experiment behind
 //!   `table7`: segments/sec versus shard count under the Zipf
-//!   bursty-overload mix, with a full conservation/torn-frame ledger, a
-//!   threads×shards wall-clock sweep of the parallel batch executor and
+//!   bursty-overload mix, with a full conservation/torn-frame ledger and
 //!   a deterministic end-state fingerprint per row;
 //! * [`apps`] — the six paper applications implemented over
 //!   [`npqm_core::QueueManager`], used by the examples and integration

@@ -19,10 +19,11 @@
 //! where each shard serves its own flows pass by pass in flow order and
 //! records per segment its flow, length, markers and first byte. A shard
 //! offers each packet as a prefix of one filler frame it keeps for the
-//! run, with the packet's marker stamped into the first byte, so on one
-//! worker a steady run allocates nothing per round. Both calls
-//! accumulate per-shard **busy time**; since shards share no state,
-//! N shards model N engines running in parallel and the sustained rate is
+//! run, with the packet's marker stamped into the first byte, so a steady
+//! run allocates nothing per round. Both calls run the shards one after
+//! another on the calling thread and accumulate per-shard **busy time**;
+//! since shards share no state, N shards model N engines running in
+//! parallel and the sustained rate is
 //!
 //! ```text
 //! segments_per_sec = segments_processed / critical_path
@@ -49,18 +50,6 @@ use npqm_core::{FlowId, QmConfig, QueueError, SegmentInfo};
 use npqm_sim::time::Picos;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
-
-/// Worker-thread count from the `NPQM_THREADS` environment variable
-/// (default 1 — the serial reference path). This is the knob the CI
-/// `parallel-determinism` stage turns: `table7 --check` must produce
-/// byte-identical machine-readable reports at any value.
-pub fn threads_from_env() -> usize {
-    std::env::var("NPQM_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&t| t > 0)
-        .unwrap_or(1)
-}
 
 /// Configuration of one shard-scaling run.
 #[derive(Debug, Clone)]
@@ -118,9 +107,9 @@ impl ShardScaleConfig {
     }
 
     /// The `table8` scenario: the `table7` workload trimmed so the
-    /// bank×scheduler sweep over [`TABLE8_BANKS`] (plus the CI
-    /// determinism re-runs) stays fast while still pushing several
-    /// hundred thousand DDR bursts through each memory channel.
+    /// bank×scheduler sweep over [`TABLE8_BANKS`] stays fast while still
+    /// pushing several hundred thousand DDR bursts through each memory
+    /// channel.
     pub fn table8() -> Self {
         ShardScaleConfig {
             rounds: 24,
@@ -185,14 +174,11 @@ fn draw_round(
 /// Outcome of one shard count in the scaling sweep.
 #[derive(Debug, Clone)]
 pub struct ShardScaleRow {
-    /// Number of shards (independent engines).
+    /// Number of shards (independent engines). Every field except the
+    /// timing measurements (`busy`, `critical_path`, `serial_time`,
+    /// `wall_clock`) — what `npqm-bench` serializes under `host` — is a
+    /// pure function of the configuration.
     pub shards: usize,
-    /// Worker threads the batches ran on (1 = the serial reference
-    /// path). Every field except this one, the timing measurements
-    /// (`busy`, `critical_path`, `serial_time`, `wall_clock`) and `steals`
-    /// — what `npqm-bench` serializes under `host` — is identical across
-    /// thread counts for a fixed configuration.
-    pub threads: usize,
     /// Packets the mix offered for admission.
     pub offered_pkts: u64,
     /// Payload bytes offered (identical across shard counts: the offered
@@ -225,12 +211,11 @@ pub struct ShardScaleRow {
     /// Total busy time (what one serialized engine would pay).
     pub serial_time: Duration,
     /// Real wall-clock time of the offer/drain loop — the measured (not
-    /// modeled) cost of the run, which is what the threads×shards sweep
-    /// compares across thread counts.
+    /// modeled) cost of the run.
     pub wall_clock: Duration,
-    /// Whole per-shard groups claimed by a worker that had already
-    /// drained its first assignment (work stealing). Scheduling-
-    /// dependent, so excluded from determinism comparisons.
+    /// Always 0: the shards run on the calling thread, so no worker
+    /// steals. Kept only for callers outside the workspace's crates
+    /// that still read it.
     pub steals: u64,
     /// Delivered frames whose length or marker byte did not match the
     /// admission ledger — torn or cross-linked packets — plus drain
@@ -243,9 +228,8 @@ pub struct ShardScaleRow {
     /// A deterministic fingerprint of the run's end state: the engine's
     /// full [`ShardedQueueManager::state_digest`] folded with the
     /// residual admission ledger (flow, length, marker of every packet
-    /// admitted but not yet delivered). Byte-identical across thread
-    /// counts for a fixed configuration — the strongest single value the
-    /// CI determinism diff compares.
+    /// admitted but not yet delivered) — the strongest single value the
+    /// `table7 --check --report` document carries.
     pub fingerprint: u64,
 }
 
@@ -272,9 +256,9 @@ struct Reassembly {
     marker: u8,
 }
 
-/// Runs the Zipf/IMIX overload workload on `shards` engines with
-/// `threads` worker threads and measures the composite throughput (see
-/// the [module docs](self)).
+/// Runs the Zipf/IMIX overload workload on `shards` engines and measures
+/// the composite throughput (see the [module docs](self)). `threads` is
+/// ignored: the shards run on the calling thread.
 ///
 /// The **offered trace** — arrival order, flows, sizes, markers — is a
 /// pure function of `cfg`, identical for every shard count. The
@@ -284,28 +268,16 @@ struct Reassembly {
 /// whatever each row actually processed, and `segments_per_sec` is rate
 /// (work over busy time), so rows stay comparable; the speedup column
 /// reflects both the critical-path parallelism of independent engines
+/// (modelled, not run: `wall_clock` is the serial cost of all of them)
 /// and the per-shard locality effects (smaller queue tables and
 /// occupancy heaps) that sharding buys.
-///
-/// Every thread count runs the same two
-/// [`ShardedQueueManager::for_each_shard`] calls per round; at
-/// `threads == 1` the shards run inline on the calling thread. Every
-/// engine call happens in the same per-shard order at any count, and the
-/// ledger reads the per-shard lists shard by shard, which keeps per-flow
-/// order. The results are byte-identical
-/// at any count (only `wall_clock`, the busy-time fields and `steals`
-/// change — the row's `fingerprint` proves it). `wall_clock`
-/// measures the real offer/drain loop, so at `threads ≥ shards` on a
-/// multi-core host it shows the *actual* speedup next to the modeled
-/// critical-path composite.
 ///
 /// # Panics
 ///
 /// Panics if the per-shard buffer would be empty
-/// (`total_segments / shards == 0`), `threads` is zero, or the
-/// configuration is invalid.
-pub fn run_shard_scale(cfg: &ShardScaleConfig, shards: usize, threads: usize) -> ShardScaleRow {
-    run_rounds(cfg, shards, threads, false, |_| {}).0
+/// (`total_segments / shards == 0`) or the configuration is invalid.
+pub fn run_shard_scale(cfg: &ShardScaleConfig, shards: usize, _threads: usize) -> ShardScaleRow {
+    run_rounds(cfg, shards, false, |_| {}).0
 }
 
 /// The one offer/drain workload behind both experiments: per round, draw
@@ -319,7 +291,6 @@ pub fn run_shard_scale(cfg: &ShardScaleConfig, shards: usize, threads: usize) ->
 fn run_rounds(
     cfg: &ShardScaleConfig,
     shards: usize,
-    threads: usize,
     tracing: bool,
     mut after_round: impl FnMut(&mut ShardedQueueManager),
 ) -> (ShardScaleRow, ShardedQueueManager) {
@@ -338,10 +309,8 @@ fn run_rounds(
     // streams predate [`PacketStream`] and must stay bit-identical.
     let mut stream = PacketStream::new(&mix, &sizes, cfg.seed);
 
-    assert!(threads > 0, "need at least one worker thread");
     let mut row = ShardScaleRow {
         shards,
-        threads,
         offered_pkts: 0,
         offered_bytes: 0,
         admitted_pkts: 0,
@@ -388,8 +357,7 @@ fn run_rounds(
         draw_round(cfg, &mut stream, &engine, &mut per_shard);
         engine.for_each_shard(
             &mut per_shard,
-            threads,
-            |r| r.arrivals.iter().map(|&(_, len, _)| len as u64).sum(),
+            |r| !r.arrivals.is_empty(),
             |qm, r| {
                 for &(flow, len, marker) in &r.arrivals {
                     r.frame[0] = marker;
@@ -423,8 +391,7 @@ fn run_rounds(
                 .max(1);
         engine.for_each_shard(
             &mut per_shard,
-            threads,
-            |r| r.flows.len() as u64,
+            |r| !r.flows.is_empty(),
             |qm, r| {
                 for _ in 0..passes {
                     for &flow in &r.flows {
@@ -475,7 +442,6 @@ fn run_rounds(
     row.busy = engine.busy_times().to_vec();
     row.critical_path = engine.critical_path();
     row.serial_time = engine.serial_time();
-    row.steals = engine.parallel_stats().steals;
     let report = engine
         .verify()
         .expect("sharded engine invariants hold after the run");
@@ -500,31 +466,11 @@ fn run_rounds(
     (row, engine)
 }
 
-/// Runs [`run_shard_scale`] for each shard count, all on `threads`
-/// worker threads.
-pub fn run_shard_sweep(
-    cfg: &ShardScaleConfig,
-    shard_counts: &[usize],
-    threads: usize,
-) -> Vec<ShardScaleRow> {
+/// Runs [`run_shard_scale`] for each shard count.
+pub fn run_shard_sweep(cfg: &ShardScaleConfig, shard_counts: &[usize]) -> Vec<ShardScaleRow> {
     shard_counts
         .iter()
-        .map(|&n| run_shard_scale(cfg, n, threads))
-        .collect()
-}
-
-/// Runs [`run_shard_scale`] at a fixed shard count for each thread
-/// count — the threads×shards wall-clock sweep behind `table7`'s
-/// parallel section. Every row computes identical deterministic results
-/// (same `fingerprint`); only the wall clock and steal counts differ.
-pub fn run_thread_sweep(
-    cfg: &ShardScaleConfig,
-    shards: usize,
-    thread_counts: &[usize],
-) -> Vec<ShardScaleRow> {
-    thread_counts
-        .iter()
-        .map(|&t| run_shard_scale(cfg, shards, t))
+        .map(|&n| run_shard_scale(cfg, n, 1))
         .collect()
 }
 
@@ -532,9 +478,8 @@ pub fn run_thread_sweep(
 /// memory-timed sweep — the workload behind `table8`.
 ///
 /// Every field is a pure function of the configuration: the modeled
-/// clocks contain no wall time, so the whole row participates in the CI
-/// determinism diff across thread counts (only `threads` itself is
-/// excluded from the report document).
+/// clocks contain no wall time, so the whole row is in the `table8 --check
+/// --report` document.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemoryScaleRow {
     /// DDR banks in the data memory.
@@ -544,9 +489,6 @@ pub struct MemoryScaleRow {
     pub reordering: bool,
     /// Number of shards (one memory channel each).
     pub shards: usize,
-    /// Worker threads the batches ran on (identical results at any
-    /// count; recorded for transparency only).
-    pub threads: usize,
     /// Packets the mix offered for admission.
     pub offered_pkts: u64,
     /// Packets admitted by the shard-local thresholds.
@@ -582,7 +524,7 @@ pub struct MemoryScaleRow {
     pub conserved: bool,
     /// Engine state digest folded with the modeled channel clocks and
     /// charge totals: one value pinning the run's entire deterministic
-    /// outcome, byte-identical at any thread count.
+    /// outcome.
     pub fingerprint: u64,
 }
 
@@ -631,10 +573,9 @@ impl MemoryScaleRow {
 ///
 /// The offered trace, the admission decisions and the engine end state
 /// are identical to what [`run_shard_scale`] computes for the same
-/// configuration — tracing only records. `threads` is the worker count
-/// of the batch calls; because the recorded per-shard
-/// streams are deterministic, the charged costs (and the row
-/// fingerprint) are byte-identical at any thread count.
+/// configuration — tracing only records — and, because the recorded
+/// per-shard streams are deterministic, so are the charged costs and the
+/// row fingerprint.
 ///
 /// # Panics
 ///
@@ -644,13 +585,12 @@ impl MemoryScaleRow {
 pub fn run_memory_scale(
     cfg: &ShardScaleConfig,
     shards: usize,
-    threads: usize,
     timing: &TimingConfig,
 ) -> MemoryScaleRow {
     let mut channels = MemoryChannels::from_fn(shards, |_| PaperTiming::new(*timing));
     let mut totals = CommandCost::default();
     // Charge each round's recorded traffic to the per-shard channels.
-    let (run, engine) = run_rounds(cfg, shards, threads, true, |engine| {
+    let (run, engine) = run_rounds(cfg, shards, true, |engine| {
         totals.absorb(&channels.charge_engine(engine).totals);
     });
     let per_shard_time = channels.per_channel_elapsed();
@@ -672,7 +612,6 @@ pub fn run_memory_scale(
         banks: timing.ddr.banks,
         reordering: timing.reordering,
         shards,
-        threads,
         offered_pkts: run.offered_pkts,
         admitted_pkts: run.admitted_pkts,
         dropped_pkts: run.dropped_pkts,
@@ -704,14 +643,13 @@ pub fn run_memory_sweep(
     cfg: &ShardScaleConfig,
     shards: usize,
     banks: &[u32],
-    threads: usize,
 ) -> Vec<MemoryScaleRow> {
     banks
         .iter()
         .flat_map(|&b| {
             [
-                run_memory_scale(cfg, shards, threads, &TimingConfig::naive(b)),
-                run_memory_scale(cfg, shards, threads, &TimingConfig::paper(b)),
+                run_memory_scale(cfg, shards, &TimingConfig::naive(b)),
+                run_memory_scale(cfg, shards, &TimingConfig::paper(b)),
             ]
         })
         .collect()
@@ -727,7 +665,6 @@ mod tests {
         for shards in [1usize, 4] {
             let row = run_shard_scale(&cfg, shards, 1);
             assert_eq!(row.shards, shards);
-            assert_eq!(row.threads, 1);
             assert!(row.offered_pkts > 0);
             assert_eq!(row.offered_pkts, row.admitted_pkts + row.dropped_pkts);
             assert!(row.dropped_pkts > 0, "overload must drop");
@@ -738,7 +675,7 @@ mod tests {
             assert!(row.serial_time >= row.critical_path);
             assert!(row.wall_clock >= row.critical_path);
             assert_eq!(row.busy.len(), shards);
-            assert_eq!(row.steals, 0, "serial path never steals");
+            assert_eq!(row.steals, 0, "nothing steals");
         }
     }
 
@@ -747,9 +684,8 @@ mod tests {
         // Values of the commit before the round loop lent its buffers
         // (PR 16). They are a pure function of the configuration, so a
         // change to the harness — arenas, per-shard rounds, ledger — that
-        // moves one of them changed what is simulated, not how fast. They
-        // hold at every thread count: a reference run would move with the
-        // change it is meant to catch.
+        // moves one of them changed what is simulated, not how fast. A
+        // reference run would move with the change it is meant to catch.
         let cfg = ShardScaleConfig::smoke();
         let pinned = |row: &ShardScaleRow| {
             (
@@ -764,19 +700,14 @@ mod tests {
             pinned(&run_shard_scale(&cfg, 1, 1)),
             (0x7844_40b6_c661_8ac8, 592, 304, 106_202, 43_021)
         );
-        for threads in [1usize, 2, 4] {
-            assert_eq!(
-                pinned(&run_shard_scale(&cfg, 4, threads)),
-                (0xd5b3_0976_2d0f_4973, 546, 317, 106_806, 39_854),
-                "threads={threads}"
-            );
-        }
-        for threads in [1usize, 2] {
-            let timed = run_memory_scale(&cfg, 2, threads, &TimingConfig::paper(8));
-            assert_eq!(timed.fingerprint, 0xaee8_51e5_302b_72ca);
-            assert_eq!(timed.modeled_time, Picos::new(138_640_000));
-            assert_eq!((timed.data_reads, timed.data_writes), (1_942, 3_694));
-        }
+        assert_eq!(
+            pinned(&run_shard_scale(&cfg, 4, 1)),
+            (0xd5b3_0976_2d0f_4973, 546, 317, 106_806, 39_854)
+        );
+        let timed = run_memory_scale(&cfg, 2, &TimingConfig::paper(8));
+        assert_eq!(timed.fingerprint, 0xaee8_51e5_302b_72ca);
+        assert_eq!(timed.modeled_time, Picos::new(138_640_000));
+        assert_eq!((timed.data_reads, timed.data_writes), (1_942, 3_694));
     }
 
     #[test]
@@ -792,69 +723,17 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_never_changes_the_deterministic_fields() {
-        // The determinism contract at the scale-experiment level: every
-        // non-timing field of a row, including the end-state fingerprint
-        // (engine digest + residual ledger), is byte-identical whether
-        // the batches ran serial or on 2, 3, 4 or 8 worker threads: 3
-        // splits the 4 shards unevenly, 8 leaves workers with none.
-        let cfg = ShardScaleConfig::smoke();
-        let reference = run_shard_scale(&cfg, 4, 1);
-        for threads in [2usize, 3, 4, 8] {
-            let row = run_shard_scale(&cfg, 4, threads);
-            assert_eq!(row.threads, threads);
-            assert_eq!(row.offered_pkts, reference.offered_pkts);
-            assert_eq!(row.offered_bytes, reference.offered_bytes);
-            assert_eq!(row.admitted_pkts, reference.admitted_pkts);
-            assert_eq!(row.dropped_pkts, reference.dropped_pkts);
-            assert_eq!(row.admitted_bytes, reference.admitted_bytes);
-            assert_eq!(row.delivered_pkts, reference.delivered_pkts);
-            assert_eq!(row.drained_bytes, reference.drained_bytes);
-            assert_eq!(row.residual_bytes, reference.residual_bytes);
-            assert_eq!(row.segments_processed, reference.segments_processed);
-            assert_eq!(row.ptr_accesses, reference.ptr_accesses);
-            assert_eq!(row.torn_frames, 0);
-            assert!(row.conserved);
-            assert_eq!(
-                row.fingerprint, reference.fingerprint,
-                "threads={threads}: end-state fingerprint diverged"
-            );
-        }
-        // The memory-timed run goes through the same round: at 1 and 2
-        // threads it admits and drains what the untimed run did, and its
-        // whole row (clocks and fingerprint included) is the same.
-        let timing = TimingConfig::paper(8);
-        let serial = run_memory_scale(&cfg, 4, 1, &timing);
-        let mut parallel = run_memory_scale(&cfg, 4, 2, &timing);
-        assert_eq!(serial.admitted_pkts, reference.admitted_pkts);
-        assert_eq!(serial.drained_bytes, reference.drained_bytes);
-        assert_eq!(serial.residual_bytes, reference.residual_bytes);
-        assert_eq!(serial.ptr_accesses, reference.ptr_accesses);
-        parallel.threads = serial.threads;
-        assert_eq!(parallel, serial, "memory-timed row diverged at 2 threads");
-    }
-
-    #[test]
     fn sweep_returns_one_row_per_count() {
-        let rows = run_shard_sweep(&ShardScaleConfig::smoke(), &[1, 2], 1);
+        let rows = run_shard_sweep(&ShardScaleConfig::smoke(), &[1, 2]);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].shards, 1);
         assert_eq!(rows[1].shards, 2);
     }
 
     #[test]
-    fn thread_sweep_returns_one_row_per_thread_count() {
-        let rows = run_thread_sweep(&ShardScaleConfig::smoke(), 4, &[1, 2]);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].threads, 1);
-        assert_eq!(rows[1].threads, 2);
-        assert_eq!(rows[0].fingerprint, rows[1].fingerprint);
-    }
-
-    #[test]
     fn memory_scale_conserves_and_derives_time_from_the_model() {
         let cfg = ShardScaleConfig::smoke();
-        let row = run_memory_scale(&cfg, 2, 1, &TimingConfig::paper(8));
+        let row = run_memory_scale(&cfg, 2, &TimingConfig::paper(8));
         assert_eq!(row.banks, 8);
         assert!(row.reordering);
         assert_eq!(row.offered_pkts, row.admitted_pkts + row.dropped_pkts);
@@ -877,24 +756,7 @@ mod tests {
             segment_bytes: 128,
             ..ShardScaleConfig::smoke()
         };
-        run_memory_scale(&cfg, 1, 1, &TimingConfig::paper(8));
-    }
-
-    #[test]
-    fn memory_scale_is_thread_invariant() {
-        let cfg = ShardScaleConfig::smoke();
-        let timing = TimingConfig::paper(4);
-        let reference = run_memory_scale(&cfg, 4, 1, &timing);
-        for threads in [2usize, 4] {
-            let row = run_memory_scale(&cfg, 4, threads, &timing);
-            assert_eq!(row.threads, threads);
-            let mut masked = row.clone();
-            masked.threads = reference.threads;
-            assert_eq!(
-                masked, reference,
-                "threads={threads}: memory-derived row diverged"
-            );
-        }
+        run_memory_scale(&cfg, 1, &TimingConfig::paper(8));
     }
 
     #[test]
@@ -903,7 +765,7 @@ mod tests {
         // the admitted set matches an untimed run of the same seed.
         let cfg = ShardScaleConfig::smoke();
         let untimed = run_shard_scale(&cfg, 2, 1);
-        let timed = run_memory_scale(&cfg, 2, 1, &TimingConfig::paper(8));
+        let timed = run_memory_scale(&cfg, 2, &TimingConfig::paper(8));
         assert_eq!(timed.offered_pkts, untimed.offered_pkts);
         assert_eq!(timed.admitted_pkts, untimed.admitted_pkts);
         assert_eq!(timed.dropped_pkts, untimed.dropped_pkts);
@@ -917,8 +779,8 @@ mod tests {
     fn reordering_never_slower_and_single_bank_serializes() {
         let cfg = ShardScaleConfig::smoke();
         for banks in [1u32, 8] {
-            let naive = run_memory_scale(&cfg, 2, 1, &TimingConfig::naive(banks));
-            let opt = run_memory_scale(&cfg, 2, 1, &TimingConfig::paper(banks));
+            let naive = run_memory_scale(&cfg, 2, &TimingConfig::naive(banks));
+            let opt = run_memory_scale(&cfg, 2, &TimingConfig::paper(banks));
             assert!(
                 opt.modeled_time <= naive.modeled_time,
                 "banks {banks}: reordering {} vs naive {}",
@@ -926,8 +788,8 @@ mod tests {
                 naive.modeled_time
             );
         }
-        let one = run_memory_scale(&cfg, 2, 1, &TimingConfig::paper(1));
-        let eight = run_memory_scale(&cfg, 2, 1, &TimingConfig::paper(8));
+        let one = run_memory_scale(&cfg, 2, &TimingConfig::paper(1));
+        let eight = run_memory_scale(&cfg, 2, &TimingConfig::paper(8));
         assert!(
             one.ops_per_sec() < eight.ops_per_sec(),
             "1 bank {} vs 8 banks {}",
@@ -939,7 +801,7 @@ mod tests {
 
     #[test]
     fn memory_sweep_returns_naive_and_reordering_per_bank() {
-        let rows = run_memory_sweep(&ShardScaleConfig::smoke(), 2, &[1, 4], 1);
+        let rows = run_memory_sweep(&ShardScaleConfig::smoke(), 2, &[1, 4]);
         assert_eq!(rows.len(), 4);
         assert_eq!((rows[0].banks, rows[0].reordering), (1, false));
         assert_eq!((rows[1].banks, rows[1].reordering), (1, true));

@@ -38,20 +38,20 @@ fn small_service_config() -> impl Strategy<Value = ServiceConfig> {
         )
 }
 
-fn run(cfg: &ServiceConfig, threads: usize) -> ServiceReport {
+fn run(cfg: &ServiceConfig) -> ServiceReport {
     let flows = cfg.mix.flows() as usize;
     run_service(
         cfg,
-        threads,
+        1,
         |_| DynamicThreshold::new(2.0),
         move |_| from_spec("drr:1518", flows as u32).expect("static spec"),
     )
 }
 
-fn run_traced(cfg: &ServiceConfig, threads: usize) -> ServiceReport {
+fn run_traced(cfg: &ServiceConfig) -> ServiceReport {
     let mut cfg = cfg.clone();
     cfg.telemetry = Some(TelemetryConfig::with_ring(256));
-    run(&cfg, threads)
+    run(&cfg)
 }
 
 proptest! {
@@ -62,7 +62,7 @@ proptest! {
     /// nothing dropped between window boundaries.
     #[test]
     fn windows_reconcile_with_totals(cfg in small_service_config()) {
-        let r = run(&cfg, 1);
+        let r = run(&cfg);
         let sum = |f: fn(&npqm_traffic::service::EpochWindow) -> u64| -> u64 {
             r.windows.iter().map(f).sum()
         };
@@ -98,7 +98,7 @@ proptest! {
     /// merged view and per shard: p50 ≤ p99 ≤ p999 whenever defined.
     #[test]
     fn window_quantiles_monotone(cfg in small_service_config()) {
-        let r = run(&cfg, 1);
+        let r = run(&cfg);
         let all = r
             .windows
             .iter()
@@ -118,7 +118,7 @@ proptest! {
     /// counter across shards for one epoch gives the merged window.
     #[test]
     fn shard_windows_decompose_merged(cfg in small_service_config()) {
-        let r = run(&cfg, 1);
+        let r = run(&cfg);
         for w in &r.windows {
             let shard_sum = |f: fn(&npqm_traffic::service::EpochWindow) -> u64| -> u64 {
                 r.shards
@@ -140,23 +140,20 @@ proptest! {
     }
 
     /// Telemetry is an exact account of the run and never steers it:
-    /// enabling it changes no digest at 1 or 4 threads, the trace event
-    /// counts reconcile exactly with the report and the engine's own
-    /// `QmStats` (via the final metrics registry), the drop ledger
-    /// reconciles with the epoch windows' drop counts, and the merged
-    /// telemetry report itself is byte-identical across thread counts.
+    /// enabling it changes no digest, the trace event counts reconcile
+    /// exactly with the report and the engine's own `QmStats` (via the
+    /// final metrics registry), the drop ledger reconciles with the epoch
+    /// windows' drop counts, and the merged telemetry report itself is a
+    /// pure function of the configuration.
     #[test]
     fn telemetry_reconciles_exactly_and_never_perturbs(cfg in small_service_config()) {
-        let plain = run(&cfg, 1);
-        let traced = run_traced(&cfg, 1);
-        let threaded = run_traced(&cfg, 4);
+        let plain = run(&cfg);
+        let traced = run_traced(&cfg);
 
-        // Zero interference: same digests with telemetry on, serial and
-        // threaded (the same contract as QueueManager::set_tracing).
+        // Zero interference: same digests with telemetry on (the same
+        // contract as QueueManager::set_tracing).
         prop_assert_eq!(plain.final_digest, traced.final_digest);
         prop_assert_eq!(&plain.epoch_digests, &traced.epoch_digests);
-        prop_assert_eq!(traced.final_digest, threaded.final_digest);
-        prop_assert_eq!(&traced.epoch_digests, &threaded.epoch_digests);
 
         let tel = traced.telemetry.as_ref().expect("telemetry enabled");
         let a = &traced.aggregate;
@@ -201,7 +198,8 @@ proptest! {
 
         // The whole merged telemetry report — events, ledger, metrics —
         // is a pure function of the configuration.
-        prop_assert_eq!(tel, threaded.telemetry.as_ref().expect("telemetry enabled"));
+        let again = run_traced(&cfg);
+        prop_assert_eq!(tel, again.telemetry.as_ref().expect("telemetry enabled"));
     }
 }
 
@@ -295,31 +293,10 @@ fn eviction_ledger_attributes_push_outs() {
     );
 }
 
-/// The reconciliation also holds on 2 threads, whose deterministic
-/// outputs must match the one-thread run byte for byte.
-#[test]
-fn threaded_windows_match_serial() {
-    let cfg = ServiceConfig::steady_demo(7);
-    let serial = run(&cfg, 1);
-    let threaded = run(&cfg, 2);
-    assert_eq!(serial.epoch_digests, threaded.epoch_digests);
-    assert_eq!(serial.final_digest, threaded.final_digest);
-    assert_eq!(serial.windows.len(), threaded.windows.len());
-    for (a, b) in serial.windows.iter().zip(&threaded.windows) {
-        assert_eq!(a.epoch, b.epoch);
-        assert_eq!(a.offered_pkts, b.offered_pkts);
-        assert_eq!(a.delivered_pkts, b.delivered_pkts);
-        assert_eq!(a.dropped_pkts, b.dropped_pkts);
-        assert_eq!(a.evicted_pkts, b.evicted_pkts);
-        assert_eq!(a.p999_ns(), b.p999_ns());
-    }
-}
-
 /// The always-on service accepts the HTB class tree like any other
 /// scheduler, and a single-root tree (one leaf per flow, rate = ceil =
 /// capacity) replays the flat DRR service run digest for digest — the
-/// degenerate-tree contract holds through the streaming loop too, at
-/// any thread count.
+/// degenerate-tree contract holds through the streaming loop too.
 #[test]
 fn single_root_htb_service_matches_flat_drr() {
     let cfg = ServiceConfig::steady_demo(11);
@@ -328,23 +305,15 @@ fn single_root_htb_service_matches_flat_drr() {
         "htb:cap=1000;root,rate=1000,quantum=1518,flows=0-{}",
         flows - 1
     );
-    for threads in [1usize, 2] {
-        let drr = run_service(
-            &cfg,
-            threads,
-            |_| DynamicThreshold::new(2.0),
-            move |_| from_spec("drr:1518", flows).expect("static spec"),
-        );
-        let spec = htb_spec.clone();
-        let htb = run_service(
-            &cfg,
-            threads,
-            |_| DynamicThreshold::new(2.0),
-            move |_| from_spec(&spec, flows).expect("static spec"),
-        );
-        assert_eq!(drr.epoch_digests, htb.epoch_digests);
-        assert_eq!(drr.final_digest, htb.final_digest);
-        assert_eq!(drr.aggregate.delivered_pkts, htb.aggregate.delivered_pkts);
-        assert_eq!(drr.aggregate.dropped_pkts, htb.aggregate.dropped_pkts);
-    }
+    let drr = run(&cfg);
+    let htb = run_service(
+        &cfg,
+        1,
+        |_| DynamicThreshold::new(2.0),
+        move |_| from_spec(&htb_spec, flows).expect("static spec"),
+    );
+    assert_eq!(drr.epoch_digests, htb.epoch_digests);
+    assert_eq!(drr.final_digest, htb.final_digest);
+    assert_eq!(drr.aggregate.delivered_pkts, htb.aggregate.delivered_pkts);
+    assert_eq!(drr.aggregate.dropped_pkts, htb.aggregate.dropped_pkts);
 }

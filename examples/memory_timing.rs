@@ -118,7 +118,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ("naive", TimingConfig::naive(banks)),
             ("reordering", TimingConfig::paper(banks)),
         ] {
-            let row = run_memory_scale(&sweep, 2, 1, &timing);
+            let row = run_memory_scale(&sweep, 2, &timing);
             assert!(row.conserved);
             println!(
                 "{:>6} {:>12} {:>12.2} {:>9.1}%",

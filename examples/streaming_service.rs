@@ -8,9 +8,10 @@
 //!
 //! The run is deliberately overloaded (~3× the egress rate), so the
 //! drop policy works continuously; backpressure stalls producers on
-//! full lanes (counted, never dropped). The same run repeated on one
-//! thread proves the service's determinism contract: every epoch digest,
-//! the final state digest and the backpressure count are identical.
+//! full lanes (counted, never dropped). The same run repeated without
+//! the observer proves the service's determinism contract: every epoch
+//! digest, the final state digest and the backpressure count are
+//! identical.
 
 use npqm::core::policy::DynamicThreshold;
 use npqm::core::sched::from_spec;
@@ -41,11 +42,10 @@ fn main() {
         "shard", "epoch", "offered", "dropped", "deliver", "goodput", "p50", "p99"
     );
 
-    // Four workers with a live observer: each shard prints its window
-    // the moment it closes — no end-of-run wait.
-    let threaded = run_service_observed(
+    // A live observer: each shard prints its window the moment it
+    // closes — no end-of-run wait.
+    let observed = run_service_observed(
         &cfg,
-        4,
         |_| DynamicThreshold::new(2.0),
         |_| from_spec("drr:1518", flows as u32).expect("static spec"),
         |shard, w| {
@@ -67,7 +67,7 @@ fn main() {
         },
     );
 
-    let a = &threaded.aggregate;
+    let a = &observed.aggregate;
     println!();
     println!(
         "drained: {} offered = {} delivered + {} dropped + {} evicted; \
@@ -76,25 +76,25 @@ fn main() {
         a.delivered_pkts,
         a.dropped_pkts,
         a.evicted_pkts,
-        threaded.ring_full_events,
+        observed.ring_full_events,
         a.integrity_violations,
     );
 
-    // The determinism contract, demonstrated: one thread computes the
+    // The determinism contract, demonstrated: a second run computes the
     // same digests and the same backpressure, byte for byte.
-    let serial = run_service(
+    let again = run_service(
         &cfg,
         1,
         |_| DynamicThreshold::new(2.0),
         |_| from_spec("drr:1518", flows as u32).expect("static spec"),
     );
-    assert_eq!(threaded.epoch_digests, serial.epoch_digests);
-    assert_eq!(threaded.final_digest, serial.final_digest);
-    assert_eq!(threaded.ring_full_events, serial.ring_full_events);
+    assert_eq!(observed.epoch_digests, again.epoch_digests);
+    assert_eq!(observed.final_digest, again.final_digest);
+    assert_eq!(observed.ring_full_events, again.ring_full_events);
     println!(
         "determinism: {} online epoch digests + final {:#018x} identical on \
-         one thread",
-        threaded.epoch_digests.len(),
-        threaded.final_digest,
+         a second run",
+        observed.epoch_digests.len(),
+        observed.final_digest,
     );
 }

@@ -175,8 +175,8 @@ fn disciplines_as_trait_objects() {
 
 /// An HTB tree with a single root class and one leaf per flow replays
 /// flat DRR byte-for-byte: identical service order and `state_digest`
-/// on the same trace, in the direct drain and through the closed loop
-/// at 1 and 4 threads.
+/// on the same trace, in the direct drain and through the 4-shard
+/// closed loop.
 #[test]
 fn single_root_htb_is_digest_identical_to_flat_drr() {
     use npqm::core::check::state_digest;
@@ -213,13 +213,11 @@ fn single_root_htb_is_digest_identical_to_flat_drr() {
     }
     assert_eq!(state_digest(&qm_drr), state_digest(&qm_htb));
 
-    // Closed loop: the equivalence survives sharding and threading (4
-    // shards, serial and one worker thread per shard).
+    // Closed loop: the equivalence survives sharding (4 shards).
     let cfg = PipelineConfig::bursty_overload(2005);
-    let report = |parallel: bool, htb: bool| {
+    let report = |htb: bool| {
         let b = PipelineBuilder::new(&cfg)
             .shards(4)
-            .parallel(parallel)
             .admission(|_| DynamicThreshold::new(2.0));
         let b = if htb {
             b.egress_htb(HtbScheduler::single_root(16, 1518))
@@ -228,7 +226,9 @@ fn single_root_htb_is_digest_identical_to_flat_drr() {
         };
         format!("{:?}", b.run())
     };
-    let flat_serial = report(false, false);
-    assert_eq!(report(false, true), flat_serial, "htb != drr at 1 thread");
-    assert_eq!(report(true, true), flat_serial, "htb != drr at 4 threads");
+    assert_eq!(
+        report(true),
+        report(false),
+        "htb != drr through the closed loop"
+    );
 }
