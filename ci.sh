@@ -11,7 +11,8 @@
 #                   # engine step of manager.rs
 #                   # written once, no cut_through, the access trace
 #                   # cut and never committed, one DDR slot loop, one
-#                   # count per event, one grouped executor, one model
+#                   # count per event, one grouped executor and one
+#                   # writer of busy time, no swept name, one model
 #                   # of the engine, no occupancy pushes before the
 #                   # first query, no scale payload arena, no pointer
 #                   # record written before first use), fmt,
@@ -77,11 +78,15 @@ tier1() {
 # the derives for a `serde` feature no manifest declares and `table10`'s
 # `NPQM_TRACE` fallback.
 # One grouped executor: `ShardedQueueManager::for_each_shard` (`shard.rs`)
-# is the only place a shard's busy time grows in `npqm-core`, apart from
-# the batched cross-shard command that charges both engines
-# (`parallel.rs`). The per-command result slots' executor, the lending
-# drain and its types stay deleted, and the scale rounds reach the shards
-# only through `for_each_shard`.
+# is the only place a shard's busy time grows in `npqm-core` and
+# `npqm-traffic`, apart from the batched cross-shard command that charges
+# both engines (`parallel.rs`): the scale rounds, the service's serve
+# phase and the builder's shard-local loops all run through it, so no
+# loop keeps a clock of its own. The per-command result slots' executor,
+# the lending drain and its types, the `shards_mut` back door around the
+# executor and the public surface only tests called (the second packet
+# generator `trace::Trace` / `TraceRecord`, `FlowTable`, `WORST_CASE`,
+# `queue_work`) stay deleted.
 # One model of the engine: `npqm-core`'s test-only `model` module (and the
 # corpus it replays) is the oracle every engine call is held to, so the
 # hand-written oracles it replaced — the property tests' `Oracle` and
@@ -188,7 +193,7 @@ structure() {
     body="$(sed -n '/pub fn for_each_shard</,/^    }$/p' crates/npqm-core/src/shard.rs)"
     local pattern
     pattern='busy(\[[^]]*\])? *\+='
-    hits="$(for file in $(grep -rlE "${pattern}" crates/npqm-core/src | sort); do
+    hits="$(for file in $(grep -rlE "${pattern}" crates/npqm-core/src crates/npqm-traffic/src | sort); do
         sed '/^#\[cfg(test)\]/,$d' "${file}" | grep -nE "${pattern}" \
             | grep -vE '^[0-9]+:\s*//' | sed "s|^|${file}:|" || true
     done)"
@@ -197,15 +202,16 @@ structure() {
         || -n "$(grep -v '^crates/npqm-core/src/shard.rs:' <<<"${hits}" \
             | grep -vE '^crates/npqm-core/src/shard/parallel.rs:[0-9]+: *self\.busy\[(a|b)\] \+= d;$')" ]]; then
         echo "structure FAILED: busy time above the tests grows in for_each_shard" \
-            "and the batched cross-shard command only; got:" >&2
+            "and the batched cross-shard command only (npqm-core, npqm-traffic); got:" >&2
         echo "${hits}" >&2
         exit 1
     fi
     hits="$(grep -rnE 'run_groups|BatchDrain|LentSegment|dequeue_batch_into' \
         crates examples tests src README.md || true)"
-    hits+="$(grep -n 'shards_mut(' crates/npqm-traffic/src/scale.rs || true)"
+    hits+="$(grep -rnE 'shards_mut|TraceRecord|trace::Trace|FlowTable|WORST_CASE|queue_work' \
+        crates examples tests src README.md || true)"
     if [[ -n "${hits}" ]]; then
-        echo "structure FAILED: a second per-shard executor or the lending drain is back:" >&2
+        echo "structure FAILED: a second per-shard executor, the lending drain or a swept name is back:" >&2
         echo "${hits}" >&2
         exit 1
     fi

@@ -7,8 +7,8 @@
 //! tree's copies (set aside by `ci.sh` before regeneration) with the
 //! regenerated ones and fails, naming the JSON path, on any changed,
 //! missing or extra leaf. `host` subtrees (wall clock, busy times, the
-//! rates derived from them, steals, threads, cores) are not looked at:
-//! host time is `bench/run.sh`'s job.
+//! rates derived from them, the always-zero steal count, cores) are not
+//! looked at: host time is `bench/run.sh`'s job.
 //!
 //! A table with no baseline file (the first run of a new table) is a
 //! notice; a baseline that does not parse, or a current artifact that is

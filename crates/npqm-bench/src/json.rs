@@ -236,8 +236,9 @@ impl Json {
 
 /// The one key that holds what two runs of the same binary and seed may
 /// disagree on: wall clock and busy times, the rates derived from them,
-/// steal counts, and the threads and cores the run had. Everything
-/// outside it is simulated, and compared exactly.
+/// the scale rows' steal count (always 0: shards run on the calling
+/// thread) and the cores the host had. Everything outside it is
+/// simulated, and compared exactly.
 pub const HOST: &str = "host";
 
 /// The [`HOST`] entry of a report object.
@@ -886,7 +887,7 @@ pub fn metrics_registry_json(
 /// (volatile metrics excluded). The retained event stream is *not*
 /// included — that is what [`telemetry_trace_json`] exports — so this
 /// projection is small enough to ride inside the table reports and is
-/// byte-identical at any thread count.
+/// byte-identical from run to run.
 pub fn telemetry_summary_json(t: &npqm_core::telemetry::TelemetryReport) -> Json {
     Json::obj([
         ("ring_capacity", t.ring_capacity.to_json()),
@@ -935,7 +936,7 @@ fn ps_to_us(ps: u64) -> Json {
 /// evictions also emit an `occupancy` counter track (`ph: "C"`) so buffer pressure is
 /// visible as a graph. All timestamps are **virtual time** (simulation
 /// picoseconds rendered as microseconds), so the trace is byte-identical
-/// at any worker-thread count.
+/// from run to run, whatever the host's speed.
 pub fn telemetry_trace_json(t: &npqm_core::telemetry::TelemetryReport, label: &str) -> Json {
     use npqm_core::telemetry::EventKind;
     let mut events = Vec::new();

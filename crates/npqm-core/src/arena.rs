@@ -30,7 +30,7 @@
 //! The arena is deliberately slotted and synchronous: one slot admits
 //! that slot's arrivals (in trace order), then serves. Determinism is
 //! total — every report carries a digest over the delivery sequence,
-//! and `table9 --check` diffs reports across thread counts.
+//! and `table9 --check` runs every experiment twice and compares the rows.
 
 use crate::check::{fnv1a_fold, FNV_OFFSET_BASIS};
 use crate::config::QmConfig;

@@ -766,22 +766,6 @@ impl QueueManager {
         Some(self.ptr.pkt_silent(q.head_pkt).work)
     }
 
-    /// Total required-processing-work queued on `flow` (all packets,
-    /// complete and open). Uncounted chain walk.
-    pub fn queue_work(&self, flow: FlowId) -> u64 {
-        if flow.index() >= self.cfg.num_flows() {
-            return 0;
-        }
-        let mut total = 0u64;
-        let mut pid = self.ptr.queue_silent(flow).head_pkt;
-        while !pid.is_nil() {
-            let pr = self.ptr.pkt_silent(pid);
-            total += u64::from(pr.work);
-            pid = pr.next_pkt;
-        }
-        total
-    }
-
     /// Drops the still-open tail packet of `flow` (rollback path).
     fn abort_open_packet(&mut self, flow: FlowId) {
         let mut q = self.ptr.queue(flow);
@@ -1405,7 +1389,6 @@ mod tests {
         m.enqueue_packet_with_work(a, &[7u8; 100], 5).unwrap();
         m.enqueue_packet_with_work(a, &[8u8; 64], 2).unwrap();
         assert_eq!(m.head_work(a), Some(5));
-        assert_eq!(m.queue_work(a), 7);
         // A copy owes the same effort as the original.
         m.copy_packet(a, c).unwrap();
         assert_eq!(m.head_work(c), Some(5));
@@ -1434,7 +1417,6 @@ mod tests {
         ));
         assert!(m.set_tail_work(FlowId::new(10_000), 3).is_err());
         assert_eq!(m.head_work(FlowId::new(10_000)), None);
-        assert_eq!(m.queue_work(FlowId::new(10_000)), 0);
     }
 
     #[test]

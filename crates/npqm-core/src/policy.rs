@@ -475,7 +475,7 @@ impl GlobalLqd {
     ) -> Result<Admission, Refusal> {
         let home = engine.shard_of(flow);
         push_out(
-            engine.shards_mut(),
+            &mut engine.shards,
             home,
             self.budget_segments,
             self.reserve_segments,

@@ -15,15 +15,19 @@
 //! * **stable `FlowId → shard` routing** ([`ShardedQueueManager::shard_of`]),
 //!   a multiply-shift hash that is a pure function of the flow id, so a
 //!   flow's packets always land in the same engine;
-//! * **batched execution** ([`ShardedQueueManager::execute_batch`]): a
-//!   `&[Command]` batch is grouped per shard and each group runs
-//!   back-to-back on its engine, so pointer-cache locality and the lazy
-//!   [`QueueManager::longest_queue`] heap maintenance are amortized
-//!   across the batch instead of paid per interleaved command. One timed
-//!   per-shard executor, [`ShardedQueueManager::for_each_shard`], serves
-//!   commands, admission and callers' own per-shard rounds, running the
-//!   shards inline on the calling thread in shard order (see
-//!   [`parallel`]);
+//! * **one timed per-shard executor**
+//!   ([`ShardedQueueManager::for_each_shard`]): it lends each active
+//!   shard's engine to the caller's state for that shard, in shard order
+//!   on the calling thread, and times the call. The scale rounds
+//!   (`table7` / `table8`), the streaming service's serve phase and the
+//!   pipeline builder's shard-local loops all run through it;
+//! * **batched execution** ([`ShardedQueueManager::execute_batch`],
+//!   [`ShardedAdmission::offer_batch`]): a batch grouped per shard, each
+//!   group run back-to-back on its engine through `for_each_shard` (see
+//!   [`parallel`]), so pointer-cache locality and the lazy
+//!   [`QueueManager::longest_queue`] heap maintenance are amortized across
+//!   the batch. No table, pipeline or service calls them; their callers
+//!   are tests, the `sharded_engine` example and the benchmark ladder;
 //! * **cross-shard moves/copies**: two-queue commands whose source and
 //!   destination hash to different shards act as batch-phase barriers
 //!   and transfer the payload between the two data
@@ -41,9 +45,9 @@
 //!
 //! # Throughput model
 //!
-//! Batch execution accumulates per-shard **busy time**
-//! ([`ShardedQueueManager::busy_times`]): the wall-clock spent executing
-//! each shard's command groups. Since the shards share no state, N shards
+//! `for_each_shard` accumulates per-shard **busy time**
+//! ([`ShardedQueueManager::busy_times`]): the wall clock each shard's
+//! calls took. Since the shards share no state, N shards
 //! *model* N engines running in parallel — the shards themselves run one
 //! after another on one thread; the sustained rate of the
 //! composite is `work / critical_path` where
@@ -135,7 +139,7 @@ enum Route {
 /// throughput model.
 #[derive(Debug, Clone)]
 pub struct ShardedQueueManager {
-    shards: Vec<QueueManager>,
+    pub(crate) shards: Vec<QueueManager>,
     busy: Vec<Duration>,
     /// Cross-shard barriers recorded while tracing, until the next
     /// [`crate::timing::MemoryChannels::charge_engine`].
@@ -291,16 +295,6 @@ impl ShardedQueueManager {
         &mut self.shards[s]
     }
 
-    /// Mutable access to all shards at once, for callers that keep their
-    /// own per-shard state beside each engine (each element is an
-    /// independent engine, so the slice can be zipped with policies,
-    /// schedulers or loops). The per-shard
-    /// [busy times](ShardedQueueManager::busy_times) are *not* maintained
-    /// through this access path.
-    pub fn shards_mut(&mut self) -> &mut [QueueManager] {
-        &mut self.shards
-    }
-
     /// Always [`ParallelStats::default`]: shards run on the calling
     /// thread, so nothing fans out or steals. Kept only for callers
     /// outside the workspace's crates that still read it.
@@ -330,11 +324,13 @@ impl ShardedQueueManager {
             })
     }
 
-    /// Per-shard busy time accumulated by
-    /// [`for_each_shard`](ShardedQueueManager::for_each_shard) (under
-    /// [`execute_batch`](ShardedQueueManager::execute_batch),
-    /// [`ShardedAdmission::offer_batch`] and callers' own rounds) and by
-    /// batched cross-shard commands.
+    /// Per-shard busy time. Its writers are
+    /// [`for_each_shard`](ShardedQueueManager::for_each_shard) — under
+    /// the scale rounds, the service's serve phases, the pipeline
+    /// builder's shard-local loops,
+    /// [`execute_batch`](ShardedQueueManager::execute_batch) and
+    /// [`ShardedAdmission::offer_batch`] — and a batched cross-shard
+    /// command, which charges both of its engines.
     pub fn busy_times(&self) -> &[Duration] {
         &self.busy
     }
@@ -396,8 +392,10 @@ impl ShardedQueueManager {
     /// commands whose queues live in different shards take the
     /// [cross-shard path](self#cross-shard-semantics)).
     ///
-    /// Single-command execution is not timed; only the batch entry points
-    /// accumulate [busy time](ShardedQueueManager::busy_times).
+    /// Single-command execution is not timed; only
+    /// [`for_each_shard`](ShardedQueueManager::for_each_shard) and the
+    /// batch entry points accumulate
+    /// [busy time](ShardedQueueManager::busy_times).
     ///
     /// # Errors
     ///
@@ -413,8 +411,9 @@ impl ShardedQueueManager {
     /// which `active(&states[s])` holds, in shard order on the calling
     /// thread, and adds the call's wall time to that shard's
     /// [busy time](ShardedQueueManager::busy_times) — the one timed
-    /// per-shard executor, behind the batch entry points and the
-    /// `table7` / `table8` rounds alike. Idle shards are neither run nor
+    /// per-shard executor, behind the batch entry points, the `table7` /
+    /// `table8` rounds, the service's serve phase and the pipeline
+    /// builder's shard-local loops alike. Idle shards are neither run nor
     /// timed.
     ///
     /// # Panics

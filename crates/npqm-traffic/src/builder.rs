@@ -20,7 +20,7 @@ use crate::pipeline::{
 };
 use crate::service::{partition_indices, ArrivalEvent};
 use npqm_core::policy::{DropPolicy, DynamicThreshold, GlobalLqd};
-use npqm_core::sched::{from_spec, FlowScheduler, HtbScheduler};
+use npqm_core::sched::{from_spec, DeficitRoundRobin, FlowScheduler, HtbScheduler};
 use npqm_core::shard::ShardedQueueManager;
 use npqm_core::telemetry::{TelemetryConfig, TelemetryReport};
 use npqm_core::{FlowId, QueueManager};
@@ -87,7 +87,7 @@ impl PipelineBuilder {
             cfg: cfg.clone(),
             shards: 1,
             admission: AdmissionSel::Local(Box::new(|_| Box::new(DynamicThreshold::new(2.0)))),
-            egress: Box::new(move |_| from_spec("drr:1518", flows).expect("static spec")),
+            egress: Box::new(move |_| Box::new(DeficitRoundRobin::new(vec![1518; flows as usize]))),
         }
     }
 
@@ -163,12 +163,10 @@ impl PipelineBuilder {
     #[must_use]
     pub fn egress_spec(mut self, spec: &str) -> Self {
         let flows = self.cfg.mix.flows();
-        if let Err(e) = from_spec(spec, flows) {
-            panic!("egress_spec: {e}");
-        }
+        from_spec(spec, flows).unwrap_or_else(|e| panic!("egress_spec: {e}"));
         let spec = spec.to_string();
         self.egress = Box::new(move |_| -> Box<dyn FlowScheduler> {
-            from_spec(&spec, flows).expect("validated above")
+            from_spec(&spec, flows).expect("from_spec is pure, and accepted this spec above")
         });
         self
     }
@@ -224,7 +222,7 @@ impl PipelineBuilder {
             ShardedQueueManager::new(cfg.qm, shards)
         } else {
             ShardedQueueManager::partitioned(cfg.qm, shards)
-                .expect("per-shard buffer must be non-empty")
+                .expect("per-shard buffer must be non-empty (a config error, under # Panics)")
         };
         let shard_of_flow: Vec<usize> = (0..flows)
             .map(|f| engine.shard_of(FlowId::new(f)))
@@ -245,35 +243,37 @@ impl PipelineBuilder {
                     per_shard_gbps,
                 )
             }
-            AdmissionSel::Local(mut mk_policy) => {
-                let reports = if shards == 1 {
-                    // Drawn lazily: a long dense run never holds its trace.
-                    vec![run_shard_local(
-                        cfg,
-                        cfg.arrival_stream(),
-                        engine.shard_mut(0),
-                        &mut *mk_policy(0),
-                        &mut scheds[0],
-                        per_shard_gbps,
-                    )]
+            AdmissionSel::Local(mk_policy) => {
+                // One shard draws its arrivals lazily (a long dense run
+                // never holds its trace); more walk index lists into one
+                // shared trace, so peak memory is O(trace), not O(shards
+                // × trace).
+                let (trace, idx): (Vec<ArrivalEvent>, Vec<Option<Vec<u32>>>) = if shards == 1 {
+                    (Vec::new(), vec![None])
                 } else {
-                    // One shared trace, partitioned by *index*: every
-                    // shard borrows the same arrival storage and walks
-                    // its own index list, so peak memory is O(trace),
-                    // not O(shards × trace).
                     let trace: Vec<ArrivalEvent> = cfg.arrival_stream().collect();
                     let idx = partition_indices(&trace, &shard_of_flow, shards);
-                    (engine.shards_mut().iter_mut())
-                        .zip(&mut scheds)
-                        .zip(&idx)
-                        .enumerate()
-                        .map(|(s, ((qm, sched), ix))| {
-                            let replay = ix.iter().map(|&i| trace[i as usize]);
-                            let policy = &mut *mk_policy(s);
-                            run_shard_local(cfg, replay, qm, policy, sched, per_shard_gbps)
-                        })
-                        .collect()
+                    (trace, idx.into_iter().map(Some).collect())
                 };
+                let mut locals: Vec<_> =
+                    ((0..shards).map(mk_policy).zip(scheds).zip(idx)).collect();
+                let mut reports = Vec::with_capacity(shards);
+                engine.for_each_shard(
+                    &mut locals,
+                    |_| true,
+                    |qm, ((policy, sched), ix)| {
+                        let (policy, gbps) = (&mut **policy, per_shard_gbps);
+                        reports.push(match ix {
+                            None => {
+                                run_shard_local(cfg, cfg.arrival_stream(), qm, policy, sched, gbps)
+                            }
+                            Some(ix) => {
+                                let replay = ix.iter().map(|&i| trace[i as usize]);
+                                run_shard_local(cfg, replay, qm, policy, sched, gbps)
+                            }
+                        });
+                    },
+                );
                 (reports, None)
             }
         };
@@ -310,7 +310,7 @@ fn run_shard_local(
         std::slice::from_mut(sched),
         gbps,
     );
-    let mut report = reports.pop().expect("one shard in scope");
+    let mut report = reports.pop().expect("a ShardLocal scope reports one shard");
     report.telemetry = tel;
     report
 }

@@ -1,13 +1,11 @@
-//! Flow-population models and the flow table.
+//! Flow-population models.
 //!
 //! NPUs typically have "to manage thousands of flows" (§1). `FlowMix`
 //! draws which flow each packet belongs to — uniformly, or Zipf-skewed as
-//! real traffic is — and `FlowTable` maps packet header keys to the dense
-//! [`FlowId`] space of the queue engine.
+//! real traffic is — in the dense [`FlowId`] space of the queue engine.
 
 use npqm_core::FlowId;
 use npqm_sim::rng::Xoshiro256pp;
-use std::collections::HashMap;
 
 /// Flow-popularity model.
 #[derive(Debug, Clone)]
@@ -112,52 +110,6 @@ impl FlowMix {
     }
 }
 
-/// Maps arbitrary header keys (e.g. a 5-tuple hash, a VCI, a VLAN+port
-/// pair) to densely allocated [`FlowId`]s, as an NPU's classifier would.
-#[derive(Debug, Clone, Default)]
-pub struct FlowTable {
-    map: HashMap<u64, FlowId>,
-    next: u32,
-    capacity: u32,
-}
-
-impl FlowTable {
-    /// Creates a table that can allocate up to `capacity` flow ids.
-    pub fn new(capacity: u32) -> Self {
-        FlowTable {
-            map: HashMap::new(),
-            next: 0,
-            capacity,
-        }
-    }
-
-    /// Looks up `key`, allocating the next free flow id on first sight.
-    ///
-    /// Returns `None` when the table is full.
-    pub fn classify(&mut self, key: u64) -> Option<FlowId> {
-        if let Some(&f) = self.map.get(&key) {
-            return Some(f);
-        }
-        if self.next >= self.capacity {
-            return None;
-        }
-        let f = FlowId::new(self.next);
-        self.next += 1;
-        self.map.insert(key, f);
-        Some(f)
-    }
-
-    /// Number of flows allocated so far.
-    pub fn len(&self) -> u32 {
-        self.next
-    }
-
-    /// Whether no flows have been allocated.
-    pub fn is_empty(&self) -> bool {
-        self.next == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,18 +167,5 @@ mod tests {
         let share0 = counts[0] as f64 / 50_000.0;
         assert!((0.57..0.63).contains(&share0), "share0 {share0}");
         assert_eq!(mix.flows(), 4);
-    }
-
-    #[test]
-    fn flow_table_allocates_densely() {
-        let mut t = FlowTable::new(2);
-        assert!(t.is_empty());
-        let a = t.classify(0xAAAA).unwrap();
-        let b = t.classify(0xBBBB).unwrap();
-        assert_eq!(a, FlowId::new(0));
-        assert_eq!(b, FlowId::new(1));
-        assert_eq!(t.classify(0xAAAA), Some(a), "stable mapping");
-        assert_eq!(t.classify(0xCCCC), None, "table full");
-        assert_eq!(t.len(), 2);
     }
 }

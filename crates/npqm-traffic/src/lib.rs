@@ -10,8 +10,7 @@
 //! * [`size`] — packet-size distributions (worst-case 64-byte, IMIX,
 //!   uniform);
 //! * [`arrival`] — arrival processes (CBR, Poisson, bursty on-off);
-//! * [`flows`] — flow-population models (uniform, Zipf) and a flow table;
-//! * [`trace`] — recordable/replayable workload traces;
+//! * [`flows`] — flow-population models (uniform, Zipf, weighted);
 //! * [`adversary`] — seeded adversarial arena traces crafted against
 //!   each shipped drop policy, for the competitive-analysis arena of
 //!   `npqm_core::arena` (the `table9` experiments);
@@ -74,7 +73,6 @@ pub mod pipeline;
 pub mod scale;
 pub mod service;
 pub mod size;
-pub mod trace;
 
 pub use arrival::ArrivalProcess;
 pub use builder::PipelineBuilder;
@@ -83,4 +81,3 @@ pub use packet::{AtmCell, EthernetFrame, Ipv4Packet, MacAddr, VlanTag};
 pub use pipeline::{PipelineConfig, PipelineReport, PolicyOutcome};
 pub use service::{run_service, run_service_observed, ServiceConfig, ServiceReport};
 pub use size::SizeDistribution;
-pub use trace::{Trace, TraceRecord};

@@ -17,11 +17,12 @@
 //! fills its lanes until one is full) and a *serve* phase (every shard,
 //! in shard order, runs until it needs input its lanes do not hold yet).
 //! The driver owns the lanes as plain queues and lends generator `g` its
-//! lane column and shard `s` its lane row for one phase. Shards never
-//! wait on each other — each owns its engine, ledger and event queue
-//! outright and snapshots in stride — so N shards model N engines the way
-//! [`ShardedQueueManager`]'s busy-time composite does, without running
-//! them at once.
+//! lane column and shard `s` its lane row for one phase; the serve phase
+//! is one [`ShardedQueueManager::for_each_shard`] call, which lends shard
+//! `s`'s loop its engine and times it. Shards never wait on each other —
+//! each owns its ledger and event queue outright and snapshots in stride
+//! — so N shards model N engines the way [`ShardedQueueManager`]'s
+//! busy-time composite does, without running them at once.
 //!
 //! Three properties define the mode:
 //!
@@ -56,10 +57,14 @@
 //! force-pushes the earliest parked packet past its full lane, counted
 //! in `reorder_peak`. So the whole [`ServiceReport`] — backpressure
 //! counts and `reorder_peak` included — is a pure function of the
-//! configuration, except its wall-clock measurements (`busy`,
-//! `critical_path`, `wall_clock`). Worker threads per phase were built
-//! and measured and lost to this serial driver; the `threads` argument of
-//! [`run_service`] is what remains of them, and it is ignored.
+//! configuration, except its wall-clock measurements: `busy` and
+//! `critical_path` are the engine's own
+//! [`busy_times`](ShardedQueueManager::busy_times) and
+//! [`critical_path`](ShardedQueueManager::critical_path), which only
+//! `for_each_shard` writes, and `wall_clock` is the run's. Worker threads
+//! per phase were built and measured and lost to this serial driver; the
+//! `threads` argument of [`run_service`] is what remains of them, and it
+//! is ignored.
 //!
 //! The lane-driven `ShardLoop` here and the finite-trace event loop in
 //! [`crate::pipeline`] share the draw primitives this module owns
@@ -281,9 +286,9 @@ impl LoopState {
         let fr = &mut self.reports[home].flows[flow.as_usize()];
         fr.offered_pkts += 1;
         fr.offered_bytes += size as u64;
-        let (evicted, admitted, refused) = match scope.offer(flow, &self.payload[..size]) {
-            Ok(admission) => (admission.evicted, true, None),
-            Err(refusal) => (refusal.evicted, false, Some(refusal.reason)),
+        let (evicted, refused) = match scope.offer(flow, &self.payload[..size]) {
+            Ok(admission) => (admission.evicted, None),
+            Err(refusal) => (refusal.evicted, Some(refusal.reason)),
         };
         let mut evicted_n = 0u64;
         for (victim, bytes) in evicted {
@@ -292,7 +297,7 @@ impl LoopState {
             let vr = &mut self.reports[scope.shard_of(victim)];
             let slot = self.ledger[victim.as_usize()]
                 .pop_front()
-                .expect("evicted packet must be in the ledger");
+                .expect("a victim was admitted, and every admission pushed its slot");
             if slot.len != bytes {
                 vr.integrity_violations += 1;
             }
@@ -306,20 +311,9 @@ impl LoopState {
             }
         }
         let fr = &mut self.reports[home].flows[flow.as_usize()];
-        if admitted {
-            self.ledger[flow.as_usize()].push_back(Slot {
-                enqueued_at: now,
-                len: size as u32,
-                marker,
-            });
-            fr.admitted_pkts += 1;
-            if let Some(t) = &mut self.tel {
-                t.record_admit(now, flow, size as u32);
-            }
-        } else {
+        if let Some(reason) = refused {
             fr.dropped_pkts += 1;
             if let Some(t) = &mut self.tel {
-                let reason = refused.expect("refusal carries its reason");
                 let (depth, occupancy) = scope.depth_and_occupancy(flow);
                 t.record_drop(
                     now,
@@ -331,9 +325,19 @@ impl LoopState {
                     occupancy,
                 );
             }
+        } else {
+            self.ledger[flow.as_usize()].push_back(Slot {
+                enqueued_at: now,
+                len: size as u32,
+                marker,
+            });
+            fr.admitted_pkts += 1;
+            if let Some(t) = &mut self.tel {
+                t.record_admit(now, flow, size as u32);
+            }
         }
         ArrivalOutcome {
-            admitted,
+            admitted: refused.is_none(),
             evicted: evicted_n,
         }
     }
@@ -430,7 +434,7 @@ impl ServiceConfig {
                 .num_segments(256)
                 .segment_bytes(64)
                 .build()
-                .expect("static configuration is valid"),
+                .expect("8 flows, 256 segments of 64 B pass every check of build"),
             arrivals: ArrivalProcess::Poisson {
                 mean_interval: Picos::from_nanos(2_000),
             },
@@ -462,7 +466,7 @@ impl ServiceConfig {
                 .num_segments(8192)
                 .segment_bytes(64)
                 .build()
-                .expect("static configuration is valid"),
+                .expect("64 flows, 8192 segments of 64 B pass every check of build"),
             arrivals: ArrivalProcess::Poisson {
                 mean_interval: Picos::from_micros(2),
             },
@@ -651,12 +655,12 @@ type Lane = VecDeque<ArrivalEvent>;
 /// merges lane heads in virtual-time order with scheduled egress
 /// completions and processes exactly one arrival (plus any completions
 /// due before it), maintaining epoch windows and boundary snapshots as
-/// time advances. The loop owns its shard's engine, ledger and event
-/// queue outright, so shards never wait on each other.
+/// time advances. The loop owns its shard's ledger and event queue
+/// outright and is lent its engine for one serve phase at a time, so
+/// shards never wait on each other.
 struct ShardLoop<'a, P, S> {
     cfg: &'a ServiceConfig,
     shard: usize,
-    qm: &'a mut QueueManager,
     policy: P,
     sched: S,
     st: LoopState,
@@ -674,10 +678,6 @@ struct ShardLoop<'a, P, S> {
     stop_at: Option<Picos>,
     done: bool,
     final_digest: u64,
-    /// Whether the last serve phase processed an event.
-    progressed: bool,
-    /// Wall-clock spent in serve phases.
-    busy: Duration,
     /// Peak overshoot of this shard's lane row (see
     /// [`ShardServiceReport::reorder_peak`]).
     reorder_peak: u64,
@@ -691,14 +691,12 @@ where
     fn new(
         cfg: &'a ServiceConfig,
         shard: usize,
-        qm: &'a mut QueueManager,
         policy: P,
         sched: S,
         stop_at: Option<Picos>,
     ) -> Self {
         ShardLoop {
             shard,
-            qm,
             policy,
             sched,
             st: LoopState::new(1, cfg.mix.flows(), cfg.sizes.max_bytes(), cfg.telemetry),
@@ -715,8 +713,6 @@ where
             stop_at,
             done: false,
             final_digest: 0,
-            progressed: false,
-            busy: Duration::ZERO,
             reorder_peak: 0,
             cfg,
         }
@@ -731,10 +727,10 @@ where
     /// completes and snapshotting the shard at each boundary — *before*
     /// the event at `t` is applied, so each snapshot observes exactly
     /// the state at its boundary.
-    fn advance_virtual(&mut self, t: Picos, obs: &impl Fn(usize, &EpochWindow)) {
+    fn advance_virtual(&mut self, qm: &QueueManager, t: Picos, obs: &impl Fn(usize, &EpochWindow)) {
         for e in self.clock.advance_to(t) {
-            let digest = shard_state_digest(self.qm, &self.st.ledger);
-            let (verify_ok, segments_used, payload_bytes) = match self.qm.verify() {
+            let digest = shard_state_digest(qm, &self.st.ledger);
+            let (verify_ok, segments_used, payload_bytes) = match qm.verify() {
                 Ok(r) => (true, r.segments_used, r.payload_bytes),
                 Err(_) => (false, 0, 0),
             };
@@ -759,18 +755,15 @@ where
                 let at = self.clock.boundary(e);
                 tel.record_epoch(at, e);
                 let mut reg = MetricsRegistry::new();
-                reg.record_qm("qm.", self.qm.stats());
-                reg.record_ptr("ptr.", &self.qm.ptr_counters());
+                reg.record_qm("qm.", qm.stats());
+                reg.record_ptr("ptr.", &qm.ptr_counters());
                 reg.counter("service.window.offered_pkts", w.offered_pkts);
                 reg.counter("service.window.admitted_pkts", w.admitted_pkts);
                 reg.counter("service.window.dropped_pkts", w.dropped_pkts);
                 reg.counter("service.window.evicted_pkts", w.evicted_pkts);
                 reg.counter("service.window.delivered_pkts", w.delivered_pkts);
                 reg.counter("service.window.delivered_bytes", w.delivered_bytes);
-                reg.gauge(
-                    "qm.occupied_segments",
-                    f64::from(self.qm.occupied_segments()),
-                );
+                reg.gauge("qm.occupied_segments", f64::from(qm.occupied_segments()));
                 tel.snapshot_metrics(e, reg);
             }
             obs(self.shard, &w);
@@ -779,9 +772,9 @@ where
     }
 
     /// Dequeues through the scheduler if the server is idle.
-    fn serve(&mut self) {
+    fn serve(&mut self, qm: &mut QueueManager) {
         self.server_busy = start_service(
-            self.qm,
+            qm,
             &mut self.sched,
             &mut self.st,
             0,
@@ -791,30 +784,40 @@ where
         );
     }
 
-    /// Processes the earliest scheduled egress completion. Returns
-    /// `false` if it lies at/beyond the stop boundary (the loop then
-    /// freezes instead).
-    fn step_txdone(&mut self, obs: &impl Fn(usize, &EpochWindow)) -> bool {
-        let t = self.ev.peek_time().expect("caller checked a pending event");
-        if self.cut(t) {
-            self.finalize(true, obs);
-            return false;
+    /// Processes every scheduled egress completion due at or before
+    /// `until`, earliest first. Returns `false` if one lies at/beyond the
+    /// stop boundary (the loop then freezes instead). Inlined: a call per
+    /// arrival, due completion or not, cost the service 2-3 %.
+    #[inline]
+    fn complete_until(
+        &mut self,
+        qm: &mut QueueManager,
+        until: Picos,
+        obs: &impl Fn(usize, &EpochWindow),
+    ) -> bool {
+        while let Some(t) = self.ev.peek_time().filter(|&t| t <= until) {
+            if self.cut(t) {
+                self.finalize(qm, true, obs);
+                return false;
+            }
+            self.advance_virtual(qm, t, obs);
+            let Some((now, tx)) = self.ev.pop() else {
+                break;
+            };
+            let lat_ns = self.st.delivery(now, 0, tx);
+            self.cur.delivered_pkts += 1;
+            self.cur.delivered_bytes += u64::from(tx.bytes);
+            self.cur.latency_ns.record(lat_ns);
+            self.segments += u64::from(tx.bytes.div_ceil(self.seg_bytes));
+            self.serve(qm);
         }
-        self.advance_virtual(t, obs);
-        let (now, tx) = self.ev.pop().expect("peeked event present");
-        let lat_ns = self.st.delivery(now, 0, tx);
-        self.cur.delivered_pkts += 1;
-        self.cur.delivered_bytes += u64::from(tx.bytes);
-        self.cur.latency_ns.record(lat_ns);
-        self.segments += u64::from(tx.bytes.div_ceil(self.seg_bytes));
-        self.serve();
         true
     }
 
     /// Applies one arrival.
-    fn apply_arrival(&mut self, pkt: ArrivalEvent) {
+    fn apply_arrival(&mut self, qm: &mut QueueManager, pkt: ArrivalEvent) {
         let scope = &mut ShardLocal {
-            qm: self.qm,
+            qm: &mut *qm,
             policy: &mut self.policy,
         };
         let out = self.st.arrival(scope, pkt);
@@ -828,13 +831,13 @@ where
             self.cur.dropped_pkts += 1;
         }
         if !self.server_busy {
-            self.serve();
+            self.serve(qm);
         }
     }
 
     /// Freezes the loop: pushes the final (partial) window on a full
     /// drain, folds the per-flow report and digests the frozen state.
-    fn finalize(&mut self, stopped: bool, obs: &impl Fn(usize, &EpochWindow)) {
+    fn finalize(&mut self, qm: &QueueManager, stopped: bool, obs: &impl Fn(usize, &EpochWindow)) {
         if !stopped {
             let e = self.cur.epoch;
             let w = std::mem::replace(
@@ -849,26 +852,27 @@ where
             // property tests check trace counts against.
             let counts = *tel.counts();
             let mut reg = MetricsRegistry::new();
-            reg.record_qm("qm.", self.qm.stats());
-            reg.record_ptr("ptr.", &self.qm.ptr_counters());
+            reg.record_qm("qm.", qm.stats());
+            reg.record_ptr("ptr.", &qm.ptr_counters());
             reg.record_event_counts("trace.", &counts);
             tel.set_final_metrics(reg);
         }
         self.st.finish(self.ev.now());
-        self.final_digest = shard_state_digest(self.qm, &self.st.ledger);
+        self.final_digest = shard_state_digest(qm, &self.st.ledger);
         self.done = true;
     }
 
-    /// One scheduling quantum: merge lane heads and scheduled
-    /// completions in virtual-time order (completions win time ties; see
-    /// the module docs) and process the earliest. The shard's event
-    /// sequence — hence its state, windows and snapshots — is a pure
-    /// function of the lane contents. `closed[g]` says generator `g` will
-    /// never produce again. Returns whether an event was processed (call
-    /// again); `false` means the loop is done or needs input its lanes do
-    /// not hold yet.
+    /// One scheduling quantum on the lent engine `qm`: merge lane heads
+    /// and scheduled completions in virtual-time order (completions win
+    /// time ties; see the module docs) and process the earliest. The
+    /// shard's event sequence — hence its state, windows and snapshots —
+    /// is a pure function of the lane contents. `closed[g]` says
+    /// generator `g` will never produce again. Returns whether an arrival
+    /// was processed (call again); `false` means the loop is done or
+    /// needs input its lanes do not hold yet.
     fn process_once(
         &mut self,
+        qm: &mut QueueManager,
         row: &mut [Lane],
         closed: &[bool],
         obs: &impl Fn(usize, &EpochWindow),
@@ -886,45 +890,39 @@ where
                 }
             }
         }
-        let next = self
-            .heads
-            .iter()
-            .enumerate()
-            .filter_map(|(g, h)| h.as_ref().map(|p| (p.at, g)))
-            .min();
-        match next {
-            Some((at, g)) => {
-                while self.ev.peek_time().is_some_and(|t| t <= at) {
-                    if !self.step_txdone(obs) {
-                        return false;
-                    }
-                }
-                if self.cut(at) {
-                    self.finalize(true, obs);
-                    return false;
-                }
-                let pkt = self.heads[g].take().expect("head chosen by the merge");
-                self.advance_virtual(at, obs);
-                self.ev.advance_to(at);
-                self.apply_arrival(pkt);
-                true
+        // The earliest head (ties: lowest generator) leaves its slot
+        // now; a loop that freezes below never reads its heads again.
+        let next = (self.heads.iter_mut())
+            .filter(|head| head.is_some())
+            .min_by_key(|head| head.map(|p| p.at))
+            .and_then(Option::take);
+        let Some(pkt) = next else {
+            // Every lane closed: drain the backlog.
+            if self.complete_until(qm, Picos::new(u64::MAX), obs) {
+                self.finalize(qm, false, obs);
             }
-            None => {
-                // Every lane closed: drain the backlog.
-                while self.ev.peek_time().is_some() {
-                    if !self.step_txdone(obs) {
-                        return false;
-                    }
-                }
-                self.finalize(false, obs);
-                false
-            }
+            return false;
+        };
+        if !self.complete_until(qm, pkt.at, obs) {
+            return false;
         }
+        if self.cut(pkt.at) {
+            self.finalize(qm, true, obs);
+            return false;
+        }
+        self.advance_virtual(qm, pkt.at, obs);
+        self.ev.advance_to(pkt.at);
+        self.apply_arrival(qm, pkt);
+        true
     }
 
-    fn into_report(mut self) -> ShardServiceReport {
+    fn into_report(mut self, busy: Duration) -> ShardServiceReport {
         let residual_pkts = self.st.buffered_pkts();
-        let mut report = self.st.reports.pop().expect("one shard per loop");
+        let mut report = self
+            .st
+            .reports
+            .pop()
+            .expect("LoopState::new(1, ..) made one report");
         report.telemetry = self.st.tel;
         ShardServiceReport {
             residual_pkts,
@@ -934,7 +932,7 @@ where
             final_digest: self.final_digest,
             ring_full_events: 0,
             reorder_peak: self.reorder_peak,
-            busy: self.busy,
+            busy,
             segments_processed: self.segments,
         }
     }
@@ -964,8 +962,8 @@ pub struct ShardServiceReport {
     /// Peak number of packets this shard's lanes held beyond their ring
     /// capacity (force-pushed by the driver's stalled-round escape).
     pub reorder_peak: u64,
-    /// Wall-clock time this shard's loop spent processing (its serve
-    /// phases).
+    /// This shard's engine busy time: the wall clock of its serve phases,
+    /// as [`ShardedQueueManager::for_each_shard`] measured it.
     pub busy: Duration,
     /// Segments enqueued plus segments dequeued, the same work unit the
     /// scale experiment counts.
@@ -999,7 +997,8 @@ pub struct ServiceReport {
     pub reorder_peak: u64,
     /// Total segments enqueued + dequeued across shards.
     pub segments_processed: u64,
-    /// Busy time of the busiest shard (parallel-composite makespan).
+    /// Busy time of the busiest shard (parallel-composite makespan), the
+    /// engine's [`critical_path`](ShardedQueueManager::critical_path).
     pub critical_path: Duration,
     /// Wall-clock duration of the whole run.
     pub wall_clock: Duration,
@@ -1103,22 +1102,17 @@ where
 
     let wall = Instant::now();
     let mut engine = ShardedQueueManager::partitioned(cfg.qm, cfg.shards)
-        .expect("per-shard buffer must be non-empty");
+        .expect("per-shard buffer must be non-empty (a config error, under # Panics)");
     let policies: Vec<P> = (0..cfg.shards).map(mk_policy).collect();
     let scheds: Vec<S> = (0..cfg.shards).map(mk_sched).collect();
     let shard_of_flow: Vec<usize> = (0..flows)
         .map(|f| engine.shard_of(FlowId::new(f)))
         .collect();
 
-    let loops: Vec<ShardLoop<'_, P, S>> = engine
-        .shards_mut()
-        .iter_mut()
-        .zip(policies)
-        .zip(scheds)
-        .enumerate()
-        .map(|(s, ((qm, policy), sched))| ShardLoop::new(cfg, s, qm, policy, sched, stop_at))
+    let loops: Vec<ShardLoop<'_, P, S>> = (policies.into_iter().zip(scheds).enumerate())
+        .map(|(s, (policy, sched))| ShardLoop::new(cfg, s, policy, sched, stop_at))
         .collect();
-    let mut shards = run_rounds(cfg, loops, &shard_of_flow, observe);
+    let mut shards = run_rounds(cfg, &mut engine, loops, &shard_of_flow, observe);
 
     if stop_at.is_none() {
         debug_assert!(
@@ -1170,7 +1164,7 @@ where
         ring_full_events: shards.iter().map(|s| s.ring_full_events).sum(),
         reorder_peak: shards.iter().map(|s| s.reorder_peak).max().unwrap_or(0),
         segments_processed: shards.iter().map(|s| s.segments_processed).sum(),
-        critical_path: shards.iter().map(|s| s.busy).max().unwrap_or_default(),
+        critical_path: engine.critical_path(),
         shards,
         aggregate: assembled.aggregate,
         windows,
@@ -1198,14 +1192,17 @@ struct Pump<I> {
 
 /// The one driver: wall-clock-free rounds of "pump every generator into
 /// its lane column (stalling, with a count, on a full lane)" then "run
-/// every shard's `process_once` until it needs input", generators and
-/// shards in index order. A round with no progress force-pushes the
-/// earliest stalled packet past its full lane (counted as overshoot in
-/// that lane row's `reorder_peak`), so producer/consumer cycles cannot
-/// deadlock the driver; only the busy times read a clock, so results
-/// stay a pure function of the configuration.
+/// every unfinished shard's `process_once` until it needs input" (one
+/// [`ShardedQueueManager::for_each_shard`] call, which lends each loop
+/// its engine and times it), generators and shards in index order. A
+/// round with no progress force-pushes the earliest stalled packet past
+/// its full lane (counted as overshoot in that lane row's
+/// `reorder_peak`), so producer/consumer cycles cannot deadlock the
+/// driver; only the engine's busy times read a clock, so results stay a
+/// pure function of the configuration.
 fn run_rounds<P, S>(
     cfg: &ServiceConfig,
+    engine: &mut ShardedQueueManager,
     mut loops: Vec<ShardLoop<'_, P, S>>,
     shard_of_flow: &[usize],
     observe: &impl Fn(usize, &EpochWindow),
@@ -1255,34 +1252,35 @@ where
                 gen.progressed = true;
             };
         }
-        // Serve phase: every shard runs until it needs input or is done.
+        // Serve phase: every unfinished shard runs until it needs input
+        // or is done. A finished shard is skipped, and it could not move.
         let closed: Vec<bool> = gens.iter().map(|gen| gen.exhausted).collect();
-        for lp in &mut loops {
-            let row = &mut lanes[lp.shard];
-            let t0 = Instant::now();
-            lp.progressed = false;
-            while lp.process_once(row, &closed, observe) {
-                lp.progressed = true;
-            }
-            lp.busy += t0.elapsed();
-        }
+        let mut served = false;
+        engine.for_each_shard(
+            &mut loops,
+            |lp| !lp.done,
+            |qm, lp| {
+                while lp.process_once(qm, &mut lanes[lp.shard], &closed, observe) {
+                    served = true;
+                }
+            },
+        );
         if loops.iter().all(|lp| lp.done) {
             break;
         }
-        if gens.iter().any(|gen| gen.progressed) || loops.iter().any(|lp| lp.progressed) {
+        if served || gens.iter().any(|gen| gen.progressed) {
             continue;
         }
         // Deadlock escape: deliver the earliest stalled packet (ties:
         // lowest generator) past its full lane; the stall was already
         // counted above.
-        let gen = gens
-            .iter_mut()
-            .filter(|gen| gen.pending.is_some())
-            .min_by_key(|gen| gen.pending.map(|p| p.at))
-            .expect("a stalled round must have a pending packet");
-        let pkt = gen.pending.take().expect("selected for its pending");
+        let (g, pkt) = (gens.iter())
+            .filter_map(|gen| Some((gen.g, gen.pending?)))
+            .min_by_key(|(_, pkt)| pkt.at)
+            .expect("pumps end exhausted or parked, and with all exhausted every loop finishes");
+        gens[g].pending = None;
         let s = shard_of_flow[pkt.flow.as_usize()];
-        lanes[s][gen.g].push_back(pkt);
+        lanes[s][g].push_back(pkt);
         let over: usize = lanes[s]
             .iter()
             .map(|lane| lane.len().saturating_sub(cap))
@@ -1290,8 +1288,9 @@ where
         loops[s].reorder_peak = loops[s].reorder_peak.max(over as u64);
     }
 
-    let mut shards: Vec<ShardServiceReport> =
-        loops.into_iter().map(ShardLoop::into_report).collect();
+    let mut shards: Vec<ShardServiceReport> = (loops.into_iter().zip(engine.busy_times()))
+        .map(|(lp, &busy)| lp.into_report(busy))
+        .collect();
     // Attribute backpressure stalls to the stalled packet's epoch
     // window; totals stay exactly the sum of the windows.
     for ((s, e), n) in gens.into_iter().flat_map(|gen| gen.stalls) {
@@ -1547,7 +1546,7 @@ mod tests {
         // The traffic of `pipeline::tests::tie_heavy` through the service:
         // CBR 50 ns arrivals of 64 B packets into 5 Gbit/s, so an arrival
         // and a completion collide on the same picosecond every 125th
-        // service. Completions go first (`t <= at` in `process_once`).
+        // service. Completions go first (`t <= until` in `complete_until`).
         // The engine is small (8 flows, 128 segments) so that the buffer
         // is full at every collision and the queue being served is often
         // the one LQD evicts from: with `<` the eviction *count* stays
@@ -1586,6 +1585,32 @@ mod tests {
         assert_eq!(r.aggregate.offered_pkts, 4000);
         assert_eq!(r.aggregate.evicted_pkts, 1919);
         assert_eq!(hash, 0xf024_9ac5_6811_4b74, "aggregate moved: {hash:#018x}");
+    }
+
+    #[test]
+    fn round_driver_is_pinned_under_constant_stalls() {
+        // One-packet lanes fed by four generators: lanes stall in every
+        // round and the deadlock escape fires over and over, so this pins
+        // the round driver's order (pump, serve, escape) on a run where
+        // all three act constantly. Constants recorded at 146eec6.
+        let mut cfg = ServiceConfig::steady_demo(7);
+        cfg.ring_capacity = 1;
+        cfg.generators = 4;
+        let r = demo_run(&cfg);
+        let per_shard: Vec<(u64, u64)> = (r.shards.iter())
+            .map(|sh| (sh.ring_full_events, sh.reorder_peak))
+            .collect();
+        assert_eq!((r.ring_full_events, r.reorder_peak), (8589, 17));
+        assert_eq!(per_shard, [(3201, 17), (5388, 14)]);
+        let epochs = (r.epoch_digests.iter()).fold(FNV_OFFSET_BASIS, |h, &d| fnv1a_fold(h, d));
+        assert_eq!(r.epoch_digests.len(), 10);
+        assert_eq!(
+            epochs, 0x900a_69bd_0b92_cfd0,
+            "epoch digests moved: {epochs:#018x}"
+        );
+        assert_eq!(r.final_digest, 0x8433_0d7f_0c59_5880);
+        let busiest = r.shards.iter().map(|sh| sh.busy).max();
+        assert_eq!(Some(r.critical_path), busiest);
     }
 
     #[test]

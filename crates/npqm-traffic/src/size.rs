@@ -20,9 +20,6 @@ pub enum SizeDistribution {
 }
 
 impl SizeDistribution {
-    /// The paper's worst-case workload.
-    pub const WORST_CASE: SizeDistribution = SizeDistribution::Fixed(64);
-
     /// Draws one packet size in bytes.
     ///
     /// # Panics

@@ -3,29 +3,19 @@
 
 use npqm::core::FlowId;
 use npqm::sim::rng::Xoshiro256pp;
-use npqm::sim::time::Picos;
 use npqm::traffic::apps::{AtmSwitch, Lpm, Nat, PppEncapsulator, QosSwitch, Router};
-use npqm::traffic::arrival::ArrivalProcess;
 use npqm::traffic::flows::FlowMix;
 use npqm::traffic::packet::{EthernetFrame, Ipv4Packet, MacAddr, VlanTag};
+use npqm::traffic::service::PacketStream;
 use npqm::traffic::size::SizeDistribution;
-use npqm::traffic::trace::Trace;
 
-/// A Zipf-skewed IMIX trace through a 4-port QoS switch: everything that
-/// goes in comes out, in per-class FIFO order, and the engine's structural
-/// invariants hold afterwards.
+/// A Zipf-skewed IMIX packet stream through a 4-port QoS switch:
+/// everything that goes in comes out, in per-class FIFO order, and the
+/// engine's structural invariants hold afterwards.
 #[test]
 fn trace_through_qos_switch() {
     let mix = FlowMix::zipf(3, 1.0); // three talkers
-    let trace = Trace::generate(
-        800,
-        ArrivalProcess::Poisson {
-            mean_interval: Picos::from_nanos(500),
-        },
-        SizeDistribution::Imix,
-        &mix,
-        11,
-    );
+    let mut stream = PacketStream::new(&mix, &SizeDistribution::Imix, 11);
     let mut sw = QosSwitch::new(4).unwrap();
     let hosts: Vec<MacAddr> = (0..4).map(|i| MacAddr([0x10 + i as u8; 6])).collect();
     // Teach the switch all hosts.
@@ -49,8 +39,9 @@ fn trace_through_qos_switch() {
 
     let mut rng = Xoshiro256pp::seed_from_u64(12);
     let mut sent = 0u32;
-    for rec in trace.records() {
-        let src_port = rec.flow.index();
+    for _ in 0..800 {
+        let (flow, size, _) = stream.next_packet();
+        let src_port = flow.index();
         let frame = EthernetFrame {
             dst: hosts[3],
             src: hosts[src_port as usize],
@@ -59,8 +50,8 @@ fn trace_through_qos_switch() {
                 vid: 7,
             }),
             ethertype: 0x0800,
-            // Frame payload sized from the trace (bounded by segment math).
-            payload: vec![0xCC; rec.size.clamp(46, 1500) as usize],
+            // Frame payload sized from the stream (bounded by segment math).
+            payload: vec![0xCC; size.clamp(46, 1500) as usize],
         };
         if src_port != 3 {
             sw.rx(src_port, &frame.to_bytes()).unwrap();
