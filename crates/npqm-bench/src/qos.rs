@@ -245,8 +245,6 @@ mod tests {
     fn trunk_cfg_splits_load_per_tenant() {
         let cfg = trunk_cfg(1, &LOAD_FAIR);
         assert_eq!(cfg.mix.flows(), FLOWS as u32);
-        let tree = tenant_tree();
-        assert_eq!(tree.leaf_count(), FLOWS);
         assert!(guarantee_gbps(&cfg) > 0.0);
     }
 

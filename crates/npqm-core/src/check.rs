@@ -396,10 +396,9 @@ use fnv1a_fold as fnv1a;
 /// access counter moves), which makes the digest safe to take mid-test.
 ///
 /// Two engines with equal digests executed behaviourally identical
-/// histories for every practical purpose; the batch-equivalence
-/// property tests use this to prove that
-/// [`crate::shard::ShardedQueueManager::execute_batch`] leaves
-/// *exactly* the state one-by-one replay does, and `table7 --check`
+/// histories for every practical purpose; the property tests use this to
+/// prove that a one-shard [`crate::shard::ShardedQueueManager`] leaves
+/// *exactly* the state a plain engine does, and `table7 --check`
 /// includes it in the machine-readable determinism report.
 pub fn state_digest(qm: &QueueManager) -> u64 {
     let cfg = &qm.cfg;
@@ -675,7 +674,7 @@ mod tests {
             (
                 "packet space not partitioned: 3 used + 508 free != 512",
                 |qm| {
-                    qm.pkt_fl.alloc(&mut qm.ptr).unwrap();
+                    qm.pkt_fl.alloc(&mut qm.ptr);
                 },
             ),
             // A link, queued or free, to an id no free list handed out.

@@ -225,8 +225,8 @@ impl QueueManager {
         self.execute_ref(&cmd)
     }
 
-    /// [`execute`](Self::execute) on a borrowed command: the batch
-    /// executors dispatch from a `&[Command]` without cloning payloads.
+    /// [`execute`](Self::execute) on a borrowed command: the sharded
+    /// engine dispatches it without cloning its payload.
     pub(crate) fn execute_ref(&mut self, cmd: &Command) -> Result<Outcome, QueueError> {
         match *cmd {
             Command::Enqueue {

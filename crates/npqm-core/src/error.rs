@@ -13,8 +13,6 @@ use core::fmt;
 pub enum QueueError {
     /// The segment free list is exhausted — the data memory is full.
     OutOfSegments,
-    /// The packet-record free list is exhausted.
-    OutOfPacketRecords,
     /// The flow id is outside the configured flow-table range.
     UnknownFlow {
         /// The offending flow.
@@ -42,11 +40,13 @@ pub enum QueueError {
         /// The flow whose head packet is mid-service.
         flow: FlowId,
     },
-    /// The supplied payload exceeds the configured segment size.
+    /// The supplied payload exceeds the configured segment size, or a
+    /// length rewrite exceeds the head segment's length.
     SegmentOverflow {
         /// Bytes supplied.
         len: usize,
-        /// Configured segment size.
+        /// Configured segment size (for a length rewrite, the head
+        /// segment's length).
         segment_bytes: u32,
     },
     /// A zero-length payload was supplied where data is required.
@@ -62,7 +62,6 @@ impl fmt::Display for QueueError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             QueueError::OutOfSegments => write!(f, "segment free list exhausted"),
-            QueueError::OutOfPacketRecords => write!(f, "packet-record free list exhausted"),
             QueueError::UnknownFlow { flow, num_flows } => {
                 write!(f, "{flow} outside configured range of {num_flows} flows")
             }
@@ -110,10 +109,6 @@ mod tests {
     fn display_messages_are_lowercase_and_informative() {
         let cases: Vec<(QueueError, &str)> = vec![
             (QueueError::OutOfSegments, "segment free list exhausted"),
-            (
-                QueueError::OutOfPacketRecords,
-                "packet-record free list exhausted",
-            ),
             (
                 QueueError::UnknownFlow {
                     flow: FlowId::new(99),

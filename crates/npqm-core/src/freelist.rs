@@ -397,21 +397,20 @@ impl PktFreeList {
     /// Pops a free packet record; once the linked stack is empty, the
     /// next fresh id, which the fully linked list holds below it.
     ///
-    /// # Errors
-    ///
-    /// Returns [`QueueError::OutOfPacketRecords`] when exhausted.
-    pub fn alloc(&mut self, pm: &mut PtrMem) -> Result<PacketId, QueueError> {
+    /// The list never runs dry under the engine: there is one record per
+    /// segment and every queued packet holds at least one segment, so
+    /// free records ≥ free segments, and every command that takes a
+    /// record first reserves a segment for it.
+    pub fn alloc(&mut self, pm: &mut PtrMem) -> PacketId {
+        debug_assert!(self.free > 0, "a packet record per reserved segment");
         if self.head.is_nil() {
-            if self.fresh == self.end {
-                return Err(QueueError::OutOfPacketRecords);
-            }
             self.head = pm.materialise_pkt();
             self.fresh += 1;
         }
         let id = self.head;
         self.head = pm.pkt(id).next_pkt;
         self.free -= 1;
-        Ok(id)
+        id
     }
 
     /// Returns a packet record to the free list.
@@ -538,11 +537,11 @@ mod tests {
         let mut pm = PtrMem::new(4, 1);
         let mut fl = PktFreeList::init(&mut pm);
         assert_eq!(fl.free_count(), 4);
-        let a = fl.alloc(&mut pm).unwrap();
-        let b = fl.alloc(&mut pm).unwrap();
+        let a = fl.alloc(&mut pm);
+        let b = fl.alloc(&mut pm);
         assert_ne!(a, b);
         fl.release(&mut pm, a);
-        assert_eq!(fl.alloc(&mut pm).unwrap(), a, "LIFO reuse");
+        assert_eq!(fl.alloc(&mut pm), a, "LIFO reuse");
         let free = fl.collect_free(&pm);
         assert_eq!(free.len() as u32, fl.free_count());
     }
@@ -551,7 +550,7 @@ mod tests {
     fn pkt_release_clears_record() {
         let mut pm = PtrMem::new(2, 1);
         let mut fl = PktFreeList::init(&mut pm);
-        let a = fl.alloc(&mut pm).unwrap();
+        let a = fl.alloc(&mut pm);
         let mut rec = pm.pkt(a);
         rec.segs = 9;
         rec.bytes = 99;
@@ -566,10 +565,17 @@ mod tests {
 
     #[test]
     fn pkt_exhaustion() {
-        let mut pm = PtrMem::new(1, 1);
+        // Drained, the list holds nothing; a released record is the next
+        // one out. (The engine never pops an empty list: one record per
+        // segment, and a segment is reserved first.)
+        let mut pm = PtrMem::new(2, 1);
         let mut fl = PktFreeList::init(&mut pm);
-        fl.alloc(&mut pm).unwrap();
-        assert_eq!(fl.alloc(&mut pm), Err(QueueError::OutOfPacketRecords));
+        let (a, b) = (fl.alloc(&mut pm), fl.alloc(&mut pm));
+        assert_ne!(a, b);
+        assert_eq!(fl.free_count(), 0);
+        assert!(fl.collect_free(&pm).is_empty());
+        fl.release(&mut pm, b);
+        assert_eq!(fl.alloc(&mut pm), b);
     }
 
     /// The fully linked segment list, every record written and linked at
@@ -875,7 +881,6 @@ mod tests {
                     },
                 );
             }
-            pm.reset_counters();
             EagerPktList {
                 head: if n == 0 {
                     PacketId::NIL
@@ -886,14 +891,11 @@ mod tests {
             }
         }
 
-        fn alloc(&mut self, pm: &mut PtrMem) -> Result<PacketId, QueueError> {
-            if self.head.is_nil() {
-                return Err(QueueError::OutOfPacketRecords);
-            }
+        fn alloc(&mut self, pm: &mut PtrMem) -> PacketId {
             let id = self.head;
             self.head = pm.pkt(id).next_pkt;
             self.free -= 1;
-            Ok(id)
+            id
         }
 
         fn release(&mut self, pm: &mut PtrMem, id: PacketId) {
@@ -912,41 +914,43 @@ mod tests {
         }
     }
 
-    /// Runs a packet-record script — `None` pops, `Some(k)` releases the
-    /// held record `k % held` — on the list and the fully linked
-    /// reference, comparing ids, free order, count and charged traffic
-    /// after every step.
+    /// Runs a packet-record script — `None` pops (skipped on an empty
+    /// list, which the engine never pops), `Some(k)` releases the held
+    /// record `k % held` — on the list and the fully linked reference,
+    /// comparing ids, free order, count and charged traffic after every
+    /// step.
     fn run_pkt_twins(records: u32, script: &[Option<usize>]) {
         let mut pm = PtrMem::new(records, 1);
         let mut fl = PktFreeList::init(&mut pm);
         let mut eager_pm = PtrMem::new(records, 1);
         let mut eager = EagerPktList::init(&mut eager_pm);
+        let written = *eager_pm.counters();
         let mut held = Vec::new();
         for (i, &step) in script.iter().enumerate() {
             let at = format!("step {i} {step:?}");
             match step {
-                None => {
+                None if fl.free_count() > 0 => {
                     let id = fl.alloc(&mut pm);
                     assert_eq!(id, eager.alloc(&mut eager_pm), "{at}");
-                    held.extend(id.ok());
+                    held.push(id);
                 }
                 Some(k) if !held.is_empty() => {
                     let id = held.swap_remove(k % held.len());
                     fl.release(&mut pm, id);
                     eager.release(&mut eager_pm, id);
                 }
-                Some(_) => continue,
+                _ => continue,
             }
             assert_eq!(fl.collect_free(&pm), eager.collect_free(&eager_pm), "{at}");
             assert_eq!(fl.free_count(), eager.free, "{at}");
-            assert_eq!(pm.counters(), eager_pm.counters(), "{at}");
+            assert_eq!(*pm.counters(), eager_pm.counters().since(&written), "{at}");
             assert_eq!(pm.pkt_records(), fl.fresh, "{at}");
         }
     }
 
     #[test]
     fn pkt_fresh_mark_matches_the_fully_linked_list() {
-        // Fresh ids behind released ones, then a drain to the refusal.
+        // Fresh ids behind released ones, then a drain to empty.
         let drain = [
             None,
             None,

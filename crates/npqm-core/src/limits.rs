@@ -81,41 +81,19 @@ impl Default for FlowLimits {
 /// ```
 #[derive(Debug, Clone)]
 pub struct BufferManager {
-    default_limits: FlowLimits,
-    overrides: Vec<(FlowId, FlowLimits)>,
+    limits: FlowLimits,
     /// Segments kept free for already-open packets (global reserve).
     reserve_segments: u32,
 }
 
 impl BufferManager {
-    /// Creates a manager applying `default_limits` to every flow and
-    /// refusing new packets once fewer than `reserve_segments` segments
-    /// remain free.
-    pub fn new(default_limits: FlowLimits, reserve_segments: u32) -> Self {
+    /// Creates a manager applying `limits` to every flow and refusing new
+    /// packets once fewer than `reserve_segments` segments remain free.
+    pub fn new(limits: FlowLimits, reserve_segments: u32) -> Self {
         BufferManager {
-            default_limits,
-            overrides: Vec::new(),
+            limits,
             reserve_segments,
         }
-    }
-
-    /// Overrides the limits of one flow (e.g. a premium class).
-    pub fn set_flow_limits(&mut self, flow: FlowId, limits: FlowLimits) -> &mut Self {
-        if let Some(entry) = self.overrides.iter_mut().find(|(f, _)| *f == flow) {
-            entry.1 = limits;
-        } else {
-            self.overrides.push((flow, limits));
-        }
-        self
-    }
-
-    /// The limits applying to `flow`.
-    pub fn limits_for(&self, flow: FlowId) -> FlowLimits {
-        self.overrides
-            .iter()
-            .find(|(f, _)| *f == flow)
-            .map(|(_, l)| *l)
-            .unwrap_or(self.default_limits)
     }
 
     /// Checks admission for a `len`-byte packet on `flow` without
@@ -125,11 +103,10 @@ impl BufferManager {
     ///
     /// The [`DropReason`] that would apply.
     pub fn admit(&self, qm: &QueueManager, flow: FlowId, len: usize) -> Result<(), DropReason> {
-        let limits = self.limits_for(flow);
-        if qm.queue_len_bytes(flow) + len as u64 > limits.max_bytes {
+        if qm.queue_len_bytes(flow) + len as u64 > self.limits.max_bytes {
             return Err(DropReason::FlowBytes);
         }
-        if qm.queue_len_packets(flow) + 1 > limits.max_packets {
+        if qm.queue_len_packets(flow) + 1 > self.limits.max_packets {
             return Err(DropReason::FlowPackets);
         }
         // In u64: a reserve near `u32::MAX` must refuse, not wrap.
@@ -232,36 +209,6 @@ mod tests {
         assert_eq!(admitted, 6);
         assert_eq!(global, 4);
         assert_eq!(qm.free_segments(), 4, "reserve intact");
-    }
-
-    #[test]
-    fn per_flow_overrides_give_premium_service() {
-        let mut qm = engine();
-        let mut bm = BufferManager::new(
-            FlowLimits {
-                max_bytes: 64,
-                max_packets: 1,
-            },
-            0,
-        );
-        let premium = FlowId::new(1);
-        bm.set_flow_limits(premium, FlowLimits::UNLIMITED);
-        let standard = FlowId::new(2);
-        bm.try_enqueue(&mut qm, standard, &[0; 64]).unwrap();
-        assert!(bm.try_enqueue(&mut qm, standard, &[0; 64]).is_err());
-        for _ in 0..5 {
-            bm.try_enqueue(&mut qm, premium, &[0; 64]).unwrap();
-        }
-        assert_eq!(bm.limits_for(premium), FlowLimits::UNLIMITED);
-        // Re-overriding replaces, not duplicates.
-        bm.set_flow_limits(
-            premium,
-            FlowLimits {
-                max_bytes: 1,
-                max_packets: 1,
-            },
-        );
-        assert_eq!(bm.limits_for(premium).max_bytes, 1);
     }
 
     #[test]

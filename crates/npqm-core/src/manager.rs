@@ -28,7 +28,7 @@
 //! | [`append_tail`](QueueManager::append_tail) | rejected while the tail is open: the trailer would splice into the middle of the unfinished frame |
 //! | [`move_packet`](QueueManager::move_packet) | the *destination* tail must not be open (including same-queue rotation past an open tail): the moved complete packet would be linked after the open one and the flow's next `Last` segment would extend the wrong packet. A partially-served (mid-service) head packet may only move to the head of an empty destination |
 //! | [`copy_packet`](QueueManager::copy_packet) | as `move_packet`: an open destination is rejected |
-//! | [`peek_packet`](QueueManager::peek_packet), [`peek_packet_into`](QueueManager::peek_packet_into) | read the head packet only when it is complete, like `dequeue_packet`; `peek_packet_into` is the lending form (`peek_packet` is `Vec::new()` plus it): the payload is *appended*, and on `Err` the buffer is unchanged |
+//! | [`peek_packet_into`](QueueManager::peek_packet_into) | reads the head packet only when it is complete, like `dequeue_packet`; the payload is *appended* to the caller's buffer, and on `Err` the buffer is unchanged |
 
 use crate::config::QmConfig;
 use crate::error::QueueError;
@@ -280,11 +280,6 @@ impl QueueManager {
         *self.ptr.counters()
     }
 
-    /// Data-memory traffic: `(segment reads, segment writes)`.
-    pub fn data_counters(&self) -> (u64, u64) {
-        (self.data.reads(), self.data.writes())
-    }
-
     /// Number of free segments in the data memory.
     pub fn free_segments(&self) -> u32 {
         self.seg_fl.free_count()
@@ -301,12 +296,9 @@ impl QueueManager {
         self.seg_fl.low_watermark()
     }
 
-    /// Number of free packet records in the pointer memory.
-    ///
-    /// Callers that stage a multi-step operation (e.g. the cross-shard
-    /// move of [`crate::shard::ShardedQueueManager`]) use this together
-    /// with [`QueueManager::free_segments`] to reserve capacity up front,
-    /// the same way [`QueueManager::copy_packet`] does internally.
+    /// Number of free packet records in the pointer memory: never fewer
+    /// than [`free_segments`](Self::free_segments), since there is one
+    /// record per segment and every queued packet holds a segment.
     pub fn free_packet_records(&self) -> u32 {
         self.pkt_fl.free_count()
     }
@@ -383,14 +375,13 @@ impl QueueManager {
         Ok(())
     }
 
-    /// Refuses unless `segs` segments and, with `record`, a packet record
-    /// are free — up front, so that no refusal leaves a partial change.
-    fn reserve(&mut self, segs: u32, record: bool) -> Result<(), QueueError> {
+    /// Refuses unless `segs` segments are free — up front, so that no
+    /// refusal leaves a partial change. A command that also takes a
+    /// packet record reserves at least one segment, and that is enough:
+    /// see [`PktFreeList::alloc`].
+    fn reserve(&mut self, segs: u32) -> Result<(), QueueError> {
         if self.seg_fl.free_count() < segs {
             return self.fail(QueueError::OutOfSegments);
-        }
-        if record && self.pkt_fl.free_count() == 0 {
-            return self.fail(QueueError::OutOfPacketRecords);
         }
         Ok(())
     }
@@ -434,7 +425,7 @@ impl QueueManager {
     // cost a one-segment packet ≈3 ns.
     #[inline]
     fn push_packet(&mut self, q: &mut QueueRecord, pr: PktRecord) {
-        let pid = self.pkt_fl.alloc(&mut self.ptr).expect("caller reserved");
+        let pid = self.pkt_fl.alloc(&mut self.ptr);
         let _ = self.ptr.pkt(pid);
         self.ptr.set_pkt(pid, pr);
         self.link_tail(q, pid, &pr);
@@ -514,8 +505,16 @@ impl QueueManager {
     }
 
     /// Gives the head segment of `flow`'s head packet (which exists even
-    /// mid-SAR) the length `len` and returns the segment.
-    fn resize_head(&mut self, flow: FlowId, len: usize) -> Result<SegmentId, QueueError> {
+    /// mid-SAR) the length `len` and returns the segment. Unless the
+    /// caller `writes` `len` bytes into it, `len` may not exceed the
+    /// segment's length: the slot's bytes past it are stale, possibly
+    /// another flow's.
+    fn resize_head(
+        &mut self,
+        flow: FlowId,
+        len: usize,
+        writes: bool,
+    ) -> Result<SegmentId, QueueError> {
         self.known_flow(flow)?;
         let len = self.segment_len(len)?;
         let mut q = self.ptr.queue(flow);
@@ -524,6 +523,12 @@ impl QueueManager {
         let mut pr = self.ptr.pkt(pid);
         let seg = pr.first;
         let mut rec = self.ptr.seg(seg);
+        if !writes && len > rec.len {
+            return self.fail(QueueError::SegmentOverflow {
+                len: usize::from(len),
+                segment_bytes: u32::from(rec.len),
+            });
+        }
         pr.bytes = pr.bytes - u32::from(rec.len) + u32::from(len);
         q.bytes = q.bytes - u64::from(rec.len) + u64::from(len);
         rec.len = len;
@@ -548,8 +553,8 @@ impl QueueManager {
     /// * [`QueueError::EmptyPayload`] / [`QueueError::SegmentOverflow`] —
     ///   bad payload size.
     /// * [`QueueError::SarProtocol`] — SOP/EOP sequencing violated.
-    /// * [`QueueError::OutOfSegments`] / [`QueueError::OutOfPacketRecords`]
-    ///   — memory full (the caller should drop or backpressure).
+    /// * [`QueueError::OutOfSegments`] — memory full (the caller should
+    ///   drop or backpressure).
     pub fn enqueue(
         &mut self,
         flow: FlowId,
@@ -567,7 +572,7 @@ impl QueueManager {
                 expected_start: true,
             });
         }
-        self.reserve(1, pos.is_first())?;
+        self.reserve(1)?;
         let seg = if pos.is_first() {
             let seg = self.fresh_segment(data, SegmentId::NIL);
             let pr = PktRecord {
@@ -593,8 +598,8 @@ impl QueueManager {
     ///
     /// The packet is admitted *as a unit* when nothing can stop it
     /// halfway: `flow` is in range, its queue is not open (no SAR in
-    /// flight), and the free lists hold the packet's `n` segments and one
-    /// packet record — all read up front without counting. The engine then
+    /// flight), and the free list holds the packet's `n` segments — all
+    /// read up front without counting. The engine then
     /// keeps the queue record and the packet record in locals, writes each
     /// segment record once with its final link and commits the queue record
     /// once. The modelled pointer-memory traffic
@@ -628,8 +633,7 @@ impl QueueManager {
         let n = packet.len().div_ceil(seg_bytes);
         let as_unit = flow.index() < self.cfg.num_flows()
             && !self.ptr.queue_silent(flow).open
-            && n <= self.seg_fl.free_count() as usize
-            && self.pkt_fl.free_count() > 0;
+            && n <= self.seg_fl.free_count() as usize;
         if !as_unit {
             return self.enqueue_packet_by_segments(flow, packet);
         }
@@ -954,7 +958,7 @@ impl QueueManager {
     /// [`QueueError::QueueEmpty`], [`QueueError::UnknownFlow`],
     /// [`QueueError::EmptyPayload`], [`QueueError::SegmentOverflow`].
     pub fn overwrite_head(&mut self, flow: FlowId, data: &[u8]) -> Result<(), QueueError> {
-        let seg = self.resize_head(flow, data.len())?;
+        let seg = self.resize_head(flow, data.len(), true)?;
         self.data.write(seg, data);
         self.stats.overwrites += 1;
         Ok(())
@@ -962,14 +966,17 @@ impl QueueManager {
 
     /// Rewrites only the length field of the head segment
     /// ("Overwrite_Segment_length", Table 4) — e.g. trimming a header.
+    /// The segment may shrink or keep its length, never grow: the bytes
+    /// its slot holds past its length are stale, possibly another flow's.
     ///
     /// # Errors
     ///
     /// [`QueueError::QueueEmpty`], [`QueueError::UnknownFlow`], and
     /// [`QueueError::SegmentOverflow`] when `new_len` exceeds the segment
-    /// size; [`QueueError::EmptyPayload`] when `new_len` is zero.
+    /// size or, with `segment_bytes` the head segment's length, that
+    /// length; [`QueueError::EmptyPayload`] when `new_len` is zero.
     pub fn overwrite_head_len(&mut self, flow: FlowId, new_len: u16) -> Result<(), QueueError> {
-        self.resize_head(flow, usize::from(new_len))?;
+        self.resize_head(flow, usize::from(new_len), false)?;
         self.stats.len_overwrites += 1;
         Ok(())
     }
@@ -1028,7 +1035,7 @@ impl QueueManager {
         let len = self.segment_len(data.len())?;
         let mut q = self.ptr.queue(flow);
         self.nonempty(flow, &q)?;
-        self.reserve(1, false)?;
+        self.reserve(1)?;
         let pid = q.head_pkt;
         let mut pr = self.ptr.pkt(pid);
         pr.first = self.fresh_segment(data, pr.first);
@@ -1063,7 +1070,7 @@ impl QueueManager {
         let mut q = self.ptr.queue(flow);
         self.nonempty(flow, &q)?;
         self.closed_tail(flow, &q)?;
-        self.reserve(1, false)?;
+        self.reserve(1)?;
         let seg = self.extend_tail(&mut q, data, true);
         self.commit_queue(flow, q);
         self.stats.tail_appends += 1;
@@ -1235,25 +1242,9 @@ impl QueueManager {
         self.ptr.pkt_silent(q.head_pkt).started
     }
 
-    /// Reads the whole head packet of `flow` without consuming it,
-    /// concatenating its segments (a packet-granular
-    /// [`QueueManager::read_head`]).
-    ///
-    /// The owning form of [`peek_packet_into`](Self::peek_packet_into):
-    /// one fresh `Vec` of the packet's size.
-    ///
-    /// # Errors
-    ///
-    /// As [`QueueManager::peek_packet_into`].
-    pub fn peek_packet(&mut self, flow: FlowId) -> Result<Vec<u8>, QueueError> {
-        let mut out = Vec::new();
-        self.peek_packet_into(flow, &mut out)?;
-        Ok(out)
-    }
-
-    /// Reads the whole head packet of `flow` without consuming it,
-    /// *appending* its segments to `out`, and returns the number of bytes
-    /// appended.
+    /// Reads the whole head packet of `flow` without consuming it (a
+    /// packet-granular [`QueueManager::read_head`]), *appending* its
+    /// segments to `out`, and returns the number of bytes appended.
     ///
     /// Only complete packets can be peeked: the open (mid-SAR) tail is
     /// never visible, exactly as for [`QueueManager::copy_packet`] — this
@@ -1298,8 +1289,8 @@ impl QueueManager {
     /// # Errors
     ///
     /// [`QueueError::QueueEmpty`] when `src` has no complete packet;
-    /// [`QueueError::OutOfSegments`] / [`QueueError::OutOfPacketRecords`]
-    /// when the copy does not fit (no partial copy is left behind);
+    /// [`QueueError::OutOfSegments`] when the copy does not fit (no
+    /// partial copy is left behind);
     /// [`QueueError::UnknownFlow`] for either flow.
     pub fn copy_packet(&mut self, src: FlowId, dst: FlowId) -> Result<(), QueueError> {
         self.known_flow(src)?;
@@ -1309,7 +1300,7 @@ impl QueueManager {
         let pr = self.ptr.pkt(q.head_pkt);
         let dst_q = self.ptr.queue(dst);
         self.closed_tail(dst, &dst_q)?;
-        self.reserve(pr.segs, true)?;
+        self.reserve(pr.segs)?;
         let (data, mut from) = (&mut self.data, pr.first);
         let chain = self.seg_fl.alloc_chain(&mut self.ptr, pr.segs, |ptr, seg| {
             let rec = ptr.seg_silent(from);
@@ -1356,6 +1347,11 @@ mod tests {
     use crate::model::{self, Reply, Res, Run, Scripts, Shape, Step, Step::*};
     use crate::shard::ShardedQueueManager;
     use proptest::prelude::*;
+
+    /// Data-memory traffic: `(segment reads, segment writes)`.
+    fn data_counters(m: &QueueManager) -> (u64, u64) {
+        (m.data.reads(), m.data.writes())
+    }
 
     fn qm() -> QueueManager {
         QueueManager::new(QmConfig::small())
@@ -1760,11 +1756,13 @@ mod tests {
         let f = FlowId::new(4);
         let pkt: Vec<u8> = (0..150).map(|i| i as u8).collect();
         m.enqueue_packet(f, &pkt).unwrap();
-        assert_eq!(m.peek_packet(f).unwrap(), pkt);
+        let mut out = Vec::new();
+        assert_eq!(m.peek_packet_into(f, &mut out), Ok(150));
+        assert_eq!(out, pkt);
         assert_eq!(m.queue_len_segments(f), 3, "peek must not consume");
         assert_eq!(m.dequeue_packet(f).unwrap(), pkt);
         assert!(matches!(
-            m.peek_packet(f),
+            m.peek_packet_into(f, &mut out),
             Err(QueueError::QueueEmpty { .. })
         ));
         m.verify().unwrap();
@@ -1774,13 +1772,14 @@ mod tests {
     fn peek_packet_hides_the_open_tail() {
         let mut m = qm();
         let f = FlowId::new(0);
+        let mut out = Vec::new();
         m.enqueue(f, &[1; 64], SegmentPosition::First).unwrap();
         assert!(matches!(
-            m.peek_packet(f),
+            m.peek_packet_into(f, &mut out),
             Err(QueueError::QueueEmpty { .. })
         ));
         m.enqueue(f, &[2; 8], SegmentPosition::Last).unwrap();
-        assert_eq!(m.peek_packet(f).unwrap().len(), 72);
+        assert_eq!(m.peek_packet_into(f, &mut out), Ok(72));
     }
 
     #[test]
@@ -2092,7 +2091,7 @@ mod tests {
         Ok((pr.segs, pr.bytes))
     }
 
-    /// [`QueueManager::peek_packet`] as a counted read of each segment
+    /// [`QueueManager::peek_packet_into`] as a counted read of each segment
     /// record and a data-memory read of each segment.
     fn peek_packet_by_segments(m: &mut QueueManager, flow: FlowId) -> Result<Vec<u8>, QueueError> {
         m.known_flow(flow)?;
@@ -2124,7 +2123,7 @@ mod tests {
         let pr = m.ptr.pkt(q.head_pkt);
         let dst_q = m.ptr.queue(dst);
         m.closed_tail(dst, &dst_q)?;
-        m.reserve(pr.segs, true)?;
+        m.reserve(pr.segs)?;
         let mut cur = pr.first;
         while !cur.is_nil() {
             let rec = m.ptr.seg(cur);
@@ -2179,7 +2178,7 @@ mod tests {
         // plane.
         let observe = |m: &mut QueueManager| {
             let digest = crate::check::state_digest(m);
-            let counts = (m.ptr_counters(), m.data_counters(), *m.stats());
+            let counts = (m.ptr_counters(), data_counters(m), *m.stats());
             let low = m.free_segments_low_watermark();
             (digest, counts, low, m.verify(), m.longest_queue())
         };
@@ -2196,7 +2195,7 @@ mod tests {
                 }
                 let u = unit.engine.shard(0);
                 let (ptr_before, (reads_before, writes_before)) =
-                    (u.ptr_counters(), u.data_counters());
+                    (u.ptr_counters(), data_counters(u));
                 let got = unit.step(step).map_err(TestCaseError::fail)?;
                 let want = apply_by_segments(&mut segs, step, i as u8);
                 let refused = matches!(got, Err(QueueError::OutOfSegments));
@@ -2211,7 +2210,7 @@ mod tests {
                 if i >= trace_from {
                     let writes = trace.data.iter().filter(|a| a.write).count() as u64;
                     let reads = trace.data.len() as u64 - writes;
-                    let (r, w) = u.data_counters();
+                    let (r, w) = data_counters(u);
                     prop_assert_eq!(
                         (reads, writes),
                         (r - reads_before, w - writes_before),
@@ -2264,15 +2263,15 @@ mod tests {
     const OPEN_TAIL: u32 = 2;
     /// A three-segment packet whose first segment is already dequeued.
     const SERVED: u32 = 3;
-    /// Complete packets only, the head one of two segments.
+    /// Complete packets only, the head one of two segments and cut to 8
+    /// bytes.
     const READY: u32 = 4;
     /// One past the queue table.
     const BAD: u32 = 5;
 
     /// An engine of 16-byte segments holding the queues above, with `free`
-    /// segments left (at most 4) and, unless `records`, no packet record;
-    /// and the model of it.
-    fn staged(free: u32, records: bool) -> Run {
+    /// segments left (at most 4); and the model of it.
+    fn staged(free: u32) -> Run {
         use SegmentPosition::{First, Only};
         let shape = Shape {
             flows: 5,
@@ -2287,18 +2286,13 @@ mod tests {
             EnqueuePacket(SERVED, 40, 0),
             Dequeue(SERVED, None),
             EnqueuePacket(READY, 20, 0),
+            OverwriteHeadLen(READY, 8),
         ];
         for step in staging {
             run.step(step).unwrap().unwrap();
         }
         while run.engine.shard(0).free_segments() > free {
             run.step(Enqueue(READY, 16, Only)).unwrap().unwrap();
-        }
-        // No legal history gets here with a segment to spare (a record per
-        // segment), so the records are taken behind the engine's back.
-        let m = run.engine.shard_mut(0);
-        while !records && m.pkt_fl.alloc(&mut m.ptr).is_ok() {
-            run.model.held_records[0] += 1;
         }
         run
     }
@@ -2310,7 +2304,9 @@ mod tests {
     /// recorded at the parent of the commit that built the commands from
     /// shared steps, so a step that reorders a check or adds a read fails
     /// here (only `set_tail_work`'s two rows differ from there: its
-    /// refusals counted no error). Two kinds of refusal do leave a trace
+    /// refusals counted no error; the two rows of a length rewrite that
+    /// would grow the head segment came later, and read its record). Two
+    /// kinds of refusal do leave a trace
     /// and are held elsewhere: a packet that runs out of segments midway
     /// (its rollback traffic is pinned by the differential test above), and
     /// the fused commands' second half (the overwrite stays; each half is a
@@ -2318,104 +2314,102 @@ mod tests {
     #[test]
     fn every_refusal_costs_what_it_did() {
         use SegmentPosition::{First, Middle, Only};
-        // The call; free segments and whether packet records are left;
-        // then its cost: errors counted, queue-table reads, packet-record
-        // reads.
+        // The call and the free segments; then its cost: errors counted,
+        // queue-table reads, packet-record reads, segment-record reads.
         #[rustfmt::skip]
-        let rows: Vec<(Step, u32, bool, u64, u64, u64)> = vec![
-            (Enqueue(BAD, 16, Only), 4, true, 1, 0, 0),
-            (Enqueue(EMPTY, 0, Only), 4, true, 1, 0, 0),
-            (Enqueue(EMPTY, 17, Only), 4, true, 1, 0, 0),
-            (Enqueue(OPEN, 16, First), 4, true, 1, 1, 0),
-            (Enqueue(OPEN_TAIL, 16, Only), 4, true, 1, 1, 0),
-            (Enqueue(READY, 16, Middle), 4, true, 1, 1, 0),
-            (Enqueue(EMPTY, 16, Only), 0, true, 1, 1, 0),
-            (Enqueue(OPEN, 16, Middle), 0, true, 1, 1, 0),
-            (Enqueue(EMPTY, 16, Only), 4, false, 1, 1, 0),
-            (Enqueue(EMPTY, 16, First), 0, false, 1, 1, 0),
-            (EnqueuePacket(BAD, 40, 0), 4, true, 1, 0, 0),
-            (EnqueuePacket(EMPTY, 0, 0), 4, true, 1, 0, 0),
-            (EnqueuePacket(OPEN, 40, 0), 4, true, 1, 1, 0),
-            (EnqueuePacket(EMPTY, 40, 0), 0, true, 1, 1, 0),
-            (EnqueuePacket(EMPTY, 40, 0), 4, false, 1, 1, 0),
-            (EnqueuePacket(BAD, 40, 3), 4, true, 1, 0, 0),
-            (EnqueuePacket(OPEN_TAIL, 40, 3), 4, true, 1, 1, 0),
-            (SetTailWork(BAD, 3), 4, true, 1, 0, 0),
-            (SetTailWork(EMPTY, 3), 4, true, 1, 1, 0),
-            (Dequeue(BAD, None), 4, true, 1, 0, 0),
-            (Dequeue(EMPTY, None), 4, true, 1, 1, 0),
-            (Dequeue(OPEN, None), 4, true, 1, 1, 0),
-            (Dequeue(BAD, Some(3)), 4, true, 1, 0, 0),
-            (Dequeue(EMPTY, Some(3)), 4, true, 1, 1, 0),
-            (Dequeue(OPEN, Some(3)), 4, true, 1, 1, 0),
-            (DequeuePacket(BAD, None), 4, true, 1, 0, 0),
-            (DequeuePacket(EMPTY, None), 4, true, 1, 1, 0),
-            (DequeuePacket(OPEN, None), 4, true, 1, 1, 0),
-            (DequeuePacket(BAD, Some(3)), 4, true, 1, 0, 0),
-            (DequeuePacket(EMPTY, Some(3)), 4, true, 1, 1, 0),
-            (DequeuePacket(OPEN, Some(3)), 4, true, 1, 1, 0),
-            (ReadHead(BAD), 4, true, 1, 0, 0),
-            (ReadHead(EMPTY), 4, true, 1, 1, 0),
-            (OverwriteHead(BAD, 16), 4, true, 1, 0, 0),
-            (OverwriteHead(READY, 0), 4, true, 1, 0, 0),
-            (OverwriteHead(READY, 17), 4, true, 1, 0, 0),
-            (OverwriteHead(EMPTY, 16), 4, true, 1, 1, 0),
-            (OverwriteHeadLen(BAD, 8), 4, true, 1, 0, 0),
-            (OverwriteHeadLen(READY, 0), 4, true, 1, 0, 0),
-            (OverwriteHeadLen(READY, 17), 4, true, 1, 0, 0),
-            (OverwriteHeadLen(EMPTY, 8), 4, true, 1, 1, 0),
-            (DeleteSegment(BAD), 4, true, 1, 0, 0),
-            (DeleteSegment(EMPTY), 4, true, 1, 1, 0),
-            (DeleteSegment(OPEN), 4, true, 1, 1, 0),
-            (DeletePacket(BAD), 4, true, 1, 0, 0),
-            (DeletePacket(EMPTY), 4, true, 1, 1, 0),
-            (DeletePacket(OPEN), 4, true, 1, 1, 0),
-            (AppendHead(BAD, 16), 4, true, 1, 0, 0),
-            (AppendHead(READY, 0), 4, true, 1, 0, 0),
-            (AppendHead(READY, 17), 4, true, 1, 0, 0),
-            (AppendHead(EMPTY, 16), 4, true, 1, 1, 0),
-            (AppendHead(READY, 16), 0, true, 1, 1, 0),
-            (AppendTail(BAD, 16), 4, true, 1, 0, 0),
-            (AppendTail(READY, 0), 4, true, 1, 0, 0),
-            (AppendTail(READY, 17), 4, true, 1, 0, 0),
-            (AppendTail(EMPTY, 16), 4, true, 1, 1, 0),
-            (AppendTail(OPEN_TAIL, 16), 4, true, 1, 1, 0),
-            (AppendTail(READY, 16), 0, true, 1, 1, 0),
-            (MovePacket(BAD, READY), 4, true, 1, 0, 0),
-            (MovePacket(READY, BAD), 4, true, 1, 0, 0),
-            (MovePacket(EMPTY, READY), 4, true, 1, 1, 0),
-            (MovePacket(OPEN, READY), 4, true, 1, 1, 0),
-            (MovePacket(READY, OPEN), 4, true, 1, 2, 0),
-            (MovePacket(OPEN_TAIL, OPEN_TAIL), 4, true, 1, 1, 0),
-            (MovePacket(SERVED, READY), 4, true, 1, 2, 1),
-            (OverwriteAndMove(BAD, READY, 16), 4, true, 1, 0, 0),
-            (OverwriteAndMove(READY, EMPTY, 17), 4, true, 1, 0, 0),
-            (OverwriteAndMove(EMPTY, READY, 16), 4, true, 1, 1, 0),
-            (OverwriteLenAndMove(BAD, READY, 8), 4, true, 1, 0, 0),
-            (OverwriteLenAndMove(READY, EMPTY, 0), 4, true, 1, 0, 0),
-            (OverwriteLenAndMove(EMPTY, READY, 8), 4, true, 1, 1, 0),
-            (PeekPacket(BAD, None), 4, true, 1, 0, 0),
-            (PeekPacket(EMPTY, None), 4, true, 1, 1, 0),
-            (PeekPacket(OPEN, None), 4, true, 1, 1, 0),
-            (PeekPacket(BAD, Some(3)), 4, true, 1, 0, 0),
-            (PeekPacket(EMPTY, Some(3)), 4, true, 1, 1, 0),
-            (PeekPacket(OPEN, Some(3)), 4, true, 1, 1, 0),
-            (CopyPacket(BAD, EMPTY), 4, true, 1, 0, 0),
-            (CopyPacket(READY, BAD), 4, true, 1, 0, 0),
-            (CopyPacket(EMPTY, READY), 4, true, 1, 1, 0),
-            (CopyPacket(OPEN, READY), 4, true, 1, 1, 0),
-            (CopyPacket(READY, OPEN_TAIL), 4, true, 1, 2, 1),
-            (CopyPacket(READY, EMPTY), 1, true, 1, 2, 1),
-            (CopyPacket(READY, EMPTY), 4, false, 1, 2, 1),
+        let rows: Vec<(Step, u32, u64, u64, u64, u64)> = vec![
+            (Enqueue(BAD, 16, Only), 4, 1, 0, 0, 0),
+            (Enqueue(EMPTY, 0, Only), 4, 1, 0, 0, 0),
+            (Enqueue(EMPTY, 17, Only), 4, 1, 0, 0, 0),
+            (Enqueue(OPEN, 16, First), 4, 1, 1, 0, 0),
+            (Enqueue(OPEN_TAIL, 16, Only), 4, 1, 1, 0, 0),
+            (Enqueue(READY, 16, Middle), 4, 1, 1, 0, 0),
+            (Enqueue(EMPTY, 16, Only), 0, 1, 1, 0, 0),
+            (Enqueue(OPEN, 16, Middle), 0, 1, 1, 0, 0),
+            (EnqueuePacket(BAD, 40, 0), 4, 1, 0, 0, 0),
+            (EnqueuePacket(EMPTY, 0, 0), 4, 1, 0, 0, 0),
+            (EnqueuePacket(OPEN, 40, 0), 4, 1, 1, 0, 0),
+            (EnqueuePacket(EMPTY, 40, 0), 0, 1, 1, 0, 0),
+            (EnqueuePacket(BAD, 40, 3), 4, 1, 0, 0, 0),
+            (EnqueuePacket(OPEN_TAIL, 40, 3), 4, 1, 1, 0, 0),
+            (SetTailWork(BAD, 3), 4, 1, 0, 0, 0),
+            (SetTailWork(EMPTY, 3), 4, 1, 1, 0, 0),
+            (Dequeue(BAD, None), 4, 1, 0, 0, 0),
+            (Dequeue(EMPTY, None), 4, 1, 1, 0, 0),
+            (Dequeue(OPEN, None), 4, 1, 1, 0, 0),
+            (Dequeue(BAD, Some(3)), 4, 1, 0, 0, 0),
+            (Dequeue(EMPTY, Some(3)), 4, 1, 1, 0, 0),
+            (Dequeue(OPEN, Some(3)), 4, 1, 1, 0, 0),
+            (DequeuePacket(BAD, None), 4, 1, 0, 0, 0),
+            (DequeuePacket(EMPTY, None), 4, 1, 1, 0, 0),
+            (DequeuePacket(OPEN, None), 4, 1, 1, 0, 0),
+            (DequeuePacket(BAD, Some(3)), 4, 1, 0, 0, 0),
+            (DequeuePacket(EMPTY, Some(3)), 4, 1, 1, 0, 0),
+            (DequeuePacket(OPEN, Some(3)), 4, 1, 1, 0, 0),
+            (ReadHead(BAD), 4, 1, 0, 0, 0),
+            (ReadHead(EMPTY), 4, 1, 1, 0, 0),
+            (OverwriteHead(BAD, 16), 4, 1, 0, 0, 0),
+            (OverwriteHead(READY, 0), 4, 1, 0, 0, 0),
+            (OverwriteHead(READY, 17), 4, 1, 0, 0, 0),
+            (OverwriteHead(EMPTY, 16), 4, 1, 1, 0, 0),
+            (OverwriteHeadLen(BAD, 8), 4, 1, 0, 0, 0),
+            (OverwriteHeadLen(READY, 0), 4, 1, 0, 0, 0),
+            (OverwriteHeadLen(READY, 17), 4, 1, 0, 0, 0),
+            (OverwriteHeadLen(EMPTY, 8), 4, 1, 1, 0, 0),
+            (OverwriteHeadLen(READY, 9), 4, 1, 1, 1, 1),
+            (DeleteSegment(BAD), 4, 1, 0, 0, 0),
+            (DeleteSegment(EMPTY), 4, 1, 1, 0, 0),
+            (DeleteSegment(OPEN), 4, 1, 1, 0, 0),
+            (DeletePacket(BAD), 4, 1, 0, 0, 0),
+            (DeletePacket(EMPTY), 4, 1, 1, 0, 0),
+            (DeletePacket(OPEN), 4, 1, 1, 0, 0),
+            (AppendHead(BAD, 16), 4, 1, 0, 0, 0),
+            (AppendHead(READY, 0), 4, 1, 0, 0, 0),
+            (AppendHead(READY, 17), 4, 1, 0, 0, 0),
+            (AppendHead(EMPTY, 16), 4, 1, 1, 0, 0),
+            (AppendHead(READY, 16), 0, 1, 1, 0, 0),
+            (AppendTail(BAD, 16), 4, 1, 0, 0, 0),
+            (AppendTail(READY, 0), 4, 1, 0, 0, 0),
+            (AppendTail(READY, 17), 4, 1, 0, 0, 0),
+            (AppendTail(EMPTY, 16), 4, 1, 1, 0, 0),
+            (AppendTail(OPEN_TAIL, 16), 4, 1, 1, 0, 0),
+            (AppendTail(READY, 16), 0, 1, 1, 0, 0),
+            (MovePacket(BAD, READY), 4, 1, 0, 0, 0),
+            (MovePacket(READY, BAD), 4, 1, 0, 0, 0),
+            (MovePacket(EMPTY, READY), 4, 1, 1, 0, 0),
+            (MovePacket(OPEN, READY), 4, 1, 1, 0, 0),
+            (MovePacket(READY, OPEN), 4, 1, 2, 0, 0),
+            (MovePacket(OPEN_TAIL, OPEN_TAIL), 4, 1, 1, 0, 0),
+            (MovePacket(SERVED, READY), 4, 1, 2, 1, 0),
+            (OverwriteAndMove(BAD, READY, 16), 4, 1, 0, 0, 0),
+            (OverwriteAndMove(READY, EMPTY, 17), 4, 1, 0, 0, 0),
+            (OverwriteAndMove(EMPTY, READY, 16), 4, 1, 1, 0, 0),
+            (OverwriteLenAndMove(BAD, READY, 8), 4, 1, 0, 0, 0),
+            (OverwriteLenAndMove(READY, EMPTY, 0), 4, 1, 0, 0, 0),
+            (OverwriteLenAndMove(EMPTY, READY, 8), 4, 1, 1, 0, 0),
+            (OverwriteLenAndMove(READY, EMPTY, 9), 4, 1, 1, 1, 1),
+            (PeekPacket(BAD, None), 4, 1, 0, 0, 0),
+            (PeekPacket(EMPTY, None), 4, 1, 1, 0, 0),
+            (PeekPacket(OPEN, None), 4, 1, 1, 0, 0),
+            (PeekPacket(BAD, Some(3)), 4, 1, 0, 0, 0),
+            (PeekPacket(EMPTY, Some(3)), 4, 1, 1, 0, 0),
+            (PeekPacket(OPEN, Some(3)), 4, 1, 1, 0, 0),
+            (CopyPacket(BAD, EMPTY), 4, 1, 0, 0, 0),
+            (CopyPacket(READY, BAD), 4, 1, 0, 0, 0),
+            (CopyPacket(EMPTY, READY), 4, 1, 1, 0, 0),
+            (CopyPacket(OPEN, READY), 4, 1, 1, 0, 0),
+            (CopyPacket(READY, OPEN_TAIL), 4, 1, 2, 1, 0),
+            (CopyPacket(READY, EMPTY), 1, 1, 2, 1, 0),
         ];
         let mut wrong = Vec::new();
-        for (i, (step, free, records, errors, qt_reads, pkt_reads)) in rows.into_iter().enumerate()
+        for (i, (step, free, errors, qt_reads, pkt_reads, seg_reads)) in
+            rows.into_iter().enumerate()
         {
-            let mut run = staged(free, records);
+            let mut run = staged(free);
             let m = run.engine.shard(0);
-            let (stats, ptr, data) = (*m.stats(), m.ptr_counters(), m.data_counters());
+            let (stats, ptr, data) = (*m.stats(), m.ptr_counters(), data_counters(m));
             let digest = crate::check::state_digest(m);
-            let want = run.model.step(step, 0, &[]);
+            let want = run.model.step(step, 0);
             let got = model::apply(&mut run.engine, step, 0);
             assert!(
                 got.is_err() && got == want,
@@ -2427,12 +2421,14 @@ mod tests {
                 m.stats().errors - stats.errors,
                 cost.qt_reads,
                 cost.pkt_reads,
+                cost.seg_reads,
             );
-            if got != (errors, qt_reads, pkt_reads) {
+            if got != (errors, qt_reads, pkt_reads, seg_reads) {
                 wrong.push(format!("row {i} ({step:?}): {got:?}"));
             }
-            assert_eq!(cost.total(), cost.qt_reads + cost.pkt_reads, "row {i}");
-            assert_eq!(m.data_counters(), data, "row {i}");
+            let reads = cost.qt_reads + cost.pkt_reads + cost.seg_reads;
+            assert_eq!(cost.total(), reads, "row {i}");
+            assert_eq!(data_counters(m), data, "row {i}");
             // The digest covers the error count; with that put back the
             // refusal left no trace.
             m.stats.errors = stats.errors;
@@ -2441,7 +2437,7 @@ mod tests {
         }
         assert!(
             wrong.is_empty(),
-            "(errors, qt reads, pkt reads):\n{}",
+            "(errors, qt reads, pkt reads, seg reads):\n{}",
             wrong.join("\n")
         );
     }
@@ -2454,7 +2450,7 @@ mod tests {
         m.enqueue(f, b"abc", SegmentPosition::Only).unwrap();
         let delta = m.ptr_counters().since(&before);
         assert!(delta.total() > 0, "enqueue must touch pointer memory");
-        let (r, w) = m.data_counters();
+        let (r, w) = data_counters(&m);
         assert_eq!((r, w), (0, 1), "one segment written, none read");
     }
 }

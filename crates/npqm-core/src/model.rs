@@ -41,8 +41,6 @@ pub(crate) struct Model {
     /// Each flow's shard, the out-of-range flow (`flows`) last.
     home: Vec<usize>,
     queues: Vec<Vec<Packet>>,
-    /// Per shard, packet records taken outside the command set.
-    pub(crate) held_records: Vec<u32>,
     stats: Vec<QmStats>,
 }
 
@@ -55,20 +53,19 @@ impl Model {
                 .map(|f| engine.shard_of(FlowId::new(f)))
                 .collect(),
             queues: vec![Vec::new(); shape.flows as usize],
-            held_records: vec![0; shape.shards],
             stats: vec![QmStats::default(); shape.shards],
         }
     }
 
     /// Free segments and packet records of shard `shard`: one record per
-    /// segment, so records run out only when taken from outside.
+    /// segment, and a packet holds at least one, so records never run out
+    /// before segments do.
     fn free(&self, shard: usize) -> (u32, u32) {
         let packets = (self.queues.iter().zip(&self.home))
             .filter(|&(_, &s)| s == shard)
             .flat_map(|(q, _)| q);
         let (segs, pkts) = packets.fold((0, 0), |(n, k), p| (n + p.segs.len() as u32, k + 1));
-        let records = self.segments - pkts - self.held_records[shard];
-        (self.segments - segs, records)
+        (self.segments - segs, self.segments - pkts)
     }
 
     fn stats(&mut self, flow: FlowId) -> &mut QmStats {
@@ -129,15 +126,13 @@ impl Model {
         self.check(flow, wrong, e)
     }
 
-    fn reserve(&mut self, flow: FlowId, segs: usize, record: bool) -> Res<()> {
-        let (free_segs, free_records) = self.free(self.home[flow.as_usize()]);
-        self.check(flow, (free_segs as usize) < segs, OutOfSegments)?;
-        self.check(flow, record && free_records == 0, OutOfPacketRecords)
+    fn reserve(&mut self, flow: FlowId, segs: usize) -> Res<()> {
+        let (free_segs, _) = self.free(self.home[flow.as_usize()]);
+        self.check(flow, (free_segs as usize) < segs, OutOfSegments)
     }
 
-    /// The reply the engine owes `step`. `stale` is what the head segment's
-    /// slot holds past its length, which `overwrite_head_len` exposes.
-    pub(crate) fn step(&mut self, step: Step, tag: u8, stale: &[u8]) -> Res<Reply> {
+    /// The reply the engine owes `step`.
+    pub(crate) fn step(&mut self, step: Step, tag: u8) -> Res<Reply> {
         let (src, dst, len) = step.parts();
         let (flow, data) = (src, payload(tag, len));
         let done = |r: Res<()>| r.map(|()| DONE);
@@ -156,8 +151,8 @@ impl Model {
                 .map(|p| Reply::Packet(p.segs.concat())),
             PeekPacket(..) => self.peek_packet(flow).map(Reply::Packet),
             ReadHead(_) => segment(self.read_head(flow)),
-            OverwriteHead(..) => done(self.overwrite(flow, len, Some(data), stale)),
-            OverwriteHeadLen(..) => done(self.overwrite(flow, len, None, stale)),
+            OverwriteHead(..) => done(self.overwrite(flow, len, Some(data))),
+            OverwriteHeadLen(..) => done(self.overwrite(flow, len, None)),
             DeleteSegment(_) => self.pop(flow, false).map(|s| dropped(&[s.data])),
             DeletePacket(_) => self.take(flow, false).map(|p| dropped(&p.segs)),
             AppendHead(..) => done(self.append(flow, data, true)),
@@ -167,7 +162,7 @@ impl Model {
             OverwriteAndMove(..) | OverwriteLenAndMove(..) => {
                 // The overwrite stays when the move is refused.
                 let data = matches!(step, OverwriteAndMove(..)).then_some(data);
-                let overwrite = self.overwrite(src, len, data, stale);
+                let overwrite = self.overwrite(src, len, data);
                 done(overwrite.and_then(|()| self.move_packet(src, dst)))
             }
             LongestQueue(_) => Ok(Reply::Longest(self.longest_queue(flow))),
@@ -192,7 +187,7 @@ impl Model {
         self.known(flow)?;
         self.segment_len(flow, data.len())?;
         self.tail(flow, !pos.is_first())?;
-        self.reserve(flow, 1, pos.is_first())?;
+        self.reserve(flow, 1)?;
         let q = self.queue(flow);
         if pos.is_first() {
             q.push(Packet::default());
@@ -280,12 +275,16 @@ impl Model {
         Ok(DequeuedSegment { data, sop, eop })
     }
 
-    /// Rewrites the head segment with `new`, or without to `len` bytes,
-    /// which past its old length are what its slot held (`old`).
-    fn overwrite(&mut self, flow: FlowId, len: usize, new: Option<Vec<u8>>, old: &[u8]) -> Res<()> {
+    /// Rewrites the head segment with `new`, or without cuts it to `len`
+    /// bytes: a length rewrite never grows a segment.
+    fn overwrite(&mut self, flow: FlowId, len: usize, new: Option<Vec<u8>>) -> Res<()> {
         self.known(flow)?;
         self.segment_len(flow, len)?;
         self.nonempty(flow)?;
+        let held = self.queue(flow)[0].segs[0].len();
+        let segment_bytes = held as u32;
+        let grows = new.is_none() && len > held;
+        self.check(flow, grows, SegmentOverflow { len, segment_bytes })?;
         let seg = &mut self.queue(flow)[0].segs[0];
         let count = match new {
             Some(new) => {
@@ -294,7 +293,6 @@ impl Model {
             }
             None => {
                 seg.truncate(len);
-                seg.extend_from_slice(old.get(seg.len()..len).unwrap_or_default());
                 &mut self.stats(flow).len_overwrites
             }
         };
@@ -309,7 +307,7 @@ impl Model {
         if !head {
             self.tail(flow, false)?;
         }
-        self.reserve(flow, 1, false)?;
+        self.reserve(flow, 1)?;
         let q = self.queue(flow);
         if head {
             // A fresh head segment: the packet is unstarted again.
@@ -337,7 +335,7 @@ impl Model {
         self.tail(dst, false)?;
         if across {
             let segs = head.segs.concat().len().div_ceil(self.seg_bytes);
-            self.reserve(dst, segs, true)?;
+            self.reserve(dst, segs)?;
             let bytes = self.take(src, true)?.segs.concat();
             return self.enqueue_packet(dst, &bytes, head.work);
         }
@@ -366,29 +364,13 @@ impl Model {
         self.tail(dst, false)?;
         let mut copy = self.queue(src)[0].clone();
         copy.started = false;
-        self.reserve(dst, copy.segs.len(), true)?;
+        self.reserve(dst, copy.segs.len())?;
         let st = self.stats(dst);
         st.enqueues += copy.segs.len() as u64;
         st.bytes_in += copy.segs.concat().len() as u64;
         self.queue(dst).push(copy);
         Ok(())
     }
-}
-
-/// What the head segment's slot holds, all `seg_bytes` of it, for the
-/// steps that rewrite a length: the one thing the model takes from the
-/// engine, since a segment grown by `overwrite_head_len` shows whatever
-/// its slot held before.
-fn exposed(engine: &ShardedQueueManager, step: Step) -> Vec<u8> {
-    let (flow, ..) = step.parts();
-    let qm = engine.shard(engine.shard_of(flow));
-    let grows = matches!(step, OverwriteHeadLen(..) | OverwriteLenAndMove(..));
-    if !grows || qm.is_empty(flow) {
-        return Vec::new();
-    }
-    let seg = qm.ptr.pkt_silent(qm.ptr.queue_silent(flow).head_pkt).first;
-    let len = qm.config().segment_bytes() as usize;
-    qm.data.read_silent(seg, len).to_vec()
 }
 
 /// `flow`'s packets as `qm` holds them, read without counting.
@@ -434,7 +416,7 @@ impl Run {
         let at = format!("step {} {step:?}", self.tag);
         let tag = self.tag as u8;
         self.tag += 1;
-        let want = self.model.step(step, tag, &exposed(&self.engine, step));
+        let want = self.model.step(step, tag);
         let got = apply(&mut self.engine, step, tag);
         if got != want {
             return Err(format!("{at}: engine {got:?}, model {want:?}"));

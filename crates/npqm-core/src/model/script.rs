@@ -173,8 +173,9 @@ pub(crate) fn apply(engine: &mut ShardedQueueManager, step: Step, tag: u8) -> Re
         SetTailWork(_, work) => qm.set_tail_work(flow, work).map(|()| DONE),
         DequeuePacket(_, None) => qm.dequeue_packet(flow).map(Reply::Packet),
         DequeuePacket(_, Some(n)) => lent(n, |out| qm.dequeue_packet_into(flow, out)).map(packet),
-        PeekPacket(_, None) => qm.peek_packet(flow).map(Reply::Packet),
-        PeekPacket(_, Some(n)) => lent(n, |out| qm.peek_packet_into(flow, out)).map(packet),
+        PeekPacket(_, held) => {
+            lent(held.unwrap_or(0), |out| qm.peek_packet_into(flow, out)).map(packet)
+        }
         Dequeue(_, Some(n)) => lent(n, |out| qm.dequeue_into(flow, out)).map(|(info, data)| {
             assert_eq!(info.len, data.len());
             let (sop, eop) = (info.sop, info.eop);

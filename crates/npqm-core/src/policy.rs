@@ -147,8 +147,8 @@ fn stamp_work(qm: &mut QueueManager, flow: FlowId, work: u32) {
     }
 }
 
-/// Boxed policies admit like their contents, so `Box<dyn DropPolicy +
-/// Send>` slots into any generic pipeline bound.
+/// Boxed policies admit like their contents, so `Box<dyn DropPolicy>`
+/// slots into any generic pipeline bound.
 impl<P: DropPolicy + ?Sized> DropPolicy for Box<P> {
     fn name(&self) -> &str {
         (**self).name()
@@ -1192,5 +1192,95 @@ mod tests {
             Err(Refusal::from(DropReason::GlobalReserve))
         );
         assert!(qm.is_empty(FlowId::new(0)));
+    }
+
+    // --- global LQD over a sharded engine ------------------------------
+
+    fn cfg(segments: u32) -> QmConfig {
+        QmConfig::builder()
+            .num_flows(16)
+            .num_segments(segments)
+            .segment_bytes(64)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn global_lqd_respects_reserve_and_refuses_oversize() {
+        let mut e = ShardedQueueManager::new(cfg(8), 2);
+        let mut lqd = GlobalLqd::new(8, 2);
+        assert!(matches!(
+            lqd.offer(&mut e, FlowId::new(0), &[0u8; 64 * 7]),
+            Err(Refusal {
+                reason: DropReason::GlobalReserve,
+                ..
+            })
+        ));
+        for _ in 0..6 {
+            let adm = lqd.offer(&mut e, FlowId::new(0), &[0u8; 64]);
+            assert_eq!(adm, Ok(Admission::default()));
+        }
+        // The 7th would dip into the reserve: push-out keeps it intact.
+        let adm = lqd.offer(&mut e, FlowId::new(1), &[1u8; 64]).unwrap();
+        assert_eq!(e.used_segments(), 6);
+        assert_eq!(adm.evicted, vec![(FlowId::new(0), 64)]);
+        e.verify().unwrap();
+    }
+
+    #[test]
+    fn global_lqd_skips_unevictable_queues() {
+        use crate::manager::SegmentPosition;
+        // Shard A holds an open (mid-SAR) 2-segment packet — the longest
+        // queue — while shard B holds a complete 1-segment packet. The
+        // next arrival must evict from B, not give up on A's hog.
+        let mut e = ShardedQueueManager::new(cfg(4), 2);
+        let hog = FlowId::new(0);
+        let hog_shard = e.shard_of(hog);
+        let small = (1..16)
+            .map(FlowId::new)
+            .find(|&f| e.shard_of(f) != hog_shard)
+            .unwrap();
+        e.shard_for_mut(hog)
+            .enqueue(hog, &[9u8; 64], SegmentPosition::First)
+            .unwrap();
+        e.shard_for_mut(hog)
+            .enqueue(hog, &[9u8; 64], SegmentPosition::Middle)
+            .unwrap();
+        let mut lqd = GlobalLqd::new(4, 0);
+        lqd.offer(&mut e, small, &[1u8; 64]).unwrap();
+        assert_eq!(e.used_segments(), 3);
+        let adm = lqd.offer(&mut e, FlowId::new(2), &[2u8; 128]).unwrap();
+        assert_eq!(adm.evicted, vec![(small, 64)]);
+        e.verify().unwrap();
+    }
+
+    #[test]
+    fn global_lqd_refusal_reports_collateral_evictions() {
+        use crate::manager::SegmentPosition;
+        let mut e = ShardedQueueManager::new(cfg(4), 2);
+        let hog = FlowId::new(0);
+        let hog_shard = e.shard_of(hog);
+        let other = (1..16)
+            .map(FlowId::new)
+            .find(|&f| e.shard_of(f) != hog_shard)
+            .unwrap();
+        let mut lqd = GlobalLqd::new(4, 0);
+        lqd.offer(&mut e, other, &[1u8; 64]).unwrap();
+        // Fill the rest of the budget with an unevictable open packet.
+        e.shard_for_mut(hog)
+            .enqueue(hog, &[9u8; 64], SegmentPosition::First)
+            .unwrap();
+        e.shard_for_mut(hog)
+            .enqueue(hog, &[9u8; 64], SegmentPosition::Middle)
+            .unwrap();
+        e.shard_for_mut(hog)
+            .enqueue(hog, &[9u8; 64], SegmentPosition::Middle)
+            .unwrap();
+        // A 2-segment arrival can evict `other`'s packet but then runs
+        // out of victims: the refusal must carry the collateral.
+        let refusal = lqd.offer(&mut e, FlowId::new(2), &[2u8; 128]).unwrap_err();
+        assert_eq!(refusal.reason, DropReason::GlobalReserve);
+        assert_eq!(refusal.evicted, vec![(other, 64)]);
+        e.verify().unwrap();
     }
 }

@@ -258,11 +258,6 @@ impl PtrMem {
         &self.counters
     }
 
-    /// Resets the access counters to zero.
-    pub fn reset_counters(&mut self) {
-        self.counters = PtrMemCounters::default();
-    }
-
     /// Counts `extra` accesses that were not made through the accessors:
     /// the whole-packet transactions of [`crate::QueueManager`] keep a
     /// record in a local across the segments of one packet, and the chain
@@ -463,8 +458,6 @@ mod tests {
         let delta = pm.counters().since(&before);
         assert_eq!(delta.seg_reads, 2);
         assert_eq!(delta.total(), 2);
-        pm.reset_counters();
-        assert_eq!(pm.counters().total(), 0);
     }
 
     #[test]

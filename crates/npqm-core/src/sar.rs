@@ -97,11 +97,6 @@ impl Reassembler {
         Self::default()
     }
 
-    /// Whether a packet is currently being assembled.
-    pub const fn is_open(&self) -> bool {
-        self.open
-    }
-
     /// Packets completed so far.
     pub const fn completed(&self) -> u64 {
         self.completed
@@ -207,7 +202,7 @@ mod tests {
                 got = ras.push(chunk, pos.is_first(), pos.is_last()).unwrap();
             }
             assert_eq!(got.unwrap(), packet, "len {len}");
-            assert!(!ras.is_open());
+            assert_eq!(ras.buffered(), 0);
         }
     }
 
@@ -219,8 +214,8 @@ mod tests {
         assert!(r.push(b"y", true, false).is_err(), "sop while open");
         assert_eq!(r.buffered(), 1);
         r.reset();
-        assert!(!r.is_open());
-        assert_eq!(r.completed(), 0);
+        assert!(r.push(b"z", true, true).is_ok(), "sop after reset");
+        assert_eq!(r.completed(), 1);
     }
 
     #[test]

@@ -469,11 +469,6 @@ impl HtbScheduler {
         self.index.get(class).map(|&i| self.nodes[i].served_bytes)
     }
 
-    /// Number of leaf classes (= schedulable flows).
-    pub fn leaf_count(&self) -> usize {
-        self.leaves.len()
-    }
-
     fn within_ceil(nodes: &[Node], mut idx: usize) -> bool {
         loop {
             if nodes[idx].ctokens < 0 {

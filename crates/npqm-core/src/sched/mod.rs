@@ -43,7 +43,7 @@ pub trait FlowScheduler {
 }
 
 /// Boxed schedulers schedule like their contents, so `Box<dyn
-/// FlowScheduler + Send>` slots into any generic pipeline bound.
+/// FlowScheduler>` slots into any generic pipeline bound.
 impl<S: FlowScheduler + ?Sized> FlowScheduler for Box<S> {
     fn next_flow(&mut self, qm: &QueueManager) -> Option<FlowId> {
         (**self).next_flow(qm)

@@ -72,7 +72,7 @@ fn parse_list(what: &str, s: &str, flows: u32) -> Result<Vec<u32>, SpecError> {
     }
 }
 
-fn parse_htb(body: &str, flows: u32) -> Result<Box<dyn FlowScheduler + Send>, SpecError> {
+fn parse_htb(body: &str, flows: u32) -> Result<Box<dyn FlowScheduler>, SpecError> {
     let mut segments = body.split(';').map(str::trim);
     let cap_seg = segments
         .next()
@@ -209,7 +209,7 @@ fn parse_htb(body: &str, flows: u32) -> Result<Box<dyn FlowScheduler + Send>, Sp
 /// let mut htb = from_spec("htb:cap=100;t,rate=50,ceil=100,flows=0-3", 4).unwrap();
 /// assert!(from_spec("wrr:4,2", 4).is_err());
 /// ```
-pub fn from_spec(spec: &str, flows: u32) -> Result<Box<dyn FlowScheduler + Send>, SpecError> {
+pub fn from_spec(spec: &str, flows: u32) -> Result<Box<dyn FlowScheduler>, SpecError> {
     if flows == 0 {
         return Err(SpecError::new("flow count must be non-zero"));
     }

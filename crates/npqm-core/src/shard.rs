@@ -1,12 +1,11 @@
-//! Sharded, batch-executing queue engine.
+//! Sharded queue engine.
 //!
 //! The paper's MMS sustains its 2.5 Gbit/s only because queue management
 //! runs as a pipelined hardware unit (§6); one software [`QueueManager`]
 //! serializes every command on a single flow table and free list.
 //! Multi-engine data-path designs instead *partition flows across
 //! independent engines* — each with its own pointer memory, free list
-//! and occupancy index — and feed each engine batches of commands so the
-//! per-engine working set stays hot.
+//! and occupancy index.
 //!
 //! [`ShardedQueueManager`] is that organisation in software:
 //!
@@ -21,17 +20,13 @@
 //!   on the calling thread, and times the call. The scale rounds
 //!   (`table7` / `table8`), the streaming service's serve phase and the
 //!   pipeline builder's shard-local loops all run through it;
-//! * **batched execution** ([`ShardedQueueManager::execute_batch`],
-//!   [`ShardedAdmission::offer_batch`]): a batch grouped per shard, each
-//!   group run back-to-back on its engine through `for_each_shard` (see
-//!   [`parallel`]), so pointer-cache locality and the lazy
-//!   [`QueueManager::longest_queue`] heap maintenance are amortized across
-//!   the batch. No table, pipeline or service calls them; their callers
-//!   are tests, the `sharded_engine` example and the benchmark ladder;
+//! * **one command at a time** ([`ShardedQueueManager::execute`]), routed
+//!   to its flow's shard, as the paper's MMS takes one command per
+//!   request/acknowledge handshake; a batch is its one-by-one replay;
 //! * **cross-shard moves/copies**: two-queue commands whose source and
-//!   destination hash to different shards act as batch-phase barriers
-//!   and transfer the payload between the two data
-//!   memories (see [Cross-shard semantics](#cross-shard-semantics));
+//!   destination hash to different shards transfer the payload between
+//!   the two data memories (see
+//!   [Cross-shard semantics](#cross-shard-semantics));
 //! * **per-shard admission** ([`ShardedAdmission`]): one
 //!   [`DropPolicy`] instance per shard, so Choudhury–Hahne dynamic
 //!   thresholds (or any other policy) apply *shard-locally* against each
@@ -99,17 +94,14 @@
 //! use npqm_core::{Command, FlowId, QmConfig};
 //!
 //! let mut engine = ShardedQueueManager::new(QmConfig::small(), 4);
-//! let batch: Vec<Command> = (0..8)
-//!     .map(|i| Command::Enqueue {
-//!         flow: FlowId::new(i),
-//!         data: vec![i as u8; 64],
-//!         pos: SegmentPosition::Only,
-//!     })
-//!     .collect();
-//! let results = engine.execute_batch(&batch);
-//! assert!(results.iter().all(Result::is_ok));
+//! for i in 0..8 {
+//!     let data = vec![i as u8; 64];
+//!     let flow = FlowId::new(i);
+//!     engine.execute(Command::Enqueue { flow, data, pos: SegmentPosition::Only })?;
+//! }
 //! engine.verify().unwrap();
 //! assert_eq!(engine.stats().enqueues, 8);
+//! # Ok::<(), npqm_core::QueueError>(())
 //! ```
 
 use crate::check::{InvariantReport, InvariantViolation};
@@ -124,8 +116,6 @@ use crate::stats::{ParallelStats, QmStats};
 use crate::timing::stream::{CrossBarrier, EngineTrace};
 use std::time::{Duration, Instant};
 
-pub mod parallel;
-
 /// Where a command executes: one shard, or two distinct shards.
 enum Route {
     One(usize),
@@ -133,7 +123,7 @@ enum Route {
 }
 
 /// A sharded queue engine: N independent [`QueueManager`]s with stable
-/// flow routing and batched command execution.
+/// flow routing.
 ///
 /// See the [module documentation](self) for the design and the
 /// throughput model.
@@ -189,9 +179,7 @@ impl ShardedQueueManager {
 
     /// Drains the recorded engine trace: the cross-shard barriers, then
     /// one cut of every shard. The trace is a pure function of the
-    /// executed commands and their per-shard order — identical under a
-    /// batch and under one-by-one
-    /// [`execute`](ShardedQueueManager::execute).
+    /// executed commands and their per-shard order.
     pub(crate) fn take_trace(&mut self) -> EngineTrace {
         EngineTrace {
             barriers: std::mem::take(&mut self.trace_barriers),
@@ -295,13 +283,6 @@ impl ShardedQueueManager {
         &mut self.shards[s]
     }
 
-    /// Always [`ParallelStats::default`]: shards run on the calling
-    /// thread, so nothing fans out or steals. Kept only for callers
-    /// outside the workspace's crates that still read it.
-    pub fn parallel_stats(&self) -> ParallelStats {
-        ParallelStats::default()
-    }
-
     /// Segments currently linked into queues, summed over all shards.
     pub fn used_segments(&self) -> u32 {
         self.shards
@@ -313,9 +294,7 @@ impl ShardedQueueManager {
     /// A deterministic fingerprint of the whole engine: every shard's
     /// [`crate::check::state_digest`] folded together in shard order.
     /// Equal digests mean byte-identical queue contents, free-space
-    /// accounting and operation counters — the equality the
-    /// batch-equivalence property tests assert between a batch and its
-    /// one-by-one replay.
+    /// accounting and operation counters.
     pub fn state_digest(&self) -> u64 {
         self.shards
             .iter()
@@ -324,13 +303,10 @@ impl ShardedQueueManager {
             })
     }
 
-    /// Per-shard busy time. Its writers are
-    /// [`for_each_shard`](ShardedQueueManager::for_each_shard) — under
-    /// the scale rounds, the service's serve phases, the pipeline
-    /// builder's shard-local loops,
-    /// [`execute_batch`](ShardedQueueManager::execute_batch) and
-    /// [`ShardedAdmission::offer_batch`] — and a batched cross-shard
-    /// command, which charges both of its engines.
+    /// Per-shard busy time. Its one writer is
+    /// [`for_each_shard`](ShardedQueueManager::for_each_shard), under the
+    /// scale rounds, the service's serve phases and the pipeline
+    /// builder's shard-local loops.
     pub fn busy_times(&self) -> &[Duration] {
         &self.busy
     }
@@ -392,29 +368,55 @@ impl ShardedQueueManager {
     /// commands whose queues live in different shards take the
     /// [cross-shard path](self#cross-shard-semantics)).
     ///
-    /// Single-command execution is not timed; only
-    /// [`for_each_shard`](ShardedQueueManager::for_each_shard) and the
-    /// batch entry points accumulate
+    /// Execution is not timed; only
+    /// [`for_each_shard`](ShardedQueueManager::for_each_shard) accumulates
     /// [busy time](ShardedQueueManager::busy_times).
     ///
     /// # Errors
     ///
     /// Propagates the underlying operation's [`QueueError`].
     pub fn execute(&mut self, cmd: Command) -> Result<Outcome, QueueError> {
-        match self.route(&cmd) {
-            Route::One(s) => self.shards[s].execute_ref(&cmd),
-            Route::Two(..) => self.execute_cross_traced(&cmd),
+        self.execute_ref(&cmd)
+    }
+
+    /// [`execute`](Self::execute) on a borrowed command, so a slice of
+    /// commands runs without cloning payloads.
+    fn execute_ref(&mut self, cmd: &Command) -> Result<Outcome, QueueError> {
+        match self.route(cmd) {
+            Route::One(s) => self.shards[s].execute_ref(cmd),
+            Route::Two(..) => self.execute_cross_traced(cmd),
         }
+    }
+
+    /// [`execute`](Self::execute) on each command in order. Kept only for
+    /// the benchmark ladder's `core.shard` rung until ROADMAP item 3.
+    pub fn execute_batch(&mut self, cmds: &[Command]) -> Vec<Result<Outcome, QueueError>> {
+        cmds.iter().map(|cmd| self.execute_ref(cmd)).collect()
+    }
+
+    /// As [`execute_batch`](Self::execute_batch); `_threads` is ignored.
+    /// Kept only for the benchmark ladder until ROADMAP item 3.
+    pub fn execute_batch_parallel(
+        &mut self,
+        cmds: &[Command],
+        _threads: usize,
+    ) -> Vec<Result<Outcome, QueueError>> {
+        self.execute_batch(cmds)
+    }
+
+    /// Always zero: nothing fans out or steals. Kept only for the
+    /// benchmark ladder until ROADMAP item 3.
+    pub fn parallel_stats(&self) -> ParallelStats {
+        ParallelStats::default()
     }
 
     /// Runs `work(engine s, &mut states[s])` once on every shard `s` for
     /// which `active(&states[s])` holds, in shard order on the calling
     /// thread, and adds the call's wall time to that shard's
     /// [busy time](ShardedQueueManager::busy_times) — the one timed
-    /// per-shard executor, behind the batch entry points, the `table7` /
-    /// `table8` rounds, the service's serve phase and the pipeline
-    /// builder's shard-local loops alike. Idle shards are neither run nor
-    /// timed.
+    /// per-shard executor, behind the `table7` / `table8` rounds, the
+    /// service's serve phase and the pipeline builder's shard-local loops
+    /// alike. Idle shards are neither run nor timed.
     ///
     /// # Panics
     ///
@@ -438,7 +440,7 @@ impl ShardedQueueManager {
     /// when tracing is enabled: both engines' logs are cut before the
     /// command and again after it, and the [`CrossBarrier`] tells the
     /// memory channels to synchronize both clocks after charging them.
-    pub(crate) fn execute_cross_traced(&mut self, cmd: &Command) -> Result<Outcome, QueueError> {
+    fn execute_cross_traced(&mut self, cmd: &Command) -> Result<Outcome, QueueError> {
         let (a, b) = match self.route(cmd) {
             Route::Two(a, b) => (a, b),
             Route::One(_) => unreachable!("cross execution requires two shards"),
@@ -543,9 +545,6 @@ impl ShardedQueueManager {
         let needed = bytes.div_ceil(seg_bytes) as u32;
         if self.shards[di].free_segments() < needed {
             return fail(&mut self.shards, di, QueueError::OutOfSegments);
-        }
-        if self.shards[di].free_packet_records() == 0 {
-            return fail(&mut self.shards, di, QueueError::OutOfPacketRecords);
         }
         let work = self.shards[si].head_work(src).unwrap_or(0);
         let pkt = self.shards[si]
@@ -732,9 +731,7 @@ impl<P: DropPolicy> ShardedAdmission<P> {
         &self.policies[idx]
     }
 
-    /// Offers one packet for admission on `flow`'s home shard (untimed;
-    /// use [`offer_batch`](ShardedAdmission::offer_batch) to accumulate
-    /// busy time).
+    /// Offers one packet for admission on `flow`'s home shard (untimed).
     ///
     /// # Errors
     ///
@@ -757,6 +754,38 @@ impl<P: DropPolicy> ShardedAdmission<P> {
         );
         let s = engine.shard_of(flow);
         self.policies[s].offer(&mut engine.shards[s], flow, packet)
+    }
+
+    /// [`offer`](Self::offer) on each arrival in order. Kept only for the
+    /// benchmark ladder's `core.shard` rung until ROADMAP item 3.
+    ///
+    /// # Panics
+    ///
+    /// As [`offer`](Self::offer).
+    pub fn offer_batch(
+        &mut self,
+        engine: &mut ShardedQueueManager,
+        arrivals: &[(FlowId, &[u8])],
+    ) -> Vec<Result<Admission, Refusal>> {
+        arrivals
+            .iter()
+            .map(|&(flow, packet)| self.offer(engine, flow, packet))
+            .collect()
+    }
+
+    /// As [`offer_batch`](Self::offer_batch); `_threads` is ignored. Kept
+    /// only for the benchmark ladder until ROADMAP item 3.
+    ///
+    /// # Panics
+    ///
+    /// As [`offer`](Self::offer).
+    pub fn offer_batch_parallel(
+        &mut self,
+        engine: &mut ShardedQueueManager,
+        arrivals: &[(FlowId, &[u8])],
+        _threads: usize,
+    ) -> Vec<Result<Admission, Refusal>> {
+        self.offer_batch(engine, arrivals)
     }
 }
 
@@ -837,38 +866,11 @@ mod tests {
                 flow: FlowId::new(3),
             }, // error: empty
         ];
-        let batch = sharded.execute_batch(&cmds);
-        let serial: Vec<_> = cmds.into_iter().map(|c| dense.execute(c)).collect();
-        assert_eq!(batch, serial);
+        let sharded_results: Vec<_> = cmds.iter().map(|c| sharded.execute(c.clone())).collect();
+        let dense_results: Vec<_> = cmds.into_iter().map(|c| dense.execute(c)).collect();
+        assert_eq!(sharded_results, dense_results);
         assert_eq!(&sharded.stats(), dense.stats());
         sharded.verify().unwrap();
-    }
-
-    #[test]
-    fn batch_matches_one_by_one_across_shards() {
-        let mut batched = ShardedQueueManager::new(cfg(64), 4);
-        let mut serial = ShardedQueueManager::new(cfg(64), 4);
-        let mut cmds = Vec::new();
-        for f in 0..16u32 {
-            cmds.push(enqueue_cmd(f, f as u8, 70 + f as usize));
-        }
-        for f in 0..16u32 {
-            cmds.push(Command::Move {
-                src: FlowId::new(f),
-                dst: FlowId::new((f + 5) % 16),
-            });
-        }
-        for f in 0..16u32 {
-            cmds.push(Command::Dequeue {
-                flow: FlowId::new((f + 5) % 16),
-            });
-        }
-        let a = batched.execute_batch(&cmds);
-        let b: Vec<_> = cmds.into_iter().map(|c| serial.execute(c)).collect();
-        assert_eq!(a, b);
-        assert_eq!(batched.stats(), serial.stats());
-        batched.verify().unwrap();
-        serial.verify().unwrap();
     }
 
     #[test]
@@ -1019,12 +1021,17 @@ mod tests {
     }
 
     #[test]
-    fn busy_time_accumulates_only_in_batches() {
+    fn busy_time_accumulates_only_in_for_each_shard() {
         let mut e = ShardedQueueManager::new(cfg(64), 2);
         e.execute(enqueue_cmd(0, 1, 64)).unwrap();
         assert_eq!(e.critical_path(), Duration::ZERO);
-        let cmds: Vec<Command> = (0..16).map(|f| enqueue_cmd(f, 2, 64)).collect();
-        e.execute_batch(&cmds);
+        e.for_each_shard(
+            &mut [(), ()],
+            |_| true,
+            |qm, _| {
+                qm.enqueue_packet(FlowId::new(1), &[2u8; 64]).unwrap();
+            },
+        );
         assert!(e.critical_path() > Duration::ZERO);
         assert!(e.serial_time() >= e.critical_path());
     }
@@ -1056,7 +1063,6 @@ mod tests {
                 u32::from(st.0)
             );
         }
-        assert_eq!(e.parallel_stats(), ParallelStats::default());
     }
 
     #[test]
@@ -1090,33 +1096,6 @@ mod tests {
         assert!(adm.offer(&mut e, other, &[1u8; 64]).is_ok());
         assert_eq!(e.shard(hog_shard).queue_len_packets(hog), admitted);
         e.verify().unwrap();
-    }
-
-    #[test]
-    fn offer_batch_matches_one_by_one_and_times_shards() {
-        let mk = || ShardedQueueManager::new(cfg(16), 4);
-        let payloads: Vec<(FlowId, Vec<u8>)> = (0..40u32)
-            .map(|i| (FlowId::new(i % 16), vec![i as u8; 40 + (i as usize % 80)]))
-            .collect();
-        let arrivals: Vec<(FlowId, &[u8])> =
-            payloads.iter().map(|(f, p)| (*f, p.as_slice())).collect();
-
-        let mut e1 = mk();
-        let mut adm1 = ShardedAdmission::from_fn(4, |_| DynamicThreshold::new(1.0));
-        let batch = adm1.offer_batch(&mut e1, &arrivals);
-
-        let mut e2 = mk();
-        let mut adm2 = ShardedAdmission::from_fn(4, |_| DynamicThreshold::new(1.0));
-        let serial: Vec<_> = arrivals
-            .iter()
-            .map(|&(f, p)| adm2.offer(&mut e2, f, p))
-            .collect();
-
-        assert_eq!(batch, serial);
-        assert_eq!(e1.stats(), e2.stats());
-        assert!(e1.critical_path() > Duration::ZERO);
-        assert_eq!(e2.critical_path(), Duration::ZERO, "offer() is untimed");
-        e1.verify().unwrap();
     }
 
     #[test]

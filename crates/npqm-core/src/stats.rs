@@ -100,10 +100,9 @@ impl QmStats {
     }
 }
 
-/// What [`crate::shard::ShardedQueueManager::parallel_stats`] returns:
-/// always zero. Shards run on the calling thread, so no batch fans out
-/// and no worker steals; the type stays only because callers outside
-/// the workspace's crates still read it.
+/// Always zero: shards run on the calling thread, so no batch fans out
+/// and no worker steals. Kept only for the benchmark ladder until ROADMAP
+/// item 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ParallelStats {
     /// Always 0: no batch leaves the calling thread.

@@ -18,8 +18,7 @@
 //!    and synchronize their clocks.
 //!
 //! Costing is fully deterministic: streams are pure functions of the
-//! commands and their per-engine order (byte-identical between a batch
-//! and its one-by-one replay), and the models contain no randomness,
+//! commands and their per-engine order, and the models contain no randomness,
 //! so the same seed and configuration produce the same cycle counts.
 //! The `table8` binary gates this in CI.
 
@@ -62,11 +61,6 @@ impl CommandCost {
     /// Wall time of the stream: the slower of the two parallel legs.
     pub fn time(&self) -> Picos {
         self.ptr_time.max(self.data_time)
-    }
-
-    /// Total data-memory bursts (reads + writes).
-    pub fn data_accesses(&self) -> u64 {
-        self.data_reads + self.data_writes
     }
 
     /// Adds `other` into `self` (totals over several charged streams; the
@@ -149,9 +143,8 @@ pub struct BatchCost {
 /// Each engine keeps one access log, and only two things cut it: a
 /// cross-shard command (both engines, before it and after it) and
 /// [`MemoryChannels::charge_engine`] (every engine, once). So the cost
-/// depends only on the per-shard access *sequence* and where cross-shard
-/// barriers fell — one-by-one execution and a batch charge identically,
-/// because nothing else draws a boundary. A
+/// depends only on the per-shard access *sequence*, where cross-shard
+/// barriers fell and when the caller charged. A
 /// cross-shard command charges what each of its two shards did before it,
 /// then its source-side traffic to the source channel and its
 /// destination-side traffic to the destination channel, then both
@@ -167,18 +160,16 @@ pub struct BatchCost {
 ///
 /// let mut engine = ShardedQueueManager::new(QmConfig::small(), 2);
 /// engine.set_tracing(true);
-/// let batch: Vec<Command> = (0..8)
-///     .map(|i| Command::Enqueue {
-///         flow: FlowId::new(i),
-///         data: vec![i as u8; 64],
-///         pos: SegmentPosition::Only,
-///     })
-///     .collect();
-/// engine.execute_batch(&batch);
+/// for i in 0..8 {
+///     let data = vec![i as u8; 64];
+///     let flow = FlowId::new(i);
+///     engine.execute(Command::Enqueue { flow, data, pos: SegmentPosition::Only })?;
+/// }
 /// let mut channels = MemoryChannels::from_fn(2, |_| PaperTiming::new(TimingConfig::paper(8)));
 /// let cost = channels.charge_engine(&mut engine);
 /// assert_eq!(cost.totals.data_writes, 8);
 /// assert!(cost.critical_path > npqm_sim::time::Picos::ZERO);
+/// # Ok::<(), npqm_core::QueueError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct MemoryChannels {
@@ -322,7 +313,7 @@ mod tests {
         );
         assert!(r.is_err());
         assert!(cost.ptr_accesses > 0, "the queue-table read is real");
-        assert_eq!(cost.data_accesses(), 0);
+        assert_eq!(cost.data_reads + cost.data_writes, 0);
     }
 
     #[test]
@@ -331,34 +322,33 @@ mod tests {
         let mut plain = ShardedQueueManager::new(cfg(), 4);
         let mut traced = ShardedQueueManager::new(cfg(), 4);
         traced.set_tracing(true);
-        let a = plain.execute_batch(&batch);
-        let b = traced.execute_batch(&batch);
-        assert_eq!(a, b);
+        for cmd in batch {
+            assert_eq!(plain.execute(cmd.clone()), traced.execute(cmd));
+        }
         assert_eq!(plain.state_digest(), traced.state_digest());
         assert_eq!(plain.ptr_counters(), traced.ptr_counters());
     }
 
     #[test]
     fn charge_engine_is_invariant_to_span_boundaries() {
-        // The same command sequence executed as one batch or command by
-        // command produces different span cuts; merged-window charging
-        // must cost them identically.
+        // The same commands through the sharded engine or straight to
+        // each flow's home shard: only a cross-shard command or a charge
+        // cuts a shard's log, so both cost the same.
         let cmds: Vec<Command> = (0..16)
             .map(|i| enqueue(i % 8, 64))
             .chain((0..8).map(|i| Command::Dequeue {
                 flow: FlowId::new(i % 8),
             }))
             .collect();
-        let run = |batched: bool| {
+        let run = |direct: bool| {
             let mut engine = ShardedQueueManager::new(cfg(), 2);
             engine.set_tracing(true);
             let mut ch = MemoryChannels::from_fn(2, |_| PaperTiming::new(TimingConfig::paper(4)));
-            if batched {
-                engine.execute_batch(&cmds);
-            } else {
-                for c in &cmds {
-                    let _ = engine.execute(c.clone());
-                }
+            for c in &cmds {
+                let _ = match direct {
+                    true => engine.shard_for_mut(c.primary_flow()).execute(c.clone()),
+                    false => engine.execute(c.clone()),
+                };
             }
             let cost = ch.charge_engine(&mut engine);
             (cost, ch.per_channel_elapsed())
@@ -401,41 +391,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn charge_engine_matches_serial_and_parallel_execution() {
-        let cmds: Vec<Command> = (0..48)
-            .map(|i| enqueue(i % 16, 40 + (i as usize % 100)))
-            .chain((0..16).map(|i| Command::Move {
-                src: FlowId::new(i),
-                dst: FlowId::new((i + 5) % 16),
-            }))
-            .chain((0..16).map(|i| Command::Dequeue {
-                flow: FlowId::new((i + 5) % 16),
-            }))
-            .collect();
-        // The reference is the one-by-one replay: it cuts a span per
-        // command, which charging must be invariant to.
-        let run = |batched: bool| {
-            let mut engine = ShardedQueueManager::new(cfg(), 4);
-            engine.set_tracing(true);
-            let mut ch = MemoryChannels::from_fn(4, |_| PaperTiming::new(TimingConfig::paper(8)));
-            if batched {
-                drop(engine.execute_batch_parallel(&cmds, 1));
-            } else {
-                cmds.iter().for_each(|c| drop(engine.execute(c.clone())));
-            }
-            ch.charge_engine(&mut engine)
-        };
-        let serial = run(false);
-        assert_eq!(run(true), serial);
-        assert!(serial.critical_path > Picos::ZERO);
-        assert!(serial.per_shard.len() == 4);
-    }
-
     /// A seeded 400-command script with cross-shard `Move` / `Copy`,
     /// charged every 100 commands: every `BatchCost` and the final channel
     /// clocks, folded into one word.
-    fn pinned_fold(tc: TimingConfig, batched: bool) -> u64 {
+    fn pinned_fold(tc: TimingConfig) -> u64 {
         use crate::check::{fnv1a_fold, FNV_OFFSET_BASIS};
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
         let mut draw = move |n: u64| {
@@ -462,11 +421,7 @@ mod tests {
         let mut ch = MemoryChannels::from_fn(4, |_| PaperTiming::new(tc));
         let mut h = FNV_OFFSET_BASIS;
         for round in cmds.chunks(100) {
-            if batched {
-                drop(engine.execute_batch(round));
-            } else {
-                round.iter().for_each(|c| drop(engine.execute(c.clone())));
-            }
+            round.iter().for_each(|c| drop(engine.execute(c.clone())));
             let cost = ch.charge_engine(&mut engine);
             let t = cost.totals;
             let words = [
@@ -504,13 +459,11 @@ mod tests {
             } else {
                 TimingConfig::naive(banks)
             };
-            let serial = pinned_fold(tc, false);
             assert_eq!(
-                pinned_fold(tc, true),
-                serial,
-                "banks={banks} reordering={reordering}: batch"
+                pinned_fold(tc),
+                pin,
+                "banks={banks} reordering={reordering}"
             );
-            assert_eq!(serial, pin, "banks={banks} reordering={reordering}");
         }
     }
 }

@@ -1,33 +1,23 @@
-//! Property tests: batched execution on the sharded engine is
-//! behaviourally identical to one-by-one command replay.
+//! Property tests: the sharded engine on one shard is the plain engine,
+//! and global LQD is a pure function of its arrivals.
 //!
-//! Two equivalences are checked over random command vectors (including
-//! error paths: empty queues, SAR-protocol violations, cross-queue moves
-//! and copies):
-//!
-//! 1. a **single-shard** [`ShardedQueueManager`] executing a batch yields
-//!    byte-identical outcomes *and counters* to replaying the same
-//!    commands one-by-one on a plain [`QueueManager`];
-//! 2. a **multi-shard** engine executing a batch (per-shard grouping,
-//!    cross-shard barriers) matches the same engine fed one command at a
-//!    time: outcomes, counters, state digests and per-shard pointer
-//!    traffic.
+//! Over random command vectors (including error paths: empty queues,
+//! SAR-protocol violations, cross-queue moves and copies), a
+//! **single-shard** [`ShardedQueueManager`] yields byte-identical
+//! outcomes *and counters* to the same commands on a plain
+//! [`QueueManager`].
 //!
 //! And two at the policy layer, over random arrival sequences:
-//!
-//! 3. [`ShardedAdmission::offer_batch`] matches one-by-one
-//!    [`ShardedAdmission::offer`] decision for decision;
-//! 4. [`GlobalLqd`] admission over the shared buffer is a pure function
-//!    of the arrival sequence (identical twice over, conserving the
-//!    global budget) — and on one shard it *is* [`LongestQueueDrop`] on
-//!    one engine, decision for decision, open tails and mid-service heads
-//!    included.
+//! [`GlobalLqd`] admission over the shared buffer is a pure function of
+//! the arrival sequence (identical twice over, conserving the global
+//! budget) — and on one shard it *is* [`LongestQueueDrop`] on one engine,
+//! decision for decision, open tails and mid-service heads included.
 
 use npqm_core::check::state_digest;
 use npqm_core::manager::SegmentPosition;
 use npqm_core::policy::{DropPolicy, GlobalLqd};
-use npqm_core::shard::{ShardedAdmission, ShardedQueueManager};
-use npqm_core::{Command, DynamicThreshold, FlowId, LongestQueueDrop, QmConfig, QueueManager};
+use npqm_core::shard::ShardedQueueManager;
+use npqm_core::{Command, FlowId, LongestQueueDrop, QmConfig, QueueManager};
 use proptest::prelude::*;
 
 const FLOWS: u32 = 8;
@@ -174,23 +164,6 @@ fn small_cfg() -> QmConfig {
         .unwrap()
 }
 
-/// Full engine equality: aggregate counters, the engine digest and
-/// per-shard state digests (payload bytes, queue structure, free lists,
-/// operation counters), on an engine that verifies.
-fn assert_same_engines(a: &ShardedQueueManager, b: &ShardedQueueManager) {
-    assert_eq!(a.num_shards(), b.num_shards());
-    assert_eq!(a.stats(), b.stats(), "counters must match");
-    assert_eq!(a.state_digest(), b.state_digest());
-    a.verify().unwrap();
-    for s in 0..a.num_shards() {
-        assert_eq!(
-            state_digest(a.shard(s)),
-            state_digest(b.shard(s)),
-            "shard {s} diverged"
-        );
-    }
-}
-
 /// One step of the 1-shard differential between [`GlobalLqd`] and
 /// [`LongestQueueDrop`]: a whole packet through the policy, or a raw
 /// segment command behind its back — `First`/`Middle` leave open tails, a
@@ -237,8 +210,8 @@ fn assert_same_queues(a: &QueueManager, b: &QueueManager) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// A 1-shard batched engine is the plain engine: identical outcomes
-    /// (every dequeued byte), identical counters, identical final state.
+    /// A 1-shard engine is the plain engine: identical outcomes (every
+    /// dequeued byte), identical counters, identical final state.
     #[test]
     fn single_shard_batch_equals_plain_replay(
         ops in proptest::collection::vec(op_strategy(), 1..80)
@@ -247,7 +220,7 @@ proptest! {
         let mut sharded = ShardedQueueManager::new(small_cfg(), 1);
         let mut plain = QueueManager::new(small_cfg());
 
-        let batch = sharded.execute_batch(&cmds);
+        let batch: Vec<_> = cmds.iter().map(|c| sharded.execute(c.clone())).collect();
         let serial: Vec<_> = cmds.iter().map(|c| plain.execute(c.clone())).collect();
 
         prop_assert_eq!(&batch, &serial, "outcomes must be byte-identical");
@@ -270,62 +243,10 @@ proptest! {
         }
     }
 
-    /// A multi-shard batch (per-shard grouping + cross-shard barriers)
-    /// matches the same engine executing one command at a time.
-    #[test]
-    fn multi_shard_batch_equals_sequential(
-        ops in proptest::collection::vec(op_strategy(), 1..80)
-    ) {
-        let cmds = materialize(&ops);
-        let mut batched = ShardedQueueManager::new(small_cfg(), 4);
-        let mut serial = ShardedQueueManager::new(small_cfg(), 4);
-
-        let a = batched.execute_batch(&cmds);
-        let b: Vec<_> = cmds.iter().map(|c| serial.execute(c.clone())).collect();
-
-        prop_assert_eq!(&a, &b, "outcomes must be byte-identical");
-        assert_same_engines(&batched, &serial);
-        for s in 0..4 {
-            assert_same_queues(batched.shard(s), serial.shard(s));
-            // Pointer traffic too: memory-derived cost must not depend on
-            // batching.
-            prop_assert_eq!(batched.shard(s).ptr_counters(), serial.shard(s).ptr_counters());
-        }
-        serial.verify().unwrap();
-    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Batched admission matches one-by-one admission decision for
-    /// decision, across shard-local Choudhury–Hahne policies.
-    #[test]
-    fn parallel_admission_equals_serial(
-        arrivals in proptest::collection::vec(
-            (0..FLOWS, 1usize..180),
-            1..120,
-        ),
-    ) {
-        let payloads: Vec<(FlowId, Vec<u8>)> = arrivals
-            .iter()
-            .enumerate()
-            .map(|(i, &(f, len))| (FlowId::new(f), payload(i as u64, len)))
-            .collect();
-        let refs: Vec<(FlowId, &[u8])> =
-            payloads.iter().map(|(f, p)| (*f, p.as_slice())).collect();
-
-        let mut e1 = ShardedQueueManager::new(small_cfg(), 4);
-        let mut adm1 = ShardedAdmission::from_fn(4, |_| DynamicThreshold::new(1.5));
-        let expected: Vec<_> = refs.iter().map(|&(f, p)| adm1.offer(&mut e1, f, p)).collect();
-
-        let mut e2 = ShardedQueueManager::new(small_cfg(), 4);
-        let mut adm2 = ShardedAdmission::from_fn(4, |_| DynamicThreshold::new(1.5));
-        let got = adm2.offer_batch(&mut e2, &refs);
-
-        prop_assert_eq!(&got, &expected);
-        assert_same_engines(&e2, &e1);
-    }
 
     /// Global LQD over the shared buffer: a pure function of the arrival
     /// sequence (bit-identical on a second run), conserving the global

@@ -136,4 +136,17 @@
         ],
         digest: 0x51d8e941_35393997,
     },
+    // A length rewrite never grows a segment: flow 1's 4 bytes sit in the
+    // slot flow 0's 16 bytes were freed from, and growing them back, even
+    // after a cut, is refused.
+    Script {
+        name: "overwrite_len_never_exposes_stale_bytes",
+        shape: Shape { flows: 2, segments: 2, seg_bytes: 16, freelist: Lifo, shards: 1 },
+        steps: &[
+            EnqueuePacket(0, 16, 0), DequeuePacket(0, None), EnqueuePacket(1, 4, 0),
+            OverwriteHeadLen(1, 16), OverwriteLenAndMove(1, 0, 9), OverwriteHeadLen(1, 2),
+            OverwriteHeadLen(1, 3), ReadHead(1), DequeuePacket(1, None),
+        ],
+        digest: 0x9f5002d4_a2c64036,
+    },
 ]

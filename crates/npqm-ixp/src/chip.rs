@@ -156,15 +156,6 @@ impl IxpChip {
         let seconds = horizon as f64 / ENGINE_FREQ.hz() as f64;
         Kpps::new(packets as f64 / seconds / 1e3)
     }
-
-    /// Cycles engines spent waiting at each unit: `(scratch, sram, sdram)`.
-    pub fn contention(&self) -> (u64, u64, u64) {
-        (
-            self.scratch.wait_cycles(),
-            self.sram.wait_cycles(),
-            self.sdram.wait_cycles(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -206,8 +197,10 @@ mod tests {
         let scaling = six / one;
         // Paper: 0.3 Mpps / 60 Kpps = 5.0x — the SDRAM wall.
         assert!((4.5..5.6).contains(&scaling), "scaling {scaling}");
-        let (_, _, sdram_wait) = chip.contention();
-        assert!(sdram_wait > 0, "SDRAM contention must be visible");
+        assert!(
+            chip.sdram.wait_cycles() > 0,
+            "SDRAM contention must be visible"
+        );
     }
 
     #[test]

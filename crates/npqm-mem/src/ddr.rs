@@ -158,11 +158,6 @@ impl BankTracker {
         slot >= self.next_free[bank as usize]
     }
 
-    /// First slot at or after `slot` at which `bank` is free.
-    pub fn free_at(&self, bank: u32, slot: u64) -> u64 {
-        self.next_free[bank as usize].max(slot)
-    }
-
     /// Records an issue to `bank` at `slot`.
     ///
     /// # Panics
@@ -254,8 +249,6 @@ mod tests {
         assert!(!bt.is_free(0, 3));
         assert!(bt.is_free(0, 4));
         assert!(bt.is_free(1, 1), "other banks unaffected");
-        assert_eq!(bt.free_at(0, 1), 4);
-        assert_eq!(bt.free_at(1, 1), 1);
     }
 
     #[test]

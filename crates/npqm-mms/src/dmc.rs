@@ -93,7 +93,6 @@ pub struct Dmc {
     next_issue: u64,
     rng: Xoshiro256pp,
     delay: MeanVar,
-    queue_depth: MeanVar,
     completed: u64,
     reads: u64,
     writes: u64,
@@ -110,7 +109,6 @@ impl Dmc {
             next_issue: 0,
             rng: Xoshiro256pp::seed_from_u64(seed),
             delay: MeanVar::new(),
-            queue_depth: MeanVar::new(),
             completed: 0,
             reads: 0,
             writes: 0,
@@ -130,7 +128,6 @@ impl Dmc {
             bank,
             is_write,
         });
-        self.queue_depth.push(self.queue.len() as f64);
     }
 
     /// Advances the controller by one cycle.
@@ -179,11 +176,6 @@ impl Dmc {
         &self.delay
     }
 
-    /// Queue-depth statistics, sampled at each push.
-    pub const fn queue_depth_stats(&self) -> &MeanVar {
-        &self.queue_depth
-    }
-
     /// Transfers completed.
     pub const fn completed(&self) -> u64 {
         self.completed
@@ -208,7 +200,6 @@ impl Dmc {
     /// discard warm-up transients before a measurement window.
     pub fn reset_stats(&mut self) {
         self.delay = MeanVar::new();
-        self.queue_depth = MeanVar::new();
         self.completed = 0;
         self.reads = 0;
         self.writes = 0;
@@ -314,6 +305,5 @@ mod tests {
         drain(&mut dmc, 200);
         assert_eq!(dmc.pending(), 0);
         assert_eq!(dmc.completed(), 2);
-        assert!(dmc.queue_depth_stats().mean() > 0.0);
     }
 }

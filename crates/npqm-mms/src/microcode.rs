@@ -49,11 +49,6 @@ impl MicroOp {
             _ => 1,
         }
     }
-
-    /// Whether this op accesses the pointer memory.
-    pub const fn is_pointer_access(self) -> bool {
-        matches!(self, MicroOp::PtrRead(_) | MicroOp::PtrWrite(_))
-    }
 }
 
 use MicroOp::{Decode, DmcKick, PtrRead, PtrWrite, Respond};
@@ -261,7 +256,8 @@ mod tests {
             let prog = microcode_for(cmd);
             assert_eq!(prog[0], MicroOp::Decode, "{cmd}");
             assert!(
-                prog.iter().any(|op| op.is_pointer_access()),
+                prog.iter()
+                    .any(|op| matches!(op, MicroOp::PtrRead(_) | MicroOp::PtrWrite(_))),
                 "{cmd} must touch the pointer memory"
             );
         }
@@ -302,7 +298,5 @@ mod tests {
         assert_eq!(MicroOp::PtrRead(Plane::Segment).cycles(), 1);
         assert_eq!(MicroOp::DmcKick.cycles(), 1);
         assert_eq!(MicroOp::Respond.cycles(), 1);
-        assert!(MicroOp::PtrWrite(Plane::QueueTable).is_pointer_access());
-        assert!(!MicroOp::Respond.is_pointer_access());
     }
 }

@@ -253,11 +253,6 @@ impl Mms {
         self.egress.pop_front()
     }
 
-    /// Segments waiting on the egress side.
-    pub fn egress_len(&self) -> usize {
-        self.egress.len()
-    }
-
     /// Advances the model by one cycle.
     pub fn tick(&mut self, now: Cycle) {
         self.dmc.tick(now);

@@ -111,11 +111,6 @@ impl<T> InternalScheduler<T> {
         self.fifos.iter().map(Fifo::len).sum()
     }
 
-    /// The FIFO of `port` (for statistics).
-    pub fn fifo(&self, port: Port) -> &Fifo<T> {
-        &self.fifos[port.index()]
-    }
-
     /// Whether `port` currently signals backpressure.
     pub fn backpressured(&self, port: Port) -> bool {
         self.fifos[port.index()].is_full()
@@ -179,7 +174,6 @@ mod tests {
         s.push(Port::Out, Cycle::new(5), ()).unwrap();
         let (_, _, waited) = s.pop(Cycle::new(30)).unwrap();
         assert_eq!(waited, Cycle::new(25));
-        assert!((s.fifo(Port::Out).wait_stats().mean() - 25.0).abs() < 1e-12);
     }
 
     #[test]

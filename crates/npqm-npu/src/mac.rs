@@ -11,7 +11,7 @@
 //! buffer's occupancy determines how much line-rate burst the system
 //! absorbs while the CPU is busy.
 
-use npqm_sim::time::{Cycle, Freq, Picos};
+use npqm_sim::time::Picos;
 
 /// Ethernet physical-layer overheads.
 pub const PREAMBLE_BYTES: u32 = 8;
@@ -66,11 +66,6 @@ impl MacPort {
         self.wire_time(bytes + PREAMBLE_BYTES + IFG_BYTES)
     }
 
-    /// CPU cycles available per frame slot at `cpu` (the §5.3 budget).
-    pub fn cycles_per_frame(&self, cpu: Freq, bytes: u32) -> Cycle {
-        cpu.cycles_in(self.wire_time(bytes))
-    }
-
     /// A frame of `bytes` arrives from the wire; returns `true` if the
     /// DP-BRAM had room (otherwise the frame is dropped and counted).
     pub fn rx(&mut self, bytes: u32) -> bool {
@@ -108,17 +103,12 @@ impl MacPort {
     pub const fn counters(&self) -> (u64, u64, u64) {
         (self.rx_frames, self.rx_dropped, self.tx_frames)
     }
-
-    /// How many back-to-back frames of `bytes` the staging buffer absorbs
-    /// while the CPU is not draining — the burst-tolerance of Figure 1.
-    pub fn burst_capacity(&self, bytes: u32) -> u32 {
-        self.bram_bytes / bytes
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use npqm_sim::time::{Cycle, Freq};
 
     #[test]
     fn wire_time_matches_section_5_3() {
@@ -126,8 +116,9 @@ mod tests {
         //  the available time to serve this packet is 5.12 usec."
         let mac = MacPort::paper();
         assert_eq!(mac.wire_time(64), Picos::from_nanos(5120));
+        // The §5.3 budget: 512 cycles of a 100 MHz CPU per frame slot.
         assert_eq!(
-            mac.cycles_per_frame(Freq::from_mhz(100), 64),
+            Freq::from_mhz(100).cycles_in(mac.wire_time(64)),
             Cycle::new(512)
         );
     }
@@ -143,7 +134,6 @@ mod tests {
     #[test]
     fn bram_absorbs_a_burst_then_drops() {
         let mut mac = MacPort::paper();
-        assert_eq!(mac.burst_capacity(64), 64); // 4096 / 64
         let mut accepted = 0;
         for _ in 0..70 {
             if mac.rx(64) {

@@ -61,11 +61,6 @@ impl EpochClock {
         at.as_u64() / self.len.as_u64()
     }
 
-    /// The first instant of window `epoch`.
-    pub fn window_start(&self, epoch: u64) -> Picos {
-        Picos::new(epoch * self.len.as_u64())
-    }
-
     /// The boundary that *closes* window `epoch` (its exclusive end).
     pub fn boundary(&self, epoch: u64) -> Picos {
         Picos::new((epoch + 1) * self.len.as_u64())
@@ -106,7 +101,6 @@ mod tests {
         assert_eq!(clock.epoch_of(Picos::ZERO), 0);
         assert_eq!(clock.epoch_of(Picos::from_nanos(99)), 0);
         assert_eq!(clock.epoch_of(Picos::from_nanos(100)), 1);
-        assert_eq!(clock.window_start(3), Picos::from_nanos(300));
         assert_eq!(clock.boundary(0), Picos::from_nanos(100));
     }
 

@@ -5,7 +5,6 @@
 //! time a command waits before reaching the head. This FIFO records the
 //! timestamps needed to measure exactly that.
 
-use crate::stats::MeanVar;
 use crate::time::Cycle;
 use std::collections::VecDeque;
 
@@ -42,8 +41,6 @@ impl std::error::Error for FifoFullError {}
 pub struct Fifo<T> {
     items: VecDeque<(Cycle, T)>,
     capacity: usize,
-    wait: MeanVar,
-    occupancy: MeanVar,
     peak: usize,
     pushed: u64,
     popped: u64,
@@ -61,8 +58,6 @@ impl<T> Fifo<T> {
         Fifo {
             items: VecDeque::with_capacity(capacity.min(1024)),
             capacity,
-            wait: MeanVar::new(),
-            occupancy: MeanVar::new(),
             peak: 0,
             pushed: 0,
             popped: 0,
@@ -84,7 +79,6 @@ impl<T> Fifo<T> {
         self.items.push_back((now, item));
         self.pushed += 1;
         self.peak = self.peak.max(self.items.len());
-        self.occupancy.push(self.items.len() as f64);
         Ok(())
     }
 
@@ -94,7 +88,6 @@ impl<T> Fifo<T> {
     pub fn pop(&mut self, now: Cycle) -> Option<(T, Cycle)> {
         let (entered, item) = self.items.pop_front()?;
         let waited = now.saturating_sub(entered);
-        self.wait.push(waited.as_f64());
         self.popped += 1;
         Some((item, waited))
     }
@@ -144,16 +137,6 @@ impl<T> Fifo<T> {
         self.rejected
     }
 
-    /// Waiting-time statistics (cycles between push and pop).
-    pub const fn wait_stats(&self) -> &MeanVar {
-        &self.wait
-    }
-
-    /// Occupancy statistics, sampled at each push.
-    pub const fn occupancy_stats(&self) -> &MeanVar {
-        &self.occupancy
-    }
-
     /// Drops all queued elements (statistics are retained).
     pub fn clear(&mut self) {
         self.items.clear();
@@ -177,7 +160,6 @@ mod tests {
         let (x, w) = f.pop(Cycle::new(9)).unwrap();
         assert_eq!((x, w), ('c', Cycle::new(7)));
         assert!(f.pop(Cycle::new(10)).is_none());
-        assert!((f.wait_stats().mean() - (5.0 + 4.0 + 7.0) / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -212,8 +194,6 @@ mod tests {
             f.push(Cycle::new(i), i).unwrap();
         }
         assert_eq!(f.peak(), 4);
-        // occupancy samples were 1,2,3,4 -> mean 2.5
-        assert!((f.occupancy_stats().mean() - 2.5).abs() < 1e-12);
         f.clear();
         assert!(f.is_empty());
         assert_eq!(f.peak(), 4, "peak survives clear");

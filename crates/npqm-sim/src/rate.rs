@@ -43,17 +43,6 @@ impl Gbps {
     pub fn to_mpps(self, packet_bytes: u32) -> Mpps {
         Mpps(self.bits_per_sec() / (packet_bytes as f64 * 8.0) / 1e6)
     }
-
-    /// Mean inter-arrival time in picoseconds at a given packet size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rate is not positive.
-    pub fn interarrival_picos(self, packet_bytes: u32) -> u64 {
-        assert!(self.0 > 0.0, "rate must be positive");
-        let pps = self.bits_per_sec() / (packet_bytes as f64 * 8.0);
-        (1e12 / pps).round() as u64
-    }
 }
 
 impl fmt::Display for Gbps {
@@ -123,11 +112,6 @@ impl Mpps {
     /// The raw value in Mpkt/s.
     pub const fn get(self) -> f64 {
         self.0
-    }
-
-    /// Converts to [`Kpps`].
-    pub fn to_kpps(self) -> Kpps {
-        Kpps(self.0 * 1e3)
     }
 
     /// Bit rate at a given packet size in bytes.
@@ -205,14 +189,13 @@ mod tests {
         let k = Kpps::new(956.0);
         assert!((k.to_mpps().get() - 0.956).abs() < 1e-12);
         assert!((k.to_mbps(64).get() - 489.472).abs() < 1e-9);
-        assert!((Mpps::new(0.956).to_kpps().get() - 956.0).abs() < 1e-9);
     }
 
     #[test]
     fn interarrival() {
-        // 64-byte packets at 512 Mbps arrive every 1 us.
+        // 64-byte packets at 512 Mbps arrive every 1 us: 1 Mpps.
         let bw = Gbps::new(0.512);
-        assert_eq!(bw.interarrival_picos(64), 1_000_000);
+        assert!((bw.to_mpps(64).get() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -226,11 +209,5 @@ mod tests {
         assert_eq!(Mpps::new(12.0).to_string(), "12.00 Mpps");
         assert_eq!(Kpps::new(390.0).to_string(), "390 Kpps");
         assert!((Mbps::new(1536.0).to_gbps().get() - 1.536).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "rate must be positive")]
-    fn zero_rate_interarrival_panics() {
-        let _ = Gbps::new(0.0).interarrival_picos(64);
     }
 }

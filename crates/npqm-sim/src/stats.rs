@@ -322,16 +322,6 @@ impl Utilization {
         self.idle += n;
     }
 
-    /// Busy units seen so far.
-    pub const fn busy_units(self) -> u64 {
-        self.busy
-    }
-
-    /// Idle units seen so far.
-    pub const fn idle_units(self) -> u64 {
-        self.idle
-    }
-
     /// Fraction of time busy (0.0 when nothing recorded).
     pub fn fraction(self) -> f64 {
         let total = self.busy + self.idle;
@@ -505,8 +495,6 @@ mod tests {
         u.busy(250);
         u.idle(750);
         assert!((u.loss() - 0.75).abs() < 1e-12);
-        assert_eq!(u.busy_units(), 250);
-        assert_eq!(u.idle_units(), 750);
     }
 
     #[test]

@@ -270,11 +270,6 @@ impl Freq {
         Freq { megahertz }
     }
 
-    /// The frequency in megahertz.
-    pub const fn mhz(self) -> u32 {
-        self.megahertz
-    }
-
     /// The frequency in hertz.
     pub const fn hz(self) -> u64 {
         self.megahertz as u64 * 1_000_000
@@ -302,12 +297,6 @@ impl Freq {
     pub fn cycles_ceil(self, t: Picos) -> Cycle {
         let ct = self.cycle_time().as_u64();
         Cycle::new(t.as_u64().div_ceil(ct))
-    }
-
-    /// Fractional number of cycles of this clock in `t` (for reporting
-    /// averages such as the paper's "10.5 cycles").
-    pub fn cycles_f64(self, t: Picos) -> f64 {
-        t.as_u64() as f64 / self.cycle_time().as_u64() as f64
     }
 }
 
@@ -381,7 +370,6 @@ mod tests {
         let c = Cycle::new(105);
         assert_eq!(f.cycles_in(f.picos_of(c)), c);
         // 84 ns at 125 MHz = 10.5 cycles, the paper's execution overhead.
-        assert!((f.cycles_f64(Picos::from_nanos(84)) - 10.5).abs() < 1e-12);
         assert_eq!(f.cycles_ceil(Picos::from_nanos(84)), Cycle::new(11));
         assert_eq!(f.cycles_in(Picos::from_nanos(84)), Cycle::new(10));
     }

@@ -43,7 +43,7 @@ pub struct QosSwitch {
     ports: u32,
     /// Per-port egress discipline; ports without an entry use the legacy
     /// strict 802.1p order.
-    port_sched: HashMap<u32, Box<dyn FlowScheduler + Send>>,
+    port_sched: HashMap<u32, Box<dyn FlowScheduler>>,
     flooded: u64,
     forwarded: u64,
     dropped: u64,
@@ -97,7 +97,7 @@ impl QosSwitch {
     /// strict 802.1p order. The scheduler must cover (only) this port's
     /// eight class flows — [`QosSwitch::htb_trunk`] builds a suitable
     /// HTB tree.
-    pub fn set_port_scheduler(&mut self, port: u32, sched: Box<dyn FlowScheduler + Send>) {
+    pub fn set_port_scheduler(&mut self, port: u32, sched: Box<dyn FlowScheduler>) {
         self.port_sched.insert(port, sched);
     }
 

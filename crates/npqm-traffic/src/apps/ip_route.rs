@@ -5,7 +5,9 @@
 //! then enqueues the packet on the queue of its next hop.
 
 use crate::packet::{internet_checksum, Ipv4Packet};
-use npqm_core::sched::{FlowScheduler, HtbClass, HtbError, HtbScheduler, HtbTreeBuilder};
+use npqm_core::sched::{
+    drain_next, FlowScheduler, HtbClass, HtbError, HtbScheduler, HtbTreeBuilder, StrictPriority,
+};
 use npqm_core::{FlowId, QmConfig, QueueError, QueueManager};
 
 /// A binary longest-prefix-match trie over IPv4 prefixes.
@@ -72,11 +74,6 @@ impl Lpm {
         }
         best
     }
-
-    /// Number of trie nodes (for capacity studies).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
 }
 
 /// Routing errors.
@@ -140,7 +137,7 @@ pub struct Router {
     lpm: Lpm,
     engine: QueueManager,
     next_hops: u32,
-    uplink: Option<Box<dyn FlowScheduler + Send>>,
+    uplink: Box<dyn FlowScheduler>,
     routed: u64,
     dropped: u64,
 }
@@ -151,10 +148,9 @@ impl std::fmt::Debug for Router {
             .field("lpm", &self.lpm)
             .field("engine", &self.engine)
             .field("next_hops", &self.next_hops)
-            .field("uplink", &self.uplink.is_some())
             .field("routed", &self.routed)
             .field("dropped", &self.dropped)
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -174,16 +170,17 @@ impl Router {
             lpm,
             engine: QueueManager::new(cfg),
             next_hops,
-            uplink: None,
+            uplink: Box::new(StrictPriority::new(next_hops)),
             routed: 0,
             dropped: 0,
         })
     }
 
     /// Installs a [`FlowScheduler`] over the next-hop queues, turning them
-    /// into per-customer classes drained through [`Router::poll_uplink`].
-    pub fn set_uplink_scheduler(&mut self, sched: Box<dyn FlowScheduler + Send>) {
-        self.uplink = Some(sched);
+    /// into per-customer classes drained through [`Router::poll_uplink`]
+    /// (it replaces the default [`StrictPriority`]).
+    pub fn set_uplink_scheduler(&mut self, sched: Box<dyn FlowScheduler>) {
+        self.uplink = sched;
     }
 
     /// Builds an HTB class tree for the uplink: one leaf per next hop under
@@ -216,34 +213,16 @@ impl Router {
         tree.build()
     }
 
-    /// Pops the next packet across *all* next hops, chosen by the installed
-    /// uplink scheduler (falls back to lowest-numbered backlogged hop when
-    /// no scheduler is set). Returns `(next_hop, packet)`.
+    /// Pops the next packet across *all* next hops, chosen by the uplink
+    /// scheduler (by default [`StrictPriority`]: the lowest-numbered
+    /// backlogged hop). Returns `(next_hop, packet)`.
     ///
     /// # Errors
     ///
-    /// Propagates unexpected engine errors.
+    /// None today: a scheduler only picks a hop with a complete packet.
     pub fn poll_uplink(&mut self) -> Result<Option<(u32, Vec<u8>)>, RouteError> {
-        let flow = match &mut self.uplink {
-            Some(sched) => match sched.next_flow(&self.engine) {
-                Some(f) => f,
-                None => return Ok(None),
-            },
-            None => {
-                match (0..self.next_hops)
-                    .map(FlowId::new)
-                    .find(|&f| self.engine.complete_packets(f) > 0)
-                {
-                    Some(f) => f,
-                    None => return Ok(None),
-                }
-            }
-        };
-        let pkt = self.engine.dequeue_packet(flow)?;
-        if let Some(sched) = &mut self.uplink {
-            sched.served(flow, pkt.len());
-        }
-        Ok(Some((flow.index(), pkt)))
+        let next = drain_next(&mut self.engine, &mut self.uplink);
+        Ok(next.map(|(flow, pkt)| (flow.index(), pkt)))
     }
 
     /// Routes one packet: LPM, TTL decrement, incremental checksum patch,
@@ -326,7 +305,6 @@ mod tests {
         assert_eq!(lpm.lookup([10, 1, 9, 9]), Some(2));
         assert_eq!(lpm.lookup([10, 1, 2, 9]), Some(3));
         assert_eq!(lpm.lookup([11, 0, 0, 1]), None);
-        assert!(lpm.node_count() > 24);
     }
 
     #[test]

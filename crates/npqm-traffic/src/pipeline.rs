@@ -601,7 +601,7 @@ pub fn compare_policies(cfg: &PipelineConfig) -> Vec<PolicyOutcome> {
 /// DRR, 1518-byte quantum), so the single shard's report is the run's.
 fn dense_outcome<P>(cfg: &PipelineConfig, policy: P) -> PolicyOutcome
 where
-    P: DropPolicy + Clone + Send + 'static,
+    P: DropPolicy + Clone + 'static,
 {
     PolicyOutcome {
         policy: policy.name().to_string(),
@@ -624,7 +624,7 @@ mod tests {
     /// A shard-local builder over `policy` (default egress: flat DRR).
     fn local<P>(cfg: &PipelineConfig, policy: P) -> PipelineBuilder
     where
-        P: DropPolicy + Clone + Send + 'static,
+        P: DropPolicy + Clone + 'static,
     {
         PipelineBuilder::new(cfg).admission(move |_| policy.clone())
     }

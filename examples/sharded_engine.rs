@@ -1,27 +1,37 @@
-//! The sharded batched queue engine: flows partitioned across
-//! independent engines, commands executed in per-shard batches.
+//! The sharded queue engine: flows partitioned across independent
+//! engines, each engine's work run and timed through `for_each_shard`.
 //!
 //! Run with: `cargo run --release --example sharded_engine`
 //!
 //! The demo routes a Zipf-skewed packet mix into a 4-shard
 //! [`ShardedQueueManager`] through shard-local Choudhury–Hahne admission,
-//! drains it with a batch of dequeues, and prints the per-shard load
-//! split plus the batch-execution critical path versus the serialized
-//! cost — the gap is what partitioning flows across engines would buy
-//! engines running side by side (the shards here run one after another;
-//! the composite is modelled from their busy times). It then lets a
-//! global Longest-Queue-Drop admit traffic over all shards at once: the
-//! arrival lands on one partition, the push-out victim falls on another.
+//! drains some of it, and prints the per-shard load split plus the
+//! critical path versus the serialized cost — the gap is what
+//! partitioning flows across engines would buy engines running side by
+//! side (the shards here run one after another; the composite is
+//! modelled from their busy times). It then lets a global
+//! Longest-Queue-Drop admit traffic over all shards at once: the arrival
+//! lands on one partition, the push-out victim falls on another.
 
-use npqm::core::policy::{DynamicThreshold, GlobalLqd};
-use npqm::core::shard::{ShardedAdmission, ShardedQueueManager};
-use npqm::core::{Command, FlowId, QmConfig};
+use npqm::core::policy::{DropPolicy, DynamicThreshold, GlobalLqd};
+use npqm::core::shard::ShardedQueueManager;
+use npqm::core::{FlowId, QmConfig};
 use npqm::sim::rng::Xoshiro256pp;
 use npqm::traffic::flows::FlowMix;
 use npqm::traffic::size::SizeDistribution;
 
 const SHARDS: usize = 4;
 const FLOWS: u32 = 32;
+
+/// One shard's work: its admission policy, the arrivals routed to it,
+/// the flows it owns and what it admitted and served.
+struct ShardWork {
+    policy: DynamicThreshold,
+    arrivals: Vec<(FlowId, Vec<u8>)>,
+    flows: Vec<FlowId>,
+    admitted: usize,
+    served: usize,
+}
 
 fn main() {
     let cfg = QmConfig::builder()
@@ -32,49 +42,51 @@ fn main() {
         .expect("static configuration is valid");
     let mut engine =
         ShardedQueueManager::partitioned(cfg, SHARDS).expect("per-shard buffer is non-empty");
-    let mut adm = ShardedAdmission::from_fn(SHARDS, |_| DynamicThreshold::new(2.0));
+    let mut work: Vec<ShardWork> = (0..SHARDS)
+        .map(|s| ShardWork {
+            policy: DynamicThreshold::new(2.0),
+            arrivals: Vec::new(),
+            flows: (0..FLOWS)
+                .map(FlowId::new)
+                .filter(|&f| engine.shard_of(f) == s)
+                .collect(),
+            admitted: 0,
+            served: 0,
+        })
+        .collect();
 
-    // A Zipf-skewed IMIX burst, offered through shard-local admission.
+    // A Zipf-skewed IMIX burst, routed to each flow's home shard.
     let mix = FlowMix::zipf(FLOWS, 1.2);
     let sizes = SizeDistribution::Imix;
     let mut rng = Xoshiro256pp::seed_from_u64(7);
-    let arrivals_owned: Vec<(FlowId, Vec<u8>)> = (0..4096)
-        .map(|i| {
-            (
-                mix.sample(&mut rng),
-                vec![i as u8; sizes.sample(&mut rng) as usize],
-            )
-        })
-        .collect();
-    let arrivals: Vec<(FlowId, &[u8])> = arrivals_owned
-        .iter()
-        .map(|(f, d)| (*f, d.as_slice()))
-        .collect();
-    let admitted = adm
-        .offer_batch(&mut engine, &arrivals)
-        .iter()
-        .filter(|r| r.is_ok())
-        .count();
-    println!(
-        "offered {} packets, admitted {admitted} under shard-local C-H thresholds",
-        arrivals.len()
-    );
+    for i in 0..4096 {
+        let flow = mix.sample(&mut rng);
+        let packet = vec![i as u8; sizes.sample(&mut rng) as usize];
+        work[engine.shard_of(flow)].arrivals.push((flow, packet));
+    }
 
-    // Drain some of the backlog with a dequeue batch: grouped per shard,
-    // executed back-to-back per engine.
-    let drain: Vec<Command> = (0..8)
-        .flat_map(|_| {
-            (0..FLOWS).map(|f| Command::Dequeue {
-                flow: FlowId::new(f),
-            })
-        })
-        .collect();
-    let served = engine
-        .execute_batch(&drain)
-        .iter()
-        .filter(|r| r.is_ok())
-        .count();
-    println!("drained {served} segments in one batch of {}", drain.len());
+    // Each shard offers its arrivals through its own C-H threshold, then
+    // drains eight dequeues per flow it owns; every call is timed into
+    // that shard's busy time.
+    engine.for_each_shard(
+        &mut work,
+        |_| true,
+        |qm, w| {
+            for (flow, packet) in &w.arrivals {
+                w.admitted += usize::from(w.policy.offer(qm, *flow, packet).is_ok());
+            }
+            for _ in 0..8 {
+                for &flow in &w.flows {
+                    w.served += usize::from(qm.dequeue(flow).is_ok());
+                }
+            }
+        },
+    );
+    let offered: usize = work.iter().map(|w| w.arrivals.len()).sum();
+    let admitted: usize = work.iter().map(|w| w.admitted).sum();
+    let served: usize = work.iter().map(|w| w.served).sum();
+    println!("offered {offered} packets, admitted {admitted} under shard-local C-H thresholds");
+    println!("drained {served} segments, 8 dequeues per flow");
 
     println!("\nper-shard load (independent engines):");
     for s in 0..SHARDS {

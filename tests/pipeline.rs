@@ -168,7 +168,7 @@ fn overload_recovers_without_leaks() {
         let pkt = vec![i as u8; 1 + rng.next_below(400) as usize];
         match qm.enqueue_packet(f, &pkt) {
             Ok(()) => accepted += 1,
-            Err(QueueError::OutOfSegments | QueueError::OutOfPacketRecords) => {
+            Err(QueueError::OutOfSegments) => {
                 // Drop policy: also drain a little to make room.
                 for flow in 0..8 {
                     let _ = qm.dequeue_packet(FlowId::new(flow));

@@ -109,22 +109,21 @@ fn strict_priority_with_shared_buffer_pressure() {
         .build()
         .unwrap();
     let mut qm = QueueManager::new(cfg);
-    let mut bm = BufferManager::new(FlowLimits::UNLIMITED, 0);
     // Premium class 0 gets a guaranteed share via per-flow caps on others.
-    for f in 1..8u32 {
-        bm.set_flow_limits(
-            FlowId::new(f),
-            FlowLimits {
-                max_bytes: 64 * 4,
-                max_packets: 4,
-            },
-        );
-    }
+    let premium = BufferManager::new(FlowLimits::UNLIMITED, 0);
+    let capped = BufferManager::new(
+        FlowLimits {
+            max_bytes: 64 * 4,
+            max_packets: 4,
+        },
+        0,
+    );
     let mut rng = Xoshiro256pp::seed_from_u64(4);
     let mut admitted_high = 0;
     let mut offered_high = 0;
     for _ in 0..300 {
         let f = FlowId::new(rng.next_below(8) as u32);
+        let bm = if f.index() == 0 { &premium } else { &capped };
         let ok = bm.try_enqueue(&mut qm, f, &[0u8; 64]).is_ok();
         if f.index() == 0 {
             offered_high += 1;
@@ -158,7 +157,7 @@ fn disciplines_as_trait_objects() {
     for f in 0..4u32 {
         qm.enqueue_packet(FlowId::new(f), &[f as u8; 64]).unwrap();
     }
-    let mut disciplines: Vec<Box<dyn FlowScheduler + Send>> = [
+    let mut disciplines: Vec<Box<dyn FlowScheduler>> = [
         "sp",
         "wrr",
         "drr:64",
