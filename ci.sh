@@ -271,6 +271,24 @@ structure() {
             exit 1
         fi
     done
+    echo "==> structure: traffic draws are table lookups"
+    hits="$(for file in crates/npqm-traffic/src/flows.rs crates/npqm-traffic/src/size.rs; do
+        sed '/^#\[cfg(test)\]/,$d' "${file}" | sed 's|//.*||' \
+            | grep -nE 'partition_point|next_f64|match [^{]*(rng|next_)' | sed "s|^|${file}:|" || true
+    done)"
+    if [[ -n "${hits}" ]]; then
+        echo "structure FAILED: a float search or a match on a drawn value is back" \
+            "(flows.rs, size.rs, above their tests):" >&2
+        echo "${hits}" >&2
+        exit 1
+    fi
+    hits="$(sed '/^#\[cfg(test)\]/,$d' crates/npqm-traffic/src/scale.rs | sed 's|//.*||' \
+        | grep -nB1 'shard_of(' || true)"
+    if [[ "$(grep -c 'shard_of(' <<<"${hits}")" != 1 || "${hits}" != *'let home'* ]]; then
+        echo "structure FAILED: scale.rs calls shard_of( only where it builds the home table; got:" >&2
+        echo "${hits}" >&2
+        exit 1
+    fi
 }
 
 # Golden-output regression gates: the table binaries assert their

@@ -27,7 +27,7 @@
 //! | [`read_head`](QueueManager::read_head), [`overwrite_head`](QueueManager::overwrite_head), [`overwrite_head_len`](QueueManager::overwrite_head_len), [`append_head`](QueueManager::append_head) | touch the head packet's first segment, which exists even mid-SAR |
 //! | [`append_tail`](QueueManager::append_tail) | rejected while the tail is open: the trailer would splice into the middle of the unfinished frame |
 //! | [`move_packet`](QueueManager::move_packet) | the *destination* tail must not be open (including same-queue rotation past an open tail): the moved complete packet would be linked after the open one and the flow's next `Last` segment would extend the wrong packet. A partially-served (mid-service) head packet may only move to the head of an empty destination |
-//! | [`copy_packet`](QueueManager::copy_packet) | as `move_packet`: an open destination is rejected |
+//! | [`copy_packet`](QueueManager::copy_packet) | as `move_packet`: an open destination is rejected. A partially-served head packet is rejected wherever it would go: the copy is a fresh packet, and the remainder is no whole frame |
 //! | [`peek_packet_into`](QueueManager::peek_packet_into) | reads the head packet only when it is complete, like `dequeue_packet`; the payload is *appended* to the caller's buffer, and on `Err` the buffer is unchanged |
 
 use crate::config::QmConfig;
@@ -929,6 +929,8 @@ impl QueueManager {
     // --- in-place operations --------------------------------------------
 
     /// Reads the head segment without dequeuing it ("Read", Table 4).
+    /// Its `eop` says whether it ends its packet: the one segment of a
+    /// packet still mid-SAR reads `eop: false`.
     ///
     /// # Errors
     ///
@@ -944,7 +946,7 @@ impl QueueManager {
         Ok(DequeuedSegment {
             data: payload,
             sop: !pr.started,
-            eop: pr.first == pr.last,
+            eop: pr.first == pr.last && pr.eop,
         })
     }
 
@@ -1289,6 +1291,9 @@ impl QueueManager {
     /// # Errors
     ///
     /// [`QueueError::QueueEmpty`] when `src` has no complete packet;
+    /// [`QueueError::PacketInService`] when its head packet is partially
+    /// consumed (the copy would frame the remainder as a whole packet);
+    /// [`QueueError::SarProtocol`] when `dst`'s tail packet is open;
     /// [`QueueError::OutOfSegments`] when the copy does not fit (no
     /// partial copy is left behind);
     /// [`QueueError::UnknownFlow`] for either flow.
@@ -1298,6 +1303,9 @@ impl QueueManager {
         let q = self.ptr.queue(src);
         self.complete_head(src, &q)?;
         let pr = self.ptr.pkt(q.head_pkt);
+        if pr.started {
+            return self.fail(QueueError::PacketInService { flow: src });
+        }
         let dst_q = self.ptr.queue(dst);
         self.closed_tail(dst, &dst_q)?;
         self.reserve(pr.segs)?;
@@ -2110,7 +2118,8 @@ mod tests {
     }
 
     /// [`QueueManager::copy_packet`] as it ran before the chain calls: each
-    /// source segment read out and enqueued on `dst` by a segment command.
+    /// source segment read out and enqueued on `dst` by a segment command
+    /// (with today's refusal of a head in service).
     fn copy_packet_by_segments(
         m: &mut QueueManager,
         src: FlowId,
@@ -2121,6 +2130,9 @@ mod tests {
         let q = m.ptr.queue(src);
         m.complete_head(src, &q)?;
         let pr = m.ptr.pkt(q.head_pkt);
+        if pr.started {
+            return m.fail(QueueError::PacketInService { flow: src });
+        }
         let dst_q = m.ptr.queue(dst);
         m.closed_tail(dst, &dst_q)?;
         m.reserve(pr.segs)?;
@@ -2400,6 +2412,7 @@ mod tests {
             (CopyPacket(OPEN, READY), 4, 1, 1, 0, 0),
             (CopyPacket(READY, OPEN_TAIL), 4, 1, 2, 1, 0),
             (CopyPacket(READY, EMPTY), 1, 1, 2, 1, 0),
+            (CopyPacket(SERVED, READY), 4, 1, 1, 1, 0),
         ];
         let mut wrong = Vec::new();
         for (i, (step, free, errors, qt_reads, pkt_reads, seg_reads)) in

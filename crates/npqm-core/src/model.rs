@@ -265,13 +265,14 @@ impl Model {
         Ok(self.queue(flow)[0].segs.concat())
     }
 
-    /// The head segment. Its `eop` says whether it is its packet's last
-    /// segment so far: the one segment of an open packet reads as `eop`.
+    /// The head segment. Its `eop` says whether it ends its packet: the
+    /// one segment of an open packet is not its end.
     fn read_head(&mut self, flow: FlowId) -> Res<DequeuedSegment> {
         self.nonempty(flow)?;
         self.stats(flow).reads += 1;
         let p = &self.queue(flow)[0];
-        let (data, sop, eop) = (p.segs[0].clone(), !p.started, p.segs.len() == 1);
+        let eop = p.segs.len() == 1 && !p.open;
+        let (data, sop) = (p.segs[0].clone(), !p.started);
         Ok(DequeuedSegment { data, sop, eop })
     }
 
@@ -350,20 +351,20 @@ impl Model {
         Ok(())
     }
 
-    /// A copy is a fresh packet; across shards, a peek and an
+    /// A copy is a fresh packet, so a head in service, whose remainder is
+    /// no whole packet, is refused; across shards, a peek and an
     /// `enqueue_packet`, each counted by its engine.
     fn copy_packet(&mut self, src: FlowId, dst: FlowId) -> Res<()> {
         self.known(src)?;
         self.known(dst)?;
+        self.complete_head(src)?;
+        let copy = self.queue(src)[0].clone();
+        self.check(src, copy.started, PacketInService { flow: src })?;
         if self.across(src, dst) {
             let bytes = self.peek_packet(src)?;
-            let work = self.queue(src)[0].work;
-            return self.enqueue_packet(dst, &bytes, work);
+            return self.enqueue_packet(dst, &bytes, copy.work);
         }
-        self.complete_head(src)?;
         self.tail(dst, false)?;
-        let mut copy = self.queue(src)[0].clone();
-        copy.started = false;
         self.reserve(dst, copy.segs.len())?;
         let st = self.stats(dst);
         st.enqueues += copy.segs.len() as u64;

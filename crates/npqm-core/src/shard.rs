@@ -62,7 +62,9 @@
 //!
 //! * **copy** reads the source head packet
 //!   ([`QueueManager::peek_packet_into`]) and enqueues the bytes in the
-//!   destination shard (capacity failures roll back, never tearing);
+//!   destination shard (capacity failures roll back, never tearing). A
+//!   mid-service source head is refused with
+//!   [`QueueError::PacketInService`], as in-shard;
 //! * **move** reserves destination capacity first, then dequeues from the
 //!   source and enqueues in the destination. An open destination tail is
 //!   rejected with [`QueueError::SarProtocol`] exactly as in
@@ -556,12 +558,17 @@ impl ShardedQueueManager {
         Ok(())
     }
 
-    /// Copies the head packet of `src` into `dst`'s shard.
+    /// Copies the head packet of `src` into `dst`'s shard. A head in
+    /// service is refused, as in-shard: its remainder is no whole packet.
     fn copy_across(&mut self, src: FlowId, dst: FlowId) -> Result<(), QueueError> {
         let si = self.shard_of(src);
         let di = self.shard_of(dst);
         self.check_flow_on(si, src)?;
         self.check_flow_on(di, dst)?;
+        if self.shards[si].head_in_service(src) {
+            self.shards[si].stats.errors += 1;
+            return Err(QueueError::PacketInService { flow: src });
+        }
         self.carry.clear();
         self.shards[si].peek_packet_into(src, &mut self.carry)?;
         let work = self.shards[si].head_work(src).unwrap_or(0);

@@ -149,4 +149,37 @@
         ],
         digest: 0x9f5002d4_a2c64036,
     },
+    // The one segment of a packet still mid-SAR does not end it: `read_head`
+    // says `eop: false` until `Last` closes the packet, then `true`.
+    Script {
+        name: "read_head_of_open_packet_is_not_its_end",
+        shape: Shape { flows: 2, segments: 8, seg_bytes: 16, freelist: Lifo, shards: 1 },
+        steps: &[
+            Enqueue(0, 16, First), ReadHead(0), Enqueue(0, 8, Last), ReadHead(0),
+            Enqueue(1, 8, First), ReadHead(1), DequeuePacket(0, None),
+        ],
+        digest: 0x666fc916_1610a878,
+    },
+    // A copy is a fresh packet, so the remainder of a head `dequeue` has
+    // started is refused with `PacketInService`, in one shard and across
+    // two (flows 0 and 1 live on shards 2 and 3); the whole packet behind
+    // it copies once it reaches the head.
+    Script {
+        name: "copy_of_served_head_is_rejected",
+        shape: Shape { flows: 2, segments: 16, seg_bytes: 16, freelist: Lifo, shards: 1 },
+        steps: &[
+            EnqueuePacket(0, 40, 0), EnqueuePacket(0, 20, 0), Dequeue(0, None), CopyPacket(0, 1),
+            CopyPacket(0, 0), Dequeue(0, None), Dequeue(0, None), CopyPacket(0, 1),
+        ],
+        digest: 0x653ac93a_3098e8c5,
+    },
+    Script {
+        name: "cross_shard_copy_of_served_head_is_rejected",
+        shape: Shape { flows: 4, segments: 16, seg_bytes: 16, freelist: Lifo, shards: 4 },
+        steps: &[
+            EnqueuePacket(0, 40, 0), EnqueuePacket(0, 20, 0), Dequeue(0, None), CopyPacket(0, 1),
+            DequeuePacket(0, None), CopyPacket(0, 1),
+        ],
+        digest: 0xdd939e5e_a9fe23b4,
+    },
 ]

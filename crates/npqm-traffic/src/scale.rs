@@ -148,14 +148,15 @@ struct ShardRound {
 /// Draws one round's offered arrivals — Zipf flow, IMIX size, and a marker
 /// byte for the first payload byte — through the workspace-wide
 /// [`PacketStream`] (flow, then size; marker = sequence number), handing
-/// each packet to its home shard's round, whose lists it resets.
+/// each packet to the round of its shard in `home` (indexed by flow),
+/// whose lists it resets.
 /// [`run_shard_scale`] and [`run_memory_scale`] share the one round loop
 /// that calls this, so their offered traces are identical by construction
 /// — the comparability between `table7` and `table8` rests on it.
 fn draw_round(
     cfg: &ShardScaleConfig,
     stream: &mut PacketStream<'_>,
-    engine: &ShardedQueueManager,
+    home: &[usize],
     per_shard: &mut [ShardRound],
 ) {
     for round in per_shard.iter_mut() {
@@ -165,7 +166,7 @@ fn draw_round(
     }
     for _ in 0..cfg.packets_per_round {
         let (flow, size, marker) = stream.next_packet();
-        per_shard[engine.shard_of(flow)]
+        per_shard[home[flow.as_usize()]]
             .arrivals
             .push((flow, size as usize, marker));
     }
@@ -334,13 +335,17 @@ fn run_rounds(
     let mut reasm: Vec<Reassembly> = vec![Reassembly::default(); cfg.flows as usize];
     let seg_bytes = cfg.segment_bytes as usize;
 
-    // One round state per shard, built once and refilled every round.
+    // Each flow's shard, and one round state per shard, built once and
+    // refilled every round.
+    let home: Vec<usize> = (0..cfg.flows)
+        .map(|f| engine.shard_of(FlowId::new(f)))
+        .collect();
     let mut per_shard: Vec<ShardRound> = (0..shards)
         .map(|s| ShardRound {
             policy: DynamicThreshold::new(cfg.alpha),
             flows: (0..cfg.flows)
                 .map(FlowId::new)
-                .filter(|&f| engine.shard_of(f) == s)
+                .filter(|f| home[f.as_usize()] == s)
                 .collect(),
             arrivals: Vec::new(),
             frame: vec![0xC3; sizes.max_bytes() as usize],
@@ -354,7 +359,7 @@ fn run_rounds(
     let wall = Instant::now();
     for _ in 0..cfg.rounds {
         // --- offered batch: Zipf flows, IMIX sizes, marker-stamped ---
-        draw_round(cfg, &mut stream, &engine, &mut per_shard);
+        draw_round(cfg, &mut stream, &home, &mut per_shard);
         engine.for_each_shard(
             &mut per_shard,
             |r| !r.arrivals.is_empty(),

@@ -2,6 +2,9 @@
 
 use npqm_sim::rng::Xoshiro256pp;
 
+/// IMIX by twelfths: the size of each value of `next_below(12)`.
+const IMIX: [u32; 12] = [64, 64, 64, 64, 64, 64, 64, 594, 594, 594, 594, 1518];
+
 /// A packet-size model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SizeDistribution {
@@ -31,11 +34,7 @@ impl SizeDistribution {
                 assert!(n > 0, "packet size must be non-zero");
                 n
             }
-            SizeDistribution::Imix => match rng.next_below(12) {
-                0..=6 => 64,
-                7..=10 => 594,
-                _ => 1518,
-            },
+            SizeDistribution::Imix => IMIX[rng.next_below(12) as usize],
             SizeDistribution::Uniform { min, max } => {
                 assert!(min <= max && min > 0, "bad uniform range");
                 min + rng.next_below((max - min + 1) as u64) as u32
@@ -47,7 +46,7 @@ impl SizeDistribution {
     pub fn mean(&self) -> f64 {
         match *self {
             SizeDistribution::Fixed(n) => n as f64,
-            SizeDistribution::Imix => (7.0 * 64.0 + 4.0 * 594.0 + 1518.0) / 12.0,
+            SizeDistribution::Imix => IMIX.iter().sum::<u32>() as f64 / 12.0,
             SizeDistribution::Uniform { min, max } => (min + max) as f64 / 2.0,
         }
     }
@@ -99,6 +98,21 @@ mod tests {
             "mean {mean} vs {}",
             d.mean()
         );
+    }
+
+    #[test]
+    fn imix_table_is_the_three_arm_match() {
+        for twelfth in 0..12u64 {
+            let matched = match twelfth {
+                0..=6 => 64,
+                7..=10 => 594,
+                _ => 1518,
+            };
+            assert_eq!(
+                IMIX[twelfth as usize], matched,
+                "next_below(12) = {twelfth}"
+            );
+        }
     }
 
     #[test]
