@@ -15,7 +15,8 @@
 #                   # grouped batch executor, no swept name, one model
 #                   # of the engine, no occupancy pushes before the
 #                   # first query, no scale payload arena, no pointer
-#                   # record written before first use), fmt,
+#                   # record written before first use, no cross-shard
+#                   # transfer path), fmt,
 #                   # clippy, docs,
 #                   # tier-1, release-profile engine tests, the model
 #                   # fuzzer's release soak, tables,
@@ -61,9 +62,10 @@ tier1() {
 # rule is spelled once (`complete_head`). The `cut_through` switch, which
 # only tests ever set, stays deleted.
 # The trace is cut, never committed: an engine keeps one access log and
-# `cut_trace` (defined in `manager.rs`) is its only reader — called by a
-# cross-shard command (`shard.rs`: both engines, before and after) and by
-# the timing model's `charge_engine` / `execute_costed`, nowhere else. Span lists and
+# `cut_trace` (defined in `manager.rs`) is its only reader — named by
+# `shard.rs`'s `take_trace` (one cut of every shard, for the timing
+# model's `charge_engine`) and by `execute_costed` (`timing/mod.rs`),
+# nowhere else above the tests (comments stripped). Span lists and
 # their commit calls, the memory-priced closed loop that only tests ever
 # built (`timing_paper`, `Egress`, the `MemTx` event) and the Prometheus
 # exporter nothing scraped stay deleted.
@@ -106,6 +108,13 @@ tier1() {
 # `PktFreeList::init` link nothing (no loop) — the free lists keep their
 # never-used ids as a fresh mark and materialise a record when they first
 # hand its id out.
+# Shards share nothing: a two-queue command across shards is refused
+# before it touches either engine, so the transfer path (`move_across`,
+# `copy_across`, `execute_cross`), its two-engine barrier (`CrossBarrier`,
+# `EngineTrace`, `trace_barriers`, `sync_to_slot`), the engine methods
+# only it called (`peek_packet_into`, `enqueue_packet_with_work`) and the
+# arena's second copy of the cut loop (`per_flow_interval_bound`) stay
+# deleted.
 structure() {
     echo "==> structure: shards run on the calling thread"
     local hits file
@@ -161,13 +170,13 @@ structure() {
         exit 1
     fi
     hits=""
-    for file in $(grep -rlF 'cut_trace(' crates examples tests src | sort); do
-        if [[ -n "$(sed '/^#\[cfg(test)\]/,$d' "${file}" | grep -F 'cut_trace(')" ]]; then
+    for file in $(grep -rlF 'cut_trace' crates examples tests src | sort); do
+        if [[ -n "$(sed '/^#\[cfg(test)\]/,$d' "${file}" | sed 's|//.*||' | grep -E '\bcut_trace\b')" ]]; then
             hits+="${file} "
         fi
     done
     if [[ "${hits}" != "crates/npqm-core/src/manager.rs crates/npqm-core/src/shard.rs crates/npqm-core/src/timing/mod.rs " ]]; then
-        echo "structure FAILED: cut_trace( above the tests belongs to manager.rs, shard.rs and timing/mod.rs; got:" >&2
+        echo "structure FAILED: cut_trace above the tests belongs to manager.rs, shard.rs and timing/mod.rs; got:" >&2
         echo "${hits}" >&2
         exit 1
     fi
@@ -286,6 +295,14 @@ structure() {
         | grep -nB1 'shard_of(' || true)"
     if [[ "$(grep -c 'shard_of(' <<<"${hits}")" != 1 || "${hits}" != *'let home'* ]]; then
         echo "structure FAILED: scale.rs calls shard_of( only where it builds the home table; got:" >&2
+        echo "${hits}" >&2
+        exit 1
+    fi
+    echo "==> structure: shards share nothing"
+    hits="$(grep -rnE 'move_across|copy_across|execute_cross|CrossBarrier|EngineTrace|trace_barriers|sync_to_slot|peek_packet_into|enqueue_packet_with_work|per_flow_interval_bound' \
+        crates examples tests src README.md || true)"
+    if [[ -n "${hits}" ]]; then
+        echo "structure FAILED: the cross-shard transfer path, its barrier or a helper only it called is back:" >&2
         echo "${hits}" >&2
         exit 1
     fi

@@ -532,27 +532,38 @@ pub fn offline_bound(cfg: &ArenaConfig, trace: &ArenaTrace) -> OfflineBound {
     }
 }
 
-/// The interval relaxation (see [`offline_bound`]).
+/// The interval relaxation (see [`offline_bound`]): the [`cut_bound`] of
+/// the whole trace, or of each port's arrivals alone summed over ports,
+/// whichever is lower. The per-port sum grants each port the whole buffer
+/// and (for the work-server) the whole server; it is sound because
+/// per-port goodputs sum to the total goodput, and much tighter than one
+/// global cut on traces with several well-separated bursts, where one cut
+/// can charge the buffer bound only once.
 fn interval_bound(cfg: &ArenaConfig, trace: &ArenaTrace) -> u64 {
     let pkts = trace.packets();
-    let last_at = pkts.last().expect("non-empty").at;
-    // Candidate cuts: every distinct arrival slot (subsampled when
-    // plentiful — any subset still yields a valid bound) plus a horizon
-    // far enough for everything to be serveable.
+    let port = |f| -> Vec<ArenaPacket> {
+        let mine = pkts.iter().filter(|p| p.flow == FlowId::new(f));
+        mine.copied().collect()
+    };
+    let per_port: u64 = (0..trace.flows()).map(|f| cut_bound(cfg, &port(f))).sum();
+    cut_bound(cfg, pkts).min(per_port)
+}
+
+/// The least, over cut slots `t`, of the bytes serveable by `t`, plus one
+/// full buffer still queued at `t` (and one in-service packet for the
+/// work-server), plus every byte arriving after `t` — and never more than
+/// the bytes `pkts` offer. The cuts are every distinct arrival slot
+/// (subsampled when plentiful: any subset still yields a valid bound) and
+/// a horizon by which everything is serveable, whose cut never binds.
+fn cut_bound(cfg: &ArenaConfig, pkts: &[ArenaPacket]) -> u64 {
     let mut cuts: Vec<u64> = pkts.iter().map(|p| p.at).collect();
     cuts.dedup();
     if cuts.len() > 48 {
         let stride = cuts.len().div_ceil(48);
         cuts = cuts.iter().copied().step_by(stride).collect();
     }
-    cuts.push(
-        last_at
-            + pkts.len() as u64
-            + pkts
-                .iter()
-                .map(|p| cfg.effort(p.bytes, p.work))
-                .sum::<u64>(),
-    );
+    let effort: u64 = pkts.iter().map(|p| cfg.effort(p.bytes, p.work)).sum();
+    cuts.push(pkts.last().map_or(0, |p| p.at) + pkts.len() as u64 + effort);
     let server_slack = match cfg.model {
         ServiceModel::SharedMemorySwitch => 0,
         // The work-server holds the in-service packet outside the buffer.
@@ -560,7 +571,8 @@ fn interval_bound(cfg: &ArenaConfig, trace: &ArenaTrace) -> u64 {
             u64::from(pkts.iter().map(|p| p.bytes).max().unwrap_or(0))
         }
     };
-    let mut best = u64::MAX;
+    let offered: u64 = pkts.iter().map(|p| u64::from(p.bytes)).sum();
+    let mut best = offered;
     for &t in &cuts {
         let future: u64 = pkts
             .iter()
@@ -573,60 +585,7 @@ fn interval_bound(cfg: &ArenaConfig, trace: &ArenaTrace) -> u64 {
         };
         best = best.min(cap + cfg.buffer_bytes() + server_slack + future);
     }
-    best.min(per_flow_interval_bound(cfg, trace))
-        .min(trace.offered_bytes())
-}
-
-/// Per-port refinement of the interval relaxation: the cut bound
-/// applied to each port's arrivals alone — granting that port the whole
-/// buffer and (for the work-server) the whole server — summed over
-/// ports. Sound because per-port goodputs sum to the total goodput and
-/// each term over-approximates what OPT can deliver for that port; much
-/// tighter than a single global cut on traces with several
-/// well-separated bursts, where one cut can charge the buffer bound
-/// only once.
-fn per_flow_interval_bound(cfg: &ArenaConfig, trace: &ArenaTrace) -> u64 {
-    let mut total = 0u64;
-    for f in 0..trace.flows() {
-        let flow = FlowId::new(f);
-        let mine: Vec<ArenaPacket> = trace
-            .packets()
-            .iter()
-            .filter(|p| p.flow == flow)
-            .copied()
-            .collect();
-        if mine.is_empty() {
-            continue;
-        }
-        let offered: u64 = mine.iter().map(|p| u64::from(p.bytes)).sum();
-        let server_slack = match cfg.model {
-            ServiceModel::SharedMemorySwitch => 0,
-            ServiceModel::WorkServer { .. } => {
-                u64::from(mine.iter().map(|p| p.bytes).max().unwrap_or(0))
-            }
-        };
-        let mut cuts: Vec<u64> = mine.iter().map(|p| p.at).collect();
-        cuts.dedup();
-        if cuts.len() > 48 {
-            let stride = cuts.len().div_ceil(48);
-            cuts = cuts.iter().copied().step_by(stride).collect();
-        }
-        let mut best = offered;
-        for &t in &cuts {
-            let future: u64 = mine
-                .iter()
-                .filter(|p| p.at > t)
-                .map(|p| u64::from(p.bytes))
-                .sum();
-            let cap = match cfg.model {
-                ServiceModel::SharedMemorySwitch => serve_cap_shared(cfg, &mine, t),
-                ServiceModel::WorkServer { .. } => serve_cap_work(cfg, &mine, t),
-            };
-            best = best.min(cap + cfg.buffer_bytes() + server_slack + future);
-        }
-        total += best;
-    }
-    total
+    best
 }
 
 /// Max bytes the shared-memory switch can deliver by slot `t`: each

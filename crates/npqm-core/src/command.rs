@@ -161,19 +161,6 @@ impl Command {
             _ => None,
         }
     }
-
-    /// Whether the command transfers segment payload to or from the data
-    /// memory (and therefore costs a DRAM burst in the timing models).
-    pub const fn touches_data_memory(&self) -> bool {
-        !matches!(
-            self,
-            Command::OverwriteLen { .. }
-                | Command::DeleteSegment { .. }
-                | Command::DeletePacket { .. }
-                | Command::Move { .. }
-                | Command::OverwriteLenAndMove { .. }
-        )
-    }
 }
 
 /// Result of executing a [`Command`].
@@ -372,26 +359,6 @@ mod tests {
             assert_eq!(cmd.primary_flow(), a, "{}", cmd.name());
             assert_eq!(cmd.secondary_flow(), Some(b), "{}", cmd.name());
         }
-    }
-
-    #[test]
-    fn data_memory_classification() {
-        let f = FlowId::new(0);
-        assert!(Command::Enqueue {
-            flow: f,
-            data: vec![1],
-            pos: SegmentPosition::Only
-        }
-        .touches_data_memory());
-        assert!(Command::Dequeue { flow: f }.touches_data_memory());
-        assert!(Command::Read { flow: f }.touches_data_memory());
-        assert!(!Command::DeleteSegment { flow: f }.touches_data_memory());
-        assert!(!Command::Move { src: f, dst: f }.touches_data_memory());
-        assert!(!Command::OverwriteLen {
-            flow: f,
-            new_len: 5
-        }
-        .touches_data_memory());
     }
 
     #[test]

@@ -49,6 +49,15 @@ pub enum QueueError {
         /// segment's length).
         segment_bytes: u32,
     },
+    /// A two-queue command (move, copy or a fused overwrite-and-move)
+    /// names queues on different shards of a sharded engine: shards share
+    /// no memory, so it is refused and neither queue changes.
+    CrossShard {
+        /// The source queue.
+        src: FlowId,
+        /// The destination queue, on another shard.
+        dst: FlowId,
+    },
     /// A zero-length payload was supplied where data is required.
     EmptyPayload,
     /// The configuration is invalid.
@@ -93,6 +102,9 @@ impl fmt::Display for QueueError {
                     "payload of {len} bytes exceeds segment size {segment_bytes}"
                 )
             }
+            QueueError::CrossShard { src, dst } => {
+                write!(f, "{src} and {dst} live on different shards")
+            }
             QueueError::EmptyPayload => write!(f, "payload must not be empty"),
             QueueError::InvalidConfig { what } => write!(f, "invalid configuration: {what}"),
         }
@@ -130,6 +142,13 @@ mod tests {
                 "payload of 100 bytes exceeds segment size 64",
             ),
             (QueueError::EmptyPayload, "payload must not be empty"),
+            (
+                QueueError::CrossShard {
+                    src: FlowId::new(0),
+                    dst: FlowId::new(3),
+                },
+                "flow:0 and flow:3 live on different shards",
+            ),
             (
                 QueueError::PacketInService {
                     flow: FlowId::new(4),

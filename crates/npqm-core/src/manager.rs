@@ -28,7 +28,6 @@
 //! | [`append_tail`](QueueManager::append_tail) | rejected while the tail is open: the trailer would splice into the middle of the unfinished frame |
 //! | [`move_packet`](QueueManager::move_packet) | the *destination* tail must not be open (including same-queue rotation past an open tail): the moved complete packet would be linked after the open one and the flow's next `Last` segment would extend the wrong packet. A partially-served (mid-service) head packet may only move to the head of an empty destination |
 //! | [`copy_packet`](QueueManager::copy_packet) | as `move_packet`: an open destination is rejected. A partially-served head packet is rejected wherever it would go: the copy is a fresh packet, and the remainder is no whole frame |
-//! | [`peek_packet_into`](QueueManager::peek_packet_into) | reads the head packet only when it is complete, like `dequeue_packet`; the payload is *appended* to the caller's buffer, and on `Err` the buffer is unchanged |
 
 use crate::config::QmConfig;
 use crate::error::QueueError;
@@ -712,33 +711,6 @@ impl QueueManager {
         Ok(())
     }
 
-    /// As [`QueueManager::enqueue_packet`], additionally stamping the
-    /// packet's required-processing-`work` dimension (see
-    /// [`PktRecord::work`](crate::ptrmem::PktRecord::work)).
-    ///
-    /// With `work == 0` this is *exactly* `enqueue_packet`: no extra
-    /// pointer-memory traffic, bit-identical state digest — the
-    /// zero-work equivalence the arena's legacy paths rely on. A
-    /// non-zero `work` costs one extra packet-record read/write pair to
-    /// stamp the tail record.
-    ///
-    /// # Errors
-    ///
-    /// As [`QueueManager::enqueue_packet`].
-    pub fn enqueue_packet_with_work(
-        &mut self,
-        flow: FlowId,
-        packet: &[u8],
-        work: u32,
-    ) -> Result<(), QueueError> {
-        self.enqueue_packet(flow, packet)?;
-        if work != 0 {
-            self.set_tail_work(flow, work)
-                .expect("packet was just enqueued");
-        }
-        Ok(())
-    }
-
     /// Stamps the required-processing-work of `flow`'s newest (tail)
     /// packet.
     ///
@@ -1244,41 +1216,6 @@ impl QueueManager {
         self.ptr.pkt_silent(q.head_pkt).started
     }
 
-    /// Reads the whole head packet of `flow` without consuming it (a
-    /// packet-granular [`QueueManager::read_head`]), *appending* its
-    /// segments to `out`, and returns the number of bytes appended.
-    ///
-    /// Only complete packets can be peeked: the open (mid-SAR) tail is
-    /// never visible, exactly as for [`QueueManager::copy_packet`] — this
-    /// is the read half that cross-shard copies are built from, where the
-    /// destination lives in a different engine's data memory.
-    ///
-    /// # Errors
-    ///
-    /// [`QueueError::QueueEmpty`] when no complete packet is queued;
-    /// [`QueueError::UnknownFlow`]. On `Err` `out` is unchanged.
-    pub fn peek_packet_into(
-        &mut self,
-        flow: FlowId,
-        out: &mut Vec<u8>,
-    ) -> Result<usize, QueueError> {
-        self.known_flow(flow)?;
-        let q = self.ptr.queue(flow);
-        self.complete_head(flow, &q)?;
-        let pr = self.ptr.pkt(q.head_pkt);
-        out.reserve(pr.bytes as usize);
-        for (seg, len) in self.ptr.chain(pr.first, pr.last) {
-            out.extend_from_slice(self.data.chain_read(seg, len as usize));
-        }
-        self.data.count(u64::from(pr.segs), 0);
-        self.ptr.charge(&PtrMemCounters {
-            seg_reads: u64::from(pr.segs),
-            ..PtrMemCounters::default()
-        });
-        self.stats.reads += 1;
-        Ok(pr.bytes as usize)
-    }
-
     /// Copies the head packet of `src` onto the tail of `dst`, allocating
     /// fresh segments (the "copy operations" of the early ATM queue
     /// managers the paper's §2 surveys — used for multicast/mirroring).
@@ -1367,22 +1304,22 @@ mod tests {
 
     #[test]
     fn zero_work_enqueue_is_digest_and_counter_identical() {
-        // The work dimension must be invisible at work == 0: same state
-        // digest AND same pointer-memory traffic as the legacy path.
-        let mut legacy = qm();
-        let mut work0 = qm();
+        // The work dimension must be invisible at work == 0: the model's
+        // `EnqueuePacket` step stamps no work then, so it leaves the state
+        // digest AND the pointer-memory traffic of a bare `enqueue_packet`.
+        let mut legacy = ShardedQueueManager::new(QmConfig::small(), 1);
+        let mut work0 = legacy.clone();
         for k in 0..6u32 {
-            let f = FlowId::new(k % 3);
-            let payload = vec![k as u8; 40 + 30 * k as usize];
-            legacy.enqueue_packet(f, &payload).unwrap();
-            work0.enqueue_packet_with_work(f, &payload, 0).unwrap();
+            let (f, len, tag) = (k % 3, 40 + 30 * k as usize, k as u8);
+            let payload = model::payload(tag, len);
+            let qm = legacy.shard_mut(0);
+            qm.enqueue_packet(FlowId::new(f), &payload).unwrap();
+            model::apply(&mut work0, EnqueuePacket(f, len, 0), tag).unwrap();
         }
-        legacy.dequeue_packet(FlowId::new(0)).unwrap();
-        work0.dequeue_packet(FlowId::new(0)).unwrap();
-        assert_eq!(
-            crate::check::state_digest(&legacy),
-            crate::check::state_digest(&work0)
-        );
+        for e in [&mut legacy, &mut work0] {
+            e.shard_mut(0).dequeue_packet(FlowId::new(0)).unwrap();
+        }
+        assert_eq!(legacy.state_digest(), work0.state_digest());
         assert_eq!(legacy.ptr_counters(), work0.ptr_counters());
     }
 
@@ -1390,8 +1327,10 @@ mod tests {
     fn work_survives_queueing_moving_and_copying() {
         let mut m = qm();
         let (a, b, c) = (FlowId::new(0), FlowId::new(1), FlowId::new(2));
-        m.enqueue_packet_with_work(a, &[7u8; 100], 5).unwrap();
-        m.enqueue_packet_with_work(a, &[8u8; 64], 2).unwrap();
+        for (payload, work) in [(&[7u8; 100][..], 5), (&[8u8; 64], 2)] {
+            m.enqueue_packet(a, payload).unwrap();
+            m.set_tail_work(a, work).unwrap();
+        }
         assert_eq!(m.head_work(a), Some(5));
         // A copy owes the same effort as the original.
         m.copy_packet(a, c).unwrap();
@@ -1759,38 +1698,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_packet_reads_without_consuming() {
-        let mut m = qm();
-        let f = FlowId::new(4);
-        let pkt: Vec<u8> = (0..150).map(|i| i as u8).collect();
-        m.enqueue_packet(f, &pkt).unwrap();
-        let mut out = Vec::new();
-        assert_eq!(m.peek_packet_into(f, &mut out), Ok(150));
-        assert_eq!(out, pkt);
-        assert_eq!(m.queue_len_segments(f), 3, "peek must not consume");
-        assert_eq!(m.dequeue_packet(f).unwrap(), pkt);
-        assert!(matches!(
-            m.peek_packet_into(f, &mut out),
-            Err(QueueError::QueueEmpty { .. })
-        ));
-        m.verify().unwrap();
-    }
-
-    #[test]
-    fn peek_packet_hides_the_open_tail() {
-        let mut m = qm();
-        let f = FlowId::new(0);
-        let mut out = Vec::new();
-        m.enqueue(f, &[1; 64], SegmentPosition::First).unwrap();
-        assert!(matches!(
-            m.peek_packet_into(f, &mut out),
-            Err(QueueError::QueueEmpty { .. })
-        ));
-        m.enqueue(f, &[2; 8], SegmentPosition::Last).unwrap();
-        assert_eq!(m.peek_packet_into(f, &mut out), Ok(72));
-    }
-
-    #[test]
     fn head_in_service_tracks_partial_consumption() {
         let mut m = qm();
         let f = FlowId::new(1);
@@ -2099,24 +2006,6 @@ mod tests {
         Ok((pr.segs, pr.bytes))
     }
 
-    /// [`QueueManager::peek_packet_into`] as a counted read of each segment
-    /// record and a data-memory read of each segment.
-    fn peek_packet_by_segments(m: &mut QueueManager, flow: FlowId) -> Result<Vec<u8>, QueueError> {
-        m.known_flow(flow)?;
-        let q = m.ptr.queue(flow);
-        m.complete_head(flow, &q)?;
-        let pr = m.ptr.pkt(q.head_pkt);
-        let mut out = Vec::new();
-        let mut cur = pr.first;
-        while !cur.is_nil() {
-            let rec = m.ptr.seg(cur);
-            out.extend_from_slice(m.data.read(cur, rec.len as usize));
-            cur = rec.next;
-        }
-        m.stats.reads += 1;
-        Ok(out)
-    }
-
     /// [`QueueManager::copy_packet`] as it ran before the chain calls: each
     /// source segment read out and enqueued on `dst` by a segment command
     /// (with today's refusal of a head in service).
@@ -2167,7 +2056,6 @@ mod tests {
                 }))
             }
             DequeuePacket(flow, _) => dequeue_packet_by_segments(m, f(flow)).map(Reply::Packet),
-            PeekPacket(flow, _) => peek_packet_by_segments(m, f(flow)).map(Reply::Packet),
             CopyPacket(src, dst) => done(copy_packet_by_segments(m, f(src), f(dst))),
             DeletePacket(flow) => delete_packet_by_segments(m, f(flow))
                 .map(|(segs, bytes)| Reply::Outcome(Outcome::Dropped { segs, bytes })),
@@ -2400,12 +2288,6 @@ mod tests {
             (OverwriteLenAndMove(READY, EMPTY, 0), 4, 1, 0, 0, 0),
             (OverwriteLenAndMove(EMPTY, READY, 8), 4, 1, 1, 0, 0),
             (OverwriteLenAndMove(READY, EMPTY, 9), 4, 1, 1, 1, 1),
-            (PeekPacket(BAD, None), 4, 1, 0, 0, 0),
-            (PeekPacket(EMPTY, None), 4, 1, 1, 0, 0),
-            (PeekPacket(OPEN, None), 4, 1, 1, 0, 0),
-            (PeekPacket(BAD, Some(3)), 4, 1, 0, 0, 0),
-            (PeekPacket(EMPTY, Some(3)), 4, 1, 1, 0, 0),
-            (PeekPacket(OPEN, Some(3)), 4, 1, 1, 0, 0),
             (CopyPacket(BAD, EMPTY), 4, 1, 0, 0, 0),
             (CopyPacket(READY, BAD), 4, 1, 0, 0, 0),
             (CopyPacket(EMPTY, READY), 4, 1, 1, 0, 0),

@@ -108,7 +108,7 @@ impl Model {
     }
 
     /// A known flow whose head packet is complete: only complete packets
-    /// are served, deleted, moved, peeked or copied.
+    /// are served, deleted, moved or copied.
     fn complete_head(&mut self, flow: FlowId) -> Res<()> {
         self.known(flow)?;
         let open = self.queue(flow).first().is_none_or(|p| p.open);
@@ -141,6 +141,14 @@ impl Model {
             let (segs, bytes) = (segs.len() as u32, segs.concat().len() as u32);
             Reply::Outcome(Outcome::Dropped { segs, bytes })
         };
+        if self.across(src, dst) {
+            // Shards share nothing: a two-queue command across two checks
+            // its flows, then is refused on the source's shard, and no
+            // queue changes.
+            self.known(src)?;
+            self.known(dst)?;
+            return done(self.check(src, true, CrossShard { src, dst }));
+        }
         match step {
             Enqueue(.., pos) => done(self.enqueue(flow, &data, pos)),
             EnqueuePacket(.., work) => done(self.enqueue_packet(flow, &data, work)),
@@ -149,7 +157,6 @@ impl Model {
             DequeuePacket(..) => self
                 .take(flow, true)
                 .map(|p| Reply::Packet(p.segs.concat())),
-            PeekPacket(..) => self.peek_packet(flow).map(Reply::Packet),
             ReadHead(_) => segment(self.read_head(flow)),
             OverwriteHead(..) => done(self.overwrite(flow, len, Some(data))),
             OverwriteHeadLen(..) => done(self.overwrite(flow, len, None)),
@@ -259,12 +266,6 @@ impl Model {
         Ok(p)
     }
 
-    fn peek_packet(&mut self, flow: FlowId) -> Res<Vec<u8>> {
-        self.complete_head(flow)?;
-        self.stats(flow).reads += 1;
-        Ok(self.queue(flow)[0].segs.concat())
-    }
-
     /// The head segment. Its `eop` says whether it ends its packet: the
     /// one segment of an open packet is not its end.
     fn read_head(&mut self, flow: FlowId) -> Res<DequeuedSegment> {
@@ -322,29 +323,19 @@ impl Model {
         Ok(())
     }
 
-    /// A packet in service may only land at a queue's head. Across shards
-    /// a move is a dequeue and an enqueue, each counted by its engine, with
-    /// room reserved first; the enqueued packet starts afresh, so a head in
-    /// service is refused outright.
+    /// A packet in service may only land at a queue's head.
     fn move_packet(&mut self, src: FlowId, dst: FlowId) -> Res<()> {
         self.known(src)?;
         self.known(dst)?;
         self.complete_head(src)?;
-        let (head, across) = (self.queue(src)[0].clone(), self.across(src, dst));
-        let in_service = PacketInService { flow: src };
-        self.check(src, across && head.started, in_service)?;
         self.tail(dst, false)?;
-        if across {
-            let segs = head.segs.concat().len().div_ceil(self.seg_bytes);
-            self.reserve(dst, segs)?;
-            let bytes = self.take(src, true)?.segs.concat();
-            return self.enqueue_packet(dst, &bytes, head.work);
-        }
+        let started = self.queue(src)[0].started;
         let lands_at_head = match src == dst {
             true => self.queue(src).len() == 1,
             false => self.queue(dst).is_empty(),
         };
-        self.check(src, head.started && !lands_at_head, in_service)?;
+        let in_service = PacketInService { flow: src };
+        self.check(src, started && !lands_at_head, in_service)?;
         let p = self.queue(src).remove(0);
         self.queue(dst).push(p);
         self.stats(src).moves += 1;
@@ -352,18 +343,13 @@ impl Model {
     }
 
     /// A copy is a fresh packet, so a head in service, whose remainder is
-    /// no whole packet, is refused; across shards, a peek and an
-    /// `enqueue_packet`, each counted by its engine.
+    /// no whole packet, is refused.
     fn copy_packet(&mut self, src: FlowId, dst: FlowId) -> Res<()> {
         self.known(src)?;
         self.known(dst)?;
         self.complete_head(src)?;
         let copy = self.queue(src)[0].clone();
         self.check(src, copy.started, PacketInService { flow: src })?;
-        if self.across(src, dst) {
-            let bytes = self.peek_packet(src)?;
-            return self.enqueue_packet(dst, &bytes, copy.work);
-        }
         self.tail(dst, false)?;
         self.reserve(dst, copy.segs.len())?;
         let st = self.stats(dst);
@@ -380,10 +366,13 @@ fn queued(qm: &QueueManager, flow: usize) -> Vec<Packet> {
     let mut pid = qm.ptr.queue_silent(FlowId::new(flow as u32)).head_pkt;
     while !pid.is_nil() {
         let pr = qm.ptr.pkt_silent(pid);
-        let segs = qm.ptr.chain(pr.first, pr.last);
-        let segs = segs.map(|(seg, len)| qm.data.read_silent(seg, len.into()).to_vec());
+        let (mut segs, mut seg) = (Vec::new(), pr.first);
+        for _ in 0..pr.segs {
+            let rec = qm.ptr.seg_silent(seg);
+            segs.push(qm.data.read_silent(seg, rec.len.into()).to_vec());
+            seg = rec.next;
+        }
         let (work, started, open) = (pr.work, pr.started, !pr.eop);
-        let segs = segs.collect();
         packets.push(Packet {
             segs,
             work,

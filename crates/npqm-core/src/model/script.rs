@@ -28,12 +28,11 @@ pub(crate) type Res<T> = Result<T, QueueError>;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Step {
     Enqueue(u32, usize, SegmentPosition),
-    /// `enqueue_packet_with_work`, which at `work` 0 is `enqueue_packet`.
+    /// `enqueue_packet`, then `set_tail_work` unless `work` is 0.
     EnqueuePacket(u32, usize, u32),
     SetTailWork(u32, u32),
     Dequeue(u32, Option<usize>),
     DequeuePacket(u32, Option<usize>),
-    PeekPacket(u32, Option<usize>),
     ReadHead(u32),
     OverwriteHead(u32, usize),
     OverwriteHeadLen(u32, usize),
@@ -57,7 +56,7 @@ impl Step {
             OverwriteHead(flow, len) | OverwriteHeadLen(flow, len) => (flow, flow, len),
             AppendHead(flow, len) | AppendTail(flow, len) => (flow, flow, len),
             SetTailWork(flow, _) | Dequeue(flow, _) | DequeuePacket(flow, _) => (flow, flow, 0),
-            PeekPacket(flow, _) | ReadHead(flow) | LongestQueue(flow) => (flow, flow, 0),
+            ReadHead(flow) | LongestQueue(flow) => (flow, flow, 0),
             DeleteSegment(flow) | DeletePacket(flow) => (flow, flow, 0),
             MovePacket(src, dst) | CopyPacket(src, dst) => (src, dst, 0),
             OverwriteAndMove(src, dst, len) | OverwriteLenAndMove(src, dst, len) => (src, dst, len),
@@ -167,15 +166,16 @@ pub(crate) fn apply(engine: &mut ShardedQueueManager, step: Step, tag: u8) -> Re
         Reply::Packet(bytes)
     };
     match step {
-        EnqueuePacket(.., work) => qm
-            .enqueue_packet_with_work(flow, &data, work)
-            .map(|()| DONE),
+        EnqueuePacket(.., work) => {
+            qm.enqueue_packet(flow, &data)?;
+            if work != 0 {
+                qm.set_tail_work(flow, work)?;
+            }
+            Ok(DONE)
+        }
         SetTailWork(_, work) => qm.set_tail_work(flow, work).map(|()| DONE),
         DequeuePacket(_, None) => qm.dequeue_packet(flow).map(Reply::Packet),
         DequeuePacket(_, Some(n)) => lent(n, |out| qm.dequeue_packet_into(flow, out)).map(packet),
-        PeekPacket(_, held) => {
-            lent(held.unwrap_or(0), |out| qm.peek_packet_into(flow, out)).map(packet)
-        }
         Dequeue(_, Some(n)) => lent(n, |out| qm.dequeue_into(flow, out)).map(|(info, data)| {
             assert_eq!(info.len, data.len());
             let (sop, eop) = (info.sop, info.eop);
@@ -250,8 +250,7 @@ fn draw(shape: &Shape, rng: &mut Xoshiro256pp) -> Step {
         11 => SetTailWork(flow, work),
         12..=13 => Dequeue(flow, lend),
         14..=16 => DequeuePacket(flow, lend),
-        17 => PeekPacket(flow, lend),
-        18 => ReadHead(flow),
+        17..=18 => ReadHead(flow),
         19 => OverwriteHead(flow, len),
         20 => OverwriteHeadLen(flow, len),
         21 => DeleteSegment(flow),

@@ -1142,7 +1142,8 @@ mod tests {
                 qm.enqueue(open, &[7u8; 64], SegmentPosition::First)
                     .unwrap();
                 for _ in 0..3 {
-                    qm.enqueue_packet_with_work(hog, &[0u8; 64], 9).unwrap();
+                    qm.enqueue_packet(hog, &[0u8; 64]).unwrap();
+                    qm.set_tail_work(hog, 9).unwrap();
                 }
                 assert_eq!(qm.free_segments(), 0);
                 let errors = qm.stats().errors;

@@ -301,23 +301,6 @@ impl PtrMem {
         self.segs[id.as_usize()] = rec;
     }
 
-    /// The segments of the chain `first..=last` with their lengths, read
-    /// off the links without counting: a whole-packet read walks this and
-    /// [`charge`](Self::charge)s its segment reads once.
-    pub(crate) fn chain(
-        &self,
-        first: SegmentId,
-        last: SegmentId,
-    ) -> impl Iterator<Item = (SegmentId, u16)> + '_ {
-        let mut at = Some(first);
-        std::iter::from_fn(move || {
-            let id = at?;
-            let rec = self.segs[id.as_usize()];
-            at = (id != last).then_some(rec.next);
-            Some((id, rec.len))
-        })
-    }
-
     // --- packet plane ------------------------------------------------------
 
     /// Reads a packet record.

@@ -23,10 +23,12 @@
 //! * **one command at a time** ([`ShardedQueueManager::execute`]), routed
 //!   to its flow's shard, as the paper's MMS takes one command per
 //!   request/acknowledge handshake; a batch is its one-by-one replay;
-//! * **cross-shard moves/copies**: two-queue commands whose source and
-//!   destination hash to different shards transfer the payload between
-//!   the two data memories (see
-//!   [Cross-shard semantics](#cross-shard-semantics));
+//! * **no shared state**: a two-queue command (move, copy, fused
+//!   overwrite-and-move) whose queues hash to different shards is refused
+//!   with [`QueueError::CrossShard`]. In the paper a move is a pointer
+//!   operation inside one data memory, and each shard's data memory is
+//!   its own; within a shard `Move` / `Copy` keep their O(1) / O(size)
+//!   pointer semantics;
 //! * **per-shard admission** ([`ShardedAdmission`]): one
 //!   [`DropPolicy`] instance per shard, so Choudhury–Hahne dynamic
 //!   thresholds (or any other policy) apply *shard-locally* against each
@@ -55,39 +57,6 @@
 //! threads were measured against this model and lost on wall clock at
 //! every attempt, so none are spawned.)
 //!
-//! # Cross-shard semantics
-//!
-//! Within one shard, `Move`/`Copy` keep their O(1)/O(size) pointer
-//! semantics. Across shards each engine owns a private data memory, so:
-//!
-//! * **copy** reads the source head packet
-//!   ([`QueueManager::peek_packet_into`]) and enqueues the bytes in the
-//!   destination shard (capacity failures roll back, never tearing). A
-//!   mid-service source head is refused with
-//!   [`QueueError::PacketInService`], as in-shard;
-//! * **move** reserves destination capacity first, then dequeues from the
-//!   source and enqueues in the destination. An open destination tail is
-//!   rejected with [`QueueError::SarProtocol`] exactly as in
-//!   [`QueueManager::move_packet`]; a mid-service source head is rejected
-//!   with [`QueueError::PacketInService`] *unconditionally* — **stricter
-//!   than the in-shard rule**, which permits it when the destination is
-//!   empty. In-shard, the packet record (and its `started` flag) moves
-//!   intact; across shards the payload is re-enqueued as a fresh packet,
-//!   which would re-frame the remainder of a partially-served packet as a
-//!   whole frame. A trace containing such a move can therefore succeed
-//!   or fail depending on how its flows hash across shards;
-//! * either way the packet's `work` goes with it, as in-shard: the source
-//!   head's [`head_work`](QueueManager::head_work) is stamped on the new
-//!   destination tail when non-zero (one more packet-record read/write).
-//!
-//! Because the payload physically crosses data memories, cross-shard
-//! transfers are accounted as the traffic each engine really performed:
-//! the source engine counts a dequeue (with `bytes_out`), the destination
-//! counts enqueues (with `bytes_in`), a cross-shard copy counts a read —
-//! and `moves` is *not* incremented. Aggregated [`ShardedQueueManager::stats`]
-//! for a trace with cross-shard transfers will differ from the same trace
-//! on one engine, by design.
-//!
 //! # Example
 //!
 //! ```
@@ -115,14 +84,8 @@ use crate::manager::QueueManager;
 use crate::policy::{Admission, DropPolicy, Refusal};
 use crate::ptrmem::PtrMemCounters;
 use crate::stats::{ParallelStats, QmStats};
-use crate::timing::stream::{CrossBarrier, EngineTrace};
+use crate::timing::stream::OpStream;
 use std::time::{Duration, Instant};
-
-/// Where a command executes: one shard, or two distinct shards.
-enum Route {
-    One(usize),
-    Two(usize, usize),
-}
 
 /// A sharded queue engine: N independent [`QueueManager`]s with stable
 /// flow routing.
@@ -133,11 +96,6 @@ enum Route {
 pub struct ShardedQueueManager {
     pub(crate) shards: Vec<QueueManager>,
     busy: Vec<Duration>,
-    /// Cross-shard barriers recorded while tracing, until the next
-    /// [`crate::timing::MemoryChannels::charge_engine`].
-    trace_barriers: Vec<CrossBarrier>,
-    /// The packet a cross-shard copy carries between two data memories.
-    carry: Vec<u8>,
 }
 
 impl ShardedQueueManager {
@@ -157,8 +115,6 @@ impl ShardedQueueManager {
                 .map(|_| QueueManager::new(per_shard))
                 .collect(),
             busy: vec![Duration::ZERO; num_shards],
-            trace_barriers: Vec::new(),
-            carry: Vec::new(),
         }
     }
 
@@ -171,7 +127,6 @@ impl ShardedQueueManager {
         for qm in &mut self.shards {
             qm.set_tracing(on);
         }
-        self.trace_barriers.clear();
     }
 
     /// Whether memory-access tracing is enabled.
@@ -179,18 +134,14 @@ impl ShardedQueueManager {
         self.shards[0].tracing()
     }
 
-    /// Drains the recorded engine trace: the cross-shard barriers, then
-    /// one cut of every shard. The trace is a pure function of the
-    /// executed commands and their per-shard order.
-    pub(crate) fn take_trace(&mut self) -> EngineTrace {
-        EngineTrace {
-            barriers: std::mem::take(&mut self.trace_barriers),
-            rest: self
-                .shards
-                .iter_mut()
-                .map(QueueManager::cut_trace)
-                .collect(),
-        }
+    /// Drains the recorded engine trace: one cut of every shard, in shard
+    /// order. The trace is a pure function of the executed commands and
+    /// their per-shard order.
+    pub(crate) fn take_trace(&mut self) -> Vec<OpStream> {
+        self.shards
+            .iter_mut()
+            .map(QueueManager::cut_trace)
+            .collect()
     }
 
     /// Pointer-memory access counters aggregated over all shards (ZBT
@@ -351,24 +302,7 @@ impl ShardedQueueManager {
             .sum()
     }
 
-    fn route(&self, cmd: &Command) -> Route {
-        let a = self.shard_of(cmd.primary_flow());
-        match cmd.secondary_flow() {
-            Some(dst) => {
-                let b = self.shard_of(dst);
-                if a == b {
-                    Route::One(a)
-                } else {
-                    Route::Two(a, b)
-                }
-            }
-            None => Route::One(a),
-        }
-    }
-
-    /// Executes one command, routed to the owning shard (two-queue
-    /// commands whose queues live in different shards take the
-    /// [cross-shard path](self#cross-shard-semantics)).
+    /// Executes one command on its flow's shard.
     ///
     /// Execution is not timed; only
     /// [`for_each_shard`](ShardedQueueManager::for_each_shard) accumulates
@@ -376,7 +310,12 @@ impl ShardedQueueManager {
     ///
     /// # Errors
     ///
-    /// Propagates the underlying operation's [`QueueError`].
+    /// The shard's own [`QueueError`]. A two-queue command whose queues
+    /// live on different shards is refused: with
+    /// [`QueueError::UnknownFlow`] if either flow is out of range (counted
+    /// on that flow's shard), else with [`QueueError::CrossShard`], counted
+    /// as one error on the source's shard. Neither engine is otherwise
+    /// read or written, so a fused overwrite does not land.
     pub fn execute(&mut self, cmd: Command) -> Result<Outcome, QueueError> {
         self.execute_ref(&cmd)
     }
@@ -384,10 +323,15 @@ impl ShardedQueueManager {
     /// [`execute`](Self::execute) on a borrowed command, so a slice of
     /// commands runs without cloning payloads.
     fn execute_ref(&mut self, cmd: &Command) -> Result<Outcome, QueueError> {
-        match self.route(cmd) {
-            Route::One(s) => self.shards[s].execute_ref(cmd),
-            Route::Two(..) => self.execute_cross_traced(cmd),
-        }
+        let src = cmd.primary_flow();
+        let s = self.shard_of(src);
+        let Some(dst) = (cmd.secondary_flow()).filter(|&dst| self.shard_of(dst) != s) else {
+            return self.shards[s].execute_ref(cmd);
+        };
+        self.check_flow_on(s, src)?;
+        self.check_flow_on(self.shard_of(dst), dst)?;
+        self.shards[s].stats.errors += 1;
+        Err(QueueError::CrossShard { src, dst })
     }
 
     /// [`execute`](Self::execute) on each command in order. Kept only for
@@ -438,57 +382,6 @@ impl ShardedQueueManager {
         }
     }
 
-    /// Executes a cross-shard command, recording its two-engine barrier
-    /// when tracing is enabled: both engines' logs are cut before the
-    /// command and again after it, and the [`CrossBarrier`] tells the
-    /// memory channels to synchronize both clocks after charging them.
-    fn execute_cross_traced(&mut self, cmd: &Command) -> Result<Outcome, QueueError> {
-        let (a, b) = match self.route(cmd) {
-            Route::Two(a, b) => (a, b),
-            Route::One(_) => unreachable!("cross execution requires two shards"),
-        };
-        if !self.tracing() {
-            return self.execute_cross(cmd);
-        }
-        let before = [a, b].map(|s| self.shards[s].cut_trace());
-        let r = self.execute_cross(cmd);
-        let during = [a, b].map(|s| self.shards[s].cut_trace());
-        self.trace_barriers.push(CrossBarrier {
-            a,
-            b,
-            before,
-            during,
-        });
-        r
-    }
-
-    /// Executes a two-queue command whose queues live in different shards.
-    fn execute_cross(&mut self, cmd: &Command) -> Result<Outcome, QueueError> {
-        match *cmd {
-            Command::Move { src, dst } => {
-                self.move_across(src, dst)?;
-                Ok(Outcome::Done)
-            }
-            Command::Copy { src, dst } => {
-                self.copy_across(src, dst)?;
-                Ok(Outcome::Done)
-            }
-            Command::OverwriteAndMove { src, dst, ref data } => {
-                let s = self.shard_of(src);
-                self.shards[s].overwrite_head(src, data)?;
-                self.move_across(src, dst)?;
-                Ok(Outcome::Done)
-            }
-            Command::OverwriteLenAndMove { src, dst, new_len } => {
-                let s = self.shard_of(src);
-                self.shards[s].overwrite_head_len(src, new_len)?;
-                self.move_across(src, dst)?;
-                Ok(Outcome::Done)
-            }
-            _ => unreachable!("route() yields Two only for two-queue commands"),
-        }
-    }
-
     /// Rejects out-of-range flows, charging the error to `shard`.
     fn check_flow_on(&mut self, shard: usize, flow: FlowId) -> Result<(), QueueError> {
         let num_flows = self.shards[shard].config().num_flows();
@@ -497,85 +390,6 @@ impl ShardedQueueManager {
             return Err(QueueError::UnknownFlow { flow, num_flows });
         }
         Ok(())
-    }
-
-    /// Moves the head packet of `src` into `dst`'s shard.
-    ///
-    /// Destination capacity is reserved up front so the dequeue can never
-    /// strand the packet; payload bytes are re-segmented into the
-    /// destination engine's data memory. Mid-service source heads are
-    /// rejected unconditionally (stricter than the in-shard rule — see
-    /// the [module docs](self#cross-shard-semantics)).
-    fn move_across(&mut self, src: FlowId, dst: FlowId) -> Result<(), QueueError> {
-        let si = self.shard_of(src);
-        let di = self.shard_of(dst);
-        self.check_flow_on(si, src)?;
-        self.check_flow_on(di, dst)?;
-        let fail = |shards: &mut Vec<QueueManager>, at: usize, e| {
-            shards[at].stats.errors += 1;
-            Err(e)
-        };
-        if self.shards[si].complete_packets(src) == 0 {
-            return fail(&mut self.shards, si, QueueError::QueueEmpty { flow: src });
-        }
-        if self.shards[si].head_in_service(src) {
-            // The remainder of a partially-served packet re-enqueued in
-            // another engine would be framed as a whole packet — exactly
-            // the torn-frame class move_packet's in-shard rules prevent.
-            return fail(
-                &mut self.shards,
-                si,
-                QueueError::PacketInService { flow: src },
-            );
-        }
-        let d = &self.shards[di];
-        if d.queue_len_packets(dst) != d.complete_packets(dst) {
-            // Destination tail is open (mid-SAR).
-            return fail(
-                &mut self.shards,
-                di,
-                QueueError::SarProtocol {
-                    flow: dst,
-                    expected_start: false,
-                },
-            );
-        }
-        let bytes = self.shards[si]
-            .head_packet_bytes(src)
-            .expect("complete head packet checked above") as usize;
-        let seg_bytes = self.shards[di].config().segment_bytes() as usize;
-        let needed = bytes.div_ceil(seg_bytes) as u32;
-        if self.shards[di].free_segments() < needed {
-            return fail(&mut self.shards, di, QueueError::OutOfSegments);
-        }
-        let work = self.shards[si].head_work(src).unwrap_or(0);
-        let pkt = self.shards[si]
-            .dequeue_packet(src)
-            .expect("complete head packet checked above");
-        self.shards[di]
-            .enqueue_packet_with_work(dst, &pkt, work)
-            .expect("destination capacity reserved above");
-        Ok(())
-    }
-
-    /// Copies the head packet of `src` into `dst`'s shard. A head in
-    /// service is refused, as in-shard: its remainder is no whole packet.
-    fn copy_across(&mut self, src: FlowId, dst: FlowId) -> Result<(), QueueError> {
-        let si = self.shard_of(src);
-        let di = self.shard_of(dst);
-        self.check_flow_on(si, src)?;
-        self.check_flow_on(di, dst)?;
-        if self.shards[si].head_in_service(src) {
-            self.shards[si].stats.errors += 1;
-            return Err(QueueError::PacketInService { flow: src });
-        }
-        self.carry.clear();
-        self.shards[si].peek_packet_into(src, &mut self.carry)?;
-        let work = self.shards[si].head_work(src).unwrap_or(0);
-        // enqueue_packet rejects an open destination tail (SarProtocol on
-        // the First chunk) and rolls back on mid-packet exhaustion, so a
-        // failed copy never leaves a torn packet behind.
-        self.shards[di].enqueue_packet_with_work(dst, &self.carry, work)
     }
 
     /// Verifies every shard independently, then the cross-shard
@@ -881,19 +695,91 @@ mod tests {
     }
 
     #[test]
-    fn cross_shard_move_transfers_payload() {
+    fn two_queue_commands_across_shards_are_refused() {
         let mut e = ShardedQueueManager::new(cfg(64), 4);
-        // Find two flows on different shards.
-        let src = FlowId::new(0);
-        let dst = (1..16u32)
+        let src = FlowId::new(2);
+        let s = e.shard_of(src);
+        let flows = || (0..16u32).map(FlowId::new).filter(|&f| f != src);
+        let dst = flows().find(|&f| e.shard_of(f) != s).unwrap();
+        let peer = flows().find(|&f| e.shard_of(f) == s).unwrap();
+        // Out of range, and on a third shard.
+        let third = |f: &FlowId| ![s, e.shard_of(dst)].contains(&e.shard_of(*f));
+        let bad = (16..64u32).map(FlowId::new).find(third).unwrap();
+        let all = |src, dst| {
+            [
+                Command::Move { src, dst },
+                Command::Copy { src, dst },
+                Command::OverwriteAndMove {
+                    src,
+                    dst,
+                    data: vec![9; 8],
+                },
+                Command::OverwriteLenAndMove {
+                    src,
+                    dst,
+                    new_len: 4,
+                },
+            ]
+        };
+        for f in [src, src, src, src, dst] {
+            e.shard_for_mut(f)
+                .enqueue_packet(f, &[f.index() as u8; 64])
+                .unwrap();
+        }
+        for cmd in all(src, dst) {
+            // One error on the source's shard; nothing else read or written.
+            let mut want = e.clone();
+            want.shards[s].stats.errors += 1;
+            let name = cmd.name();
+            assert_eq!(
+                e.execute(cmd),
+                Err(QueueError::CrossShard { src, dst }),
+                "{name}"
+            );
+            assert_eq!(e.state_digest(), want.state_digest(), "{name}");
+            assert_eq!(e.ptr_counters(), want.ptr_counters(), "{name}");
+        }
+        for (from, to, at) in [(src, bad, e.shard_of(bad)), (bad, dst, e.shard_of(bad))] {
+            for cmd in all(from, to) {
+                let errors = e.shard(at).stats().errors;
+                let r = e.execute(cmd);
+                assert!(matches!(r, Err(QueueError::UnknownFlow { .. })), "{r:?}");
+                assert_eq!(e.shard(at).stats().errors, errors + 1);
+            }
+        }
+        // Within one shard all four still run.
+        for cmd in all(src, peer) {
+            assert_eq!(e.execute(cmd), Ok(Outcome::Done));
+        }
+        assert_eq!(e.shard(s).queue_len_packets(src), 1);
+        assert_eq!(e.shard(s).queue_len_packets(peer), 4);
+        e.verify().unwrap();
+    }
+
+    /// The first flow homed on a different shard from `src`.
+    fn across(e: &ShardedQueueManager, src: FlowId) -> FlowId {
+        (0..16u32)
             .map(FlowId::new)
             .find(|&f| e.shard_of(f) != e.shard_of(src))
-            .expect("16 flows over 4 shards must straddle");
+            .expect("16 flows over 4 shards must straddle")
+    }
+
+    #[test]
+    fn cross_shard_move_transfers_payload() {
+        // A move across shards transfers nothing: the payload stays put.
+        let mut e = ShardedQueueManager::new(cfg(64), 4);
+        let src = FlowId::new(0);
+        let dst = across(&e, src);
         let pkt: Vec<u8> = (0..150).map(|i| i as u8).collect();
         e.shard_for_mut(src).enqueue_packet(src, &pkt).unwrap();
-        e.execute(Command::Move { src, dst }).unwrap();
-        assert!(e.shard(e.shard_of(src)).is_empty(src));
-        assert_eq!(e.shard_for_mut(dst).dequeue_packet(dst).unwrap(), pkt);
+        assert_eq!(
+            e.execute(Command::Move { src, dst }),
+            Err(QueueError::CrossShard { src, dst })
+        );
+        assert_eq!(e.shard(e.shard_of(src)).stats().errors, 1);
+        assert_eq!(e.shard(e.shard_of(dst)).stats().errors, 0);
+        assert!(e.shard(e.shard_of(dst)).is_empty(dst));
+        assert_eq!(e.shard_for_mut(src).dequeue_packet(src).unwrap(), pkt);
         e.verify().unwrap();
     }
 
@@ -901,55 +787,58 @@ mod tests {
     fn cross_shard_copy_keeps_source() {
         let mut e = ShardedQueueManager::new(cfg(64), 4);
         let src = FlowId::new(0);
-        let dst = (1..16u32)
-            .map(FlowId::new)
-            .find(|&f| e.shard_of(f) != e.shard_of(src))
-            .unwrap();
+        let dst = across(&e, src);
         e.shard_for_mut(src).enqueue_packet(src, b"mirror").unwrap();
-        e.execute(Command::Copy { src, dst }).unwrap();
+        let before = e.shard(e.shard_of(dst)).clone();
+        assert_eq!(
+            e.execute(Command::Copy { src, dst }),
+            Err(QueueError::CrossShard { src, dst })
+        );
+        assert_eq!(
+            crate::check::state_digest(e.shard(e.shard_of(dst))),
+            crate::check::state_digest(&before),
+            "the destination's data memory is not written"
+        );
         assert_eq!(e.shard_for_mut(src).dequeue_packet(src).unwrap(), b"mirror");
-        assert_eq!(e.shard_for_mut(dst).dequeue_packet(dst).unwrap(), b"mirror");
+        assert!(e.shard(e.shard_of(dst)).is_empty(dst));
         e.verify().unwrap();
     }
 
     #[test]
     fn cross_shard_move_rejects_open_destination_and_reserves_capacity() {
+        // The shard check comes before either engine is read: an open or
+        // exhausted destination answers CrossShard, and no segment is taken.
         let mut e = ShardedQueueManager::new(cfg(4), 4);
         let src = FlowId::new(0);
-        let dst = (1..16u32)
-            .map(FlowId::new)
-            .find(|&f| e.shard_of(f) != e.shard_of(src))
-            .unwrap();
+        let dst = across(&e, src);
         e.shard_for_mut(src)
             .enqueue_packet(src, &[1u8; 100])
             .unwrap();
-        // Open the destination queue mid-SAR: the move must be refused.
         e.shard_for_mut(dst)
             .enqueue(dst, &[9u8; 64], SegmentPosition::First)
             .unwrap();
-        assert!(matches!(
+        assert_eq!(
             e.execute(Command::Move { src, dst }),
-            Err(QueueError::SarProtocol { .. })
-        ));
-        // Close it but exhaust the destination shard: still refused, and
-        // the source keeps its packet.
-        e.shard_for_mut(dst)
-            .enqueue(dst, &[9u8; 64], SegmentPosition::Middle)
-            .unwrap();
-        e.shard_for_mut(dst)
-            .enqueue(dst, &[9u8; 64], SegmentPosition::Middle)
-            .unwrap();
+            Err(QueueError::CrossShard { src, dst })
+        );
+        for pos in [SegmentPosition::Middle, SegmentPosition::Middle] {
+            e.shard_for_mut(dst).enqueue(dst, &[9u8; 64], pos).unwrap();
+        }
         e.shard_for_mut(dst)
             .enqueue(dst, &[9u8; 64], SegmentPosition::Last)
             .unwrap();
+        let free = e.shard(e.shard_of(dst)).free_segments();
+        assert_eq!(free, 0, "the destination shard is exhausted");
         assert_eq!(
             e.execute(Command::Move { src, dst }),
-            Err(QueueError::OutOfSegments)
+            Err(QueueError::CrossShard { src, dst })
         );
+        assert_eq!(e.shard(e.shard_of(dst)).free_segments(), free);
+        assert_eq!(e.shard(e.shard_of(src)).stats().errors, 2);
         assert_eq!(
             e.shard(e.shard_of(src)).queue_len_packets(src),
             1,
-            "failed move must not strand the packet"
+            "a refused move must not strand the packet"
         );
         e.verify().unwrap();
     }
@@ -958,37 +847,38 @@ mod tests {
     fn cross_shard_move_rejects_mid_service_head() {
         let mut e = ShardedQueueManager::new(cfg(64), 4);
         let src = FlowId::new(0);
-        let dst = (1..16u32)
-            .map(FlowId::new)
-            .find(|&f| e.shard_of(f) != e.shard_of(src))
-            .unwrap();
+        let dst = across(&e, src);
         e.shard_for_mut(src)
             .enqueue_packet(src, &[1u8; 130])
             .unwrap();
         e.shard_for_mut(src).dequeue(src).unwrap(); // head mid-service
-        assert!(matches!(
+        assert_eq!(
             e.execute(Command::Move { src, dst }),
-            Err(QueueError::PacketInService { .. })
-        ));
+            Err(QueueError::CrossShard { src, dst })
+        );
+        // The head's service goes on where it stopped.
+        assert_eq!(e.shard(e.shard_of(src)).queue_len_packets(src), 1);
+        e.shard_for_mut(src).dequeue(src).unwrap();
         e.verify().unwrap();
     }
 
     #[test]
     fn cross_shard_fused_overwrite_and_move() {
+        // The fused overwrite does not land when its move is refused.
         let mut e = ShardedQueueManager::new(cfg(64), 4);
         let src = FlowId::new(0);
-        let dst = (1..16u32)
-            .map(FlowId::new)
-            .find(|&f| e.shard_of(f) != e.shard_of(src))
-            .unwrap();
+        let dst = across(&e, src);
         e.shard_for_mut(src).enqueue_packet(src, b"xxxx").unwrap();
-        e.execute(Command::OverwriteAndMove {
-            src,
-            dst,
-            data: b"yyyy".to_vec(),
-        })
-        .unwrap();
-        assert_eq!(e.shard_for_mut(dst).dequeue_packet(dst).unwrap(), b"yyyy");
+        assert_eq!(
+            e.execute(Command::OverwriteAndMove {
+                src,
+                dst,
+                data: b"yyyy".to_vec(),
+            }),
+            Err(QueueError::CrossShard { src, dst })
+        );
+        assert!(e.shard(e.shard_of(dst)).is_empty(dst));
+        assert_eq!(e.shard_for_mut(src).dequeue_packet(src).unwrap(), b"xxxx");
         e.verify().unwrap();
     }
 

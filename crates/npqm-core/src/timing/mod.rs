@@ -13,9 +13,8 @@
 //!    engine nobody traces pays nothing for it;
 //! 3. [`MemoryChannels`] gives a sharded engine one memory channel per
 //!    shard and charges each shard's log to its channel, turning the
-//!    N-engine composite's critical path into **memory-derived** time —
-//!    cross-shard barrier commands charge both channels they serialize
-//!    and synchronize their clocks.
+//!    N-engine composite's critical path into **memory-derived** time.
+//!    Shards share no state, so the channels never wait for each other.
 //!
 //! Costing is fully deterministic: streams are pure functions of the
 //! commands and their per-engine order, and the models contain no randomness,
@@ -140,15 +139,12 @@ pub struct BatchCost {
 ///
 /// # Charging discipline
 ///
-/// Each engine keeps one access log, and only two things cut it: a
-/// cross-shard command (both engines, before it and after it) and
-/// [`MemoryChannels::charge_engine`] (every engine, once). So the cost
-/// depends only on the per-shard access *sequence*, where cross-shard
-/// barriers fell and when the caller charged. A
-/// cross-shard command charges what each of its two shards did before it,
-/// then its source-side traffic to the source channel and its
-/// destination-side traffic to the destination channel, then both
-/// channels advance to the later completion — the two-engine barrier.
+/// Each engine keeps one access log, and only
+/// [`MemoryChannels::charge_engine`] cuts it (every engine, once). So the
+/// cost depends only on the per-shard access *sequence* and when the
+/// caller charged. Shards share no state — a command that would span two
+/// is refused without touching either — so each shard's log is charged to
+/// its own channel, and no channel ever waits for another.
 ///
 /// # Example
 ///
@@ -211,8 +207,8 @@ impl MemoryChannels {
         }
     }
 
-    /// Drains the engine's recorded trace and charges it, barrier by
-    /// barrier, then each shard's rest (see the type-level docs).
+    /// Drains the engine's recorded trace and charges each shard's log to
+    /// its channel (see the type-level docs).
     ///
     /// # Panics
     ///
@@ -229,20 +225,8 @@ impl MemoryChannels {
         let trace = engine.take_trace();
         let before = self.per_channel_elapsed();
         let mut totals = CommandCost::default();
-        for bar in &trace.barriers {
-            for [on_a, on_b] in [&bar.before, &bar.during] {
-                totals.absorb(&self.channels[bar.a].charge(on_a));
-                totals.absorb(&self.channels[bar.b].charge(on_b));
-            }
-            // The command serializes both engines.
-            let t = self.channels[bar.a]
-                .elapsed()
-                .max(self.channels[bar.b].elapsed());
-            self.channels[bar.a].sync_to(t);
-            self.channels[bar.b].sync_to(t);
-        }
-        for (channel, rest) in self.channels.iter_mut().zip(&trace.rest) {
-            totals.absorb(&channel.charge(rest));
+        for (channel, stream) in self.channels.iter_mut().zip(&trace) {
+            totals.absorb(&channel.charge(stream));
         }
         let per_shard: Vec<Picos> = self
             .channels
@@ -332,8 +316,8 @@ mod tests {
     #[test]
     fn charge_engine_is_invariant_to_span_boundaries() {
         // The same commands through the sharded engine or straight to
-        // each flow's home shard: only a cross-shard command or a charge
-        // cuts a shard's log, so both cost the same.
+        // each flow's home shard: only a charge cuts a shard's log, so
+        // both cost the same.
         let cmds: Vec<Command> = (0..16)
             .map(|i| enqueue(i % 8, 64))
             .chain((0..8).map(|i| Command::Dequeue {
@@ -359,42 +343,13 @@ mod tests {
         assert_eq!(ea, eb);
     }
 
-    #[test]
-    fn cross_shard_barrier_charges_and_syncs_both_channels() {
-        let mut engine = ShardedQueueManager::new(cfg(), 4);
-        engine.set_tracing(true);
-        let src = FlowId::new(0);
-        let dst = (1..16u32)
-            .map(FlowId::new)
-            .find(|&f| engine.shard_of(f) != engine.shard_of(src))
-            .unwrap();
-        let (sa, sb) = (engine.shard_of(src), engine.shard_of(dst));
-        engine
-            .shard_for_mut(src)
-            .enqueue_packet(src, &[7u8; 200])
-            .unwrap();
-        engine.execute(Command::Move { src, dst }).unwrap();
-        let mut ch = MemoryChannels::from_fn(4, |_| PaperTiming::new(TimingConfig::paper(8)));
-        let cost = ch.charge_engine(&mut engine);
-        assert!(cost.totals.data_reads >= 4, "source read its segments");
-        assert!(cost.totals.data_writes >= 8, "enqueue + re-enqueue writes");
-        let elapsed = ch.per_channel_elapsed();
-        assert_eq!(
-            elapsed[sa], elapsed[sb],
-            "the barrier synchronizes both engines' clocks"
-        );
-        assert!(elapsed[sa] > Picos::ZERO);
-        for (s, &e) in elapsed.iter().enumerate() {
-            if s != sa && s != sb {
-                assert_eq!(e, Picos::ZERO, "uninvolved shard {s} stays idle");
-            }
-        }
-    }
-
-    /// A seeded 400-command script with cross-shard `Move` / `Copy`,
-    /// charged every 100 commands: every `BatchCost` and the final channel
-    /// clocks, folded into one word.
-    fn pinned_fold(tc: TimingConfig) -> u64 {
+    /// A seeded 400-command script, three commands in ten a `Move` or
+    /// `Copy` between random flows, charged every 100 commands: every
+    /// `BatchCost` and the final channel clocks, folded into one word.
+    /// With `swap`, each two-queue command across shards is first replaced
+    /// by a refusal that touches no memory (a dequeue past the queue
+    /// table).
+    fn pinned_fold(tc: TimingConfig, swap: bool) -> u64 {
         use crate::check::{fnv1a_fold, FNV_OFFSET_BASIS};
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
         let mut draw = move |n: u64| {
@@ -402,6 +357,12 @@ mod tests {
             x ^= x >> 7;
             x ^= x << 17;
             (x >> 11) % n
+        };
+        let mut engine = ShardedQueueManager::new(cfg(), 4);
+        let across = |c: &Command| {
+            let home = |f| engine.shard_of(f);
+            c.secondary_flow()
+                .is_some_and(|d| home(d) != home(c.primary_flow()))
         };
         let cmds: Vec<Command> = (0..400)
             .map(|_| {
@@ -415,8 +376,13 @@ mod tests {
                     _ => Command::Copy { src: flow, dst },
                 }
             })
+            .map(|c| match swap && across(&c) {
+                true => Command::Dequeue {
+                    flow: FlowId::new(16),
+                },
+                false => c,
+            })
             .collect();
-        let mut engine = ShardedQueueManager::new(cfg(), 4);
         engine.set_tracing(true);
         let mut ch = MemoryChannels::from_fn(4, |_| PaperTiming::new(tc));
         let mut h = FNV_OFFSET_BASIS;
@@ -442,16 +408,19 @@ mod tests {
     }
 
     #[test]
-    fn charge_engine_costs_are_pinned_across_barriers() {
-        // (banks, reordering, fold); recorded at the commit before barriers
-        // carried their own streams. One bank leaves nothing to reorder.
+    fn charge_engine_costs_are_pinned() {
+        // (banks, reordering, fold). A two-queue command across shards is
+        // refused before it touches memory, so the script costs what it
+        // costs with each such command swapped for a refusal that reads
+        // nothing; the pins are that fold. One bank leaves nothing to
+        // reorder.
         let pins: [(u32, bool, u64); 6] = [
-            (1, true, 0x1691_58B1_1493_03CC),
-            (1, false, 0x1691_58B1_1493_03CC),
-            (4, true, 0xA7F1_F11F_16F4_A9DC),
-            (4, false, 0x6429_CB72_9B23_C447),
-            (8, true, 0x0B79_A110_1852_E149),
-            (8, false, 0xA627_A80F_DF09_7993),
+            (1, true, 0x6BB8_A6E7_1084_ACA9),
+            (1, false, 0x6BB8_A6E7_1084_ACA9),
+            (4, true, 0xED57_A5B5_12AA_A460),
+            (4, false, 0xE169_F29B_FDC2_AF92),
+            (8, true, 0xC9A9_3CB4_A19A_17D4),
+            (8, false, 0x4D12_7E5E_C225_E73B),
         ];
         for (banks, reordering, pin) in pins {
             let tc = if reordering {
@@ -459,11 +428,10 @@ mod tests {
             } else {
                 TimingConfig::naive(banks)
             };
-            assert_eq!(
-                pinned_fold(tc),
-                pin,
-                "banks={banks} reordering={reordering}"
-            );
+            let fold = pinned_fold(tc, false);
+            let at = format!("banks={banks} reordering={reordering}: {fold:#018X}");
+            assert_eq!(fold, pinned_fold(tc, true), "{at}");
+            assert_eq!(fold, pin, "{at}");
         }
     }
 }

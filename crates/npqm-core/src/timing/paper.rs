@@ -225,14 +225,6 @@ impl PaperTiming {
         self.zbt_elapsed().max(self.ddr.elapsed())
     }
 
-    /// Advances the channel clocks to at least `t` (a barrier with
-    /// another channel; never rewinds).
-    pub fn sync_to(&mut self, t: Picos) {
-        self.zbt_next = self.zbt_next.max(self.zbt_freq().cycles_ceil(t));
-        let slot_ps = self.cfg.ddr.access_cycle.as_u64();
-        self.ddr.sync_to_slot(t.as_u64().div_ceil(slot_ps));
-    }
-
     /// Returns the channel to idle (clock zero, cold banks).
     pub fn reset(&mut self) {
         *self = PaperTiming::new(self.cfg);
@@ -319,17 +311,6 @@ mod tests {
         assert_eq!(c.ptr_time, Picos::from_nanos(5 * 6));
         assert_eq!(c.data_time, Picos::from_nanos(40));
         assert_eq!(c.time(), Picos::from_nanos(40), "max, not sum");
-    }
-
-    #[test]
-    fn sync_to_advances_both_clocks() {
-        let mut m = PaperTiming::new(TimingConfig::paper(4));
-        m.charge(&write_burst(&[0]));
-        m.sync_to(Picos::from_nanos(400));
-        assert!(m.elapsed() >= Picos::from_nanos(400));
-        // Sync never rewinds.
-        m.sync_to(Picos::ZERO);
-        assert!(m.elapsed() >= Picos::from_nanos(400));
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //! [`crate::timing::PaperTiming`] converts into cycles. An engine keeps
 //! that one log and nothing else: executing a command draws no boundary
 //! in it, so where the cuts fall is decided only by whoever charges it.
+//! A sharded engine's trace is one stream per shard: shards share no
+//! state, so no command's traffic spans two engines.
 //!
 //! The stream is a *behavioural recording*, not a timing artifact: it is
 //! a pure function of the commands executed and their per-engine order,
@@ -31,8 +33,8 @@ pub struct DataAccess {
     pub write: bool,
 }
 
-/// The memory traffic between two cuts of one engine's trace (a command,
-/// a round, or a side of a cross-shard barrier — whoever cuts decides).
+/// The memory traffic between two cuts of one engine's trace (a command
+/// or a round — whoever cuts decides).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OpStream {
     /// Pointer-memory accesses by plane (ZBT SRAM traffic).
@@ -56,29 +58,6 @@ impl OpStream {
     pub fn data_writes(&self) -> u64 {
         self.data.iter().filter(|a| a.write).count() as u64
     }
-}
-
-/// A cross-shard command in a sharded engine's trace: what the source
-/// shard `a` and the destination shard `b` (index 0 and 1 of each pair)
-/// did since their previous cut, and what the command itself did on
-/// each. Both sides are charged in that order, then the two memory
-/// channels synchronize to the later completion (the command serializes
-/// both engines).
-#[derive(Debug, Clone)]
-pub(crate) struct CrossBarrier {
-    pub a: usize,
-    pub b: usize,
-    pub before: [OpStream; 2],
-    pub during: [OpStream; 2],
-}
-
-/// What a sharded engine recorded since it was last charged: the
-/// cross-shard barriers in execution order, then each shard's traffic
-/// after its last barrier (index = shard).
-#[derive(Debug)]
-pub(crate) struct EngineTrace {
-    pub barriers: Vec<CrossBarrier>,
-    pub rest: Vec<OpStream>,
 }
 
 #[cfg(test)]

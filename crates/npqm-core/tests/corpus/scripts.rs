@@ -4,16 +4,6 @@
 // script goes in with `digest: 0`; the failure prints the value to commit.
 // `tests/open_tail_regressions.rs` replays the open-tail ones by name.
 [
-    // Flows 0, 1 and 2 live on shards 2, 3 and 0: work crosses with the packet.
-    Script {
-        name: "cross_shard_copy_and_move_keep_work",
-        shape: Shape { flows: 4, segments: 16, seg_bytes: 16, freelist: Lifo, shards: 4 },
-        steps: &[
-            EnqueuePacket(0, 30, 7), EnqueuePacket(0, 30, 9), CopyPacket(0, 1), MovePacket(0, 1),
-            MovePacket(1, 2), DequeuePacket(2, Some(4)),
-        ],
-        digest: 0xcb0cb7ad_81f5b8a5,
-    },
     // The open-tail regressions: commands that spliced packets or trailers
     // around a tail still mid-SAR, tearing frames while `verify` passed.
     Script {
@@ -72,17 +62,6 @@
         ],
         digest: 0x1ecf8e37_41fb658a,
     },
-    // A copy into a full shard rolls back, still counted; a head in service stays.
-    Script {
-        name: "cross_shard_refusals",
-        shape: Shape { flows: 4, segments: 16, seg_bytes: 16, freelist: Fifo, shards: 4 },
-        steps: &[
-            EnqueuePacket(1, 224, 0), EnqueuePacket(0, 48, 5), CopyPacket(0, 1), MovePacket(0, 1),
-            Dequeue(0, Some(1)), MovePacket(0, 2), OverwriteLenAndMove(0, 4, 16),
-            PeekPacket(0, Some(0)),
-        ],
-        digest: 0x434b4107_765c3b45,
-    },
     // Found building the model: a continuation with no open packet expects a start.
     Script {
         name: "last_segment_without_an_open_packet",
@@ -132,7 +111,7 @@
         steps: &[
             EnqueuePacket(0, 5, 2), AppendHead(0, 1), AppendTail(0, 2), OverwriteHeadLen(0, 1),
             Dequeue(0, None), DeleteSegment(0), EnqueuePacket(1, 9, 0), DequeuePacket(0, Some(2)),
-            EnqueuePacket(1, 8, 0), OverwriteHead(1, 1), PeekPacket(1, None),
+            EnqueuePacket(1, 8, 0), OverwriteHead(1, 1), ReadHead(1),
         ],
         digest: 0x51d8e941_35393997,
     },
@@ -161,9 +140,8 @@
         digest: 0x666fc916_1610a878,
     },
     // A copy is a fresh packet, so the remainder of a head `dequeue` has
-    // started is refused with `PacketInService`, in one shard and across
-    // two (flows 0 and 1 live on shards 2 and 3); the whole packet behind
-    // it copies once it reaches the head.
+    // started is refused with `PacketInService`; the whole packet behind it
+    // copies once it reaches the head.
     Script {
         name: "copy_of_served_head_is_rejected",
         shape: Shape { flows: 2, segments: 16, seg_bytes: 16, freelist: Lifo, shards: 1 },
@@ -173,13 +151,19 @@
         ],
         digest: 0x653ac93a_3098e8c5,
     },
+    // Shards share nothing: flows 0, 1 and 2 live on shards 2, 3 and 0, so
+    // every two-queue command between them is refused on the source's shard
+    // and the fused overwrite does not land; an out-of-range flow (4, on
+    // shard 0) still answers `UnknownFlow` first, on its own shard; flows 2
+    // and 3, both on shard 0, still move and copy.
     Script {
-        name: "cross_shard_copy_of_served_head_is_rejected",
+        name: "two_queue_commands_across_shards_are_refused",
         shape: Shape { flows: 4, segments: 16, seg_bytes: 16, freelist: Lifo, shards: 4 },
         steps: &[
-            EnqueuePacket(0, 40, 0), EnqueuePacket(0, 20, 0), Dequeue(0, None), CopyPacket(0, 1),
-            DequeuePacket(0, None), CopyPacket(0, 1),
+            EnqueuePacket(0, 30, 7), EnqueuePacket(2, 20, 0), CopyPacket(0, 1), MovePacket(0, 1),
+            OverwriteAndMove(0, 1, 8), OverwriteLenAndMove(0, 2, 4), MovePacket(0, 4),
+            CopyPacket(4, 0), MovePacket(2, 3), CopyPacket(3, 2), DequeuePacket(0, None),
         ],
-        digest: 0xdd939e5e_a9fe23b4,
+        digest: 0xc867ba37_a7e949f8,
     },
 ]

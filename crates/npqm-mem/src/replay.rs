@@ -162,13 +162,6 @@ impl DdrChannel {
         self.turnarounds
     }
 
-    /// Advances the slot cursor to at least `slot` (a barrier with
-    /// another channel; it never moves the cursor backwards). The skipped
-    /// slots are idle, not conflicts — they are counted in no bucket.
-    pub fn sync_to_slot(&mut self, slot: u64) {
-        self.slot = self.slot.max(slot);
-    }
-
     /// One access cycle over the four port `heads` (`None`: that port
     /// has nothing pending). Returns the port whose head issued — the
     /// caller replaces that head before the next cycle — or `None` when
@@ -375,18 +368,6 @@ mod tests {
             (ch.slot(), ch.useful_slots(), ch.conflict_slots()),
             (4, 2, 1)
         );
-    }
-
-    #[test]
-    fn sync_to_slot_only_moves_forward() {
-        let mut ch = DdrChannel::new(DdrConfig::paper(4), DrainPolicy::Reordering);
-        ch.drain(&[w(0), w(1)]);
-        let here = ch.slot();
-        ch.sync_to_slot(1);
-        assert_eq!(ch.slot(), here, "sync never rewinds");
-        ch.sync_to_slot(here + 10);
-        assert_eq!(ch.slot(), here + 10);
-        assert_eq!(ch.elapsed(), ch.config().access_cycle * (here + 10));
     }
 
     #[test]

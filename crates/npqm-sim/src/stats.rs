@@ -1,4 +1,4 @@
-//! Measurement primitives: counters, mean/variance, histograms, utilization.
+//! Measurement primitives: counters, mean/variance, histograms.
 //!
 //! Every experiment in the workspace reports through these types so that the
 //! table-regeneration binaries and the tests agree on the arithmetic.
@@ -288,56 +288,6 @@ impl Histogram {
     }
 }
 
-/// Busy/idle utilization tracker over a known horizon.
-///
-/// # Example
-///
-/// ```
-/// use npqm_sim::stats::Utilization;
-/// let mut u = Utilization::default();
-/// u.busy(30);
-/// u.idle(10);
-/// assert!((u.fraction() - 0.75).abs() < 1e-12);
-/// assert!((u.loss() - 0.25).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Utilization {
-    busy: u64,
-    idle: u64,
-}
-
-impl Utilization {
-    /// Creates an empty tracker.
-    pub const fn new() -> Self {
-        Utilization { busy: 0, idle: 0 }
-    }
-
-    /// Accounts `n` busy units (cycles, slots, ...).
-    pub fn busy(&mut self, n: u64) {
-        self.busy += n;
-    }
-
-    /// Accounts `n` idle units.
-    pub fn idle(&mut self, n: u64) {
-        self.idle += n;
-    }
-
-    /// Fraction of time busy (0.0 when nothing recorded).
-    pub fn fraction(self) -> f64 {
-        let total = self.busy + self.idle;
-        if total == 0 {
-            0.0
-        } else {
-            self.busy as f64 / total as f64
-        }
-    }
-
-    /// Throughput loss: `1 - fraction()` — the unit Table 1 reports.
-    pub fn loss(self) -> f64 {
-        1.0 - self.fraction()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -486,15 +436,6 @@ mod tests {
         h.record(399);
         assert_eq!(h.quantile(0.1), Some(399));
         assert_eq!(h.quantile(0.9), Some(u64::MAX));
-    }
-
-    #[test]
-    fn utilization_loss() {
-        let mut u = Utilization::new();
-        assert_eq!(u.fraction(), 0.0);
-        u.busy(250);
-        u.idle(750);
-        assert!((u.loss() - 0.75).abs() < 1e-12);
     }
 
     #[test]

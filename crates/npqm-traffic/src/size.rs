@@ -13,13 +13,6 @@ pub enum SizeDistribution {
     Fixed(u32),
     /// The classic IMIX: 64 B (7/12), 594 B (4/12), 1518 B (1/12).
     Imix,
-    /// Uniform between `min` and `max` inclusive.
-    Uniform {
-        /// Smallest packet.
-        min: u32,
-        /// Largest packet.
-        max: u32,
-    },
 }
 
 impl SizeDistribution {
@@ -27,7 +20,7 @@ impl SizeDistribution {
     ///
     /// # Panics
     ///
-    /// Panics if a `Uniform` has `min > max` or a `Fixed` size is zero.
+    /// Panics if a `Fixed` size is zero.
     pub fn sample(&self, rng: &mut Xoshiro256pp) -> u32 {
         match *self {
             SizeDistribution::Fixed(n) => {
@@ -35,10 +28,6 @@ impl SizeDistribution {
                 n
             }
             SizeDistribution::Imix => IMIX[rng.next_below(12) as usize],
-            SizeDistribution::Uniform { min, max } => {
-                assert!(min <= max && min > 0, "bad uniform range");
-                min + rng.next_below((max - min + 1) as u64) as u32
-            }
         }
     }
 
@@ -47,7 +36,6 @@ impl SizeDistribution {
         match *self {
             SizeDistribution::Fixed(n) => n as f64,
             SizeDistribution::Imix => IMIX.iter().sum::<u32>() as f64 / 12.0,
-            SizeDistribution::Uniform { min, max } => (min + max) as f64 / 2.0,
         }
     }
 
@@ -57,7 +45,6 @@ impl SizeDistribution {
         match *self {
             SizeDistribution::Fixed(n) => n,
             SizeDistribution::Imix => 1518,
-            SizeDistribution::Uniform { max, .. } => max,
         }
     }
 }
@@ -116,36 +103,14 @@ mod tests {
     }
 
     #[test]
-    fn uniform_in_range() {
-        let mut rng = Xoshiro256pp::seed_from_u64(3);
-        let d = SizeDistribution::Uniform { min: 40, max: 1500 };
-        for _ in 0..1000 {
-            let s = d.sample(&mut rng);
-            assert!((40..=1500).contains(&s));
-        }
-        assert_eq!(d.mean(), 770.0);
-    }
-
-    #[test]
     fn max_bytes_bounds_every_sample() {
         let mut rng = Xoshiro256pp::seed_from_u64(5);
-        for d in [
-            SizeDistribution::Fixed(9000),
-            SizeDistribution::Imix,
-            SizeDistribution::Uniform { min: 40, max: 1500 },
-        ] {
+        for d in [SizeDistribution::Fixed(9000), SizeDistribution::Imix] {
             let cap = d.max_bytes();
             for _ in 0..500 {
                 assert!(d.sample(&mut rng) <= cap);
             }
         }
         assert_eq!(SizeDistribution::Imix.max_bytes(), 1518);
-    }
-
-    #[test]
-    #[should_panic(expected = "bad uniform range")]
-    fn inverted_uniform_panics() {
-        let mut rng = Xoshiro256pp::seed_from_u64(4);
-        SizeDistribution::Uniform { min: 10, max: 5 }.sample(&mut rng);
     }
 }
