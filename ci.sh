@@ -51,7 +51,9 @@ tier1() {
 # One push-out loop: `policy::push_out` is the only place a victim joins
 # an `evicted` list (LQD, po-work, work-balance and global LQD keep just
 # their victim choice), and the occupancy snapshot and the trait that
-# only the fourth copy of that loop needed stay deleted.
+# only the fourth copy of that loop needed stay deleted. The test-only
+# model (`npqm-core/src/model.rs`) is not counted: it is the oracle that
+# loop is held to, and predicts the same list by its own eviction.
 # Each engine step once: `manager.rs` builds its commands from private
 # steps, so the free list's single-segment `alloc` is called in one place
 # (`fresh_segment`, under `enqueue`, `append_head` and `append_tail`) and
@@ -95,9 +97,13 @@ tier1() {
 # One model of the engine: `npqm-core`'s test-only `model` module (and the
 # corpus it replays) is the oracle every engine call is held to, so the
 # hand-written oracles it replaced — the property tests' `Oracle` and
-# `SarOp` and the manager tests' own `step_strategy` — stay deleted, and
-# the open-tail regression file only replays corpus scripts (it names no
-# engine call of its own).
+# `SarOp`, the manager tests' own `step_strategy`, and the batch
+# equivalence file's command and step generators (`op_strategy`,
+# `materialize`, `step_strategy`) with its LQD-against-LQD oracle — stay
+# deleted, and the open-tail regression file only replays corpus scripts
+# (it names no engine call of its own). The model predicts every drop
+# policy's offer too. The dead surface judged with them (`to_wire`,
+# `cycles_ceil`) stays gone.
 # Pay only for what is read: the occupancy heap is pushed only by
 # `commit_queue`, under its `active` guard (set by the first
 # `longest_queue` call), and by `rebuild_occupancy`, so an engine no policy
@@ -132,7 +138,8 @@ structure() {
         exit 1
     fi
     echo "==> structure: one push-out loop in npqm-core + npqm-traffic"
-    hits="$(grep -rn 'evicted\.push(' crates/npqm-core/src crates/npqm-traffic/src || true)"
+    hits="$(grep -rn 'evicted\.push(' crates/npqm-core/src crates/npqm-traffic/src \
+        | grep -v '^crates/npqm-core/src/model\.rs:' || true)"
     if [[ "$(grep -c . <<<"${hits}")" != 1 || "${hits}" != crates/npqm-core/src/policy.rs:* ]]; then
         echo "structure FAILED: expected one hit, inside policy::push_out; got:" >&2
         echo "${hits}" >&2
@@ -237,8 +244,11 @@ structure() {
     hits="$(grep -rnE 'struct Oracle|enum SarOp' crates || true)"
     hits+="$(grep -n 'fn step_strategy' crates/npqm-core/src/manager.rs || true)"
     hits+="$(grep -nE 'QueueManager|SegmentPosition' crates/npqm-core/tests/open_tail_regressions.rs || true)"
+    hits+="$(find crates/npqm-core/tests -name batch_equivalence.rs)"
+    hits+="$(grep -rnE 'fn (op_strategy|step_strategy|materialize)\b' crates/npqm-core/tests || true)"
+    hits+="$(grep -rnE 'to_wire|cycles_ceil' crates examples tests src README.md || true)"
     if [[ -n "${hits}" ]]; then
-        echo "structure FAILED: a hand-written engine oracle is back beside the model:" >&2
+        echo "structure FAILED: a hand-written engine oracle or generator is back beside the model, or deleted dead surface is back:" >&2
         echo "${hits}" >&2
         exit 1
     fi

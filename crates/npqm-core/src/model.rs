@@ -1,6 +1,7 @@
 //! The engine's command set as a plain [`Model`] — per-flow queues of
 //! packets of segments, free space per shard, and for every public call
-//! the exact reply or [`QueueError`] and the [`QmStats`] it counts — and the
+//! the exact reply or [`QueueError`] and the [`QmStats`] it counts, drop
+//! policies' offers included — and the
 //! differential fuzzer that holds a [`ShardedQueueManager`] to it after
 //! every [`Step`] of a script ([`Run`]). Scripts come from [`Scripts`] under
 //! `NPQM_PROP_SEED`; a failing one is cut down by [`minimise`] and printed
@@ -15,11 +16,20 @@ pub(crate) use script::*;
 use crate::command::Outcome;
 use crate::error::QueueError::{self, *};
 use crate::id::FlowId;
+use crate::limits::DropReason::{self, FlowBytes, FlowPackets, GlobalReserve};
 use crate::manager::{DequeuedSegment, QueueManager, SegmentPosition};
+use crate::policy::{Admission, Refusal};
 use crate::shard::ShardedQueueManager;
 use crate::stats::QmStats;
 use proptest::Strategy;
+use std::cmp::Reverse;
+use std::ops::Range;
 use Step::*;
+
+/// A drop policy's answer to an offer, and the victims of a push-out that
+/// has not yet enqueued.
+type Offered = Result<Admission, Refusal>;
+type Evicted = Result<Vec<(FlowId, u32)>, Refusal>;
 
 /// A packet as the model keeps it, and as [`queued`] reads it back.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -61,11 +71,16 @@ impl Model {
     /// segment, and a packet holds at least one, so records never run out
     /// before segments do.
     fn free(&self, shard: usize) -> (u32, u32) {
-        let packets = (self.queues.iter().zip(&self.home))
-            .filter(|&(_, &s)| s == shard)
-            .flat_map(|(q, _)| q);
+        let packets = self.on_shard(shard).flat_map(|(_, q)| q);
         let (segs, pkts) = packets.fold((0, 0), |(n, k), p| (n + p.segs.len() as u32, k + 1));
         (self.segments - segs, self.segments - pkts)
+    }
+
+    /// The flows homed on `shard`, with their queues.
+    fn on_shard(&self, shard: usize) -> impl Iterator<Item = (u32, &[Packet])> {
+        let queues = self.queues.iter().zip(&self.home).enumerate();
+        let homed = queues.filter(move |&(_, (_, &s))| s == shard);
+        homed.map(|(f, (q, _))| (f as u32, q.as_slice()))
     }
 
     fn stats(&mut self, flow: FlowId) -> &mut QmStats {
@@ -118,7 +133,7 @@ impl Model {
     /// Only an open tail packet grows by a segment (else the engine
     /// expected a start), and nothing goes behind one.
     fn tail(&mut self, flow: FlowId, open: bool) -> Res<()> {
-        let wrong = self.queue(flow).last().is_some_and(|p| p.open) != open;
+        let wrong = tail_open(self.queue(flow)) != open;
         let e = SarProtocol {
             flow,
             expected_start: open,
@@ -173,6 +188,7 @@ impl Model {
                 done(overwrite.and_then(|()| self.move_packet(src, dst)))
             }
             LongestQueue(_) => Ok(Reply::Longest(self.longest_queue(flow))),
+            Offer(.., work, p) => Ok(Reply::Offered(self.offer(flow, &data, work, POLICIES[p]))),
         }
     }
 
@@ -180,14 +196,129 @@ impl Model {
     /// the higher index: a function of the queues alone, however long the
     /// engine's occupancy index slept.
     fn longest_queue(&self, flow: FlowId) -> Option<(FlowId, u64)> {
-        let shard = self.home[flow.as_usize()];
-        let bytes = |q: &Vec<Packet>| q.iter().flat_map(|p| &p.segs).map(Vec::len).sum::<usize>();
-        let queues = self.queues.iter().zip(&self.home).enumerate();
-        let on_shard = queues.filter(|&(_, (_, &s))| s == shard);
-        let (n, f) = on_shard
-            .map(|(f, (q, _))| (bytes(q) as u64, f as u32))
-            .max()?;
-        (n > 0).then(|| (FlowId::new(f), n))
+        self.longest(self.home[flow.as_usize()], |q| !q.is_empty())
+    }
+
+    /// The flow with the most bytes among those on `shard` that `keep`
+    /// admits, ties to the higher index.
+    fn longest(&self, shard: usize, keep: fn(&[Packet]) -> bool) -> Option<(FlowId, u64)> {
+        let kept = self.on_shard(shard).filter(|&(_, q)| keep(q));
+        let (n, f) = kept.map(|(f, q)| (bytes(q), f)).max()?;
+        Some((FlowId::new(f), n))
+    }
+
+    /// The evictable head packets on `shard`, as `(flow, work, bytes)`.
+    fn heads(&self, shard: usize) -> impl Iterator<Item = (u32, u64, u64)> + '_ {
+        let kept = self.on_shard(shard).filter(|&(_, q)| evictable(q));
+        kept.map(|(f, q)| (f, q[0].work.into(), bytes(&q[..1])))
+    }
+
+    /// What `policy` answers an offer of `data` carrying `work` on `flow`:
+    /// tail drop and dynamic thresholds check, a push-out evicts, then the
+    /// engine enqueues, and may still refuse.
+    fn offer(&mut self, flow: FlowId, data: &[u8], work: u32, policy: Policy) -> Offered {
+        let (home, none) = (self.home[flow.as_usize()], Vec::new());
+        let queued = self.queues.get(flow.as_usize()).unwrap_or(&none);
+        let (packets, held) = (queued.len() as u32, bytes(queued) + data.len() as u64);
+        let free = u64::from(self.free(home).0);
+        let needed = data.len().div_ceil(self.seg_bytes) as u64;
+        let refused = match policy {
+            Policy::TailDrop(caps, _) if held > caps.max_bytes => Some(FlowBytes),
+            Policy::TailDrop(caps, _) if packets + 1 > caps.max_packets => Some(FlowPackets),
+            Policy::TailDrop(_, reserve) => {
+                (free < needed + u64::from(reserve)).then_some(GlobalReserve)
+            }
+            // The engine's threshold, in the engine's `f64`s.
+            Policy::Dt(alpha) => {
+                (held as f64 > alpha * (free * self.seg_bytes as u64) as f64).then_some(FlowBytes)
+            }
+            _ => None,
+        };
+        if let Some(reason) = refused {
+            return Err(Refusal::from(reason));
+        }
+        let evicted = match policy {
+            Policy::TailDrop(..) | Policy::Dt(_) => Vec::new(),
+            _ => self.push_out(flow, data, work, policy)?,
+        };
+        // Global LQD's offer carries no work.
+        let work = match policy {
+            Policy::GlobalLqd(_) => 0,
+            _ => work,
+        };
+        match self.enqueue_packet(flow, data, work) {
+            Ok(()) => Ok(Admission { evicted }),
+            Err(e) => Err(Refusal {
+                reason: DropReason::Engine(e),
+                evicted,
+            }),
+        }
+    }
+
+    /// `policy::push_out`: an arrival that could not fit an empty budget
+    /// is refused, a doomed one goes straight to the engine, and any other
+    /// evicts `policy`'s victims until it fits, or is refused when none is
+    /// left.
+    fn push_out(&mut self, flow: FlowId, data: &[u8], work: u32, policy: Policy) -> Evicted {
+        let (home, needed) = (
+            self.home[flow.as_usize()],
+            data.len().div_ceil(self.seg_bytes),
+        );
+        let (reserve, shards) = match policy {
+            Policy::GlobalLqd(reserve) => (reserve, 0..self.stats.len()),
+            Policy::Lqd(reserve) | Policy::PoWork(reserve) | Policy::WorkBalance(reserve) => {
+                (reserve, home..home + 1)
+            }
+            _ => unreachable!("{policy:?} pushes nothing out"),
+        };
+        let (budget, claim) = (u64::from(self.segments), needed as u64 + u64::from(reserve));
+        if claim > budget {
+            return Err(Refusal::from(GlobalReserve));
+        }
+        // Empty, out of range or behind an open tail: the engine refuses
+        // it however much is evicted.
+        let queued = self.queues.get(flow.as_usize());
+        let doomed = data.is_empty() || queued.is_none_or(|q| tail_open(q));
+        let (len, mut evicted) = (data.len() as u64, Vec::new());
+        while !doomed && self.used(shards.clone()) + claim > budget {
+            let victim = match policy {
+                Policy::Lqd(_) => self.longest(home, evictable).map(|(f, _)| f),
+                // The largest shard's LQD victim, ties to the lowest shard.
+                Policy::GlobalLqd(_) => (shards.clone())
+                    .filter_map(|s| Some((self.longest(s, evictable)?, s)))
+                    .max_by_key(|&((_, n), s)| (n, Reverse(s)))
+                    .map(|((f, _), _)| f),
+                // The most work, then bytes, ties to the lowest flow, while
+                // it costs more than the arrival.
+                Policy::PoWork(_) => (self.heads(home))
+                    .max_by_key(|&(f, w, b)| (w, b, Reverse(f)))
+                    .filter(|&(_, w, _)| w > work.into())
+                    .map(|(f, ..)| FlowId::new(f)),
+                // The densest, then the largest, ties to the lowest flow,
+                // while it is denser than the arrival.
+                _ => (self.heads(home))
+                    .max_by(|&(f, w, b), &(g, v, c)| {
+                        let density = (w * c).cmp(&(v * b));
+                        density.then(b.cmp(&c)).then(g.cmp(&f))
+                    })
+                    .filter(|&(_, w, b)| w * len > u64::from(work) * b)
+                    .map(|(f, ..)| FlowId::new(f)),
+            };
+            let Some(victim) = victim else {
+                let reason = GlobalReserve;
+                return Err(Refusal { reason, evicted });
+            };
+            let p = self.take(victim, false).expect("an evictable head");
+            evicted.push((victim, bytes(&[p]) as u32));
+        }
+        Ok(evicted)
+    }
+
+    /// Segments queued on `shards`.
+    fn used(&self, shards: Range<usize>) -> u64 {
+        shards
+            .map(|s| u64::from(self.segments - self.free(s).0))
+            .sum()
     }
 
     fn enqueue(&mut self, flow: FlowId, data: &[u8], pos: SegmentPosition) -> Res<()> {
@@ -358,6 +489,26 @@ impl Model {
         self.queue(dst).push(copy);
         Ok(())
     }
+}
+
+/// The bytes of `packets`.
+fn bytes(packets: &[Packet]) -> u64 {
+    packets
+        .iter()
+        .flat_map(|p| &p.segs)
+        .map(Vec::len)
+        .sum::<usize>() as u64
+}
+
+/// Whether a queue's tail packet is open: nothing may go behind it.
+fn tail_open(q: &[Packet]) -> bool {
+    q.last().is_some_and(|p| p.open)
+}
+
+/// Whether a push-out may evict the queue's head packet: it is complete
+/// and not mid-service.
+fn evictable(q: &[Packet]) -> bool {
+    q.first().is_some_and(|p| !p.open && !p.started)
 }
 
 /// `flow`'s packets as `qm` holds them, read without counting.

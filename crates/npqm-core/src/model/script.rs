@@ -1,14 +1,16 @@
 //! What the model and the engine are stepped through: the [`Step`] vocabulary,
-//! [`apply`], the one script generator ([`Scripts`]) and the committed
-//! [`CORPUS`]. It reaches the engine only through its public API, so the
-//! integration tests replay the same corpus (`tests/open_tail_regressions.rs`
-//! includes this file).
+//! the drop [`POLICIES`] an offer goes through, [`apply`], the one script
+//! generator ([`Scripts`]) and the committed [`CORPUS`]. It reaches the
+//! engine only through its public API, so the integration tests replay the
+//! same corpus (`tests/open_tail_regressions.rs` includes this file).
 
 use npqm_core::command::{Command, Outcome};
 use npqm_core::config::{FreeListDiscipline, QmConfig};
 use npqm_core::error::QueueError;
 use npqm_core::id::FlowId;
+use npqm_core::limits::{BufferManager, FlowLimits};
 use npqm_core::manager::{DequeuedSegment, SegmentPosition};
+use npqm_core::policy::{self, Admission, DropPolicy, Refusal};
 use npqm_core::shard::ShardedQueueManager;
 use npqm_sim::rng::Xoshiro256pp;
 use proptest::Strategy;
@@ -20,11 +22,12 @@ pub(crate) type Res<T> = Result<T, QueueError>;
 
 /// One public engine call, named after the `QueueManager` method. The
 /// fields are the flow (`src`, `dst` for two queues), then a payload
-/// length, a `work`, a [`SegmentPosition`] or a lending buffer: the payload
-/// is `len` bytes counting up from the step's index in its script, and
-/// `Some(n)` makes the lending (`_into`) call into a buffer that already
-/// holds `n` bytes. A call that is a [`Command`] goes through
-/// [`ShardedQueueManager::execute`], any other to the flow's home shard.
+/// length, a `work`, a [`SegmentPosition`], a lending buffer or a
+/// [`POLICIES`] index: the payload is `len` bytes counting up from the
+/// step's index in its script, and `Some(n)` makes the lending (`_into`)
+/// call into a buffer that already holds `n` bytes. A call that is a
+/// [`Command`] goes through [`ShardedQueueManager::execute`], any other to
+/// the flow's home shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Step {
     Enqueue(u32, usize, SegmentPosition),
@@ -46,6 +49,10 @@ pub(crate) enum Step {
     OverwriteLenAndMove(u32, u32, usize),
     /// `longest_queue` on the flow's home shard.
     LongestQueue(u32),
+    /// A `len`-byte packet of `work` offered to the policy
+    /// `POLICIES[policy]`: `DropPolicy::offer_work` on the flow's home
+    /// shard, or `GlobalLqd::offer` on the engine.
+    Offer(u32, usize, u32, usize),
 }
 
 impl Step {
@@ -53,6 +60,7 @@ impl Step {
     pub(crate) fn parts(self) -> (FlowId, FlowId, usize) {
         let (src, dst, len) = match self {
             Enqueue(flow, len, _) | EnqueuePacket(flow, len, _) => (flow, flow, len),
+            Offer(flow, len, ..) => (flow, flow, len),
             OverwriteHead(flow, len) | OverwriteHeadLen(flow, len) => (flow, flow, len),
             AppendHead(flow, len) | AppendTail(flow, len) => (flow, flow, len),
             SetTailWork(flow, _) | Dequeue(flow, _) | DequeuePacket(flow, _) => (flow, flow, 0),
@@ -70,12 +78,13 @@ impl Step {
             Enqueue(_, len, _) | EnqueuePacket(_, len, _) | OverwriteHead(_, len) => Some(len),
             OverwriteHeadLen(_, len) | AppendHead(_, len) | AppendTail(_, len) => Some(len),
             OverwriteAndMove(_, _, len) | OverwriteLenAndMove(_, _, len) => Some(len),
+            Offer(_, len, ..) => Some(len),
             _ => None,
         }
     }
 
     /// The [`Command`] this step makes, if it is one.
-    fn command(self, tag: u8) -> Option<Command> {
+    pub(crate) fn command(self, tag: u8) -> Option<Command> {
         let (src, dst, len) = self.parts();
         let (flow, data, new_len) = (src, payload(tag, len), len as u16);
         Some(match self {
@@ -100,6 +109,62 @@ impl Step {
 /// The `len` payload bytes of the step with index `tag`.
 pub(crate) fn payload(tag: u8, len: usize) -> Vec<u8> {
     (0..len).map(|i| tag.wrapping_add(i as u8)).collect()
+}
+
+/// A drop policy as an [`Step::Offer`] names it, with its parameters.
+/// Policies keep no state, so each offer builds the one it goes through.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Policy {
+    /// `BufferManager`: static per-flow caps and a reserve.
+    TailDrop(FlowLimits, u32),
+    /// `LongestQueueDrop` with a reserve.
+    Lqd(u32),
+    /// `DynamicThreshold` with its `alpha`.
+    Dt(f64),
+    /// `PushOutLargestWork` with a reserve.
+    PoWork(u32),
+    /// `WorkSizeBalance` with a reserve.
+    WorkBalance(u32),
+    /// `GlobalLqd::shared` over the whole engine, with a reserve.
+    GlobalLqd(u32),
+}
+
+/// Every policy an offer may go through. The caps bind on the drawn
+/// shapes: a pool holds up to 24 segments of up to 64 bytes.
+pub(crate) const POLICIES: [Policy; 10] = {
+    use Policy::*;
+    const fn caps(max_bytes: u64, max_packets: u32) -> FlowLimits {
+        FlowLimits {
+            max_bytes,
+            max_packets,
+        }
+    }
+    [
+        TailDrop(caps(100, 3), 0),
+        TailDrop(caps(40, 5), 1),
+        Lqd(0),
+        Lqd(2),
+        Dt(0.5),
+        Dt(2.0),
+        PoWork(1),
+        WorkBalance(0),
+        GlobalLqd(0),
+        GlobalLqd(2),
+    ]
+};
+
+impl Policy {
+    /// A policy of this kind for one engine.
+    fn one_engine(self) -> Box<dyn DropPolicy> {
+        match self {
+            Policy::TailDrop(caps, reserve) => Box::new(BufferManager::new(caps, reserve)),
+            Policy::Lqd(reserve) => Box::new(policy::LongestQueueDrop::new(reserve)),
+            Policy::Dt(alpha) => Box::new(policy::DynamicThreshold::new(alpha)),
+            Policy::PoWork(reserve) => Box::new(policy::PushOutLargestWork::new(reserve)),
+            Policy::WorkBalance(reserve) => Box::new(policy::WorkSizeBalance::new(reserve)),
+            Policy::GlobalLqd(_) => unreachable!("global LQD admits over every engine"),
+        }
+    }
 }
 
 /// An engine geometry: `shards` engines, each of `flows` queues over
@@ -130,13 +195,14 @@ impl Shape {
     }
 }
 
-/// What a step returns: a command's [`Outcome`], a whole packet, or the
-/// longest queue and its bytes.
+/// What a step returns: a command's [`Outcome`], a whole packet, the
+/// longest queue and its bytes, or a policy's answer to an offer.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum Reply {
     Outcome(Outcome),
     Packet(Vec<u8>),
     Longest(Option<(FlowId, u64)>),
+    Offered(Result<Admission, Refusal>),
 }
 
 pub(crate) const DONE: Reply = Reply::Outcome(Outcome::Done);
@@ -152,14 +218,24 @@ fn lent<T>(held: usize, call: impl FnOnce(&mut Vec<u8>) -> Res<T>) -> Res<(T, Ve
     result.map(|value| (value, out.split_off(held)))
 }
 
-/// Makes `step`'s call on `engine`: a command through `execute`, anything
-/// else on the flow's home shard.
+/// Makes `step`'s call on `engine`: a command through `execute`, a global
+/// LQD offer on the engine, anything else on the flow's home shard.
 pub(crate) fn apply(engine: &mut ShardedQueueManager, step: Step, tag: u8) -> Res<Reply> {
     if let Some(cmd) = step.command(tag) {
         return engine.execute(cmd).map(Reply::Outcome);
     }
     let (flow, _, len) = step.parts();
-    let (qm, data) = (engine.shard_for_mut(flow), payload(tag, len));
+    let data = payload(tag, len);
+    if let Offer(.., work, policy) = step {
+        let offered = match POLICIES[policy] {
+            Policy::GlobalLqd(r) => policy::GlobalLqd::shared(engine, r).offer(engine, flow, &data),
+            p => p
+                .one_engine()
+                .offer_work(engine.shard_for_mut(flow), flow, &data, work),
+        };
+        return Ok(Reply::Offered(offered));
+    }
+    let qm = engine.shard_for_mut(flow);
     // The length returned is the length appended.
     let packet = |(n, bytes): (usize, Vec<u8>)| {
         assert_eq!(n, bytes.len());
@@ -242,6 +318,11 @@ fn draw(shape: &Shape, rng: &mut Xoshiro256pp) -> Step {
     // many times before their first query wakes the occupancy index.
     if below(64) == 0 {
         return LongestQueue(flow);
+    }
+    // One in eight offers a packet to a drop policy; its lengths are
+    // `EnqueuePacket`'s, so arrivals both push out and are hopeless.
+    if below(8) == 0 {
+        return Offer(flow, pkt, work, below(POLICIES.len() as u32) as usize);
     }
     // A third of the steps enqueue, so that tails are open and pools full.
     match below(32) {

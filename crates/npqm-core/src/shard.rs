@@ -692,6 +692,22 @@ mod tests {
         assert_eq!(sharded_results, dense_results);
         assert_eq!(&sharded.stats(), dense.stats());
         sharded.verify().unwrap();
+        // The command steps of every one-shard corpus script, error paths
+        // included, on both.
+        for script in crate::model::CORPUS.iter().filter(|s| s.shape.shards == 1) {
+            let mut sharded = script.shape.engine();
+            let mut dense = QueueManager::new(script.shape.config());
+            for (tag, step) in script.steps.iter().enumerate() {
+                let Some(cmd) = step.command(tag as u8) else {
+                    continue;
+                };
+                let at = format!("{} step {tag} {step:?}", script.name);
+                assert_eq!(sharded.execute(cmd.clone()), dense.execute(cmd), "{at}");
+            }
+            assert_eq!(&sharded.stats(), dense.stats(), "{}", script.name);
+            let digest = crate::check::state_digest;
+            assert_eq!(digest(sharded.shard(0)), digest(&dense), "{}", script.name);
+        }
     }
 
     #[test]

@@ -166,4 +166,61 @@
         ],
         digest: 0xc867ba37_a7e949f8,
     },
+    // Drop policies' offers, policies by `POLICIES` index. LQD (2) skips
+    // flow 0's open tail and flow 1's served head, both longest, and of
+    // flows 2 and 3, tied at 32 bytes, evicts flow 3; so does global LQD
+    // (9) on one shard, then flow 2. Flow 0 (open tail) and flow 4 (out of
+    // range) are doomed and a 200-byte arrival is hopeless: refused before
+    // anything is evicted. The last offer evicts, then is refused.
+    Script {
+        name: "lqd_skips_open_and_served_longest_queues",
+        shape: Shape { flows: 4, segments: 12, seg_bytes: 16, freelist: Lifo, shards: 1 },
+        steps: &[
+            Enqueue(0, 16, First), Enqueue(0, 16, Middle), Enqueue(0, 16, Middle),
+            Enqueue(0, 16, Middle), EnqueuePacket(1, 48, 0), EnqueuePacket(1, 16, 0),
+            Dequeue(1, None), EnqueuePacket(2, 32, 0), EnqueuePacket(3, 32, 0), Offer(2, 32, 0, 2),
+            DequeuePacket(2, None), AppendTail(1, 16), EnqueuePacket(3, 32, 0), Offer(0, 16, 0, 9),
+            Offer(4, 16, 0, 2), Offer(2, 16, 0, 9), Offer(1, 200, 0, 8), Offer(2, 180, 0, 3),
+            Offer(2, 80, 0, 2),
+        ],
+        digest: 0xa95a542e_c5a6f658,
+    },
+    // Global LQD (8, 9) over four shards: flows 0, 1 and 2 live on shards 2,
+    // 3 and 0. An arrival on shard 0 evicts flow 0 on shard 2; then flows 0
+    // and 1 tie at 48 bytes and the lower shard's pays.
+    Script {
+        name: "global_lqd_evicts_across_shards",
+        shape: Shape { flows: 4, segments: 8, seg_bytes: 16, freelist: Fifo, shards: 4 },
+        steps: &[
+            EnqueuePacket(0, 64, 0), EnqueuePacket(1, 48, 0), Offer(2, 32, 5, 8),
+            EnqueuePacket(0, 48, 0), Offer(3, 16, 0, 9),
+        ],
+        digest: 0x4a4ae213_85b3a9aa,
+    },
+    // Tail drop (0: 100 bytes, 3 packets, no reserve; 1: 40 bytes, 5
+    // packets, one segment kept free): each cap binds, then the engine
+    // refuses an arrival behind an open tail.
+    Script {
+        name: "tail_drop_caps_bind",
+        shape: Shape { flows: 3, segments: 16, seg_bytes: 16, freelist: Lifo, shards: 1 },
+        steps: &[
+            Offer(0, 60, 9, 0), Offer(0, 40, 0, 0), Offer(0, 1, 0, 0), Offer(1, 1, 0, 0),
+            Offer(1, 1, 0, 0), Offer(1, 1, 0, 0), Offer(1, 1, 0, 0), Offer(1, 40, 0, 1),
+            Offer(1, 37, 0, 1), Offer(2, 40, 0, 1), Enqueue(2, 16, First), Offer(2, 1, 0, 0),
+        ],
+        digest: 0x76a0993b_5dcbdcdf,
+    },
+    // Work push-out (6) evicts only a costlier head, work/size balance (7)
+    // only a denser one (of two heads tied in density, the larger), and
+    // dynamic thresholds (4, 5) cap a flow at a multiple of the free space.
+    Script {
+        name: "work_push_outs_and_dynamic_thresholds",
+        shape: Shape { flows: 3, segments: 8, seg_bytes: 16, freelist: Lifo, shards: 1 },
+        steps: &[
+            Offer(0, 32, 9, 6), Offer(1, 32, 3, 6), Offer(2, 48, 3, 6), Offer(2, 16, 3, 6),
+            Offer(1, 32, 9, 6), Offer(0, 16, 1, 7), Offer(0, 32, 1, 7), Offer(1, 16, 0, 7),
+            Offer(1, 32, 0, 7), Offer(1, 64, 0, 4), DequeuePacket(2, None), Offer(2, 16, 0, 5),
+        ],
+        digest: 0xaad52e2e_de0e19b6,
+    },
 ]

@@ -292,12 +292,6 @@ impl Freq {
     pub fn cycles_in(self, t: Picos) -> Cycle {
         Cycle::new(t.as_u64() / self.cycle_time().as_u64())
     }
-
-    /// Whole cycles of this clock needed to cover `t` (rounding up).
-    pub fn cycles_ceil(self, t: Picos) -> Cycle {
-        let ct = self.cycle_time().as_u64();
-        Cycle::new(t.as_u64().div_ceil(ct))
-    }
 }
 
 impl fmt::Display for Freq {
@@ -370,7 +364,6 @@ mod tests {
         let c = Cycle::new(105);
         assert_eq!(f.cycles_in(f.picos_of(c)), c);
         // 84 ns at 125 MHz = 10.5 cycles, the paper's execution overhead.
-        assert_eq!(f.cycles_ceil(Picos::from_nanos(84)), Cycle::new(11));
         assert_eq!(f.cycles_in(Picos::from_nanos(84)), Cycle::new(10));
     }
 

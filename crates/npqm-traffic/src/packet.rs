@@ -72,11 +72,8 @@ pub struct EthernetFrame {
 impl EthernetFrame {
     /// The 802.1Q tag protocol identifier.
     pub const TPID_VLAN: u16 = 0x8100;
-    /// Minimum frame size on the wire (without FCS): 60 bytes.
-    pub const MIN_FRAME: usize = 60;
 
-    /// Serializes the frame (unpadded; use [`EthernetFrame::to_wire`] for
-    /// minimum-size padding).
+    /// Serializes the frame, unpadded.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(18 + self.payload.len());
         out.extend_from_slice(&self.dst.0);
@@ -88,15 +85,6 @@ impl EthernetFrame {
         }
         out.extend_from_slice(&self.ethertype.to_be_bytes());
         out.extend_from_slice(&self.payload);
-        out
-    }
-
-    /// Serializes and pads to the 60-byte Ethernet minimum.
-    pub fn to_wire(&self) -> Vec<u8> {
-        let mut out = self.to_bytes();
-        if out.len() < Self::MIN_FRAME {
-            out.resize(Self::MIN_FRAME, 0);
-        }
         out
     }
 
@@ -372,18 +360,6 @@ mod tests {
         let bytes = f.to_bytes();
         assert_eq!(u16::from_be_bytes([bytes[12], bytes[13]]), 0x8100);
         assert_eq!(EthernetFrame::parse(&bytes).unwrap(), f);
-    }
-
-    #[test]
-    fn ethernet_minimum_padding() {
-        let f = EthernetFrame {
-            dst: MacAddr([0; 6]),
-            src: MacAddr([0; 6]),
-            vlan: None,
-            ethertype: 0x0800,
-            payload: vec![1],
-        };
-        assert_eq!(f.to_wire().len(), 60);
     }
 
     #[test]
