@@ -102,8 +102,11 @@ tier1() {
 # `materialize`, `step_strategy`) with its LQD-against-LQD oracle — stay
 # deleted, and the open-tail regression file only replays corpus scripts
 # (it names no engine call of its own). The model predicts every drop
-# policy's offer too. The dead surface judged with them (`to_wire`,
-# `cycles_ceil`) stays gone.
+# policy's offer and every `from_spec` scheduler's pick too, so the
+# scheduler proptests (`mod sched_props`) stay deleted, and DRR never
+# gives up after a bounded number of rounds (no `0..64` in
+# `sched/mod.rs`). The dead surface judged with them (`to_wire`,
+# `cycles_ceil`, `egress_htb`, the DRR `deficit` accessors) stays gone.
 # Pay only for what is read: the occupancy heap is pushed only by
 # `commit_queue`, under its `active` guard (set by the first
 # `longest_queue` call), and by `rebuild_occupancy`, so an engine no policy
@@ -246,7 +249,10 @@ structure() {
     hits+="$(grep -nE 'QueueManager|SegmentPosition' crates/npqm-core/tests/open_tail_regressions.rs || true)"
     hits+="$(find crates/npqm-core/tests -name batch_equivalence.rs)"
     hits+="$(grep -rnE 'fn (op_strategy|step_strategy|materialize)\b' crates/npqm-core/tests || true)"
-    hits+="$(grep -rnE 'to_wire|cycles_ceil' crates examples tests src README.md || true)"
+    hits+="$(grep -rnE 'to_wire|cycles_ceil|egress_htb' crates examples tests src README.md || true)"
+    hits+="$(grep -rn 'mod sched_props' crates tests || true)"
+    hits+="$(grep -n '0\.\.64' crates/npqm-core/src/sched/mod.rs || true)"
+    hits+="$(grep -rn 'fn deficit' crates/npqm-core/src/sched || true)"
     if [[ -n "${hits}" ]]; then
         echo "structure FAILED: a hand-written engine oracle or generator is back beside the model, or deleted dead surface is back:" >&2
         echo "${hits}" >&2

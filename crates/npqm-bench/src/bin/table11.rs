@@ -200,7 +200,7 @@ fn run_equiv(shards: usize, htb: bool) -> ShardedPipelineReport {
         .shards(shards)
         .admission(|_| DynamicThreshold::new(2.0));
     if htb {
-        b.egress_htb(HtbScheduler::single_root(FLOWS as u32, 1518))
+        b.egress(|_| HtbScheduler::single_root(FLOWS as u32, 1518))
             .run()
     } else {
         b.egress_spec("drr:1518").run()

@@ -110,7 +110,7 @@ pub fn run_trunk_observed(
     cfg.telemetry = telemetry;
     let b = PipelineBuilder::new(&cfg).admission(|_| DynamicThreshold::new(2.0));
     if htb {
-        b.egress_htb(tenant_tree()).run()
+        b.egress(|_| tenant_tree()).run()
     } else {
         b.egress_spec("drr:1518").run()
     }

@@ -1314,7 +1314,7 @@ mod tests {
             let payload = model::payload(tag, len);
             let qm = legacy.shard_mut(0);
             qm.enqueue_packet(FlowId::new(f), &payload).unwrap();
-            model::apply(&mut work0, EnqueuePacket(f, len, 0), tag).unwrap();
+            model::apply(&mut work0, &mut Vec::new(), EnqueuePacket(f, len, 0), tag).unwrap();
         }
         for e in [&mut legacy, &mut work0] {
             e.shard_mut(0).dequeue_packet(FlowId::new(0)).unwrap();
@@ -2043,7 +2043,12 @@ mod tests {
     /// but with the packet calls going through the segment-command loops
     /// above, as every packet did before there were whole-packet
     /// transactions.
-    fn apply_by_segments(e: &mut ShardedQueueManager, step: Step, tag: u8) -> Res<Reply> {
+    fn apply_by_segments(
+        e: &mut ShardedQueueManager,
+        scheds: &mut model::Schedulers,
+        step: Step,
+        tag: u8,
+    ) -> Res<Reply> {
         let (m, f) = (e.shard_mut(0), FlowId::new);
         let done = |r: Res<()>| r.map(|()| Reply::Outcome(Outcome::Done));
         match step {
@@ -2059,7 +2064,7 @@ mod tests {
             CopyPacket(src, dst) => done(copy_packet_by_segments(m, f(src), f(dst))),
             DeletePacket(flow) => delete_packet_by_segments(m, f(flow))
                 .map(|(segs, bytes)| Reply::Outcome(Outcome::Dropped { segs, bytes })),
-            _ => model::apply(e, step, tag),
+            _ => model::apply(e, scheds, step, tag),
         }
     }
 
@@ -2085,7 +2090,7 @@ mod tests {
         for freelist in [FreeListDiscipline::Lifo, FreeListDiscipline::Fifo] {
             let shape = Shape { freelist, ..DIFF };
             let mut unit = Run::new(&shape);
-            let mut segs = ShardedQueueManager::new(shape.config(), 1);
+            let (mut segs, mut scheds) = (shape.engine(), shape.schedulers());
             let mut exhausted = 0;
             for (i, &step) in dry.iter().chain(script).enumerate() {
                 let at = format!("step {i} {step:?} ({freelist:?})");
@@ -2097,7 +2102,7 @@ mod tests {
                 let (ptr_before, (reads_before, writes_before)) =
                     (u.ptr_counters(), data_counters(u));
                 let got = unit.step(step).map_err(TestCaseError::fail)?;
-                let want = apply_by_segments(&mut segs, step, i as u8);
+                let want = apply_by_segments(&mut segs, &mut scheds, step, i as u8);
                 let refused = matches!(got, Err(QueueError::OutOfSegments));
                 exhausted += usize::from(matches!(step, EnqueuePacket(..)) && refused);
                 prop_assert_eq!(got, want, "{}", at);
@@ -2305,7 +2310,7 @@ mod tests {
             let (stats, ptr, data) = (*m.stats(), m.ptr_counters(), data_counters(m));
             let digest = crate::check::state_digest(m);
             let want = run.model.step(step, 0);
-            let got = model::apply(&mut run.engine, step, 0);
+            let got = model::apply(&mut run.engine, &mut run.scheds, step, 0);
             assert!(
                 got.is_err() && got == want,
                 "row {i}: {got:?}, model {want:?}"

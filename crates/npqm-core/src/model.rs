@@ -1,7 +1,7 @@
 //! The engine's command set as a plain [`Model`] — per-flow queues of
 //! packets of segments, free space per shard, and for every public call
 //! the exact reply or [`QueueError`] and the [`QmStats`] it counts, drop
-//! policies' offers included — and the
+//! policies' offers and schedulers' picks included — and the
 //! differential fuzzer that holds a [`ShardedQueueManager`] to it after
 //! every [`Step`] of a script ([`Run`]). Scripts come from [`Scripts`] under
 //! `NPQM_PROP_SEED`; a failing one is cut down by [`minimise`] and printed
@@ -52,6 +52,9 @@ pub(crate) struct Model {
     home: Vec<usize>,
     queues: Vec<Vec<Packet>>,
     stats: Vec<QmStats>,
+    /// Each shard's [`SCHEDULERS`], shard-major; `None` where `from_spec`
+    /// refuses.
+    egress: Vec<Option<Discipline>>,
 }
 
 impl Model {
@@ -64,6 +67,11 @@ impl Model {
                 .collect(),
             queues: vec![Vec::new(); shape.flows as usize],
             stats: vec![QmStats::default(); shape.shards],
+            egress: (0..shape.shards)
+                .flat_map(|_| {
+                    SCHEDULERS.map(|spec| Discipline::new(&sized(spec, shape.flows), shape.flows))
+                })
+                .collect(),
         }
     }
 
@@ -189,7 +197,27 @@ impl Model {
             }
             LongestQueue(_) => Ok(Reply::Longest(self.longest_queue(flow))),
             Offer(.., work, p) => Ok(Reply::Offered(self.offer(flow, &data, work, POLICIES[p]))),
+            Drain(_, sched) => Ok(self.drain(flow, sched)),
         }
+    }
+
+    /// What `drain_next` through scheduler `sched` of `flow`'s shard
+    /// serves: its discipline's pick among the complete head packets
+    /// there, dequeued whole.
+    fn drain(&mut self, flow: FlowId, sched: usize) -> Reply {
+        let (shard, mut heads) = (self.home[flow.as_usize()], vec![None; self.queues.len()]);
+        for (f, q) in self.on_shard(shard) {
+            heads[f as usize] = q.first().is_some_and(|p| !p.open).then(|| bytes(&q[..1]));
+        }
+        let Some(egress) = &mut self.egress[shard * SCHEDULERS.len() + sched] else {
+            return Reply::Unbuilt;
+        };
+        let Some(f) = egress.serve(&heads) else {
+            return Reply::Drained(None);
+        };
+        let flow = FlowId::new(f as u32);
+        let p = self.take(flow, true).expect("a complete head");
+        Reply::Drained(Some((flow, p.segs.concat())))
     }
 
     /// The non-empty flow with the most bytes on `flow`'s shard, ties to
@@ -491,6 +519,242 @@ impl Model {
     }
 }
 
+/// A `from_spec` discipline, written from its definition (nothing here
+/// comes from `sched`). `serve` takes each flow's head-packet bytes
+/// (`None`: no complete packet), picks a flow and charges it its head.
+enum Discipline {
+    /// Strict priority: the lowest backlogged flow.
+    Sp,
+    /// WRR (weights, credits, cursor): a flow spends a credit per packet;
+    /// credits refill only when no backlogged flow has one left, and the
+    /// round stays on a flow while its credits last.
+    Wrr(Vec<u64>, Vec<u64>, usize),
+    Drr(Drr),
+    Htb(Htb),
+}
+
+impl Discipline {
+    /// The discipline `spec` names for `flows` flows (as [`sized`] cuts
+    /// it), or `None` where `from_spec` refuses it.
+    fn new(spec: &str, flows: u32) -> Option<Self> {
+        let list = |l: &str| {
+            let v: Vec<u64> = l.split(',').map(|v| v.parse().expect("a number")).collect();
+            // One value stands for every flow.
+            v.repeat(if v.len() == 1 { flows as usize } else { 1 })
+        };
+        Some(match spec.split_once(':') {
+            None => Discipline::Sp,
+            Some(("wrr", w)) => Discipline::Wrr(list(w), list(w), 0),
+            Some(("drr", q)) => Discipline::Drr(Drr::new(list(q))),
+            Some((_, tree)) => Discipline::Htb(Htb::new(tree)?),
+        })
+    }
+
+    fn serve(&mut self, heads: &[Option<u64>]) -> Option<usize> {
+        match self {
+            Discipline::Sp => heads.iter().position(Option::is_some),
+            Discipline::Wrr(weights, credits, cursor) => {
+                let n = heads.len();
+                let ready = |credits: &[u64], f: usize| heads[f].is_some() && credits[f] > 0;
+                if !(0..n).any(|f| ready(credits, f)) {
+                    credits.clone_from(weights);
+                }
+                let f = (0..n)
+                    .map(|i| (*cursor + i) % n)
+                    .find(|&f| ready(credits, f))?;
+                credits[f] -= 1;
+                *cursor = if credits[f] == 0 { (f + 1) % n } else { f };
+                Some(f)
+            }
+            Discipline::Drr(drr) => {
+                let f = drr.pick(|f| heads[f], |f| heads[f].is_none())?;
+                drr.deficit[f] -= heads[f]?;
+                Some(f)
+            }
+            Discipline::Htb(htb) => htb.serve(heads),
+        }
+    }
+}
+
+/// Deficit round robin (Shreedhar and Varghese) over slots: a visit grants
+/// a backlogged slot its quantum, the slot holding the round is served
+/// while its head fits, and a queue that empties forfeits its deficit.
+#[derive(Clone)]
+struct Drr {
+    quanta: Vec<u64>,
+    deficit: Vec<u64>,
+    cursor: usize,
+    active: Option<usize>,
+}
+
+impl Drr {
+    fn new(quanta: Vec<u64>) -> Self {
+        let deficit = vec![0; quanta.len()];
+        Drr {
+            quanta,
+            deficit,
+            cursor: 0,
+            active: None,
+        }
+    }
+
+    /// The slot served next, by `head(slot)`, the head's bytes if the slot
+    /// may send now, and `empty(slot)`, whether it has no complete packet.
+    fn pick(
+        &mut self,
+        head: impl Fn(usize) -> Option<u64>,
+        empty: impl Fn(usize) -> bool,
+    ) -> Option<usize> {
+        let n = self.quanta.len();
+        if let Some(s) = self.active.take() {
+            if head(s).is_some_and(|h| h <= self.deficit[s]) {
+                self.active = Some(s);
+                return Some(s);
+            }
+            if empty(s) {
+                self.deficit[s] = 0;
+            }
+            self.cursor = (s + 1) % n;
+        }
+        (0..n).find_map(&head)?;
+        loop {
+            let s = self.cursor;
+            if let Some(h) = head(s) {
+                self.deficit[s] += self.quanta[s];
+                if h <= self.deficit[s] {
+                    self.active = Some(s);
+                    return Some(s);
+                }
+            }
+            self.cursor = (s + 1) % n;
+        }
+    }
+}
+
+/// A class of an [`Htb`] tree: its buckets hold bytes scaled by the link
+/// capacity.
+struct Class {
+    parent: Option<usize>,
+    rate: i128,
+    ceil: i128,
+    burst: i128,
+    tokens: i128,
+    ctokens: i128,
+}
+
+/// HTB on the byte clock: every served byte earns each class `rate`
+/// (`ceil`) tokens, capped at its burst, and costs the serving chain
+/// `capacity`. Three tiers in turn — green (in rate, every ceil on the
+/// chain kept), borrow (every ceil kept, an ancestor in rate), over ceil
+/// (any) — each priority level in turn, DRR among the leaves of a level.
+struct Htb {
+    capacity: i128,
+    classes: Vec<Class>,
+    /// Per leaf, in declaration order: its class, flow and priority.
+    leaves: Vec<(usize, usize, i128)>,
+    levels: Vec<i128>,
+    /// One DRR per tier and level.
+    rounds: Vec<Drr>,
+}
+
+impl Htb {
+    /// The tree of an `htb:` spec's body, or `None` where `from_spec`
+    /// refuses it: a ceil below its rate, or a bucket deeper than half the
+    /// `i128` range.
+    fn new(tree: &str) -> Option<Self> {
+        let mut parts = tree.split(';');
+        let capacity: i128 = parts.next()?.strip_prefix("cap=")?.parse().ok()?;
+        let (mut names, mut classes, mut leaves, mut quanta) = (vec![], vec![], vec![], vec![]);
+        for class in parts {
+            let mut keys = class.split(',');
+            names.push(keys.next()?);
+            let (mut parent, mut rate, mut ceil, mut burst) = (None, capacity, None, 15180);
+            let (mut prio, mut quantum, mut flow) = (4, 1518, None);
+            for (k, v) in keys.map(|kv| kv.split_once('=').expect("key=value")) {
+                let n = || v.parse::<i128>().expect("a number");
+                match k {
+                    "parent" => parent = names.iter().position(|&p| p == v),
+                    "rate" => rate = n(),
+                    "ceil" => ceil = Some(n()),
+                    "burst" => burst = n(),
+                    "prio" => prio = n(),
+                    "quantum" => quantum = n(),
+                    _ => flow = Some(n() as usize),
+                }
+            }
+            let (ceil, burst) = (ceil.unwrap_or(rate), burst.checked_mul(capacity)?);
+            if ceil < rate || burst > i128::MAX / 2 {
+                return None;
+            }
+            if let Some(flow) = flow {
+                leaves.push((classes.len(), flow, prio));
+                quanta.push(quantum as u64);
+            }
+            let (tokens, ctokens) = (burst, burst);
+            classes.push(Class {
+                parent,
+                rate,
+                ceil,
+                burst,
+                tokens,
+                ctokens,
+            });
+        }
+        let mut levels: Vec<i128> = leaves.iter().map(|l| l.2).collect();
+        levels.sort_unstable();
+        levels.dedup();
+        let rounds = vec![Drr::new(quanta); 3 * levels.len()];
+        Some(Htb {
+            capacity,
+            classes,
+            leaves,
+            levels,
+            rounds,
+        })
+    }
+
+    fn serve(&mut self, heads: &[Option<u64>]) -> Option<usize> {
+        let (classes, leaves, levels) = (&mut self.classes, &self.leaves, &self.levels);
+        let mut tiers = (0..3).flat_map(|tier| (0..levels.len()).map(move |level| (tier, level)));
+        let (slot, round) = tiers.find_map(|(tier, level)| {
+            let head = |s: usize| {
+                let (class, flow, prio) = leaves[s];
+                let may = prio == levels[level] && eligible(classes, class, tier);
+                heads[flow].filter(|_| may)
+            };
+            let round = tier * levels.len() + level;
+            let slot = self.rounds[round].pick(head, |s| heads[leaves[s].1].is_none())?;
+            Some((slot, round))
+        })?;
+        let (class, flow, _) = leaves[slot];
+        let b = heads[flow]?;
+        self.rounds[round].deficit[slot] -= b;
+        let b = i128::from(b);
+        for c in classes.iter_mut() {
+            c.tokens = (c.tokens + b * c.rate).min(c.burst);
+            c.ctokens = (c.ctokens + b * c.ceil).min(c.burst);
+        }
+        let mut at = Some(class);
+        while let Some(c) = at {
+            classes[c].tokens -= b * self.capacity;
+            classes[c].ctokens -= b * self.capacity;
+            at = classes[c].parent;
+        }
+        Some(flow)
+    }
+}
+
+/// Whether leaf class `class` may send in `tier`.
+fn eligible(classes: &[Class], class: usize, tier: usize) -> bool {
+    let chain = std::iter::successors(Some(class), |&c| classes[c].parent);
+    let within_ceils = chain.clone().all(|c| classes[c].ctokens >= 0);
+    match tier {
+        0 => within_ceils && classes[class].tokens >= 0,
+        1 => within_ceils && chain.skip(1).any(|c| classes[c].tokens >= 0),
+        _ => true,
+    }
+}
+
 /// The bytes of `packets`.
 fn bytes(packets: &[Packet]) -> u64 {
     packets
@@ -538,6 +802,7 @@ fn queued(qm: &QueueManager, flow: usize) -> Vec<Packet> {
 /// An engine of one shape and the model of it, stepped together.
 pub(crate) struct Run {
     pub(crate) engine: ShardedQueueManager,
+    pub(crate) scheds: Schedulers,
     pub(crate) model: Model,
     /// The next step's index, which tags its payload.
     tag: usize,
@@ -545,9 +810,14 @@ pub(crate) struct Run {
 
 impl Run {
     pub(crate) fn new(shape: &Shape) -> Self {
-        let engine = shape.engine();
+        let (engine, scheds) = (shape.engine(), shape.schedulers());
         let (model, tag) = (Model::new(shape, &engine), 0);
-        Run { engine, model, tag }
+        Run {
+            engine,
+            scheds,
+            model,
+            tag,
+        }
     }
 
     /// Makes `step` on the engine and on the model and checks that they
@@ -558,7 +828,7 @@ impl Run {
         let tag = self.tag as u8;
         self.tag += 1;
         let want = self.model.step(step, tag);
-        let got = apply(&mut self.engine, step, tag);
+        let got = apply(&mut self.engine, &mut self.scheds, step, tag);
         if got != want {
             return Err(format!("{at}: engine {got:?}, model {want:?}"));
         }
@@ -586,6 +856,26 @@ impl Run {
         }
         Ok(())
     }
+}
+
+/// The bytes each flow's drains served in the corpus script `name`, every
+/// step checked against the model.
+pub(crate) fn drained_bytes(name: &str) -> Vec<u64> {
+    let script = CORPUS
+        .iter()
+        .find(|s| s.name == name)
+        .expect("a corpus script");
+    let (mut run, mut bytes) = (
+        Run::new(&script.shape),
+        vec![0; script.shape.flows as usize],
+    );
+    for &step in script.steps {
+        let reply = run.step(step).unwrap_or_else(|e| panic!("{name}: {e}"));
+        if let Ok(Reply::Drained(Some((flow, packet)))) = reply {
+            bytes[flow.as_usize()] += packet.len() as u64;
+        }
+    }
+    bytes
 }
 
 /// Runs `steps` on a fresh engine of `shape`, to the engine's final
@@ -655,7 +945,7 @@ fn corpus_replays_to_its_digests() {
 fn engine_matches_the_model() {
     let seed = proptest::seed_for(concat!(module_path!(), "::engine_matches_the_model"));
     let mut rng = proptest::new_rng(seed);
-    for case in 0..500 {
+    for case in 0..2000 {
         let (shape, steps) = Scripts(None).generate(&mut rng);
         if replay(&shape, &steps).is_ok() {
             continue;

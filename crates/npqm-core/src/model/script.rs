@@ -1,5 +1,6 @@
 //! What the model and the engine are stepped through: the [`Step`] vocabulary,
-//! the drop [`POLICIES`] an offer goes through, [`apply`], the one script
+//! the drop [`POLICIES`] an offer and the [`SCHEDULERS`] a drain go through,
+//! [`apply`], the one script
 //! generator ([`Scripts`]) and the committed [`CORPUS`]. It reaches the
 //! engine only through its public API, so the integration tests replay the
 //! same corpus (`tests/open_tail_regressions.rs` includes this file).
@@ -11,6 +12,7 @@ use npqm_core::id::FlowId;
 use npqm_core::limits::{BufferManager, FlowLimits};
 use npqm_core::manager::{DequeuedSegment, SegmentPosition};
 use npqm_core::policy::{self, Admission, DropPolicy, Refusal};
+use npqm_core::sched::{drain_next, from_spec, FlowScheduler};
 use npqm_core::shard::ShardedQueueManager;
 use npqm_sim::rng::Xoshiro256pp;
 use proptest::Strategy;
@@ -23,9 +25,9 @@ pub(crate) type Res<T> = Result<T, QueueError>;
 /// One public engine call, named after the `QueueManager` method. The
 /// fields are the flow (`src`, `dst` for two queues), then a payload
 /// length, a `work`, a [`SegmentPosition`], a lending buffer or a
-/// [`POLICIES`] index: the payload is `len` bytes counting up from the
-/// step's index in its script, and `Some(n)` makes the lending (`_into`)
-/// call into a buffer that already holds `n` bytes. A call that is a
+/// [`POLICIES`] or [`SCHEDULERS`] index: the payload is `len` bytes
+/// counting up from the step's index in its script, and `Some(n)` makes
+/// the lending (`_into`) call into a buffer that already holds `n` bytes. A call that is a
 /// [`Command`] goes through [`ShardedQueueManager::execute`], any other to
 /// the flow's home shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,6 +55,9 @@ pub(crate) enum Step {
     /// `POLICIES[policy]`: `DropPolicy::offer_work` on the flow's home
     /// shard, or `GlobalLqd::offer` on the engine.
     Offer(u32, usize, u32, usize),
+    /// `drain_next` through the flow's home shard's instance of the
+    /// scheduler `SCHEDULERS[sched]`.
+    Drain(u32, usize),
 }
 
 impl Step {
@@ -64,7 +69,7 @@ impl Step {
             OverwriteHead(flow, len) | OverwriteHeadLen(flow, len) => (flow, flow, len),
             AppendHead(flow, len) | AppendTail(flow, len) => (flow, flow, len),
             SetTailWork(flow, _) | Dequeue(flow, _) | DequeuePacket(flow, _) => (flow, flow, 0),
-            ReadHead(flow) | LongestQueue(flow) => (flow, flow, 0),
+            ReadHead(flow) | LongestQueue(flow) | Drain(flow, _) => (flow, flow, 0),
             DeleteSegment(flow) | DeletePacket(flow) => (flow, flow, 0),
             MovePacket(src, dst) | CopyPacket(src, dst) => (src, dst, 0),
             OverwriteAndMove(src, dst, len) | OverwriteLenAndMove(src, dst, len) => (src, dst, len),
@@ -153,6 +158,74 @@ pub(crate) const POLICIES: [Policy; 10] = {
     ]
 };
 
+/// The schedulers a [`Step::Drain`] goes through, as `from_spec` strings
+/// for six flows, the most a drawn shape has ([`sized`] cuts one to a
+/// shape's): strict priority; WRR with unequal weights; DRR at a
+/// minimum-frame quantum (half on odd flows) and at quantum 1; HTB with a
+/// single root (flat DRR at 1518), with two tenants that borrow up to their
+/// ceils under a root short of the link, with priorities (two quantum-1
+/// leaves), with a zero-rate subtree beside two leaves at 250 and 750 that
+/// cannot borrow, and with a bucket of `MAX_BUCKET`'s depth beside a
+/// 64-byte one; and two that `from_spec` refuses: a ceil below its rate,
+/// and a bucket one burst byte too deep.
+pub(crate) const SCHEDULERS: [&str; 11] = [
+    "sp",
+    "wrr:3,1,2,1,4,2",
+    "drr:64,32,64,32,64,32",
+    "drr:1",
+    "htb:cap=1000;r;l0,parent=r,flow=0;l1,parent=r,flow=1;l2,parent=r,flow=2;l3,parent=r,flow=3;\
+     l4,parent=r,flow=4;l5,parent=r,flow=5",
+    "htb:cap=1000;r,rate=900,burst=3000;a,parent=r,rate=600,ceil=900,burst=640;\
+     b,parent=r,rate=300,ceil=500,burst=640;a0,parent=a,rate=300,ceil=900,burst=256,flow=0;\
+     b1,parent=b,rate=200,burst=256,flow=1;a2,parent=a,rate=100,burst=128,flow=2;\
+     b3,parent=b,rate=100,ceil=300,burst=128,quantum=64,flow=3;\
+     a4,parent=a,rate=200,burst=64,flow=4;b5,parent=b,rate=0,ceil=500,burst=64,flow=5",
+    "htb:cap=1000;p;z,parent=p,rate=100,burst=64,flow=0;\
+     q,parent=p,rate=100,ceil=1000,quantum=1,burst=128,flow=1;\
+     v,parent=p,rate=300,ceil=600,prio=0,burst=256,flow=2;\
+     w,parent=p,rate=200,ceil=1000,quantum=64,burst=128,flow=3;\
+     x,parent=p,rate=100,prio=7,burst=64,flow=4;\
+     y,parent=p,rate=200,ceil=500,prio=0,burst=128,quantum=1,flow=5",
+    "htb:cap=1000;b,rate=250,burst=16,quantum=64,flow=0;a,rate=750,burst=640,quantum=64,flow=1;\
+     z,rate=0,ceil=600,burst=256;z2,parent=z,rate=0,ceil=600,burst=64,flow=2;\
+     z3,parent=z,rate=0,burst=64,flow=3;b4,rate=250,burst=640,flow=4;\
+     z5,parent=z,rate=0,burst=64,flow=5",
+    "htb:cap=18446744073709551615;r;\
+     d,parent=r,rate=9223372036854775807,burst=4611686018427387904,flow=0;\
+     s,parent=r,rate=4611686018427387904,burst=64,flow=1;\
+     d2,parent=r,burst=4611686018427387904,flow=2;s3,parent=r,rate=1,burst=64,flow=3;\
+     s4,parent=r,rate=0,ceil=1,burst=1,flow=4;d5,parent=r,burst=4611686018427387904,flow=5",
+    "htb:cap=1000;r,rate=500,ceil=400;l0,parent=r,flow=0;l1,parent=r,flow=1;l2,parent=r,flow=2;\
+     l3,parent=r,flow=3;l4,parent=r,flow=4;l5,parent=r,flow=5",
+    "htb:cap=18446744073709551615;r,burst=4611686018427387905;l0,parent=r,flow=0;\
+     l1,parent=r,flow=1;l2,parent=r,flow=2;l3,parent=r,flow=3;l4,parent=r,flow=4;\
+     l5,parent=r,flow=5",
+];
+
+/// `spec` for `flows` flows: a list keeps its first `flows` values, a tree
+/// its leaves of the flows below `flows`.
+pub(crate) fn sized(spec: &str, flows: u32) -> String {
+    let kept = |leaf: &&str| {
+        let flow = leaf.split(',').find_map(|kv| kv.strip_prefix("flow="));
+        flow.is_none_or(|f| f.parse::<u32>().expect("a flow") < flows)
+    };
+    match spec.split_once(':') {
+        Some(("htb", tree)) => format!(
+            "htb:{}",
+            tree.split(';').filter(kept).collect::<Vec<_>>().join(";")
+        ),
+        Some((kind, list)) => {
+            let list: Vec<_> = list.split(',').take(flows as usize).collect();
+            format!("{kind}:{}", list.join(","))
+        }
+        None => spec.into(),
+    }
+}
+
+/// One live scheduler per shard and [`SCHEDULERS`] entry, shard-major, as
+/// `from_spec` builds it for the shape, or `None` where it refuses.
+pub(crate) type Schedulers = Vec<Option<Box<dyn FlowScheduler>>>;
+
 impl Policy {
     /// A policy of this kind for one engine.
     fn one_engine(self) -> Box<dyn DropPolicy> {
@@ -193,16 +266,27 @@ impl Shape {
     pub(crate) fn engine(&self) -> ShardedQueueManager {
         ShardedQueueManager::new(self.config(), self.shards)
     }
+
+    pub(crate) fn schedulers(&self) -> Schedulers {
+        let build = |spec| from_spec(&sized(spec, self.flows), self.flows).ok();
+        (0..self.shards)
+            .flat_map(|_| SCHEDULERS.map(build))
+            .collect()
+    }
 }
 
 /// What a step returns: a command's [`Outcome`], a whole packet, the
-/// longest queue and its bytes, or a policy's answer to an offer.
+/// longest queue and its bytes, a policy's answer to an offer, or the
+/// flow and packet a drain served (`Unbuilt`: `from_spec` refused the
+/// scheduler).
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum Reply {
     Outcome(Outcome),
     Packet(Vec<u8>),
     Longest(Option<(FlowId, u64)>),
     Offered(Result<Admission, Refusal>),
+    Drained(Option<(FlowId, Vec<u8>)>),
+    Unbuilt,
 }
 
 pub(crate) const DONE: Reply = Reply::Outcome(Outcome::Done);
@@ -219,8 +303,14 @@ fn lent<T>(held: usize, call: impl FnOnce(&mut Vec<u8>) -> Res<T>) -> Res<(T, Ve
 }
 
 /// Makes `step`'s call on `engine`: a command through `execute`, a global
-/// LQD offer on the engine, anything else on the flow's home shard.
-pub(crate) fn apply(engine: &mut ShardedQueueManager, step: Step, tag: u8) -> Res<Reply> {
+/// LQD offer on the engine, a drain through `scheds`, anything else on the
+/// flow's home shard.
+pub(crate) fn apply(
+    engine: &mut ShardedQueueManager,
+    scheds: &mut Schedulers,
+    step: Step,
+    tag: u8,
+) -> Res<Reply> {
     if let Some(cmd) = step.command(tag) {
         return engine.execute(cmd).map(Reply::Outcome);
     }
@@ -234,6 +324,15 @@ pub(crate) fn apply(engine: &mut ShardedQueueManager, step: Step, tag: u8) -> Re
                 .offer_work(engine.shard_for_mut(flow), flow, &data, work),
         };
         return Ok(Reply::Offered(offered));
+    }
+    if let Drain(_, sched) = step {
+        let Some(sched) = &mut scheds[engine.shard_of(flow) * SCHEDULERS.len() + sched] else {
+            return Ok(Reply::Unbuilt);
+        };
+        return Ok(Reply::Drained(drain_next(
+            engine.shard_for_mut(flow),
+            sched,
+        )));
     }
     let qm = engine.shard_for_mut(flow);
     // The length returned is the length appended.
@@ -284,14 +383,15 @@ impl Strategy for Scripts {
             }
         });
         let len = 1 + rng.next_below(160) as usize;
-        (shape, (0..len).map(|_| draw(&shape, rng)).collect())
+        let sched = rng.next_below(SCHEDULERS.len() as u64) as usize;
+        (shape, (0..len).map(|_| draw(&shape, sched, rng)).collect())
     }
 }
 
 /// One step for `shape`, weighted toward what breaks engines: open tails,
 /// full pools, out-of-range flows, and packets that run the pool dry
-/// midway and roll back.
-fn draw(shape: &Shape, rng: &mut Xoshiro256pp) -> Step {
+/// midway and roll back; most drains go through the script's `sched`.
+fn draw(shape: &Shape, sched: usize, rng: &mut Xoshiro256pp) -> Step {
     let mut below = |n: u32| rng.next_below(n.into()) as u32;
     let bytes = shape.seg_bytes;
     // One flow in twelve is out of range.
@@ -324,7 +424,13 @@ fn draw(shape: &Shape, rng: &mut Xoshiro256pp) -> Step {
     if below(8) == 0 {
         return Offer(flow, pkt, work, below(POLICIES.len() as u32) as usize);
     }
-    // A third of the steps enqueue, so that tails are open and pools full.
+    // One in four drains a packet, seven in eight through `sched`, so that
+    // its state lives across many picks.
+    if below(4) == 0 {
+        let other = below(SCHEDULERS.len() as u32) as usize;
+        return Drain(flow, if below(8) == 0 { other } else { sched });
+    }
+    // A third of the commands enqueue, so that tails are open and pools full.
     match below(32) {
         0..=5 => Enqueue(flow, len, pos),
         6..=10 => EnqueuePacket(flow, pkt, work),

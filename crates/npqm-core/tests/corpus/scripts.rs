@@ -223,4 +223,89 @@
         ],
         digest: 0xaad52e2e_de0e19b6,
     },
+    // Schedulers' picks, schedulers by `SCHEDULERS` index. DRR (2: quanta 64,
+    // 32, 64) splits bytes by quantum, not by packet: in four rounds flow 0
+    // sends one 256-byte packet, flow 1 two of 64 bytes and flow 2 four.
+    Script {
+        name: "drr_splits_bytes_by_quantum",
+        shape: Shape { flows: 3, segments: 32, seg_bytes: 64, freelist: Lifo, shards: 1 },
+        steps: &[
+            EnqueuePacket(0, 256, 0), EnqueuePacket(0, 256, 0), EnqueuePacket(1, 64, 0),
+            EnqueuePacket(1, 64, 0), EnqueuePacket(1, 64, 0), EnqueuePacket(1, 64, 0),
+            EnqueuePacket(2, 64, 0), EnqueuePacket(2, 64, 0), EnqueuePacket(2, 64, 0),
+            EnqueuePacket(2, 64, 0), EnqueuePacket(2, 64, 0), EnqueuePacket(2, 64, 0),
+            Drain(0, 2), Drain(0, 2), Drain(0, 2), Drain(0, 2), Drain(0, 2), Drain(0, 2),
+            Drain(0, 2),
+        ],
+        digest: 0x60772049_c1e1c620,
+    },
+    // A DRR queue (2: quanta 64 and 32) that empties while it holds the round
+    // forfeits its deficit: flow 0 keeps 54 bytes of it when its 10-byte
+    // packet leaves, loses them when flow 1's turn finds it empty, and so
+    // sends one 40-byte packet in its next turn, not two.
+    Script {
+        name: "drr_empty_queue_forfeits_deficit",
+        shape: Shape { flows: 2, segments: 16, seg_bytes: 16, freelist: Lifo, shards: 1 },
+        steps: &[
+            EnqueuePacket(0, 10, 0), Drain(0, 2), EnqueuePacket(1, 32, 0), Drain(0, 2),
+            EnqueuePacket(0, 40, 0), EnqueuePacket(0, 40, 0), EnqueuePacket(1, 32, 0),
+            EnqueuePacket(1, 32, 0), Drain(0, 2), Drain(0, 2),
+        ],
+        digest: 0xf61a44b7_7088f6b4,
+    },
+    // HTB leaves at rates 250 and 750 of 1000 that cannot borrow (7): after
+    // flow 0's first packet empties its 16-byte bucket, it waits out three of
+    // flow 1's.
+    Script {
+        name: "rates_split_bandwidth_three_to_one",
+        shape: Shape { flows: 2, segments: 16, seg_bytes: 64, freelist: Lifo, shards: 1 },
+        steps: &[
+            EnqueuePacket(0, 64, 0), EnqueuePacket(1, 64, 0), EnqueuePacket(0, 64, 0),
+            EnqueuePacket(1, 64, 0), EnqueuePacket(0, 64, 0), EnqueuePacket(1, 64, 0),
+            EnqueuePacket(0, 64, 0), EnqueuePacket(1, 64, 0), EnqueuePacket(0, 64, 0),
+            EnqueuePacket(1, 64, 0), EnqueuePacket(0, 64, 0), EnqueuePacket(1, 64, 0),
+            Drain(0, 7), Drain(0, 7), Drain(0, 7), Drain(0, 7), Drain(0, 7), Drain(0, 7),
+            Drain(0, 7), Drain(0, 7),
+        ],
+        digest: 0xd6e4779e_ab2c6349,
+    },
+    // A one-byte quantum once gave up after 64 rounds over a backlog: DRR (3)
+    // answered `None` over a 1500-byte packet, and the HTB level of two
+    // quantum-1 leaves (6: flows 1 and 5) passed its turn down.
+    Script {
+        name: "drr_small_quantum_never_idles_over_backlog",
+        shape: Shape { flows: 6, segments: 32, seg_bytes: 64, freelist: Lifo, shards: 1 },
+        steps: &[
+            EnqueuePacket(0, 1500, 0), Drain(0, 3), EnqueuePacket(1, 900, 0),
+            EnqueuePacket(3, 100, 0), EnqueuePacket(5, 800, 0), Drain(0, 6), Drain(0, 6),
+            Drain(0, 6), Drain(0, 6),
+        ],
+        digest: 0x1848777e_7f1caf7e,
+    },
+    // Borrowers go before leaves over a ceil (6: flows 0 and 1 at rate 100 on
+    // a 1000 link). Flow 0's ceil is its rate, so once its bucket is empty it
+    // is over it; flow 1 keeps within its ceil of 1000 and borrows from the
+    // root, so it wins the fourth drain though flow 0 is first in the round.
+    Script {
+        name: "htb_borrowers_go_before_over_ceil_leaves",
+        shape: Shape { flows: 2, segments: 16, seg_bytes: 64, freelist: Lifo, shards: 1 },
+        steps: &[
+            EnqueuePacket(0, 100, 0), EnqueuePacket(0, 100, 0), EnqueuePacket(1, 100, 0),
+            EnqueuePacket(1, 100, 0), EnqueuePacket(1, 100, 0), Drain(0, 6), Drain(0, 6),
+            Drain(0, 6), Drain(0, 6),
+        ],
+        digest: 0xcec91026_8da39b59,
+    },
+    // HTB edges (8: buckets of 2^62 bytes × a capacity of 2^64 − 1 beside
+    // 64-byte ones; 9 and 10: a ceil below its rate and a bucket one burst
+    // byte too deep, which `from_spec` refuses, so nothing drains).
+    Script {
+        name: "htb_edges_run_or_are_refused",
+        shape: Shape { flows: 2, segments: 8, seg_bytes: 64, freelist: Fifo, shards: 1 },
+        steps: &[
+            EnqueuePacket(0, 64, 0), EnqueuePacket(1, 64, 0), EnqueuePacket(1, 64, 0),
+            Drain(0, 9), Drain(0, 10), Drain(0, 8), Drain(1, 8), Drain(1, 8), Drain(1, 8),
+        ],
+        digest: 0xe223b612_eee3e202,
+    },
 ]

@@ -11,9 +11,9 @@ mod script;
 
 fn replay(name: &str) {
     let script = script::CORPUS.iter().find(|s| s.name == name).unwrap();
-    let mut engine = script.shape.engine();
+    let (mut engine, mut scheds) = (script.shape.engine(), script.shape.schedulers());
     for (tag, &step) in script.steps.iter().enumerate() {
-        let _ = script::apply(&mut engine, step, tag as u8);
+        let _ = script::apply(&mut engine, &mut scheds, step, tag as u8);
         let verified = engine.verify();
         assert!(verified.is_ok(), "step {tag} {step:?}: {verified:?}");
     }

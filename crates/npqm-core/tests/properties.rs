@@ -1,9 +1,9 @@
 //! Property-based tests on the engine's payloads, free list and byte
-//! counts, and on the schedulers, over random packet mixes on a small
-//! engine. The engine's commands themselves, and every drop policy's
-//! offer (the buffer manager's caps among them), are held to a model of
-//! them by the crate's `model` unit tests (random scripts, and the
-//! committed corpus in `tests/corpus/`).
+//! counts over random packet mixes on a small engine. The engine's
+//! commands themselves, every drop policy's offer (the buffer manager's
+//! caps among them) and every `from_spec` scheduler's pick are held to a
+//! model of them by the crate's `model` unit tests (random scripts, and
+//! the committed corpus in `tests/corpus/`).
 
 use npqm_core::config::FreeListDiscipline::{Fifo, Lifo};
 use npqm_core::manager::SegmentPosition;
@@ -63,83 +63,6 @@ proptest! {
                 expected[flow as usize] += len as u64;
             }
             prop_assert_eq!(qm.queue_len_bytes(f), expected[flow as usize]);
-        }
-    }
-}
-
-mod sched_props {
-    use npqm_core::sched::{drain_next, from_spec, WeightedRoundRobin};
-    use npqm_core::{FlowId, QmConfig, QueueManager};
-    use proptest::prelude::*;
-
-    fn engine() -> QueueManager {
-        QueueManager::new(
-            QmConfig::builder()
-                .num_flows(4)
-                .num_segments(1024)
-                .segment_bytes(64)
-                .build()
-                .unwrap(),
-        )
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// Every discipline is work-conserving: as long as any flow has a
-        /// complete packet, drain_next serves something, and the union of
-        /// everything served equals the union of everything enqueued.
-        #[test]
-        fn schedulers_are_work_conserving(
-            pkts in proptest::collection::vec((0u32..4, 1usize..300), 1..40),
-            which in 0u8..4,
-        ) {
-            let mut qm = engine();
-            let mut enqueued: Vec<(u32, usize)> = Vec::new();
-            for (flow, len) in pkts {
-                if qm.enqueue_packet(FlowId::new(flow), &vec![0u8; len]).is_ok() {
-                    enqueued.push((flow, len));
-                }
-            }
-            let spec = match which {
-                0 => "sp",
-                1 => "wrr:3,1,2,1",
-                2 => "drr:64,640,128,1518",
-                _ => "htb:cap=100;root,rate=100;t,parent=root,rate=25,ceil=100,flows=0-3",
-            };
-            let mut sched = from_spec(spec, 4).unwrap();
-            let mut served: Vec<(u32, usize)> = Vec::new();
-            while let Some((f, pkt)) = drain_next(&mut qm, sched.as_mut()) {
-                served.push((f.index(), pkt.len()));
-                prop_assert!(served.len() <= enqueued.len(), "served more than offered");
-            }
-            let mut a = enqueued.clone();
-            let mut b = served.clone();
-            a.sort_unstable();
-            b.sort_unstable();
-            prop_assert_eq!(a, b, "conservation");
-            qm.verify().unwrap();
-        }
-
-        /// Under saturated backlog, WRR packet shares match the weights.
-        #[test]
-        fn wrr_shares_match_weights(w0 in 1u32..5, w1 in 1u32..5) {
-            let mut qm = engine();
-            let rounds = 20;
-            let total = (w0 + w1) * rounds;
-            for _ in 0..total {
-                qm.enqueue_packet(FlowId::new(0), &[0; 64]).unwrap();
-                qm.enqueue_packet(FlowId::new(1), &[1; 64]).unwrap();
-            }
-            let mut wrr = WeightedRoundRobin::new(vec![w0, w1]);
-            let mut counts = [0u32; 2];
-            for _ in 0..total {
-                let (f, _) = drain_next(&mut qm, &mut wrr).unwrap();
-                counts[f.as_usize()] += 1;
-            }
-            // Both flows stayed backlogged for the whole measurement.
-            prop_assert_eq!(counts[0], w0 * rounds, "w0 {} w1 {}", w0, w1);
-            prop_assert_eq!(counts[1], w1 * rounds, "w0 {} w1 {}", w0, w1);
         }
     }
 }

@@ -20,7 +20,7 @@ use crate::pipeline::{
 };
 use crate::service::{partition_indices, ArrivalEvent};
 use npqm_core::policy::{DropPolicy, DynamicThreshold, GlobalLqd};
-use npqm_core::sched::{from_spec, DeficitRoundRobin, FlowScheduler, HtbScheduler};
+use npqm_core::sched::{from_spec, DeficitRoundRobin, FlowScheduler};
 use npqm_core::shard::ShardedQueueManager;
 use npqm_core::telemetry::{TelemetryConfig, TelemetryReport};
 use npqm_core::{FlowId, QueueManager};
@@ -59,8 +59,8 @@ enum AdmissionSel {
 /// ```
 ///
 /// A hierarchical (HTB) egress drops in the same way — build a class
-/// tree and hand it to [`egress_htb`](PipelineBuilder::egress_htb), or
-/// describe it inline:
+/// tree per shard with [`egress`](PipelineBuilder::egress), or describe
+/// it inline:
 ///
 /// ```
 /// use npqm_traffic::{PipelineBuilder, PipelineConfig};
@@ -180,16 +180,6 @@ impl PipelineBuilder {
         F: FnMut(usize) -> S + 'static,
     {
         self.egress = Box::new(move |shard| Box::new(mk_sched(shard)));
-        self
-    }
-
-    /// Hierarchical (HTB) egress: each shard drains through an
-    /// independent clone of `tree` (fresh ledgers, same classes). Leaves
-    /// must cover every flow the mix can draw, or packets on uncovered
-    /// flows would never be scheduled.
-    #[must_use]
-    pub fn egress_htb(mut self, tree: HtbScheduler) -> Self {
-        self.egress = Box::new(move |_| Box::new(tree.clone()));
         self
     }
 

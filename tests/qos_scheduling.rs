@@ -7,7 +7,7 @@ use npqm::core::sched::{
 };
 use npqm::core::{FlowId, QmConfig, QueueManager};
 use npqm::sim::rng::Xoshiro256pp;
-use npqm::traffic::size::SizeDistribution;
+use npqm::traffic::{PipelineBuilder, PipelineConfig};
 
 fn engine(flows: u32) -> QueueManager {
     QueueManager::new(
@@ -20,37 +20,20 @@ fn engine(flows: u32) -> QueueManager {
     )
 }
 
-/// DRR splits bandwidth by quanta even when flows send wildly different
-/// packet-size mixes (IMIX vs minimum-size).
+/// A one-byte DRR quantum once gave up after 64 rounds over a backlog, and
+/// the closed loop, which re-arms service only on arrivals and
+/// completions, stranded 54 packets.
 #[test]
-fn drr_byte_fairness_under_imix() {
-    let mut qm = engine(2);
-    let mut rng = Xoshiro256pp::seed_from_u64(8);
-    let imix = SizeDistribution::Imix;
-    // Keep both flows backlogged for the whole measurement: flow 1 sends
-    // minimum-size packets, so it needs ~6x the packet count to match
-    // flow 0's IMIX byte backlog (mean IMIX size ~366 B).
-    for _ in 0..300 {
-        let sz = imix.sample(&mut rng) as usize;
-        let _ = qm.enqueue_packet(FlowId::new(0), &vec![0u8; sz]);
-        for _ in 0..6 {
-            let _ = qm.enqueue_packet(FlowId::new(1), &[1u8; 64]);
-        }
-    }
-    let mut drr = DeficitRoundRobin::new(vec![1518, 1518]);
-    let mut bytes = [0u64; 2];
-    for _ in 0..400 {
-        let Some((f, pkt)) = drain_next(&mut qm, &mut drr) else {
-            break;
-        };
-        bytes[f.as_usize()] += pkt.len() as u64;
-    }
-    let ratio = bytes[0] as f64 / bytes[1] as f64;
-    assert!(
-        (0.75..1.35).contains(&ratio),
-        "equal quanta must give ~equal bytes: {bytes:?} (ratio {ratio})"
+fn drr_small_quantum_strands_nothing_in_the_closed_loop() {
+    let cfg = PipelineConfig::bursty_overload(7);
+    let r = PipelineBuilder::new(&cfg)
+        .egress_spec("drr:1")
+        .run()
+        .aggregate;
+    assert_eq!(
+        r.offered_pkts,
+        r.delivered_pkts + r.dropped_pkts + r.evicted_pkts
     );
-    qm.verify().unwrap();
 }
 
 /// Buffer management + scheduling compose: caps bound the backlog, the
@@ -181,7 +164,6 @@ fn single_root_htb_is_digest_identical_to_flat_drr() {
     use npqm::core::check::state_digest;
     use npqm::core::policy::DynamicThreshold;
     use npqm::core::sched::HtbScheduler;
-    use npqm::traffic::{PipelineBuilder, PipelineConfig};
 
     // Direct engine drain: one interleaved trace into two engines.
     let mut qm_drr = engine(4);
@@ -219,7 +201,7 @@ fn single_root_htb_is_digest_identical_to_flat_drr() {
             .shards(4)
             .admission(|_| DynamicThreshold::new(2.0));
         let b = if htb {
-            b.egress_htb(HtbScheduler::single_root(16, 1518))
+            b.egress(|_| HtbScheduler::single_root(16, 1518))
         } else {
             b.egress_spec("drr:1518")
         };
