@@ -16,7 +16,7 @@
 #                   # of the engine, no occupancy pushes before the
 #                   # first query, no scale payload arena, no pointer
 #                   # record written before first use, no cross-shard
-#                   # transfer path), fmt,
+#                   # transfer path, no second telemetry tally), fmt,
 #                   # clippy, docs,
 #                   # tier-1, release-profile engine tests, the model
 #                   # fuzzer's release soak, tables,
@@ -322,6 +322,14 @@ structure() {
         echo "${hits}" >&2
         exit 1
     fi
+    echo "==> structure: telemetry keeps one copy of each fact"
+    hits="$(grep -rnE 'EventCounts|record_event_counts|MetricValue::Gauge|fn gauge|"trace\.|service\.window\.' \
+        crates examples tests src README.md || true)"
+    if [[ -n "${hits}" ]]; then
+        echo "structure FAILED: a second tally of what the reports, the ledger or the engine count is back:" >&2
+        echo "${hits}" >&2
+        exit 1
+    fi
 }
 
 # Golden-output regression gates: the table binaries assert their
@@ -347,12 +355,13 @@ golden() {
 # Deterministic-telemetry gates: `table10 --trace` runs the steady-state
 # workload twice — traced and untraced — and asserts the
 # zero-interference contract (final + per-epoch digests and the whole
-# report identical), exact reconciliation of the event counts,
-# drop-attribution ledger and metrics registry against the run's own
-# totals, and a strict `Json::parse` round trip of the exported
-# Chrome/Perfetto trace before writing it. `table11 --trace` runs the
-# same contract on the HTB trunk (every delivery carries exactly one
-# leaf-selection event).
+# report identical), exact reconciliation of the drop-attribution ledger
+# (split by cause) and the engine's byte counters in the metrics
+# registry against the run's own totals, and a strict `Json::parse`
+# round trip of the exported Chrome/Perfetto trace before writing it.
+# `table11 --trace` runs the same contract on the HTB trunk, whose trace
+# carries the leaf-selection events; the property tests count every
+# event kind against the report, one `sched.select` per delivery.
 telemetry() {
     echo "==> telemetry: table10 --trace (steady-state service)"
     cargo run --release -q -p npqm-bench --bin table10 -- --trace target/table10-trace.json

@@ -29,7 +29,7 @@
 //! `--report <path>` writes the same document without `host`, which two
 //! builds can `cmp`.
 
-use npqm_bench::cli::{check, cores, write_file, Cli};
+use npqm_bench::cli::{check, check_trace_accounts, cores, write_file, Cli};
 use npqm_bench::json::{host, telemetry_trace_json, Json, ToJson};
 use npqm_bench::qos::{
     guarantee_gbps, run_trunk, run_trunk_observed, run_work_conservation, tenant_bytes, trunk_cfg,
@@ -286,8 +286,8 @@ fn document(runs: &TrunkRuns) -> Json {
 
 /// `--trace <path>`: re-runs the seed-42 overload trunk with telemetry
 /// enabled, proves the observed run is byte-identical to the plain one,
-/// reconciles the drop ledger with the report, and writes the
-/// Perfetto-loadable trace (HTB leaf selections included).
+/// reconciles the drop ledger and the engine's counters with the report,
+/// and writes the Perfetto-loadable trace (HTB leaf selections included).
 fn run_trace(path: &str) {
     let traced = run_trunk_observed(42, &LOAD_OVERLOAD, true, Some(TelemetryConfig::default()));
     let plain = run_trunk(42, &LOAD_OVERLOAD, true);
@@ -304,21 +304,7 @@ fn run_trace(path: &str) {
         .telemetry
         .as_ref()
         .expect("observed run carries a telemetry report");
-    let a = &traced.aggregate;
-    check(
-        tel.counts.drops == a.dropped_pkts
-            && tel.counts.evictions == a.evicted_pkts
-            && tel.counts.deliveries == a.delivered_pkts,
-        "trace counts reconcile with the trunk report",
-    );
-    check(
-        tel.refused_pkts == a.dropped_pkts && tel.evicted_pkts == a.evicted_pkts,
-        "drop ledger totals reconcile with the trunk report",
-    );
-    check(
-        tel.counts.sched_selects == a.delivered_pkts,
-        "every delivery carries exactly one HTB leaf-selection event",
-    );
+    check_trace_accounts(tel, &traced.aggregate);
     let doc = telemetry_trace_json(tel, "table11");
     let text = doc.pretty();
     check(

@@ -10,6 +10,8 @@
 //! name, which [`check`] and [`write_file`] prefix their output with.
 
 use crate::json::{host, Json, ToJson};
+use npqm_core::telemetry::TelemetryReport;
+use npqm_traffic::pipeline::PipelineReport;
 use std::sync::OnceLock;
 
 static TABLE: OnceLock<&'static str> = OnceLock::new();
@@ -75,6 +77,43 @@ pub fn check(ok: bool, what: &str) {
         eprintln!("{} check FAILED: {what}", table());
         std::process::exit(1);
     }
+}
+
+/// The `--trace` gates of a traced run `tel` against its report `a`: the
+/// drop taxonomy, split by cause, accounts for every refused and evicted
+/// packet, and the engine's byte counters in the final metrics match the
+/// report's. `qm.bytes_in` may keep the partial chunks of an
+/// engine-refused packet (`enqueue_packet` rolls its segments back, the
+/// counter keeps them), so it lies between the admitted and the offered
+/// bytes.
+pub fn check_trace_accounts(tel: &TelemetryReport, a: &PipelineReport) {
+    let (mut refused, mut refused_bytes, mut evicted) = (0, 0, 0);
+    for row in &tel.taxonomy {
+        if row.cause.is_eviction() {
+            evicted += row.bucket.count;
+        } else {
+            refused += row.bucket.count;
+            refused_bytes += row.bucket.bytes;
+        }
+    }
+    check(
+        refused == a.dropped_pkts,
+        &format!("drop taxonomy: refusal rows ({refused}) sum to dropped_pkts"),
+    );
+    check(
+        evicted == a.evicted_pkts,
+        &format!("drop taxonomy: push-out rows ({evicted}) sum to evicted_pkts"),
+    );
+    let fm = &tel.final_metrics;
+    check(
+        fm.counter_value("qm.bytes_out") == Some(a.delivered_bytes),
+        "final metrics: engine bytes_out equals delivered_bytes",
+    );
+    let bytes_in = fm.counter_value("qm.bytes_in").unwrap_or(0);
+    check(
+        bytes_in + refused_bytes >= a.offered_bytes && bytes_in <= a.offered_bytes,
+        "final metrics: offered_bytes - refused bytes <= engine bytes_in <= offered_bytes",
+    );
 }
 
 /// Cores the host offers (1 when it cannot say).

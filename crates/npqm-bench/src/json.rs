@@ -827,23 +827,6 @@ fn telemetry_field(t: &Option<npqm_core::telemetry::TelemetryReport>) -> Json {
     }
 }
 
-impl ToJson for npqm_core::telemetry::EventCounts {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("admits", self.admits.to_json()),
-            ("admit_bytes", self.admit_bytes.to_json()),
-            ("drops", self.drops.to_json()),
-            ("drop_bytes", self.drop_bytes.to_json()),
-            ("evictions", self.evictions.to_json()),
-            ("evicted_bytes", self.evicted_bytes.to_json()),
-            ("deliveries", self.deliveries.to_json()),
-            ("delivered_bytes", self.delivered_bytes.to_json()),
-            ("sched_selects", self.sched_selects.to_json()),
-            ("epochs", self.epochs.to_json()),
-        ])
-    }
-}
-
 impl ToJson for npqm_core::telemetry::DropTaxonomyRow {
     fn to_json(&self) -> Json {
         Json::obj([
@@ -866,26 +849,19 @@ pub fn metrics_registry_json(
     reg: &npqm_core::telemetry::MetricsRegistry,
     include_volatile: bool,
 ) -> Json {
-    use npqm_core::telemetry::MetricValue;
     Json::Obj(
         reg.iter()
             .filter(|(_, m)| include_volatile || !m.volatile)
-            .map(|(name, m)| {
-                let v = match m.value {
-                    MetricValue::Counter(c) => c.to_json(),
-                    MetricValue::Gauge(g) => Json::Num(g),
-                };
-                (name.to_string(), v)
-            })
+            .map(|(name, m)| (name.to_string(), m.value.to_json()))
             .collect(),
     )
 }
 
 /// The deterministic summary of a merged
-/// [`npqm_core::telemetry::TelemetryReport`]: exact event counts, the
-/// drop taxonomy, ledger totals and the folded metric snapshots
-/// (volatile metrics excluded). The retained event stream is *not*
-/// included — that is what [`telemetry_trace_json`] exports — so this
+/// [`npqm_core::telemetry::TelemetryReport`]: the ring's accounting, the
+/// drop taxonomy and the folded metric snapshots (volatile metrics
+/// excluded). The retained event stream is *not* included — that is
+/// what [`telemetry_trace_json`] exports — so this
 /// projection is small enough to ride inside the table reports and is
 /// byte-identical from run to run.
 pub fn telemetry_summary_json(t: &npqm_core::telemetry::TelemetryReport) -> Json {
@@ -893,9 +869,6 @@ pub fn telemetry_summary_json(t: &npqm_core::telemetry::TelemetryReport) -> Json
         ("ring_capacity", t.ring_capacity.to_json()),
         ("retained_events", t.events.len().to_json()),
         ("overflow_events", t.overflow_events.to_json()),
-        ("counts", t.counts.to_json()),
-        ("refused_pkts", t.refused_pkts.to_json()),
-        ("evicted_pkts", t.evicted_pkts.to_json()),
         ("taxonomy", t.taxonomy.to_json()),
         (
             "epoch_metrics",
@@ -922,6 +895,16 @@ pub fn telemetry_summary_json(t: &npqm_core::telemetry::TelemetryReport) -> Json
 /// JSON schema mandates for `ts`/`dur`).
 fn ps_to_us(ps: u64) -> Json {
     Json::Num(ps as f64 / 1e6)
+}
+
+/// The `ph`, `s` and `ts` fields of a thread-scoped instant event at
+/// virtual time `at_ps`.
+fn instant(at_ps: u64) -> [(String, Json); 3] {
+    [
+        ("ph".to_string(), "i".to_json()),
+        ("s".to_string(), "t".to_json()),
+        ("ts".to_string(), ps_to_us(at_ps)),
+    ]
 }
 
 /// Exports a merged telemetry report as a Chrome `trace_event` JSON
@@ -961,19 +944,15 @@ pub fn telemetry_trace_json(t: &npqm_core::telemetry::TelemetryReport, label: &s
             ("pid".to_string(), ev.shard.to_json()),
             ("tid".to_string(), 0.to_json()),
         ];
+        let at = ev.at.as_u64();
         let mut counter: Option<u32> = None;
-        match &ev.kind {
+        let args = match &ev.kind {
             EventKind::Admit { flow, bytes } => {
-                fields.push(("ph".to_string(), "i".to_json()));
-                fields.push(("s".to_string(), "t".to_json()));
-                fields.push(("ts".to_string(), ps_to_us(ev.at.as_u64())));
-                fields.push((
-                    "args".to_string(),
-                    Json::obj([
-                        ("flow", flow.index().to_json()),
-                        ("bytes", (*bytes).to_json()),
-                    ]),
-                ));
+                fields.extend(instant(at));
+                Json::obj([
+                    ("flow", flow.index().to_json()),
+                    ("bytes", (*bytes).to_json()),
+                ])
             }
             EventKind::Drop {
                 flow,
@@ -982,20 +961,15 @@ pub fn telemetry_trace_json(t: &npqm_core::telemetry::TelemetryReport, label: &s
                 queue_depth,
                 occupancy,
             } => {
-                fields.push(("ph".to_string(), "i".to_json()));
-                fields.push(("s".to_string(), "t".to_json()));
-                fields.push(("ts".to_string(), ps_to_us(ev.at.as_u64())));
-                fields.push((
-                    "args".to_string(),
-                    Json::obj([
-                        ("flow", flow.index().to_json()),
-                        ("bytes", (*bytes).to_json()),
-                        ("cause", cause.label().to_json()),
-                        ("queue_depth", (*queue_depth).to_json()),
-                        ("occupancy", (*occupancy).to_json()),
-                    ]),
-                ));
+                fields.extend(instant(at));
                 counter = Some(*occupancy);
+                Json::obj([
+                    ("flow", flow.index().to_json()),
+                    ("bytes", (*bytes).to_json()),
+                    ("cause", cause.label().to_json()),
+                    ("queue_depth", (*queue_depth).to_json()),
+                    ("occupancy", (*occupancy).to_json()),
+                ])
             }
             EventKind::Evict {
                 victim,
@@ -1003,19 +977,14 @@ pub fn telemetry_trace_json(t: &npqm_core::telemetry::TelemetryReport, label: &s
                 victim_depth,
                 occupancy,
             } => {
-                fields.push(("ph".to_string(), "i".to_json()));
-                fields.push(("s".to_string(), "t".to_json()));
-                fields.push(("ts".to_string(), ps_to_us(ev.at.as_u64())));
-                fields.push((
-                    "args".to_string(),
-                    Json::obj([
-                        ("victim", victim.index().to_json()),
-                        ("bytes", (*bytes).to_json()),
-                        ("victim_depth", (*victim_depth).to_json()),
-                        ("occupancy", (*occupancy).to_json()),
-                    ]),
-                ));
+                fields.extend(instant(at));
                 counter = Some(*occupancy);
+                Json::obj([
+                    ("victim", victim.index().to_json()),
+                    ("bytes", (*bytes).to_json()),
+                    ("victim_depth", (*victim_depth).to_json()),
+                    ("occupancy", (*occupancy).to_json()),
+                ])
             }
             EventKind::Deliver {
                 flow,
@@ -1025,44 +994,32 @@ pub fn telemetry_trace_json(t: &npqm_core::telemetry::TelemetryReport, label: &s
                 // The event is stamped at egress completion; the span
                 // covers the packet's whole queueing + transmission life.
                 let dur_ps = latency_ns.saturating_mul(1000);
-                let start_ps = ev.at.as_u64().saturating_sub(dur_ps);
+                let start_ps = at.saturating_sub(dur_ps);
                 fields.push(("ph".to_string(), "X".to_json()));
                 fields.push(("ts".to_string(), ps_to_us(start_ps)));
                 fields.push(("dur".to_string(), ps_to_us(dur_ps)));
-                fields.push((
-                    "args".to_string(),
-                    Json::obj([
-                        ("flow", flow.index().to_json()),
-                        ("bytes", (*bytes).to_json()),
-                        ("latency_ns", (*latency_ns).to_json()),
-                    ]),
-                ));
+                Json::obj([
+                    ("flow", flow.index().to_json()),
+                    ("bytes", (*bytes).to_json()),
+                    ("latency_ns", (*latency_ns).to_json()),
+                ])
             }
             EventKind::SchedSelect { flow } => {
-                fields.push(("ph".to_string(), "i".to_json()));
-                fields.push(("s".to_string(), "t".to_json()));
-                fields.push(("ts".to_string(), ps_to_us(ev.at.as_u64())));
-                fields.push((
-                    "args".to_string(),
-                    Json::obj([("flow", flow.index().to_json())]),
-                ));
+                fields.extend(instant(at));
+                Json::obj([("flow", flow.index().to_json())])
             }
             EventKind::Epoch { epoch } => {
-                fields.push(("ph".to_string(), "i".to_json()));
-                fields.push(("s".to_string(), "t".to_json()));
-                fields.push(("ts".to_string(), ps_to_us(ev.at.as_u64())));
-                fields.push((
-                    "args".to_string(),
-                    Json::obj([("epoch", (*epoch).to_json())]),
-                ));
+                fields.extend(instant(at));
+                Json::obj([("epoch", (*epoch).to_json())])
             }
-        }
+        };
+        fields.push(("args".to_string(), args));
         events.push(Json::Obj(fields));
         if let Some(occ) = counter {
             events.push(Json::obj([
                 ("name", "occupancy".to_json()),
                 ("ph", "C".to_json()),
-                ("ts", ps_to_us(ev.at.as_u64())),
+                ("ts", ps_to_us(at)),
                 ("pid", ev.shard.to_json()),
                 ("args", Json::obj([("segments", occ.to_json())])),
             ]));
@@ -1334,15 +1291,16 @@ mod tests {
         assert_eq!(parsed, doc);
         // The embedded summary reconciles with the recorders.
         let summary = doc.get("otherData").unwrap().get("summary").unwrap();
-        let counts = summary.get("counts").unwrap();
-        assert_eq!(counts.get("admits").unwrap().as_i64(), Some(1));
-        assert_eq!(counts.get("drops").unwrap().as_i64(), Some(1));
-        assert_eq!(counts.get("evictions").unwrap().as_i64(), Some(1));
-        assert_eq!(summary.get("refused_pkts").unwrap().as_i64(), Some(1));
-        assert_eq!(summary.get("evicted_pkts").unwrap().as_i64(), Some(1));
+        assert_eq!(summary.get("retained_events").unwrap().as_i64(), Some(6));
+        assert_eq!(summary.get("overflow_events").unwrap().as_i64(), Some(0));
         let tax = summary.get("taxonomy").unwrap().as_arr().unwrap();
         assert_eq!(tax.len(), 2);
         assert_eq!(tax[0].get("policy").unwrap().as_str(), Some("lqd"));
+        let count = |row: &Json| row.get("count").unwrap().as_i64();
+        assert_eq!(
+            tax.iter().map(count).collect::<Vec<_>>(),
+            [Some(1), Some(1)]
+        );
     }
 
     #[test]
@@ -1350,7 +1308,6 @@ mod tests {
         use npqm_core::telemetry::MetricsRegistry;
         let mut reg = MetricsRegistry::new();
         reg.counter("qm.enqueues", 42);
-        reg.gauge("service.goodput_gbps", 1.5);
         reg.volatile_counter("host.wall_ns", 7);
         let det = metrics_registry_json(&reg, false);
         assert_eq!(det.get("qm.enqueues").unwrap().as_i64(), Some(42));

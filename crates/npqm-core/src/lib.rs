@@ -85,7 +85,7 @@ pub use sched::{
 pub use shard::{ShardedAdmission, ShardedInvariantReport, ShardedQueueManager};
 pub use stats::{ParallelStats, QmStats};
 pub use telemetry::{
-    DropCause, DropLedger, EventCounts, EventKind, MetricsRegistry, Telemetry, TelemetryConfig,
-    TelemetryReport, TraceEvent,
+    DropCause, DropLedger, EventKind, MetricsRegistry, Telemetry, TelemetryConfig, TelemetryReport,
+    TraceEvent,
 };
 pub use timing::{BatchCost, CommandCost, MemoryChannels, PaperTiming, TimingConfig};

@@ -166,9 +166,10 @@ pub(crate) const POLICIES: [Policy; 10] = {
 /// ceils under a root short of the link, with priorities (two quantum-1
 /// leaves), with a zero-rate subtree beside two leaves at 250 and 750 that
 /// cannot borrow, and with a bucket of `MAX_BUCKET`'s depth beside a
-/// 64-byte one; and two that `from_spec` refuses: a ceil below its rate,
-/// and a bucket one burst byte too deep.
-pub(crate) const SCHEDULERS: [&str; 11] = [
+/// 64-byte one; two that `from_spec` refuses: a ceil below its rate, and a
+/// bucket one burst byte too deep; and two tenants guaranteed half the link
+/// each, with ceils of all of it, beside four leaves guaranteed nothing.
+pub(crate) const SCHEDULERS: [&str; 12] = [
     "sp",
     "wrr:3,1,2,1,4,2",
     "drr:64,32,64,32,64,32",
@@ -200,6 +201,10 @@ pub(crate) const SCHEDULERS: [&str; 11] = [
     "htb:cap=18446744073709551615;r,burst=4611686018427387905;l0,parent=r,flow=0;\
      l1,parent=r,flow=1;l2,parent=r,flow=2;l3,parent=r,flow=3;l4,parent=r,flow=4;\
      l5,parent=r,flow=5",
+    "htb:cap=1000;t;a,parent=t,rate=500,ceil=1000,burst=1280,flow=0;\
+     b,parent=t,rate=500,ceil=1000,burst=1280,flow=1;c2,parent=t,rate=0,ceil=1000,burst=64,flow=2;\
+     c3,parent=t,rate=0,ceil=1000,burst=64,flow=3;c4,parent=t,rate=0,ceil=1000,burst=64,flow=4;\
+     c5,parent=t,rate=0,ceil=1000,burst=64,flow=5",
 ];
 
 /// `spec` for `flows` flows: a list keeps its first `flows` values, a tree

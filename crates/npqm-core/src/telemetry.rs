@@ -16,8 +16,8 @@
 //!   simulation time and recorded by the shard that owns the engine,
 //!   traces are byte-identical from run to run — the same contract as
 //!   every other deterministic output in the workspace.
-//! * **[`MetricsRegistry`]** — a snapshotable counter/gauge registry
-//!   under stable dotted names (`qm.enqueues`, `ptr.qt_reads`, …),
+//! * **[`MetricsRegistry`]** — a snapshotable registry of named `u64`
+//!   counters under stable dotted names (`qm.enqueues`, `ptr.qt_reads`, …),
 //!   exported as JSON by `npqm-bench`. Metrics that depend on the host
 //!   (wall clock, say) are flagged *volatile* so deterministic exports
 //!   can exclude them.
@@ -25,8 +25,14 @@
 //!   eviction tagged with the policy name, the [`DropCause`], the victim
 //!   queue's depth and the buffer occupancy at decision time, aggregated
 //!   into a drop taxonomy that reconciles *exactly* with the report
-//!   totals (`refused_pkts == dropped_pkts`, `evicted_pkts ==
-//!   evicted_pkts`).
+//!   totals: the refusal rows sum to `dropped_pkts`, the push-out rows to
+//!   `evicted_pkts`.
+//!
+//! Each fact has one home. Packet outcomes are counted by the run's own
+//! reports; the ledger attributes losses; the ring holds the event stream
+//! and [`Telemetry::overflow_events`] counts what it rotated out; the
+//! registry snapshots engine state (`qm.*`, `ptr.*`). Nothing here keeps a
+//! second tally of what the reports already count.
 //!
 //! Recording is strictly additive: a [`Telemetry`] instance observes the
 //! engine through values its caller already computed, never mutates it,
@@ -54,9 +60,9 @@
 //! let mut tel = Telemetry::new(TelemetryConfig::default());
 //! tel.record_admit(Picos::from_nanos(10), FlowId::new(3), 64);
 //! tel.record_deliver(Picos::from_nanos(90), FlowId::new(3), 64, 80);
-//! assert_eq!(tel.counts().admits, 1);
-//! assert_eq!(tel.counts().delivered_bytes, 64);
-//! assert_eq!(tel.events().count(), 2);
+//! let names: Vec<&str> = tel.events().map(|e| e.kind.name()).collect();
+//! assert_eq!(names, ["admit", "deliver"]);
+//! assert_eq!(tel.overflow_events(), 0);
 //! ```
 
 use crate::id::FlowId;
@@ -71,8 +77,8 @@ use std::collections::{BTreeMap, VecDeque};
 pub struct TelemetryConfig {
     /// Capacity of the per-shard event ring, in events. When the ring is
     /// full the **oldest** event is evicted (and counted in
-    /// [`Telemetry::overflow_events`]); counters and the drop ledger
-    /// keep exact totals regardless.
+    /// [`Telemetry::overflow_events`]); the drop ledger keeps exact
+    /// totals regardless.
     pub ring_capacity: usize,
 }
 
@@ -224,59 +230,6 @@ pub struct TraceEvent {
     pub kind: EventKind,
 }
 
-/// Exact per-kind event totals, maintained outside the bounded ring so
-/// reconciliation against report counters never depends on ring
-/// capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EventCounts {
-    /// `admit` events.
-    pub admits: u64,
-    /// Payload bytes across `admit` events.
-    pub admit_bytes: u64,
-    /// `drop` (refusal) events.
-    pub drops: u64,
-    /// Payload bytes across `drop` events.
-    pub drop_bytes: u64,
-    /// `evict` (push-out) events.
-    pub evictions: u64,
-    /// Payload bytes across `evict` events.
-    pub evicted_bytes: u64,
-    /// `deliver` events.
-    pub deliveries: u64,
-    /// Payload bytes across `deliver` events.
-    pub delivered_bytes: u64,
-    /// `sched.select` events.
-    pub sched_selects: u64,
-    /// `epoch` boundary events.
-    pub epochs: u64,
-}
-
-impl EventCounts {
-    /// Adds every counter of `other` into `self`.
-    pub fn absorb(&mut self, other: &EventCounts) {
-        self.admits += other.admits;
-        self.admit_bytes += other.admit_bytes;
-        self.drops += other.drops;
-        self.drop_bytes += other.drop_bytes;
-        self.evictions += other.evictions;
-        self.evicted_bytes += other.evicted_bytes;
-        self.deliveries += other.deliveries;
-        self.delivered_bytes += other.delivered_bytes;
-        self.sched_selects += other.sched_selects;
-        self.epochs += other.epochs;
-    }
-
-    /// Total events recorded (including any the ring later evicted).
-    pub fn total(&self) -> u64 {
-        self.admits
-            + self.drops
-            + self.evictions
-            + self.deliveries
-            + self.sched_selects
-            + self.epochs
-    }
-}
-
 /// Aggregated outcomes of one `(policy, cause)` taxonomy cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DropBucket {
@@ -340,58 +293,38 @@ impl DropTaxonomyRow {
     }
 }
 
-/// The drop-attribution ledger of one shard: exact totals plus the
-/// per-`(policy, cause)` taxonomy. Totals reconcile with the pipeline
-/// reports by construction — the recording loops call
-/// [`Telemetry::record_drop`] / [`Telemetry::record_evict`] on exactly
-/// the code paths that bump `dropped_pkts` / `evicted_pkts`.
+/// The drop-attribution ledger of one shard: the per-`(policy, cause)`
+/// taxonomy. Its refusal rows sum to the pipeline reports'
+/// `dropped_pkts` and its push-out rows to their `evicted_pkts` — the
+/// recording loops call [`Telemetry::record_drop`] /
+/// [`Telemetry::record_evict`] on exactly the code paths that bump them.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DropLedger {
     rows: Vec<DropTaxonomyRow>,
-    /// Arriving packets the policy refused.
-    pub refused_pkts: u64,
-    /// Queued packets the policy pushed out.
-    pub evicted_pkts: u64,
 }
 
 impl DropLedger {
-    fn record(&mut self, policy: &str, cause: DropCause, bytes: u32, depth: u32, occupancy: u32) {
-        if cause.is_eviction() {
-            self.evicted_pkts += 1;
-        } else {
-            self.refused_pkts += 1;
-        }
-        let row = match self
+    /// The bucket of `(policy, cause)`, opened empty on first use.
+    fn bucket(&mut self, policy: &str, cause: DropCause) -> &mut DropBucket {
+        let found = self
             .rows
-            .iter_mut()
-            .position(|r| r.policy == policy && r.cause == cause)
-        {
-            Some(i) => &mut self.rows[i],
-            None => {
-                self.rows.push(DropTaxonomyRow {
-                    policy: policy.to_string(),
-                    cause,
-                    bucket: DropBucket::default(),
-                });
-                self.rows.last_mut().expect("just pushed")
-            }
-        };
-        row.bucket.record(bytes, depth, occupancy);
+            .iter()
+            .position(|r| r.policy == policy && r.cause == cause);
+        let i = found.unwrap_or_else(|| {
+            self.rows.push(DropTaxonomyRow {
+                policy: policy.to_string(),
+                cause,
+                bucket: DropBucket::default(),
+            });
+            self.rows.len() - 1
+        });
+        &mut self.rows[i].bucket
     }
 
-    /// Adds every row and total of `other` into `self`.
+    /// Adds every row of `other` into `self`.
     pub fn absorb(&mut self, other: &DropLedger) {
-        self.refused_pkts += other.refused_pkts;
-        self.evicted_pkts += other.evicted_pkts;
-        for or in &other.rows {
-            match self
-                .rows
-                .iter_mut()
-                .position(|r| r.policy == or.policy && r.cause == or.cause)
-            {
-                Some(i) => self.rows[i].bucket.absorb(&or.bucket),
-                None => self.rows.push(or.clone()),
-            }
+        for row in &other.rows {
+            self.bucket(&row.policy, row.cause).absorb(&row.bucket);
         }
     }
 
@@ -402,37 +335,22 @@ impl DropLedger {
         rows.sort_by(|a, b| (&a.policy, a.cause).cmp(&(&b.policy, b.cause)));
         rows
     }
-
-    /// Total packets in the ledger (refused plus evicted).
-    pub fn total(&self) -> u64 {
-        self.refused_pkts + self.evicted_pkts
-    }
 }
 
-/// A metric's value.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MetricValue {
-    /// A monotonically accumulated count.
-    Counter(u64),
-    /// A point-in-time measurement.
-    Gauge(f64),
-}
-
-/// One registered metric.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One registered counter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Metric {
-    /// The value.
-    pub value: MetricValue,
+    /// The count.
+    pub value: u64,
     /// Whether the value depends on the host (wall clock, busy times).
     /// Volatile metrics are excluded from deterministic exports.
     pub volatile: bool,
 }
 
-/// A snapshotable registry of named metrics. Names are dotted and
-/// stable (`qm.enqueues`, `ptr.qt_reads`, `service.delivered_pkts`);
-/// iteration is in sorted name order, so two registries holding the
-/// same values export identically.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// A snapshotable registry of named `u64` counters. Names are dotted and
+/// stable (`qm.enqueues`, `ptr.qt_reads`); iteration is in sorted name
+/// order, so two registries holding the same values export identically.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MetricsRegistry {
     metrics: BTreeMap<String, Metric>,
 }
@@ -448,7 +366,7 @@ impl MetricsRegistry {
         self.metrics.insert(
             name.to_string(),
             Metric {
-                value: MetricValue::Counter(value),
+                value,
                 volatile: false,
             },
         );
@@ -460,19 +378,8 @@ impl MetricsRegistry {
         self.metrics.insert(
             name.to_string(),
             Metric {
-                value: MetricValue::Counter(value),
+                value,
                 volatile: true,
-            },
-        );
-    }
-
-    /// Sets a (stable, deterministic) gauge.
-    pub fn gauge(&mut self, name: &str, value: f64) {
-        self.metrics.insert(
-            name.to_string(),
-            Metric {
-                value: MetricValue::Gauge(value),
-                volatile: false,
             },
         );
     }
@@ -482,12 +389,9 @@ impl MetricsRegistry {
         self.metrics.get(name)
     }
 
-    /// The value of a counter metric, if `name` is a counter.
+    /// The value of the counter `name`, if it is registered.
     pub fn counter_value(&self, name: &str) -> Option<u64> {
-        match self.metrics.get(name)?.value {
-            MetricValue::Counter(v) => Some(v),
-            MetricValue::Gauge(_) => None,
-        }
+        Some(self.metrics.get(name)?.value)
     }
 
     /// Iterates `(name, metric)` in sorted name order.
@@ -536,54 +440,20 @@ impl MetricsRegistry {
         self.counter(&format!("{prefix}qt_writes"), c.qt_writes);
     }
 
-    /// Registers every [`EventCounts`] total under `prefix` (e.g.
-    /// `"trace."`).
-    pub fn record_event_counts(&mut self, prefix: &str, c: &EventCounts) {
-        self.counter(&format!("{prefix}admits"), c.admits);
-        self.counter(&format!("{prefix}admit_bytes"), c.admit_bytes);
-        self.counter(&format!("{prefix}drops"), c.drops);
-        self.counter(&format!("{prefix}drop_bytes"), c.drop_bytes);
-        self.counter(&format!("{prefix}evictions"), c.evictions);
-        self.counter(&format!("{prefix}evicted_bytes"), c.evicted_bytes);
-        self.counter(&format!("{prefix}deliveries"), c.deliveries);
-        self.counter(&format!("{prefix}delivered_bytes"), c.delivered_bytes);
-        self.counter(&format!("{prefix}sched_selects"), c.sched_selects);
-        self.counter(&format!("{prefix}epochs"), c.epochs);
-    }
-
-    /// Adds `other` into `self`: counters and gauges sum (per-shard
-    /// registries fold into engine-wide totals); a metric volatile in
-    /// either input stays volatile.
+    /// Adds `other` into `self`: counters sum (per-shard registries fold
+    /// into engine-wide totals); a counter volatile in either input stays
+    /// volatile.
     pub fn absorb(&mut self, other: &MetricsRegistry) {
         for (name, om) in &other.metrics {
-            match self.metrics.get_mut(name) {
-                None => {
-                    self.metrics.insert(name.clone(), *om);
-                }
-                Some(m) => {
-                    m.volatile |= om.volatile;
-                    m.value = match (m.value, om.value) {
-                        (MetricValue::Counter(a), MetricValue::Counter(b)) => {
-                            MetricValue::Counter(a + b)
-                        }
-                        (MetricValue::Gauge(a), MetricValue::Gauge(b)) => MetricValue::Gauge(a + b),
-                        // Mixed types under one name: keep the counter,
-                        // fold the gauge in as its truncated value.
-                        (MetricValue::Counter(a), MetricValue::Gauge(b)) => {
-                            MetricValue::Counter(a + b as u64)
-                        }
-                        (MetricValue::Gauge(a), MetricValue::Counter(b)) => {
-                            MetricValue::Gauge(a + b as f64)
-                        }
-                    };
-                }
-            }
+            let m = self.metrics.entry(name.clone()).or_default();
+            m.value += om.value;
+            m.volatile |= om.volatile;
         }
     }
 }
 
-/// One shard's telemetry: the bounded event ring, exact per-kind counts,
-/// the drop-attribution ledger and per-epoch metric snapshots. See the
+/// One shard's telemetry: the bounded event ring, the drop-attribution
+/// ledger and per-epoch metric snapshots. See the
 /// [module docs](self) for the determinism contract.
 #[derive(Debug, Clone)]
 pub struct Telemetry {
@@ -591,7 +461,6 @@ pub struct Telemetry {
     seq: u64,
     events: VecDeque<TraceEvent>,
     overflow: u64,
-    counts: EventCounts,
     ledger: DropLedger,
     epoch_metrics: Vec<(u64, MetricsRegistry)>,
     final_metrics: Option<MetricsRegistry>,
@@ -605,7 +474,6 @@ impl Telemetry {
             seq: 0,
             events: VecDeque::new(),
             overflow: 0,
-            counts: EventCounts::default(),
             ledger: DropLedger::default(),
             epoch_metrics: Vec::new(),
             final_metrics: None,
@@ -632,8 +500,6 @@ impl Telemetry {
 
     /// Records an admission.
     pub fn record_admit(&mut self, at: Picos, flow: FlowId, bytes: u32) {
-        self.counts.admits += 1;
-        self.counts.admit_bytes += u64::from(bytes);
         self.push(at, EventKind::Admit { flow, bytes });
     }
 
@@ -650,10 +516,8 @@ impl Telemetry {
         occupancy: u32,
     ) {
         let cause = DropCause::from(reason);
-        self.counts.drops += 1;
-        self.counts.drop_bytes += u64::from(bytes);
-        self.ledger
-            .record(policy, cause, bytes, queue_depth, occupancy);
+        let bucket = self.ledger.bucket(policy, cause);
+        bucket.record(bytes, queue_depth, occupancy);
         self.push(
             at,
             EventKind::Drop {
@@ -676,10 +540,8 @@ impl Telemetry {
         victim_depth: u32,
         occupancy: u32,
     ) {
-        self.counts.evictions += 1;
-        self.counts.evicted_bytes += u64::from(bytes);
-        self.ledger
-            .record(policy, DropCause::PushOut, bytes, victim_depth, occupancy);
+        let bucket = self.ledger.bucket(policy, DropCause::PushOut);
+        bucket.record(bytes, victim_depth, occupancy);
         self.push(
             at,
             EventKind::Evict {
@@ -693,8 +555,6 @@ impl Telemetry {
 
     /// Records a delivery.
     pub fn record_deliver(&mut self, at: Picos, flow: FlowId, bytes: u32, latency_ns: u64) {
-        self.counts.deliveries += 1;
-        self.counts.delivered_bytes += u64::from(bytes);
         self.push(
             at,
             EventKind::Deliver {
@@ -707,13 +567,11 @@ impl Telemetry {
 
     /// Records an egress scheduler decision.
     pub fn record_sched_select(&mut self, at: Picos, flow: FlowId) {
-        self.counts.sched_selects += 1;
         self.push(at, EventKind::SchedSelect { flow });
     }
 
     /// Records an epoch boundary.
     pub fn record_epoch(&mut self, at: Picos, epoch: u64) {
-        self.counts.epochs += 1;
         self.push(at, EventKind::Epoch { epoch });
     }
 
@@ -733,17 +591,12 @@ impl Telemetry {
         self.events.iter()
     }
 
-    /// Exact per-kind totals (independent of ring capacity).
-    pub fn counts(&self) -> &EventCounts {
-        &self.counts
-    }
-
     /// The drop-attribution ledger.
     pub fn ledger(&self) -> &DropLedger {
         &self.ledger
     }
 
-    /// Events evicted from the ring (recorded in counts, absent from
+    /// Events recorded but rotated out of the ring (absent from
     /// [`events`](Self::events)).
     pub fn overflow_events(&self) -> u64 {
         self.overflow
@@ -779,8 +632,8 @@ pub struct ShardTraceEvent {
 }
 
 /// The merged telemetry of a whole run: every shard's retained events in
-/// one deterministic order, totals, the merged drop taxonomy and the
-/// folded metric snapshots.
+/// one deterministic order, the merged drop taxonomy and the folded metric
+/// snapshots.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TelemetryReport {
     /// The per-shard ring capacity the run used.
@@ -789,16 +642,10 @@ pub struct TelemetryReport {
     /// `(virtual time, shard, per-shard seq)` — a pure function of the
     /// per-shard streams, hence byte-identical from run to run.
     pub events: Vec<ShardTraceEvent>,
-    /// Exact per-kind totals summed across shards.
-    pub counts: EventCounts,
-    /// The merged drop taxonomy, sorted by `(policy, cause)`.
+    /// The merged drop taxonomy, sorted by `(policy, cause)`: its refusal
+    /// rows sum to the report's `dropped_pkts`, its push-out rows to its
+    /// `evicted_pkts`.
     pub taxonomy: Vec<DropTaxonomyRow>,
-    /// Total refused packets in the ledger (must equal the report's
-    /// `dropped_pkts`).
-    pub refused_pkts: u64,
-    /// Total evicted packets in the ledger (must equal the report's
-    /// `evicted_pkts`).
-    pub evicted_pkts: u64,
     /// Events evicted from rings across shards.
     pub overflow_events: u64,
     /// Per-epoch metric snapshots folded across shards (counters sum),
@@ -818,7 +665,6 @@ impl TelemetryReport {
         let mut by_epoch: BTreeMap<u64, MetricsRegistry> = BTreeMap::new();
         for (shard, tel) in shards {
             report.ring_capacity = report.ring_capacity.max(tel.ring_capacity());
-            report.counts.absorb(tel.counts());
             ledger.absorb(tel.ledger());
             report.overflow_events += tel.overflow_events();
             for ev in tel.events() {
@@ -838,8 +684,6 @@ impl TelemetryReport {
         }
         report.events.sort_by_key(|e| (e.at, e.shard, e.seq));
         report.taxonomy = ledger.rows();
-        report.refused_pkts = ledger.refused_pkts;
-        report.evicted_pkts = ledger.evicted_pkts;
         report.epoch_metrics = by_epoch.into_iter().collect();
         report
     }
@@ -860,7 +704,6 @@ mod tests {
         for i in 0..5 {
             tel.record_admit(ps(i), FlowId::new(0), 64);
         }
-        assert_eq!(tel.counts().admits, 5);
         assert_eq!(tel.overflow_events(), 2);
         let seqs: Vec<u64> = tel.events().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![2, 3, 4]);
@@ -870,10 +713,11 @@ mod tests {
     fn zero_capacity_ring_keeps_exact_counts() {
         let mut tel = Telemetry::new(TelemetryConfig::with_ring(0));
         tel.record_deliver(ps(1), FlowId::new(1), 100, 7);
+        tel.record_drop(ps(2), "p", DropReason::FlowBytes, FlowId::new(1), 100, 0, 0);
         assert_eq!(tel.events().count(), 0);
-        assert_eq!(tel.counts().deliveries, 1);
-        assert_eq!(tel.counts().delivered_bytes, 100);
-        assert_eq!(tel.overflow_events(), 1);
+        assert_eq!(tel.overflow_events(), 2);
+        let rows = tel.ledger().rows();
+        assert_eq!((rows[0].bucket.count, rows[0].bucket.bytes), (1, 100));
     }
 
     #[test]
@@ -898,11 +742,7 @@ mod tests {
             60,
         );
         tel.record_evict(ps(30), "lqd", FlowId::new(4), 256, 1, 40);
-        let ledger = tel.ledger();
-        assert_eq!(ledger.refused_pkts, 2);
-        assert_eq!(ledger.evicted_pkts, 1);
-        assert_eq!(ledger.total(), 3);
-        let rows = ledger.rows();
+        let rows = tel.ledger().rows();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].policy, "dynamic-threshold");
         assert_eq!(rows[0].cause, DropCause::GlobalReserve);
@@ -911,6 +751,7 @@ mod tests {
         assert_eq!(rows[0].bucket.max_occupancy, 60);
         assert!((rows[0].mean_victim_depth() - 7.0).abs() < 1e-12);
         assert_eq!(rows[1].cause, DropCause::PushOut);
+        assert_eq!(rows[1].bucket.count, 1);
         assert_eq!(rows[1].bucket.bytes, 256);
     }
 
@@ -939,7 +780,6 @@ mod tests {
             .map(|e| (e.at.as_u64(), e.shard))
             .collect();
         assert_eq!(order, vec![(10, 1), (20, 0), (20, 1)]);
-        assert_eq!(merged.counts.admits, 3);
     }
 
     #[test]
@@ -950,22 +790,17 @@ mod tests {
         b.record_evict(ps(6), "p", FlowId::new(1), 64, 3, 4);
         let fwd = TelemetryReport::merge([(0u32, &a), (1u32, &b)]);
         let rev = TelemetryReport::merge([(1u32, &b), (0u32, &a)]);
-        assert_eq!(fwd.taxonomy, rev.taxonomy);
-        assert_eq!(fwd.counts, rev.counts);
-        assert_eq!(fwd.events, rev.events);
+        assert_eq!(fwd, rev);
     }
 
     #[test]
     fn registry_iterates_sorted_by_name() {
         let mut reg = MetricsRegistry::new();
         reg.counter("qm.enqueues", 42);
-        reg.gauge("service.goodput_gbps", 1.5);
+        reg.counter("ptr.qt_reads", 5);
         reg.volatile_counter("host.wall_ns", 7);
         let names: Vec<&str> = reg.iter().map(|(n, _)| n).collect();
-        assert_eq!(
-            names,
-            vec!["host.wall_ns", "qm.enqueues", "service.goodput_gbps"]
-        );
+        assert_eq!(names, vec!["host.wall_ns", "ptr.qt_reads", "qm.enqueues"]);
         assert!(reg.get("host.wall_ns").expect("registered").volatile);
         assert!(!reg.get("qm.enqueues").expect("registered").volatile);
     }
@@ -974,18 +809,15 @@ mod tests {
     fn registry_absorb_sums_counters_and_keeps_volatility() {
         let mut a = MetricsRegistry::new();
         a.counter("qm.enqueues", 10);
-        a.gauge("x", 1.0);
+        a.counter("steals", 1);
         let mut b = MetricsRegistry::new();
         b.counter("qm.enqueues", 5);
         b.volatile_counter("steals", 3);
-        b.gauge("x", 2.0);
         a.absorb(&b);
         assert_eq!(a.counter_value("qm.enqueues"), Some(15));
-        assert!(a.get("steals").expect("absorbed").volatile);
-        match a.get("x").expect("gauge").value {
-            MetricValue::Gauge(v) => assert!((v - 3.0).abs() < 1e-12),
-            MetricValue::Counter(_) => panic!("x is a gauge"),
-        }
+        let steals = a.get("steals").expect("absorbed");
+        assert_eq!((steals.value, steals.volatile), (4, true));
+        assert!(!a.get("qm.enqueues").expect("registered").volatile);
     }
 
     #[test]
@@ -1004,7 +836,7 @@ mod tests {
     }
 
     #[test]
-    fn event_counts_total_and_absorb_cover_every_kind() {
+    fn every_record_call_emits_one_event_of_its_kind() {
         let mut tel = Telemetry::new(TelemetryConfig::default());
         tel.record_admit(ps(1), FlowId::new(0), 10);
         tel.record_drop(
@@ -1020,12 +852,11 @@ mod tests {
         tel.record_deliver(ps(4), FlowId::new(0), 40, 9);
         tel.record_sched_select(ps(5), FlowId::new(0));
         tel.record_epoch(ps(8), 0);
-        assert_eq!(tel.counts().total(), 6);
-        let mut acc = EventCounts::default();
-        acc.absorb(tel.counts());
-        acc.absorb(tel.counts());
-        assert_eq!(acc.total(), 12);
-        assert_eq!(acc.delivered_bytes, 80);
+        let names: Vec<&str> = tel.events().map(|e| e.kind.name()).collect();
+        let kinds = ["admit", "drop", "evict", "deliver", "sched.select", "epoch"];
+        assert_eq!(names, kinds);
+        let seqs: Vec<u64> = tel.events().map(|e| e.seq).collect();
+        assert_eq!(seqs, [0, 1, 2, 3, 4, 5]);
     }
 
     #[test]

@@ -308,4 +308,24 @@
         ],
         digest: 0xe223b612_eee3e202,
     },
+    // Tenant A floods an HTB trunk (11: two leaves at rate 500 of 1000, each
+    // with a ceil of the whole link) with four times tenant B's backlog of
+    // 640-byte packets. Both stay within their rates, so DRR at the default
+    // 1518-byte quantum serves two packets a turn, and B, offering exactly
+    // its guarantee, gets half of the eight packets drained.
+    Script {
+        name: "overloaded_sibling_cannot_starve_a_guarantee",
+        shape: Shape { flows: 2, segments: 200, seg_bytes: 64, freelist: Lifo, shards: 1 },
+        steps: &[
+            EnqueuePacket(0, 640, 0), EnqueuePacket(0, 640, 0), EnqueuePacket(0, 640, 0),
+            EnqueuePacket(0, 640, 0), EnqueuePacket(0, 640, 0), EnqueuePacket(0, 640, 0),
+            EnqueuePacket(0, 640, 0), EnqueuePacket(0, 640, 0), EnqueuePacket(0, 640, 0),
+            EnqueuePacket(0, 640, 0), EnqueuePacket(0, 640, 0), EnqueuePacket(0, 640, 0),
+            EnqueuePacket(0, 640, 0), EnqueuePacket(0, 640, 0), EnqueuePacket(0, 640, 0),
+            EnqueuePacket(0, 640, 0), EnqueuePacket(1, 640, 0), EnqueuePacket(1, 640, 0),
+            EnqueuePacket(1, 640, 0), EnqueuePacket(1, 640, 0), Drain(0, 11), Drain(0, 11),
+            Drain(0, 11), Drain(0, 11), Drain(0, 11), Drain(0, 11), Drain(0, 11), Drain(0, 11),
+        ],
+        digest: 0xffa12282_6dfa6187,
+    },
 ]

@@ -429,13 +429,12 @@ where
     }
 
     if let Some(t) = &mut st.tel {
-        // End-of-run snapshot: the reconciliation basis the bins and
-        // property tests check trace counts against.
+        // End-of-run snapshot of the engine's own counters, which the
+        // bins and property tests reconcile the report against.
         let mut stats = QmStats::default();
         (0..shards).for_each(|s| stats.absorb(scope.qm(s).stats()));
         let mut reg = MetricsRegistry::new();
         reg.record_qm("qm.", &stats);
-        reg.record_event_counts("trace.", t.counts());
         t.set_final_metrics(reg);
     }
     st.finish(ev.now());

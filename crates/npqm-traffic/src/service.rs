@@ -757,13 +757,6 @@ where
                 let mut reg = MetricsRegistry::new();
                 reg.record_qm("qm.", qm.stats());
                 reg.record_ptr("ptr.", &qm.ptr_counters());
-                reg.counter("service.window.offered_pkts", w.offered_pkts);
-                reg.counter("service.window.admitted_pkts", w.admitted_pkts);
-                reg.counter("service.window.dropped_pkts", w.dropped_pkts);
-                reg.counter("service.window.evicted_pkts", w.evicted_pkts);
-                reg.counter("service.window.delivered_pkts", w.delivered_pkts);
-                reg.counter("service.window.delivered_bytes", w.delivered_bytes);
-                reg.gauge("qm.occupied_segments", f64::from(qm.occupied_segments()));
                 tel.snapshot_metrics(e, reg);
             }
             obs(self.shard, &w);
@@ -848,13 +841,11 @@ where
             self.windows.push(w);
         }
         if let Some(tel) = &mut self.st.tel {
-            // End-of-run snapshot: the reconciliation basis the bins and
-            // property tests check trace counts against.
-            let counts = *tel.counts();
+            // End-of-run snapshot of the engine's own counters, which the
+            // bins and property tests reconcile the report against.
             let mut reg = MetricsRegistry::new();
             reg.record_qm("qm.", qm.stats());
             reg.record_ptr("ptr.", &qm.ptr_counters());
-            reg.record_event_counts("trace.", &counts);
             tel.set_final_metrics(reg);
         }
         self.st.finish(self.ev.now());

@@ -10,7 +10,7 @@
 
 use npqm_core::policy::{DynamicThreshold, LongestQueueDrop};
 use npqm_core::sched::from_spec;
-use npqm_core::telemetry::{DropCause, TelemetryConfig};
+use npqm_core::telemetry::{DropCause, EventKind, TelemetryConfig, TelemetryReport};
 use npqm_sim::time::Picos;
 use npqm_traffic::service::{run_service, ServiceConfig, ServiceReport};
 use npqm_traffic::{PipelineBuilder, PipelineConfig};
@@ -48,10 +48,37 @@ fn run(cfg: &ServiceConfig) -> ServiceReport {
     )
 }
 
+/// A ring no test run fills, so the retained events are the whole stream.
+const WHOLE_RUN: usize = 1 << 20;
+
 fn run_traced(cfg: &ServiceConfig) -> ServiceReport {
     let mut cfg = cfg.clone();
-    cfg.telemetry = Some(TelemetryConfig::with_ring(256));
+    cfg.telemetry = Some(TelemetryConfig::with_ring(WHOLE_RUN));
     run(&cfg)
+}
+
+/// The number of `name` events in the trace and the payload bytes they
+/// carry.
+fn tally(tel: &TelemetryReport, name: &str) -> (u64, u64) {
+    let bytes = |kind: &EventKind| match *kind {
+        EventKind::Admit { bytes, .. } | EventKind::Drop { bytes, .. } => bytes,
+        EventKind::Evict { bytes, .. } | EventKind::Deliver { bytes, .. } => bytes,
+        EventKind::SchedSelect { .. } | EventKind::Epoch { .. } => 0,
+    };
+    let events = tel.events.iter().filter(|e| e.kind.name() == name);
+    events.fold((0, 0), |(n, b), e| (n + 1, b + u64::from(bytes(&e.kind))))
+}
+
+/// The taxonomy's refusal and push-out totals.
+fn ledger_split(tel: &TelemetryReport) -> (u64, u64) {
+    let rows = |evicted: bool| {
+        let rows = tel
+            .taxonomy
+            .iter()
+            .filter(|r| r.cause.is_eviction() == evicted);
+        rows.map(|r| r.bucket.count).sum()
+    };
+    (rows(false), rows(true))
 }
 
 proptest! {
@@ -140,11 +167,12 @@ proptest! {
     }
 
     /// Telemetry is an exact account of the run and never steers it:
-    /// enabling it changes no digest, the trace event counts reconcile
-    /// exactly with the report and the engine's own `QmStats` (via the
-    /// final metrics registry), the drop ledger reconciles with the epoch
-    /// windows' drop counts, and the merged telemetry report itself is a
-    /// pure function of the configuration.
+    /// enabling it changes no digest; with a ring that holds the whole
+    /// run, the events of each kind reconcile exactly with the report, and
+    /// their bytes with the engine's own `QmStats` (via the final metrics
+    /// registry); the drop ledger reconciles with the epoch windows' drop
+    /// counts; and the merged telemetry report itself is a pure function
+    /// of the configuration.
     #[test]
     fn telemetry_reconciles_exactly_and_never_perturbs(cfg in small_service_config()) {
         let plain = run(&cfg);
@@ -158,38 +186,35 @@ proptest! {
         let tel = traced.telemetry.as_ref().expect("telemetry enabled");
         let a = &traced.aggregate;
 
-        // Trace counts reconcile exactly with the report...
-        prop_assert_eq!(tel.counts.drops, a.dropped_pkts);
-        prop_assert_eq!(tel.counts.evictions, a.evicted_pkts);
-        prop_assert_eq!(tel.counts.deliveries, a.delivered_pkts);
-        prop_assert_eq!(tel.counts.delivered_bytes, a.delivered_bytes);
-        prop_assert_eq!(tel.counts.admits, a.offered_pkts - a.dropped_pkts);
+        // The events of each kind reconcile exactly with the report...
+        prop_assert_eq!(tel.overflow_events, 0);
+        let (admits, admit_bytes) = tally(tel, "admit");
+        let (drops, drop_bytes) = tally(tel, "drop");
+        prop_assert_eq!(admits, a.offered_pkts - a.dropped_pkts);
+        prop_assert_eq!(drops, a.dropped_pkts);
+        prop_assert_eq!(tally(tel, "evict").0, a.evicted_pkts);
+        prop_assert_eq!(tally(tel, "deliver"), (a.delivered_pkts, a.delivered_bytes));
+        prop_assert_eq!(tally(tel, "sched.select").0, a.delivered_pkts);
         // ...and with the engine's own QmStats, snapshotted into the
         // final metrics registry under qm.* names. bytes_out is exact
         // (every drained byte was a delivered byte); bytes_in may exceed
-        // admit_bytes by the partial chunks of engine-refused packets
-        // (enqueue_packet rolls the segments back but the op-level
-        // counter keeps them), bounded by the refused packets' bytes.
+        // the admitted bytes by the partial chunks of engine-refused
+        // packets (enqueue_packet rolls the segments back but the
+        // op-level counter keeps them), bounded by the refused bytes.
         let fm = &tel.final_metrics;
         let bytes_in = fm.counter_value("qm.bytes_in").expect("qm.* registered");
-        prop_assert!(bytes_in >= tel.counts.admit_bytes);
-        prop_assert!(bytes_in <= tel.counts.admit_bytes + tel.counts.drop_bytes);
-        prop_assert_eq!(fm.counter_value("qm.bytes_out"), Some(tel.counts.delivered_bytes));
-        prop_assert_eq!(fm.counter_value("trace.deliveries"), Some(a.delivered_pkts));
+        prop_assert!(bytes_in >= admit_bytes);
+        prop_assert!(bytes_in <= admit_bytes + drop_bytes);
+        prop_assert_eq!(fm.counter_value("qm.bytes_out"), Some(a.delivered_bytes));
 
         // The drop ledger reconciles with the epoch windows' counts.
         let sum = |f: fn(&npqm_traffic::service::EpochWindow) -> u64| -> u64 {
             traced.windows.iter().map(f).sum()
         };
-        prop_assert_eq!(tel.refused_pkts, sum(|w| w.dropped_pkts));
-        prop_assert_eq!(tel.evicted_pkts, sum(|w| w.evicted_pkts));
-        let taxonomy_total: u64 = tel.taxonomy.iter().map(|r| r.bucket.count).sum();
-        prop_assert_eq!(taxonomy_total, a.dropped_pkts + a.evicted_pkts);
+        let windowed = (sum(|w| w.dropped_pkts), sum(|w| w.evicted_pkts));
+        prop_assert_eq!(ledger_split(tel), windowed);
 
-        // The ring bound holds, exact counts survive any overflow, and
-        // the merged stream is sorted by (time, shard, seq).
-        prop_assert!(tel.events.len() as u64 <= 256 * cfg.shards as u64);
-        prop_assert_eq!(tel.events.len() as u64 + tel.overflow_events, tel.counts.total());
+        // The merged stream is sorted by (time, shard, seq).
         for pair in tel.events.windows(2) {
             let ka = (pair[0].at, pair[0].shard, pair[0].seq);
             let kb = (pair[1].at, pair[1].shard, pair[1].seq);
@@ -206,9 +231,10 @@ proptest! {
 proptest! {
     /// The finite-trace pipeline keeps the same account on every shape —
     /// dense, shard-local sharded, globally admitted: telemetry changes
-    /// no report field, and the trace counts reconcile exactly with the
-    /// report and with the `trace.*` / `qm.*` final metrics every shape
-    /// now records once, after its loop.
+    /// no report field, and with a ring that holds the whole run the
+    /// events of each kind, the drop ledger and the `qm.*` final metrics
+    /// every shape records once, after its loop, reconcile exactly with
+    /// the report.
     #[test]
     fn pipeline_telemetry_reconciles_on_every_shape(
         seed in 0u64..1_000,
@@ -226,7 +252,7 @@ proptest! {
                 }
             };
             let plain = build().run();
-            let traced = build().observe(TelemetryConfig::with_ring(256)).run();
+            let traced = build().observe(TelemetryConfig::with_ring(WHOLE_RUN)).run();
             prop_assert_eq!(
                 format!("{:?}", plain.aggregate),
                 format!("{:?}", traced.aggregate),
@@ -234,28 +260,27 @@ proptest! {
             );
             let tel = traced.telemetry.as_ref().expect("telemetry enabled");
             let a = &traced.aggregate;
-            prop_assert_eq!(tel.counts.drops, a.dropped_pkts, "{}", shape);
-            prop_assert_eq!(tel.counts.evictions, a.evicted_pkts, "{}", shape);
-            prop_assert_eq!(tel.counts.deliveries, a.delivered_pkts, "{}", shape);
-            prop_assert_eq!(tel.counts.delivered_bytes, a.delivered_bytes, "{}", shape);
-            prop_assert_eq!(tel.counts.admits, a.offered_pkts - a.dropped_pkts, "{}", shape);
-            prop_assert_eq!(tel.refused_pkts, a.dropped_pkts, "{}", shape);
-            prop_assert_eq!(tel.evicted_pkts, a.evicted_pkts, "{}", shape);
+            prop_assert_eq!(tel.overflow_events, 0, "{}", shape);
+            let (admits, admit_bytes) = tally(tel, "admit");
+            let (drops, drop_bytes) = tally(tel, "drop");
+            prop_assert_eq!(admits, a.offered_pkts - a.dropped_pkts, "{}", shape);
+            prop_assert_eq!(drops, a.dropped_pkts, "{}", shape);
+            prop_assert_eq!(tally(tel, "evict").0, a.evicted_pkts, "{}", shape);
+            let delivered = (a.delivered_pkts, a.delivered_bytes);
+            prop_assert_eq!(tally(tel, "deliver"), delivered, "{}", shape);
+            prop_assert_eq!(tally(tel, "sched.select").0, a.delivered_pkts, "{}", shape);
+            prop_assert_eq!(ledger_split(tel), (a.dropped_pkts, a.evicted_pkts), "{}", shape);
 
             let fm = &tel.final_metrics;
             let metric = |name: &str| fm.counter_value(name);
-            prop_assert_eq!(metric("trace.admits"), Some(tel.counts.admits), "{}", shape);
-            prop_assert_eq!(metric("trace.drops"), Some(a.dropped_pkts), "{}", shape);
-            prop_assert_eq!(metric("trace.evictions"), Some(a.evicted_pkts), "{}", shape);
-            prop_assert_eq!(metric("trace.deliveries"), Some(a.delivered_pkts), "{}", shape);
             // Every admitted packet left the engine exactly once: through
             // egress (a dequeue, its bytes counted out) or by push-out (a
             // packet delete).
             prop_assert_eq!(metric("qm.bytes_out"), Some(a.delivered_bytes), "{}", shape);
             prop_assert_eq!(metric("qm.pkt_deletes"), Some(a.evicted_pkts), "{}", shape);
             let bytes_in = metric("qm.bytes_in").expect("qm.* registered");
-            prop_assert!(bytes_in >= tel.counts.admit_bytes, "{}", shape);
-            prop_assert!(bytes_in <= tel.counts.admit_bytes + tel.counts.drop_bytes, "{}", shape);
+            prop_assert!(bytes_in >= admit_bytes, "{}", shape);
+            prop_assert!(bytes_in <= admit_bytes + drop_bytes, "{}", shape);
         }
     }
 }
@@ -277,8 +302,6 @@ fn eviction_ledger_attributes_push_outs() {
     let tel = r.telemetry.as_ref().expect("telemetry enabled");
     let a = &r.aggregate;
     assert!(a.evicted_pkts > 0, "LQD under overload must evict");
-    assert_eq!(tel.evicted_pkts, a.evicted_pkts);
-    assert_eq!(tel.counts.evictions, a.evicted_pkts);
     let push_out: Vec<_> = tel
         .taxonomy
         .iter()

@@ -44,12 +44,12 @@ fn main() {
     let tel = traced.telemetry.as_ref().expect("telemetry was enabled");
 
     // 1. The event trace: per-shard rings merged by (virtual time,
-    //    shard, seq) — exact counts survive even where the ring wrapped.
+    //    shard, seq); what a full ring rotated out is counted, not lost.
     println!();
     println!(
         "trace: {} events recorded, {} retained in the rings (capacity {}/shard), \
          {} rotated out",
-        tel.counts.total(),
+        tel.events.len() as u64 + tel.overflow_events,
         tel.events.len(),
         tel.ring_capacity,
         tel.overflow_events,
@@ -65,12 +65,18 @@ fn main() {
     }
 
     // 2. The drop-attribution ledger: who dropped what, why, and how
-    //    full the buffer was at each decision. Totals reconcile exactly
-    //    with the run's own report.
+    //    full the buffer was at each decision. Split by cause, its rows
+    //    reconcile exactly with the run's own report.
     let a = &traced.aggregate;
-    assert_eq!(tel.refused_pkts, a.dropped_pkts);
-    assert_eq!(tel.evicted_pkts, a.evicted_pkts);
-    assert_eq!(tel.counts.deliveries, a.delivered_pkts);
+    let count = |evicted: bool| -> u64 {
+        let rows = tel
+            .taxonomy
+            .iter()
+            .filter(|r| r.cause.is_eviction() == evicted);
+        rows.map(|r| r.bucket.count).sum()
+    };
+    assert_eq!(count(false), a.dropped_pkts);
+    assert_eq!(count(true), a.evicted_pkts);
     println!();
     println!("drop taxonomy (reconciles exactly with the report):");
     println!(
@@ -89,16 +95,19 @@ fn main() {
         );
     }
 
-    // 3. The metrics registry: engine counters, pointer-memory planes
-    //    and trace totals under stable dotted names, snapshotted at each
-    //    epoch boundary and at the end of the run.
+    // 3. The metrics registry: engine counters and pointer-memory planes
+    //    under stable dotted names, snapshotted at each epoch boundary
+    //    and at the end of the run. The engine counted every byte it
+    //    delivered.
     println!();
     println!(
         "metrics: {} per-epoch snapshots, {} names in the final registry",
         tel.epoch_metrics.len(),
         tel.final_metrics.len(),
     );
-    for name in ["qm.enqueues", "qm.bytes_in", "qm.bytes_out", "trace.drops"] {
+    let bytes_out = tel.final_metrics.counter_value("qm.bytes_out");
+    assert_eq!(bytes_out, Some(a.delivered_bytes));
+    for name in ["qm.enqueues", "qm.bytes_in", "qm.bytes_out", "ptr.qt_reads"] {
         println!(
             "  {name:<18} = {}",
             tel.final_metrics.counter_value(name).expect("registered"),
