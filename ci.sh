@@ -140,11 +140,12 @@ structure() {
         echo "${hits}" >&2
         exit 1
     fi
-    echo "==> structure: one push-out loop in npqm-core + npqm-traffic"
-    hits="$(grep -rn 'evicted\.push(' crates/npqm-core/src crates/npqm-traffic/src \
+    echo "==> structure: one push-out loop in npqm-core + npqm-traffic, into a lent buffer"
+    hits="$(grep -rnE '(victims|evicted)\.push\(' crates/npqm-core/src crates/npqm-traffic/src \
         | grep -v '^crates/npqm-core/src/model\.rs:' || true)"
-    if [[ "$(grep -c . <<<"${hits}")" != 1 || "${hits}" != crates/npqm-core/src/policy.rs:* ]]; then
-        echo "structure FAILED: expected one hit, inside policy::push_out; got:" >&2
+    if [[ "$(grep -c . <<<"${hits}")" != 1 || "${hits}" != crates/npqm-core/src/policy.rs:*victims.push\(* ]]; then
+        echo "structure FAILED: expected one push, of the lent victims buffer inside" \
+            "policy::push_out; got:" >&2
         echo "${hits}" >&2
         exit 1
     fi
@@ -153,6 +154,18 @@ structure() {
     if [[ -n "${hits}" ]]; then
         echo "structure FAILED: the global-LQD side abstractions are back:" >&2
         echo "${hits}" >&2
+        exit 1
+    fi
+    echo "==> structure: the closed loop's event heap holds completions only"
+    local sig
+    sig="$(sed -n '/fn start_service</,/) -> bool {/p' crates/npqm-traffic/src/pipeline.rs)"
+    hits="$(grep -nE 'enum Ev\b|Ev::Arrival' crates/npqm-traffic/src/pipeline.rs || true)"
+    if [[ -n "${hits}" || -z "${sig}" ]] || grep -qE 'fn start_service<[^>]*,|mk_txdone|FnOnce' <<<"${sig}" \
+        || ! grep -q 'EventQueue<TxDone>' <<<"${sig}"; then
+        echo "structure FAILED: arrivals are back on the heap (enum Ev / Ev::Arrival), or" \
+            "start_service takes an event type other than TxDone; got:" >&2
+        echo "${hits}" >&2
+        echo "${sig}" >&2
         exit 1
     fi
     echo "==> structure: each engine step of manager.rs is written once"

@@ -20,7 +20,7 @@
 //! * **[`PushOutLargestWork`]** / **[`WorkSizeBalance`]** — the
 //!   work-aware push-out disciplines of Kogan et al., driven by the
 //!   packets' required-processing-work dimension through
-//!   [`DropPolicy::offer_work`] (the competitive-analysis arena in
+//!   [`DropPolicy::offer_into`]'s `work` (the competitive-analysis arena in
 //!   [`crate::arena`] measures all of these against an offline bound);
 //! * **[`GlobalLqd`]** — Longest Queue Drop over *all* shards of a
 //!   [`ShardedQueueManager`]: one segment budget, the victim the longest
@@ -32,9 +32,11 @@
 //! arithmetic, the eviction, the victim list and the enqueue — is one
 //! private function, `push_out`, written over a *slice* of engines so
 //! that one [`QueueManager`] and the shared-buffer composite are the same
-//! case. A policy keeps no tally of its own: its answer to each offer is
-//! the [`Admission`] or [`Refusal`] it returns, and the loops that drive
-//! it count from those.
+//! case. Each policy is written once, in the lending form
+//! [`DropPolicy::offer_into`] (and [`GlobalLqd::offer_into`]), whose
+//! victims go into a buffer the caller reuses; `offer` / `offer_work`
+//! wrap it into an owned [`Admission`] or [`Refusal`]. A policy keeps no
+//! tally of its own: the loops that drive it count from its answers.
 //!
 //! Policies compose with (rather than modify) the engine, exactly like
 //! the tail-drop policer in [`crate::limits`]: they read occupancy
@@ -91,41 +93,53 @@ impl From<DropReason> for Refusal {
 /// A buffer-management policy deciding the fate of each arriving packet.
 ///
 /// Implementations either enqueue the packet on `flow` (possibly evicting
-/// queued packets first) or refuse it with a [`Refusal`]. An
-/// implementation must never leave a partially-enqueued packet behind:
-/// [`QueueManager::enqueue_packet`] already rolls back on mid-packet
-/// exhaustion.
+/// queued packets first) or refuse it. An implementation must never leave
+/// a partially-enqueued packet behind: [`QueueManager::enqueue_packet`]
+/// already rolls back on mid-packet exhaustion.
 pub trait DropPolicy {
     /// A short stable name for reports ("tail-drop", "lqd", ...).
     fn name(&self) -> &str;
 
-    /// Offers one whole packet for admission on `flow`.
+    /// Offers one whole packet of `work` (see
+    /// [`PktRecord::work`](crate::ptrmem::PktRecord::work), stamped on
+    /// admission) on `flow`, appending each head packet pushed out for it
+    /// to the caller's `victims` as `(victim flow, payload bytes)`. Only
+    /// [`PushOutLargestWork`] and [`WorkSizeBalance`] let `work` choose.
     ///
     /// # Errors
     ///
-    /// The [`Refusal`] that applied; the arriving packet is NOT queued in
-    /// that case. Push-out policies report any packets they evicted
-    /// before hitting the refusal in [`Refusal::evicted`].
+    /// The [`DropReason`] that applied; the arriving packet is NOT queued
+    /// in that case. A push-out policy may have evicted packets before
+    /// hitting the refusal: they are in `victims` either way.
+    fn offer_into(
+        &mut self,
+        qm: &mut QueueManager,
+        flow: FlowId,
+        packet: &[u8],
+        work: u32,
+        victims: &mut Vec<(FlowId, u32)>,
+    ) -> Result<(), DropReason>;
+
+    /// [`offer_work`](DropPolicy::offer_work) with zero work.
+    ///
+    /// # Errors
+    ///
+    /// As [`DropPolicy::offer_work`].
     fn offer(
         &mut self,
         qm: &mut QueueManager,
         flow: FlowId,
         packet: &[u8],
-    ) -> Result<Admission, Refusal>;
+    ) -> Result<Admission, Refusal> {
+        self.offer_work(qm, flow, packet, 0)
+    }
 
-    /// Offers one whole packet carrying a required-processing-`work`
-    /// dimension (see [`PktRecord::work`](crate::ptrmem::PktRecord::work)).
-    ///
-    /// The default implementation makes every policy *work-oblivious*:
-    /// it decides via [`DropPolicy::offer`] and, on admission, stamps
-    /// `work` onto the packet so downstream service models still charge
-    /// it. Work-*aware* policies ([`PushOutLargestWork`],
-    /// [`WorkSizeBalance`]) override this and let `work` drive the
-    /// eviction choice itself.
+    /// [`offer_into`](DropPolicy::offer_into) into a fresh victim list.
     ///
     /// # Errors
     ///
-    /// As [`DropPolicy::offer`].
+    /// The [`Refusal`] that applied, with any packets pushed out before
+    /// it in [`Refusal::evicted`].
     fn offer_work(
         &mut self,
         qm: &mut QueueManager,
@@ -133,9 +147,19 @@ pub trait DropPolicy {
         packet: &[u8],
         work: u32,
     ) -> Result<Admission, Refusal> {
-        let admission = self.offer(qm, flow, packet)?;
-        stamp_work(qm, flow, work);
-        Ok(admission)
+        owned(|victims| self.offer_into(qm, flow, packet, work, victims))
+    }
+}
+
+/// Runs a lending offer into a fresh victim list and hands the list back
+/// inside the owning outcome.
+fn owned(
+    offer: impl FnOnce(&mut Vec<(FlowId, u32)>) -> Result<(), DropReason>,
+) -> Result<Admission, Refusal> {
+    let mut evicted = Vec::new();
+    match offer(&mut evicted) {
+        Ok(()) => Ok(Admission { evicted }),
+        Err(reason) => Err(Refusal { reason, evicted }),
     }
 }
 
@@ -154,23 +178,15 @@ impl<P: DropPolicy + ?Sized> DropPolicy for Box<P> {
         (**self).name()
     }
 
-    fn offer(
-        &mut self,
-        qm: &mut QueueManager,
-        flow: FlowId,
-        packet: &[u8],
-    ) -> Result<Admission, Refusal> {
-        (**self).offer(qm, flow, packet)
-    }
-
-    fn offer_work(
+    fn offer_into(
         &mut self,
         qm: &mut QueueManager,
         flow: FlowId,
         packet: &[u8],
         work: u32,
-    ) -> Result<Admission, Refusal> {
-        (**self).offer_work(qm, flow, packet, work)
+        victims: &mut Vec<(FlowId, u32)>,
+    ) -> Result<(), DropReason> {
+        (**self).offer_into(qm, flow, packet, work, victims)
     }
 }
 
@@ -181,30 +197,33 @@ impl DropPolicy for BufferManager {
         "tail-drop"
     }
 
-    fn offer(
+    fn offer_into(
         &mut self,
         qm: &mut QueueManager,
         flow: FlowId,
         packet: &[u8],
-    ) -> Result<Admission, Refusal> {
-        self.try_enqueue(qm, flow, packet)
-            .map(|()| Admission::default())
-            .map_err(Refusal::from)
+        work: u32,
+        _victims: &mut Vec<(FlowId, u32)>,
+    ) -> Result<(), DropReason> {
+        self.try_enqueue(qm, flow, packet)?;
+        stamp_work(qm, flow, work);
+        Ok(())
     }
 }
 
 /// Push-out admission, the one loop behind [`LongestQueueDrop`],
 /// [`PushOutLargestWork`], [`WorkSizeBalance`] and [`GlobalLqd`]: make
 /// room for `packet` within `budget` segments by evicting the head
-/// packets `victim` names, then enqueue it on `flow`'s engine,
-/// `shards[home]`.
+/// packets `victim` names into `victims`, then enqueue it on `flow`'s
+/// engine, `shards[home]`, and stamp its `work`.
 ///
 /// `shards` are the engines that share the budget — one
 /// [`QueueManager`] with `budget` its own segment count, or every shard
 /// of a [`ShardedQueueManager`] — and `reserve` segments of the budget
 /// stay free. `victim` returns the `(shard, flow)` whose head packet
-/// pays next, or `None` when nobody may: the arrival is then refused and
-/// the refusal carries what was already pushed out.
+/// pays next, or `None` when nobody may: the arrival is then refused,
+/// and what was already pushed out stays in `victims`.
+#[allow(clippy::too_many_arguments)]
 fn push_out(
     shards: &mut [QueueManager],
     home: usize,
@@ -212,15 +231,17 @@ fn push_out(
     reserve: u32,
     flow: FlowId,
     packet: &[u8],
+    work: u32,
+    victims: &mut Vec<(FlowId, u32)>,
     mut victim: impl FnMut(&mut [QueueManager]) -> Option<(usize, FlowId)>,
-) -> Result<Admission, Refusal> {
+) -> Result<(), DropReason> {
     let seg_bytes = shards[home].config().segment_bytes() as usize;
     // In u64: a reserve near `u32::MAX` must refuse, not wrap.
     let claim = packet.len().div_ceil(seg_bytes) as u64 + u64::from(reserve);
     // An arrival that could not fit even an empty buffer is refused
     // outright — evicting for it would be pure loss.
     if claim > u64::from(budget) {
-        return Err(Refusal::from(DropReason::GlobalReserve));
+        return Err(DropReason::GlobalReserve);
     }
     // So would evicting for an arrival the engine refuses however much
     // space it finds (no payload, flow out of range, the flow's tail
@@ -233,26 +254,18 @@ fn push_out(
             || flow.index() >= qm.config().num_flows()
             || qm.queue_len_packets(flow) != qm.complete_packets(flow)
     };
-    let mut evicted = Vec::new();
     while used_segments(shards) + claim > u64::from(budget) && !doomed(&shards[home]) {
-        let Some((shard, loser)) = victim(shards) else {
-            return Err(Refusal {
-                reason: DropReason::GlobalReserve,
-                evicted,
-            });
-        };
+        let (shard, loser) = victim(shards).ok_or(DropReason::GlobalReserve)?;
         let (_segs, bytes) = shards[shard]
             .delete_packet(loser)
             .expect("victim has an evictable head packet");
-        evicted.push((loser, bytes));
+        victims.push((loser, bytes));
     }
-    match shards[home].enqueue_packet(flow, packet) {
-        Ok(()) => Ok(Admission { evicted }),
-        Err(e) => Err(Refusal {
-            reason: DropReason::Engine(e),
-            evicted,
-        }),
-    }
+    shards[home]
+        .enqueue_packet(flow, packet)
+        .map_err(DropReason::Engine)?;
+    stamp_work(&mut shards[home], flow, work);
+    Ok(())
 }
 
 /// Segments linked into queues, summed over the engines of one budget.
@@ -318,12 +331,14 @@ impl DropPolicy for LongestQueueDrop {
         "lqd"
     }
 
-    fn offer(
+    fn offer_into(
         &mut self,
         qm: &mut QueueManager,
         flow: FlowId,
         packet: &[u8],
-    ) -> Result<Admission, Refusal> {
+        work: u32,
+        victims: &mut Vec<(FlowId, u32)>,
+    ) -> Result<(), DropReason> {
         // Push out of the longest evictable queue until the arrival
         // fits. If nothing evictable remains (the remaining occupancy is
         // all mid-SAR open packets), the arrival is dropped.
@@ -335,6 +350,8 @@ impl DropPolicy for LongestQueueDrop {
             self.reserve_segments,
             flow,
             packet,
+            work,
+            victims,
             |qm| longest_evictable(&mut qm[0]).map(|v| (0, v)),
         )
     }
@@ -460,8 +477,7 @@ impl GlobalLqd {
         self.budget_segments
     }
 
-    /// Offers one whole packet for admission on `flow`'s home shard,
-    /// with eviction decisions drawn from the entire engine.
+    /// [`offer_into`](GlobalLqd::offer_into) into a fresh victim list.
     ///
     /// # Errors
     ///
@@ -473,6 +489,24 @@ impl GlobalLqd {
         flow: FlowId,
         packet: &[u8],
     ) -> Result<Admission, Refusal> {
+        owned(|victims| self.offer_into(engine, flow, packet, victims))
+    }
+
+    /// Offers one whole packet for admission on `flow`'s home shard,
+    /// with eviction decisions drawn from the entire engine, appending
+    /// the victims — which may belong to *any* shard — to `victims`.
+    ///
+    /// # Errors
+    ///
+    /// The [`DropReason`] that applied; packets pushed out before it are
+    /// in `victims` either way.
+    pub fn offer_into(
+        &mut self,
+        engine: &mut ShardedQueueManager,
+        flow: FlowId,
+        packet: &[u8],
+        victims: &mut Vec<(FlowId, u32)>,
+    ) -> Result<(), DropReason> {
         let home = engine.shard_of(flow);
         push_out(
             &mut engine.shards,
@@ -481,6 +515,8 @@ impl GlobalLqd {
             self.reserve_segments,
             flow,
             packet,
+            0,
+            victims,
             |shards| {
                 let mut best: Option<(u64, usize, FlowId)> = None;
                 for (s, qm) in shards.iter_mut().enumerate() {
@@ -582,40 +618,32 @@ impl DropPolicy for PushOutLargestWork {
         "po-work"
     }
 
-    fn offer(
-        &mut self,
-        qm: &mut QueueManager,
-        flow: FlowId,
-        packet: &[u8],
-    ) -> Result<Admission, Refusal> {
-        self.offer_work(qm, flow, packet, 0)
-    }
-
-    fn offer_work(
+    fn offer_into(
         &mut self,
         qm: &mut QueueManager,
         flow: FlowId,
         packet: &[u8],
         work: u32,
-    ) -> Result<Admission, Refusal> {
+        victims: &mut Vec<(FlowId, u32)>,
+    ) -> Result<(), DropReason> {
         let budget = qm.config().num_segments();
         // Only a strictly more expensive incumbent pays; otherwise the
         // arrival is the costliest packet and is refused itself.
-        let admitted = push_out(
+        push_out(
             std::slice::from_mut(qm),
             0,
             budget,
             self.reserve_segments,
             flow,
             packet,
+            work,
+            victims,
             |qm| {
                 costliest_evictable(&qm[0])
                     .filter(|&v| qm[0].head_work(v).unwrap_or(0) > work)
                     .map(|v| (0, v))
             },
-        )?;
-        stamp_work(qm, flow, work);
-        Ok(admitted)
+        )
     }
 }
 
@@ -647,43 +675,35 @@ impl DropPolicy for WorkSizeBalance {
         "work-balance"
     }
 
-    fn offer(
-        &mut self,
-        qm: &mut QueueManager,
-        flow: FlowId,
-        packet: &[u8],
-    ) -> Result<Admission, Refusal> {
-        self.offer_work(qm, flow, packet, 0)
-    }
-
-    fn offer_work(
+    fn offer_into(
         &mut self,
         qm: &mut QueueManager,
         flow: FlowId,
         packet: &[u8],
         work: u32,
-    ) -> Result<Admission, Refusal> {
+        victims: &mut Vec<(FlowId, u32)>,
+    ) -> Result<(), DropReason> {
         let budget = qm.config().num_segments();
         let arrival_work = u64::from(work);
         let arrival_bytes = (packet.len() as u64).max(1);
         // Evict only a strictly denser incumbent (cross-multiplied,
         // exact): ties keep the incumbent.
-        let admitted = push_out(
+        push_out(
             std::slice::from_mut(qm),
             0,
             budget,
             self.reserve_segments,
             flow,
             packet,
+            work,
+            victims,
             |qm| {
                 let v = densest_evictable(&qm[0])?;
                 let v_work = u64::from(qm[0].head_work(v).unwrap_or(0));
                 let v_bytes = qm[0].head_packet_bytes(v).unwrap_or(1).max(1);
                 (v_work * arrival_bytes > arrival_work * v_bytes).then_some((0, v))
             },
-        )?;
-        stamp_work(qm, flow, work);
-        Ok(admitted)
+        )
     }
 }
 
@@ -728,19 +748,21 @@ impl DropPolicy for DynamicThreshold {
         "dyn-threshold"
     }
 
-    fn offer(
+    fn offer_into(
         &mut self,
         qm: &mut QueueManager,
         flow: FlowId,
         packet: &[u8],
-    ) -> Result<Admission, Refusal> {
+        work: u32,
+        _victims: &mut Vec<(FlowId, u32)>,
+    ) -> Result<(), DropReason> {
         if (qm.queue_len_bytes(flow) + packet.len() as u64) as f64 > self.threshold_bytes(qm) {
-            return Err(Refusal::from(DropReason::FlowBytes));
+            return Err(DropReason::FlowBytes);
         }
-        match qm.enqueue_packet(flow, packet) {
-            Ok(()) => Ok(Admission::default()),
-            Err(e) => Err(Refusal::from(DropReason::Engine(e))),
-        }
+        qm.enqueue_packet(flow, packet)
+            .map_err(DropReason::Engine)?;
+        stamp_work(qm, flow, work);
+        Ok(())
     }
 }
 
@@ -1082,6 +1104,20 @@ mod tests {
             wb.offer_work(&mut qm, FlowId::new(0), &[0u8; 200], 1),
             Err(Refusal::from(DropReason::GlobalReserve))
         );
+    }
+
+    #[test]
+    fn offer_into_appends_its_victims_to_the_lent_buffer() {
+        // What the buffer held before the call stays in front.
+        let mut qm = engine(2);
+        let mut lqd = LongestQueueDrop::new(0);
+        let mut victims = vec![(FlowId::new(3), 7)];
+        for f in [0, 0, 1] {
+            lqd.offer_into(&mut qm, FlowId::new(f), &[0u8; 64], 0, &mut victims)
+                .unwrap();
+        }
+        assert_eq!(victims, [(FlowId::new(3), 7), (FlowId::new(0), 64)]);
+        qm.verify().unwrap();
     }
 
     #[test]

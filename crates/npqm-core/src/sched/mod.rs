@@ -213,15 +213,14 @@ impl DrrCore {
                         self.deficit[idx] = 0; // empty queue forfeits deficit
                     }
                     self.active = None;
-                    self.cursor = (idx + 1) % n;
+                    self.cursor = if idx + 1 == n { 0 } else { idx + 1 };
                 }
             }
         }
         // Visit slots round-robin, granting each backlogged one its
         // quantum, until one can afford its head packet.
         let mut any_backlog = false;
-        for i in 0..n {
-            let idx = (self.cursor + i) % n;
+        for idx in visit_order(self.cursor, n) {
             let Some(h) = head(idx) else {
                 continue;
             };
@@ -246,18 +245,15 @@ impl DrrCore {
     /// only the slots visited before the winner were granted.
     #[cold]
     fn skip_rounds(&mut self, head: impl Fn(usize) -> Option<u64>) -> Option<usize> {
-        let n = self.quanta.len();
-        let order = |i: usize| (self.cursor + i) % n;
-        let need = |i: usize| {
-            let idx = order(i);
-            Some((head(idx)? - self.deficit[idx]).div_ceil(self.quanta[idx] as u64))
-        };
-        let (rounds, at) = (0..n).filter_map(|i| Some((need(i)?, i))).min()?;
-        for i in (0..n).filter(|&i| head(order(i)).is_some()) {
-            let idx = order(i);
+        let order = visit_order(self.cursor, self.quanta.len()).enumerate();
+        let need =
+            |idx: usize| Some((head(idx)? - self.deficit[idx]).div_ceil(self.quanta[idx] as u64));
+        let (rounds, at, winner) = (order.clone())
+            .filter_map(|(i, idx)| Some((need(idx)?, i, idx)))
+            .min()?;
+        for (i, idx) in order.filter(|&(_, idx)| head(idx).is_some()) {
             self.deficit[idx] += self.quanta[idx] as u64 * (rounds - u64::from(i > at));
         }
-        let winner = order(at);
         self.active = Some(winner);
         self.cursor = winner;
         Some(winner)
@@ -266,6 +262,12 @@ impl DrrCore {
     pub(crate) fn served(&mut self, slot: usize, bytes: usize) {
         self.deficit[slot] = self.deficit[slot].saturating_sub(bytes as u64);
     }
+}
+
+/// The `n` slots once round from `cursor`: `(cursor + i) % n` for `i` in
+/// `0..n`, with no division per slot.
+fn visit_order(cursor: usize, n: usize) -> impl Iterator<Item = usize> + Clone {
+    (cursor..n).chain(0..cursor)
 }
 
 /// Deficit round robin (Shreedhar & Varghese): byte-accurate fairness with

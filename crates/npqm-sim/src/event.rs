@@ -82,17 +82,44 @@ impl<T> EventQueue<T> {
     /// silently corrupt causality in a model).
     pub fn schedule(&mut self, at: Picos, payload: T) {
         assert!(at >= self.now, "cannot schedule into the past");
-        self.heap.push(Scheduled {
-            at,
-            seq: self.next_seq,
-            payload,
-        });
-        self.next_seq += 1;
+        let seq = self.ticket();
+        self.heap.push(Scheduled { at, seq, payload });
     }
 
     /// Schedules `payload` at `delay` after the current time.
     pub fn schedule_in(&mut self, delay: Picos, payload: T) {
         self.schedule(self.now + delay, payload);
+    }
+
+    /// Takes the next sequence ticket without queueing anything, for an
+    /// event the caller holds outside the queue (a loop's next arrival):
+    /// the event then orders against queued ones exactly as if it had
+    /// been [`schedule`](EventQueue::schedule)d here. See
+    /// [`precedes`](EventQueue::precedes).
+    pub fn ticket(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Whether a held event at `at` with `ticket` goes before the queue's
+    /// earliest event: earlier time, or the same time and an earlier
+    /// ticket. `true` on an empty queue.
+    ///
+    /// ```
+    /// use npqm_sim::event::EventQueue;
+    /// use npqm_sim::time::Picos;
+    ///
+    /// let mut q = EventQueue::new();
+    /// let held = q.ticket();
+    /// q.schedule(Picos::from_nanos(8), "tx-done");
+    /// assert!(q.precedes(Picos::from_nanos(8), held));
+    /// assert!(!q.precedes(Picos::from_nanos(9), held));
+    /// ```
+    pub fn precedes(&self, at: Picos, ticket: u64) -> bool {
+        self.heap
+            .peek()
+            .is_none_or(|head| (at, ticket) < (head.at, head.seq))
     }
 
     /// Removes and returns the earliest event, advancing the clock to it.
@@ -171,6 +198,26 @@ mod tests {
         }
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
         assert_eq!(order, (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn held_and_queued_events_at_one_instant_go_in_ticket_order() {
+        let t = Picos::from_nanos(5);
+        // Queued first: the held event, ticketed after it, goes second.
+        let mut q = EventQueue::new();
+        q.schedule(t, "queued");
+        let held = q.ticket();
+        assert!(!q.precedes(t, held));
+        assert_eq!(q.pop(), Some((t, "queued")));
+        assert!(q.precedes(t, held));
+        // Held first: its earlier ticket wins the tie.
+        let mut q = EventQueue::new();
+        let held = q.ticket();
+        q.schedule(t, "queued");
+        assert!(q.precedes(t, held));
+        assert!(!q.precedes(Picos::from_nanos(6), held));
+        // Tickets and schedules share one counter.
+        assert_eq!(q.ticket(), 2);
     }
 
     #[test]

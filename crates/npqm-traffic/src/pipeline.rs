@@ -7,11 +7,14 @@
 //! ([`npqm_core::QueueManager`]), buffer-management policies
 //! ([`npqm_core::policy::DropPolicy`]) and egress schedulers
 //! ([`npqm_core::sched::FlowScheduler`]). This module wires them into one
-//! discrete-event loop on the [`npqm_sim::EventQueue`]: a packet source
-//! offers traffic to a pluggable drop policy, admitted packets queue per
-//! flow, and a single egress server drains them through a scheduler at a
-//! configurable line rate — so buffer-management policies can finally be
-//! *exercised and measured* instead of only unit-tested.
+//! discrete-event loop: a packet source offers traffic to a pluggable
+//! drop policy, admitted packets queue per flow, and a single egress
+//! server drains them through a scheduler at a configurable line rate —
+//! so buffer-management policies can finally be *exercised and measured*
+//! instead of only unit-tested. Only egress completions go on the
+//! [`npqm_sim::EventQueue`]; the next arrival waits beside it with the
+//! sequence ticket that orders it against them, and push-out victims go
+//! into one buffer the loop lends to every offer.
 //!
 //! The loop keeps a per-flow ledger with one slot — enqueue time, length
 //! and a marker byte stamped into the frame — for every packet in the
@@ -25,8 +28,8 @@
 //! — is built through [`PipelineBuilder`] and runs the one event loop in
 //! this module; the shapes differ only in arrival source and admission
 //! scope. (The streaming service's lane merge in [`crate::service`] is
-//! the other loop, kept apart because it is the faster form; each pins
-//! its own tie rule.) Egress is a fixed line rate; what the *memory*
+//! the other loop. Neither queues arrivals; they stay apart because each
+//! pins its own tie rule.) Egress is a fixed line rate; what the *memory*
 //! organisation sustains is [`crate::scale::run_memory_scale`]'s
 //! question, not a loop's.
 //!
@@ -51,10 +54,8 @@ use crate::builder::PipelineBuilder;
 use crate::flows::FlowMix;
 use crate::service::{arrival_stream, ArrivalEvent, LoopState};
 use crate::size::SizeDistribution;
-use npqm_core::limits::{BufferManager, FlowLimits};
-use npqm_core::policy::{
-    Admission, DropPolicy, DynamicThreshold, GlobalLqd, LongestQueueDrop, Refusal,
-};
+use npqm_core::limits::{BufferManager, DropReason, FlowLimits};
+use npqm_core::policy::{DropPolicy, DynamicThreshold, GlobalLqd, LongestQueueDrop};
 use npqm_core::sched::FlowScheduler;
 use npqm_core::shard::ShardedQueueManager;
 use npqm_core::telemetry::{MetricsRegistry, Telemetry, TelemetryConfig, TelemetryReport};
@@ -241,14 +242,6 @@ pub(crate) struct TxDone {
     pub(crate) enqueued_at: Picos,
 }
 
-/// Events of the closed loop: a packet arrives, or one of the egress
-/// servers (one per shard in scope) finishes transmitting a packet.
-#[derive(Debug, Clone)]
-enum Ev {
-    Arrival(ArrivalEvent),
-    TxDone(TxDone),
-}
-
 /// One buffered packet's ledger slot: when it was admitted, how long it
 /// is, and the marker byte stamped into its first payload byte.
 #[derive(Debug, Clone, Copy)]
@@ -259,9 +252,16 @@ pub(crate) struct Slot {
 }
 
 /// The transmit time of `len` bytes at `gbps` Gbit/s (1 Gbit/s ≡ 1
-/// bit/ns), never zero.
+/// bit/ns), never zero: the picosecond count rounded half away from
+/// zero, bit for bit `f64::round`'s answer without its out-of-line libm
+/// call. The cast truncates (and saturates) as `round() as u64` does,
+/// and the fraction `ps - whole` is exact (Sterbenz: `whole <= ps <= 2 *
+/// whole` once `ps >= 1`; below 1 `whole` is 0).
 fn tx_time(gbps: f64, len: usize) -> Picos {
-    Picos::new(((len as f64 * 8.0 * 1000.0 / gbps).round() as u64).max(1))
+    let ps = len as f64 * 8.0 * 1000.0 / gbps;
+    let whole = ps as u64;
+    let up = ps - whole as f64 >= 0.5;
+    Picos::new(whole.saturating_add(u64::from(up)).max(1))
 }
 
 /// The scope admission decisions are taken over — one of the two things
@@ -279,8 +279,14 @@ pub(crate) trait AdmissionScope {
     /// The deciding policy's report name.
     fn policy_name(&self) -> &str;
 
-    /// Offers one packet; victims may live on any shard in scope.
-    fn offer(&mut self, flow: FlowId, packet: &[u8]) -> Result<Admission, Refusal>;
+    /// Offers one packet, appending its victims, which may live on any
+    /// shard in scope, to the lent `victims`.
+    fn offer(
+        &mut self,
+        flow: FlowId,
+        packet: &[u8],
+        victims: &mut Vec<(FlowId, u32)>,
+    ) -> Result<(), DropReason>;
 
     /// `flow`'s queue depth and the occupancy of the whole scope, in
     /// segments — what telemetry attributes a drop or push-out to.
@@ -308,8 +314,13 @@ impl<P: DropPolicy + ?Sized> AdmissionScope for ShardLocal<'_, P> {
         self.policy.name()
     }
 
-    fn offer(&mut self, flow: FlowId, packet: &[u8]) -> Result<Admission, Refusal> {
-        self.policy.offer(self.qm, flow, packet)
+    fn offer(
+        &mut self,
+        flow: FlowId,
+        packet: &[u8],
+        victims: &mut Vec<(FlowId, u32)>,
+    ) -> Result<(), DropReason> {
+        self.policy.offer_into(self.qm, flow, packet, 0, victims)
     }
 
     fn depth_and_occupancy(&self, flow: FlowId) -> (u32, u32) {
@@ -342,8 +353,13 @@ impl AdmissionScope for SharedBuffer<'_> {
         "global-lqd"
     }
 
-    fn offer(&mut self, flow: FlowId, packet: &[u8]) -> Result<Admission, Refusal> {
-        self.policy.offer(self.engine, flow, packet)
+    fn offer(
+        &mut self,
+        flow: FlowId,
+        packet: &[u8],
+        victims: &mut Vec<(FlowId, u32)>,
+    ) -> Result<(), DropReason> {
+        self.policy.offer_into(self.engine, flow, packet, victims)
     }
 
     fn depth_and_occupancy(&self, flow: FlowId) -> (u32, u32) {
@@ -365,10 +381,14 @@ impl AdmissionScope for SharedBuffer<'_> {
 ///
 /// Runs until the arrivals are exhausted and every backlog has drained,
 /// so per shard `offered == delivered + dropped + evicted` at return.
-/// Event order is part of the contract (`bench/expected.json`'s digests
-/// and the tier-1 tie test pin it): time ties break in scheduling (FIFO)
-/// order, and an arrival schedules its successor *before* it starts a
-/// service.
+/// Only transmit-done events go on the [`EventQueue`]. The next arrival
+/// waits outside it with the sequence ticket its scheduling would have
+/// drawn ([`EventQueue::ticket`]), taken when its predecessor is applied,
+/// and is applied first exactly when it [`precedes`](EventQueue::precedes)
+/// the queue's head. Event order is part of the contract
+/// (`bench/expected.json`'s digests and the tier-1 tie test pin it): time
+/// ties break in scheduling (FIFO) order, and an arrival schedules its
+/// successor *before* it starts a service.
 ///
 /// Returns one report per shard (`makespan` is the instance's own last
 /// event) and the instance's telemetry recorder, final `qm.*` /
@@ -385,7 +405,7 @@ where
     S: FlowScheduler,
 {
     let shards = scheds.len();
-    let mut ev: EventQueue<Ev> = EventQueue::new();
+    let mut ev: EventQueue<TxDone> = EventQueue::new();
     let mut st = LoopState::new(
         shards,
         cfg.mix.flows(),
@@ -394,24 +414,23 @@ where
     );
     let mut server_busy = vec![false; shards];
 
-    if let Some(first) = arrivals.next() {
-        ev.schedule(first.at, Ev::Arrival(first));
-    }
-
-    while let Some((now, event)) = ev.pop() {
-        let shard = match event {
-            Ev::Arrival(a) => {
+    let mut next = arrivals.next().map(|a| (a, ev.ticket()));
+    loop {
+        let shard = match next {
+            Some((a, ticket)) if ev.precedes(a.at, ticket) => {
+                ev.advance_to(a.at);
                 st.arrival(scope, a);
-                if let Some(next) = arrivals.next() {
-                    ev.schedule(next.at, Ev::Arrival(next));
-                }
+                next = arrivals.next().map(|a| (a, ev.ticket()));
                 let shard = scope.shard_of(a.flow);
                 if server_busy[shard] {
                     continue;
                 }
                 shard
             }
-            Ev::TxDone(tx) => {
+            _ => {
+                let Some((now, tx)) = ev.pop() else {
+                    break;
+                };
                 let shard = scope.shard_of(tx.flow);
                 st.delivery(now, shard, tx);
                 shard
@@ -424,7 +443,6 @@ where
             shard,
             &mut ev,
             gbps,
-            Ev::TxDone,
         );
     }
 
@@ -445,18 +463,16 @@ where
 /// its head packet into the loop's frame buffer (lent to the engine, so a
 /// delivery allocates nothing), verifies it against the ledger (length
 /// and marker byte, a mismatch charged to `shard`'s report) and schedules
-/// a transmit-done event (built by `mk_txdone`) after its transmit time
-/// at `gbps` Gbit/s. Returns whether the server is now busy.
-/// Generic over the event type so the finite-trace loop and the streaming
-/// service loop share one service path.
-pub(crate) fn start_service<S: FlowScheduler + ?Sized, E>(
+/// its [`TxDone`] after its transmit time at `gbps` Gbit/s. Returns
+/// whether the server is now busy. Both loops keep only completions on
+/// their [`EventQueue`] and share this one service path.
+pub(crate) fn start_service<S: FlowScheduler + ?Sized>(
     qm: &mut QueueManager,
     sched: &mut S,
     st: &mut LoopState,
     shard: usize,
-    ev: &mut EventQueue<E>,
+    ev: &mut EventQueue<TxDone>,
     gbps: f64,
-    mk_txdone: impl FnOnce(TxDone) -> E,
 ) -> bool {
     let Some(flow) = sched.next_flow(qm) else {
         return false;
@@ -478,11 +494,11 @@ pub(crate) fn start_service<S: FlowScheduler + ?Sized, E>(
     }
     ev.schedule_in(
         tx_time(gbps, len),
-        mk_txdone(TxDone {
+        TxDone {
             flow,
             bytes: len as u32,
             enqueued_at: slot.enqueued_at,
-        }),
+        },
     );
     true
 }
@@ -795,7 +811,10 @@ mod tests {
         // Hashes computed at the commit *before* the loops were unified
         // (dense loop, per-shard trace replay, coupled global-LQD loop):
         // next arrival scheduled before the service start, FIFO
-        // tie-break. A change to either moves every one of them.
+        // tie-break. A service here outlasts the arrival gap, so every
+        // completion that ties an arrival was scheduled before the
+        // arrival's ticket: completions-first would move nothing, and
+        // arrivals-first moves only the 16-flow shape's digests.
         let cfg = tie_heavy();
         let dense = local(&cfg, LongestQueueDrop::new(0)).run();
         assert_eq!(dense.aggregate.offered_pkts, 4000);
@@ -809,6 +828,48 @@ mod tests {
             .admission_global_lqd(0)
             .run();
         assert_eq!(debug_hash(&global4), 0xdf9a_aca2_06af_805e);
+        let cfg = PipelineConfig {
+            qm: QmConfig::builder()
+                .num_flows(16)
+                .num_segments(64)
+                .segment_bytes(64)
+                .build()
+                .unwrap(),
+            mix: FlowMix::uniform(16),
+            ..tie_heavy()
+        };
+        let dense = local(&cfg, LongestQueueDrop::new(0)).run();
+        assert_eq!(debug_hash(&dense), 0x9fae_b39d_8ac0_b26e);
+        let global4 = local(&cfg, LongestQueueDrop::new(0))
+            .shards(4)
+            .admission_global_lqd(0)
+            .run();
+        assert_eq!(debug_hash(&global4), 0xfb01_1889_8859_41e7);
+    }
+
+    #[test]
+    fn tx_time_is_the_libm_rounding_bit_for_bit() {
+        let libm = |gbps: f64, len: usize| {
+            Picos::new(((len as f64 * 8.0 * 1000.0 / gbps).round() as u64).max(1))
+        };
+        let mut rng = npqm_sim::rng::Xoshiro256pp::seed_from_u64(42);
+        // Line rates the tables and workloads use, then seeded ones from
+        // 1 Mbit/s to 1 Tbit/s, then 3.2 Tbit/s (2.5 ps a byte: every odd
+        // length is an exact half) and rates whose answers saturate or
+        // clamp: zero (infinite time), negative and NaN (time 1).
+        let rates = [0.5, 2.0 / 3.0, 1.0, 2.0, 5.0, 6.0, 10.0]
+            .into_iter()
+            .chain((0..32).map(|_| 10f64.powf(rng.next_f64() * 6.0 - 3.0)))
+            .chain([3200.0, 0.0, -1.0, f64::NAN, 1e-300, 1e300]);
+        for gbps in rates {
+            for len in 1..=9216 {
+                assert_eq!(
+                    tx_time(gbps, len),
+                    libm(gbps, len),
+                    "{gbps} Gbit/s, {len} B"
+                );
+            }
+        }
     }
 
     #[test]

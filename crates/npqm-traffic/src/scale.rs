@@ -366,8 +366,12 @@ fn run_rounds(
             |qm, r| {
                 for &(flow, len, marker) in &r.arrivals {
                     r.frame[0] = marker;
-                    r.admitted
-                        .push(r.policy.offer(qm, flow, &r.frame[..len]).is_ok());
+                    // Thresholds never push out: the lent victim
+                    // buffer stays empty and allocates nothing.
+                    let offer = r
+                        .policy
+                        .offer_into(qm, flow, &r.frame[..len], 0, &mut Vec::new());
+                    r.admitted.push(offer.is_ok());
                 }
             },
         );

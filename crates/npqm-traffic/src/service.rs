@@ -73,10 +73,11 @@
 //! its tie rule pinned on CBR traffic that ties every 125th service: here
 //! a completion due at or before the next arrival runs first
 //! (`service_tie_order_is_pinned`), the finite loop orders a tie by when
-//! each event was scheduled (`tie_order_is_pinned_on_every_shape`). They
-//! stay two loops: the lane merge needs no event heap for arrivals, and
-//! one resumable step under both measured 11 % slower here for no fewer
-//! lines (ROADMAP item 5(b)).
+//! each event was scheduled (`tie_order_is_pinned_on_every_shape`).
+//! Neither puts arrivals on its event heap, which holds completions only.
+//! They stay two loops because the tie rules differ, and one resumable
+//! step under both measured 11 % slower here for no fewer lines (ROADMAP
+//! item 5(b)).
 //!
 //! # Example
 //!
@@ -223,15 +224,19 @@ pub(crate) fn partition_indices(
 
 /// The bookkeeping both closed loops share: the per-shard, per-flow
 /// reports, the per-flow packet ledger (enqueue time, length, marker) and
-/// the scratch payload and frame buffers. Factoring it out is what keeps the
-/// finite-trace loop and the streaming service loop *behaviourally
-/// identical* — they admit, evict and deliver through these methods.
+/// the scratch payload, victim and frame buffers. Factoring it out is
+/// what keeps the finite-trace loop and the streaming service loop
+/// *behaviourally identical* — they admit, evict and deliver through
+/// these methods.
 pub(crate) struct LoopState {
     /// One report per shard in the loop's admission scope, each indexed
     /// by *global* flow id (flows homed on other shards stay zero).
     pub(crate) reports: Vec<PipelineReport>,
     pub(crate) ledger: Vec<VecDeque<Slot>>,
     payload: Vec<u8>,
+    /// The victim buffer every offer is lent, so a push-out allocates
+    /// nothing once it holds the largest eviction run.
+    victims: Vec<(FlowId, u32)>,
     /// The frame in service: the buffer every delivery's dequeue is lent.
     pub(crate) frame: Vec<u8>,
     /// The loop's telemetry recorder. `None` (untraced) costs one branch
@@ -264,6 +269,7 @@ impl LoopState {
             // Scratch payload sized to the largest packet the
             // distribution can draw, so no sampled size is truncated.
             payload: vec![0xA5u8; max_bytes as usize],
+            victims: Vec::new(),
             frame: Vec::with_capacity(max_bytes as usize),
             tel: telemetry.map(Telemetry::new),
         }
@@ -286,12 +292,11 @@ impl LoopState {
         let fr = &mut self.reports[home].flows[flow.as_usize()];
         fr.offered_pkts += 1;
         fr.offered_bytes += size as u64;
-        let (evicted, refused) = match scope.offer(flow, &self.payload[..size]) {
-            Ok(admission) => (admission.evicted, None),
-            Err(refusal) => (refusal.evicted, Some(refusal.reason)),
-        };
-        let mut evicted_n = 0u64;
-        for (victim, bytes) in evicted {
+        self.victims.clear();
+        let refused = scope
+            .offer(flow, &self.payload[..size], &mut self.victims)
+            .err();
+        for &(victim, bytes) in &self.victims {
             // Under global push-out the victim may live on any shard in
             // scope; charge its own home shard's report.
             let vr = &mut self.reports[scope.shard_of(victim)];
@@ -302,7 +307,6 @@ impl LoopState {
                 vr.integrity_violations += 1;
             }
             vr.flows[victim.as_usize()].evicted_pkts += 1;
-            evicted_n += 1;
             if let Some(t) = &mut self.tel {
                 // Victim depth and occupancy observed just after the
                 // push-out — the state the policy's decision produced.
@@ -338,7 +342,7 @@ impl LoopState {
         }
         ArrivalOutcome {
             admitted: refused.is_none(),
-            evicted: evicted_n,
+            evicted: self.victims.len() as u64,
         }
     }
 
@@ -773,7 +777,6 @@ where
             0,
             &mut self.ev,
             self.gbps,
-            |tx| tx,
         );
     }
 
@@ -1218,6 +1221,7 @@ where
     let mut lanes: Vec<Vec<Lane>> = (0..cfg.shards)
         .map(|_| (0..cfg.generators).map(|_| Lane::new()).collect())
         .collect();
+    let mut closed = vec![false; cfg.generators];
 
     loop {
         // Pump phase: each generator fills its lanes until one is full.
@@ -1245,7 +1249,9 @@ where
         }
         // Serve phase: every unfinished shard runs until it needs input
         // or is done. A finished shard is skipped, and it could not move.
-        let closed: Vec<bool> = gens.iter().map(|gen| gen.exhausted).collect();
+        for (closed, gen) in closed.iter_mut().zip(&gens) {
+            *closed = gen.exhausted;
+        }
         let mut served = false;
         engine.for_each_shard(
             &mut loops,

@@ -1,5 +1,6 @@
-//! Allocation budget of the two harnesses that feed the engine: the scale
-//! experiment's round loop and the closed-loop pipeline.
+//! Allocation budget of the three harnesses that feed the engine: the
+//! scale experiment's round loop, the closed-loop pipeline and the
+//! streaming service.
 //!
 //! The paper's §5.3 / Table 3 finding is that the copy, not the pointer
 //! work, is what a software queue manager pays for; the host-side twin of
@@ -11,10 +12,13 @@
 //! stays out of the `#![forbid(unsafe_code)]` libraries, and it holds ONE
 //! test, so no other test thread allocates while it counts.
 
-use npqm_core::policy::DynamicThreshold;
+use npqm_core::policy::{DynamicThreshold, LongestQueueDrop};
+use npqm_core::sched::DeficitRoundRobin;
+use npqm_core::QmConfig;
 use npqm_sim::time::Picos;
 use npqm_traffic::scale::{run_shard_scale, ShardScaleConfig};
-use npqm_traffic::{PipelineBuilder, PipelineConfig};
+use npqm_traffic::service::{run_service, ServiceConfig};
+use npqm_traffic::{ArrivalProcess, FlowMix, PipelineBuilder, PipelineConfig, SizeDistribution};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -112,5 +116,75 @@ fn harnesses_allocate_per_round_not_per_packet() {
     assert!(
         per_pkt < 0.05,
         "dense loop: {per_pkt:.3} allocations per delivered packet"
+    );
+
+    // The dense loop under LQD, `loop_min64`'s shape on a 512-segment
+    // buffer: 64 B every 50 ns into 5 Gbit/s, so once the buffer is full
+    // every other arrival pushes a packet out. Before the victims went
+    // into a buffer the loop lends: 0.51 allocations per offered packet,
+    // one victim list per push-out; since, 0.0005 (per-flow ledgers
+    // still reaching new high-water marks).
+    let run = |micros: u64| {
+        let cfg = PipelineConfig {
+            qm: QmConfig::builder()
+                .num_flows(256)
+                .num_segments(512)
+                .segment_bytes(64)
+                .build()
+                .expect("256 flows, 512 segments of 64 B pass every check of build"),
+            arrivals: ArrivalProcess::Cbr {
+                interval: Picos::from_nanos(50),
+            },
+            sizes: SizeDistribution::Fixed(64),
+            mix: FlowMix::uniform(256),
+            egress_gbps: 5.0,
+            duration: Picos::from_micros(micros),
+            ..PipelineConfig::small_demo(42)
+        };
+        let (report, allocs) = counted(|| {
+            PipelineBuilder::new(&cfg)
+                .admission(|_| LongestQueueDrop::new(0))
+                .run()
+                .aggregate
+        });
+        assert_eq!(report.integrity_violations, 0);
+        assert!(
+            report.evicted_pkts * 3 > report.offered_pkts,
+            "push-outs ran"
+        );
+        (report.offered_pkts, allocs)
+    };
+    let per_pkt = marginal(run(2_000), run(6_000));
+    assert!(
+        per_pkt < 0.001,
+        "dense LQD loop: {per_pkt:.3} allocations per offered packet"
+    );
+
+    // The streaming service under `DynamicThreshold` + DRR, ten epochs
+    // at either length, so the per-epoch windows and snapshots cancel.
+    // Before the round driver kept its generators' closed flags for the
+    // run: 0.0057 allocations per offered packet, one per round; since,
+    // 0.0002.
+    let run = |micros: u64| {
+        let cfg = ServiceConfig {
+            duration: Picos::from_micros(micros),
+            epoch: Picos::from_micros(micros / 10),
+            ..ServiceConfig::steady_demo(42)
+        };
+        let (report, allocs) = counted(|| {
+            run_service(
+                &cfg,
+                1,
+                |_| DynamicThreshold::new(2.0),
+                |_| DeficitRoundRobin::new(vec![1518; 8]),
+            )
+        });
+        assert_eq!(report.aggregate.integrity_violations, 0);
+        (report.aggregate.offered_pkts, allocs)
+    };
+    let per_pkt = marginal(run(4_000), run(16_000));
+    assert!(
+        per_pkt < 0.001,
+        "service: {per_pkt:.3} allocations per offered packet"
     );
 }
