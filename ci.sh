@@ -278,19 +278,38 @@ structure() {
         echo "${hits}" >&2
         exit 1
     fi
-    local above guarded rebuild
-    above="$(sed '/^#\[cfg(test)\]/,$d' crates/npqm-core/src/manager.rs)"
-    guarded="$(sed -n '/fn commit_queue(/,/^    }$/p' <<<"${above}" \
-        | sed -n '/if self\.occ\.active {/,/^        }$/p')"
-    rebuild="$(sed -n '/fn rebuild_occupancy(/,/^    }$/p' <<<"${above}")"
-    if [[ "$(grep -c 'occ\.heap\.push(' <<<"${above}")" != 2 \
-        || "$(grep -c 'occ\.heap\.push(' <<<"${guarded}")" != 1 \
-        || "$(grep -c 'occ\.heap\.push(' <<<"${rebuild}")" != 1 ]]; then
-        echo "structure FAILED: occ.heap.push( belongs to commit_queue, under its active" \
-            "guard, and to rebuild_occupancy; got:" >&2
-        grep -n 'occ\.heap\.push(' <<<"${above}" >&2
+    echo "==> structure: per-flow selection is sized to the backlog"
+    # LQD's index is the exact tournament tree: no heap of stale entries in
+    # manager.rs, and the tree is written on one line, in commit_queue under
+    # its asleep guard (the first query builds it whole).
+    hits="$(grep -n 'BinaryHeap' crates/npqm-core/src/manager.rs || true)"
+    if [[ -n "${hits}" ]]; then
+        echo "structure FAILED: a BinaryHeap is back in manager.rs (the occupancy index is a tournament tree):" >&2
+        echo "${hits}" >&2
         exit 1
     fi
+    local above guarded
+    above="$(sed '/^#\[cfg(test)\]/,$d' crates/npqm-core/src/manager.rs)"
+    guarded="$(sed -n '/fn commit_queue(/,/^    }$/p' <<<"${above}" \
+        | sed -n '/if !self\.occ\.nodes\.is_empty() {/,/^        }$/p')"
+    if [[ "$(grep -c 'occ\.update(' <<<"${above}")" != 1 \
+        || "$(grep -c 'occ\.update(' <<<"${guarded}")" != 1 ]]; then
+        echo "structure FAILED: occ.update( belongs to commit_queue, under its asleep guard; got:" >&2
+        grep -n 'occ\.update(' <<<"${above}" >&2
+        exit 1
+    fi
+    # The flat schedulers find their flows in the engine's ready bits.
+    local sched
+    for sched in DeficitRoundRobin WeightedRoundRobin StrictPriority; do
+        body="$(sed -n "/^impl FlowScheduler for ${sched} {/,/^}/p" crates/npqm-core/src/sched/mod.rs \
+            | sed -n '/fn next_flow(/,/^    }$/p' | sed 's|//.*||')"
+        if [[ -z "${body}" ]] || ! grep -q 'next_ready(' <<<"${body}"; then
+            echo "structure FAILED: ${sched}::next_flow must find its flows through" \
+                "QueueManager::next_ready; got:" >&2
+            echo "${body}" >&2
+            exit 1
+        fi
+    done
     echo "==> structure: pointer records are written on first use"
     hits="$(grep -nE 'vec!\[(Seg|Pkt)Record::default\(\)' crates/npqm-core/src/ptrmem.rs || true)"
     if [[ -n "${hits}" ]]; then

@@ -340,6 +340,8 @@ where
     let mut engine = ShardedQueueManager::new(cfg.qm, num_shards);
     let mut tally = Tally::new();
     let mut server: Option<ServerJob> = None;
+    // One frame lent to every dequeue of the run.
+    let mut frame = Vec::new();
     let mut rr = 0u32; // round-robin pointer of the work-server
     let mut i = 0usize;
     let mut slot = 0u64;
@@ -370,8 +372,11 @@ where
                     let qm = engine.shard_for_mut(flow);
                     if qm.complete_packets(flow) > 0 {
                         let work = u64::from(qm.head_work(flow).unwrap_or(0));
-                        let pkt = qm.dequeue_packet(flow).expect("complete head packet");
-                        tally.deliver(slot, flow, pkt.len() as u64, work);
+                        frame.clear();
+                        let len = qm
+                            .dequeue_packet_into(flow, &mut frame)
+                            .expect("complete head packet");
+                        tally.deliver(slot, flow, len as u64, work);
                     }
                 }
             }
@@ -383,8 +388,11 @@ where
                         let qm = engine.shard_for_mut(flow);
                         if qm.complete_packets(flow) > 0 {
                             let work = u64::from(qm.head_work(flow).unwrap_or(0));
-                            let pkt = qm.dequeue_packet(flow).expect("complete head packet");
-                            let bytes = pkt.len() as u64;
+                            frame.clear();
+                            let bytes = qm
+                                .dequeue_packet_into(flow, &mut frame)
+                                .expect("complete head packet")
+                                as u64;
                             let remaining = cfg.effort(bytes as u32, work as u32);
                             server = Some(ServerJob {
                                 flow,

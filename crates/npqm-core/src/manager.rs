@@ -37,7 +37,6 @@ use crate::pool::SegmentPool;
 use crate::ptrmem::{PktRecord, PtrMem, PtrMemCounters, QueueRecord, SegRecord};
 use crate::stats::QmStats;
 use crate::timing::stream::OpStream;
-use std::collections::BinaryHeap;
 
 /// Where a segment sits within its packet, from the SAR point of view.
 ///
@@ -100,19 +99,64 @@ pub struct SegmentInfo {
     pub eop: bool,
 }
 
-/// Lazily-maintained max-heap over per-flow byte occupancy.
+/// Exact tournament tree over per-flow byte occupancy, for
+/// [`QueueManager::longest_queue`].
 ///
-/// Asleep (no push per commit) until the first [`QueueManager::longest_queue`]
-/// builds it from the queue table; from then on every commit pushes the
-/// flow's fresh byte count, and stale entries are discarded when the
-/// maximum is queried: amortised `O(log flows)` per query instead of a scan
-/// per drop decision, which Longest Queue Drop makes on every admission
-/// under pressure. The heap is rebuilt from the queue table whenever the
-/// stale backlog exceeds twice the flow count, bounding memory at `O(flows)`.
+/// `nodes[flows + f]` is flow `f`'s leaf, the key [`occupancy_key`] of its
+/// byte count and index, and inner node `i` holds the larger of nodes `2i`
+/// and `2i + 1`, so `nodes[1]` is the longest queue, ties to the higher
+/// flow. Asleep (no nodes, no work per commit) until the first query
+/// builds it from the queue table; from then on every commit rewrites the
+/// flow's leaf and walks up only while a node's key changes. The key lives
+/// in the node, so a compare reads no queue record and is one branch-free
+/// `u128` compare: `2 × flows` nodes of 16 bytes.
 #[derive(Debug, Clone, Default)]
 struct OccupancyIndex {
-    heap: BinaryHeap<(u64, u32)>,
-    active: bool,
+    nodes: Vec<u128>,
+}
+
+/// A flow's key in the occupancy tree: its byte count, then its index, so
+/// that equal counts order by flow.
+fn occupancy_key(flow: usize, bytes: u64) -> u128 {
+    u128::from(bytes) << 32 | flow as u128
+}
+
+impl OccupancyIndex {
+    /// Builds the tree over `bytes`, one count per flow.
+    fn build(bytes: impl ExactSizeIterator<Item = u64>) -> Self {
+        let n = bytes.len();
+        let mut nodes = vec![0; 2 * n];
+        for (f, b) in bytes.enumerate() {
+            nodes[n + f] = occupancy_key(f, b);
+        }
+        for i in (1..n).rev() {
+            nodes[i] = nodes[2 * i].max(nodes[2 * i + 1]);
+        }
+        OccupancyIndex { nodes }
+    }
+
+    /// Sets `flow`'s leaf to `bytes` and repairs the path to the root.
+    fn update(&mut self, flow: FlowId, bytes: u64) {
+        let mut i = self.nodes.len() / 2 + flow.as_usize();
+        let mut key = occupancy_key(flow.as_usize(), bytes);
+        if self.nodes[i] == key {
+            return;
+        }
+        self.nodes[i] = key;
+        while i > 1 {
+            key = key.max(self.nodes[i ^ 1]);
+            i /= 2;
+            if self.nodes[i] == key {
+                return;
+            }
+            self.nodes[i] = key;
+        }
+    }
+
+    /// The root: the longest queue and its byte count.
+    fn top(&self) -> (u32, u64) {
+        (self.nodes[1] as u32, (self.nodes[1] >> 32) as u64)
+    }
 }
 
 /// Unlinks the complete head packet, whose record is `pr`, from `q` and
@@ -141,6 +185,8 @@ pub struct QueueManager {
     pub(crate) pkt_fl: PktFreeList,
     pub(crate) stats: QmStats,
     occ: OccupancyIndex,
+    /// One bit per flow, set while the flow has a complete packet ready.
+    ready: Vec<u64>,
     /// Memory-access tracing (see [`QueueManager::set_tracing`]).
     tracing: bool,
     /// Pointer-counter snapshot at the last trace cut.
@@ -171,6 +217,7 @@ impl QueueManager {
             pkt_fl,
             stats: QmStats::default(),
             occ: OccupancyIndex::default(),
+            ready: vec![0; cfg.num_flows().div_ceil(64) as usize],
             tracing: false,
             ptr_mark: PtrMemCounters::default(),
         }
@@ -213,55 +260,63 @@ impl QueueManager {
         }
     }
 
-    /// Writes a queue record back and keeps an active occupancy index current.
+    /// Writes a queue record back, with the flow's ready bit and, once
+    /// awake, its occupancy leaf.
     ///
-    /// All queue-table writes go through here so the index never misses a
-    /// byte-count change.
+    /// All queue-table writes go through here so neither index misses a
+    /// change.
     fn commit_queue(&mut self, flow: FlowId, q: QueueRecord) {
         self.ptr.set_queue(flow, q);
-        if self.occ.active {
-            self.occ.heap.push((q.bytes, flow.index()));
-            let cap = (self.cfg.num_flows() as usize).saturating_mul(2).max(64);
-            if self.occ.heap.len() > cap {
-                self.rebuild_occupancy();
-            }
-        }
-    }
-
-    /// Rebuilds the occupancy index from the queue table (stale-entry GC).
-    fn rebuild_occupancy(&mut self) {
-        self.occ.heap.clear();
-        for f in 0..self.cfg.num_flows() {
-            let flow = FlowId::new(f);
-            let bytes = self.ptr.queue_silent(flow).bytes;
-            if bytes > 0 {
-                self.occ.heap.push((bytes, f));
-            }
+        let (word, bit) = (flow.as_usize() / 64, flow.index() % 64);
+        let ready = &mut self.ready[word];
+        *ready = (*ready & !(1 << bit)) | (u64::from(q.complete_pkts > 0) << bit);
+        if !self.occ.nodes.is_empty() {
+            self.occ.update(flow, q.bytes);
         }
     }
 
     /// The non-empty flow holding the most payload bytes, with that count.
     ///
-    /// Amortised `O(log flows)`: the occupancy index discards entries made
-    /// stale by enqueues/dequeues since the last query, instead of
-    /// scanning the whole queue table. Ties are broken toward the higher
-    /// flow index. Returns `None` when every queue is empty. The query
-    /// itself does not count as pointer-memory traffic (a hardware
-    /// implementation would keep this register alongside the queue table).
+    /// Reads the root of an exact tournament tree that every commit keeps
+    /// current in `O(log flows)`; the first call builds the tree from the
+    /// queue table. Ties are broken toward the higher flow index. Returns
+    /// `None` when every queue is empty. The query itself does not count as
+    /// pointer-memory traffic (a hardware implementation would keep this
+    /// register alongside the queue table).
     pub fn longest_queue(&mut self) -> Option<(FlowId, u64)> {
-        if !self.occ.active {
-            self.occ.active = true;
-            self.rebuild_occupancy();
+        if self.occ.nodes.is_empty() {
+            let ptr = &self.ptr;
+            let bytes = (0..self.cfg.num_flows()).map(|f| ptr.queue_silent(FlowId::new(f)).bytes);
+            self.occ = OccupancyIndex::build(bytes);
         }
-        while let Some(&(bytes, idx)) = self.occ.heap.peek() {
-            let flow = FlowId::new(idx);
-            let current = self.ptr.queue_silent(flow).bytes;
-            if bytes == current && current > 0 {
-                return Some((flow, current));
+        let (flow, bytes) = self.occ.top();
+        (bytes > 0).then(|| (FlowId::new(flow), bytes))
+    }
+
+    /// The first flow in `from..end` with a complete packet ready
+    /// (`complete_packets > 0`), by flow index.
+    ///
+    /// A word scan of one ready bit per flow that every commit keeps
+    /// current, so a scheduler visits only the flows it can serve. Flows
+    /// past the engine's count are never ready. Like
+    /// [`complete_packets`](Self::complete_packets), it is not
+    /// pointer-memory traffic.
+    pub fn next_ready(&self, from: usize, end: usize) -> Option<usize> {
+        let end = end.min(self.cfg.num_flows() as usize);
+        if from >= end {
+            return None;
+        }
+        let mut word = from / 64;
+        let mut bits = self.ready[word] & (!0 << (from % 64));
+        while bits == 0 {
+            word += 1;
+            if word * 64 >= end {
+                return None;
             }
-            self.occ.heap.pop();
+            bits = self.ready[word];
         }
-        None
+        let flow = word * 64 + bits.trailing_zeros() as usize;
+        (flow < end).then_some(flow)
     }
 
     /// The engine's configuration.
@@ -1815,7 +1870,7 @@ mod tests {
             }
         }
         assert!(m.stats().enqueues > 0 && m.stats().dequeues > 0);
-        assert!(!m.occ.active && m.occ.heap.is_empty());
+        assert!(m.occ.nodes.is_empty());
         // ...and the first query builds it from the queue table.
         let expect = (0..7)
             .map(|i| (m.queue_len_bytes(FlowId::new(i)), i))
@@ -1824,14 +1879,132 @@ mod tests {
             .map(|(bytes, i)| (FlowId::new(i), bytes));
         assert!(expect.is_some(), "the run left a backlog");
         assert_eq!(m.longest_queue(), expect);
-        assert!(m.occ.active && !m.occ.heap.is_empty());
+        assert_eq!(m.occ.nodes.len(), 2 * m.config().num_flows() as usize);
+        m.check_indexes().unwrap();
         m.verify().unwrap();
+    }
+
+    impl QueueManager {
+        /// The ready bits and, once awake, every node of the occupancy
+        /// tree against the queue table.
+        pub(crate) fn check_indexes(&self) -> Result<(), String> {
+            let n = self.cfg.num_flows() as usize;
+            for f in 0..n {
+                let q = self.ptr.queue_silent(FlowId::new(f as u32));
+                let bit = self.ready[f / 64] >> (f % 64) & 1 == 1;
+                if bit != (q.complete_pkts > 0) {
+                    return Err(format!("flow {f}: ready bit {bit}, {q:?}"));
+                }
+                let leaf = self.occ.nodes.get(n + f);
+                if leaf.is_some_and(|&leaf| leaf != occupancy_key(f, q.bytes)) {
+                    return Err(format!("flow {f}: occupancy leaf {leaf:?}, {q:?}"));
+                }
+            }
+            let past = |&w: &u64| !n.is_multiple_of(64) && w >> (n % 64) != 0;
+            if self.ready.len() != n.div_ceil(64) || self.ready.last().is_some_and(past) {
+                return Err(format!("ready bits past flow {n}: {:?}", self.ready.last()));
+            }
+            match self.occ.nodes.len() {
+                0 => Ok(()),
+                len if len == 2 * n => (1..n)
+                    .map(|i| (i, self.occ.nodes[i]))
+                    .find(|&(i, node)| node != self.occ.nodes[2 * i].max(self.occ.nodes[2 * i + 1]))
+                    .map_or(Ok(()), |(i, node)| {
+                        Err(format!("occupancy node {i}: {node:?}"))
+                    }),
+                len => Err(format!("{len} occupancy nodes for {n} flows")),
+            }
+        }
+    }
+
+    /// The occupancy tree and the ready bits agree with scans of the queue
+    /// table after every command, at flow counts on either side of the
+    /// bitmap's word and the tree's power-of-two edges and at the paper's
+    /// 32K. Payloads of one or two whole segments make equal byte counts
+    /// (the tie goes to the higher flow), and SAR segments leave flows whose
+    /// only packet is open: bytes queued, nothing ready.
+    #[test]
+    fn occupancy_tree_and_ready_bits_match_scans_under_churn() {
+        use npqm_sim::rng::Xoshiro256pp;
+        for (flows, steps) in [(1, 800), (3, 800), (65, 800), (1000, 800), (32768, 200)] {
+            let cfg = QmConfig::builder()
+                .num_flows(flows)
+                .num_segments(96)
+                .segment_bytes(64)
+                .build()
+                .unwrap();
+            let mut m = QueueManager::new(cfg);
+            let mut rng = Xoshiro256pp::seed_from_u64(u64::from(flows));
+            let hot: Vec<u32> = (0..6)
+                .map(|_| rng.next_below(flows.into()) as u32)
+                .collect();
+            let pick = |rng: &mut Xoshiro256pp| FlowId::new(hot[rng.next_below(6) as usize]);
+            let (mut ties, mut open_only) = (0, 0);
+            for step in 0..steps {
+                let f = pick(&mut rng);
+                let payload = [step as u8; 128];
+                let _ = match rng.next_below(8) {
+                    0..=2 => m.enqueue_packet(f, &payload[..64 << rng.next_below(2)]),
+                    3 | 4 => m.dequeue_packet(f).map(drop),
+                    5 => m.delete_packet(f).map(drop),
+                    6 => m.move_packet(f, pick(&mut rng)),
+                    _ => {
+                        let first = !m.ptr.queue_silent(f).open;
+                        let pos = SegmentPosition::from_flags(first, rng.next_below(2) == 0);
+                        m.enqueue(f, &payload[..64], pos).map(drop)
+                    }
+                };
+                let scan: Vec<QueueRecord> = (0..flows)
+                    .map(|g| m.ptr.queue_silent(FlowId::new(g)))
+                    .collect();
+                if step == steps / 4 {
+                    assert!(m.occ.nodes.is_empty(), "no query has woken the tree");
+                }
+                if step >= steps / 4 {
+                    let want = (0..flows)
+                        .map(|g| (scan[g as usize].bytes, g))
+                        .max()
+                        .filter(|&(bytes, _)| bytes > 0);
+                    let got = m.longest_queue();
+                    assert_eq!(
+                        got,
+                        want.map(|(b, g)| (FlowId::new(g), b)),
+                        "{flows} flows, step {step}"
+                    );
+                    let top = want.map_or(0, |(bytes, _)| bytes);
+                    ties +=
+                        usize::from(top > 0 && scan.iter().filter(|q| q.bytes == top).count() > 1);
+                }
+                open_only += usize::from(scan.iter().any(|q| q.bytes > 0 && q.complete_pkts == 0));
+                m.check_indexes()
+                    .unwrap_or_else(|e| panic!("{flows} flows, step {step}: {e}"));
+                for _ in 0..4 {
+                    let from = rng.next_below(u64::from(flows) + 2) as usize;
+                    let end = rng.next_below(u64::from(flows) + 2) as usize;
+                    let want = (from..end.min(flows as usize)).find(|&g| scan[g].complete_pkts > 0);
+                    assert_eq!(
+                        m.next_ready(from, end),
+                        want,
+                        "{flows} flows, {from}..{end}"
+                    );
+                }
+            }
+            assert!(
+                open_only > 0,
+                "{flows} flows: no flow held only an open packet"
+            );
+            assert!(
+                flows == 1 || ties > 0,
+                "{flows} flows: no tie for the longest queue"
+            );
+            m.verify().unwrap();
+        }
     }
 
     #[test]
     fn longest_queue_matches_scan_under_churn() {
-        // Many operations between queries, so the lazy index must discard
-        // plenty of stale entries (and survive its periodic rebuild).
+        // Many operations between queries: the tree must follow every
+        // commit, not only the ones a query sees.
         let mut m = qm();
         let mut step = 0u64;
         for round in 0..50u32 {

@@ -842,6 +842,7 @@ impl Run {
         self.engine.verify().map_err(|v| v.to_string())?;
         for s in 0..self.engine.num_shards() {
             let qm = self.engine.shard(s);
+            qm.check_indexes().map_err(|e| format!("shard {s}: {e}"))?;
             let got = (*qm.stats(), (qm.free_segments(), qm.free_packet_records()));
             let want = (self.model.stats[s], self.model.free(s));
             if got != want {

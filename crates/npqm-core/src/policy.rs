@@ -12,8 +12,8 @@
 //!   [`BufferManager`] (the PR-1 baseline),
 //!   adapted to the trait;
 //! * **[`LongestQueueDrop`]** — push-out from the longest queue when the
-//!   shared buffer is exhausted, using the engine's amortised
-//!   [`QueueManager::longest_queue`] query;
+//!   shared buffer is exhausted, reading the root of the engine's
+//!   tournament tree ([`QueueManager::longest_queue`]);
 //! * **[`DynamicThreshold`]** — Choudhury–Hahne dynamic thresholds: a
 //!   flow may occupy at most `alpha ×` the *unused* buffer space, so
 //!   thresholds tighten automatically as the buffer fills;

@@ -71,7 +71,7 @@
 //! # }
 //! ```
 
-use super::{DrrCore, FlowScheduler};
+use super::{every_slot, DrrCore, FlowScheduler};
 use crate::id::FlowId;
 use crate::manager::QueueManager;
 use std::collections::HashMap;
@@ -530,7 +530,7 @@ impl FlowScheduler for HtbScheduler {
                     Some(qm.head_packet_bytes(leaf.flow).unwrap_or(0))
                 };
                 let empty = |slot: usize| qm.complete_packets(leaves[slot].flow) == 0;
-                if let Some(slot) = cores[tier * nprio + p].next(head, empty) {
+                if let Some(slot) = cores[tier * nprio + p].next(every_slot, head, empty) {
                     self.last_pick = Some((slot, tier * nprio + p));
                     return Some(self.leaves[slot].flow);
                 }

@@ -13,7 +13,10 @@
 //!   the discipline per-flow queuing hardware is usually paired with.
 //!
 //! Schedulers only *choose* flows; dequeuing stays on the engine, so any
-//! discipline composes with any engine configuration.
+//! discipline composes with any engine configuration. The flat disciplines
+//! find their candidates in the engine's ready bits
+//! ([`QueueManager::next_ready`]), so a pick at 32K queues visits the
+//! backlogged flows, not every queue; HTB still visits every leaf.
 //!
 //! Beyond the flat disciplines, [`htb`] provides a hierarchical token
 //! bucket (class tree with guaranteed/ceil rates, bursts, priorities and
@@ -28,6 +31,7 @@ pub use spec::{from_spec, SpecError};
 
 use crate::id::FlowId;
 use crate::manager::QueueManager;
+use std::iter::successors;
 
 /// A scheduling discipline over a fixed set of flows.
 pub trait FlowScheduler {
@@ -90,9 +94,8 @@ impl StrictPriority {
 
 impl FlowScheduler for StrictPriority {
     fn next_flow(&mut self, qm: &QueueManager) -> Option<FlowId> {
-        (0..self.flows)
-            .map(FlowId::new)
-            .find(|&f| qm.complete_packets(f) > 0)
+        qm.next_ready(0, self.flows as usize)
+            .map(|f| FlowId::new(f as u32))
     }
 
     fn served(&mut self, _flow: FlowId, _bytes: usize) {}
@@ -135,19 +138,18 @@ impl WeightedRoundRobin {
 impl FlowScheduler for WeightedRoundRobin {
     fn next_flow(&mut self, qm: &QueueManager) -> Option<FlowId> {
         let n = self.weights.len();
-        // Two passes: the current round with remaining credits, then a
-        // refilled round. If both find nothing, the queues are empty.
+        // Two passes over the ready flows: the current round with remaining
+        // credits, then a refilled round. If both find nothing, the queues
+        // are empty.
         for pass in 0..2 {
             if pass == 1 {
                 self.refill();
             }
-            for i in 0..n {
-                let idx = (self.cursor + i) % n;
-                let flow = FlowId::new(idx as u32);
-                if self.credits[idx] > 0 && qm.complete_packets(flow) > 0 {
-                    self.cursor = idx;
-                    return Some(flow);
-                }
+            let credits = &self.credits;
+            let ready = |from, end| qm.next_ready(from, end);
+            if let Some(idx) = visit_order(self.cursor, n, ready).find(|&idx| credits[idx] > 0) {
+                self.cursor = idx;
+                return Some(FlowId::new(idx as u32));
             }
         }
         None
@@ -166,10 +168,14 @@ impl FlowScheduler for WeightedRoundRobin {
 /// abstract slots, shared verbatim by the flat [`DeficitRoundRobin`] and
 /// the per-priority sibling rounds inside [`htb::HtbScheduler`].
 ///
-/// The caller supplies two closures: `head(slot)` returns the head-packet
-/// size when the slot is backlogged *and currently eligible* (HTB gates
-/// eligibility on token state; the flat discipline on backlog alone), and
-/// `empty(slot)` reports a drained queue, which forfeits its deficit.
+/// The caller supplies three closures: `candidate(from, end)` returns the
+/// first slot in `from..end` that may be backlogged (the flat discipline
+/// asks the engine's ready bits, so a round visits only ready flows; HTB
+/// names every slot), `head(slot)` returns the head-packet size when the
+/// slot is backlogged *and currently eligible* (HTB gates eligibility on
+/// token state; the flat discipline on backlog alone), and `empty(slot)`
+/// reports a drained queue, which forfeits its deficit. A slot that is
+/// not a candidate must have no `head`, so skipping it changes nothing.
 /// Because both disciplines run this exact loop, a degenerate HTB tree
 /// (every leaf permanently eligible) reproduces flat DRR's selection
 /// sequence byte-for-byte — a property the test suite pins via
@@ -200,6 +206,7 @@ impl DrrCore {
     /// Picks the next slot to serve, or `None` if no slot is eligible.
     pub(crate) fn next(
         &mut self,
+        candidate: impl Fn(usize, usize) -> Option<usize> + Copy,
         head: impl Fn(usize) -> Option<u64>,
         empty: impl Fn(usize) -> bool,
     ) -> Option<usize> {
@@ -220,7 +227,8 @@ impl DrrCore {
         // Visit slots round-robin, granting each backlogged one its
         // quantum, until one can afford its head packet.
         let mut any_backlog = false;
-        for idx in visit_order(self.cursor, n) {
+        let order = visit_order(self.cursor, n, candidate);
+        for idx in order.clone() {
             let Some(h) = head(idx) else {
                 continue;
             };
@@ -235,17 +243,22 @@ impl DrrCore {
         if !any_backlog {
             return None;
         }
-        self.skip_rounds(head)
+        self.skip_rounds(order, head)
     }
 
     /// A full pass fit nobody: the rounds the visiting loop would go on
     /// running, granted at once. Each backlogged slot needs
     /// `ceil((head - deficit) / quantum)` more rounds; the fewest win,
     /// ties to the earliest slot in visit order, and in that last round
-    /// only the slots visited before the winner were granted.
+    /// only the slots visited before the winner were granted. `order` is
+    /// the pass just made.
     #[cold]
-    fn skip_rounds(&mut self, head: impl Fn(usize) -> Option<u64>) -> Option<usize> {
-        let order = visit_order(self.cursor, self.quanta.len()).enumerate();
+    fn skip_rounds(
+        &mut self,
+        order: impl Iterator<Item = usize> + Clone,
+        head: impl Fn(usize) -> Option<u64>,
+    ) -> Option<usize> {
+        let order = order.enumerate();
         let need =
             |idx: usize| Some((head(idx)? - self.deficit[idx]).div_ceil(self.quanta[idx] as u64));
         let (rounds, at, winner) = (order.clone())
@@ -264,10 +277,21 @@ impl DrrCore {
     }
 }
 
-/// The `n` slots once round from `cursor`: `(cursor + i) % n` for `i` in
-/// `0..n`, with no division per slot.
-fn visit_order(cursor: usize, n: usize) -> impl Iterator<Item = usize> + Clone {
-    (cursor..n).chain(0..cursor)
+/// The candidate slots once round from `cursor`, in the order `(cursor +
+/// i) % n` for `i` in `0..n`: `candidate(from, end)` is the first
+/// candidate in `from..end`.
+fn visit_order(
+    cursor: usize,
+    n: usize,
+    candidate: impl Fn(usize, usize) -> Option<usize> + Copy,
+) -> impl Iterator<Item = usize> + Clone {
+    let run = move |from, end| successors(candidate(from, end), move |&s| candidate(s + 1, end));
+    run(cursor, n).chain(run(0, cursor))
+}
+
+/// Every slot of `from..end` is a candidate.
+fn every_slot(from: usize, end: usize) -> Option<usize> {
+    (from < end).then_some(from)
 }
 
 /// Deficit round robin (Shreedhar & Varghese): byte-accurate fairness with
@@ -303,6 +327,7 @@ impl FlowScheduler for DeficitRoundRobin {
     fn next_flow(&mut self, qm: &QueueManager) -> Option<FlowId> {
         self.core
             .next(
+                |from, end| qm.next_ready(from, end),
                 |slot| Self::head_bytes(qm, FlowId::new(slot as u32)),
                 |slot| qm.complete_packets(FlowId::new(slot as u32)) == 0,
             )

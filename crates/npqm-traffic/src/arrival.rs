@@ -3,6 +3,17 @@
 use npqm_sim::rng::Xoshiro256pp;
 use npqm_sim::time::Picos;
 
+/// `x.round() as u64` bit for bit, without `f64::round`'s out-of-line libm
+/// call: rounded half away from zero, then truncated and saturated as the
+/// cast does (negative and NaN to 0, past `u64::MAX` to `u64::MAX`). The
+/// fraction `x - whole` is exact (Sterbenz: `whole <= x <= 2 * whole` once
+/// `x >= 1`; below 1 `whole` is 0).
+#[inline]
+pub(crate) fn round_to_u64(x: f64) -> u64 {
+    let whole = x as u64;
+    whole.saturating_add(u64::from(x - whole as f64 >= 0.5))
+}
+
 /// A packet arrival process producing inter-arrival times.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
@@ -34,7 +45,7 @@ impl ArrivalProcess {
     /// CBR at `gbps` for packets of `bytes`.
     pub fn cbr_gbps(gbps: f64, bytes: u32) -> Self {
         assert!(gbps > 0.0, "rate must be positive");
-        let interval_ps = (bytes as f64 * 8.0 / gbps * 1000.0).round() as u64;
+        let interval_ps = round_to_u64(bytes as f64 * 8.0 / gbps * 1000.0);
         ArrivalProcess::Cbr {
             interval: Picos::new(interval_ps),
         }
@@ -81,9 +92,9 @@ impl ArrivalGen {
     pub fn next_arrival(&mut self) -> Picos {
         let delta = match self.process {
             ArrivalProcess::Cbr { interval } => interval,
-            ArrivalProcess::Poisson { mean_interval } => {
-                Picos::new(self.rng.next_exp(mean_interval.as_u64() as f64).round() as u64)
-            }
+            ArrivalProcess::Poisson { mean_interval } => Picos::new(round_to_u64(
+                self.rng.next_exp(mean_interval.as_u64() as f64),
+            )),
             ArrivalProcess::OnOff {
                 on_interval,
                 mean_burst,
@@ -92,7 +103,7 @@ impl ArrivalGen {
                 if self.burst_left == 0 {
                     self.burst_left = self.rng.next_geometric(1.0 - 1.0 / mean_burst.max(1.0));
                     self.burst_left -= 1;
-                    Picos::new(self.rng.next_exp(mean_off.as_u64() as f64).round() as u64)
+                    Picos::new(round_to_u64(self.rng.next_exp(mean_off.as_u64() as f64)))
                 } else {
                     self.burst_left -= 1;
                     on_interval

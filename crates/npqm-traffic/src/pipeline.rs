@@ -49,7 +49,7 @@
 //! assert_eq!(report.integrity_violations, 0);
 //! ```
 
-use crate::arrival::ArrivalProcess;
+use crate::arrival::{round_to_u64, ArrivalProcess};
 use crate::builder::PipelineBuilder;
 use crate::flows::FlowMix;
 use crate::service::{arrival_stream, ArrivalEvent, LoopState};
@@ -252,16 +252,10 @@ pub(crate) struct Slot {
 }
 
 /// The transmit time of `len` bytes at `gbps` Gbit/s (1 Gbit/s ≡ 1
-/// bit/ns), never zero: the picosecond count rounded half away from
-/// zero, bit for bit `f64::round`'s answer without its out-of-line libm
-/// call. The cast truncates (and saturates) as `round() as u64` does,
-/// and the fraction `ps - whole` is exact (Sterbenz: `whole <= ps <= 2 *
-/// whole` once `ps >= 1`; below 1 `whole` is 0).
+/// bit/ns), never zero: the picosecond count rounded half away from zero,
+/// as [`round_to_u64`] rounds every arrival gap.
 fn tx_time(gbps: f64, len: usize) -> Picos {
-    let ps = len as f64 * 8.0 * 1000.0 / gbps;
-    let whole = ps as u64;
-    let up = ps - whole as f64 >= 0.5;
-    Picos::new(whole.saturating_add(u64::from(up)).max(1))
+    Picos::new(round_to_u64(len as f64 * 8.0 * 1000.0 / gbps).max(1))
 }
 
 /// The scope admission decisions are taken over — one of the two things
@@ -847,6 +841,51 @@ mod tests {
         assert_eq!(debug_hash(&global4), 0xfb01_1889_8859_41e7);
     }
 
+    /// The paper's 32K queues, sparsely backlogged: 1518-byte frames at
+    /// 10 Gbit/s into an 8 Gbit/s flat-DRR egress, under dynamic thresholds
+    /// (the occupancy tree never wakes) and under LQD over a buffer a
+    /// tenth as deep (it wakes on the first push-out). Hashes recorded on
+    /// the engine whose DRR scanned every slot on each pick and whose LQD
+    /// index was a heap with stale entries.
+    #[test]
+    fn paper_scale_sparse_runs_are_pinned() {
+        let sparse = |segments| PipelineConfig {
+            qm: QmConfig::builder()
+                .num_flows(32768)
+                .num_segments(segments)
+                .segment_bytes(64)
+                .build()
+                .unwrap(),
+            arrivals: ArrivalProcess::cbr_gbps(10.0, 1518),
+            sizes: SizeDistribution::Fixed(1518),
+            mix: FlowMix::uniform(32768),
+            egress_gbps: 8.0,
+            duration: Picos::from_micros(3_600),
+            ..PipelineConfig::small_demo(42)
+        };
+        let dt = local(&sparse(1 << 16), DynamicThreshold::new(2.0))
+            .egress_spec("drr:1518")
+            .run();
+        let lqd = local(&sparse(1 << 12), LongestQueueDrop::new(0))
+            .egress_spec("drr:1518")
+            .run();
+        let got = [&dt, &lqd].map(|r| {
+            let a = &r.aggregate;
+            (
+                a.offered_pkts,
+                a.dropped_pkts,
+                a.evicted_pkts,
+                debug_hash(r),
+            )
+        });
+        let hashes = got.map(|(.., hash)| format!("{hash:#x}"));
+        let want = [
+            (2964, 0, 0, 0x91b8_3130_6aa6_daee),
+            (2964, 0, 423, 0x3e8f_248f_1cd4_fd0e),
+        ];
+        assert_eq!(got, want, "{hashes:?}");
+    }
+
     #[test]
     fn tx_time_is_the_libm_rounding_bit_for_bit() {
         let libm = |gbps: f64, len: usize| {
@@ -869,6 +908,38 @@ mod tests {
                     "{gbps} Gbit/s, {len} B"
                 );
             }
+        }
+        // The arrival gaps' rounding: seeded exponential draws at the
+        // means the tables and workloads use and at seeded ones, then the
+        // edges: zero, the halves, both sides of 2^52 (where the spacing
+        // becomes 1), 2^53, and values past `u64::MAX`, which saturate.
+        let mut means = vec![50e3, 1e6, 2e6, 1e4, 1.0, 0.3];
+        means.extend((0..16).map(|_| 10f64.powf(rng.next_f64() * 12.0)));
+        let draws: Vec<f64> = means
+            .into_iter()
+            .flat_map(|mean| (0..4096).map(|_| rng.next_exp(mean)).collect::<Vec<_>>())
+            .collect();
+        let p52 = 2f64.powi(52);
+        let edges = [
+            0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.49999999999999994,
+            p52 - 0.5,
+            p52 + 0.5,
+            p52 + 1.0,
+        ]
+        .into_iter()
+        .chain([
+            2f64.powi(53),
+            2f64.powi(53) + 2.0,
+            u64::MAX as f64,
+            2f64.powi(64) + 4096.0,
+        ])
+        .chain([1e20, f64::MAX, f64::INFINITY, -0.5, -1e20, f64::NAN]);
+        for x in draws.into_iter().chain(edges) {
+            assert_eq!(round_to_u64(x), x.round() as u64, "{x:e}");
         }
     }
 

@@ -271,7 +271,7 @@ struct Reassembly {
 /// reflects both the critical-path parallelism of independent engines
 /// (modelled, not run: `wall_clock` is the serial cost of all of them)
 /// and the per-shard locality effects (smaller queue tables and
-/// occupancy heaps) that sharding buys.
+/// occupancy trees) that sharding buys.
 ///
 /// # Panics
 ///
