@@ -280,7 +280,8 @@ structure() {
     fi
     echo "==> structure: per-flow selection is sized to the backlog"
     # LQD's index is the exact tournament tree: no heap of stale entries in
-    # manager.rs, and the tree is written on one line, in commit_queue under
+    # manager.rs, its nodes are packed u64 keys (no u128 above manager.rs's
+    # tests), and the tree is written on one line, in commit_queue under
     # its asleep guard (the first query builds it whole).
     hits="$(grep -n 'BinaryHeap' crates/npqm-core/src/manager.rs || true)"
     if [[ -n "${hits}" ]]; then
@@ -290,6 +291,12 @@ structure() {
     fi
     local above guarded
     above="$(sed '/^#\[cfg(test)\]/,$d' crates/npqm-core/src/manager.rs)"
+    hits="$(grep -n 'u128' <<<"${above}" || true)"
+    if [[ -n "${hits}" ]]; then
+        echo "structure FAILED: u128 in manager.rs above its tests (occupancy keys are packed u64s):" >&2
+        echo "${hits}" >&2
+        exit 1
+    fi
     guarded="$(sed -n '/fn commit_queue(/,/^    }$/p' <<<"${above}" \
         | sed -n '/if !self\.occ\.nodes\.is_empty() {/,/^        }$/p')"
     if [[ "$(grep -c 'occ\.update(' <<<"${above}")" != 1 \

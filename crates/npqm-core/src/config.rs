@@ -159,8 +159,14 @@ impl QmConfigBuilder {
     ///
     /// Returns [`QueueError::InvalidConfig`] if any dimension is zero, the
     /// segment size is not a power of two, the segment length does not fit
-    /// the 16-bit per-segment length field, or the segment/packet index
-    /// spaces would collide with the NIL sentinel.
+    /// the 16-bit per-segment length field, the segment/packet index
+    /// spaces would collide with the NIL sentinel, or the occupancy key
+    /// does not fit one `u64`: LQD's longest-queue tree packs a queue's
+    /// byte count above its flow index, so the bits of
+    /// `num_segments × segment_bytes` (computed in `u64`) plus the bits of
+    /// `num_flows − 1` must be at most 64. Every configuration with at
+    /// most 2^17 flows fits (`segment_bytes` is at most 2^15); the paper's
+    /// takes 24 + 15 bits.
     pub fn build(&self) -> Result<QmConfig, QueueError> {
         let err = |what: &'static str| Err(QueueError::InvalidConfig { what });
         if self.num_flows == 0 {
@@ -181,12 +187,17 @@ impl QmConfigBuilder {
         if self.segment_bytes > u16::MAX as u32 {
             return err("segment_bytes must fit the 16-bit length field");
         }
-        Ok(QmConfig {
+        let cfg = QmConfig {
             num_flows: self.num_flows,
             num_segments: self.num_segments,
             segment_bytes: self.segment_bytes,
             freelist: self.freelist,
-        })
+        };
+        let flow_bits = u32::BITS - (cfg.num_flows - 1).leading_zeros();
+        if u64::BITS - cfg.data_bytes().leading_zeros() + flow_bits > u64::BITS {
+            return err("num_segments * segment_bytes must fit beside the flow index in a u64 occupancy key");
+        }
+        Ok(cfg)
     }
 }
 
@@ -226,6 +237,74 @@ mod tests {
         assert!(QmConfig::builder().segment_bytes(48).build().is_err());
         assert!(QmConfig::builder().segment_bytes(1 << 17).build().is_err());
         assert!(QmConfig::builder().num_segments(u32::MAX).build().is_err());
+    }
+
+    /// The occupancy-key bound, at its edge: the largest configuration
+    /// whose byte count fits beside the flow bits builds, and one flow or
+    /// one segment more does not. Nothing is allocated: only the
+    /// configuration is built.
+    #[test]
+    fn occupancy_key_bound_accepts_the_largest_fit_and_refuses_the_next() {
+        let build = |flows: u32, segs: u32, seg_bytes: u32| {
+            QmConfig::builder()
+                .num_flows(flows)
+                .num_segments(segs)
+                .segment_bytes(seg_bytes)
+                .build()
+        };
+        // 2^29 flows (29 key bits) over 16 GiB (a 35-bit count) fill 64
+        // bits; one flow more needs a 30th.
+        assert!(build(1 << 29, 1 << 19, 1 << 15).is_ok());
+        assert!(build((1 << 29) + 1, 1 << 19, 1 << 15).is_err());
+        // u32::MAX flows take 32 key bits: 2^31 − 1 segments of 2 bytes fit,
+        // 2^31 (a 33-bit count) do not.
+        assert!(build(u32::MAX, (1 << 31) - 1, 2).is_ok());
+        assert!(build(u32::MAX, 1 << 31, 2).is_err());
+        // 2^17 flows fit with the largest buffer there is; one more does not.
+        assert!(build(1 << 17, u32::MAX - 1, 1 << 15).is_ok());
+        assert!(build((1 << 17) + 1, u32::MAX - 1, 1 << 15).is_err());
+        // The paper's geometry and the 32K-queue benchmark engine fit.
+        assert!(build(32 * 1024, 1 << 20, 64).is_ok());
+        let p = QmConfig::paper();
+        assert!(build(p.num_flows(), p.num_segments(), p.segment_bytes()).is_ok());
+    }
+
+    /// Flow counts, segment counts and segment sizes at their u32 and u16
+    /// edges: `build` answers `Ok` or `Err`, never overflows, and accepts
+    /// exactly the configurations every rule allows (recomputed here in
+    /// `u128`).
+    #[test]
+    fn u32_and_u16_edges_build_or_refuse_without_overflow() {
+        const M: u32 = u32::MAX;
+        const H: u32 = u16::MAX as u32;
+        let flows = [0, 1, 2, 1 << 16, 1 << 17, (1 << 17) + 1, 1 << 31, M - 1, M];
+        let segs = [0, 1, 2, H, H + 1, 1 << 31, M - 1, M];
+        let sizes = [0, 1, 2, 1 << 15, H, H + 1, 1 << 31, M];
+        let bits = |x: u128| u128::BITS - x.leading_zeros();
+        let mut accepted = 0;
+        for f in flows {
+            for n in segs {
+                for b in sizes {
+                    let got = QmConfig::builder()
+                        .num_flows(f)
+                        .num_segments(n)
+                        .segment_bytes(b)
+                        .build();
+                    let want = f > 0
+                        && n > 0
+                        && n < u32::MAX
+                        && b.is_power_of_two()
+                        && b <= u32::from(u16::MAX)
+                        && bits(u128::from(n) * u128::from(b)) + bits(u128::from(f) - 1) <= 64;
+                    assert_eq!(got.is_ok(), want, "{f} flows, {n} segments of {b} bytes");
+                    if let Ok(cfg) = got {
+                        assert_eq!(cfg.data_bytes(), u64::from(n) * u64::from(b));
+                        accepted += 1;
+                    }
+                }
+            }
+        }
+        assert!(accepted > 0);
     }
 
     #[test]

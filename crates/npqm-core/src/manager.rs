@@ -108,37 +108,46 @@ pub struct SegmentInfo {
 /// flow. Asleep (no nodes, no work per commit) until the first query
 /// builds it from the queue table; from then on every commit rewrites the
 /// flow's leaf and walks up only while a node's key changes. The key lives
-/// in the node, so a compare reads no queue record and is one branch-free
-/// `u128` compare: `2 × flows` nodes of 16 bytes.
+/// in the node, so a compare reads no queue record and is one `u64`
+/// compare: `2 × flows` nodes of 8 bytes. The key fits because
+/// [`QmConfigBuilder::build`](crate::config::QmConfigBuilder::build) refuses a
+/// configuration whose data memory, in bytes, needs more than
+/// `64 − shift` bits.
 #[derive(Debug, Clone, Default)]
 struct OccupancyIndex {
-    nodes: Vec<u128>,
+    nodes: Vec<u64>,
+    /// Bits of the highest flow index: the key's byte count sits above them.
+    shift: u32,
 }
 
-/// A flow's key in the occupancy tree: its byte count, then its index, so
-/// that equal counts order by flow.
-fn occupancy_key(flow: usize, bytes: u64) -> u128 {
-    u128::from(bytes) << 32 | flow as u128
+/// A flow's key in the occupancy tree: its byte count shifted above its
+/// index, `bytes << shift | flow`, which orders like the pair `(bytes,
+/// flow)` while `flow < 2^shift` and `bytes < 2^(64 − shift)`, so equal
+/// counts order by flow.
+fn occupancy_key(flow: usize, bytes: u64, shift: u32) -> u64 {
+    debug_assert!(bytes.leading_zeros() >= shift && (flow as u64) >> shift == 0);
+    bytes << shift | flow as u64
 }
 
 impl OccupancyIndex {
     /// Builds the tree over `bytes`, one count per flow.
     fn build(bytes: impl ExactSizeIterator<Item = u64>) -> Self {
         let n = bytes.len();
+        let shift = usize::BITS - n.saturating_sub(1).leading_zeros();
         let mut nodes = vec![0; 2 * n];
         for (f, b) in bytes.enumerate() {
-            nodes[n + f] = occupancy_key(f, b);
+            nodes[n + f] = occupancy_key(f, b, shift);
         }
         for i in (1..n).rev() {
             nodes[i] = nodes[2 * i].max(nodes[2 * i + 1]);
         }
-        OccupancyIndex { nodes }
+        OccupancyIndex { nodes, shift }
     }
 
     /// Sets `flow`'s leaf to `bytes` and repairs the path to the root.
     fn update(&mut self, flow: FlowId, bytes: u64) {
         let mut i = self.nodes.len() / 2 + flow.as_usize();
-        let mut key = occupancy_key(flow.as_usize(), bytes);
+        let mut key = occupancy_key(flow.as_usize(), bytes, self.shift);
         if self.nodes[i] == key {
             return;
         }
@@ -155,7 +164,8 @@ impl OccupancyIndex {
 
     /// The root: the longest queue and its byte count.
     fn top(&self) -> (u32, u64) {
-        (self.nodes[1] as u32, (self.nodes[1] >> 32) as u64)
+        let (root, flow_mask) = (self.nodes[1], !(u64::MAX << self.shift));
+        ((root & flow_mask) as u32, root >> self.shift)
     }
 }
 
@@ -279,7 +289,10 @@ impl QueueManager {
     ///
     /// Reads the root of an exact tournament tree that every commit keeps
     /// current in `O(log flows)`; the first call builds the tree from the
-    /// queue table. Ties are broken toward the higher flow index. Returns
+    /// queue table. Each node is one 8-byte key, the byte count packed
+    /// above the flow index, which the configuration's key-fit bound
+    /// guarantees room for (see [`QmConfigBuilder::build`](crate::config::QmConfigBuilder::build)).
+    /// Ties are broken toward the higher flow index. Returns
     /// `None` when every queue is empty. The query itself does not count as
     /// pointer-memory traffic (a hardware implementation would keep this
     /// register alongside the queue table).
@@ -1884,6 +1897,39 @@ mod tests {
         m.verify().unwrap();
     }
 
+    /// Packed keys order exactly like `(bytes, flow)` pairs, and decode to
+    /// them, at the extremes of every key width a configuration can have:
+    /// the largest byte count beside the key's flow bits, flow 0 against
+    /// the top flow, and equal counts (the higher flow wins).
+    #[test]
+    fn packed_occupancy_keys_order_like_byte_flow_pairs() {
+        for shift in [0, 1, 7, 15, 17, 31, 32] {
+            let top_flow = !(u64::MAX << shift) as usize;
+            let max_bytes = u64::MAX >> shift;
+            let mut pairs = Vec::new();
+            for bytes in [0, 1, max_bytes / 2, max_bytes - 1, max_bytes] {
+                for flow in [0, 1, top_flow / 2, top_flow.saturating_sub(1), top_flow] {
+                    pairs.push((bytes, flow.min(top_flow)));
+                }
+            }
+            for &(b, f) in &pairs {
+                let key = occupancy_key(f, b, shift);
+                let root = OccupancyIndex {
+                    nodes: vec![0, key],
+                    shift,
+                };
+                assert_eq!(root.top(), (f as u32, b), "shift {shift}");
+                for &(b2, f2) in &pairs {
+                    assert_eq!(
+                        key.cmp(&occupancy_key(f2, b2, shift)),
+                        (b, f).cmp(&(b2, f2)),
+                        "shift {shift}: ({b}, {f}) against ({b2}, {f2})"
+                    );
+                }
+            }
+        }
+    }
+
     impl QueueManager {
         /// The ready bits and, once awake, every node of the occupancy
         /// tree against the queue table.
@@ -1896,7 +1942,7 @@ mod tests {
                     return Err(format!("flow {f}: ready bit {bit}, {q:?}"));
                 }
                 let leaf = self.occ.nodes.get(n + f);
-                if leaf.is_some_and(|&leaf| leaf != occupancy_key(f, q.bytes)) {
+                if leaf.is_some_and(|&leaf| leaf != occupancy_key(f, q.bytes, self.occ.shift)) {
                     return Err(format!("flow {f}: occupancy leaf {leaf:?}, {q:?}"));
                 }
             }
@@ -1904,8 +1950,13 @@ mod tests {
             if self.ready.len() != n.div_ceil(64) || self.ready.last().is_some_and(past) {
                 return Err(format!("ready bits past flow {n}: {:?}", self.ready.last()));
             }
+            let shift = usize::BITS - (n - 1).leading_zeros();
             match self.occ.nodes.len() {
                 0 => Ok(()),
+                _ if self.occ.shift != shift => Err(format!(
+                    "occupancy key shift {} for {n} flows, want {shift}",
+                    self.occ.shift
+                )),
                 len if len == 2 * n => (1..n)
                     .map(|i| (i, self.occ.nodes[i]))
                     .find(|&(i, node)| node != self.occ.nodes[2 * i].max(self.occ.nodes[2 * i + 1]))

@@ -128,6 +128,10 @@ impl SegmentPool {
     // as a `DataAccess` exactly as by `write` / `read`, but not counted —
     // the caller adds the chain's bursts once, with `count`.
 
+    // Inlined into the chain walks, like `chain_read`: as an out-of-line
+    // call per segment it cost whole-packet traffic of 1518 B frames about
+    // 6 % of its packet rate.
+    #[inline]
     pub(crate) fn chain_write(&mut self, id: SegmentId, data: &[u8]) {
         assert!(
             data.len() <= self.segment_bytes as usize,
