@@ -7,7 +7,8 @@
 #
 #   ./ci.sh         # full pipeline: structure greps (no thread, lock or
 #                   # atomic in the engine and traffic crates, and no
-#                   # thread-count knob anywhere; one push-out loop, each
+#                   # thread-count knob anywhere; one push-out loop, no
+#                   # event queue in the traffic loops, each
 #                   # engine step of manager.rs
 #                   # written once, no cut_through, the access trace
 #                   # cut and never committed, one DDR slot loop, one
@@ -156,14 +157,16 @@ structure() {
         echo "${hits}" >&2
         exit 1
     fi
-    echo "==> structure: the closed loop's event heap holds completions only"
+    echo "==> structure: one completion slot per egress server, no event queue in the loops"
     local sig
-    sig="$(sed -n '/fn start_service</,/) -> bool {/p' crates/npqm-traffic/src/pipeline.rs)"
-    hits="$(grep -nE 'enum Ev\b|Ev::Arrival' crates/npqm-traffic/src/pipeline.rs || true)"
-    if [[ -n "${hits}" || -z "${sig}" ]] || grep -qE 'fn start_service<[^>]*,|mk_txdone|FnOnce' <<<"${sig}" \
-        || ! grep -q 'EventQueue<TxDone>' <<<"${sig}"; then
-        echo "structure FAILED: arrivals are back on the heap (enum Ev / Ev::Arrival), or" \
-            "start_service takes an event type other than TxDone; got:" >&2
+    hits="$(for file in crates/npqm-traffic/src/*.rs; do
+        sed '/^#\[cfg(test)\]/,$d' "${file}" | grep -nE 'EventQueue|BinaryHeap' | sed "s|^|${file}:|" || true
+    done)"
+    sig="$(sed -n '/fn start_service</,/^) -> /p' crates/npqm-traffic/src/pipeline.rs)"
+    if [[ -n "${hits}" || -z "${sig}" ]] || grep -qE 'fn start_service<[^>]*,' <<<"${sig}" \
+        || ! grep -qF ') -> Option<(Picos, TxDone)> {' <<<"${sig}"; then
+        echo "structure FAILED: an event queue is back in npqm-traffic, or start_service" \
+            "does not return the one completion it started; got:" >&2
         echo "${hits}" >&2
         echo "${sig}" >&2
         exit 1

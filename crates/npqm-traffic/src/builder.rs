@@ -284,7 +284,7 @@ impl PipelineBuilder {
 
 /// One shard-local instance of the closed loop: `arrivals` through
 /// `policy` on `qm`, drained by `sched`. Entirely self-contained — own
-/// event queue, ledger and telemetry recorder (returned in the report).
+/// completion slot, ledger and telemetry recorder (returned in the report).
 fn run_shard_local(
     cfg: &PipelineConfig,
     arrivals: impl Iterator<Item = ArrivalEvent>,

@@ -11,9 +11,9 @@
 //! drop policy, admitted packets queue per flow, and a single egress
 //! server drains them through a scheduler at a configurable line rate —
 //! so buffer-management policies can finally be *exercised and measured*
-//! instead of only unit-tested. Only egress completions go on the
-//! [`npqm_sim::EventQueue`]; the next arrival waits beside it with the
-//! sequence ticket that orders it against them, and push-out victims go
+//! instead of only unit-tested. Each egress server sends one packet at a
+//! time, so the loop holds one pending completion per server and the
+//! next arrival beside them, with no event queue; push-out victims go
 //! into one buffer the loop lends to every offer.
 //!
 //! The loop keeps a per-flow ledger with one slot — enqueue time, length
@@ -28,8 +28,8 @@
 //! — is built through [`PipelineBuilder`] and runs the one event loop in
 //! this module; the shapes differ only in arrival source and admission
 //! scope. (The streaming service's lane merge in [`crate::service`] is
-//! the other loop. Neither queues arrivals; they stay apart because each
-//! pins its own tie rule.) Egress is a fixed line rate; what the *memory*
+//! the other loop, with the same tie rule; its module docs say what
+//! keeps them apart.) Egress is a fixed line rate; what the *memory*
 //! organisation sustains is [`crate::scale::run_memory_scale`]'s
 //! question, not a loop's.
 //!
@@ -62,7 +62,6 @@ use npqm_core::telemetry::{MetricsRegistry, Telemetry, TelemetryConfig, Telemetr
 use npqm_core::{FlowId, QmConfig, QmStats, QueueManager};
 use npqm_sim::stats::MeanVar;
 use npqm_sim::time::Picos;
-use npqm_sim::EventQueue;
 
 /// Configuration of one closed-loop run.
 #[derive(Debug, Clone)]
@@ -375,14 +374,12 @@ impl AdmissionScope for SharedBuffer<'_> {
 ///
 /// Runs until the arrivals are exhausted and every backlog has drained,
 /// so per shard `offered == delivered + dropped + evicted` at return.
-/// Only transmit-done events go on the [`EventQueue`]. The next arrival
-/// waits outside it with the sequence ticket its scheduling would have
-/// drawn ([`EventQueue::ticket`]), taken when its predecessor is applied,
-/// and is applied first exactly when it [`precedes`](EventQueue::precedes)
-/// the queue's head. Event order is part of the contract
-/// (`bench/expected.json`'s digests and the tier-1 tie test pin it): time
-/// ties break in scheduling (FIFO) order, and an arrival schedules its
-/// successor *before* it starts a service.
+/// A server sends one packet at a time, so each shard keeps its one
+/// pending completion in a slot, and the loop keeps the time of the last
+/// event. Event order is part of the contract (`bench/expected.json`'s
+/// digests and the tier-1 tie tests pin it) and is the service's: a
+/// completion due at or before the next arrival runs first, and
+/// completions due at one instant run lowest shard first.
 ///
 /// Returns one report per shard (`makespan` is the instance's own last
 /// event) and the instance's telemetry recorder, final `qm.*` /
@@ -399,43 +396,50 @@ where
     S: FlowScheduler,
 {
     let shards = scheds.len();
-    let mut ev: EventQueue<TxDone> = EventQueue::new();
     let mut st = LoopState::new(
         shards,
         cfg.mix.flows(),
         cfg.sizes.max_bytes(),
         cfg.telemetry,
     );
-    let mut server_busy = vec![false; shards];
+    let mut tx: Vec<Option<(Picos, TxDone)>> = vec![None; shards];
+    let mut now = Picos::ZERO;
 
-    let mut next = arrivals.next().map(|a| (a, ev.ticket()));
+    let mut next = arrivals.next();
     loop {
+        let due = (tx.iter().enumerate())
+            .filter_map(|(s, slot)| slot.map(|(t, done)| (t, s, done)))
+            .min_by_key(|&(t, s, _)| (t, s));
         let shard = match next {
-            Some((a, ticket)) if ev.precedes(a.at, ticket) => {
-                ev.advance_to(a.at);
+            Some(a) if due.is_none_or(|(t, ..)| a.at < t) => {
+                assert!(
+                    a.at >= now && due.is_none_or(|(t, ..)| t > a.at),
+                    "an arrival went back in time or ahead of a due completion"
+                );
+                now = a.at;
                 st.arrival(scope, a);
-                next = arrivals.next().map(|a| (a, ev.ticket()));
+                next = arrivals.next();
                 let shard = scope.shard_of(a.flow);
-                if server_busy[shard] {
+                if tx[shard].is_some() {
                     continue;
                 }
                 shard
             }
             _ => {
-                let Some((now, tx)) = ev.pop() else {
+                let Some((t, shard, done)) = due else {
                     break;
                 };
-                let shard = scope.shard_of(tx.flow);
-                st.delivery(now, shard, tx);
+                now = t;
+                st.delivery(now, shard, done);
                 shard
             }
         };
-        server_busy[shard] = start_service(
+        tx[shard] = start_service(
             scope.qm(shard),
             &mut scheds[shard],
             &mut st,
             shard,
-            &mut ev,
+            now,
             gbps,
         );
     }
@@ -449,28 +453,26 @@ where
         reg.record_qm("qm.", &stats);
         t.set_final_metrics(reg);
     }
-    st.finish(ev.now());
+    st.finish(now);
     (st.reports, st.tel)
 }
 
 /// Asks the scheduler for the next flow and, if one is ready, dequeues
 /// its head packet into the loop's frame buffer (lent to the engine, so a
 /// delivery allocates nothing), verifies it against the ledger (length
-/// and marker byte, a mismatch charged to `shard`'s report) and schedules
-/// its [`TxDone`] after its transmit time at `gbps` Gbit/s. Returns
-/// whether the server is now busy. Both loops keep only completions on
-/// their [`EventQueue`] and share this one service path.
+/// and marker byte, a mismatch charged to `shard`'s report) and returns
+/// its completion: the instant `now` plus its transmit time at `gbps`
+/// Gbit/s, and the [`TxDone`]. `None` leaves the server idle. Both loops
+/// share this one service path.
 pub(crate) fn start_service<S: FlowScheduler + ?Sized>(
     qm: &mut QueueManager,
     sched: &mut S,
     st: &mut LoopState,
     shard: usize,
-    ev: &mut EventQueue<TxDone>,
+    now: Picos,
     gbps: f64,
-) -> bool {
-    let Some(flow) = sched.next_flow(qm) else {
-        return false;
-    };
+) -> Option<(Picos, TxDone)> {
+    let flow = sched.next_flow(qm)?;
     st.frame.clear();
     let len = qm
         .dequeue_packet_into(flow, &mut st.frame)
@@ -484,17 +486,14 @@ pub(crate) fn start_service<S: FlowScheduler + ?Sized>(
     }
     if let Some(t) = &mut st.tel {
         // The scheduler decision, stamped at the service start instant.
-        t.record_sched_select(ev.now(), flow);
+        t.record_sched_select(now, flow);
     }
-    ev.schedule_in(
-        tx_time(gbps, len),
-        TxDone {
-            flow,
-            bytes: len as u32,
-            enqueued_at: slot.enqueued_at,
-        },
-    );
-    true
+    let done = TxDone {
+        flow,
+        bytes: len as u32,
+        enqueued_at: slot.enqueued_at,
+    };
+    Some((now + tx_time(gbps, len), done))
 }
 
 /// Outcome of a [`PipelineBuilder`] run: the per-shard closed-loop
@@ -623,12 +622,13 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::arrival::ArrivalProcess;
     use crate::service::partition_indices;
     use npqm_core::check::{fnv1a_fold, FNV_OFFSET_BASIS};
     use npqm_core::sched::{DeficitRoundRobin, StrictPriority};
+    use npqm_core::telemetry::{EventKind, ShardTraceEvent};
 
     /// A shard-local builder over `policy` (default egress: flat DRR).
     fn local<P>(cfg: &PipelineConfig, policy: P) -> PipelineBuilder
@@ -794,6 +794,38 @@ mod tests {
         }
     }
 
+    /// `tie_heavy`'s packets every 51.2 ns into `gbps`: at 10 Gbit/s a
+    /// shard a service lasts one gap, so completions land on arrivals.
+    /// Traced into a ring that holds the whole run.
+    pub(crate) fn tie_every_gap(gbps: f64) -> PipelineConfig {
+        PipelineConfig {
+            arrivals: ArrivalProcess::cbr_gbps(10.0, 64),
+            egress_gbps: gbps,
+            duration: Picos::from_micros(20),
+            telemetry: Some(TelemetryConfig::with_ring(1 << 14)),
+            ..tie_heavy()
+        }
+    }
+
+    /// The tie rule read off a trace: among one recorder's events at one
+    /// instant, deliveries go lowest home shard first and before an
+    /// arrival, which ranks last. Returns how many instants held both.
+    pub(crate) fn completions_lead_ties(events: &[ShardTraceEvent], homes: &[usize]) -> usize {
+        let mut ties = 0;
+        for group in events.chunk_by(|a, b| (a.at, a.shard) == (b.at, b.shard)) {
+            let ranks: Vec<usize> = (group.iter())
+                .filter_map(|e| match e.kind {
+                    EventKind::Deliver { flow, .. } => Some(homes[flow.as_usize()]),
+                    EventKind::Admit { .. } | EventKind::Drop { .. } => Some(usize::MAX),
+                    _ => None,
+                })
+                .collect();
+            assert!(ranks.is_sorted(), "{ranks:?} at {:?}", group[0].at);
+            ties += usize::from(ranks.windows(2).any(|w| w[0] < w[1] && w[1] == usize::MAX));
+        }
+        ties
+    }
+
     fn debug_hash(value: &impl std::fmt::Debug) -> u64 {
         format!("{value:?}")
             .bytes()
@@ -803,12 +835,11 @@ mod tests {
     #[test]
     fn tie_order_is_pinned_on_every_shape() {
         // Hashes computed at the commit *before* the loops were unified
-        // (dense loop, per-shard trace replay, coupled global-LQD loop):
-        // next arrival scheduled before the service start, FIFO
-        // tie-break. A service here outlasts the arrival gap, so every
-        // completion that ties an arrival was scheduled before the
-        // arrival's ticket: completions-first would move nothing, and
-        // arrivals-first moves only the 16-flow shape's digests.
+        // (dense loop, per-shard trace replay, coupled global-LQD loop).
+        // A service here takes 102.4 ns, longer than two 50 ns gaps, so a
+        // completion that ties an arrival started before the arrival's
+        // predecessor, and it runs first whether ties go by scheduling
+        // order or to completions: these hashes hold under either rule.
         let cfg = tie_heavy();
         let dense = local(&cfg, LongestQueueDrop::new(0)).run();
         assert_eq!(dense.aggregate.offered_pkts, 4000);
@@ -839,6 +870,20 @@ mod tests {
             .admission_global_lqd(0)
             .run();
         assert_eq!(debug_hash(&global4), 0xfb01_1889_8859_41e7);
+
+        // Where the two rules differ: a service of one gap, started on an
+        // arrival, ends on the next arrival's picosecond, and its delivery
+        // must run first. At a quarter of the rate, services back up and
+        // shards complete together.
+        for (shards, gbps) in [(1, 10.0), (4, 40.0), (4, 10.0)] {
+            for global in [false, true] {
+                let b = local(&tie_every_gap(gbps), LongestQueueDrop::new(0)).shards(shards);
+                let r = if global { b.admission_global_lqd(0) } else { b }.run();
+                let tel = r.telemetry.unwrap();
+                assert_eq!(tel.overflow_events, 0);
+                assert!(completions_lead_ties(&tel.events, &r.shard_of_flow) > 50);
+            }
+        }
     }
 
     /// The paper's 32K queues, sparsely backlogged: 1518-byte frames at

@@ -20,7 +20,7 @@
 //! lane column and shard `s` its lane row for one phase; the serve phase
 //! is one [`ShardedQueueManager::for_each_shard`] call, which lends shard
 //! `s`'s loop its engine and times it. Shards never wait on each other —
-//! each owns its ledger and event queue outright and snapshots in stride
+//! each owns its ledger and completion slot outright and snapshots in stride
 //! — so N shards model N engines the way [`ShardedQueueManager`]'s
 //! busy-time composite does, without running them at once.
 //!
@@ -69,15 +69,16 @@
 //! The lane-driven `ShardLoop` here and the finite-trace event loop in
 //! [`crate::pipeline`] share the draw primitives this module owns
 //! ([`PacketStream`] and the arrival stream built on it), the
-//! admit/evict/deliver bookkeeping and the service path, and each has
-//! its tie rule pinned on CBR traffic that ties every 125th service: here
-//! a completion due at or before the next arrival runs first
-//! (`service_tie_order_is_pinned`), the finite loop orders a tie by when
-//! each event was scheduled (`tie_order_is_pinned_on_every_shape`).
-//! Neither puts arrivals on its event heap, which holds completions only.
-//! They stay two loops because the tie rules differ, and one resumable
-//! step under both measured 11 % slower here for no fewer lines (ROADMAP
-//! item 5(b)).
+//! admit/evict/deliver bookkeeping, the service path and one tie rule:
+//! each egress server holds its one packet in flight in a slot, a
+//! completion due at or before the next arrival runs first, and tied
+//! completions run lowest shard first (`service_tie_order_is_pinned`,
+//! `tie_order_is_pinned_on_every_shape`). They stay two loops for scope:
+//! the finite loop admits over N shards at once (global LQD, whose
+//! push-outs reach any shard), and the service adds lanes, epochs with
+//! their snapshots and the stop boundary of [`quiesced_digest`]. One
+//! resumable step under both measured 11 % slower here for no fewer
+//! lines (ROADMAP item 5(b)).
 //!
 //! # Example
 //!
@@ -117,7 +118,6 @@ use npqm_sim::epoch::EpochClock;
 use npqm_sim::rng::Xoshiro256pp;
 use npqm_sim::stats::Histogram;
 use npqm_sim::time::Picos;
-use npqm_sim::EventQueue;
 use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
@@ -656,25 +656,27 @@ fn generator(cfg: &ServiceConfig, g: usize) -> impl Iterator<Item = ArrivalEvent
 type Lane = VecDeque<ArrivalEvent>;
 
 /// One shard's always-on service loop in `process_once` shape: each call
-/// merges lane heads in virtual-time order with scheduled egress
+/// merges lane heads in virtual-time order with its egress server's
 /// completions and processes exactly one arrival (plus any completions
-/// due before it), maintaining epoch windows and boundary snapshots as
-/// time advances. The loop owns its shard's ledger and event queue
-/// outright and is lent its engine for one serve phase at a time, so
-/// shards never wait on each other.
+/// due at or before it), maintaining epoch windows and boundary
+/// snapshots as time advances. The loop owns its shard's ledger and
+/// completion slot outright and is lent its engine for one serve phase
+/// at a time, so shards never wait on each other.
 struct ShardLoop<'a, P, S> {
     cfg: &'a ServiceConfig,
     shard: usize,
     policy: P,
     sched: S,
     st: LoopState,
-    ev: EventQueue<TxDone>,
+    /// The time of the last event applied.
+    now: Picos,
+    /// The egress server's packet in flight and when it finishes.
+    tx: Option<(Picos, TxDone)>,
     clock: EpochClock,
     cur: EpochWindow,
     windows: Vec<EpochWindow>,
     snapshots: Vec<EpochSnapshot>,
     heads: Vec<Option<ArrivalEvent>>,
-    server_busy: bool,
     /// This shard's egress line rate in Gbit/s.
     gbps: f64,
     seg_bytes: u32,
@@ -704,13 +706,13 @@ where
             policy,
             sched,
             st: LoopState::new(1, cfg.mix.flows(), cfg.sizes.max_bytes(), cfg.telemetry),
-            ev: EventQueue::new(),
+            now: Picos::ZERO,
+            tx: None,
             clock: EpochClock::new(cfg.epoch),
             cur: EpochWindow::new(0, cfg.latency_buckets, cfg.latency_bucket_ns),
             windows: Vec::new(),
             snapshots: Vec::new(),
             heads: vec![None; cfg.generators],
-            server_busy: false,
             gbps: cfg.egress_gbps / cfg.shards as f64,
             seg_bytes: cfg.qm.segment_bytes(),
             segments: 0,
@@ -768,22 +770,15 @@ where
         }
     }
 
-    /// Dequeues through the scheduler if the server is idle.
+    /// Starts the next service on the idle server, if a flow is ready.
     fn serve(&mut self, qm: &mut QueueManager) {
-        self.server_busy = start_service(
-            qm,
-            &mut self.sched,
-            &mut self.st,
-            0,
-            &mut self.ev,
-            self.gbps,
-        );
+        self.tx = start_service(qm, &mut self.sched, &mut self.st, 0, self.now, self.gbps);
     }
 
-    /// Processes every scheduled egress completion due at or before
-    /// `until`, earliest first. Returns `false` if one lies at/beyond the
-    /// stop boundary (the loop then freezes instead). Inlined: a call per
-    /// arrival, due completion or not, cost the service 2-3 %.
+    /// Processes every egress completion due at or before `until`, each
+    /// starting the next service. Returns `false` if one lies at/beyond
+    /// the stop boundary (the loop then freezes instead). Inlined: a call
+    /// per arrival, due completion or not, cost the service 2-3 %.
     #[inline]
     fn complete_until(
         &mut self,
@@ -791,16 +786,14 @@ where
         until: Picos,
         obs: &impl Fn(usize, &EpochWindow),
     ) -> bool {
-        while let Some(t) = self.ev.peek_time().filter(|&t| t <= until) {
+        while let Some((t, tx)) = self.tx.filter(|&(t, _)| t <= until) {
             if self.cut(t) {
                 self.finalize(qm, true, obs);
                 return false;
             }
             self.advance_virtual(qm, t, obs);
-            let Some((now, tx)) = self.ev.pop() else {
-                break;
-            };
-            let lat_ns = self.st.delivery(now, 0, tx);
+            self.now = t;
+            let lat_ns = self.st.delivery(t, 0, tx);
             self.cur.delivered_pkts += 1;
             self.cur.delivered_bytes += u64::from(tx.bytes);
             self.cur.latency_ns.record(lat_ns);
@@ -826,7 +819,7 @@ where
         } else {
             self.cur.dropped_pkts += 1;
         }
-        if !self.server_busy {
+        if self.tx.is_none() {
             self.serve(qm);
         }
     }
@@ -851,13 +844,13 @@ where
             reg.record_ptr("ptr.", &qm.ptr_counters());
             tel.set_final_metrics(reg);
         }
-        self.st.finish(self.ev.now());
+        self.st.finish(self.now);
         self.final_digest = shard_state_digest(qm, &self.st.ledger);
         self.done = true;
     }
 
     /// One scheduling quantum on the lent engine `qm`: merge lane heads
-    /// and scheduled completions in virtual-time order (completions win
+    /// and the server's completion in virtual-time order (completions win
     /// time ties; see the module docs) and process the earliest. The
     /// shard's event sequence — hence its state, windows and snapshots —
     /// is a pure function of the lane contents. `closed[g]` says
@@ -904,8 +897,12 @@ where
             self.finalize(qm, true, obs);
             return false;
         }
+        assert!(
+            pkt.at >= self.now && self.tx.is_none_or(|(t, _)| t > pkt.at),
+            "an arrival went back in time or ahead of a due completion"
+        );
         self.advance_virtual(qm, pkt.at, obs);
-        self.ev.advance_to(pkt.at);
+        self.now = pkt.at;
         self.apply_arrival(qm, pkt);
         true
     }
@@ -1305,6 +1302,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::tests::{completions_lead_ties, tie_every_gap};
     use crate::pipeline::PipelineConfig;
     use npqm_core::policy::DynamicThreshold;
     use npqm_core::sched::DeficitRoundRobin;
@@ -1570,18 +1568,31 @@ mod tests {
             duration: Picos::from_micros(200),
             ..ServiceConfig::steady_demo(42)
         };
-        let r = run_service(
-            &cfg,
-            1,
-            |_| npqm_core::policy::LongestQueueDrop::new(0),
-            |_| DeficitRoundRobin::new(vec![1518; 8]),
-        );
+        let run = |cfg: &ServiceConfig| {
+            let lqd = |_| npqm_core::policy::LongestQueueDrop::new(0);
+            run_service(cfg, 1, lqd, |_| DeficitRoundRobin::new(vec![1518; 8]))
+        };
+        let r = run(&cfg);
         let hash = format!("{:?}", r.aggregate)
             .bytes()
             .fold(FNV_OFFSET_BASIS, |h, b| fnv1a_fold(h, u64::from(b)));
         assert_eq!(r.aggregate.offered_pkts, 4000);
         assert_eq!(r.aggregate.evicted_pkts, 1919);
         assert_eq!(hash, 0xf024_9ac5_6811_4b74, "aggregate moved: {hash:#018x}");
+
+        // The finite loop's tie-every-gap traffic, over four shards.
+        let every_gap = tie_every_gap(40.0);
+        let r = run(&ServiceConfig {
+            arrivals: every_gap.arrivals,
+            egress_gbps: every_gap.egress_gbps,
+            shards: 4,
+            duration: every_gap.duration,
+            telemetry: every_gap.telemetry,
+            ..cfg
+        });
+        let tel = r.telemetry.unwrap();
+        assert_eq!(tel.overflow_events, 0);
+        assert!(completions_lead_ties(&tel.events, &r.shard_of_flow) > 50);
     }
 
     #[test]
