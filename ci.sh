@@ -372,6 +372,31 @@ structure() {
         echo "${hits}" >&2
         exit 1
     fi
+    echo "==> structure: one loop instance per pipeline run"
+    # Every PipelineBuilder run is one run_closed_loop call over a lazily
+    # drawn stream: no pregenerated trace split into index lists, no
+    # one-shard loops replayed shard by shard, and each admission arm of
+    # builder.rs (comments stripped, above its tests) calls the loop once.
+    hits="$(grep -rnE 'partition_indices|run_shard_local' crates examples tests src README.md || true)"
+    above="$(sed '/^#\[cfg(test)\]/,$d' crates/npqm-traffic/src/builder.rs | sed 's|//.*||')"
+    hits+="$(grep -n 'for_each_shard' <<<"${above}" || true)"
+    local arms arm calls
+    arms="$(sed -n '/^enum AdmissionSel {/,/^}/p' <<<"${above}" | grep -oE '^    [A-Z][A-Za-z]*' || true)"
+    for arm in ${arms}; do
+        body="$(sed -n "/^            AdmissionSel::${arm}\b.* => {\$/,/^            }\$/p" <<<"${above}")"
+        calls="$(grep -c 'run_closed_loop(' <<<"${body}" || true)"
+        if [[ "${calls}" != 1 ]]; then
+            hits+="AdmissionSel::${arm} arm: ${calls} run_closed_loop( calls"$'\n'
+        fi
+    done
+    calls="$(grep -c 'run_closed_loop(' <<<"${above}" || true)"
+    if [[ -n "${hits}" || -z "${arms}" || "${calls}" != "$(wc -w <<<"${arms}")" ]]; then
+        echo "structure FAILED: a pipeline run is one run_closed_loop call per admission arm of" \
+            "builder.rs, over a lazily drawn stream; got:" >&2
+        echo "${hits}" >&2
+        echo "run_closed_loop( calls above builder.rs's tests: ${calls}" >&2
+        exit 1
+    fi
 }
 
 # Golden-output regression gates: the table binaries assert their

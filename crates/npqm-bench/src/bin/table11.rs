@@ -293,9 +293,6 @@ fn run_trace(path: &str) {
     let plain = run_trunk(42, &LOAD_OVERLOAD, true);
     let mut stripped = traced.clone();
     stripped.telemetry = None;
-    for sh in &mut stripped.shards {
-        sh.telemetry = None;
-    }
     check(
         format!("{stripped:?}") == format!("{plain:?}"),
         "tracing changes nothing: observed trunk report byte-identical to the plain run",

@@ -18,8 +18,8 @@
 //!   ([`ShardedQueueManager::for_each_shard`]): it lends each active
 //!   shard's engine to the caller's state for that shard, in shard order
 //!   on the calling thread, and times the call. The scale rounds
-//!   (`table7` / `table8`), the streaming service's serve phase and the
-//!   pipeline builder's shard-local loops all run through it;
+//!   (`table7` / `table8`) and the streaming service's serve phase run
+//!   through it;
 //! * **one command at a time** ([`ShardedQueueManager::execute`]), routed
 //!   to its flow's shard, as the paper's MMS takes one command per
 //!   request/acknowledge handshake; a batch is its one-by-one replay;
@@ -258,8 +258,7 @@ impl ShardedQueueManager {
 
     /// Per-shard busy time. Its one writer is
     /// [`for_each_shard`](ShardedQueueManager::for_each_shard), under the
-    /// scale rounds, the service's serve phases and the pipeline
-    /// builder's shard-local loops.
+    /// scale rounds and the service's serve phases.
     pub fn busy_times(&self) -> &[Duration] {
         &self.busy
     }
@@ -360,9 +359,9 @@ impl ShardedQueueManager {
     /// which `active(&states[s])` holds, in shard order on the calling
     /// thread, and adds the call's wall time to that shard's
     /// [busy time](ShardedQueueManager::busy_times) — the one timed
-    /// per-shard executor, behind the `table7` / `table8` rounds, the
-    /// service's serve phase and the pipeline builder's shard-local loops
-    /// alike. Idle shards are neither run nor timed.
+    /// per-shard executor, behind the `table7` / `table8` rounds and the
+    /// service's serve phase alike. Idle shards are neither run nor
+    /// timed.
     ///
     /// # Panics
     ///

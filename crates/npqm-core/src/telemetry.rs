@@ -10,11 +10,12 @@
 //! tracing and no record of *why* a packet was dropped. This module
 //! unifies them behind three cooperating pieces:
 //!
-//! * **[`Telemetry`]** — a per-engine (per-shard) bounded ring buffer of
-//!   structured [`TraceEvent`]s, timestamped in **virtual time**
-//!   ([`Picos`], never wall clock). Because every event is stamped with
-//!   simulation time and recorded by the shard that owns the engine,
-//!   traces are byte-identical from run to run — the same contract as
+//! * **[`Telemetry`]** — a bounded ring buffer of structured
+//!   [`TraceEvent`]s, one per closed-loop instance (a pipeline run, or a
+//!   service shard), timestamped in **virtual time** ([`Picos`], never
+//!   wall clock). Because every event is stamped with simulation time and
+//!   recorded by the loop that owns the engines, traces are
+//!   byte-identical from run to run — the same contract as
 //!   every other deterministic output in the workspace.
 //! * **[`MetricsRegistry`]** — a snapshotable registry of named `u64`
 //!   counters under stable dotted names (`qm.enqueues`, `ptr.qt_reads`, …),
@@ -75,7 +76,7 @@ use std::collections::{BTreeMap, VecDeque};
 /// Configuration of one [`Telemetry`] instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
-    /// Capacity of the per-shard event ring, in events. When the ring is
+    /// Capacity of each recorder's event ring, in events. When the ring is
     /// full the **oldest** event is evicted (and counted in
     /// [`Telemetry::overflow_events`]); the drop ledger keeps exact
     /// totals regardless.
@@ -90,7 +91,7 @@ impl TelemetryConfig {
 }
 
 impl Default for TelemetryConfig {
-    /// 4096 events per shard — enough to hold the tail of a table-sized
+    /// 4096 events per recorder — enough to hold the tail of a table-sized
     /// run while keeping the export readable.
     fn default() -> Self {
         TelemetryConfig {
@@ -636,7 +637,8 @@ pub struct ShardTraceEvent {
 /// snapshots.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TelemetryReport {
-    /// The per-shard ring capacity the run used.
+    /// The ring capacity of each recorder the run used: a pipeline run
+    /// keeps one recorder for all its shards, the service one per shard.
     pub ring_capacity: usize,
     /// Retained events merged across shards, sorted by
     /// `(virtual time, shard, per-shard seq)` — a pure function of the

@@ -328,4 +328,28 @@
         ],
         digest: 0xffa12282_6dfa6187,
     },
+    // A 2,047-byte packet over 64-byte segments (31 full segments and a
+    // 63-byte tail), under each free-list discipline: two fill the pool exactly, a one-byte third is
+    // refused, two come back whole, one through a lent buffer, and the
+    // last stays queued, so the digest reads its bytes. The digest reads no
+    // segment id, so both disciplines end at one value; the model checks
+    // the free list after every step.
+    Script {
+        name: "max_packet_over_64_byte_segments_lifo",
+        shape: Shape { flows: 2, segments: 64, seg_bytes: 64, freelist: Lifo, shards: 1 },
+        steps: &[
+            EnqueuePacket(1, 2047, 0), EnqueuePacket(0, 2047, 0), EnqueuePacket(1, 1, 0),
+            DequeuePacket(1, None), EnqueuePacket(1, 2047, 0), DequeuePacket(0, Some(3)),
+        ],
+        digest: 0x4a06f80f_2c2ec93f,
+    },
+    Script {
+        name: "max_packet_over_64_byte_segments_fifo",
+        shape: Shape { flows: 2, segments: 64, seg_bytes: 64, freelist: Fifo, shards: 1 },
+        steps: &[
+            EnqueuePacket(1, 2047, 0), EnqueuePacket(0, 2047, 0), EnqueuePacket(1, 1, 0),
+            DequeuePacket(1, None), EnqueuePacket(1, 2047, 0), DequeuePacket(0, Some(3)),
+        ],
+        digest: 0x4a06f80f_2c2ec93f,
+    },
 ]

@@ -2,28 +2,27 @@
 //!
 //! [`PipelineBuilder`] picks the shard count, admission flavour and
 //! egress discipline independently, then
-//! [`run`](PipelineBuilder::run) hands them to the one event loop
-//! (`pipeline::run_closed_loop`) as its two parameters — an arrival
-//! source and an admission scope — beside each shard's scheduler and
-//! line rate. Every combination returns the same
-//! `ShardedPipelineReport` (a dense run is simply one shard), so
-//! downstream reporting code is shape-agnostic.
+//! [`run`](PipelineBuilder::run) runs them as one N-shard instance of
+//! the one event loop (`pipeline::run_closed_loop`), which draws its
+//! arrivals lazily: the admission flavour is the instance's scope, and
+//! each shard drains through its own scheduler and line rate. Every
+//! combination returns the same `ShardedPipelineReport` (a dense run is
+//! simply one shard), so downstream reporting code is shape-agnostic.
 //!
-//! Determinism contracts follow from there being one loop: one shard is
-//! the dense pipeline whether its arrivals are drawn lazily or replayed
-//! from a trace. Shard-local loops run one after another on the calling
-//! thread.
+//! Determinism contracts follow from there being one loop instance per
+//! run: under shard-local admission the shards share nothing, so each
+//! sees the events it would see alone, and one shard is the dense
+//! pipeline.
 
 use crate::pipeline::{
-    assemble_sharded_report, run_closed_loop, PipelineConfig, PipelineReport, ShardLocal,
-    ShardedPipelineReport, SharedBuffer,
+    assemble_sharded_report, run_closed_loop, Partitioned, PipelineConfig, ShardedPipelineReport,
+    SharedBuffer,
 };
-use crate::service::{partition_indices, ArrivalEvent};
 use npqm_core::policy::{DropPolicy, DynamicThreshold, GlobalLqd};
 use npqm_core::sched::{from_spec, DeficitRoundRobin, FlowScheduler};
 use npqm_core::shard::ShardedQueueManager;
 use npqm_core::telemetry::{TelemetryConfig, TelemetryReport};
-use npqm_core::{FlowId, QueueManager};
+use npqm_core::FlowId;
 
 type PolicyFactory = Box<dyn FnMut(usize) -> Box<dyn DropPolicy>>;
 type SchedFactory = Box<dyn FnMut(usize) -> Box<dyn FlowScheduler>>;
@@ -203,7 +202,6 @@ impl PipelineBuilder {
 
         let global = matches!(self.admission, AdmissionSel::GlobalLqd { .. });
         assert!(cfg.egress_gbps > 0.0, "egress rate must be positive");
-        let per_shard_gbps = cfg.egress_gbps / shards as f64;
         // Shard-local admission manages an equal partition of the buffer
         // per shard; in the shared-buffer pairing every shard can
         // physically hold the whole budget, so the global LQD budget is
@@ -218,53 +216,22 @@ impl PipelineBuilder {
             .map(|f| engine.shard_of(FlowId::new(f)))
             .collect();
 
-        let (reports, shared_tel) = match self.admission {
+        let (reports, tel) = match self.admission {
             AdmissionSel::GlobalLqd { reserve_segments } => {
                 let mut scope = SharedBuffer {
                     engine: &mut engine,
                     policy: GlobalLqd::new(cfg.qm.num_segments(), reserve_segments),
                     shard_of_flow: &shard_of_flow,
                 };
-                run_closed_loop(
-                    cfg,
-                    cfg.arrival_stream(),
-                    &mut scope,
-                    &mut scheds,
-                    per_shard_gbps,
-                )
+                run_closed_loop(cfg, &mut scope, &mut scheds)
             }
             AdmissionSel::Local(mk_policy) => {
-                // One shard draws its arrivals lazily (a long dense run
-                // never holds its trace); more walk index lists into one
-                // shared trace, so peak memory is O(trace), not O(shards
-                // × trace).
-                let (trace, idx): (Vec<ArrivalEvent>, Vec<Option<Vec<u32>>>) = if shards == 1 {
-                    (Vec::new(), vec![None])
-                } else {
-                    let trace: Vec<ArrivalEvent> = cfg.arrival_stream().collect();
-                    let idx = partition_indices(&trace, &shard_of_flow, shards);
-                    (trace, idx.into_iter().map(Some).collect())
+                let mut scope = Partitioned {
+                    engine: &mut engine,
+                    policies: (0..shards).map(mk_policy).collect(),
+                    shard_of_flow: &shard_of_flow,
                 };
-                let mut locals: Vec<_> =
-                    ((0..shards).map(mk_policy).zip(scheds).zip(idx)).collect();
-                let mut reports = Vec::with_capacity(shards);
-                engine.for_each_shard(
-                    &mut locals,
-                    |_| true,
-                    |qm, ((policy, sched), ix)| {
-                        let (policy, gbps) = (&mut **policy, per_shard_gbps);
-                        reports.push(match ix {
-                            None => {
-                                run_shard_local(cfg, cfg.arrival_stream(), qm, policy, sched, gbps)
-                            }
-                            Some(ix) => {
-                                let replay = ix.iter().map(|&i| trace[i as usize]);
-                                run_shard_local(cfg, replay, qm, policy, sched, gbps)
-                            }
-                        });
-                    },
-                );
-                (reports, None)
+                run_closed_loop(cfg, &mut scope, &mut scheds)
             }
         };
 
@@ -273,36 +240,11 @@ impl PipelineBuilder {
             "cross-shard invariants violated after drain"
         );
         let mut rep = assemble_sharded_report(reports, shard_of_flow, flows);
-        if let Some(t) = shared_tel {
-            // The coupled loop is inherently serial, so one recorder
-            // observed the whole engine; it merges under shard tag 0.
-            rep.telemetry = Some(TelemetryReport::merge([(0u32, &t)]));
-        }
+        // One loop observed the whole engine, so its one recorder merges
+        // under shard tag 0.
+        rep.telemetry = tel.map(|t| TelemetryReport::merge([(0u32, &t)]));
         rep
     }
-}
-
-/// One shard-local instance of the closed loop: `arrivals` through
-/// `policy` on `qm`, drained by `sched`. Entirely self-contained — own
-/// completion slot, ledger and telemetry recorder (returned in the report).
-fn run_shard_local(
-    cfg: &PipelineConfig,
-    arrivals: impl Iterator<Item = ArrivalEvent>,
-    qm: &mut QueueManager,
-    policy: &mut dyn DropPolicy,
-    sched: &mut Box<dyn FlowScheduler>,
-    gbps: f64,
-) -> PipelineReport {
-    let (mut reports, tel) = run_closed_loop(
-        cfg,
-        arrivals,
-        &mut ShardLocal { qm, policy },
-        std::slice::from_mut(sched),
-        gbps,
-    );
-    let mut report = reports.pop().expect("a ShardLocal scope reports one shard");
-    report.telemetry = tel;
-    report
 }
 
 #[cfg(test)]

@@ -25,13 +25,14 @@
 //! counted, never ignored.
 //!
 //! Every pipeline shape — dense, shard-local sharded, globally admitted
-//! — is built through [`PipelineBuilder`] and runs the one event loop in
-//! this module; the shapes differ only in arrival source and admission
-//! scope. (The streaming service's lane merge in [`crate::service`] is
-//! the other loop, with the same tie rule; its module docs say what
-//! keeps them apart.) Egress is a fixed line rate; what the *memory*
-//! organisation sustains is [`crate::scale::run_memory_scale`]'s
-//! question, not a loop's.
+//! — is built through [`PipelineBuilder`] and runs as one N-shard
+//! instance of the one event loop in this module, over one lazily drawn
+//! arrival stream; the shapes differ only in admission scope. (The
+//! streaming service's lane merge in [`crate::service`] is the other
+//! loop, with the same tie rule; its module docs say what keeps them
+//! apart.) Egress is a fixed line rate; what the *memory* organisation
+//! sustains is [`crate::scale::run_memory_scale`]'s question, not a
+//! loop's.
 //!
 //! # Example
 //!
@@ -52,7 +53,7 @@
 use crate::arrival::{round_to_u64, ArrivalProcess};
 use crate::builder::PipelineBuilder;
 use crate::flows::FlowMix;
-use crate::service::{arrival_stream, ArrivalEvent, LoopState};
+use crate::service::{arrival_stream, LoopState};
 use crate::size::SizeDistribution;
 use npqm_core::limits::{BufferManager, DropReason, FlowLimits};
 use npqm_core::policy::{DropPolicy, DynamicThreshold, GlobalLqd, LongestQueueDrop};
@@ -145,17 +146,6 @@ impl PipelineConfig {
     pub fn offered_gbps(&self) -> f64 {
         self.arrivals.mean_rate_pps() * self.sizes.mean() * 8.0 / 1e9
     }
-
-    /// The offered workload, drawn lazily (see [`arrival_stream`]).
-    pub(crate) fn arrival_stream(&self) -> impl Iterator<Item = ArrivalEvent> + '_ {
-        arrival_stream(
-            self.arrivals,
-            &self.mix,
-            &self.sizes,
-            self.seed,
-            self.duration,
-        )
-    }
 }
 
 /// Per-flow outcome of a pipeline run.
@@ -205,11 +195,12 @@ pub struct PipelineReport {
     /// only (their payload is gone by eviction time). Any mismatch means
     /// a torn or cross-linked packet. Always 0 on a healthy engine.
     pub integrity_violations: u64,
-    /// This loop's telemetry recorder (events, counts, drop ledger),
-    /// populated when the run was configured with
-    /// [`PipelineConfig::telemetry`]. `None` on untraced runs and on
-    /// merged aggregate reports (the merged view lives in
-    /// [`ShardedPipelineReport::telemetry`]).
+    /// A service shard's telemetry recorder (events, counts, drop
+    /// ledger), populated when [`crate::service::ServiceConfig::telemetry`]
+    /// is set. Always `None` in a [`PipelineBuilder`] run, whose one loop
+    /// instance keeps one recorder for every shard, and in merged
+    /// aggregate reports: the merged view lives in
+    /// [`ShardedPipelineReport::telemetry`].
     pub telemetry: Option<Telemetry>,
 }
 
@@ -257,11 +248,10 @@ fn tx_time(gbps: f64, len: usize) -> Picos {
     Picos::new(round_to_u64(len as f64 * 8.0 * 1000.0 / gbps).max(1))
 }
 
-/// The scope admission decisions are taken over — one of the two things
-/// (arrival source, admission scope) the pipeline shapes differ in. It
-/// owns one closed-loop instance's engine access: which shard a flow is
-/// homed on, that shard's engine, and the policy deciding each offer. Monomorphised, never `dyn`: at one shard every
-/// shard lookup is the constant 0 and folds away.
+/// The scope admission decisions are taken over — the one thing the
+/// pipeline shapes differ in. It owns one closed-loop instance's engine
+/// access: which shard a flow is homed on, that shard's engine, and the
+/// policy deciding each offer. Monomorphised, never `dyn`.
 pub(crate) trait AdmissionScope {
     /// Home shard of `flow` among the shards in scope.
     fn shard_of(&self, flow: FlowId) -> usize;
@@ -269,8 +259,8 @@ pub(crate) trait AdmissionScope {
     /// The engine of `shard`.
     fn qm(&mut self, shard: usize) -> &mut QueueManager;
 
-    /// The deciding policy's report name.
-    fn policy_name(&self) -> &str;
+    /// The report name of the policy deciding `flow`'s offers.
+    fn policy_name(&self, flow: FlowId) -> &str;
 
     /// Offers one packet, appending its victims, which may live on any
     /// shard in scope, to the lent `victims`.
@@ -286,9 +276,9 @@ pub(crate) trait AdmissionScope {
     fn depth_and_occupancy(&self, flow: FlowId) -> (u32, u32);
 }
 
-/// Shard-local admission: one shard's own [`DropPolicy`] on its own
-/// [`QueueManager`]. The dense pipeline is this scope over the whole
-/// buffer; a shard-local sharded run is one instance per shard.
+/// One service shard's admission: its own [`DropPolicy`] on its own
+/// [`QueueManager`], the scope of each of the service's one-shard loops
+/// (every shard lookup is the constant 0 and folds away).
 pub(crate) struct ShardLocal<'a, P: ?Sized> {
     pub(crate) qm: &'a mut QueueManager,
     pub(crate) policy: &'a mut P,
@@ -303,7 +293,7 @@ impl<P: DropPolicy + ?Sized> AdmissionScope for ShardLocal<'_, P> {
         self.qm
     }
 
-    fn policy_name(&self) -> &str {
+    fn policy_name(&self, _flow: FlowId) -> &str {
         self.policy.name()
     }
 
@@ -321,6 +311,48 @@ impl<P: DropPolicy + ?Sized> AdmissionScope for ShardLocal<'_, P> {
             self.qm.queue_len_segments(flow),
             self.qm.occupied_segments(),
         )
+    }
+}
+
+/// Shard-local admission over a partitioned buffer: each shard's own
+/// [`DropPolicy`] on its own share of the engine. An offer, its victims,
+/// the policy's name and the occupancy telemetry reads are all the
+/// arriving flow's home shard's, so shards share nothing and each sees
+/// the events it would see alone. The dense pipeline is this scope over
+/// one shard.
+pub(crate) struct Partitioned<'a> {
+    pub(crate) engine: &'a mut ShardedQueueManager,
+    pub(crate) policies: Vec<Box<dyn DropPolicy>>,
+    pub(crate) shard_of_flow: &'a [usize],
+}
+
+impl AdmissionScope for Partitioned<'_> {
+    fn shard_of(&self, flow: FlowId) -> usize {
+        self.shard_of_flow[flow.as_usize()]
+    }
+
+    fn qm(&mut self, shard: usize) -> &mut QueueManager {
+        self.engine.shard_mut(shard)
+    }
+
+    fn policy_name(&self, flow: FlowId) -> &str {
+        self.policies[self.shard_of(flow)].name()
+    }
+
+    fn offer(
+        &mut self,
+        flow: FlowId,
+        packet: &[u8],
+        victims: &mut Vec<(FlowId, u32)>,
+    ) -> Result<(), DropReason> {
+        let home = self.shard_of(flow);
+        let qm = self.engine.shard_mut(home);
+        self.policies[home].offer_into(qm, flow, packet, 0, victims)
+    }
+
+    fn depth_and_occupancy(&self, flow: FlowId) -> (u32, u32) {
+        let qm = self.engine.shard(self.shard_of(flow));
+        (qm.queue_len_segments(flow), qm.occupied_segments())
     }
 }
 
@@ -342,7 +374,7 @@ impl AdmissionScope for SharedBuffer<'_> {
         self.engine.shard_mut(shard)
     }
 
-    fn policy_name(&self) -> &str {
+    fn policy_name(&self, _flow: FlowId) -> &str {
         "global-lqd"
     }
 
@@ -366,11 +398,12 @@ impl AdmissionScope for SharedBuffer<'_> {
 }
 
 /// The finite-trace closed loop — the only one; every [`PipelineBuilder`]
-/// shape is an instance. Time-ordered `arrivals` feed `scope`-guarded
-/// admission, and each shard in scope drains through `scheds[shard]` and
-/// its own egress server at `gbps` Gbit/s. The dense run is the
-/// 1-shard instance, shard-local sharding is N independent 1-shard
-/// instances and global admission is one N-shard instance.
+/// run is one instance of it. It draws `cfg`'s arrivals lazily, so its
+/// memory stays O(buffer) however long the run, feeds them to
+/// `scope`-guarded admission, and drains each shard in scope through
+/// `scheds[shard]` and its own egress server at an equal share of
+/// `cfg.egress_gbps`. Dense, shard-local sharded and globally admitted
+/// runs are each one instance; they differ only in `scope`.
 ///
 /// Runs until the arrivals are exhausted and every backlog has drained,
 /// so per shard `offered == delivered + dropped + evicted` at return.
@@ -379,17 +412,17 @@ impl AdmissionScope for SharedBuffer<'_> {
 /// event. Event order is part of the contract (`bench/expected.json`'s
 /// digests and the tier-1 tie tests pin it) and is the service's: a
 /// completion due at or before the next arrival runs first, and
-/// completions due at one instant run lowest shard first.
+/// completions due at one instant run lowest shard first. Under a scope
+/// whose shards share nothing, each shard's own events keep the order
+/// they would have in a loop of their own.
 ///
-/// Returns one report per shard (`makespan` is the instance's own last
-/// event) and the instance's telemetry recorder, final `qm.*` /
-/// `trace.*` metrics attached.
+/// Returns one report per shard (`makespan` is the instance's last
+/// event) and the instance's one telemetry recorder, final `qm.*`
+/// metrics attached.
 pub(crate) fn run_closed_loop<A, S>(
     cfg: &PipelineConfig,
-    mut arrivals: impl Iterator<Item = ArrivalEvent>,
     scope: &mut A,
     scheds: &mut [S],
-    gbps: f64,
 ) -> (Vec<PipelineReport>, Option<Telemetry>)
 where
     A: AdmissionScope,
@@ -402,9 +435,11 @@ where
         cfg.sizes.max_bytes(),
         cfg.telemetry,
     );
+    let gbps = cfg.egress_gbps / shards as f64;
     let mut tx: Vec<Option<(Picos, TxDone)>> = vec![None; shards];
     let mut now = Picos::ZERO;
 
+    let mut arrivals = arrival_stream(cfg.arrivals, &cfg.mix, &cfg.sizes, cfg.seed, cfg.duration);
     let mut next = arrivals.next();
     loop {
         let due = (tx.iter().enumerate())
@@ -508,9 +543,11 @@ pub struct ShardedPipelineReport {
     /// Home shard of each flow, as routed by
     /// [`ShardedQueueManager::shard_of`].
     pub shard_of_flow: Vec<usize>,
-    /// Per-shard telemetry merged into one deterministic view (events
-    /// ordered by virtual time, taxonomy and counters summed). `None`
-    /// when the run was untraced.
+    /// The run's telemetry as one deterministic view: the loop's one
+    /// recorder, merged under shard tag 0 (the service merges its
+    /// per-shard recorders here too, events ordered by virtual time, then
+    /// shard; taxonomy and counters summed). `None` when the run was
+    /// untraced.
     pub telemetry: Option<TelemetryReport>,
 }
 
@@ -625,7 +662,6 @@ where
 pub(crate) mod tests {
     use super::*;
     use crate::arrival::ArrivalProcess;
-    use crate::service::partition_indices;
     use npqm_core::check::{fnv1a_fold, FNV_OFFSET_BASIS};
     use npqm_core::sched::{DeficitRoundRobin, StrictPriority};
     use npqm_core::telemetry::{EventKind, ShardTraceEvent};
@@ -810,6 +846,9 @@ pub(crate) mod tests {
     /// The tie rule read off a trace: among one recorder's events at one
     /// instant, deliveries go lowest home shard first and before an
     /// arrival, which ranks last. Returns how many instants held both.
+    /// A pipeline run has one recorder for all its shards (merged under
+    /// shard tag 0), so on every pipeline shape this reads the order
+    /// across shards too; the service records per shard.
     pub(crate) fn completions_lead_ties(events: &[ShardTraceEvent], homes: &[usize]) -> usize {
         let mut ties = 0;
         for group in events.chunk_by(|a, b| (a.at, a.shard) == (b.at, b.shard)) {
@@ -986,30 +1025,6 @@ pub(crate) mod tests {
         for x in draws.into_iter().chain(edges) {
             assert_eq!(round_to_u64(x), x.round() as u64, "{x:e}");
         }
-    }
-
-    #[test]
-    fn one_shard_pipeline_matches_the_dense_pipeline() {
-        // Two ways to run one shard — arrivals drawn lazily, and the
-        // pregenerated trace replayed through its (identity) index list —
-        // must agree on every field.
-        let cfg = tie_heavy();
-        let dense = local(&cfg, LongestQueueDrop::new(0)).run();
-
-        let trace: Vec<ArrivalEvent> = cfg.arrival_stream().collect();
-        let idx = partition_indices(&trace, &[0; 256], 1);
-        let mut qm = QueueManager::new(cfg.qm);
-        let (replay, _) = run_closed_loop(
-            &cfg,
-            idx[0].iter().map(|&i| trace[i as usize]),
-            &mut ShardLocal {
-                qm: &mut qm,
-                policy: &mut LongestQueueDrop::new(0),
-            },
-            &mut [DeficitRoundRobin::new(vec![1518; 256])],
-            cfg.egress_gbps,
-        );
-        assert_eq!(format!("{:?}", dense.shards), format!("{replay:?}"));
     }
 
     #[test]

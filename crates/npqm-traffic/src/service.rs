@@ -74,9 +74,10 @@
 //! completion due at or before the next arrival runs first, and tied
 //! completions run lowest shard first (`service_tie_order_is_pinned`,
 //! `tie_order_is_pinned_on_every_shape`). They stay two loops for scope:
-//! the finite loop admits over N shards at once (global LQD, whose
-//! push-outs reach any shard), and the service adds lanes, epochs with
-//! their snapshots and the stop boundary of [`quiesced_digest`]. One
+//! every pipeline run is one finite loop over all its shards at once
+//! (global LQD's push-outs reach any shard), while the service runs one
+//! loop per shard and adds lanes, epochs with their snapshots and the
+//! stop boundary of [`quiesced_digest`]. One
 //! resumable step under both measured 11 % slower here for no fewer
 //! lines (ROADMAP item 5(b)).
 //!
@@ -128,9 +129,9 @@ pub(crate) const DRAW_SEED_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
 /// The packet-draw stream shared by every execution mode: flow choice,
 /// size and marker byte are drawn in a single authoritative order (flow,
 /// then size; marker = packet sequence number truncated to a byte), so
-/// the dense pipeline, the pregenerated sharded trace, the scale
-/// experiment's batches and the streaming generators all offer
-/// *bit-identical* workloads for the same seed.
+/// the pipeline's arrival stream, the scale experiment's batches and the
+/// streaming generators all offer *bit-identical* workloads for the same
+/// seed.
 #[derive(Debug)]
 pub struct PacketStream<'a> {
     mix: &'a FlowMix,
@@ -174,11 +175,10 @@ pub(crate) struct ArrivalEvent {
 /// The lazy arrival source of every closed loop: arrival times from
 /// `process` and packets from the shared [`PacketStream`] draw order
 /// (arrival time, then flow, then size, per packet), as a pure function
-/// of the arguments, ending at the first arrival past `duration`. The
-/// dense pipeline consumes it directly, so its memory stays O(buffer)
-/// however long the run; sharded runs collect it once and partition
-/// *indices into* that one trace, so every shard count and execution
-/// mode sees the identical offered workload without copying it.
+/// of the arguments, ending at the first arrival past `duration`. Every
+/// pipeline run, at every shard count, draws it as it goes, so its
+/// memory stays O(buffer) however long the run, and every shard count
+/// and admission scope sees the identical offered workload.
 pub(crate) fn arrival_stream<'a>(
     process: ArrivalProcess,
     mix: &'a FlowMix,
@@ -200,26 +200,6 @@ pub(crate) fn arrival_stream<'a>(
             }
         })
     })
-}
-
-/// Splits a trace into per-shard *index lists* (`u32` indices into the
-/// shared trace slice). This is what keeps a sharded run's peak memory
-/// `O(trace)` instead of `O(shards × trace)`: every shard borrows the
-/// one trace and walks its own indices.
-pub(crate) fn partition_indices(
-    trace: &[ArrivalEvent],
-    shard_of_flow: &[usize],
-    num_shards: usize,
-) -> Vec<Vec<u32>> {
-    assert!(
-        trace.len() <= u32::MAX as usize,
-        "trace too long for u32 indices"
-    );
-    let mut idx: Vec<Vec<u32>> = vec![Vec::new(); num_shards];
-    for (i, a) in trace.iter().enumerate() {
-        idx[shard_of_flow[a.flow.as_usize()]].push(i as u32);
-    }
-    idx
 }
 
 /// The bookkeeping both closed loops share: the per-shard, per-flow
@@ -311,7 +291,8 @@ impl LoopState {
                 // Victim depth and occupancy observed just after the
                 // push-out — the state the policy's decision produced.
                 let (depth, occupancy) = scope.depth_and_occupancy(victim);
-                t.record_evict(now, scope.policy_name(), victim, bytes, depth, occupancy);
+                let policy = scope.policy_name(victim);
+                t.record_evict(now, policy, victim, bytes, depth, occupancy);
             }
         }
         let fr = &mut self.reports[home].flows[flow.as_usize()];
@@ -321,7 +302,7 @@ impl LoopState {
                 let (depth, occupancy) = scope.depth_and_occupancy(flow);
                 t.record_drop(
                     now,
-                    scope.policy_name(),
+                    scope.policy_name(flow),
                     reason,
                     flow,
                     size as u32,
@@ -1303,7 +1284,6 @@ where
 mod tests {
     use super::*;
     use crate::pipeline::tests::{completions_lead_ties, tie_every_gap};
-    use crate::pipeline::PipelineConfig;
     use npqm_core::policy::DynamicThreshold;
     use npqm_core::sched::DeficitRoundRobin;
 
@@ -1512,28 +1492,6 @@ mod tests {
         // A drained engine is not a fresh one (free lists are permuted),
         // so the value is pinned by an independent run instead.
         assert_eq!(r.final_digest, demo_run(&cfg).final_digest);
-    }
-
-    #[test]
-    fn trace_partition_covers_every_index_exactly_once() {
-        let pcfg = PipelineConfig::bursty_overload(13);
-        let trace: Vec<ArrivalEvent> = pcfg.arrival_stream().collect();
-        let shard_of_flow: Vec<usize> = (0..pcfg.mix.flows())
-            .map(|f| f.rem_euclid(4) as usize)
-            .collect();
-        let idx = partition_indices(&trace, &shard_of_flow, 4);
-        let mut seen = vec![false; trace.len()];
-        for (s, list) in idx.iter().enumerate() {
-            let mut prev = None;
-            for &i in list {
-                assert!(!seen[i as usize], "index {i} appears twice");
-                seen[i as usize] = true;
-                assert_eq!(shard_of_flow[trace[i as usize].flow.as_usize()], s);
-                assert!(prev.is_none_or(|p| p < i), "indices must stay sorted");
-                prev = Some(i);
-            }
-        }
-        assert!(seen.iter().all(|&b| b), "every arrival must be routed");
     }
 
     #[test]

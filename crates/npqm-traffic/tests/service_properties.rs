@@ -231,10 +231,11 @@ proptest! {
 proptest! {
     /// The finite-trace pipeline keeps the same account on every shape —
     /// dense, shard-local sharded, globally admitted: telemetry changes
-    /// no report field, and with a ring that holds the whole run the
-    /// events of each kind, the drop ledger and the `qm.*` final metrics
-    /// every shape records once, after its loop, reconcile exactly with
-    /// the report.
+    /// no field of any shard's report or the aggregate (the one recorder
+    /// is the run's, never a shard's), and with a ring that holds the
+    /// whole run the events of each kind, the drop ledger and the `qm.*`
+    /// final metrics every shape records once, after its loop, reconcile
+    /// exactly with the report.
     #[test]
     fn pipeline_telemetry_reconciles_on_every_shape(
         seed in 0u64..1_000,
@@ -254,8 +255,8 @@ proptest! {
             let plain = build().run();
             let traced = build().observe(TelemetryConfig::with_ring(WHOLE_RUN)).run();
             prop_assert_eq!(
-                format!("{:?}", plain.aggregate),
-                format!("{:?}", traced.aggregate),
+                format!("{:?}", (&plain.shards, &plain.aggregate)),
+                format!("{:?}", (&traced.shards, &traced.aggregate)),
                 "{}: telemetry perturbed the run", shape
             );
             let tel = traced.telemetry.as_ref().expect("telemetry enabled");
