@@ -17,7 +17,8 @@
 #                   # of the engine, no occupancy pushes before the
 #                   # first query, no scale payload arena, no pointer
 #                   # record written before first use, no cross-shard
-#                   # transfer path, no second telemetry tally), fmt,
+#                   # transfer path, no second telemetry tally, no
+#                   # whole-record queue commit), fmt,
 #                   # clippy, docs,
 #                   # tier-1, release-profile engine tests, the model
 #                   # fuzzer's release soak, tables,
@@ -125,6 +126,11 @@ tier1() {
 # only it called (`peek_packet_into`, `enqueue_packet_with_work`) and the
 # arena's second copy of the cut loop (`per_flow_interval_bound`) stay
 # deleted.
+# Queue-table commits edit in place: `commit_queue` lends its caller's edit
+# the record where it lives (`PtrMem::queue_mut`, one counted write) and
+# takes no `QueueRecord` by value, and no engine code above the tests calls
+# `set_queue` — a whole edited copy stored back was reloaded right after
+# its field stores, the hottest stall of the scale round.
 structure() {
     echo "==> structure: shards run on the calling thread"
     local hits file
@@ -306,6 +312,29 @@ structure() {
         || "$(grep -c 'occ\.update(' <<<"${guarded}")" != 1 ]]; then
         echo "structure FAILED: occ.update( belongs to commit_queue, under its asleep guard; got:" >&2
         grep -n 'occ\.update(' <<<"${above}" >&2
+        exit 1
+    fi
+    echo "==> structure: queue-table commits edit the record in place"
+    # commit_queue edits the record where it lives (PtrMem::queue_mut), so it
+    # takes no QueueRecord by value, and no engine code above a file's tests
+    # stores a whole record with set_queue (only its definition matches;
+    # comments stripped).
+    local commit
+    commit="$(awk '/fn commit_queue\(/ { on = 1 } on { print } on && /\{$/ { exit }' <<<"${above}")"
+    if [[ -z "${commit}" ]] || grep -qE ':[[:space:]]*QueueRecord\b' <<<"${commit}"; then
+        echo "structure FAILED: commit_queue must edit the queue record in place, not take" \
+            "one by value; got:" >&2
+        echo "${commit}" >&2
+        exit 1
+    fi
+    hits="$(for file in $(find crates/npqm-core/src -name '*.rs' | sort); do
+        sed '/^#\[cfg(test)\]/,$d' "${file}" | sed 's|//.*||' | grep -n 'set_queue(' \
+            | grep -v 'fn set_queue(' | sed "s|^|${file}:|" || true
+    done)"
+    if [[ -n "${hits}" ]]; then
+        echo "structure FAILED: set_queue( is called above the tests of npqm-core" \
+            "(queue records are committed in place through commit_queue):" >&2
+        echo "${hits}" >&2
         exit 1
     fi
     # The flat schedulers find their flows in the engine's ready bits.

@@ -219,8 +219,9 @@ impl SegFreeList {
     /// last — in one walk. Any fresh ids the chain reaches are linked first,
     /// all at once; then the list links the segments in pop order, so each
     /// record is written once and `head`, `tail`, `free` and
-    /// `low_watermark` once; the `n` reads and `n` writes are charged
-    /// once. Returns the chain's first and last segment.
+    /// `low_watermark` once; the `n` reads and `n` writes are added to
+    /// `owed`, which the caller charges with the rest of its command.
+    /// Returns the chain's first and last segment.
     ///
     /// # Panics
     ///
@@ -230,6 +231,7 @@ impl SegFreeList {
         &mut self,
         pm: &mut PtrMem,
         n: u32,
+        owed: &mut PtrMemCounters,
         mut fill: impl FnMut(&PtrMem, SegmentId) -> u16,
     ) -> (SegmentId, SegmentId) {
         assert!(0 < n && n <= self.free, "chain of {n}, {} free", self.free);
@@ -247,11 +249,8 @@ impl SegFreeList {
         }
         self.free -= n;
         self.low_watermark = self.low_watermark.min(self.free);
-        pm.charge(&PtrMemCounters {
-            seg_reads: u64::from(n),
-            seg_writes: u64::from(n),
-            ..PtrMemCounters::default()
-        });
+        owed.seg_reads += u64::from(n);
+        owed.seg_writes += u64::from(n);
         (first, last)
     }
 
@@ -262,14 +261,16 @@ impl SegFreeList {
     /// chance to copy the payload out). The chain is spliced in once, LIFO
     /// by linking each segment onto the one before it (the last becomes
     /// `head`), FIFO by hooking the chain, as linked, behind `tail`; every
-    /// `len` is cleared and the accesses are charged once. Returns the
-    /// segments and payload bytes released.
+    /// `len` is cleared and the accesses are added to `owed`, which the
+    /// caller charges with the rest of its command. Returns the segments
+    /// and payload bytes released.
     #[inline]
     pub(crate) fn release_chain(
         &mut self,
         pm: &mut PtrMem,
         first: SegmentId,
         last: SegmentId,
+        owed: &mut PtrMemCounters,
         mut visit: impl FnMut(SegmentId, u16),
     ) -> (u32, u32) {
         let lifo = self.discipline == FreeListDiscipline::Lifo;
@@ -317,11 +318,8 @@ impl SegFreeList {
             self.tail = last;
         }
         self.free += n;
-        pm.charge(&PtrMemCounters {
-            seg_reads: u64::from(n) + relinks,
-            seg_writes: u64::from(n) + relinks,
-            ..PtrMemCounters::default()
-        });
+        owed.seg_reads += u64::from(n) + relinks;
+        owed.seg_writes += u64::from(n) + relinks;
         (n, bytes)
     }
 
@@ -725,11 +723,12 @@ mod tests {
                         continue;
                     }
                     let lens: Vec<u16> = (0..n).map(|k| 1 + (i as u16 + k as u16) % 64).collect();
-                    let mut filled = Vec::new();
-                    let (first, last) = fl.alloc_chain(&mut pm, n, |_, id| {
+                    let (mut filled, mut owed) = (Vec::new(), PtrMemCounters::default());
+                    let (first, last) = fl.alloc_chain(&mut pm, n, &mut owed, |_, id| {
                         filled.push(id);
                         lens[filled.len() - 1]
                     });
+                    pm.charge(&owed);
                     let ids = take_singly(&mut twin_fl, &mut twin_pm, &lens);
                     assert_eq!(filled, ids, "{at}");
                     assert_eq!((first, last), (ids[0], ids[ids.len() - 1]), "{at}");
@@ -751,11 +750,12 @@ mod tests {
                 Step::Give(k) if !held.is_empty() => {
                     let ids = held.swap_remove(k % held.len());
                     let want: Vec<_> = ids.iter().map(|&id| (id, pm.seg_silent(id).len)).collect();
-                    let mut seen = Vec::new();
-                    let released =
-                        fl.release_chain(&mut pm, ids[0], ids[ids.len() - 1], |id, len| {
-                            seen.push((id, len));
-                        });
+                    let (mut seen, mut owed) = (Vec::new(), PtrMemCounters::default());
+                    let (first, last) = (ids[0], ids[ids.len() - 1]);
+                    let released = fl.release_chain(&mut pm, first, last, &mut owed, |id, len| {
+                        seen.push((id, len));
+                    });
+                    pm.charge(&owed);
                     let bytes: u32 = want.iter().map(|&(_, len)| u32::from(len)).sum();
                     assert_eq!(released, (ids.len() as u32, bytes), "{at}");
                     assert_eq!(seen, want, "{at}");
@@ -853,7 +853,7 @@ mod tests {
     #[should_panic(expected = "chain of 3, 2 free")]
     fn alloc_chain_beyond_the_free_count_panics() {
         let (mut pm, mut fl) = setup(2, FreeListDiscipline::Lifo);
-        fl.alloc_chain(&mut pm, 3, |_, _| 1);
+        fl.alloc_chain(&mut pm, 3, &mut PtrMemCounters::default(), |_, _| 1);
     }
 
     /// The fully linked packet-record list, written out at `init` like

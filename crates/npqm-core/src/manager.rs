@@ -182,6 +182,21 @@ fn unlink_head(q: &mut QueueRecord, pr: &PktRecord) {
     q.bytes -= u64::from(pr.bytes);
 }
 
+/// Makes packet `pid`, whose record is `pr`, `q`'s tail packet and adds it
+/// to `q`'s counts. The old tail's link is written apart, by
+/// [`QueueManager::chain_behind`].
+fn link_tail(q: &mut QueueRecord, pid: PacketId, pr: &PktRecord) {
+    if q.tail_pkt.is_nil() {
+        q.head_pkt = pid;
+    }
+    q.tail_pkt = pid;
+    q.pkts += 1;
+    q.complete_pkts += u32::from(pr.eop);
+    q.open = !pr.eop;
+    q.segs += pr.segs;
+    q.bytes += u64::from(pr.bytes);
+}
+
 /// Per-flow queue-management engine over segment-aligned memory.
 ///
 /// See the [crate-level documentation](crate) for an overview and the
@@ -270,18 +285,25 @@ impl QueueManager {
         }
     }
 
-    /// Writes a queue record back, with the flow's ready bit and, once
-    /// awake, its occupancy leaf.
+    /// Edits `flow`'s queue record in place, one queue-table write, and
+    /// derives the flow's ready bit and, once awake, its occupancy leaf
+    /// from the result.
     ///
     /// All queue-table writes go through here so neither index misses a
-    /// change.
-    fn commit_queue(&mut self, flow: FlowId, q: QueueRecord) {
-        self.ptr.set_queue(flow, q);
+    /// change. The record is edited where it lives, field by field, as the
+    /// MMS writes its queue table: an edited copy handed in and stored
+    /// whole was reloaded right after the caller's narrower field stores,
+    /// a load the store buffer cannot forward.
+    #[inline(always)]
+    fn commit_queue(&mut self, flow: FlowId, edit: impl FnOnce(&mut QueueRecord)) {
+        let q = self.ptr.queue_mut(flow);
+        edit(q);
+        let (complete, bytes) = (q.complete_pkts > 0, q.bytes);
         let (word, bit) = (flow.as_usize() / 64, flow.index() % 64);
         let ready = &mut self.ready[word];
-        *ready = (*ready & !(1 << bit)) | (u64::from(q.complete_pkts > 0) << bit);
+        *ready = (*ready & !(1 << bit)) | (u64::from(complete) << bit);
         if !self.occ.nodes.is_empty() {
-            self.occ.update(flow, q.bytes);
+            self.occ.update(flow, bytes);
         }
     }
 
@@ -463,11 +485,11 @@ impl QueueManager {
         seg
     }
 
-    /// Puts a fresh segment holding `data` behind the last segment of `q`'s
-    /// tail packet, which with `eop` is complete from then on.
-    fn extend_tail(&mut self, q: &mut QueueRecord, data: &[u8], eop: bool) -> SegmentId {
+    /// Puts a fresh segment holding `data` behind the last segment of
+    /// `flow`'s tail packet `pid`, which with `eop` is complete from then
+    /// on, and commits the queue.
+    fn extend_tail(&mut self, flow: FlowId, pid: PacketId, data: &[u8], eop: bool) -> SegmentId {
         let seg = self.fresh_segment(data, SegmentId::NIL);
-        let pid = q.tail_pkt;
         let mut pr = self.ptr.pkt(pid);
         let mut last = self.ptr.seg(pr.last);
         last.next = seg;
@@ -477,44 +499,42 @@ impl QueueManager {
         pr.bytes += data.len() as u32;
         pr.eop = eop;
         self.ptr.set_pkt(pid, pr);
-        q.segs += 1;
-        q.bytes += data.len() as u64;
-        if q.open && eop {
-            q.open = false;
-            q.complete_pkts += 1;
-        }
+        let len = data.len() as u64;
+        self.commit_queue(flow, |q| {
+            q.segs += 1;
+            q.bytes += len;
+            if q.open && eop {
+                q.open = false;
+                q.complete_pkts += 1;
+            }
+        });
         seg
     }
 
     /// Takes a packet record (reading it, as the `First` command does),
-    /// fills it with `pr` and links it behind `q`'s tail packet.
-    // This and `link_tail` are under `enqueue_packet`: out of line they
-    // cost a one-segment packet ≈3 ns.
-    #[inline]
-    fn push_packet(&mut self, q: &mut QueueRecord, pr: PktRecord) {
+    /// fills it with `pr`, links it behind `flow`'s tail packet `tail`
+    /// and commits the queue.
+    // This and `chain_behind` are under `enqueue_packet`: out of line
+    // they cost a one-segment packet ≈3 ns, and `pr`, handed over through
+    // the caller's stack, was reloaded whole right after its field stores.
+    #[inline(always)]
+    fn push_packet(&mut self, flow: FlowId, tail: PacketId, pr: PktRecord) {
         let pid = self.pkt_fl.alloc(&mut self.ptr);
         let _ = self.ptr.pkt(pid);
         self.ptr.set_pkt(pid, pr);
-        self.link_tail(q, pid, &pr);
+        self.chain_behind(tail, pid);
+        self.commit_queue(flow, |q| link_tail(q, pid, &pr));
     }
 
-    /// Links packet `pid`, whose record is `pr`, behind `q`'s tail packet
-    /// and adds it to `q`'s counts.
+    /// Links packet `pid` behind `tail`, a queue's tail packet; an empty
+    /// queue's NIL tail has no record to write.
     #[inline]
-    fn link_tail(&mut self, q: &mut QueueRecord, pid: PacketId, pr: &PktRecord) {
-        if q.tail_pkt.is_nil() {
-            q.head_pkt = pid;
-        } else {
-            let mut tail = self.ptr.pkt(q.tail_pkt);
-            tail.next_pkt = pid;
-            self.ptr.set_pkt(q.tail_pkt, tail);
+    fn chain_behind(&mut self, tail: PacketId, pid: PacketId) {
+        if !tail.is_nil() {
+            let mut rec = self.ptr.pkt(tail);
+            rec.next_pkt = pid;
+            self.ptr.set_pkt(tail, rec);
         }
-        q.tail_pkt = pid;
-        q.pkts += 1;
-        q.complete_pkts += u32::from(pr.eop);
-        q.open = !pr.eop;
-        q.segs += pr.segs;
-        q.bytes += u64::from(pr.bytes);
     }
 
     /// Takes the head segment off `flow`'s head packet and counts the
@@ -522,13 +542,16 @@ impl QueueManager {
     /// "Delete one segment" without, where the data memory is not touched.
     /// The head packet must be complete, and the command reads the queue
     /// table twice: the readiness read and the working read.
-    // Inlined into its callers, and through `dequeue_into` into the batch
-    // drain's closure: as an out-of-line call its frame cost every
-    // `Command::Dequeue` ≈10 ns — refusals included, and a drain batch
-    // over idle flows is mostly refusals. The statistics are counted here
-    // so that `dequeue_into` returns this result as it is: unwrapped and
-    // wrapped again, a refusal cost ≈5 ns more.
-    #[inline]
+    // Forced inline into its callers, and with `dequeue_into` into the
+    // scale round's drain closure, so the returned `SegmentInfo` stays in
+    // registers: merely `#[inline]`, it was called from that closure and
+    // handed its result back through the stack, and the closure's 16-byte
+    // copy of it was the drain's hottest load. Out of line, its frame cost
+    // every `Command::Dequeue` ≈10 ns — refusals included, and a drain
+    // batch over idle flows is mostly refusals. The statistics are counted
+    // here so that `dequeue_into` returns this result as it is: unwrapped
+    // and wrapped again, a refusal cost ≈5 ns more.
+    #[inline(always)]
     fn pop_segment(
         &mut self,
         flow: FlowId,
@@ -537,8 +560,7 @@ impl QueueManager {
         self.known_flow(flow)?;
         let ready = self.ptr.queue(flow);
         self.complete_head(flow, &ready)?;
-        let mut q = self.ptr.queue(flow);
-        let pid = q.head_pkt;
+        let pid = self.ptr.queue(flow).head_pkt;
         let mut pr = self.ptr.pkt(pid);
         let seg = pr.first;
         let rec = self.ptr.seg(seg);
@@ -556,18 +578,22 @@ impl QueueManager {
         }
         self.seg_fl.release(&mut self.ptr, seg);
         if info.eop {
-            unlink_head(&mut q, &pr);
             self.pkt_fl.release(&mut self.ptr, pid);
         } else {
-            q.segs -= 1;
-            q.bytes -= u64::from(rec.len);
             pr.first = rec.next;
             pr.segs -= 1;
             pr.bytes -= u32::from(rec.len);
             pr.started = true;
             self.ptr.set_pkt(pid, pr);
         }
-        self.commit_queue(flow, q);
+        self.commit_queue(flow, |q| {
+            if info.eop {
+                unlink_head(q, &pr);
+            } else {
+                q.segs -= 1;
+                q.bytes -= u64::from(rec.len);
+            }
+        });
         Ok(info)
     }
 
@@ -584,7 +610,7 @@ impl QueueManager {
     ) -> Result<SegmentId, QueueError> {
         self.known_flow(flow)?;
         let len = self.segment_len(len)?;
-        let mut q = self.ptr.queue(flow);
+        let q = self.ptr.queue(flow);
         self.nonempty(flow, &q)?;
         let pid = q.head_pkt;
         let mut pr = self.ptr.pkt(pid);
@@ -597,11 +623,13 @@ impl QueueManager {
             });
         }
         pr.bytes = pr.bytes - u32::from(rec.len) + u32::from(len);
-        q.bytes = q.bytes - u64::from(rec.len) + u64::from(len);
+        let old = rec.len;
         rec.len = len;
         self.ptr.set_seg(seg, rec);
         self.ptr.set_pkt(pid, pr);
-        self.commit_queue(flow, q);
+        self.commit_queue(flow, |q| {
+            q.bytes = q.bytes - u64::from(old) + u64::from(len)
+        });
         Ok(seg)
     }
 
@@ -630,7 +658,7 @@ impl QueueManager {
     ) -> Result<SegmentId, QueueError> {
         self.known_flow(flow)?;
         let len = self.segment_len(data.len())?;
-        let mut q = self.ptr.queue(flow);
+        let q = self.ptr.queue(flow);
         if pos.is_first() {
             self.closed_tail(flow, &q)?;
         } else if !q.open {
@@ -650,12 +678,11 @@ impl QueueManager {
                 eop: pos.is_last(),
                 ..PktRecord::default()
             };
-            self.push_packet(&mut q, pr);
+            self.push_packet(flow, q.tail_pkt, pr);
             seg
         } else {
-            self.extend_tail(&mut q, data, pos.is_last())
+            self.extend_tail(flow, q.tail_pkt, data, pos.is_last())
         };
-        self.commit_queue(flow, q);
         self.stats.enqueues += 1;
         self.stats.bytes_in += u64::from(len);
         Ok(seg)
@@ -698,37 +725,63 @@ impl QueueManager {
         }
         let seg_bytes = self.cfg.segment_bytes() as usize;
         let n = packet.len().div_ceil(seg_bytes);
-        let as_unit = flow.index() < self.cfg.num_flows()
-            && !self.ptr.queue_silent(flow).open
-            && n <= self.seg_fl.free_count() as usize;
-        if !as_unit {
+        let unit = (flow.index() < self.cfg.num_flows())
+            .then(|| self.ptr.queue_silent(flow))
+            .filter(|q| !q.open && n <= self.seg_fl.free_count() as usize);
+        let Some(q) = unit else {
             return self.enqueue_packet_by_segments(flow, packet);
-        }
+        };
 
-        let q = self.ptr.queue(flow);
         let (data, mut chunks) = (&mut self.data, packet.chunks(seg_bytes));
-        let chain = self.seg_fl.alloc_chain(&mut self.ptr, n as u32, |_, seg| {
-            let chunk = chunks.next().expect("n chunks");
-            data.chain_write(seg, chunk);
-            chunk.len() as u16
-        });
+        // The `First` command's queue-table read, the uncounted one above.
+        let mut owed = PtrMemCounters {
+            qt_reads: 1,
+            ..PtrMemCounters::default()
+        };
+        let chain = self
+            .seg_fl
+            .alloc_chain(&mut self.ptr, n as u32, &mut owed, |_, seg| {
+                let chunk = chunks.next().expect("n chunks");
+                data.chain_write(seg, chunk);
+                chunk.len() as u16
+            });
         self.data.count(0, n as u64);
-        self.link_packet(flow, q, chain, n as u32, packet.len() as u32);
+        self.link_packet(flow, q.tail_pkt, chain, n as u32, packet.len() as u32, owed);
         Ok(())
     }
 
     /// The second half of a whole-packet enqueue: makes the filled chain a
-    /// complete packet behind `q`'s tail and commits `q`, charging what the
-    /// chain's `n` segment commands count beyond the chain call itself and
-    /// the first command's queue-table read.
+    /// complete packet behind `flow`'s tail packet `tail` and commits the
+    /// queue. It charges the command's uncounted accesses, `owed` so far
+    /// and what the chain's `n` segment commands count beyond the chain
+    /// call and the first command, in one call and ahead of its counted
+    /// ones: after them, the charge's vector reload of counters they had
+    /// just bumped one by one could not be forwarded from those stores.
+    /// Forced inline so that `owed` stays in registers: passed through the
+    /// stack, it was reloaded whole right after the caller's field stores.
+    #[inline(always)]
     fn link_packet(
         &mut self,
         flow: FlowId,
-        mut q: QueueRecord,
+        tail: PacketId,
         (first, last): (SegmentId, SegmentId),
         n: u32,
         bytes: u32,
+        mut owed: PtrMemCounters,
     ) {
+        // Not made below: for each of the n − 1 commands after the `First`,
+        // its queue-table and packet-record read/write pair and the
+        // read/write that links the previous last segment.
+        let k = u64::from(n) - 1;
+        owed.absorb(&PtrMemCounters {
+            seg_reads: k,
+            seg_writes: k,
+            pkt_reads: k,
+            pkt_writes: k,
+            qt_reads: k,
+            qt_writes: k,
+        });
+        self.ptr.charge(&owed);
         let pr = PktRecord {
             first,
             last,
@@ -737,21 +790,7 @@ impl QueueManager {
             eop: true,
             ..PktRecord::default()
         };
-        self.push_packet(&mut q, pr);
-        self.commit_queue(flow, q);
-
-        // Not made above: for each of the n − 1 commands after the `First`,
-        // its queue-table and packet-record read/write pair and the
-        // read/write that links the previous last segment.
-        let k = u64::from(n) - 1;
-        self.ptr.charge(&PtrMemCounters {
-            seg_reads: k,
-            seg_writes: k,
-            pkt_reads: k,
-            pkt_writes: k,
-            qt_reads: k,
-            qt_writes: k,
-        });
+        self.push_packet(flow, tail, pr);
         self.stats.enqueues += u64::from(n);
         self.stats.bytes_in += u64::from(bytes);
     }
@@ -812,20 +851,21 @@ impl QueueManager {
 
     /// Drops the still-open tail packet of `flow` (rollback path).
     fn abort_open_packet(&mut self, flow: FlowId) {
-        let mut q = self.ptr.queue(flow);
+        let q = self.ptr.queue(flow);
         if !q.open {
             return;
         }
         let pid = q.tail_pkt;
         let pr = self.ptr.pkt(pid);
+        let mut owed = PtrMemCounters::default();
         self.seg_fl
-            .release_chain(&mut self.ptr, pr.first, pr.last, |_, _| {});
-        // Unlink the tail packet: walk to find the predecessor.
-        if q.head_pkt == pid {
-            q.head_pkt = PacketId::NIL;
-            q.tail_pkt = PacketId::NIL;
-        } else {
-            let mut prev = q.head_pkt;
+            .release_chain(&mut self.ptr, pr.first, pr.last, &mut owed, |_, _| {});
+        self.ptr.charge(&owed);
+        // Unlink the tail packet: walk to find the predecessor, the new
+        // tail (NIL when the packet was the queue's only one).
+        let mut prev = PacketId::NIL;
+        if q.head_pkt != pid {
+            prev = q.head_pkt;
             loop {
                 let prec = self.ptr.pkt(prev);
                 if prec.next_pkt == pid {
@@ -836,13 +876,17 @@ impl QueueManager {
                 }
                 prev = prec.next_pkt;
             }
-            q.tail_pkt = prev;
         }
-        q.pkts -= 1;
-        q.segs -= pr.segs;
-        q.bytes -= pr.bytes as u64;
-        q.open = false;
-        self.commit_queue(flow, q);
+        self.commit_queue(flow, |q| {
+            if prev.is_nil() {
+                q.head_pkt = PacketId::NIL;
+            }
+            q.tail_pkt = prev;
+            q.pkts -= 1;
+            q.segs -= pr.segs;
+            q.bytes -= u64::from(pr.bytes);
+            q.open = false;
+        });
         self.pkt_fl.release(&mut self.ptr, pid);
     }
 
@@ -934,33 +978,34 @@ impl QueueManager {
         out: &mut Vec<u8>,
     ) -> Result<usize, QueueError> {
         self.known_flow(flow)?;
-        let mut q = self.ptr.queue(flow);
+        let q = self.ptr.queue(flow);
         self.complete_head(flow, &q)?;
         let pid = q.head_pkt;
         let pr = self.ptr.pkt(pid);
         out.reserve(pr.bytes as usize);
-        let data = &mut self.data;
-        let (n, bytes) = self
-            .seg_fl
-            .release_chain(&mut self.ptr, pr.first, pr.last, |seg, len| {
-                out.extend_from_slice(data.chain_read(seg, len as usize));
-            });
+        let (data, mut owed) = (&mut self.data, PtrMemCounters::default());
+        let (n, bytes) =
+            self.seg_fl
+                .release_chain(&mut self.ptr, pr.first, pr.last, &mut owed, |seg, len| {
+                    out.extend_from_slice(data.chain_read(seg, len as usize));
+                });
         self.data.count(u64::from(n), 0);
-        unlink_head(&mut q, &pr);
-        self.pkt_fl.release(&mut self.ptr, pid);
-        self.commit_queue(flow, q);
-
-        // Not made above: each command's second queue-table read (the
+        // Not made here: each command's second queue-table read (the
         // readiness check), and for the n − 1 commands before the last
-        // their queue-table read/write and packet-record read/write.
+        // their queue-table read/write and packet-record read/write;
+        // charged with the chain's accesses, ahead of the counted ones
+        // below (see `link_packet`).
         let k = u64::from(n) - 1;
-        self.ptr.charge(&PtrMemCounters {
+        owed.absorb(&PtrMemCounters {
             pkt_reads: k,
             pkt_writes: k,
             qt_reads: 2 * k + 1,
             qt_writes: k,
             ..PtrMemCounters::default()
         });
+        self.ptr.charge(&owed);
+        self.pkt_fl.release(&mut self.ptr, pid);
+        self.commit_queue(flow, |q| unlink_head(q, &pr));
         self.stats.dequeues += u64::from(n);
         self.stats.bytes_out += u64::from(bytes);
         Ok(bytes as usize)
@@ -1050,14 +1095,15 @@ impl QueueManager {
     /// [`QueueError::UnknownFlow`].
     pub fn delete_packet(&mut self, flow: FlowId) -> Result<(u32, u32), QueueError> {
         self.known_flow(flow)?;
-        let mut q = self.ptr.queue(flow);
+        let q = self.ptr.queue(flow);
         self.complete_head(flow, &q)?;
         let pid = q.head_pkt;
         let pr = self.ptr.pkt(pid);
+        let mut owed = PtrMemCounters::default();
         self.seg_fl
-            .release_chain(&mut self.ptr, pr.first, pr.last, |_, _| {});
-        unlink_head(&mut q, &pr);
-        self.commit_queue(flow, q);
+            .release_chain(&mut self.ptr, pr.first, pr.last, &mut owed, |_, _| {});
+        self.ptr.charge(&owed);
+        self.commit_queue(flow, |q| unlink_head(q, &pr));
         self.pkt_fl.release(&mut self.ptr, pid);
         self.stats.pkt_deletes += 1;
         Ok((pr.segs, pr.bytes))
@@ -1075,7 +1121,7 @@ impl QueueManager {
     pub fn append_head(&mut self, flow: FlowId, data: &[u8]) -> Result<SegmentId, QueueError> {
         self.known_flow(flow)?;
         let len = self.segment_len(data.len())?;
-        let mut q = self.ptr.queue(flow);
+        let q = self.ptr.queue(flow);
         self.nonempty(flow, &q)?;
         self.reserve(1)?;
         let pid = q.head_pkt;
@@ -1086,9 +1132,10 @@ impl QueueManager {
         // A fresh head restores the packet's "not yet started" state.
         pr.started = false;
         self.ptr.set_pkt(pid, pr);
-        q.segs += 1;
-        q.bytes += u64::from(len);
-        self.commit_queue(flow, q);
+        self.commit_queue(flow, |q| {
+            q.segs += 1;
+            q.bytes += u64::from(len);
+        });
         self.stats.head_appends += 1;
         Ok(pr.first)
     }
@@ -1109,12 +1156,11 @@ impl QueueManager {
     pub fn append_tail(&mut self, flow: FlowId, data: &[u8]) -> Result<SegmentId, QueueError> {
         self.known_flow(flow)?;
         self.segment_len(data.len())?;
-        let mut q = self.ptr.queue(flow);
+        let q = self.ptr.queue(flow);
         self.nonempty(flow, &q)?;
         self.closed_tail(flow, &q)?;
         self.reserve(1)?;
-        let seg = self.extend_tail(&mut q, data, true);
-        self.commit_queue(flow, q);
+        let seg = self.extend_tail(flow, q.tail_pkt, data, true);
         self.stats.tail_appends += 1;
         Ok(seg)
     }
@@ -1147,7 +1193,7 @@ impl QueueManager {
     pub fn move_packet(&mut self, src: FlowId, dst: FlowId) -> Result<(), QueueError> {
         self.known_flow(src)?;
         self.known_flow(dst)?;
-        let mut sq = self.ptr.queue(src);
+        let sq = self.ptr.queue(src);
         self.complete_head(src, &sq)?;
         let dq0 = (src != dst).then(|| self.ptr.queue(dst));
         self.closed_tail(dst, &dq0.unwrap_or(sq))?;
@@ -1156,7 +1202,7 @@ impl QueueManager {
             return Ok(()); // rotating a single packet is a no-op
         }
         let pid = sq.head_pkt;
-        let mut pr = self.ptr.pkt(pid);
+        let pr = self.ptr.pkt(pid);
         // A mid-service packet may not land behind other packets: only a
         // queue's head may be partially consumed. (Same-queue rotation
         // with pkts > 1 always lands behind another packet.)
@@ -1165,16 +1211,23 @@ impl QueueManager {
             return self.fail(QueueError::PacketInService { flow: src });
         }
 
-        unlink_head(&mut sq, &pr);
-        pr.next_pkt = PacketId::NIL;
-        self.ptr.set_pkt(pid, pr);
-        // The destination may be the same queue record.
-        let mut dq = dq0.unwrap_or(sq);
-        self.link_tail(&mut dq, pid, &pr);
+        let moved = PktRecord {
+            next_pkt: PacketId::NIL,
+            ..pr
+        };
+        self.ptr.set_pkt(pid, moved);
+        // The destination may be the same queue, then of two or more
+        // packets: unlinking its head leaves its tail where it was.
+        self.chain_behind(dq0.unwrap_or(sq).tail_pkt, pid);
         if src != dst {
-            self.commit_queue(src, sq);
+            self.commit_queue(src, |q| unlink_head(q, &pr));
         }
-        self.commit_queue(dst, dq);
+        self.commit_queue(dst, |q| {
+            if src == dst {
+                unlink_head(q, &pr);
+            }
+            link_tail(q, pid, &pr);
+        });
         self.stats.moves += 1;
         Ok(())
     }
@@ -1314,23 +1367,25 @@ impl QueueManager {
         let dst_q = self.ptr.queue(dst);
         self.closed_tail(dst, &dst_q)?;
         self.reserve(pr.segs)?;
-        let (data, mut from) = (&mut self.data, pr.first);
-        let chain = self.seg_fl.alloc_chain(&mut self.ptr, pr.segs, |ptr, seg| {
-            let rec = ptr.seg_silent(from);
-            data.chain_copy(from, seg, rec.len as usize);
-            from = rec.next;
-            rec.len
-        });
         let n = u64::from(pr.segs);
-        self.data.count(n, n);
         // The source walk's segment reads and the `First` command's
         // queue-table read, which `dst_q` above stands in for.
-        self.ptr.charge(&PtrMemCounters {
+        let mut owed = PtrMemCounters {
             seg_reads: n,
             qt_reads: 1,
             ..PtrMemCounters::default()
-        });
-        self.link_packet(dst, dst_q, chain, pr.segs, pr.bytes);
+        };
+        let (data, mut from) = (&mut self.data, pr.first);
+        let chain = self
+            .seg_fl
+            .alloc_chain(&mut self.ptr, pr.segs, &mut owed, |ptr, seg| {
+                let rec = ptr.seg_silent(from);
+                data.chain_copy(from, seg, rec.len as usize);
+                from = rec.next;
+                rec.len
+            });
+        self.data.count(n, n);
+        self.link_packet(dst, dst_q.tail_pkt, chain, pr.segs, pr.bytes, owed);
         if pr.work != 0 {
             // The copy owes the same processing effort as the original.
             self.set_tail_work(dst, pr.work).expect("just enqueued");
@@ -2124,6 +2179,196 @@ mod tests {
                 assert_eq!(enq.total() + deq.total(), 15 * n + 2 * t);
             }
         }
+
+        // Every other command that writes the queue table, plane by plane,
+        // under each free list, from one state: flow 0 holds a 150-byte
+        // packet (64 + 64 + 22) and a 10-byte one, flow 1 a 10-byte packet
+        // and a 100-byte one (64 + 36), flow 2 nothing and flow 3 an open
+        // `First` segment; 16 segments, 9 of them free. Constants recorded
+        // while commits still copied the whole record back.
+        let fixture = |freelist| {
+            let cfg = QmConfig::builder()
+                .num_flows(4)
+                .num_segments(16)
+                .segment_bytes(64)
+                .freelist_discipline(freelist)
+                .build()
+                .unwrap();
+            let mut m = QueueManager::new(cfg);
+            m.enqueue_packet(F::new(0), &[1; 150]).unwrap();
+            m.enqueue_packet(F::new(0), &[2; 10]).unwrap();
+            m.enqueue_packet(F::new(1), &[3; 10]).unwrap();
+            m.enqueue_packet(F::new(1), &[4; 100]).unwrap();
+            m.enqueue(F::new(3), &[5; 64], First).unwrap();
+            m
+        };
+        type Call = fn(&mut QueueManager) -> Result<(), QueueError>;
+        type F = FlowId;
+        use SegmentPosition::{First, Last, Middle, Only};
+        // A refused call that must be refused for want of segments.
+        fn refused(r: Result<(), QueueError>) -> Result<(), QueueError> {
+            assert_eq!(r, Err(QueueError::OutOfSegments));
+            Ok(())
+        }
+        // (command, [LIFO, FIFO] as [seg r, seg w, pkt r, pkt w, qt r, qt w])
+        let table: [(&str, Call, [[u64; 6]; 2]); 27] = [
+            (
+                "enqueue Only, empty queue",
+                |m| m.enqueue(F::new(2), &[6; 9], Only).map(drop),
+                [[1, 1, 2, 1, 1, 1], [1, 1, 2, 1, 1, 1]],
+            ),
+            (
+                "enqueue Only, behind a tail",
+                |m| m.enqueue(F::new(0), &[6; 9], Only).map(drop),
+                [[1, 1, 3, 2, 1, 1], [1, 1, 3, 2, 1, 1]],
+            ),
+            (
+                "enqueue First, empty queue",
+                |m| m.enqueue(F::new(2), &[6; 64], First).map(drop),
+                [[1, 1, 2, 1, 1, 1], [1, 1, 2, 1, 1, 1]],
+            ),
+            (
+                "enqueue First, behind a tail",
+                |m| m.enqueue(F::new(0), &[6; 64], First).map(drop),
+                [[1, 1, 3, 2, 1, 1], [1, 1, 3, 2, 1, 1]],
+            ),
+            (
+                "enqueue Middle",
+                |m| m.enqueue(F::new(3), &[6; 64], Middle).map(drop),
+                [[2, 2, 1, 1, 1, 1], [2, 2, 1, 1, 1, 1]],
+            ),
+            (
+                "enqueue Last",
+                |m| m.enqueue(F::new(3), &[6; 9], Last).map(drop),
+                [[2, 2, 1, 1, 1, 1], [2, 2, 1, 1, 1, 1]],
+            ),
+            (
+                "enqueue_packet, 3 segments, empty queue",
+                |m| m.enqueue_packet(F::new(2), &[6; 150]),
+                [[5, 5, 4, 3, 3, 3], [5, 5, 4, 3, 3, 3]],
+            ),
+            (
+                "enqueue_packet, 3 segments, behind a tail",
+                |m| m.enqueue_packet(F::new(0), &[6; 150]),
+                [[5, 5, 5, 4, 3, 3], [5, 5, 5, 4, 3, 3]],
+            ),
+            (
+                "enqueue_packet rolled back, empty queue",
+                |m| refused(m.enqueue_packet(F::new(2), &[6; 640])),
+                [[23, 23, 11, 9, 10, 9], [30, 30, 11, 9, 10, 9]],
+            ),
+            (
+                "enqueue_packet rolled back, behind 2 packets",
+                |m| refused(m.enqueue_packet(F::new(0), &[6; 640])),
+                [[23, 23, 14, 11, 10, 9], [30, 30, 14, 11, 10, 9]],
+            ),
+            (
+                "dequeue, first of 3 segments",
+                |m| m.dequeue(F::new(0)).map(drop),
+                [[1, 1, 1, 1, 2, 1], [2, 2, 1, 1, 2, 1]],
+            ),
+            (
+                "dequeue, a 1-segment packet",
+                |m| m.dequeue(F::new(1)).map(drop),
+                [[1, 1, 2, 1, 2, 1], [2, 2, 2, 1, 2, 1]],
+            ),
+            (
+                "delete_segment, first of 3",
+                |m| m.delete_segment(F::new(0)).map(drop),
+                [[1, 1, 1, 1, 2, 1], [2, 2, 1, 1, 2, 1]],
+            ),
+            (
+                "delete_segment, a 1-segment packet",
+                |m| m.delete_segment(F::new(1)).map(drop),
+                [[1, 1, 2, 1, 2, 1], [2, 2, 2, 1, 2, 1]],
+            ),
+            (
+                "dequeue_packet, 3 segments",
+                |m| m.dequeue_packet(F::new(0)).map(drop),
+                [[3, 3, 4, 3, 6, 3], [6, 6, 4, 3, 6, 3]],
+            ),
+            (
+                "dequeue_packet, 1 segment",
+                |m| m.dequeue_packet(F::new(1)).map(drop),
+                [[1, 1, 2, 1, 2, 1], [2, 2, 2, 1, 2, 1]],
+            ),
+            (
+                "delete_packet, 3 segments",
+                |m| m.delete_packet(F::new(0)).map(drop),
+                [[3, 3, 2, 1, 1, 1], [6, 6, 2, 1, 1, 1]],
+            ),
+            (
+                "delete_packet, 1 segment",
+                |m| m.delete_packet(F::new(1)).map(drop),
+                [[1, 1, 2, 1, 1, 1], [2, 2, 2, 1, 1, 1]],
+            ),
+            (
+                "overwrite_head",
+                |m| m.overwrite_head(F::new(0), &[7; 20]),
+                [[1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 1]],
+            ),
+            (
+                "overwrite_head_len",
+                |m| m.overwrite_head_len(F::new(0), 8),
+                [[1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 1]],
+            ),
+            (
+                "append_head",
+                |m| m.append_head(F::new(0), &[8; 12]).map(drop),
+                [[1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 1]],
+            ),
+            (
+                "append_tail",
+                |m| m.append_tail(F::new(0), &[9; 12]).map(drop),
+                [[2, 2, 1, 1, 1, 1], [2, 2, 1, 1, 1, 1]],
+            ),
+            (
+                "move_packet, to an empty queue",
+                |m| m.move_packet(F::new(0), F::new(2)),
+                [[0, 0, 1, 1, 2, 2], [0, 0, 1, 1, 2, 2]],
+            ),
+            (
+                "move_packet, behind a tail",
+                |m| m.move_packet(F::new(0), F::new(1)),
+                [[0, 0, 2, 2, 2, 2], [0, 0, 2, 2, 2, 2]],
+            ),
+            (
+                "move_packet, rotation",
+                |m| m.move_packet(F::new(0), F::new(0)),
+                [[0, 0, 2, 2, 1, 1], [0, 0, 2, 2, 1, 1]],
+            ),
+            (
+                "copy_packet, to an empty queue",
+                |m| m.copy_packet(F::new(0), F::new(2)),
+                [[8, 5, 5, 3, 5, 3], [8, 5, 5, 3, 5, 3]],
+            ),
+            (
+                "copy_packet, behind a tail",
+                |m| m.copy_packet(F::new(0), F::new(1)),
+                [[8, 5, 6, 4, 5, 3], [8, 5, 6, 4, 5, 3]],
+            ),
+        ];
+        for (i, freelist) in [FreeListDiscipline::Lifo, FreeListDiscipline::Fifo]
+            .into_iter()
+            .enumerate()
+        {
+            for (what, call, want) in &table {
+                let mut m = fixture(freelist);
+                let before = m.ptr_counters();
+                call(&mut m).unwrap();
+                let d = m.ptr_counters().since(&before);
+                let got = [
+                    d.seg_reads,
+                    d.seg_writes,
+                    d.pkt_reads,
+                    d.pkt_writes,
+                    d.qt_reads,
+                    d.qt_writes,
+                ];
+                assert_eq!(got, want[i], "{what} ({freelist:?})");
+                m.verify().unwrap();
+            }
+        }
     }
 
     /// The differential below runs its scripts on one engine of this shape,
@@ -2180,15 +2425,13 @@ mod tests {
                 continue;
             };
             if i > 0 {
-                let mut q = m.ptr.queue(flow);
+                let q = m.ptr.queue(flow);
                 let pid = q.tail_pkt;
                 let pr = m.ptr.pkt(pid);
                 release_by_segments(m, pr.first);
-                if q.head_pkt == pid {
-                    q.head_pkt = PacketId::NIL;
-                    q.tail_pkt = PacketId::NIL;
-                } else {
-                    let mut prev = q.head_pkt;
+                let mut prev = PacketId::NIL;
+                if q.head_pkt != pid {
+                    prev = q.head_pkt;
                     loop {
                         let mut prec = m.ptr.pkt(prev);
                         if prec.next_pkt == pid {
@@ -2198,13 +2441,17 @@ mod tests {
                         }
                         prev = prec.next_pkt;
                     }
-                    q.tail_pkt = prev;
                 }
-                q.pkts -= 1;
-                q.segs -= pr.segs;
-                q.bytes -= u64::from(pr.bytes);
-                q.open = false;
-                m.commit_queue(flow, q);
+                m.commit_queue(flow, |q| {
+                    if prev.is_nil() {
+                        q.head_pkt = PacketId::NIL;
+                    }
+                    q.tail_pkt = prev;
+                    q.pkts -= 1;
+                    q.segs -= pr.segs;
+                    q.bytes -= u64::from(pr.bytes);
+                    q.open = false;
+                });
                 m.pkt_fl.release(&mut m.ptr, pid);
             }
             return Err(e);
@@ -2218,13 +2465,12 @@ mod tests {
         flow: FlowId,
     ) -> Result<(u32, u32), QueueError> {
         m.known_flow(flow)?;
-        let mut q = m.ptr.queue(flow);
+        let q = m.ptr.queue(flow);
         m.complete_head(flow, &q)?;
         let pid = q.head_pkt;
         let pr = m.ptr.pkt(pid);
         release_by_segments(m, pr.first);
-        unlink_head(&mut q, &pr);
-        m.commit_queue(flow, q);
+        m.commit_queue(flow, |q| unlink_head(q, &pr));
         m.pkt_fl.release(&mut m.ptr, pid);
         m.stats.pkt_deletes += 1;
         Ok((pr.segs, pr.bytes))

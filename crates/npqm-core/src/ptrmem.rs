@@ -262,8 +262,12 @@ impl PtrMem {
     /// the whole-packet transactions of [`crate::QueueManager`] keep a
     /// record in a local across the segments of one packet, and the chain
     /// calls of [`crate::freelist::SegFreeList`] go through
-    /// [`seg_silent`](Self::seg_silent) / `set_seg_silent`; both charge here
-    /// what the per-segment command sequence reads and writes.
+    /// [`seg_silent`](Self::seg_silent) / `set_seg_silent` and add what they
+    /// owe to the transaction's tally. Each transaction charges here once
+    /// what its per-segment command sequence reads and writes beyond its
+    /// counted accesses, ahead of the counted accesses that follow the
+    /// chain: this add reloads the counters as vectors, which cannot be
+    /// forwarded from an accessor's scalar `+= 1` still in flight.
     pub(crate) fn charge(&mut self, extra: &PtrMemCounters) {
         self.counters.absorb(extra);
     }
@@ -348,6 +352,20 @@ impl PtrMem {
     pub fn set_queue(&mut self, flow: FlowId, rec: QueueRecord) {
         self.counters.qt_writes += 1;
         self.queues[flow.as_usize()] = rec;
+    }
+
+    /// Lends a queue record to be edited in place: one write, as the MMS
+    /// updates its queue table word by word rather than by a whole-record
+    /// copy. Counted as one queue-table write, like
+    /// [`set_queue`](Self::set_queue).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flow` is out of range.
+    #[inline]
+    pub(crate) fn queue_mut(&mut self, flow: FlowId) -> &mut QueueRecord {
+        self.counters.qt_writes += 1;
+        &mut self.queues[flow.as_usize()]
     }
 
     /// Reads a queue record without counting (test/verification use).

@@ -36,6 +36,11 @@ use crate::time::Picos;
 pub struct EpochClock {
     len: Picos,
     completed: u64,
+    /// The exclusive end of window `completed`, in picoseconds, or
+    /// `u64::MAX` when that end lies past every instant: below it,
+    /// [`advance_to`](Self::advance_to) completes nothing without a
+    /// division.
+    next_boundary: u64,
 }
 
 impl EpochClock {
@@ -47,7 +52,11 @@ impl EpochClock {
     /// many windows).
     pub fn new(len: Picos) -> Self {
         assert!(len > Picos::ZERO, "epoch length must be positive");
-        EpochClock { len, completed: 0 }
+        EpochClock {
+            len,
+            completed: 0,
+            next_boundary: len.as_u64(),
+        }
     }
 
     /// The window width.
@@ -75,12 +84,16 @@ impl EpochClock {
     ///
     /// Going backwards in time completes nothing (the range is empty).
     pub fn advance_to(&mut self, at: Picos) -> std::ops::Range<u64> {
+        if at.as_u64() < self.next_boundary {
+            return self.completed..self.completed;
+        }
         let reached = self.epoch_of(at);
         if reached <= self.completed {
             return self.completed..self.completed;
         }
         let range = self.completed..reached;
         self.completed = reached;
+        self.next_boundary = reached.saturating_add(1).saturating_mul(self.len.as_u64());
         range
     }
 
@@ -123,6 +136,34 @@ mod tests {
         clock.advance_to(Picos::from_nanos(35));
         assert_eq!(clock.advance_to(Picos::from_nanos(12)).count(), 0);
         assert_eq!(clock.completed(), 3);
+    }
+
+    /// The cached boundary completes what `epoch_of` says, from one
+    /// picosecond before a boundary to the boundary itself, at the
+    /// smallest window and where the boundary's product passes `u64::MAX`.
+    #[test]
+    fn advance_agrees_with_epoch_of_at_and_before_boundaries() {
+        let max = u64::MAX;
+        for len in [1, 3, 10_000, max / 3, max / 2 + 1, max - 1, max] {
+            let mut clock = EpochClock::new(Picos::new(len));
+            let mut instants = Vec::new();
+            for k in [1, 2, 3, 5, max / len] {
+                if let Some(b) = k.checked_mul(len) {
+                    instants.extend([b - 1, b, b.saturating_add(1)]);
+                }
+            }
+            instants.extend([max - 2, max - 1, max, max, 0]);
+            for at in instants {
+                let was = clock.completed();
+                let want = clock.epoch_of(Picos::new(at)).max(was);
+                assert_eq!(
+                    clock.advance_to(Picos::new(at)),
+                    was..want,
+                    "len {len}, at {at}"
+                );
+                assert_eq!(clock.completed(), want, "len {len}, at {at}");
+            }
+        }
     }
 
     #[test]
