@@ -164,17 +164,53 @@ structure() {
         exit 1
     fi
     echo "==> structure: one completion slot per egress server, no event queue in the loops"
-    local sig
+    # start_service takes one type parameter and writes the server's one
+    # completion slot in place: a `&mut Option<(Picos, TxDone)>` argument,
+    # nothing returned.
+    local sig body
     hits="$(for file in crates/npqm-traffic/src/*.rs; do
         sed '/^#\[cfg(test)\]/,$d' "${file}" | grep -nE 'EventQueue|BinaryHeap' | sed "s|^|${file}:|" || true
     done)"
-    sig="$(sed -n '/fn start_service</,/^) -> /p' crates/npqm-traffic/src/pipeline.rs)"
+    sig="$(sed -n '/fn start_service</,/^)/p' crates/npqm-traffic/src/pipeline.rs)"
     if [[ -n "${hits}" || -z "${sig}" ]] || grep -qE 'fn start_service<[^>]*,' <<<"${sig}" \
-        || ! grep -qF ') -> Option<(Picos, TxDone)> {' <<<"${sig}"; then
+        || [[ "$(tail -n 1 <<<"${sig}")" != ') {' ]] \
+        || [[ "$(grep -c 'Option<(Picos, TxDone)>' <<<"${sig}")" != 1 ]] \
+        || ! grep -qE '^    [a-z_]+: &mut Option<\(Picos, TxDone\)>,$' <<<"${sig}"; then
         echo "structure FAILED: an event queue is back in npqm-traffic, or start_service" \
-            "does not return the one completion it started; got:" >&2
+            "does not write the one completion it started into its server's slot; got:" >&2
         echo "${hits}" >&2
         echo "${sig}" >&2
+        exit 1
+    fi
+    echo "==> structure: no divide on the loops' per-packet path"
+    # Transmit times come from each loop's table: above the tests of
+    # pipeline.rs and service.rs (comments stripped), tx_time( is called
+    # once, where LoopState::new fills the table.
+    hits="$(for file in crates/npqm-traffic/src/pipeline.rs crates/npqm-traffic/src/service.rs; do
+        sed '/^#\[cfg(test)\]/,$d' "${file}" | sed 's|//.*||' | grep -n 'tx_time(' \
+            | grep -v 'fn tx_time(' | sed "s|^|${file}:|" || true
+    done)"
+    body="$(sed '/^#\[cfg(test)\]/,$d' crates/npqm-traffic/src/service.rs | sed 's|//.*||' \
+        | sed -n '/^impl LoopState {/,/^}/p' | sed -n '/fn new(/,/^    }$/p')"
+    if [[ "$(grep -c . <<<"${hits}")" != 1 || "${hits}" != crates/npqm-traffic/src/service.rs:* \
+        || "$(grep -c 'tx_time(' <<<"${body}")" != 1 ]]; then
+        echo "structure FAILED: tx_time( above the tests of pipeline.rs / service.rs belongs" \
+            "only where LoopState::new fills the transmit table; got:" >&2
+        echo "${hits}" >&2
+        exit 1
+    fi
+    # A packet's segment count is QmConfig::segments_for, a shift: no
+    # div_ceil( by a segment size above the tests of these files.
+    hits="$(for file in crates/npqm-core/src/manager.rs crates/npqm-core/src/policy.rs \
+        crates/npqm-core/src/limits.rs crates/npqm-traffic/src/service.rs \
+        crates/npqm-traffic/src/scale.rs; do
+        sed '/^#\[cfg(test)\]/,$d' "${file}" | sed 's|//.*||' | grep -nE 'div_ceil\([^;]*seg' \
+            | sed "s|^|${file}:|" || true
+    done)"
+    if [[ -n "${hits}" ]]; then
+        echo "structure FAILED: a segment count divides by the segment size (use" \
+            "QmConfig::segments_for); got:" >&2
+        echo "${hits}" >&2
         exit 1
     fi
     echo "==> structure: each engine step of manager.rs is written once"

@@ -99,6 +99,15 @@ impl QmConfig {
     pub const fn data_bytes(&self) -> u64 {
         self.num_segments as u64 * self.segment_bytes as u64
     }
+
+    /// The number of segments `bytes` bytes occupy:
+    /// `bytes.div_ceil(segment_bytes)`, computed as a shift because every
+    /// built configuration's segment size is a power of two.
+    #[inline]
+    pub const fn segments_for(&self, bytes: usize) -> usize {
+        let shift = self.segment_bytes.trailing_zeros();
+        (bytes >> shift) + ((bytes & (self.segment_bytes as usize - 1)) != 0) as usize
+    }
 }
 
 impl Default for QmConfig {
@@ -305,6 +314,40 @@ mod tests {
             }
         }
         assert!(accepted > 0);
+    }
+
+    /// The shift agrees with the divide for every segment size `build`
+    /// accepts, at the lengths around one and two segments, a jumbo frame
+    /// and the ends of `u32` and `usize`.
+    #[test]
+    fn segments_for_is_div_ceil_at_every_legal_segment_size() {
+        for k in 0..=15 {
+            let s = 1usize << k;
+            let cfg = QmConfig::builder()
+                .num_flows(4)
+                .num_segments(16)
+                .segment_bytes(s as u32)
+                .build()
+                .unwrap();
+            let lens = [
+                0,
+                1,
+                s - 1,
+                s,
+                s + 1,
+                2 * s,
+                9216,
+                u32::MAX as usize,
+                usize::MAX,
+            ];
+            for len in lens {
+                assert_eq!(
+                    cfg.segments_for(len),
+                    len.div_ceil(s),
+                    "{len} B in {s} B segments"
+                );
+            }
+        }
     }
 
     #[test]

@@ -110,7 +110,7 @@ impl BufferManager {
             return Err(DropReason::FlowPackets);
         }
         // In u64: a reserve near `u32::MAX` must refuse, not wrap.
-        let needed = len.div_ceil(qm.config().segment_bytes() as usize) as u64;
+        let needed = qm.config().segments_for(len) as u64;
         if u64::from(qm.free_segments()) < needed + u64::from(self.reserve_segments) {
             return Err(DropReason::GlobalReserve);
         }

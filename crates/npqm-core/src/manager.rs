@@ -724,7 +724,7 @@ impl QueueManager {
             return self.fail(QueueError::EmptyPayload);
         }
         let seg_bytes = self.cfg.segment_bytes() as usize;
-        let n = packet.len().div_ceil(seg_bytes);
+        let n = self.cfg.segments_for(packet.len());
         let unit = (flow.index() < self.cfg.num_flows())
             .then(|| self.ptr.queue_silent(flow))
             .filter(|q| !q.open && n <= self.seg_fl.free_count() as usize);
@@ -805,7 +805,7 @@ impl QueueManager {
         packet: &[u8],
     ) -> Result<(), QueueError> {
         let seg_bytes = self.cfg.segment_bytes() as usize;
-        let n = packet.len().div_ceil(seg_bytes);
+        let n = self.cfg.segments_for(packet.len());
         for (i, chunk) in packet.chunks(seg_bytes).enumerate() {
             let pos = SegmentPosition::from_flags(i == 0, i == n - 1);
             if let Err(e) = self.enqueue(flow, chunk, pos) {

@@ -235,9 +235,8 @@ fn push_out(
     victims: &mut Vec<(FlowId, u32)>,
     mut victim: impl FnMut(&mut [QueueManager]) -> Option<(usize, FlowId)>,
 ) -> Result<(), DropReason> {
-    let seg_bytes = shards[home].config().segment_bytes() as usize;
     // In u64: a reserve near `u32::MAX` must refuse, not wrap.
-    let claim = packet.len().div_ceil(seg_bytes) as u64 + u64::from(reserve);
+    let claim = shards[home].config().segments_for(packet.len()) as u64 + u64::from(reserve);
     // An arrival that could not fit even an empty buffer is refused
     // outright — evicting for it would be pure loss.
     if claim > u64::from(budget) {

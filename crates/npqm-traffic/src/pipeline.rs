@@ -195,13 +195,6 @@ pub struct PipelineReport {
     /// only (their payload is gone by eviction time). Any mismatch means
     /// a torn or cross-linked packet. Always 0 on a healthy engine.
     pub integrity_violations: u64,
-    /// A service shard's telemetry recorder (events, counts, drop
-    /// ledger), populated when [`crate::service::ServiceConfig::telemetry`]
-    /// is set. Always `None` in a [`PipelineBuilder`] run, whose one loop
-    /// instance keeps one recorder for every shard, and in merged
-    /// aggregate reports: the merged view lives in
-    /// [`ShardedPipelineReport::telemetry`].
-    pub telemetry: Option<Telemetry>,
 }
 
 impl PipelineReport {
@@ -233,18 +226,39 @@ pub(crate) struct TxDone {
 }
 
 /// One buffered packet's ledger slot: when it was admitted, how long it
-/// is, and the marker byte stamped into its first payload byte.
+/// is, and the marker byte stamped into its first payload byte. The length
+/// and marker share one word, so the slot is a pair of scalars, which a
+/// push takes in two registers: with three fields it went through a stack
+/// copy that the push, when not inlined, reloaded as one 16-byte load of
+/// three narrower stores, and waited for them to reach the cache.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Slot {
     pub(crate) enqueued_at: Picos,
-    pub(crate) len: u32,
-    pub(crate) marker: u8,
+    len_and_marker: u64,
+}
+
+impl Slot {
+    pub(crate) fn new(enqueued_at: Picos, len: u32, marker: u8) -> Self {
+        Slot {
+            enqueued_at,
+            len_and_marker: u64::from(len) | u64::from(marker) << 32,
+        }
+    }
+
+    pub(crate) fn len(self) -> u32 {
+        self.len_and_marker as u32
+    }
+
+    pub(crate) fn marker(self) -> u8 {
+        (self.len_and_marker >> 32) as u8
+    }
 }
 
 /// The transmit time of `len` bytes at `gbps` Gbit/s (1 Gbit/s ≡ 1
 /// bit/ns), never zero: the picosecond count rounded half away from zero,
-/// as [`round_to_u64`] rounds every arrival gap.
-fn tx_time(gbps: f64, len: usize) -> Picos {
+/// as [`round_to_u64`] rounds every arrival gap. A loop calls it once per
+/// length, when it fills its transmit table (`LoopState::new`).
+pub(crate) fn tx_time(gbps: f64, len: usize) -> Picos {
     Picos::new(round_to_u64(len as f64 * 8.0 * 1000.0 / gbps).max(1))
 }
 
@@ -433,22 +447,25 @@ where
         shards,
         cfg.mix.flows(),
         cfg.sizes.max_bytes(),
+        cfg.egress_gbps / shards as f64,
         cfg.telemetry,
     );
-    let gbps = cfg.egress_gbps / shards as f64;
     let mut tx: Vec<Option<(Picos, TxDone)>> = vec![None; shards];
     let mut now = Picos::ZERO;
 
     let mut arrivals = arrival_stream(cfg.arrivals, &cfg.mix, &cfg.sizes, cfg.seed, cfg.duration);
     let mut next = arrivals.next();
     loop {
+        // The earliest completion, ties to the lowest shard, found by its
+        // instant alone: copying whole slots, right after `start_service`
+        // wrote one field by field, waited on those stores.
         let due = (tx.iter().enumerate())
-            .filter_map(|(s, slot)| slot.map(|(t, done)| (t, s, done)))
-            .min_by_key(|&(t, s, _)| (t, s));
+            .filter_map(|(s, slot)| Some((slot.as_ref()?.0, s)))
+            .min();
         let shard = match next {
-            Some(a) if due.is_none_or(|(t, ..)| a.at < t) => {
+            Some(a) if due.is_none_or(|(t, _)| a.at < t) => {
                 assert!(
-                    a.at >= now && due.is_none_or(|(t, ..)| t > a.at),
+                    a.at >= now && due.is_none_or(|(t, _)| t > a.at),
                     "an arrival went back in time or ahead of a due completion"
                 );
                 now = a.at;
@@ -461,21 +478,22 @@ where
                 shard
             }
             _ => {
-                let Some((t, shard, done)) = due else {
+                let Some((t, shard)) = due else {
                     break;
                 };
+                let (_, done) = tx[shard].expect("the due completion's slot is full");
                 now = t;
                 st.delivery(now, shard, done);
                 shard
             }
         };
-        tx[shard] = start_service(
+        start_service(
             scope.qm(shard),
             &mut scheds[shard],
             &mut st,
             shard,
             now,
-            gbps,
+            &mut tx[shard],
         );
     }
 
@@ -495,19 +513,24 @@ where
 /// Asks the scheduler for the next flow and, if one is ready, dequeues
 /// its head packet into the loop's frame buffer (lent to the engine, so a
 /// delivery allocates nothing), verifies it against the ledger (length
-/// and marker byte, a mismatch charged to `shard`'s report) and returns
-/// its completion: the instant `now` plus its transmit time at `gbps`
-/// Gbit/s, and the [`TxDone`]. `None` leaves the server idle. Both loops
-/// share this one service path.
+/// and marker byte, a mismatch charged to `shard`'s report) and writes
+/// its completion into the server's slot `tx`: the instant `now` plus its
+/// transmit time from the loop's table, and the [`TxDone`]. `None` leaves
+/// the server idle. Both loops share this one service path. The slot is
+/// written where it lives: a completion returned by value went through
+/// the stack and was reloaded as one wide load of the fields just stored.
 pub(crate) fn start_service<S: FlowScheduler + ?Sized>(
     qm: &mut QueueManager,
     sched: &mut S,
     st: &mut LoopState,
     shard: usize,
     now: Picos,
-    gbps: f64,
-) -> Option<(Picos, TxDone)> {
-    let flow = sched.next_flow(qm)?;
+    tx: &mut Option<(Picos, TxDone)>,
+) {
+    let Some(flow) = sched.next_flow(qm) else {
+        *tx = None;
+        return;
+    };
     st.frame.clear();
     let len = qm
         .dequeue_packet_into(flow, &mut st.frame)
@@ -516,7 +539,7 @@ pub(crate) fn start_service<S: FlowScheduler + ?Sized>(
     let slot = st.ledger[flow.as_usize()]
         .pop_front()
         .expect("served packet must be in the ledger");
-    if len as u32 != slot.len || st.frame[0] != slot.marker {
+    if len as u32 != slot.len() || st.frame[0] != slot.marker() {
         st.reports[shard].integrity_violations += 1;
     }
     if let Some(t) = &mut st.tel {
@@ -528,7 +551,7 @@ pub(crate) fn start_service<S: FlowScheduler + ?Sized>(
         bytes: len as u32,
         enqueued_at: slot.enqueued_at,
     };
-    Some((now + tx_time(gbps, len), done))
+    *tx = Some((now + st.tx_times[len], done));
 }
 
 /// Outcome of a [`PipelineBuilder`] run: the per-shard closed-loop
@@ -544,16 +567,16 @@ pub struct ShardedPipelineReport {
     /// [`ShardedQueueManager::shard_of`].
     pub shard_of_flow: Vec<usize>,
     /// The run's telemetry as one deterministic view: the loop's one
-    /// recorder, merged under shard tag 0 (the service merges its
-    /// per-shard recorders here too, events ordered by virtual time, then
-    /// shard; taxonomy and counters summed). `None` when the run was
+    /// recorder, merged under shard tag 0. `None` when the run was
     /// untraced.
     pub telemetry: Option<TelemetryReport>,
 }
 
 /// Merges per-shard reports into the aggregate view, stamping every
 /// report with the global makespan (the slowest shard's last event, i.e.
-/// the wall clock a shared observer would see).
+/// the wall clock a shared observer would see). It leaves `telemetry`
+/// empty: `PipelineBuilder::run` fills in its loop's one recorder, and the service
+/// merges its shard recorders into its own report.
 pub(crate) fn assemble_sharded_report(
     mut shards: Vec<PipelineReport>,
     shard_of_flow: Vec<usize>,
@@ -591,21 +614,11 @@ pub(crate) fn assemble_sharded_report(
         aggregate.integrity_violations += sr.integrity_violations;
     }
     aggregate.makespan = makespan;
-    let telemetry = if shards.iter().any(|sr| sr.telemetry.is_some()) {
-        Some(TelemetryReport::merge(
-            shards
-                .iter()
-                .enumerate()
-                .filter_map(|(s, sr)| sr.telemetry.as_ref().map(|t| (s as u32, t))),
-        ))
-    } else {
-        None
-    };
     ShardedPipelineReport {
         shards,
         aggregate,
         shard_of_flow,
-        telemetry,
+        telemetry: None,
     }
 }
 
@@ -665,6 +678,7 @@ pub(crate) mod tests {
     use npqm_core::check::{fnv1a_fold, FNV_OFFSET_BASIS};
     use npqm_core::sched::{DeficitRoundRobin, StrictPriority};
     use npqm_core::telemetry::{EventKind, ShardTraceEvent};
+    use npqm_sim::rng::Xoshiro256pp;
 
     /// A shard-local builder over `policy` (default egress: flat DRR).
     fn local<P>(cfg: &PipelineConfig, policy: P) -> PipelineBuilder
@@ -879,19 +893,23 @@ pub(crate) mod tests {
         // completion that ties an arrival started before the arrival's
         // predecessor, and it runs first whether ties go by scheduling
         // order or to completions: these hashes hold under either rule.
+        // (Every hash in this module hashes a report's `Debug` text; each
+        // was re-recorded when `PipelineReport` lost its `telemetry`
+        // field, as the old text with each `PipelineReport`'s
+        // `, telemetry: None` cut out.)
         let cfg = tie_heavy();
         let dense = local(&cfg, LongestQueueDrop::new(0)).run();
         assert_eq!(dense.aggregate.offered_pkts, 4000);
         assert_eq!(dense.aggregate.evicted_pkts, 1535);
-        assert_eq!(debug_hash(&dense.aggregate), 0x71be_c448_379d_49e1);
-        assert_eq!(debug_hash(&dense), 0xb21d_4893_ddf1_a54e);
+        assert_eq!(debug_hash(&dense.aggregate), 0xdd27_ab1b_a72a_9552);
+        assert_eq!(debug_hash(&dense), 0x87ad_5f53_07b2_cbee);
         let local4 = local(&cfg, LongestQueueDrop::new(0)).shards(4).run();
-        assert_eq!(debug_hash(&local4), 0xa023_4e07_69d1_b1e8);
+        assert_eq!(debug_hash(&local4), 0x9581_9f1b_3ee4_1efb);
         let global4 = local(&cfg, LongestQueueDrop::new(0))
             .shards(4)
             .admission_global_lqd(0)
             .run();
-        assert_eq!(debug_hash(&global4), 0xdf9a_aca2_06af_805e);
+        assert_eq!(debug_hash(&global4), 0x4850_b16c_22ef_14cd);
         let cfg = PipelineConfig {
             qm: QmConfig::builder()
                 .num_flows(16)
@@ -903,12 +921,12 @@ pub(crate) mod tests {
             ..tie_heavy()
         };
         let dense = local(&cfg, LongestQueueDrop::new(0)).run();
-        assert_eq!(debug_hash(&dense), 0x9fae_b39d_8ac0_b26e);
+        assert_eq!(debug_hash(&dense), 0x1ab2_b2e3_ef63_198e);
         let global4 = local(&cfg, LongestQueueDrop::new(0))
             .shards(4)
             .admission_global_lqd(0)
             .run();
-        assert_eq!(debug_hash(&global4), 0xfb01_1889_8859_41e7);
+        assert_eq!(debug_hash(&global4), 0x63f3_7224_54b5_d174);
 
         // Where the two rules differ: a service of one gap, started on an
         // arrival, ends on the next arrival's picosecond, and its delivery
@@ -921,6 +939,24 @@ pub(crate) mod tests {
                 let tel = r.telemetry.unwrap();
                 assert_eq!(tel.overflow_events, 0);
                 assert!(completions_lead_ties(&tel.events, &r.shard_of_flow) > 50);
+            }
+        }
+    }
+
+    /// A loop fills its transmit table once, from `tx_time` at its
+    /// per-server rate: at every length up to the largest packet it can
+    /// draw, a delivery reads what the divide would answer, the one-
+    /// picosecond floor of length 0 (and of the rates that clamp) included.
+    #[test]
+    fn loop_transmit_table_is_tx_time_at_every_length() {
+        for gbps in line_rates(&mut Xoshiro256pp::seed_from_u64(42)) {
+            for max_bytes in [1, 64, 1518, 9216] {
+                let st = LoopState::new(1, 1, max_bytes, gbps, None);
+                assert_eq!(st.tx_times.len(), max_bytes as usize + 1);
+                assert_eq!(st.tx_times[0], Picos::new(1), "{gbps} Gbit/s");
+                for (len, &t) in st.tx_times.iter().enumerate() {
+                    assert_eq!(t, tx_time(gbps, len), "{gbps} Gbit/s, {len} B");
+                }
             }
         }
     }
@@ -964,10 +1000,22 @@ pub(crate) mod tests {
         });
         let hashes = got.map(|(.., hash)| format!("{hash:#x}"));
         let want = [
-            (2964, 0, 0, 0x91b8_3130_6aa6_daee),
-            (2964, 0, 423, 0x3e8f_248f_1cd4_fd0e),
+            (2964, 0, 0, 0x586f_e55c_abbf_a74e),
+            (2964, 0, 423, 0xd3c1_17c4_e22b_770e),
         ];
         assert_eq!(got, want, "{hashes:?}");
+    }
+
+    /// Line rates the tables and workloads use, then seeded ones from 1
+    /// Mbit/s to 1 Tbit/s, then 3.2 Tbit/s (2.5 ps a byte: every odd
+    /// length is an exact half) and rates whose answers saturate or clamp:
+    /// zero (infinite time), negative and NaN (time 1).
+    fn line_rates(rng: &mut Xoshiro256pp) -> Vec<f64> {
+        [0.5, 2.0 / 3.0, 1.0, 2.0, 5.0, 6.0, 10.0]
+            .into_iter()
+            .chain((0..32).map(|_| 10f64.powf(rng.next_f64() * 6.0 - 3.0)))
+            .chain([3200.0, 0.0, -1.0, f64::NAN, 1e-300, 1e300])
+            .collect()
     }
 
     #[test]
@@ -975,16 +1023,8 @@ pub(crate) mod tests {
         let libm = |gbps: f64, len: usize| {
             Picos::new(((len as f64 * 8.0 * 1000.0 / gbps).round() as u64).max(1))
         };
-        let mut rng = npqm_sim::rng::Xoshiro256pp::seed_from_u64(42);
-        // Line rates the tables and workloads use, then seeded ones from
-        // 1 Mbit/s to 1 Tbit/s, then 3.2 Tbit/s (2.5 ps a byte: every odd
-        // length is an exact half) and rates whose answers saturate or
-        // clamp: zero (infinite time), negative and NaN (time 1).
-        let rates = [0.5, 2.0 / 3.0, 1.0, 2.0, 5.0, 6.0, 10.0]
-            .into_iter()
-            .chain((0..32).map(|_| 10f64.powf(rng.next_f64() * 6.0 - 3.0)))
-            .chain([3200.0, 0.0, -1.0, f64::NAN, 1e-300, 1e300]);
-        for gbps in rates {
+        let mut rng = Xoshiro256pp::seed_from_u64(42);
+        for gbps in line_rates(&mut rng) {
             for len in 1..=9216 {
                 assert_eq!(
                     tx_time(gbps, len),

@@ -384,7 +384,7 @@ fn run_rounds(
                 if admitted {
                     row.admitted_pkts += 1;
                     row.admitted_bytes += len as u64;
-                    row.segments_processed += len.div_ceil(seg_bytes) as u64;
+                    row.segments_processed += qm_cfg.segments_for(len) as u64;
                     ledger[flow.as_usize()].push_back((len as u32, marker));
                 } else {
                     row.dropped_pkts += 1;

@@ -105,8 +105,8 @@
 use crate::arrival::{ArrivalGen, ArrivalProcess};
 use crate::flows::FlowMix;
 use crate::pipeline::{
-    assemble_sharded_report, start_service, AdmissionScope, FlowReport, PipelineReport, ShardLocal,
-    Slot, TxDone,
+    assemble_sharded_report, start_service, tx_time, AdmissionScope, FlowReport, PipelineReport,
+    ShardLocal, Slot, TxDone,
 };
 use crate::size::SizeDistribution;
 use npqm_core::check::{fnv1a_fold, state_digest, FNV_OFFSET_BASIS};
@@ -219,6 +219,10 @@ pub(crate) struct LoopState {
     victims: Vec<(FlowId, u32)>,
     /// The frame in service: the buffer every delivery's dequeue is lent.
     pub(crate) frame: Vec<u8>,
+    /// The transmit time of every length the loop can draw at its per-server
+    /// line rate, `tx_time` for lengths `0..=max_bytes`, so a delivery
+    /// indexes a table instead of dividing and rounding.
+    pub(crate) tx_times: Vec<Picos>,
     /// The loop's telemetry recorder. `None` (untraced) costs one branch
     /// per event.
     pub(crate) tel: Option<Telemetry>,
@@ -231,11 +235,13 @@ pub(crate) struct ArrivalOutcome {
 }
 
 impl LoopState {
-    /// `telemetry` enables recording when `Some`.
+    /// Each of `shards` egress servers sends at `gbps` Gbit/s; `telemetry`
+    /// enables recording when `Some`.
     pub(crate) fn new(
         shards: usize,
         flows: u32,
         max_bytes: u32,
+        gbps: f64,
         telemetry: Option<TelemetryConfig>,
     ) -> Self {
         LoopState {
@@ -251,6 +257,9 @@ impl LoopState {
             payload: vec![0xA5u8; max_bytes as usize],
             victims: Vec::new(),
             frame: Vec::with_capacity(max_bytes as usize),
+            tx_times: (0..=max_bytes as usize)
+                .map(|len| tx_time(gbps, len))
+                .collect(),
             tel: telemetry.map(Telemetry::new),
         }
     }
@@ -273,9 +282,9 @@ impl LoopState {
         fr.offered_pkts += 1;
         fr.offered_bytes += size as u64;
         self.victims.clear();
-        let refused = scope
-            .offer(flow, &self.payload[..size], &mut self.victims)
-            .err();
+        // Kept as the `Result` it is: turned into an `Option` with `.err()`,
+        // it was copied through two unaligned stack bytes.
+        let offered = scope.offer(flow, &self.payload[..size], &mut self.victims);
         for &(victim, bytes) in &self.victims {
             // Under global push-out the victim may live on any shard in
             // scope; charge its own home shard's report.
@@ -283,7 +292,7 @@ impl LoopState {
             let slot = self.ledger[victim.as_usize()]
                 .pop_front()
                 .expect("a victim was admitted, and every admission pushed its slot");
-            if slot.len != bytes {
+            if slot.len() != bytes {
                 vr.integrity_violations += 1;
             }
             vr.flows[victim.as_usize()].evicted_pkts += 1;
@@ -296,7 +305,7 @@ impl LoopState {
             }
         }
         let fr = &mut self.reports[home].flows[flow.as_usize()];
-        if let Some(reason) = refused {
+        if let Err(reason) = offered {
             fr.dropped_pkts += 1;
             if let Some(t) = &mut self.tel {
                 let (depth, occupancy) = scope.depth_and_occupancy(flow);
@@ -311,18 +320,14 @@ impl LoopState {
                 );
             }
         } else {
-            self.ledger[flow.as_usize()].push_back(Slot {
-                enqueued_at: now,
-                len: size as u32,
-                marker,
-            });
+            self.ledger[flow.as_usize()].push_back(Slot::new(now, size as u32, marker));
             fr.admitted_pkts += 1;
             if let Some(t) = &mut self.tel {
                 t.record_admit(now, flow, size as u32);
             }
         }
         ArrivalOutcome {
-            admitted: refused.is_none(),
+            admitted: offered.is_ok(),
             evicted: self.victims.len() as u64,
         }
     }
@@ -593,7 +598,7 @@ pub struct EpochSnapshot {
 /// [`FNV_OFFSET_BASIS`] reproduces
 /// [`ShardedQueueManager::state_digest`] on a drained engine.
 fn shard_state_digest(qm: &QueueManager, ledger: &[VecDeque<Slot>]) -> u64 {
-    fold_ledger(state_digest(qm), ledger, |slot| (slot.len, slot.marker))
+    fold_ledger(state_digest(qm), ledger, |slot| (slot.len(), slot.marker()))
 }
 
 /// Folds a residual packet ledger into `h`: flow, length and marker of
@@ -658,9 +663,6 @@ struct ShardLoop<'a, P, S> {
     windows: Vec<EpochWindow>,
     snapshots: Vec<EpochSnapshot>,
     heads: Vec<Option<ArrivalEvent>>,
-    /// This shard's egress line rate in Gbit/s.
-    gbps: f64,
-    seg_bytes: u32,
     segments: u64,
     stop_at: Option<Picos>,
     done: bool,
@@ -686,7 +688,13 @@ where
             shard,
             policy,
             sched,
-            st: LoopState::new(1, cfg.mix.flows(), cfg.sizes.max_bytes(), cfg.telemetry),
+            st: LoopState::new(
+                1,
+                cfg.mix.flows(),
+                cfg.sizes.max_bytes(),
+                cfg.egress_gbps / cfg.shards as f64,
+                cfg.telemetry,
+            ),
             now: Picos::ZERO,
             tx: None,
             clock: EpochClock::new(cfg.epoch),
@@ -694,8 +702,6 @@ where
             windows: Vec::new(),
             snapshots: Vec::new(),
             heads: vec![None; cfg.generators],
-            gbps: cfg.egress_gbps / cfg.shards as f64,
-            seg_bytes: cfg.qm.segment_bytes(),
             segments: 0,
             stop_at,
             done: false,
@@ -713,47 +719,55 @@ where
     /// Advances the epoch clock to `t`, closing every window that
     /// completes and snapshotting the shard at each boundary — *before*
     /// the event at `t` is applied, so each snapshot observes exactly
-    /// the state at its boundary.
+    /// the state at its boundary. Inlined: it runs once per event, and
+    /// an event that closes no window only compares `t` with the next
+    /// boundary instead of making a call.
+    #[inline]
     fn advance_virtual(&mut self, qm: &QueueManager, t: Picos, obs: &impl Fn(usize, &EpochWindow)) {
         for e in self.clock.advance_to(t) {
-            let digest = shard_state_digest(qm, &self.st.ledger);
-            let (verify_ok, segments_used, payload_bytes) = match qm.verify() {
-                Ok(r) => (true, r.segments_used, r.payload_bytes),
-                Err(_) => (false, 0, 0),
-            };
-            self.snapshots.push(EpochSnapshot {
-                epoch: e,
-                at: self.clock.boundary(e),
-                digest,
-                verify_ok,
-                segments_used,
-                payload_bytes,
-                buffered_pkts: self.st.buffered_pkts(),
-                integrity_violations: self.st.reports[0].integrity_violations,
-            });
-            let w = std::mem::replace(
-                &mut self.cur,
-                EpochWindow::new(e + 1, self.cfg.latency_buckets, self.cfg.latency_bucket_ns),
-            );
-            if let Some(tel) = &mut self.st.tel {
-                // The boundary event and a cumulative metrics snapshot,
-                // taken at the same pre-event instant as the digest
-                // above (telemetry reads the engine, never touches it).
-                let at = self.clock.boundary(e);
-                tel.record_epoch(at, e);
-                let mut reg = MetricsRegistry::new();
-                reg.record_qm("qm.", qm.stats());
-                reg.record_ptr("ptr.", &qm.ptr_counters());
-                tel.snapshot_metrics(e, reg);
-            }
-            obs(self.shard, &w);
-            self.windows.push(w);
+            self.close_window(qm, e, obs);
         }
+    }
+
+    /// Snapshots the shard at window `e`'s boundary and closes the window.
+    fn close_window(&mut self, qm: &QueueManager, e: u64, obs: &impl Fn(usize, &EpochWindow)) {
+        let digest = shard_state_digest(qm, &self.st.ledger);
+        let (verify_ok, segments_used, payload_bytes) = match qm.verify() {
+            Ok(r) => (true, r.segments_used, r.payload_bytes),
+            Err(_) => (false, 0, 0),
+        };
+        self.snapshots.push(EpochSnapshot {
+            epoch: e,
+            at: self.clock.boundary(e),
+            digest,
+            verify_ok,
+            segments_used,
+            payload_bytes,
+            buffered_pkts: self.st.buffered_pkts(),
+            integrity_violations: self.st.reports[0].integrity_violations,
+        });
+        let w = std::mem::replace(
+            &mut self.cur,
+            EpochWindow::new(e + 1, self.cfg.latency_buckets, self.cfg.latency_bucket_ns),
+        );
+        if let Some(tel) = &mut self.st.tel {
+            // The boundary event and a cumulative metrics snapshot,
+            // taken at the same pre-event instant as the digest
+            // above (telemetry reads the engine, never touches it).
+            let at = self.clock.boundary(e);
+            tel.record_epoch(at, e);
+            let mut reg = MetricsRegistry::new();
+            reg.record_qm("qm.", qm.stats());
+            reg.record_ptr("ptr.", &qm.ptr_counters());
+            tel.snapshot_metrics(e, reg);
+        }
+        obs(self.shard, &w);
+        self.windows.push(w);
     }
 
     /// Starts the next service on the idle server, if a flow is ready.
     fn serve(&mut self, qm: &mut QueueManager) {
-        self.tx = start_service(qm, &mut self.sched, &mut self.st, 0, self.now, self.gbps);
+        start_service(qm, &mut self.sched, &mut self.st, 0, self.now, &mut self.tx);
     }
 
     /// Processes every egress completion due at or before `until`, each
@@ -767,7 +781,7 @@ where
         until: Picos,
         obs: &impl Fn(usize, &EpochWindow),
     ) -> bool {
-        while let Some((t, tx)) = self.tx.filter(|&(t, _)| t <= until) {
+        while let Some(&(t, tx)) = self.tx.as_ref().filter(|(t, _)| *t <= until) {
             if self.cut(t) {
                 self.finalize(qm, true, obs);
                 return false;
@@ -778,7 +792,7 @@ where
             self.cur.delivered_pkts += 1;
             self.cur.delivered_bytes += u64::from(tx.bytes);
             self.cur.latency_ns.record(lat_ns);
-            self.segments += u64::from(tx.bytes.div_ceil(self.seg_bytes));
+            self.segments += self.cfg.qm.segments_for(tx.bytes as usize) as u64;
             self.serve(qm);
         }
         true
@@ -796,7 +810,7 @@ where
         self.cur.evicted_pkts += out.evicted;
         if out.admitted {
             self.cur.admitted_pkts += 1;
-            self.segments += u64::from(pkt.size.div_ceil(self.seg_bytes));
+            self.segments += self.cfg.qm.segments_for(pkt.size as usize) as u64;
         } else {
             self.cur.dropped_pkts += 1;
         }
@@ -858,13 +872,13 @@ where
                 }
             }
         }
-        // The earliest head (ties: lowest generator) leaves its slot
-        // now; a loop that freezes below never reads its heads again.
-        let next = (self.heads.iter_mut())
-            .filter(|head| head.is_some())
-            .min_by_key(|head| head.map(|p| p.at))
-            .and_then(Option::take);
-        let Some(pkt) = next else {
+        // The earliest head (ties: lowest generator), found by its instant
+        // alone, leaves its slot now; a loop that freezes below never
+        // reads its heads again.
+        let earliest = (self.heads.iter().enumerate())
+            .filter_map(|(g, head)| Some((head.as_ref()?.at, g)))
+            .min();
+        let Some(pkt) = earliest.and_then(|(_, g)| self.heads[g].take()) else {
             // Every lane closed: drain the backlog.
             if self.complete_until(qm, Picos::new(u64::MAX), obs) {
                 self.finalize(qm, false, obs);
@@ -890,15 +904,15 @@ where
 
     fn into_report(mut self, busy: Duration) -> ShardServiceReport {
         let residual_pkts = self.st.buffered_pkts();
-        let mut report = self
+        let report = self
             .st
             .reports
             .pop()
             .expect("LoopState::new(1, ..) made one report");
-        report.telemetry = self.st.tel;
         ShardServiceReport {
             residual_pkts,
             report,
+            telemetry: self.st.tel,
             windows: self.windows,
             snapshots: self.snapshots,
             final_digest: self.final_digest,
@@ -940,6 +954,10 @@ pub struct ShardServiceReport {
     /// Segments enqueued plus segments dequeued, the same work unit the
     /// scale experiment counts.
     pub segments_processed: u64,
+    /// The shard's telemetry recorder (events, counts, drop ledger),
+    /// populated when [`ServiceConfig::telemetry`] is set; the run's
+    /// merged view is [`ServiceReport::telemetry`].
+    pub telemetry: Option<Telemetry>,
 }
 
 /// Aggregate outcome of a [`run_service`] run.
@@ -1123,16 +1141,27 @@ where
     }
 
     let assembled = assemble_sharded_report(
-        shards.iter().map(|s| s.report.clone()).collect(),
+        shards
+            .iter_mut()
+            .map(|s| std::mem::take(&mut s.report))
+            .collect(),
         shard_of_flow,
         flows,
     );
     for (sh, rebased) in shards.iter_mut().zip(assembled.shards) {
         sh.report = rebased;
     }
+    // Per-shard recorders merged into one view: events ordered by virtual
+    // time, then shard; taxonomy and counters summed.
+    let telemetry = shards.iter().any(|sh| sh.telemetry.is_some()).then(|| {
+        TelemetryReport::merge(
+            (shards.iter().enumerate())
+                .filter_map(|(s, sh)| sh.telemetry.as_ref().map(|t| (s as u32, t))),
+        )
+    });
 
     ServiceReport {
-        telemetry: assembled.telemetry,
+        telemetry,
         ring_full_events: shards.iter().map(|s| s.ring_full_events).sum(),
         reorder_peak: shards.iter().map(|s| s.reorder_peak).max().unwrap_or(0),
         segments_processed: shards.iter().map(|s| s.segments_processed).sum(),
@@ -1506,7 +1535,9 @@ mod tests {
         // (the push-out moves one arrival later) but the victims, and so
         // the hash, change; on `tie_heavy`'s 256 flows they happen not to.
         // Poisson arrivals at picosecond resolution never tie, so no
-        // other test, gate or benchmark pin holds this rule.
+        // other test, gate or benchmark pin holds this rule. (The hash was
+        // re-recorded when `PipelineReport` lost its `telemetry` field, as
+        // the old `Debug` text with its `, telemetry: None` cut out.)
         let cfg = ServiceConfig {
             qm: QmConfig::builder()
                 .num_flows(8)
@@ -1536,7 +1567,7 @@ mod tests {
             .fold(FNV_OFFSET_BASIS, |h, b| fnv1a_fold(h, u64::from(b)));
         assert_eq!(r.aggregate.offered_pkts, 4000);
         assert_eq!(r.aggregate.evicted_pkts, 1919);
-        assert_eq!(hash, 0xf024_9ac5_6811_4b74, "aggregate moved: {hash:#018x}");
+        assert_eq!(hash, 0xda08_302b_5b46_22a7, "aggregate moved: {hash:#018x}");
 
         // The finite loop's tie-every-gap traffic, over four shards.
         let every_gap = tie_every_gap(40.0);
