@@ -183,19 +183,19 @@ structure() {
         exit 1
     fi
     echo "==> structure: no divide on the loops' per-packet path"
-    # Transmit times come from each loop's table: above the tests of
+    # Transmit times come from one table per run: above the tests of
     # pipeline.rs and service.rs (comments stripped), tx_time( is called
-    # once, where LoopState::new fills the table.
+    # once, where pipeline.rs's tx_table fills the table.
     hits="$(for file in crates/npqm-traffic/src/pipeline.rs crates/npqm-traffic/src/service.rs; do
         sed '/^#\[cfg(test)\]/,$d' "${file}" | sed 's|//.*||' | grep -n 'tx_time(' \
             | grep -v 'fn tx_time(' | sed "s|^|${file}:|" || true
     done)"
-    body="$(sed '/^#\[cfg(test)\]/,$d' crates/npqm-traffic/src/service.rs | sed 's|//.*||' \
-        | sed -n '/^impl LoopState {/,/^}/p' | sed -n '/fn new(/,/^    }$/p')"
-    if [[ "$(grep -c . <<<"${hits}")" != 1 || "${hits}" != crates/npqm-traffic/src/service.rs:* \
+    body="$(sed '/^#\[cfg(test)\]/,$d' crates/npqm-traffic/src/pipeline.rs | sed 's|//.*||' \
+        | sed -n '/^pub(crate) fn tx_table(/,/^}/p')"
+    if [[ "$(grep -c . <<<"${hits}")" != 1 || "${hits}" != crates/npqm-traffic/src/pipeline.rs:* \
         || "$(grep -c 'tx_time(' <<<"${body}")" != 1 ]]; then
         echo "structure FAILED: tx_time( above the tests of pipeline.rs / service.rs belongs" \
-            "only where LoopState::new fills the transmit table; got:" >&2
+            "only where tx_table fills the transmit table; got:" >&2
         echo "${hits}" >&2
         exit 1
     fi
@@ -214,6 +214,9 @@ structure() {
         exit 1
     fi
     echo "==> structure: each engine step of manager.rs is written once"
+    # Above the tests, one line each: fresh_segment's seg_fl.alloc(,
+    # pop_segment's seg_fl.release( (behind dequeue_with and so dequeue_into,
+    # dequeue, and delete_segment) and complete_head's open-head test.
     local step
     for step in 'seg_fl\.alloc\(' 'seg_fl\.release\(' 'head_pkt == .*tail_pkt'; do
         hits="$(sed '/^#\[cfg(test)\]/,$d' crates/npqm-core/src/manager.rs | grep -nE "${step}" || true)"
@@ -320,6 +323,30 @@ structure() {
     hits="$(sed '/^#\[cfg(test)\]/,$d' crates/npqm-traffic/src/scale.rs | grep -ni 'arena' || true)"
     if [[ -n "${hits}" ]]; then
         echo "structure FAILED: the scale round's payload arena is back (scale.rs, above its tests):" >&2
+        echo "${hits}" >&2
+        exit 1
+    fi
+    # Each scale shard checks what it serves as it serves it, reading byte 0
+    # where the engine keeps it: above scale.rs's tests (comments stripped),
+    # no segment copy and no per-round result buffer for the calling thread
+    # to walk again.
+    hits="$(sed '/^#\[cfg(test)\]/,$d' crates/npqm-traffic/src/scale.rs | sed 's|//.*||' \
+        | grep -nE 'dequeue_into\(|\b(served|admitted)(\.(push|clear)\(| *: *Vec<)' || true)"
+    if [[ -n "${hits}" ]]; then
+        echo "structure FAILED: the scale drain copies segments or keeps per-round served /" \
+            "admitted buffers again (scale.rs, above its tests):" >&2
+        echo "${hits}" >&2
+        exit 1
+    fi
+    # Both closed loops check a delivery through the lending whole-packet
+    # dequeue: no frame copy above the tests of pipeline.rs / service.rs.
+    hits="$(for file in crates/npqm-traffic/src/pipeline.rs crates/npqm-traffic/src/service.rs; do
+        sed '/^#\[cfg(test)\]/,$d' "${file}" | sed 's|//.*||' | grep -n 'dequeue_packet_into(' \
+            | sed "s|^|${file}:|" || true
+    done)"
+    if [[ -n "${hits}" ]]; then
+        echo "structure FAILED: a closed loop copies the frame it delivers (use" \
+            "dequeue_packet_with); got:" >&2
         echo "${hits}" >&2
         exit 1
     fi

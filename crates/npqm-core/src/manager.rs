@@ -22,7 +22,8 @@
 //! | [`enqueue`](QueueManager::enqueue) | `Middle`/`Last` extend the open tail; `First`/`Only` are a SAR-protocol error |
 //! | [`dequeue`](QueueManager::dequeue), [`delete_segment`](QueueManager::delete_segment) | serve only *complete* packets: while the head packet is the open tail the call is refused with [`QueueError::QueueEmpty`] and nothing is consumed |
 //! | [`dequeue_packet`](QueueManager::dequeue_packet), [`delete_packet`](QueueManager::delete_packet) | operate on the head packet only when it is complete; an open head is refused whole with [`QueueError::QueueEmpty`] and nothing is consumed |
-//! | [`dequeue_into`](QueueManager::dequeue_into), [`dequeue_packet_into`](QueueManager::dequeue_packet_into) | the buffer-lending forms: the same rules, pointer traffic and statistics as [`dequeue`](QueueManager::dequeue) / [`dequeue_packet`](QueueManager::dequeue_packet) (which are `Vec::new()` plus these calls); the payload is *appended* to the caller's buffer, and on `Err` the buffer is unchanged |
+//! | [`dequeue_with`](QueueManager::dequeue_with), [`dequeue_packet_with`](QueueManager::dequeue_packet_with) | the lending forms: the same rules, pointer traffic and statistics as [`dequeue`](QueueManager::dequeue) / [`dequeue_packet`](QueueManager::dequeue_packet); the payload is lent to the caller's visitor where the data memory keeps it, and on `Err` the visitor is not called |
+//! | [`dequeue_into`](QueueManager::dequeue_into), [`dequeue_packet_into`](QueueManager::dequeue_packet_into) | the buffer-lending forms: the lending forms with a visitor that *appends* the payload to the caller's buffer (and [`dequeue`](QueueManager::dequeue) / [`dequeue_packet`](QueueManager::dequeue_packet) are `Vec::new()` plus these calls); on `Err` the buffer is unchanged |
 //! | [`dequeue_packet`](QueueManager::dequeue_packet) on a mid-service head | a complete head packet some of whose segments were already taken by [`dequeue`](QueueManager::dequeue) yields its *remainder* — the segments still queued — in debug and release builds alike |
 //! | [`read_head`](QueueManager::read_head), [`overwrite_head`](QueueManager::overwrite_head), [`overwrite_head_len`](QueueManager::overwrite_head_len), [`append_head`](QueueManager::append_head) | touch the head packet's first segment, which exists even mid-SAR |
 //! | [`append_tail`](QueueManager::append_tail) | rejected while the tail is open: the trailer would splice into the middle of the unfinished frame |
@@ -87,11 +88,12 @@ pub struct DequeuedSegment {
     pub eop: bool,
 }
 
-/// What [`QueueManager::dequeue_into`] appended to the caller's buffer: a
+/// What [`QueueManager::dequeue_with`] lent its visitor (and
+/// [`QueueManager::dequeue_into`] appended to the caller's buffer): a
 /// [`DequeuedSegment`] without the bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentInfo {
-    /// Payload bytes appended (up to the configured segment size).
+    /// Payload bytes lent (up to the configured segment size).
     pub len: usize,
     /// True if this was the first segment of its packet.
     pub sop: bool,
@@ -538,24 +540,25 @@ impl QueueManager {
     }
 
     /// Takes the head segment off `flow`'s head packet and counts the
-    /// command: "Dequeue" with `out`, where the payload is appended,
-    /// "Delete one segment" without, where the data memory is not touched.
-    /// The head packet must be complete, and the command reads the queue
-    /// table twice: the readiness read and the working read.
-    // Forced inline into its callers, and with `dequeue_into` into the
+    /// command: "Dequeue" with `visit`, which is lent the payload where the
+    /// data memory keeps it, "Delete one segment" without, where the data
+    /// memory is not touched. The head packet must be complete, and the
+    /// command reads the queue table twice: the readiness read and the
+    /// working read.
+    // Forced inline into its callers, and with `dequeue_with` into the
     // scale round's drain closure, so the returned `SegmentInfo` stays in
     // registers: merely `#[inline]`, it was called from that closure and
     // handed its result back through the stack, and the closure's 16-byte
     // copy of it was the drain's hottest load. Out of line, its frame cost
     // every `Command::Dequeue` ≈10 ns — refusals included, and a drain
     // batch over idle flows is mostly refusals. The statistics are counted
-    // here so that `dequeue_into` returns this result as it is: unwrapped
+    // here so that `dequeue_with` returns this result as it is: unwrapped
     // and wrapped again, a refusal cost ≈5 ns more.
     #[inline(always)]
     fn pop_segment(
         &mut self,
         flow: FlowId,
-        out: Option<&mut Vec<u8>>,
+        visit: Option<impl FnOnce(&[u8])>,
     ) -> Result<SegmentInfo, QueueError> {
         self.known_flow(flow)?;
         let ready = self.ptr.queue(flow);
@@ -569,8 +572,8 @@ impl QueueManager {
             sop: !pr.started,
             eop: seg == pr.last,
         };
-        if let Some(out) = out {
-            out.extend_from_slice(self.data.read(seg, info.len));
+        if let Some(visit) = visit {
+            visit(self.data.read(seg, info.len));
             self.stats.dequeues += 1;
             self.stats.bytes_out += u64::from(rec.len);
         } else {
@@ -906,24 +909,42 @@ impl QueueManager {
         Ok(DequeuedSegment { data, sop, eop })
     }
 
-    /// Dequeues the head segment of the head packet, *appending* its
-    /// payload to `out` — the read side lends the caller its bytes
-    /// instead of allocating for them (the paper's §5.3 / Table 3: the
-    /// copy, not the pointer work, is what a software queue manager pays
-    /// for, so it should be the only per-segment byte cost).
+    /// Dequeues the head segment of the head packet and lends `visit` its
+    /// payload where the data memory keeps it — the read side copies
+    /// nothing the caller does not copy itself (the paper's §5.3 / Table
+    /// 3: the copy, not the pointer work, is what a software queue manager
+    /// pays for, so it should be the only per-segment byte cost, and only
+    /// where it is wanted). `visit` runs once, before the segment is
+    /// released.
     ///
     /// # Errors
     ///
     /// [`QueueError::QueueEmpty`] when no complete packet is available,
     /// and [`QueueError::UnknownFlow`]. On `Err` nothing was consumed and
-    /// `out` is unchanged.
+    /// `visit` was not called.
+    #[inline]
+    pub fn dequeue_with(
+        &mut self,
+        flow: FlowId,
+        visit: impl FnOnce(&[u8]),
+    ) -> Result<SegmentInfo, QueueError> {
+        self.pop_segment(flow, Some(visit))
+    }
+
+    /// Dequeues the head segment of the head packet, *appending* its
+    /// payload to `out`: [`dequeue_with`](Self::dequeue_with) with a
+    /// visitor that copies.
+    ///
+    /// # Errors
+    ///
+    /// As [`QueueManager::dequeue_with`]; on `Err` `out` is unchanged.
     #[inline]
     pub fn dequeue_into(
         &mut self,
         flow: FlowId,
         out: &mut Vec<u8>,
     ) -> Result<SegmentInfo, QueueError> {
-        self.pop_segment(flow, Some(out))
+        self.dequeue_with(flow, |b| out.extend_from_slice(b))
     }
 
     /// Dequeues one whole packet, concatenating its segments.
@@ -941,18 +962,18 @@ impl QueueManager {
         Ok(out)
     }
 
-    /// Dequeues one whole packet, *appending* its segments to `out`, and
-    /// returns the number of bytes appended.
+    /// Dequeues one whole packet, *appending* its segments to `out` (grown
+    /// once by the packet's size), and returns the number of bytes
+    /// appended.
     ///
     /// The head packet must be *complete* (not the open tail) and is taken
     /// as a unit: the queue record and the packet record are read once,
-    /// the payload is copied from the data memory straight into `out`
-    /// (grown once by the packet's size), the segments are released in
-    /// chain order and the queue table and the occupancy index are
-    /// committed once. As for [`enqueue_packet`](Self::enqueue_packet),
-    /// the modelled traffic is that of the `n` [`dequeue`](Self::dequeue)
-    /// commands, charged rather than replayed — with a LIFO free list
-    /// exactly
+    /// the payload is copied from the data memory straight into `out`,
+    /// the segments are released in chain order and the queue table and
+    /// the occupancy index are committed once. As for
+    /// [`enqueue_packet`](Self::enqueue_packet), the modelled traffic is
+    /// that of the `n` [`dequeue`](Self::dequeue) commands, charged rather
+    /// than replayed — with a LIFO free list exactly
     ///
     /// | plane | reads | writes |
     /// |---|---|---|
@@ -977,17 +998,56 @@ impl QueueManager {
         flow: FlowId,
         out: &mut Vec<u8>,
     ) -> Result<usize, QueueError> {
+        self.pop_packet(
+            flow,
+            out,
+            |out, bytes| out.reserve(bytes),
+            |out, b| out.extend_from_slice(b),
+        )
+    }
+
+    /// Dequeues one whole packet as
+    /// [`dequeue_packet_into`](Self::dequeue_packet_into) does — same
+    /// charges, statistics and release order — but lends `visit` each
+    /// segment's payload where the data memory keeps it, in chain order,
+    /// instead of copying it; the slices it sees are the bytes the copy
+    /// would append. Returns the packet's length.
+    ///
+    /// # Errors
+    ///
+    /// As [`QueueManager::dequeue_packet_into`]; on `Err` `visit` was not
+    /// called.
+    #[inline]
+    pub fn dequeue_packet_with(
+        &mut self,
+        flow: FlowId,
+        mut visit: impl FnMut(&[u8]),
+    ) -> Result<usize, QueueError> {
+        self.pop_packet(flow, &mut visit, |_, _| {}, |visit, b| visit(b))
+    }
+
+    /// The one whole-packet dequeue behind both forms: `start` is told the
+    /// packet's length before its first segment, `visit` is lent every
+    /// segment's payload in chain order; both get `sink` to write to.
+    #[inline(always)]
+    fn pop_packet<T: ?Sized>(
+        &mut self,
+        flow: FlowId,
+        sink: &mut T,
+        start: impl FnOnce(&mut T, usize),
+        mut visit: impl FnMut(&mut T, &[u8]),
+    ) -> Result<usize, QueueError> {
         self.known_flow(flow)?;
         let q = self.ptr.queue(flow);
         self.complete_head(flow, &q)?;
         let pid = q.head_pkt;
         let pr = self.ptr.pkt(pid);
-        out.reserve(pr.bytes as usize);
+        start(sink, pr.bytes as usize);
         let (data, mut owed) = (&mut self.data, PtrMemCounters::default());
         let (n, bytes) =
             self.seg_fl
                 .release_chain(&mut self.ptr, pr.first, pr.last, &mut owed, |seg, len| {
-                    out.extend_from_slice(data.chain_read(seg, len as usize));
+                    visit(sink, data.chain_read(seg, len as usize));
                 });
         self.data.count(u64::from(n), 0);
         // Not made here: each command's second queue-table read (the
@@ -1081,7 +1141,7 @@ impl QueueManager {
     /// [`QueueError::QueueEmpty`] when no complete packet is queued;
     /// [`QueueError::UnknownFlow`].
     pub fn delete_segment(&mut self, flow: FlowId) -> Result<u16, QueueError> {
-        let info = self.pop_segment(flow, None)?;
+        let info = self.pop_segment(flow, None::<fn(&[u8])>)?;
         Ok(info.len as u16)
     }
 
@@ -2368,6 +2428,73 @@ mod tests {
                 assert_eq!(got, want[i], "{what} ({freelist:?})");
                 m.verify().unwrap();
             }
+        }
+
+        // Each lending form beside its copying twin, step by step on two
+        // copies of the fixture under each free list: the same replies,
+        // pointer traffic, statistics, pool reads and free-list order, and
+        // the visitor sees exactly the bytes the copy appends (to a buffer
+        // that already holds one). A refusal — an empty queue, an open
+        // tail, an unknown flow, a drained queue — calls no visitor and
+        // consumes nothing.
+        use crate::check::state_digest;
+        let seen = |m: &QueueManager| {
+            let free = (m.seg_fl.collect_free(&m.ptr), m.pkt_fl.collect_free(&m.ptr));
+            (m.ptr_counters(), *m.stats(), data_counters(m), free)
+        };
+        // (flow, whole packet): flow 0's first segment, its remainder, flow
+        // 1's two packets, then the rest and every refusal.
+        let steps = [
+            (0, false),
+            (0, true),
+            (1, true),
+            (1, false),
+            (1, false),
+            (0, true),
+            (2, false),
+            (2, true),
+            (3, false),
+            (3, true),
+            (4, false),
+            (4, true),
+            (0, false),
+            (0, true),
+        ];
+        for freelist in [FreeListDiscipline::Lifo, FreeListDiscipline::Fifo] {
+            let (mut copy, mut lend) = (fixture(freelist), fixture(freelist));
+            for (i, &(f, whole)) in steps.iter().enumerate() {
+                let (flow, digest, pool) = (F::new(f), state_digest(&lend), seen(&lend));
+                let (mut out, mut lent, mut calls) = (vec![0xEE], vec![0xEE], 0);
+                let mut visit = |b: &[u8]| {
+                    calls += 1;
+                    lent.extend_from_slice(b);
+                };
+                let refused = if whole {
+                    let r = copy.dequeue_packet_into(flow, &mut out);
+                    assert_eq!(r, lend.dequeue_packet_with(flow, &mut visit), "step {i}");
+                    r.is_err()
+                } else {
+                    let r = copy.dequeue_into(flow, &mut out);
+                    assert_eq!(r, lend.dequeue_with(flow, &mut visit), "step {i}");
+                    r.is_err()
+                };
+                assert_eq!(out, lent, "step {i} ({freelist:?})");
+                assert_eq!(seen(&copy), seen(&lend), "step {i} ({freelist:?})");
+                if refused {
+                    assert_eq!(calls, 0, "step {i}");
+                    // Its one counted error aside, the state is as it was.
+                    let mut undone = lend.clone();
+                    undone.stats.errors -= 1;
+                    assert_eq!(state_digest(&undone), digest, "step {i}");
+                    let (ptr, _, data, free) = seen(&lend);
+                    assert_eq!((data, free), (pool.2, pool.3), "step {i}");
+                    assert!(ptr.seg_reads == pool.0.seg_reads && ptr.pkt_reads == pool.0.pkt_reads);
+                } else {
+                    assert!(calls >= 1 && out.len() > 1, "step {i}");
+                }
+                lend.verify().unwrap();
+            }
+            assert_eq!(state_digest(&copy), state_digest(&lend));
         }
     }
 

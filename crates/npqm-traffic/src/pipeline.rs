@@ -256,10 +256,20 @@ impl Slot {
 
 /// The transmit time of `len` bytes at `gbps` Gbit/s (1 Gbit/s ≡ 1
 /// bit/ns), never zero: the picosecond count rounded half away from zero,
-/// as [`round_to_u64`] rounds every arrival gap. A loop calls it once per
-/// length, when it fills its transmit table (`LoopState::new`).
+/// as [`round_to_u64`] rounds every arrival gap. It is called once per
+/// length, when a run fills its transmit table ([`tx_table`]).
 pub(crate) fn tx_time(gbps: f64, len: usize) -> Picos {
     Picos::new(round_to_u64(len as f64 * 8.0 * 1000.0 / gbps).max(1))
+}
+
+/// The transmit time of every length `0..=max_bytes` at a server's line
+/// rate of `gbps` Gbit/s, so a delivery indexes a table instead of
+/// dividing and rounding. A pipeline run fills one for its loop, a
+/// service run one for all its shards.
+pub(crate) fn tx_table(gbps: f64, max_bytes: u32) -> Vec<Picos> {
+    (0..=max_bytes as usize)
+        .map(|len| tx_time(gbps, len))
+        .collect()
 }
 
 /// The scope admission decisions are taken over — the one thing the
@@ -447,9 +457,9 @@ where
         shards,
         cfg.mix.flows(),
         cfg.sizes.max_bytes(),
-        cfg.egress_gbps / shards as f64,
         cfg.telemetry,
     );
+    let tx_times = tx_table(cfg.egress_gbps / shards as f64, cfg.sizes.max_bytes());
     let mut tx: Vec<Option<(Picos, TxDone)>> = vec![None; shards];
     let mut now = Picos::ZERO;
 
@@ -491,6 +501,7 @@ where
             scope.qm(shard),
             &mut scheds[shard],
             &mut st,
+            &tx_times,
             shard,
             now,
             &mut tx[shard],
@@ -511,11 +522,12 @@ where
 }
 
 /// Asks the scheduler for the next flow and, if one is ready, dequeues
-/// its head packet into the loop's frame buffer (lent to the engine, so a
-/// delivery allocates nothing), verifies it against the ledger (length
-/// and marker byte, a mismatch charged to `shard`'s report) and writes
-/// its completion into the server's slot `tx`: the instant `now` plus its
-/// transmit time from the loop's table, and the [`TxDone`]. `None` leaves
+/// its head packet, reading its first byte where the engine keeps it (so
+/// a delivery copies and allocates nothing), verifies it against the
+/// ledger (length and marker byte, a mismatch charged to `shard`'s
+/// report) and writes its completion into the server's slot `tx`: the
+/// instant `now` plus its transmit time from `tx_times`, the run's
+/// [`tx_table`], and the [`TxDone`]. `None` leaves
 /// the server idle. Both loops share this one service path. The slot is
 /// written where it lives: a completion returned by value went through
 /// the stack and was reloaded as one wide load of the fields just stored.
@@ -523,6 +535,7 @@ pub(crate) fn start_service<S: FlowScheduler + ?Sized>(
     qm: &mut QueueManager,
     sched: &mut S,
     st: &mut LoopState,
+    tx_times: &[Picos],
     shard: usize,
     now: Picos,
     tx: &mut Option<(Picos, TxDone)>,
@@ -531,15 +544,17 @@ pub(crate) fn start_service<S: FlowScheduler + ?Sized>(
         *tx = None;
         return;
     };
-    st.frame.clear();
+    let mut first = None;
     let len = qm
-        .dequeue_packet_into(flow, &mut st.frame)
+        .dequeue_packet_with(flow, |b| {
+            first.get_or_insert(b[0]);
+        })
         .expect("scheduler picked a ready flow");
     sched.served(flow, len);
     let slot = st.ledger[flow.as_usize()]
         .pop_front()
         .expect("served packet must be in the ledger");
-    if len as u32 != slot.len() || st.frame[0] != slot.marker() {
+    if len as u32 != slot.len() || first != Some(slot.marker()) {
         st.reports[shard].integrity_violations += 1;
     }
     if let Some(t) = &mut st.tel {
@@ -551,7 +566,7 @@ pub(crate) fn start_service<S: FlowScheduler + ?Sized>(
         bytes: len as u32,
         enqueued_at: slot.enqueued_at,
     };
-    *tx = Some((now + st.tx_times[len], done));
+    *tx = Some((now + tx_times[len], done));
 }
 
 /// Outcome of a [`PipelineBuilder`] run: the per-shard closed-loop
@@ -943,7 +958,7 @@ pub(crate) mod tests {
         }
     }
 
-    /// A loop fills its transmit table once, from `tx_time` at its
+    /// A run fills its transmit table once, from `tx_time` at its
     /// per-server rate: at every length up to the largest packet it can
     /// draw, a delivery reads what the divide would answer, the one-
     /// picosecond floor of length 0 (and of the rates that clamp) included.
@@ -951,10 +966,10 @@ pub(crate) mod tests {
     fn loop_transmit_table_is_tx_time_at_every_length() {
         for gbps in line_rates(&mut Xoshiro256pp::seed_from_u64(42)) {
             for max_bytes in [1, 64, 1518, 9216] {
-                let st = LoopState::new(1, 1, max_bytes, gbps, None);
-                assert_eq!(st.tx_times.len(), max_bytes as usize + 1);
-                assert_eq!(st.tx_times[0], Picos::new(1), "{gbps} Gbit/s");
-                for (len, &t) in st.tx_times.iter().enumerate() {
+                let tx_times = tx_table(gbps, max_bytes);
+                assert_eq!(tx_times.len(), max_bytes as usize + 1);
+                assert_eq!(tx_times[0], Picos::new(1), "{gbps} Gbit/s");
+                for (len, &t) in tx_times.iter().enumerate() {
                     assert_eq!(t, tx_time(gbps, len), "{gbps} Gbit/s, {len} B");
                 }
             }

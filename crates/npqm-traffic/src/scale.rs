@@ -14,16 +14,27 @@
 //! Choudhury–Hahne admission (one [`DynamicThreshold`] per shard) and then
 //! drains part of the backlog with round-robin segment dequeues. A round
 //! is two [`ShardedQueueManager::for_each_shard`] calls on per-shard state
-//! built once for the run: the offer, where each shard offers its arrivals
-//! in arrival order and answers with a `bool` per arrival, and the drain,
-//! where each shard serves its own flows pass by pass in flow order and
-//! records per segment its flow, length, markers and first byte. A shard
-//! offers each packet as a prefix of one filler frame it keeps for the
-//! run, with the packet's marker stamped into the first byte, so a steady
-//! run allocates nothing per round. Both calls run the shards one after
-//! another on the calling thread and accumulate per-shard **busy time**;
-//! since shards share no state, N shards model N engines running in
-//! parallel and the sustained rate is
+//! built once for the run, and each shard keeps its own books inside them:
+//! in the offer, each shard offers its arrivals in arrival order, counts
+//! each into its tally (offered, admitted and dropped packets and bytes,
+//! segments) and pushes each admitted packet's length and marker onto its
+//! flow's ledger; in the drain, each shard serves its own flows pass by
+//! pass in flow order and checks each segment as it is served — its first
+//! byte read where the engine keeps it
+//! ([`QueueManager::dequeue_with`](npqm_core::QueueManager::dequeue_with)),
+//! start and end of frame tracked per flow, length and marker matched
+//! against the ledger at the frame's end — adding drained bytes, delivered
+//! and torn frames to the same tally. Nothing is recorded per round for
+//! the calling thread to walk again: after the last round the row's
+//! totals are the shard tallies summed, and the ledgers and reassembly
+//! states come back by flow for the end-of-run checks. A shard offers
+//! each packet as a prefix of one filler frame it keeps for the run, with
+//! the packet's marker stamped into the first byte, so a steady run
+//! allocates nothing per round. Both calls run the shards one after
+//! another on the calling thread and accumulate per-shard **busy time**,
+//! which therefore covers each shard's own bookkeeping as well as its
+//! engine work; since shards share no state, N shards model N engines
+//! running in parallel and the sustained rate is
 //!
 //! ```text
 //! segments_per_sec = segments_processed / critical_path
@@ -123,7 +134,8 @@ impl ShardScaleConfig {
 /// 12-bank row).
 pub const TABLE8_BANKS: [u32; 5] = [1, 2, 4, 8, 16];
 
-/// One shard's side of the run, built once and refilled every round.
+/// One shard's side of the run, built once: its arrivals are refilled
+/// every round, its books kept for the run.
 struct ShardRound {
     /// The shard-local Choudhury–Hahne admission.
     policy: DynamicThreshold,
@@ -134,15 +146,84 @@ struct ShardRound {
     /// The largest packet's worth of `0xC3` filler; an arrival is offered
     /// as its first `len` bytes, with its marker stamped into byte 0.
     frame: Vec<u8>,
-    /// Per arrival: whether the policy admitted it.
-    admitted: Vec<bool>,
-    /// Per segment this round's drain served: flow, length and markers,
-    /// and the segment's first byte.
-    served: Vec<(FlowId, SegmentInfo, u8)>,
-    /// The payload of the segment being served.
-    scratch: Vec<u8>,
-    /// Drain errors other than `QueueEmpty` over the run.
-    errors: u64,
+    /// What the shard's offers and dequeues came to.
+    books: Books,
+}
+
+/// One shard's bookkeeping, kept as its offers and dequeues happen.
+struct Books {
+    /// Counts over the run; the row's totals are the shards' sums.
+    tally: Tally,
+    /// Per flow, indexed by flow id (only the shard's own flows are used):
+    /// the length and marker of every admitted packet not yet delivered,
+    /// in arrival order.
+    ledger: Vec<VecDeque<LedgerSlot>>,
+    /// Per flow, indexed as `ledger`: the frame being reassembled.
+    reasm: Vec<Reassembly>,
+}
+
+/// What one shard counted over the run.
+#[derive(Default)]
+struct Tally {
+    offered_pkts: u64,
+    offered_bytes: u64,
+    admitted_pkts: u64,
+    dropped_pkts: u64,
+    admitted_bytes: u64,
+    delivered_pkts: u64,
+    drained_bytes: u64,
+    segments_processed: u64,
+    torn_frames: u64,
+}
+
+impl Books {
+    /// Counts one offer of `len` bytes and, if it was admitted as `segs`
+    /// segments, pushes its ledger slot.
+    fn offered(&mut self, flow: FlowId, len: usize, marker: u8, admitted: bool, segs: usize) {
+        let t = &mut self.tally;
+        t.offered_pkts += 1;
+        t.offered_bytes += len as u64;
+        if admitted {
+            t.admitted_pkts += 1;
+            t.admitted_bytes += len as u64;
+            t.segments_processed += segs as u64;
+            self.ledger[flow.as_usize()].push_back((len as u32, marker));
+        } else {
+            t.dropped_pkts += 1;
+        }
+    }
+
+    /// Checks one served segment of `flow`, whose first byte is `first`,
+    /// against the flow's reassembly state and, at its frame's end,
+    /// against the ledger.
+    fn served(&mut self, flow: FlowId, seg: SegmentInfo, first: u8) {
+        let t = &mut self.tally;
+        t.segments_processed += 1;
+        t.drained_bytes += seg.len as u64;
+        let f = flow.as_usize();
+        let r = &mut self.reasm[f];
+        if seg.sop {
+            if r.in_flight {
+                t.torn_frames += 1;
+            }
+            r.in_flight = true;
+            r.bytes = 0;
+            r.marker = first;
+        }
+        r.bytes += seg.len as u64;
+        if seg.eop {
+            r.in_flight = false;
+            t.delivered_pkts += 1;
+            match self.ledger[f].pop_front() {
+                Some((len, marker)) => {
+                    if len as u64 != r.bytes || marker != r.marker {
+                        t.torn_frames += 1;
+                    }
+                }
+                None => t.torn_frames += 1,
+            }
+        }
+    }
 }
 
 /// Draws one round's offered arrivals — Zipf flow, IMIX size, and a marker
@@ -161,8 +242,6 @@ fn draw_round(
 ) {
     for round in per_shard.iter_mut() {
         round.arrivals.clear();
-        round.admitted.clear();
-        round.served.clear();
     }
     for _ in 0..cfg.packets_per_round {
         let (flow, size, marker) = stream.next_packet();
@@ -205,7 +284,8 @@ pub struct ShardScaleRow {
     /// shards and proven conserved by the engine's verify pass. A pure
     /// function of the configuration — part of the determinism report.
     pub ptr_accesses: u64,
-    /// Busy time of each shard.
+    /// Busy time of each shard: its engine work and its own bookkeeping
+    /// (tally, ledger, reassembly check).
     pub busy: Vec<Duration>,
     /// Busy time of the busiest shard (parallel-composite makespan).
     pub critical_path: Duration,
@@ -310,33 +390,8 @@ fn run_rounds(
     // streams predate [`PacketStream`] and must stay bit-identical.
     let mut stream = PacketStream::new(&mix, &sizes, cfg.seed);
 
-    let mut row = ShardScaleRow {
-        shards,
-        offered_pkts: 0,
-        offered_bytes: 0,
-        admitted_pkts: 0,
-        dropped_pkts: 0,
-        admitted_bytes: 0,
-        delivered_pkts: 0,
-        drained_bytes: 0,
-        residual_bytes: 0,
-        segments_processed: 0,
-        ptr_accesses: 0,
-        busy: Vec::new(),
-        critical_path: Duration::ZERO,
-        serial_time: Duration::ZERO,
-        wall_clock: Duration::ZERO,
-        steals: 0,
-        torn_frames: 0,
-        conserved: false,
-        fingerprint: 0,
-    };
-    let mut ledger: Vec<VecDeque<LedgerSlot>> = (0..cfg.flows).map(|_| VecDeque::new()).collect();
-    let mut reasm: Vec<Reassembly> = vec![Reassembly::default(); cfg.flows as usize];
-    let seg_bytes = cfg.segment_bytes as usize;
-
     // Each flow's shard, and one round state per shard, built once and
-    // refilled every round.
+    // kept for the run.
     let home: Vec<usize> = (0..cfg.flows)
         .map(|f| engine.shard_of(FlowId::new(f)))
         .collect();
@@ -349,10 +404,11 @@ fn run_rounds(
                 .collect(),
             arrivals: Vec::new(),
             frame: vec![0xC3; sizes.max_bytes() as usize],
-            admitted: Vec::new(),
-            served: Vec::new(),
-            scratch: Vec::with_capacity(seg_bytes),
-            errors: 0,
+            books: Books {
+                tally: Tally::default(),
+                ledger: (0..cfg.flows).map(|_| VecDeque::new()).collect(),
+                reasm: vec![Reassembly::default(); cfg.flows as usize],
+            },
         })
         .collect();
 
@@ -360,6 +416,7 @@ fn run_rounds(
     for _ in 0..cfg.rounds {
         // --- offered batch: Zipf flows, IMIX sizes, marker-stamped ---
         draw_round(cfg, &mut stream, &home, &mut per_shard);
+        // Each flow lives on one shard, so its ledger keeps arrival order.
         engine.for_each_shard(
             &mut per_shard,
             |r| !r.arrivals.is_empty(),
@@ -371,30 +428,17 @@ fn run_rounds(
                     let offer = r
                         .policy
                         .offer_into(qm, flow, &r.frame[..len], 0, &mut Vec::new());
-                    r.admitted.push(offer.is_ok());
+                    let segs = qm_cfg.segments_for(len);
+                    r.books.offered(flow, len, marker, offer.is_ok(), segs);
                 }
             },
         );
-        // Shard by shard: each flow lives on one shard, so its ledger
-        // keeps arrival order.
-        for r in &per_shard {
-            for (&(flow, len, marker), &admitted) in r.arrivals.iter().zip(&r.admitted) {
-                row.offered_pkts += 1;
-                row.offered_bytes += len as u64;
-                if admitted {
-                    row.admitted_pkts += 1;
-                    row.admitted_bytes += len as u64;
-                    row.segments_processed += qm_cfg.segments_for(len) as u64;
-                    ledger[flow.as_usize()].push_back((len as u32, marker));
-                } else {
-                    row.dropped_pkts += 1;
-                }
-            }
-        }
 
         // --- drain: round-robin passes over every flow, sized to serve
         // `drain_fraction` of the queued backlog (the used segments, which
-        // `verify` proves equal to the queues' summed lengths) ---
+        // `verify` proves equal to the queues' summed lengths); each
+        // segment is checked as it is served, its first byte read where
+        // the engine keeps it ---
         let passes =
             ((engine.used_segments() as f64 * cfg.drain_fraction / cfg.flows as f64).ceil() as u64)
                 .max(1);
@@ -404,74 +448,80 @@ fn run_rounds(
             |qm, r| {
                 for _ in 0..passes {
                     for &flow in &r.flows {
-                        r.scratch.clear();
-                        match qm.dequeue_into(flow, &mut r.scratch) {
-                            Ok(seg) => r.served.push((flow, seg, r.scratch[0])),
+                        let mut first = 0;
+                        match qm.dequeue_with(flow, |b| first = b[0]) {
+                            Ok(seg) => r.books.served(flow, seg, first),
                             Err(QueueError::QueueEmpty { .. }) => {}
-                            Err(_) => r.errors += 1,
+                            // A dequeue refused for anything but an idle
+                            // flow is a failed operation.
+                            Err(_) => r.books.tally.torn_frames += 1,
                         }
                     }
                 }
             },
         );
-        for &(flow, seg, first) in per_shard.iter().flat_map(|r| &r.served) {
-            row.segments_processed += 1;
-            row.drained_bytes += seg.len as u64;
-            let f = flow.as_usize();
-            let r = &mut reasm[f];
-            if seg.sop {
-                if r.in_flight {
-                    row.torn_frames += 1;
-                }
-                r.in_flight = true;
-                r.bytes = 0;
-                r.marker = first;
-            }
-            r.bytes += seg.len as u64;
-            if seg.eop {
-                r.in_flight = false;
-                row.delivered_pkts += 1;
-                match ledger[f].pop_front() {
-                    Some((len, marker)) => {
-                        if len as u64 != r.bytes || marker != r.marker {
-                            row.torn_frames += 1;
-                        }
-                    }
-                    None => row.torn_frames += 1,
-                }
-            }
-        }
         after_round(&mut engine);
     }
+    let wall_clock = wall.elapsed();
 
-    row.wall_clock = wall.elapsed();
-    // A dequeue refused for anything but an idle flow is a failed
-    // operation.
-    row.torn_frames += per_shard.iter().map(|r| r.errors).sum::<u64>();
-    row.busy = engine.busy_times().to_vec();
-    row.critical_path = engine.critical_path();
-    row.serial_time = engine.serial_time();
+    let mut t = Tally::default();
+    for r in &per_shard {
+        let s = &r.books.tally;
+        t.offered_pkts += s.offered_pkts;
+        t.offered_bytes += s.offered_bytes;
+        t.admitted_pkts += s.admitted_pkts;
+        t.dropped_pkts += s.dropped_pkts;
+        t.admitted_bytes += s.admitted_bytes;
+        t.delivered_pkts += s.delivered_pkts;
+        t.drained_bytes += s.drained_bytes;
+        t.segments_processed += s.segments_processed;
+        t.torn_frames += s.torn_frames;
+    }
+    // Each flow's ledger and reassembly state, back from its shard.
+    let (mut ledger, mut reasm) = (Vec::new(), Vec::new());
+    for (f, &s) in home.iter().enumerate() {
+        let books = &mut per_shard[s].books;
+        ledger.push(std::mem::take(&mut books.ledger[f]));
+        reasm.push(std::mem::take(&mut books.reasm[f]));
+    }
     let report = engine
         .verify()
         .expect("sharded engine invariants hold after the run");
-    row.residual_bytes = report.payload_bytes;
-    row.ptr_accesses = report.ptr.total();
     let residual_pkts: u64 = ledger.iter().map(|l| l.len() as u64).sum();
     // A flow mid-reassembly still owns its ledger slot; its drained
     // segments are in drained_bytes, the rest in residual_bytes — the
     // byte identity below still must close exactly.
-    let pkts_ok = row.admitted_pkts == row.delivered_pkts + residual_pkts;
-    let bytes_ok = row.admitted_bytes == row.drained_bytes + row.residual_bytes;
+    let pkts_ok = t.admitted_pkts == t.delivered_pkts + residual_pkts;
+    let bytes_ok = t.admitted_bytes == t.drained_bytes + report.payload_bytes;
     // A frame mid-reassembly has not reached its EOP, so its admission
     // ledger slot must still be present (slots pop only at EOP).
     let in_flight_ok = reasm
         .iter()
-        .enumerate()
-        .all(|(f, r)| !r.in_flight || !ledger[f].is_empty());
-    row.conserved = pkts_ok && bytes_ok && in_flight_ok;
-    // Fold the engine state digest with the residual ledger: one value
-    // that pins the run's entire deterministic outcome.
-    row.fingerprint = fold_ledger(engine.state_digest(), &ledger, |&slot| slot);
+        .zip(&ledger)
+        .all(|(r, slots)| !r.in_flight || !slots.is_empty());
+    let row = ShardScaleRow {
+        shards,
+        offered_pkts: t.offered_pkts,
+        offered_bytes: t.offered_bytes,
+        admitted_pkts: t.admitted_pkts,
+        dropped_pkts: t.dropped_pkts,
+        admitted_bytes: t.admitted_bytes,
+        delivered_pkts: t.delivered_pkts,
+        drained_bytes: t.drained_bytes,
+        residual_bytes: report.payload_bytes,
+        segments_processed: t.segments_processed,
+        ptr_accesses: report.ptr.total(),
+        busy: engine.busy_times().to_vec(),
+        critical_path: engine.critical_path(),
+        serial_time: engine.serial_time(),
+        wall_clock,
+        steals: 0,
+        torn_frames: t.torn_frames,
+        conserved: pkts_ok && bytes_ok && in_flight_ok,
+        // Fold the engine state digest with the residual ledger: one value
+        // that pins the run's entire deterministic outcome.
+        fingerprint: fold_ledger(engine.state_digest(), &ledger, |&slot| slot),
+    };
     (row, engine)
 }
 
@@ -690,29 +740,54 @@ mod tests {
 
     #[test]
     fn smoke_rows_are_pinned() {
-        // Values of the commit before the round loop lent its buffers
-        // (PR 16). They are a pure function of the configuration, so a
+        // Values recorded before the round loop lent its buffers (1 and 4
+        // shards at seed 42) and before each shard kept its own books (the
+        // rest). They are a pure function of the configuration, so a
         // change to the harness — arenas, per-shard rounds, ledger — that
         // moves one of them changed what is simulated, not how fast. A
         // reference run would move with the change it is meant to catch.
-        let cfg = ShardScaleConfig::smoke();
-        let pinned = |row: &ShardScaleRow| {
-            (
-                row.fingerprint,
+        type Pin = (u64, [u64; 10], u64, bool);
+        let pinned = |row: &ShardScaleRow| -> Pin {
+            let totals = [
+                row.offered_pkts,
+                row.offered_bytes,
                 row.admitted_pkts,
+                row.dropped_pkts,
+                row.admitted_bytes,
                 row.delivered_pkts,
                 row.drained_bytes,
+                row.residual_bytes,
+                row.segments_processed,
                 row.ptr_accesses,
-            )
+            ];
+            (row.fingerprint, totals, row.torn_frames, row.conserved)
         };
-        assert_eq!(
-            pinned(&run_shard_scale(&cfg, 1, 1)),
-            (0x7844_40b6_c661_8ac8, 592, 304, 106_202, 43_021)
-        );
-        assert_eq!(
-            pinned(&run_shard_scale(&cfg, 4, 1)),
-            (0xd5b3_0976_2d0f_4973, 546, 317, 106_806, 39_854)
-        );
+        // (seed, shards, fingerprint, [offered pkts, offered bytes,
+        // admitted pkts, dropped pkts, admitted bytes, delivered pkts,
+        // drained bytes, residual bytes, segments, pointer accesses])
+        #[rustfmt::skip]
+        let rows: [(u64, usize, u64, [u64; 10]); 8] = [
+            (42, 1, 0x7844_40b6_c661_8ac8, [1536, 556_850, 592, 944, 214_726, 304, 106_202, 108_524, 5238, 43_021]),
+            (42, 2, 0x86ce_1971_f385_c3c5, [1536, 556_850, 628, 908, 225_238, 355, 119_210, 106_028, 5621, 45_667]),
+            (42, 4, 0xd5b3_0976_2d0f_4973, [1536, 556_850, 546, 990, 191_140, 317, 106_806, 84_334, 4859, 39_854]),
+            (42, 8, 0xd3c0_eec3_09d8_effb, [1536, 556_850, 553, 983, 186_968, 324, 110_032, 76_936, 4849, 39_346]),
+            (7, 1, 0x0d0b_6ba5_e65a_0b61, [1536, 546_142, 621, 915, 212_234, 312, 101_664, 110_570, 5134, 42_286]),
+            (7, 2, 0x8489_e43e_68a1_8e41, [1536, 546_142, 661, 875, 222_336, 358, 114_718, 107_618, 5508, 45_560]),
+            (7, 4, 0x1c11_9c7d_561a_53a7, [1536, 546_142, 554, 982, 181_080, 330, 101_114, 79_966, 4616, 37_722]),
+            (7, 8, 0x4e29_e7bb_b1c3_ec28, [1536, 546_142, 554, 982, 167_328, 326, 96_042, 71_286, 4312, 35_336]),
+        ];
+        for (seed, shards, fingerprint, totals) in rows {
+            let cfg = ShardScaleConfig {
+                seed,
+                ..ShardScaleConfig::smoke()
+            };
+            assert_eq!(
+                pinned(&run_shard_scale(&cfg, shards, 1)),
+                (fingerprint, totals, 0, true),
+                "seed {seed}, {shards} shards"
+            );
+        }
+        let cfg = ShardScaleConfig::smoke();
         let timed = run_memory_scale(&cfg, 2, &TimingConfig::paper(8));
         assert_eq!(timed.fingerprint, 0xaee8_51e5_302b_72ca);
         assert_eq!(timed.modeled_time, Picos::new(138_640_000));

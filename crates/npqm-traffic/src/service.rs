@@ -105,7 +105,7 @@
 use crate::arrival::{ArrivalGen, ArrivalProcess};
 use crate::flows::FlowMix;
 use crate::pipeline::{
-    assemble_sharded_report, start_service, tx_time, AdmissionScope, FlowReport, PipelineReport,
+    assemble_sharded_report, start_service, tx_table, AdmissionScope, FlowReport, PipelineReport,
     ShardLocal, Slot, TxDone,
 };
 use crate::size::SizeDistribution;
@@ -204,7 +204,7 @@ pub(crate) fn arrival_stream<'a>(
 
 /// The bookkeeping both closed loops share: the per-shard, per-flow
 /// reports, the per-flow packet ledger (enqueue time, length, marker) and
-/// the scratch payload, victim and frame buffers. Factoring it out is
+/// the scratch payload and victim buffers. Factoring it out is
 /// what keeps the finite-trace loop and the streaming service loop
 /// *behaviourally identical* — they admit, evict and deliver through
 /// these methods.
@@ -217,12 +217,6 @@ pub(crate) struct LoopState {
     /// The victim buffer every offer is lent, so a push-out allocates
     /// nothing once it holds the largest eviction run.
     victims: Vec<(FlowId, u32)>,
-    /// The frame in service: the buffer every delivery's dequeue is lent.
-    pub(crate) frame: Vec<u8>,
-    /// The transmit time of every length the loop can draw at its per-server
-    /// line rate, `tx_time` for lengths `0..=max_bytes`, so a delivery
-    /// indexes a table instead of dividing and rounding.
-    pub(crate) tx_times: Vec<Picos>,
     /// The loop's telemetry recorder. `None` (untraced) costs one branch
     /// per event.
     pub(crate) tel: Option<Telemetry>,
@@ -235,13 +229,12 @@ pub(crate) struct ArrivalOutcome {
 }
 
 impl LoopState {
-    /// Each of `shards` egress servers sends at `gbps` Gbit/s; `telemetry`
+    /// One report for each of `shards` egress servers; `telemetry`
     /// enables recording when `Some`.
     pub(crate) fn new(
         shards: usize,
         flows: u32,
         max_bytes: u32,
-        gbps: f64,
         telemetry: Option<TelemetryConfig>,
     ) -> Self {
         LoopState {
@@ -256,10 +249,6 @@ impl LoopState {
             // distribution can draw, so no sampled size is truncated.
             payload: vec![0xA5u8; max_bytes as usize],
             victims: Vec::new(),
-            frame: Vec::with_capacity(max_bytes as usize),
-            tx_times: (0..=max_bytes as usize)
-                .map(|len| tx_time(gbps, len))
-                .collect(),
             tel: telemetry.map(Telemetry::new),
         }
     }
@@ -654,6 +643,8 @@ struct ShardLoop<'a, P, S> {
     policy: P,
     sched: S,
     st: LoopState,
+    /// The run's transmit table, lent to every shard's loop.
+    tx_times: &'a [Picos],
     /// The time of the last event applied.
     now: Picos,
     /// The egress server's packet in flight and when it finishes.
@@ -679,6 +670,7 @@ where
 {
     fn new(
         cfg: &'a ServiceConfig,
+        tx_times: &'a [Picos],
         shard: usize,
         policy: P,
         sched: S,
@@ -688,13 +680,8 @@ where
             shard,
             policy,
             sched,
-            st: LoopState::new(
-                1,
-                cfg.mix.flows(),
-                cfg.sizes.max_bytes(),
-                cfg.egress_gbps / cfg.shards as f64,
-                cfg.telemetry,
-            ),
+            st: LoopState::new(1, cfg.mix.flows(), cfg.sizes.max_bytes(), cfg.telemetry),
+            tx_times,
             now: Picos::ZERO,
             tx: None,
             clock: EpochClock::new(cfg.epoch),
@@ -767,7 +754,15 @@ where
 
     /// Starts the next service on the idle server, if a flow is ready.
     fn serve(&mut self, qm: &mut QueueManager) {
-        start_service(qm, &mut self.sched, &mut self.st, 0, self.now, &mut self.tx);
+        start_service(
+            qm,
+            &mut self.sched,
+            &mut self.st,
+            self.tx_times,
+            0,
+            self.now,
+            &mut self.tx,
+        );
     }
 
     /// Processes every egress completion due at or before `until`, each
@@ -1099,8 +1094,11 @@ where
         .map(|f| engine.shard_of(FlowId::new(f)))
         .collect();
 
+    // Every server sends at the same per-shard rate: one transmit table
+    // serves them all.
+    let tx_times = tx_table(cfg.egress_gbps / cfg.shards as f64, cfg.sizes.max_bytes());
     let loops: Vec<ShardLoop<'_, P, S>> = (policies.into_iter().zip(scheds).enumerate())
-        .map(|(s, (policy, sched))| ShardLoop::new(cfg, s, policy, sched, stop_at))
+        .map(|(s, (policy, sched))| ShardLoop::new(cfg, &tx_times, s, policy, sched, stop_at))
         .collect();
     let mut shards = run_rounds(cfg, &mut engine, loops, &shard_of_flow, observe);
 
