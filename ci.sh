@@ -338,15 +338,36 @@ structure() {
         echo "${hits}" >&2
         exit 1
     fi
-    # Both closed loops check a delivery through the lending whole-packet
-    # dequeue: no frame copy above the tests of pipeline.rs / service.rs.
-    hits="$(for file in crates/npqm-traffic/src/pipeline.rs crates/npqm-traffic/src/service.rs; do
+    # Both closed loops and the competitive arena check a delivery through
+    # the lending whole-packet dequeue: no frame copy above the tests of
+    # pipeline.rs / service.rs / arena.rs.
+    hits="$(for file in crates/npqm-traffic/src/pipeline.rs crates/npqm-traffic/src/service.rs \
+        crates/npqm-core/src/arena.rs; do
         sed '/^#\[cfg(test)\]/,$d' "${file}" | sed 's|//.*||' | grep -n 'dequeue_packet_into(' \
             | sed "s|^|${file}:|" || true
     done)"
     if [[ -n "${hits}" ]]; then
-        echo "structure FAILED: a closed loop copies the frame it delivers (use" \
+        echo "structure FAILED: a delivery copies the frame it delivers (use" \
             "dequeue_packet_with); got:" >&2
+        echo "${hits}" >&2
+        exit 1
+    fi
+    # The service has no transport: generators merge into one arrival
+    # stream handed to the shards in rounds, so above service.rs's tests
+    # (comments stripped) there is no lane, pump, stall count or peeking
+    # merge, and the two lane counters appear only as ServiceReport's
+    # constant-0 stubs: their field lines in `pub struct ServiceReport`
+    # and their `0` initialisers in its one constructor.
+    hits="$(sed '/^#\[cfg(test)\]/,$d' crates/npqm-traffic/src/service.rs | sed 's|//.*||' \
+        | awk '/^pub struct ServiceReport \{$/ || /^    ServiceReport \{$/ { stub = 1 }
+            /Pump|ring_capacity|VecDeque<ArrivalEvent>|stalls|Peekable/ { print NR ": " $0; next }
+            /ring_full_events|reorder_peak/ && !(stub && /^ *(pub (ring_full_events|reorder_peak): u64|(ring_full_events|reorder_peak): 0),$/) {
+                print NR ": " $0
+            }
+            stub && (/^}$/ || /^    }$/) { stub = 0 }')"
+    if [[ -n "${hits}" ]]; then
+        echo "structure FAILED: the service carries a transport again (service.rs, above" \
+            "its tests):" >&2
         echo "${hits}" >&2
         exit 1
     fi

@@ -1,13 +1,12 @@
 //! Table 10 (ours): the always-on streaming service in steady state —
 //! multi-second virtual runs through `npqm_traffic::service` with
-//! bounded ingress rings, epoch-windowed stats and online verification.
+//! merged generators, epoch-windowed stats and online verification.
 //!
 //! The finite-trace tables answer "how fast is one run"; this table
 //! answers the service-shaped question: does the engine *sustain* — for
-//! seconds of virtual time under ~1.45× overload — bounded memory (rings
-//! never grow unboundedly, the ledger drains), zero torn frames across
-//! every online snapshot, and online epoch digests that equal a quiesced
-//! stop-the-world run's?
+//! seconds of virtual time under ~1.45× overload — bounded memory (the
+//! ledger drains), zero torn frames across every online snapshot, and
+//! online epoch digests that equal a quiesced stop-the-world run's?
 //!
 //! `table10 --check` runs the machine-checkable gates instead of the
 //! pretty table:
@@ -16,8 +15,7 @@
 //!   windowed counter sums to the end-of-run aggregate);
 //! * zero torn frames and a passing invariant walk at *every* epoch
 //!   snapshot, on every shard;
-//! * bounded memory: every ledger drains (`residual_pkts == 0`) and
-//!   lane overshoot stays under a small multiple of the rings;
+//! * bounded memory: every ledger drains (`residual_pkts == 0`);
 //! * digest stability: spot-checked online epoch digests equal
 //!   [`quiesced_digest`]'s stop-the-world replay.
 //!
@@ -36,12 +34,6 @@ use npqm_core::policy::DynamicThreshold;
 use npqm_core::sched::from_spec;
 use npqm_core::telemetry::TelemetryConfig;
 use npqm_traffic::service::{quiesced_digest, run_service, ServiceConfig, ServiceReport};
-
-/// Lane-overshoot bound, in multiples of the aggregate ring capacity
-/// (`generators × ring_capacity`). The driver force-pushes at most one
-/// packet per stalled round; 4× leaves room for Poisson burstiness
-/// without ever allowing an O(run-length) buildup.
-const REORDER_BOUND_RINGS: u64 = 4;
 
 fn run(cfg: &ServiceConfig) -> ServiceReport {
     let flows = cfg.mix.flows();
@@ -100,10 +92,6 @@ fn check_determinism(cfg: &ServiceConfig, r: &ServiceReport) {
         sums(|w| w.latency_ns.count()) == a.delivered_pkts,
         "every delivered packet appears in exactly one window histogram",
     );
-    check(
-        sums(|w| w.ring_full_events) == r.ring_full_events,
-        "backpressure events attribute exactly to windows",
-    );
     for w in &r.windows {
         let (p50, p99, p999) = (w.p50_ns(), w.p99_ns(), w.p999_ns());
         check(
@@ -132,18 +120,6 @@ fn check_determinism(cfg: &ServiceConfig, r: &ServiceReport) {
             ),
         );
     }
-
-    // Bounded memory: lanes are capacity-checked; the only elastic
-    // buffer is the overshoot of the driver's stalled-round escape,
-    // which must stay within a small multiple of the rings.
-    let bound = REORDER_BOUND_RINGS * (cfg.generators * cfg.ring_capacity) as u64;
-    check(
-        r.reorder_peak <= bound,
-        &format!(
-            "bounded memory: reorder peak {} <= {bound} ({}x aggregate ring capacity)",
-            r.reorder_peak, REORDER_BOUND_RINGS
-        ),
-    );
 }
 
 /// Digest stability against quiesced replays.
@@ -258,8 +234,7 @@ fn print_pretty(cfg: &ServiceConfig, r: &ServiceReport) {
     println!("==========================================================");
     println!(
         "workload: {} flows (Zipf), IMIX sizes, {} generators at {:.2} Gbit/s offered \
-         vs {:.1} Gbit/s egress over {} shards, {} ms virtual in {} ms epochs, \
-         ring capacity {} pkts/lane",
+         vs {:.1} Gbit/s egress over {} shards, {} ms virtual in {} ms epochs",
         cfg.mix.flows(),
         cfg.generators,
         cfg.offered_gbps(),
@@ -267,22 +242,12 @@ fn print_pretty(cfg: &ServiceConfig, r: &ServiceReport) {
         cfg.shards,
         cfg.duration.as_u64() / 1_000_000_000,
         cfg.epoch.as_u64() / 1_000_000_000,
-        cfg.ring_capacity,
     );
-    println!("model: per-shard ingress lanes, pump/serve rounds; online snapshots per epoch");
+    println!("model: generators merged in arrival order, shards served in rounds; online snapshots per epoch");
     println!();
     println!(
-        "{:>5} {:>9} {:>9} {:>8} {:>9} {:>8} {:>9} {:>9} {:>9} {:>9}",
-        "epoch",
-        "offered",
-        "admitted",
-        "dropped",
-        "delivered",
-        "goodput",
-        "p50",
-        "p99",
-        "p999",
-        "ring-full"
+        "{:>5} {:>9} {:>9} {:>8} {:>9} {:>8} {:>9} {:>9} {:>9}",
+        "epoch", "offered", "admitted", "dropped", "delivered", "goodput", "p50", "p99", "p999",
     );
     for w in &r.windows {
         let q = |v: Option<u64>| match v {
@@ -290,7 +255,7 @@ fn print_pretty(cfg: &ServiceConfig, r: &ServiceReport) {
             None => "-".to_string(),
         };
         println!(
-            "{:>5} {:>9} {:>9} {:>8} {:>9} {:>7.3}G {:>9} {:>9} {:>9} {:>9}",
+            "{:>5} {:>9} {:>9} {:>8} {:>9} {:>7.3}G {:>9} {:>9} {:>9}",
             w.epoch,
             w.offered_pkts,
             w.admitted_pkts,
@@ -300,7 +265,6 @@ fn print_pretty(cfg: &ServiceConfig, r: &ServiceReport) {
             q(w.p50_ns()),
             q(w.p99_ns()),
             q(w.p999_ns()),
-            w.ring_full_events,
         );
     }
     println!();
@@ -313,15 +277,12 @@ fn print_pretty(cfg: &ServiceConfig, r: &ServiceReport) {
     let a = &r.aggregate;
     println!(
         "headline: {:.2} Mseg/s sustained composite; {} offered = {} delivered + {} \
-         dropped + {} evicted; {} backpressure stalls (counted, never dropped); \
-         reorder peak {} pkts; {} torn frames",
+         dropped + {} evicted; {} torn frames",
         r.segments_per_sec() / 1e6,
         a.offered_pkts,
         a.delivered_pkts,
         a.dropped_pkts,
         a.evicted_pkts,
-        r.ring_full_events,
-        r.reorder_peak,
         a.integrity_violations,
     );
 }

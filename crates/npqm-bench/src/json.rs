@@ -750,7 +750,6 @@ impl ToJson for npqm_traffic::service::EpochWindow {
             ("p50_ns", self.p50_ns().to_json()),
             ("p99_ns", self.p99_ns().to_json()),
             ("p999_ns", self.p999_ns().to_json()),
-            ("ring_full_events", self.ring_full_events.to_json()),
         ])
     }
 }
@@ -780,8 +779,6 @@ impl ToJson for npqm_traffic::service::ShardServiceReport {
             ("snapshots", self.snapshots.to_json()),
             ("final_digest", digest_json(self.final_digest)),
             ("residual_pkts", self.residual_pkts.to_json()),
-            ("ring_full_events", self.ring_full_events.to_json()),
-            ("reorder_peak", self.reorder_peak.to_json()),
             ("segments_processed", self.segments_processed.to_json()),
             host([("busy_us", duration_us(self.busy))]),
         ])
@@ -789,9 +786,6 @@ impl ToJson for npqm_traffic::service::ShardServiceReport {
 }
 
 impl ToJson for npqm_traffic::service::ServiceReport {
-    /// The lane-transport counters (`ring_full_events`, `reorder_peak`)
-    /// sit outside `host`: the round driver makes them a pure function of
-    /// the configuration.
     fn to_json(&self) -> Json {
         Json::obj([
             ("epoch_len_ps", self.epoch_len.as_u64().to_json()),
@@ -804,8 +798,6 @@ impl ToJson for npqm_traffic::service::ServiceReport {
             ),
             ("final_digest", digest_json(self.final_digest)),
             ("shard_of_flow", self.shard_of_flow.to_json()),
-            ("ring_full_events", self.ring_full_events.to_json()),
-            ("reorder_peak", self.reorder_peak.to_json()),
             ("segments_processed", self.segments_processed.to_json()),
             ("telemetry", telemetry_field(&self.telemetry)),
             host([

@@ -340,8 +340,6 @@ where
     let mut engine = ShardedQueueManager::new(cfg.qm, num_shards);
     let mut tally = Tally::new();
     let mut server: Option<ServerJob> = None;
-    // One frame lent to every dequeue of the run.
-    let mut frame = Vec::new();
     let mut rr = 0u32; // round-robin pointer of the work-server
     let mut i = 0usize;
     let mut slot = 0u64;
@@ -372,9 +370,10 @@ where
                     let qm = engine.shard_for_mut(flow);
                     if qm.complete_packets(flow) > 0 {
                         let work = u64::from(qm.head_work(flow).unwrap_or(0));
-                        frame.clear();
+                        // Only the length is read: the bytes stay where the
+                        // engine keeps them.
                         let len = qm
-                            .dequeue_packet_into(flow, &mut frame)
+                            .dequeue_packet_with(flow, |_| {})
                             .expect("complete head packet");
                         tally.deliver(slot, flow, len as u64, work);
                     }
@@ -388,9 +387,8 @@ where
                         let qm = engine.shard_for_mut(flow);
                         if qm.complete_packets(flow) > 0 {
                             let work = u64::from(qm.head_work(flow).unwrap_or(0));
-                            frame.clear();
                             let bytes = qm
-                                .dequeue_packet_into(flow, &mut frame)
+                                .dequeue_packet_with(flow, |_| {})
                                 .expect("complete head packet")
                                 as u64;
                             let remaining = cfg.effort(bytes as u32, work as u32);

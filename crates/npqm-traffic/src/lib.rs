@@ -27,12 +27,11 @@
 //!   shape above: shards × admission × timing × egress
 //!   (flat or hierarchical HTB class trees) chosen independently, one
 //!   report type out;
-//! * [`service`] — the **always-on streaming service mode**: bounded
-//!   per-shard ingress lanes fed by generators (backpressure is
-//!   counted, never silently dropped), per-shard `process_once` service
-//!   loops under one wall-clock-free round driver, epoch-windowed statistics
-//!   (p50/p99/p999 delivery latency, goodput, drops, ring-full events
-//!   per window) and online verification — invariant walks plus
+//! * [`service`] — the **always-on streaming service mode**: generators
+//!   merged into one arrival stream and handed to per-shard service
+//!   loops in wall-clock-free rounds, epoch-windowed statistics
+//!   (p50/p99/p999 delivery latency, goodput and drops per window) and
+//!   online verification — invariant walks plus
 //!   state-digest snapshots at epoch boundaries that equal a quiesced
 //!   run's digests (the `table10` steady-state experiment runs on this);
 //! * [`scale`] — the shard-scaling throughput experiment behind

@@ -28,7 +28,7 @@
 //! — is built through [`PipelineBuilder`] and runs as one N-shard
 //! instance of the one event loop in this module, over one lazily drawn
 //! arrival stream; the shapes differ only in admission scope. (The
-//! streaming service's lane merge in [`crate::service`] is the other
+//! streaming service's per-shard loop in [`crate::service`] is the other
 //! loop, with the same tie rule; its module docs say what keeps them
 //! apart.) Egress is a fixed line rate; what the *memory* organisation
 //! sustains is [`crate::scale::run_memory_scale`]'s question, not a

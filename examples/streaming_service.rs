@@ -1,17 +1,15 @@
-//! The always-on streaming service, live: generators feed
-//! bounded per-shard ingress lanes while each shard's service loop
-//! reports its epoch windows *as they close* — per-window goodput,
-//! latency quantiles and backpressure — with online state snapshots
-//! instead of one end-of-run report.
+//! The always-on streaming service, live: generators merged into one
+//! arrival stream feed each shard's service loop, which reports its
+//! epoch windows *as they close* — per-window goodput and latency
+//! quantiles — with online state snapshots instead of one end-of-run
+//! report.
 //!
 //! Run with: `cargo run --release --example streaming_service`
 //!
 //! The run is deliberately overloaded (~3× the egress rate), so the
-//! drop policy works continuously; backpressure stalls producers on
-//! full lanes (counted, never dropped). The same run repeated without
-//! the observer proves the service's determinism contract: every epoch
-//! digest, the final state digest and the backpressure count are
-//! identical.
+//! drop policy works continuously. The same run repeated without the
+//! observer proves the service's determinism contract: every epoch
+//! digest and the final state digest are identical.
 
 use npqm::core::policy::DynamicThreshold;
 use npqm::core::sched::from_spec;
@@ -27,14 +25,13 @@ fn main() {
 
     println!(
         "streaming service: {} flows over {} shards, {} generators at {:.2} Gbit/s \
-         offered vs {:.1} Gbit/s egress, {} us epochs, lanes of {} pkts",
+         offered vs {:.1} Gbit/s egress, {} us epochs",
         flows,
         cfg.shards,
         cfg.generators,
         cfg.offered_gbps(),
         cfg.egress_gbps,
         cfg.epoch.as_u64() / 1_000_000,
-        cfg.ring_capacity,
     );
     println!();
     println!(
@@ -71,17 +68,12 @@ fn main() {
     println!();
     println!(
         "drained: {} offered = {} delivered + {} dropped + {} evicted; \
-         {} backpressure stalls; {} torn frames",
-        a.offered_pkts,
-        a.delivered_pkts,
-        a.dropped_pkts,
-        a.evicted_pkts,
-        observed.ring_full_events,
-        a.integrity_violations,
+         {} torn frames",
+        a.offered_pkts, a.delivered_pkts, a.dropped_pkts, a.evicted_pkts, a.integrity_violations,
     );
 
     // The determinism contract, demonstrated: a second run computes the
-    // same digests and the same backpressure, byte for byte.
+    // same digests, byte for byte.
     let again = run_service(
         &cfg,
         1,
@@ -90,7 +82,6 @@ fn main() {
     );
     assert_eq!(observed.epoch_digests, again.epoch_digests);
     assert_eq!(observed.final_digest, again.final_digest);
-    assert_eq!(observed.ring_full_events, again.ring_full_events);
     println!(
         "determinism: {} online epoch digests + final {:#018x} identical on \
          a second run",
