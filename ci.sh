@@ -8,7 +8,8 @@
 #   ./ci.sh         # full pipeline: structure greps (no thread, lock or
 #                   # atomic in the engine and traffic crates, and no
 #                   # thread-count knob anywhere; one push-out loop, no
-#                   # event queue in the traffic loops, each
+#                   # event queue in the traffic loops, one closed
+#                   # loop, each
 #                   # engine step of manager.rs
 #                   # written once, no cut_through, the access trace
 #                   # cut and never committed, one DDR slot loop, one
@@ -93,8 +94,9 @@ tier1() {
 # (`execute_batch_parallel`, `offer_batch_parallel`, `parallel_stats`) are
 # named nowhere in the workspace but their definitions. The per-command
 # result slots' executor, the lending drain and its types, the
-# `shards_mut` back door around the executor and the public surface only
-# tests called (the second packet generator `trace::Trace` /
+# untimed slice of every engine (`shards_mut`) named anywhere but at its
+# definition and in the builder's one closed-loop scope, and the public
+# surface only tests called (the second packet generator `trace::Trace` /
 # `TraceRecord`, `FlowTable`, `WORST_CASE`, `queue_work`) stay deleted.
 # One model of the engine: `npqm-core`'s test-only `model` module (and the
 # corpus it replays) is the oracle every engine call is held to, so the
@@ -164,22 +166,40 @@ structure() {
         exit 1
     fi
     echo "==> structure: one completion slot per egress server, no event queue in the loops"
-    # start_service takes one type parameter and writes the server's one
-    # completion slot in place: a `&mut Option<(Picos, TxDone)>` argument,
-    # nothing returned.
+    # ClosedLoop::serve takes one type parameter and writes the server's
+    # one completion slot in place, `self.tx[shard] = Some(..)` once in its
+    # body: no slot in its signature, nothing returned.
     local sig body
     hits="$(for file in crates/npqm-traffic/src/*.rs; do
         sed '/^#\[cfg(test)\]/,$d' "${file}" | grep -nE 'EventQueue|BinaryHeap' | sed "s|^|${file}:|" || true
     done)"
-    sig="$(sed -n '/fn start_service</,/^)/p' crates/npqm-traffic/src/pipeline.rs)"
-    if [[ -n "${hits}" || -z "${sig}" ]] || grep -qE 'fn start_service<[^>]*,' <<<"${sig}" \
-        || [[ "$(tail -n 1 <<<"${sig}")" != ') {' ]] \
-        || [[ "$(grep -c 'Option<(Picos, TxDone)>' <<<"${sig}")" != 1 ]] \
-        || ! grep -qE '^    [a-z_]+: &mut Option<\(Picos, TxDone\)>,$' <<<"${sig}"; then
-        echo "structure FAILED: an event queue is back in npqm-traffic, or start_service" \
+    body="$(sed '/^#\[cfg(test)\]/,$d' crates/npqm-traffic/src/pipeline.rs | sed 's|//.*||' \
+        | sed -n '/^    fn serve</,/^    }$/p')"
+    sig="$(sed -n '0,/{$/p' <<<"${body}")"
+    if [[ -n "${hits}" || -z "${sig}" ]] || grep -qE 'fn serve<[^>]*,' <<<"${sig}" \
+        || [[ "$(tail -n 1 <<<"${sig}")" != *') {' ]] \
+        || grep -qF 'Option<(Picos, TxDone)>' <<<"${sig}" \
+        || [[ "$(grep -cF 'self.tx[shard] = Some(' <<<"${body}")" != 1 ]]; then
+        echo "structure FAILED: an event queue is back in npqm-traffic, or ClosedLoop::serve" \
             "does not write the one completion it started into its server's slot; got:" >&2
         echo "${hits}" >&2
-        echo "${sig}" >&2
+        echo "${body}" >&2
+        exit 1
+    fi
+    echo "==> structure: one closed loop"
+    # Every pipeline run and every service shard step pipeline.rs's
+    # ClosedLoop: above the tests of npqm-traffic (comments stripped), the
+    # second loop's state, scope and service path stay deleted and one
+    # complete_until picks every completion.
+    hits="$(for file in crates/npqm-traffic/src/*.rs; do
+        sed '/^#\[cfg(test)\]/,$d' "${file}" | sed 's|//.*||' \
+            | grep -nE 'LoopState|ShardLocal|fn start_service\b|fn complete_until\b' | sed "s|^|${file}:|" || true
+    done)"
+    if [[ "$(grep -c . <<<"${hits}")" != 1 \
+        || "${hits}" != crates/npqm-traffic/src/pipeline.rs:*'pub(crate) fn complete_until<'* ]]; then
+        echo "structure FAILED: expected one complete_until, ClosedLoop's in pipeline.rs, and no" \
+            "LoopState, ShardLocal or start_service above the tests of npqm-traffic; got:" >&2
+        echo "${hits}" >&2
         exit 1
     fi
     echo "==> structure: no divide on the loops' per-packet path"
@@ -297,7 +317,10 @@ structure() {
     hits+="$(grep -rnE 'struct Group\b|run_pending|run_groups|BatchDrain|LentSegment|dequeue_batch_into' \
         crates examples tests src README.md || true)"
     hits+="$(grep -rnE 'shards_mut|TraceRecord|trace::Trace|FlowTable|WORST_CASE|queue_work' \
-        crates examples tests src README.md || true)"
+        crates examples tests src README.md \
+        | grep -vE '^crates/npqm-core/src/shard\.rs:[0-9]+:    pub fn shards_mut\(&mut self\) -> &mut \[QueueManager\] \{$' \
+        | grep -vE '^crates/npqm-traffic/src/builder\.rs:[0-9]+: +shards: engine\.shards_mut\(\),$' \
+        || true)"
     if [[ -n "${hits}" ]]; then
         echo "structure FAILED: a second per-shard executor, the grouped batch executor, a batch" \
             "shim named outside its definition, the lending drain or a swept name is back:" >&2

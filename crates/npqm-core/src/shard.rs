@@ -230,6 +230,13 @@ impl ShardedQueueManager {
         &mut self.shards[idx]
     }
 
+    /// Mutable access to every shard at once, untimed (a closed loop
+    /// over all of them; [`for_each_shard`](Self::for_each_shard) times
+    /// each shard apart).
+    pub fn shards_mut(&mut self) -> &mut [QueueManager] {
+        &mut self.shards
+    }
+
     /// Mutable access to the shard owning `flow`.
     pub fn shard_for_mut(&mut self, flow: FlowId) -> &mut QueueManager {
         let s = self.shard_of(flow);

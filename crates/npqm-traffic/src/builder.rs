@@ -3,9 +3,10 @@
 //! [`PipelineBuilder`] picks the shard count, admission flavour and
 //! egress discipline independently, then
 //! [`run`](PipelineBuilder::run) runs them as one N-shard instance of
-//! the one event loop (`pipeline::run_closed_loop`), which draws its
-//! arrivals lazily: the admission flavour is the instance's scope, and
-//! each shard drains through its own scheduler and line rate. Every
+//! the one closed loop (`pipeline::ClosedLoop`, which
+//! `pipeline::run_closed_loop` feeds lazily drawn arrivals): the
+//! admission flavour is the instance's scope, and each shard drains
+//! through its own scheduler and line rate. Every
 //! combination returns the same `ShardedPipelineReport` (a dense run is
 //! simply one shard), so downstream reporting code is shape-agnostic.
 //!
@@ -226,9 +227,10 @@ impl PipelineBuilder {
                 run_closed_loop(cfg, &mut scope, &mut scheds)
             }
             AdmissionSel::Local(mk_policy) => {
+                let mut policies: Vec<_> = (0..shards).map(mk_policy).collect();
                 let mut scope = Partitioned {
-                    engine: &mut engine,
-                    policies: (0..shards).map(mk_policy).collect(),
+                    shards: engine.shards_mut(),
+                    policies: &mut policies,
                     shard_of_flow: &shard_of_flow,
                 };
                 run_closed_loop(cfg, &mut scope, &mut scheds)

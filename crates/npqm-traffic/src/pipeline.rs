@@ -24,15 +24,15 @@
 //! corruption class the open-tail fixes in `npqm-core` close) and is
 //! counted, never ignored.
 //!
-//! Every pipeline shape — dense, shard-local sharded, globally admitted
-//! — is built through [`PipelineBuilder`] and runs as one N-shard
-//! instance of the one event loop in this module, over one lazily drawn
-//! arrival stream; the shapes differ only in admission scope. (The
-//! streaming service's per-shard loop in [`crate::service`] is the other
-//! loop, with the same tie rule; its module docs say what keeps them
-//! apart.) Egress is a fixed line rate; what the *memory* organisation
-//! sustains is [`crate::scale::run_memory_scale`]'s question, not a
-//! loop's.
+//! There is one closed loop, `ClosedLoop`, and two drivers push arrivals
+//! into it. Every pipeline shape — dense, shard-local sharded, globally
+//! admitted — is built through [`PipelineBuilder`] and runs as one
+//! N-shard instance over one lazily drawn arrival stream; the shapes
+//! differ only in admission scope. Each shard of the streaming service
+//! ([`crate::service`]) is a one-shard instance whose watch keeps the
+//! shard's epoch windows, snapshots and stop cut. Egress is a fixed line
+//! rate; what the *memory* organisation sustains is
+//! [`crate::scale::run_memory_scale`]'s question, not a loop's.
 //!
 //! # Example
 //!
@@ -53,7 +53,7 @@
 use crate::arrival::{round_to_u64, ArrivalProcess};
 use crate::builder::PipelineBuilder;
 use crate::flows::FlowMix;
-use crate::service::{arrival_stream, LoopState};
+use crate::service::{arrival_stream, ArrivalEvent};
 use crate::size::SizeDistribution;
 use npqm_core::limits::{BufferManager, DropReason, FlowLimits};
 use npqm_core::policy::{DropPolicy, DynamicThreshold, GlobalLqd, LongestQueueDrop};
@@ -63,6 +63,7 @@ use npqm_core::telemetry::{MetricsRegistry, Telemetry, TelemetryConfig, Telemetr
 use npqm_core::{FlowId, QmConfig, QmStats, QueueManager};
 use npqm_sim::stats::MeanVar;
 use npqm_sim::time::Picos;
+use std::collections::VecDeque;
 
 /// Configuration of one closed-loop run.
 #[derive(Debug, Clone)]
@@ -300,63 +301,26 @@ pub(crate) trait AdmissionScope {
     fn depth_and_occupancy(&self, flow: FlowId) -> (u32, u32);
 }
 
-/// One service shard's admission: its own [`DropPolicy`] on its own
-/// [`QueueManager`], the scope of each of the service's one-shard loops
-/// (every shard lookup is the constant 0 and folds away).
-pub(crate) struct ShardLocal<'a, P: ?Sized> {
-    pub(crate) qm: &'a mut QueueManager,
-    pub(crate) policy: &'a mut P,
-}
-
-impl<P: DropPolicy + ?Sized> AdmissionScope for ShardLocal<'_, P> {
-    fn shard_of(&self, _flow: FlowId) -> usize {
-        0
-    }
-
-    fn qm(&mut self, _shard: usize) -> &mut QueueManager {
-        self.qm
-    }
-
-    fn policy_name(&self, _flow: FlowId) -> &str {
-        self.policy.name()
-    }
-
-    fn offer(
-        &mut self,
-        flow: FlowId,
-        packet: &[u8],
-        victims: &mut Vec<(FlowId, u32)>,
-    ) -> Result<(), DropReason> {
-        self.policy.offer_into(self.qm, flow, packet, 0, victims)
-    }
-
-    fn depth_and_occupancy(&self, flow: FlowId) -> (u32, u32) {
-        (
-            self.qm.queue_len_segments(flow),
-            self.qm.occupied_segments(),
-        )
-    }
-}
-
 /// Shard-local admission over a partitioned buffer: each shard's own
 /// [`DropPolicy`] on its own share of the engine. An offer, its victims,
 /// the policy's name and the occupancy telemetry reads are all the
 /// arriving flow's home shard's, so shards share nothing and each sees
 /// the events it would see alone. The dense pipeline is this scope over
-/// one shard.
-pub(crate) struct Partitioned<'a> {
-    pub(crate) engine: &'a mut ShardedQueueManager,
-    pub(crate) policies: Vec<Box<dyn DropPolicy>>,
+/// one shard, and so is each service shard, over its one lent engine with
+/// every flow homed on it.
+pub(crate) struct Partitioned<'a, P> {
+    pub(crate) shards: &'a mut [QueueManager],
+    pub(crate) policies: &'a mut [P],
     pub(crate) shard_of_flow: &'a [usize],
 }
 
-impl AdmissionScope for Partitioned<'_> {
+impl<P: DropPolicy> AdmissionScope for Partitioned<'_, P> {
     fn shard_of(&self, flow: FlowId) -> usize {
         self.shard_of_flow[flow.as_usize()]
     }
 
     fn qm(&mut self, shard: usize) -> &mut QueueManager {
-        self.engine.shard_mut(shard)
+        &mut self.shards[shard]
     }
 
     fn policy_name(&self, flow: FlowId) -> &str {
@@ -370,12 +334,11 @@ impl AdmissionScope for Partitioned<'_> {
         victims: &mut Vec<(FlowId, u32)>,
     ) -> Result<(), DropReason> {
         let home = self.shard_of(flow);
-        let qm = self.engine.shard_mut(home);
-        self.policies[home].offer_into(qm, flow, packet, 0, victims)
+        self.policies[home].offer_into(&mut self.shards[home], flow, packet, 0, victims)
     }
 
     fn depth_and_occupancy(&self, flow: FlowId) -> (u32, u32) {
-        let qm = self.engine.shard(self.shard_of(flow));
+        let qm = &self.shards[self.shard_of(flow)];
         (qm.queue_len_segments(flow), qm.occupied_segments())
     }
 }
@@ -421,24 +384,340 @@ impl AdmissionScope for SharedBuffer<'_> {
     }
 }
 
-/// The finite-trace closed loop — the only one; every [`PipelineBuilder`]
-/// run is one instance of it. It draws `cfg`'s arrivals lazily, so its
-/// memory stays O(buffer) however long the run, feeds them to
-/// `scope`-guarded admission, and drains each shard in scope through
-/// `scheds[shard]` and its own egress server at an equal share of
-/// `cfg.egress_gbps`. Dense, shard-local sharded and globally admitted
-/// runs are each one instance; they differ only in `scope`.
+/// What an arrival did, for a [`Watch`]'s window accounting.
+pub(crate) struct ArrivalOutcome {
+    pub(crate) admitted: bool,
+    pub(crate) evicted: u64,
+}
+
+/// What a driver keeps beside a [`ClosedLoop`]: it sees every event the
+/// loop applies and may stop the loop before one. A pipeline run watches
+/// nothing (`()`); a service shard keeps its epoch windows, boundary
+/// snapshots and stop cut here.
+pub(crate) trait Watch {
+    /// Runs before the event at `t` is applied, on the state the events
+    /// before it left. Returning `false` stops the loop there, with the
+    /// event unapplied.
+    fn at<A: AdmissionScope>(&mut self, scope: &mut A, lp: &mut ClosedLoop<'_>, t: Picos) -> bool;
+
+    /// The arrival `pkt` was offered, with `outcome`.
+    fn arrived(&mut self, pkt: &ArrivalEvent, outcome: ArrivalOutcome);
+
+    /// `done` was delivered, `lat_ns` after its admission.
+    fn delivered(&mut self, done: &TxDone, lat_ns: u64);
+}
+
+impl Watch for () {
+    #[inline(always)]
+    fn at<A: AdmissionScope>(&mut self, _: &mut A, _: &mut ClosedLoop<'_>, _: Picos) -> bool {
+        true
+    }
+
+    #[inline(always)]
+    fn arrived(&mut self, _: &ArrivalEvent, _: ArrivalOutcome) {}
+
+    #[inline(always)]
+    fn delivered(&mut self, _: &TxDone, _: u64) {}
+}
+
+/// The closed loop — the only one: every [`PipelineBuilder`] run is one
+/// N-shard instance of it and every service shard a one-shard instance.
+/// A driver pushes arrivals into it in time order with
+/// [`offer`](Self::offer) and drains it with
+/// [`complete_until`](Self::complete_until); `scope`-guarded admission
+/// decides each offer, and each shard in scope drains through
+/// `scheds[shard]` and its own egress server at the transmit times of
+/// `tx_times`.
 ///
-/// Runs until the arrivals are exhausted and every backlog has drained,
-/// so per shard `offered == delivered + dropped + evicted` at return.
 /// A server sends one packet at a time, so each shard keeps its one
 /// pending completion in a slot, and the loop keeps the time of the last
 /// event. Event order is part of the contract (`bench/expected.json`'s
-/// digests and the tier-1 tie tests pin it) and is the service's: a
-/// completion due at or before the next arrival runs first, and
-/// completions due at one instant run lowest shard first. Under a scope
-/// whose shards share nothing, each shard's own events keep the order
-/// they would have in a loop of their own.
+/// digests and the tier-1 tie tests pin it): a completion due at or
+/// before an arrival runs first, and completions due at one instant run
+/// lowest shard first. Under a scope whose shards share nothing, each
+/// shard's own events keep the order they would have in a loop of their
+/// own.
+///
+/// It owns the bookkeeping: one report per shard in scope, each indexed
+/// by *global* flow id (flows homed on other shards stay zero), the
+/// per-flow packet ledger (enqueue time, length, marker), the scratch
+/// payload, the victim buffer and the telemetry recorder.
+pub(crate) struct ClosedLoop<'t> {
+    pub(crate) reports: Vec<PipelineReport>,
+    pub(crate) ledger: Vec<VecDeque<Slot>>,
+    payload: Vec<u8>,
+    /// The victim buffer every offer is lent, so a push-out allocates
+    /// nothing once it holds the largest eviction run.
+    victims: Vec<(FlowId, u32)>,
+    /// The loop's telemetry recorder. `None` (untraced) costs one branch
+    /// per event.
+    pub(crate) tel: Option<Telemetry>,
+    /// Each egress server's packet in flight and when it finishes.
+    tx: Vec<Option<(Picos, TxDone)>>,
+    /// The run's transmit table ([`tx_table`]), lent to every loop.
+    tx_times: &'t [Picos],
+    /// The time of the last event applied.
+    now: Picos,
+}
+
+impl<'t> ClosedLoop<'t> {
+    /// One report and one idle server for each of `shards` shards;
+    /// `telemetry` enables recording when `Some`.
+    pub(crate) fn new(
+        shards: usize,
+        flows: u32,
+        max_bytes: u32,
+        telemetry: Option<TelemetryConfig>,
+        tx_times: &'t [Picos],
+    ) -> Self {
+        ClosedLoop {
+            reports: (0..shards)
+                .map(|_| PipelineReport {
+                    flows: (0..flows).map(|_| FlowReport::default()).collect(),
+                    ..PipelineReport::default()
+                })
+                .collect(),
+            ledger: (0..flows).map(|_| VecDeque::new()).collect(),
+            // Scratch payload sized to the largest packet the
+            // distribution can draw, so no sampled size is truncated.
+            payload: vec![0xA5u8; max_bytes as usize],
+            victims: Vec::new(),
+            tel: telemetry.map(Telemetry::new),
+            tx: vec![None; shards],
+            tx_times,
+            now: Picos::ZERO,
+        }
+    }
+
+    /// Applies one arrival, after the completions due at or before it,
+    /// then starts service on its home server if that server is idle.
+    /// Returns `false` if `watch` stopped the loop first.
+    #[inline]
+    pub(crate) fn offer<A, S, W>(
+        &mut self,
+        scope: &mut A,
+        scheds: &mut [S],
+        pkt: ArrivalEvent,
+        watch: &mut W,
+    ) -> bool
+    where
+        A: AdmissionScope,
+        S: FlowScheduler,
+        W: Watch,
+    {
+        if !self.complete_until(scope, scheds, pkt.at, watch) {
+            return false;
+        }
+        let mut pending = self.tx[..scheds.len()].iter().flatten();
+        assert!(
+            pkt.at >= self.now && pending.all(|&(t, _)| t > pkt.at),
+            "an arrival went back in time or ahead of a due completion"
+        );
+        if !watch.at(scope, self, pkt.at) {
+            return false;
+        }
+        self.now = pkt.at;
+        let outcome = self.arrival(scope, pkt);
+        watch.arrived(&pkt, outcome);
+        let shard = scope.shard_of(pkt.flow);
+        if self.tx[shard].is_none() {
+            self.serve(scope.qm(shard), &mut scheds[shard], shard);
+        }
+        true
+    }
+
+    /// Runs every completion due at or before `until`, earliest first,
+    /// ties to the lowest shard, each starting its server's next service.
+    /// Returns `false` if `watch` stopped the loop first. Always inlined:
+    /// a call per arrival, due completion or not, cost the service 2 %.
+    #[inline(always)]
+    pub(crate) fn complete_until<A, S, W>(
+        &mut self,
+        scope: &mut A,
+        scheds: &mut [S],
+        until: Picos,
+        watch: &mut W,
+    ) -> bool
+    where
+        A: AdmissionScope,
+        S: FlowScheduler,
+        W: Watch,
+    {
+        // The next completion is found by its instant alone: copying whole
+        // slots, right after `serve` wrote one field by field, waited on
+        // those stores. The slots are cut to one per scheduler, a length
+        // the caller's slice makes known, so a one-shard search is one
+        // compare, not a loop.
+        while let Some((t, shard)) = (self.tx[..scheds.len()].iter().enumerate())
+            .filter_map(|(s, slot)| Some((slot.as_ref()?.0, s)))
+            .min()
+            .filter(|&(t, _)| t <= until)
+        {
+            if !watch.at(scope, self, t) {
+                return false;
+            }
+            self.now = t;
+            self.delivery(shard, watch);
+            self.serve(scope.qm(shard), &mut scheds[shard], shard);
+        }
+        true
+    }
+
+    /// Offers one packet to `scope`'s policy, keeping the ledger in sync
+    /// with any evictions (which happen on admission *and* on refusal: a
+    /// push-out policy may clear room and still fail).
+    fn arrival<A: AdmissionScope>(&mut self, scope: &mut A, pkt: ArrivalEvent) -> ArrivalOutcome {
+        let (now, flow, size, marker) = (pkt.at, pkt.flow, pkt.size as usize, pkt.marker);
+        // Stamp a per-packet marker into the frame: delivery re-checks
+        // it, so a torn or cross-linked frame is caught even when its
+        // length happens to survive.
+        self.payload[0] = marker;
+        let home = scope.shard_of(flow);
+        let fr = &mut self.reports[home].flows[flow.as_usize()];
+        fr.offered_pkts += 1;
+        fr.offered_bytes += size as u64;
+        self.victims.clear();
+        // Kept as the `Result` it is: turned into an `Option` with `.err()`,
+        // it was copied through two unaligned stack bytes.
+        let offered = scope.offer(flow, &self.payload[..size], &mut self.victims);
+        for &(victim, bytes) in &self.victims {
+            // Under global push-out the victim may live on any shard in
+            // scope; charge its own home shard's report.
+            let vr = &mut self.reports[scope.shard_of(victim)];
+            let slot = self.ledger[victim.as_usize()]
+                .pop_front()
+                .expect("a victim was admitted, and every admission pushed its slot");
+            if slot.len() != bytes {
+                vr.integrity_violations += 1;
+            }
+            vr.flows[victim.as_usize()].evicted_pkts += 1;
+            if let Some(t) = &mut self.tel {
+                // Victim depth and occupancy observed just after the
+                // push-out — the state the policy's decision produced.
+                let (depth, occupancy) = scope.depth_and_occupancy(victim);
+                let policy = scope.policy_name(victim);
+                t.record_evict(now, policy, victim, bytes, depth, occupancy);
+            }
+        }
+        let fr = &mut self.reports[home].flows[flow.as_usize()];
+        if let Err(reason) = offered {
+            fr.dropped_pkts += 1;
+            if let Some(t) = &mut self.tel {
+                let (depth, occupancy) = scope.depth_and_occupancy(flow);
+                t.record_drop(
+                    now,
+                    scope.policy_name(flow),
+                    reason,
+                    flow,
+                    size as u32,
+                    depth,
+                    occupancy,
+                );
+            }
+        } else {
+            self.ledger[flow.as_usize()].push_back(Slot::new(now, size as u32, marker));
+            fr.admitted_pkts += 1;
+            if let Some(t) = &mut self.tel {
+                t.record_admit(now, flow, size as u32);
+            }
+        }
+        ArrivalOutcome {
+            admitted: offered.is_ok(),
+            evicted: self.victims.len() as u64,
+        }
+    }
+
+    /// Records the packet `shard`'s egress server delivers now and shows
+    /// it to `watch`. It reads the packet where its slot keeps it: a copy
+    /// of the whole [`TxDone`], loaded right after `serve` stored its
+    /// fields, waited on those stores.
+    fn delivery<W: Watch>(&mut self, shard: usize, watch: &mut W) {
+        let (_, tx) = self.tx[shard]
+            .as_ref()
+            .expect("the due completion's slot is full");
+        let fr = &mut self.reports[shard].flows[tx.flow.as_usize()];
+        fr.delivered_pkts += 1;
+        fr.delivered_bytes += tx.bytes as u64;
+        let delta = self.now - tx.enqueued_at;
+        fr.latency_ns.push(delta.as_nanos_f64());
+        let lat_ns = delta.as_u64() / 1000;
+        if let Some(t) = &mut self.tel {
+            t.record_deliver(self.now, tx.flow, tx.bytes, lat_ns);
+        }
+        watch.delivered(tx, lat_ns);
+    }
+
+    /// Asks `shard`'s scheduler for the next flow and, if one is ready,
+    /// dequeues its head packet from the shard's engine `qm`, reading its
+    /// first byte where the engine keeps it (so a delivery copies and
+    /// allocates nothing), verifies it against the ledger (length and
+    /// marker byte, a mismatch charged to `shard`'s report) and writes its
+    /// completion into the server's slot: now plus its transmit time, and
+    /// the [`TxDone`]. `None` leaves the server idle. The slot is written
+    /// where it lives: a completion returned by value went through the
+    /// stack and was reloaded as one wide load of the fields just stored.
+    fn serve<S: FlowScheduler>(&mut self, qm: &mut QueueManager, sched: &mut S, shard: usize) {
+        let Some(flow) = sched.next_flow(qm) else {
+            self.tx[shard] = None;
+            return;
+        };
+        let mut first = None;
+        let len = qm
+            .dequeue_packet_with(flow, |b| {
+                first.get_or_insert(b[0]);
+            })
+            .expect("scheduler picked a ready flow");
+        sched.served(flow, len);
+        let slot = self.ledger[flow.as_usize()]
+            .pop_front()
+            .expect("served packet must be in the ledger");
+        if len as u32 != slot.len() || first != Some(slot.marker()) {
+            self.reports[shard].integrity_violations += 1;
+        }
+        if let Some(t) = &mut self.tel {
+            // The scheduler decision, stamped at the service start instant.
+            t.record_sched_select(self.now, flow);
+        }
+        let done = TxDone {
+            flow,
+            bytes: len as u32,
+            enqueued_at: slot.enqueued_at,
+        };
+        self.tx[shard] = Some((self.now + self.tx_times[len], done));
+    }
+
+    /// Stamps the makespan (the last event) and folds each shard's
+    /// per-flow reports into its aggregate counters.
+    pub(crate) fn finish(&mut self) {
+        for report in &mut self.reports {
+            report.makespan = self.now;
+            let flows = std::mem::take(&mut report.flows);
+            for fr in &flows {
+                report.offered_pkts += fr.offered_pkts;
+                report.offered_bytes += fr.offered_bytes;
+                report.dropped_pkts += fr.dropped_pkts;
+                report.evicted_pkts += fr.evicted_pkts;
+                report.delivered_pkts += fr.delivered_pkts;
+                report.delivered_bytes += fr.delivered_bytes;
+                report.latency_ns.merge(&fr.latency_ns);
+            }
+            report.flows = flows;
+        }
+    }
+
+    /// Packets in the ledger: admitted, not yet delivered or pushed out.
+    pub(crate) fn buffered_pkts(&self) -> u64 {
+        self.ledger.iter().map(|l| l.len() as u64).sum()
+    }
+}
+
+/// Runs `cfg` as one instance of the [`ClosedLoop`] over `scope`, with
+/// `scheds[shard]` draining each shard at an equal share of
+/// `cfg.egress_gbps`: it offers each arrival of `cfg`'s stream as it draws
+/// it, so its memory stays O(buffer) however long the run, then drains
+/// every backlog, so per shard `offered == delivered + dropped + evicted`
+/// at return. Dense, shard-local sharded and globally admitted runs
+/// differ only in `scope`.
 ///
 /// Returns one report per shard (`makespan` is the instance's last
 /// event) and the instance's one telemetry recorder, final `qm.*`
@@ -453,62 +732,15 @@ where
     S: FlowScheduler,
 {
     let shards = scheds.len();
-    let mut st = LoopState::new(
-        shards,
-        cfg.mix.flows(),
-        cfg.sizes.max_bytes(),
-        cfg.telemetry,
-    );
-    let tx_times = tx_table(cfg.egress_gbps / shards as f64, cfg.sizes.max_bytes());
-    let mut tx: Vec<Option<(Picos, TxDone)>> = vec![None; shards];
-    let mut now = Picos::ZERO;
-
-    let mut arrivals = arrival_stream(cfg.arrivals, &cfg.mix, &cfg.sizes, cfg.seed, cfg.duration);
-    let mut next = arrivals.next();
-    loop {
-        // The earliest completion, ties to the lowest shard, found by its
-        // instant alone: copying whole slots, right after `start_service`
-        // wrote one field by field, waited on those stores.
-        let due = (tx.iter().enumerate())
-            .filter_map(|(s, slot)| Some((slot.as_ref()?.0, s)))
-            .min();
-        let shard = match next {
-            Some(a) if due.is_none_or(|(t, _)| a.at < t) => {
-                assert!(
-                    a.at >= now && due.is_none_or(|(t, _)| t > a.at),
-                    "an arrival went back in time or ahead of a due completion"
-                );
-                now = a.at;
-                st.arrival(scope, a);
-                next = arrivals.next();
-                let shard = scope.shard_of(a.flow);
-                if tx[shard].is_some() {
-                    continue;
-                }
-                shard
-            }
-            _ => {
-                let Some((t, shard)) = due else {
-                    break;
-                };
-                let (_, done) = tx[shard].expect("the due completion's slot is full");
-                now = t;
-                st.delivery(now, shard, done);
-                shard
-            }
-        };
-        start_service(
-            scope.qm(shard),
-            &mut scheds[shard],
-            &mut st,
-            &tx_times,
-            shard,
-            now,
-            &mut tx[shard],
-        );
+    let max_bytes = cfg.sizes.max_bytes();
+    let tx_times = tx_table(cfg.egress_gbps / shards as f64, max_bytes);
+    let mut lp = ClosedLoop::new(shards, cfg.mix.flows(), max_bytes, cfg.telemetry, &tx_times);
+    for pkt in arrival_stream(cfg.arrivals, &cfg.mix, &cfg.sizes, cfg.seed, cfg.duration) {
+        lp.offer(scope, scheds, pkt, &mut ());
     }
+    lp.complete_until(scope, scheds, Picos::new(u64::MAX), &mut ());
 
-    if let Some(t) = &mut st.tel {
+    if let Some(t) = &mut lp.tel {
         // End-of-run snapshot of the engine's own counters, which the
         // bins and property tests reconcile the report against.
         let mut stats = QmStats::default();
@@ -517,56 +749,8 @@ where
         reg.record_qm("qm.", &stats);
         t.set_final_metrics(reg);
     }
-    st.finish(now);
-    (st.reports, st.tel)
-}
-
-/// Asks the scheduler for the next flow and, if one is ready, dequeues
-/// its head packet, reading its first byte where the engine keeps it (so
-/// a delivery copies and allocates nothing), verifies it against the
-/// ledger (length and marker byte, a mismatch charged to `shard`'s
-/// report) and writes its completion into the server's slot `tx`: the
-/// instant `now` plus its transmit time from `tx_times`, the run's
-/// [`tx_table`], and the [`TxDone`]. `None` leaves
-/// the server idle. Both loops share this one service path. The slot is
-/// written where it lives: a completion returned by value went through
-/// the stack and was reloaded as one wide load of the fields just stored.
-pub(crate) fn start_service<S: FlowScheduler + ?Sized>(
-    qm: &mut QueueManager,
-    sched: &mut S,
-    st: &mut LoopState,
-    tx_times: &[Picos],
-    shard: usize,
-    now: Picos,
-    tx: &mut Option<(Picos, TxDone)>,
-) {
-    let Some(flow) = sched.next_flow(qm) else {
-        *tx = None;
-        return;
-    };
-    let mut first = None;
-    let len = qm
-        .dequeue_packet_with(flow, |b| {
-            first.get_or_insert(b[0]);
-        })
-        .expect("scheduler picked a ready flow");
-    sched.served(flow, len);
-    let slot = st.ledger[flow.as_usize()]
-        .pop_front()
-        .expect("served packet must be in the ledger");
-    if len as u32 != slot.len() || first != Some(slot.marker()) {
-        st.reports[shard].integrity_violations += 1;
-    }
-    if let Some(t) = &mut st.tel {
-        // The scheduler decision, stamped at the service start instant.
-        t.record_sched_select(now, flow);
-    }
-    let done = TxDone {
-        flow,
-        bytes: len as u32,
-        enqueued_at: slot.enqueued_at,
-    };
-    *tx = Some((now + tx_times[len], done));
+    lp.finish();
+    (lp.reports, lp.tel)
 }
 
 /// Outcome of a [`PipelineBuilder`] run: the per-shard closed-loop

@@ -1,5 +1,5 @@
 //! Always-on **streaming service mode**: generators merged into one
-//! arrival stream, per-shard service loops, epoch-windowed statistics and
+//! arrival stream, one closed loop per shard, epoch-windowed statistics and
 //! **online verification**.
 //!
 //! [`crate::pipeline`] answers "run this finite trace to completion and
@@ -7,8 +7,9 @@
 //! long-running *service*: traffic **generators** produce timestamped
 //! packets continuously (for a caller-chosen virtual duration), the
 //! driver merges them into one arrival stream in virtual-time order, and
-//! each shard runs a service loop that applies its own flows' arrivals in
-//! that order, interleaved with its own egress completions.
+//! each shard steps a one-shard instance of the pipeline's closed loop,
+//! which applies its own flows' arrivals in that order, interleaved with
+//! its own egress completions.
 //!
 //! One driver runs the service on the calling thread, in wall-clock-free
 //! **rounds** of [`crate::scale`]'s shape. Each generator holds one
@@ -58,20 +59,12 @@
 //! `threads` argument of [`run_service`] is what remains of them, and it
 //! is ignored.
 //!
-//! The `ShardLoop` here and the finite-trace event loop in
-//! [`crate::pipeline`] share the draw primitives this module owns
-//! ([`PacketStream`] and the arrival stream built on it), the
-//! admit/evict/deliver bookkeeping, the service path and one tie rule:
-//! each egress server holds its one packet in flight in a slot, a
-//! completion due at or before the next arrival runs first, and tied
-//! completions run lowest shard first (`service_tie_order_is_pinned`,
-//! `tie_order_is_pinned_on_every_shape`). They stay two loops for scope:
-//! every pipeline run is one finite loop over all its shards at once
-//! (global LQD's push-outs reach any shard), while the service runs one
-//! loop per shard and adds rounds, epochs with their snapshots and the
-//! stop boundary of [`quiesced_digest`]. One
-//! resumable step under both measured 11 % slower here for no fewer
-//! lines (ROADMAP item 5(b)).
+//! A service shard and a pipeline run step the same loop
+//! (`pipeline::ClosedLoop`) under the same tie rule: a completion due at
+//! or before the next arrival runs first, and tied completions run lowest
+//! shard first. What the service adds is the rounds and, per shard, a
+//! watch over that loop: epoch windows, boundary snapshots and the stop
+//! cut of [`quiesced_digest`].
 //!
 //! # Example
 //!
@@ -97,8 +90,8 @@
 use crate::arrival::{ArrivalGen, ArrivalProcess};
 use crate::flows::FlowMix;
 use crate::pipeline::{
-    assemble_sharded_report, start_service, tx_table, AdmissionScope, FlowReport, PipelineReport,
-    ShardLocal, Slot, TxDone,
+    assemble_sharded_report, tx_table, AdmissionScope, ArrivalOutcome, ClosedLoop, Partitioned,
+    PipelineReport, Slot, TxDone, Watch,
 };
 use crate::size::SizeDistribution;
 use npqm_core::check::{fnv1a_fold, state_digest, FNV_OFFSET_BASIS};
@@ -112,6 +105,7 @@ use npqm_sim::rng::Xoshiro256pp;
 use npqm_sim::stats::Histogram;
 use npqm_sim::time::Picos;
 use std::collections::VecDeque;
+use std::slice;
 use std::time::{Duration, Instant};
 
 /// XOR mixed into a seed to decorrelate the packet-draw RNG from the
@@ -192,164 +186,6 @@ pub(crate) fn arrival_stream<'a>(
             }
         })
     })
-}
-
-/// The bookkeeping both closed loops share: the per-shard, per-flow
-/// reports, the per-flow packet ledger (enqueue time, length, marker) and
-/// the scratch payload and victim buffers. Factoring it out is
-/// what keeps the finite-trace loop and the streaming service loop
-/// *behaviourally identical* — they admit, evict and deliver through
-/// these methods.
-pub(crate) struct LoopState {
-    /// One report per shard in the loop's admission scope, each indexed
-    /// by *global* flow id (flows homed on other shards stay zero).
-    pub(crate) reports: Vec<PipelineReport>,
-    pub(crate) ledger: Vec<VecDeque<Slot>>,
-    payload: Vec<u8>,
-    /// The victim buffer every offer is lent, so a push-out allocates
-    /// nothing once it holds the largest eviction run.
-    victims: Vec<(FlowId, u32)>,
-    /// The loop's telemetry recorder. `None` (untraced) costs one branch
-    /// per event.
-    pub(crate) tel: Option<Telemetry>,
-}
-
-/// What an arrival did, for window accounting.
-pub(crate) struct ArrivalOutcome {
-    pub(crate) admitted: bool,
-    pub(crate) evicted: u64,
-}
-
-impl LoopState {
-    /// One report for each of `shards` egress servers; `telemetry`
-    /// enables recording when `Some`.
-    pub(crate) fn new(
-        shards: usize,
-        flows: u32,
-        max_bytes: u32,
-        telemetry: Option<TelemetryConfig>,
-    ) -> Self {
-        LoopState {
-            reports: (0..shards)
-                .map(|_| PipelineReport {
-                    flows: (0..flows).map(|_| FlowReport::default()).collect(),
-                    ..PipelineReport::default()
-                })
-                .collect(),
-            ledger: (0..flows).map(|_| VecDeque::new()).collect(),
-            // Scratch payload sized to the largest packet the
-            // distribution can draw, so no sampled size is truncated.
-            payload: vec![0xA5u8; max_bytes as usize],
-            victims: Vec::new(),
-            tel: telemetry.map(Telemetry::new),
-        }
-    }
-
-    /// Offers one packet to `scope`'s policy, keeping the ledger in sync
-    /// with any evictions (which happen on admission *and* on refusal: a
-    /// push-out policy may clear room and still fail).
-    pub(crate) fn arrival<A: AdmissionScope>(
-        &mut self,
-        scope: &mut A,
-        pkt: ArrivalEvent,
-    ) -> ArrivalOutcome {
-        let (now, flow, size, marker) = (pkt.at, pkt.flow, pkt.size as usize, pkt.marker);
-        // Stamp a per-packet marker into the frame: delivery re-checks
-        // it, so a torn or cross-linked frame is caught even when its
-        // length happens to survive.
-        self.payload[0] = marker;
-        let home = scope.shard_of(flow);
-        let fr = &mut self.reports[home].flows[flow.as_usize()];
-        fr.offered_pkts += 1;
-        fr.offered_bytes += size as u64;
-        self.victims.clear();
-        // Kept as the `Result` it is: turned into an `Option` with `.err()`,
-        // it was copied through two unaligned stack bytes.
-        let offered = scope.offer(flow, &self.payload[..size], &mut self.victims);
-        for &(victim, bytes) in &self.victims {
-            // Under global push-out the victim may live on any shard in
-            // scope; charge its own home shard's report.
-            let vr = &mut self.reports[scope.shard_of(victim)];
-            let slot = self.ledger[victim.as_usize()]
-                .pop_front()
-                .expect("a victim was admitted, and every admission pushed its slot");
-            if slot.len() != bytes {
-                vr.integrity_violations += 1;
-            }
-            vr.flows[victim.as_usize()].evicted_pkts += 1;
-            if let Some(t) = &mut self.tel {
-                // Victim depth and occupancy observed just after the
-                // push-out — the state the policy's decision produced.
-                let (depth, occupancy) = scope.depth_and_occupancy(victim);
-                let policy = scope.policy_name(victim);
-                t.record_evict(now, policy, victim, bytes, depth, occupancy);
-            }
-        }
-        let fr = &mut self.reports[home].flows[flow.as_usize()];
-        if let Err(reason) = offered {
-            fr.dropped_pkts += 1;
-            if let Some(t) = &mut self.tel {
-                let (depth, occupancy) = scope.depth_and_occupancy(flow);
-                t.record_drop(
-                    now,
-                    scope.policy_name(flow),
-                    reason,
-                    flow,
-                    size as u32,
-                    depth,
-                    occupancy,
-                );
-            }
-        } else {
-            self.ledger[flow.as_usize()].push_back(Slot::new(now, size as u32, marker));
-            fr.admitted_pkts += 1;
-            if let Some(t) = &mut self.tel {
-                t.record_admit(now, flow, size as u32);
-            }
-        }
-        ArrivalOutcome {
-            admitted: offered.is_ok(),
-            evicted: self.victims.len() as u64,
-        }
-    }
-
-    /// Records a packet delivered by `shard`'s egress server; returns its
-    /// delay in nanoseconds (for windowed histograms).
-    pub(crate) fn delivery(&mut self, now: Picos, shard: usize, tx: TxDone) -> u64 {
-        let fr = &mut self.reports[shard].flows[tx.flow.as_usize()];
-        fr.delivered_pkts += 1;
-        fr.delivered_bytes += tx.bytes as u64;
-        let delta = now - tx.enqueued_at;
-        fr.latency_ns.push(delta.as_nanos_f64());
-        let lat_ns = delta.as_u64() / 1000;
-        if let Some(t) = &mut self.tel {
-            t.record_deliver(now, tx.flow, tx.bytes, lat_ns);
-        }
-        lat_ns
-    }
-
-    /// Stamps the makespan and folds each shard's per-flow reports into
-    /// its aggregate counters.
-    pub(crate) fn finish(&mut self, makespan: Picos) {
-        for report in &mut self.reports {
-            report.makespan = makespan;
-            let flows = std::mem::take(&mut report.flows);
-            for fr in &flows {
-                report.offered_pkts += fr.offered_pkts;
-                report.offered_bytes += fr.offered_bytes;
-                report.dropped_pkts += fr.dropped_pkts;
-                report.evicted_pkts += fr.evicted_pkts;
-                report.delivered_pkts += fr.delivered_pkts;
-                report.delivered_bytes += fr.delivered_bytes;
-                report.latency_ns.merge(&fr.latency_ns);
-            }
-            report.flows = flows;
-        }
-    }
-
-    fn buffered_pkts(&self) -> u64 {
-        self.ledger.iter().map(|l| l.len() as u64).sum()
-    }
 }
 
 /// Configuration of a streaming service run.
@@ -599,88 +435,126 @@ fn gen_seed(seed: u64, g: usize) -> u64 {
 /// its share in one timed serve phase.
 const ROUND: usize = 4096;
 
-/// One shard's always-on service loop: it [`offer`](Self::offer)s its
-/// flows' arrivals one at a time, in merge order, each after its egress
-/// server's completions due at or before it, and keeps epoch windows and
-/// boundary snapshots as time advances. The loop owns its shard's ledger
-/// and completion slot outright and is lent its engine for one serve
-/// phase at a time, so shards never wait on each other.
+/// One shard's always-on service loop: a one-shard [`ClosedLoop`] over
+/// the shard's own policy and scheduler, watched by its [`ShardWatch`].
+/// It owns its ledger, completion slot and windows outright and is lent
+/// its engine for one serve phase at a time, so shards never wait on each
+/// other.
 struct ShardLoop<'a, P, S> {
-    cfg: &'a ServiceConfig,
-    shard: usize,
     policy: P,
     sched: S,
-    st: LoopState,
-    /// The run's transmit table, lent to every shard's loop.
-    tx_times: &'a [Picos],
-    /// The time of the last event applied.
-    now: Picos,
-    /// The egress server's packet in flight and when it finishes.
-    tx: Option<(Picos, TxDone)>,
+    /// The loop's home table: every flow homed on its one shard.
+    home: &'a [usize],
+    lp: ClosedLoop<'a>,
+    watch: ShardWatch<'a>,
+    done: bool,
+    final_digest: u64,
+}
+
+impl<P, S> ShardLoop<'_, P, S>
+where
+    P: DropPolicy,
+    S: FlowScheduler,
+{
+    /// Offers this round's arrivals on the lent engine `qm`, in order,
+    /// and once every stream has `ended` drains the backlog. The loop
+    /// freezes when it has drained or its watch stops it at the stop
+    /// boundary.
+    fn serve_round(&mut self, qm: &mut QueueManager, round: &[ArrivalEvent], ended: bool) {
+        let scope = &mut Partitioned {
+            shards: slice::from_mut(qm),
+            policies: slice::from_mut(&mut self.policy),
+            shard_of_flow: self.home,
+        };
+        let scheds = slice::from_mut(&mut self.sched);
+        let (lp, watch) = (&mut self.lp, &mut self.watch);
+        let stopped = !(round.iter().all(|&pkt| lp.offer(scope, scheds, pkt, watch))
+            && (!ended || lp.complete_until(scope, scheds, Picos::new(u64::MAX), watch)));
+        if stopped || ended {
+            self.finalize(qm, stopped);
+        }
+    }
+
+    /// Freezes the loop: pushes the final (partial) window on a full
+    /// drain, folds the per-flow report and digests the frozen state.
+    fn finalize(&mut self, qm: &QueueManager, stopped: bool) {
+        let w = &mut self.watch;
+        if !stopped {
+            let last = w.take_window(w.cur.epoch);
+            (w.obs)(w.shard, &last);
+            w.windows.push(last);
+        }
+        if let Some(tel) = &mut self.lp.tel {
+            // End-of-run snapshot of the engine's own counters, which the
+            // bins and property tests reconcile the report against.
+            let mut reg = MetricsRegistry::new();
+            reg.record_qm("qm.", qm.stats());
+            reg.record_ptr("ptr.", &qm.ptr_counters());
+            tel.set_final_metrics(reg);
+        }
+        self.lp.finish();
+        self.final_digest = shard_state_digest(qm, &self.lp.ledger);
+        self.done = true;
+    }
+
+    fn into_report(mut self, busy: Duration) -> ShardServiceReport {
+        ShardServiceReport {
+            residual_pkts: self.lp.buffered_pkts(),
+            report: (self.lp.reports.pop()).expect("a one-shard loop keeps one report"),
+            telemetry: self.lp.tel,
+            windows: self.watch.windows,
+            snapshots: self.watch.snapshots,
+            final_digest: self.final_digest,
+            busy,
+            segments_processed: self.watch.segments,
+        }
+    }
+}
+
+/// A service shard's [`Watch`]: its epoch windows, the boundary
+/// snapshots it takes as time advances, and the stop cut of
+/// [`quiesced_digest`].
+struct ShardWatch<'a> {
+    cfg: &'a ServiceConfig,
+    shard: usize,
+    obs: &'a dyn Fn(usize, &EpochWindow),
     clock: EpochClock,
     cur: EpochWindow,
     windows: Vec<EpochWindow>,
     snapshots: Vec<EpochSnapshot>,
     segments: u64,
     stop_at: Option<Picos>,
-    done: bool,
-    final_digest: u64,
 }
 
-impl<'a, P, S> ShardLoop<'a, P, S>
-where
-    P: DropPolicy,
-    S: FlowScheduler,
-{
+impl<'a> ShardWatch<'a> {
     fn new(
         cfg: &'a ServiceConfig,
-        tx_times: &'a [Picos],
         shard: usize,
-        policy: P,
-        sched: S,
+        obs: &'a dyn Fn(usize, &EpochWindow),
         stop_at: Option<Picos>,
     ) -> Self {
-        ShardLoop {
+        ShardWatch {
+            cfg,
             shard,
-            policy,
-            sched,
-            st: LoopState::new(1, cfg.mix.flows(), cfg.sizes.max_bytes(), cfg.telemetry),
-            tx_times,
-            now: Picos::ZERO,
-            tx: None,
+            obs,
             clock: EpochClock::new(cfg.epoch),
             cur: EpochWindow::new(0, cfg.latency_buckets, cfg.latency_bucket_ns),
             windows: Vec::new(),
             snapshots: Vec::new(),
             segments: 0,
             stop_at,
-            done: false,
-            final_digest: 0,
-            cfg,
         }
     }
 
-    /// Whether processing an event at `t` would cross the stop boundary.
-    fn cut(&self, t: Picos) -> bool {
-        self.stop_at.is_some_and(|b| t >= b)
-    }
-
-    /// Advances the epoch clock to `t`, closing every window that
-    /// completes and snapshotting the shard at each boundary — *before*
-    /// the event at `t` is applied, so each snapshot observes exactly
-    /// the state at its boundary. Inlined: it runs once per event, and
-    /// an event that closes no window only compares `t` with the next
-    /// boundary instead of making a call.
-    #[inline]
-    fn advance_virtual(&mut self, qm: &QueueManager, t: Picos, obs: &impl Fn(usize, &EpochWindow)) {
-        for e in self.clock.advance_to(t) {
-            self.close_window(qm, e, obs);
-        }
+    /// Takes the current window, leaving an empty window `next` open.
+    fn take_window(&mut self, next: u64) -> EpochWindow {
+        let empty = EpochWindow::new(next, self.cfg.latency_buckets, self.cfg.latency_bucket_ns);
+        std::mem::replace(&mut self.cur, empty)
     }
 
     /// Snapshots the shard at window `e`'s boundary and closes the window.
-    fn close_window(&mut self, qm: &QueueManager, e: u64, obs: &impl Fn(usize, &EpochWindow)) {
-        let digest = shard_state_digest(qm, &self.st.ledger);
+    fn close_window(&mut self, qm: &QueueManager, lp: &mut ClosedLoop<'_>, e: u64) {
+        let digest = shard_state_digest(qm, &lp.ledger);
         let (verify_ok, segments_used, payload_bytes) = match qm.verify() {
             Ok(r) => (true, r.segments_used, r.payload_bytes),
             Err(_) => (false, 0, 0),
@@ -692,14 +566,11 @@ where
             verify_ok,
             segments_used,
             payload_bytes,
-            buffered_pkts: self.st.buffered_pkts(),
-            integrity_violations: self.st.reports[0].integrity_violations,
+            buffered_pkts: lp.buffered_pkts(),
+            integrity_violations: lp.reports[0].integrity_violations,
         });
-        let w = std::mem::replace(
-            &mut self.cur,
-            EpochWindow::new(e + 1, self.cfg.latency_buckets, self.cfg.latency_bucket_ns),
-        );
-        if let Some(tel) = &mut self.st.tel {
+        let w = self.take_window(e + 1);
+        if let Some(tel) = &mut lp.tel {
             // The boundary event and a cumulative metrics snapshot,
             // taken at the same pre-event instant as the digest
             // above (telemetry reads the engine, never touches it).
@@ -710,150 +581,47 @@ where
             reg.record_ptr("ptr.", &qm.ptr_counters());
             tel.snapshot_metrics(e, reg);
         }
-        obs(self.shard, &w);
+        (self.obs)(self.shard, &w);
         self.windows.push(w);
     }
+}
 
-    /// Starts the next service on the idle server, if a flow is ready.
-    fn serve(&mut self, qm: &mut QueueManager) {
-        start_service(
-            qm,
-            &mut self.sched,
-            &mut self.st,
-            self.tx_times,
-            0,
-            self.now,
-            &mut self.tx,
-        );
-    }
-
-    /// Processes every egress completion due at or before `until`, each
-    /// starting the next service. Returns `false` if one lies at/beyond
-    /// the stop boundary (the loop then freezes instead). Inlined: a call
-    /// per arrival, due completion or not, cost the service 2-3 %.
+impl Watch for ShardWatch<'_> {
+    /// Stops the loop at the stop boundary; short of it, advances the
+    /// epoch clock to `t`, closing every window that completes and
+    /// snapshotting the shard at each boundary — *before* the event at `t`
+    /// is applied, so each snapshot observes exactly the state at its
+    /// boundary. Inlined: it runs once per event, and an event that
+    /// closes no window only compares `t` with the next boundary instead
+    /// of making a call.
     #[inline]
-    fn complete_until(
-        &mut self,
-        qm: &mut QueueManager,
-        until: Picos,
-        obs: &impl Fn(usize, &EpochWindow),
-    ) -> bool {
-        while let Some(&(t, tx)) = self.tx.as_ref().filter(|(t, _)| *t <= until) {
-            if self.cut(t) {
-                self.finalize(qm, true, obs);
-                return false;
-            }
-            self.advance_virtual(qm, t, obs);
-            self.now = t;
-            let lat_ns = self.st.delivery(t, 0, tx);
-            self.cur.delivered_pkts += 1;
-            self.cur.delivered_bytes += u64::from(tx.bytes);
-            self.cur.latency_ns.record(lat_ns);
-            self.segments += self.cfg.qm.segments_for(tx.bytes as usize) as u64;
-            self.serve(qm);
+    fn at<A: AdmissionScope>(&mut self, scope: &mut A, lp: &mut ClosedLoop<'_>, t: Picos) -> bool {
+        if self.stop_at.is_some_and(|b| t >= b) {
+            return false;
+        }
+        for e in self.clock.advance_to(t) {
+            self.close_window(scope.qm(0), lp, e);
         }
         true
     }
 
-    /// Applies one arrival.
-    fn apply_arrival(&mut self, qm: &mut QueueManager, pkt: ArrivalEvent) {
-        let scope = &mut ShardLocal {
-            qm: &mut *qm,
-            policy: &mut self.policy,
-        };
-        let out = self.st.arrival(scope, pkt);
+    fn arrived(&mut self, pkt: &ArrivalEvent, outcome: ArrivalOutcome) {
         self.cur.offered_pkts += 1;
         self.cur.offered_bytes += u64::from(pkt.size);
-        self.cur.evicted_pkts += out.evicted;
-        if out.admitted {
+        self.cur.evicted_pkts += outcome.evicted;
+        if outcome.admitted {
             self.cur.admitted_pkts += 1;
             self.segments += self.cfg.qm.segments_for(pkt.size as usize) as u64;
         } else {
             self.cur.dropped_pkts += 1;
         }
-        if self.tx.is_none() {
-            self.serve(qm);
-        }
     }
 
-    /// Freezes the loop: pushes the final (partial) window on a full
-    /// drain, folds the per-flow report and digests the frozen state.
-    fn finalize(&mut self, qm: &QueueManager, stopped: bool, obs: &impl Fn(usize, &EpochWindow)) {
-        if !stopped {
-            let e = self.cur.epoch;
-            let w = std::mem::replace(
-                &mut self.cur,
-                EpochWindow::new(e, self.cfg.latency_buckets, self.cfg.latency_bucket_ns),
-            );
-            obs(self.shard, &w);
-            self.windows.push(w);
-        }
-        if let Some(tel) = &mut self.st.tel {
-            // End-of-run snapshot of the engine's own counters, which the
-            // bins and property tests reconcile the report against.
-            let mut reg = MetricsRegistry::new();
-            reg.record_qm("qm.", qm.stats());
-            reg.record_ptr("ptr.", &qm.ptr_counters());
-            tel.set_final_metrics(reg);
-        }
-        self.st.finish(self.now);
-        self.final_digest = shard_state_digest(qm, &self.st.ledger);
-        self.done = true;
-    }
-
-    /// Applies one arrival on the lent engine `qm`, after the
-    /// completions due at or before it (completions win time ties; see
-    /// the module docs). Returns `false` once the loop has frozen at the
-    /// stop boundary. Inlined: a call per arrival measured 2.7 % slower
-    /// on the benchmark's one-shard service workload.
-    #[inline]
-    fn offer(
-        &mut self,
-        qm: &mut QueueManager,
-        pkt: ArrivalEvent,
-        obs: &impl Fn(usize, &EpochWindow),
-    ) -> bool {
-        if !self.complete_until(qm, pkt.at, obs) {
-            return false;
-        }
-        if self.cut(pkt.at) {
-            self.finalize(qm, true, obs);
-            return false;
-        }
-        assert!(
-            pkt.at >= self.now && self.tx.is_none_or(|(t, _)| t > pkt.at),
-            "an arrival went back in time or ahead of a due completion"
-        );
-        self.advance_virtual(qm, pkt.at, obs);
-        self.now = pkt.at;
-        self.apply_arrival(qm, pkt);
-        true
-    }
-
-    /// Every stream has ended: drains the backlog and freezes the loop.
-    fn drain(&mut self, qm: &mut QueueManager, obs: &impl Fn(usize, &EpochWindow)) {
-        if self.complete_until(qm, Picos::new(u64::MAX), obs) {
-            self.finalize(qm, false, obs);
-        }
-    }
-
-    fn into_report(mut self, busy: Duration) -> ShardServiceReport {
-        let residual_pkts = self.st.buffered_pkts();
-        let report = self
-            .st
-            .reports
-            .pop()
-            .expect("LoopState::new(1, ..) made one report");
-        ShardServiceReport {
-            residual_pkts,
-            report,
-            telemetry: self.st.tel,
-            windows: self.windows,
-            snapshots: self.snapshots,
-            final_digest: self.final_digest,
-            busy,
-            segments_processed: self.segments,
-        }
+    fn delivered(&mut self, done: &TxDone, lat_ns: u64) {
+        self.cur.delivered_pkts += 1;
+        self.cur.delivered_bytes += u64::from(done.bytes);
+        self.cur.latency_ns.record(lat_ns);
+        self.segments += self.cfg.qm.segments_for(done.bytes as usize) as u64;
     }
 }
 
@@ -1003,7 +771,7 @@ fn run_service_inner<P, S>(
     cfg: &ServiceConfig,
     mk_policy: impl FnMut(usize) -> P,
     mk_sched: impl FnMut(usize) -> S,
-    observe: &impl Fn(usize, &EpochWindow),
+    observe: &dyn Fn(usize, &EpochWindow),
     stop_at: Option<Picos>,
 ) -> ServiceReport
 where
@@ -1031,8 +799,18 @@ where
     // Every server sends at the same per-shard rate: one transmit table
     // serves them all.
     let tx_times = tx_table(cfg.egress_gbps / cfg.shards as f64, cfg.sizes.max_bytes());
+    // Each loop's scope is its one lent engine, every flow homed on it.
+    let home = vec![0; flows as usize];
     let mut loops: Vec<ShardLoop<'_, P, S>> = (policies.into_iter().zip(scheds).enumerate())
-        .map(|(s, (policy, sched))| ShardLoop::new(cfg, &tx_times, s, policy, sched, stop_at))
+        .map(|(shard, (policy, sched))| ShardLoop {
+            policy,
+            sched,
+            home: &home,
+            lp: ClosedLoop::new(1, flows, cfg.sizes.max_bytes(), cfg.telemetry, &tx_times),
+            watch: ShardWatch::new(cfg, shard, observe, stop_at),
+            done: false,
+            final_digest: 0,
+        })
         .collect();
 
     // The one driver (see the module docs): each generator's stream under
@@ -1065,23 +843,18 @@ where
         }
         engine.for_each_shard(
             &mut loops,
-            |lp| !lp.done,
-            |qm, lp| {
-                let live = (rounds[lp.shard].iter()).all(|&pkt| lp.offer(qm, pkt, observe));
-                if ended && live {
-                    lp.drain(qm, observe);
-                }
-            },
+            |sh| !sh.done,
+            |qm, sh| sh.serve_round(qm, &rounds[sh.watch.shard], ended),
         );
         for round in &mut rounds {
             round.clear();
         }
-        if ended || loops.iter().all(|lp| lp.done) {
+        if ended || loops.iter().all(|sh| sh.done) {
             break;
         }
     }
     let mut shards: Vec<ShardServiceReport> = (loops.into_iter().zip(engine.busy_times()))
-        .map(|(lp, &busy)| lp.into_report(busy))
+        .map(|(sh, &busy)| sh.into_report(busy))
         .collect();
 
     if stop_at.is_none() {
@@ -1161,8 +934,10 @@ where
 mod tests {
     use super::*;
     use crate::pipeline::tests::{completions_lead_ties, tie_every_gap};
+    use crate::{PipelineBuilder, PipelineConfig};
     use npqm_core::policy::DynamicThreshold;
     use npqm_core::sched::DeficitRoundRobin;
+    use npqm_core::telemetry::TraceEvent;
 
     fn demo_policies() -> (
         impl FnMut(usize) -> DynamicThreshold,
@@ -1289,6 +1064,73 @@ mod tests {
                 r.epoch_digests[e as usize], q,
                 "online digest diverged from quiesced replay at epoch {e}"
             );
+        }
+    }
+
+    #[test]
+    fn each_window_counts_the_traced_events_of_its_span() {
+        // A window closes before the first event at or past its end is
+        // applied, so it counts exactly the traced events inside its span
+        // (the last one, closed by the drain, also every later event).
+        let mut cfg = ServiceConfig::steady_demo(5);
+        cfg.shards = 2;
+        cfg.telemetry = Some(TelemetryConfig::with_ring(1 << 20));
+        let r = demo_run(&cfg);
+        for sh in &r.shards {
+            let tel = sh.telemetry.as_ref().expect("traced run");
+            let last = sh
+                .windows
+                .last()
+                .expect("a drained run pushes its last window");
+            for w in &sh.windows {
+                let start = cfg.epoch * w.epoch;
+                let end = cfg.epoch * (w.epoch + 1);
+                let inside = |name: &str| {
+                    let span =
+                        |e: &&TraceEvent| e.at >= start && (w.epoch == last.epoch || e.at < end);
+                    tel.events()
+                        .filter(span)
+                        .filter(|e| e.kind.name() == name)
+                        .count() as u64
+                };
+                assert_eq!(inside("deliver"), w.delivered_pkts, "epoch {}", w.epoch);
+                assert_eq!(
+                    inside("admit") + inside("drop"),
+                    w.offered_pkts,
+                    "epoch {}",
+                    w.epoch
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn digests_hold_with_an_arrival_on_every_boundary() {
+        // CBR 50 ns arrivals and 50 µs epochs put an arrival exactly on
+        // each boundary: the snapshot and the stop cut both come before
+        // it, so the online digest and the quiesced replay still agree.
+        let cfg = ServiceConfig {
+            arrivals: ArrivalProcess::Cbr {
+                interval: Picos::from_nanos(50),
+            },
+            sizes: SizeDistribution::Fixed(64),
+            egress_gbps: 5.0,
+            shards: 1,
+            generators: 1,
+            epoch: Picos::from_micros(50),
+            duration: Picos::from_micros(200),
+            ..ServiceConfig::steady_demo(42)
+        };
+        let r = demo_run(&cfg);
+        assert!(r.epoch_digests.len() >= 3);
+        for e in 0..r.epoch_digests.len() as u64 {
+            let q = quiesced_digest(
+                &cfg,
+                e,
+                |_| DynamicThreshold::new(2.0),
+                |_| DeficitRoundRobin::new(vec![1518; 8]),
+            );
+            assert_eq!(r.epoch_digests[e as usize], q, "epoch {e}");
         }
     }
 
@@ -1448,6 +1290,47 @@ mod tests {
         assert_eq!(r.final_digest, 0xccdc_5185_4b42_13d3);
         let busiest = r.shards.iter().map(|sh| sh.busy).max();
         assert_eq!(Some(r.critical_path), busiest);
+    }
+
+    #[test]
+    fn one_generator_service_reports_what_the_pipeline_reports() {
+        // One generator's stream is the pipeline's arrival stream under
+        // that generator's seed, and each service shard steps the same
+        // loop as a pipeline shard over a partitioned buffer, so with no
+        // stop cut the two drivers report alike, shard by shard. 10 ms is
+        // 5,020 arrivals, which the service hands over in two rounds.
+        let mut cfg = ServiceConfig::steady_demo(7);
+        cfg.generators = 1;
+        cfg.duration = Picos::from_micros(10_000);
+        for (shards, delivered) in [(1, 3_694), (2, 3_718), (4, 3_228)] {
+            cfg.shards = shards;
+            let svc = demo_run(&cfg);
+            let pipe = PipelineBuilder::new(&PipelineConfig {
+                qm: cfg.qm,
+                arrivals: cfg.arrivals,
+                sizes: cfg.sizes,
+                mix: cfg.mix.clone(),
+                egress_gbps: cfg.egress_gbps,
+                duration: cfg.duration,
+                seed: gen_seed(cfg.seed, 0),
+                telemetry: None,
+            })
+            .shards(shards)
+            .admission(|_| DynamicThreshold::new(2.0))
+            .egress(|_| DeficitRoundRobin::new(vec![1518; 8]))
+            .run();
+            let a = &svc.aggregate;
+            assert_eq!((a.offered_pkts, a.delivered_pkts), (5_020, delivered));
+            assert_eq!(format!("{a:?}"), format!("{:?}", pipe.aggregate));
+            assert_eq!(svc.shards.len(), pipe.shards.len());
+            for (sh, p) in svc.shards.iter().zip(&pipe.shards) {
+                assert_eq!(
+                    format!("{:?}", sh.report),
+                    format!("{p:?}"),
+                    "{shards} shards"
+                );
+            }
+        }
     }
 
     #[test]

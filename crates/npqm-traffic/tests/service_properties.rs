@@ -17,13 +17,14 @@ use npqm_traffic::{PipelineBuilder, PipelineConfig};
 use proptest::prelude::*;
 
 /// Random small steady-state scenario: the `steady_demo` engine with
-/// randomized seed, topology, epoch width and duration.
-/// Small enough that one run is a few
-/// milliseconds of wall clock.
+/// randomized seed, topology, epoch width and duration. Up to 6 ms, so
+/// three generators offer about 9,000 arrivals and a case can cross the
+/// service's 4096-arrival rounds; still small enough that one run is a
+/// few milliseconds of wall clock.
 fn small_service_config() -> impl Strategy<Value = ServiceConfig> {
     (
         (0u64..1_000, 1usize..4, 1usize..4), // seed, shards, generators
-        (50u64..401, 200u64..1_501),         // epoch µs, duration µs
+        (50u64..401, 200u64..6_001),         // epoch µs, duration µs
     )
         .prop_map(|((seed, shards, generators), (epoch_us, duration_us))| {
             let mut cfg = ServiceConfig::steady_demo(seed);
